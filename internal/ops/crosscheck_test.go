@@ -87,25 +87,26 @@ func hubExpectations(hs push.HubStats, which string) map[string]fieldExpectation
 			SeriesKey("broadway_hub_ring_bytes", l, Label{"partition", p.Name}), float64(p.Bytes)})
 	}
 	return map[string]fieldExpectation{
-		"Seq":           one("broadway_hub_seq", float64(hs.Seq), l),
-		"Subscribers":   one("broadway_hub_subscribers", float64(hs.Subscribers), l),
-		"ActiveStreams": one("broadway_hub_active_streams", float64(hs.ActiveStreams), l),
-		"ReplayLen":     one("broadway_hub_replay_events", float64(hs.ReplayLen), l),
-		"ReplayCap":     one("broadway_hub_replay_events_cap", float64(hs.ReplayCap), l),
-		"ReplayBytes":   one("broadway_hub_replay_bytes", float64(hs.ReplayBytes), l),
-		"ReplayByteCap": one("broadway_hub_replay_bytes_cap", float64(hs.ReplayByteCap), l),
-		"Partitions":    {checks: partChecks},
-		"PublishWait":   one("broadway_hub_publish_wait_seconds", hs.PublishWait.Seconds(), l),
-		"Oversized":     one("broadway_hub_oversized_total", float64(hs.Oversized), l),
-		"Degraded":      one("broadway_hub_degraded_total", float64(hs.Degraded), l),
-		"Resets":        one("broadway_hub_resets_total", float64(hs.Resets), l),
-		"ResumeHoles":   one("broadway_hub_resume_holes_total", float64(hs.ResumeHoles), l),
-		"SlowKills":     one("broadway_hub_slow_kills_total", float64(hs.SlowKills), l),
-		"Filtered":      one("broadway_hub_filtered_total", float64(hs.Filtered), l),
-		"DeltaFrames":   one("broadway_hub_delta_frames_total", float64(hs.DeltaFrames), l),
-		"ChunkFrames":   one("broadway_hub_chunk_frames_total", float64(hs.ChunkFrames), l),
-		"Available":     one("broadway_hub_available", boolVal(hs.Available), l),
-		"MaxLag":        one("broadway_hub_max_lag", float64(hs.MaxLag), l),
+		"Seq":             one("broadway_hub_seq", float64(hs.Seq), l),
+		"Subscribers":     one("broadway_hub_subscribers", float64(hs.Subscribers), l),
+		"ActiveStreams":   one("broadway_hub_active_streams", float64(hs.ActiveStreams), l),
+		"ReplayLen":       one("broadway_hub_replay_events", float64(hs.ReplayLen), l),
+		"ReplayCap":       one("broadway_hub_replay_events_cap", float64(hs.ReplayCap), l),
+		"ReplayBytes":     one("broadway_hub_replay_bytes", float64(hs.ReplayBytes), l),
+		"ReplayByteCap":   one("broadway_hub_replay_bytes_cap", float64(hs.ReplayByteCap), l),
+		"Partitions":      {checks: partChecks},
+		"PublishWait":     one("broadway_hub_publish_wait_seconds", hs.PublishWait.Seconds(), l),
+		"Oversized":       one("broadway_hub_oversized_total", float64(hs.Oversized), l),
+		"Degraded":        one("broadway_hub_degraded_total", float64(hs.Degraded), l),
+		"Resets":          one("broadway_hub_resets_total", float64(hs.Resets), l),
+		"ResumeHoles":     one("broadway_hub_resume_holes_total", float64(hs.ResumeHoles), l),
+		"SlowKills":       one("broadway_hub_slow_kills_total", float64(hs.SlowKills), l),
+		"Filtered":        one("broadway_hub_filtered_total", float64(hs.Filtered), l),
+		"DeltaFrames":     one("broadway_hub_delta_frames_total", float64(hs.DeltaFrames), l),
+		"ChunkFrames":     one("broadway_hub_chunk_frames_total", float64(hs.ChunkFrames), l),
+		"DuplicateFrames": one("broadway_hub_duplicate_frames_total", float64(hs.DuplicateFrames), l),
+		"Available":       one("broadway_hub_available", boolVal(hs.Available), l),
+		"MaxLag":          one("broadway_hub_max_lag", float64(hs.MaxLag), l),
 		"Lags": {checks: []seriesCheck{
 			{SeriesKey("broadway_hub_subscriber_lag_count", l), float64(len(hs.Lags))},
 			{SeriesKey("broadway_hub_subscriber_lag_sum", l), lagSum},
@@ -147,6 +148,7 @@ func proxyExpectations(cs webproxy.CacheStats, us webproxy.UpstreamStatus, ps we
 		"Dropped":          one("broadway_push_dropped_total", float64(ps.Dropped)),
 		"ValueApplied":     one("broadway_push_value_applied_total", float64(ps.ValueApplied)),
 		"ValueFallbacks":   one("broadway_push_value_fallbacks_total", float64(ps.ValueFallbacks)),
+		"Duplicates":       one("broadway_push_duplicates_total", float64(ps.Duplicates)),
 		"DeltaApplied":     one("broadway_push_delta_applied_total", float64(ps.DeltaApplied)),
 		"DeltaBaseMisses":  one("broadway_push_delta_base_misses_total", float64(ps.DeltaBaseMisses)),
 		"DeltaRebased":     one("broadway_push_delta_rebased_total", float64(ps.DeltaRebased)),

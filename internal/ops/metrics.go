@@ -67,6 +67,7 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	e.counter("broadway_push_dropped_total", "Events dropped for non-resident objects.", float64(ps.Dropped))
 	e.counter("broadway_push_value_applied_total", "Pushed payloads installed directly, zero origin polls.", float64(ps.ValueApplied))
 	e.counter("broadway_push_value_fallbacks_total", "Pushed jobs degraded to a confirmation poll.", float64(ps.ValueFallbacks))
+	e.counter("broadway_push_duplicates_total", "Pushed events dropped by the version check (cached copy already at that version).", float64(ps.Duplicates))
 	e.counter("broadway_push_delta_applied_total", "Pushed delta frames reconstructed, verified, and installed.", float64(ps.DeltaApplied))
 	e.counter("broadway_push_delta_base_misses_total", "Pushed deltas refused for a base digest mismatch, degraded down the ladder.", float64(ps.DeltaBaseMisses))
 	e.counter("broadway_push_delta_rebased_total", "Relay publications carrying a delta form for this proxy's downstream.", float64(ps.DeltaRebased))
@@ -125,6 +126,7 @@ func writeHubMetrics(e *exposition, hs push.HubStats, which string) {
 	e.counter("broadway_hub_filtered_total", "Update frames skipped by interest filtering.", float64(hs.Filtered), l)
 	e.counter("broadway_hub_delta_frames_total", "Update frames delivered on the delta rung (base matched a held digest).", float64(hs.DeltaFrames), l)
 	e.counter("broadway_hub_chunk_frames_total", "Chunk frames written for bodies over a stream's payload cap.", float64(hs.ChunkFrames), l)
+	e.counter("broadway_hub_duplicate_frames_total", "Updates written stripped because the stream already held the body (rung zero).", float64(hs.DuplicateFrames), l)
 	e.gauge("broadway_hub_available", "1 while the endpoint accepts streams.", boolVal(hs.Available), l)
 	e.gauge("broadway_hub_max_lag", "Largest per-subscriber lag behind the stream head.", float64(hs.MaxLag), l)
 	lags := make([]float64, len(hs.Lags))

@@ -31,9 +31,9 @@ const (
 	opCopy = 0x02
 
 	// deltaBlockSize is the encoder's match granularity: base offsets
-	// are indexed at this stride, and matches extend greedily from a
-	// seed of this length. Small enough to find moved paragraphs, large
-	// enough that the index stays cheap.
+	// are indexed at this stride, and matches extend greedily — in both
+	// directions — from a seed of this length. Small enough to find
+	// moved paragraphs, large enough that the index stays cheap.
 	deltaBlockSize = 32
 
 	// MaxChunkTotal bounds the chunk count of a chunked body; with the
@@ -82,9 +82,21 @@ func MakeDelta(base, target []byte) ([]byte, bool) {
 		if i+deltaBlockSize <= len(target) {
 			if off, ok := index[blockHash(target[i:i+deltaBlockSize])]; ok &&
 				bytes.Equal(base[off:off+deltaBlockSize], target[i:i+deltaBlockSize]) {
-				// Extend the match greedily in both the base and target.
+				// Extend the match greedily in both the base and target:
+				// forwards past the seed block, and backwards over the
+				// pending literals — a seed is only found on a base block
+				// boundary, so up to a block's worth of unchanged bytes just
+				// before it were queued as literals that the COPY can cover
+				// instead. (Backwards never reaches into a COPY already
+				// emitted: only bytes still pending may be reclaimed.)
 				n := deltaBlockSize
 				for off+n < len(base) && i+n < len(target) && base[off+n] == target[i+n] {
+					n++
+				}
+				for len(lit) > 0 && off > 0 && base[off-1] == lit[len(lit)-1] {
+					lit = lit[:len(lit)-1]
+					off--
+					i--
 					n++
 				}
 				flushLit()

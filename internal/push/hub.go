@@ -49,6 +49,13 @@ import (
 //     whose body exceeds a stream's cap is degraded to invalidation for
 //     that stream at write time, while richer streams still receive the
 //     payload.
+//   - A stream is sent a version's payload at most once: the hub tracks
+//     the version (digest and modification instant) each stream holds
+//     per key, and an update that repeats it goes out as the stripped
+//     announcement alone (rung zero of the ladder) with the held digest
+//     left standing, so a relay's confirmation of a payload it already
+//     passed through, or a replayed frame, costs an envelope and keeps
+//     the delta chain.
 //   - Reset marks the stream's content as holed (the hub's owner lost
 //     its own upstream): every live subscriber receives a mid-stream
 //     hello/Reset frame, and any subscriber later resuming from at or
@@ -179,8 +186,11 @@ type ringPartition struct {
 	// prunedTo has a genuine hole, while gaps made only of other
 	// partitions' frames prove nothing was missed.
 	prunedTo uint64
-	// pubs counts publishes into this partition — the per-partition
-	// anchor cadence (AnchorEvery).
+	// pubs counts payload-carrying publishes into this partition — the
+	// per-partition anchor cadence (AnchorEvery). Announcements carry
+	// nothing an anchor could keep, so they do not advance it: a relay
+	// hub's strict payload/confirmation alternation would otherwise land
+	// every anchor slot on a confirmation and thin every payload.
 	pubs uint64
 	// thinTail marks the newest buf entry as a non-anchor delta frame
 	// whose full/chunked forms thin away on the next publish into the
@@ -260,6 +270,9 @@ type Hub struct {
 	// per frame); incremented from serve loops, hence atomic.
 	deltaFrames atomic.Uint64
 	chunkFrames atomic.Uint64
+	// duplicateFrames counts rung-zero deliveries: updates whose body the
+	// stream already held, written as the stripped announcement only.
+	duplicateFrames atomic.Uint64
 
 	// slowKills counts subscribers terminated for not draining —
 	// incremented by the publish-side lag scan and by ring walks that
@@ -323,14 +336,27 @@ type hubSub struct {
 	// the hub's generation moves past it the serve loop owes the
 	// stream a mid-stream hello/Reset frame. Serve-goroutine state.
 	resetGen uint64
-	// held maps object key → body digest this stream is known to hold:
+	// held maps object key → body version this stream is known to hold:
 	// seeded from the connect-time ?held= declaration, advanced on
-	// every payload-form delivery, and dropped on any delivery the
-	// stream must confirm by polling (the hub then no longer knows what
-	// the poll installed). Touched ONLY by the stream's serve
+	// every payload-form delivery, left standing by a repeat of the
+	// digest it already names (rung zero sends such a repeat stripped),
+	// and dropped on any other delivery the stream must confirm by
+	// polling (the hub then no longer knows what the poll installed).
+	// It is what makes "a stream is sent a version's payload at most
+	// once" a property of the hub. Touched ONLY by the stream's serve
 	// goroutine, so it needs no lock; nil until something populates it,
 	// so invalidation-only workloads never allocate it.
-	held map[string]string
+	held map[string]heldVersion
+}
+
+// heldVersion is what a stream is known to hold for one key: the body's
+// digest, and the modification instant (UnixNano) of the update that
+// delivered it — zero when unknown (a ?held= declaration names only the
+// digest; a timeless event has none). The instant is what tells a repeat
+// of a version already sent from a newer version with the same content.
+type heldVersion struct {
+	digest string
+	mod    int64
 }
 
 func (s *hubSub) terminate() { s.once.Do(func() { close(s.done) }) }
@@ -485,12 +511,11 @@ func (h *Hub) Publish(ev Event) uint64 {
 	// The single Encode site of the publish path: every wire form is
 	// rendered here, once, and every delivery — live fan-out now, replay
 	// later — is a pre-rendered byte-slice pick.
-	re := RenderLadder(ev, chunkPayload)
-	if suppressFull {
-		re = re.SuppressFull()
-	}
+	re := renderLadder(ev, chunkPayload, suppressFull)
 	part := h.partitionLocked(partitionName(ev.Key))
-	part.pubs++
+	if re.payloadLen >= 0 || re.delta != "" {
+		part.pubs++
+	}
 	if part.thinTail && len(part.buf) > 0 {
 		// The frame this one supersedes stops being the partition's live
 		// head: thin it to delta + stripped. Live subscribers fetched its
@@ -686,7 +711,7 @@ func (h *Hub) getNotify() <-chan struct{} {
 // hole, while a pruned frame inside a declared partition forces a
 // Reset. Replay is not materialized here — the serve loop pulls it
 // from the ring through the same batch path live frames use.
-func (h *Hub) subscribe(since uint64, payloadCap int, interest InterestSet, held map[string]string) (hello RenderedEvent, sub *hubSub, ok bool) {
+func (h *Hub) subscribe(since uint64, payloadCap int, interest InterestSet, held map[string]heldVersion) (hello RenderedEvent, sub *hubSub, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.available {
@@ -839,8 +864,8 @@ const maxHeldTerms = 64
 // colon. Malformed terms are silently ignored — held state is an
 // optimization (it unlocks the delta rung), so parsing fails open to
 // "holds nothing", never closed.
-func parseHeld(terms []string) map[string]string {
-	var held map[string]string
+func parseHeld(terms []string) map[string]heldVersion {
+	var held map[string]heldVersion
 	for _, t := range terms {
 		if len(held) >= maxHeldTerms {
 			break
@@ -854,9 +879,9 @@ func parseHeld(terms []string) map[string]string {
 			continue
 		}
 		if held == nil {
-			held = make(map[string]string, len(terms))
+			held = make(map[string]heldVersion, len(terms))
 		}
-		held[key] = digest
+		held[key] = heldVersion{digest: digest}
 	}
 	return held
 }
@@ -987,6 +1012,10 @@ type HubStats struct {
 	// or a degradation to invalidation.
 	DeltaFrames uint64
 	ChunkFrames uint64
+	// DuplicateFrames counts updates delivered on rung zero: the stream
+	// already held the body (it was sent it once), so only the stripped
+	// announcement crossed the link.
+	DuplicateFrames uint64
 	// PublishWait is the cumulative time publishers spent waiting to
 	// acquire the ring lock — the contention serve-side load inflicts
 	// on the publish path (flat when the contention-free design holds).
@@ -1032,6 +1061,7 @@ func (h *Hub) Stats() HubStats {
 	st.Filtered = h.filtered.Load()
 	st.DeltaFrames = h.deltaFrames.Load()
 	st.ChunkFrames = h.chunkFrames.Load()
+	st.DuplicateFrames = h.duplicateFrames.Load()
 	st.PublishWait = time.Duration(h.publishWait.Load())
 	for i := range h.shards {
 		sh := &h.shards[i]
@@ -1128,7 +1158,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	interest := ParseInterest(query)
-	var held map[string]string
+	var held map[string]heldVersion
 	if payloadCap > 0 {
 		held = parseHeld(query["held"])
 	}
@@ -1171,36 +1201,53 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		return rc.Flush() == nil
 	}
-	// holdSet advances (or voids) the hub's knowledge of what body this
-	// stream holds for key — the state the delta rung selects against.
-	holdSet := func(key, digest string) {
-		if digest == "" {
-			delete(sub.held, key)
+	// holdSet advances the hub's knowledge of what body this stream holds
+	// for re's key — the state the delta rung and rung zero select
+	// against — to the version re just delivered.
+	holdSet := func(re RenderedEvent) {
+		if re.digest == "" {
+			delete(sub.held, re.Key)
 			return
 		}
 		if sub.held == nil {
-			sub.held = make(map[string]string)
+			sub.held = make(map[string]heldVersion)
 		}
-		sub.held[key] = digest
+		sub.held[re.Key] = heldVersion{digest: re.digest, mod: re.mod}
 	}
 	// appendUpdate renders one update on the cheapest ladder rung this
-	// stream can use: delta when the stream holds the delta's base, the
-	// full body in one frame when the cap carries it, the chunk set when
-	// only per-chunk frames fit, and the stripped invalidation otherwise
-	// (the stream then confirms by polling — the next rung down, never a
-	// dropped update). Every pick is a pre-rendered byte-slice; the only
-	// per-subscriber work is the cap compare and, when deltas flow, one
-	// map probe.
+	// stream can use: delta when the stream holds the delta's base,
+	// nothing but the stripped announcement when it already holds the
+	// body itself (rung zero), the full body in one frame when the cap
+	// carries it, the chunk set when only per-chunk frames fit, and the
+	// stripped invalidation otherwise (the stream then confirms by polling
+	// — the next rung down, never a dropped update). Every pick is a
+	// pre-rendered byte-slice; the only per-subscriber work is the cap
+	// compare and, when payloads flow, one map probe.
 	appendUpdate := func(b []byte, re RenderedEvent) []byte {
-		if re.delta != "" && re.deltaLen >= 0 && re.deltaLen <= sub.payloadCap && len(sub.held) > 0 {
-			if d, ok := sub.held[re.Key]; ok && d == re.baseDigest {
-				holdSet(re.Key, re.digest)
+		hv, known := sub.held[re.Key] // a nil map on invalidation-only streams
+		if known && re.digest != "" {
+			if hv.digest == re.digest && re.mod != 0 && re.mod <= hv.mod {
+				// Rung zero: the stream was already sent this version's
+				// body (a relay's pass-through, then its confirmation; a
+				// replayed frame). It is owed the announcement — delivery
+				// stays at-least-once, and a receiver whose install failed
+				// learns here that its parent is fresh and polls — but never
+				// the payload a second time. The held version stands: the
+				// next delta still applies against it. (A NEWER version
+				// with the same content is not a repeat: the stream must
+				// install its modification instant, and takes the ordinary
+				// rungs below.)
+				h.duplicateFrames.Add(1)
+				return appendFrame(b, re.Seq, re.stripped)
+			}
+			if re.delta != "" && hv.digest == re.baseDigest && re.deltaLen <= sub.payloadCap {
+				holdSet(re)
 				h.deltaFrames.Add(1)
 				return appendFrame(b, re.Seq, re.delta)
 			}
 		}
 		if re.full != "" && re.payloadLen >= 0 && sub.payloadCap > 0 && re.payloadLen <= sub.payloadCap {
-			holdSet(re.Key, re.digest)
+			holdSet(re)
 			return appendFrame(b, re.Seq, re.full)
 		}
 		if len(re.chunks) > 0 && re.chunkLen > 0 && re.chunkLen <= sub.payloadCap {
@@ -1211,17 +1258,19 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			for _, c := range re.chunks {
 				b = appendFrame(b, re.Seq, c)
 			}
-			holdSet(re.Key, re.digest)
+			holdSet(re)
 			h.chunkFrames.Add(1)
 			return b
 		}
-		wire := re.WireFor(sub.payloadCap)
-		if sub.held != nil && (re.digest != "" || re.payloadLen >= 0 || wire == re.stripped) {
-			// The stream confirms this update by polling; the hub no
-			// longer knows which body that poll will install.
+		if known && hv.digest != re.digest {
+			// The stream confirms this update by polling, and the digest
+			// announced is unknown or differs from the one held: the hub no
+			// longer knows which body that poll will install. (An equal
+			// digest stands — whatever the poll installs of this version is
+			// the body already held, and the next delta applies to it.)
 			delete(sub.held, re.Key)
 		}
-		return appendFrame(b, re.Seq, wire)
+		return appendFrame(b, re.Seq, re.WireFor(sub.payloadCap))
 	}
 	// writeBatch coalesces one fetched batch — frames, a mid-stream
 	// Reset if one is due, and the position-bearing heartbeat that

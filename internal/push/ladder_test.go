@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -329,6 +330,89 @@ func TestHubDeltaRung(t *testing.T) {
 	}
 	if st := h.Stats(); st.DeltaFrames != 1 {
 		t.Fatalf("DeltaFrames = %d, want 1 (stats %+v)", st.DeltaFrames, st)
+	}
+}
+
+// TestHubRungZeroSendsAPayloadOnce walks one over-cap body through the
+// sequence a relay's hub sees — the payload, then the payload-free
+// confirmation of the same version, then the next version as a delta —
+// and the cases around it. The repeat must cross as the stripped
+// announcement alone and leave the held digest standing (before rung
+// zero it went out as a second chunk set, because the delta's base no
+// longer matched, and the stripped delivery then voided the chain); a
+// payload-bearing repeat gets the same treatment; a NEWER version with
+// the same content is not a repeat; and an announcement of a digest the
+// stream does not hold still voids what the hub thought it held.
+func TestHubRungZeroSendsAPayloadOnce(t *testing.T) {
+	h := NewHub(HubConfig{PayloadCap: 1024, ChunkPayload: 256})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	sink := &hubSink{}
+	startHubSubscriberCap(t, ts.URL, sink, 1024)
+	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 }) {
+		t.Fatal("never connected")
+	}
+	next := func(n int) Event {
+		t.Helper()
+		if !waitCond(t, 2*time.Second, func() bool {
+			evs, _, _ := sink.snapshot()
+			return len(evs) >= n
+		}) {
+			t.Fatalf("event %d never arrived", n)
+		}
+		evs, _, _ := sink.snapshot()
+		return evs[n-1]
+	}
+
+	v1 := bytes.Repeat([]byte("0123456789abcdef"), 200) // 3200 bytes > hub cap
+	v2 := append(append([]byte(nil), v1...), []byte("grown")...)
+	v3 := append(append([]byte(nil), v2...), []byte("again")...)
+	d12, _ := MakeDelta(v1, v2)
+	d23, _ := MakeDelta(v2, v3)
+	t1 := time.Unix(1_700_000_000, 0)
+	t2, t3 := t1.Add(time.Second), t1.Add(2*time.Second)
+	update := func(mod time.Time, body []byte) Event {
+		return Event{Kind: KindUpdate, Key: "/big", ModTime: mod, Body: body, HasBody: true, Digest: DigestOf(body)}
+	}
+	withDelta := func(ev Event, base, delta []byte) Event {
+		ev.BaseDigest, ev.DeltaCodec, ev.DeltaBody = DigestOf(base), DeltaCodecBlock, delta
+		return ev
+	}
+
+	// First sight: a chunk set.
+	h.Publish(update(t1, v1))
+	if got := next(1); !bytes.Equal(got.Body, v1) {
+		t.Fatalf("first delivery not the body: %+v", got)
+	}
+	// The payload-free confirmation, then the payload again: rung zero.
+	h.Publish(Event{Kind: KindUpdate, Key: "/big", ModTime: t1, Digest: DigestOf(v1)})
+	h.Publish(update(t1, v1))
+	for n := 2; n <= 3; n++ {
+		if got := next(n); got.HasBody || !got.ModTime.Equal(t1) {
+			t.Fatalf("repeat %d of a held version carried a payload: %+v", n-1, got)
+		}
+	}
+	// The held digest stood: the next version rides the delta rung.
+	h.Publish(withDelta(update(t2, v2), v1, d12))
+	if got := next(4); got.BaseDigest != DigestOf(v1) {
+		t.Fatalf("delta chain broken by the repeats: %+v", got)
+	}
+	// Same content, newer instant: a version the stream must install.
+	h.Publish(update(t3, v2))
+	if got := next(5); !bytes.Equal(got.Body, v2) || !got.ModTime.Equal(t3) {
+		t.Fatalf("a newer version with the same content was withheld: %+v", got)
+	}
+	// An announcement of a digest the stream does not hold voids the
+	// chain: the next delta's base is no longer known to be there.
+	h.Publish(Event{Kind: KindUpdate, Key: "/big", ModTime: t3.Add(time.Second), Digest: DigestOf(v3)})
+	next(6)
+	h.Publish(withDelta(update(t3.Add(2*time.Second), v3), v2, d23))
+	if got := next(7); got.BaseDigest != "" || !bytes.Equal(got.Body, v3) {
+		t.Fatalf("a delta was sent against a voided base: %+v", got)
+	}
+	st := h.Stats()
+	if st.DuplicateFrames != 2 || st.ChunkFrames != 3 || st.DeltaFrames != 1 {
+		t.Fatalf("rung zero %d chunk sets %d deltas %d, want 2, 3, 1", st.DuplicateFrames, st.ChunkFrames, st.DeltaFrames)
 	}
 }
 
@@ -705,6 +789,76 @@ func BenchmarkDeltaApply(b *testing.B) {
 		if _, err := ApplyDelta(DeltaCodecBlock, base, delta, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// scatteredEdit returns a seeded text body of the given size and a
+// revision of it with about 5 % of the bytes redrawn in 16-byte runs at
+// random offsets — the fleet benchmark's own mutation, and the shape
+// that separates an encoder whose COPYs start only on block boundaries
+// from one that reclaims the unchanged bytes before each seed.
+func scatteredEdit(size int) (base, target []byte) {
+	rng := rand.New(rand.NewSource(int64(size)))
+	base = make([]byte, size)
+	for i := range base {
+		base[i] = 'a' + byte(rng.Intn(26))
+		if i%64 == 63 {
+			base[i] = '\n'
+		}
+	}
+	target = append([]byte(nil), base...)
+	const run = 16
+	for r := 0; r < size/20/run+1; r++ {
+		at := rng.Intn(size - run)
+		for i := 0; i < run; i++ {
+			target[at+i] = 'A' + byte(rng.Intn(26))
+		}
+	}
+	return base, target
+}
+
+// TestMakeDeltaReclaimsLiteralTail pins the encoder's backward match
+// extension: a 16-byte edit costs its 16 literals plus two opcodes'
+// framing, not the up-to-31 unchanged bytes between the edit and the
+// next block boundary as well. Before the extension this body's delta
+// was ≈ 23 KB (≈ 38 B per edit); the bound leaves the encoder room but
+// not that much.
+func TestMakeDeltaReclaimsLiteralTail(t *testing.T) {
+	base, target := scatteredEdit(192 << 10)
+	delta, ok := MakeDelta(base, target)
+	if !ok {
+		t.Fatal("no delta")
+	}
+	edits := len(target)/20/16 + 1
+	if perEdit := float64(len(delta)) / float64(edits); perEdit > 28 {
+		t.Errorf("delta is %d bytes for %d 16-byte edits (%.1f B each); unchanged bytes are riding as literals",
+			len(delta), edits, perEdit)
+	}
+	got, err := ApplyDelta(DeltaCodecBlock, base, delta, 0)
+	if err != nil || !bytes.Equal(got, target) {
+		t.Fatalf("round trip broke: err=%v", err)
+	}
+}
+
+// BenchmarkMakeDelta measures the encoder on the fleet benchmark's
+// mutation at both of its body sizes, reporting the delta's size next to
+// its cost: the bytes are what every link down the relay chain carries.
+func BenchmarkMakeDelta(b *testing.B) {
+	for _, size := range []int{1 << 10, 192 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			base, target := scatteredEdit(size)
+			var delta []byte
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var ok bool
+				if delta, ok = MakeDelta(base, target); !ok {
+					b.Fatal("no delta")
+				}
+			}
+			b.ReportMetric(float64(len(delta)), "delta-bytes/op")
+		})
 	}
 }
 

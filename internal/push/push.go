@@ -389,8 +389,11 @@ type RenderedEvent struct {
 	stripped string
 
 	// digest is the full body's digest — what a receiver holds after
-	// installing this update by any payload rung.
+	// installing this update by any payload rung — and mod the update's
+	// modification instant (UnixNano, zero for a timeless event): the
+	// version the hub records a stream as holding.
 	digest string
+	mod    int64
 	// delta is the v3 delta wire form (empty when the publisher
 	// supplied no delta sidecar); baseDigest addresses the base it
 	// applies to and deltaLen is its payload length for the cap check.
@@ -424,10 +427,19 @@ func Render(ev Event) RenderedEvent {
 // forms are rendered at: a body larger than chunkPayload additionally
 // renders as a chunk set (bounded by MaxChunkTotal and
 // MaxAssembledBody), so streams whose cap cannot carry the whole body
-// can still receive it. A body the full form cannot carry at all
-// (publish decided it exceeds the hub cap) is marked by
-// SuppressFull before rendering.
+// can still receive it.
 func RenderLadder(ev Event, chunkPayload int) RenderedEvent {
+	return renderLadder(ev, chunkPayload, false)
+}
+
+// renderLadder is RenderLadder with the publish path's one extra
+// decision: suppressFull skips the full form of a payload event whose
+// body exceeds the hub's cap — no stream's negotiated cap could ever
+// receive it, so rendering it (a base64 copy of the whole body) and
+// holding it in the ring would spend bytes no subscriber can use. Delta
+// and chunked forms still render; WireFor then degrades streams that
+// can use neither to the stripped form.
+func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 	re := RenderedEvent{
 		Kind:       ev.Kind,
 		Seq:        ev.Seq,
@@ -450,6 +462,9 @@ func RenderLadder(ev Event, chunkPayload int) RenderedEvent {
 		return re
 	}
 	re.digest = ev.Digest
+	if !ev.ModTime.IsZero() {
+		re.mod = ev.ModTime.UnixNano()
+	}
 	re.stripped = ev.StripPayload().Encode()
 	re.cost = int64(len(re.stripped))
 
@@ -469,8 +484,10 @@ func RenderLadder(ev Event, chunkPayload int) RenderedEvent {
 	// sibling form, not this one, so it never rides the full spelling.
 	fullEv := ev
 	fullEv.BaseDigest, fullEv.DeltaCodec, fullEv.DeltaBody = "", 0, nil
-	re.full = fullEv.Encode()
-	re.cost += int64(len(re.full))
+	if !suppressFull {
+		re.full = fullEv.Encode()
+		re.cost += int64(len(re.full))
+	}
 
 	if ev.HasBody && len(ev.DeltaBody) > 0 && ev.BaseDigest != "" && ev.DeltaCodec != 0 {
 		dEv := fullEv
@@ -505,19 +522,6 @@ func RenderLadder(ev Event, chunkPayload int) RenderedEvent {
 			re.chunkLen = chunkPayload
 		}
 	}
-	return re
-}
-
-// SuppressFull drops the full form (a publish decision: the body
-// exceeds the hub's payload cap, so no stream's negotiated cap could
-// ever receive it — holding it in the ring would charge bytes no
-// subscriber can use). Delta and chunked forms survive; WireFor then
-// degrades streams that can use neither to the stripped form.
-func (re RenderedEvent) SuppressFull() RenderedEvent {
-	if re.full != re.stripped {
-		re.cost -= int64(len(re.full))
-	}
-	re.full = ""
 	return re
 }
 

@@ -186,9 +186,10 @@ func (p *Proxy) noteDownstreamInterest(is push.InterestSet) {
 // Events for non-resident objects are dropped — the proxy only ever
 // pays refresh traffic for objects it actually caches. Back-to-back
 // events for one object coalesce onto a single queued job, with the
-// entry's pendingPush slot always holding the NEWEST event so a
-// coalesced burst installs the latest body, never a dropped
-// predecessor's.
+// entry's pendingPush slot holding the newest version's most
+// installable event (see supersedes), so a coalesced burst installs the
+// latest body, never a dropped predecessor's, and a stripped repeat of
+// a version cannot displace the payload queued a moment earlier.
 func (p *Proxy) handlePushEvent(ev push.Event) {
 	p.pushEvents.Add(1)
 	// The seq store is deferred so the job is enqueued (and counted in
@@ -198,12 +199,18 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 	if ev.Kind != push.KindUpdate || ev.Key == "" {
 		return
 	}
-	// Pass-through relay before the residency check: a child proxy may
-	// cache objects this proxy does not. The payload rides along, so a
-	// value-negotiated leaf installs it with zero polls against us.
-	p.relayUpstreamEvent(ev)
 	e := p.lookup(ev.Key)
-	if e == nil || e.evicted.Load() {
+	if e != nil && e.evicted.Load() {
+		e = nil
+	}
+	// Pass-through relay before the install, and whether or not the
+	// object is resident: a child proxy may cache objects this proxy
+	// does not. The payload rides along, so a value-negotiated leaf
+	// installs it with zero polls against us.
+	if p.relay != nil {
+		ev = p.relayUpstreamEvent(e, ev)
+	}
+	if e == nil {
 		if p.applyPushedToDisk(ev) {
 			return // demoted object: its disk record absorbed the update
 		}
@@ -211,16 +218,88 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		return
 	}
 	if p.cfg.PushValues {
-		// Only the apply path reads pendingPush; an invalidation-only
-		// proxy keeps its allocation-free event handling.
-		e.pendingPush.Store(&ev)
-	}
-	if !e.pushQueued.CompareAndSwap(false, true) {
+		// The slot is the coalescing flag as well as the payload: the job
+		// empties it in one swap when it starts, so whoever fills an empty
+		// slot owes the enqueue, and an event that finds it full joins the
+		// job already queued — replacing its event, or, when the slot
+		// holds something better, just riding along: that job runs after
+		// this announcement, so its fallback poll, if it needs one, finds
+		// the parent as fresh as the announcement promised.
+		for {
+			cur := e.pendingPush.Load()
+			if cur != nil && !supersedes(&ev, cur) {
+				return
+			}
+			if e.pendingPush.CompareAndSwap(cur, &ev) {
+				if cur != nil {
+					return
+				}
+				break
+			}
+		}
+	} else if !e.pushQueued.CompareAndSwap(false, true) {
+		// An invalidation-only proxy never reads pendingPush and keeps
+		// its allocation-free event handling: a bare flag coalesces.
 		return // a pushed job is already queued for this object
 	}
 	p.pushPolls.Add(1)
 	p.pending.Add(1)
 	p.workerFor(e).enqueue(job{e: e, kind: pollPushed})
+}
+
+// supersedes reports whether ev should replace cur in an entry's
+// coalescing slot: a newer version always does; among frames for the
+// same version only a more installable one (full body over a delta that
+// needs its base, either over no payload at all) — so a stripped
+// confirmation, or a delta against a base this proxy may not hold,
+// never costs the job the payload it already has. Timeless events carry
+// no version to compare, so the later arrival wins.
+func supersedes(ev, cur *push.Event) bool {
+	if ev.ModTime.IsZero() || cur.ModTime.IsZero() {
+		return true
+	}
+	if !ev.ModTime.Equal(cur.ModTime) {
+		return ev.ModTime.After(cur.ModTime)
+	}
+	return installRank(ev) > installRank(cur)
+}
+
+// installRank orders the forms one version can arrive in by how surely
+// they install: 0 carries no payload, 1 is a delta that still needs its
+// base, 2 is the whole body (received whole or already reconstructed).
+func installRank(ev *push.Event) int {
+	switch {
+	case !ev.HasBody:
+		return 0
+	case isPureDelta(ev):
+		return 1
+	}
+	return 2
+}
+
+// isPureDelta reports whether ev's Body is a delta still to be applied
+// against its base. A delta frame this proxy reconstructed on receipt
+// (relayUpstreamEvent) keeps its BaseDigest but carries the full body,
+// with the received delta moved to the DeltaBody sidecar — a field
+// Decode never populates, so its presence marks a body already verified
+// here.
+func isPureDelta(ev *push.Event) bool {
+	return ev.BaseDigest != "" && ev.DeltaCodec != 0 && len(ev.DeltaBody) == 0
+}
+
+// holdsVersion reports whether the cached copy already carries the
+// modification instant mod, or a later one. Origins guarantee strictly
+// increasing modification times, so an announcement at or before the
+// cached instant is a relay duplicate, a replayed frame, or a push that
+// lost the race to a poll: nothing to install, nothing to poll. A
+// timeless announcement can never be recognized.
+func (e *entry) holdsVersion(mod time.Time) bool {
+	if mod.IsZero() {
+		return false
+	}
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.hasLastMod && !mod.After(e.lastMod)
 }
 
 // applyPushedValue installs a pushed event's payload directly into the
@@ -230,19 +309,21 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 // so body swaps, controller observations, and §3.2 triggering stay
 // single-threaded exactly as they are for polls.
 //
+// The version check runs first: an event for a version the cached copy
+// already carries (a relay's pass-through plus its confirmation, a
+// replayed frame, a push that lost the race to a §3.2 triggered poll) is
+// dropped for free — true with no work done — whatever form it arrived
+// in. A stripped or wrong-base duplicate must not cost a poll.
+//
 // It returns false when the payload cannot be installed — no payload on
 // the event (a stripped or pure-invalidation frame), a digest mismatch
-// (corruption somewhere along the relay chain), or a body that alone
-// overflows MaxBytes (installing it would immediately evict the object)
-// — and the caller degrades to the pushed confirmation poll, the next
-// rung of the ladder. The Δ guarantee never rests on this path.
-//
-// A true return with no work done means the event was a duplicate (a
-// relay's pass-through plus its confirmation, or a replayed frame): the
-// cached copy already carries this or a newer modification instant, so
-// neither a poll nor a re-install is owed.
+// (corruption somewhere along the relay chain), a delta whose base is
+// not the body held, or a body that alone overflows MaxBytes (installing
+// it would immediately evict the object) — and the caller degrades to
+// the pushed confirmation poll, the next rung of the ladder. The Δ
+// guarantee never rests on this path.
 func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
-	if !p.cfg.PushValues || !ev.HasBody {
+	if !p.cfg.PushValues {
 		return false
 	}
 	if e.evicted.Load() {
@@ -250,9 +331,19 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		// may be installed for (or polled on behalf of) an evicted entry.
 		return false
 	}
+	if e.holdsVersion(ev.ModTime) {
+		// Every write of lastMod runs on this worker, so the answer holds
+		// for the rest of the job.
+		p.pushDuplicates.Add(1)
+		return true
+	}
+	if !ev.HasBody {
+		return false
+	}
 	body := ev.Body
-	wasDelta := false
-	if ev.BaseDigest != "" && ev.DeltaCodec != 0 {
+	wasDelta := ev.BaseDigest != "" && ev.DeltaCodec != 0
+	switch {
+	case isPureDelta(ev):
 		// The body is a delta against a base the sender believes we
 		// hold — the cheapest rung of the ladder. Reconstruct and verify
 		// before anything is installed; any mismatch (a forged or stale
@@ -260,11 +351,13 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		// the frame's digest) falls through to the confirmation poll.
 		full, ok := p.resolveDelta(e, ev)
 		if !ok {
+			p.pushDeltaBaseMiss.Add(1)
 			return false
 		}
 		body = full
-		wasDelta = true
-	} else if push.DigestOf(ev.Body) != ev.Digest {
+	case wasDelta:
+		// Reconstructed and digest-verified on receipt, for the relay.
+	case push.DigestOf(ev.Body) != ev.Digest:
 		return false
 	}
 	size := entrySize(e.key, body)
@@ -277,14 +370,6 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 	now := p.cfg.Clock()
 
 	e.mu.Lock()
-	if e.hasLastMod && !ev.ModTime.IsZero() && !ev.ModTime.After(e.lastMod) {
-		// Already at (or past) this version — origins guarantee strictly
-		// increasing modification times, so an instant at or before the
-		// cached one is a relay duplicate or a replayed frame. Nothing
-		// to install, nothing to poll.
-		e.mu.Unlock()
-		return true
-	}
 	outcome := core.PollOutcome{
 		Now:      p.toSim(now),
 		Prev:     p.toSim(e.validatedAt),
@@ -323,25 +408,13 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		p.pushDeltaApplied.Add(1)
 	}
 
-	// The downstream republication carries the reconstructed full body
-	// (a delta frame's raw bytes would be useless to a leaf that missed
-	// the base) plus the upstream delta as a sidecar: our children track
-	// the same origin body history we do, so the base that matched here
-	// matches there, and one origin delta feeds the whole subtree
-	// without re-encoding.
-	out := *ev
-	if wasDelta {
-		out.Body = body
-		out.DeltaBody = ev.Body
-		p.pushDeltaRebased.Add(1)
-	}
-
 	// The shared post-refresh bookkeeping: byte-ledger re-charge with
 	// budget re-enforcement (the single-object overflow case was refused
-	// above), the downstream republication AFTER the body swap — payload
-	// included, so a value-negotiated leaf installs it directly and a
-	// polling leaf that fetches on it finds the fresh copy, never the
-	// stale one the pass-through frame raced — the eviction-token-
+	// above), the downstream confirmation AFTER the body swap — payload-
+	// free, the pass-through frame already carried it: a child that
+	// installed it drops this as a duplicate, a polling child (or one
+	// whose install failed) fetches on it and finds the fresh copy, never
+	// the stale one the pass-through frame raced — the eviction-token-
 	// guarded controller observation, and the §3.2 group triggering an
 	// update learned from a payload imposes exactly as one learned by
 	// polling. pollPushed leaves the regular schedule untouched.
@@ -353,20 +426,20 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		resized: true,
 		newSize: size,
 		applied: true,
-		relay:   func() { p.relayAppliedUpdate(e, &out) },
+		relay:   func() { p.relayAppliedUpdate(e, ev) },
 	})
 	return true
 }
 
 // resolveDelta reconstructs a pushed delta frame's full body against
-// this proxy's resident copy of e. It reports ok=false — counting a
-// base miss — when the advertised base digest does not match the body
-// actually held, when the delta stream is malformed, or when the
-// reconstruction does not hash to the frame's digest. The base digest
-// is always compared against the digest of the bytes in hand (cached at
-// the last swap, or hashed on demand), never against bookkeeping that
-// could have gone stale — that is the invariant keeping a demoted or
-// raced body from ever serving as a silent wrong base.
+// this proxy's resident copy of e. It reports ok=false when the
+// advertised base digest does not match the body actually held, when
+// the delta stream is malformed, or when the reconstruction does not
+// hash to the frame's digest. The base digest is always compared
+// against the digest of the bytes in hand (cached at the last swap, or
+// hashed on demand), never against bookkeeping that could have gone
+// stale — that is the invariant keeping a demoted or raced body from
+// ever serving as a silent wrong base.
 func (p *Proxy) resolveDelta(e *entry, ev *push.Event) ([]byte, bool) {
 	e.mu.RLock()
 	base := e.body
@@ -376,12 +449,10 @@ func (p *Proxy) resolveDelta(e *entry, ev *push.Event) ([]byte, bool) {
 		baseDigest = push.DigestOf(base)
 	}
 	if baseDigest != ev.BaseDigest {
-		p.pushDeltaBaseMiss.Add(1)
 		return nil, false
 	}
 	full, err := push.ApplyDelta(ev.DeltaCodec, base, ev.Body, 0)
 	if err != nil || push.DigestOf(full) != ev.Digest {
-		p.pushDeltaBaseMiss.Add(1)
 		return nil, false
 	}
 	return full, true
@@ -399,22 +470,33 @@ func (p *Proxy) resolveDelta(e *entry, ev *push.Event) ([]byte, bool) {
 // base-authority rule as the resident path. It reports whether the
 // event was fully handled (installed, or recognized as a duplicate).
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
-	if !p.cfg.PushValues || p.disk == nil || !ev.HasBody {
+	if !p.cfg.PushValues || p.disk == nil {
 		return false
 	}
 	ck := ev.Key
 	if u, err := url.Parse(ev.Key); err == nil {
 		ck = canonicalKey(u)
 	}
-	rec, base, ok := p.disk.Get(ck)
+	// The version check needs only the record; the body is read back
+	// (and re-verified) only when a delta needs its base.
+	rec, ok := p.disk.Meta(ck)
 	if !ok {
 		return false
 	}
 	if rec.HasLastMod && !ev.ModTime.IsZero() && !ev.ModTime.After(rec.LastMod) {
+		p.pushDuplicates.Add(1)
 		return true // duplicate: the record already carries this version
 	}
+	if !ev.HasBody {
+		return false
+	}
 	body := ev.Body
-	if ev.BaseDigest != "" && ev.DeltaCodec != 0 {
+	switch {
+	case isPureDelta(&ev):
+		var base []byte
+		if rec, base, ok = p.disk.Get(ck); !ok {
+			return false
+		}
 		if push.DigestOf(base) != ev.BaseDigest {
 			p.pushDeltaBaseMiss.Add(1)
 			return false
@@ -426,7 +508,7 @@ func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 		}
 		body = full
 		p.pushDeltaApplied.Add(1)
-	} else if push.DigestOf(ev.Body) != ev.Digest {
+	case push.DigestOf(ev.Body) != ev.Digest:
 		return false
 	}
 	rec.ValidatedAt = p.cfg.Clock()
@@ -619,6 +701,12 @@ type PushStats struct {
 	// refusal).
 	ValueApplied   uint64
 	ValueFallbacks uint64
+	// Duplicates counts pushed events dropped by the version check: the
+	// cached copy (or disk record) already carried the announced
+	// modification instant — a relay's payload-free confirmation of a
+	// frame already installed, a replay, a push that lost the race to a
+	// poll — so nothing was installed and nothing polled.
+	Duplicates uint64
 	// DeltaApplied counts pushed delta frames reconstructed, verified,
 	// and installed (resident or disk tier). DeltaBaseMisses counts
 	// deltas refused because the advertised base digest did not match
@@ -682,6 +770,7 @@ func (p *Proxy) PushStats() PushStats {
 		Fallbacks:       p.pushFallbacks.Load(),
 		ValueApplied:    p.pushApplied.Load(),
 		ValueFallbacks:  p.pushValueFallback.Load(),
+		Duplicates:      p.pushDuplicates.Load(),
 		DeltaApplied:    p.pushDeltaApplied.Load(),
 		DeltaBaseMisses: p.pushDeltaBaseMiss.Load(),
 		DeltaRebased:    p.pushDeltaRebased.Load(),

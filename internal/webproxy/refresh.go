@@ -306,9 +306,10 @@ func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	triggered := kind != pollRegular
 	if kind == pollPushed {
-		// Clear the coalescing flag before consuming the event: an event
-		// arriving mid-job must enqueue a fresh job (this one may
-		// already have read an older version).
+		// Clear the coalescing state before anything else: an event
+		// arriving mid-job must enqueue a fresh job (this one may already
+		// have read an older version). With PushValues the slot itself is
+		// that state — emptied and consumed in one swap.
 		e.pushQueued.Store(false)
 		if p.cfg.PushValues {
 			if pending := e.pendingPush.Swap(nil); pending != nil {
@@ -430,7 +431,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		if resp.hasLastMod {
 			mod = resp.lastMod
 		}
-		rr.relay = func() { p.relayConfirmedUpdate(e, mod, prevBody, prevDigest) }
+		rr.relay = func() { p.relayConfirmedUpdate(e, mod, resp.hasLastMod, prevBody, prevDigest) }
 	}
 	p.finishRefresh(e, rr)
 }

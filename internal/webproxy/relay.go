@@ -16,17 +16,18 @@ import (
 //
 // Three publication paths feed the relay hub:
 //
-//   - Pass-through: every update event arriving on the parent's own
+//   - Pass-through: an update event arriving on the parent's own
 //     upstream channel is republished immediately (before the parent's
-//     own pushed poll runs), resident or not — a leaf may well cache an
-//     object its parent does not.
-//   - Confirmation: every locally confirmed update (a poll of any kind
-//     that observed a modification) is republished. This closes the
-//     pass-through race — a leaf that polls the parent on the
-//     pass-through event can catch the parent still stale and learn
-//     nothing; the confirmation event arrives once the parent's copy is
-//     fresh and drives a second leaf poll — and it is also what feeds
-//     leaves under a pure-polling parent (relay on, upstream push off).
+//     own install or pushed poll runs), resident or not — a leaf may
+//     well cache an object its parent does not.
+//   - Confirmation: every locally confirmed update (a pushed install, or
+//     a poll of any kind that observed a modification) is announced
+//     after the body swap. This closes the pass-through race — a leaf
+//     that polls the parent on the pass-through event can catch the
+//     parent still stale and learn nothing; the confirmation arrives
+//     once the parent's copy is fresh and drives a second leaf poll —
+//     and it is also what feeds leaves under a pure-polling parent
+//     (relay on, upstream push off).
 //   - Reset: when the parent's upstream stream dies, or resyncs with a
 //     Reset hello, the parent's own view has a hole, so everything it
 //     relays is suspect from that instant. Hub.Reset pushes a
@@ -35,21 +36,92 @@ import (
 //     arms the hub's barrier so leaves that were disconnected across
 //     the hole are Reset when they resume.
 //
-// Duplicate events (a pass-through and its confirmation, or a
-// confirmation racing the origin's own announcement) are harmless:
-// delivery is at-least-once, a leaf coalesces queued pushed polls per
-// object, and a redundant poll costs one conditional request answered
-// 304.
+// One payload per version per link. With value push a frame is no
+// longer a hundred bytes: it carries the body, base64-framed, and a
+// body past the payload cap rides a chunk set a third larger than
+// itself. Publishing a version's payload twice — once passed through,
+// once confirmed — makes every hub down the chain render, ring-charge
+// and send it twice, to streams that already hold it. So the payload of
+// a version is published to the relay hub exactly once, by whichever
+// path reaches it first (entry.relayedMod is the ledger of what went
+// down, claimed by compare-and-swap):
+//
+//   - by the pass-through, when the upstream frame carried one. A delta
+//     frame whose base this proxy holds is reconstructed first, so the
+//     one publication carries every form a child could need — the
+//     upstream's delta for children holding the same base, the full
+//     body or its chunk set for a child that has never been sent the
+//     object — and the install reuses the reconstruction;
+//   - otherwise (a stripped upstream frame, a pure-polling parent, a
+//     scheduled or triggered poll that found the change first) by the
+//     confirmation, with a delta re-based to this proxy's own history.
+//
+// Everything else is an announcement: the confirmation of a payload
+// already passed through goes out payload-free (its digest kept, so the
+// hub leaves the streams' held digests — the delta chain — standing),
+// and an upstream event for a version this proxy has already confirmed,
+// or whose payload it has already passed on, is not re-relayed at all:
+// the children heard of that version from here before. The hub's rung
+// zero (push.HubStats.DuplicateFrames) holds the same line per stream
+// for what this ledger cannot see — a replay across a resume, a
+// timeless event. Delivery stays at-least-once: a child that installed
+// the pass-through payload drops the confirmation on its version check
+// (PushStats.Duplicates), for free; a polling child, or one whose
+// install failed, polls on it and finds the parent fresh.
+
+// claimRelay records that e's version mod (a non-zero instant) is going
+// down to the children in full — its payload passed through, or the
+// version confirmed after install — and reports whether the caller is
+// the first to say so. Pass-throughs run on the subscriber goroutine and
+// confirmations on poll workers; the compare-and-swap lets exactly one
+// of them carry a version's payload however they interleave. The ledger
+// records only what was PUBLISHED, never what is merely held: a version
+// this proxy holds because a cold admission fetched it was announced to
+// nobody, and its upstream event must still pass through.
+func (e *entry) claimRelay(mod time.Time) bool {
+	n := mod.UnixNano()
+	for {
+		cur := e.relayedMod.Load()
+		if n <= cur {
+			return false
+		}
+		if e.relayedMod.CompareAndSwap(cur, n) {
+			return true
+		}
+	}
+}
 
 // relayUpstreamEvent republishes an update event received on the
-// upstream channel into the relay hub (pass-through path). The payload
-// rides along untouched: a value-negotiated leaf installs it from this
-// one frame, so the whole subtree is fed by the single origin message.
-func (p *Proxy) relayUpstreamEvent(ev push.Event) {
-	if p.relay == nil || ev.Kind != push.KindUpdate {
-		return
+// upstream channel into the relay hub (pass-through path), unless the
+// children have already heard of its version from this proxy. e is the
+// event's resident entry, nil when there is none — the event is then
+// passed through untouched every time (nothing remembers it, and its
+// repeats are announcements the upstream already stripped).
+//
+// It returns the event to queue for the local install: the same event,
+// or — for a delta frame it could reconstruct — the full-bodied form it
+// published, with the received delta moved to the DeltaBody sidecar (see
+// isPureDelta), so the reconstruction is paid once.
+func (p *Proxy) relayUpstreamEvent(e *entry, ev push.Event) push.Event {
+	if e != nil {
+		if !ev.ModTime.IsZero() {
+			if ev.HasBody {
+				if !e.claimRelay(ev.ModTime) {
+					return ev // this version, or a newer one, already went down whole
+				}
+			} else if ev.ModTime.UnixNano() <= e.relayedMod.Load() {
+				return ev // an announcement of a version the children already have
+			}
+		}
+		if isPureDelta(&ev) {
+			if full, ok := p.resolveDelta(e, &ev); ok {
+				ev.DeltaBody, ev.Body = ev.Body, full
+				p.pushDeltaRebased.Add(1)
+			}
+		}
 	}
 	p.relay.Publish(ev) // Publish re-assigns Seq into the relay's own space
+	return ev
 }
 
 // relayDeltaFloor is the body size below which the confirmation relay
@@ -59,18 +131,24 @@ func (p *Proxy) relayUpstreamEvent(ev push.Event) {
 const relayDeltaFloor = 256
 
 // relayConfirmedUpdate announces a locally confirmed modification of a
-// cached object to downstream subscribers (confirmation path). With
-// value-carrying push enabled the freshly installed body rides along —
-// published after the body swap — so even under a pure-polling parent
-// (relay on, upstream push off) the leaves install the update with zero
-// confirmation polls.
+// cached object to downstream subscribers (confirmation path),
+// published after the body swap. With value-carrying push enabled the
+// freshly installed body rides along — unless a pass-through already
+// carried this version's payload down — so even under a pure-polling
+// parent (relay on, upstream push off) the leaves install the update
+// with zero confirmation polls.
+//
+// stamped reports whether modTime is the origin's own modification
+// instant; a poll answered without Last-Modified is announced at this
+// proxy's clock instead, an instant that names no version and so never
+// enters the ledger (it always carries its payload).
 //
 // prevBody/prevDigest are the body this update replaced (nil/empty when
 // unknown or unchanged): the base downstream subscribers still hold.
 // When a delta against it pays, it rides the publication as a sidecar —
 // re-based to THIS proxy's body history, which is what its children
 // track — and the hub picks delta vs full vs chunked per subscriber.
-func (p *Proxy) relayConfirmedUpdate(e *entry, modTime time.Time, prevBody []byte, prevDigest string) {
+func (p *Proxy) relayConfirmedUpdate(e *entry, modTime time.Time, stamped bool, prevBody []byte, prevDigest string) {
 	if p.relay == nil {
 		return
 	}
@@ -80,35 +158,41 @@ func (p *Proxy) relayConfirmedUpdate(e *entry, modTime time.Time, prevBody []byt
 		Group:   e.group,
 		ModTime: modTime,
 	}
+	first := !stamped || e.claimRelay(modTime)
 	if p.cfg.PushValues {
 		e.mu.RLock()
-		ev.Body = e.body // replaced wholesale on refresh, never mutated: safe to share
-		ev.HasBody = true
-		ev.ContentType = e.contentType
+		body := e.body // replaced wholesale on refresh, never mutated: safe to share
+		contentType := e.contentType
 		ev.Digest = e.bodyDigest
 		e.mu.RUnlock()
 		if ev.Digest == "" {
-			ev.Digest = push.DigestOf(ev.Body)
+			ev.Digest = push.DigestOf(body)
 		}
-		if len(prevBody) >= relayDeltaFloor && prevDigest != "" && prevDigest != ev.Digest {
-			if d, ok := push.MakeDelta(prevBody, ev.Body); ok {
-				ev.DeltaBody = d
-				ev.BaseDigest = prevDigest
-				ev.DeltaCodec = push.DeltaCodecBlock
-				p.pushDeltaRebased.Add(1)
+		if first {
+			ev.Body = body
+			ev.HasBody = true
+			ev.ContentType = contentType
+			if len(prevBody) >= relayDeltaFloor && prevDigest != "" && prevDigest != ev.Digest {
+				if d, ok := push.MakeDelta(prevBody, body); ok {
+					ev.DeltaBody = d
+					ev.BaseDigest = prevDigest
+					ev.DeltaCodec = push.DeltaCodecBlock
+					p.pushDeltaRebased.Add(1)
+				}
 			}
 		}
 	}
 	p.relay.Publish(ev)
 }
 
-// relayAppliedUpdate republishes a directly installed pushed payload
+// relayAppliedUpdate confirms a directly installed pushed payload
 // downstream, after the local body swap. The pass-through frame already
-// carried the same payload, but a polling (non-value) leaf that fetched
-// on it may have raced the parent's install and seen the stale copy;
-// this confirmation — exactly like the poll-confirmed one — is what
-// closes that window. Value-negotiated leaves recognize it as a
-// duplicate by its modification instant and do nothing.
+// carried the payload, so this is the announcement alone (digest kept):
+// a polling (non-value) leaf that fetched on the pass-through frame may
+// have raced the parent's install and seen the stale copy, and a value
+// leaf's own install may have failed; this confirmation — exactly like
+// the poll-confirmed one — is what closes that window. Leaves that did
+// install recognize it by its modification instant and do nothing.
 //
 // The upstream event's ModTime is republished verbatim, zero included:
 // stamping this proxy's own clock onto a timeless event would poison
@@ -120,10 +204,13 @@ func (p *Proxy) relayAppliedUpdate(e *entry, ev *push.Event) {
 	if p.relay == nil {
 		return
 	}
-	out := *ev
-	out.Key = e.key
-	out.Group = e.group
-	p.relay.Publish(out)
+	p.relay.Publish(push.Event{
+		Kind:    push.KindUpdate,
+		Key:     e.key,
+		Group:   e.group,
+		ModTime: ev.ModTime,
+		Digest:  ev.Digest,
+	})
 }
 
 // relayReset propagates an upstream hole downstream: connected leaves

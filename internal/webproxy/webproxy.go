@@ -397,13 +397,22 @@ type entry struct {
 	applied   atomic.Uint64
 	hits      atomic.Uint64
 	// pushQueued coalesces a burst of pushed events into one queued
-	// job: set when a pushed job is enqueued, cleared when it starts.
-	// pendingPush holds the newest pushed event for that job — updated
-	// on every event, payload and all, so a coalesced burst applies the
-	// LATEST body rather than the first (installing a stale payload
-	// after dropping its successors would serve old data as fresh).
+	// job on an invalidation-only proxy: set when a pushed job is
+	// enqueued, cleared when it starts. With PushValues pendingPush
+	// does that and more: it holds the event the queued job will
+	// apply — the newest version's most installable frame, payload and
+	// all, so a coalesced burst applies the LATEST body rather than the
+	// first (installing a stale payload after dropping its successors
+	// would serve old data as fresh) — and a non-nil slot IS the queued
+	// job: filling an empty slot enqueues one, starting one empties it.
 	pushQueued  atomic.Bool
 	pendingPush atomic.Pointer[push.Event]
+	// relayedMod is the newest modification instant (UnixNano) this
+	// proxy has sent down its relay hub in full — payload passed
+	// through, or version confirmed after install: the ledger that lets
+	// each version's payload cross to the children once (see
+	// claimRelay).
+	relayedMod atomic.Int64
 	// unpushable marks an object whose key cannot fit an invalidation
 	// frame: the origin will never announce its updates, so its TTRs
 	// are never stretched. Immutable after admission.
@@ -494,6 +503,10 @@ type Proxy struct {
 	// byte-budget refusal — while value application was enabled.
 	pushApplied       atomic.Uint64
 	pushValueFallback atomic.Uint64
+	// pushDuplicates counts pushed events dropped by the version check:
+	// the cached copy (or disk record) already carried the announced
+	// modification instant, so nothing was installed and nothing polled.
+	pushDuplicates atomic.Uint64
 	// Delta-ladder counters: pushDeltaApplied counts pushed deltas
 	// reconstructed and installed (resident or disk tier);
 	// pushDeltaBaseMiss counts deltas refused because the advertised

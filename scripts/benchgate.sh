@@ -9,4 +9,4 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 scripts/bench-hotpath.sh "${1:-6}" > "$tmp"
-go run ./cmd/benchgate -old bench/baseline.txt -new "$tmp" -threshold 0.5 -alloc-filter 'BenchmarkHubPublish'
+go run ./cmd/benchgate -old bench/baseline.txt -new "$tmp" -threshold 0.5 -alloc-filter 'BenchmarkHubPublish|BenchmarkMakeDelta|BenchmarkValuePushApply'
