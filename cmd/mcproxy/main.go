@@ -37,10 +37,11 @@
 // Hybrid push–pull consistency: when the origin streams invalidation
 // events (the webserver's /events endpoint; the demo origin does), -push
 // subscribes the proxy to them. Updates then reach the cache the moment
-// the origin announces them, regular TTR polls stretch toward the upper
-// bound (-push-stretch) while the channel is healthy, and a channel
-// failure falls back to the paper's pure polling with a staleness-bounded
-// catch-up sweep:
+// the origin announces them; while the channel is healthy every object
+// it covers holds a lease — its regular poll runs once per lease term
+// (-push-stretch × -ttr-max) from admission on — and a channel failure
+// ends every lease and falls back to the paper's pure polling with a
+// staleness-bounded catch-up sweep:
 //
 //	mcproxy -demo -push
 //	mcproxy -origin http://origin:8080 -push -push-path /events
@@ -115,7 +116,7 @@ func run(args []string) error {
 	eviction := fs.String("eviction", "clock", "replacement beyond -max-objects/-max-bytes: clock | refuse")
 	pushEnabled := fs.Bool("push", false, "subscribe to the origin's invalidation event stream (hybrid push-pull)")
 	pushPath := fs.String("push-path", "/events", "path of the origin's event-stream endpoint")
-	pushStretch := fs.Float64("push-stretch", 4, "TTR stretch factor while the push channel is healthy, clamped to -ttr-max (values <= 1 disable stretching)")
+	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and covers an object, its regular poll runs once per term, starting at admission; disconnect, heartbeat timeout, Reset or frame loss end every lease and restore the unstretched schedule in one sweep (values <= 1 disable leases)")
 	pushValues := fs.Bool("push-values", false, "value-carrying push (protocol v2): negotiate payload delivery on the event stream and install pushed bodies directly, with no confirmation poll; with -relay-events the relayed stream carries payloads too, and with -demo the demo origin publishes them")
 	relayEvents := fs.Bool("relay-events", false, "republish invalidation events downstream: serve this proxy's own event stream so child proxies can subscribe to it (proxy hierarchy)")
 	eventsPath := fs.String("events-path", "/events", "path the relayed event stream is served at (with -relay-events)")

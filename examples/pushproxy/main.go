@@ -2,7 +2,10 @@
 // while freshness holds. One churning origin streams invalidation
 // events; two proxies cache the same objects under identical Δt
 // tolerances — one polling pure paper-mode, one subscribed to the
-// channel with stretched TTRs. After a few seconds of churn the example
+// channel, whose objects hold a lease while it is healthy: each polls
+// once per lease term (PushStretch × TTRmax) from admission on, and
+// would drop back to the pull proxy's schedule within one sweep of the
+// channel dying. After a few seconds of churn the example
 // prints the origin poll counts both proxies generated and the
 // freshness each one ended with.
 //
@@ -30,7 +33,7 @@ import (
 // updates arrive much less often than the Δt tolerance forces a pure
 // puller to poll. Here Δ = 100ms (so pull polls several times a second)
 // while each object updates only every couple of seconds; the hybrid
-// proxy polls on push events plus a stretched safety-net schedule.
+// proxy polls on push events plus one safety-net poll per lease term.
 // (Invert the ratio — churn faster than Δ — and push degenerates into
 // one poll per update, costing more than pull: the channel is a
 // bandwidth optimization for update-sparse objects, not a universal
@@ -103,8 +106,8 @@ func main() {
 	warm(pushProxy)
 
 	// --- Churn: every object updates every couple of seconds. ---
-	fmt.Printf("churning %d objects for %v (Δ=%v, TTR ∈ [%v, %v], update every %v, push stretch 10x)...\n",
-		objects, churnFor, delta, delta, ttrMax, updateEvery)
+	fmt.Printf("churning %d objects for %v (Δ=%v, TTR ∈ [%v, %v], update every %v, lease term %v)...\n",
+		objects, churnFor, delta, delta, ttrMax, updateEvery, 10*ttrMax)
 	stop := make(chan struct{})
 	go func() {
 		rev := 0

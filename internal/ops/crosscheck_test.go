@@ -122,6 +122,9 @@ func proxyExpectations(cs webproxy.CacheStats, us webproxy.UpstreamStatus, ps we
 		"Capped":          one("broadway_cache_capped_total", float64(cs.Capped)),
 		"ResidentObjects": one("broadway_cache_resident_objects", float64(cs.ResidentObjects)),
 		"ResidentBytes":   one("broadway_cache_resident_bytes", float64(cs.ResidentBytes)),
+		"RegularPolls":    one("broadway_polls_total", float64(cs.RegularPolls), Label{"kind", "regular"}),
+		"TriggeredPolls":  one("broadway_polls_total", float64(cs.TriggeredPolls), Label{"kind", "triggered"}),
+		"PushedPolls":     one("broadway_polls_total", float64(cs.PushedPolls), Label{"kind", "pushed"}),
 		"UpstreamErrors":  one("broadway_upstream_errors_total", float64(cs.UpstreamErrors)),
 		// The CacheStats.Push* fields read the same atomics as PushStats;
 		// they share one series each rather than being exported twice.
@@ -143,6 +146,7 @@ func proxyExpectations(cs webproxy.CacheStats, us webproxy.UpstreamStatus, ps we
 	pushExp = map[string]fieldExpectation{
 		"Enabled":          one("broadway_push_enabled", boolVal(ps.Enabled)),
 		"Connected":        one("broadway_push_connected", boolVal(ps.Connected)),
+		"LeaseTerm":        one("broadway_push_lease_term_seconds", ps.LeaseTerm.Seconds()),
 		"Events":           one("broadway_push_events_total", float64(ps.Events)),
 		"Polls":            one("broadway_push_polls_total", float64(ps.Polls)),
 		"Dropped":          one("broadway_push_dropped_total", float64(ps.Dropped)),

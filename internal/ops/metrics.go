@@ -46,7 +46,7 @@ func timestampSeconds(t time.Time) float64 {
 // and relay families.
 func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	cs := p.CacheStats()
-	e.counter("broadway_cache_hits_total", "Cache hits on resident objects.", float64(cs.Hits))
+	e.counter("broadway_cache_hits_total", "Cache hits since start.", float64(cs.Hits))
 	e.counter("broadway_cache_misses_total", "Requests that entered the admission path.", float64(cs.Misses))
 	e.counter("broadway_cache_evictions_total", "Objects displaced by replacement or admin eviction.", float64(cs.Evictions))
 	e.counter("broadway_cache_capped_total", "Admissions refused residency at capacity.", float64(cs.Capped))
@@ -64,6 +64,11 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	e.gauge("broadway_push_connected", "1 while the invalidation channel is healthy (also CacheStats.PushConnected).", boolVal(ps.Connected))
 	e.counter("broadway_push_events_total", "Update notifications received on the channel (also CacheStats.PushEvents).", float64(ps.Events))
 	e.counter("broadway_push_polls_total", "Pushed jobs enqueued from events (also CacheStats.PushPolls).", float64(ps.Polls))
+	const pollsHelp = "Successful refresh polls of cached objects, by what demanded them."
+	e.counter("broadway_polls_total", pollsHelp, float64(cs.RegularPolls), Label{"kind", "regular"})
+	e.counter("broadway_polls_total", pollsHelp, float64(cs.TriggeredPolls), Label{"kind", "triggered"})
+	e.counter("broadway_polls_total", pollsHelp, float64(cs.PushedPolls), Label{"kind", "pushed"})
+	e.gauge("broadway_push_lease_term_seconds", "Interval between a covered key's regular polls while the channel is healthy (0 when leases are off).", ps.LeaseTerm.Seconds())
 	e.counter("broadway_push_dropped_total", "Events dropped for non-resident objects.", float64(ps.Dropped))
 	e.counter("broadway_push_value_applied_total", "Pushed payloads installed directly, zero origin polls.", float64(ps.ValueApplied))
 	e.counter("broadway_push_value_fallbacks_total", "Pushed jobs degraded to a confirmation poll.", float64(ps.ValueFallbacks))

@@ -18,6 +18,9 @@ type call struct {
 	wg  sync.WaitGroup
 	val any
 	err error
+	// marked is set by Mark while the call is in flight; guarded by the
+	// group's mu.
+	marked bool
 }
 
 // Group deduplicates concurrent calls by key. The zero value is ready to
@@ -61,6 +64,27 @@ func (g *Group) Do(key string, fn func() (any, error)) (v any, err error, shared
 		c.val, c.err = fn()
 	}()
 	return c.val, c.err, false
+}
+
+// Mark flags the call in flight for key, if there is one: a bystander's
+// note to the executing fn that something it should know about happened
+// while it ran. The flag dies with the call.
+func (g *Group) Mark(key string) {
+	g.mu.Lock()
+	if c, ok := g.calls[key]; ok {
+		c.marked = true
+	}
+	g.mu.Unlock()
+}
+
+// Marked reports whether the call in flight for key has been marked. It
+// is meant to be asked from inside fn, which is the only place the answer
+// cannot go stale by the call finishing.
+func (g *Group) Marked(key string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c, ok := g.calls[key]
+	return ok && c.marked
 }
 
 // forget releases the key and wakes the waiters.

@@ -147,3 +147,31 @@ func TestPanicPropagatesAndReleasesWaiters(t *testing.T) {
 		t.Fatal("waiter deadlocked after panic")
 	}
 }
+
+func TestMarkReachesOnlyTheCallInFlight(t *testing.T) {
+	var g Group
+	g.Mark("k") // nothing in flight: a no-op
+	g.Do("k", func() (any, error) {
+		if g.Marked("k") {
+			t.Error("a mark set before the call began reached it")
+		}
+		g.Mark("other")
+		if g.Marked("k") {
+			t.Error("a mark for another key reached the call")
+		}
+		g.Mark("k")
+		if !g.Marked("k") {
+			t.Error("a mark set during the call did not reach it")
+		}
+		return nil, nil
+	})
+	if g.Marked("k") {
+		t.Error("the mark outlived its call")
+	}
+	g.Do("k", func() (any, error) {
+		if g.Marked("k") {
+			t.Error("the next call for the key inherited the mark")
+		}
+		return nil, nil
+	})
+}

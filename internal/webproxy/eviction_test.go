@@ -124,6 +124,46 @@ func TestRotating1000KeyWorkloadStillCaches(t *testing.T) {
 	}
 }
 
+// TestCacheHitsMonotonicAcrossChurn: CacheStats.Hits feeds a Prometheus
+// counter, so it must never go backwards — an evicted object's hits are
+// retired into its shard's total rather than leaving with it. Serially
+// driven, the total is exact: one per HIT served.
+func TestCacheHitsMonotonicAcrossChurn(t *testing.T) {
+	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "v:"+r.URL.Path)
+	})
+	const capacity = 32
+	px, _ := newHandlerProxy(t, handler, Config{
+		MaxObjects:   capacity,
+		Shards:       4,
+		Bounds:       noRefreshBounds,
+		DefaultDelta: time.Hour,
+	})
+	var served, last uint64
+	for i := 0; i < 4*capacity; i++ {
+		k := fmt.Sprintf("/churn/%d", i)
+		proxyGet(t, px, k) // MISS: admits, evicting once past capacity
+		for j := 0; j < 3; j++ {
+			if _, _, hdr := proxyGet(t, px, k); hdr.Get("X-Cache") == "HIT" {
+				served++
+			}
+		}
+		cs := px.CacheStats()
+		if cs.Hits < last {
+			t.Fatalf("hits went backwards after admission %d: %d -> %d", i, last, cs.Hits)
+		}
+		last = cs.Hits
+	}
+	if cs := px.CacheStats(); cs.Evictions == 0 || cs.Hits != served {
+		t.Errorf("hits %d after %d evictions, want every HIT served (%d)", cs.Hits, cs.Evictions, served)
+	}
+	// Admin eviction retires hits the same way.
+	px.Evict(fmt.Sprintf("/churn/%d", 4*capacity-1))
+	if got := px.CacheStats().Hits; got != served {
+		t.Errorf("hits %d after an admin eviction, want %d", got, served)
+	}
+}
+
 // TestClockPenalizesUngroupedVictimsFirst drives the per-shard CLOCK
 // sweep deterministically at the store level: with every access bit
 // clear, the sweep must spend the grouped entries' extra lives and evict

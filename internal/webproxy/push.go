@@ -29,18 +29,47 @@ import (
 //     exactly as a scheduled poll would. Neither form disturbs the
 //     object's regular TTR schedule or feeds its policy (pushes reveal
 //     the origin's churn, not the polling frequency's fitness).
-//   - While the channel is healthy, regular TTR polls are stretched by
-//     Config.PushStretch (clamped to the TTR upper bound): push carries
-//     the freshness burden, polling becomes a safety net. The
-//     unstretched instant is remembered per entry.
-//   - On disconnect the proxy falls back to pure paper-mode polling: the
-//     catch-up sweep pulls every stretched schedule entry back to its
-//     unstretched instant (immediately, if that instant already passed),
-//     so no object's Δt guarantee is ever widened beyond what pure
-//     polling would have delivered. Reconnects resume stretching; a
-//     reconnect whose replay gap exceeded the origin's buffer (hello
-//     Reset) also runs the sweep, because events were irrecoverably
-//     missed while the proxy believed the channel healthy.
+//   - While the channel is healthy a key it covers holds a lease: push
+//     carries the key's freshness, and its regular poll becomes an audit
+//     of the channel rather than of the object, run once per lease term
+//     L = Config.PushStretch × Bounds.Max whatever TTR the policy has
+//     learned. A key is covered when the origin can announce it at all
+//     (see eventKeyResolvesTo) and the live interest declaration matches
+//     it (see leaseCovers). The lease starts at install, not after a
+//     first poll: admission and disk promotion place the first poll at a
+//     per-key hash phase in (TTR, L] (see leasePhase), so keys warmed
+//     together poll at the steady N/L rate instead of as a herd, and an
+//     object demoted again within the term costs its upstream nothing
+//     beyond the validating fetch. Later polls run exactly L apart. The
+//     paper-mode instant (validation + TTR) is remembered per entry; the
+//     policy keeps learning from each poll's outcome. Rehydrated entries
+//     are born suspect and validate immediately, lease or not.
+//   - Everything that ends a lease runs the catch-up sweep, which pulls
+//     every leased schedule entry back to its paper-mode instant
+//     (immediately, if that instant already passed), so no object's Δt
+//     guarantee is ever widened beyond what pure polling would have
+//     delivered; each key re-enters the lease only at its own next
+//     regular poll on a healthy channel. The staleness a covered key can
+//     accumulate is therefore bounded per failure:
+//       - link death (disconnect, or no frame for PushHeartbeatTimeout):
+//         detection plus one sweep, then pure paper-mode polling until a
+//         reconnect;
+//       - a reconnect whose replay gap exceeded the upstream's buffer
+//         (hello Reset), a mid-stream Reset, or a lost frame: one sweep —
+//         events were irrecoverably missed while the proxy believed the
+//         channel healthy;
+//       - a deliberate Bounce (interest renegotiation): one sweep, as a
+//         disconnect;
+//       - an upstream that silently fails to announce an update over a
+//         live stream: L, the audit this poll exists for;
+//       - a changed Cache-Control tolerance, which no event carries:
+//         the key's next lease poll, at most L;
+//       - an update announced while the key's admission or promotion is
+//         in flight (the fetch and the stream are separate connections,
+//         so the event can be handled, and find nothing resident, before
+//         a response built ahead of the update is installed): that
+//         admission takes no lease and polls at validation + TTR, as in
+//         paper mode (see handlePushEvent and installEntry).
 
 // newPushSubscriber wires the proxy's callbacks into a subscriber for
 // cfg.PushURL.
@@ -166,7 +195,7 @@ func residentPrefix(key string) string {
 // re-runs declaredInterest with the union folded in, so the subtree's
 // objects are announced through this proxy from then on. Until that
 // reconnect lands the child is no worse off than under a disconnected
-// parent — its own stretch gate keeps uncovered objects polling.
+// parent — its own lease gate keeps uncovered objects polling.
 func (p *Proxy) noteDownstreamInterest(is push.InterestSet) {
 	if p.sub == nil || is.IsEmpty() {
 		return
@@ -184,7 +213,9 @@ func (p *Proxy) noteDownstreamInterest(is push.InterestSet) {
 // event installs its payload directly on the object's affinity worker
 // (see applyPushedValue), anything else runs today's pushed poll.
 // Events for non-resident objects are dropped — the proxy only ever
-// pays refresh traffic for objects it actually caches. Back-to-back
+// pays refresh traffic for objects it actually caches — except that an
+// admission of the key still in flight is told it raced an update.
+// Back-to-back
 // events for one object coalesce onto a single queued job, with the
 // entry's pendingPush slot holding the newest version's most
 // installable event (see supersedes), so a coalesced burst installs the
@@ -202,6 +233,23 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 	e := p.lookup(ev.Key)
 	if e != nil && e.evicted.Load() {
 		e = nil
+	}
+	if e == nil {
+		// Not resident — but an admission or promotion of the key may be
+		// in flight, its upstream response built before this update and
+		// its entry not yet in the store. The stream and the fetch travel
+		// on separate connections, so nothing orders them: tell the
+		// admission (installEntry then refuses the lease and polls at the
+		// paper-mode instant), and look again, because an install that
+		// read the mark before it was set has published its entry by now.
+		ck := ev.Key
+		if u, err := url.Parse(ev.Key); err == nil {
+			ck = canonicalKey(u)
+		}
+		p.flight.Mark(ck)
+		if e = p.store.get(ck); e != nil && e.evicted.Load() {
+			e = nil
+		}
 	}
 	// Pass-through relay before the install, and whether or not the
 	// object is resident: a child proxy may cache objects this proxy
@@ -531,7 +579,7 @@ func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 // match one, and a key whose decoded path does not canonicalize back
 // to it (e.g. a path containing a literal '?', cached as %3F) is
 // unreachable too. Entries failing this test are marked unpushable and
-// keep pure-polling freshness — stretching them would widen their Δt
+// keep pure-polling freshness — leasing them would widen their Δt
 // bound with nothing covering the gap.
 func (p *Proxy) eventKeyResolvesTo(key string) bool {
 	if strings.Contains(key, "?") {
@@ -553,8 +601,8 @@ func (p *Proxy) eventKeyResolvesTo(key string) bool {
 
 // handlePushConnect marks the channel healthy. A resumed connection
 // whose gap outran the origin's replay buffer (hello.Reset) ran blind
-// while stretched, so the catch-up sweep revalidates on the paper-mode
-// schedule before stretching resumes.
+// while leased, so the catch-up sweep revalidates on the paper-mode
+// schedule before any key is leased again.
 func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
 	p.pushHealthy.Store(true)
 	if hello.Reset && resumed {
@@ -574,17 +622,17 @@ func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
 // and its children will never see, possibly a mid-stream Reset — so the
 // catch-up sweep restores paper-mode schedules and the relay announces
 // the hole downstream, exactly as a Reset would. The channel stays
-// healthy: subsequent polls re-stretch, and a well-behaved upstream
-// never triggers this at all.
+// healthy: each key's next poll leases it again, and a well-behaved
+// upstream never triggers this at all.
 func (p *Proxy) handlePushFrameLoss() {
 	p.fallbackSweep()
 	p.relayReset()
 }
 
-// handlePushDisconnect falls back to pure polling: stretching stops and
+// handlePushDisconnect falls back to pure polling: every lease ends and
 // the catch-up sweep bounds the staleness the dead channel left behind.
 // Children are told too (mid-stream Reset): while this proxy is blind,
-// its relay announces nothing, so their stretched schedules must not
+// its relay announces nothing, so their leased schedules must not
 // outlive the guarantee that backed them.
 func (p *Proxy) handlePushDisconnect(error) {
 	if p.pushHealthy.Swap(false) {
@@ -594,24 +642,24 @@ func (p *Proxy) handlePushDisconnect(error) {
 	}
 }
 
-// fallbackSweep pulls every schedule entry whose poll was stretched
-// beyond its unstretched instant back to that instant (or to now, when
+// fallbackSweep pulls every schedule entry whose poll a lease placed
+// beyond its paper-mode instant back to that instant (or to now, when
 // it already passed). After the sweep the schedule is exactly what pure
 // paper-mode polling would have produced, so the Δt guarantee holds
 // with no help from the channel.
 //
 // The whole sweep runs inside one schedMu critical section, paired with
-// rescheduleHybrid making its stretch decision under the same lock:
+// rescheduleHybrid making its lease decision under the same lock:
 // pushHealthy is cleared before the sweep acquires schedMu, so a racing
 // poll either reschedules first (its item is on the heap and gets
 // swept) or takes the lock after the sweep and reads the channel as
-// unhealthy (no stretch). Entries that are mid-poll (item == nil)
+// unhealthy (no lease). Entries that are mid-poll (item == nil)
 // reschedule through the same gate when they finish. The single hold is
 // a latency spike proportional to the cache size, but a channel death
 // is rare and correctness of the Δt bound wins.
 func (p *Proxy) fallbackSweep() {
-	if p.cfg.PushStretch <= 1 {
-		// Stretching disabled: every baseNextAt equals its nextAt, so
+	if p.leaseTerm <= 0 {
+		// Leases disabled: every baseNextAt equals its nextAt, so
 		// the sweep is a guaranteed no-op — skip the O(cache) walk and
 		// the schedMu hold it would cost on every disconnect.
 		return
@@ -630,7 +678,7 @@ func (p *Proxy) fallbackSweep() {
 	p.schedMu.Lock()
 	for _, e := range batch {
 		if e.item == nil || !e.baseNextAt.Before(e.nextAt) {
-			continue // unscheduled (queued, in flight, or evicted) or unstretched
+			continue // unscheduled (queued, in flight, or evicted) or unleased
 		}
 		at := e.baseNextAt
 		if at.Before(now) {
@@ -647,36 +695,59 @@ func (p *Proxy) fallbackSweep() {
 	}
 }
 
-// stretchTTR widens e's regular TTR while the push channel is healthy,
-// clamped to the TTR upper bound. With the channel down, stretching
-// disabled, or an object the origin can never announce (a query-bearing
-// cache key — events are path-granular — or a key exceeding the wire
-// frame limit) the TTR passes through untouched — such objects keep
-// pure-polling freshness.
-func (p *Proxy) stretchTTR(e *entry, ttr time.Duration) time.Duration {
-	if p.sub == nil || p.cfg.PushStretch <= 1 || e.unpushable || !p.pushHealthy.Load() {
-		return ttr
+// leaseCovers reports whether the push channel currently carries e's
+// freshness: the channel is configured, leases are enabled, the origin
+// can announce the object at all (not a query-bearing cache key — events
+// are path-granular — nor a key exceeding the wire frame limit), the
+// stream is healthy, and the live interest declaration matches the
+// object. Anything else keeps pure-polling freshness. Callers hold
+// schedMu (see rescheduleHybrid for why the decision is made there).
+func (p *Proxy) leaseCovers(e *entry) bool {
+	if p.leaseTerm <= 0 || e.unpushable || !p.pushHealthy.Load() {
+		return false
 	}
-	if p.cfg.PushInterest && !p.sub.DeclaredInterest().Matches(e.key, e.group) {
-		// The live upstream declaration does not cover this object: its
-		// updates are filtered away before they reach us, so the channel
-		// cannot carry its freshness burden. Pure-polling TTR until a
-		// bounce widens the declaration. Checked dynamically — not
-		// marked at admission — because the declaration this object
-		// missed is itself refreshed by the admission-time bounce.
-		// Sound against a racing reconnect: stretching requires
-		// pushHealthy, which flips only after the attempt's declaration
-		// (stored before its request goes out) is in place.
-		return ttr
+	// An object outside the live upstream declaration has its updates
+	// filtered away before they reach us, so the channel cannot carry its
+	// freshness burden: pure-polling TTR until a bounce widens the
+	// declaration. Checked dynamically — not marked at admission —
+	// because the declaration this object missed is itself refreshed by
+	// the admission-time bounce. Sound against a racing reconnect: a
+	// lease requires pushHealthy, which flips only after the attempt's
+	// declaration (stored before its request goes out) is in place.
+	return !p.cfg.PushInterest || p.sub.DeclaredInterest().Matches(e.key, e.group)
+}
+
+// resolveLeaseTerm computes the lease term L = PushStretch × Bounds.Max
+// for a push-enabled configuration, or zero when leases are off (no
+// PushURL, or PushStretch ≤ 1). The product is capped so an absurd
+// factor cannot overflow a Duration or a schedule instant.
+func (p *Proxy) resolveLeaseTerm() time.Duration {
+	if p.cfg.PushURL == nil || p.cfg.PushStretch <= 1 {
+		return 0
 	}
-	s := time.Duration(float64(ttr) * p.cfg.PushStretch)
-	if max := p.maxBackoff(); s > max {
-		s = max
+	const ceiling = 100 * 365 * 24 * time.Hour
+	if l := float64(p.maxBackoff()) * p.cfg.PushStretch; l < float64(ceiling) {
+		return time.Duration(l)
 	}
-	if s < ttr {
-		s = ttr
-	}
-	return s
+	return ceiling
+}
+
+// leasePhase places a covered key's first poll inside its first lease
+// term: an instant in (ttr, L] after admission, fixed by the key's hash.
+// Keys admitted together therefore poll at the steady N/L rate from the
+// first second instead of as a herd every L, and a key's phase survives
+// eviction and re-admission.
+func (p *Proxy) leasePhase(key string, ttr time.Duration) time.Duration {
+	span := p.leaseTerm - ttr
+	// fnv32 alone clusters keys that differ only in their last bytes;
+	// the multiply-xorshift finalizer spreads them over the whole range.
+	h := fnv32(key)
+	h ^= h >> 16
+	h *= 0x85ebca6b
+	h ^= h >> 13
+	h *= 0xc2b2ae35
+	h ^= h >> 16
+	return ttr + time.Duration((float64(h)+1)/(1<<32)*float64(span))
 }
 
 // PushStats reports the state of the invalidation channel.
@@ -684,8 +755,12 @@ type PushStats struct {
 	// Enabled reports whether the proxy was configured with a push URL.
 	Enabled bool
 	// Connected reports whether the channel is currently healthy
-	// (stretched polling in effect).
+	// (leases in effect for the keys it covers).
 	Connected bool
+	// LeaseTerm is the resolved lease term L = PushStretch × Bounds.Max:
+	// how often a covered key's regular poll runs while Connected. Zero
+	// when leases are off (PushStretch ≤ 1 or no push URL).
+	LeaseTerm time.Duration
 	// Events counts update notifications received.
 	Events uint64
 	// Polls counts pushed jobs enqueued (coalesced bursts enqueue one).
@@ -764,6 +839,7 @@ func (p *Proxy) PushStats() PushStats {
 	st := PushStats{
 		Enabled:         p.sub != nil,
 		Connected:       p.pushHealthy.Load(),
+		LeaseTerm:       p.leaseTerm,
 		Events:          p.pushEvents.Load(),
 		Polls:           p.pushPolls.Load(),
 		Dropped:         p.pushDropped.Load(),

@@ -68,33 +68,67 @@ func waitPushConnected(t *testing.T, px *Proxy) {
 	}
 }
 
-// waitScheduledAfterPoll waits until key has completed at least minPolls
-// polls AND sits rescheduled on the heap, then returns that schedule
-// snapshot. Gating on the poll counter alone is racy: pollEntry bumps
-// polls before rescheduleHybrid runs, so a preempted poller could
-// expose the pre-stretch admission schedule to the assertion.
-func waitScheduledAfterPoll(t *testing.T, px *Proxy, key string, minPolls uint64) (base, next time.Time) {
+// schedSnapshot is one consistent reading of an entry's heap placement
+// together with the validation it was computed from.
+type schedSnapshot struct {
+	validatedAt, base, next time.Time
+	polls                   uint64
+}
+
+// ttr is the unstretched interval the placement was computed with.
+func (s schedSnapshot) ttr() time.Duration { return s.base.Sub(s.validatedAt) }
+
+// leased reports whether the placement runs past its paper-mode instant.
+func (s schedSnapshot) leased() bool { return s.base.Before(s.next) }
+
+// scheduleOf waits until key sits on the refresh heap after at least
+// minPolls polls and returns its placement. A poll bumps the counter and
+// the validation instant before it reschedules, so the snapshot is only
+// accepted when both read the same on either side of the schedMu
+// section — a poll in flight keeps the entry off the heap.
+func scheduleOf(t *testing.T, px *Proxy, key string, minPolls uint64) schedSnapshot {
 	t.Helper()
 	e := px.lookup(key)
 	if e == nil {
 		t.Fatalf("%s not resident", key)
 	}
+	validated := func() time.Time {
+		e.mu.RLock()
+		defer e.mu.RUnlock()
+		return e.validatedAt
+	}
+	var snap schedSnapshot
 	ok := waitFor(t, 3*time.Second, func() bool {
-		if e.polls.Load() < minPolls {
+		snap = schedSnapshot{validatedAt: validated(), polls: e.polls.Load()}
+		if snap.polls < minPolls {
 			return false
 		}
 		px.schedMu.Lock()
 		scheduled := e.item != nil
-		if scheduled {
-			base, next = e.baseNextAt, e.nextAt
-		}
+		snap.base, snap.next = e.baseNextAt, e.nextAt
 		px.schedMu.Unlock()
-		return scheduled
+		return scheduled && e.polls.Load() == snap.polls && validated().Equal(snap.validatedAt)
 	})
 	if !ok {
-		t.Fatalf("%s never rescheduled after %d polls", key, minPolls)
+		t.Fatalf("%s never settled on the heap after %d polls", key, minPolls)
 	}
-	return base, next
+	return snap
+}
+
+// wantLeased asserts the lease contract on one placement: the paper-mode
+// instant is remembered, and the poll sits at the key's hash phase inside
+// the first term when only the admission fetch has run, or exactly one
+// lease term after the last poll otherwise.
+func wantLeased(t *testing.T, px *Proxy, key string, s schedSnapshot) {
+	t.Helper()
+	want := px.leaseTerm
+	if s.polls == 1 {
+		want = px.leasePhase(key, s.ttr())
+	}
+	if !s.leased() || s.next.Sub(s.validatedAt) != want {
+		t.Errorf("%s after %d polls: next poll %v after validation (paper-mode %v), want %v",
+			key, s.polls, s.next.Sub(s.validatedAt), s.ttr(), want)
+	}
 }
 
 func TestPushEventTriggersImmediateRefresh(t *testing.T) {
@@ -138,29 +172,39 @@ func TestPushEventForNonResidentObjectIsDropped(t *testing.T) {
 }
 
 func TestPushStretchesRegularPollsWhileHealthy(t *testing.T) {
+	const stretch, ttrMax = 8, 10 * time.Second
 	s := newPushSetup(t, Config{
-		PushStretch: 8,
-		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 10 * time.Second},
+		PushStretch: stretch,
+		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: ttrMax},
 	})
+	if got := s.proxy.PushStats().LeaseTerm; got != stretch*ttrMax {
+		t.Fatalf("lease term %v, want PushStretch × Bounds.Max = %v", got, stretch*ttrMax)
+	}
 	s.origin.Set("/static", []byte("unchanging"), "")
 	waitPushConnected(t, s.proxy)
 	s.get(t, "/static")
 
-	// After the first regular poll completes on a healthy channel the
-	// schedule entry must carry a stretched instant beyond its
-	// paper-mode baseline.
-	base, next := waitScheduledAfterPoll(t, s.proxy, "/static", 2)
-	if !base.Before(next) {
-		t.Errorf("healthy channel did not stretch: base %v next %v", base, next)
+	// The lease starts at install: on a healthy channel the admission
+	// already places the first poll at the key's phase inside the first
+	// term, with the paper-mode instant remembered for the sweep.
+	snap := scheduleOf(t, s.proxy, "/static", 1)
+	wantLeased(t, s.proxy, "/static", snap)
+	if snap.ttr() != 50*time.Millisecond {
+		t.Errorf("paper-mode instant %v after admission, want TTRmin", snap.ttr())
 	}
+
+	// Later polls run exactly one term apart. Pull the first one forward
+	// instead of sleeping out the phase.
+	s.proxy.reschedule(s.proxy.lookup("/static"), time.Now())
+	wantLeased(t, s.proxy, "/static", scheduleOf(t, s.proxy, "/static", 2))
 }
 
 func TestUnpushableKeyIsNeverStretched(t *testing.T) {
 	// An object whose key cannot fit an invalidation frame will never be
-	// announced by the origin; stretching its TTR would silently widen
-	// its Δt bound to the stretched interval with nothing covering the
-	// gap. Such objects must keep pure-polling schedules even while the
-	// channel is healthy.
+	// announced by the origin; leasing its poll to the channel would
+	// silently widen its Δt bound to the lease term with nothing covering
+	// the gap. Such objects must keep pure-polling schedules even while
+	// the channel is healthy.
 	s := newPushSetup(t, Config{
 		PushStretch: 8,
 		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 10 * time.Second},
@@ -179,16 +223,20 @@ func TestUnpushableKeyIsNeverStretched(t *testing.T) {
 	// either (the origin serves /normal for any query).
 	s.get(t, "/normal?sym=A")
 
-	check := func(label, key string, wantStretched bool) {
-		base, next := waitScheduledAfterPoll(t, s.proxy, key, 2)
-		if got := base.Before(next); got != wantStretched {
-			t.Errorf("%s: stretched=%v want %v (base %v next %v)", label, got, wantStretched, base, next)
+	wantLeased(t, s.proxy, "/normal", scheduleOf(t, s.proxy, "/normal", 1))
+	for label, key := range map[string]string{
+		"oversized key":     huge,
+		"literal-? key":     "/a%3Fb",
+		"query-bearing key": "/normal?sym=A",
+	} {
+		// At install and after regular polls alike.
+		for _, minPolls := range []uint64{1, 3} {
+			if snap := scheduleOf(t, s.proxy, key, minPolls); snap.leased() {
+				t.Errorf("%s leased after %d polls: paper-mode %v, scheduled %v after validation",
+					label, snap.polls, snap.ttr(), snap.next.Sub(snap.validatedAt))
+			}
 		}
 	}
-	check("oversized key", huge, false)
-	check("normal key", "/normal", true)
-	check("literal-? key", "/a%3Fb", false)
-	check("query-bearing key", "/normal?sym=A", false)
 	if s.origin.PushOversized() == 0 {
 		t.Error("origin never dropped the oversized event")
 	}
@@ -196,17 +244,13 @@ func TestUnpushableKeyIsNeverStretched(t *testing.T) {
 
 func TestPushDisconnectFallsBackWithinOneTTR(t *testing.T) {
 	s := newPushSetup(t, Config{
-		PushStretch: 50, // stretch hard: fallback must not inherit it
+		PushStretch: 50, // a 500 s lease: fallback must not inherit it
 		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 10 * time.Second},
 	})
 	s.origin.Set("/page", []byte("v1"), "")
 	waitPushConnected(t, s.proxy)
 	s.get(t, "/page")
-
-	// Let at least one regular poll stretch the schedule far out.
-	if base, next := waitScheduledAfterPoll(t, s.proxy, "/page", 2); !base.Before(next) {
-		t.Fatalf("schedule not stretched before the kill (base %v next %v)", base, next)
-	}
+	wantLeased(t, s.proxy, "/page", scheduleOf(t, s.proxy, "/page", 1))
 
 	// Kill the channel. The origin updates while it is down; only the
 	// pulled-back paper-mode schedule can observe the change.
@@ -232,6 +276,10 @@ func TestPushDisconnectFallsBackWithinOneTTR(t *testing.T) {
 	}
 	if s.proxy.PushStats().Connected {
 		t.Error("channel still marked healthy after the origin disabled it")
+	}
+	if snap := scheduleOf(t, s.proxy, "/page", 2); snap.leased() {
+		t.Errorf("still leased with the channel down: paper-mode %v, scheduled %v after validation",
+			snap.ttr(), snap.next.Sub(snap.validatedAt))
 	}
 }
 
@@ -439,6 +487,8 @@ func TestPushChaosSoak(t *testing.T) {
 		t.Errorf("subscriber connected only %d times across repeated cuts", st.Connects)
 	}
 	// The channel must end the run re-armed (give it a beat to settle).
+	// The chaos loop may have been stopped inside its unavailable window.
+	s.origin.SetPushAvailable(true)
 	if !waitFor(t, 3*time.Second, func() bool { return s.proxy.PushStats().Connected }) {
 		t.Error("channel did not re-arm after the final revival")
 	}

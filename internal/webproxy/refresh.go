@@ -31,6 +31,7 @@ const (
 	pollRegular pollKind = iota
 	pollTriggered
 	pollPushed
+	pollKinds // number of kinds
 )
 
 // job is one unit of poll work routed to a worker.
@@ -176,7 +177,7 @@ func (p *Proxy) kick() {
 	}
 }
 
-// reschedule sets e's next regular poll instant (unstretched: the
+// reschedule sets e's next regular poll instant (never leased: the
 // instant doubles as its own paper-mode baseline). An evicted entry is
 // never (re)scheduled: the eviction token is set before unschedule takes
 // schedMu, so checking it under schedMu closes the race with a poll
@@ -188,33 +189,15 @@ func (p *Proxy) reschedule(e *entry, at time.Time) {
 		p.schedMu.Unlock()
 		return
 	}
-	e.nextAt = at
-	e.baseNextAt = at
-	if e.item != nil {
-		p.schedule.Reschedule(e.item, at)
-	} else {
-		e.item = p.schedule.Push(at, e)
-	}
+	p.placeLocked(e, at, at)
 	p.schedMu.Unlock()
 	p.kick()
 }
 
-// rescheduleHybrid sets e's next regular poll ttr from now, stretched
-// while the push channel is healthy; the unstretched instant is
-// remembered so the fallback sweep can restore it if the channel dies
-// before the poll runs. The stretch decision is made under schedMu —
-// the same lock the sweep holds for its entire pass — so a poll racing
-// a disconnect either reschedules before the sweep (and is swept back)
-// or observes the channel already unhealthy; a stretched instant can
-// never slip onto the heap after the sweep has passed it by.
-func (p *Proxy) rescheduleHybrid(e *entry, now time.Time, ttr time.Duration) {
-	p.schedMu.Lock()
-	if e.evicted.Load() {
-		p.schedMu.Unlock()
-		return
-	}
-	base := now.Add(ttr)
-	at := now.Add(p.stretchTTR(e, ttr))
+// placeLocked puts e on the refresh heap at instant at, with base as its
+// paper-mode instant. The caller holds schedMu and has checked the
+// eviction token.
+func (p *Proxy) placeLocked(e *entry, at, base time.Time) {
 	e.nextAt = at
 	e.baseNextAt = base
 	if e.item != nil {
@@ -222,6 +205,37 @@ func (p *Proxy) rescheduleHybrid(e *entry, now time.Time, ttr time.Duration) {
 	} else {
 		e.item = p.schedule.Push(at, e)
 	}
+}
+
+// rescheduleHybrid sets e's next regular poll. Its paper-mode instant
+// is ttr after now; while a lease covers e (see leaseCovers) the poll is
+// an audit of the channel, not of the object, and runs once per lease
+// term instead — one full term after a poll, or at the key's phase
+// inside the first term when the entry was just admitted. The
+// paper-mode instant is remembered so the fallback sweep can restore it
+// if the channel dies before the poll runs. The lease decision is made
+// under schedMu — the same lock the sweep holds for its entire pass — so
+// a poll racing a disconnect either reschedules before the sweep (and is
+// swept back) or observes the channel already unhealthy; a leased
+// instant can never slip onto the heap after the sweep has passed it by.
+func (p *Proxy) rescheduleHybrid(e *entry, now time.Time, ttr time.Duration, admitted bool) {
+	p.schedMu.Lock()
+	if e.evicted.Load() {
+		p.schedMu.Unlock()
+		return
+	}
+	base := now.Add(ttr)
+	at := base
+	if p.leaseCovers(e) {
+		term := p.leaseTerm
+		if admitted {
+			term = p.leasePhase(e.key, ttr)
+		}
+		if term > ttr {
+			at = now.Add(term)
+		}
+	}
+	p.placeLocked(e, at, base)
 	p.schedMu.Unlock()
 	p.kick()
 }
@@ -349,6 +363,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		return
 	}
 	e.polls.Add(1)
+	p.polls[kind].Add(1)
 	switch kind {
 	case pollTriggered:
 		e.triggered.Add(1)
@@ -377,7 +392,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	// revalidation updates stored headers. Refreshing it here — not only
 	// on a 200 — matters doubly under value-carrying push: installs
 	// advance lastMod without touching headers, so the periodic
-	// stretched poll's 304 is the only channel left for a tolerance
+	// lease poll's 304 is the only channel left for a tolerance
 	// change to reach this proxy and its children.
 	if cc := resp.header.Get("Cache-Control"); cc != "" {
 		e.cacheControl = cc
@@ -527,10 +542,7 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 	p.persistEntry(e)
 
 	if rr.kind == pollRegular {
-		// While the push channel is healthy the regular poll is only a
-		// safety net; stretch it toward the upper bound and remember the
-		// paper-mode instant for the fallback sweep.
-		p.rescheduleHybrid(e, rr.now, rr.ttr)
+		p.rescheduleHybrid(e, rr.now, rr.ttr, false)
 	}
 	// Temporal group triggering; partitioned M_v pairs maintain their
 	// mutual guarantee through the tolerance split instead. Pushed

@@ -34,6 +34,9 @@ type storeShard struct {
 	entries map[string]*entry
 	ring    []*entry // CLOCK ring: this shard's residents in admission order
 	hand    int      // next sweep position in ring
+	// retiredHits is the hit count of every entry this shard has evicted,
+	// so the proxy-wide total (CacheStats.Hits) stays monotonic.
+	retiredHits uint64
 }
 
 // maxShards bounds Config.Shards (2^20 map shards far exceeds any
@@ -268,10 +271,12 @@ func (sh *storeShard) clockVictim(protect *entry) *entry {
 	return nil
 }
 
-// removeLocked unlinks e from the shard map and ring and marks it
-// evicted. The caller holds sh.mu and adjusts the store ledgers.
+// removeLocked unlinks e from the shard map and ring, retires its hit
+// count into the shard's total, and marks it evicted. The caller holds
+// sh.mu and adjusts the store ledgers.
 func (sh *storeShard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
+	sh.retiredHits += e.hits.Load()
 	last := len(sh.ring) - 1
 	if e.ringIdx != last {
 		moved := sh.ring[last]

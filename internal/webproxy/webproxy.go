@@ -51,14 +51,16 @@
 // On top of that pull machinery the proxy can layer an origin-driven
 // invalidation channel (Config.PushURL, wire protocol in internal/push):
 // the origin streams per-object update events, each event converts into
-// an immediate pushed poll through the affinity workers, and regular TTR
-// polls stretch toward the upper bound (Config.PushStretch) while the
-// channel is healthy — consistency traffic then scales with the origin's
+// an immediate pushed poll through the affinity workers, and while the
+// channel is healthy every key it covers holds a lease: its regular poll
+// runs once per lease term (Config.PushStretch × Bounds.Max) from
+// admission on — consistency traffic then scales with the origin's
 // churn instead of with the poll schedule. The channel is an
-// optimization, never a correctness dependency: on disconnect the proxy
-// falls back to pure paper-mode polling and a staleness-bounded catch-up
-// sweep restores every stretched schedule entry to its unstretched
-// instant, so the Δt guarantee never silently widens (see push.go).
+// optimization, never a correctness dependency: whatever ends a lease
+// (disconnect, heartbeat timeout, Reset, frame loss) drops the proxy
+// back to pure paper-mode polling, and a staleness-bounded catch-up
+// sweep restores every leased schedule entry to its paper-mode instant,
+// so the Δt guarantee never silently widens (see push.go).
 //
 // Proxies compose into a hierarchy: Config.RelayEvents gives a proxy a
 // downstream face (see relay.go) — its own event hub republishing every
@@ -148,17 +150,29 @@ type Config struct {
 	// PushURL, when set, subscribes the proxy to an origin-driven
 	// invalidation channel at that URL (the webserver's /events
 	// endpoint) and enables hybrid push–pull consistency: pushed events
-	// trigger immediate polls, regular polls stretch while the channel
-	// is healthy, and a disconnect falls back to pure polling with a
-	// catch-up sweep. Nil disables push (the default, pure paper mode).
+	// trigger immediate polls, covered keys' regular polls run once per
+	// lease term while the channel is healthy (see PushStretch), and a
+	// disconnect falls back to pure polling with a catch-up sweep. Nil
+	// disables push (the default, pure paper mode).
 	PushURL *url.URL
-	// PushStretch multiplies regular TTRs while the push channel is
-	// healthy, clamped to Bounds.Max. Values ≤ 1 disable stretching
-	// (push then only adds immediacy, saving no poll traffic).
-	// Zero means unset and defaults to 4 when PushURL is set. Objects
-	// the channel can never announce — query-bearing cache keys (events
-	// are path-granular) and keys too large for a wire frame — are
-	// never stretched regardless.
+	// PushStretch sets the lease term L = PushStretch × Bounds.Max:
+	// while the push channel is healthy and covers a key, that key's
+	// regular poll runs once per L — whatever TTR its policy has learned
+	// — starting at admission (first poll at a per-key hash phase in
+	// (TTR, L], later polls exactly L apart). Disconnect, heartbeat
+	// timeout, Reset, frame loss, and a deliberate bounce each end every
+	// lease at once: the catch-up sweep restores the paper-mode
+	// schedule, so staleness is bounded by PushHeartbeatTimeout plus one
+	// sweep for a dead link and by one sweep for the rest; an upstream
+	// that silently fails to announce an update, or a changed
+	// Cache-Control tolerance, reaches a covered key within L. Values
+	// ≤ 1 disable leases (push then only adds immediacy, saving no poll
+	// traffic). Zero means unset and defaults to 4 when PushURL is set.
+	// Objects the channel can never announce — query-bearing cache keys
+	// (events are path-granular) and keys too large for a wire frame —
+	// and objects outside the declared interest are never leased, and
+	// an admission that raced an update of its own key (announced while
+	// the fetch was in flight) keeps the paper-mode first poll.
 	PushStretch float64
 	// PushValues enables value-carrying push (wire protocol v2): the
 	// subscriber negotiates payload delivery with its upstream, and a
@@ -193,7 +207,7 @@ type Config struct {
 	// pays fan-out for that slice only. An object admitted (or a child
 	// connected) outside the current declaration bounces the stream to
 	// renegotiate; until the wider declaration is live such objects keep
-	// pure-polling freshness (see stretchTTR), so filtering never
+	// pure-polling freshness (see leaseCovers), so filtering never
 	// widens a Δt bound. False (the default) subscribes to everything.
 	PushInterest bool
 	// PushPrefixes and PushGroups seed the declared interest set when
@@ -367,8 +381,8 @@ type entry struct {
 	partner *entry
 
 	// nextAt, baseNextAt, and item are guarded by the proxy's schedMu.
-	// nextAt is the scheduled poll instant (possibly stretched while the
-	// push channel is healthy); baseNextAt is the instant pure
+	// nextAt is the scheduled poll instant (possibly leased out to the
+	// push channel while it is healthy); baseNextAt is the instant pure
 	// paper-mode polling would have used, which the fallback sweep
 	// restores when the channel dies.
 	nextAt     time.Time
@@ -414,8 +428,8 @@ type entry struct {
 	// claimRelay).
 	relayedMod atomic.Int64
 	// unpushable marks an object whose key cannot fit an invalidation
-	// frame: the origin will never announce its updates, so its TTRs
-	// are never stretched. Immutable after admission.
+	// frame: the origin will never announce its updates, so it is
+	// never leased. Immutable after admission.
 	unpushable bool
 	// delta and groupDelta are the resolved Δ/δ tolerances the entry
 	// was admitted with (config defaults overlaid by origin
@@ -497,6 +511,9 @@ type Proxy struct {
 	pushDropped   atomic.Uint64
 	pushFallbacks atomic.Uint64
 	pushSeq       atomic.Uint64
+	// leaseTerm is the resolved lease term L = PushStretch × Bounds.Max;
+	// zero when leases are off (no PushURL or PushStretch ≤ 1).
+	leaseTerm time.Duration
 	// pushApplied counts pushed payloads installed directly (no origin
 	// request); pushValueFallback counts pushed jobs that had to poll
 	// after all — digest mismatch, missing or stripped payload, or a
@@ -546,6 +563,9 @@ type Proxy struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	cappedN   atomic.Uint64
+	// polls counts successful refresh polls by what demanded them,
+	// indexed by pollKind.
+	polls [pollKinds]atomic.Uint64
 
 	// Upstream-health state (see UpstreamStatus): written on the cold
 	// fetch path only, read by /healthz and /metrics scrapes.
@@ -633,6 +653,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i := range p.workers {
 		p.workers[i] = &worker{wake: make(chan struct{}, 1)}
 	}
+	p.leaseTerm = p.resolveLeaseTerm()
 	if cfg.RelayEvents {
 		hubCfg := push.HubConfig{
 			Heartbeat:        cfg.RelayHeartbeat,
@@ -723,7 +744,7 @@ func (p *Proxy) Close() {
 	if p.relay != nil {
 		// A closed proxy will never publish again, but its relay hub
 		// would keep heartbeating connected children — leaving their
-		// stretched TTR schedules backed by a channel that can no
+		// leased schedules backed by a channel that can no
 		// longer announce anything. Announce the hole to anyone still
 		// listening, then drop every stream and refuse new ones: the
 		// children fall back to paper-mode polling either way.
@@ -967,8 +988,9 @@ type admission struct {
 	// initialPoll counts the admission fetch in the entry's poll stats
 	// (false for rehydration, which performed no fetch).
 	initialPoll bool
-	// scheduleAt overrides the first refresh instant; zero schedules
-	// the policy's TTR after validatedAt.
+	// scheduleAt overrides the first refresh instant (never leased);
+	// zero schedules the policy's TTR after validatedAt, or the key's
+	// lease phase while the push channel covers it.
 	scheduleAt time.Time
 }
 
@@ -995,8 +1017,8 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		e.bodyDigest = push.DigestOf(a.body)
 	}
 	if p.sub != nil {
-		// An object the channel can never announce must not have its
-		// TTRs stretched — the object keeps pure-polling freshness
+		// An object the channel can never announce must never be
+		// leased — the object keeps pure-polling freshness
 		// instead (see eventKeyResolvesTo).
 		e.unpushable = !p.eventKeyResolvesTo(key) ||
 			push.Event{Kind: push.KindUpdate, Key: key, Group: a.group}.Oversized()
@@ -1046,23 +1068,35 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		// The upstream declaration predates this object: its updates
 		// are filtered away before they ever reach us. Bounce the
 		// stream — the reconnect re-runs the interest closure with this
-		// resident included — while the stretch gate keeps the object
+		// resident included — while the lease gate keeps the object
 		// on pure-polling freshness until the wider declaration is
 		// live, so the window never widens its Δt bound.
 		p.sub.Bounce()
 	}
 
-	at := a.scheduleAt
-	if at.IsZero() {
-		e.mu.RLock()
-		ttr := e.policy.InitialTTR()
-		if t, ok := e.policy.(interface{ TTR() time.Duration }); ok && a.restoreTTR > 0 {
-			ttr = t.TTR() // restored schedule, not a cold restart at TTRmin
-		}
-		e.mu.RUnlock()
-		at = a.validatedAt.Add(ttr)
+	if !a.scheduleAt.IsZero() {
+		p.reschedule(e, a.scheduleAt)
+		return e, true
 	}
-	p.reschedule(e, at)
+	e.mu.RLock()
+	ttr := e.policy.InitialTTR()
+	if t, ok := e.policy.(interface{ TTR() time.Duration }); ok && a.restoreTTR > 0 {
+		ttr = t.TTR() // restored schedule, not a cold restart at TTRmin
+	}
+	e.mu.RUnlock()
+	if p.leaseTerm > 0 && p.flight.Marked(key) {
+		// An update for the key was announced while this admission was in
+		// flight and found nothing resident to refresh (see
+		// handlePushEvent), so the body in hand may predate it and the
+		// channel will not say so again: no lease, the first poll runs at
+		// the paper-mode instant. Read after store.put on purpose — an
+		// event that marks later than this finds the entry instead.
+		p.reschedule(e, a.validatedAt.Add(ttr))
+		return e, true
+	}
+	// A lease starts at install: a covered key's first poll already sits
+	// at its phase inside the first term, not at validatedAt + TTR.
+	p.rescheduleHybrid(e, a.validatedAt, ttr, true)
 	return e, true
 }
 
@@ -1320,8 +1354,8 @@ type Stats struct {
 
 // CacheStats aggregates proxy-wide cache activity, expvar-style.
 type CacheStats struct {
-	// Hits counts cache hits on currently resident objects (an evicted
-	// object's hits leave the total with it).
+	// Hits counts cache hits since start. A hit racing its object's
+	// eviction may go uncounted; the total never decreases.
 	Hits uint64
 	// Misses counts requests that entered the admission path.
 	Misses uint64
@@ -1333,6 +1367,15 @@ type CacheStats struct {
 	// ResidentObjects and ResidentBytes are the current store footprint.
 	ResidentObjects int
 	ResidentBytes   int64
+	// RegularPolls, TriggeredPolls, and PushedPolls count successful
+	// refresh polls of cached objects by what demanded them: the TTR (or
+	// lease) schedule, a mutual-consistency controller, or a pushed event
+	// whose payload could not be installed. Admission and promotion
+	// fetches are misses, not polls. Their sum is the validation traffic
+	// this proxy costs its upstream.
+	RegularPolls   uint64
+	TriggeredPolls uint64
+	PushedPolls    uint64
 	// UpstreamErrors counts failed upstream fetches (all paths); the
 	// last error's detail is on UpstreamStatus, not here and never on
 	// a client-facing response body.
@@ -1351,9 +1394,9 @@ type CacheStats struct {
 	ToleranceOverrides uint64
 }
 
-// CacheStats returns the proxy-wide cache counters. Hits is summed over
-// resident entries, so it is consistent with ResidentObjects rather
-// than with all-time traffic.
+// CacheStats returns the proxy-wide cache counters. Hits is summed on
+// demand — resident entries' counters plus the totals their shards
+// retired at eviction — so the hit path carries no shared counter.
 func (p *Proxy) CacheStats() CacheStats {
 	cs := CacheStats{
 		Misses:          p.misses.Load(),
@@ -1361,6 +1404,9 @@ func (p *Proxy) CacheStats() CacheStats {
 		Capped:          p.cappedN.Load(),
 		ResidentObjects: p.store.len(),
 		ResidentBytes:   p.store.residentBytes(),
+		RegularPolls:    p.polls[pollRegular].Load(),
+		TriggeredPolls:  p.polls[pollTriggered].Load(),
+		PushedPolls:     p.polls[pollPushed].Load(),
 		UpstreamErrors:  p.UpstreamStatus().Errors,
 		PushConnected:   p.pushHealthy.Load(),
 		PushEvents:      p.pushEvents.Load(),
@@ -1372,6 +1418,7 @@ func (p *Proxy) CacheStats() CacheStats {
 	for i := range p.store.shards {
 		sh := &p.store.shards[i]
 		sh.mu.RLock()
+		cs.Hits += sh.retiredHits
 		for _, e := range sh.entries {
 			cs.Hits += e.hits.Load()
 		}
