@@ -48,8 +48,7 @@
 //
 // Cache residency is bounded by WebProxyConfig.MaxObjects and the
 // WebProxyConfig.MaxBytes memory budget, enforced by consistency-aware
-// replacement (EvictClock, the default): each shard doubles as a CLOCK
-// (second-chance) ring, hits mark an access bit with a lock-free atomic
+// replacement: each shard doubles as a CLOCK (second-chance) ring, hits mark an access bit with a lock-free atomic
 // operation so the hit path gains no lock, and members of
 // mutual-consistency groups carry extra second chances in the victim
 // scan — evicting one member would silently weaken the whole group's
@@ -57,8 +56,8 @@
 // heat. An evicted object is fully unwound: descheduled from the
 // refresh heap (it never polls the origin again), detached from its
 // group controller, and safe against concurrent re-admission through
-// the singleflight group. The legacy EvictRefuse policy instead serves
-// over-budget objects uncached (X-Cache: BYPASS). Proxy-wide counters
+// the singleflight group. An object that alone exceeds MaxBytes is
+// served uncached (X-Cache: BYPASS). Proxy-wide counters
 // (hits, misses, evictions, capped admissions, resident bytes) are
 // exposed through WebProxy.CacheStats.
 //
@@ -302,8 +301,6 @@ type (
 	WebProxy = webproxy.Proxy
 	// WebProxyConfig parameterizes a WebProxy.
 	WebProxyConfig = webproxy.Config
-	// WebProxyEviction selects the proxy's replacement policy.
-	WebProxyEviction = webproxy.EvictionPolicy
 	// WebProxyCacheStats aggregates proxy-wide cache counters.
 	WebProxyCacheStats = webproxy.CacheStats
 	// WebProxyObjectStats reports cache activity for one object.
@@ -361,14 +358,6 @@ func NewOpsHandler(cfg OpsConfig) (*OpsHandler, error) { return ops.NewHandler(c
 // sample must be typed, series must be unique, label syntax must be
 // legal. Monitoring integration tests and cmd/opscheck are built on it.
 func ParseOpsExposition(r io.Reader) (*OpsScrape, error) { return ops.ParseExposition(r) }
-
-// Replacement policies for the live proxy.
-const (
-	// EvictClock is group-aware CLOCK (second-chance) replacement.
-	EvictClock = webproxy.EvictClock
-	// EvictRefuse refuses admission at capacity (legacy behavior).
-	EvictRefuse = webproxy.EvictRefuse
-)
 
 // NewWebOrigin returns a live HTTP origin server.
 func NewWebOrigin(opts ...WebOriginOption) *WebOrigin { return webserver.NewOrigin(opts...) }

@@ -14,17 +14,13 @@
 //	mcproxy -origin https://example.com -listen :8089 -delta 30s
 //
 // Cache residency is bounded by -max-objects and -max-bytes (approximate
-// resident memory for keys, bodies, and per-object overhead). The
-// -eviction flag selects what happens beyond those budgets:
+// resident memory for keys, bodies, and per-object overhead). Beyond
+// those budgets group-aware CLOCK replacement admits new objects and
+// evicts cold residents, with mutual-consistency group members penalized
+// as victims so groups are not silently broken; an object that alone
+// exceeds -max-bytes is served uncached (X-Cache: BYPASS):
 //
-//	-eviction clock   (default) group-aware CLOCK replacement: new
-//	                  objects are admitted and cold residents evicted,
-//	                  with mutual-consistency group members penalized
-//	                  as victims so groups are not silently broken
-//	-eviction refuse  legacy behavior: at capacity new objects are
-//	                  served uncached (X-Cache: BYPASS), never admitted
-//
-//	mcproxy -demo -max-objects 10000 -max-bytes 67108864 -eviction clock
+//	mcproxy -demo -max-objects 10000 -max-bytes 67108864
 //
 // A -disk-dir adds a persistent tier under the memory cache:
 // replacement victims are demoted to disk instead of lost, and a
@@ -113,7 +109,6 @@ func run(args []string) error {
 	pollWorkers := fs.Int("poll-workers", 0, "concurrent origin poll workers (0 = GOMAXPROCS)")
 	maxObjects := fs.Int("max-objects", 0, "cached-object cap (0 = default 65536, negative = unlimited)")
 	maxBytes := fs.Int64("max-bytes", 0, "resident-memory budget in bytes for cached objects (0 = unlimited)")
-	eviction := fs.String("eviction", "clock", "replacement beyond -max-objects/-max-bytes: clock | refuse")
 	pushEnabled := fs.Bool("push", false, "subscribe to the origin's invalidation event stream (hybrid push-pull)")
 	pushPath := fs.String("push-path", "/events", "path of the origin's event-stream endpoint")
 	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and covers an object, its regular poll runs once per term, starting at admission; disconnect, heartbeat timeout, Reset or frame loss end every lease and restore the unstretched schedule in one sweep (values <= 1 disable leases)")
@@ -164,11 +159,6 @@ func run(args []string) error {
 		runtime.SetMutexProfileFraction(*mutexProfileFraction)
 	}
 
-	evictionPolicy, err := webproxy.ParseEvictionPolicy(*eviction)
-	if err != nil {
-		return err
-	}
-
 	var triggerMode core.TriggerMode
 	switch *mode {
 	case "baseline":
@@ -215,7 +205,6 @@ func run(args []string) error {
 		PollWorkers:           *pollWorkers,
 		MaxObjects:            *maxObjects,
 		MaxBytes:              *maxBytes,
-		Eviction:              evictionPolicy,
 		RelayEvents:           *relayEvents,
 		RelayPath:             *eventsPath,
 		RelaySubscriberBuffer: *subscriberBuffer,
@@ -248,8 +237,8 @@ func run(args []string) error {
 	go func() {
 		errCh <- srv.ListenAndServe()
 	}()
-	fmt.Printf("mcproxy listening on %s (origin %s, Δ=%v, δ=%v, mode %s, eviction %s, push %v, values %v, relay %v)\n",
-		*listen, origin, *delta, *groupDelta, *mode, evictionPolicy, *pushEnabled, *pushValues, *relayEvents)
+	fmt.Printf("mcproxy listening on %s (origin %s, Δ=%v, δ=%v, mode %s, push %v, values %v, relay %v)\n",
+		*listen, origin, *delta, *groupDelta, *mode, *pushEnabled, *pushValues, *relayEvents)
 
 	var opsSrv *http.Server
 	if *opsListen != "" {

@@ -474,7 +474,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-demo", "-origin", "http://x"},
 		{"-origin", "://bad"},
 		{"-bad-flag"},
-		{"-demo", "-eviction", "lru"},             // unknown eviction policy
 		{"-demo", "-max-bytes", "-1"},             // negative budget is not "unlimited"
 		{"-demo", "-poll-workers", "-2"},          // negative workers is not GOMAXPROCS
 		{"-demo", "-push", "-push-stretch", "-1"}, // only 0 and >=1 are documented

@@ -50,14 +50,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// --- Proxy: tiny residency budgets, CLOCK replacement (default). ---
+	// --- Proxy: tiny residency budgets, enforced by CLOCK replacement. ---
 	px, err := broadway.NewWebProxy(broadway.WebProxyConfig{
 		Origin:       originURL,
 		DefaultDelta: time.Minute,
 		Bounds:       core.TTRBounds{Min: time.Minute, Max: 10 * time.Minute},
 		MaxObjects:   64,
 		MaxBytes:     64 << 10, // 64 KiB resident budget
-		Eviction:     broadway.EvictClock,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -88,6 +88,7 @@ type Store struct {
 	pending  map[string]pendingOp
 	order    []string // FIFO of keys with pending ops (coalesced)
 	inFlight int
+	applying pendingOp // the op the worker is applying while inFlight > 0
 	idle     *sync.Cond
 
 	journal    *os.File
@@ -249,21 +250,18 @@ func (s *Store) Put(rec Record, body []byte) {
 func (s *Store) Delete(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, inRecords := s.records[key]
-	op, inPending := s.pending[key]
-	// Pending state wins: a queued delete means the key is already gone
-	// from the caller's perspective, a queued put means it is present.
-	live := inRecords
-	if inPending {
+	_, live := s.records[key]
+	// Unapplied state wins: a queued delete means the key is already gone
+	// from the caller's perspective, a queued put — or one the worker is
+	// applying right now, whose tombstone must queue behind it — means it
+	// is present.
+	if op, ok := s.unappliedLocked(key); ok {
 		live = !op.del
 	}
-	if !live {
+	if !live || s.closed {
 		return false
 	}
-	if s.closed {
-		return false
-	}
-	if !inPending {
+	if _, inPending := s.pending[key]; !inPending {
 		s.order = append(s.order, key)
 	}
 	s.pending[key] = pendingOp{rec: Record{Key: key, Del: true}, del: true}
@@ -271,12 +269,28 @@ func (s *Store) Delete(key string) bool {
 	return true
 }
 
+// unappliedLocked returns the newest op for key the index does not
+// reflect yet: queued, or taken off the queue and being applied by the
+// worker at this moment. Without the second case a write would vanish
+// from view between leaving the queue and reaching the index — a reader
+// would see the version it replaced, and a Delete would miss it and let
+// it land afterwards. Called with s.mu held.
+func (s *Store) unappliedLocked(key string) (pendingOp, bool) {
+	if op, ok := s.pending[key]; ok {
+		return op, true
+	}
+	if s.inFlight > 0 && s.applying.rec.Key == key {
+		return s.applying, true
+	}
+	return pendingOp{}, false
+}
+
 // Get returns the record and body for key, or ok=false. Pending writes
 // are visible immediately (read-your-writes); durable bodies are
 // re-verified against their digest so a corrupt blob reads as a miss.
 func (s *Store) Get(key string) (Record, []byte, bool) {
 	s.mu.Lock()
-	if op, ok := s.pending[key]; ok {
+	if op, ok := s.unappliedLocked(key); ok {
 		s.mu.Unlock()
 		if op.del {
 			return Record{}, nil, false
@@ -304,7 +318,7 @@ func (s *Store) Get(key string) (Record, []byte, bool) {
 func (s *Store) Meta(key string) (Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if op, ok := s.pending[key]; ok {
+	if op, ok := s.unappliedLocked(key); ok {
 		if op.del {
 			return Record{}, false
 		}
@@ -430,6 +444,7 @@ func (s *Store) worker() {
 		}
 		delete(s.pending, key)
 		s.inFlight++
+		s.applying = op
 		s.mu.Unlock()
 
 		if op.del {
@@ -440,6 +455,7 @@ func (s *Store) worker() {
 
 		s.mu.Lock()
 		s.inFlight--
+		s.applying = pendingOp{} // release the body
 		if len(s.order) == 0 && s.inFlight == 0 {
 			s.idle.Broadcast()
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -281,5 +282,32 @@ func TestJournalCompactionBoundsGrowth(t *testing.T) {
 	}
 	if _, err := Verify(dir); err != nil {
 		t.Fatalf("Verify after churn: %v", err)
+	}
+}
+
+// TestWriteBeingAppliedStaysVisible: a write the worker has taken off
+// the queue but not yet indexed must still be what Get and Meta return
+// and what Delete removes — otherwise a reader sees the version it
+// replaced, and a Delete misses it and lets it land afterwards.
+func TestWriteBeingAppliedStaysVisible(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), 0)
+	defer s.Close()
+	for i := 0; i < 200; i++ {
+		key := fmt.Sprintf("/k/%d", i)
+		body := []byte(fmt.Sprintf("body %d", i)) // distinct: each one costs a blob write
+		s.Put(Record{Key: key, ValidatedAt: t0}, body)
+		for s.Stats().PendingWrites > 0 {
+			runtime.Gosched() // until the worker has taken it: being applied, or applied
+		}
+		if _, got, ok := s.Get(key); !ok || string(got) != string(body) {
+			t.Fatalf("%s: Get lost sight of a write being applied (ok=%v)", key, ok)
+		}
+		if !s.Delete(key) {
+			t.Fatalf("%s: Delete missed a write being applied", key)
+		}
+		s.Flush()
+		if _, ok := s.Meta(key); ok {
+			t.Fatalf("%s: deleted record came back", key)
+		}
 	}
 }

@@ -192,17 +192,7 @@ func (p *Proxy) RegisterPushObject(id core.ObjectID) error {
 			p.failedPolls++
 			return
 		}
-		e.polls++ // each push is one message, counted like a poll
-		e.fetched = true
-		e.serverSync = now
-		e.version = resp.Version
-		if resp.HasValue {
-			e.value = resp.Value
-			e.hasValue = true
-		}
-		e.log = append(e.log, metrics.Refresh{
-			At: now, Modified: resp.Modified, Version: resp.Version, Value: resp.Value,
-		})
+		e.record(resp, now, false) // each push is one message, counted like a poll
 	}
 	// Initial transfer now, then one push per server update.
 	p.engine.ScheduleAt(p.engine.Now(), sim.EventFunc(func(*sim.Engine) { push(e) }))
@@ -245,34 +235,8 @@ func (p *Proxy) applyPoll(e *entry, resp origin.Response, err error, serverTime 
 		p.schedule(e, e.policy.InitialTTR())
 		return
 	}
-	e.polls++
-
-	outcome := core.PollOutcome{
-		Now:             serverTime,
-		Prev:            e.serverSync,
-		Modified:        resp.Modified,
-		LastModified:    resp.LastModified,
-		HasLastModified: resp.HasLastModified,
-		History:         resp.History,
-		HasValue:        resp.HasValue,
-		Value:           resp.Value,
-		PrevValue:       e.value,
-	}
-
 	first := !e.fetched
-	e.fetched = true
-	e.serverSync = serverTime
-	e.version = resp.Version
-	if resp.HasValue {
-		e.value = resp.Value
-		e.hasValue = true
-	}
-	e.log = append(e.log, metrics.Refresh{
-		At:       serverTime,
-		Modified: resp.Modified,
-		Version:  resp.Version,
-		Value:    resp.Value,
-	})
+	outcome := e.record(resp, serverTime, false)
 
 	var ttr time.Duration
 	if first {
@@ -299,6 +263,45 @@ func (p *Proxy) schedule(e *entry, ttr time.Duration) {
 	e.nextHandle = p.engine.ScheduleAt(e.nextAt, sim.EventFunc(func(*sim.Engine) {
 		p.poll(e)
 	}))
+}
+
+// record is the one way a validated response enters the simulated cache:
+// it counts the poll, swaps the copy in (validation instant, version,
+// value), appends the refresh to the object's log, and returns the
+// outcome a policy or controller observes — built against the copy the
+// response replaced. Regular, triggered, pair and push-object responses
+// all land here.
+func (e *entry) record(resp origin.Response, at simtime.Time, triggered bool) core.PollOutcome {
+	outcome := core.PollOutcome{
+		Now:             at,
+		Prev:            e.serverSync,
+		Modified:        resp.Modified,
+		LastModified:    resp.LastModified,
+		HasLastModified: resp.HasLastModified,
+		History:         resp.History,
+		HasValue:        resp.HasValue,
+		Value:           resp.Value,
+		PrevValue:       e.value,
+	}
+	e.polls++
+	if triggered {
+		e.trigged++
+	}
+	e.fetched = true
+	e.serverSync = at
+	e.version = resp.Version
+	if resp.HasValue {
+		e.value = resp.Value
+		e.hasValue = true
+	}
+	e.log = append(e.log, metrics.Refresh{
+		At:        at,
+		Modified:  resp.Modified,
+		Version:   resp.Version,
+		Value:     resp.Value,
+		Triggered: triggered,
+	})
+	return outcome
 }
 
 // triggerRelated asks the group controller which related objects need an
@@ -342,34 +345,7 @@ func (p *Proxy) applyTriggered(e *entry, resp origin.Response, err error, now si
 		p.failedPolls++
 		return // the regular schedule will retry
 	}
-	e.polls++
-	e.trigged++
-
-	outcome := core.PollOutcome{
-		Now:             now,
-		Prev:            e.serverSync,
-		Modified:        resp.Modified,
-		LastModified:    resp.LastModified,
-		HasLastModified: resp.HasLastModified,
-		History:         resp.History,
-		HasValue:        resp.HasValue,
-		Value:           resp.Value,
-		PrevValue:       e.value,
-	}
-	e.fetched = true
-	e.serverSync = now
-	e.version = resp.Version
-	if resp.HasValue {
-		e.value = resp.Value
-		e.hasValue = true
-	}
-	e.log = append(e.log, metrics.Refresh{
-		At:        now,
-		Modified:  resp.Modified,
-		Version:   resp.Version,
-		Value:     resp.Value,
-		Triggered: true,
-	})
+	outcome := e.record(resp, now, true)
 	// The controller still learns from what the extra poll revealed.
 	if e.grp != nil {
 		e.grp.controller.ObserveOutcome(e.id, outcome)
@@ -396,31 +372,17 @@ func (p *Proxy) applyPair(pe *pairEntry, respA, respB origin.Response, errA, err
 		p.schedulePair(pe, pe.policy.InitialTTR())
 		return
 	}
-	pe.a.polls++
-	pe.b.polls++
-
+	first := !pe.a.fetched
+	a := pe.a.record(respA, now, false)
+	b := pe.b.record(respB, now, false)
 	outcome := core.PairOutcome{
 		Now:        now,
-		Prev:       pe.a.serverSync,
-		ValueA:     respA.Value,
-		ValueB:     respB.Value,
-		PrevValueA: pe.a.value,
-		PrevValueB: pe.b.value,
+		Prev:       a.Prev,
+		ValueA:     a.Value,
+		ValueB:     b.Value,
+		PrevValueA: a.PrevValue,
+		PrevValueB: b.PrevValue,
 	}
-	first := !pe.a.fetched
-
-	apply := func(e *entry, resp origin.Response) {
-		e.fetched = true
-		e.serverSync = now
-		e.version = resp.Version
-		e.value = resp.Value
-		e.hasValue = resp.HasValue
-		e.log = append(e.log, metrics.Refresh{
-			At: now, Modified: resp.Modified, Version: resp.Version, Value: resp.Value,
-		})
-	}
-	apply(pe.a, respA)
-	apply(pe.b, respB)
 
 	var ttr time.Duration
 	if first {

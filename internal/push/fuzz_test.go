@@ -138,7 +138,7 @@ func FuzzInvalidationEvent(f *testing.F) {
 		// the stripped form, and the delta form re-encodes the frame
 		// byte-identically for the hub's delta rung.
 		pureDelta := ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0
-		rend := Render(ev)
+		rend := RenderLadder(ev, 0)
 		if pureDelta {
 			if rend.Full() != "" {
 				t.Fatalf("pure delta rendered a full form %q (wire %q)", rend.Full(), wire)

@@ -91,12 +91,6 @@ const DefaultSubscriberBuffer = 256
 // relevant, so overflow costs precision, never correctness).
 const maxRingPartitions = 64
 
-// registryShards is the subscriber registry's shard count: streams
-// register against per-shard locks, never a hub-wide one, so
-// connect/disconnect churn and the amortized slow-consumer scan cannot
-// contend with the ring lock.
-const registryShards = 16
-
 // slowScanEvery is the amortization stride of the slow-consumer scan:
 // every N-th publish walks the registry for subscribers lagging past
 // the buffer allowance. Between scans a slow subscriber costs the
@@ -241,12 +235,6 @@ func (s InterestSet) relevantToPartition(name string) bool {
 	return false
 }
 
-// subShard is one shard of the subscriber registry.
-type subShard struct {
-	mu   sync.Mutex
-	subs map[*hubSub]struct{}
-}
-
 // Hub is a broadcast fan-out with one sequence space: events published
 // into it stream to every subscriber over the SSE /events protocol.
 // It is safe for concurrent use. The zero value is not usable; call
@@ -306,8 +294,11 @@ type Hub struct {
 	// ring drained. Publishing never allocates for it.
 	notify chan struct{}
 
-	nextShard atomic.Uint32
-	shards    [registryShards]subShard
+	// subMu guards the subscriber registry. It is separate from mu so
+	// connect/disconnect churn and the amortized slow-consumer scan never
+	// contend with the ring lock; it nests inside mu (killAllLocked).
+	subMu sync.Mutex
+	subs  map[*hubSub]struct{}
 }
 
 // hubSub is one connected subscriber stream. Delivery state belongs to
@@ -324,8 +315,6 @@ type hubSub struct {
 	// inside a walked partition that still fall outside it are skipped
 	// (position advances, frame never written).
 	interest InterestSet
-	// shard is the registry shard the subscriber lives in.
-	shard int
 	// cursor is the stream's position: the sequence number up to which
 	// every frame has been written, skipped as uninteresting, or
 	// jumped over as foreign-partition. Heartbeats carry it (so the
@@ -391,9 +380,7 @@ func NewHub(cfg HubConfig) *Hub {
 		cfg:       cfg,
 		partIdx:   make(map[string]*ringPartition),
 		available: true,
-	}
-	for i := range h.shards {
-		h.shards[i].subs = make(map[*hubSub]struct{})
+		subs:      make(map[*hubSub]struct{}),
 	}
 	return h
 }
@@ -613,22 +600,19 @@ func (h *Hub) dropHeadLocked(p *ringPartition) {
 
 // scanSlowSubscribers terminates every subscriber lagging past the
 // buffer allowance. It runs every slowScanEvery-th publish, outside the
-// ring lock, walking only the registry shards — the entire cost a slow
-// or stalled consumer can ever impose on the publish path.
+// ring lock, walking only the registry — the entire cost a slow or
+// stalled consumer can ever impose on the publish path.
 func (h *Hub) scanSlowSubscribers(seq uint64) {
 	allow := uint64(h.cfg.SubscriberBuffer)
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.Lock()
-		for s := range sh.subs {
-			if c := s.cursor.Load(); c < seq && seq-c > allow {
-				s.terminate()
-				delete(sh.subs, s)
-				h.slowKills.Add(1)
-			}
+	h.subMu.Lock()
+	for s := range h.subs {
+		if c := s.cursor.Load(); c < seq && seq-c > allow {
+			s.terminate()
+			delete(h.subs, s)
+			h.slowKills.Add(1)
 		}
-		sh.mu.Unlock()
 	}
+	h.subMu.Unlock()
 }
 
 // chunkableLocked reports whether ev's body, too large for a single
@@ -763,11 +747,9 @@ func (h *Hub) subscribe(since uint64, payloadCap int, interest InterestSet, held
 	} else {
 		sub.cursor.Store(since)
 	}
-	sub.shard = int(h.nextShard.Add(1) % registryShards)
-	sh := &h.shards[sub.shard]
-	sh.mu.Lock()
-	sh.subs[sub] = struct{}{}
-	sh.mu.Unlock()
+	h.subMu.Lock()
+	h.subs[sub] = struct{}{}
+	h.subMu.Unlock()
 	return hello, sub, true
 }
 
@@ -887,25 +869,21 @@ func parseHeld(terms []string) map[string]heldVersion {
 }
 
 func (h *Hub) unsubscribe(sub *hubSub) {
-	sh := &h.shards[sub.shard]
-	sh.mu.Lock()
-	delete(sh.subs, sub)
-	sh.mu.Unlock()
+	h.subMu.Lock()
+	delete(h.subs, sub)
+	h.subMu.Unlock()
 	sub.terminate()
 }
 
 // killAllLocked terminates and deregisters every stream. Callers hold
-// h.mu exclusively (shard locks nest inside it).
+// h.mu exclusively (subMu nests inside it).
 func (h *Hub) killAllLocked() {
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.Lock()
-		for s := range sh.subs {
-			s.terminate()
-			delete(sh.subs, s)
-		}
-		sh.mu.Unlock()
+	h.subMu.Lock()
+	for s := range h.subs {
+		s.terminate()
+		delete(h.subs, s)
 	}
+	h.subMu.Unlock()
 }
 
 // KillAll terminates every connected stream (subscribers may reconnect
@@ -937,14 +915,9 @@ func (h *Hub) LastSeq() uint64 {
 
 // Subscribers returns the number of registered streams.
 func (h *Hub) Subscribers() int {
-	n := 0
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.Lock()
-		n += len(sh.subs)
-		sh.mu.Unlock()
-	}
-	return n
+	h.subMu.Lock()
+	defer h.subMu.Unlock()
+	return len(h.subs)
 }
 
 // Oversized returns the number of update events dropped because their
@@ -1033,7 +1006,7 @@ type HubStats struct {
 // Stats snapshots the hub's backpressure state. The ring snapshot rides
 // a read lock (never contending another reader) and the per-subscriber
 // lag walk runs outside the ring lock entirely — subscriber cursors are
-// atomic and the registry is sharded — so a metrics scraper polling
+// atomic and the registry has its own lock — so a metrics scraper polling
 // Stats cannot stall Publish for the duration of the walk.
 func (h *Hub) Stats() HubStats {
 	h.mu.RLock()
@@ -1063,22 +1036,19 @@ func (h *Hub) Stats() HubStats {
 	st.ChunkFrames = h.chunkFrames.Load()
 	st.DuplicateFrames = h.duplicateFrames.Load()
 	st.PublishWait = time.Duration(h.publishWait.Load())
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.Lock()
-		for s := range sh.subs {
-			st.Subscribers++
-			var lag uint64
-			if c := s.cursor.Load(); c < st.Seq {
-				lag = st.Seq - c
-			}
-			st.Lags = append(st.Lags, lag)
-			if lag > st.MaxLag {
-				st.MaxLag = lag
-			}
+	h.subMu.Lock()
+	for s := range h.subs {
+		st.Subscribers++
+		var lag uint64
+		if c := s.cursor.Load(); c < st.Seq {
+			lag = st.Seq - c
 		}
-		sh.mu.Unlock()
+		st.Lags = append(st.Lags, lag)
+		if lag > st.MaxLag {
+			st.MaxLag = lag
+		}
 	}
+	h.subMu.Unlock()
 	return st
 }
 
@@ -1303,7 +1273,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// tail): hand the subscriber its advanced position in the
 			// same write instead of waiting a heartbeat interval, so a
 			// reconnect in that window resumes past the skipped frames.
-			b = appendFrame(b, boundary, renderedHeartbeat(boundary).full)
+			b = appendFrame(b, boundary, Event{Kind: KindHeartbeat, Seq: boundary}.Encode())
 		}
 		if skipped := boundary - prev - uint64(updates); skipped > 0 && boundary > prev {
 			h.filtered.Add(skipped)
@@ -1345,8 +1315,8 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-ch:
 		case <-ticker.C:
-			hb := renderedHeartbeat(sub.cursor.Load())
-			b := appendFrame((*bufp)[:0], hb.Seq, hb.full)
+			pos := sub.cursor.Load()
+			b := appendFrame((*bufp)[:0], pos, Event{Kind: KindHeartbeat, Seq: pos}.Encode())
 			*bufp = b
 			if !flush(b) {
 				return

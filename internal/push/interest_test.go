@@ -151,7 +151,7 @@ func TestRenderedFormsByteIdentical(t *testing.T) {
 		{Kind: KindHeartbeat, Seq: 12},
 	}
 	for _, ev := range events {
-		re := Render(ev)
+		re := RenderLadder(ev, 0)
 		if re.Full() != ev.Encode() {
 			t.Errorf("Full() = %q, want Encode() = %q", re.Full(), ev.Encode())
 		}
@@ -166,25 +166,6 @@ func TestRenderedFormsByteIdentical(t *testing.T) {
 			if got := re.WireFor(cap); got != want {
 				t.Errorf("WireFor(%d) = %q, want %q (ev %+v)", cap, got, want, ev)
 			}
-		}
-	}
-}
-
-// TestRenderedHelloHeartbeatByteIdentical pins the cached-prefix
-// renderers to the Encode output they replaced.
-func TestRenderedHelloHeartbeatByteIdentical(t *testing.T) {
-	for _, seq := range []uint64{0, 1, 42, 1<<64 - 1} {
-		for _, cap := range []uint64{0, 64, DefaultPayloadCap} {
-			for _, reset := range []bool{false, true} {
-				want := Event{Kind: KindHello, Seq: seq, PayloadCap: cap, Reset: reset}.Encode()
-				if got := renderedHello(seq, cap, reset).Full(); got != want {
-					t.Errorf("renderedHello(%d,%d,%v) = %q, want %q", seq, cap, reset, got, want)
-				}
-			}
-		}
-		want := Event{Kind: KindHeartbeat, Seq: seq}.Encode()
-		if got := renderedHeartbeat(seq).Full(); got != want {
-			t.Errorf("renderedHeartbeat(%d) = %q, want %q", seq, got, want)
 		}
 	}
 }

@@ -412,16 +412,6 @@ type RenderedEvent struct {
 	cost int64
 }
 
-// Render renders the event's wire forms with chunking disabled —
-// exactly the two-form render pre-v3 hubs performed, plus the delta
-// form when the publisher supplied a delta sidecar. The event must
-// already be publishable (sanitized digest, payload within the hub
-// cap, envelope within bounds) — Render is the single Encode site of
-// the publish path, not a validator.
-func Render(ev Event) RenderedEvent {
-	return RenderLadder(ev, 0)
-}
-
 // RenderLadder renders the event's full ladder of wire forms.
 // chunkPayload, when positive, is the per-frame payload size chunked
 // forms are rendered at: a body larger than chunkPayload additionally
@@ -578,61 +568,10 @@ func (re RenderedEvent) WireFor(payloadCap int) string {
 	return re.full
 }
 
-// helloPrefixV1 and helloPrefixV2 are the cached invariant prefixes of
-// hello frames ("v<ver> <kind> "); only the seq, flags, and (v2) cap
-// fields vary per connect, so the renderers below append just those.
-const (
-	helloPrefixV1     = "v1 1 "
-	helloPrefixV2     = "v2 1 "
-	heartbeatPrefixV1 = "v1 3 "
-)
-
 // renderedHello renders the hello frame opening (or, with reset,
-// resynchronizing) a stream, byte-identical to Render(Event{Kind:
-// KindHello, Seq: seq, PayloadCap: payloadCap, Reset: reset}) without
-// the fmt round trip — hellos are built per connect, and under
-// reconnect churn that path is hot.
+// resynchronizing) a stream.
 func renderedHello(seq, payloadCap uint64, reset bool) RenderedEvent {
-	re := RenderedEvent{Kind: KindHello, Seq: seq, Reset: reset, payloadLen: -1, deltaLen: -1}
-	flags := byte('-')
-	if reset {
-		flags = 'r'
-	}
-	var b []byte
-	if payloadCap == 0 {
-		b = make([]byte, 0, 32)
-		b = append(b, helloPrefixV1...)
-		b = strconv.AppendUint(b, seq, 10)
-		b = append(b, ' ', '0', ' ', flags)
-		b = append(b, " - -"...)
-	} else {
-		b = make([]byte, 0, 56)
-		b = append(b, helloPrefixV2...)
-		b = strconv.AppendUint(b, seq, 10)
-		b = append(b, ' ', '0', ' ', flags)
-		b = append(b, " - - - - "...)
-		b = strconv.AppendUint(b, payloadCap, 10)
-		b = append(b, ' ', '-')
-	}
-	re.full = string(b)
-	re.stripped = re.full
-	re.cost = int64(len(re.full))
-	return re
-}
-
-// renderedHeartbeat renders a keepalive frame carrying the stream's
-// position, byte-identical to Render(Event{Kind: KindHeartbeat, Seq:
-// seq}).
-func renderedHeartbeat(seq uint64) RenderedEvent {
-	re := RenderedEvent{Kind: KindHeartbeat, Seq: seq, payloadLen: -1, deltaLen: -1}
-	b := make([]byte, 0, 32)
-	b = append(b, heartbeatPrefixV1...)
-	b = strconv.AppendUint(b, seq, 10)
-	b = append(b, " 0 - - -"...)
-	re.full = string(b)
-	re.stripped = re.full
-	re.cost = int64(len(re.full))
-	return re
+	return RenderLadder(Event{Kind: KindHello, Seq: seq, PayloadCap: payloadCap, Reset: reset}, 0)
 }
 
 // escapeField query-escapes a key, group, or content type for the wire.

@@ -531,7 +531,7 @@ func BenchmarkEventRender(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		re := Render(ev)
+		re := RenderLadder(ev, 0)
 		if len(re.full) == 0 || len(re.stripped) == 0 {
 			b.Fatal("render produced an empty form")
 		}

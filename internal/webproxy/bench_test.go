@@ -19,14 +19,14 @@ func BenchmarkStoreEvictScan(b *testing.B) {
 	for i := 0; i < capacity; i++ {
 		e := &entry{key: fmt.Sprintf("/seed/%d", i)}
 		e.size.Store(1024)
-		s.put(e.key, e, capacity, -1, true)
+		s.put(e.key, e, capacity, -1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := &entry{key: fmt.Sprintf("/churn/%d", i)}
 		e.size.Store(1024)
-		_, _, victims, _ := s.put(e.key, e, capacity, -1, true)
+		_, _, victims, _ := s.put(e.key, e, capacity, -1)
 		if len(victims) != 1 {
 			b.Fatalf("iteration %d evicted %d entries, want 1", i, len(victims))
 		}
@@ -46,7 +46,7 @@ func BenchmarkValuePushApply(b *testing.B) {
 	}
 	e := &entry{key: "/quote/acme"}
 	e.size.Store(entrySize(e.key, nil))
-	p.store.put(e.key, e, -1, -1, true)
+	p.store.put(e.key, e, -1, -1)
 
 	body := []byte("165.3800\n")
 	digest := push.DigestOf(body)
@@ -85,7 +85,7 @@ func BenchmarkStoreHitMark(b *testing.B) {
 		keys[i] = fmt.Sprintf("/obj/%d", i)
 		e := &entry{key: keys[i]}
 		e.size.Store(1024)
-		s.put(keys[i], e, -1, -1, true)
+		s.put(keys[i], e, -1, -1)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -385,89 +385,6 @@ func TestUpstreamFailureBackoff(t *testing.T) {
 	t.Fatal("polls never resumed after the origin recovered")
 }
 
-// TestMaxObjectsCapsAdmission pins the legacy EvictRefuse policy: beyond
-// MaxObjects the proxy keeps serving but stops caching and scheduling,
-// so a client enumerating query strings cannot grow the store without
-// bound. (The default EvictClock policy instead evicts; see
-// eviction_test.go.)
-func TestMaxObjectsCapsAdmission(t *testing.T) {
-	var requests atomic.Int64
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		requests.Add(1)
-		fmt.Fprintf(w, "query=%s", r.URL.RawQuery)
-	})
-	px, _ := newHandlerProxy(t, handler, Config{MaxObjects: 3, Eviction: EvictRefuse})
-
-	for i := 0; i < 8; i++ {
-		code, body, _ := proxyGet(t, px, fmt.Sprintf("/stock?sym=%d", i))
-		if code != http.StatusOK || body != fmt.Sprintf("query=sym=%d", i) {
-			t.Fatalf("request %d: status %d body %q", i, code, body)
-		}
-	}
-	if got := px.Len(); got != 3 {
-		t.Errorf("cached objects = %d, want the MaxObjects cap of 3", got)
-	}
-	// Cached keys hit; over-cap keys proxy again on every request, and
-	// the refused residency is surfaced as X-Cache: BYPASS and counted.
-	if _, _, hdr := proxyGet(t, px, "/stock?sym=0"); hdr.Get("X-Cache") != "HIT" {
-		t.Errorf("under-cap object X-Cache = %q, want HIT", hdr.Get("X-Cache"))
-	}
-	before := requests.Load()
-	if _, _, hdr := proxyGet(t, px, "/stock?sym=7"); hdr.Get("X-Cache") != "BYPASS" {
-		t.Errorf("over-cap object X-Cache = %q, want BYPASS", hdr.Get("X-Cache"))
-	}
-	if requests.Load() != before+1 {
-		t.Errorf("over-cap object did not reach the origin")
-	}
-	cs := px.CacheStats()
-	if cs.Capped < 5 {
-		t.Errorf("CacheStats.Capped = %d, want at least the 5 refused admissions", cs.Capped)
-	}
-	if cs.Evictions != 0 {
-		t.Errorf("CacheStats.Evictions = %d under EvictRefuse, want 0", cs.Evictions)
-	}
-
-	// A concurrent burst of distinct keys must not overshoot the cap:
-	// the count is reserved atomically, not check-then-act.
-	px2, _ := newHandlerProxy(t, handler, Config{MaxObjects: 4, Eviction: EvictRefuse})
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < 24; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			proxyGet(t, px2, fmt.Sprintf("/burst?key=%d", i))
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	if got := px2.Len(); got > 4 {
-		t.Errorf("concurrent admissions overshot the cap: %d objects cached, cap 4", got)
-	}
-}
-
-// TestMaxBytesRefusePolicy pins the byte budget under EvictRefuse: an
-// admission that would push the ledger past MaxBytes is served uncached.
-func TestMaxBytesRefusePolicy(t *testing.T) {
-	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, strings.Repeat("x", 2048))
-	})
-	px, _ := newHandlerProxy(t, handler, Config{
-		Eviction: EvictRefuse,
-		MaxBytes: 3 * (2048 + 600), // room for ~3 objects
-	})
-	for i := 0; i < 6; i++ {
-		proxyGet(t, px, fmt.Sprintf("/blob/%d", i))
-	}
-	if got := px.Len(); got != 3 {
-		t.Errorf("resident objects = %d, want 3 under the byte budget", got)
-	}
-	if rb, max := px.ResidentBytes(), int64(3*(2048+600)); rb > max {
-		t.Errorf("resident bytes %d exceed the budget %d", rb, max)
-	}
-}
-
 // TestTriggeredFailurePullsRegularPollForward checks that when a
 // triggered poll fails, the object's regular poll is pulled forward to
 // the backoff retry instant instead of leaving the group's mutual

@@ -35,7 +35,7 @@ func docBody(rev, lines int) []byte {
 }
 
 // TestDeltaPushAppliedLive drives the full pipeline: origin Set → hub
-// delta rung → proxy resolveDelta → install, with zero origin polls
+// delta rung → proxy verifyPushed → install, with zero origin polls
 // after admission. The first update travels as a full payload (the hub
 // holds no base for the stream yet); once that delivery seeds the held
 // set, the next update rides the delta rung.

@@ -1,9 +1,9 @@
 package webproxy
 
 // The persistent disk tier (Config.DiskDir): every validated object is
-// written behind the sharded in-memory store through the shared
-// finishRefresh path — asynchronously, so the hit path never touches
-// disk — and three flows bring state back:
+// written behind the sharded in-memory store by install and admitFrom —
+// asynchronously, so the hit path never touches disk — and three flows
+// bring state back, the first two through admitFrom like any admission:
 //
 //   - rehydrate (startup): records within the grace window re-enter the
 //     store born *suspect*, scheduled for an immediate validation poll
@@ -12,12 +12,12 @@ package webproxy
 //     guarantee across a restart is therefore explicit: at most
 //     DiskGrace plus the validation queue delay, never silently
 //     unbounded.
-//   - promote (demand): a request for a key that lives only on disk —
-//     demoted by CLOCK replacement or beyond the grace window at
-//     startup — revalidates it with a conditional fetch before serving,
-//     reusing the disk body on a 304. Promotion runs inside the
-//     admission singleflight, so the re-admission race resolves to one
-//     origin fetch.
+//   - promote (demand, see admit): a request for a key that lives only
+//     on disk — demoted by CLOCK replacement or beyond the grace window
+//     at startup — revalidates it with a conditional fetch before
+//     serving, reusing the disk body, metadata and learned TTR on a 304.
+//     Promotion runs inside the admission singleflight, so the
+//     re-admission race resolves to one origin fetch.
 //   - demote (replacement): CLOCK victims keep their disk record (the
 //     write-behind already persisted their last validated state), so
 //     capacity is disk-bound, not RAM-bound. Admin Evict purges both
@@ -27,13 +27,12 @@ import (
 	"time"
 
 	"broadway/internal/diskstore"
-	"broadway/internal/httpx"
 )
 
 // persistEntry snapshots e's validated state into the disk tier's
-// write-behind queue. Called from finishRefresh (every poll, trigger,
-// and pushed-value install) and from the admission paths; a no-op when
-// persistence is disabled or the entry was never admitted.
+// write-behind queue. Called from install (every poll, trigger, and
+// pushed-value install) and admitFrom; a no-op when persistence is
+// disabled or the entry was never admitted.
 func (p *Proxy) persistEntry(e *entry) {
 	if p.disk == nil || e.capped {
 		return
@@ -80,94 +79,6 @@ func (p *Proxy) demote(victims []*entry) {
 	}
 }
 
-// promote re-admits a disk-resident object through a validating
-// conditional fetch: a 304 reuses the disk body (metadata and learned
-// TTR restored), a 200 installs the fresh version. Either way the entry
-// re-enters the store validated — never suspect — so promotion cannot
-// widen the Δt bound. Callers hold the admission singleflight slot.
-func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, error) {
-	since := rec.ValidatedAt
-	if rec.HasLastMod {
-		since = rec.LastMod
-	}
-	resp, err := p.fetch(key, since)
-	if err != nil {
-		// No unvalidated stale serves on the demand path: the client
-		// gets the same 502 a cold miss would. (Grace-mode serving is a
-		// startup decision, made explicitly and labeled.)
-		return nil, err
-	}
-	now := p.cfg.Clock()
-	a := admission{
-		validatedAt: now,
-		delta:       p.cfg.DefaultDelta,
-		groupDelta:  p.cfg.DefaultGroupDelta,
-		valueDelta:  rec.ValueDelta,
-		group:       rec.Group,
-		initialPoll: true,
-	}
-	// Tolerance resolution: config defaults, overlaid by the persisted
-	// record, overlaid by whatever the origin's response advertises now
-	// — the origin's current directives always win, the record only
-	// fills silence (a 304 with no Cache-Control).
-	if rec.Delta > 0 {
-		a.delta = rec.Delta
-	}
-	if rec.GroupDelta > 0 {
-		a.groupDelta = rec.GroupDelta
-	}
-	if tol, err := httpx.TolerancesFrom(resp.header); err == nil {
-		if tol.Delta > 0 {
-			a.delta = tol.Delta
-		}
-		if tol.GroupDelta > 0 {
-			a.groupDelta = tol.GroupDelta
-		}
-		if tol.ValueDelta > 0 {
-			a.valueDelta = tol.ValueDelta
-		}
-		if tol.Group != "" {
-			a.group = tol.Group
-		}
-	}
-	if resp.notModified {
-		a.body = body
-		a.contentType = rec.ContentType
-		a.cacheControl = rec.CacheControl
-		if cc := resp.header.Get("Cache-Control"); cc != "" {
-			a.cacheControl = cc
-		}
-		a.lastMod, a.hasLastMod = rec.LastMod, rec.HasLastMod
-		// The copy is unchanged, so the TTR learned across the object's
-		// whole history is still the right schedule.
-		a.restoreTTR = rec.TTR
-	} else {
-		a.body = resp.body
-		a.contentType = resp.contentType
-		a.cacheControl = resp.header.Get("Cache-Control")
-		a.lastMod, a.hasLastMod = resp.lastMod, resp.hasLastMod
-	}
-
-	var admittedValue float64
-	var admittedHasValue bool
-	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
-		admittedValue, admittedHasValue = v, true
-	}
-
-	e, inserted := p.installEntry(key, a)
-	p.diskPromotions.Add(1)
-	if inserted {
-		p.persistEntry(e)
-	}
-	if obs := p.cfg.PollObserver; obs != nil {
-		obs(PollObservation{
-			Key: key, At: now, Modified: !resp.notModified, Initial: true,
-			Value: admittedValue, HasValue: admittedHasValue,
-		})
-	}
-	return e, nil
-}
-
 // rehydrate re-admits disk records into the in-memory store at startup.
 // Records within the grace window come back warm — born suspect, with
 // an immediate validation poll scheduled (dispatched by the worker pool
@@ -177,38 +88,10 @@ func (p *Proxy) promote(key string, rec diskstore.Record, body []byte) (*entry, 
 func (p *Proxy) rehydrate() {
 	now := p.cfg.Clock()
 	for _, key := range p.disk.Keys() {
-		rec, body, ok := p.disk.Get(key)
-		if !ok {
-			continue
-		}
-		if now.Sub(rec.ValidatedAt) > p.cfg.DiskGrace {
-			// Too stale for grace-mode serving (with DiskGrace < 0,
-			// everything is): left demoted, promoted on demand.
-			continue
-		}
-		a := admission{
-			body:         body,
-			contentType:  rec.ContentType,
-			cacheControl: rec.CacheControl,
-			lastMod:      rec.LastMod,
-			hasLastMod:   rec.HasLastMod,
-			validatedAt:  rec.ValidatedAt,
-			delta:        p.cfg.DefaultDelta,
-			groupDelta:   p.cfg.DefaultGroupDelta,
-			valueDelta:   rec.ValueDelta,
-			group:        rec.Group,
-			restoreTTR:   rec.TTR,
-			suspect:      true,
-			scheduleAt:   now, // immediate validation poll
-		}
-		if rec.Delta > 0 {
-			a.delta = rec.Delta
-		}
-		if rec.GroupDelta > 0 {
-			a.groupDelta = rec.GroupDelta
-		}
-		if _, inserted := p.installEntry(key, a); inserted {
-			p.diskRehydrated.Add(1)
+		// A record too stale for grace-mode serving (with DiskGrace < 0,
+		// every record) is left demoted, promoted on demand.
+		if rec, body, ok := p.disk.Get(key); ok && now.Sub(rec.ValidatedAt) <= p.cfg.DiskGrace {
+			p.admitFrom(key, &rec, body, nil)
 		}
 	}
 }
@@ -232,7 +115,9 @@ type DiskStats struct {
 	Evictions   uint64
 	// Demotions counts replacement victims whose disk record made the
 	// eviction a tier transition instead of a loss; Promotions counts
-	// disk records re-admitted through a validating fetch.
+	// disk records re-admitted to the store through a validating fetch
+	// (not one served uncached because its body alone overflows
+	// MaxBytes, nor one that lost to a concurrent admission).
 	Demotions  uint64
 	Promotions uint64
 	// Rehydrated counts entries restored warm at startup; GraceServes

@@ -71,7 +71,7 @@ func TestChurnKeepsHotSetResident(t *testing.T) {
 		t.Error("no evictions recorded; the cold stream should churn the cache")
 	}
 	if cs.Capped != 0 {
-		t.Errorf("CacheStats.Capped = %d under EvictClock, want 0", cs.Capped)
+		t.Errorf("CacheStats.Capped = %d, want 0", cs.Capped)
 	}
 }
 
@@ -179,7 +179,7 @@ func TestClockPenalizesUngroupedVictimsFirst(t *testing.T) {
 		mk("/a", ""), mk("/b", "news"), mk("/c", ""), mk("/d", "news"),
 	}
 	for _, e := range seed {
-		if _, inserted, victims, capped := s.put(e.key, e, 4, -1, true); !inserted || len(victims) != 0 || capped {
+		if _, inserted, victims, capped := s.put(e.key, e, 4, -1); !inserted || len(victims) != 0 || capped {
 			t.Fatalf("seeding %s: inserted=%v victims=%d capped=%v", e.key, inserted, len(victims), capped)
 		}
 	}
@@ -189,11 +189,11 @@ func TestClockPenalizesUngroupedVictimsFirst(t *testing.T) {
 		e.refbit.Store(false)
 	}
 
-	_, _, victims, _ := s.put("/e", mk("/e", ""), 4, -1, true)
+	_, _, victims, _ := s.put("/e", mk("/e", ""), 4, -1)
 	if len(victims) != 1 || victims[0].key != "/a" {
 		t.Fatalf("first eviction: victims = %v, want exactly /a (ungrouped)", keysOf(victims))
 	}
-	_, _, victims, _ = s.put("/f", mk("/f", ""), 4, -1, true)
+	_, _, victims, _ = s.put("/f", mk("/f", ""), 4, -1)
 	if len(victims) != 1 || victims[0].key != "/c" {
 		t.Fatalf("second eviction: victims = %v, want exactly /c (ungrouped)", keysOf(victims))
 	}
@@ -223,7 +223,7 @@ func TestGroupLivesReplenishOnAccess(t *testing.T) {
 	grouped := mk("/g", "news")
 	cold := mk("/cold", "")
 	for _, e := range []*entry{grouped, cold} {
-		s.put(e.key, e, 2, -1, true)
+		s.put(e.key, e, 2, -1)
 	}
 	sh := &s.shards[0]
 	// Exhaust the group member's shield, then hit it.
@@ -233,7 +233,7 @@ func TestGroupLivesReplenishOnAccess(t *testing.T) {
 	grouped.refbit.Store(true)
 	cold.refbit.Store(false)
 
-	_, _, victims, _ := s.put("/new", mk("/new", ""), 2, -1, true)
+	_, _, victims, _ := s.put("/new", mk("/new", ""), 2, -1)
 	if len(victims) != 1 || victims[0].key != "/cold" {
 		t.Fatalf("victims = %v, want /cold", keysOf(victims))
 	}

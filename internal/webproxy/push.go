@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"broadway/internal/core"
 	"broadway/internal/push"
 )
 
@@ -132,13 +131,7 @@ func (p *Proxy) heldDigests() []push.HeldDigest {
 		if e.evicted.Load() || e.unpushable {
 			continue
 		}
-		e.mu.RLock()
-		d := e.bodyDigest
-		if d == "" && len(e.body) > 0 {
-			d = push.DigestOf(e.body)
-		}
-		e.mu.RUnlock()
-		if d != "" {
+		if _, d := e.held(); d != "" {
 			held = append(held, push.HeldDigest{Key: e.key, Digest: d})
 		}
 	}
@@ -215,12 +208,12 @@ func (p *Proxy) noteDownstreamInterest(is push.InterestSet) {
 // Events for non-resident objects are dropped — the proxy only ever
 // pays refresh traffic for objects it actually caches — except that an
 // admission of the key still in flight is told it raced an update.
-// Back-to-back
-// events for one object coalesce onto a single queued job, with the
-// entry's pendingPush slot holding the newest version's most
-// installable event (see supersedes), so a coalesced burst installs the
-// latest body, never a dropped predecessor's, and a stripped repeat of
-// a version cannot displace the payload queued a moment earlier.
+// Back-to-back events for one object coalesce onto a single queued job:
+// the entry's pendingPush slot is the queued-job flag, and it holds the
+// newest version's most installable event (see supersedes), so a
+// coalesced burst installs the latest body, never a dropped
+// predecessor's, and a stripped repeat of a version cannot displace the
+// payload queued a moment earlier.
 func (p *Proxy) handlePushEvent(ev push.Event) {
 	p.pushEvents.Add(1)
 	// The seq store is deferred so the job is enqueued (and counted in
@@ -242,10 +235,7 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		// admission (installEntry then refuses the lease and polls at the
 		// paper-mode instant), and look again, because an install that
 		// read the mark before it was set has published its entry by now.
-		ck := ev.Key
-		if u, err := url.Parse(ev.Key); err == nil {
-			ck = canonicalKey(u)
-		}
+		ck := canonicalize(ev.Key)
 		p.flight.Mark(ck)
 		if e = p.store.get(ck); e != nil && e.evicted.Load() {
 			e = nil
@@ -265,30 +255,24 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		p.pushDropped.Add(1)
 		return
 	}
-	if p.cfg.PushValues {
-		// The slot is the coalescing flag as well as the payload: the job
-		// empties it in one swap when it starts, so whoever fills an empty
-		// slot owes the enqueue, and an event that finds it full joins the
-		// job already queued — replacing its event, or, when the slot
-		// holds something better, just riding along: that job runs after
-		// this announcement, so its fallback poll, if it needs one, finds
-		// the parent as fresh as the announcement promised.
-		for {
-			cur := e.pendingPush.Load()
-			if cur != nil && !supersedes(&ev, cur) {
+	// The slot is the coalescing flag as well as the payload: the job
+	// empties it in one swap when it starts, so whoever fills an empty
+	// slot owes the enqueue, and an event that finds it full joins the
+	// job already queued — replacing its event, or, when the slot holds
+	// something better, just riding along: that job runs after this
+	// announcement, so its fallback poll, if it needs one, finds the
+	// parent as fresh as the announcement promised.
+	for {
+		cur := e.pendingPush.Load()
+		if cur != nil && !supersedes(&ev, cur) {
+			return
+		}
+		if e.pendingPush.CompareAndSwap(cur, &ev) {
+			if cur != nil {
 				return
 			}
-			if e.pendingPush.CompareAndSwap(cur, &ev) {
-				if cur != nil {
-					return
-				}
-				break
-			}
+			break
 		}
-	} else if !e.pushQueued.CompareAndSwap(false, true) {
-		// An invalidation-only proxy never reads pendingPush and keeps
-		// its allocation-free event handling: a bare flag coalesces.
-		return // a pushed job is already queued for this object
 	}
 	p.pushPolls.Add(1)
 	p.pending.Add(1)
@@ -332,22 +316,64 @@ func installRank(ev *push.Event) int {
 // Decode never populates, so its presence marks a body already verified
 // here.
 func isPureDelta(ev *push.Event) bool {
-	return ev.BaseDigest != "" && ev.DeltaCodec != 0 && len(ev.DeltaBody) == 0
+	return ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0 && len(ev.DeltaBody) == 0
 }
 
-// holdsVersion reports whether the cached copy already carries the
-// modification instant mod, or a later one. Origins guarantee strictly
-// increasing modification times, so an announcement at or before the
-// cached instant is a relay duplicate, a replayed frame, or a push that
-// lost the race to a poll: nothing to install, nothing to poll. A
-// timeless announcement can never be recognized.
+// versionHeld reports whether a copy whose modification instant is held
+// (has says whether it has one) already carries the version announced at
+// mod, or a later one. Origins guarantee strictly increasing modification
+// times, so an announcement at or before the held instant is a relay
+// duplicate, a replayed frame, or a push that lost the race to a poll:
+// nothing to install, nothing to poll. A timeless announcement can never
+// be recognized. It is the version check of both tiers — the resident
+// entry and the disk record.
+func versionHeld(has bool, held, mod time.Time) bool {
+	return has && !mod.IsZero() && !mod.After(held)
+}
+
+// holdsVersion is versionHeld against the cached copy.
 func (e *entry) holdsVersion(mod time.Time) bool {
-	if mod.IsZero() {
-		return false
-	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.hasLastMod && !mod.After(e.lastMod)
+	return versionHeld(e.hasLastMod, e.lastMod, mod)
+}
+
+// held returns the cached body and its digest (empty without
+// value-carrying push) — the base a pushed delta must name.
+func (e *entry) held() ([]byte, string) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.body, e.bodyDigest
+}
+
+// verifyPushed returns the full body a pushed event delivers, verified:
+// whichever tier installs it, and the relay reconstructing it for the
+// children, nothing is accepted that does not hash to the frame's
+// digest. A delta frame is applied against base, and only when
+// baseDigest — the digest of the bytes actually in hand (kept with the
+// resident body at every swap, hashed from the blob read back from
+// disk), never bookkeeping that could have gone stale — is the base the
+// frame names: that is the invariant keeping a demoted or raced body
+// from ever serving as a silent wrong base. A forged or stale base, a
+// hostile delta stream, a result or a full body with the wrong digest,
+// or no payload at all (a stripped or pure-invalidation frame) reports
+// ok=false, and the caller degrades to the next rung of the ladder. A
+// frame this proxy already reconstructed on receipt (see isPureDelta)
+// was verified then. base and baseDigest are read only for a pure delta.
+func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, ok bool) {
+	switch {
+	case !ev.HasBody:
+		return nil, false
+	case isPureDelta(ev):
+		if baseDigest != ev.BaseDigest {
+			return nil, false
+		}
+		full, err := push.ApplyDelta(ev.DeltaCodec, base, ev.Body, 0)
+		return full, err == nil && push.DigestOf(full) == ev.Digest
+	case len(ev.DeltaBody) > 0:
+		return ev.Body, true
+	}
+	return ev.Body, push.DigestOf(ev.Body) == ev.Digest
 }
 
 // applyPushedValue installs a pushed event's payload directly into the
@@ -363,20 +389,15 @@ func (e *entry) holdsVersion(mod time.Time) bool {
 // dropped for free — true with no work done — whatever form it arrived
 // in. A stripped or wrong-base duplicate must not cost a poll.
 //
-// It returns false when the payload cannot be installed — no payload on
-// the event (a stripped or pure-invalidation frame), a digest mismatch
-// (corruption somewhere along the relay chain), a delta whose base is
-// not the body held, or a body that alone overflows MaxBytes (installing
-// it would immediately evict the object) — and the caller degrades to
-// the pushed confirmation poll, the next rung of the ladder. The Δ
-// guarantee never rests on this path.
+// It returns false when the payload cannot be installed — verifyPushed
+// refused it, or the body alone overflows MaxBytes (installing it would
+// immediately evict the object) — and the caller degrades to the pushed
+// confirmation poll, the next rung of the ladder. The Δ guarantee never
+// rests on this path.
 func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
-	if !p.cfg.PushValues {
-		return false
-	}
-	if e.evicted.Load() {
-		// Let the poll path's eviction check dispose of the job; nothing
-		// may be installed for (or polled on behalf of) an evicted entry.
+	if !p.cfg.PushValues || e.evicted.Load() {
+		// Nothing may be installed for an evicted entry; the poll path's
+		// own eviction check disposes of the job.
 		return false
 	}
 	if e.holdsVersion(ev.ModTime) {
@@ -385,125 +406,35 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		p.pushDuplicates.Add(1)
 		return true
 	}
-	if !ev.HasBody {
-		return false
-	}
-	body := ev.Body
-	wasDelta := ev.BaseDigest != "" && ev.DeltaCodec != 0
-	switch {
-	case isPureDelta(ev):
-		// The body is a delta against a base the sender believes we
-		// hold — the cheapest rung of the ladder. Reconstruct and verify
-		// before anything is installed; any mismatch (a forged or stale
-		// base, a hostile delta stream, a result that does not hash to
-		// the frame's digest) falls through to the confirmation poll.
-		full, ok := p.resolveDelta(e, ev)
-		if !ok {
+	base, baseDigest := e.held()
+	body, ok := verifyPushed(ev, base, baseDigest)
+	if !ok {
+		if isPureDelta(ev) {
 			p.pushDeltaBaseMiss.Add(1)
-			return false
 		}
-		body = full
-	case wasDelta:
-		// Reconstructed and digest-verified on receipt, for the relay.
-	case push.DigestOf(ev.Body) != ev.Digest:
 		return false
 	}
-	size := entrySize(e.key, body)
-	if p.cfg.MaxBytes >= 0 && size > p.cfg.MaxBytes {
+	if p.cfg.MaxBytes >= 0 && entrySize(e.key, body) > p.cfg.MaxBytes {
 		// An object this size is refused at admission and self-evicts on
 		// refresh growth; let the pushed poll run those established
 		// unwind rules rather than duplicating them here.
 		return false
 	}
-	now := p.cfg.Clock()
-
-	e.mu.Lock()
-	outcome := core.PollOutcome{
-		Now:      p.toSim(now),
-		Prev:     p.toSim(e.validatedAt),
-		Modified: true,
-	}
-	if !ev.ModTime.IsZero() {
-		outcome.LastModified = p.toSim(ev.ModTime)
-		outcome.HasLastModified = true
-	}
-	e.failures = 0
-	e.validatedAt = now
-	e.body = body
-	e.bodyDigest = ev.Digest // verified above: DigestOf(body)
-	if ev.ContentType != "" {
-		e.contentType = ev.ContentType
-	}
-	if !ev.ModTime.IsZero() {
-		e.lastMod = ev.ModTime
-		e.hasLastMod = true
-	}
-	if e.isValue {
-		outcome.HasValue = true
-		outcome.PrevValue = e.value
-		outcome.Value = e.value
-		if v, ok := parseValueBody(body); ok {
-			e.value = v
-			outcome.Value = v
-		}
-	}
-	paired := e.paired
-	e.mu.Unlock()
-
-	e.applied.Add(1)
-	p.pushApplied.Add(1)
-	if wasDelta {
-		p.pushDeltaApplied.Add(1)
-	}
-
-	// The shared post-refresh bookkeeping: byte-ledger re-charge with
-	// budget re-enforcement (the single-object overflow case was refused
-	// above), the downstream confirmation AFTER the body swap — payload-
-	// free, the pass-through frame already carried it: a child that
-	// installed it drops this as a duplicate, a polling child (or one
-	// whose install failed) fetches on it and finds the fresh copy, never
-	// the stale one the pass-through frame raced — the eviction-token-
-	// guarded controller observation, and the §3.2 group triggering an
-	// update learned from a payload imposes exactly as one learned by
-	// polling. pollPushed leaves the regular schedule untouched.
-	p.finishRefresh(e, refreshResult{
-		kind:    pollPushed,
-		now:     now,
-		outcome: outcome,
-		paired:  paired,
-		resized: true,
-		newSize: size,
-		applied: true,
-		relay:   func() { p.relayAppliedUpdate(e, ev) },
+	// pollPushed leaves the regular schedule untouched; the downstream
+	// confirmation install publishes is payload-free — the pass-through
+	// frame already carried it (see relayInstalled).
+	p.install(e, pollPushed, version{
+		now:         p.cfg.Clock(),
+		modified:    true,
+		body:        body,
+		digest:      ev.Digest,
+		contentType: ev.ContentType,
+		lastMod:     ev.ModTime,
+		hasLastMod:  !ev.ModTime.IsZero(),
+		applied:     true,
+		delta:       ev.BaseDigest != "",
 	})
 	return true
-}
-
-// resolveDelta reconstructs a pushed delta frame's full body against
-// this proxy's resident copy of e. It reports ok=false when the
-// advertised base digest does not match the body actually held, when
-// the delta stream is malformed, or when the reconstruction does not
-// hash to the frame's digest. The base digest is always compared
-// against the digest of the bytes in hand (cached at the last swap, or
-// hashed on demand), never against bookkeeping that could have gone
-// stale — that is the invariant keeping a demoted or raced body from
-// ever serving as a silent wrong base.
-func (p *Proxy) resolveDelta(e *entry, ev *push.Event) ([]byte, bool) {
-	e.mu.RLock()
-	base := e.body
-	baseDigest := e.bodyDigest
-	e.mu.RUnlock()
-	if baseDigest == "" {
-		baseDigest = push.DigestOf(base)
-	}
-	if baseDigest != ev.BaseDigest {
-		return nil, false
-	}
-	full, err := push.ApplyDelta(ev.DeltaCodec, base, ev.Body, 0)
-	if err != nil || push.DigestOf(full) != ev.Digest {
-		return nil, false
-	}
-	return full, true
 }
 
 // applyPushedToDisk lands a pushed payload on the disk record of an
@@ -512,52 +443,43 @@ func (p *Proxy) resolveDelta(e *entry, ev *push.Event) ([]byte, bool) {
 // every push for a demoted object is dropped and the record ages
 // toward a promotion poll; with it, the record tracks the origin and
 // the next promotion's conditional fetch answers 304 against fresh
-// state. A delta frame is applied against the disk body, whose digest
-// is computed from the bytes actually read back (the content-addressed
-// store verifies them against the record on every Get) — the same
-// base-authority rule as the resident path. It reports whether the
-// event was fully handled (installed, or recognized as a duplicate).
+// state. The version check and the verification are the resident
+// path's (versionHeld, verifyPushed), run against the record and — for
+// a delta — the blob read back from disk. It reports whether the event
+// was fully handled (installed, or recognized as a duplicate).
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	if !p.cfg.PushValues || p.disk == nil {
 		return false
 	}
-	ck := ev.Key
-	if u, err := url.Parse(ev.Key); err == nil {
-		ck = canonicalKey(u)
-	}
+	ck := canonicalize(ev.Key)
 	// The version check needs only the record; the body is read back
-	// (and re-verified) only when a delta needs its base.
+	// (and re-verified by the content-addressed store) only when a delta
+	// needs its base.
 	rec, ok := p.disk.Meta(ck)
 	if !ok {
 		return false
 	}
-	if rec.HasLastMod && !ev.ModTime.IsZero() && !ev.ModTime.After(rec.LastMod) {
+	if versionHeld(rec.HasLastMod, rec.LastMod, ev.ModTime) {
 		p.pushDuplicates.Add(1)
-		return true // duplicate: the record already carries this version
+		return true
 	}
-	if !ev.HasBody {
+	var base []byte
+	var baseDigest string
+	if isPureDelta(&ev) {
+		if _, base, ok = p.disk.Get(ck); !ok {
+			return false
+		}
+		baseDigest = push.DigestOf(base)
+	}
+	body, ok := verifyPushed(&ev, base, baseDigest)
+	if !ok {
+		if isPureDelta(&ev) {
+			p.pushDeltaBaseMiss.Add(1)
+		}
 		return false
 	}
-	body := ev.Body
-	switch {
-	case isPureDelta(&ev):
-		var base []byte
-		if rec, base, ok = p.disk.Get(ck); !ok {
-			return false
-		}
-		if push.DigestOf(base) != ev.BaseDigest {
-			p.pushDeltaBaseMiss.Add(1)
-			return false
-		}
-		full, err := push.ApplyDelta(ev.DeltaCodec, base, ev.Body, 0)
-		if err != nil || push.DigestOf(full) != ev.Digest {
-			p.pushDeltaBaseMiss.Add(1)
-			return false
-		}
-		body = full
+	if ev.BaseDigest != "" {
 		p.pushDeltaApplied.Add(1)
-	case push.DigestOf(ev.Body) != ev.Digest:
-		return false
 	}
 	rec.ValidatedAt = p.cfg.Clock()
 	if ev.ContentType != "" {
@@ -592,11 +514,7 @@ func (p *Proxy) eventKeyResolvesTo(key string) bool {
 	if decoded == key {
 		return true // verbatim store lookup finds the entry
 	}
-	u, err := url.Parse(decoded)
-	if err != nil {
-		return false
-	}
-	return canonicalKey(u) == key
+	return canonicalize(decoded) == key
 }
 
 // handlePushConnect marks the channel healthy. A resumed connection

@@ -312,33 +312,27 @@ func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 	return e.nextAt
 }
 
-// pollEntry performs one refresh of e. Triggered and pushed polls leave
-// the regular schedule untouched, mirroring the simulator's proxy. A
-// pushed job first tries to install the event's payload directly (the
+// pollEntry performs one refresh of e against the origin. A pushed job
+// first tries to install the event's payload directly (the
 // value-carrying fast path) and only reaches the origin when that is
-// impossible.
+// impossible — always, on a proxy without PushValues.
 func (p *Proxy) pollEntry(e *entry, kind pollKind) {
-	triggered := kind != pollRegular
 	if kind == pollPushed {
-		// Clear the coalescing state before anything else: an event
-		// arriving mid-job must enqueue a fresh job (this one may already
-		// have read an older version). With PushValues the slot itself is
-		// that state — emptied and consumed in one swap.
-		e.pushQueued.Store(false)
-		if p.cfg.PushValues {
-			if pending := e.pendingPush.Swap(nil); pending != nil {
-				if p.applyPushedValue(e, pending) {
-					return // installed (or a recognized duplicate): no origin request
-				}
-				if e.evicted.Load() && p.applyPushedToDisk(*pending) {
-					// Demoted mid-flight: the entry left the store between
-					// the event and this job, but its disk record survives
-					// — landing the payload there keeps the demoted copy
-					// fresh for the next promotion.
-					return
-				}
-				p.pushValueFallback.Add(1)
+		// Empty the coalescing slot before anything else: an event arriving
+		// mid-job must enqueue a fresh job (this one may already have read
+		// an older version).
+		if pending := e.pendingPush.Swap(nil); pending != nil && p.cfg.PushValues {
+			if p.applyPushedValue(e, pending) {
+				return // installed (or a recognized duplicate): no origin request
 			}
+			if e.evicted.Load() && p.applyPushedToDisk(*pending) {
+				// Demoted mid-flight: the entry left the store between the
+				// event and this job, but its disk record survives — landing
+				// the payload there keeps the demoted copy fresh for the next
+				// promotion.
+				return
+			}
+			p.pushValueFallback.Add(1)
 		}
 	}
 	// An entry evicted after being popped off the schedule (or while
@@ -349,12 +343,10 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	}
 	e.mu.RLock()
 	since := e.lastMod
-	hasSince := e.hasLastMod
-	prevValidated := e.validatedAt
-	e.mu.RUnlock()
-	if !hasSince {
-		since = prevValidated
+	if !e.hasLastMod {
+		since = e.validatedAt
 	}
+	e.mu.RUnlock()
 
 	resp, err := p.fetch(e.key, since)
 	now := p.cfg.Clock()
@@ -362,156 +354,158 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		p.deferRetry(e, now, kind)
 		return
 	}
-	e.polls.Add(1)
-	p.polls[kind].Add(1)
-	switch kind {
-	case pollTriggered:
-		e.triggered.Add(1)
-	case pollPushed:
-		e.pushed.Add(1)
-	}
+	p.install(e, kind, version{
+		now:          now,
+		modified:     !resp.notModified,
+		body:         resp.body,
+		contentType:  resp.contentType,
+		cacheControl: resp.header.Get("Cache-Control"),
+		lastMod:      resp.lastMod,
+		hasLastMod:   resp.hasLastMod,
+		history:      resp.history,
+	})
+}
 
-	outcome := core.PollOutcome{
-		Now:      p.toSim(now),
-		Prev:     p.toSim(prevValidated),
-		Modified: !resp.notModified,
+// version is one validated version of a resident object as its source
+// delivered it: the answer to an origin poll (a 200 carrying a body, or
+// a 304 carrying none) or a pushed payload.
+type version struct {
+	now time.Time // validation instant on the proxy's clock
+	// modified marks a new body; false is a 304, which revalidates the
+	// copy and may still refresh Cache-Control.
+	modified bool
+	body     []byte
+	// digest is push.DigestOf(body) when the source has verified it (a
+	// pushed payload); empty otherwise, and install hashes the body
+	// itself where digests are kept.
+	digest string
+	// contentType and cacheControl replace the cached headers when
+	// non-empty.
+	contentType  string
+	cacheControl string
+	// lastMod is the origin's modification instant, when it stated one.
+	lastMod    time.Time
+	hasLastMod bool
+	history    []time.Time
+	// applied marks a pushed payload installed with no origin request;
+	// delta, that it arrived as a delta.
+	applied, delta bool
+}
+
+// install is the one way a validated version replaces a resident entry's
+// copy, whatever produced it — a scheduled, triggered or pushed poll
+// (pollEntry) or a verified pushed payload (applyPushedValue) — and the
+// only code that assigns an entry's body, digest, Last-Modified and
+// validation instant. It runs on the entry's affinity worker. In order:
+// per-source counters, the swap under the entry lock with the
+// core.PollOutcome built from it, byte-ledger re-charge with budget
+// re-enforcement, downstream relay publication, the eviction-token-
+// guarded controller observation, disk write-behind, rescheduling (a
+// regular poll only: triggered and pushed refreshes leave the schedule
+// and the policy's learned TTR untouched), §3.2 group triggering, and
+// the observer emission. An eviction mid-refresh stops everything past
+// the controller guard: the object no longer owns a refresh slot.
+func (p *Proxy) install(e *entry, kind pollKind, v version) {
+	if !v.applied {
+		e.polls.Add(1)
+		p.polls[kind].Add(1)
+		switch kind {
+		case pollTriggered:
+			e.triggered.Add(1)
+		case pollPushed:
+			e.pushed.Add(1)
+		}
 	}
-	if resp.hasLastMod {
-		outcome.LastModified = p.toSim(resp.lastMod)
+	outcome := core.PollOutcome{Now: p.toSim(v.now), Modified: v.modified}
+	if v.hasLastMod {
+		outcome.LastModified = p.toSim(v.lastMod)
 		outcome.HasLastModified = true
 	}
-	for _, h := range resp.history {
+	for _, h := range v.history {
 		outcome.History = append(outcome.History, p.toSim(h))
 	}
+	if v.modified && v.digest == "" && p.cfg.PushValues {
+		v.digest = push.DigestOf(v.body) // hashed outside the entry lock
+	}
 
+	var ttr time.Duration
+	var prevBody []byte
+	var prevDigest string
 	e.mu.Lock()
+	outcome.Prev = p.toSim(e.validatedAt)
 	e.failures = 0
-	e.validatedAt = now
+	e.validatedAt = v.now
 	// A 304 carries Cache-Control too (the origin writes the §5.1
 	// tolerance directives on every response), and HTTP semantics say a
 	// revalidation updates stored headers. Refreshing it here — not only
-	// on a 200 — matters doubly under value-carrying push: installs
-	// advance lastMod without touching headers, so the periodic
-	// lease poll's 304 is the only channel left for a tolerance
-	// change to reach this proxy and its children.
-	if cc := resp.header.Get("Cache-Control"); cc != "" {
-		e.cacheControl = cc
+	// on a 200 — matters doubly under value-carrying push: pushed
+	// payloads advance lastMod without touching headers, so the periodic
+	// lease poll's 304 is the only channel left for a tolerance change to
+	// reach this proxy and its children.
+	if v.cacheControl != "" {
+		e.cacheControl = v.cacheControl
 	}
 	if e.isValue {
 		outcome.HasValue = true
 		outcome.PrevValue = e.value
 		outcome.Value = e.value
 	}
-	var prevBody []byte
-	var prevDigest string
-	if !resp.notModified {
-		if p.cfg.PushValues {
-			// The outgoing body is the delta base downstream subscribers
-			// hold; snapshot it (and its digest) before the swap so the
-			// confirmation relay can publish a re-based delta form.
-			prevBody, prevDigest = e.body, e.bodyDigest
-			e.bodyDigest = push.DigestOf(resp.body)
+	if v.modified {
+		// The outgoing body is the delta base downstream subscribers hold;
+		// the confirmation relay re-bases its delta form on it.
+		prevBody, prevDigest = e.body, e.bodyDigest
+		e.body, e.bodyDigest = v.body, v.digest
+		if v.contentType != "" {
+			e.contentType = v.contentType
 		}
-		e.body = resp.body
-		if resp.contentType != "" {
-			e.contentType = resp.contentType
-		}
-		if resp.hasLastMod {
-			e.lastMod = resp.lastMod
+		if v.hasLastMod {
+			e.lastMod = v.lastMod
 			e.hasLastMod = true
 		}
 		if e.isValue {
-			if v, ok := parseValueBody(resp.body); ok {
-				e.value = v
-				outcome.Value = v
+			if val, ok := parseValueBody(v.body); ok {
+				e.value = val
+				outcome.Value = val
 			}
 		}
 	}
-	var ttr time.Duration
-	if !triggered {
+	if kind == pollRegular {
 		ttr = e.policy.NextTTR(outcome)
 	}
 	paired := e.paired
 	e.mu.Unlock()
 
-	rr := refreshResult{kind: kind, now: now, ttr: ttr, outcome: outcome, paired: paired}
-	if !resp.notModified {
-		rr.resized = true
-		rr.newSize = entrySize(e.key, resp.body)
-		// Confirmation relay: the cached copy is fresh as of now, so
-		// downstream subscribers can be told (published after the body
-		// swap above — a child that polls on this event must find the
-		// new version, not the stale one the pass-through event raced).
-		mod := now
-		if resp.hasLastMod {
-			mod = resp.lastMod
+	if v.applied {
+		e.applied.Add(1)
+		p.pushApplied.Add(1)
+		if v.delta {
+			p.pushDeltaApplied.Add(1)
 		}
-		rr.relay = func() { p.relayConfirmedUpdate(e, mod, resp.hasLastMod, prevBody, prevDigest) }
 	}
-	p.finishRefresh(e, rr)
-}
-
-// refreshResult carries what finishRefresh needs from the two paths
-// that install a fresh validation of an object: an origin poll
-// (pollEntry) and a direct pushed-value install (applyPushedValue).
-type refreshResult struct {
-	kind    pollKind
-	now     time.Time
-	outcome core.PollOutcome
-	paired  bool
-	// ttr is the policy's next regular interval; consumed only for
-	// kind == pollRegular (triggered and pushed refreshes leave the
-	// regular schedule untouched).
-	ttr time.Duration
-	// resized marks a body replacement: newSize re-charges the byte
-	// ledger and the budget is re-enforced.
-	resized bool
-	newSize int64
-	// relay, when non-nil, publishes the update downstream. It runs
-	// after the ledger update — and therefore after the body swap the
-	// caller performed — so a child that polls on the relayed event
-	// finds the fresh copy, never the stale one.
-	relay func()
-	// applied marks a pushed payload installed with no origin request.
-	applied bool
-}
-
-// finishRefresh is the post-refresh bookkeeping shared by every path
-// that installs a fresh validation of e — scheduled, triggered, and
-// pushed polls, and direct pushed-value installs. In order: byte-ledger
-// re-charge with budget re-enforcement, downstream relay publication,
-// the eviction-token-guarded controller observation, rescheduling,
-// §3.2 group triggering, and the observer emission. It reports whether
-// the entry survived (an eviction mid-refresh stops everything past the
-// controller guard: the object no longer owns a refresh slot).
-func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
-	if rr.resized {
-		// The refresh replaced the body: re-charge the byte ledger.
-		// Refreshes of one entry serialize on its affinity worker, so
-		// the size transition is single-threaded; resize itself is a
-		// no-op if the entry was evicted meanwhile. Growth can push the
-		// ledger past MaxBytes with no admission in sight, so the
-		// budget is re-enforced here too (the refreshed object itself
-		// is protected — it is demonstrably live).
-		p.store.resize(e, rr.newSize)
-		if p.cfg.Eviction == EvictClock {
-			if p.cfg.MaxBytes >= 0 && e.size.Load() > p.cfg.MaxBytes {
-				// The body grew past the whole budget: an object this
-				// size would be refused at admission, so it cannot stay
-				// resident either. Removing it must precede the shrink
-				// loop — with the oversized entry protected, shrink
-				// would drain every other resident and still be over
-				// budget. A later request re-fetches and is served
-				// uncached (BYPASS) while it stays oversized.
-				if p.store.removeEntry(e) {
-					p.unwind([]*entry{e})
-				}
+	if v.modified {
+		// Re-charge the byte ledger. Refreshes of one entry serialize on
+		// its affinity worker, so the size transition is single-threaded;
+		// resize itself is a no-op if the entry was evicted meanwhile.
+		// Growth can push the ledger past MaxBytes with no admission in
+		// sight, so the budget is re-enforced here too (the refreshed
+		// object itself is protected — it is demonstrably live).
+		p.store.resize(e, entrySize(e.key, v.body))
+		if p.cfg.MaxBytes >= 0 && e.size.Load() > p.cfg.MaxBytes {
+			// The body grew past the whole budget: an object this size
+			// would be refused at admission, so it cannot stay resident
+			// either. Removing it must precede the shrink loop — with the
+			// oversized entry protected, shrink would drain every other
+			// resident and still be over budget. A later request re-fetches
+			// and is served uncached (BYPASS) while it stays oversized.
+			if p.store.removeEntry(e) {
+				p.unwind([]*entry{e})
 			}
-			p.demote(p.store.shrink(p.cfg.MaxObjects, p.cfg.MaxBytes, p.store.shardIndex(e.key), e))
 		}
-	}
-	if rr.relay != nil {
-		rr.relay()
+		p.demote(p.store.shrink(p.cfg.MaxObjects, p.cfg.MaxBytes, p.store.shardIndex(e.key), e))
+		// Published after the swap and the ledger: a child that polls on
+		// the relayed event must find the fresh copy, never the stale one
+		// a pass-through event raced.
+		p.relayInstalled(e, v, prevBody, prevDigest)
 	}
 
 	gs := p.groupState(e.group)
@@ -524,49 +518,45 @@ func (p *Proxy) finishRefresh(e *entry, rr refreshResult) bool {
 		// The token is set before leaveGroup takes gs.mu, so whichever
 		// side acquires gs.mu second leaves the controller clean.
 		if !e.evicted.Load() {
-			gs.ctrl.ObserveOutcome(core.ObjectID(e.key), rr.outcome)
+			gs.ctrl.ObserveOutcome(core.ObjectID(e.key), outcome)
 		}
 		gs.mu.Unlock()
 	}
 	if e.evicted.Load() {
-		return false // evicted mid-refresh: no reschedule, no triggering
+		return // evicted mid-refresh: no reschedule, no triggering
 	}
 
-	// The refresh confirmed (or replaced) the cached copy against the
-	// origin: a rehydrated entry sheds its suspect mark, and the
-	// validated state flows to the disk tier (async write-behind; no-op
-	// when persistence is disabled).
+	// The copy is confirmed (or replaced) against the origin: a
+	// rehydrated entry sheds its suspect mark, and the validated state
+	// flows to the disk tier (async write-behind; no-op when persistence
+	// is disabled).
 	if e.suspect.Load() {
 		e.suspect.Store(false)
 	}
 	p.persistEntry(e)
 
-	if rr.kind == pollRegular {
-		p.rescheduleHybrid(e, rr.now, rr.ttr, false)
+	if kind == pollRegular {
+		p.rescheduleHybrid(e, v.now, ttr, false)
 	}
 	// Temporal group triggering; partitioned M_v pairs maintain their
 	// mutual guarantee through the tolerance split instead. Pushed
 	// refreshes trigger too: an update learned via the channel imposes
 	// the same mutual obligation as one learned by polling.
-	if rr.kind != pollTriggered && rr.outcome.Modified && gs != nil && !rr.paired {
-		p.triggerGroup(e, gs, rr.now)
+	if kind != pollTriggered && v.modified && gs != nil && !paired {
+		p.triggerGroup(e, gs, v.now)
 	}
 	if obs := p.cfg.PollObserver; obs != nil {
-		e.mu.RLock()
-		value, hasValue := e.value, e.isValue
-		e.mu.RUnlock()
 		obs(PollObservation{
 			Key:       e.key,
-			At:        rr.now,
-			Modified:  rr.outcome.Modified,
-			Triggered: rr.kind == pollTriggered,
-			Pushed:    rr.kind == pollPushed,
-			Applied:   rr.applied,
-			Value:     value,
-			HasValue:  hasValue,
+			At:        v.now,
+			Modified:  v.modified,
+			Triggered: kind == pollTriggered,
+			Pushed:    kind == pollPushed,
+			Applied:   v.applied,
+			Value:     outcome.Value,
+			HasValue:  outcome.HasValue,
 		})
 	}
-	return true
 }
 
 // deferRetry handles an upstream failure with capped exponential backoff

@@ -21,8 +21,8 @@ import (
 //     own install or pushed poll runs), resident or not — a leaf may
 //     well cache an object its parent does not.
 //   - Confirmation: every locally confirmed update (a pushed install, or
-//     a poll of any kind that observed a modification) is announced
-//     after the body swap. This closes the pass-through race — a leaf
+//     a poll of any kind that observed a modification) is announced by
+//     install after the body swap (relayInstalled). This closes the pass-through race — a leaf
 //     that polls the parent on the pass-through event can catch the
 //     parent still stale and learn nothing; the confirmation arrives
 //     once the parent's copy is fresh and drives a second leaf poll —
@@ -114,7 +114,8 @@ func (p *Proxy) relayUpstreamEvent(e *entry, ev push.Event) push.Event {
 			}
 		}
 		if isPureDelta(&ev) {
-			if full, ok := p.resolveDelta(e, &ev); ok {
+			base, baseDigest := e.held()
+			if full, ok := verifyPushed(&ev, base, baseDigest); ok {
 				ev.DeltaBody, ev.Body = ev.Body, full
 				p.pushDeltaRebased.Add(1)
 			}
@@ -130,25 +131,38 @@ func (p *Proxy) relayUpstreamEvent(e *entry, ev push.Event) push.Event {
 // run is pure waste.
 const relayDeltaFloor = 256
 
-// relayConfirmedUpdate announces a locally confirmed modification of a
-// cached object to downstream subscribers (confirmation path),
-// published after the body swap. With value-carrying push enabled the
-// freshly installed body rides along — unless a pass-through already
-// carried this version's payload down — so even under a pure-polling
-// parent (relay on, upstream push off) the leaves install the update
-// with zero confirmation polls.
+// relayInstalled announces the version install just swapped into e to
+// downstream subscribers (confirmation path), published after the body
+// swap. Whether the payload rides along is decided here, once:
 //
-// stamped reports whether modTime is the origin's own modification
-// instant; a poll answered without Last-Modified is announced at this
-// proxy's clock instead, an instant that names no version and so never
-// enters the ledger (it always carries its payload).
+//   - A poll that found the change carries the freshly installed body
+//     (with value-carrying push enabled) — unless a pass-through already
+//     carried this version's payload down — so even under a pure-polling
+//     parent (relay on, upstream push off) the leaves install the update
+//     with zero confirmation polls. A poll answered without Last-Modified
+//     is announced at this proxy's clock instead, an instant that names
+//     no version and so never enters the ledger (it always carries its
+//     payload).
+//   - A directly installed pushed payload (v.applied) is the announcement
+//     alone, digest kept: the pass-through frame already carried the
+//     payload. A polling (non-value) leaf that fetched on the
+//     pass-through frame may have raced the parent's install and seen the
+//     stale copy, and a value leaf's own install may have failed; this
+//     confirmation is what closes that window. Leaves that did install
+//     recognize it by its modification instant and do nothing. The
+//     upstream event's ModTime is republished verbatim, zero included:
+//     stamping this proxy's own clock onto a timeless event would poison
+//     children whose origin's clock lags it — their duplicate check and
+//     If-Modified-Since validators would then suppress genuinely newer
+//     origin updates until real modification times caught up to the
+//     fabricated one.
 //
-// prevBody/prevDigest are the body this update replaced (nil/empty when
-// unknown or unchanged): the base downstream subscribers still hold.
-// When a delta against it pays, it rides the publication as a sidecar —
-// re-based to THIS proxy's body history, which is what its children
-// track — and the hub picks delta vs full vs chunked per subscriber.
-func (p *Proxy) relayConfirmedUpdate(e *entry, modTime time.Time, stamped bool, prevBody []byte, prevDigest string) {
+// prevBody/prevDigest are the body this update replaced: the base
+// downstream subscribers still hold. When a delta against it pays, it
+// rides the publication as a sidecar — re-based to THIS proxy's body
+// history, which is what its children track — and the hub picks delta
+// vs full vs chunked per subscriber.
+func (p *Proxy) relayInstalled(e *entry, v version, prevBody []byte, prevDigest string) {
 	if p.relay == nil {
 		return
 	}
@@ -156,24 +170,27 @@ func (p *Proxy) relayConfirmedUpdate(e *entry, modTime time.Time, stamped bool, 
 		Kind:    push.KindUpdate,
 		Key:     e.key,
 		Group:   e.group,
-		ModTime: modTime,
+		ModTime: v.lastMod,
 	}
-	first := !stamped || e.claimRelay(modTime)
+	var carry bool // whether this publication carries the payload
+	switch {
+	case v.applied:
+		// The pass-through frame carried it; ModTime stays verbatim.
+	case v.hasLastMod:
+		carry = e.claimRelay(v.lastMod)
+	default:
+		ev.ModTime, carry = v.now, true // names no version: never enters the ledger
+	}
 	if p.cfg.PushValues {
-		e.mu.RLock()
-		body := e.body // replaced wholesale on refresh, never mutated: safe to share
-		contentType := e.contentType
-		ev.Digest = e.bodyDigest
-		e.mu.RUnlock()
-		if ev.Digest == "" {
-			ev.Digest = push.DigestOf(body)
-		}
-		if first {
-			ev.Body = body
+		ev.Digest = v.digest
+		if carry {
+			ev.Body = v.body // replaced wholesale on refresh, never mutated: safe to share
 			ev.HasBody = true
-			ev.ContentType = contentType
+			e.mu.RLock()
+			ev.ContentType = e.contentType
+			e.mu.RUnlock()
 			if len(prevBody) >= relayDeltaFloor && prevDigest != "" && prevDigest != ev.Digest {
-				if d, ok := push.MakeDelta(prevBody, body); ok {
+				if d, ok := push.MakeDelta(prevBody, v.body); ok {
 					ev.DeltaBody = d
 					ev.BaseDigest = prevDigest
 					ev.DeltaCodec = push.DeltaCodecBlock
@@ -183,34 +200,6 @@ func (p *Proxy) relayConfirmedUpdate(e *entry, modTime time.Time, stamped bool, 
 		}
 	}
 	p.relay.Publish(ev)
-}
-
-// relayAppliedUpdate confirms a directly installed pushed payload
-// downstream, after the local body swap. The pass-through frame already
-// carried the payload, so this is the announcement alone (digest kept):
-// a polling (non-value) leaf that fetched on the pass-through frame may
-// have raced the parent's install and seen the stale copy, and a value
-// leaf's own install may have failed; this confirmation — exactly like
-// the poll-confirmed one — is what closes that window. Leaves that did
-// install recognize it by its modification instant and do nothing.
-//
-// The upstream event's ModTime is republished verbatim, zero included:
-// stamping this proxy's own clock onto a timeless event would poison
-// children whose origin's clock lags it — their duplicate check and
-// If-Modified-Since validators would then suppress genuinely newer
-// origin updates until real modification times caught up to the
-// fabricated one.
-func (p *Proxy) relayAppliedUpdate(e *entry, ev *push.Event) {
-	if p.relay == nil {
-		return
-	}
-	p.relay.Publish(push.Event{
-		Kind:    push.KindUpdate,
-		Key:     e.key,
-		Group:   e.group,
-		ModTime: ev.ModTime,
-		Digest:  ev.Digest,
-	})
 }
 
 // relayReset propagates an upstream hole downstream: connected leaves

@@ -88,70 +88,28 @@ func (s *store) get(key string) *entry {
 	return e
 }
 
-// put inserts e unless key is already present, enforcing the object cap
-// and byte budget (negative disables either; evict selects the policy).
-//
-// With evict=false (EvictRefuse) the store keeps its legacy behavior:
-// the object count is reserved atomically before the insert, so
-// concurrent admissions can never overshoot the cap, and an insert at
-// capacity is refused (capped=true) — the caller serves e uncached.
-//
-// With evict=true (EvictClock) the insert always succeeds (except for a
-// single object larger than the whole byte budget, which is refused)
-// and put then reclaims residents via the CLOCK victim scan until both
-// budgets hold again, returning the victims for the caller to unwind
-// (deschedule, detach from group). Concurrent admissions may transiently
-// overshoot a budget; each one evicts its own overshoot before
-// returning, so the store is back within budget as soon as the
-// concurrent puts drain. Victims are already marked evicted and removed
-// from their shard when put returns.
-func (s *store) put(key string, e *entry, maxObjects int, maxBytes int64, evict bool) (resident *entry, inserted bool, victims []*entry, capped bool) {
+// put inserts e unless key is already present, then enforces the object
+// cap and byte budget (negative disables either). The insert always
+// succeeds — except for a single object larger than the whole byte
+// budget, which is refused (capped) — and put then reclaims residents
+// via the CLOCK victim scan until both budgets hold again, returning the
+// victims for the caller to unwind (deschedule, detach from group).
+// Concurrent admissions may transiently overshoot a budget; each one
+// evicts its own overshoot before returning, so the store is back within
+// budget as soon as the concurrent puts drain. Victims are already marked
+// evicted and removed from their shard when put returns.
+func (s *store) put(key string, e *entry, maxObjects int, maxBytes int64) (resident *entry, inserted bool, victims []*entry, capped bool) {
 	size := e.size.Load()
-	if evict && maxBytes >= 0 && size > maxBytes {
+	if maxBytes >= 0 && size > maxBytes {
 		// The object alone overflows the byte budget: caching it would
 		// evict the entire store and still not fit.
 		return e, false, nil, true
 	}
-	if !evict {
-		if maxObjects >= 0 {
-			for {
-				n := s.count.Load()
-				if n >= int64(maxObjects) {
-					if existing := s.get(key); existing != nil {
-						return existing, false, nil, false
-					}
-					return e, false, nil, true
-				}
-				if s.count.CompareAndSwap(n, n+1) {
-					break
-				}
-			}
-		} else {
-			s.count.Add(1)
-		}
-		if maxBytes >= 0 {
-			if s.bytes.Add(size) > maxBytes {
-				s.bytes.Add(-size)
-				s.count.Add(-1)
-				if existing := s.get(key); existing != nil {
-					return existing, false, nil, false
-				}
-				return e, false, nil, true
-			}
-		} else {
-			s.bytes.Add(size)
-		}
-	}
-
 	home := s.shardIndex(key)
 	sh := &s.shards[home]
 	sh.mu.Lock()
 	if existing, ok := sh.entries[key]; ok {
 		sh.mu.Unlock()
-		if !evict {
-			s.count.Add(-1) // release the reservations
-			s.bytes.Add(-size)
-		}
 		return existing, false, nil, false
 	}
 	sh.entries[key] = e
@@ -163,16 +121,11 @@ func (s *store) put(key string, e *entry, maxObjects int, maxBytes int64, evict 
 	if e.group != "" {
 		e.lives = groupLives
 	}
-	if evict {
-		s.count.Add(1)
-		s.bytes.Add(size)
-	}
+	s.count.Add(1)
+	s.bytes.Add(size)
 	sh.mu.Unlock()
 
-	if evict {
-		victims = s.shrink(maxObjects, maxBytes, home, e)
-	}
-	return e, true, victims, false
+	return e, true, s.shrink(maxObjects, maxBytes, home, e), false
 }
 
 // shrink reclaims residents via the CLOCK sweep until both budgets hold

@@ -28,25 +28,38 @@
 // keys include the canonicalized query string, so /stock?sym=A and
 // /stock?sym=B are distinct objects; because that makes key cardinality
 // client-controlled, residency is bounded by Config.MaxObjects and the
-// Config.MaxBytes memory budget. Under the default EvictClock policy an
-// admission beyond either budget reclaims residents by per-shard CLOCK
-// (second-chance) replacement: hits mark an access bit with a lock-free
-// atomic store, the sweep clears it, and mutual-consistency group
-// members carry extra second chances so a group is not silently broken
-// by evicting one member. An evicted object is fully unwound — removed
-// from the refresh schedule (no ghost polls), detached from its group
-// controller, and safe against a concurrent re-admission of the same
-// key through the singleflight group. The legacy EvictRefuse policy
-// instead refuses admission at capacity and serves over-budget objects
-// uncached (X-Cache: BYPASS). Upstream failures back off exponentially
-// (capped at the TTR upper bound) without disturbing the policy's
-// learned TTR state.
+// Config.MaxBytes memory budget. An admission beyond either budget
+// reclaims residents by per-shard CLOCK (second-chance) replacement:
+// hits mark an access bit with a lock-free atomic store, the sweep
+// clears it, and mutual-consistency group members carry extra second
+// chances so a group is not silently broken by evicting one member. An
+// evicted object is fully unwound — removed from the refresh schedule
+// (no ghost polls), detached from its group controller, and safe against
+// a concurrent re-admission of the same key through the singleflight
+// group. An object that alone overflows MaxBytes is served uncached
+// (X-Cache: BYPASS). Upstream failures back off exponentially (capped at
+// the TTR upper bound) without disturbing the policy's learned TTR
+// state.
 //
-// Refresh semantics are unchanged from the paper: each object polls the
-// origin when its TTR expires using If-Modified-Since, consumes the
-// modification-history extension when the origin provides it, and — for
-// objects sharing a consistency group — triggers immediate polls of
-// related objects when an update is detected, exactly as in §3.2.
+// The paper's proxy has one event — a validation arrives, the copy is
+// replaced, NextTTR and the §3.2 triggers run — and so does this one. A
+// version enters the cache one of two ways, whatever produced it:
+//
+//   - admitFrom (webproxy.go) builds a new entry from config defaults ⊕
+//     the disk record ⊕ the upstream response — a cold miss has no
+//     record, a disk promotion has both, a startup rehydration has no
+//     response and is born suspect — hands it to installEntry (store,
+//     group, schedule, lease-or-not) and accounts for it once.
+//   - install (refresh.go) replaces a resident entry's copy. Its sources
+//     are an origin poll off the TTR schedule (If-Modified-Since, the
+//     modification-history extension consumed when provided), a
+//     triggered poll, a pushed poll, and a pushed payload that
+//     verifyPushed has checked against its digest and, for a delta, the
+//     body actually held. install is the only code that writes an
+//     entry's body, digest, Last-Modified and validation instant; from
+//     them it builds the core.PollOutcome, and then runs the rest in a
+//     fixed order: byte ledger, downstream relay, group controller,
+//     disk write-behind, NextTTR reschedule, §3.2 triggers, observer.
 //
 // On top of that pull machinery the proxy can layer an origin-driven
 // invalidation channel (Config.PushURL, wire protocol in internal/push):
@@ -119,25 +132,18 @@ type Config struct {
 	// Shards is the number of object-store shards, rounded up to a
 	// power of two. Defaults to 64.
 	Shards int
-	// MaxObjects caps the number of cached objects. Under EvictClock an
-	// admission beyond the cap evicts a resident selected by the CLOCK
-	// sweep; under EvictRefuse requests beyond the cap are proxied
-	// without being cached or scheduled for refresh. Either way a client
+	// MaxObjects caps the number of cached objects: an admission beyond
+	// the cap evicts a resident selected by the CLOCK sweep, so a client
 	// enumerating query strings cannot grow memory and origin poll load
 	// without bound. Defaults to 65536; negative disables the cap.
 	MaxObjects int
 	// MaxBytes bounds the approximate resident memory of cached objects
 	// (key + body + per-entry overhead). Admissions beyond the budget
-	// evict residents under EvictClock and are served uncached under
-	// EvictRefuse. EvictClock also re-enforces the budget when a
-	// background refresh grows a cached body; EvictRefuse never evicts,
-	// so grown bodies can hold the ledger over budget and further
-	// admissions are refused until it shrinks. Zero or negative
-	// disables the budget (the default).
+	// evict residents, the budget is re-enforced when a background
+	// refresh grows a cached body, and an object that alone exceeds it
+	// is served uncached (X-Cache: BYPASS). Zero or negative disables
+	// the budget (the default).
 	MaxBytes int64
-	// Eviction selects the replacement policy applied when MaxObjects
-	// or MaxBytes is exceeded. Defaults to EvictClock.
-	Eviction EvictionPolicy
 	// PollWorkers bounds the number of concurrent origin polls.
 	// Defaults to GOMAXPROCS.
 	PollWorkers int
@@ -298,44 +304,6 @@ type PollObservation struct {
 	HasValue bool
 }
 
-// EvictionPolicy selects how the proxy reacts to an admission that would
-// exceed Config.MaxObjects or Config.MaxBytes.
-type EvictionPolicy int
-
-const (
-	// EvictClock (the default) reclaims residents by per-shard CLOCK
-	// second-chance replacement with group-aware victim selection.
-	EvictClock EvictionPolicy = iota
-	// EvictRefuse is the legacy policy: at capacity new objects are
-	// served uncached and never admitted.
-	EvictRefuse
-)
-
-// String names the policy for flags and logs.
-func (p EvictionPolicy) String() string {
-	switch p {
-	case EvictClock:
-		return "clock"
-	case EvictRefuse:
-		return "refuse"
-	default:
-		return fmt.Sprintf("EvictionPolicy(%d)", int(p))
-	}
-}
-
-// ParseEvictionPolicy maps a flag value ("clock" or "refuse") to its
-// policy.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
-	switch s {
-	case "clock":
-		return EvictClock, nil
-	case "refuse":
-		return EvictRefuse, nil
-	default:
-		return 0, fmt.Errorf("webproxy: unknown eviction policy %q (want clock or refuse)", s)
-	}
-}
-
 // entry is one cached object.
 type entry struct {
 	key   string // canonical cache key: path plus sorted query
@@ -349,12 +317,11 @@ type entry struct {
 	policy core.Policy
 
 	body []byte // replaced wholesale on refresh, never mutated
-	// bodyDigest is push.DigestOf(body), maintained alongside every
-	// body swap when value-carrying push is on (empty otherwise, and on
-	// entries admitted before a digest was needed — readers fall back
-	// to hashing the body). It is what the delta rung compares a pushed
-	// frame's base digest against, and what the subscriber advertises
-	// as held on connect.
+	// bodyDigest is push.DigestOf(body) when value-carrying push is on
+	// (empty otherwise): set with the body by installEntry and install,
+	// the only two places a body is assigned. It is what the delta rung
+	// compares a pushed frame's base digest against, and what the
+	// subscriber advertises as held on connect.
 	bodyDigest  string
 	contentType string
 	// cacheControl is the origin's Cache-Control header, forwarded on
@@ -400,9 +367,8 @@ type entry struct {
 	ringIdx int
 	lives   int
 	evicted atomic.Bool
-	// capped marks an entry served uncached because admission was
-	// refused at capacity (EvictRefuse) or the object alone overflows
-	// MaxBytes.
+	// capped marks an entry served uncached because the object alone
+	// overflows MaxBytes.
 	capped bool
 
 	polls     atomic.Uint64
@@ -410,16 +376,14 @@ type entry struct {
 	pushed    atomic.Uint64
 	applied   atomic.Uint64
 	hits      atomic.Uint64
-	// pushQueued coalesces a burst of pushed events into one queued
-	// job on an invalidation-only proxy: set when a pushed job is
-	// enqueued, cleared when it starts. With PushValues pendingPush
-	// does that and more: it holds the event the queued job will
-	// apply — the newest version's most installable frame, payload and
-	// all, so a coalesced burst applies the LATEST body rather than the
-	// first (installing a stale payload after dropping its successors
-	// would serve old data as fresh) — and a non-nil slot IS the queued
-	// job: filling an empty slot enqueues one, starting one empties it.
-	pushQueued  atomic.Bool
+	// pendingPush coalesces a burst of pushed events into one queued
+	// job, and a non-nil slot IS that job: filling an empty slot
+	// enqueues one, starting one empties it. It holds the event the job
+	// will act on — the newest version's most installable frame, payload
+	// and all, so with PushValues a coalesced burst applies the LATEST
+	// body rather than the first (installing a stale payload after
+	// dropping its successors would serve old data as fresh). Without
+	// PushValues the job ignores the event and always polls.
 	pendingPush atomic.Pointer[push.Event]
 	// relayedMod is the newest modification instant (UnixNano) this
 	// proxy has sent down its relay hub in full — payload passed
@@ -618,11 +582,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = -1 // unlimited
 	}
-	switch cfg.Eviction {
-	case EvictClock, EvictRefuse:
-	default:
-		return nil, fmt.Errorf("webproxy: invalid Config.Eviction %d", int(cfg.Eviction))
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -790,6 +749,17 @@ func canonicalQuery(rawQuery string) string {
 	return q.Encode() // Encode sorts parameters by key
 }
 
+// canonicalize maps a key supplied from outside the request path — an
+// admin call, an origin event — to the canonical cache key ServeHTTP
+// would compute for it (so "/stock?b=2&a=1" names the object cached
+// under "/stock?a=1&b=2"). A key that does not parse is kept verbatim.
+func canonicalize(key string) string {
+	if u, err := url.Parse(key); err == nil {
+		return canonicalKey(u)
+	}
+	return key
+}
+
 // ServeHTTP serves cache hits locally and fills misses from the origin.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if p.relay != nil && r.URL.Path == p.cfg.RelayPath {
@@ -830,7 +800,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	e := v.(*entry)
 	status := "MISS"
 	if e.capped {
-		status = "BYPASS" // served, but refused residency at capacity
+		status = "BYPASS" // served, but alone larger than the byte budget
 	}
 	p.serveEntry(w, r, e, status)
 }
@@ -898,77 +868,38 @@ func writeObject(w http.ResponseWriter, r *http.Request, body []byte, contentTyp
 	w.Write(body)
 }
 
-// admit fetches the object for the first time and registers it with the
-// refresher. Callers serialize per key through the singleflight group.
+// admit brings a non-resident object into the cache: a cold miss fetches
+// it, a key that lives only on disk — demoted by CLOCK replacement, or
+// left beyond the grace window at startup — is promoted through a
+// validating conditional fetch, so the entry re-enters the store
+// validated, never suspect, and promotion cannot widen the Δt bound. A
+// failed fetch serves nothing stale on this demand path: the client gets
+// the same 502 either way. Callers serialize per key through the
+// singleflight group — one fetch per key, concurrent requesters share it.
 func (p *Proxy) admit(key string) (*entry, error) {
 	if e := p.store.get(key); e != nil {
 		return e, nil
 	}
+	var rec *diskstore.Record
+	var diskBody []byte
+	var since time.Time
 	if p.disk != nil {
-		if rec, body, ok := p.disk.Get(key); ok {
-			// Demoted to disk earlier (or left beyond the grace window at
-			// startup): promote through a validating conditional fetch.
-			// Running inside the singleflight group guards the
-			// re-admission race — one promote per key, concurrent
-			// requesters share it.
-			return p.promote(key, rec, body)
+		if r, body, ok := p.disk.Get(key); ok {
+			rec, diskBody, since = &r, body, r.ValidatedAt
+			if r.HasLastMod {
+				since = r.LastMod
+			}
 		}
 	}
-	resp, err := p.fetch(key, time.Time{})
+	resp, err := p.fetch(key, since)
 	if err != nil {
 		return nil, err
 	}
-
-	now := p.cfg.Clock()
-	a := admission{
-		body:         resp.body,
-		contentType:  resp.contentType,
-		cacheControl: resp.header.Get("Cache-Control"),
-		lastMod:      resp.lastMod,
-		hasLastMod:   resp.hasLastMod,
-		validatedAt:  now,
-		delta:        p.cfg.DefaultDelta,
-		groupDelta:   p.cfg.DefaultGroupDelta,
-		initialPoll:  true,
-	}
-	if tol, err := httpx.TolerancesFrom(resp.header); err == nil {
-		if tol.Delta > 0 {
-			a.delta = tol.Delta
-		}
-		if tol.GroupDelta > 0 {
-			a.groupDelta = tol.GroupDelta
-		}
-		a.valueDelta = tol.ValueDelta
-		a.group = tol.Group
-	}
-
-	// Parsed from the local body slice, not the published entry: a
-	// pushed or triggered poll can mutate e.value the moment the entry
-	// is visible, and the observer call below must not race it.
-	var admittedValue float64
-	var admittedHasValue bool
-	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
-		admittedValue, admittedHasValue = v, true
-	}
-
-	e, inserted := p.installEntry(key, a)
-	if !inserted {
-		return e, nil
-	}
-	p.persistEntry(e)
-	if obs := p.cfg.PollObserver; obs != nil {
-		obs(PollObservation{
-			Key: key, At: now, Modified: true, Initial: true,
-			Value: admittedValue, HasValue: admittedHasValue,
-		})
-	}
-	return e, nil
+	return p.admitFrom(key, rec, diskBody, resp), nil
 }
 
 // admission carries everything installEntry needs to build and register
-// a cache entry. Three paths feed it: a first-contact origin fetch
-// (admit), a disk-tier promote (validating conditional fetch), and a
-// startup rehydration (no fetch at all — the entry is born suspect).
+// a cache entry; admitFrom resolves it.
 type admission struct {
 	body         []byte
 	contentType  string
@@ -980,18 +911,99 @@ type admission struct {
 	groupDelta   time.Duration
 	valueDelta   float64
 	group        string
+	// isValue selects value-domain consistency (§4.1): the origin
+	// advertised a Δv tolerance and the body parsed as the decimal value.
+	isValue bool
+	value   float64
 	// restoreTTR re-seeds the refresh policy's learned TTR (clamped to
 	// Bounds); zero learns from scratch at InitialTTR.
 	restoreTTR time.Duration
-	// suspect marks a rehydrated entry awaiting re-validation.
+	// suspect marks a rehydrated entry: no fetch was performed, it awaits
+	// re-validation, and its first poll is scheduled at once, never leased.
 	suspect bool
-	// initialPoll counts the admission fetch in the entry's poll stats
-	// (false for rehydration, which performed no fetch).
-	initialPoll bool
-	// scheduleAt overrides the first refresh instant (never leased);
-	// zero schedules the policy's TTR after validatedAt, or the key's
-	// lease phase while the push channel covers it.
-	scheduleAt time.Time
+}
+
+// overlay lets every tolerance t states replace the one resolved so far;
+// what t leaves unsaid stands.
+func (a *admission) overlay(t httpx.Tolerances) {
+	if t.Delta > 0 {
+		a.delta = t.Delta
+	}
+	if t.GroupDelta > 0 {
+		a.groupDelta = t.GroupDelta
+	}
+	if t.ValueDelta > 0 {
+		a.valueDelta = t.ValueDelta
+	}
+	if t.Group != "" {
+		a.group = t.Group
+	}
+}
+
+// admitFrom is the one admission path. It resolves the new entry from
+// up to three sources, later ones winning — config defaults, the disk
+// record (rec with its body; nil on a cold miss) and the upstream
+// response (resp; nil at startup rehydration, which fetches nothing and
+// is born suspect) — so the origin's current directives always win and
+// the record only fills silence (a 304 with no Cache-Control). It then
+// installs the entry and accounts for it once: only an entry that
+// actually entered the store is counted, persisted and observed — not
+// one capped because its body alone overflows MaxBytes (returned with
+// capped set, served uncached), nor one that lost to a concurrent
+// admission (the resident entry is returned instead).
+func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, resp *upstreamResponse) *entry {
+	now := p.cfg.Clock()
+	a := admission{validatedAt: now, delta: p.cfg.DefaultDelta, groupDelta: p.cfg.DefaultGroupDelta}
+	if rec != nil {
+		a.body, a.contentType, a.cacheControl = diskBody, rec.ContentType, rec.CacheControl
+		a.lastMod, a.hasLastMod = rec.LastMod, rec.HasLastMod
+		// The TTR learned across the object's whole history is still the
+		// right schedule for an unchanged copy.
+		a.restoreTTR = rec.TTR
+		a.overlay(httpx.Tolerances{Delta: rec.Delta, GroupDelta: rec.GroupDelta, ValueDelta: rec.ValueDelta, Group: rec.Group})
+	}
+	if resp == nil {
+		a.validatedAt, a.suspect = rec.ValidatedAt, true
+	} else {
+		if tol, err := httpx.TolerancesFrom(resp.header); err == nil {
+			a.overlay(tol)
+		}
+		if cc := resp.header.Get("Cache-Control"); cc != "" || !resp.notModified {
+			a.cacheControl = cc
+		}
+		if !resp.notModified {
+			a.body, a.contentType = resp.body, resp.contentType
+			a.lastMod, a.hasLastMod = resp.lastMod, resp.hasLastMod
+			a.restoreTTR = 0
+		}
+	}
+	// Parsed here from the local body slice, not read back from the
+	// published entry: a pushed or triggered poll can replace e.value the
+	// moment the entry is visible, and the observer call below must not
+	// race it.
+	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
+		a.isValue, a.value = true, v
+	}
+
+	e, inserted := p.installEntry(key, a)
+	if !inserted {
+		return e
+	}
+	if resp == nil {
+		p.diskRehydrated.Add(1) // on disk already, and nothing was polled
+		return e
+	}
+	if rec != nil {
+		p.diskPromotions.Add(1)
+	}
+	p.persistEntry(e)
+	if obs := p.cfg.PollObserver; obs != nil {
+		obs(PollObservation{
+			Key: key, At: now, Modified: !resp.notModified, Initial: true,
+			Value: a.value, HasValue: a.isValue,
+		})
+	}
+	return e
 }
 
 // installEntry builds the entry and registers it with the store, its
@@ -1023,14 +1035,13 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		e.unpushable = !p.eventKeyResolvesTo(key) ||
 			push.Event{Kind: push.KindUpdate, Key: key, Group: a.group}.Oversized()
 	}
-	if a.initialPoll {
-		e.polls.Store(1)
+	if !a.suspect {
+		e.polls.Store(1) // the admission fetch
 	}
-	// An origin advertising a Δv tolerance with a numeric body selects
-	// value-domain consistency (§4.1); everything else runs LIMD.
-	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
+	// Value-domain objects run AdaptiveTTR over Δv; everything else LIMD.
+	if a.isValue {
 		e.isValue = true
-		e.value = v
+		e.value = a.value
 		e.valueDelta = a.valueDelta
 		e.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
 			Delta:  a.valueDelta,
@@ -1046,7 +1057,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 	}
 
 	e.size.Store(entrySize(key, a.body))
-	actual, inserted, victims, capped := p.store.put(key, e, p.cfg.MaxObjects, p.cfg.MaxBytes, p.cfg.Eviction == EvictClock)
+	actual, inserted, victims, capped := p.store.put(key, e, p.cfg.MaxObjects, p.cfg.MaxBytes)
 	if capped {
 		// The object is served but not admitted: no store entry, no
 		// refresh schedule. The next request proxies again.
@@ -1074,8 +1085,8 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		p.sub.Bounce()
 	}
 
-	if !a.scheduleAt.IsZero() {
-		p.reschedule(e, a.scheduleAt)
+	if a.suspect {
+		p.reschedule(e, p.cfg.Clock()) // immediate validation poll
 		return e, true
 	}
 	e.mu.RLock()
@@ -1126,11 +1137,7 @@ func (p *Proxy) Evict(key string) bool {
 		evicted = true
 	}
 	if p.disk != nil {
-		ck := key
-		if u, err := url.Parse(key); err == nil {
-			ck = canonicalKey(u)
-		}
-		if p.disk.Delete(ck) {
+		if p.disk.Delete(canonicalize(key)) {
 			evicted = true
 		}
 	}
@@ -1361,8 +1368,8 @@ type CacheStats struct {
 	Misses uint64
 	// Evictions counts objects displaced by replacement or Evict.
 	Evictions uint64
-	// Capped counts admissions refused residency: over-budget objects
-	// under EvictRefuse, or single objects larger than MaxBytes.
+	// Capped counts admissions refused residency: single objects larger
+	// than MaxBytes, served uncached.
 	Capped uint64
 	// ResidentObjects and ResidentBytes are the current store footprint.
 	ResidentObjects int
@@ -1434,10 +1441,8 @@ func (p *Proxy) lookup(key string) *entry {
 	if e := p.store.get(key); e != nil {
 		return e
 	}
-	if u, err := url.Parse(key); err == nil {
-		if ck := canonicalKey(u); ck != key {
-			return p.store.get(ck)
-		}
+	if ck := canonicalize(key); ck != key {
+		return p.store.get(ck)
 	}
 	return nil
 }
