@@ -130,7 +130,7 @@ func writeHubMetrics(e *exposition, hs push.HubStats, which string) {
 	e.counter("broadway_hub_slow_kills_total", "Subscribers terminated for not draining their stream.", float64(hs.SlowKills), l)
 	e.counter("broadway_hub_filtered_total", "Update frames skipped by interest filtering.", float64(hs.Filtered), l)
 	e.counter("broadway_hub_delta_frames_total", "Update frames delivered on the delta rung (base matched a held digest).", float64(hs.DeltaFrames), l)
-	e.counter("broadway_hub_chunk_frames_total", "Chunk frames written for bodies over a stream's payload cap.", float64(hs.ChunkFrames), l)
+	e.counter("broadway_hub_chunk_frames_total", "Updates delivered as a chunk set (body over the stream's payload cap), counted once per update.", float64(hs.ChunkFrames), l)
 	e.counter("broadway_hub_duplicate_frames_total", "Updates written stripped because the stream already held the body (rung zero).", float64(hs.DuplicateFrames), l)
 	e.gauge("broadway_hub_available", "1 while the endpoint accepts streams.", boolVal(hs.Available), l)
 	e.gauge("broadway_hub_max_lag", "Largest per-subscriber lag behind the stream head.", float64(hs.MaxLag), l)

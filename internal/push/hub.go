@@ -21,15 +21,18 @@ import (
 // The hub guarantees:
 //
 //   - Update events get monotonically increasing sequence numbers and
-//     enter a replay ring bounded by count AND bytes (payload-carrying
-//     events are charged their body size), so a reconnecting subscriber
-//     (?since=<seq>) receives exactly the events it missed — payloads
-//     included, replayed faithfully. The ring is PARTITIONED by key
-//     prefix: residency and replay walks are charged per declared
-//     subtree, so a subscriber interested in one narrow prefix holds
-//     and replays only that partition's frames, and the byte budget
-//     trims the fattest partition first (a burst in one subtree cannot
-//     evict another subtree's replay history).
+//     enter a replay ring bounded by count AND bytes (an event is charged
+//     the wire bytes of every form it was rendered to), so a
+//     reconnecting subscriber (?since=<seq>) receives exactly the events
+//     it missed — payloads included, replayed faithfully. A retained
+//     frame is whole (every rendered form, until the budgets prune it):
+//     the ring is also the live delivery path, and the stream reading
+//     it may hold no base for its delta.
+//     The ring is PARTITIONED by key prefix: residency and replay walks
+//     are charged per declared subtree, so a subscriber interested in
+//     one narrow prefix holds and replays only that partition's frames,
+//     and the byte budget trims the fattest partition first (a burst in
+//     one subtree cannot evict another subtree's replay history).
 //   - A subscriber too slow to drain its stream is terminated rather
 //     than ever blocking the publisher's write path; it reconnects and
 //     catches up from the replay ring.
@@ -65,10 +68,11 @@ import (
 // DefaultReplayLen bounds the events kept for reconnect catch-up.
 const DefaultReplayLen = 1024
 
-// DefaultReplayBytes bounds the payload bytes held by the replay ring.
-// Value-carrying events are charged their body size, so a burst of fat
-// updates trims the ring's history instead of growing the hub without
-// bound; invalidation-only events cost only their envelope.
+// DefaultReplayBytes bounds the wire bytes held by the replay ring. An
+// event is charged every form it was rendered to (RenderedEvent.cost:
+// stripped, full, delta and chunk frames, base64 included), so a burst
+// of fat updates trims the ring's history instead of growing the hub
+// without bound; invalidation-only events cost only their envelope.
 const DefaultReplayBytes = 8 << 20
 
 // DefaultHeartbeat is the interval between keepalive frames.
@@ -110,10 +114,10 @@ type HubConfig struct {
 	// ReplayLen bounds the replay ring's event count (summed across
 	// partitions). Defaults to DefaultReplayLen.
 	ReplayLen int
-	// ReplayBytes bounds the replay ring's resident bytes (payload
-	// bodies plus envelope overhead, summed across partitions; over
-	// budget the fattest partition is trimmed first). Defaults to
-	// DefaultReplayBytes; negative disables the byte budget.
+	// ReplayBytes bounds the replay ring's resident bytes (a retained
+	// frame is whole: every rendered form is charged, summed across
+	// partitions; over budget the fattest partition is trimmed first).
+	// Defaults to DefaultReplayBytes; negative disables the byte budget.
 	ReplayBytes int64
 	// WriteTimeout is the per-frame write deadline of served streams.
 	// Defaults to DefaultWriteTimeout; negative disables the deadline.
@@ -135,19 +139,6 @@ type HubConfig struct {
 	// PayloadCap (a chunk frame must fit the caps streams can
 	// negotiate). Zero disables chunking (the pre-v3 hub).
 	ChunkPayload int
-	// AnchorEvery thins the replay ring when delta forms flow: once a
-	// newer publish supersedes it, an update carrying a delta keeps
-	// only its delta + stripped forms in the ring, except every
-	// AnchorEvery-th publish INTO ITS PARTITION, which keeps its
-	// full/chunked forms as an anchor a resuming subscriber without a
-	// matching base can still install (per-partition cadence, so a
-	// narrow subtree's anchor chain is never starved by traffic
-	// elsewhere). The partition's newest frame always carries every
-	// form — live delivery reads the ring, and the first payload a
-	// stream receives is what seeds its delta chain. Zero defaults to
-	// 4; negative disables thinning (every ring event keeps all
-	// forms).
-	AnchorEvery int
 	// SubscriberBuffer is the slow-consumer allowance: a subscriber
 	// whose stream position lags live publishes by more than this many
 	// sequence numbers is terminated (it reconnects and catches up from
@@ -180,19 +171,6 @@ type ringPartition struct {
 	// prunedTo has a genuine hole, while gaps made only of other
 	// partitions' frames prove nothing was missed.
 	prunedTo uint64
-	// pubs counts payload-carrying publishes into this partition — the
-	// per-partition anchor cadence (AnchorEvery). Announcements carry
-	// nothing an anchor could keep, so they do not advance it: a relay
-	// hub's strict payload/confirmation alternation would otherwise land
-	// every anchor slot on a confirmation and thin every payload.
-	pubs uint64
-	// thinTail marks the newest buf entry as a non-anchor delta frame
-	// whose full/chunked forms thin away on the next publish into the
-	// partition: the tail stays whole while it is the live head (pull
-	// delivery reads the ring), then keeps only delta + stripped for
-	// replay. The tail only leaves buf by becoming its last element and
-	// being pruned, so a set flag always refers to the current tail.
-	thinTail bool
 }
 
 // partitionName maps an update key to its ring partition: the key's
@@ -370,9 +348,6 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.ChunkPayload > cfg.PayloadCap {
 		cfg.ChunkPayload = cfg.PayloadCap
 	}
-	if cfg.AnchorEvery == 0 {
-		cfg.AnchorEvery = 4
-	}
 	if cfg.SubscriberBuffer <= 0 {
 		cfg.SubscriberBuffer = DefaultSubscriberBuffer
 	}
@@ -500,28 +475,6 @@ func (h *Hub) Publish(ev Event) uint64 {
 	// later — is a pre-rendered byte-slice pick.
 	re := renderLadder(ev, chunkPayload, suppressFull)
 	part := h.partitionLocked(partitionName(ev.Key))
-	if re.payloadLen >= 0 || re.delta != "" {
-		part.pubs++
-	}
-	if part.thinTail && len(part.buf) > 0 {
-		// The frame this one supersedes stops being the partition's live
-		// head: thin it to delta + stripped. Live subscribers fetched its
-		// full forms while it led the partition (they are notified per
-		// publish, so only a reader lagging a whole publish behind loses
-		// the full form — and such a reader confirms by polling, never
-		// silently); from here on it serves replay, where the delta chain
-		// against a held base plus the periodic full anchor suffice.
-		i := len(part.buf) - 1
-		old := part.buf[i]
-		thinned := old.trimToDelta()
-		part.buf[i] = thinned
-		part.bytes += thinned.cost - old.cost
-		h.bufBytes += thinned.cost - old.cost
-	}
-	// Delta-bearing events between anchors thin once superseded; every
-	// AnchorEvery-th publish INTO THIS PARTITION keeps its full/chunked
-	// forms for resuming subscribers holding no base.
-	part.thinTail = h.cfg.AnchorEvery > 1 && re.delta != "" && part.pubs%uint64(h.cfg.AnchorEvery) != 0
 	part.buf = append(part.buf, re)
 	part.bytes += re.cost
 	h.bufBytes += re.cost

@@ -526,10 +526,9 @@ func TestHubChunkedDelivery(t *testing.T) {
 // body, and treating stripped frames as "poll here" (the base is no
 // longer known). A delta that arrives when no base is held, or whose
 // base does not match the held body, is a protocol violation. Returns
-// the final body and whether any full body arrived.
-func applyLadderChain(t *testing.T, evs []Event, cur []byte, haveBase bool) ([]byte, bool) {
+// the final body.
+func applyLadderChain(t *testing.T, evs []Event, cur []byte, haveBase bool) []byte {
 	t.Helper()
-	sawFull := false
 	for _, ev := range evs {
 		switch {
 		case ev.BaseDigest != "":
@@ -550,22 +549,21 @@ func applyLadderChain(t *testing.T, evs []Event, cur []byte, haveBase bool) ([]b
 		case ev.HasBody:
 			cur = ev.Body
 			haveBase = true
-			sawFull = true
 		default:
 			haveBase = false // stripped: the consumer confirms by polling
 		}
 	}
-	return cur, sawFull
+	return cur
 }
 
-// TestHubAnchorReplay pins the thinned replay ring: non-anchor ring
-// entries keep only their delta and stripped forms, every
-// AnchorEvery-th sequence keeps the full body. A resumer holding the
-// chain's base replays pure deltas; a resumer holding nothing gets
-// stripped frames until the first full anchor re-bases its stream,
-// then rides deltas — and is never handed a delta it cannot apply.
-func TestHubAnchorReplay(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap, AnchorEvery: 4})
+// TestHubWholeFrameReplay pins what a retained frame replays as: every
+// ring entry keeps every rendered form, so the rung a resumer rides is
+// decided by what it holds alone. A resumer holding the chain's base
+// replays pure deltas; a resumer holding nothing is handed the first
+// missed revision whole — which seeds its chain — and rides deltas from
+// there to the newest revision, never polling.
+func TestHubWholeFrameReplay(t *testing.T) {
+	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
@@ -585,26 +583,33 @@ func TestHubAnchorReplay(t *testing.T) {
 			DeltaCodec: DeltaCodecBlock, DeltaBody: delta})
 	}
 
-	// Resumer holding bodies[1], resuming from seq 1: the replay (seqs
-	// 2..8) must arrive entirely on the delta rung, in base order.
-	held := &hubSink{}
-	startHeldSubscriber(t, ts.URL, held, DefaultPayloadCap, 1, func() []HeldDigest {
+	// replay resumes from seq 1 and returns the seven frames it missed.
+	replay := func(name string, held func() []HeldDigest) []Event {
+		t.Helper()
+		sink := &hubSink{}
+		startHeldSubscriber(t, ts.URL, sink, DefaultPayloadCap, 1, held)
+		if !waitCond(t, 2*time.Second, func() bool {
+			evs, _, _ := sink.snapshot()
+			return len(evs) == 7
+		}) {
+			evs, _, _ := sink.snapshot()
+			t.Fatalf("%s replay delivered %d events, want 7", name, len(evs))
+		}
+		evs, _, _ := sink.snapshot()
+		return evs
+	}
+
+	// Resumer holding bodies[1]: the replay (seqs 2..8) must arrive
+	// entirely on the delta rung, in base order.
+	evs := replay("held", func() []HeldDigest {
 		return []HeldDigest{{Key: "/obj", Digest: DigestOf(bodies[1])}}
 	})
-	if !waitCond(t, 2*time.Second, func() bool {
-		evs, _, _ := held.snapshot()
-		return len(evs) == 7
-	}) {
-		evs, _, _ := held.snapshot()
-		t.Fatalf("replay delivered %d events, want 7", len(evs))
-	}
-	evs, _, _ := held.snapshot()
 	for _, ev := range evs {
 		if ev.BaseDigest == "" {
 			t.Fatalf("a held resumer fell off the delta rung: %+v", ev)
 		}
 	}
-	cur, _ := applyLadderChain(t, evs, bodies[1], true)
+	cur := applyLadderChain(t, evs, bodies[1], true)
 	if !bytes.Equal(cur, bodies[8]) {
 		t.Fatal("held replay did not converge on the final body")
 	}
@@ -612,29 +617,104 @@ func TestHubAnchorReplay(t *testing.T) {
 		t.Fatalf("DeltaFrames = %d, want 7", st.DeltaFrames)
 	}
 
-	// Resumer holding NOTHING: thinned entries degrade to stripped for
-	// it until a full anchor (seq 4) re-bases the stream; from there
-	// the deltas chain. The invariant is not "no deltas" — it is
-	// "never an inapplicable delta".
-	blank := &hubSink{}
-	startHeldSubscriber(t, ts.URL, blank, DefaultPayloadCap, 1, nil)
-	if !waitCond(t, 2*time.Second, func() bool {
-		evs, _, _ := blank.snapshot()
-		return len(evs) == 7
-	}) {
-		evs, _, _ := blank.snapshot()
-		t.Fatalf("blank replay delivered %d events, want 7", len(evs))
+	// Resumer holding NOTHING: seq 2 was superseded seven times over and
+	// still replays whole; the hub then knows what the stream holds and
+	// sends the other six as deltas.
+	bevs := replay("blank", nil)
+	if !bevs[0].HasBody || bevs[0].BaseDigest != "" || !bytes.Equal(bevs[0].Body, bodies[2]) {
+		t.Fatalf("first replayed frame is not the full body of revision 2: %+v", bevs[0])
 	}
-	bevs, _, _ := blank.snapshot()
-	if bevs[0].HasBody || bevs[0].BaseDigest != "" {
-		t.Fatalf("first thinned frame should be stripped for a blank resumer: %+v", bevs[0])
+	for i, ev := range bevs[1:] {
+		if ev.BaseDigest == "" {
+			t.Fatalf("replayed frame %d left the delta rung after the stream was seeded: %+v", i+1, ev)
+		}
 	}
-	cur, sawAnchor := applyLadderChain(t, bevs, nil, false)
-	if !sawAnchor {
-		t.Fatal("no full anchor in the thinned replay")
-	}
+	cur = applyLadderChain(t, bevs, nil, false)
 	if !bytes.Equal(cur, bodies[8]) {
 		t.Fatal("blank replay did not converge on the final body")
+	}
+	if st := h.Stats(); st.DeltaFrames != 13 {
+		t.Fatalf("DeltaFrames = %d, want 13", st.DeltaFrames)
+	}
+}
+
+// TestHubSupersededFrameStaysWhole is the live-path hazard: a relay's
+// hub takes key A's payload, then the payload-free confirmation of the
+// same version and key B's payload into the same partition, all before
+// a stream fetches (the confirmation lands milliseconds after the
+// pass-through). A's frame is two publishes behind the partition's head
+// by then and must still offer every rung: the full form (the chunk set
+// when the body is over the cap) for a stream holding no base — which
+// otherwise falls to a confirmation poll, after which the hub no longer
+// knows what it holds and the next revision goes out whole again — and
+// the delta for a stream holding the base.
+func TestHubSupersededFrameStaysWhole(t *testing.T) {
+	const payloadCap, chunkPayload = 1024, 256
+	for _, c := range []struct {
+		name    string
+		lines   int
+		chunked bool
+	}{
+		{"body under the cap", 20, false},
+		{"body over the cap", 120, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := NewHub(HubConfig{PayloadCap: payloadCap, ChunkPayload: chunkPayload})
+			v1 := bytes.Repeat([]byte("first revision of the body\n"), c.lines)
+			v2 := append(append([]byte(nil), v1...), []byte("and one more line\n")...)
+			delta, ok := MakeDelta(v1, v2)
+			if !ok {
+				t.Fatal("no delta")
+			}
+			mod := time.Unix(1_700_000_000, 0)
+			other := []byte("another key in the same subtree\n")
+			h.Publish(Event{Kind: KindUpdate, Key: "/docs/noise"}) // seq 1: the resume point
+			h.Publish(Event{Kind: KindUpdate, Key: "/docs/a", ModTime: mod, Body: v2, HasBody: true,
+				Digest: DigestOf(v2), BaseDigest: DigestOf(v1), DeltaCodec: DeltaCodecBlock, DeltaBody: delta})
+			h.Publish(Event{Kind: KindUpdate, Key: "/docs/a", ModTime: mod, Digest: DigestOf(v2)})
+			h.Publish(Event{Kind: KindUpdate, Key: "/docs/b", ModTime: mod, Body: other, HasBody: true,
+				Digest: DigestOf(other)})
+
+			_, sub, ok := h.subscribe(1, payloadCap, InterestAll(), nil)
+			if !ok {
+				t.Fatal("subscribe failed")
+			}
+			defer h.unsubscribe(sub)
+			frames := fetchAll(h, sub)
+			if len(frames) != 3 || frames[0].Key != "/docs/a" || frames[0].Seq != 2 {
+				t.Fatalf("fetched %d frames, want A's payload, its confirmation and B's payload", len(frames))
+			}
+			a := frames[0]
+
+			// Holding the base: the delta.
+			if frame, base := a.Delta(); frame == "" || base != DigestOf(v1) {
+				t.Fatalf("superseded frame lost its delta form (base %q)", base)
+			}
+			// Holding nothing: the body itself, by whichever rung the cap allows.
+			var body []byte
+			if c.chunked {
+				chunks, size := a.Chunks()
+				if len(chunks) == 0 || size > payloadCap {
+					t.Fatalf("superseded over-cap frame offers no chunk set (%d chunks of %d): a stream without the base would poll", len(chunks), size)
+				}
+				for i, frame := range chunks {
+					ev, err := Decode(frame)
+					if err != nil || int(ev.ChunkIndex) != i {
+						t.Fatalf("chunk %d does not decode in order: %+v %v", i, ev, err)
+					}
+					body = append(body, ev.Body...)
+				}
+			} else {
+				ev, err := Decode(a.WireFor(payloadCap))
+				if err != nil || !ev.HasBody {
+					t.Fatalf("superseded frame offers no full form: a stream without the base would poll (%+v, %v)", ev, err)
+				}
+				body = ev.Body
+			}
+			if !bytes.Equal(body, v2) {
+				t.Fatal("the retained body is not the published one")
+			}
+		})
 	}
 }
 

@@ -3,17 +3,13 @@ package push
 // This file pins the prefix-partitioned replay ring: partition naming,
 // the partition-scoped resume-hole rule (a gap made only of foreign-
 // partition frames is no hole), the byte budget's fattest-first trim
-// (a narrow subtree's replay window survives bursts elsewhere), the
-// partition-local anchor cadence for the delta ladder, and the
+// (a narrow subtree's replay window survives bursts elsewhere), and the
 // contention benchmarks the ISSUE's publish-latency bound is gated on.
 
 import (
 	"bytes"
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 func TestPartitionName(t *testing.T) {
@@ -157,112 +153,6 @@ func TestHubPartitionBudgetProtectsNarrowSubtree(t *testing.T) {
 	defer h.unsubscribe(sub)
 	if got := len(fetchAll(h, sub)); got != 11 {
 		t.Errorf("narrow history trimmed to %d frames by the wide burst, want 11", got)
-	}
-}
-
-// TestHubHeldDeltaReplayPartitionLocalAnchors re-proves the PR 9 anchor
-// ladder over the partitioned ring: the thinning cadence is counted per
-// partition, not per global sequence number. /narrow/obj revisions ride
-// even sequence numbers (foreign traffic interleaves on odd ones), so a
-// global-seq cadence would anchor the wrong frames; the partition-local
-// count anchors revisions 4 and 8 exactly as an unshared hub would.
-func TestHubHeldDeltaReplayPartitionLocalAnchors(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap, AnchorEvery: 4})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-
-	bodies := make([][]byte, 9)
-	bodies[0] = bytes.Repeat([]byte("revision zero body line\n"), 20)
-	for i := 1; i <= 8; i++ {
-		// Foreign-partition traffic interleaves: revision i lands on
-		// global seq 2i while its partition-local publish count is i.
-		h.Publish(Event{Kind: KindUpdate, Key: fmt.Sprintf("/noise/%d", i)})
-		bodies[i] = append(append([]byte(nil), bodies[i-1]...),
-			[]byte(fmt.Sprintf("line added at revision %d\n", i))...)
-		delta, ok := MakeDelta(bodies[i-1], bodies[i])
-		if !ok {
-			t.Fatalf("no delta at revision %d", i)
-		}
-		h.Publish(Event{Kind: KindUpdate, Key: "/narrow/obj", Body: bodies[i], HasBody: true,
-			Digest: DigestOf(bodies[i]), BaseDigest: DigestOf(bodies[i-1]),
-			DeltaCodec: DeltaCodecBlock, DeltaBody: delta})
-	}
-
-	start := func(sink *hubSink, held func() []HeldDigest) {
-		sub, err := NewSubscriber(SubscriberConfig{
-			URL:        ts.URL,
-			OnEvent:    sink.onEvent,
-			OnConnect:  sink.onConnect,
-			BackoffMin: 5 * time.Millisecond,
-			BackoffMax: 50 * time.Millisecond,
-			PayloadCap: DefaultPayloadCap,
-			Interest:   func() InterestSet { return NewInterest([]string{"/narrow/"}, nil) },
-			Held:       held,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub.lastSeq.Store(2) // resume holding revision 1 (global seq 2)
-		ctx, cancel := context.WithCancel(context.Background())
-		t.Cleanup(cancel)
-		go sub.Run(ctx)
-	}
-
-	// A resumer holding revision 1: the partition-local replay (revisions
-	// 2..8) must arrive entirely on the delta rung — and never a /noise/
-	// frame, which its interest excludes.
-	held := &hubSink{}
-	start(held, func() []HeldDigest {
-		return []HeldDigest{{Key: "/narrow/obj", Digest: DigestOf(bodies[1])}}
-	})
-	if !waitCond(t, 2*time.Second, func() bool {
-		evs, _, _ := held.snapshot()
-		return len(evs) == 7
-	}) {
-		evs, _, _ := held.snapshot()
-		t.Fatalf("held replay delivered %d events, want 7", len(evs))
-	}
-	evs, _, _ := held.snapshot()
-	for _, ev := range evs {
-		if ev.Key != "/narrow/obj" {
-			t.Fatalf("interest-filtered replay leaked a foreign frame: %+v", ev)
-		}
-		if ev.BaseDigest == "" {
-			t.Fatalf("a held resumer fell off the delta rung: %+v", ev)
-		}
-	}
-	cur, _ := applyLadderChain(t, evs, bodies[1], true)
-	if !bytes.Equal(cur, bodies[8]) {
-		t.Fatal("held replay did not converge on the final body")
-	}
-
-	// A blank resumer rides stripped frames until the partition-LOCAL
-	// anchor at revision 4 (global seq 8 — a global-seq cadence of 4
-	// would have anchored revision 2 instead), then chains deltas.
-	blank := &hubSink{}
-	start(blank, nil)
-	if !waitCond(t, 2*time.Second, func() bool {
-		evs, _, _ := blank.snapshot()
-		return len(evs) == 7
-	}) {
-		evs, _, _ := blank.snapshot()
-		t.Fatalf("blank replay delivered %d events, want 7", len(evs))
-	}
-	bevs, _, _ := blank.snapshot()
-	for i, ev := range bevs[:2] { // revisions 2 and 3: thinned, no base held
-		if ev.HasBody || ev.BaseDigest != "" {
-			t.Fatalf("pre-anchor frame %d should be stripped for a blank resumer: %+v", i, ev)
-		}
-	}
-	if !bevs[2].HasBody || bevs[2].BaseDigest != "" {
-		t.Fatalf("revision 4 is the partition-local anchor and must replay full: %+v", bevs[2])
-	}
-	cur, sawAnchor := applyLadderChain(t, bevs, nil, false)
-	if !sawAnchor {
-		t.Fatal("no full anchor in the thinned partition-local replay")
-	}
-	if !bytes.Equal(cur, bodies[8]) {
-		t.Fatal("blank replay did not converge on the final body")
 	}
 }
 

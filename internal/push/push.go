@@ -17,11 +17,11 @@
 //     (base64-framed), its content type, a content digest, and — on
 //     hello frames — the stream's negotiated payload size cap.
 //   - The Hub: the server half (hub.go) — one sequence space, a
-//     byte-budgeted replay ring, slow-subscriber termination,
-//     per-subscriber lag accounting, deadline-bounded frame writes,
-//     per-stream payload-cap negotiation, and mid-stream Reset
-//     announcement. The origin's /events endpoint and every relaying
-//     proxy's downstream endpoint are the same Hub.
+//     byte-budgeted replay ring of whole frames, slow-subscriber
+//     termination, per-subscriber lag accounting, deadline-bounded
+//     frame writes, per-stream payload-cap negotiation, and mid-stream
+//     Reset announcement. The origin's /events endpoint and every
+//     relaying proxy's downstream endpoint are the same Hub.
 //   - The Subscriber: a client that consumes the stream, survives
 //     disconnects with capped exponential backoff, resumes from the last
 //     processed sequence number, detects dead connections via a
@@ -407,8 +407,8 @@ type RenderedEvent struct {
 	chunks   []string
 	chunkLen int
 
-	// cost is the event's replay-ring charge: the real wire bytes held
-	// resident (every retained form).
+	// cost is the event's replay-ring charge: the wire bytes of every
+	// rendered form, all of which stay resident while the ring holds it.
 	cost int64
 }
 
@@ -512,22 +512,6 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 			re.chunkLen = chunkPayload
 		}
 	}
-	return re
-}
-
-// trimToDelta drops the full and chunked forms, keeping delta +
-// stripped: the replay-ring spelling of a delta-bearing event between
-// anchors (see HubConfig.AnchorEvery).
-func (re RenderedEvent) trimToDelta() RenderedEvent {
-	if re.full != "" && re.full != re.stripped {
-		re.cost -= int64(len(re.full))
-	}
-	re.full = ""
-	for _, c := range re.chunks {
-		re.cost -= int64(len(c))
-	}
-	re.chunks = nil
-	re.chunkLen = 0
 	return re
 }
 

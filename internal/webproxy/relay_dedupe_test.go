@@ -361,6 +361,70 @@ func TestThreeHopOnePayloadPerVersionPerLink(t *testing.T) {
 	}
 }
 
+// TestThreeHopBackToBackRevisionsStayOnThePayloadPath is the same chain
+// under the traffic a relay's ring actually sees: an over-cap key and
+// four small ones in ONE partition, every key revised back to back
+// before anything settles, so a relay's confirmation of one key and the
+// pass-through of the next land in the partition while the stream below
+// is still a publish or more behind. Every frame that stream then
+// fetches must still offer the rung it needs: no node ever falls back
+// to a poll, and the big key crosses each stream as a chunk set at most
+// once — its first sight — with every later revision a delta.
+func TestThreeHopBackToBackRevisionsStayOnThePayloadPath(t *testing.T) {
+	const rounds = 5
+	rng := rand.New(rand.NewSource(24))
+
+	paths := []string{"/docs/big"}
+	bodies := [][]byte{textBody(rng, 3*push.DefaultPayloadCap)}
+	for m := 0; m < 4; m++ {
+		paths = append(paths, fmt.Sprintf("/docs/s%d", m))
+		bodies = append(bodies, textBody(rng, 1<<10))
+	}
+	f := newFleetChain(t, 3, func(f *fleetChain) {
+		for i, p := range paths {
+			f.set(p, bodies[i])
+		}
+	}, nil)
+	for _, p := range paths {
+		f.admit(t, p)
+	}
+	f.settle(t)
+
+	chunkSets := func() []uint64 {
+		sets := []uint64{f.origin.PushHubStats().ChunkFrames}
+		for _, n := range f.nodes[:len(f.nodes)-1] {
+			sets = append(sets, n.RelayStats().Hub.ChunkFrames)
+		}
+		return sets
+	}
+	before := chunkSets()
+
+	for r := 1; r <= rounds; r++ {
+		for i, p := range paths {
+			bodies[i] = reviseBody(rng, bodies[i])
+			f.set(p, bodies[i])
+		}
+		f.settle(t)
+		for i, p := range paths {
+			if got, _ := f.leaf().CachedBody(p); !bytes.Equal(got, bodies[i]) {
+				t.Fatalf("round %d of %s never reached the leaf (leaf push %+v)", r, p, f.leaf().PushStats())
+			}
+		}
+	}
+
+	for i, name := range []string{"root", "mid", "leaf"} {
+		if st := f.nodes[i].PushStats(); st.ValueFallbacks != 0 || st.DeltaBaseMisses != 0 {
+			t.Errorf("%s left the payload path: %+v", name, st)
+		}
+	}
+	after := chunkSets()
+	for i, name := range []string{"origin→root", "root→mid", "mid→leaf"} {
+		if got := after[i] - before[i]; got > 1 {
+			t.Errorf("%s sent %d chunk sets for one over-cap key, want at most its first sight", name, got)
+		}
+	}
+}
+
 // TestPollingLeafConvergesOffConfirmation: a leaf that negotiated no
 // payloads hears only announcements from its value-pushing parent — the
 // pass-through, which it may poll on before the parent has installed,
