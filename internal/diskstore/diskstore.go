@@ -473,14 +473,14 @@ func (s *Store) applyPut(rec Record, body []byte) {
 	s.mu.Unlock()
 	if !haveBlob {
 		if err := s.writeBlob(rec.Digest, body); err != nil {
-			s.writeErrs.Add(1)
+			s.failPut(rec.Key)
 			return
 		}
 	}
 	s.mu.Lock()
 	if err := s.appendLocked(rec); err != nil {
 		s.mu.Unlock()
-		s.writeErrs.Add(1)
+		s.failPut(rec.Key)
 		return
 	}
 	old, hadOld := s.dropLocked(rec.Key)
@@ -498,6 +498,26 @@ func (s *Store) applyPut(rec Record, body []byte) {
 		os.Remove(s.blobPath(d))
 	}
 	s.writes.Add(1)
+}
+
+// failPut disposes of a write that could not be applied. The record it
+// was meant to replace is superseded all the same — the caller has moved
+// on from that version — so it leaves the index instead of staying
+// readable as current, and is tombstoned if the journal still takes
+// writes, so a restart does not bring it back either.
+func (s *Store) failPut(key string) {
+	s.writeErrs.Add(1)
+	s.mu.Lock()
+	old, had := s.dropLocked(key)
+	if had {
+		// Best effort: the failure that got us here may be the journal's.
+		_ = s.appendLocked(Record{Key: key, Del: true})
+	}
+	removeBlob := had && s.refs[old.Digest] == 0
+	s.mu.Unlock()
+	if removeBlob {
+		os.Remove(s.blobPath(old.Digest))
+	}
 }
 
 func (s *Store) applyDelete(key string) {

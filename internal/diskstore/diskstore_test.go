@@ -116,6 +116,49 @@ func TestDeleteRemovesDurablyAndReportsPresence(t *testing.T) {
 	}
 }
 
+// TestFailedWriteDropsTheVersionItReplaced: a Put that cannot be applied
+// must not leave the record it was meant to supersede readable as current
+// — the caller has moved on from that version — neither now nor after a
+// reopen. The failure is a regular file where the new blob's directory
+// must go, which fails for root too.
+func TestFailedWriteDropsTheVersionItReplaced(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, 0)
+	v1 := []byte("version one")
+	s.Put(Record{Key: "/k", ValidatedAt: t0}, v1)
+	s.Flush()
+
+	prefix := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])[:2]
+	}
+	v2 := []byte("version two")
+	for i := 0; prefix(v2) == prefix(v1); i++ {
+		v2 = []byte(fmt.Sprintf("version two, take %d", i))
+	}
+	if err := os.WriteFile(filepath.Join(dir, "blobs", prefix(v2)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s.Put(Record{Key: "/k", ValidatedAt: t0.Add(time.Second)}, v2)
+	s.Flush()
+
+	if st := s.Stats(); st.WriteErrors != 1 || st.Records != 0 {
+		t.Fatalf("stats after the failed write: %+v, want one error and no record", st)
+	}
+	if _, ok := s.Meta("/k"); ok {
+		t.Error("Meta still reports the superseded version")
+	}
+	if _, body, ok := s.Get("/k"); ok {
+		t.Errorf("Get still serves the superseded version %q", body)
+	}
+	s.Close()
+	s2 := mustOpen(t, dir, 0)
+	defer s2.Close()
+	if _, body, ok := s2.Get("/k"); ok {
+		t.Errorf("the superseded version %q came back after a reopen", body)
+	}
+}
+
 func TestTornJournalTailTolerated(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, 0)

@@ -178,18 +178,19 @@ func proxyExpectations(cs webproxy.CacheStats, us webproxy.UpstreamStatus, ps we
 
 func diskExpectations(ds webproxy.DiskStats) map[string]fieldExpectation {
 	return map[string]fieldExpectation{
-		"Enabled":       one("broadway_disk_enabled", boolVal(ds.Enabled)),
-		"Records":       one("broadway_disk_records", float64(ds.Records)),
-		"Bytes":         one("broadway_disk_bytes", float64(ds.Bytes)),
-		"PendingWrites": one("broadway_disk_pending_writes", float64(ds.PendingWrites)),
-		"Writes":        one("broadway_disk_writes_total", float64(ds.Writes)),
-		"WriteErrors":   one("broadway_disk_write_errors_total", float64(ds.WriteErrors)),
-		"Deletes":       one("broadway_disk_deletes_total", float64(ds.Deletes)),
-		"Evictions":     one("broadway_disk_evictions_total", float64(ds.Evictions)),
-		"Demotions":     one("broadway_disk_demotions_total", float64(ds.Demotions)),
-		"Promotions":    one("broadway_disk_promotions_total", float64(ds.Promotions)),
-		"Rehydrated":    one("broadway_disk_rehydrated_total", float64(ds.Rehydrated)),
-		"GraceServes":   one("broadway_disk_grace_serves_total", float64(ds.GraceServes)),
+		"Enabled":          one("broadway_disk_enabled", boolVal(ds.Enabled)),
+		"Records":          one("broadway_disk_records", float64(ds.Records)),
+		"Bytes":            one("broadway_disk_bytes", float64(ds.Bytes)),
+		"PendingWrites":    one("broadway_disk_pending_writes", float64(ds.PendingWrites)),
+		"Writes":           one("broadway_disk_writes_total", float64(ds.Writes)),
+		"WriteErrors":      one("broadway_disk_write_errors_total", float64(ds.WriteErrors)),
+		"Deletes":          one("broadway_disk_deletes_total", float64(ds.Deletes)),
+		"Evictions":        one("broadway_disk_evictions_total", float64(ds.Evictions)),
+		"Demotions":        one("broadway_disk_demotions_total", float64(ds.Demotions)),
+		"Promotions":       one("broadway_disk_promotions_total", float64(ds.Promotions)),
+		"LeasedPromotions": one("broadway_disk_leased_promotions_total", float64(ds.LeasedPromotions)),
+		"Rehydrated":       one("broadway_disk_rehydrated_total", float64(ds.Rehydrated)),
+		"GraceServes":      one("broadway_disk_grace_serves_total", float64(ds.GraceServes)),
 	}
 }
 

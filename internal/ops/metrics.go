@@ -103,7 +103,8 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	e.counter("broadway_disk_deletes_total", "Durable records purged (admin eviction).", float64(ds.Deletes))
 	e.counter("broadway_disk_evictions_total", "Durable records dropped by the disk byte budget.", float64(ds.Evictions))
 	e.counter("broadway_disk_demotions_total", "Replacement victims retained on disk instead of lost.", float64(ds.Demotions))
-	e.counter("broadway_disk_promotions_total", "Disk records re-admitted through a validating fetch.", float64(ds.Promotions))
+	e.counter("broadway_disk_promotions_total", "Disk records re-admitted, validated by a fetch or carried by a live lease.", float64(ds.Promotions))
+	e.counter("broadway_disk_leased_promotions_total", "Promotions the push channel answered with no upstream request.", float64(ds.LeasedPromotions))
 	e.counter("broadway_disk_rehydrated_total", "Entries restored warm from disk at startup.", float64(ds.Rehydrated))
 	e.counter("broadway_disk_grace_serves_total", "Hits served as X-Cache: GRACE before re-validation.", float64(ds.GraceServes))
 }

@@ -63,7 +63,7 @@ func BenchmarkValuePushApply(b *testing.B) {
 			ContentType: "text/plain",
 			Digest:      digest,
 		}
-		if !p.applyPushedValue(e, &ev) {
+		if !p.applyPushedValue(e, &ev, nil) {
 			b.Fatal("apply fell back")
 		}
 	}

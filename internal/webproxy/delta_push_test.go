@@ -164,7 +164,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 		{"terminal digest mismatch", mk(delta, push.DigestOf(v1), push.DigestOf(v1))},
 	}
 	for i, tc := range cases {
-		if s.proxy.applyPushedValue(e, tc.ev) {
+		if s.proxy.applyPushedValue(e, tc.ev, nil) {
 			t.Fatalf("%s: applyPushedValue accepted the frame", tc.name)
 		}
 		if got := s.proxy.PushStats().DeltaBaseMisses; got != uint64(i+1) {
@@ -175,7 +175,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 		}
 	}
 
-	if !s.proxy.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1))) {
+	if !s.proxy.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1)), nil) {
 		t.Fatalf("correct delta refused: %+v", s.proxy.PushStats())
 	}
 	st := s.proxy.PushStats()

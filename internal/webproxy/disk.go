@@ -14,10 +14,14 @@ package webproxy
 //     unbounded.
 //   - promote (demand, see admit): a request for a key that lives only
 //     on disk — demoted by CLOCK replacement or beyond the grace window
-//     at startup — revalidates it with a conditional fetch before
-//     serving, reusing the disk body, metadata and learned TTR on a 304.
-//     Promotion runs inside the admission singleflight, so the
-//     re-admission race resolves to one origin fetch.
+//     at startup — revalidates it before serving, reusing the disk body,
+//     metadata and learned TTR on a 304. The 304 comes from the origin,
+//     through a conditional fetch, unless a live lease has carried the
+//     record since its last validation: then the push channel answers
+//     it, with no upstream request, and the entry is installed with the
+//     record's own validation instant and audited within L of it (see
+//     channelAnswer). Promotion runs inside the admission singleflight,
+//     so the re-admission race resolves to at most one origin fetch.
 //   - demote (replacement): CLOCK victims keep their disk record (the
 //     write-behind already persisted their last validated state), so
 //     capacity is disk-bound, not RAM-bound. Admin Evict purges both
@@ -32,12 +36,24 @@ import (
 // persistEntry snapshots e's validated state into the disk tier's
 // write-behind queue. Called from install (every poll, trigger, and
 // pushed-value install) and admitFrom; a no-op when persistence is
-// disabled or the entry was never admitted.
+// disabled or the entry was never admitted or has been evicted.
 func (p *Proxy) persistEntry(e *entry) {
 	if p.disk == nil || e.capped {
 		return
 	}
+	// Eviction sets the token under the shard lock, so holding it shared
+	// orders every write of e's before whatever found e gone — a pushed
+	// event landed on the record, or a void — and a late snapshot can
+	// never overwrite those. The entry lock, held across the Put, orders
+	// e's own writes as its installs made them.
+	sh := p.store.shardFor(e.key)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	if e.evicted.Load() {
+		return
+	}
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	rec := diskstore.Record{
 		Key:          e.key,
 		Group:        e.group,
@@ -58,9 +74,58 @@ func (p *Proxy) persistEntry(e *entry) {
 			rec.TTR = t.TTR()
 		}
 	}
-	body := e.body
-	e.mu.RUnlock()
-	p.disk.Put(rec, body)
+	p.disk.Put(rec, e.body)
+}
+
+// voidRecord deletes key's disk record so that it is never promoted as
+// carried (see channelAnswer). It runs on every path that handles an
+// announced update for the key without landing it on the resident copy
+// or on the record. Voiding is always safe: an object that changed costs
+// the same 200 either way. A no-op with leases off, where every
+// promotion validates, or with no disk tier.
+func (p *Proxy) voidRecord(key string) {
+	if p.disk != nil && p.leaseTerm > 0 {
+		p.disk.Delete(key)
+	}
+}
+
+// channelAnswer is the 304 a live lease gives a promotion in place of a
+// validating fetch, or nil when the promotion must fetch. A demoted
+// record is carried — kept current by the channel exactly as a resident
+// leased key is — only if each of the resident lease's own premises
+// holds for it:
+//
+//   - (a) the channel is healthy, and the record was validated strictly
+//     after the current lease epoch began (last connect, Reset or frame
+//     loss), so every update since its validation was announced;
+//   - (b) it is younger than the lease term L, so a silent upstream is
+//     still caught within L of the last validation: the promoted entry's
+//     first audit lands by then (see rescheduleHybrid);
+//   - (c) the channel covers the key: pushable, and inside the live
+//     declaration (see leaseCovers);
+//   - (d) no announced update was lost for it: every path that handles an
+//     event for the key without landing it on the resident copy or on
+//     the record voids the record (see voidRecord), and so does a failed
+//     disk write (diskstore).
+//
+// An update racing the promotion itself marks its flight and is caught
+// at install (see installEntry). Without a record, with leases off (no
+// PushURL, PushStretch ≤ 1) or a channel down, every promotion fetches.
+func (p *Proxy) channelAnswer(key string, rec *diskstore.Record) *upstreamResponse {
+	// Health is read before the epoch: a reconnect stores its epoch
+	// before it flips pushHealthy, so the epoch read here is never older
+	// than the connection found healthy, and a record validated while the
+	// channel was down predates it.
+	if rec == nil || p.leaseTerm <= 0 || !p.pushHealthy.Load() {
+		return nil
+	}
+	epoch := p.leaseEpoch.Load()
+	if epoch == nil || !rec.ValidatedAt.After(*epoch) ||
+		p.cfg.Clock().Sub(rec.ValidatedAt) >= p.leaseTerm ||
+		!p.pushable(key, rec.Group) || !p.leaseCovers(key, rec.Group) {
+		return nil
+	}
+	return &upstreamResponse{notModified: true, epoch: epoch, byChannel: true}
 }
 
 // demote finishes a replacement eviction: the victims are unwound from
@@ -115,11 +180,14 @@ type DiskStats struct {
 	Evictions   uint64
 	// Demotions counts replacement victims whose disk record made the
 	// eviction a tier transition instead of a loss; Promotions counts
-	// disk records re-admitted to the store through a validating fetch
-	// (not one served uncached because its body alone overflows
-	// MaxBytes, nor one that lost to a concurrent admission).
-	Demotions  uint64
-	Promotions uint64
+	// disk records re-admitted to the store, validated by a conditional
+	// fetch or carried by a live lease (not one served uncached because
+	// its body alone overflows MaxBytes, nor one that lost to a
+	// concurrent admission). LeasedPromotions is the subset the push
+	// channel answered with no upstream request (see channelAnswer).
+	Demotions        uint64
+	Promotions       uint64
+	LeasedPromotions uint64
 	// Rehydrated counts entries restored warm at startup; GraceServes
 	// counts hits served as X-Cache: GRACE before re-validation.
 	Rehydrated  uint64
@@ -133,18 +201,19 @@ func (p *Proxy) DiskStats() DiskStats {
 	}
 	st := p.disk.Stats()
 	return DiskStats{
-		Enabled:       true,
-		Records:       st.Records,
-		Bytes:         st.Bytes,
-		PendingWrites: st.PendingWrites,
-		Writes:        st.Writes,
-		WriteErrors:   st.WriteErrors,
-		Deletes:       st.Deletes,
-		Evictions:     st.Evictions,
-		Demotions:     p.diskDemotions.Load(),
-		Promotions:    p.diskPromotions.Load(),
-		Rehydrated:    p.diskRehydrated.Load(),
-		GraceServes:   p.diskGraceServes.Load(),
+		Enabled:          true,
+		Records:          st.Records,
+		Bytes:            st.Bytes,
+		PendingWrites:    st.PendingWrites,
+		Writes:           st.Writes,
+		WriteErrors:      st.WriteErrors,
+		Deletes:          st.Deletes,
+		Evictions:        st.Evictions,
+		Demotions:        p.diskDemotions.Load(),
+		Promotions:       p.diskPromotions.Load(),
+		LeasedPromotions: p.diskLeasedPromotions.Load(),
+		Rehydrated:       p.diskRehydrated.Load(),
+		GraceServes:      p.diskGraceServes.Load(),
 	}
 }
 

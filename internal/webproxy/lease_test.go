@@ -6,16 +6,22 @@ package webproxy
 // the origin, and that a key outside the declared interest is not leased.
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"broadway/internal/core"
+	"broadway/internal/diskstore"
 	"broadway/internal/push"
 	"broadway/internal/webserver"
 )
@@ -36,16 +42,30 @@ type leaseFleet struct {
 	// and before any of it is written: the window in which an update can
 	// overtake the response it missed.
 	beforeReply func(path string)
-	fillers     int // filler objects demote has admitted so far
+	failing     map[string]bool // paths the origin answers 503
+	fillers     int             // filler objects demote has admitted so far
 }
 
 func newLeaseFleet(t *testing.T, cfg Config) *leaseFleet {
+	t.Helper()
+	f := startLeaseFleet(t, cfg, true)
+	waitPushConnected(t, f.proxy)
+	return f
+}
+
+// startLeaseFleet builds the fleet without waiting for the push channel;
+// with available false the event endpoint is down from the start, so the
+// proxy runs before its first connect until the test brings it up.
+func startLeaseFleet(t *testing.T, cfg Config, available bool) *leaseFleet {
 	t.Helper()
 	f := &leaseFleet{
 		origin:   webserver.NewOrigin(webserver.WithHistoryExtension(true)),
 		hub:      push.NewHub(push.HubConfig{Heartbeat: 25 * time.Millisecond, PayloadCap: push.DefaultPayloadCap}),
 		requests: make(map[string]int),
 		regular:  make(map[string][]time.Time),
+	}
+	if !available {
+		f.hub.SetAvailable(false)
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/events" {
@@ -54,8 +74,12 @@ func newLeaseFleet(t *testing.T, cfg Config) *leaseFleet {
 		}
 		f.mu.Lock()
 		f.requests[r.URL.Path]++
-		hook := f.beforeReply
+		hook, fail := f.beforeReply, f.failing[r.URL.Path]
 		f.mu.Unlock()
+		if fail {
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			return
+		}
 		if hook == nil {
 			f.origin.ServeHTTP(w, r)
 			return
@@ -94,7 +118,6 @@ func newLeaseFleet(t *testing.T, cfg Config) *leaseFleet {
 	px.Start()
 	t.Cleanup(px.Close)
 	f.proxy = px
-	waitPushConnected(t, px)
 	return f
 }
 
@@ -109,13 +132,26 @@ func (f *leaseFleet) update(key, body string) uint64 {
 // origin serving value-negotiated subscribers announces it.
 func (f *leaseFleet) updateValue(key, body string) uint64 {
 	f.origin.Set(key, []byte(body), "")
+	return f.hub.Publish(push.Event{
+		Kind: push.KindUpdate, Key: key, ModTime: f.modTime(key),
+		Body: []byte(body), HasBody: true, Digest: push.DigestOf([]byte(body)),
+	})
+}
+
+// modTime is the origin's current Last-Modified for key.
+func (f *leaseFleet) modTime(key string) time.Time {
 	rec := httptest.NewRecorder()
 	f.origin.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, key, nil))
 	mod, _ := http.ParseTime(rec.Header().Get("Last-Modified"))
-	return f.hub.Publish(push.Event{
-		Kind: push.KindUpdate, Key: key, ModTime: mod,
-		Body: []byte(body), HasBody: true, Digest: push.DigestOf([]byte(body)),
-	})
+	return mod
+}
+
+// handled waits until the proxy has processed the event at seq.
+func (f *leaseFleet) handled(t *testing.T, seq uint64) {
+	t.Helper()
+	if !waitFor(t, 3*time.Second, func() bool { return f.proxy.PushStats().LastSeq >= seq }) {
+		t.Fatalf("the proxy never handled the event at seq %d", seq)
+	}
 }
 
 // demote admits fresh filler objects until CLOCK has displaced victim
@@ -364,13 +400,19 @@ func TestLeasePhaseSpreadsAdmissions(t *testing.T) {
 	}
 }
 
-// TestLeasePromoteDemoteCostsOneOriginRequest pins the churn saving: a
-// disk-tier object promoted under a live lease and demoted again within
-// the term costs the origin its validating fetch and nothing else, even
-// when the residency outlasts the unstretched TTR.
-func TestLeasePromoteDemoteCostsOneOriginRequest(t *testing.T) {
+// TestLeasePromoteDemoteCostsNoOriginRequest pins the churn saving on a
+// stepped clock: a disk-tier object whose record the live channel has
+// carried since its last validation is promoted with no origin request —
+// the channel answers the 304 — and a residency that outlasts the
+// unstretched TTR costs nothing either. The promoted entry vouches for
+// the record's own validation, and its first audit is capped at that
+// validation plus L, the bound a resident leased key keeps against a
+// silent upstream.
+func TestLeasePromoteDemoteCostsNoOriginRequest(t *testing.T) {
 	const ttrMin = 50 * time.Millisecond
+	clk := newSimClock()
 	f := newLeaseFleet(t, Config{
+		Clock:        clk.Now,
 		MaxObjects:   4,
 		Shards:       1,
 		DiskDir:      t.TempDir(),
@@ -378,19 +420,25 @@ func TestLeasePromoteDemoteCostsOneOriginRequest(t *testing.T) {
 		Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
 	})
 	px := f.proxy
-	// The victim's phase must lie well past the residency below.
+	term := px.PushStats().LeaseTerm
+	const age = 20 * time.Second
+	// A phase past term − age, so the cap (validation + L) decides the
+	// first audit rather than the phase.
 	victim := "/c/0"
-	for i := 1; px.leasePhase(victim, ttrMin) < 5*time.Second; i++ {
+	for i := 1; px.leasePhase(victim, ttrMin) <= term-age; i++ {
 		victim = fmt.Sprintf("/c/%d", i)
 	}
 	f.origin.Set(victim, []byte("victim"), "")
 	get := func(k string) {
 		t.Helper()
-		if code, _, _ := proxyGet(t, px, k); code != http.StatusOK {
-			t.Fatalf("GET %s: status %d", k, code)
+		if code, body, _ := proxyGet(t, px, k); code != http.StatusOK || k == victim && body != "victim" {
+			t.Fatalf("GET %s: status %d, %q", k, code, body)
 		}
 	}
 
+	// Validated strictly inside the lease epoch the connect began.
+	clk.AdvanceTo(clk.Now().Add(time.Second))
+	validated := clk.Now()
 	get(victim)
 	px.FlushDisk() // the demotion below needs the record written behind
 	f.demote(t, victim)
@@ -398,16 +446,27 @@ func TestLeasePromoteDemoteCostsOneOriginRequest(t *testing.T) {
 		t.Fatalf("%d origin requests before the promotion, want the admission fetch alone", got)
 	}
 
-	get(victim) // promote: one validating fetch
-	if px.DiskStats().Promotions != 1 {
-		t.Fatalf("not promoted from disk: %+v", px.DiskStats())
+	clk.AdvanceTo(validated.Add(age))
+	get(victim) // promote: answered by the channel
+	if ds := px.DiskStats(); ds.Promotions != 1 || ds.LeasedPromotions != 1 {
+		t.Fatalf("not promoted under the lease: %+v", ds)
 	}
-	wantLeased(t, px, victim, scheduleOf(t, px, victim, 1))
-	time.Sleep(4 * ttrMin) // resident past the instant an unleased first poll would fire
+	snap := scheduleOf(t, px, victim, 1)
+	if !snap.validatedAt.Equal(validated) || !snap.base.Equal(validated.Add(ttrMin)) {
+		t.Errorf("promoted entry validated %v with paper-mode poll %v, want the record's %v and %v",
+			snap.validatedAt, snap.base, validated, validated.Add(ttrMin))
+	}
+	if want := validated.Add(term); !snap.next.Equal(want) {
+		t.Errorf("first audit %v after the record's validation, want L = %v", snap.next.Sub(validated), term)
+	}
+
+	// Resident past the instant an unleased first poll would fire.
+	clk.AdvanceTo(clk.Now().Add(4 * ttrMin))
+	px.Kick()
+	quiesceSim(t, px, clk)
 	f.demote(t, victim)
-	time.Sleep(2 * ttrMin)
-	if got := f.requestsFor(victim) - 1; got != 1 {
-		t.Errorf("promote-then-demote residency cost the origin %d requests, want exactly 1", got)
+	if got := f.requestsFor(victim) - 1; got != 0 {
+		t.Errorf("promote-then-demote residency cost the origin %d requests, want none", got)
 	}
 }
 
@@ -468,15 +527,19 @@ func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
 // (or a promotion's) response can be announced — and find nothing resident
 // to refresh — before that response is installed. Such an admission must
 // take no lease: the stale body is caught by the paper-mode first poll,
-// not held for a term.
+// not held for a term. The promotion cases use a record outside the lease
+// (validated before a reconnect), so the promotion fetches and the update
+// overtakes that fetch; the leased cases promote a record the channel
+// carried, with no fetch, and the update lands between the promotion's
+// record read and its install.
 func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 	const (
 		ttrMin = 100 * time.Millisecond
 		slack  = 2 * time.Second
 	)
 	cases := []struct {
-		name            string
-		promote, values bool
+		name                    string
+		promote, values, leased bool
 	}{
 		{name: "admission"},
 		{name: "promotion", promote: true},
@@ -484,6 +547,8 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 		// already read past, so it is handled, not dropped — and must
 		// still reach the promotion.
 		{name: "promotion, update absorbed by the disk record", promote: true, values: true},
+		{name: "leased promotion", promote: true, leased: true},
+		{name: "leased promotion, update absorbed by the disk record", promote: true, values: true, leased: true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -510,38 +575,66 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 				px.FlushDisk()
 				f.demote(t, key)
 			}
-
-			// The update overtakes the response that missed it: made once
-			// the response is built, announced, and handled by the proxy
-			// before the first byte of that response is written.
-			var once sync.Once
-			f.mu.Lock()
-			f.beforeReply = func(path string) {
-				if path != key {
-					return
+			if c.promote && !c.leased {
+				px.sub.Bounce()
+				if !waitFor(t, 3*time.Second, func() bool {
+					st := px.PushStats()
+					return st.Bounces == 1 && st.Connects == 2 && st.Connected
+				}) {
+					t.Fatal("the stream never came back from the bounce")
 				}
-				once.Do(func() {
-					update := f.update
-					if c.values {
-						update = f.updateValue
-					}
-					seq := update(key, "v2")
-					if !waitFor(t, 3*time.Second, func() bool { return px.PushStats().LastSeq >= seq }) {
-						t.Error("the proxy never handled the update's event")
-					}
-				})
 			}
-			f.mu.Unlock()
+			update := f.update
+			if c.values {
+				update = f.updateValue
+			}
 
-			if _, body, _ := proxyGet(t, px, key); body != "v1" {
-				t.Fatalf("admitted %q, want the response built before the update", body)
+			var body string
+			if c.leased {
+				// admit, with the update announced and handled between the
+				// record read and the install.
+				px.flight.Do(key, func() (any, error) {
+					rec, diskBody, ok := px.disk.Get(key)
+					resp := px.channelAnswer(key, &rec)
+					if !ok || resp == nil {
+						t.Fatal("the record is not carried")
+					}
+					f.handled(t, update(key, "v2"))
+					e := px.admitFrom(key, &rec, diskBody, resp)
+					e.mu.RLock()
+					body = string(e.body)
+					e.mu.RUnlock()
+					return e, nil
+				})
+			} else {
+				// The update overtakes the response that missed it: made once
+				// the response is built, announced, and handled by the proxy
+				// before the first byte of that response is written.
+				var once sync.Once
+				f.mu.Lock()
+				f.beforeReply = func(path string) {
+					if path != key {
+						return
+					}
+					once.Do(func() {
+						seq := update(key, "v2")
+						if !waitFor(t, 3*time.Second, func() bool { return px.PushStats().LastSeq >= seq }) {
+							t.Error("the proxy never handled the update's event")
+						}
+					})
+				}
+				f.mu.Unlock()
+				_, body, _ = proxyGet(t, px, key)
+			}
+			if body != "v1" {
+				t.Fatalf("admitted %q, want the version read before the update", body)
 			}
 			st := px.PushStats()
 			if c.values && st.DiskApplied != 1 || !c.values && st.Dropped != 1 {
 				t.Fatalf("the event did not find the key non-resident: %+v", st)
 			}
-			if c.promote && px.DiskStats().Promotions != 1 {
-				t.Fatalf("not promoted from disk: %+v", px.DiskStats())
+			if ds := px.DiskStats(); c.promote && (ds.Promotions != 1 || c.leased != (ds.LeasedPromotions == 1)) {
+				t.Fatalf("not promoted from disk as expected: %+v", ds)
 			}
 			if !waitFor(t, ttrMin+slack, func() bool {
 				b, _ := px.CachedBody(key)
@@ -551,12 +644,516 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 				t.Fatalf("update still invisible %v after admission: first poll %v after validation, paper-mode %v",
 					ttrMin+slack, snap.next.Sub(snap.validatedAt), snap.ttr())
 			}
-			if got := f.requestsFor(key); c.promote && got != 3 || !c.promote && got != 2 {
-				t.Errorf("%d origin requests, want each fetch plus the one paper-mode poll", got)
+			fetches := 1 // the admission
+			if c.promote && !c.leased {
+				fetches++ // and the promotion
+			}
+			if got := f.requestsFor(key); got != fetches+1 {
+				t.Errorf("%d origin requests, want %d fetches plus the one paper-mode poll", got, fetches)
 			}
 			// The poll that caught the update leases the key as usual.
 			wantLeased(t, px, key, scheduleOf(t, px, key, 2))
 		})
+	}
+}
+
+// TestPromotionValidatesUnlessCarried covers, on a stepped clock, every
+// reason a promotion under a live lease must still fetch: the record was
+// validated before the current lease epoch, is as old as the term, is not
+// covered by the channel, or had an announced update land nowhere (each
+// path that voids it). Every case leaves the origin holding a version the
+// record does not, and the promotion must fetch it and serve it; the
+// control shows the same record carried, with no fetch, when nothing
+// spoils it.
+func TestPromotionValidatesUnlessCarried(t *testing.T) {
+	const ttrMin = time.Second
+	silent := func(f *leaseFleet, key string) string {
+		f.origin.Set(key, []byte("v2"), "")
+		return "v2"
+	}
+	type fleetCase struct {
+		f   *leaseFleet
+		clk *simClock
+		dir string
+		key string // the cache key; the origin path drops its query
+	}
+	path := func(c *fleetCase) string { return strings.SplitN(c.key, "?", 2)[0] }
+	// waitFleet waits for the channel state the case arranged.
+	waitFleet := func(t *testing.T, c *fleetCase, what string, cond func(PushStats) bool) {
+		t.Helper()
+		if !waitFor(t, 3*time.Second, func() bool { return cond(c.f.proxy.PushStats()) }) {
+			t.Fatalf("%s: %+v", what, c.f.proxy.PushStats())
+		}
+	}
+	demote := func(t *testing.T, c *fleetCase) {
+		t.Helper()
+		c.f.proxy.FlushDisk()
+		c.f.demote(t, c.key)
+	}
+	// holdWorker occupies the proxy's only poll worker with a poll of
+	// another key, held at the origin until release, which then waits for
+	// the jobs queued behind it to drain.
+	holdWorker := func(t *testing.T, c *fleetCase) (release func()) {
+		t.Helper()
+		px := c.f.proxy
+		c.f.origin.Set("/slow", []byte("s"), "")
+		proxyGet(t, px, "/slow")
+		held := make(chan struct{})
+		var once sync.Once
+		unblock := func() { once.Do(func() { close(held) }) }
+		t.Cleanup(unblock) // before the proxy's Close waits on its worker
+		c.f.mu.Lock()
+		c.f.beforeReply = func(p string) {
+			if p == "/slow" {
+				<-held
+			}
+		}
+		c.f.mu.Unlock()
+		px.reschedule(px.lookup("/slow"), c.clk.Now())
+		if !waitFor(t, 3*time.Second, func() bool { return c.f.requestsFor("/slow") == 2 }) {
+			t.Fatal("the worker never started the held poll")
+		}
+		return func() {
+			unblock()
+			if !waitFor(t, 3*time.Second, func() bool { return px.InFlightPolls() == 0 }) {
+				t.Fatal("the queued jobs never drained")
+			}
+		}
+	}
+	cases := []struct {
+		name    string
+		key     string
+		cfg     func(*Config)
+		carried bool
+		// spoil runs with the key resident (admitted at an instant strictly
+		// inside the lease epoch), leaves it demoted, and returns the body
+		// the origin now holds.
+		spoil func(t *testing.T, c *fleetCase) string
+	}{
+		{
+			name:    "carried (control)",
+			carried: true,
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.f.handled(t, c.f.updateValue(c.key, "v2")) // lands on the record
+				return "v2"
+			},
+		},
+		{
+			name: "epoch: reconnect",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+				c.f.hub.SetAvailable(false)
+				waitFleet(t, c, "never disconnected", func(st PushStats) bool { return !st.Connected })
+				body := silent(c.f, c.key)
+				c.f.hub.SetAvailable(true)
+				waitFleet(t, c, "never reconnected", func(st PushStats) bool { return st.Connected })
+				return body
+			},
+		},
+		{
+			name: "epoch: mid-stream Reset",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+				body := silent(c.f, c.key)
+				c.f.hub.Reset()
+				waitFleet(t, c, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
+				return body
+			},
+		},
+		{
+			name: "epoch: frame loss",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+				body := silent(c.f, c.key)
+				c.f.proxy.handlePushFrameLoss() // as the subscriber reports a dropped line
+				return body
+			},
+		},
+		{
+			name: "epoch: Bounce",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+				body := silent(c.f, c.key)
+				c.f.proxy.sub.Bounce()
+				waitFleet(t, c, "never came back from the bounce", func(st PushStats) bool {
+					return st.Bounces == 1 && st.Connects == 2 && st.Connected
+				})
+				return body
+			},
+		},
+		{
+			name: "epoch: channel down",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.f.hub.SetAvailable(false)
+				waitFleet(t, c, "never disconnected", func(st PushStats) bool { return !st.Connected })
+				return silent(c.f, c.key)
+			},
+		},
+		{
+			name: "record age L",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.clk.AdvanceTo(c.clk.Now().Add(c.f.proxy.PushStats().LeaseTerm))
+				return silent(c.f, c.key)
+			},
+		},
+		{
+			name: "query-bearing key",
+			key:  "/k/doc?x=1",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				return silent(c.f, path(c))
+			},
+		},
+		{
+			// A record validated inside the epoch for a key the live
+			// declaration misses, written here directly: the proxy cannot
+			// validate an undeclared key itself without its bounce starting
+			// a new epoch.
+			name: "undeclared key",
+			cfg: func(cfg *Config) {
+				cfg.PushInterest, cfg.PushPrefixes = true, []string{"/f/", "/k/"}
+			},
+			spoil: func(t *testing.T, c *fleetCase) string {
+				c.key = "/out/doc"
+				c.f.origin.Set(c.key, []byte("v1"), "")
+				px := c.f.proxy
+				px.disk.Put(diskstore.Record{Key: c.key, LastMod: c.f.modTime(c.key), HasLastMod: true,
+					ValidatedAt: c.clk.Now()}, []byte("v1"))
+				if px.sub.DeclaredInterest().Matches(c.key, "") {
+					t.Fatal("test premise: the live declaration covers the key")
+				}
+				return silent(c.f, c.key)
+			},
+		},
+		{
+			name: "void: invalidation-only proxy",
+			cfg:  func(cfg *Config) { cfg.PushValues = false },
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.f.handled(t, c.f.update(c.key, "v2"))
+				return "v2"
+			},
+		},
+		{
+			name: "void: stripped payload",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				c.f.handled(t, c.f.update(c.key, "v2"))
+				return "v2"
+			},
+		},
+		{
+			name: "void: over-cap payload",
+			cfg:  func(cfg *Config) { cfg.PushPayloadCap = 8 },
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				const body = "v2, longer than the payload cap"
+				c.f.handled(t, c.f.updateValue(c.key, body))
+				return body
+			},
+		},
+		{
+			name: "void: delta base miss",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				demote(t, c)
+				v2 := []byte("v2")
+				c.f.origin.Set(c.key, v2, "")
+				c.f.proxy.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: c.key, ModTime: c.f.modTime(c.key),
+					HasBody: true, Body: []byte("a delta against some other base"), Digest: push.DigestOf(v2),
+					BaseDigest: push.DigestOf([]byte("not the record's body")), DeltaCodec: push.DeltaCodecBlock})
+				if st := c.f.proxy.PushStats(); st.DeltaBaseMisses != 1 {
+					t.Fatalf("test premise: the delta did not miss its base: %+v", st)
+				}
+				return string(v2)
+			},
+		},
+		{
+			name: "void: pushed job evicted before it ran",
+			cfg:  func(cfg *Config) { cfg.PollWorkers = 1 },
+			spoil: func(t *testing.T, c *fleetCase) string {
+				px := c.f.proxy
+				release := holdWorker(t, c)
+				c.f.handled(t, c.f.updateValue(c.key, "v2"))
+				if st := px.PushStats(); st.Polls != 1 {
+					t.Fatalf("test premise: no pushed job queued: %+v", st)
+				}
+				e := px.lookup(c.key)
+				if !px.store.removeEntry(e) {
+					t.Fatal("the key was not resident")
+				}
+				px.demote([]*entry{e})
+				release()
+				return "v2"
+			},
+		},
+		{
+			// A payload received in one epoch and installed in the next is
+			// evidence from the old one: it must not stamp a record that
+			// passes for carried past the update the hole swallowed.
+			name: "epoch: payload queued across a Reset",
+			cfg: func(cfg *Config) {
+				// A TTR long enough that the Reset's sweep leaves the
+				// paper-mode poll in the future.
+				cfg.PollWorkers, cfg.DefaultDelta, cfg.Bounds.Min = 1, 5*time.Second, 5*time.Second
+			},
+			spoil: func(t *testing.T, c *fleetCase) string {
+				release := holdWorker(t, c)
+				c.f.handled(t, c.f.updateValue(c.key, "v2"))
+				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+				c.f.origin.Set(c.key, []byte("v3"), "") // lost in the hole
+				c.f.hub.Reset()
+				waitFleet(t, c, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
+				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+				release()
+				if b, _ := c.f.proxy.CachedBody(c.key); string(b) != "v2" {
+					t.Fatalf("test premise: the queued payload was not installed: %q", b)
+				}
+				demote(t, c)
+				return "v3"
+			},
+		},
+		{
+			name: "void: pushed poll failed",
+			cfg:  func(cfg *Config) { cfg.PushValues = false },
+			spoil: func(t *testing.T, c *fleetCase) string {
+				c.f.mu.Lock()
+				c.f.failing = map[string]bool{c.key: true}
+				c.f.mu.Unlock()
+				c.f.handled(t, c.f.update(c.key, "v2"))
+				if !waitFor(t, 3*time.Second, func() bool {
+					return c.f.proxy.UpstreamStatus().Errors == 1 && c.f.proxy.InFlightPolls() == 0
+				}) {
+					t.Fatal("the pushed poll never failed")
+				}
+				c.f.mu.Lock()
+				c.f.failing = nil
+				c.f.mu.Unlock()
+				demote(t, c) // before the retry, which the stepped clock holds back
+				return "v2"
+			},
+		},
+		{
+			// A pushed body too large to install directly falls back to a
+			// poll, whose install swaps it in and then evicts the entry for
+			// outgrowing the byte budget before it could persist it.
+			name: "void: install stopped at the eviction guard",
+			cfg:  func(cfg *Config) { cfg.MaxBytes = 4096 },
+			spoil: func(t *testing.T, c *fleetCase) string {
+				body := strings.Repeat("v2", 2500)
+				c.f.handled(t, c.f.updateValue(c.key, body))
+				if !waitFor(t, 3*time.Second, func() bool { return c.f.proxy.lookup(c.key) == nil }) {
+					t.Fatal("the grown entry was never evicted")
+				}
+				return body
+			},
+		},
+		{
+			// The pushed install's write-behind fails: a regular file
+			// squats where the new blob's directory must go.
+			name: "void: failed disk write",
+			spoil: func(t *testing.T, c *fleetCase) string {
+				blobDir := func(b []byte) string {
+					sum := sha256.Sum256(b)
+					return filepath.Join(c.dir, "blobs", hex.EncodeToString(sum[:])[:2])
+				}
+				c.f.proxy.FlushDisk()
+				v2 := []byte("v2")
+				for i := 0; ; i++ {
+					if _, err := os.Stat(blobDir(v2)); os.IsNotExist(err) {
+						break
+					}
+					v2 = []byte(fmt.Sprintf("v2.%d", i))
+				}
+				if err := os.WriteFile(blobDir(v2), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				c.f.handled(t, c.f.updateValue(c.key, string(v2)))
+				if b, _ := c.f.proxy.CachedBody(c.key); string(b) != string(v2) {
+					t.Fatalf("test premise: the pushed body was not installed: %q", b)
+				}
+				demote(t, c)
+				if ds := c.f.proxy.DiskStats(); ds.WriteErrors == 0 {
+					t.Fatalf("test premise: no write failed: %+v", ds)
+				}
+				return string(v2)
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &fleetCase{clk: newSimClock(), dir: t.TempDir(), key: tc.key}
+			if c.key == "" {
+				c.key = "/k/doc"
+			}
+			cfg := Config{
+				Clock:        c.clk.Now,
+				MaxObjects:   4,
+				Shards:       1,
+				DiskDir:      c.dir,
+				PushValues:   true,
+				DefaultDelta: ttrMin,
+				Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
+			}
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			c.f = newLeaseFleet(t, cfg)
+			px := c.f.proxy
+			c.f.origin.Set(path(c), []byte("v1"), "")
+			// Validated strictly inside the lease epoch the connect began.
+			c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+			if code, body, _ := proxyGet(t, px, c.key); code != http.StatusOK || body != "v1" {
+				t.Fatalf("admission: %d %q", code, body)
+			}
+
+			want := tc.spoil(t, c)
+			if px.lookup(c.key) != nil {
+				t.Fatal("test premise: the key is still resident")
+			}
+			before := c.f.requestsFor(path(c))
+			code, body, _ := proxyGet(t, px, c.key)
+			if code != http.StatusOK || body != want {
+				t.Errorf("promotion served %d %q, want the origin's current %q", code, body, want)
+			}
+			fetched := c.f.requestsFor(path(c)) - before
+			leased := px.DiskStats().LeasedPromotions
+			switch {
+			case tc.carried && (fetched != 0 || leased != 1):
+				t.Errorf("carried record: %d origin requests and %d leased promotions, want none and one", fetched, leased)
+			case !tc.carried && (fetched != 1 || leased != 0):
+				t.Errorf("%d origin requests and %d leased promotions, want one fetch and none", fetched, leased)
+			}
+		})
+	}
+}
+
+// TestLeaseRefusedWhenFetchStraddlesAnEpoch: a fetch whose response was
+// built before the current lease epoch began — an admission before the
+// first connect, or before a connect whose Reset announced a hole, or a
+// resident key's poll across such a connect — installs after the
+// connect, when the channel is healthy; but the update lost in the gap
+// is never announced, and the connect's sweep ran before the entry
+// existed (or while its poll was in flight). The copy must take no lease
+// (its paper-mode poll catches the update) and leave no record that
+// passes for carried (a promotion fetches).
+func TestLeaseRefusedWhenFetchStraddlesAnEpoch(t *testing.T) {
+	const (
+		ttrMin = 200 * time.Millisecond
+		slack  = 2 * time.Second
+	)
+	for _, fetch := range []string{"admission, first connect", "admission, connect-time Reset", "poll, connect-time Reset"} {
+		for _, check := range []string{"lease", "record"} {
+			t.Run(fetch+"/"+check, func(t *testing.T) {
+				firstConnect := fetch == "admission, first connect"
+				poll := fetch == "poll, connect-time Reset"
+				f := startLeaseFleet(t, Config{
+					MaxObjects:   4,
+					Shards:       1,
+					DiskDir:      t.TempDir(),
+					DefaultDelta: ttrMin,
+					Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
+				}, !firstConnect)
+				px := f.proxy
+				// A phase far past the bound asserted below, so a lease taken
+				// by mistake cannot pass for the paper-mode poll.
+				key := "/r/0"
+				for i := 1; px.leasePhase(key, ttrMin) < 3*slack; i++ {
+					key = fmt.Sprintf("/r/%d", i)
+				}
+				f.origin.Set(key, []byte("v1"), "")
+				// goDark takes the event endpoint down; comeBack brings it up
+				// again once the update is published where no stream listens,
+				// announcing a hole when the resuming stream must be Reset.
+				goDark := func() {
+					f.hub.SetAvailable(false)
+					if !waitFor(t, 3*time.Second, func() bool { return !px.PushStats().Connected }) {
+						t.Error("never disconnected")
+					}
+				}
+				comeBack := func() {
+					if !firstConnect {
+						f.hub.Reset()
+					}
+					f.hub.SetAvailable(true)
+					if !waitFor(t, 3*time.Second, func() bool { return px.PushStats().Connected }) {
+						t.Error("the channel never came up")
+					}
+				}
+				if !firstConnect {
+					waitPushConnected(t, px)
+					// A stream position to resume from, so the reconnect can
+					// be told to Reset.
+					f.handled(t, f.update("/elsewhere", "x"))
+				}
+				if poll {
+					proxyGet(t, px, key)
+					wantLeased(t, px, key, scheduleOf(t, px, key, 1))
+				} else if !firstConnect {
+					goDark()
+				}
+
+				// Once the response is built, the update is lost in the gap
+				// and the channel comes back before the response is written.
+				var once sync.Once
+				f.mu.Lock()
+				f.beforeReply = func(path string) {
+					if path != key {
+						return
+					}
+					once.Do(func() {
+						if poll {
+							goDark()
+						}
+						f.update(key, "v2")
+						comeBack()
+					})
+				}
+				f.mu.Unlock()
+
+				if poll {
+					started := time.Now()
+					px.reschedule(px.lookup(key), started)
+					if !waitFor(t, 3*time.Second, func() bool {
+						_, _, ok := f.regularSince(key, started)
+						return ok && px.InFlightPolls() == 0
+					}) {
+						t.Fatal("the poll never completed")
+					}
+					if b, _ := px.CachedBody(key); string(b) != "v1" {
+						t.Fatalf("the poll installed %q, want the response built before the update", b)
+					}
+				} else if _, body, _ := proxyGet(t, px, key); body != "v1" {
+					t.Fatalf("admitted %q, want the response built before the update", body)
+				}
+				if hs := f.hub.Stats(); !firstConnect && hs.ResumeHoles != 1 {
+					t.Fatalf("test premise: the reconnect was not told to Reset: %+v", hs)
+				}
+				if check == "lease" {
+					if !waitFor(t, ttrMin+slack, func() bool {
+						b, _ := px.CachedBody(key)
+						return string(b) == "v2"
+					}) {
+						snap := scheduleOf(t, px, key, 1)
+						t.Fatalf("update still invisible %v after the fetch: next poll %v after validation, paper-mode %v",
+							ttrMin+slack, snap.next.Sub(snap.validatedAt), snap.ttr())
+					}
+					return
+				}
+				// Demoted before its paper-mode poll, and promoted again.
+				px.FlushDisk()
+				f.demote(t, key)
+				if _, body, _ := proxyGet(t, px, key); body != "v2" {
+					t.Errorf("promotion served %q, want the origin's v2", body)
+				}
+			})
+		}
 	}
 }
 

@@ -33,16 +33,29 @@ import (
 //     of the channel rather than of the object, run once per lease term
 //     L = Config.PushStretch × Bounds.Max whatever TTR the policy has
 //     learned. A key is covered when the origin can announce it at all
-//     (see eventKeyResolvesTo) and the live interest declaration matches
-//     it (see leaseCovers). The lease starts at install, not after a
-//     first poll: admission and disk promotion place the first poll at a
-//     per-key hash phase in (TTR, L] (see leasePhase), so keys warmed
-//     together poll at the steady N/L rate instead of as a herd, and an
-//     object demoted again within the term costs its upstream nothing
-//     beyond the validating fetch. Later polls run exactly L apart. The
-//     paper-mode instant (validation + TTR) is remembered per entry; the
-//     policy keeps learning from each poll's outcome. Rehydrated entries
-//     are born suspect and validate immediately, lease or not.
+//     (see pushable) and the live interest declaration matches it (see
+//     leaseCovers). The lease starts at install, not after a first poll:
+//     admission and disk promotion place the first poll at a per-key hash
+//     phase in (TTR, L] (see leasePhase), so keys warmed together poll at
+//     the steady N/L rate instead of as a herd. Later polls run exactly L
+//     apart. The paper-mode instant (validation + TTR) is remembered per
+//     entry; the policy keeps learning from each poll's outcome.
+//     Rehydrated entries are born suspect and validate immediately, lease
+//     or not.
+//   - The lease outlives residency: a demoted key's disk record is kept
+//     current by the same channel (see applyPushedToDisk), so a record
+//     the channel has carried since its last validation is promoted with
+//     no upstream request at all — the channel answers the validating
+//     304 (see channelAnswer) — and its first audit lands within L of
+//     that validation. An object demoted and promoted again under a live
+//     lease costs its upstream nothing. Every path that handles an event
+//     without landing it on the resident copy or the record voids the
+//     record (see voidRecord).
+//   - A lease epoch begins at every connect (a Bounce reconnects), Reset
+//     and frame loss. Evidence gathered in an earlier epoch — a response
+//     to a fetch sent before it began, an event received before it began
+//     — may predate an update the hole swallowed, so it neither takes a
+//     lease nor reaches the disk tier (see inEpoch).
 //   - Everything that ends a lease runs the catch-up sweep, which pulls
 //     every leased schedule entry back to its paper-mode instant
 //     (immediately, if that instant already passed), so no object's Δt
@@ -68,7 +81,11 @@ import (
 //         so the event can be handled, and find nothing resident, before
 //         a response built ahead of the update is installed): that
 //         admission takes no lease and polls at validation + TTR, as in
-//         paper mode (see handlePushEvent and installEntry).
+//         paper mode (see handlePushEvent and installEntry);
+//       - a demoted key's record: nothing beyond what the resident key
+//         would have had — a record is promoted without a fetch only
+//         while every premise of the lease above holds for it, and its
+//         first audit lands within L of its validation.
 
 // newPushSubscriber wires the proxy's callbacks into a subscriber for
 // cfg.PushURL.
@@ -252,6 +269,9 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		if p.applyPushedToDisk(ev) {
 			return // demoted object: its disk record absorbed the update
 		}
+		// Nothing held the update, so a record it could not land on must
+		// not pass for current (see channelAnswer).
+		p.voidRecord(canonicalize(ev.Key))
 		p.pushDropped.Add(1)
 		return
 	}
@@ -262,12 +282,13 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 	// something better, just riding along: that job runs after this
 	// announcement, so its fallback poll, if it needs one, finds the
 	// parent as fresh as the announcement promised.
+	pe := &pushedEvent{Event: ev, epoch: p.leaseEpoch.Load()}
 	for {
 		cur := e.pendingPush.Load()
-		if cur != nil && !supersedes(&ev, cur) {
+		if cur != nil && !supersedes(&ev, &cur.Event) {
 			return
 		}
-		if e.pendingPush.CompareAndSwap(cur, &ev) {
+		if e.pendingPush.CompareAndSwap(cur, pe) {
 			if cur != nil {
 				return
 			}
@@ -277,6 +298,14 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 	p.pushPolls.Add(1)
 	p.pending.Add(1)
 	p.workerFor(e).enqueue(job{e: e, kind: pollPushed})
+}
+
+// pushedEvent is an event waiting in an entry's coalescing slot, with the
+// lease epoch it arrived in: a payload it delivers is evidence from that
+// epoch, however late its job runs.
+type pushedEvent struct {
+	push.Event
+	epoch *time.Time
 }
 
 // supersedes reports whether ev should replace cur in an entry's
@@ -393,8 +422,8 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 // refused it, or the body alone overflows MaxBytes (installing it would
 // immediately evict the object) — and the caller degrades to the pushed
 // confirmation poll, the next rung of the ladder. The Δ guarantee never
-// rests on this path.
-func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
+// rests on this path. epoch is the lease epoch the event arrived in.
+func (p *Proxy) applyPushedValue(e *entry, ev *push.Event, epoch *time.Time) bool {
 	if !p.cfg.PushValues || e.evicted.Load() {
 		// Nothing may be installed for an evicted entry; the poll path's
 		// own eviction check disposes of the job.
@@ -433,20 +462,23 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event) bool {
 		hasLastMod:  !ev.ModTime.IsZero(),
 		applied:     true,
 		delta:       ev.BaseDigest != "",
+		epoch:       epoch,
 	})
 	return true
 }
 
 // applyPushedToDisk lands a pushed payload on the disk record of an
 // object that is no longer (or not yet again) resident — a CLOCK
-// demotion whose record survives in the persistent tier. Without this,
-// every push for a demoted object is dropped and the record ages
-// toward a promotion poll; with it, the record tracks the origin and
-// the next promotion's conditional fetch answers 304 against fresh
-// state. The version check and the verification are the resident
-// path's (versionHeld, verifyPushed), run against the record and — for
-// a delta — the blob read back from disk. It reports whether the event
-// was fully handled (installed, or recognized as a duplicate).
+// demotion whose record survives in the persistent tier. With it, the
+// record tracks the origin: under a live lease the next promotion needs
+// no upstream request at all (see channelAnswer), and outside one its
+// conditional fetch answers 304 against fresh state. The version check
+// and the verification are the resident path's (versionHeld,
+// verifyPushed), run against the record and — for a delta — the blob
+// read back from disk. It reports whether the event was fully handled
+// (installed, or recognized as a duplicate); one it could not absorb
+// voids the record (see handlePushEvent). It runs only on the
+// subscriber's goroutine, so records take events in stream order.
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	if !p.cfg.PushValues || p.disk == nil {
 		return false
@@ -517,11 +549,37 @@ func (p *Proxy) eventKeyResolvesTo(key string) bool {
 	return canonicalize(decoded) == key
 }
 
-// handlePushConnect marks the channel healthy. A resumed connection
-// whose gap outran the origin's replay buffer (hello.Reset) ran blind
-// while leased, so the catch-up sweep revalidates on the paper-mode
-// schedule before any key is leased again.
+// pushable reports whether the origin can announce the object cached
+// under key in group at all: its events resolve back to the key (see
+// eventKeyResolvesTo) and fit a wire frame. An entry keeps the answer as
+// !unpushable; a disk record is asked afresh (see channelAnswer).
+func (p *Proxy) pushable(key, group string) bool {
+	return p.eventKeyResolvesTo(key) && !push.Event{Kind: push.KindUpdate, Key: key, Group: group}.Oversized()
+}
+
+// startEpoch begins a new lease epoch (see Proxy.leaseEpoch). The
+// subscriber's callbacks run on one goroutine, so epochs begin in stream
+// order.
+func (p *Proxy) startEpoch() {
+	if p.leaseTerm > 0 {
+		now := p.cfg.Clock()
+		p.leaseEpoch.Store(&now)
+	}
+}
+
+// inEpoch reports whether evidence gathered in lease epoch epoch still
+// speaks for the current one. Always true with leases off: no epoch is
+// ever started.
+func (p *Proxy) inEpoch(epoch *time.Time) bool {
+	return p.leaseEpoch.Load() == epoch
+}
+
+// handlePushConnect marks the channel healthy, in a new lease epoch. A
+// resumed connection whose gap outran the origin's replay buffer
+// (hello.Reset) ran blind while leased, so the catch-up sweep
+// revalidates on the paper-mode schedule before any key is leased again.
 func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
+	p.startEpoch()
 	p.pushHealthy.Store(true)
 	if hello.Reset && resumed {
 		// Events were irrecoverably missed (a reconnect gap that outran
@@ -540,9 +598,10 @@ func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
 // and its children will never see, possibly a mid-stream Reset — so the
 // catch-up sweep restores paper-mode schedules and the relay announces
 // the hole downstream, exactly as a Reset would. The channel stays
-// healthy: each key's next poll leases it again, and a well-behaved
-// upstream never triggers this at all.
+// healthy, in a new lease epoch: each key's next poll leases it again,
+// and a well-behaved upstream never triggers this at all.
 func (p *Proxy) handlePushFrameLoss() {
+	p.startEpoch()
 	p.fallbackSweep()
 	p.relayReset()
 }
@@ -568,13 +627,14 @@ func (p *Proxy) handlePushDisconnect(error) {
 //
 // The whole sweep runs inside one schedMu critical section, paired with
 // rescheduleHybrid making its lease decision under the same lock:
-// pushHealthy is cleared before the sweep acquires schedMu, so a racing
-// poll either reschedules first (its item is on the heap and gets
-// swept) or takes the lock after the sweep and reads the channel as
-// unhealthy (no lease). Entries that are mid-poll (item == nil)
-// reschedule through the same gate when they finish. The single hold is
-// a latency spike proportional to the cache size, but a channel death
-// is rare and correctness of the Δt bound wins.
+// pushHealthy is cleared — or, for a Reset or frame loss, a new lease
+// epoch stored — before the sweep acquires schedMu, so a racing poll
+// either reschedules first (its item is on the heap and gets swept) or
+// takes the lock after the sweep and reads the channel as unhealthy or
+// its evidence's epoch as superseded (no lease). Entries that are
+// mid-poll (item == nil) reschedule through the same gate when they
+// finish. The single hold is a latency spike proportional to the cache
+// size, but a channel death is rare and correctness of the Δt bound wins.
 func (p *Proxy) fallbackSweep() {
 	if p.leaseTerm <= 0 {
 		// Leases disabled: every baseNextAt equals its nextAt, so
@@ -613,15 +673,16 @@ func (p *Proxy) fallbackSweep() {
 	}
 }
 
-// leaseCovers reports whether the push channel currently carries e's
-// freshness: the channel is configured, leases are enabled, the origin
-// can announce the object at all (not a query-bearing cache key — events
-// are path-granular — nor a key exceeding the wire frame limit), the
-// stream is healthy, and the live interest declaration matches the
-// object. Anything else keeps pure-polling freshness. Callers hold
-// schedMu (see rescheduleHybrid for why the decision is made there).
-func (p *Proxy) leaseCovers(e *entry) bool {
-	if p.leaseTerm <= 0 || e.unpushable || !p.pushHealthy.Load() {
+// leaseCovers reports whether the push channel currently carries the
+// freshness of the object cached under key in group, given that the
+// origin can announce it at all (see pushable; callers check that — not
+// a query-bearing cache key, events are path-granular, nor a key
+// exceeding the wire frame limit): leases are enabled, the stream is
+// healthy, and the live interest declaration matches the object.
+// Anything else keeps pure-polling freshness. A resident entry's lease
+// is decided under schedMu (see rescheduleHybrid for why).
+func (p *Proxy) leaseCovers(key, group string) bool {
+	if p.leaseTerm <= 0 || !p.pushHealthy.Load() {
 		return false
 	}
 	// An object outside the live upstream declaration has its updates
@@ -632,7 +693,7 @@ func (p *Proxy) leaseCovers(e *entry) bool {
 	// the admission-time bounce. Sound against a racing reconnect: a
 	// lease requires pushHealthy, which flips only after the attempt's
 	// declaration (stored before its request goes out) is in place.
-	return !p.cfg.PushInterest || p.sub.DeclaredInterest().Matches(e.key, e.group)
+	return !p.cfg.PushInterest || p.sub.DeclaredInterest().Matches(key, group)
 }
 
 // resolveLeaseTerm computes the lease term L = PushStretch × Bounds.Max

@@ -207,32 +207,42 @@ func (p *Proxy) placeLocked(e *entry, at, base time.Time) {
 	}
 }
 
-// rescheduleHybrid sets e's next regular poll. Its paper-mode instant
-// is ttr after now; while a lease covers e (see leaseCovers) the poll is
-// an audit of the channel, not of the object, and runs once per lease
-// term instead — one full term after a poll, or at the key's phase
-// inside the first term when the entry was just admitted. The
-// paper-mode instant is remembered so the fallback sweep can restore it
-// if the channel dies before the poll runs. The lease decision is made
-// under schedMu — the same lock the sweep holds for its entire pass — so
-// a poll racing a disconnect either reschedules before the sweep (and is
-// swept back) or observes the channel already unhealthy; a leased
-// instant can never slip onto the heap after the sweep has passed it by.
-func (p *Proxy) rescheduleHybrid(e *entry, now time.Time, ttr time.Duration, admitted bool) {
+// rescheduleHybrid sets e's next regular poll after a validation at
+// validatedAt whose evidence was gathered in lease epoch epoch. Its
+// paper-mode instant is ttr after validatedAt; while a lease covers e
+// (see leaseCovers) and epoch is still the current one, the poll is an
+// audit of the channel, not of the object, and runs once per lease term
+// instead: one full term after the validation, or — for an entry
+// admitted at admittedAt (zero after a poll) — at the key's phase inside
+// its first term, but never later than validatedAt + L, so a promoted
+// record the channel carried is audited within L of its last validation
+// as a resident key is (for a fetched admission validatedAt is
+// admittedAt, and the phase alone decides). The paper-mode instant is
+// remembered so the fallback sweep can restore it if the channel dies
+// before the poll runs. The lease decision is made under schedMu — the
+// same lock the sweep holds for its entire pass, taken only after a
+// dying channel clears pushHealthy and a new epoch is stored — so a poll
+// racing a disconnect, Reset or frame loss either reschedules before the
+// sweep (and is swept back) or observes the channel unhealthy or its
+// epoch superseded; a leased instant can never slip onto the heap after
+// the sweep has passed it by.
+func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Duration, admittedAt time.Time, epoch *time.Time) {
 	p.schedMu.Lock()
 	if e.evicted.Load() {
 		p.schedMu.Unlock()
 		return
 	}
-	base := now.Add(ttr)
+	base := validatedAt.Add(ttr)
 	at := base
-	if p.leaseCovers(e) {
-		term := p.leaseTerm
-		if admitted {
-			term = p.leasePhase(e.key, ttr)
+	if !e.unpushable && p.leaseCovers(e.key, e.group) && p.inEpoch(epoch) {
+		audit := validatedAt.Add(p.leaseTerm)
+		if !admittedAt.IsZero() {
+			if first := admittedAt.Add(p.leasePhase(e.key, ttr)); first.Before(audit) {
+				audit = first
+			}
 		}
-		if term > ttr {
-			at = now.Add(term)
+		if audit.After(base) {
+			at = audit
 		}
 	}
 	p.placeLocked(e, at, base)
@@ -322,15 +332,8 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		// mid-job must enqueue a fresh job (this one may already have read
 		// an older version).
 		if pending := e.pendingPush.Swap(nil); pending != nil && p.cfg.PushValues {
-			if p.applyPushedValue(e, pending) {
+			if p.applyPushedValue(e, &pending.Event, pending.epoch) {
 				return // installed (or a recognized duplicate): no origin request
-			}
-			if e.evicted.Load() && p.applyPushedToDisk(*pending) {
-				// Demoted mid-flight: the entry left the store between the
-				// event and this job, but its disk record survives — landing
-				// the payload there keeps the demoted copy fresh for the next
-				// promotion.
-				return
 			}
 			p.pushValueFallback.Add(1)
 		}
@@ -339,6 +342,11 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	// queued on its worker) must not poll the origin: eviction promises
 	// the object never causes another upstream request.
 	if e.evicted.Load() {
+		if kind == pollPushed {
+			// Demoted between the event and this job: the update landed
+			// nowhere, so the surviving record must not pass for current.
+			p.voidRecord(e.key)
+		}
 		return
 	}
 	e.mu.RLock()
@@ -351,6 +359,11 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	resp, err := p.fetch(e.key, since)
 	now := p.cfg.Clock()
 	if err != nil {
+		if kind == pollPushed {
+			// The announced update has not landed: were the entry demoted
+			// before the retry, its record must not pass for current.
+			p.voidRecord(e.key)
+		}
 		p.deferRetry(e, now, kind)
 		return
 	}
@@ -363,6 +376,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		lastMod:      resp.lastMod,
 		hasLastMod:   resp.hasLastMod,
 		history:      resp.history,
+		epoch:        resp.epoch,
 	})
 }
 
@@ -390,6 +404,9 @@ type version struct {
 	// applied marks a pushed payload installed with no origin request;
 	// delta, that it arrived as a delta.
 	applied, delta bool
+	// epoch is the lease epoch the version's evidence was gathered in:
+	// the poll's request sent, or the pushed event received.
+	epoch *time.Time
 }
 
 // install is the one way a validated version replaces a resident entry's
@@ -404,7 +421,8 @@ type version struct {
 // regular poll only: triggered and pushed refreshes leave the schedule
 // and the policy's learned TTR untouched), §3.2 group triggering, and
 // the observer emission. An eviction mid-refresh stops everything past
-// the controller guard: the object no longer owns a refresh slot.
+// the controller guard: the object no longer owns a refresh slot, and a
+// new version it swapped in voids the disk record left behind.
 func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	if !v.applied {
 		e.polls.Add(1)
@@ -523,20 +541,30 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		gs.mu.Unlock()
 	}
 	if e.evicted.Load() {
-		return // evicted mid-refresh: no reschedule, no triggering
+		// Evicted mid-refresh: no reschedule, no triggering. A new version
+		// landed on a copy that is gone, so the record it left behind must
+		// not pass for current.
+		if v.modified {
+			p.voidRecord(e.key)
+		}
+		return
 	}
 
 	// The copy is confirmed (or replaced) against the origin: a
 	// rehydrated entry sheds its suspect mark, and the validated state
 	// flows to the disk tier (async write-behind; no-op when persistence
-	// is disabled).
+	// is disabled) — unless a lease epoch began since the evidence was
+	// gathered: stamped now, it would pass for carried across the hole
+	// that ended the last one.
 	if e.suspect.Load() {
 		e.suspect.Store(false)
 	}
-	p.persistEntry(e)
+	if p.inEpoch(v.epoch) {
+		p.persistEntry(e)
+	}
 
 	if kind == pollRegular {
-		p.rescheduleHybrid(e, v.now, ttr, false)
+		p.rescheduleHybrid(e, v.now, ttr, time.Time{}, v.epoch)
 	}
 	// Temporal group triggering; partitioned M_v pairs maintain their
 	// mutual guarantee through the tolerance split instead. Pushed

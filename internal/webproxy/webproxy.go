@@ -47,9 +47,11 @@
 //
 //   - admitFrom (webproxy.go) builds a new entry from config defaults ⊕
 //     the disk record ⊕ the upstream response — a cold miss has no
-//     record, a disk promotion has both, a startup rehydration has no
-//     response and is born suspect — hands it to installEntry (store,
-//     group, schedule, lease-or-not) and accounts for it once.
+//     record, a disk promotion has both (the response a 304 the push
+//     channel answers when a live lease carried the record), a startup
+//     rehydration has no response and is born suspect — hands it to
+//     installEntry (store, group, schedule, lease-or-not) and accounts
+//     for it once.
 //   - install (refresh.go) replaces a resident entry's copy. Its sources
 //     are an origin poll off the TTR schedule (If-Modified-Since, the
 //     modification-history extension consumed when provided), a
@@ -178,7 +180,10 @@ type Config struct {
 	// (events are path-granular) and keys too large for a wire frame —
 	// and objects outside the declared interest are never leased, and
 	// an admission that raced an update of its own key (announced while
-	// the fetch was in flight) keeps the paper-mode first poll.
+	// the fetch was in flight, or lost in a hole that began while it was)
+	// keeps the paper-mode first poll. With DiskDir, a demoted object
+	// whose record the channel has carried since its last validation is
+	// promoted with no upstream request.
 	PushStretch float64
 	// PushValues enables value-carrying push (wire protocol v2): the
 	// subscriber negotiates payload delivery with its upstream, and a
@@ -261,10 +266,11 @@ type Config struct {
 	// DiskDir, when set, enables the persistent disk tier (see disk.go
 	// and internal/diskstore): every validated object is written behind
 	// the in-memory store asynchronously, CLOCK victims demote to disk
-	// instead of vanishing (promoted back through a validating fetch on
-	// the next request), and a restart rehydrates the cache warm with
-	// learned TTR state intact. Empty disables persistence (the
-	// default).
+	// instead of vanishing (promoted back on the next request through a
+	// validating fetch, or with none while a live lease has carried the
+	// record since its last validation), and a restart rehydrates the
+	// cache warm with learned TTR state intact. Empty disables
+	// persistence (the default).
 	DiskDir string
 	// DiskMaxBytes bounds the disk tier's blob bytes; the oldest-
 	// validated records are dropped beyond it. Zero or negative means
@@ -384,7 +390,7 @@ type entry struct {
 	// body rather than the first (installing a stale payload after
 	// dropping its successors would serve old data as fresh). Without
 	// PushValues the job ignores the event and always polls.
-	pendingPush atomic.Pointer[push.Event]
+	pendingPush atomic.Pointer[pushedEvent]
 	// relayedMod is the newest modification instant (UnixNano) this
 	// proxy has sent down its relay hub in full — payload passed
 	// through, or version confirmed after install: the ledger that lets
@@ -478,6 +484,14 @@ type Proxy struct {
 	// leaseTerm is the resolved lease term L = PushStretch × Bounds.Max;
 	// zero when leases are off (no PushURL or PushStretch ≤ 1).
 	leaseTerm time.Duration
+	// leaseEpoch is the instant the current lease epoch began: the last
+	// connect (a Bounce reconnects), Reset or frame loss, stored before
+	// pushHealthy flips. Since then the channel has announced every
+	// update. Nil before the first connect and whenever leases are off.
+	// Each epoch is a new pointer, so evidence gathered in one (a fetch
+	// sent, an event received) is matched to the current epoch by
+	// identity, whatever the clock reads (see inEpoch).
+	leaseEpoch atomic.Pointer[time.Time]
 	// pushApplied counts pushed payloads installed directly (no origin
 	// request); pushValueFallback counts pushed jobs that had to poll
 	// after all — digest mismatch, missing or stripped payload, or a
@@ -514,11 +528,12 @@ type Proxy struct {
 	downstream push.InterestSet
 
 	// Persistent disk tier (see disk.go); nil unless Config.DiskDir.
-	disk            *diskstore.Store
-	diskDemotions   atomic.Uint64
-	diskPromotions  atomic.Uint64
-	diskRehydrated  atomic.Uint64
-	diskGraceServes atomic.Uint64
+	disk                 *diskstore.Store
+	diskDemotions        atomic.Uint64
+	diskPromotions       atomic.Uint64
+	diskLeasedPromotions atomic.Uint64
+	diskRehydrated       atomic.Uint64
+	diskGraceServes      atomic.Uint64
 
 	// Expvar-style cache counters. Misses, evictions, and capped
 	// admissions are counted on the (cold) admission/eviction paths
@@ -870,12 +885,15 @@ func writeObject(w http.ResponseWriter, r *http.Request, body []byte, contentTyp
 
 // admit brings a non-resident object into the cache: a cold miss fetches
 // it, a key that lives only on disk — demoted by CLOCK replacement, or
-// left beyond the grace window at startup — is promoted through a
-// validating conditional fetch, so the entry re-enters the store
-// validated, never suspect, and promotion cannot widen the Δt bound. A
-// failed fetch serves nothing stale on this demand path: the client gets
-// the same 502 either way. Callers serialize per key through the
-// singleflight group — one fetch per key, concurrent requesters share it.
+// left beyond the grace window at startup — is promoted: revalidated by a
+// conditional fetch, or, when the push channel has carried the record's
+// freshness since its last validation, by the 304 the channel answers in
+// the origin's place (see channelAnswer). Either way the entry re-enters
+// the store validated, never suspect, and promotion cannot widen the Δt
+// bound. A failed fetch serves nothing stale on this demand path: the
+// client gets the same 502 either way. Callers serialize per key through
+// the singleflight group — one fetch per key, concurrent requesters share
+// it.
 func (p *Proxy) admit(key string) (*entry, error) {
 	if e := p.store.get(key); e != nil {
 		return e, nil
@@ -891,9 +909,12 @@ func (p *Proxy) admit(key string) (*entry, error) {
 			}
 		}
 	}
-	resp, err := p.fetch(key, since)
-	if err != nil {
-		return nil, err
+	resp := p.channelAnswer(key, rec)
+	if resp == nil {
+		var err error
+		if resp, err = p.fetch(key, since); err != nil {
+			return nil, err
+		}
 	}
 	return p.admitFrom(key, rec, diskBody, resp), nil
 }
@@ -906,11 +927,18 @@ type admission struct {
 	cacheControl string
 	lastMod      time.Time
 	hasLastMod   bool
-	validatedAt  time.Time
-	delta        time.Duration
-	groupDelta   time.Duration
-	valueDelta   float64
-	group        string
+	// validatedAt is the instant the copy is vouched for: now, after a
+	// fetch; the record's own validation instant, for a record the
+	// channel carried (see channelAnswer) or rehydrated. now is the
+	// admission instant, the base of a lease's first audit.
+	validatedAt, now time.Time
+	// epoch is the lease epoch the evidence was gathered in (see
+	// Proxy.leaseEpoch).
+	epoch      *time.Time
+	delta      time.Duration
+	groupDelta time.Duration
+	valueDelta float64
+	group      string
 	// isValue selects value-domain consistency (§4.1): the origin
 	// advertised a Δv tolerance and the body parsed as the decimal value.
 	isValue bool
@@ -950,10 +978,12 @@ func (a *admission) overlay(t httpx.Tolerances) {
 // actually entered the store is counted, persisted and observed — not
 // one capped because its body alone overflows MaxBytes (returned with
 // capped set, served uncached), nor one that lost to a concurrent
-// admission (the resident entry is returned instead).
+// admission (the resident entry is returned instead). A record the
+// channel carried is counted and observed but not written back, since
+// nothing changed; nor is the copy of an admission that raced an update.
 func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, resp *upstreamResponse) *entry {
 	now := p.cfg.Clock()
-	a := admission{validatedAt: now, delta: p.cfg.DefaultDelta, groupDelta: p.cfg.DefaultGroupDelta}
+	a := admission{validatedAt: now, now: now, delta: p.cfg.DefaultDelta, groupDelta: p.cfg.DefaultGroupDelta}
 	if rec != nil {
 		a.body, a.contentType, a.cacheControl = diskBody, rec.ContentType, rec.CacheControl
 		a.lastMod, a.hasLastMod = rec.LastMod, rec.HasLastMod
@@ -965,6 +995,10 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 	if resp == nil {
 		a.validatedAt, a.suspect = rec.ValidatedAt, true
 	} else {
+		a.epoch = resp.epoch
+		if resp.byChannel {
+			a.validatedAt = rec.ValidatedAt
+		}
 		if tol, err := httpx.TolerancesFrom(resp.header); err == nil {
 			a.overlay(tol)
 		}
@@ -985,7 +1019,7 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 		a.isValue, a.value = true, v
 	}
 
-	e, inserted := p.installEntry(key, a)
+	e, inserted, raced := p.installEntry(key, a)
 	if !inserted {
 		return e
 	}
@@ -995,11 +1029,20 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 	}
 	if rec != nil {
 		p.diskPromotions.Add(1)
+		if resp.byChannel {
+			p.diskLeasedPromotions.Add(1)
+		}
 	}
-	p.persistEntry(e)
+	// A carried record is what the disk holds already. A raced admission's
+	// body may predate an update the channel announced — and landed on the
+	// record or voided it — or lost, so writing it back would stamp an old
+	// body as freshly validated.
+	if !raced && !resp.byChannel {
+		p.persistEntry(e)
+	}
 	if obs := p.cfg.PollObserver; obs != nil {
 		obs(PollObservation{
-			Key: key, At: now, Modified: !resp.notModified, Initial: true,
+			Key: key, At: a.validatedAt, Modified: !resp.notModified, Initial: true,
 			Value: a.value, HasValue: a.isValue,
 		})
 	}
@@ -1008,10 +1051,11 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 
 // installEntry builds the entry and registers it with the store, its
 // consistency group, and the refresh schedule. It reports whether the
-// entry was inserted: false means capped (e.capped set, served
+// entry was inserted — false means capped (e.capped set, served
 // uncached) or lost to a concurrent admission (the resident entry is
-// returned instead).
-func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
+// returned instead) — and whether the admission raced an update under
+// a lease, in which case its copy must not reach the disk tier.
+func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 	e := &entry{
 		key:          key,
 		group:        a.group,
@@ -1031,12 +1075,11 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 	if p.sub != nil {
 		// An object the channel can never announce must never be
 		// leased — the object keeps pure-polling freshness
-		// instead (see eventKeyResolvesTo).
-		e.unpushable = !p.eventKeyResolvesTo(key) ||
-			push.Event{Kind: push.KindUpdate, Key: key, Group: a.group}.Oversized()
+		// instead (see pushable).
+		e.unpushable = !p.pushable(key, a.group)
 	}
 	if !a.suspect {
-		e.polls.Store(1) // the admission fetch
+		e.polls.Store(1) // the admission's validation: a fetch, or the channel's 304
 	}
 	// Value-domain objects run AdaptiveTTR over Δv; everything else LIMD.
 	if a.isValue {
@@ -1063,10 +1106,10 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		// refresh schedule. The next request proxies again.
 		e.capped = true
 		p.cappedN.Add(1)
-		return e, false
+		return e, false, false
 	}
 	if !inserted {
-		return actual, false
+		return actual, false, false
 	}
 	// Unwind the victims the admission displaced before scheduling the
 	// newcomer, so their refresh slots are gone by the time ours exists.
@@ -1087,7 +1130,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 
 	if a.suspect {
 		p.reschedule(e, p.cfg.Clock()) // immediate validation poll
-		return e, true
+		return e, true, false
 	}
 	e.mu.RLock()
 	ttr := e.policy.InitialTTR()
@@ -1095,20 +1138,23 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool) {
 		ttr = t.TTR() // restored schedule, not a cold restart at TTRmin
 	}
 	e.mu.RUnlock()
-	if p.leaseTerm > 0 && p.flight.Marked(key) {
-		// An update for the key was announced while this admission was in
+	if p.leaseTerm > 0 && (p.flight.Marked(key) || !p.inEpoch(a.epoch)) {
+		// The body in hand may predate an update the channel will not
+		// announce again: one was announced while this admission was in
 		// flight and found nothing resident to refresh (see
-		// handlePushEvent), so the body in hand may predate it and the
-		// channel will not say so again: no lease, the first poll runs at
-		// the paper-mode instant. Read after store.put on purpose — an
-		// event that marks later than this finds the entry instead.
+		// handlePushEvent), or a lease epoch began after the evidence was
+		// gathered — a fetch sent before a connect, Reset or frame loss
+		// straddles the hole that ended the last one, and the sweep ran
+		// before this entry existed. No lease: the first poll runs at the
+		// paper-mode instant. Read after store.put on purpose — an event
+		// that marks later than this finds the entry instead.
 		p.reschedule(e, a.validatedAt.Add(ttr))
-		return e, true
+		return e, true, true
 	}
-	// A lease starts at install: a covered key's first poll already sits
+	// A lease starts at install: a covered key's first audit already sits
 	// at its phase inside the first term, not at validatedAt + TTR.
-	p.rescheduleHybrid(e, a.validatedAt, ttr, true)
-	return e, true
+	p.rescheduleHybrid(e, a.validatedAt, ttr, a.now, a.epoch)
+	return e, true, false
 }
 
 // unwind finishes an eviction: each victim — already removed from the
@@ -1209,6 +1255,14 @@ type upstreamResponse struct {
 	hasLastMod  bool
 	history     []time.Time
 	header      http.Header
+	// epoch is the lease epoch the request was sent in: a response built
+	// before an epoch began cannot speak for the updates the hole that
+	// ended the previous one swallowed.
+	epoch *time.Time
+	// byChannel marks the 304 a live lease answers for a promotion, in
+	// place of the origin (see channelAnswer): no request was sent, and
+	// the record vouches for itself as of its own validation instant.
+	byChannel bool
 }
 
 // fetch performs one upstream request and records its outcome in the
@@ -1216,6 +1270,7 @@ type upstreamResponse struct {
 // fetches, scheduled polls, triggered and pushed polls — flows through
 // here, so UpstreamStatus always reflects the most recent contact.
 func (p *Proxy) fetch(key string, since time.Time) (*upstreamResponse, error) {
+	epoch := p.leaseEpoch.Load()
 	resp, err := p.fetchUpstream(key, since)
 	now := p.cfg.Clock()
 	p.upMu.Lock()
@@ -1227,7 +1282,11 @@ func (p *Proxy) fetch(key string, since time.Time) (*upstreamResponse, error) {
 		p.lastUpstreamOKAt = now
 	}
 	p.upMu.Unlock()
-	return resp, err
+	if err != nil {
+		return nil, err
+	}
+	resp.epoch = epoch
+	return resp, nil
 }
 
 // UpstreamStatus reports the proxy's most recent origin contact: the

@@ -14,6 +14,12 @@
 #
 # Usage: scripts/bench-pairs.sh <parent-ref> <pr> [pairs=10]
 #        FIRST_SEED=11 scripts/bench-pairs.sh ...   (extend an earlier set)
+#        CLAIM=origin_req_per_s@miss-churn scripts/bench-pairs.sh ...
+# With CLAIM, the end-to-end metric the PR claims a gain on is written to
+# `claim` with a mechanical verdict by the choosing-metrics rule: the
+# change wins at least 9 in 10 of all pairs run (ties count for neither
+# side), and the medians differ, in the better direction, by more than the
+# parent's quartile spread.
 # Raw per-run output stays in the temporary directory the script names.
 set -eu
 cd "$(dirname "$0")/.."
@@ -21,6 +27,13 @@ if [ $# -lt 2 ]; then
     echo "usage: $0 <parent-ref> <pr> [pairs=10]" >&2
     exit 2
 fi
+case "${CLAIM:-}" in
+"" | ?*@?*) ;;
+*)
+    echo "$0: CLAIM must be <metric>@<workload>, got '$CLAIM'" >&2
+    exit 2
+    ;;
+esac
 parent="$(git rev-parse --verify "$1^{commit}")"
 pr="$2"
 pairs="${3:-10}"
@@ -59,10 +72,10 @@ for w in hit-serve miss-churn push-fleet pull-refresh; do
 done
 rm -rf "$work/parent" "$work/out.parent" "$work/out.change"
 
-python3 - "$work/runs" "$pr" "$parent" <<'EOF' >"$work/summary.json"
+python3 - "$work/runs" "$pr" "$parent" "${CLAIM:-}" <<'EOF' >"$work/summary.json"
 import glob, json, os, re, statistics, sys
 
-runs_dir, pr, parent = sys.argv[1:4]
+runs_dir, pr, parent, claim = sys.argv[1:5]
 bench = json.load(open("BENCHMARK.json"))
 SIDES = ("parent", "change")
 
@@ -165,6 +178,27 @@ for w in [x["name"] for x in bench["workloads"]]:
                 side: round(statistics.median(both[s][i][3][name] for s in good), 4)
                 for i, side in enumerate(SIDES)}
     out["workloads"][w] = rec
+
+if claim:
+    metric, workload = claim.split("@", 1)
+    e2e = out["workloads"].get(workload, {}).get("end_to_end", {})
+    if metric not in e2e:
+        sys.exit("bench-pairs: CLAIM %s: no paired %s runs of %s" % (claim, metric, workload))
+    m = e2e[metric]
+    pairs = len(m["parent"]["runs"])
+    gap = m["parent"]["median"] - m["change"]["median"]
+    if m["better"] == "higher":
+        gap = -gap
+    iqr = m["parent"]["q3"] - m["parent"]["q1"]
+    met = 10 * m["change_wins"] >= 9 * pairs and gap > iqr
+    out["claim"] = {
+        "workload": workload, "metric": metric, "better": m["better"],
+        "pairs": pairs, "change_wins": m["change_wins"], "change_losses": m["change_losses"],
+        "parent_median": m["parent"]["median"], "change_median": m["change"]["median"],
+        "median_gain": round(gap, 6), "parent_iqr": round(iqr, 6),
+        "rule": "change wins >= 9/10 of all pairs (ties count for neither) and median gain > parent IQR",
+        "met": met,
+    }
 
 
 def render(x, depth=0):

@@ -3,7 +3,10 @@
 # waits for /healthz to report ok (the push channel connects in well
 # under a second), validates the /metrics exposition with the strict
 # in-repo parser (cmd/opscheck), exercises the serve path once, and
-# re-scrapes. Fails on any non-200 probe or unparseable exposition.
+# re-scrapes; one object fits in memory, so a second one demotes the
+# first to the disk tier, and the first's next request must come back as
+# a promotion the live lease answers. Fails on any non-200 probe,
+# unparseable exposition, or missing counter.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -13,10 +16,12 @@ OPS="${OPS:-127.0.0.1:19089}"
 go build -o /tmp/mcproxy-ops-smoke ./cmd/mcproxy
 go build -o /tmp/opscheck-ops-smoke ./cmd/opscheck
 
+DISK="$(mktemp -d)"
 /tmp/mcproxy-ops-smoke -demo -push -push-values -relay-events \
+  -max-objects 1 -disk-dir "$DISK" \
   -listen "$LISTEN" -ops-listen "$OPS" -run-for 60s &
 PROXY_PID=$!
-trap 'kill "$PROXY_PID" 2>/dev/null || true' EXIT INT TERM
+trap 'kill "$PROXY_PID" 2>/dev/null || true; rm -rf "$DISK"' EXIT INT TERM
 
 # /healthz is 503 until the push subscription connects; poll briefly.
 i=0
@@ -40,6 +45,13 @@ curl -fsS -I "http://$LISTEN/news/story.html" >/dev/null  # HEAD conformance
 curl -fsS "http://$OPS/metrics" | /tmp/opscheck-ops-smoke
 curl -fsS "http://$OPS/metrics" | grep -q '^broadway_cache_misses_total [1-9]' || {
   echo "ops-smoke: proxied traffic not visible in the scrape" >&2
+  exit 1
+}
+curl -fsS "http://$LISTEN/news/photo.jpg" >/dev/null   # demotes the story
+curl -fsS "http://$LISTEN/news/story.html" >/dev/null  # promotes it
+curl -fsS "http://$OPS/metrics" | grep -q '^broadway_disk_leased_promotions_total [1-9]' || {
+  echo "ops-smoke: the demoted object was not promoted under the lease" >&2
+  curl -fsS "http://$OPS/metrics" | grep '^broadway_disk_' >&2 || true
   exit 1
 }
 echo "ops-smoke: pass"
