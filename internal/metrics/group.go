@@ -18,12 +18,14 @@ import (
 type GroupTemporalReport struct {
 	// Members is the group size.
 	Members int
-	// Polls counts polls across all members.
+	// Polls counts polls across all members; sync instants are not
+	// polls.
 	Polls int
 	// TriggeredPolls counts controller-triggered polls.
 	TriggeredPolls int
 	// SyncViolations counts update-detecting polls for which some
-	// member had no poll within δ (poll-phase semantics, generalized).
+	// member had no poll or sync instant within δ (poll-phase semantics,
+	// generalized).
 	SyncViolations int
 	// Violations counts refresh instants after which some pair of
 	// cached versions was more than δ apart (interval semantics).
@@ -55,12 +57,9 @@ func EvaluateMutualTemporalGroup(traces []*trace.Trace, logs [][]Refresh, delta,
 	}
 	empty := false
 	for i := range logs {
-		rep.Polls += len(logs[i])
-		for _, r := range logs[i] {
-			if r.Triggered {
-				rep.TriggeredPolls++
-			}
-		}
+		polls, triggered := countPolls(logs[i])
+		rep.Polls += polls
+		rep.TriggeredPolls += triggered
 		if len(logs[i]) == 0 {
 			empty = true
 		}
@@ -74,7 +73,8 @@ func EvaluateMutualTemporalGroup(traces []*trace.Trace, logs [][]Refresh, delta,
 	}
 
 	// Poll-phase semantics: an update-detecting poll of member i
-	// violates if any other member lacks a poll within δ of it.
+	// violates if any other member lacks a poll or sync instant within δ
+	// of it.
 	sortedTimes := make([][]time.Duration, n)
 	for i := range logs {
 		ts := make([]time.Duration, len(logs[i]))
@@ -86,7 +86,7 @@ func EvaluateMutualTemporalGroup(traces []*trace.Trace, logs [][]Refresh, delta,
 	for i := range logs {
 		for j := 1; j < len(logs[i]); j++ {
 			r := logs[i][j]
-			if !r.Modified || r.At.Duration() > horizon {
+			if !r.Modified || r.Sync || r.At.Duration() > horizon {
 				continue
 			}
 			for k := range logs {

@@ -78,6 +78,30 @@ func TestGroupThreeMembers(t *testing.T) {
 	}
 }
 
+// TestGroupCreditsSyncInstants: the three-member scenario above, with the
+// channel vouching for c at both of a's updates and for b at a's second.
+// Every member then has a poll or sync instant within δ of each
+// update-detecting poll, and the sync instants move b's and c's intervals,
+// so both semantics read clean; Polls and TriggeredPolls do not count them.
+func TestGroupCreditsSyncInstants(t *testing.T) {
+	trs := groupTraces()
+	logs := [][]Refresh{
+		{{At: at(0)}, {At: at(15 * time.Minute), Modified: true}, {At: at(45 * time.Minute), Modified: true}},
+		{{At: at(0)}, {At: at(15 * time.Minute), Modified: true}, {At: at(45 * time.Minute), Sync: true}},
+		{{At: at(0)}, {At: at(15 * time.Minute), Sync: true}, {At: at(45 * time.Minute), Sync: true}},
+	}
+	rep := EvaluateMutualTemporalGroup(trs, logs, 5*time.Minute, time.Hour)
+	if rep.Polls != 6 || rep.TriggeredPolls != 0 {
+		t.Errorf("Polls/TriggeredPolls = %d/%d, want 6/0: sync instants are not polls", rep.Polls, rep.TriggeredPolls)
+	}
+	if rep.SyncViolations != 0 {
+		t.Errorf("SyncViolations = %d, want the sync instants credited", rep.SyncViolations)
+	}
+	if rep.Violations != 0 || rep.OutOfSync != 0 {
+		t.Errorf("Violations = %d, OutOfSync = %v, want b and c moved at their sync instants", rep.Violations, rep.OutOfSync)
+	}
+}
+
 func TestGroupSynchronizedPerfect(t *testing.T) {
 	trs := groupTraces()
 	var logs [][]Refresh

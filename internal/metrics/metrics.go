@@ -37,6 +37,31 @@ type Refresh struct {
 	// Triggered marks polls requested by a mutual-consistency
 	// controller rather than the object's own schedule.
 	Triggered bool
+	// Sync marks a synchronisation instant that is not a poll: the copy
+	// was known current at At without a request — a push channel's lease
+	// vouched for it when a group member's update ran §3.2 triggering.
+	// The mutual temporal evaluators credit it as a sibling's poll within
+	// δ and as a refresh instant of the interval semantics, but never
+	// count it in Polls or TriggeredPolls, so the fidelity ratios are not
+	// flattered by instants nobody paid for. The per-object evaluators
+	// take poll logs only.
+	Sync bool
+}
+
+// countPolls returns how many of log's entries are polls, and how many of
+// those a mutual-consistency controller triggered; sync instants are
+// neither.
+func countPolls(log []Refresh) (polls, triggered int) {
+	for _, r := range log {
+		if r.Sync {
+			continue
+		}
+		polls++
+		if r.Triggered {
+			triggered++
+		}
+	}
+	return polls, triggered
 }
 
 // TemporalReport summarizes Δt-consistency metrics for one object.
@@ -188,23 +213,25 @@ func valueOutOfSync(tr *trace.Trace, log []Refresh, delta float64, horizon time.
 //   - Sync (poll-phase) semantics — the counting the paper's §3.2
 //     mechanism is built around: when a poll detects an update to one
 //     object, the pair is considered violated unless the sibling has a
-//     poll within δ of that instant ("an additional poll is triggered for
-//     an object only if its next/previous poll instant is more than δ
-//     time units away"). Under this metric the triggered-polls approach
-//     has fidelity 1 by construction, exactly as the paper states.
+//     poll — or a sync instant (see Refresh.Sync) — within δ of that
+//     instant ("an additional poll is triggered for an object only if its
+//     next/previous poll instant is more than δ time units away"). Under
+//     this metric the triggered-polls approach has fidelity 1 by
+//     construction, exactly as the paper states.
 //   - Interval semantics — the literal reading of Eq. 4: the cached
 //     versions' server-validity intervals must come within δ of each
 //     other. This is a weaker requirement at measurement time (a cached
 //     copy that is still current never violates it) and is reported as a
 //     stricter ground-truth cross-check.
 type MutualTemporalReport struct {
-	// Polls counts polls of both objects combined.
+	// Polls counts polls of both objects combined; sync instants are not
+	// polls.
 	Polls int
 	// TriggeredPolls counts the subset requested by the mutual
 	// controller.
 	TriggeredPolls int
 	// SyncViolations counts update-detecting polls with no sibling poll
-	// within δ (poll-phase semantics).
+	// or sync instant within δ (poll-phase semantics).
 	SyncViolations int
 	// Violations counts refresh instants after which the pair's cached
 	// versions' validity intervals were more than δ apart (interval
@@ -228,19 +255,11 @@ type MutualTemporalReport struct {
 // Eq. 4: the cached versions are mutually consistent iff the distance
 // between their server-validity intervals is at most δ.
 func EvaluateMutualTemporal(trA, trB *trace.Trace, logA, logB []Refresh, delta, horizon time.Duration) MutualTemporalReport {
-	rep := MutualTemporalReport{
-		Polls:   len(logA) + len(logB),
-		Horizon: horizon,
-	}
-	for _, r := range logA {
-		if r.Triggered {
-			rep.TriggeredPolls++
-		}
-	}
-	for _, r := range logB {
-		if r.Triggered {
-			rep.TriggeredPolls++
-		}
+	rep := MutualTemporalReport{Horizon: horizon}
+	for _, log := range [][]Refresh{logA, logB} {
+		polls, triggered := countPolls(log)
+		rep.Polls += polls
+		rep.TriggeredPolls += triggered
 	}
 	if len(logA) == 0 || len(logB) == 0 {
 		rep.FidelityBySync = 1
@@ -281,9 +300,9 @@ func EvaluateMutualTemporal(trA, trB *trace.Trace, logA, logB []Refresh, delta, 
 	ivB := validity(trB, logB[0].At.Duration())
 	haveA, haveB := false, false
 	tl := stats.NewBoolTimeline(start.Duration(), false)
-	// Refreshes at the same instant (a triggered poll synchronizing the
-	// sibling) apply atomically: the state is evaluated once per
-	// distinct instant, after all refreshes at it.
+	// Refreshes at the same instant (a triggered poll or a sync instant
+	// synchronizing the sibling) apply atomically: the state is evaluated
+	// once per distinct instant, after all refreshes at it.
 	for idx := 0; idx < len(events); idx++ {
 		ev := events[idx]
 		if ev.at > horizon {
@@ -316,8 +335,8 @@ func EvaluateMutualTemporal(trA, trB *trace.Trace, logA, logB []Refresh, delta, 
 }
 
 // syncViolations counts the update-detecting polls of logX (beyond the
-// initial fetch) that have no logY poll within delta (poll-phase
-// semantics of §3.2). Both logs must be sorted by time.
+// initial fetch) that have no logY poll or sync instant within delta
+// (poll-phase semantics of §3.2). Both logs must be sorted by time.
 func syncViolations(logX, logY []Refresh, delta, horizon time.Duration) int {
 	yTimes := make([]time.Duration, len(logY))
 	for i := range logY {
@@ -325,7 +344,7 @@ func syncViolations(logX, logY []Refresh, delta, horizon time.Duration) int {
 	}
 	count := 0
 	for i := 1; i < len(logX); i++ {
-		if !logX[i].Modified || logX[i].At.Duration() > horizon {
+		if !logX[i].Modified || logX[i].Sync || logX[i].At.Duration() > horizon {
 			continue
 		}
 		if !hasPollWithin(yTimes, logX[i].At.Duration(), delta) {

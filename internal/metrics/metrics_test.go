@@ -197,6 +197,34 @@ func TestEvaluateMutualTemporalHandComputed(t *testing.T) {
 	}
 }
 
+// TestEvaluateMutualTemporalCreditsSyncInstants: the hand-computed pair
+// above, plus one sync instant of B at A's 50m poll (the channel vouched
+// for B then). It clears the sync violation that poll caused and, as a
+// refresh instant, moves B's interval to [30m,∞), ending the interval
+// violation too; Polls and TriggeredPolls do not count it.
+func TestEvaluateMutualTemporalCreditsSyncInstants(t *testing.T) {
+	trA, trB := mutualTraces()
+	logA := []Refresh{{At: at(0)}, {At: at(15 * time.Minute), Modified: true}, {At: at(50 * time.Minute), Modified: true}}
+	logB := []Refresh{{At: at(0)}, {At: at(13 * time.Minute), Modified: true, Triggered: true}}
+	before := EvaluateMutualTemporal(trA, trB, logA, logB, 5*time.Minute, time.Hour)
+	if before.SyncViolations != 1 || before.Violations != 1 {
+		t.Fatalf("test premise: A@50m violates both semantics without the sync instant: %+v", before)
+	}
+
+	logB = append(logB, Refresh{At: at(50 * time.Minute), Sync: true})
+	rep := EvaluateMutualTemporal(trA, trB, logA, logB, 5*time.Minute, time.Hour)
+	if rep.Polls != before.Polls || rep.TriggeredPolls != before.TriggeredPolls {
+		t.Errorf("Polls/TriggeredPolls = %d/%d, want %d/%d: a sync instant is not a poll",
+			rep.Polls, rep.TriggeredPolls, before.Polls, before.TriggeredPolls)
+	}
+	if rep.SyncViolations != 0 || rep.FidelityBySync != 1 {
+		t.Errorf("SyncViolations = %d (fSync %v), want the sync instant credited", rep.SyncViolations, rep.FidelityBySync)
+	}
+	if rep.Violations != 0 || rep.OutOfSync != 0 {
+		t.Errorf("Violations = %d, OutOfSync = %v, want B's interval moved at 50m", rep.Violations, rep.OutOfSync)
+	}
+}
+
 func TestEvaluateMutualTemporalSynchronizedPollsPerfect(t *testing.T) {
 	trA, trB := mutualTraces()
 	// Both polled together frequently: intervals always overlap within δ.

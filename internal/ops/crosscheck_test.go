@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"broadway/internal/core"
+	"broadway/internal/httpx"
 	"broadway/internal/push"
 	"broadway/internal/webproxy"
 	"broadway/internal/webserver"
@@ -125,7 +126,9 @@ func proxyExpectations(cs webproxy.CacheStats, us webproxy.UpstreamStatus, ps we
 		"RegularPolls":    one("broadway_polls_total", float64(cs.RegularPolls), Label{"kind", "regular"}),
 		"TriggeredPolls":  one("broadway_polls_total", float64(cs.TriggeredPolls), Label{"kind", "triggered"}),
 		"PushedPolls":     one("broadway_polls_total", float64(cs.PushedPolls), Label{"kind", "pushed"}),
-		"UpstreamErrors":  one("broadway_upstream_errors_total", float64(cs.UpstreamErrors)),
+
+		"GroupChannelSyncs": one("broadway_group_channel_syncs_total", float64(cs.GroupChannelSyncs)),
+		"UpstreamErrors":    one("broadway_upstream_errors_total", float64(cs.UpstreamErrors)),
 		// The CacheStats.Push* fields read the same atomics as PushStats;
 		// they share one series each rather than being exported twice.
 		"PushConnected": one("broadway_push_connected", boolVal(cs.PushConnected)),
@@ -218,6 +221,10 @@ func TestMetricsCrossCheckAgainstStructs(t *testing.T) {
 	t.Cleanup(originSrv.Close)
 	origin.Set("/a", []byte("a1"), "")
 	origin.Set("/b", []byte("b1"), "")
+	// One consistency group, so an update of one member reaches §3.2
+	// triggering, where a leased sibling is vouched for by the channel.
+	origin.SetTolerances("/a", httpx.Tolerances{Group: "ab"})
+	origin.SetTolerances("/b", httpx.Tolerances{Group: "ab"})
 
 	newNode := func(upstream string, relay bool) (*webproxy.Proxy, *httptest.Server) {
 		t.Helper()
@@ -270,7 +277,7 @@ func TestMetricsCrossCheckAgainstStructs(t *testing.T) {
 	get(leafSrv, "/b")
 	get(leafSrv, "/a") // a leaf hit
 	origin.Set("/a", []byte("a2"), "")
-	waitFor(t, 3*time.Second, func() bool { return leaf.PushStats().Events >= 1 })
+	waitFor(t, 3*time.Second, func() bool { return leaf.CacheStats().GroupChannelSyncs >= 1 })
 
 	// Phase 2: kill and revive the origin's event endpoint; the outage
 	// cascades down and every node reconnects on revival.
@@ -363,5 +370,8 @@ func TestMetricsCrossCheckAgainstStructs(t *testing.T) {
 	}
 	if root.CacheStats().Misses == 0 || root.CacheStats().UpstreamErrors != 0 {
 		t.Errorf("root stats %+v look untouched", root.CacheStats())
+	}
+	if leaf.CacheStats().GroupChannelSyncs == 0 {
+		t.Errorf("leaf stats %+v: the channel never vouched for the group sibling", leaf.CacheStats())
 	}
 }

@@ -68,6 +68,7 @@ func writeProxyMetrics(e *exposition, p *webproxy.Proxy) {
 	e.counter("broadway_polls_total", pollsHelp, float64(cs.RegularPolls), Label{"kind", "regular"})
 	e.counter("broadway_polls_total", pollsHelp, float64(cs.TriggeredPolls), Label{"kind", "triggered"})
 	e.counter("broadway_polls_total", pollsHelp, float64(cs.PushedPolls), Label{"kind", "pushed"})
+	e.counter("broadway_group_channel_syncs_total", "Group members the push channel's lease vouched for at a sibling's update, with no triggered poll.", float64(cs.GroupChannelSyncs))
 	e.gauge("broadway_push_lease_term_seconds", "Interval between a covered key's regular polls while the channel is healthy (0 when leases are off).", ps.LeaseTerm.Seconds())
 	e.counter("broadway_push_dropped_total", "Events dropped for non-resident objects.", float64(ps.Dropped))
 	e.counter("broadway_push_value_applied_total", "Pushed payloads installed directly, zero origin polls.", float64(ps.ValueApplied))

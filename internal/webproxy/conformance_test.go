@@ -177,6 +177,11 @@ func replayTrace(t *testing.T, objs []replayObject, horizon time.Duration, cfg C
 			Value:     o.Value,
 			Triggered: o.Triggered || o.Pushed,
 		})
+		// A sibling the channel vouched for is current at this instant,
+		// though nothing polled it.
+		for _, k := range o.Vouched {
+			logs[k] = append(logs[k], metrics.Refresh{At: simtime.At(o.At.Sub(clk.base)), Sync: true})
+		}
 		if o.Applied {
 			applied++
 		} else if o.Pushed {
@@ -507,6 +512,17 @@ func TestConformanceMutualPairMatchesSimulator(t *testing.T) {
 		}
 		if meas.Polls == 0 {
 			t.Errorf("%s: no polls recorded", name)
+		}
+		// Every poll the evaluator counts was an origin request: the sync
+		// instants a leased sibling is credited with are not polls.
+		if meas.Polls != int(res.originPolls) {
+			t.Errorf("%s: evaluator counted %d polls, the origin served %d", name, meas.Polls, res.originPolls)
+		}
+		// Under push, a sibling's triggered poll is replaced by the
+		// channel's vouching only where the lease carries it: §3.2's bound
+		// holds at every update either way.
+		if pushOn && meas.SyncViolations != 0 {
+			t.Errorf("push: %d mutual sync violations, want none", meas.SyncViolations)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -275,7 +276,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		}
 		got := obs[0]
 		got.Key, got.At = "", time.Time{}
-		if got != row.want {
+		if !reflect.DeepEqual(got, row.want) {
 			t.Errorf("%s: observation %+v, want %+v", row.name, got, row.want)
 		}
 		// A §3.2 trigger iff a resident copy was replaced.

@@ -22,6 +22,7 @@ import (
 
 	"broadway/internal/core"
 	"broadway/internal/diskstore"
+	"broadway/internal/httpx"
 	"broadway/internal/push"
 	"broadway/internal/webserver"
 )
@@ -44,6 +45,7 @@ type leaseFleet struct {
 	beforeReply func(path string)
 	failing     map[string]bool // paths the origin answers 503
 	fillers     int             // filler objects demote has admitted so far
+	vouched     []string        // every group member an observation reported vouched for
 }
 
 func newLeaseFleet(t *testing.T, cfg Config) *leaseFleet {
@@ -104,12 +106,13 @@ func startLeaseFleet(t *testing.T, cfg Config, available bool) *leaseFleet {
 	cfg.PushBackoffMax = cfg.PushBackoffMin * 10
 	cfg.PushHeartbeatTimeout = 200 * time.Millisecond
 	cfg.PollObserver = func(o PollObservation) {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.vouched = append(f.vouched, o.Vouched...)
 		if o.Initial || o.Triggered || o.Pushed {
 			return
 		}
-		f.mu.Lock()
 		f.regular[o.Key] = append(f.regular[o.Key], o.At)
-		f.mu.Unlock()
 	}
 	px, err := New(cfg)
 	if err != nil {
@@ -192,6 +195,62 @@ func (f *leaseFleet) requestsFor(key string) int {
 	defer f.mu.Unlock()
 	return f.requests[key]
 }
+
+// holdWorker occupies the proxy's only poll worker with a poll of another
+// key, held at the origin until release, which then waits for the jobs
+// queued behind it to drain.
+func (f *leaseFleet) holdWorker(t *testing.T, clk *simClock) (release func()) {
+	t.Helper()
+	px := f.proxy
+	f.origin.Set("/slow", []byte("s"), "")
+	proxyGet(t, px, "/slow")
+	held := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(held) }) }
+	t.Cleanup(unblock) // before the proxy's Close waits on its worker
+	f.mu.Lock()
+	f.beforeReply = func(p string) {
+		if p == "/slow" {
+			<-held
+		}
+	}
+	f.mu.Unlock()
+	px.reschedule(px.lookup("/slow"), clk.Now())
+	if !waitFor(t, 3*time.Second, func() bool { return f.requestsFor("/slow") == 2 }) {
+		t.Fatal("the worker never started the held poll")
+	}
+	return func() {
+		unblock()
+		if !waitFor(t, 3*time.Second, func() bool { return px.InFlightPolls() == 0 }) {
+			t.Fatal("the queued jobs never drained")
+		}
+	}
+}
+
+// onceBeforeReply runs fn once, inside the first origin request for path
+// from now on: its response built, none of it written yet.
+func (f *leaseFleet) onceBeforeReply(path string, fn func()) {
+	var once sync.Once
+	f.mu.Lock()
+	f.beforeReply = func(p string) {
+		if p == path {
+			once.Do(fn)
+		}
+	}
+	f.mu.Unlock()
+}
+
+// waitPush waits for the channel state a test arranged.
+func (f *leaseFleet) waitPush(t *testing.T, what string, cond func(PushStats) bool) {
+	t.Helper()
+	if !waitFor(t, 3*time.Second, func() bool { return cond(f.proxy.PushStats()) }) {
+		t.Fatalf("%s: %+v", what, f.proxy.PushStats())
+	}
+}
+
+// originPath is the origin path a cache key is fetched from: the key
+// without its query.
+func originPath(key string) string { return strings.SplitN(key, "?", 2)[0] }
 
 // regularSince returns key's first and last regular poll at or after t0.
 func (f *leaseFleet) regularSince(key string, t0 time.Time) (first, last time.Time, ok bool) {
@@ -610,20 +669,12 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 				// The update overtakes the response that missed it: made once
 				// the response is built, announced, and handled by the proxy
 				// before the first byte of that response is written.
-				var once sync.Once
-				f.mu.Lock()
-				f.beforeReply = func(path string) {
-					if path != key {
-						return
+				f.onceBeforeReply(key, func() {
+					seq := update(key, "v2")
+					if !waitFor(t, 3*time.Second, func() bool { return px.PushStats().LastSeq >= seq }) {
+						t.Error("the proxy never handled the update's event")
 					}
-					once.Do(func() {
-						seq := update(key, "v2")
-						if !waitFor(t, 3*time.Second, func() bool { return px.PushStats().LastSeq >= seq }) {
-							t.Error("the proxy never handled the update's event")
-						}
-					})
-				}
-				f.mu.Unlock()
+				})
 				_, body, _ = proxyGet(t, px, key)
 			}
 			if body != "v1" {
@@ -677,48 +728,10 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 		dir string
 		key string // the cache key; the origin path drops its query
 	}
-	path := func(c *fleetCase) string { return strings.SplitN(c.key, "?", 2)[0] }
-	// waitFleet waits for the channel state the case arranged.
-	waitFleet := func(t *testing.T, c *fleetCase, what string, cond func(PushStats) bool) {
-		t.Helper()
-		if !waitFor(t, 3*time.Second, func() bool { return cond(c.f.proxy.PushStats()) }) {
-			t.Fatalf("%s: %+v", what, c.f.proxy.PushStats())
-		}
-	}
 	demote := func(t *testing.T, c *fleetCase) {
 		t.Helper()
 		c.f.proxy.FlushDisk()
 		c.f.demote(t, c.key)
-	}
-	// holdWorker occupies the proxy's only poll worker with a poll of
-	// another key, held at the origin until release, which then waits for
-	// the jobs queued behind it to drain.
-	holdWorker := func(t *testing.T, c *fleetCase) (release func()) {
-		t.Helper()
-		px := c.f.proxy
-		c.f.origin.Set("/slow", []byte("s"), "")
-		proxyGet(t, px, "/slow")
-		held := make(chan struct{})
-		var once sync.Once
-		unblock := func() { once.Do(func() { close(held) }) }
-		t.Cleanup(unblock) // before the proxy's Close waits on its worker
-		c.f.mu.Lock()
-		c.f.beforeReply = func(p string) {
-			if p == "/slow" {
-				<-held
-			}
-		}
-		c.f.mu.Unlock()
-		px.reschedule(px.lookup("/slow"), c.clk.Now())
-		if !waitFor(t, 3*time.Second, func() bool { return c.f.requestsFor("/slow") == 2 }) {
-			t.Fatal("the worker never started the held poll")
-		}
-		return func() {
-			unblock()
-			if !waitFor(t, 3*time.Second, func() bool { return px.InFlightPolls() == 0 }) {
-				t.Fatal("the queued jobs never drained")
-			}
-		}
 	}
 	cases := []struct {
 		name    string
@@ -745,10 +758,10 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				demote(t, c)
 				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
 				c.f.hub.SetAvailable(false)
-				waitFleet(t, c, "never disconnected", func(st PushStats) bool { return !st.Connected })
+				c.f.waitPush(t, "never disconnected", func(st PushStats) bool { return !st.Connected })
 				body := silent(c.f, c.key)
 				c.f.hub.SetAvailable(true)
-				waitFleet(t, c, "never reconnected", func(st PushStats) bool { return st.Connected })
+				c.f.waitPush(t, "never reconnected", func(st PushStats) bool { return st.Connected })
 				return body
 			},
 		},
@@ -759,7 +772,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
 				body := silent(c.f, c.key)
 				c.f.hub.Reset()
-				waitFleet(t, c, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
+				c.f.waitPush(t, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
 				return body
 			},
 		},
@@ -780,7 +793,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
 				body := silent(c.f, c.key)
 				c.f.proxy.sub.Bounce()
-				waitFleet(t, c, "never came back from the bounce", func(st PushStats) bool {
+				c.f.waitPush(t, "never came back from the bounce", func(st PushStats) bool {
 					return st.Bounces == 1 && st.Connects == 2 && st.Connected
 				})
 				return body
@@ -791,7 +804,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			spoil: func(t *testing.T, c *fleetCase) string {
 				demote(t, c)
 				c.f.hub.SetAvailable(false)
-				waitFleet(t, c, "never disconnected", func(st PushStats) bool { return !st.Connected })
+				c.f.waitPush(t, "never disconnected", func(st PushStats) bool { return !st.Connected })
 				return silent(c.f, c.key)
 			},
 		},
@@ -808,7 +821,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			key:  "/k/doc?x=1",
 			spoil: func(t *testing.T, c *fleetCase) string {
 				demote(t, c)
-				return silent(c.f, path(c))
+				return silent(c.f, originPath(c.key))
 			},
 		},
 		{
@@ -879,7 +892,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			cfg:  func(cfg *Config) { cfg.PollWorkers = 1 },
 			spoil: func(t *testing.T, c *fleetCase) string {
 				px := c.f.proxy
-				release := holdWorker(t, c)
+				release := c.f.holdWorker(t, c.clk)
 				c.f.handled(t, c.f.updateValue(c.key, "v2"))
 				if st := px.PushStats(); st.Polls != 1 {
 					t.Fatalf("test premise: no pushed job queued: %+v", st)
@@ -904,12 +917,12 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				cfg.PollWorkers, cfg.DefaultDelta, cfg.Bounds.Min = 1, 5*time.Second, 5*time.Second
 			},
 			spoil: func(t *testing.T, c *fleetCase) string {
-				release := holdWorker(t, c)
+				release := c.f.holdWorker(t, c.clk)
 				c.f.handled(t, c.f.updateValue(c.key, "v2"))
 				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
 				c.f.origin.Set(c.key, []byte("v3"), "") // lost in the hole
 				c.f.hub.Reset()
-				waitFleet(t, c, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
+				c.f.waitPush(t, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
 				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
 				release()
 				if b, _ := c.f.proxy.CachedBody(c.key); string(b) != "v2" {
@@ -1006,7 +1019,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			}
 			c.f = newLeaseFleet(t, cfg)
 			px := c.f.proxy
-			c.f.origin.Set(path(c), []byte("v1"), "")
+			c.f.origin.Set(originPath(c.key), []byte("v1"), "")
 			// Validated strictly inside the lease epoch the connect began.
 			c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
 			if code, body, _ := proxyGet(t, px, c.key); code != http.StatusOK || body != "v1" {
@@ -1017,13 +1030,118 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			if px.lookup(c.key) != nil {
 				t.Fatal("test premise: the key is still resident")
 			}
-			before := c.f.requestsFor(path(c))
+			before := c.f.requestsFor(originPath(c.key))
 			code, body, _ := proxyGet(t, px, c.key)
 			if code != http.StatusOK || body != want {
 				t.Errorf("promotion served %d %q, want the origin's current %q", code, body, want)
 			}
-			fetched := c.f.requestsFor(path(c)) - before
+			fetched := c.f.requestsFor(originPath(c.key)) - before
 			leased := px.DiskStats().LeasedPromotions
+			switch {
+			case tc.carried && (fetched != 0 || leased != 1):
+				t.Errorf("carried record: %d origin requests and %d leased promotions, want none and one", fetched, leased)
+			case !tc.carried && (fetched != 1 || leased != 0):
+				t.Errorf("%d origin requests and %d leased promotions, want one fetch and none", fetched, leased)
+			}
+		})
+	}
+}
+
+// TestOverrideJournalsOnlyACarriedEntry: a runtime tolerance override
+// writes the resident entry's record only while the lease carries the
+// entry. One in paper-mode recovery — an admission that raced an update, a
+// pushed poll that failed — holds a copy older than the origin's; a record
+// stamped with its validation would pass for carried, so were the entry
+// demoted before the override's own poll, the next promotion would serve
+// that copy without a fetch. The control shows a carried entry's record
+// written with the new tolerance and promoted with none.
+func TestOverrideJournalsOnlyACarriedEntry(t *testing.T) {
+	const ttrMin = time.Second
+	cases := []struct {
+		name    string
+		values  bool
+		carried bool
+		// stage admits key (v1 at the origin) and leaves the origin holding
+		// the body a promotion must serve.
+		stage func(t *testing.T, f *leaseFleet, clk *simClock, key string) string
+	}{
+		{
+			name: "carried (control)", carried: true,
+			stage: func(t *testing.T, f *leaseFleet, clk *simClock, key string) string {
+				proxyGet(t, f.proxy, key)
+				return "v1"
+			},
+		},
+		{
+			name: "raced admission",
+			stage: func(t *testing.T, f *leaseFleet, clk *simClock, key string) string {
+				f.onceBeforeReply(key, func() { f.handled(t, f.update(key, "v2")) })
+				if _, body, _ := proxyGet(t, f.proxy, key); body != "v1" {
+					t.Fatalf("test premise: admitted %q, want the version read before the update", body)
+				}
+				return "v2"
+			},
+		},
+		{
+			name: "failed pushed poll",
+			stage: func(t *testing.T, f *leaseFleet, clk *simClock, key string) string {
+				proxyGet(t, f.proxy, key)
+				clk.AdvanceTo(clk.Now().Add(5 * time.Second / 10))
+				f.mu.Lock()
+				f.failing = map[string]bool{key: true}
+				f.mu.Unlock()
+				f.handled(t, f.update(key, "v2"))
+				if !waitFor(t, 3*time.Second, func() bool {
+					return f.proxy.UpstreamStatus().Errors == 1 && f.proxy.InFlightPolls() == 0
+				}) {
+					t.Fatal("the pushed poll never failed")
+				}
+				f.mu.Lock()
+				f.failing = nil
+				f.mu.Unlock()
+				return "v2"
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			const key = "/k/doc"
+			clk := newSimClock()
+			f := newLeaseFleet(t, Config{
+				Clock:        clk.Now,
+				MaxObjects:   4,
+				Shards:       1,
+				PollWorkers:  1,
+				DiskDir:      t.TempDir(),
+				DefaultDelta: ttrMin,
+				Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
+			})
+			px := f.proxy
+			f.origin.Set(key, []byte("v1"), "")
+			// Validated strictly inside the lease epoch the connect began.
+			clk.AdvanceTo(clk.Now().Add(time.Second / 10))
+			want := tc.stage(t, f, clk, key)
+
+			// The override's immediate poll waits behind a held one, and the
+			// entry is demoted before it runs.
+			release := f.holdWorker(t, clk)
+			if _, ok := px.OverrideTolerance(key, 2*ttrMin, 0); !ok {
+				t.Fatal("override refused for a resident key")
+			}
+			px.FlushDisk()
+			rec, written := px.disk.Meta(key)
+			f.demote(t, key)
+			release()
+			if tc.carried && (!written || rec.Delta != 2*ttrMin) {
+				t.Errorf("carried entry's record not journaled with the new Δ: %+v (present %v)", rec, written)
+			}
+
+			before := f.requestsFor(key)
+			code, body, _ := proxyGet(t, px, key)
+			if code != http.StatusOK || body != want {
+				t.Errorf("promotion served %d %q, want the origin's current %q", code, body, want)
+			}
+			fetched, leased := f.requestsFor(key)-before, px.DiskStats().LeasedPromotions
 			switch {
 			case tc.carried && (fetched != 0 || leased != 1):
 				t.Errorf("carried record: %d origin requests and %d leased promotions, want none and one", fetched, leased)
@@ -1101,21 +1219,13 @@ func TestLeaseRefusedWhenFetchStraddlesAnEpoch(t *testing.T) {
 
 				// Once the response is built, the update is lost in the gap
 				// and the channel comes back before the response is written.
-				var once sync.Once
-				f.mu.Lock()
-				f.beforeReply = func(path string) {
-					if path != key {
-						return
+				f.onceBeforeReply(key, func() {
+					if poll {
+						goDark()
 					}
-					once.Do(func() {
-						if poll {
-							goDark()
-						}
-						f.update(key, "v2")
-						comeBack()
-					})
-				}
-				f.mu.Unlock()
+					f.update(key, "v2")
+					comeBack()
+				})
 
 				if poll {
 					started := time.Now()
@@ -1154,6 +1264,250 @@ func TestLeaseRefusedWhenFetchStraddlesAnEpoch(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestGroupTriggerSkipsCarriedSibling pins §3.2 triggering under a lease,
+// on a stepped clock. A group member's update — here a pushed payload —
+// polls no sibling the live lease carries: the channel vouches for it, so
+// the origin sees no request and the update's observation credits the
+// sibling with a sync instant. Every other row stages one reason the
+// channel cannot vouch for the sibling (each before the sibling's own next
+// poll could lease it again), and the sibling is polled on the update's
+// behalf: by a triggered poll, or — when its own poll is already queued —
+// by that poll.
+func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
+	const (
+		ttr     = time.Minute
+		delta   = time.Second // the group's δ
+		updater = "/a/doc"
+	)
+	type groupCase struct {
+		f   *leaseFleet
+		clk *simClock
+		sib string // the sibling's cache key
+	}
+	const (
+		vouched   = "vouched"   // carried: no request, one sync instant
+		triggered = "triggered" // a §3.2 triggered poll
+		due       = "due"       // its own poll, already queued
+	)
+	cases := []struct {
+		name string
+		sib  string // the sibling's key; "/b/doc" when empty
+		cfg  func(*Config)
+		// admit runs before the sibling's admission fetch.
+		admit func(t *testing.T, c *groupCase)
+		// spoil runs once both members are resident, and may return a hook
+		// run after the update's event was handled.
+		spoil func(t *testing.T, c *groupCase) (afterEvent func())
+		want  string
+	}{
+		{name: "carried", want: vouched},
+		{name: "leases off", cfg: func(cfg *Config) { cfg.PushStretch = 1 }, want: triggered},
+		{
+			// The instant a disconnect has cleared the channel's health and
+			// not yet swept the leased schedules back.
+			name: "channel down, before its sweep",
+			spoil: func(t *testing.T, c *groupCase) func() {
+				c.f.proxy.pushHealthy.Store(false)
+				return nil
+			},
+			want: triggered,
+		},
+		{
+			name: "mid-stream Reset",
+			spoil: func(t *testing.T, c *groupCase) func() {
+				c.f.hub.Reset()
+				c.f.waitPush(t, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
+				return nil
+			},
+			want: triggered,
+		},
+		{
+			name: "frame loss",
+			spoil: func(t *testing.T, c *groupCase) func() {
+				c.f.proxy.handlePushFrameLoss() // as the subscriber reports a dropped line
+				return nil
+			},
+			want: triggered,
+		},
+		{
+			name: "Bounce",
+			spoil: func(t *testing.T, c *groupCase) func() {
+				c.f.proxy.sub.Bounce()
+				c.f.waitPush(t, "never came back from the bounce", func(st PushStats) bool {
+					return st.Bounces == 1 && st.Connects == 2 && st.Connected
+				})
+				return nil
+			},
+			want: triggered,
+		},
+		{
+			name: "raced admission",
+			admit: func(t *testing.T, c *groupCase) {
+				c.f.onceBeforeReply(originPath(c.sib), func() { c.f.handled(t, c.f.update(c.sib, "b2")) })
+			},
+			want: triggered,
+		},
+		{
+			name: "straddled fetch",
+			admit: func(t *testing.T, c *groupCase) {
+				c.f.onceBeforeReply(originPath(c.sib), c.f.proxy.handlePushFrameLoss)
+			},
+			want: triggered,
+		},
+		{
+			// The sibling's leased audit falls due and is queued behind the
+			// update's job on their shared worker: off the heap, though its
+			// schedule still reads leased.
+			name: "sibling in flight",
+			cfg:  func(cfg *Config) { cfg.PollWorkers = 1 },
+			spoil: func(t *testing.T, c *groupCase) func() {
+				release := c.f.holdWorker(t, c.clk)
+				return func() {
+					px := c.f.proxy
+					e := px.lookup(c.sib)
+					px.schedMu.Lock()
+					audit := e.nextAt
+					px.schedMu.Unlock()
+					c.clk.AdvanceTo(audit)
+					px.Kick()
+					if !waitFor(t, 3*time.Second, func() bool {
+						px.schedMu.Lock()
+						defer px.schedMu.Unlock()
+						return e.item == nil && e.baseNextAt.Before(e.nextAt)
+					}) {
+						t.Fatal("the sibling's leased audit was never dispatched")
+					}
+					release()
+				}
+			},
+			want: due,
+		},
+		{name: "query-bearing sibling", sib: "/b/doc?x=1", want: triggered},
+		{
+			// Admitted outside the live declaration; the bounce that widens
+			// it leaves the sibling unleased until its own next poll.
+			name: "undeclared sibling",
+			cfg: func(cfg *Config) {
+				cfg.PushInterest, cfg.PushPrefixes = true, []string{"/a/"}
+			},
+			spoil: func(t *testing.T, c *groupCase) func() {
+				c.f.waitPush(t, "never came back from the bounce", func(st PushStats) bool {
+					return st.Bounces == 1 && st.Connects == 2 && st.Connected
+				})
+				if !c.f.proxy.sub.DeclaredInterest().Matches(c.sib, "g") {
+					t.Fatal("test premise: the bounce did not widen the declaration")
+				}
+				return nil
+			},
+			want: triggered,
+		},
+		{name: "unpushable sibling", sib: "/b/" + strings.Repeat("k", 4200), want: triggered},
+		{
+			// Failing a while after the validation, so the retry lands past
+			// the paper-mode instant: pulled forward to it, the schedule
+			// would still read leased.
+			name: "failed pushed poll awaiting retry",
+			spoil: func(t *testing.T, c *groupCase) func() {
+				c.clk.AdvanceTo(c.clk.Now().Add(5 * time.Second))
+				c.f.mu.Lock()
+				c.f.failing = map[string]bool{originPath(c.sib): true}
+				c.f.mu.Unlock()
+				c.f.handled(t, c.f.update(c.sib, "b2")) // no payload: the job polls
+				if !waitFor(t, 3*time.Second, func() bool {
+					return c.f.proxy.UpstreamStatus().Errors == 1 && c.f.proxy.InFlightPolls() == 0
+				}) {
+					t.Fatal("the pushed poll never failed")
+				}
+				c.f.mu.Lock()
+				c.f.failing = nil
+				c.f.mu.Unlock()
+				return nil
+			},
+			want: triggered,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &groupCase{clk: newSimClock(), sib: tc.sib}
+			if c.sib == "" {
+				c.sib = "/b/doc"
+			}
+			cfg := Config{
+				Clock:             c.clk.Now,
+				Mode:              core.TriggerAll,
+				PushValues:        true,
+				DefaultDelta:      ttr,
+				DefaultGroupDelta: delta,
+				Bounds:            core.TTRBounds{Min: ttr, Max: 10 * time.Minute},
+			}
+			if tc.cfg != nil {
+				tc.cfg(&cfg)
+			}
+			c.f = newLeaseFleet(t, cfg)
+			px := c.f.proxy
+			for _, p := range []string{updater, originPath(c.sib)} {
+				c.f.origin.Set(p, []byte("v1"), "")
+				c.f.origin.SetTolerances(p, httpx.Tolerances{Group: "g", GroupDelta: delta})
+			}
+			// Admitted strictly inside the lease epoch the connect began.
+			c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+			proxyGet(t, px, updater)
+			if tc.admit != nil {
+				tc.admit(t, c)
+			}
+			if code, _, _ := proxyGet(t, px, c.sib); code != http.StatusOK {
+				t.Fatalf("admission of the sibling: status %d", code)
+			}
+			var afterEvent func()
+			if tc.spoil != nil {
+				afterEvent = tc.spoil(t, c)
+			}
+
+			// Both validations now lie beyond δ, and the sibling's next poll
+			// — paper-mode or leased — at least a TTR ahead.
+			c.clk.AdvanceTo(c.clk.Now().Add(10 * time.Second))
+			requests, updaterRequests := c.f.requestsFor(originPath(c.sib)), c.f.requestsFor(updater)
+			c.f.mu.Lock()
+			c.f.vouched = nil
+			c.f.mu.Unlock()
+			c.f.handled(t, c.f.updateValue(updater, "v2"))
+			if afterEvent != nil {
+				afterEvent()
+			}
+			quiesceSim(t, px, c.clk)
+
+			if b, _ := px.CachedBody(updater); string(b) != "v2" {
+				t.Fatalf("test premise: the update was not installed: %q", b)
+			}
+			fetched := c.f.requestsFor(originPath(c.sib)) - requests
+			trig := px.ObjectStats(c.sib).Triggered
+			syncs := px.CacheStats().GroupChannelSyncs
+			c.f.mu.Lock()
+			credited := append([]string(nil), c.f.vouched...)
+			c.f.mu.Unlock()
+			switch tc.want {
+			case vouched:
+				if fetched != 0 || trig != 0 || syncs != 1 || len(credited) != 1 || credited[0] != c.sib {
+					t.Errorf("carried sibling: %d requests, %d triggered polls, %d channel syncs, vouched %q; want none, none, one, [%s]",
+						fetched, trig, syncs, credited, c.sib)
+				}
+				if got := c.f.requestsFor(updater) - updaterRequests; got != 0 {
+					t.Errorf("the pushed update cost %d origin requests, want none", got)
+				}
+			case triggered, due:
+				wantTrig := uint64(0)
+				if tc.want == triggered {
+					wantTrig = 1
+				}
+				if fetched != 1 || trig != wantTrig || syncs != 0 || len(credited) != 0 {
+					t.Errorf("%d requests, %d triggered polls, %d channel syncs, vouched %q; want one, %d, none, none",
+						fetched, trig, syncs, credited, wantTrig)
+				}
+			}
+		})
 	}
 }
 

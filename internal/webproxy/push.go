@@ -42,6 +42,12 @@ import (
 //     entry; the policy keeps learning from each poll's outcome.
 //     Rehydrated entries are born suspect and validate immediately, lease
 //     or not.
+//   - A carried sibling needs no §3.2 poll: when a group member's update
+//     runs the group triggering, a sibling the lease carries is current at
+//     that instant — had it changed, its own event would have arrived — so
+//     it counts as polled then, the paper's own "previous poll within δ"
+//     exemption with the lease supplying the instant (see carriedLocked
+//     and triggerGroup). A sibling outside the lease still polls.
 //   - The lease outlives residency: a demoted key's disk record is kept
 //     current by the same channel (see applyPushedToDisk), so a record
 //     the channel has carried since its last validation is promoted with
@@ -694,6 +700,30 @@ func (p *Proxy) leaseCovers(key, group string) bool {
 	// lease requires pushHealthy, which flips only after the attempt's
 	// declaration (stored before its request goes out) is in place.
 	return !p.cfg.PushInterest || p.sub.DeclaredInterest().Matches(key, group)
+}
+
+// carriedLocked reports whether the live lease carries the resident entry
+// e right now: any update to it would have been announced, so it is
+// current without a poll. Every premise must hold:
+//
+//   - the channel covers it: leases are on, the stream is healthy, and the
+//     key is pushable and inside the live declaration (see leaseCovers);
+//   - its schedule is leased — its poll sits past its paper-mode instant —
+//     and on the heap. rescheduleHybrid leases a schedule only for
+//     evidence from the current epoch, and every epoch change sweeps it
+//     back, so a raced admission, a straddled fetch, and any key after a
+//     disconnect, Reset, frame loss or Bounce read as not carried until
+//     the key's own next poll leases it again; a key whose poll is queued
+//     or in flight is off the heap;
+//   - no pushed poll of it has failed since: deferRetry ends the lease.
+//
+// A pushed job merely queued for it does not disqualify it: that job runs
+// on the key's affinity worker ahead of anything queued after it. The
+// caller holds schedMu, which orders the answer against the sweep and
+// every lease decision.
+func (p *Proxy) carriedLocked(e *entry) bool {
+	return e.item != nil && e.baseNextAt.Before(e.nextAt) &&
+		!e.unpushable && p.leaseCovers(e.key, e.group)
 }
 
 // resolveLeaseTerm computes the lease term L = PushStretch × Bounds.Max

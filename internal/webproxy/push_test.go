@@ -317,15 +317,31 @@ func TestPushReconnectRearmsChannel(t *testing.T) {
 	}
 }
 
+// settlePush waits, on a stepped clock, until the proxy has handled every
+// event the origin published and run the work they queued.
+func settlePush(t *testing.T, s *liveSetup, clk *simClock) {
+	t.Helper()
+	if !waitFor(t, 3*time.Second, func() bool { return s.proxy.PushStats().LastSeq >= s.origin.PushSeq() }) {
+		t.Fatalf("the proxy never handled the origin's events: %+v", s.proxy.PushStats())
+	}
+	quiesceSim(t, s.proxy, clk)
+}
+
 func TestPushedPollTriggersGroupMembers(t *testing.T) {
-	// The story updates arrive via push; the photo shares its group. A
-	// pushed poll that confirms an update must impose the same mutual
-	// obligation a regular poll would, so the photo gets triggered even
-	// though its own TTR is a minute out.
+	// The story's updates arrive via push; the photo shares its group but
+	// no lease carries it — its cache key has a query, which no event can
+	// ever announce. A pushed poll that confirms an update must impose the
+	// same mutual obligation a regular poll would, so the photo gets
+	// triggered even though its own TTR is a minute out. (A leased sibling
+	// is vouched for by the channel instead: see
+	// TestGroupTriggerSkipsCarriedSibling.)
+	const photo = "/photo?size=full"
+	clk := newSimClock()
 	s := newPushSetup(t, Config{
+		Clock:             clk.Now,
 		Mode:              core.TriggerAll,
 		DefaultDelta:      time.Minute,
-		DefaultGroupDelta: 5 * time.Millisecond,
+		DefaultGroupDelta: time.Second,
 		Bounds:            core.TTRBounds{Min: time.Minute, Max: time.Hour},
 	})
 	s.origin.Set("/story", []byte("story v1"), "text/html")
@@ -335,18 +351,16 @@ func TestPushedPollTriggersGroupMembers(t *testing.T) {
 	}
 	waitPushConnected(t, s.proxy)
 	s.get(t, "/story")
-	time.Sleep(30 * time.Millisecond) // desynchronize the two schedules
-	s.get(t, "/photo")
+	s.get(t, photo)
 
-	rev := 0
-	ok := waitFor(t, 5*time.Second, func() bool {
-		rev++
-		s.origin.Set("/story", []byte(fmt.Sprintf("story v%d", rev)), "text/html")
-		return s.proxy.ObjectStats("/photo").Triggered > 0
-	})
-	if !ok {
-		t.Fatalf("pushed story updates never triggered the photo (story %+v photo %+v)",
-			s.proxy.ObjectStats("/story"), s.proxy.ObjectStats("/photo"))
+	clk.AdvanceTo(clk.Now().Add(10 * time.Second)) // both validations now lie beyond δ
+	s.origin.Set("/story", []byte("story v2"), "text/html")
+	settlePush(t, s, clk)
+	if st := s.proxy.ObjectStats("/story"); st.Pushed != 1 {
+		t.Fatalf("the story's update did not arrive as a pushed poll: %+v", st)
+	}
+	if st := s.proxy.ObjectStats(photo); st.Triggered != 1 {
+		t.Errorf("pushed story update triggered the photo %d times, want once: %+v", st.Triggered, st)
 	}
 }
 

@@ -359,12 +359,15 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	resp, err := p.fetch(e.key, since)
 	now := p.cfg.Clock()
 	if err != nil {
+		p.deferRetry(e, now, kind)
 		if kind == pollPushed {
 			// The announced update has not landed: were the entry demoted
 			// before the retry, its record must not pass for current.
+			// Voided only once deferRetry has ended the lease, so a
+			// tolerance override racing this job either wrote its record
+			// before the void or finds the entry no longer carried.
 			p.voidRecord(e.key)
 		}
-		p.deferRetry(e, now, kind)
 		return
 	}
 	p.install(e, kind, version{
@@ -419,10 +422,12 @@ type version struct {
 // re-enforcement, downstream relay publication, the eviction-token-
 // guarded controller observation, disk write-behind, rescheduling (a
 // regular poll only: triggered and pushed refreshes leave the schedule
-// and the policy's learned TTR untouched), §3.2 group triggering, and
-// the observer emission. An eviction mid-refresh stops everything past
-// the controller guard: the object no longer owns a refresh slot, and a
-// new version it swapped in voids the disk record left behind.
+// and the policy's learned TTR untouched), §3.2 group triggering (a
+// sibling the lease carries is vouched for, not polled, and reported on
+// this version's observation), and the observer emission. An eviction
+// mid-refresh stops everything past the controller guard: the object no
+// longer owns a refresh slot, and a new version it swapped in voids the
+// disk record left behind.
 func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	if !v.applied {
 		e.polls.Add(1)
@@ -569,9 +574,11 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	// Temporal group triggering; partitioned M_v pairs maintain their
 	// mutual guarantee through the tolerance split instead. Pushed
 	// refreshes trigger too: an update learned via the channel imposes
-	// the same mutual obligation as one learned by polling.
+	// the same mutual obligation as one learned by polling — met, for a
+	// sibling the lease carries, by the channel itself.
+	var vouched []string
 	if kind != pollTriggered && v.modified && gs != nil && !paired {
-		p.triggerGroup(e, gs, v.now)
+		vouched = p.triggerGroup(e, gs, v.now)
 	}
 	if obs := p.cfg.PollObserver; obs != nil {
 		obs(PollObservation{
@@ -583,6 +590,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 			Applied:   v.applied,
 			Value:     outcome.Value,
 			HasValue:  outcome.HasValue,
+			Vouched:   vouched,
 		})
 	}
 }
@@ -612,6 +620,12 @@ func (p *Proxy) deferRetry(e *entry, now time.Time, kind pollKind) {
 				e.baseNextAt = retryAt
 			}
 			p.schedule.Reschedule(e.item, retryAt)
+		}
+		if kind == pollPushed {
+			// The channel announced an update this proxy does not hold, so
+			// it no longer carries the key: the lease ends here, and the
+			// poll placed above is the key's paper-mode one.
+			e.baseNextAt = e.nextAt
 		}
 		p.schedMu.Unlock()
 		if pull {
@@ -647,8 +661,16 @@ func (p *Proxy) maxBackoff() time.Duration {
 }
 
 // triggerGroup enqueues immediate extra polls of e's group members where
-// the controller demands it.
-func (p *Proxy) triggerGroup(e *entry, gs *groupState, now time.Time) {
+// the controller demands it, and returns the members the push channel
+// vouched for instead: the controller is told that a member the live
+// lease carries (see carriedLocked) was polled at now — the paper's
+// "previous poll within δ" exemption, with the lease supplying the
+// instant. Any other member is judged on its real polls, as in paper
+// mode.
+func (p *Proxy) triggerGroup(e *entry, gs *groupState, now time.Time) (vouched []string) {
+	if gs.ctrl.Mode() == core.TriggerNone {
+		return nil // the baseline: no mutual support, nothing to vouch for
+	}
 	// gs.mu is held across the scan (nesting gs.mu → entry.mu matches
 	// joinGroup and is taken nowhere in reverse). The member snapshot
 	// runs first so the single schedMu section that follows — one
@@ -672,19 +694,26 @@ func (p *Proxy) triggerGroup(e *entry, gs *groupState, now time.Time) {
 	var toTrigger []*entry
 	p.schedMu.Lock()
 	for _, c := range cands {
+		prev := c.validatedAt
+		if p.carriedLocked(c.other) {
+			prev = now
+			vouched = append(vouched, c.other.key)
+		}
 		if gs.ctrl.ShouldTrigger(core.ObjectID(e.key), core.ObjectID(c.other.key),
-			p.toSim(now), p.toSim(c.validatedAt), p.toSim(c.other.nextAt)) {
+			p.toSim(now), p.toSim(prev), p.toSim(c.other.nextAt)) {
 			toTrigger = append(toTrigger, c.other)
 		}
 	}
 	p.schedMu.Unlock()
 	gs.mu.Unlock()
+	p.groupChannelSyncs.Add(uint64(len(vouched)))
 	for _, other := range toTrigger {
 		// Same group ⇒ same affinity worker ⇒ the triggered poll runs
 		// strictly after the current one; enqueueing is non-blocking.
 		p.pending.Add(1)
 		p.workerFor(other).enqueue(job{e: other, kind: pollTriggered})
 	}
+	return vouched
 }
 
 // groupState looks up the state for a group name ("" returns nil).

@@ -11,9 +11,10 @@ import (
 // tolerance) without an origin redeploy. The override rebuilds the
 // entry's refresh policy around the new tolerance while preserving its
 // learned TTR (clamped by the new policy's bounds), persists the change
-// through the disk journal so a restart rehydrates it, and pulls the
-// next poll to now so the tightened — or loosened — bound takes effect
-// immediately rather than one stale TTR later.
+// through the disk journal so a restart rehydrates it (for an entry a
+// lease no longer carries, the next poll does), and pulls the next poll
+// to now so the tightened — or loosened — bound takes effect immediately
+// rather than one stale TTR later.
 //
 // The origin still wins eventually: tolerance directives on the next
 // 200/304 response overwrite an override exactly as they overwrite
@@ -90,8 +91,21 @@ func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (Tol
 
 	// Journal the new tolerances so a restart rehydrates them (the
 	// record's Delta/ValueDelta fields overlay config defaults exactly
-	// as origin directives do).
-	p.persistEntry(e)
+	// as origin directives do) — but under leases, only while the lease
+	// carries the entry. One in paper-mode recovery (a raced or straddled
+	// install, a failed pushed poll) may hold a copy older than an update
+	// the channel announced, and a record stamped with its validation
+	// would pass for carried were the entry demoted before the poll below:
+	// its record is voided instead, and that poll writes the fresh one.
+	// schedMu is held across the write, so a failed pushed poll — which
+	// ends the lease before it voids the record — cannot void in between.
+	p.schedMu.Lock()
+	if p.leaseTerm <= 0 || p.carriedLocked(e) {
+		p.persistEntry(e)
+	} else {
+		p.voidRecord(e.key)
+	}
+	p.schedMu.Unlock()
 	// An immediate poll puts the new bound into effect now: the next
 	// TTR is learned under the new policy instead of running out the
 	// old schedule first. Harmless if the entry is mid-poll — the slots

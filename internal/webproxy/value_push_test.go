@@ -208,12 +208,16 @@ func TestValuePushByteBudgetRefusal(t *testing.T) {
 
 // TestValuePushAppliedUpdateTriggersGroup: an update learned from a
 // payload imposes the same §3.2 mutual obligation as one learned by
-// polling — group members get triggered even though no poll ran for
-// the updated object itself.
+// polling — a group member no lease carries (its key has a query, which
+// no event can announce) gets triggered even though no poll ran for the
+// updated object itself.
 func TestValuePushAppliedUpdateTriggersGroup(t *testing.T) {
+	const photo = "/photo?size=full"
+	clk := newSimClock()
 	s := newValuePushSetup(t, Config{
+		Clock:             clk.Now,
 		Mode:              core.TriggerAll,
-		DefaultGroupDelta: 5 * time.Millisecond,
+		DefaultGroupDelta: time.Second,
 	})
 	s.origin.Set("/story", []byte("story v1"), "text/html")
 	s.origin.Set("/photo", []byte("photo v1"), "image/png")
@@ -222,21 +226,16 @@ func TestValuePushAppliedUpdateTriggersGroup(t *testing.T) {
 	}
 	waitPushConnected(t, s.proxy)
 	s.get(t, "/story")
-	time.Sleep(30 * time.Millisecond) // desynchronize the two schedules
-	s.get(t, "/photo")
+	s.get(t, photo)
 
-	rev := 1
-	ok := waitFor(t, 5*time.Second, func() bool {
-		rev++
-		s.origin.Set("/story", []byte(fmt.Sprintf("story v%d", rev)), "text/html")
-		return s.proxy.ObjectStats("/photo").Triggered > 0
-	})
-	if !ok {
-		t.Fatalf("applied story updates never triggered the photo (story %+v photo %+v push %+v)",
-			s.proxy.ObjectStats("/story"), s.proxy.ObjectStats("/photo"), s.proxy.PushStats())
+	clk.AdvanceTo(clk.Now().Add(10 * time.Second)) // both validations now lie beyond δ
+	s.origin.Set("/story", []byte("story v2"), "text/html")
+	settlePush(t, s, clk)
+	if st := s.proxy.ObjectStats("/story"); st.Applied != 1 {
+		t.Fatalf("the story's update did not ride the payload path: %+v (push %+v)", st, s.proxy.PushStats())
 	}
-	if s.proxy.ObjectStats("/story").Applied == 0 {
-		t.Errorf("story updates did not ride the payload path: %+v", s.proxy.ObjectStats("/story"))
+	if st := s.proxy.ObjectStats(photo); st.Triggered != 1 {
+		t.Errorf("applied story update triggered the photo %d times, want once: %+v", st.Triggered, st)
 	}
 }
 

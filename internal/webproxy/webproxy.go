@@ -181,9 +181,10 @@ type Config struct {
 	// and objects outside the declared interest are never leased, and
 	// an admission that raced an update of its own key (announced while
 	// the fetch was in flight, or lost in a hole that began while it was)
-	// keeps the paper-mode first poll. With DiskDir, a demoted object
-	// whose record the channel has carried since its last validation is
-	// promoted with no upstream request.
+	// keeps the paper-mode first poll. A leased group member gets no §3.2
+	// triggered poll when a sibling updates: the channel vouches for it.
+	// With DiskDir, a demoted object whose record the channel has carried
+	// since its last validation is promoted with no upstream request.
 	PushStretch float64
 	// PushValues enables value-carrying push (wire protocol v2): the
 	// subscriber negotiates payload delivery with its upstream, and a
@@ -308,6 +309,11 @@ type PollObservation struct {
 	// Value and HasValue carry the parsed body of value-domain objects.
 	Value    float64
 	HasValue bool
+	// Vouched lists the group members this update's §3.2 triggering
+	// found carried by the push channel's lease: each is known current at
+	// At with no request, and was not polled. They are synchronisation
+	// instants of those members, not polls.
+	Vouched []string
 }
 
 // entry is one cached object.
@@ -545,6 +551,9 @@ type Proxy struct {
 	// polls counts successful refresh polls by what demanded them,
 	// indexed by pollKind.
 	polls [pollKinds]atomic.Uint64
+	// groupChannelSyncs counts group members the push channel vouched for
+	// in §3.2 triggering (see triggerGroup).
+	groupChannelSyncs atomic.Uint64
 
 	// Upstream-health state (see UpstreamStatus): written on the cold
 	// fetch path only, read by /healthz and /metrics scrapes.
@@ -1442,6 +1451,11 @@ type CacheStats struct {
 	RegularPolls   uint64
 	TriggeredPolls uint64
 	PushedPolls    uint64
+	// GroupChannelSyncs counts §3.2 sibling syncs the push channel
+	// vouched for: at a group member's update, every sibling the live
+	// lease carried was known current with no request, and was not polled
+	// (see PollObservation.Vouched). They are not polls.
+	GroupChannelSyncs uint64
 	// UpstreamErrors counts failed upstream fetches (all paths); the
 	// last error's detail is on UpstreamStatus, not here and never on
 	// a client-facing response body.
@@ -1479,6 +1493,7 @@ func (p *Proxy) CacheStats() CacheStats {
 		PushPolls:       p.pushPolls.Load(),
 		PushFallbacks:   p.pushFallbacks.Load(),
 
+		GroupChannelSyncs:  p.groupChannelSyncs.Load(),
 		ToleranceOverrides: p.toleranceOverrides.Load(),
 	}
 	for i := range p.store.shards {

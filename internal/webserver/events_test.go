@@ -288,22 +288,28 @@ func TestSlowSubscriberIsTerminatedNotBlocking(t *testing.T) {
 		t.Fatal("never connected")
 	}
 
-	// Publishing far beyond the per-subscriber channel capacity must not
-	// block Set, and must eventually drop the stalled stream.
-	done := make(chan struct{})
+	// Publishing far beyond the per-subscriber allowance must not block
+	// Set, and must eventually drop the stalled stream. How far is not a
+	// fixed count: the hub sees a lag only once the loopback socket
+	// buffers are full and the stream's writer blocks, and a writer that
+	// keeps pace with a short burst never lags at all. So publish until
+	// the drop, bounded.
+	const maxSets = 1 << 17
+	done := make(chan int, 1)
 	go func() {
-		for i := 0; i < 1024; i++ {
-			o.Set("/a", []byte{byte(i)}, "")
+		n := 0
+		for ; n < maxSets && o.PushSubscribers() > 0; n++ {
+			o.Set("/a", []byte{byte(n)}, "")
 		}
-		close(done)
+		done <- n
 	}()
 	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
+	case n := <-done:
+		if o.PushSubscribers() != 0 {
+			t.Errorf("stalled subscriber never dropped in %d Sets", n)
+		}
+	case <-time.After(10 * time.Second):
 		t.Fatal("Set blocked on a stalled subscriber")
-	}
-	if !waitUntil(t, 2*time.Second, func() bool { return o.PushSubscribers() == 0 }) {
-		t.Error("stalled subscriber was never dropped")
 	}
 }
 

@@ -15,11 +15,15 @@
 # Usage: scripts/bench-pairs.sh <parent-ref> <pr> [pairs=10]
 #        FIRST_SEED=11 scripts/bench-pairs.sh ...   (extend an earlier set)
 #        CLAIM=origin_req_per_s@miss-churn scripts/bench-pairs.sh ...
+#        CLAIM=... EVIDENCE=webserver.polls,webproxy.polls_triggered scripts/bench-pairs.sh ...
 # With CLAIM, the end-to-end metric the PR claims a gain on is written to
 # `claim` with a mechanical verdict by the choosing-metrics rule: the
 # change wins at least 9 in 10 of all pairs run (ties count for neither
 # side), and the medians differ, in the better direction, by more than the
-# parent's quartile spread.
+# parent's quartile spread. EVIDENCE (with CLAIM only) names per-layer
+# counts of the claimed workload, fixed before the runs, that should show
+# where the gain comes from; each side's median and quartiles of each are
+# written to `claim.evidence`.
 # Raw per-run output stays in the temporary directory the script names.
 set -eu
 cd "$(dirname "$0")/.."
@@ -34,6 +38,10 @@ case "${CLAIM:-}" in
     exit 2
     ;;
 esac
+if [ -n "${EVIDENCE:-}" ] && [ -z "${CLAIM:-}" ]; then
+    echo "$0: EVIDENCE needs a CLAIM" >&2
+    exit 2
+fi
 parent="$(git rev-parse --verify "$1^{commit}")"
 pr="$2"
 pairs="${3:-10}"
@@ -72,10 +80,10 @@ for w in hit-serve miss-churn push-fleet pull-refresh; do
 done
 rm -rf "$work/parent" "$work/out.parent" "$work/out.change"
 
-python3 - "$work/runs" "$pr" "$parent" "${CLAIM:-}" <<'EOF' >"$work/summary.json"
+python3 - "$work/runs" "$pr" "$parent" "${CLAIM:-}" "${EVIDENCE:-}" <<'EOF' >"$work/summary.json"
 import glob, json, os, re, statistics, sys
 
-runs_dir, pr, parent, claim = sys.argv[1:5]
+runs_dir, pr, parent, claim, evidence = sys.argv[1:6]
 bench = json.load(open("BENCHMARK.json"))
 SIDES = ("parent", "change")
 
@@ -122,10 +130,12 @@ out = {
     "notes": "",
     "microbenchmark_gate": None,
 }
+loaded = {}  # workload -> (runs by seed, seeds with both sides good)
 for w in [x["name"] for x in bench["workloads"]]:
     seeds = sorted({int(os.path.basename(p).split(".")[1]) for p in glob.glob(os.path.join(runs_dir, w + ".*.json"))})
     both = {s: [load(w, s, side) for side in SIDES] for s in seeds}
     good = [s for s in seeds if all(both[s])]
+    loaded[w] = both, good
     rec = {
         "seeds": good,
         "pairs": len(good),
@@ -199,6 +209,14 @@ if claim:
         "rule": "change wins >= 9/10 of all pairs (ties count for neither) and median gain > parent IQR",
         "met": met,
     }
+    if evidence:
+        both, good = loaded[workload]
+        out["claim"]["evidence"] = {}
+        for name in evidence.split(","):
+            if not all(name in both[s][i][3] for s in good for i in range(len(SIDES))):
+                sys.exit("bench-pairs: EVIDENCE %s: not a per-layer count of every %s run" % (name, workload))
+            out["claim"]["evidence"][name] = {
+                side: quartiles([both[s][i][3][name] for s in good]) for i, side in enumerate(SIDES)}
 
 
 def render(x, depth=0):
