@@ -162,8 +162,9 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 	return &Subscriber{cfg: cfg}, nil
 }
 
-// LastSeq returns the sequence number of the last update event handed to
-// OnEvent (0 before any).
+// LastSeq returns the stream position processed so far: the last update
+// handed to OnEvent, moved past filtered frames by heartbeats and to the
+// head by a fresh or Reset hello (0 before the first connect).
 func (s *Subscriber) LastSeq() uint64 { return s.lastSeq.Load() }
 
 // LastFrameAt returns the wall-clock instant the last stream frame of
@@ -641,12 +642,13 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 				}
 				connected = true
 				s.connects.Add(1)
-				if ev.Reset {
-					// The gap is unrecoverable: fast-forward to the
-					// server's position so the next reconnect does not
-					// re-request (and re-Reset on) the same stale seq —
-					// the consumer reconciles the loss once, via
-					// OnConnect, not once per reconnect.
+				if ev.Reset || since == 0 {
+					// Adopt the server's position: a fresh stream starts at
+					// the head, so a cut before its first frame resumes from
+					// there; a Reset's gap is unrecoverable, so the next
+					// reconnect must not re-request (and re-Reset on) the
+					// same stale seq — the consumer reconciles the loss
+					// once, via OnConnect. A resumed hello's replay follows.
 					s.lastSeq.Store(ev.Seq)
 				}
 				if s.cfg.OnConnect != nil {

@@ -217,6 +217,49 @@ func TestSubscriberSkipsMalformedLinesWithoutReconnecting(t *testing.T) {
 	}
 }
 
+// TestFreshSubscriberAdoptsHelloPosition: a fresh stream is handed the
+// hub's head by its hello, so that head is the subscriber's resume point
+// from the moment it connects. A stream cut before its first frame then
+// resumes from there — the hub can replay the gap or announce it as a
+// hole — instead of reconnecting fresh and losing both.
+func TestFreshSubscriberAdoptsHelloPosition(t *testing.T) {
+	h := NewHub(HubConfig{})
+	for _, k := range []string{"/a", "/b", "/c"} {
+		h.Publish(Event{Kind: KindUpdate, Key: k})
+	}
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	var sub *Subscriber
+	atConnect := make(chan uint64, 1)
+	sub, err := NewSubscriber(SubscriberConfig{
+		URL:     ts.URL,
+		OnEvent: func(Event) {},
+		OnConnect: func(Event, bool) {
+			select {
+			case atConnect <- sub.LastSeq():
+			default:
+			}
+		},
+		BackoffMin: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go sub.Run(ctx)
+
+	select {
+	case got := <-atConnect:
+		if got != 3 {
+			t.Errorf("LastSeq = %d when OnConnect fired, want the hub head 3", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("never connected")
+	}
+}
+
 func TestReadFrameLine(t *testing.T) {
 	input := "short\r\n" +
 		strings.Repeat("y", 300) + "\n" +

@@ -5,8 +5,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,78 +14,41 @@ import (
 	"time"
 
 	"broadway/internal/core"
-	"broadway/internal/webserver"
 )
-
-// newHandlerProxy wires an arbitrary origin handler behind a started
-// proxy, for tests that need request-level control the stock webserver
-// origin does not offer (stalling, failure injection, query echoing).
-func newHandlerProxy(t *testing.T, h http.Handler, cfg Config) (*Proxy, *httptest.Server) {
-	t.Helper()
-	originSrv := httptest.NewServer(h)
-	t.Cleanup(originSrv.Close)
-	u, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Origin = u
-	if cfg.Bounds == (core.TTRBounds{}) {
-		cfg.Bounds = core.TTRBounds{Min: 20 * time.Millisecond, Max: 500 * time.Millisecond}
-	}
-	if cfg.DefaultDelta == 0 {
-		cfg.DefaultDelta = 20 * time.Millisecond
-	}
-	px, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px.Start()
-	t.Cleanup(px.Close)
-	return px, originSrv
-}
-
-// get performs one request directly against the proxy handler.
-func proxyGet(t *testing.T, px *Proxy, target string) (int, string, http.Header) {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	px.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-	res := rec.Result()
-	body, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	return res.StatusCode, string(body), res.Header
-}
 
 // TestConcurrentServeStress hammers ServeHTTP across many objects (and
 // therefore shards) while background refreshes are active and the origin
 // keeps updating. Run under -race this exercises every lock in the hit
 // path, the admission path, and the refresh engine at once.
 func TestConcurrentServeStress(t *testing.T) {
-	origin := webserver.NewOrigin()
 	const objects = 32
-	for i := 0; i < objects; i++ {
-		origin.Set(fmt.Sprintf("/obj/%d", i), []byte(fmt.Sprintf("v1 of %d", i)), "text/plain")
-	}
-	px, _ := newHandlerProxy(t, origin, Config{
+	h := newHarness(t, topology{cfg: Config{
 		Shards:      8,
 		PollWorkers: 4,
 		Bounds:      core.TTRBounds{Min: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-	})
+	}})
+	px := h.leaf()
+	for i := 0; i < objects; i++ {
+		h.origin.Set(fmt.Sprintf("/obj/%d", i), []byte(fmt.Sprintf("v1 of %d", i)), "text/plain")
+	}
 
+	// The updater moves the clock as it goes, so refreshes keep running
+	// under the readers.
 	stop := make(chan struct{})
 	var updaterWG sync.WaitGroup
 	updaterWG.Add(1)
 	go func() {
 		defer updaterWG.Done()
-		rev := 2
-		for {
+		for rev := 2; ; rev++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			origin.Set(fmt.Sprintf("/obj/%d", rev%objects), []byte(fmt.Sprintf("v%d", rev)), "text/plain")
-			rev++
-			time.Sleep(time.Millisecond)
+			h.origin.Set(fmt.Sprintf("/obj/%d", rev%objects), []byte(fmt.Sprintf("v%d", rev)), "text/plain")
+			h.clk.AdvanceTo(h.clk.Now().Add(time.Millisecond))
+			px.Kick()
+			runtime.Gosched()
 		}
 	}()
 
@@ -100,7 +63,7 @@ func TestConcurrentServeStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < requests; i++ {
 				path := fmt.Sprintf("/obj/%d", rng.Intn(objects))
-				code, body, _ := proxyGet(t, px, path)
+				code, body, _ := px.get(path)
 				if code != http.StatusOK {
 					errs <- fmt.Errorf("GET %s: status %d", path, code)
 					return
@@ -115,6 +78,7 @@ func TestConcurrentServeStress(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	updaterWG.Wait()
+	h.quiesce()
 	select {
 	case err := <-errs:
 		t.Fatal(err)
@@ -123,39 +87,36 @@ func TestConcurrentServeStress(t *testing.T) {
 	if got := px.Len(); got != objects {
 		t.Errorf("cached objects = %d, want %d", got, objects)
 	}
+	if px.CacheStats().RegularPolls == 0 {
+		t.Error("no refresh ran under the readers")
+	}
 }
 
 // TestThunderingHerdSingleOriginFetch asserts that N concurrent first
 // requests for one object produce exactly one origin fetch (singleflight
-// admission). Admission fetches are unconditional; refresh polls always
-// carry If-Modified-Since, so counting IMS-less requests isolates
-// admissions even with the refresher running.
+// admission): the first fetch's reply is held at the origin until every
+// request has been made.
 func TestThunderingHerdSingleOriginFetch(t *testing.T) {
-	var admissions atomic.Int64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("If-Modified-Since") == "" {
-			admissions.Add(1)
-			time.Sleep(100 * time.Millisecond) // hold the herd at the door
-		}
-		w.Header().Set("Last-Modified", time.Now().UTC().Format(http.TimeFormat))
 		io.WriteString(w, "herd body")
 	})
-	px, _ := newHandlerProxy(t, handler, Config{})
+	h := newHarness(t, topology{handler: handler})
+	px := h.leaf()
+	held := px.up.hold(t, "/herd")
 
 	const n = 40
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	codes := make([]int, n)
 	bodies := make([]string, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			<-start
-			codes[i], bodies[i], _ = proxyGet(t, px, "/herd")
+			codes[i], bodies[i], _ = px.get("/herd")
 		}(i)
 	}
-	close(start)
+	held.wait(t)
+	held.release()
 	wg.Wait()
 
 	for i := 0; i < n; i++ {
@@ -163,26 +124,19 @@ func TestThunderingHerdSingleOriginFetch(t *testing.T) {
 			t.Fatalf("request %d: status %d body %q", i, codes[i], bodies[i])
 		}
 	}
-	if got := admissions.Load(); got != 1 {
-		t.Errorf("origin saw %d admission fetches for one object, want 1", got)
+	if got := px.up.requestsFor("/herd"); got != 1 {
+		t.Errorf("origin saw %d fetches for one object, want 1", got)
 	}
 }
 
 // TestStalledOriginDoesNotDelayOthers verifies the worker pool isolates
-// a hung upstream: while a refresh poll of /slow is blocked inside the
+// a hung upstream: while a refresh poll of /slow is held inside the
 // origin, refreshes of an unrelated object keep running.
 func TestStalledOriginDoesNotDelayOthers(t *testing.T) {
-	slowStalled := make(chan struct{}) // closed when /slow's refresh poll is inside the handler
-	release := make(chan struct{})     // closed at test end to free it
-	var once sync.Once
 	var rev atomic.Int64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/slow":
-			if r.Header.Get("If-Modified-Since") != "" {
-				once.Do(func() { close(slowStalled) })
-				<-release
-			}
 			io.WriteString(w, "slow body")
 		case "/fast":
 			fmt.Fprintf(w, "fast v%d", rev.Add(1))
@@ -190,46 +144,39 @@ func TestStalledOriginDoesNotDelayOthers(t *testing.T) {
 			http.NotFound(w, r)
 		}
 	})
-
 	const workers = 4
-	px, _ := newHandlerProxy(t, handler, Config{
+	h := newHarness(t, topology{handler: handler, cfg: Config{
 		PollWorkers: workers,
-		Bounds:      core.TTRBounds{Min: 20 * time.Millisecond, Max: 100 * time.Millisecond},
-		Client:      &http.Client{Timeout: time.Minute},
-	})
-	defer close(release)
+		Bounds:      core.TTRBounds{Min: time.Second, Max: 5 * time.Second},
+	}})
+	px := h.leaf()
 
 	// The two keys must land on different workers for this test to mean
 	// anything; with the chosen names they do.
 	if fnv32("/slow")%workers == fnv32("/fast")%workers {
 		t.Fatal("test paths share an affinity worker; pick different names")
 	}
-
-	if code, _, _ := proxyGet(t, px, "/slow"); code != http.StatusOK {
-		t.Fatalf("admit /slow: %d", code)
-	}
-	if code, _, _ := proxyGet(t, px, "/fast"); code != http.StatusOK {
-		t.Fatalf("admit /fast: %d", code)
+	for _, k := range []string{"/slow", "/fast"} {
+		if code, _, _ := px.get(k); code != http.StatusOK {
+			t.Fatalf("admit %s: %d", k, code)
+		}
 	}
 
-	select {
-	case <-slowStalled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("/slow refresh poll never started")
-	}
+	// Both refresh together; /slow's poll is held in the origin.
+	held := px.up.hold(t, "/slow")
+	h.advance(time.Second)
+	held.wait(t)
 
 	// With /slow's worker wedged, /fast must still accumulate refresh
 	// polls (its body changes every poll, so polls keep coming).
 	before := px.ObjectStats("/fast").Polls
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if px.ObjectStats("/fast").Polls >= before+3 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+	h.advance(15 * time.Second)
+	if got := px.ObjectStats("/fast").Polls; got < before+3 {
+		t.Fatalf("/fast polls stuck at %d while /slow stalled (want ≥ %d)", got, before+3)
 	}
-	t.Fatalf("/fast polls stuck at %d while /slow stalled (want ≥ %d)",
-		px.ObjectStats("/fast").Polls, before+3)
+	if got := px.ObjectStats("/slow").Polls; got != 1 {
+		t.Errorf("/slow completed %d polls while held, want only its admission", got)
+	}
 }
 
 // TestQueryStringsAreDistinctObjects covers the query-string bugfix:
@@ -240,30 +187,30 @@ func TestQueryStringsAreDistinctObjects(t *testing.T) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "path=%s query=%s", r.URL.Path, r.URL.Query().Encode())
 	})
-	px, _ := newHandlerProxy(t, handler, Config{})
+	px := newHarness(t, topology{handler: handler}).leaf()
 
-	_, bodyA, hdrA := proxyGet(t, px, "/stock?sym=A")
+	_, bodyA, hdrA := px.get("/stock?sym=A")
 	if bodyA != "path=/stock query=sym=A" {
 		t.Errorf("sym=A body = %q", bodyA)
 	}
 	if hdrA.Get("X-Cache") != "MISS" {
 		t.Errorf("first sym=A X-Cache = %q", hdrA.Get("X-Cache"))
 	}
-	_, bodyB, _ := proxyGet(t, px, "/stock?sym=B")
+	_, bodyB, _ := px.get("/stock?sym=B")
 	if bodyB != "path=/stock query=sym=B" {
 		t.Errorf("sym=B body = %q (collapsed into sym=A's object?)", bodyB)
 	}
-	_, bodyA2, hdrA2 := proxyGet(t, px, "/stock?sym=A")
+	_, bodyA2, hdrA2 := px.get("/stock?sym=A")
 	if bodyA2 != "path=/stock query=sym=A" || hdrA2.Get("X-Cache") != "HIT" {
 		t.Errorf("second sym=A: body=%q X-Cache=%q", bodyA2, hdrA2.Get("X-Cache"))
 	}
 
 	// Parameter permutations share one object.
-	_, body1, hdr1 := proxyGet(t, px, "/q?a=1&b=2")
+	_, body1, hdr1 := px.get("/q?a=1&b=2")
 	if hdr1.Get("X-Cache") != "MISS" {
 		t.Errorf("first permutation X-Cache = %q", hdr1.Get("X-Cache"))
 	}
-	_, body2, hdr2 := proxyGet(t, px, "/q?b=2&a=1")
+	_, body2, hdr2 := px.get("/q?b=2&a=1")
 	if hdr2.Get("X-Cache") != "HIT" {
 		t.Errorf("permuted query X-Cache = %q, want HIT", hdr2.Get("X-Cache"))
 	}
@@ -281,8 +228,8 @@ func TestQueryStringsAreDistinctObjects(t *testing.T) {
 		t.Error("CachedBody did not canonicalize a permuted query key")
 	}
 	// A bare path and an empty query are the same key.
-	proxyGet(t, px, "/plain")
-	if _, _, hdr := proxyGet(t, px, "/plain?"); hdr.Get("X-Cache") != "HIT" {
+	px.get("/plain")
+	if _, _, hdr := px.get("/plain?"); hdr.Get("X-Cache") != "HIT" {
 		t.Errorf("/plain? X-Cache = %q, want HIT", hdr.Get("X-Cache"))
 	}
 }
@@ -294,13 +241,13 @@ func TestEncodedQuestionMarkInPathIsNotAQuery(t *testing.T) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "esc=%s query=%s", r.URL.EscapedPath(), r.URL.RawQuery)
 	})
-	px, _ := newHandlerProxy(t, handler, Config{})
+	px := newHarness(t, topology{handler: handler}).leaf()
 
-	_, body, _ := proxyGet(t, px, "/report%3Fdaily")
+	_, body, _ := px.get("/report%3Fdaily")
 	if body != "esc=/report%3Fdaily query=" {
 		t.Errorf("encoded-? path reached origin as %q", body)
 	}
-	_, body2, hdr2 := proxyGet(t, px, "/report?daily")
+	_, body2, hdr2 := px.get("/report?daily")
 	if hdr2.Get("X-Cache") != "MISS" {
 		t.Errorf("/report?daily aliased the %%3F entry: X-Cache=%q", hdr2.Get("X-Cache"))
 	}
@@ -317,13 +264,13 @@ func TestMalformedQueryKeptVerbatim(t *testing.T) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "query=%s", r.URL.RawQuery)
 	})
-	px, _ := newHandlerProxy(t, handler, Config{})
+	px := newHarness(t, topology{handler: handler}).leaf()
 
-	_, bodyBad, _ := proxyGet(t, px, "/x?a=%zz&b=1")
+	_, bodyBad, _ := px.get("/x?a=%zz&b=1")
 	if bodyBad != "query=a=%zz&b=1" {
 		t.Errorf("malformed query reached origin as %q (parameters dropped?)", bodyBad)
 	}
-	_, bodyGood, hdrGood := proxyGet(t, px, "/x?b=1")
+	_, bodyGood, hdrGood := px.get("/x?b=1")
 	if hdrGood.Get("X-Cache") != "MISS" {
 		t.Errorf("/x?b=1 aliased the malformed-query entry: X-Cache=%q", hdrGood.Get("X-Cache"))
 	}
@@ -336,34 +283,25 @@ func TestMalformedQueryKeptVerbatim(t *testing.T) {
 // refresh failures must back off exponentially instead of hammering the
 // origin at InitialTTR forever, and recovery must pick updates back up.
 func TestUpstreamFailureBackoff(t *testing.T) {
-	var failing atomic.Bool
-	var refreshAttempts atomic.Int64
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("If-Modified-Since") != "" {
-			refreshAttempts.Add(1)
-			if failing.Load() {
-				http.Error(w, "flapping", http.StatusInternalServerError)
-				return
-			}
-		}
-		w.Header().Set("Last-Modified", time.Now().UTC().Format(http.TimeFormat))
+		w.Header().Set("Last-Modified", time.Unix(1_700_000_000, 0).UTC().Format(http.TimeFormat))
 		io.WriteString(w, "recovered body")
 	})
-	px, _ := newHandlerProxy(t, handler, Config{
-		Bounds: core.TTRBounds{Min: 20 * time.Millisecond, Max: time.Second},
-	})
-
-	if code, _, _ := proxyGet(t, px, "/flappy"); code != http.StatusOK {
+	h := newHarness(t, topology{handler: handler, cfg: Config{
+		Bounds: core.TTRBounds{Min: time.Second, Max: 50 * time.Second},
+	}})
+	px := h.leaf()
+	if code, _, _ := px.get("/flappy"); code != http.StatusOK {
 		t.Fatal("admission failed")
 	}
-	failing.Store(true)
-	refreshAttempts.Store(0)
-	time.Sleep(700 * time.Millisecond)
-	got := refreshAttempts.Load()
-	// Without backoff the proxy retries every 20ms: ~35 attempts in the
-	// window. With doubling (20, 40, 80, 160, 320 …) it fits ~5.
+	px.up.fail("/flappy", true)
+	before := px.up.requestsFor("/flappy")
+	h.advance(35 * time.Second)
+	got := px.up.requestsFor("/flappy") - before
+	// Without backoff the proxy retries every second: 35 attempts in the
+	// window. With doubling (1, 2, 4, 8, 16 s) it fits 5.
 	if got > 10 {
-		t.Errorf("%d refresh attempts against a failing origin in 700ms; backoff missing", got)
+		t.Errorf("%d refresh attempts against a failing origin in 35s; backoff missing", got)
 	}
 	if got < 2 {
 		t.Errorf("only %d refresh attempts; retries seem to have stopped entirely", got)
@@ -371,18 +309,14 @@ func TestUpstreamFailureBackoff(t *testing.T) {
 
 	// Recovery: successful polls resume (only successful refreshes
 	// increment the Polls counter beyond the admission fetch).
-	failing.Store(false)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if px.ObjectStats("/flappy").Polls >= 2 {
-			if b, ok := px.CachedBody("/flappy"); !ok || string(b) != "recovered body" {
-				t.Errorf("cached body after recovery = %q", b)
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	px.up.fail("/flappy", false)
+	h.advance(50 * time.Second)
+	if px.ObjectStats("/flappy").Polls < 2 {
+		t.Fatal("polls never resumed after the origin recovered")
 	}
-	t.Fatal("polls never resumed after the origin recovered")
+	if b, ok := px.CachedBody("/flappy"); !ok || string(b) != "recovered body" {
+		t.Errorf("cached body after recovery = %q", b)
+	}
 }
 
 // TestTriggeredFailurePullsRegularPollForward checks that when a

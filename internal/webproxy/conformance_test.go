@@ -3,11 +3,8 @@ package webproxy
 import (
 	"bytes"
 	"fmt"
-	"net/http/httptest"
-	"net/url"
+	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,44 +20,19 @@ import (
 	"broadway/internal/webserver"
 )
 
-// This file is the trace-replay conformance battery of ISSUE 3: the
-// live proxy is driven through internal/tracegen presets on a stepped
+// This file is the trace-replay conformance battery: the live proxy is
+// driven through internal/tracegen presets on the harness's stepped
 // virtual clock ("simtime" for the live stack), with the push channel on
 // and off, and the Δt / mutual-consistency violation rates it actually
 // delivers are compared against what the discrete-event simulator
 // predicts for the same trace and policy parameters.
 //
-// Replay discipline: the driver holds the virtual clock still until the
-// proxy is quiescent (no queued or in-flight polls, next refresh in the
-// future, and — with push on — every published event fully processed),
-// then advances it directly to the next interesting instant: a trace
-// update or the earliest scheduled refresh. Origin updates land on whole
-// seconds while refresh instants carry a sub-second phase, so the two
-// event families never collide and every run is deterministic.
-
-// simClock is a virtual clock stepped by the replay driver.
-type simClock struct {
-	base time.Time
-	off  atomic.Int64 // nanoseconds since base
-}
-
-func newSimClock() *simClock {
-	// A fixed, whole-second epoch: HTTP dates are second-granular and
-	// determinism requires every run to see identical timestamps.
-	return &simClock{base: time.Unix(1_700_000_000, 0)}
-}
-
-func (c *simClock) Now() time.Time { return c.base.Add(time.Duration(c.off.Load())) }
-
-func (c *simClock) AdvanceTo(at time.Time) {
-	d := at.Sub(c.base)
-	for {
-		cur := c.off.Load()
-		if int64(d) <= cur || c.off.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
+// Replay discipline (harness.play): the clock holds still until the
+// topology is quiescent, then moves directly to the next interesting
+// instant — a trace update or the earliest scheduled refresh. Origin
+// updates land on whole seconds while refresh instants carry a
+// sub-second phase, so the two event families never collide and every
+// run is deterministic.
 
 // clipRound clips a trace to the horizon and rounds update instants to
 // whole seconds (the webserver origin is HTTP-date-granular), keeping
@@ -125,14 +97,18 @@ func replayBody(o replayObject, rev int) []byte {
 
 // replayResult carries the measured side of one conformance run.
 type replayResult struct {
+	// h is the replayed topology, for its proxies' counters.
+	h *harness
+	// logs are the leaf's refresh logs, pushStats its channel counters;
+	// originPolls counts the requests the origin served.
 	logs        map[string][]metrics.Refresh
-	originPolls uint64
 	pushStats   PushStats
-	// applied counts observations that installed a pushed payload with
-	// no origin request; pushedPolls counts pushed CONFIRMATION polls
-	// (the fallback rung) — zero on a clean value-carrying run.
-	applied     uint64
-	pushedPolls uint64
+	originPolls uint64
+	// applied counts leaf observations that installed a pushed payload
+	// with no request upstream; pushedPolls counts the leaf's pushed
+	// CONFIRMATION polls (the fallback rung) — zero on a clean
+	// value-carrying run.
+	applied, pushedPolls uint64
 }
 
 // admissionPhase offsets object admission from the whole-second grid the
@@ -141,179 +117,73 @@ type replayResult struct {
 // deterministic.
 const admissionPhase = 37 * time.Millisecond
 
-// replayTrace drives objs through a live origin+proxy pair on the
-// stepped clock and returns the refresh logs recorded by PollObserver.
-func replayTrace(t *testing.T, objs []replayObject, horizon time.Duration, cfg Config, pushOn bool) replayResult {
-	t.Helper()
-	clk := newSimClock()
-
-	originOpts := []webserver.Option{
-		webserver.WithClock(clk.Now),
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushEvents(""),
-	}
+// confTopology is the battery's live stack: hops proxies configured by
+// cfg below an origin with the history extension on, subscribed to its
+// events when pushOn, and carrying payloads capped at payloadCap (0: the
+// protocol default) when cfg.PushValues.
+func confTopology(hops int, cfg Config, pushOn bool, payloadCap int) topology {
+	tp := topology{hops: hops, push: pushOn, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
 	if cfg.PushValues {
-		originOpts = append(originOpts, webserver.WithPushValues(0))
+		tp.origin = append(tp.origin, webserver.WithPushValues(payloadCap))
+		tp.cfg.PushPayloadCap = payloadCap
 	}
-	origin := webserver.NewOrigin(originOpts...)
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
+	return tp
+}
 
-	var mu sync.Mutex
-	logs := make(map[string][]metrics.Refresh)
-	var applied, pushedPolls uint64
-	u, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
+// replay drives objs through tp on the stepped clock: it seeds revision 0
+// of each at the epoch, admits each through the leaf off the whole-second
+// grid, and replays their merged update schedule — with the actions acts
+// schedules — up to horizon, recording the leaf's refresh logs.
+func replay(t *testing.T, tp topology, objs []replayObject, horizon time.Duration, acts func(h *harness) []step) replayResult {
+	t.Helper()
+	h := newHarness(t, tp)
+	for _, o := range objs {
+		h.origin.Set(o.path, replayBody(o, 0), "")
+		if !o.tol.IsZero() {
+			h.origin.SetTolerances(o.path, o.tol)
+		}
 	}
-	cfg.Origin = u
-	cfg.Clock = clk.Now
-	cfg.PollWorkers = 1 // full determinism: every poll serializes
-	cfg.PollObserver = func(o PollObservation) {
-		mu.Lock()
-		logs[o.Key] = append(logs[o.Key], metrics.Refresh{
-			At:        simtime.At(o.At.Sub(clk.base)),
-			Modified:  o.Modified,
-			Value:     o.Value,
-			Triggered: o.Triggered || o.Pushed,
+	h.stepTo(h.clk.base.Add(admissionPhase))
+	for _, o := range objs {
+		if code, body, _ := h.leaf().get(o.path); code != http.StatusOK {
+			t.Fatalf("admission of %s: %d %s", o.path, code, body)
+		}
+	}
+	var steps []step
+	if acts != nil {
+		steps = acts(h)
+	}
+	for _, o := range objs {
+		for r, u := range o.tr.Updates {
+			o, rev := o, r+1
+			steps = append(steps, step{at: u.At, do: func() {
+				h.origin.Set(o.path, replayBody(o, rev), "")
+				if o.inject != nil {
+					o.inject(h.origin, rev)
+				}
+			}})
+		}
+	}
+	h.play(horizon, steps)
+
+	res := replayResult{h: h, logs: make(map[string][]metrics.Refresh), pushStats: h.leaf().PushStats(), originPolls: h.origin.Polls()}
+	for _, o := range h.leaf().observations() {
+		at := simtime.At(o.At.Sub(h.clk.base))
+		res.logs[o.Key] = append(res.logs[o.Key], metrics.Refresh{
+			At: at, Modified: o.Modified, Value: o.Value, Triggered: o.Triggered || o.Pushed,
 		})
 		// A sibling the channel vouched for is current at this instant,
 		// though nothing polled it.
 		for _, k := range o.Vouched {
-			logs[k] = append(logs[k], metrics.Refresh{At: simtime.At(o.At.Sub(clk.base)), Sync: true})
+			res.logs[k] = append(res.logs[k], metrics.Refresh{At: at, Sync: true})
 		}
 		if o.Applied {
-			applied++
+			res.applied++
 		} else if o.Pushed {
-			pushedPolls++
-		}
-		mu.Unlock()
-	}
-	if pushOn {
-		pushURL, _ := url.Parse(originSrv.URL + "/events")
-		cfg.PushURL = pushURL
-		cfg.PushHeartbeatTimeout = -1 // the watchdog is wall-clocked; disable it
-	}
-	px, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px.Start()
-	defer px.Close()
-
-	if pushOn {
-		if !waitFor(t, 5*time.Second, func() bool { return px.PushStats().Connected }) {
-			t.Fatal("push channel never connected")
+			res.pushedPolls++
 		}
 	}
-
-	// Seed version 0 of every object at the epoch (after the channel is
-	// up, so sequence tracking sees every event from the start).
-	for _, o := range objs {
-		origin.Set(o.path, replayBody(o, 0), "")
-		if !o.tol.IsZero() {
-			origin.SetTolerances(o.path, o.tol)
-		}
-	}
-
-	quiesce := func() {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			seqOK := !pushOn || px.PushStats().LastSeq >= origin.PushSeq()
-			inFlight := px.InFlightPolls()
-			next, ok := px.NextRefreshAt()
-			if seqOK && inFlight == 0 && (!ok || next.After(clk.Now())) {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replay never quiesced: inflight=%d next=%v now=%v seqOK=%v",
-					inFlight, next, clk.Now(), seqOK)
-			}
-			px.Kick()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	quiesce()
-
-	// Admit every object off the whole-second grid.
-	clk.AdvanceTo(clk.base.Add(admissionPhase))
-	px.Kick()
-	for _, o := range objs {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest("GET", o.path, nil)
-		px.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			t.Fatalf("admission of %s: %d %s", o.path, rec.Code, rec.Body.String())
-		}
-	}
-	quiesce()
-
-	// Merge the per-object update streams into one replay schedule.
-	type updateEvent struct {
-		at  time.Duration
-		obj int
-		rev int
-	}
-	var updates []updateEvent
-	for i, o := range objs {
-		for r, u := range o.tr.Updates {
-			updates = append(updates, updateEvent{at: u.At, obj: i, rev: r + 1})
-		}
-	}
-	// The per-trace streams are sorted; a simple stable merge by instant
-	// (object index breaking ties) keeps replay order deterministic.
-	for i := 1; i < len(updates); i++ {
-		for j := i; j > 0 && (updates[j].at < updates[j-1].at ||
-			(updates[j].at == updates[j-1].at && updates[j].obj < updates[j-1].obj)); j-- {
-			updates[j], updates[j-1] = updates[j-1], updates[j]
-		}
-	}
-
-	end := clk.base.Add(horizon)
-	ui := 0
-	for {
-		var stepAt time.Time
-		haveStep := false
-		if ui < len(updates) {
-			stepAt = clk.base.Add(updates[ui].at)
-			haveStep = true
-		}
-		if next, ok := px.NextRefreshAt(); ok && !next.After(end) {
-			if !haveStep || next.Before(stepAt) {
-				stepAt = next
-				haveStep = true
-			}
-		}
-		if !haveStep || stepAt.After(end) {
-			break
-		}
-		clk.AdvanceTo(stepAt)
-		// Apply every origin update due at this instant before waking
-		// the proxy: a poll at t must observe the origin's state at t.
-		for ui < len(updates) && !clk.base.Add(updates[ui].at).After(stepAt) {
-			o := objs[updates[ui].obj]
-			origin.Set(o.path, replayBody(o, updates[ui].rev), "")
-			if o.inject != nil {
-				o.inject(origin, updates[ui].rev)
-			}
-			ui++
-		}
-		px.Kick()
-		quiesce()
-	}
-	clk.AdvanceTo(end)
-	px.Kick()
-	quiesce()
-
-	mu.Lock()
-	defer mu.Unlock()
-	return replayResult{
-		logs:        logs,
-		originPolls: origin.Polls(),
-		pushStats:   px.PushStats(),
-		applied:     applied,
-		pushedPolls: pushedPolls,
-	}
+	return res
 }
 
 // predictTemporal runs the discrete-event simulator over the same trace
@@ -401,10 +271,10 @@ func TestConformanceTemporalPullMatchesSimulator(t *testing.T) {
 	tr := confTrace(t)
 	pred, _ := predictTemporal(t, tr, confDelta, confBounds)
 
-	res := replayTrace(t, []replayObject{{path: "/news", tr: tr}}, confHorizon, Config{
+	res := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false)
+	}, false, 0), []replayObject{{path: "/news", tr: tr}}, confHorizon, nil)
 	log := res.logs["/news"]
 	if len(log) < 3 {
 		t.Fatalf("live replay recorded only %d polls", len(log))
@@ -430,24 +300,23 @@ func TestConformanceTemporalPullMatchesSimulator(t *testing.T) {
 	}
 }
 
-// TestConformanceTemporalPushHalvesPollsWithoutLosingFidelity is the
-// acceptance criterion of ISSUE 3: with push enabled against the same
-// churning origin, origin poll count drops at least 2x versus pure
-// polling on the same trace while the measured Δt violation rate is
-// equal or lower.
+// TestConformanceTemporalPushHalvesPollsWithoutLosingFidelity: with push
+// enabled against the same churning origin, origin poll count drops at
+// least 2x versus pure polling on the same trace while the measured Δt
+// violation rate is equal or lower.
 func TestConformanceTemporalPushHalvesPollsWithoutLosingFidelity(t *testing.T) {
 	tr := confTrace(t)
 	obj := []replayObject{{path: "/news", tr: tr}}
 
-	pull := replayTrace(t, obj, confHorizon, Config{
+	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false)
-	push := replayTrace(t, obj, confHorizon, Config{
+	}, false, 0), obj, confHorizon, nil)
+	push := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true)
+	}, true, 0), obj, confHorizon, nil)
 
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/news"], confDelta, confHorizon)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/news"], confDelta, confHorizon)
@@ -497,7 +366,7 @@ func TestConformanceMutualPairMatchesSimulator(t *testing.T) {
 			name = "push"
 			run.PushStretch = 16
 		}
-		res := replayTrace(t, objs, confHorizon, run, pushOn)
+		res := replay(t, confTopology(1, run, pushOn, 0), objs, confHorizon, nil)
 		meas := metrics.EvaluateMutualTemporal(trA, trB, res.logs["/a"], res.logs["/b"], groupDelta, confHorizon)
 		t.Logf("%s measured:  %v (origin polls %d)", name, meas, res.originPolls)
 		t.Logf("%s predicted: %v", name, pred)

@@ -1,313 +1,33 @@
 package webproxy
 
 import (
-	"net/http/httptest"
-	"net/url"
-	"sync"
 	"testing"
 	"time"
 
 	"broadway/internal/metrics"
-	"broadway/internal/simtime"
 	"broadway/internal/trace"
 	"broadway/internal/tracegen"
-	"broadway/internal/webserver"
 )
 
-// This file extends the simtime conformance battery over the proxy
-// hierarchy: the same stepped-virtual-clock replay discipline as
-// conformance_test.go, but with TWO proxies chained — the parent
+// This file extends the conformance battery over the proxy hierarchy:
+// the same stepped-clock replay, through TWO proxies — the parent
 // subscribes to the origin and relays, the leaf subscribes to (and
-// fetches through) the parent. Quiescence must now hold across the
-// whole chain before the clock advances: both proxies drained, and
-// both event hops fully processed (each LastSeq caught up to its
-// upstream's head). Because the per-hop invariant "LastSeq advances
-// only after the matching poll is enqueued" composes, two consecutive
-// clean passes over the chain prove nothing is still in flight.
+// fetches through) the parent. The harness's quiesce holds across the
+// whole chain before the clock moves: both proxies drained, and both
+// event hops fully processed.
 
-// twoHopResult carries the measured side of one two-hop replay.
-type twoHopResult struct {
-	leafLogs    map[string][]metrics.Refresh
-	originPolls uint64
-	parentPush  PushStats
-	leafPush    PushStats
-	relay       RelayStats
-	// leafApplied counts leaf observations that installed a pushed
-	// payload; leafPushedPolls counts the leaf's pushed confirmation
-	// polls against the parent (zero on a clean value-carrying run).
-	leafApplied     uint64
-	leafPushedPolls uint64
-}
-
-// replayTraceTwoHop drives objs through origin → parent (relay) → leaf
-// on the stepped clock. killUpstreamAt, when positive, disables the
-// origin's event endpoint at that trace offset and revives it two
-// virtual minutes later — exercising the mid-stream Reset path through
-// the relay while the replay keeps running. values enables end-to-end
-// payload delivery on every hop (origin publishes bodies, both proxies
-// install them directly); payloadCap, when positive, bounds every hop's
-// negotiated payload size, forcing bodies beyond it onto the chunk rung
-// (0 keeps the protocol default).
-func replayTraceTwoHop(t *testing.T, objs []replayObject, horizon time.Duration, pushStretch float64, killUpstreamAt time.Duration, values bool, payloadCap int) twoHopResult {
-	t.Helper()
-	clk := newSimClock()
-
-	originOpts := []webserver.Option{
-		webserver.WithClock(clk.Now),
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushEvents(""),
-	}
-	if values {
-		originOpts = append(originOpts, webserver.WithPushValues(payloadCap))
-	}
-	origin := webserver.NewOrigin(originOpts...)
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
-	originURL, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	parentCfg := Config{
-		Origin:               originURL,
-		Clock:                clk.Now,
-		PollWorkers:          1,
-		DefaultDelta:         confDelta,
-		Bounds:               confBounds,
-		PushStretch:          pushStretch,
-		PushValues:           values,
-		PushHeartbeatTimeout: -1, // the watchdog is wall-clocked; disable it
-		PushBackoffMin:       time.Millisecond,
-		PushBackoffMax:       10 * time.Millisecond,
-		RelayEvents:          true,
-		PushPayloadCap:       payloadCap,
-	}
-	pushURL, _ := url.Parse(originSrv.URL + "/events")
-	parentCfg.PushURL = pushURL
-	parent, err := New(parentCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent.Start()
-	defer parent.Close()
-	parentSrv := httptest.NewServer(parent)
-	defer parentSrv.Close()
-	parentURL, err := url.Parse(parentSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var mu sync.Mutex
-	logs := make(map[string][]metrics.Refresh)
-	var leafApplied, leafPushedPolls uint64
-	leafCfg := Config{
-		Origin:               parentURL,
-		Clock:                clk.Now,
-		PollWorkers:          1,
-		DefaultDelta:         confDelta,
-		Bounds:               confBounds,
-		PushStretch:          pushStretch,
-		PushValues:           values,
-		PushHeartbeatTimeout: -1,
-		PushBackoffMin:       time.Millisecond,
-		PushBackoffMax:       10 * time.Millisecond,
-		PushPayloadCap:       payloadCap,
-		PollObserver: func(o PollObservation) {
-			mu.Lock()
-			logs[o.Key] = append(logs[o.Key], metrics.Refresh{
-				At:        simtime.At(o.At.Sub(clk.base)),
-				Modified:  o.Modified,
-				Value:     o.Value,
-				Triggered: o.Triggered || o.Pushed,
-			})
-			if o.Applied {
-				leafApplied++
-			} else if o.Pushed {
-				leafPushedPolls++
-			}
-			mu.Unlock()
-		},
-	}
-	leafPushURL, _ := url.Parse(parentSrv.URL + "/events")
-	leafCfg.PushURL = leafPushURL
-	leaf, err := New(leafCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.Start()
-	defer leaf.Close()
-	leafSrv := httptest.NewServer(leaf)
-	defer leafSrv.Close()
-
-	if !waitFor(t, 5*time.Second, func() bool {
-		return parent.PushStats().Connected && leaf.PushStats().Connected
-	}) {
-		t.Fatal("chain never connected")
-	}
-
-	// Seed version 0 of every object at the epoch.
-	for _, o := range objs {
-		origin.Set(o.path, replayBody(o, 0), "")
-		if !o.tol.IsZero() {
-			origin.SetTolerances(o.path, o.tol)
+// killUpstream schedules the origin's event endpoint to die at the trace
+// offset at and come back two virtual minutes later — the mid-stream
+// Reset path through the relay, while the replay keeps running. Both
+// instants sit off the whole-second grid, so they never collide with
+// trace updates.
+func killUpstream(at time.Duration) func(h *harness) []step {
+	const offGrid = 511 * time.Millisecond
+	return func(h *harness) []step {
+		return []step{
+			{at: at + offGrid, do: func() { h.origin.SetPushAvailable(false) }},
+			{at: at + 2*time.Minute + offGrid, do: func() { h.origin.SetPushAvailable(true) }},
 		}
-	}
-
-	// Chain quiescence: both hops' sequence spaces drained, both
-	// proxies idle, and the condition stable across two fresh passes
-	// (see the file comment).
-	quiesce := func() {
-		deadline := time.Now().Add(15 * time.Second)
-		stable := 0
-		for {
-			pass := func() bool {
-				if parent.PushStats().Connected && parent.PushStats().LastSeq < origin.PushSeq() {
-					return false
-				}
-				if leaf.PushStats().LastSeq < parent.RelayStats().Hub.Seq {
-					return false
-				}
-				if parent.InFlightPolls() != 0 || leaf.InFlightPolls() != 0 {
-					return false
-				}
-				now := clk.Now()
-				if next, ok := parent.NextRefreshAt(); ok && !next.After(now) {
-					return false
-				}
-				if next, ok := leaf.NextRefreshAt(); ok && !next.After(now) {
-					return false
-				}
-				return true
-			}
-			if pass() {
-				stable++
-				if stable >= 2 {
-					return
-				}
-			} else {
-				stable = 0
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("two-hop replay never quiesced: parent inflight=%d leaf inflight=%d "+
-					"originSeq=%d parentSeq=%d relaySeq=%d leafSeq=%d now=%v",
-					parent.InFlightPolls(), leaf.InFlightPolls(),
-					origin.PushSeq(), parent.PushStats().LastSeq,
-					parent.RelayStats().Hub.Seq, leaf.PushStats().LastSeq, clk.Now())
-			}
-			parent.Kick()
-			leaf.Kick()
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	quiesce()
-
-	// Admit every object at the leaf (which admits it at the parent),
-	// off the whole-second grid.
-	clk.AdvanceTo(clk.base.Add(admissionPhase))
-	parent.Kick()
-	leaf.Kick()
-	for _, o := range objs {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest("GET", o.path, nil)
-		leaf.ServeHTTP(rec, req)
-		if rec.Code != 200 {
-			t.Fatalf("admission of %s: %d %s", o.path, rec.Code, rec.Body.String())
-		}
-	}
-	quiesce()
-
-	// Merge the per-object update streams into one replay schedule,
-	// interleaving the upstream kill/revive chaos instants when asked.
-	type replayEvent struct {
-		at   time.Duration
-		obj  int // -1: chaos action
-		rev  int
-		kill bool
-	}
-	var events []replayEvent
-	for i, o := range objs {
-		for r, u := range o.tr.Updates {
-			events = append(events, replayEvent{at: u.At, obj: i, rev: r + 1})
-		}
-	}
-	if killUpstreamAt > 0 {
-		// Offset off the whole-second grid so chaos instants never
-		// collide with trace updates.
-		events = append(events,
-			replayEvent{at: killUpstreamAt + 511*time.Millisecond, obj: -1, kill: true},
-			replayEvent{at: killUpstreamAt + 2*time.Minute + 511*time.Millisecond, obj: -1, kill: false},
-		)
-	}
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && (events[j].at < events[j-1].at ||
-			(events[j].at == events[j-1].at && events[j].obj < events[j-1].obj)); j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
-
-	end := clk.base.Add(horizon)
-	ei := 0
-	for {
-		var stepAt time.Time
-		haveStep := false
-		if ei < len(events) {
-			stepAt = clk.base.Add(events[ei].at)
-			haveStep = true
-		}
-		for _, px := range []*Proxy{parent, leaf} {
-			if next, ok := px.NextRefreshAt(); ok && !next.After(end) {
-				if !haveStep || next.Before(stepAt) {
-					stepAt = next
-					haveStep = true
-				}
-			}
-		}
-		if !haveStep || stepAt.After(end) {
-			break
-		}
-		clk.AdvanceTo(stepAt)
-		for ei < len(events) && !clk.base.Add(events[ei].at).After(stepAt) {
-			ev := events[ei]
-			ei++
-			if ev.obj < 0 {
-				if ev.kill {
-					origin.SetPushAvailable(false)
-					// The parent must notice before the replay moves on:
-					// the subscriber's stream death is a wall-time
-					// event, not a virtual one.
-					if !waitFor(t, 5*time.Second, func() bool { return !parent.PushStats().Connected }) {
-						t.Fatal("parent never noticed the upstream kill")
-					}
-				} else {
-					origin.SetPushAvailable(true)
-					if !waitFor(t, 5*time.Second, func() bool { return parent.PushStats().Connected }) {
-						t.Fatal("parent never re-armed after the revive")
-					}
-				}
-				continue
-			}
-			o := objs[ev.obj]
-			origin.Set(o.path, replayBody(o, ev.rev), "")
-		}
-		parent.Kick()
-		leaf.Kick()
-		quiesce()
-	}
-	clk.AdvanceTo(end)
-	parent.Kick()
-	leaf.Kick()
-	quiesce()
-
-	mu.Lock()
-	defer mu.Unlock()
-	return twoHopResult{
-		leafLogs:        logs,
-		originPolls:     origin.Polls(),
-		parentPush:      parent.PushStats(),
-		leafPush:        leaf.PushStats(),
-		relay:           parent.RelayStats(),
-		leafApplied:     leafApplied,
-		leafPushedPolls: leafPushedPolls,
 	}
 }
 
@@ -317,28 +37,29 @@ func replayTraceTwoHop(t *testing.T, objs []replayObject, horizon time.Duration,
 // replayed trace — the relay may add a hop, never staleness beyond Δ.
 func TestConformanceTwoHopRelayHoldsLeafDeltaBound(t *testing.T) {
 	tr := confTrace(t)
-	res := replayTraceTwoHop(t, []replayObject{{path: "/news", tr: tr}}, confHorizon, 16, 0, false, 0)
-
-	log := res.leafLogs["/news"]
+	res := replay(t, confTopology(2, Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16}, true, 0),
+		[]replayObject{{path: "/news", tr: tr}}, confHorizon, nil)
+	leafPush, relay := res.pushStats, res.h.root().relayHub()
+	log := res.logs["/news"]
 	if len(log) < 3 {
 		t.Fatalf("leaf recorded only %d polls", len(log))
 	}
 	meas := metrics.EvaluateTemporal(tr, log, confDelta, confHorizon)
-	t.Logf("leaf measured: %v (origin polls %d, relay %+v)", meas, res.originPolls, res.relay.Hub)
+	t.Logf("leaf measured: %v (origin polls %d, relay %+v)", meas, res.originPolls, relay)
 	if meas.Violations != 0 {
 		t.Errorf("leaf Δt violations through the relay: %d", meas.Violations)
 	}
-	if res.leafPush.Polls == 0 {
+	if leafPush.Polls == 0 {
 		t.Error("leaf never ran a pushed poll; the relay was inert")
 	}
-	if res.relay.Hub.Seq == 0 {
+	if relay.Seq == 0 {
 		t.Error("parent relayed nothing")
 	}
 	// The pass-through + confirmation design means every origin update
 	// produces at least one relay event; the leaf must have consumed
 	// the stream to its head.
-	if res.leafPush.LastSeq != res.relay.Hub.Seq {
-		t.Errorf("leaf stopped at relay seq %d of %d", res.leafPush.LastSeq, res.relay.Hub.Seq)
+	if leafPush.LastSeq != relay.Seq {
+		t.Errorf("leaf stopped at relay seq %d of %d", leafPush.LastSeq, relay.Seq)
 	}
 }
 
@@ -353,22 +74,23 @@ func TestConformanceTwoHopSurvivesUpstreamKill(t *testing.T) {
 	tr := confTrace(t)
 	// Kill just after the first third of the horizon: the trace is
 	// guaranteed to still have updates in flight afterwards.
-	res := replayTraceTwoHop(t, []replayObject{{path: "/news", tr: tr}}, confHorizon, 16, confHorizon/3, false, 0)
+	res := replay(t, confTopology(2, Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16}, true, 0),
+		[]replayObject{{path: "/news", tr: tr}}, confHorizon, killUpstream(confHorizon/3))
 
-	log := res.leafLogs["/news"]
-	meas := metrics.EvaluateTemporal(tr, log, confDelta, confHorizon)
-	t.Logf("leaf measured: %v (parent push %+v, leaf push %+v)", meas, res.parentPush, res.leafPush)
-	if res.parentPush.Fallbacks == 0 {
+	parentPush, leafPush := res.h.root().PushStats(), res.pushStats
+	meas := metrics.EvaluateTemporal(tr, res.logs["/news"], confDelta, confHorizon)
+	t.Logf("leaf measured: %v (parent push %+v, leaf push %+v)", meas, parentPush, leafPush)
+	if parentPush.Fallbacks == 0 {
 		t.Fatal("the kill never produced a parent fallback; the chaos exercised nothing")
 	}
-	if res.leafPush.Resets == 0 {
+	if leafPush.Resets == 0 {
 		t.Fatal("the parent's upstream loss never propagated a mid-stream Reset to the leaf")
 	}
 	// The Reset must ride the leaf's live stream: its own channel to the
 	// parent never died, so no leaf fallback and no reconnect.
-	if res.leafPush.Fallbacks != 0 || res.leafPush.Connects != 1 {
+	if leafPush.Fallbacks != 0 || leafPush.Connects != 1 {
 		t.Errorf("leaf stream flapped (connects=%d fallbacks=%d); the Reset should ride the live stream",
-			res.leafPush.Connects, res.leafPush.Fallbacks)
+			leafPush.Connects, leafPush.Fallbacks)
 	}
 	// Across the blind window the chain degrades to the paper's pure
 	// polling (parent sweeps, paper-mode polls, confirmation relay), so
@@ -395,10 +117,10 @@ func TestConformanceTemporalSecondPreset(t *testing.T) {
 	}
 	pred, _ := predictTemporal(t, tr, confDelta, confBounds)
 
-	pull := replayTrace(t, []replayObject{{path: "/nytap", tr: tr}}, confHorizon, Config{
+	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false)
+	}, false, 0), []replayObject{{path: "/nytap", tr: tr}}, confHorizon, nil)
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/nytap"], confDelta, confHorizon)
 	t.Logf("predicted: %v", pred)
 	t.Logf("pull measured: %v (origin polls %d)", measPull, pull.originPolls)
@@ -412,11 +134,11 @@ func TestConformanceTemporalSecondPreset(t *testing.T) {
 		t.Errorf("poll volume diverged: measured %d predicted %d", measPull.Polls, pred.Polls)
 	}
 
-	push := replayTrace(t, []replayObject{{path: "/nytap", tr: tr}}, confHorizon, Config{
+	push := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true)
+	}, true, 0), []replayObject{{path: "/nytap", tr: tr}}, confHorizon, nil)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/nytap"], confDelta, confHorizon)
 	t.Logf("push measured: %v (origin polls %d)", measPush, push.originPolls)
 	rPull := violationRate(measPull.Violations, measPull.Polls)

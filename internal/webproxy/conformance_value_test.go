@@ -130,6 +130,10 @@ func valueReplayConfig(pushOn bool) Config {
 	return cfg
 }
 
+// twoHopValues configures both hops of the value two-hop replays: the
+// temporal battery's parameters with payloads on.
+var twoHopValues = Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16, PushValues: true}
+
 // runValuePreset replays one stock preset pull and push and applies the
 // battery's assertions; inject, when non-nil, is wired into the push
 // run's replay objects.
@@ -142,8 +146,7 @@ func runValuePreset(t *testing.T, tr *trace.Trace, delta float64, horizon time.D
 	// Pull fidelity: the live stack running AdaptiveTTR over the same
 	// trace must land near the simulator's prediction, at comparable
 	// poll cost — the same conformance bar the temporal presets clear.
-	pull := replayTrace(t, []replayObject{{path: path, tr: tr, tol: tol}}, horizon,
-		valueReplayConfig(false), false)
+	pull := replay(t, confTopology(1, valueReplayConfig(false), false, 0), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
 	measPull := metrics.EvaluateValue(tr, pull.logs[path], delta, horizon)
 	t.Logf("%s pull measured:  %+v (origin polls %d)", tr.Name, measPull, pull.originPolls)
 	t.Logf("%s pull predicted: %+v (origin polls %d)", tr.Name, pred, predPolls)
@@ -158,8 +161,7 @@ func runValuePreset(t *testing.T, tr *trace.Trace, delta float64, horizon time.D
 
 	// Push: every tick rides the payload — zero Δv violations, zero
 	// confirmation polls on the pushed path.
-	push := replayTrace(t, []replayObject{{path: path, tr: tr, tol: tol}}, horizon,
-		valueReplayConfig(true), true)
+	push := replay(t, confTopology(1, valueReplayConfig(true), true, 0), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
 	measPush := metrics.EvaluateValue(tr, push.logs[path], delta, horizon)
 	t.Logf("%s push measured: %+v (origin polls %d, applied %d, pushed polls %d, stats %+v)",
 		tr.Name, measPush, push.originPolls, push.applied, push.pushedPolls, push.pushStats)
@@ -199,26 +201,27 @@ func TestConformanceValueYahoo(t *testing.T) {
 func TestConformanceValueTwoHop(t *testing.T) {
 	tr := valueTrace(t, tracegen.ATT(), attHorizon)
 	path := "/" + tr.Name
-	res := replayTraceTwoHop(t, []replayObject{{path: path, tr: tr,
-		tol: httpx.Tolerances{ValueDelta: attDelta}}}, attHorizon, 16, 0, true, 0)
+	res := replay(t, confTopology(2, twoHopValues, true, 0), []replayObject{{path: path, tr: tr,
+		tol: httpx.Tolerances{ValueDelta: attDelta}}}, attHorizon, nil)
+	parentPush, leafPush := res.h.root().PushStats(), res.pushStats
 
-	meas := metrics.EvaluateValue(tr, res.leafLogs[path], attDelta, attHorizon)
+	meas := metrics.EvaluateValue(tr, res.logs[path], attDelta, attHorizon)
 	t.Logf("leaf measured: %+v (origin polls %d, applied %d, pushed polls %d, parent %+v, leaf %+v)",
-		meas, res.originPolls, res.leafApplied, res.leafPushedPolls, res.parentPush, res.leafPush)
-	assertValuePushPerfect(t, "two-hop "+tr.Name, tr, res.leafLogs[path], attDelta, meas)
-	if res.leafPushedPolls != 0 {
-		t.Errorf("leaf issued %d confirmation polls; the payload must feed it directly", res.leafPushedPolls)
+		meas, res.originPolls, res.applied, res.pushedPolls, parentPush, leafPush)
+	assertValuePushPerfect(t, "two-hop "+tr.Name, tr, res.logs[path], attDelta, meas)
+	if res.pushedPolls != 0 {
+		t.Errorf("leaf issued %d confirmation polls; the payload must feed it directly", res.pushedPolls)
 	}
-	if res.leafApplied == 0 {
+	if res.applied == 0 {
 		t.Error("leaf never installed a payload; the relay stripped the values")
 	}
-	if res.parentPush.ValueFallbacks != 0 {
-		t.Errorf("parent fell back %d times on the clean path", res.parentPush.ValueFallbacks)
+	if parentPush.ValueFallbacks != 0 {
+		t.Errorf("parent fell back %d times on the clean path", parentPush.ValueFallbacks)
 	}
-	if res.leafPush.ValueFallbacks != 0 {
-		t.Errorf("leaf fell back %d times on the clean path", res.leafPush.ValueFallbacks)
+	if leafPush.ValueFallbacks != 0 {
+		t.Errorf("leaf fell back %d times on the clean path", leafPush.ValueFallbacks)
 	}
-	if res.relay.Hub.Seq == 0 {
+	if res.h.root().relayHub().Seq == 0 {
 		t.Error("parent relayed nothing")
 	}
 }
@@ -237,39 +240,39 @@ func TestConformanceValueLargeObjectTwoHop(t *testing.T) {
 	)
 	tr := valueTrace(t, tracegen.ATT(), attHorizon/2)
 	path := "/" + tr.Name
-	res := replayTraceTwoHop(t, []replayObject{{path: path, tr: tr,
-		tol: httpx.Tolerances{ValueDelta: attDelta}, pad: largePad}},
-		attHorizon/2, 16, 0, true, largeCap)
+	res := replay(t, confTopology(2, twoHopValues, true, largeCap), []replayObject{{path: path, tr: tr,
+		tol: httpx.Tolerances{ValueDelta: attDelta}, pad: largePad}}, attHorizon/2, nil)
+	parentPush, leafPush := res.h.root().PushStats(), res.pushStats
 
-	meas := metrics.EvaluateValue(tr, res.leafLogs[path], attDelta, attHorizon/2)
+	meas := metrics.EvaluateValue(tr, res.logs[path], attDelta, attHorizon/2)
 	t.Logf("leaf measured: %+v (origin polls %d, applied %d, pushed polls %d, parent %+v, leaf %+v)",
-		meas, res.originPolls, res.leafApplied, res.leafPushedPolls, res.parentPush, res.leafPush)
-	assertValuePushPerfect(t, "large two-hop "+tr.Name, tr, res.leafLogs[path], attDelta, meas)
-	if res.leafPushedPolls != 0 {
-		t.Errorf("leaf issued %d confirmation polls; the ladder must feed it directly", res.leafPushedPolls)
+		meas, res.originPolls, res.applied, res.pushedPolls, parentPush, leafPush)
+	assertValuePushPerfect(t, "large two-hop "+tr.Name, tr, res.logs[path], attDelta, meas)
+	if res.pushedPolls != 0 {
+		t.Errorf("leaf issued %d confirmation polls; the ladder must feed it directly", res.pushedPolls)
 	}
-	if res.parentPush.ValueFallbacks != 0 || res.leafPush.ValueFallbacks != 0 {
+	if parentPush.ValueFallbacks != 0 || leafPush.ValueFallbacks != 0 {
 		t.Errorf("fallbacks on the clean path: parent %d leaf %d",
-			res.parentPush.ValueFallbacks, res.leafPush.ValueFallbacks)
+			parentPush.ValueFallbacks, leafPush.ValueFallbacks)
 	}
-	if res.parentPush.DeltaBaseMisses != 0 || res.leafPush.DeltaBaseMisses != 0 {
+	if parentPush.DeltaBaseMisses != 0 || leafPush.DeltaBaseMisses != 0 {
 		t.Errorf("base misses on the clean path: parent %d leaf %d",
-			res.parentPush.DeltaBaseMisses, res.leafPush.DeltaBaseMisses)
+			parentPush.DeltaBaseMisses, leafPush.DeltaBaseMisses)
 	}
 	// Both hops must have used both expensive-body rungs: chunks for the
 	// first over-cap delivery, deltas once a base is held.
-	if res.parentPush.ChunksAssembled == 0 {
-		t.Errorf("parent assembled no chunk sets: %+v", res.parentPush)
+	if parentPush.ChunksAssembled == 0 {
+		t.Errorf("parent assembled no chunk sets: %+v", parentPush)
 	}
-	if res.parentPush.DeltaApplied == 0 {
-		t.Errorf("parent applied no deltas: %+v", res.parentPush)
+	if parentPush.DeltaApplied == 0 {
+		t.Errorf("parent applied no deltas: %+v", parentPush)
 	}
-	if res.leafPush.DeltaApplied == 0 {
-		t.Errorf("leaf applied no deltas: %+v", res.leafPush)
+	if leafPush.DeltaApplied == 0 {
+		t.Errorf("leaf applied no deltas: %+v", leafPush)
 	}
 	// Re-basing at the parent is what feeds the leaf's delta rung.
-	if res.parentPush.DeltaRebased == 0 {
-		t.Errorf("parent republished no delta sidecars: %+v", res.parentPush)
+	if parentPush.DeltaRebased == 0 {
+		t.Errorf("parent republished no delta sidecars: %+v", parentPush)
 	}
 }
 
@@ -325,7 +328,7 @@ func TestConformanceValueInjectionsFallBack(t *testing.T) {
 			}
 		},
 	}
-	res := replayTrace(t, []replayObject{obj}, attHorizon/2, valueReplayConfig(true), true)
+	res := replay(t, confTopology(1, valueReplayConfig(true), true, 0), []replayObject{obj}, attHorizon/2, nil)
 	meas := metrics.EvaluateValue(tr, res.logs[path], attDelta, attHorizon/2)
 	t.Logf("measured: %+v (injected %d, fallbacks %d, applied %d, pushed polls %d)",
 		meas, injected, res.pushStats.ValueFallbacks, res.applied, res.pushedPolls)
@@ -360,10 +363,10 @@ func TestConformanceTemporalGuardianPreset(t *testing.T) {
 	}
 	pred, _ := predictTemporal(t, tr, confDelta, confBounds)
 
-	pull := replayTrace(t, []replayObject{{path: "/guardian", tr: tr}}, horizon, Config{
+	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false)
+	}, false, 0), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/guardian"], confDelta, horizon)
 	t.Logf("predicted: %v", pred)
 	t.Logf("pull measured: %v (origin polls %d)", measPull, pull.originPolls)
@@ -377,11 +380,11 @@ func TestConformanceTemporalGuardianPreset(t *testing.T) {
 		t.Errorf("poll volume diverged: measured %d predicted %d", measPull.Polls, pred.Polls)
 	}
 
-	push := replayTrace(t, []replayObject{{path: "/guardian", tr: tr}}, horizon, Config{
+	push := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true)
+	}, true, 0), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/guardian"], confDelta, horizon)
 	t.Logf("push measured: %v (origin polls %d)", measPush, push.originPolls)
 	rPull := violationRate(measPull.Violations, measPull.Polls)

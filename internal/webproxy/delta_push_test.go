@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -40,42 +39,39 @@ func docBody(rev, lines int) []byte {
 // holds no base for the stream yet); once that delivery seeds the held
 // set, the next update rides the delta rung.
 func TestDeltaPushAppliedLive(t *testing.T) {
-	s := newValuePushSetup(t, Config{})
+	h := newHarness(t, valuePushTopology(Config{}))
+	px := h.leaf()
 	v1, v2, v3 := docBody(1, 120), docBody(2, 120), docBody(3, 120)
-	s.origin.Set("/doc", v1, "text/plain")
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/doc")
-	admissionPolls := s.origin.Polls()
+	h.origin.Set("/doc", v1, "text/plain")
+	h.quiesce()
+	px.get("/doc")
+	admissionPolls := h.origin.Polls()
 
 	// Full rung: the stream holds no base for /doc yet.
-	s.origin.Set("/doc", v2, "text/plain")
-	if !waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/doc")
-		return string(b) == string(v2)
-	}) {
-		t.Fatalf("full payload never installed: %+v", s.proxy.PushStats())
+	h.origin.Set("/doc", v2, "text/plain")
+	h.quiesce()
+	if b, _ := px.CachedBody("/doc"); string(b) != string(v2) {
+		t.Fatalf("full payload never installed: %+v", px.PushStats())
 	}
 
 	// Delta rung: the hub now holds digest(v2) for this stream.
-	s.origin.Set("/doc", v3, "text/plain")
-	if !waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/doc")
-		return string(b) == string(v3)
-	}) {
-		t.Fatalf("delta update never installed: %+v", s.proxy.PushStats())
+	h.origin.Set("/doc", v3, "text/plain")
+	h.quiesce()
+	if b, _ := px.CachedBody("/doc"); string(b) != string(v3) {
+		t.Fatalf("delta update never installed: %+v", px.PushStats())
 	}
 
-	st := s.proxy.PushStats()
+	st := px.PushStats()
 	if st.DeltaApplied == 0 {
 		t.Errorf("no delta applications recorded: %+v", st)
 	}
 	if st.DeltaBaseMisses != 0 || st.ValueFallbacks != 0 {
 		t.Errorf("clean delta path degraded: %+v", st)
 	}
-	if got := s.origin.Polls(); got != admissionPolls {
+	if got := h.origin.Polls(); got != admissionPolls {
 		t.Errorf("origin saw %d polls beyond admission; the delta path must cost zero", got-admissionPolls)
 	}
-	if hs := s.origin.Stats().Hub; hs.DeltaFrames == 0 {
+	if hs := h.origin.Stats().Hub; hs.DeltaFrames == 0 {
 		t.Errorf("origin hub sent no delta frames: %+v", hs)
 	}
 }
@@ -86,42 +82,35 @@ func TestDeltaPushAppliedLive(t *testing.T) {
 // strips the frame; the proxy degrades to exactly one confirmation
 // poll and keeps serving the genuine body.
 func TestDeltaPushForgedBaseFallsToConfirmationPoll(t *testing.T) {
-	s := newValuePushSetup(t, Config{})
+	h := newHarness(t, valuePushTopology(Config{}))
+	px := h.leaf()
 	v1, v2 := docBody(1, 80), docBody(2, 80)
-	s.origin.Set("/page", v1, "text/plain")
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/page")
+	h.origin.Set("/page", v1, "text/plain")
+	h.quiesce()
+	px.get("/page")
 
 	// Seed the stream's held set with a genuine full delivery.
-	s.origin.Set("/page", v2, "text/plain")
-	if !waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/page")
-		return string(b) == string(v2)
-	}) {
-		t.Fatalf("genuine update never installed: %+v", s.proxy.PushStats())
+	h.origin.Set("/page", v2, "text/plain")
+	h.quiesce()
+	if b, _ := px.CachedBody("/page"); string(b) != string(v2) {
+		t.Fatalf("genuine update never installed: %+v", px.PushStats())
 	}
-	pollsBefore := s.origin.Polls()
+	pollsBefore := h.origin.Polls()
 
-	s.origin.InjectPushEvent(push.Event{
-		Kind: push.KindUpdate, Key: "/page", ModTime: time.Now().Add(time.Hour),
+	h.origin.InjectPushEvent(push.Event{
+		Kind: push.KindUpdate, Key: "/page", ModTime: h.clk.Now().Add(time.Hour),
 		Body: []byte{0x01, 0x03, 'x', 'y', 'z'}, HasBody: true,
 		Digest:     push.DigestOf([]byte("forged target")),
 		BaseDigest: "00000000deadbeef", DeltaCodec: push.DeltaCodecBlock,
 	})
-	if !waitFor(t, 3*time.Second, func() bool { return s.proxy.PushStats().ValueFallbacks >= 1 }) {
-		t.Fatalf("forged base never fell back: %+v", s.proxy.PushStats())
-	}
-	if !waitFor(t, 3*time.Second, func() bool { return s.origin.Polls() > pollsBefore }) {
-		t.Fatal("confirmation poll never reached the origin")
-	}
-	if got := s.origin.Polls(); got != pollsBefore+1 {
+	h.quiesce()
+	if got := h.origin.Polls(); got != pollsBefore+1 {
 		t.Errorf("forged base cost %d polls; the ladder owes exactly one", got-pollsBefore)
 	}
-	st := s.proxy.PushStats()
-	if st.ValueFallbacks != 1 {
+	if st := px.PushStats(); st.ValueFallbacks != 1 {
 		t.Errorf("ValueFallbacks = %d, want exactly 1: %+v", st.ValueFallbacks, st)
 	}
-	if b, _ := s.proxy.CachedBody("/page"); string(b) != string(v2) {
+	if b, _ := px.CachedBody("/page"); string(b) != string(v2) {
 		t.Errorf("cache degraded off the genuine body: %d bytes", len(b))
 	}
 }
@@ -132,14 +121,15 @@ func TestDeltaPushForgedBaseFallsToConfirmationPoll(t *testing.T) {
 // digest check must each count a base miss and install nothing, while
 // the all-correct frame installs without any origin traffic.
 func TestResolveDeltaBaseAuthority(t *testing.T) {
-	s := newValuePushSetup(t, Config{})
+	h := newHarness(t, valuePushTopology(Config{}))
+	px := h.leaf()
 	v1, v2 := docBody(1, 100), docBody(2, 100)
-	s.origin.Set("/obj", v1, "text/plain")
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/obj")
-	pollsBefore := s.origin.Polls()
+	h.origin.Set("/obj", v1, "text/plain")
+	h.quiesce()
+	px.get("/obj")
+	pollsBefore := h.origin.Polls()
 
-	e := s.proxy.lookup("/obj")
+	e := px.lookup("/obj")
 	if e == nil {
 		t.Fatal("admitted object not resident")
 	}
@@ -149,7 +139,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 	}
 	mk := func(body []byte, digest, base string) *push.Event {
 		return &push.Event{
-			Kind: push.KindUpdate, Key: "/obj", ModTime: time.Now().Add(time.Hour),
+			Kind: push.KindUpdate, Key: "/obj", ModTime: h.clk.Now().Add(time.Hour),
 			Body: body, HasBody: true, Digest: digest,
 			BaseDigest: base, DeltaCodec: push.DeltaCodecBlock,
 		}
@@ -164,28 +154,28 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 		{"terminal digest mismatch", mk(delta, push.DigestOf(v1), push.DigestOf(v1))},
 	}
 	for i, tc := range cases {
-		if s.proxy.applyPushedValue(e, tc.ev, nil) {
+		if px.applyPushedValue(e, tc.ev, nil) {
 			t.Fatalf("%s: applyPushedValue accepted the frame", tc.name)
 		}
-		if got := s.proxy.PushStats().DeltaBaseMisses; got != uint64(i+1) {
+		if got := px.PushStats().DeltaBaseMisses; got != uint64(i+1) {
 			t.Fatalf("%s: DeltaBaseMisses = %d, want %d", tc.name, got, i+1)
 		}
-		if b, _ := s.proxy.CachedBody("/obj"); string(b) != string(v1) {
+		if b, _ := px.CachedBody("/obj"); string(b) != string(v1) {
 			t.Fatalf("%s: refusal mutated the cached body", tc.name)
 		}
 	}
 
-	if !s.proxy.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1)), nil) {
-		t.Fatalf("correct delta refused: %+v", s.proxy.PushStats())
+	if !px.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1)), nil) {
+		t.Fatalf("correct delta refused: %+v", px.PushStats())
 	}
-	st := s.proxy.PushStats()
+	st := px.PushStats()
 	if st.DeltaApplied != 1 || st.DeltaBaseMisses != 3 {
 		t.Errorf("stats after apply: %+v", st)
 	}
-	if b, _ := s.proxy.CachedBody("/obj"); string(b) != string(v2) {
+	if b, _ := px.CachedBody("/obj"); string(b) != string(v2) {
 		t.Errorf("delta apply installed wrong body (%d bytes)", len(b))
 	}
-	if got := s.origin.Polls(); got != pollsBefore {
+	if got := h.origin.Polls(); got != pollsBefore {
 		t.Errorf("direct apply path cost %d origin polls", got-pollsBefore)
 	}
 }
@@ -197,8 +187,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 // record has moved on, and a delta based on the current disk body
 // applies and persists.
 func TestDiskDeltaBaseAuthority(t *testing.T) {
-	var mu sync.Mutex
-	lastMod := time.Now().UTC().Add(-time.Hour).Truncate(time.Second)
+	lastMod := time.Unix(1_700_000_000, 0).UTC().Add(-time.Hour)
 	body := func(path string) string {
 		b := fmt.Sprintf("payload of %s ", path)
 		for len(b) < 1024 {
@@ -207,25 +196,24 @@ func TestDiskDeltaBaseAuthority(t *testing.T) {
 		return b
 	}
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		defer mu.Unlock()
 		w.Header().Set("Last-Modified", lastMod.Format(http.TimeFormat))
 		fmt.Fprint(w, body(r.URL.Path))
 	})
-	px, _ := newHandlerProxy(t, handler, Config{
+	h := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxBytes:     3200,
 		Shards:       2,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
 		DiskDir:      t.TempDir(),
 		PushValues:   true, // payload application without a live stream: disk applies are direct
-	})
+	}})
+	px := h.leaf()
 
 	// Overrun the byte budget so CLOCK demotes most of the set to disk.
 	const n = 8
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("/d/%d", i)
-		if code, got, _ := proxyGet(t, px, k); code != 200 || got != body(k) {
+		if code, got, _ := px.get(k); code != 200 || got != body(k) {
 			t.Fatalf("admit %s: %d", k, code)
 		}
 	}
@@ -252,7 +240,7 @@ func TestDiskDeltaBaseAuthority(t *testing.T) {
 	}
 	v2 := append(append([]byte{}, v1...), []byte("appended revision two, new trailing material\n")...)
 	v3 := append(append([]byte{}, v2...), []byte("appended revision three, yet more material\n")...)
-	t0 := time.Now().UTC().Truncate(time.Second)
+	t0 := h.clk.Now()
 
 	// Full update lands on the disk record.
 	full := push.Event{
@@ -326,39 +314,40 @@ func TestDiskDeltaBaseAuthority(t *testing.T) {
 // refuses non-resident keys, counts applications, and journals the new
 // bounds through the disk tier so a restart would rehydrate them.
 func TestOverrideToleranceLive(t *testing.T) {
-	s := newLiveSetup(t, []webserver.Option{webserver.WithHistoryExtension(true)}, Config{
+	h := newHarness(t, topology{origin: []webserver.Option{webserver.WithHistoryExtension(true)}, cfg: Config{
 		Bounds:       core.TTRBounds{Min: time.Minute, Max: time.Hour},
 		DefaultDelta: time.Minute,
 		DiskDir:      t.TempDir(),
-	})
-	s.origin.Set("/page", docBody(1, 40), "text/plain")
-	s.get(t, "/page")
+	}})
+	px := h.leaf()
+	h.origin.Set("/page", docBody(1, 40), "text/plain")
+	px.get("/page")
 
-	res, ok := s.proxy.OverrideTolerance("/page", 30*time.Second, 0)
+	res, ok := px.OverrideTolerance("/page", 30*time.Second, 0)
 	if !ok {
 		t.Fatal("override refused for a resident key")
 	}
 	if res.Key != "/page" || res.Delta != 30*time.Second || res.ValueDelta != 0 {
 		t.Fatalf("override result = %+v", res)
 	}
-	if got := s.proxy.ToleranceOverrides(); got != 1 {
+	if got := px.ToleranceOverrides(); got != 1 {
 		t.Fatalf("ToleranceOverrides = %d", got)
 	}
-	if cs := s.proxy.CacheStats(); cs.ToleranceOverrides != 1 {
+	if cs := px.CacheStats(); cs.ToleranceOverrides != 1 {
 		t.Fatalf("CacheStats.ToleranceOverrides = %d", cs.ToleranceOverrides)
 	}
 
-	if _, ok := s.proxy.OverrideTolerance("/nope", time.Second, 0); ok {
+	if _, ok := px.OverrideTolerance("/nope", time.Second, 0); ok {
 		t.Fatal("override accepted a non-resident key")
 	}
-	if got := s.proxy.ToleranceOverrides(); got != 1 {
+	if got := px.ToleranceOverrides(); got != 1 {
 		t.Fatalf("failed override counted: %d", got)
 	}
 
 	// The override journals through the disk tier: the record carries
 	// the new Δ for rehydration.
-	s.proxy.FlushDisk()
-	rec, ok := s.proxy.disk.Meta("/page")
+	px.FlushDisk()
+	rec, ok := px.disk.Meta("/page")
 	if !ok {
 		t.Fatal("no disk record journaled for the overridden entry")
 	}
@@ -367,17 +356,17 @@ func TestOverrideToleranceLive(t *testing.T) {
 	}
 
 	// Δv on a value object: the override echoes the new value tolerance.
-	s.origin.Set("/quote", []byte("100.00\n"), "text/plain")
-	s.origin.SetTolerances("/quote", httpx.Tolerances{ValueDelta: 0.25})
-	s.get(t, "/quote")
-	res2, ok := s.proxy.OverrideTolerance("/quote", 0, 0.5)
+	h.origin.Set("/quote", []byte("100.00\n"), "text/plain")
+	h.origin.SetTolerances("/quote", httpx.Tolerances{ValueDelta: 0.25})
+	px.get("/quote")
+	res2, ok := px.OverrideTolerance("/quote", 0, 0.5)
 	if !ok {
 		t.Fatal("dv override refused for a resident value object")
 	}
 	if res2.ValueDelta != 0.5 {
 		t.Fatalf("dv override result = %+v", res2)
 	}
-	if got := s.proxy.ToleranceOverrides(); got != 2 {
+	if got := px.ToleranceOverrides(); got != 2 {
 		t.Fatalf("ToleranceOverrides = %d", got)
 	}
 }

@@ -8,18 +8,15 @@ package webproxy
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"sync"
 	"testing"
 	"time"
 
 	"broadway/internal/core"
-	"broadway/internal/webserver"
 )
 
 // ttrOf reads the learned TTR of a resident entry's policy.
-func ttrOf(t *testing.T, px *Proxy, key string) time.Duration {
+func ttrOf(t *testing.T, px *node, key string) time.Duration {
 	t.Helper()
 	e := px.lookup(key)
 	if e == nil {
@@ -34,26 +31,6 @@ func ttrOf(t *testing.T, px *Proxy, key string) time.Duration {
 	return tp.TTR()
 }
 
-// quiesceSim drives the proxy until no poll is queued, in flight, or due
-// at the current virtual instant (the conformance battery's replay
-// discipline, reused for restart tests).
-func quiesceSim(t *testing.T, px *Proxy, clk *simClock) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		inFlight := px.InFlightPolls()
-		next, ok := px.NextRefreshAt()
-		if inFlight == 0 && (!ok || next.After(clk.Now())) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("proxy never quiesced: inflight=%d next=%v now=%v", inFlight, next, clk.Now())
-		}
-		px.Kick()
-		time.Sleep(100 * time.Microsecond)
-	}
-}
-
 // TestRestartRehydratesWarmZeroDeltaViolations is the kill-and-restart
 // conformance replay: a proxy learns per-object TTRs on the stepped
 // clock, shuts down, and a second proxy over the same -disk-dir must
@@ -63,102 +40,77 @@ func quiesceSim(t *testing.T, px *Proxy, clk *simClock) {
 // validation, including an object the origin rewrote during the
 // downtime.
 func TestRestartRehydratesWarmZeroDeltaViolations(t *testing.T) {
-	clk := newSimClock()
-	dir := t.TempDir()
-
-	origin := webserver.NewOrigin(webserver.WithClock(clk.Now))
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
-	u, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var mu sync.Mutex
+	polls := make(map[string]int)
+	h := newHarness(t, topology{cfg: Config{
+		DefaultDelta: 30 * time.Second,
+		Bounds:       core.TTRBounds{Min: 10 * time.Second, Max: 10 * time.Minute},
+		DiskDir:      t.TempDir(),
+		PollObserver: func(o PollObservation) {
+			mu.Lock()
+			polls[o.Key]++
+			mu.Unlock()
+		},
+	}})
+	px := h.leaf()
 
 	const n = 6
 	truth := make(map[string]string, n) // origin ground truth per key
 	key := func(i int) string { return fmt.Sprintf("/d/%d", i) }
 	for i := 0; i < n; i++ {
 		truth[key(i)] = fmt.Sprintf("object %d rev 1", i)
-		origin.Set(key(i), []byte(truth[key(i)]), "text/plain")
+		h.origin.Set(key(i), []byte(truth[key(i)]), "text/plain")
 	}
-
-	var mu sync.Mutex
-	polls := make(map[string]int)
-	cfg := Config{
-		Origin:       u,
-		Clock:        clk.Now,
-		PollWorkers:  1,
-		DefaultDelta: 30 * time.Second,
-		Bounds:       core.TTRBounds{Min: 10 * time.Second, Max: 10 * time.Minute},
-		DiskDir:      dir,
-		PollObserver: func(o PollObservation) {
-			mu.Lock()
-			polls[o.Key]++
-			mu.Unlock()
-		},
-	}
-
-	px1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px1.Start()
-	clk.AdvanceTo(clk.base.Add(admissionPhase))
+	h.stepTo(h.clk.base.Add(admissionPhase))
 	for i := 0; i < n; i++ {
-		if code, body, _ := proxyGet(t, px1, key(i)); code != 200 || body != truth[key(i)] {
+		if code, body, _ := px.get(key(i)); code != 200 || body != truth[key(i)] {
 			t.Fatalf("admission of %s: %d %q", key(i), code, body)
 		}
 	}
-	quiesceSim(t, px1, clk)
+	h.quiesce()
 
 	// Learn: three unmodified refresh rounds grow each object's TTR past
 	// the lower bound; that learned schedule is what must survive.
 	for round := 0; round < 3; round++ {
-		next, ok := px1.NextRefreshAt()
+		next, ok := h.nextRefresh()
 		if !ok {
 			t.Fatal("nothing scheduled")
 		}
-		clk.AdvanceTo(next)
-		px1.Kick()
-		quiesceSim(t, px1, clk)
+		h.advance(next.Sub(h.clk.Now()))
 	}
 	learned := make(map[string]time.Duration, n)
 	for i := 0; i < n; i++ {
-		learned[key(i)] = ttrOf(t, px1, key(i))
-		if learned[key(i)] <= cfg.Bounds.Min {
-			t.Fatalf("%s TTR %v never grew past the bound %v", key(i), learned[key(i)], cfg.Bounds.Min)
+		learned[key(i)] = ttrOf(t, px, key(i))
+		if learned[key(i)] <= px.cfg.Bounds.Min {
+			t.Fatalf("%s TTR %v never grew past the bound %v", key(i), learned[key(i)], px.cfg.Bounds.Min)
 		}
 	}
-	px1.Close()
+	px.Close()
 
 	// Downtime: two minutes pass (inside the default 5m grace window),
 	// during which the origin rewrites object 0.
-	clk.AdvanceTo(clk.Now().Add(2 * time.Minute))
+	h.advance(2 * time.Minute)
 	truth[key(0)] = "object 0 rev 2"
-	origin.Set(key(0), []byte(truth[key(0)]), "text/plain")
+	h.origin.Set(key(0), []byte(truth[key(0)]), "text/plain")
 
 	mu.Lock()
 	polls = make(map[string]int)
 	mu.Unlock()
-	px2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px2.Close()
+	px.reopen()
 
 	// Before Start: every object is back, learned TTR intact (no
 	// validation poll has run yet to advance it), served under grace.
-	if got := px2.Len(); got != n {
+	if got := px.Len(); got != n {
 		t.Fatalf("rehydrated %d objects, want %d", got, n)
 	}
-	if got := px2.DiskStats().Rehydrated; got != n {
+	if got := px.DiskStats().Rehydrated; got != n {
 		t.Errorf("DiskStats.Rehydrated = %d, want %d", got, n)
 	}
 	for i := 0; i < n; i++ {
-		if got := ttrOf(t, px2, key(i)); got != learned[key(i)] {
+		if got := ttrOf(t, px, key(i)); got != learned[key(i)] {
 			t.Errorf("%s restored TTR = %v, want the learned %v", key(i), got, learned[key(i)])
 		}
-		code, body, hdr := proxyGet(t, px2, key(i))
+		code, body, hdr := px.get(key(i))
 		if code != 200 {
 			t.Fatalf("grace serve of %s: %d", key(i), code)
 		}
@@ -172,13 +124,13 @@ func TestRestartRehydratesWarmZeroDeltaViolations(t *testing.T) {
 			t.Errorf("grace serve of %s = %q, want %q", key(i), body, truth[key(i)])
 		}
 	}
-	if px2.DiskStats().GraceServes == 0 {
+	if px.DiskStats().GraceServes == 0 {
 		t.Error("no grace serves counted")
 	}
 
 	// Start drains the validation polls through the worker pool.
-	px2.Start()
-	quiesceSim(t, px2, clk)
+	px.Start()
+	h.quiesce()
 
 	// Exactly one validation poll per object — a restart must not herd.
 	mu.Lock()
@@ -192,7 +144,7 @@ func TestRestartRehydratesWarmZeroDeltaViolations(t *testing.T) {
 	// Validated: every serve is a plain HIT of the origin's current
 	// body — the downtime rewrite included. Zero Δt violations remain.
 	for i := 0; i < n; i++ {
-		code, body, hdr := proxyGet(t, px2, key(i))
+		code, body, hdr := px.get(key(i))
 		if code != 200 || body != truth[key(i)] {
 			t.Errorf("post-validation serve of %s = %d %q, want 200 %q", key(i), code, body, truth[key(i)])
 		}
@@ -210,7 +162,7 @@ func TestRestartRehydratesWarmZeroDeltaViolations(t *testing.T) {
 func TestDemotionKeepsWorkingSetServableFromDisk(t *testing.T) {
 	var mu sync.Mutex
 	fullFetches := make(map[string]int)
-	lastMod := time.Now().UTC().Add(-time.Hour).Truncate(time.Second)
+	lastMod := time.Unix(1_700_000_000, 0).UTC().Add(-time.Hour)
 	body := func(path string) string {
 		b := fmt.Sprintf("payload of %s ", path)
 		for len(b) < 1024 {
@@ -234,18 +186,18 @@ func TestDemotionKeepsWorkingSetServableFromDisk(t *testing.T) {
 
 	// ~1.5KiB per resident entry; 3200 bytes keeps roughly two of the
 	// eight objects in memory at any instant.
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxBytes:     3200,
 		Shards:       2,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
 		DiskDir:      t.TempDir(),
-	})
+	}}).leaf()
 
 	const n = 8
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("/w/%d", i)
-		if code, got, _ := proxyGet(t, px, k); code != 200 || got != body(k) {
+		if code, got, _ := px.get(k); code != 200 || got != body(k) {
 			t.Fatalf("first pass %s: %d (body len %d)", k, code, len(got))
 		}
 	}
@@ -260,7 +212,7 @@ func TestDemotionKeepsWorkingSetServableFromDisk(t *testing.T) {
 	// re-sends a body.
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("/w/%d", i)
-		code, got, hdr := proxyGet(t, px, k)
+		code, got, hdr := px.get(k)
 		if code != 200 || got != body(k) {
 			t.Fatalf("second pass %s: %d (body len %d)", k, code, len(got))
 		}
@@ -300,68 +252,46 @@ func TestDemotionKeepsWorkingSetServableFromDisk(t *testing.T) {
 // widen Δt); they stay demoted and are promoted through a validating
 // fetch on demand.
 func TestGraceWindowSkipsStaleRecords(t *testing.T) {
-	clk := newSimClock()
-	dir := t.TempDir()
-
-	origin := webserver.NewOrigin(webserver.WithClock(clk.Now))
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
-	u, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origin.Set("/stale", []byte("stale body"), "text/plain")
-
-	cfg := Config{
-		Origin:       u,
-		Clock:        clk.Now,
-		PollWorkers:  1,
+	h := newHarness(t, topology{cfg: Config{
 		DefaultDelta: 30 * time.Second,
 		Bounds:       core.TTRBounds{Min: 10 * time.Second, Max: 10 * time.Minute},
-		DiskDir:      dir,
+		DiskDir:      t.TempDir(),
 		DiskGrace:    time.Minute,
-	}
-	px1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px1.Start()
-	clk.AdvanceTo(clk.base.Add(admissionPhase))
-	if code, _, _ := proxyGet(t, px1, "/stale"); code != 200 {
+	}})
+	px := h.leaf()
+	h.origin.Set("/stale", []byte("stale body"), "text/plain")
+	h.stepTo(h.clk.base.Add(admissionPhase))
+	if code, _, _ := px.get("/stale"); code != 200 {
 		t.Fatalf("admission: %d", code)
 	}
-	quiesceSim(t, px1, clk)
-	px1.Close()
+	h.quiesce()
+	px.Close()
 
 	// Ten minutes of downtime blow way past the one-minute grace.
-	clk.AdvanceTo(clk.Now().Add(10 * time.Minute))
+	h.advance(10 * time.Minute)
 
-	px2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer px2.Close()
-	px2.Start()
-	if got := px2.Len(); got != 0 {
+	px.reopen()
+	px.Start()
+	if got := px.Len(); got != 0 {
 		t.Fatalf("%d objects rehydrated past the grace window, want 0", got)
 	}
-	if got := px2.DiskStats().Rehydrated; got != 0 {
+	if got := px.DiskStats().Rehydrated; got != 0 {
 		t.Errorf("DiskStats.Rehydrated = %d, want 0", got)
 	}
 
 	// On demand the record promotes — validated first, so the serve is a
 	// MISS (never GRACE) and Δt holds from the first byte.
-	code, body, hdr := proxyGet(t, px2, "/stale")
+	code, body, hdr := px.get("/stale")
 	if code != 200 || body != "stale body" {
 		t.Fatalf("promote-on-demand: %d %q", code, body)
 	}
 	if xc := hdr.Get("X-Cache"); xc != "MISS" {
 		t.Errorf("promoted serve labeled %q, want MISS", xc)
 	}
-	if got := px2.DiskStats().Promotions; got != 1 {
+	if got := px.DiskStats().Promotions; got != 1 {
 		t.Errorf("DiskStats.Promotions = %d, want 1", got)
 	}
-	if got, _, _ := proxyGet(t, px2, "/stale"); got != 200 {
+	if got, _, _ := px.get("/stale"); got != 200 {
 		t.Errorf("re-serve after promotion: %d", got)
 	}
 }
@@ -371,21 +301,16 @@ func TestGraceWindowSkipsStaleRecords(t *testing.T) {
 // and its return value distinguishes residency in either tier from a
 // miss on both.
 func TestEvictPurgesBothTiers(t *testing.T) {
-	var mu sync.Mutex
-	fetches := 0
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		fetches++
-		mu.Unlock()
 		fmt.Fprint(w, "evictable")
 	})
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
 		DiskDir:      t.TempDir(),
-	})
+	}}).leaf()
 
-	if code, _, _ := proxyGet(t, px, "/e/1"); code != 200 {
+	if code, _, _ := px.get("/e/1"); code != 200 {
 		t.Fatal("admission failed")
 	}
 	px.FlushDisk()
@@ -405,18 +330,16 @@ func TestEvictPurgesBothTiers(t *testing.T) {
 	if px.Evict("/never-seen") {
 		t.Error("Evict of a never-cached key reported success")
 	}
-
-	// The re-request is a cold fetch — nothing resurrects from disk.
-	if code, body, _ := proxyGet(t, px, "/e/1"); code != 200 || body != "evictable" {
-		t.Fatalf("re-request after eviction: %d %q", code, body)
-	}
-	mu.Lock()
-	if fetches != 2 {
-		t.Errorf("origin fetched %d times, want 2 (evicted content must not come back from disk)", fetches)
-	}
-	mu.Unlock()
 	px.FlushDisk()
 	if px.DiskStats().Deletes == 0 {
 		t.Error("DiskStats.Deletes = 0 after a two-tier eviction")
+	}
+
+	// The re-request is a cold fetch — nothing resurrects from disk.
+	if code, body, _ := px.get("/e/1"); code != 200 || body != "evictable" {
+		t.Fatalf("re-request after eviction: %d %q", code, body)
+	}
+	if fetches := px.up.requestsFor("/e/1"); fetches != 2 {
+		t.Errorf("origin fetched %d times, want 2 (evicted content must not come back from disk)", fetches)
 	}
 }

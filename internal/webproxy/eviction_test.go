@@ -28,12 +28,12 @@ func TestChurnKeepsHotSetResident(t *testing.T) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "body for "+r.URL.Path)
 	})
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxObjects:   64,
 		Shards:       8,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 
 	const (
 		hotKeys  = 16
@@ -46,13 +46,13 @@ func TestChurnKeepsHotSetResident(t *testing.T) {
 	}
 	// Warm the hot set.
 	for _, h := range hot {
-		proxyGet(t, px, h)
+		px.get(h)
 	}
 
 	var hotHits, hotRequests int
 	for i := 0; i < rounds; i++ {
-		proxyGet(t, px, fmt.Sprintf("/cold/%d", i%coldKeys))
-		_, _, hdr := proxyGet(t, px, hot[i%hotKeys])
+		px.get(fmt.Sprintf("/cold/%d", i%coldKeys))
+		_, _, hdr := px.get(hot[i%hotKeys])
 		hotRequests++
 		if hdr.Get("X-Cache") == "HIT" {
 			hotHits++
@@ -85,32 +85,32 @@ func TestRotating1000KeyWorkloadStillCaches(t *testing.T) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "v:"+r.URL.Path)
 	})
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxObjects:   64,
 		Shards:       8,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 
 	// The seed behavior: once 64 objects were resident, key #65 onward
 	// was never cached again. Admit well past the cap, then check a
 	// brand-new key still becomes resident.
 	for i := 0; i < 200; i++ {
-		proxyGet(t, px, fmt.Sprintf("/rot/%d", i))
+		px.get(fmt.Sprintf("/rot/%d", i))
 	}
-	if _, _, hdr := proxyGet(t, px, "/fresh"); hdr.Get("X-Cache") != "MISS" {
+	if _, _, hdr := px.get("/fresh"); hdr.Get("X-Cache") != "MISS" {
 		t.Fatalf("first /fresh X-Cache = %q", hdr.Get("X-Cache"))
 	}
-	if _, _, hdr := proxyGet(t, px, "/fresh"); hdr.Get("X-Cache") != "HIT" {
+	if _, _, hdr := px.get("/fresh"); hdr.Get("X-Cache") != "HIT" {
 		t.Errorf("second /fresh X-Cache = %q, want HIT: admission is still ossified", hdr.Get("X-Cache"))
 	}
 
 	// Rotating 1,000-key workload with a recurring hot subset of 8.
 	var hotHits, hotRequests int
 	for i := 0; i < 3000; i++ {
-		proxyGet(t, px, fmt.Sprintf("/rot/%d", i%1000))
+		px.get(fmt.Sprintf("/rot/%d", i%1000))
 		if i%3 == 0 {
-			_, _, hdr := proxyGet(t, px, fmt.Sprintf("/pin/%d", i%8))
+			_, _, hdr := px.get(fmt.Sprintf("/pin/%d", i%8))
 			if i > 100 { // past warm-up
 				hotRequests++
 				if hdr.Get("X-Cache") == "HIT" {
@@ -133,18 +133,18 @@ func TestCacheHitsMonotonicAcrossChurn(t *testing.T) {
 		io.WriteString(w, "v:"+r.URL.Path)
 	})
 	const capacity = 32
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxObjects:   capacity,
 		Shards:       4,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 	var served, last uint64
 	for i := 0; i < 4*capacity; i++ {
 		k := fmt.Sprintf("/churn/%d", i)
-		proxyGet(t, px, k) // MISS: admits, evicting once past capacity
+		px.get(k) // MISS: admits, evicting once past capacity
 		for j := 0; j < 3; j++ {
-			if _, _, hdr := proxyGet(t, px, k); hdr.Get("X-Cache") == "HIT" {
+			if _, _, hdr := px.get(k); hdr.Get("X-Cache") == "HIT" {
 				served++
 			}
 		}
@@ -258,15 +258,15 @@ func TestByteBudgetEviction(t *testing.T) {
 		io.WriteString(w, strings.Repeat("x", 4096))
 	})
 	const budget = 4 * (4096 + 700) // room for ~4 small objects
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxBytes:     budget,
 		Shards:       2,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 
 	for i := 0; i < 12; i++ {
-		proxyGet(t, px, fmt.Sprintf("/obj/%d", i))
+		px.get(fmt.Sprintf("/obj/%d", i))
 	}
 	if rb := px.ResidentBytes(); rb > budget {
 		t.Errorf("resident bytes %d exceed budget %d at quiescence", rb, budget)
@@ -280,7 +280,7 @@ func TestByteBudgetEviction(t *testing.T) {
 
 	// A single object bigger than the whole budget: served, not cached.
 	before := px.Len()
-	if _, _, hdr := proxyGet(t, px, "/huge"); hdr.Get("X-Cache") != "BYPASS" {
+	if _, _, hdr := px.get("/huge"); hdr.Get("X-Cache") != "BYPASS" {
 		t.Errorf("oversized object X-Cache = %q, want BYPASS", hdr.Get("X-Cache"))
 	}
 	if got := px.Len(); got != before {
@@ -308,22 +308,22 @@ func TestGroupMembersSurviveChurnTogether(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		origin.Set(fmt.Sprintf("/churn/%d", i), []byte("churn"), "text/plain")
 	}
-	px, _ := newHandlerProxy(t, origin, Config{
+	px := newHarness(t, topology{handler: origin, cfg: Config{
 		MaxObjects:   8,
 		Shards:       1,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 
 	for _, p := range groupPaths {
-		proxyGet(t, px, p)
+		px.get(p)
 	}
 	for i := 0; i < 4; i++ {
-		proxyGet(t, px, fmt.Sprintf("/u/%d", i))
+		px.get(fmt.Sprintf("/u/%d", i))
 	}
 	// Cache full: 4 grouped + 4 ungrouped. Churn 4 fresh keys through.
 	for i := 0; i < 4; i++ {
-		proxyGet(t, px, fmt.Sprintf("/churn/%d", i))
+		px.get(fmt.Sprintf("/churn/%d", i))
 	}
 
 	for _, p := range groupPaths {
@@ -352,12 +352,12 @@ func TestEmptyGroupStateIsRetired(t *testing.T) {
 		origin.Set(p, []byte("member"), "text/plain")
 		origin.SetTolerances(p, httpx.Tolerances{Group: fmt.Sprintf("g%d", i)})
 	}
-	px, _ := newHandlerProxy(t, origin, Config{
+	px := newHarness(t, topology{handler: origin, cfg: Config{
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 	for i := 0; i < 8; i++ {
-		proxyGet(t, px, fmt.Sprintf("/grp/%d", i))
+		px.get(fmt.Sprintf("/grp/%d", i))
 	}
 	px.groupMu.RLock()
 	before := len(px.groups)
@@ -375,7 +375,7 @@ func TestEmptyGroupStateIsRetired(t *testing.T) {
 		t.Errorf("group states after evicting all members = %d, want 0 (leak)", after)
 	}
 	// Same group name again: a fresh state is created and usable.
-	proxyGet(t, px, "/grp/3")
+	px.get("/grp/3")
 	if st := px.ObjectStats("/grp/3"); !st.Cached || !st.Grouped {
 		t.Errorf("re-admitted group member stats %+v", st)
 	}
@@ -385,21 +385,16 @@ func TestEmptyGroupStateIsRetired(t *testing.T) {
 // across an eviction: once an object is evicted, a concurrent herd of
 // re-requests produces exactly one new origin fetch.
 func TestEvictedThenRerequestedSingleFetch(t *testing.T) {
-	var admissions atomic.Int64 // fetches without If-Modified-Since
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/target" && r.Header.Get("If-Modified-Since") == "" {
-			admissions.Add(1)
-			time.Sleep(50 * time.Millisecond) // hold the herd at the door
-		}
 		io.WriteString(w, "target body")
 	})
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 
-	proxyGet(t, px, "/target")
-	if got := admissions.Load(); got != 1 {
+	px.get("/target")
+	if got := px.up.requestsFor("/target"); got != 1 {
 		t.Fatalf("admission fetches after warm-up = %d, want 1", got)
 	}
 	if !px.Evict("/target") {
@@ -412,23 +407,25 @@ func TestEvictedThenRerequestedSingleFetch(t *testing.T) {
 		t.Fatalf("evicted object still reports cached: %+v", st)
 	}
 
+	// The re-admission's reply is held at the origin until the whole herd
+	// has asked.
+	held := px.up.hold(t, "/target")
 	const herd = 32
 	var wg sync.WaitGroup
-	start := make(chan struct{})
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-start
-			code, body, _ := proxyGet(t, px, "/target")
+			code, body, _ := px.get("/target")
 			if code != http.StatusOK || body != "target body" {
 				t.Errorf("re-request: status %d body %q", code, body)
 			}
 		}()
 	}
-	close(start)
+	held.wait(t)
+	held.release()
 	wg.Wait()
-	if got := admissions.Load(); got != 2 {
+	if got := px.up.requestsFor("/target"); got != 2 {
 		t.Errorf("admission fetches after evict+herd = %d, want exactly 2", got)
 	}
 	if st := px.ObjectStats("/target"); !st.Cached {
@@ -442,24 +439,21 @@ func TestEvictedThenRerequestedSingleFetch(t *testing.T) {
 // the cache is emptied, and the object count never drifts from the sum
 // of the shard map (and CLOCK ring) sizes.
 func TestEvictionUnwindsSchedulerState(t *testing.T) {
-	var polls atomic.Int64
-	var frozen atomic.Bool // set once the cache is emptied
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if frozen.Load() {
-			polls.Add(1)
-		}
 		io.WriteString(w, "body "+r.URL.Path)
 	})
-	// Short TTRs: ghost schedule entries would poll within milliseconds.
-	px, _ := newHandlerProxy(t, handler, Config{
+	// Short TTRs: ghost schedule entries would poll at every step.
+	h := newHarness(t, topology{handler: handler, cfg: Config{
 		Shards: 4,
 		Bounds: core.TTRBounds{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond},
-	})
+	}})
+	px := h.leaf()
 
 	const n = 24
 	for i := 0; i < n; i++ {
-		proxyGet(t, px, fmt.Sprintf("/obj/%d", i))
+		px.get(fmt.Sprintf("/obj/%d", i))
 	}
+	h.advance(100 * time.Millisecond) // a few refreshes of every object
 	checkStoreInvariants(t, px)
 
 	for i := 0; i < n; i++ {
@@ -482,16 +476,19 @@ func TestEvictionUnwindsSchedulerState(t *testing.T) {
 	}
 	checkStoreInvariants(t, px)
 
-	// No ghost polls: nothing may hit the origin once the cache is
-	// empty, even across several TTR periods. A fetch that was already
-	// in flight when its entry was evicted is not a ghost schedule
-	// entry (the heap emptiness above covers those), so let stragglers
-	// land before arming the detector.
-	time.Sleep(50 * time.Millisecond)
-	frozen.Store(true)
-	time.Sleep(300 * time.Millisecond)
-	if got := polls.Load(); got != 0 {
-		t.Errorf("%d origin polls after every object was evicted (ghost schedule entries)", got)
+	// No ghost polls: nothing may reach the origin once the cache is
+	// empty, across many TTR periods.
+	before := px.CacheStats()
+	requests := 0
+	for i := 0; i < n; i++ {
+		requests += px.up.requestsFor(fmt.Sprintf("/obj/%d", i))
+	}
+	h.advance(time.Second)
+	for i := 0; i < n; i++ {
+		requests -= px.up.requestsFor(fmt.Sprintf("/obj/%d", i))
+	}
+	if requests != 0 || px.CacheStats().RegularPolls != before.RegularPolls {
+		t.Errorf("%d origin requests after every object was evicted (ghost schedule entries)", -requests)
 	}
 }
 
@@ -504,12 +501,12 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "churn "+r.URL.RawQuery)
 	})
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxObjects:   16,
 		Shards:       4,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 
 	const goroutines = 8
 	const requests = 200
@@ -521,7 +518,7 @@ func TestConcurrentChurnInvariants(t *testing.T) {
 			for i := 0; i < requests; i++ {
 				// 64 distinct keys over a 16-object cache: constant
 				// replacement, frequent cross-goroutine collisions.
-				proxyGet(t, px, fmt.Sprintf("/k?i=%d", (g*37+i)%64))
+				px.get(fmt.Sprintf("/k?i=%d", (g*37+i)%64))
 				if i%16 == 0 {
 					px.Evict(fmt.Sprintf("/k?i=%d", i%64))
 				}
@@ -555,13 +552,14 @@ func TestRefreshGrowthReenforcesByteBudget(t *testing.T) {
 		io.WriteString(w, strings.Repeat("b", n))
 	})
 	const budget = 6 * (512 + 700) // six small objects fit comfortably
-	px, _ := newHandlerProxy(t, handler, Config{
+	h := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxBytes: budget,
 		Shards:   2,
 		Bounds:   core.TTRBounds{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond},
-	})
+	}})
+	px := h.leaf()
 	for i := 0; i < 6; i++ {
-		proxyGet(t, px, fmt.Sprintf("/grow/%d", i))
+		px.get(fmt.Sprintf("/grow/%d", i))
 	}
 	if rb := px.ResidentBytes(); rb > budget {
 		t.Fatalf("resident bytes %d over budget %d before growth", rb, budget)
@@ -571,10 +569,8 @@ func TestRefreshGrowthReenforcesByteBudget(t *testing.T) {
 	// only background polls — yet the ledger must come back under
 	// budget via refresh-time shrink.
 	grown.Store(true)
-	ok := waitFor(t, 3*time.Second, func() bool {
-		return px.CacheStats().Evictions > 0 && px.ResidentBytes() <= budget
-	})
-	if !ok {
+	h.advance(100 * time.Millisecond)
+	if px.CacheStats().Evictions == 0 || px.ResidentBytes() > budget {
 		t.Errorf("ledger stuck at %d (budget %d, evictions %d): refresh growth not re-enforced",
 			px.ResidentBytes(), budget, px.CacheStats().Evictions)
 	}
@@ -595,25 +591,24 @@ func TestOversizedRefreshDoesNotWipeCache(t *testing.T) {
 		io.WriteString(w, strings.Repeat("s", 512))
 	})
 	const budget = 8 * (512 + 700)
-	px, _ := newHandlerProxy(t, handler, Config{
+	h := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxBytes: budget,
 		Shards:   2,
 		Bounds:   core.TTRBounds{Min: 10 * time.Millisecond, Max: 50 * time.Millisecond},
-	})
+	}})
+	px := h.leaf()
 	for i := 0; i < 5; i++ {
-		proxyGet(t, px, fmt.Sprintf("/small/%d", i))
+		px.get(fmt.Sprintf("/small/%d", i))
 	}
-	proxyGet(t, px, "/big")
+	px.get("/big")
 
 	grown.Store(true)
-	ok := waitFor(t, 3*time.Second, func() bool {
-		return !px.ObjectStats("/big").Cached
-	})
-	if !ok {
+	h.advance(50 * time.Millisecond)
+	if px.ObjectStats("/big").Cached {
 		t.Fatal("oversized-on-refresh object was never evicted")
 	}
-	// Let a few more refresh cycles run: the small objects must remain.
-	time.Sleep(150 * time.Millisecond)
+	// A few more refresh cycles: the small objects must remain.
+	h.advance(150 * time.Millisecond)
 	for i := 0; i < 5; i++ {
 		if st := px.ObjectStats(fmt.Sprintf("/small/%d", i)); !st.Cached {
 			t.Errorf("/small/%d was collateral damage of the oversized refresh", i)
@@ -635,13 +630,13 @@ func TestEvictedPairSurvivorUnpairsAndRepairs(t *testing.T) {
 		origin.Set(p, []byte("100.00"), "text/plain")
 		origin.SetTolerances(p, httpx.Tolerances{ValueDelta: 0.5, Group: "quotes"})
 	}
-	px, _ := newHandlerProxy(t, origin, Config{
+	px := newHarness(t, topology{handler: origin, cfg: Config{
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
-	})
+	}}).leaf()
 
-	proxyGet(t, px, "/quote/a")
-	proxyGet(t, px, "/quote/b")
+	px.get("/quote/a")
+	px.get("/quote/b")
 	paired := func(key string) bool {
 		e := px.lookup(key)
 		if e == nil {
@@ -662,7 +657,7 @@ func TestEvictedPairSurvivorUnpairsAndRepairs(t *testing.T) {
 		t.Error("widowed pair survivor still marked paired; it would poll a tightened share forever")
 	}
 
-	proxyGet(t, px, "/quote/c")
+	px.get("/quote/c")
 	if !paired("/quote/a") || !paired("/quote/c") {
 		t.Error("widowed survivor did not re-pair with the next value member")
 	}
@@ -671,7 +666,7 @@ func TestEvictedPairSurvivorUnpairsAndRepairs(t *testing.T) {
 // checkStoreInvariants asserts the redundant store bookkeeping agrees:
 // count == sum of shard map sizes == sum of ring lengths, and the byte
 // ledger equals the sum of resident entry sizes.
-func checkStoreInvariants(t *testing.T, px *Proxy) {
+func checkStoreInvariants(t *testing.T, px *node) {
 	t.Helper()
 	var mapSum, ringSum int
 	var byteSum int64
@@ -733,13 +728,13 @@ func TestStoreInvariantsAcrossDemotePromoteEvictCycles(t *testing.T) {
 	})
 	// ~1KiB per resident entry against a 4KiB budget: every round of
 	// admissions displaces most of the previous round to disk.
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxBytes:     4096,
 		Shards:       4,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
 		DiskDir:      t.TempDir(),
-	})
+	}}).leaf()
 
 	const keys = 24
 	key := func(i int) string { return fmt.Sprintf("/cycle/%d", i) }
@@ -752,7 +747,7 @@ func TestStoreInvariantsAcrossDemotePromoteEvictCycles(t *testing.T) {
 			if evicted[k] {
 				continue
 			}
-			if code, _, _ := proxyGet(t, px, k); code != 200 {
+			if code, _, _ := px.get(k); code != 200 {
 				t.Fatalf("round %d: GET %s = %d", round, k, code)
 			}
 		}

@@ -1,13 +1,8 @@
 package webproxy
 
 import (
-	"context"
 	"fmt"
-	"net/http/httptest"
-	"net/url"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,12 +15,12 @@ import (
 	"broadway/internal/webserver"
 )
 
-// This file is the fleet-scale fan-out soak of ISSUE 6: the conformance
-// battery's stepped-clock replay discipline applied to a THREE-hop
-// hierarchy — origin → root relay → mid relays → leaves — where the
-// leaf tier is hundreds of interest-filtered subscribers. The key space
-// is sharded by path prefix; every node declares only the slice it
-// serves, so each hub skips the frames its subscriber never asked for.
+// This file is the fleet-scale fan-out soak: the conformance battery's
+// stepped-clock replay applied to a THREE-hop hierarchy — origin → root
+// relay → mid relays → leaves — where the leaf tier is hundreds of
+// interest-filtered subscribers. The key space is sharded by path
+// prefix; every node declares only the slice it serves, so each hub
+// skips the frames its subscriber never asked for.
 //
 // The phases, in replay order:
 //
@@ -58,20 +53,16 @@ const (
 
 // fleetWatcher is one raw interest-filtered subscriber at the leaf tier.
 type fleetWatcher struct {
+	*watcher
 	prefix  string
-	sub     *push.Subscriber
-	cancel  context.CancelFunc
-	done    chan struct{}
 	events  atomic.Uint64 // update events delivered
 	foreign atomic.Uint64 // deliveries outside the declared prefix
 	resets  atomic.Uint64 // Reset hellos (connect-time or mid-stream)
 }
 
-func startFleetWatcher(t *testing.T, streamURL, prefix string) *fleetWatcher {
-	t.Helper()
-	w := &fleetWatcher{prefix: prefix, done: make(chan struct{})}
-	sub, err := push.NewSubscriber(push.SubscriberConfig{
-		URL: streamURL,
+func startFleetWatcher(h *harness, mid *node, prefix string) *fleetWatcher {
+	w := &fleetWatcher{prefix: prefix}
+	w.watcher = h.watch(mid, push.SubscriberConfig{
 		OnEvent: func(ev push.Event) {
 			w.events.Add(1)
 			if !strings.HasPrefix(ev.Key, prefix) {
@@ -86,40 +77,39 @@ func startFleetWatcher(t *testing.T, streamURL, prefix string) *fleetWatcher {
 		Interest: func() push.InterestSet {
 			return push.NewInterest([]string{prefix}, nil)
 		},
-		// Wide enough that a churn's publish lands in the hub ring
-		// before the reconnect, narrow enough to keep the soak fast.
-		BackoffMin:       5 * time.Millisecond,
-		BackoffMax:       50 * time.Millisecond,
-		HeartbeatTimeout: -1,
-		PayloadCap:       push.DefaultPayloadCap,
+		PayloadCap: push.DefaultPayloadCap,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.sub = sub
-	ctx, cancel := context.WithCancel(context.Background())
-	w.cancel = cancel
-	go func() {
-		defer close(w.done)
-		sub.Run(ctx)
-	}()
 	return w
 }
 
 func TestFleetFanoutHierarchy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet soak: skipped under -short (CI runs it in a dedicated job)")
+	declare := func(relay bool, prefixes ...string) func(*Config) {
+		return func(cfg *Config) {
+			cfg.RelayEvents = relay
+			cfg.PushPrefixes = prefixes
+		}
 	}
-	clk := newSimClock()
-
-	origin := webserver.NewOrigin(
-		webserver.WithClock(clk.Now),
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushEvents(""),
-		webserver.WithPushValues(0),
-	)
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
+	h := newHarness(t, topology{
+		push:   true,
+		origin: []webserver.Option{webserver.WithHistoryExtension(true), webserver.WithPushValues(0)},
+		cfg: Config{
+			DefaultDelta: confDelta,
+			Bounds:       confBounds,
+			PushStretch:  16,
+			PushValues:   true,
+			PushInterest: true,
+		},
+		tune: func(_ int, cfg *Config) { declare(true, "/s0/", "/s1/", "/s2/", "/s3/")(cfg) },
+	})
+	root := h.root()
+	mids := []*node{
+		h.attach(root, declare(true, "/s0/", "/s1/")),
+		h.attach(root, declare(true, "/s2/", "/s3/")),
+	}
+	leaves := make([]*node, fleetShards)
+	for i := range leaves {
+		leaves[i] = h.attach(mids[i/2], declare(false, fmt.Sprintf("/s%d/", i)))
+	}
 
 	// One trace per shard, distinct presets so shard update instants
 	// interleave rather than coincide.
@@ -131,172 +121,27 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 			t.Fatalf("shard %d trace has only %d updates", i, tr.NumUpdates())
 		}
 		objs[i] = replayObject{path: fmt.Sprintf("/s%d/obj", i), tr: tr}
-		origin.Set(objs[i].path, replayBody(objs[i], 0), "")
+		h.origin.Set(objs[i].path, replayBody(objs[i], 0), "")
 	}
-	origin.Set("/s0/hole", []byte("hole rev 0"), "")
-	origin.Set("/extra/obj", []byte("extra rev 0"), "")
-
-	var logMu sync.Mutex
-	leafLogs := make([]map[string][]metrics.Refresh, fleetShards)
-	for i := range leafLogs {
-		leafLogs[i] = make(map[string][]metrics.Refresh)
-	}
-
-	newNode := func(upstream string, relay bool, prefixes []string, obs func(PollObservation)) *Proxy {
-		up, err := url.Parse(upstream)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pushURL, err := url.Parse(upstream + "/events")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := New(Config{
-			Origin:               up,
-			Clock:                clk.Now,
-			PollWorkers:          1,
-			DefaultDelta:         confDelta,
-			Bounds:               confBounds,
-			PushURL:              pushURL,
-			PushStretch:          16,
-			PushValues:           true,
-			PushInterest:         true,
-			PushPrefixes:         prefixes,
-			PushHeartbeatTimeout: -1,
-			PushBackoffMin:       time.Millisecond,
-			PushBackoffMax:       10 * time.Millisecond,
-			RelayEvents:          relay,
-			PollObserver:         obs,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Start()
-		return p
-	}
-
-	root := newNode(originSrv.URL, true, []string{"/s0/", "/s1/", "/s2/", "/s3/"}, nil)
-	defer root.Close()
-	rootSrv := httptest.NewServer(root)
-	defer rootSrv.Close()
-
-	mids := make([]*Proxy, 2)
-	midSrvs := make([]*httptest.Server, 2)
-	for j := range mids {
-		mids[j] = newNode(rootSrv.URL, true,
-			[]string{fmt.Sprintf("/s%d/", 2*j), fmt.Sprintf("/s%d/", 2*j+1)}, nil)
-		defer mids[j].Close()
-		midSrvs[j] = httptest.NewServer(mids[j])
-		defer midSrvs[j].Close()
-	}
-
-	leaves := make([]*Proxy, fleetShards)
-	for i := range leaves {
-		shard := i
-		leaves[i] = newNode(midSrvs[i/2].URL, false,
-			[]string{fmt.Sprintf("/s%d/", i)},
-			func(o PollObservation) {
-				logMu.Lock()
-				leafLogs[shard][o.Key] = append(leafLogs[shard][o.Key], metrics.Refresh{
-					At:        simtime.At(o.At.Sub(clk.base)),
-					Modified:  o.Modified,
-					Value:     o.Value,
-					Triggered: o.Triggered || o.Pushed,
-				})
-				logMu.Unlock()
-			})
-		defer leaves[i].Close()
-	}
-
-	nodes := []*Proxy{root, mids[0], mids[1], leaves[0], leaves[1], leaves[2], leaves[3]}
-	upstreamSeq := []func() uint64{
-		origin.PushSeq,
-		func() uint64 { return root.RelayStats().Hub.Seq },
-		func() uint64 { return root.RelayStats().Hub.Seq },
-		func() uint64 { return mids[0].RelayStats().Hub.Seq },
-		func() uint64 { return mids[0].RelayStats().Hub.Seq },
-		func() uint64 { return mids[1].RelayStats().Hub.Seq },
-		func() uint64 { return mids[1].RelayStats().Hub.Seq },
-	}
-	allConnected := func() bool {
-		for _, n := range nodes {
-			if !n.PushStats().Connected {
-				return false
-			}
-		}
-		return true
-	}
-	if !waitFor(t, 10*time.Second, allConnected) {
-		t.Fatal("hierarchy never connected")
-	}
-
-	// Chain quiescence: every hop's stream position caught up to its
-	// upstream's head (heartbeats advance it past filtered frames), every
-	// proxy idle, stable across two passes. Disconnected hops are exempt
-	// from the seq check — the chaos phases waitFor reconnection before
-	// trusting a quiesce.
-	quiesce := func() {
-		t.Helper()
-		deadline := time.Now().Add(30 * time.Second)
-		stable := 0
-		for {
-			pass := func() bool {
-				now := clk.Now()
-				for i, n := range nodes {
-					ps := n.PushStats()
-					if ps.Connected && ps.LastSeq < upstreamSeq[i]() {
-						return false
-					}
-					if n.InFlightPolls() != 0 {
-						return false
-					}
-					if next, ok := n.NextRefreshAt(); ok && !next.After(now) {
-						return false
-					}
-				}
-				return true
-			}
-			if pass() {
-				if stable++; stable >= 2 {
-					return
-				}
-			} else {
-				stable = 0
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("fleet never quiesced: originSeq=%d rootSeq=%d midSeqs=[%d %d] now=%v",
-					origin.PushSeq(), root.PushStats().LastSeq,
-					mids[0].PushStats().LastSeq, mids[1].PushStats().LastSeq, clk.Now())
-			}
-			for _, n := range nodes {
-				n.Kick()
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	quiesce()
+	h.origin.Set("/s0/hole", []byte("hole rev 0"), "")
+	h.origin.Set("/extra/obj", []byte("extra rev 0"), "")
 
 	// Admit each shard's object at its leaf (cascading through mid and
 	// root), plus the hole probe on leaf 0. Every key sits inside its
 	// whole chain's static declaration, so admission must not bounce.
-	clk.AdvanceTo(clk.base.Add(admissionPhase))
-	for _, n := range nodes {
-		n.Kick()
-	}
-	admit := func(leaf *Proxy, path string) {
+	h.stepTo(h.clk.base.Add(admissionPhase))
+	admit := func(leaf *node, path string) {
 		t.Helper()
-		rec := httptest.NewRecorder()
-		leaf.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-		if rec.Code != 200 {
-			t.Fatalf("admission of %s: %d %s", path, rec.Code, rec.Body.String())
+		if code, body, _ := leaf.get(path); code != 200 {
+			t.Fatalf("admission of %s: %d %s", path, code, body)
 		}
 	}
 	for i, o := range objs {
 		admit(leaves[i], o.path)
 	}
 	admit(leaves[0], "/s0/hole")
-	quiesce()
-	for _, n := range nodes {
+	h.quiesce()
+	for _, n := range h.nodes {
 		if b := n.PushStats().Bounces; b != 0 {
 			t.Fatalf("a covered admission bounced the stream (%d bounces)", b)
 		}
@@ -307,114 +152,39 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 	watchers := make([]*fleetWatcher, fleetWatchers)
 	for i := range watchers {
 		shard := i % fleetShards
-		watchers[i] = startFleetWatcher(t, midSrvs[shard/2].URL+"/events", fmt.Sprintf("/s%d/", shard))
-		defer func(w *fleetWatcher) {
-			w.cancel()
-			<-w.done
-		}(watchers[i])
+		watchers[i] = startFleetWatcher(h, mids[shard/2], fmt.Sprintf("/s%d/", shard))
 	}
-	if !waitFor(t, 15*time.Second, func() bool {
-		for _, w := range watchers {
-			if w.sub.Connects() == 0 {
-				return false
-			}
-		}
-		return true
-	}) {
-		t.Fatal("watcher fleet never connected")
-	}
+	h.quiesce()
 
-	watcherMidSeq := func(i int) uint64 {
-		return mids[(i%fleetShards)/2].RelayStats().Hub.Seq
-	}
-	watchersCaughtUp := func() bool {
-		for i, w := range watchers {
-			if w.sub.LastSeq() < watcherMidSeq(i) {
-				return false
-			}
-		}
-		return true
-	}
-
-	// Replay schedule: every shard's trace updates, plus the chaos
-	// instants, all off the whole-second grid the updates live on.
-	const (
-		actHole       = -1 // kill every mid→leaf stream, update shard 0 only
-		actExtraAdmit = -2 // admit an object outside every static declaration
-		actExtraSet   = -3 // update it once the declarations have widened
-	)
-	type fleetEvent struct {
-		at  time.Duration
-		obj int // shard index, or one of the act* markers
-		rev int
-	}
-	var events []fleetEvent
-	for i, o := range objs {
-		for r, u := range o.tr.Updates {
-			events = append(events, fleetEvent{at: u.At, obj: i, rev: r + 1})
-		}
-	}
-	events = append(events,
-		fleetEvent{at: fleetHorizon/4 + 511*time.Millisecond, obj: actHole},
-		fleetEvent{at: fleetHorizon/2 + 511*time.Millisecond, obj: actExtraAdmit},
-		fleetEvent{at: fleetHorizon/2 + 5*time.Second + 511*time.Millisecond, obj: actExtraSet},
-	)
-	sort.SliceStable(events, func(a, b int) bool {
-		if events[a].at != events[b].at {
-			return events[a].at < events[b].at
-		}
-		return events[a].obj > events[b].obj // shard order for same-instant updates
-	})
-
-	runHoleChurn := func() {
-		t.Helper()
-		// Drain in-flight deliveries from the previous step before
-		// snapshotting: a frame already written to a watcher's socket but
-		// not yet counted would read as churn-window delivery.
-		if !waitFor(t, 15*time.Second, watchersCaughtUp) {
-			t.Fatal("watcher fleet never drained before the churn")
-		}
+	// Phase 2: cut every mid→leaf stream, then publish into shard 0 while
+	// the leaf tier reconnects: the update lands in the mid rings (the
+	// root and mids stay connected), so every stream resumed across it
+	// sees a hole — matching for shard 0, purely filtered for the rest.
+	holeChurn := func() {
 		preEvents := make([]uint64, len(watchers))
 		preConnects := make([]uint64, len(watchers))
 		for i, w := range watchers {
 			preEvents[i] = w.events.Load()
-			preConnects[i] = w.sub.Connects()
+			preConnects[i] = w.Connects()
 		}
 		preLeafConnects := make([]uint64, len(leaves))
 		for i, l := range leaves {
 			preLeafConnects[i] = l.PushStats().Connects
 		}
-		// Cut every mid→leaf stream, then publish into shard 0 while the
-		// whole leaf tier is down: the update lands in the mid rings (the
-		// root and mids stay connected), so every resumed stream sees a
-		// hole — matching for shard 0, purely filtered for the rest.
 		mids[0].KillRelayStreams()
 		mids[1].KillRelayStreams()
-		origin.Set("/s0/hole", []byte("hole rev 1"), "")
-		if !waitFor(t, 10*time.Second, func() bool {
-			for i, l := range leaves {
-				ps := l.PushStats()
-				if !ps.Connected || ps.Connects <= preLeafConnects[i] {
-					return false
-				}
+		h.origin.Set("/s0/hole", []byte("hole rev 1"), "")
+		h.quiesce()
+		for i, l := range leaves {
+			if l.PushStats().Connects <= preLeafConnects[i] {
+				t.Errorf("proxy leaf %d never resumed after the mid-stream kill", i)
 			}
-			return true
-		}) {
-			t.Fatal("proxy leaves never resumed after the mid-stream kill")
-		}
-		quiesce()
-		if !waitFor(t, 15*time.Second, func() bool {
-			for i, w := range watchers {
-				if w.sub.Connects() <= preConnects[i] || w.sub.LastSeq() < watcherMidSeq(i) {
-					return false
-				}
-			}
-			return true
-		}) {
-			t.Fatal("watcher fleet never resumed after the mid-stream kill")
 		}
 		for i, w := range watchers {
 			shard := i % fleetShards
+			if w.Connects() <= preConnects[i] {
+				t.Errorf("watcher %d never resumed after the mid-stream kill", i)
+			}
 			if r := w.resets.Load(); r != 0 {
 				t.Errorf("watcher %d (shard %d) was Reset across a resume hole it never declared (%d resets)", i, shard, r)
 			}
@@ -430,91 +200,51 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 		}
 	}
 
-	runExtraAdmit := func() {
-		t.Helper()
+	// Phase 3: the admission cascades the object through mid 0 and the
+	// root; none of their declarations cover /extra/, so each must bounce
+	// and re-declare until the whole chain announces it.
+	extraAdmit := func() {
 		admit(leaves[0], "/extra/obj")
-		// The admission cascaded the object through mid 0 and the root;
-		// none of their declarations cover /extra/, so each must bounce
-		// and re-declare until the whole chain announces it.
-		if !waitFor(t, 10*time.Second, func() bool {
-			for _, n := range []*Proxy{root, mids[0], leaves[0]} {
-				ps := n.PushStats()
-				if !ps.Connected || ps.Bounces == 0 {
-					return false
-				}
-				if !n.sub.DeclaredInterest().Matches("/extra/obj", "") {
-					return false
-				}
+		h.quiesce()
+		for i, n := range []*node{root, mids[0], leaves[0]} {
+			if ps := n.PushStats(); ps.Bounces == 0 || !n.sub.DeclaredInterest().Matches("/extra/obj", "") {
+				t.Fatalf("interest widening never converged at hop %d: %d bounces", i, ps.Bounces)
 			}
-			return true
-		}) {
-			t.Fatalf("interest widening never converged: bounces root=%d mid0=%d leaf0=%d",
-				root.PushStats().Bounces, mids[0].PushStats().Bounces, leaves[0].PushStats().Bounces)
 		}
-		quiesce()
 	}
 
-	end := clk.base.Add(fleetHorizon)
-	ei := 0
-	for {
-		var stepAt time.Time
-		haveStep := false
-		if ei < len(events) {
-			stepAt = clk.base.Add(events[ei].at)
-			haveStep = true
+	// Replay every shard's trace updates, with the chaos instants off the
+	// whole-second grid the updates live on.
+	var steps []step
+	for _, o := range objs {
+		for r, u := range o.tr.Updates {
+			o, rev := o, r+1
+			steps = append(steps, step{at: u.At, do: func() { h.origin.Set(o.path, replayBody(o, rev), "") }})
 		}
-		for _, n := range nodes {
-			if next, ok := n.NextRefreshAt(); ok && !next.After(end) {
-				if !haveStep || next.Before(stepAt) {
-					stepAt = next
-					haveStep = true
-				}
-			}
-		}
-		if !haveStep || stepAt.After(end) {
-			break
-		}
-		clk.AdvanceTo(stepAt)
-		for ei < len(events) && !clk.base.Add(events[ei].at).After(stepAt) {
-			ev := events[ei]
-			ei++
-			switch ev.obj {
-			case actHole:
-				runHoleChurn()
-			case actExtraAdmit:
-				runExtraAdmit()
-			case actExtraSet:
-				origin.Set("/extra/obj", []byte("extra rev 1"), "")
-			default:
-				o := objs[ev.obj]
-				origin.Set(o.path, replayBody(o, ev.rev), "")
-			}
-		}
-		for _, n := range nodes {
-			n.Kick()
-		}
-		quiesce()
 	}
-	clk.AdvanceTo(end)
-	for _, n := range nodes {
-		n.Kick()
-	}
-	quiesce()
-	if !waitFor(t, 15*time.Second, watchersCaughtUp) {
-		t.Fatal("watcher fleet never caught up to the replayed horizon")
-	}
+	const offGrid = 511 * time.Millisecond
+	steps = append(steps,
+		step{at: fleetHorizon/4 + offGrid, do: holeChurn},
+		step{at: fleetHorizon/2 + offGrid, do: extraAdmit},
+		step{at: fleetHorizon/2 + 5*time.Second + offGrid, do: func() {
+			h.origin.Set("/extra/obj", []byte("extra rev 1"), "")
+		}},
+	)
+	h.play(fleetHorizon, steps)
 
-	// Snapshot the Δt logs before the upstream kill below adds
-	// post-horizon sweep polls.
-	logMu.Lock()
-	finalLogs := make([]map[string][]metrics.Refresh, fleetShards)
-	for i := range leafLogs {
-		finalLogs[i] = make(map[string][]metrics.Refresh, len(leafLogs[i]))
-		for k, v := range leafLogs[i] {
-			finalLogs[i][k] = append([]metrics.Refresh(nil), v...)
+	// Take the Δt logs before the upstream kill below adds post-horizon
+	// sweep polls.
+	logs := make([][]metrics.Refresh, fleetShards)
+	for i, l := range leaves {
+		for _, o := range l.observations() {
+			if o.Key == objs[i].path {
+				logs[i] = append(logs[i], metrics.Refresh{
+					At: simtime.At(o.At.Sub(h.clk.base)), Modified: o.Modified,
+					Value: o.Value, Triggered: o.Triggered || o.Pushed,
+				})
+			}
 		}
 	}
-	logMu.Unlock()
 
 	// Phase 4: a REAL upstream hole. The root's blindness must propagate
 	// as mid-stream Resets through both relay hops — every leaf proxy and
@@ -524,41 +254,33 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 	for i, w := range watchers {
 		preResets[i] = w.resets.Load()
 	}
-	origin.SetPushAvailable(false)
-	if !waitFor(t, 10*time.Second, func() bool { return !root.PushStats().Connected }) {
+	h.origin.SetPushAvailable(false)
+	h.quiesce()
+	if root.PushStats().Connected {
 		t.Fatal("root never noticed the origin kill")
 	}
-	if !waitFor(t, 15*time.Second, func() bool {
-		for _, l := range leaves {
-			if l.PushStats().Resets == 0 {
-				return false
-			}
+	for i, l := range leaves {
+		if l.PushStats().Resets == 0 {
+			t.Errorf("the origin kill never reached leaf %d as a Reset", i)
 		}
-		for i, w := range watchers {
-			if w.resets.Load() <= preResets[i] {
-				return false
-			}
+	}
+	for i, w := range watchers {
+		if w.resets.Load() <= preResets[i] {
+			t.Errorf("the origin kill never reached watcher %d as a Reset", i)
 		}
-		return true
-	}) {
-		t.Fatal("the origin kill never propagated Resets through the hierarchy")
 	}
-	origin.SetPushAvailable(true)
-	if !waitFor(t, 10*time.Second, allConnected) {
-		t.Fatal("hierarchy never re-armed after the revive")
-	}
-	quiesce()
+	h.origin.SetPushAvailable(true)
+	h.quiesce()
 
 	// --- Verdicts. ---
 	if root.PushStats().Fallbacks == 0 {
 		t.Error("the origin kill never produced a root fallback")
 	}
 	for i := range objs {
-		log := finalLogs[i][objs[i].path]
-		if len(log) < 3 {
-			t.Fatalf("leaf %d recorded only %d polls", i, len(log))
+		if len(logs[i]) < 3 {
+			t.Fatalf("leaf %d recorded only %d polls", i, len(logs[i]))
 		}
-		meas := metrics.EvaluateTemporal(objs[i].tr, log, confDelta, fleetHorizon)
+		meas := metrics.EvaluateTemporal(objs[i].tr, logs[i], confDelta, fleetHorizon)
 		t.Logf("leaf %d measured: %v", i, meas)
 		if meas.Violations != 0 {
 			t.Errorf("leaf %d Δt violations through the filtered hierarchy: %d", i, meas.Violations)
@@ -583,14 +305,14 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 	}
 	// Filtering did real work at both relay tiers: the root skipped
 	// cross-subtree frames for the mids, the mids for their watchers.
-	if f := root.RelayStats().Hub.Filtered; f == 0 {
+	if f := root.relayHub().Filtered; f == 0 {
 		t.Error("root hub filtered nothing; mids were not interest-narrowed")
 	}
 	for j, m := range mids {
-		if f := m.RelayStats().Hub.Filtered; f == 0 {
+		if f := m.relayHub().Filtered; f == 0 {
 			t.Errorf("mid %d hub filtered nothing; watchers were not interest-narrowed", j)
 		}
 	}
 	t.Logf("fleet: origin polls=%d rootHub=%+v mid0Hub=%+v mid1Hub=%+v",
-		origin.Polls(), root.RelayStats().Hub, mids[0].RelayStats().Hub, mids[1].RelayStats().Hub)
+		h.origin.Polls(), root.relayHub(), mids[0].relayHub(), mids[1].relayHub())
 }

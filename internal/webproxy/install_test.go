@@ -9,120 +9,52 @@ package webproxy
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
 	"broadway/internal/httpx"
 	"broadway/internal/push"
-	"broadway/internal/webserver"
 )
 
-// installHarness is one origin and one proxy (restartable over the same
-// disk directory) on a stepped clock: nothing polls unless a test makes
-// it due, so every observation is attributable to the step that caused
-// it.
-type installHarness struct {
-	t      *testing.T
-	clk    *simClock
-	origin *webserver.Origin
-	cfg    Config
-	px     *Proxy
-
-	mu  sync.Mutex
-	obs []PollObservation
-}
-
-func newInstallHarness(t *testing.T, pushValues bool) *installHarness {
-	t.Helper()
-	h := &installHarness{t: t, clk: newSimClock()}
-	h.origin = webserver.NewOrigin(webserver.WithClock(h.clk.Now))
-	srv := httptest.NewServer(h.origin)
-	t.Cleanup(srv.Close)
-	u, err := url.Parse(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.cfg = Config{
-		Origin:            u,
-		Clock:             h.clk.Now,
-		PollWorkers:       1,
+// installTopology is one proxy (restartable over the same disk
+// directory) on the stepped clock, left unstarted: nothing polls unless
+// a test makes it due, so every observation is attributable to the step
+// that caused it. Pushed events are injected by hand; no stream runs.
+func installTopology(t *testing.T, pushValues bool) topology {
+	return topology{manual: true, cfg: Config{
 		DefaultDelta:      time.Hour,
 		DefaultGroupDelta: 2 * time.Second,
 		Bounds:            noRefreshBounds,
 		DiskDir:           t.TempDir(),
-		PushValues:        pushValues, // events are injected by hand; no stream needed
-		PollObserver: func(o PollObservation) {
-			h.mu.Lock()
-			h.obs = append(h.obs, o)
-			h.mu.Unlock()
-		},
-	}
-	h.clk.AdvanceTo(h.clk.base.Add(admissionPhase))
-	h.open()
-	t.Cleanup(func() { h.px.Close() })
-	return h
+		PushValues:        pushValues,
+	}}
 }
 
-// open builds the proxy over the harness's disk directory — rehydrating
-// whatever an earlier one left there — without starting it.
-func (h *installHarness) open() {
-	h.t.Helper()
-	px, err := New(h.cfg)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	h.px = px
-}
-
-// step moves the clock far enough past the last validation that the
-// group controller's δ window never suppresses a trigger.
-func (h *installHarness) step() {
-	h.clk.AdvanceTo(h.clk.Now().Add(10 * time.Second))
-}
-
-// set publishes a new version at the origin and returns its
-// Last-Modified (second-granular, as the origin stores it).
-func (h *installHarness) set(key string, body []byte) time.Time {
+// setGrouped publishes a new version of key in group g at the origin and
+// returns its Last-Modified (second-granular, as the origin stores it).
+func setGrouped(h *harness, key string, body []byte) time.Time {
 	h.origin.Set(key, body, "text/plain")
 	h.origin.SetTolerances(key, httpx.Tolerances{Group: "g", GroupDelta: 2 * time.Second})
 	return h.clk.Now().Truncate(time.Second)
 }
 
 // pollNow makes key's regular poll due and runs it.
-func (h *installHarness) pollNow(key string) {
+func pollNow(h *harness, key string) {
 	h.t.Helper()
-	e := h.px.lookup(key)
+	e := h.leaf().lookup(key)
 	if e == nil {
 		h.t.Fatalf("%s not resident", key)
 	}
-	h.px.reschedule(e, h.clk.Now())
-	quiesceSim(h.t, h.px, h.clk)
+	h.leaf().reschedule(e, h.clk.Now())
+	h.quiesce()
 }
 
 // pushed injects an update event as the subscriber would deliver it.
-func (h *installHarness) pushed(ev push.Event) {
-	h.t.Helper()
+func pushed(h *harness, ev push.Event) {
 	ev.Kind = push.KindUpdate
-	h.px.handlePushEvent(ev)
-	quiesceSim(h.t, h.px, h.clk)
-}
-
-// observed drains the observations recorded for key since the last call.
-func (h *installHarness) observed(key string) []PollObservation {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var out []PollObservation
-	for _, o := range h.obs {
-		if o.Key == key {
-			out = append(out, o)
-		}
-	}
-	h.obs = nil
-	return out
+	h.leaf().handlePushEvent(ev)
+	h.quiesce()
 }
 
 // TestInstallOneObjectEverySource drives one grouped object through
@@ -132,10 +64,12 @@ func (h *installHarness) observed(key string) []PollObservation {
 // sibling iff a resident copy was replaced by a new version.
 func TestInstallOneObjectEverySource(t *testing.T) {
 	const doc, sib = "/g/doc", "/g/sib"
-	h := newInstallHarness(t, true)
-	h.px.Start()
+	h := newHarness(t, installTopology(t, true))
+	px := h.leaf()
+	h.stepTo(h.clk.base.Add(admissionPhase))
+	h.start()
 	sibBody := []byte("sibling")
-	h.set(sib, sibBody)
+	setGrouped(h, sib, sibBody)
 
 	var (
 		body    []byte    // the version the cache must hold
@@ -146,7 +80,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 	)
 	publish := func(rev int) (prev []byte) {
 		prev, body = body, docBody(rev, 60)
-		lastMod = h.set(doc, body)
+		lastMod = setGrouped(h, doc, body)
 		return prev
 	}
 
@@ -165,22 +99,22 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 			name: "cold fetch, origin 200",
 			arrive: func() {
 				publish(1)
-				proxyGet(t, h.px, sib)
-				proxyGet(t, h.px, doc)
+				px.get(sib)
+				px.get(doc)
 			},
 			want:   PollObservation{Initial: true, Modified: true},
 			xcache: "HIT",
 		},
 		{
 			name:    "regular poll, origin 200",
-			arrive:  func() { publish(2); h.pollNow(doc) },
+			arrive:  func() { publish(2); pollNow(h, doc) },
 			want:    PollObservation{Modified: true},
 			trigger: true,
 			xcache:  "HIT",
 		},
 		{
 			name:   "regular poll, origin 304",
-			arrive: func() { h.pollNow(doc) },
+			arrive: func() { pollNow(h, doc) },
 			want:   PollObservation{},
 			xcache: "HIT",
 		},
@@ -188,7 +122,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 			name: "pushed full body",
 			arrive: func() {
 				publish(3)
-				h.pushed(push.Event{Key: doc, Group: "g", ModTime: lastMod,
+				pushed(h, push.Event{Key: doc, Group: "g", ModTime: lastMod,
 					HasBody: true, Body: body, Digest: push.DigestOf(body), ContentType: "text/plain"})
 			},
 			want:    PollObservation{Modified: true, Pushed: true, Applied: true},
@@ -203,7 +137,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 				if !ok {
 					t.Fatal("MakeDelta refused")
 				}
-				h.pushed(push.Event{Key: doc, Group: "g", ModTime: lastMod,
+				pushed(h, push.Event{Key: doc, Group: "g", ModTime: lastMod,
 					HasBody: true, Body: d, Digest: push.DigestOf(body),
 					BaseDigest: push.DigestOf(prev), DeltaCodec: push.DeltaCodecBlock})
 			},
@@ -218,19 +152,19 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 			// 304 — and is the one observation, an admission like any other.
 			name: "pushed onto the disk record, then promoted",
 			arrive: func() {
-				e := h.px.lookup(doc)
-				h.px.FlushDisk()
-				if !h.px.store.removeEntry(e) {
+				e := px.lookup(doc)
+				px.FlushDisk()
+				if !px.store.removeEntry(e) {
 					t.Fatal("doc was not resident")
 				}
-				h.px.demote([]*entry{e})
+				px.demote([]*entry{e})
 				publish(5)
-				h.pushed(push.Event{Key: doc, Group: "g", ModTime: lastMod,
+				pushed(h, push.Event{Key: doc, Group: "g", ModTime: lastMod,
 					HasBody: true, Body: body, Digest: push.DigestOf(body)})
-				if obs := h.observed(doc); len(obs) != 0 {
+				if obs := px.observed(doc); len(obs) != 0 {
 					t.Errorf("a push onto a disk record was observed: %+v", obs)
 				}
-				if _, _, hdr := proxyGet(t, h.px, doc); hdr.Get("X-Cache") != "MISS" {
+				if _, _, hdr := px.get(doc); hdr.Get("X-Cache") != "MISS" {
 					t.Errorf("promotion served X-Cache %q, want MISS", hdr.Get("X-Cache"))
 				}
 			},
@@ -240,20 +174,19 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		{
 			name: "rehydrated, then validated",
 			arrive: func() {
-				if st := h.px.PushStats(); st.DeltaApplied != 1 || st.DiskApplied != 1 || st.DeltaBaseMisses != 0 {
+				if st := px.PushStats(); st.DeltaApplied != 1 || st.DiskApplied != 1 || st.DeltaBaseMisses != 0 {
 					t.Errorf("push stats before the restart: %+v", st)
 				}
-				h.px.Close()
-				h.open()
+				px.reopen()
 				sibTriggered = 0
-				if _, got, hdr := proxyGet(t, h.px, doc); hdr.Get("X-Cache") != "GRACE" || got != string(body) {
+				if _, got, hdr := px.get(doc); hdr.Get("X-Cache") != "GRACE" || got != string(body) {
 					t.Errorf("before validation: X-Cache %q, %d body bytes", hdr.Get("X-Cache"), len(got))
 				}
-				if obs := h.observed(doc); len(obs) != 0 {
+				if obs := px.observed(doc); len(obs) != 0 {
 					t.Errorf("a rehydration was observed as a poll: %+v", obs)
 				}
-				h.px.Start()
-				quiesceSim(t, h.px, h.clk)
+				px.Start()
+				h.quiesce()
 			},
 			want:   PollObservation{},
 			xcache: "HIT",
@@ -262,15 +195,17 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 
 	var originPolls uint64
 	for _, row := range rows {
-		h.step()
-		sibTriggered = h.px.ObjectStats(sib).Triggered
-		pushBefore = h.px.PushStats()
+		// Far enough past the last validation that the group
+		// controller's δ window never suppresses a trigger.
+		h.advance(10 * time.Second)
+		sibTriggered = px.ObjectStats(sib).Triggered
+		pushBefore = px.PushStats()
 		originPolls = h.origin.Polls()
 		row.arrive()
-		quiesceSim(t, h.px, h.clk)
+		h.quiesce()
 
 		// Exactly one observation, flagged for its source.
-		obs := h.observed(doc)
+		obs := px.observed(doc)
 		if len(obs) != 1 {
 			t.Fatalf("%s: %d observations, want 1: %+v", row.name, len(obs), obs)
 		}
@@ -284,7 +219,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		if row.trigger {
 			wantTriggered++
 		}
-		if n := h.px.ObjectStats(sib).Triggered; n != wantTriggered {
+		if n := px.ObjectStats(sib).Triggered; n != wantTriggered {
 			t.Errorf("%s: sibling triggered polls %d, want %d", row.name, n, wantTriggered)
 		}
 		// A pushed payload costs the origin nothing for the object itself
@@ -293,13 +228,13 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 			if d := h.origin.Polls() - originPolls; d != 1 {
 				t.Errorf("%s: %d origin requests, want only the sibling's triggered poll", row.name, d)
 			}
-			if st := h.px.PushStats(); st.ValueApplied != pushBefore.ValueApplied+1 || st.ValueFallbacks != pushBefore.ValueFallbacks {
+			if st := px.PushStats(); st.ValueApplied != pushBefore.ValueApplied+1 || st.ValueFallbacks != pushBefore.ValueFallbacks {
 				t.Errorf("%s: push stats %+v", row.name, st)
 			}
 		}
 
 		// What is served.
-		code, served, hdr := proxyGet(t, h.px, doc)
+		code, served, hdr := px.get(doc)
 		if code != http.StatusOK || served != string(body) {
 			t.Errorf("%s: served %d, %d bytes; want the %d bytes of the current version", row.name, code, len(served), len(body))
 		}
@@ -311,15 +246,15 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		}
 
 		// The byte ledger is the sum of what is resident.
-		if b := h.px.ObjectStats(doc).Bytes; b != entrySize(doc, body) {
+		if b := px.ObjectStats(doc).Bytes; b != entrySize(doc, body) {
 			t.Errorf("%s: ledger charge %d, want entrySize %d", row.name, b, entrySize(doc, body))
 		}
-		if rb, want := h.px.ResidentBytes(), entrySize(doc, body)+entrySize(sib, sibBody); rb != want {
+		if rb, want := px.ResidentBytes(), entrySize(doc, body)+entrySize(sib, sibBody); rb != want {
 			t.Errorf("%s: resident bytes %d, want %d", row.name, rb, want)
 		}
 
 		// The disk record is the entry.
-		e := h.px.lookup(doc)
+		e := px.lookup(doc)
 		if e == nil {
 			t.Fatalf("%s: not resident", row.name)
 		}
@@ -329,8 +264,8 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		if digest != push.DigestOf(body) {
 			t.Errorf("%s: entry digest is not the digest of its body", row.name)
 		}
-		h.px.FlushDisk()
-		rec, onDisk, ok := h.px.disk.Get(doc)
+		px.FlushDisk()
+		rec, onDisk, ok := px.disk.Get(doc)
 		switch {
 		case !ok:
 			t.Errorf("%s: no disk record", row.name)
@@ -358,22 +293,13 @@ func TestCappedPromotionIsNotCounted(t *testing.T) {
 		}
 		w.Write(small)
 	})
-	var mu sync.Mutex
-	var initial int
-	px, _ := newHandlerProxy(t, handler, Config{
+	px := newHarness(t, topology{handler: handler, cfg: Config{
 		MaxBytes:     2048,
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
 		DiskDir:      t.TempDir(),
-		PollObserver: func(o PollObservation) {
-			mu.Lock()
-			if o.Initial {
-				initial++
-			}
-			mu.Unlock()
-		},
-	})
-	if code, body, _ := proxyGet(t, px, key); code != 200 || body != string(small) {
+	}}).leaf()
+	if code, body, _ := px.get(key); code != 200 || body != string(small) {
 		t.Fatalf("admission: %d %q", code, body)
 	}
 	px.FlushDisk()
@@ -390,7 +316,7 @@ func TestCappedPromotionIsNotCounted(t *testing.T) {
 	px.disk.Put(rec, big)
 	px.FlushDisk()
 
-	code, body, hdr := proxyGet(t, px, key)
+	code, body, hdr := px.get(key)
 	if code != 200 || body != string(big) || hdr.Get("X-Cache") != "BYPASS" {
 		t.Fatalf("over-budget record: %d, %d bytes, X-Cache %q; want the disk body served BYPASS", code, len(body), hdr.Get("X-Cache"))
 	}
@@ -403,8 +329,12 @@ func TestCappedPromotionIsNotCounted(t *testing.T) {
 	if got := px.CacheStats().Capped; got != 1 {
 		t.Errorf("CacheStats.Capped = %d, want 1", got)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	initial := 0
+	for _, o := range px.observations() {
+		if o.Initial {
+			initial++
+		}
+	}
 	if initial != 1 {
 		t.Errorf("%d admission observations, want only the first (the capped promotion cached nothing)", initial)
 	}
@@ -415,37 +345,37 @@ func TestCappedPromotionIsNotCounted(t *testing.T) {
 // always confirms by polling, whatever the event carried.
 func TestInvalidationOnlyPushCoalescesAndPolls(t *testing.T) {
 	const key = "/doc"
-	h := newInstallHarness(t, false)
+	h := newHarness(t, installTopology(t, false))
+	px := h.leaf()
 	h.origin.Set(key, []byte("v1"), "text/plain")
-	proxyGet(t, h.px, key)
-	h.observed(key)
+	px.get(key)
+	px.observed(key)
 
-	h.step()
+	h.clk.AdvanceTo(h.clk.Now().Add(10 * time.Second))
 	h.origin.Set(key, []byte("v2"), "text/plain")
 	mod := h.clk.Now().Truncate(time.Second)
 	// The workers are not running yet, so the burst meets a queued job.
 	forged := []byte("forged")
 	for i := 0; i < 3; i++ {
-		h.px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: key, ModTime: mod,
+		px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: key, ModTime: mod,
 			HasBody: true, Body: forged, Digest: push.DigestOf(forged)})
 	}
-	if st := h.px.PushStats(); st.Events != 3 || st.Polls != 1 {
+	if st := px.PushStats(); st.Events != 3 || st.Polls != 1 {
 		t.Fatalf("3 events queued %d jobs (events %d), want 1", st.Polls, st.Events)
 	}
-	h.px.Start()
-	quiesceSim(t, h.px, h.clk)
+	h.start()
 
-	obs := h.observed(key)
+	obs := px.observed(key)
 	if len(obs) != 1 || !obs[0].Pushed || obs[0].Applied || !obs[0].Modified {
 		t.Fatalf("observations %+v, want one pushed poll that found the change", obs)
 	}
-	if b, _ := h.px.CachedBody(key); string(b) != "v2" {
+	if b, _ := px.CachedBody(key); string(b) != "v2" {
 		t.Errorf("cached %q, want the origin's v2 (the payload must be ignored)", b)
 	}
-	if h.px.lookup(key).pendingPush.Load() != nil {
+	if px.lookup(key).pendingPush.Load() != nil {
 		t.Error("the job left its coalescing slot full")
 	}
-	if st := h.px.PushStats(); st.ValueFallbacks != 0 || st.ValueApplied != 0 {
+	if st := px.PushStats(); st.ValueFallbacks != 0 || st.ValueApplied != 0 {
 		t.Errorf("push stats %+v: value counters moved without PushValues", st)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -27,224 +26,85 @@ import (
 	"broadway/internal/webserver"
 )
 
-// leaseFleet is one proxy behind an origin whose event hub the test owns,
-// so it can announce a hole mid-stream (Hub.Reset) as well as kill the
-// endpoint. It counts origin requests per path and records every regular
-// poll the proxy completes.
-type leaseFleet struct {
-	origin *webserver.Origin
-	hub    *push.Hub
-	proxy  *Proxy
-
-	mu       sync.Mutex
-	requests map[string]int         // origin requests by path
-	regular  map[string][]time.Time // regular poll instants by key
-	// beforeReply, when set, runs after the origin has built a response
-	// and before any of it is written: the window in which an update can
-	// overtake the response it missed.
-	beforeReply func(path string)
-	failing     map[string]bool // paths the origin answers 503
-	fillers     int             // filler objects demote has admitted so far
-	vouched     []string        // every group member an observation reported vouched for
+// leaseTopology is one proxy behind an origin whose event hub the test
+// owns, so it can announce a hole mid-stream (Hub.Reset) as well as take
+// the endpoint down; available false starts it down.
+func leaseTopology(cfg Config, available bool) topology {
+	hub := push.NewHub(push.HubConfig{PayloadCap: push.DefaultPayloadCap})
+	hub.SetAvailable(available)
+	return topology{push: true, hub: hub, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
 }
 
-func newLeaseFleet(t *testing.T, cfg Config) *leaseFleet {
-	t.Helper()
-	f := startLeaseFleet(t, cfg, true)
-	waitPushConnected(t, f.proxy)
-	return f
-}
-
-// startLeaseFleet builds the fleet without waiting for the push channel;
-// with available false the event endpoint is down from the start, so the
-// proxy runs before its first connect until the test brings it up.
-func startLeaseFleet(t *testing.T, cfg Config, available bool) *leaseFleet {
-	t.Helper()
-	f := &leaseFleet{
-		origin:   webserver.NewOrigin(webserver.WithHistoryExtension(true)),
-		hub:      push.NewHub(push.HubConfig{Heartbeat: 25 * time.Millisecond, PayloadCap: push.DefaultPayloadCap}),
-		requests: make(map[string]int),
-		regular:  make(map[string][]time.Time),
-	}
-	if !available {
-		f.hub.SetAvailable(false)
-	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/events" {
-			f.hub.ServeHTTP(w, r)
-			return
-		}
-		f.mu.Lock()
-		f.requests[r.URL.Path]++
-		hook, fail := f.beforeReply, f.failing[r.URL.Path]
-		f.mu.Unlock()
-		if fail {
-			http.Error(w, "unavailable", http.StatusServiceUnavailable)
-			return
-		}
-		if hook == nil {
-			f.origin.ServeHTTP(w, r)
-			return
-		}
-		rec := httptest.NewRecorder()
-		f.origin.ServeHTTP(rec, r)
-		hook(r.URL.Path)
-		for k, v := range rec.Header() {
-			w.Header()[k] = v
-		}
-		w.WriteHeader(rec.Code)
-		w.Write(rec.Body.Bytes())
-	}))
-	t.Cleanup(srv.Close)
-	t.Cleanup(func() { f.hub.SetAvailable(false) }) // end streams so srv.Close returns
-
-	cfg.Origin, _ = url.Parse(srv.URL)
-	cfg.PushURL, _ = url.Parse(srv.URL + "/events")
-	if cfg.PushBackoffMin == 0 {
-		cfg.PushBackoffMin = 5 * time.Millisecond
-	}
-	cfg.PushBackoffMax = cfg.PushBackoffMin * 10
-	cfg.PushHeartbeatTimeout = 200 * time.Millisecond
-	cfg.PollObserver = func(o PollObservation) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		f.vouched = append(f.vouched, o.Vouched...)
-		if o.Initial || o.Triggered || o.Pushed {
-			return
-		}
-		f.regular[o.Key] = append(f.regular[o.Key], o.At)
-	}
-	px, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px.Start()
-	t.Cleanup(px.Close)
-	f.proxy = px
-	return f
-}
-
-// update rewrites key at the origin and announces it on the hub,
-// returning the announcement's stream position.
-func (f *leaseFleet) update(key, body string) uint64 {
-	f.origin.Set(key, []byte(body), "")
-	return f.hub.Publish(push.Event{Kind: push.KindUpdate, Key: key})
+// update rewrites key at the origin and announces it on the test's hub.
+func update(h *harness, key, body string) {
+	h.origin.Set(key, []byte(body), "")
+	h.tp.hub.Publish(push.Event{Kind: push.KindUpdate, Key: key})
 }
 
 // updateValue is update with the new version riding on the event, as an
 // origin serving value-negotiated subscribers announces it.
-func (f *leaseFleet) updateValue(key, body string) uint64 {
-	f.origin.Set(key, []byte(body), "")
-	return f.hub.Publish(push.Event{
-		Kind: push.KindUpdate, Key: key, ModTime: f.modTime(key),
+func updateValue(h *harness, key, body string) {
+	h.origin.Set(key, []byte(body), "")
+	h.tp.hub.Publish(push.Event{
+		Kind: push.KindUpdate, Key: key, ModTime: modTime(h, key),
 		Body: []byte(body), HasBody: true, Digest: push.DigestOf([]byte(body)),
 	})
 }
 
 // modTime is the origin's current Last-Modified for key.
-func (f *leaseFleet) modTime(key string) time.Time {
+func modTime(h *harness, key string) time.Time {
 	rec := httptest.NewRecorder()
-	f.origin.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, key, nil))
+	h.origin.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, key, nil))
 	mod, _ := http.ParseTime(rec.Header().Get("Last-Modified"))
 	return mod
 }
 
-// handled waits until the proxy has processed the event at seq.
-func (f *leaseFleet) handled(t *testing.T, seq uint64) {
-	t.Helper()
-	if !waitFor(t, 3*time.Second, func() bool { return f.proxy.PushStats().LastSeq >= seq }) {
-		t.Fatalf("the proxy never handled the event at seq %d", seq)
-	}
-}
-
 // demote admits fresh filler objects until CLOCK has displaced victim
 // from a cache configured far smaller than the fillers.
-func (f *leaseFleet) demote(t *testing.T, victim string) {
+func demote(t *testing.T, h *harness, victim string) {
 	t.Helper()
-	for n := 0; f.proxy.lookup(victim) != nil; n++ {
+	px := h.leaf()
+	for n := 0; px.lookup(victim) != nil; n++ {
 		if n == 16 {
 			t.Fatalf("%s still resident after %d admissions into a small cache", victim, n)
 		}
-		k := fmt.Sprintf("/f/%d", f.fillers)
-		f.fillers++
-		f.origin.Set(k, []byte("filler"), "")
-		if code, _, _ := proxyGet(t, f.proxy, k); code != http.StatusOK {
+		k := fmt.Sprintf("/f/%d", h.origin.Stats().Objects)
+		h.origin.Set(k, []byte("filler"), "")
+		if code, _, _ := px.get(k); code != http.StatusOK {
 			t.Fatalf("GET %s: status %d", k, code)
 		}
 	}
 }
 
 // admit hosts and requests n keys named like the benchmark's.
-func (f *leaseFleet) admit(t *testing.T, n int) []string {
+func admit(t *testing.T, h *harness, n int) []string {
 	t.Helper()
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("/s%d/k%d", i%8, i)
-		f.origin.Set(keys[i], []byte("v1"), "")
+		h.origin.Set(keys[i], []byte("v1"), "")
 	}
 	for _, k := range keys {
-		if code, _, _ := proxyGet(t, f.proxy, k); code != http.StatusOK {
+		if code, _, _ := h.leaf().get(k); code != http.StatusOK {
 			t.Fatalf("admit %s: status %d", k, code)
 		}
 	}
 	return keys
 }
 
-func (f *leaseFleet) requestsFor(key string) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.requests[key]
-}
-
 // holdWorker occupies the proxy's only poll worker with a poll of another
-// key, held at the origin until release, which then waits for the jobs
-// queued behind it to drain.
-func (f *leaseFleet) holdWorker(t *testing.T, clk *simClock) (release func()) {
+// key, held at the origin until release, which then quiesces.
+func holdWorker(t *testing.T, h *harness) (release func()) {
 	t.Helper()
-	px := f.proxy
-	f.origin.Set("/slow", []byte("s"), "")
-	proxyGet(t, px, "/slow")
-	held := make(chan struct{})
-	var once sync.Once
-	unblock := func() { once.Do(func() { close(held) }) }
-	t.Cleanup(unblock) // before the proxy's Close waits on its worker
-	f.mu.Lock()
-	f.beforeReply = func(p string) {
-		if p == "/slow" {
-			<-held
-		}
-	}
-	f.mu.Unlock()
-	px.reschedule(px.lookup("/slow"), clk.Now())
-	if !waitFor(t, 3*time.Second, func() bool { return f.requestsFor("/slow") == 2 }) {
-		t.Fatal("the worker never started the held poll")
-	}
+	px := h.leaf()
+	h.origin.Set("/slow", []byte("s"), "")
+	px.get("/slow")
+	held := px.up.hold(t, "/slow")
+	px.reschedule(px.lookup("/slow"), h.clk.Now())
+	held.wait(t)
 	return func() {
-		unblock()
-		if !waitFor(t, 3*time.Second, func() bool { return px.InFlightPolls() == 0 }) {
-			t.Fatal("the queued jobs never drained")
-		}
-	}
-}
-
-// onceBeforeReply runs fn once, inside the first origin request for path
-// from now on: its response built, none of it written yet.
-func (f *leaseFleet) onceBeforeReply(path string, fn func()) {
-	var once sync.Once
-	f.mu.Lock()
-	f.beforeReply = func(p string) {
-		if p == path {
-			once.Do(fn)
-		}
-	}
-	f.mu.Unlock()
-}
-
-// waitPush waits for the channel state a test arranged.
-func (f *leaseFleet) waitPush(t *testing.T, what string, cond func(PushStats) bool) {
-	t.Helper()
-	if !waitFor(t, 3*time.Second, func() bool { return cond(f.proxy.PushStats()) }) {
-		t.Fatalf("%s: %+v", what, f.proxy.PushStats())
+		held.release()
+		h.quiesce()
 	}
 }
 
@@ -253,24 +113,22 @@ func (f *leaseFleet) waitPush(t *testing.T, what string, cond func(PushStats) bo
 func originPath(key string) string { return strings.SplitN(key, "?", 2)[0] }
 
 // regularSince returns key's first and last regular poll at or after t0.
-func (f *leaseFleet) regularSince(key string, t0 time.Time) (first, last time.Time, ok bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, at := range f.regular[key] {
-		if at.Before(t0) {
+func regularSince(px *node, key string, t0 time.Time) (first, last time.Time, ok bool) {
+	for _, o := range px.observations() {
+		if o.Key != key || o.Initial || o.Triggered || o.Pushed || o.At.Before(t0) {
 			continue
 		}
 		if !ok {
-			first, ok = at, true
+			first, ok = o.At, true
 		}
-		last = at
+		last = o.At
 	}
 	return first, last, ok
 }
 
 // wantPaperMode asserts the schedule is exactly what pure polling would
 // have produced: no entry on the heap sits past its paper-mode instant.
-func wantPaperMode(t *testing.T, px *Proxy) {
+func wantPaperMode(t *testing.T, px *node) {
 	t.Helper()
 	var entries []*entry
 	for i := range px.store.shards {
@@ -301,30 +159,27 @@ func TestLeaseEndsMidTerm(t *testing.T) {
 	const (
 		n      = 256
 		ttrMax = time.Second
-		// slack covers draining n simultaneous polls through the workers
-		// on a loaded (or race-instrumented) machine.
-		slack = 2 * time.Second
 	)
 	cases := []struct {
 		name string
-		end  func(f *leaseFleet)
+		end  func(h *harness)
 		// down marks an event the channel does not recover from by itself.
 		down                      bool
 		fallbacks, resets, bounce uint64
 	}{
-		{name: "link death", end: func(f *leaseFleet) { f.hub.SetAvailable(false) }, down: true, fallbacks: 1},
-		{name: "mid-stream Reset", end: func(f *leaseFleet) { f.hub.Reset() }, resets: 1},
-		{name: "Bounce", end: func(f *leaseFleet) { f.proxy.sub.Bounce() }, fallbacks: 1, bounce: 1},
+		{name: "link death", end: func(h *harness) { h.tp.hub.SetAvailable(false) }, down: true, fallbacks: 1},
+		{name: "mid-stream Reset", end: func(h *harness) { h.tp.hub.Reset() }, resets: 1},
+		{name: "Bounce", end: func(h *harness) { h.leaf().sub.Bounce() }, fallbacks: 1, bounce: 1},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			f := newLeaseFleet(t, Config{
+			h := newHarness(t, leaseTopology(Config{
 				PushStretch:  60,
 				DefaultDelta: 100 * time.Millisecond,
 				Bounds:       core.TTRBounds{Min: 100 * time.Millisecond, Max: ttrMax},
-			})
-			px := f.proxy
-			keys := f.admit(t, n)
+			}, true))
+			px := h.leaf()
+			keys := admit(t, h, n)
 			ttr := make(map[string]time.Duration, n)
 			for _, k := range keys {
 				snap := scheduleOf(t, px, k, 1)
@@ -332,55 +187,43 @@ func TestLeaseEndsMidTerm(t *testing.T) {
 				ttr[k] = snap.ttr()
 			}
 
-			ended := time.Now()
-			c.end(f)
-			if !waitFor(t, 3*time.Second, func() bool {
+			h.advance(ttrMax / 2) // mid-term: past every paper-mode instant
+			ended := h.clk.Now()
+			c.end(h)
+			h.quiesce()
+			reconciled := func() bool {
 				st := px.PushStats()
 				return st.Fallbacks == c.fallbacks && st.Resets == c.resets && st.Bounces == c.bounce
-			}) {
-				t.Fatalf("event never reconciled: %+v", px.PushStats())
+			}
+			if !reconciled() {
+				t.Fatalf("event not reconciled once: %+v", px.PushStats())
 			}
 			if c.down {
 				wantPaperMode(t, px)
 			}
-			updated := time.Now()
 			for i := 0; i < n; i += 4 {
-				f.update(keys[i], "v2")
+				update(h, keys[i], "v2")
 			}
 
-			// Every key is polled on its unstretched schedule.
-			if !waitFor(t, ttrMax+slack, func() bool {
-				for _, k := range keys {
-					if _, _, ok := f.regularSince(k, ended); !ok {
-						return false
-					}
-				}
-				return true
-			}) {
-				t.Fatal("some keys were never polled after the lease ended")
-			}
+			// Every key is polled on its unstretched schedule, and every
+			// update is visible inside the same window.
+			h.advance(ttrMax)
 			for _, k := range keys {
-				first, _, _ := f.regularSince(k, ended)
-				if late := first.Sub(ended) - ttr[k]; late > slack {
+				first, _, ok := regularSince(px, k, ended)
+				if !ok {
+					t.Fatalf("%s was never polled after the lease ended", k)
+				}
+				if late := first.Sub(ended) - ttr[k]; late > 0 {
 					t.Errorf("%s polled %v after its unstretched TTR %v had passed", k, late, ttr[k])
 				}
 			}
-			// Every update is visible inside the same window.
-			if !waitFor(t, ttrMax+slack, func() bool {
-				for i := 0; i < n; i += 4 {
-					if b, _ := px.CachedBody(keys[i]); string(b) != "v2" {
-						return false
-					}
+			for i := 0; i < n; i += 4 {
+				if b, _ := px.CachedBody(keys[i]); string(b) != "v2" {
+					t.Fatalf("an update made after the lease ended was not visible within %v: %s = %q", ttrMax, keys[i], b)
 				}
-				return true
-			}) {
-				t.Fatal("an update made after the lease ended never became visible")
 			}
-			if took := time.Since(updated); took > ttrMax+slack {
-				t.Errorf("updates took %v to become visible, bound %v", took, ttrMax+slack)
-			}
-			if st := px.PushStats(); st.Fallbacks != c.fallbacks || st.Resets != c.resets || st.Bounces != c.bounce {
-				t.Errorf("reconciled more than once: %+v", st)
+			if !reconciled() {
+				t.Errorf("reconciled more than once: %+v", px.PushStats())
 			}
 
 			// A clean reconnect leases nothing by itself: each key
@@ -388,31 +231,21 @@ func TestLeaseEndsMidTerm(t *testing.T) {
 			back := ended
 			if c.down {
 				wantPaperMode(t, px)
-				back = time.Now()
-				f.hub.SetAvailable(true)
-				waitPushConnected(t, px)
+				back = h.clk.Now()
+				h.tp.hub.SetAvailable(true)
+				h.quiesce()
 			}
-			var why string
-			if !waitFor(t, 2*ttrMax+slack, func() bool {
-				for _, k := range keys {
-					_, last, ok := f.regularSince(k, back)
-					if !ok {
-						why = k + ": no regular poll since the channel came back"
-						return false
-					}
-					e := px.lookup(k)
-					px.schedMu.Lock()
-					scheduled, next := e.item != nil, e.nextAt
-					px.schedMu.Unlock()
-					if !scheduled || !next.Equal(last.Add(px.leaseTerm)) {
-						why = fmt.Sprintf("%s: next poll %v after its last regular poll, want the term %v",
-							k, next.Sub(last), px.leaseTerm)
-						return false
-					}
+			h.advance(2 * ttrMax)
+			for _, k := range keys {
+				_, last, ok := regularSince(px, k, back)
+				if !ok {
+					t.Fatalf("%s: no regular poll since the channel came back", k)
 				}
-				return true
-			}) {
-				t.Fatalf("leases not re-entered poll by poll: %s", why)
+				snap := scheduleOf(t, px, k, 2)
+				if !snap.next.Equal(last.Add(px.leaseTerm)) {
+					t.Fatalf("%s: next poll %v after its last regular poll, want the term %v: leases not re-entered poll by poll",
+						k, snap.next.Sub(last), px.leaseTerm)
+				}
 			}
 		})
 	}
@@ -428,19 +261,18 @@ func TestLeasePhaseSpreadsAdmissions(t *testing.T) {
 		ttrMin  = 2 * time.Second
 		buckets = 8
 	)
-	instant := time.Now()
-	f := newLeaseFleet(t, Config{
-		Clock:        func() time.Time { return instant },
+	h := newHarness(t, leaseTopology(Config{
 		DefaultDelta: ttrMin,
 		Bounds:       core.TTRBounds{Min: ttrMin, Max: 8 * time.Second},
-	})
-	px := f.proxy
+	}, true))
+	px := h.leaf()
+	instant := h.clk.Now() // the clock stands still: every key is admitted at it
 	term := px.PushStats().LeaseTerm
 	if term != 32*time.Second {
 		t.Fatalf("lease term %v, want the default 4 × Bounds.Max", term)
 	}
 	var counts [buckets]int
-	for _, k := range f.admit(t, n) {
+	for _, k := range admit(t, h, n) {
 		snap := scheduleOf(t, px, k, 1)
 		wantLeased(t, px, k, snap)
 		if !snap.validatedAt.Equal(instant) || snap.ttr() != ttrMin {
@@ -459,26 +291,23 @@ func TestLeasePhaseSpreadsAdmissions(t *testing.T) {
 	}
 }
 
-// TestLeasePromoteDemoteCostsNoOriginRequest pins the churn saving on a
-// stepped clock: a disk-tier object whose record the live channel has
-// carried since its last validation is promoted with no origin request —
-// the channel answers the 304 — and a residency that outlasts the
-// unstretched TTR costs nothing either. The promoted entry vouches for
-// the record's own validation, and its first audit is capped at that
-// validation plus L, the bound a resident leased key keeps against a
-// silent upstream.
+// TestLeasePromoteDemoteCostsNoOriginRequest pins the churn saving: a
+// disk-tier object whose record the live channel has carried since its
+// last validation is promoted with no origin request — the channel
+// answers the 304 — and a residency that outlasts the unstretched TTR
+// costs nothing either. The promoted entry vouches for the record's own
+// validation, and its first audit is capped at that validation plus L,
+// the bound a resident leased key keeps against a silent upstream.
 func TestLeasePromoteDemoteCostsNoOriginRequest(t *testing.T) {
 	const ttrMin = 50 * time.Millisecond
-	clk := newSimClock()
-	f := newLeaseFleet(t, Config{
-		Clock:        clk.Now,
+	h := newHarness(t, leaseTopology(Config{
 		MaxObjects:   4,
 		Shards:       1,
 		DiskDir:      t.TempDir(),
 		DefaultDelta: ttrMin,
 		Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
-	})
-	px := f.proxy
+	}, true))
+	px := h.leaf()
 	term := px.PushStats().LeaseTerm
 	const age = 20 * time.Second
 	// A phase past term − age, so the cap (validation + L) decides the
@@ -487,25 +316,25 @@ func TestLeasePromoteDemoteCostsNoOriginRequest(t *testing.T) {
 	for i := 1; px.leasePhase(victim, ttrMin) <= term-age; i++ {
 		victim = fmt.Sprintf("/c/%d", i)
 	}
-	f.origin.Set(victim, []byte("victim"), "")
+	h.origin.Set(victim, []byte("victim"), "")
 	get := func(k string) {
 		t.Helper()
-		if code, body, _ := proxyGet(t, px, k); code != http.StatusOK || k == victim && body != "victim" {
+		if code, body, _ := px.get(k); code != http.StatusOK || k == victim && body != "victim" {
 			t.Fatalf("GET %s: status %d, %q", k, code, body)
 		}
 	}
 
 	// Validated strictly inside the lease epoch the connect began.
-	clk.AdvanceTo(clk.Now().Add(time.Second))
-	validated := clk.Now()
+	h.advance(time.Second)
+	validated := h.clk.Now()
 	get(victim)
 	px.FlushDisk() // the demotion below needs the record written behind
-	f.demote(t, victim)
-	if got := f.requestsFor(victim); got != 1 {
+	demote(t, h, victim)
+	if got := px.up.requestsFor(victim); got != 1 {
 		t.Fatalf("%d origin requests before the promotion, want the admission fetch alone", got)
 	}
 
-	clk.AdvanceTo(validated.Add(age))
+	h.advance(validated.Add(age).Sub(h.clk.Now()))
 	get(victim) // promote: answered by the channel
 	if ds := px.DiskStats(); ds.Promotions != 1 || ds.LeasedPromotions != 1 {
 		t.Fatalf("not promoted under the lease: %+v", ds)
@@ -520,11 +349,9 @@ func TestLeasePromoteDemoteCostsNoOriginRequest(t *testing.T) {
 	}
 
 	// Resident past the instant an unleased first poll would fire.
-	clk.AdvanceTo(clk.Now().Add(4 * ttrMin))
-	px.Kick()
-	quiesceSim(t, px, clk)
-	f.demote(t, victim)
-	if got := f.requestsFor(victim) - 1; got != 0 {
+	h.advance(4 * ttrMin)
+	demote(t, h, victim)
+	if got := px.up.requestsFor(victim) - 1; got != 0 {
 		t.Errorf("promote-then-demote residency cost the origin %d requests, want none", got)
 	}
 }
@@ -534,23 +361,23 @@ func TestLeasePromoteDemoteCostsNoOriginRequest(t *testing.T) {
 // unstretched first poll; once the bounce has widened the declaration its
 // next regular poll leases it.
 func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
-	f := newLeaseFleet(t, Config{
+	h := newHarness(t, leaseTopology(Config{
 		PushInterest: true,
 		PushPrefixes: []string{"/in/"},
-		// A reconnect slower than the admission below: the entry must be
-		// scheduled against the declaration that filtered it out.
-		PushBackoffMin: 300 * time.Millisecond,
-		DefaultDelta:   50 * time.Millisecond,
-		Bounds:         core.TTRBounds{Min: 50 * time.Millisecond, Max: 10 * time.Second},
-	})
-	px := f.proxy
-	f.origin.Set("/in/a", []byte("v1"), "")
-	f.origin.Set("/out/b", []byte("v1"), "")
+		DefaultDelta: 50 * time.Millisecond,
+		Bounds:       core.TTRBounds{Min: 50 * time.Millisecond, Max: 10 * time.Second},
+	}, true))
+	px := h.leaf()
+	h.origin.Set("/in/a", []byte("v1"), "")
+	h.origin.Set("/out/b", []byte("v1"), "")
 
-	proxyGet(t, px, "/in/a")
+	px.get("/in/a")
 	wantLeased(t, px, "/in/a", scheduleOf(t, px, "/in/a", 1))
 
-	proxyGet(t, px, "/out/b")
+	// The stream cannot come back until the admission below is scheduled:
+	// against the declaration that filtered it out.
+	px.up.fail("/events", true)
+	px.get("/out/b")
 	px.schedMu.Lock()
 	e := px.lookup("/out/b")
 	first, base := e.nextAt, e.baseNextAt
@@ -562,20 +389,17 @@ func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
 		t.Fatalf("admission outside the declaration bounced the stream %d times, want 1", st.Bounces)
 	}
 
-	if !waitFor(t, 3*time.Second, func() bool {
-		return px.PushStats().Connected && px.sub.DeclaredInterest().Matches("/out/b", "")
-	}) {
+	px.up.fail("/events", false)
+	h.quiesce()
+	if !px.PushStats().Connected || !px.sub.DeclaredInterest().Matches("/out/b", "") {
 		t.Fatal("the bounce never widened the declaration")
 	}
-	if !waitFor(t, 3*time.Second, func() bool {
-		_, last, ok := f.regularSince("/out/b", time.Time{})
-		if !ok {
-			return false
-		}
-		px.schedMu.Lock()
-		defer px.schedMu.Unlock()
-		return e.item != nil && e.nextAt.Equal(last.Add(px.leaseTerm))
-	}) {
+	h.advance(50 * time.Millisecond)
+	_, last, ok := regularSince(px, "/out/b", time.Time{})
+	if !ok {
+		t.Fatal("/out/b was never polled")
+	}
+	if snap := scheduleOf(t, px, "/out/b", 2); !snap.next.Equal(last.Add(px.leaseTerm)) {
 		t.Error("/out/b never leased after the declaration covered it")
 	}
 }
@@ -592,10 +416,7 @@ func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
 // carried, with no fetch, and the update lands between the promotion's
 // record read and its install.
 func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
-	const (
-		ttrMin = 100 * time.Millisecond
-		slack  = 2 * time.Second
-	)
+	const ttrMin = 100 * time.Millisecond
 	cases := []struct {
 		name                    string
 		promote, values, leased bool
@@ -619,33 +440,33 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 			if c.promote {
 				cfg.MaxObjects, cfg.Shards, cfg.DiskDir = 4, 1, t.TempDir()
 			}
-			f := newLeaseFleet(t, cfg)
-			px := f.proxy
-			// A phase far past the bound asserted below, so a lease taken
-			// by mistake cannot pass for the paper-mode poll.
+			h := newHarness(t, leaseTopology(cfg, true))
+			px := h.leaf()
+			// A phase far past the TTR, so a lease taken by mistake cannot
+			// pass for the paper-mode poll.
 			key := "/r/0"
-			for i := 1; px.leasePhase(key, ttrMin) < 3*slack; i++ {
+			for i := 1; px.leasePhase(key, ttrMin) < 10*ttrMin; i++ {
 				key = fmt.Sprintf("/r/%d", i)
 			}
-			f.origin.Set(key, []byte("v1"), "")
+			h.origin.Set(key, []byte("v1"), "")
 			if c.promote {
-				proxyGet(t, px, key)
+				// Validated strictly inside the lease epoch the connect began.
+				h.advance(time.Second)
+				px.get(key)
 				wantLeased(t, px, key, scheduleOf(t, px, key, 1))
 				px.FlushDisk()
-				f.demote(t, key)
+				demote(t, h, key)
 			}
 			if c.promote && !c.leased {
 				px.sub.Bounce()
-				if !waitFor(t, 3*time.Second, func() bool {
-					st := px.PushStats()
-					return st.Bounces == 1 && st.Connects == 2 && st.Connected
-				}) {
-					t.Fatal("the stream never came back from the bounce")
+				h.quiesce()
+				if st := px.PushStats(); st.Bounces != 1 || st.Connects != 2 || !st.Connected {
+					t.Fatalf("the stream never came back from the bounce: %+v", st)
 				}
 			}
-			update := f.update
+			upd := update
 			if c.values {
-				update = f.updateValue
+				upd = updateValue
 			}
 
 			var body string
@@ -658,7 +479,8 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 					if !ok || resp == nil {
 						t.Fatal("the record is not carried")
 					}
-					f.handled(t, update(key, "v2"))
+					upd(h, key, "v2")
+					h.quiesce()
 					e := px.admitFrom(key, &rec, diskBody, resp)
 					e.mu.RLock()
 					body = string(e.body)
@@ -669,13 +491,11 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 				// The update overtakes the response that missed it: made once
 				// the response is built, announced, and handled by the proxy
 				// before the first byte of that response is written.
-				f.onceBeforeReply(key, func() {
-					seq := update(key, "v2")
-					if !waitFor(t, 3*time.Second, func() bool { return px.PushStats().LastSeq >= seq }) {
-						t.Error("the proxy never handled the update's event")
-					}
+				px.up.beforeReply(key, func() {
+					upd(h, key, "v2")
+					h.quiesce()
 				})
-				_, body, _ = proxyGet(t, px, key)
+				_, body, _ = px.get(key)
 			}
 			if body != "v1" {
 				t.Fatalf("admitted %q, want the version read before the update", body)
@@ -687,19 +507,17 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 			if ds := px.DiskStats(); c.promote && (ds.Promotions != 1 || c.leased != (ds.LeasedPromotions == 1)) {
 				t.Fatalf("not promoted from disk as expected: %+v", ds)
 			}
-			if !waitFor(t, ttrMin+slack, func() bool {
-				b, _ := px.CachedBody(key)
-				return string(b) == "v2"
-			}) {
+			h.advance(ttrMin)
+			if b, _ := px.CachedBody(key); string(b) != "v2" {
 				snap := scheduleOf(t, px, key, 1)
-				t.Fatalf("update still invisible %v after admission: first poll %v after validation, paper-mode %v",
-					ttrMin+slack, snap.next.Sub(snap.validatedAt), snap.ttr())
+				t.Fatalf("update still invisible %v after admission: next poll %v after validation, paper-mode %v",
+					ttrMin, snap.next.Sub(snap.validatedAt), snap.ttr())
 			}
 			fetches := 1 // the admission
 			if c.promote && !c.leased {
 				fetches++ // and the promotion
 			}
-			if got := f.requestsFor(key); got != fetches+1 {
+			if got := px.up.requestsFor(key); got != fetches+1 {
 				t.Errorf("%d origin requests, want %d fetches plus the one paper-mode poll", got, fetches)
 			}
 			// The poll that caught the update leases the key as usual.
@@ -708,30 +526,28 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 	}
 }
 
-// TestPromotionValidatesUnlessCarried covers, on a stepped clock, every
-// reason a promotion under a live lease must still fetch: the record was
-// validated before the current lease epoch, is as old as the term, is not
-// covered by the channel, or had an announced update land nowhere (each
-// path that voids it). Every case leaves the origin holding a version the
-// record does not, and the promotion must fetch it and serve it; the
-// control shows the same record carried, with no fetch, when nothing
-// spoils it.
+// TestPromotionValidatesUnlessCarried covers every reason a promotion
+// under a live lease must still fetch: the record was validated before
+// the current lease epoch, is as old as the term, is not covered by the
+// channel, or had an announced update land nowhere (each path that voids
+// it). Every case leaves the origin holding a version the record does
+// not, and the promotion must fetch it and serve it; the control shows
+// the same record carried, with no fetch, when nothing spoils it.
 func TestPromotionValidatesUnlessCarried(t *testing.T) {
 	const ttrMin = time.Second
-	silent := func(f *leaseFleet, key string) string {
-		f.origin.Set(key, []byte("v2"), "")
+	silent := func(h *harness, key string) string {
+		h.origin.Set(key, []byte("v2"), "")
 		return "v2"
 	}
-	type fleetCase struct {
-		f   *leaseFleet
-		clk *simClock
+	type promoCase struct {
+		h   *harness
 		dir string
 		key string // the cache key; the origin path drops its query
 	}
-	demote := func(t *testing.T, c *fleetCase) {
+	demoted := func(t *testing.T, c *promoCase) {
 		t.Helper()
-		c.f.proxy.FlushDisk()
-		c.f.demote(t, c.key)
+		c.h.leaf().FlushDisk()
+		demote(t, c.h, c.key)
 	}
 	cases := []struct {
 		name    string
@@ -741,87 +557,92 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 		// spoil runs with the key resident (admitted at an instant strictly
 		// inside the lease epoch), leaves it demoted, and returns the body
 		// the origin now holds.
-		spoil func(t *testing.T, c *fleetCase) string
+		spoil func(t *testing.T, c *promoCase) string
 	}{
 		{
 			name:    "carried (control)",
 			carried: true,
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.f.handled(t, c.f.updateValue(c.key, "v2")) // lands on the record
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				updateValue(c.h, c.key, "v2") // lands on the record
+				c.h.quiesce()
 				return "v2"
 			},
 		},
 		{
 			name: "epoch: reconnect",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
-				c.f.hub.SetAvailable(false)
-				c.f.waitPush(t, "never disconnected", func(st PushStats) bool { return !st.Connected })
-				body := silent(c.f, c.key)
-				c.f.hub.SetAvailable(true)
-				c.f.waitPush(t, "never reconnected", func(st PushStats) bool { return st.Connected })
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				c.h.advance(time.Second)
+				c.h.tp.hub.SetAvailable(false)
+				c.h.quiesce()
+				body := silent(c.h, c.key)
+				c.h.tp.hub.SetAvailable(true)
+				c.h.quiesce()
 				return body
 			},
 		},
 		{
 			name: "epoch: mid-stream Reset",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
-				body := silent(c.f, c.key)
-				c.f.hub.Reset()
-				c.f.waitPush(t, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				c.h.advance(time.Second)
+				body := silent(c.h, c.key)
+				c.h.tp.hub.Reset()
+				c.h.quiesce()
+				if st := c.h.leaf().PushStats(); st.Resets != 1 {
+					t.Fatalf("Reset never handled: %+v", st)
+				}
 				return body
 			},
 		},
 		{
 			name: "epoch: frame loss",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
-				body := silent(c.f, c.key)
-				c.f.proxy.handlePushFrameLoss() // as the subscriber reports a dropped line
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				c.h.advance(time.Second)
+				body := silent(c.h, c.key)
+				c.h.leaf().handlePushFrameLoss() // as the subscriber reports a dropped line
 				return body
 			},
 		},
 		{
 			name: "epoch: Bounce",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
-				body := silent(c.f, c.key)
-				c.f.proxy.sub.Bounce()
-				c.f.waitPush(t, "never came back from the bounce", func(st PushStats) bool {
-					return st.Bounces == 1 && st.Connects == 2 && st.Connected
-				})
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				c.h.advance(time.Second)
+				body := silent(c.h, c.key)
+				c.h.leaf().sub.Bounce()
+				c.h.quiesce()
+				if st := c.h.leaf().PushStats(); st.Bounces != 1 || st.Connects != 2 || !st.Connected {
+					t.Fatalf("never came back from the bounce: %+v", st)
+				}
 				return body
 			},
 		},
 		{
 			name: "epoch: channel down",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.f.hub.SetAvailable(false)
-				c.f.waitPush(t, "never disconnected", func(st PushStats) bool { return !st.Connected })
-				return silent(c.f, c.key)
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				c.h.tp.hub.SetAvailable(false)
+				c.h.quiesce()
+				return silent(c.h, c.key)
 			},
 		},
 		{
 			name: "record age L",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.clk.AdvanceTo(c.clk.Now().Add(c.f.proxy.PushStats().LeaseTerm))
-				return silent(c.f, c.key)
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				c.h.advance(c.h.leaf().PushStats().LeaseTerm)
+				return silent(c.h, c.key)
 			},
 		},
 		{
 			name: "query-bearing key",
 			key:  "/k/doc?x=1",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				return silent(c.f, originPath(c.key))
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				return silent(c.h, originPath(c.key))
 			},
 		},
 		{
@@ -833,55 +654,59 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			cfg: func(cfg *Config) {
 				cfg.PushInterest, cfg.PushPrefixes = true, []string{"/f/", "/k/"}
 			},
-			spoil: func(t *testing.T, c *fleetCase) string {
+			spoil: func(t *testing.T, c *promoCase) string {
 				c.key = "/out/doc"
-				c.f.origin.Set(c.key, []byte("v1"), "")
-				px := c.f.proxy
-				px.disk.Put(diskstore.Record{Key: c.key, LastMod: c.f.modTime(c.key), HasLastMod: true,
-					ValidatedAt: c.clk.Now()}, []byte("v1"))
+				c.h.origin.Set(c.key, []byte("v1"), "")
+				px := c.h.leaf()
+				px.disk.Put(diskstore.Record{Key: c.key, LastMod: modTime(c.h, c.key), HasLastMod: true,
+					ValidatedAt: c.h.clk.Now()}, []byte("v1"))
 				if px.sub.DeclaredInterest().Matches(c.key, "") {
 					t.Fatal("test premise: the live declaration covers the key")
 				}
-				return silent(c.f, c.key)
+				return silent(c.h, c.key)
 			},
 		},
 		{
 			name: "void: invalidation-only proxy",
 			cfg:  func(cfg *Config) { cfg.PushValues = false },
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.f.handled(t, c.f.update(c.key, "v2"))
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				update(c.h, c.key, "v2")
+				c.h.quiesce()
 				return "v2"
 			},
 		},
 		{
 			name: "void: stripped payload",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
-				c.f.handled(t, c.f.update(c.key, "v2"))
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
+				update(c.h, c.key, "v2")
+				c.h.quiesce()
 				return "v2"
 			},
 		},
 		{
 			name: "void: over-cap payload",
 			cfg:  func(cfg *Config) { cfg.PushPayloadCap = 8 },
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
 				const body = "v2, longer than the payload cap"
-				c.f.handled(t, c.f.updateValue(c.key, body))
+				updateValue(c.h, c.key, body)
+				c.h.quiesce()
 				return body
 			},
 		},
 		{
 			name: "void: delta base miss",
-			spoil: func(t *testing.T, c *fleetCase) string {
-				demote(t, c)
+			spoil: func(t *testing.T, c *promoCase) string {
+				demoted(t, c)
 				v2 := []byte("v2")
-				c.f.origin.Set(c.key, v2, "")
-				c.f.proxy.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: c.key, ModTime: c.f.modTime(c.key),
+				c.h.origin.Set(c.key, v2, "")
+				px := c.h.leaf()
+				px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: c.key, ModTime: modTime(c.h, c.key),
 					HasBody: true, Body: []byte("a delta against some other base"), Digest: push.DigestOf(v2),
 					BaseDigest: push.DigestOf([]byte("not the record's body")), DeltaCodec: push.DeltaCodecBlock})
-				if st := c.f.proxy.PushStats(); st.DeltaBaseMisses != 1 {
+				if st := px.PushStats(); st.DeltaBaseMisses != 1 {
 					t.Fatalf("test premise: the delta did not miss its base: %+v", st)
 				}
 				return string(v2)
@@ -890,10 +715,11 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 		{
 			name: "void: pushed job evicted before it ran",
 			cfg:  func(cfg *Config) { cfg.PollWorkers = 1 },
-			spoil: func(t *testing.T, c *fleetCase) string {
-				px := c.f.proxy
-				release := c.f.holdWorker(t, c.clk)
-				c.f.handled(t, c.f.updateValue(c.key, "v2"))
+			spoil: func(t *testing.T, c *promoCase) string {
+				px := c.h.leaf()
+				release := holdWorker(t, c.h)
+				updateValue(c.h, c.key, "v2")
+				c.h.quiesce()
 				if st := px.PushStats(); st.Polls != 1 {
 					t.Fatalf("test premise: no pushed job queued: %+v", st)
 				}
@@ -916,39 +742,39 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				// paper-mode poll in the future.
 				cfg.PollWorkers, cfg.DefaultDelta, cfg.Bounds.Min = 1, 5*time.Second, 5*time.Second
 			},
-			spoil: func(t *testing.T, c *fleetCase) string {
-				release := c.f.holdWorker(t, c.clk)
-				c.f.handled(t, c.f.updateValue(c.key, "v2"))
-				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
-				c.f.origin.Set(c.key, []byte("v3"), "") // lost in the hole
-				c.f.hub.Reset()
-				c.f.waitPush(t, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
-				c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
+			spoil: func(t *testing.T, c *promoCase) string {
+				release := holdWorker(t, c.h)
+				updateValue(c.h, c.key, "v2")
+				c.h.quiesce()
+				c.h.clk.AdvanceTo(c.h.clk.Now().Add(time.Second))
+				c.h.origin.Set(c.key, []byte("v3"), "") // lost in the hole
+				c.h.tp.hub.Reset()
+				c.h.quiesce()
+				if st := c.h.leaf().PushStats(); st.Resets != 1 {
+					t.Fatalf("Reset never handled: %+v", st)
+				}
+				c.h.clk.AdvanceTo(c.h.clk.Now().Add(time.Second))
 				release()
-				if b, _ := c.f.proxy.CachedBody(c.key); string(b) != "v2" {
+				if b, _ := c.h.leaf().CachedBody(c.key); string(b) != "v2" {
 					t.Fatalf("test premise: the queued payload was not installed: %q", b)
 				}
-				demote(t, c)
+				demoted(t, c)
 				return "v3"
 			},
 		},
 		{
 			name: "void: pushed poll failed",
 			cfg:  func(cfg *Config) { cfg.PushValues = false },
-			spoil: func(t *testing.T, c *fleetCase) string {
-				c.f.mu.Lock()
-				c.f.failing = map[string]bool{c.key: true}
-				c.f.mu.Unlock()
-				c.f.handled(t, c.f.update(c.key, "v2"))
-				if !waitFor(t, 3*time.Second, func() bool {
-					return c.f.proxy.UpstreamStatus().Errors == 1 && c.f.proxy.InFlightPolls() == 0
-				}) {
+			spoil: func(t *testing.T, c *promoCase) string {
+				px := c.h.leaf()
+				px.up.fail(c.key, true)
+				update(c.h, c.key, "v2")
+				c.h.quiesce()
+				if px.UpstreamStatus().Errors != 1 {
 					t.Fatal("the pushed poll never failed")
 				}
-				c.f.mu.Lock()
-				c.f.failing = nil
-				c.f.mu.Unlock()
-				demote(t, c) // before the retry, which the stepped clock holds back
+				px.up.fail(c.key, false)
+				demoted(t, c) // before the retry, which the stepped clock holds back
 				return "v2"
 			},
 		},
@@ -958,10 +784,11 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			// outgrowing the byte budget before it could persist it.
 			name: "void: install stopped at the eviction guard",
 			cfg:  func(cfg *Config) { cfg.MaxBytes = 4096 },
-			spoil: func(t *testing.T, c *fleetCase) string {
+			spoil: func(t *testing.T, c *promoCase) string {
 				body := strings.Repeat("v2", 2500)
-				c.f.handled(t, c.f.updateValue(c.key, body))
-				if !waitFor(t, 3*time.Second, func() bool { return c.f.proxy.lookup(c.key) == nil }) {
+				updateValue(c.h, c.key, body)
+				c.h.quiesce()
+				if c.h.leaf().lookup(c.key) != nil {
 					t.Fatal("the grown entry was never evicted")
 				}
 				return body
@@ -971,12 +798,13 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			// The pushed install's write-behind fails: a regular file
 			// squats where the new blob's directory must go.
 			name: "void: failed disk write",
-			spoil: func(t *testing.T, c *fleetCase) string {
+			spoil: func(t *testing.T, c *promoCase) string {
+				px := c.h.leaf()
 				blobDir := func(b []byte) string {
 					sum := sha256.Sum256(b)
 					return filepath.Join(c.dir, "blobs", hex.EncodeToString(sum[:])[:2])
 				}
-				c.f.proxy.FlushDisk()
+				px.FlushDisk()
 				v2 := []byte("v2")
 				for i := 0; ; i++ {
 					if _, err := os.Stat(blobDir(v2)); os.IsNotExist(err) {
@@ -987,12 +815,13 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				if err := os.WriteFile(blobDir(v2), nil, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				c.f.handled(t, c.f.updateValue(c.key, string(v2)))
-				if b, _ := c.f.proxy.CachedBody(c.key); string(b) != string(v2) {
+				updateValue(c.h, c.key, string(v2))
+				c.h.quiesce()
+				if b, _ := px.CachedBody(c.key); string(b) != string(v2) {
 					t.Fatalf("test premise: the pushed body was not installed: %q", b)
 				}
-				demote(t, c)
-				if ds := c.f.proxy.DiskStats(); ds.WriteErrors == 0 {
+				demoted(t, c)
+				if ds := px.DiskStats(); ds.WriteErrors == 0 {
 					t.Fatalf("test premise: no write failed: %+v", ds)
 				}
 				return string(v2)
@@ -1001,12 +830,11 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &fleetCase{clk: newSimClock(), dir: t.TempDir(), key: tc.key}
+			c := &promoCase{dir: t.TempDir(), key: tc.key}
 			if c.key == "" {
 				c.key = "/k/doc"
 			}
 			cfg := Config{
-				Clock:        c.clk.Now,
 				MaxObjects:   4,
 				Shards:       1,
 				DiskDir:      c.dir,
@@ -1017,12 +845,12 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			c.f = newLeaseFleet(t, cfg)
-			px := c.f.proxy
-			c.f.origin.Set(originPath(c.key), []byte("v1"), "")
+			c.h = newHarness(t, leaseTopology(cfg, true))
+			px := c.h.leaf()
+			c.h.origin.Set(originPath(c.key), []byte("v1"), "")
 			// Validated strictly inside the lease epoch the connect began.
-			c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
-			if code, body, _ := proxyGet(t, px, c.key); code != http.StatusOK || body != "v1" {
+			c.h.advance(time.Second)
+			if code, body, _ := px.get(c.key); code != http.StatusOK || body != "v1" {
 				t.Fatalf("admission: %d %q", code, body)
 			}
 
@@ -1030,12 +858,12 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			if px.lookup(c.key) != nil {
 				t.Fatal("test premise: the key is still resident")
 			}
-			before := c.f.requestsFor(originPath(c.key))
-			code, body, _ := proxyGet(t, px, c.key)
+			before := px.up.requestsFor(originPath(c.key))
+			code, body, _ := px.get(c.key)
 			if code != http.StatusOK || body != want {
 				t.Errorf("promotion served %d %q, want the origin's current %q", code, body, want)
 			}
-			fetched := c.f.requestsFor(originPath(c.key)) - before
+			fetched := px.up.requestsFor(originPath(c.key)) - before
 			leased := px.DiskStats().LeasedPromotions
 			switch {
 			case tc.carried && (fetched != 0 || leased != 1):
@@ -1059,24 +887,26 @@ func TestOverrideJournalsOnlyACarriedEntry(t *testing.T) {
 	const ttrMin = time.Second
 	cases := []struct {
 		name    string
-		values  bool
 		carried bool
 		// stage admits key (v1 at the origin) and leaves the origin holding
 		// the body a promotion must serve.
-		stage func(t *testing.T, f *leaseFleet, clk *simClock, key string) string
+		stage func(t *testing.T, h *harness, key string) string
 	}{
 		{
 			name: "carried (control)", carried: true,
-			stage: func(t *testing.T, f *leaseFleet, clk *simClock, key string) string {
-				proxyGet(t, f.proxy, key)
+			stage: func(t *testing.T, h *harness, key string) string {
+				h.leaf().get(key)
 				return "v1"
 			},
 		},
 		{
 			name: "raced admission",
-			stage: func(t *testing.T, f *leaseFleet, clk *simClock, key string) string {
-				f.onceBeforeReply(key, func() { f.handled(t, f.update(key, "v2")) })
-				if _, body, _ := proxyGet(t, f.proxy, key); body != "v1" {
+			stage: func(t *testing.T, h *harness, key string) string {
+				h.leaf().up.beforeReply(key, func() {
+					update(h, key, "v2")
+					h.quiesce()
+				})
+				if _, body, _ := h.leaf().get(key); body != "v1" {
 					t.Fatalf("test premise: admitted %q, want the version read before the update", body)
 				}
 				return "v2"
@@ -1084,21 +914,17 @@ func TestOverrideJournalsOnlyACarriedEntry(t *testing.T) {
 		},
 		{
 			name: "failed pushed poll",
-			stage: func(t *testing.T, f *leaseFleet, clk *simClock, key string) string {
-				proxyGet(t, f.proxy, key)
-				clk.AdvanceTo(clk.Now().Add(5 * time.Second / 10))
-				f.mu.Lock()
-				f.failing = map[string]bool{key: true}
-				f.mu.Unlock()
-				f.handled(t, f.update(key, "v2"))
-				if !waitFor(t, 3*time.Second, func() bool {
-					return f.proxy.UpstreamStatus().Errors == 1 && f.proxy.InFlightPolls() == 0
-				}) {
+			stage: func(t *testing.T, h *harness, key string) string {
+				px := h.leaf()
+				px.get(key)
+				h.clk.AdvanceTo(h.clk.Now().Add(ttrMin / 2))
+				px.up.fail(key, true)
+				update(h, key, "v2")
+				h.quiesce()
+				if px.UpstreamStatus().Errors != 1 {
 					t.Fatal("the pushed poll never failed")
 				}
-				f.mu.Lock()
-				f.failing = nil
-				f.mu.Unlock()
+				px.up.fail(key, false)
 				return "v2"
 			},
 		},
@@ -1106,42 +932,40 @@ func TestOverrideJournalsOnlyACarriedEntry(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			const key = "/k/doc"
-			clk := newSimClock()
-			f := newLeaseFleet(t, Config{
-				Clock:        clk.Now,
+			h := newHarness(t, leaseTopology(Config{
 				MaxObjects:   4,
 				Shards:       1,
 				PollWorkers:  1,
 				DiskDir:      t.TempDir(),
 				DefaultDelta: ttrMin,
 				Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
-			})
-			px := f.proxy
-			f.origin.Set(key, []byte("v1"), "")
+			}, true))
+			px := h.leaf()
+			h.origin.Set(key, []byte("v1"), "")
 			// Validated strictly inside the lease epoch the connect began.
-			clk.AdvanceTo(clk.Now().Add(time.Second / 10))
-			want := tc.stage(t, f, clk, key)
+			h.clk.AdvanceTo(h.clk.Now().Add(ttrMin / 10))
+			want := tc.stage(t, h, key)
 
 			// The override's immediate poll waits behind a held one, and the
 			// entry is demoted before it runs.
-			release := f.holdWorker(t, clk)
+			release := holdWorker(t, h)
 			if _, ok := px.OverrideTolerance(key, 2*ttrMin, 0); !ok {
 				t.Fatal("override refused for a resident key")
 			}
 			px.FlushDisk()
 			rec, written := px.disk.Meta(key)
-			f.demote(t, key)
+			demote(t, h, key)
 			release()
 			if tc.carried && (!written || rec.Delta != 2*ttrMin) {
 				t.Errorf("carried entry's record not journaled with the new Δ: %+v (present %v)", rec, written)
 			}
 
-			before := f.requestsFor(key)
-			code, body, _ := proxyGet(t, px, key)
+			before := px.up.requestsFor(key)
+			code, body, _ := px.get(key)
 			if code != http.StatusOK || body != want {
 				t.Errorf("promotion served %d %q, want the origin's current %q", code, body, want)
 			}
-			fetched, leased := f.requestsFor(key)-before, px.DiskStats().LeasedPromotions
+			fetched, leased := px.up.requestsFor(key)-before, px.DiskStats().LeasedPromotions
 			switch {
 			case tc.carried && (fetched != 0 || leased != 1):
 				t.Errorf("carried record: %d origin requests and %d leased promotions, want none and one", fetched, leased)
@@ -1162,56 +986,49 @@ func TestOverrideJournalsOnlyACarriedEntry(t *testing.T) {
 // (its paper-mode poll catches the update) and leave no record that
 // passes for carried (a promotion fetches).
 func TestLeaseRefusedWhenFetchStraddlesAnEpoch(t *testing.T) {
-	const (
-		ttrMin = 200 * time.Millisecond
-		slack  = 2 * time.Second
-	)
+	const ttrMin = 200 * time.Millisecond
 	for _, fetch := range []string{"admission, first connect", "admission, connect-time Reset", "poll, connect-time Reset"} {
 		for _, check := range []string{"lease", "record"} {
 			t.Run(fetch+"/"+check, func(t *testing.T) {
 				firstConnect := fetch == "admission, first connect"
 				poll := fetch == "poll, connect-time Reset"
-				f := startLeaseFleet(t, Config{
+				h := newHarness(t, leaseTopology(Config{
 					MaxObjects:   4,
 					Shards:       1,
 					DiskDir:      t.TempDir(),
 					DefaultDelta: ttrMin,
 					Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
-				}, !firstConnect)
-				px := f.proxy
-				// A phase far past the bound asserted below, so a lease taken
-				// by mistake cannot pass for the paper-mode poll.
+				}, !firstConnect))
+				px, hub := h.leaf(), h.tp.hub
+				// A phase far past the TTR, so a lease taken by mistake cannot
+				// pass for the paper-mode poll.
 				key := "/r/0"
-				for i := 1; px.leasePhase(key, ttrMin) < 3*slack; i++ {
+				for i := 1; px.leasePhase(key, ttrMin) < 10*ttrMin; i++ {
 					key = fmt.Sprintf("/r/%d", i)
 				}
-				f.origin.Set(key, []byte("v1"), "")
+				h.origin.Set(key, []byte("v1"), "")
 				// goDark takes the event endpoint down; comeBack brings it up
 				// again once the update is published where no stream listens,
 				// announcing a hole when the resuming stream must be Reset.
 				goDark := func() {
-					f.hub.SetAvailable(false)
-					if !waitFor(t, 3*time.Second, func() bool { return !px.PushStats().Connected }) {
-						t.Error("never disconnected")
-					}
+					hub.SetAvailable(false)
+					h.quiesce()
 				}
 				comeBack := func() {
 					if !firstConnect {
-						f.hub.Reset()
+						hub.Reset()
 					}
-					f.hub.SetAvailable(true)
-					if !waitFor(t, 3*time.Second, func() bool { return px.PushStats().Connected }) {
-						t.Error("the channel never came up")
-					}
+					hub.SetAvailable(true)
+					h.quiesce()
 				}
 				if !firstConnect {
-					waitPushConnected(t, px)
 					// A stream position to resume from, so the reconnect can
 					// be told to Reset.
-					f.handled(t, f.update("/elsewhere", "x"))
+					update(h, "/elsewhere", "x")
+					h.quiesce()
 				}
 				if poll {
-					proxyGet(t, px, key)
+					px.get(key)
 					wantLeased(t, px, key, scheduleOf(t, px, key, 1))
 				} else if !firstConnect {
 					goDark()
@@ -1219,47 +1036,49 @@ func TestLeaseRefusedWhenFetchStraddlesAnEpoch(t *testing.T) {
 
 				// Once the response is built, the update is lost in the gap
 				// and the channel comes back before the response is written.
-				f.onceBeforeReply(key, func() {
-					if poll {
-						goDark()
-					}
-					f.update(key, "v2")
-					comeBack()
-				})
-
 				if poll {
-					started := time.Now()
+					held := px.up.hold(t, key)
+					started := h.clk.Now()
 					px.reschedule(px.lookup(key), started)
-					if !waitFor(t, 3*time.Second, func() bool {
-						_, _, ok := f.regularSince(key, started)
-						return ok && px.InFlightPolls() == 0
-					}) {
+					held.wait(t)
+					goDark()
+					update(h, key, "v2")
+					comeBack()
+					held.release()
+					h.quiesce()
+					if _, _, ok := regularSince(px, key, started); !ok {
 						t.Fatal("the poll never completed")
 					}
 					if b, _ := px.CachedBody(key); string(b) != "v1" {
 						t.Fatalf("the poll installed %q, want the response built before the update", b)
 					}
-				} else if _, body, _ := proxyGet(t, px, key); body != "v1" {
-					t.Fatalf("admitted %q, want the response built before the update", body)
+				} else {
+					px.up.beforeReply(key, func() {
+						update(h, key, "v2")
+						comeBack()
+					})
+					if _, body, _ := px.get(key); body != "v1" {
+						t.Fatalf("admitted %q, want the response built before the update", body)
+					}
 				}
-				if hs := f.hub.Stats(); !firstConnect && hs.ResumeHoles != 1 {
+				if hs := hub.Stats(); !firstConnect && hs.ResumeHoles != 1 {
 					t.Fatalf("test premise: the reconnect was not told to Reset: %+v", hs)
 				}
 				if check == "lease" {
-					if !waitFor(t, ttrMin+slack, func() bool {
-						b, _ := px.CachedBody(key)
-						return string(b) == "v2"
-					}) {
+					// Within the paper-mode TTR: ttrMin, or its growth by the
+					// poll.
+					h.advance(2 * ttrMin)
+					if b, _ := px.CachedBody(key); string(b) != "v2" {
 						snap := scheduleOf(t, px, key, 1)
 						t.Fatalf("update still invisible %v after the fetch: next poll %v after validation, paper-mode %v",
-							ttrMin+slack, snap.next.Sub(snap.validatedAt), snap.ttr())
+							2*ttrMin, snap.next.Sub(snap.validatedAt), snap.ttr())
 					}
 					return
 				}
 				// Demoted before its paper-mode poll, and promoted again.
 				px.FlushDisk()
-				f.demote(t, key)
-				if _, body, _ := proxyGet(t, px, key); body != "v2" {
+				demote(t, h, key)
+				if _, body, _ := px.get(key); body != "v2" {
 					t.Errorf("promotion served %q, want the origin's v2", body)
 				}
 			})
@@ -1267,26 +1086,21 @@ func TestLeaseRefusedWhenFetchStraddlesAnEpoch(t *testing.T) {
 	}
 }
 
-// TestGroupTriggerSkipsCarriedSibling pins §3.2 triggering under a lease,
-// on a stepped clock. A group member's update — here a pushed payload —
-// polls no sibling the live lease carries: the channel vouches for it, so
-// the origin sees no request and the update's observation credits the
-// sibling with a sync instant. Every other row stages one reason the
-// channel cannot vouch for the sibling (each before the sibling's own next
-// poll could lease it again), and the sibling is polled on the update's
-// behalf: by a triggered poll, or — when its own poll is already queued —
-// by that poll.
+// TestGroupTriggerSkipsCarriedSibling pins §3.2 triggering under a lease.
+// A group member's update — here a pushed payload — polls no sibling the
+// live lease carries: the channel vouches for it, so the origin sees no
+// request and the update's observation credits the sibling with a sync
+// instant. Every other row stages one reason the channel cannot vouch for
+// the sibling (each before the sibling's own next poll could lease it
+// again), and the sibling is polled on the update's behalf: by a
+// triggered poll, or — when its own poll is already queued — by that
+// poll.
 func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 	const (
 		ttr     = time.Minute
 		delta   = time.Second // the group's δ
 		updater = "/a/doc"
 	)
-	type groupCase struct {
-		f   *leaseFleet
-		clk *simClock
-		sib string // the sibling's cache key
-	}
 	const (
 		vouched   = "vouched"   // carried: no request, one sync instant
 		triggered = "triggered" // a §3.2 triggered poll
@@ -1297,10 +1111,10 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 		sib  string // the sibling's key; "/b/doc" when empty
 		cfg  func(*Config)
 		// admit runs before the sibling's admission fetch.
-		admit func(t *testing.T, c *groupCase)
+		admit func(t *testing.T, h *harness, sib string)
 		// spoil runs once both members are resident, and may return a hook
 		// run after the update's event was handled.
-		spoil func(t *testing.T, c *groupCase) (afterEvent func())
+		spoil func(t *testing.T, h *harness, sib string) (afterEvent func())
 		want  string
 	}{
 		{name: "carried", want: vouched},
@@ -1309,51 +1123,58 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 			// The instant a disconnect has cleared the channel's health and
 			// not yet swept the leased schedules back.
 			name: "channel down, before its sweep",
-			spoil: func(t *testing.T, c *groupCase) func() {
-				c.f.proxy.pushHealthy.Store(false)
+			spoil: func(t *testing.T, h *harness, sib string) func() {
+				h.leaf().pushHealthy.Store(false)
 				return nil
 			},
 			want: triggered,
 		},
 		{
 			name: "mid-stream Reset",
-			spoil: func(t *testing.T, c *groupCase) func() {
-				c.f.hub.Reset()
-				c.f.waitPush(t, "Reset never handled", func(st PushStats) bool { return st.Resets == 1 })
+			spoil: func(t *testing.T, h *harness, sib string) func() {
+				h.tp.hub.Reset()
+				h.quiesce()
+				if st := h.leaf().PushStats(); st.Resets != 1 {
+					t.Fatalf("Reset never handled: %+v", st)
+				}
 				return nil
 			},
 			want: triggered,
 		},
 		{
 			name: "frame loss",
-			spoil: func(t *testing.T, c *groupCase) func() {
-				c.f.proxy.handlePushFrameLoss() // as the subscriber reports a dropped line
+			spoil: func(t *testing.T, h *harness, sib string) func() {
+				h.leaf().handlePushFrameLoss() // as the subscriber reports a dropped line
 				return nil
 			},
 			want: triggered,
 		},
 		{
 			name: "Bounce",
-			spoil: func(t *testing.T, c *groupCase) func() {
-				c.f.proxy.sub.Bounce()
-				c.f.waitPush(t, "never came back from the bounce", func(st PushStats) bool {
-					return st.Bounces == 1 && st.Connects == 2 && st.Connected
-				})
+			spoil: func(t *testing.T, h *harness, sib string) func() {
+				h.leaf().sub.Bounce()
+				h.quiesce()
+				if st := h.leaf().PushStats(); st.Bounces != 1 || st.Connects != 2 || !st.Connected {
+					t.Fatalf("never came back from the bounce: %+v", st)
+				}
 				return nil
 			},
 			want: triggered,
 		},
 		{
 			name: "raced admission",
-			admit: func(t *testing.T, c *groupCase) {
-				c.f.onceBeforeReply(originPath(c.sib), func() { c.f.handled(t, c.f.update(c.sib, "b2")) })
+			admit: func(t *testing.T, h *harness, sib string) {
+				h.leaf().up.beforeReply(originPath(sib), func() {
+					update(h, sib, "b2")
+					h.quiesce()
+				})
 			},
 			want: triggered,
 		},
 		{
 			name: "straddled fetch",
-			admit: func(t *testing.T, c *groupCase) {
-				c.f.onceBeforeReply(originPath(c.sib), c.f.proxy.handlePushFrameLoss)
+			admit: func(t *testing.T, h *harness, sib string) {
+				h.leaf().up.beforeReply(originPath(sib), h.leaf().handlePushFrameLoss)
 			},
 			want: triggered,
 		},
@@ -1363,21 +1184,20 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 			// schedule still reads leased.
 			name: "sibling in flight",
 			cfg:  func(cfg *Config) { cfg.PollWorkers = 1 },
-			spoil: func(t *testing.T, c *groupCase) func() {
-				release := c.f.holdWorker(t, c.clk)
+			spoil: func(t *testing.T, h *harness, sib string) func() {
+				release := holdWorker(t, h)
 				return func() {
-					px := c.f.proxy
-					e := px.lookup(c.sib)
+					px := h.leaf()
+					e := px.lookup(sib)
 					px.schedMu.Lock()
 					audit := e.nextAt
 					px.schedMu.Unlock()
-					c.clk.AdvanceTo(audit)
-					px.Kick()
-					if !waitFor(t, 3*time.Second, func() bool {
-						px.schedMu.Lock()
-						defer px.schedMu.Unlock()
-						return e.item == nil && e.baseNextAt.Before(e.nextAt)
-					}) {
+					h.clk.AdvanceTo(audit)
+					h.quiesce()
+					px.schedMu.Lock()
+					dispatched := e.item == nil && e.baseNextAt.Before(e.nextAt)
+					px.schedMu.Unlock()
+					if !dispatched {
 						t.Fatal("the sibling's leased audit was never dispatched")
 					}
 					release()
@@ -1393,11 +1213,13 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 			cfg: func(cfg *Config) {
 				cfg.PushInterest, cfg.PushPrefixes = true, []string{"/a/"}
 			},
-			spoil: func(t *testing.T, c *groupCase) func() {
-				c.f.waitPush(t, "never came back from the bounce", func(st PushStats) bool {
-					return st.Bounces == 1 && st.Connects == 2 && st.Connected
-				})
-				if !c.f.proxy.sub.DeclaredInterest().Matches(c.sib, "g") {
+			spoil: func(t *testing.T, h *harness, sib string) func() {
+				h.quiesce()
+				px := h.leaf()
+				if st := px.PushStats(); st.Bounces != 1 || st.Connects != 2 || !st.Connected {
+					t.Fatalf("never came back from the bounce: %+v", st)
+				}
+				if !px.sub.DeclaredInterest().Matches(sib, "g") {
 					t.Fatal("test premise: the bounce did not widen the declaration")
 				}
 				return nil
@@ -1410,20 +1232,16 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 			// the paper-mode instant: pulled forward to it, the schedule
 			// would still read leased.
 			name: "failed pushed poll awaiting retry",
-			spoil: func(t *testing.T, c *groupCase) func() {
-				c.clk.AdvanceTo(c.clk.Now().Add(5 * time.Second))
-				c.f.mu.Lock()
-				c.f.failing = map[string]bool{originPath(c.sib): true}
-				c.f.mu.Unlock()
-				c.f.handled(t, c.f.update(c.sib, "b2")) // no payload: the job polls
-				if !waitFor(t, 3*time.Second, func() bool {
-					return c.f.proxy.UpstreamStatus().Errors == 1 && c.f.proxy.InFlightPolls() == 0
-				}) {
+			spoil: func(t *testing.T, h *harness, sib string) func() {
+				px := h.leaf()
+				h.clk.AdvanceTo(h.clk.Now().Add(5 * time.Second))
+				px.up.fail(originPath(sib), true)
+				update(h, sib, "b2") // no payload: the job polls
+				h.quiesce()
+				if px.UpstreamStatus().Errors != 1 {
 					t.Fatal("the pushed poll never failed")
 				}
-				c.f.mu.Lock()
-				c.f.failing = nil
-				c.f.mu.Unlock()
+				px.up.fail(originPath(sib), false)
 				return nil
 			},
 			want: triggered,
@@ -1431,12 +1249,11 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := &groupCase{clk: newSimClock(), sib: tc.sib}
-			if c.sib == "" {
-				c.sib = "/b/doc"
+			sib := tc.sib
+			if sib == "" {
+				sib = "/b/doc"
 			}
 			cfg := Config{
-				Clock:             c.clk.Now,
 				Mode:              core.TriggerAll,
 				PushValues:        true,
 				DefaultDelta:      ttr,
@@ -1446,55 +1263,55 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			c.f = newLeaseFleet(t, cfg)
-			px := c.f.proxy
-			for _, p := range []string{updater, originPath(c.sib)} {
-				c.f.origin.Set(p, []byte("v1"), "")
-				c.f.origin.SetTolerances(p, httpx.Tolerances{Group: "g", GroupDelta: delta})
+			h := newHarness(t, leaseTopology(cfg, true))
+			px := h.leaf()
+			for _, p := range []string{updater, originPath(sib)} {
+				h.origin.Set(p, []byte("v1"), "")
+				h.origin.SetTolerances(p, httpx.Tolerances{Group: "g", GroupDelta: delta})
 			}
 			// Admitted strictly inside the lease epoch the connect began.
-			c.clk.AdvanceTo(c.clk.Now().Add(time.Second))
-			proxyGet(t, px, updater)
+			h.clk.AdvanceTo(h.clk.Now().Add(time.Second))
+			px.get(updater)
 			if tc.admit != nil {
-				tc.admit(t, c)
+				tc.admit(t, h, sib)
 			}
-			if code, _, _ := proxyGet(t, px, c.sib); code != http.StatusOK {
+			if code, _, _ := px.get(sib); code != http.StatusOK {
 				t.Fatalf("admission of the sibling: status %d", code)
 			}
 			var afterEvent func()
 			if tc.spoil != nil {
-				afterEvent = tc.spoil(t, c)
+				afterEvent = tc.spoil(t, h, sib)
 			}
 
 			// Both validations now lie beyond δ, and the sibling's next poll
 			// — paper-mode or leased — at least a TTR ahead.
-			c.clk.AdvanceTo(c.clk.Now().Add(10 * time.Second))
-			requests, updaterRequests := c.f.requestsFor(originPath(c.sib)), c.f.requestsFor(updater)
-			c.f.mu.Lock()
-			c.f.vouched = nil
-			c.f.mu.Unlock()
-			c.f.handled(t, c.f.updateValue(updater, "v2"))
+			h.clk.AdvanceTo(h.clk.Now().Add(10 * time.Second))
+			requests, updaterRequests := px.up.requestsFor(originPath(sib)), px.up.requestsFor(updater)
+			seen := len(px.observations())
+			updateValue(h, updater, "v2")
+			h.quiesce()
 			if afterEvent != nil {
 				afterEvent()
 			}
-			quiesceSim(t, px, c.clk)
+			h.quiesce()
 
 			if b, _ := px.CachedBody(updater); string(b) != "v2" {
 				t.Fatalf("test premise: the update was not installed: %q", b)
 			}
-			fetched := c.f.requestsFor(originPath(c.sib)) - requests
-			trig := px.ObjectStats(c.sib).Triggered
+			fetched := px.up.requestsFor(originPath(sib)) - requests
+			trig := px.ObjectStats(sib).Triggered
 			syncs := px.CacheStats().GroupChannelSyncs
-			c.f.mu.Lock()
-			credited := append([]string(nil), c.f.vouched...)
-			c.f.mu.Unlock()
+			var credited []string
+			for _, o := range px.observations()[seen:] {
+				credited = append(credited, o.Vouched...)
+			}
 			switch tc.want {
 			case vouched:
-				if fetched != 0 || trig != 0 || syncs != 1 || len(credited) != 1 || credited[0] != c.sib {
+				if fetched != 0 || trig != 0 || syncs != 1 || len(credited) != 1 || credited[0] != sib {
 					t.Errorf("carried sibling: %d requests, %d triggered polls, %d channel syncs, vouched %q; want none, none, one, [%s]",
-						fetched, trig, syncs, credited, c.sib)
+						fetched, trig, syncs, credited, sib)
 				}
-				if got := c.f.requestsFor(updater) - updaterRequests; got != 0 {
+				if got := px.up.requestsFor(updater) - updaterRequests; got != 0 {
 					t.Errorf("the pushed update cost %d origin requests, want none", got)
 				}
 			case triggered, due:

@@ -102,9 +102,10 @@ func (p *Proxy) newPushSubscriber() (*push.Subscriber, error) {
 	}
 	scfg := push.SubscriberConfig{
 		URL: p.cfg.PushURL.String(),
-		// The proxy's upstream client is unusable here: its global
-		// Timeout would kill the long-lived stream.
-		Client:           &http.Client{},
+		// The stream travels the upstream client's Transport (its TLS
+		// roots, its forward proxy) but not its global Timeout, which
+		// would kill the long-lived stream.
+		Client:           &http.Client{Transport: p.cfg.Client.Transport},
 		OnEvent:          p.handlePushEvent,
 		OnConnect:        p.handlePushConnect,
 		OnDisconnect:     p.handlePushDisconnect,
@@ -162,7 +163,7 @@ func (p *Proxy) heldDigests() []push.HeldDigest {
 }
 
 // declaredInterest computes the interest set the subscriber declares on
-// its next (re)connect: the configured static seeds, one first-path-
+// its next (re)connect: the configured static prefixes, one first-path-
 // segment prefix per resident object, and the sticky union of every
 // downstream subscriber's own declaration. The closure runs per
 // connection attempt, so a bounce (see Bounce) is all it takes to
@@ -178,7 +179,7 @@ func (p *Proxy) declaredInterest() push.InterestSet {
 		}
 		sh.mu.RUnlock()
 	}
-	set := push.NewInterest(prefixes, p.cfg.PushGroups)
+	set := push.NewInterest(prefixes, nil)
 	p.downMu.Lock()
 	down := p.downstream
 	p.downMu.Unlock()

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,58 +15,18 @@ import (
 	"broadway/internal/webserver"
 )
 
-// This file is the deeper-hierarchy chaos battery of ISSUE 5 (ROADMAP
-// open item): a relaying parent under leaf-churn storms — subscribe/
-// unsubscribe cycles racing live publishes — must account every
-// subscription back down to zero with no handler goroutine left
-// behind, and a relay whose replay ring is smaller than a disconnect
-// burst must Reset each resuming leaf exactly once while the fallback
-// sweep keeps the staleness bound.
+// This file is the deeper-hierarchy chaos battery: a relaying parent
+// under leaf-churn storms — subscribe/unsubscribe cycles racing live
+// publishes — must account every subscription back down to zero with no
+// handler goroutine left behind, and a relay whose replay ring is
+// smaller than a disconnect burst must Reset each resuming leaf exactly
+// once while the fallback sweep keeps the staleness bound.
 
-// newRelayParent builds an origin → relaying-parent pair with fast
-// chaos-friendly timings.
-func newRelayParent(t *testing.T, parentCfg Config) (*webserver.Origin, *Proxy, *httptest.Server) {
-	t.Helper()
-	origin := webserver.NewOrigin(
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushHeartbeat(25*time.Millisecond),
-	)
-	originSrv := httptest.NewServer(origin)
-	t.Cleanup(originSrv.Close)
-
-	originURL, _ := url.Parse(originSrv.URL)
-	pushURL, _ := url.Parse(originSrv.URL + "/events")
-	parentCfg.Origin = originURL
-	parentCfg.PushURL = pushURL
-	parentCfg.RelayEvents = true
-	parentCfg.RelayHeartbeat = 25 * time.Millisecond
-	if parentCfg.PushBackoffMin == 0 {
-		parentCfg.PushBackoffMin = 5 * time.Millisecond
-	}
-	if parentCfg.PushBackoffMax == 0 {
-		parentCfg.PushBackoffMax = 50 * time.Millisecond
-	}
-	if parentCfg.PushHeartbeatTimeout == 0 {
-		parentCfg.PushHeartbeatTimeout = 200 * time.Millisecond
-	}
-	if parentCfg.Bounds == (core.TTRBounds{}) {
-		parentCfg.Bounds = core.TTRBounds{Min: 50 * time.Millisecond, Max: 300 * time.Millisecond}
-	}
-	if parentCfg.DefaultDelta == 0 {
-		parentCfg.DefaultDelta = 50 * time.Millisecond
-	}
-	parent, err := New(parentCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent.Start()
-	t.Cleanup(parent.Close)
-	parentSrv := httptest.NewServer(parent)
-	t.Cleanup(parentSrv.Close)
-	if !waitFor(t, 3*time.Second, func() bool { return parent.PushStats().Connected }) {
-		t.Fatal("parent never connected upstream")
-	}
-	return origin, parent, parentSrv
+// relayTopology is an origin and one relaying parent; leaves attach to
+// it.
+func relayTopology(cfg Config) topology {
+	return topology{push: true, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)},
+		tune: func(_ int, cfg *Config) { cfg.RelayEvents = true }}
 }
 
 // TestRelayLeafChurnSoak storms a relaying parent with subscribe/
@@ -79,8 +37,12 @@ func newRelayParent(t *testing.T, parentCfg Config) (*webserver.Origin, *Proxy, 
 // goroutine must unwind, and the relay must still serve a fresh
 // subscriber.
 func TestRelayLeafChurnSoak(t *testing.T) {
-	origin, parent, parentSrv := newRelayParent(t, Config{PushStretch: 10})
-	origin.Set("/page", []byte("v0"), "")
+	h := newHarness(t, relayTopology(Config{
+		PushStretch: 10,
+		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 300 * time.Millisecond},
+	}))
+	parent := h.root()
+	h.origin.Set("/page", []byte("v0"), "")
 
 	// Churn the origin throughout so the storm races live broadcasts
 	// (subscription teardown while frames are in flight is the leak-
@@ -90,15 +52,14 @@ func TestRelayLeafChurnSoak(t *testing.T) {
 	churnWG.Add(1)
 	go func() {
 		defer churnWG.Done()
-		rev := 0
-		for {
+		for rev := 1; ; rev++ {
 			select {
 			case <-stopChurn:
 				return
-			case <-time.After(2 * time.Millisecond):
-				rev++
-				origin.Set("/page", []byte(fmt.Sprintf("v%d", rev)), "")
+			default:
 			}
+			h.origin.Set("/page", []byte(fmt.Sprintf("v%d", rev)), "")
+			runtime.Gosched()
 		}
 	}()
 
@@ -109,16 +70,25 @@ func TestRelayLeafChurnSoak(t *testing.T) {
 	)
 	var stormWG sync.WaitGroup
 	for w := 0; w < stormWorkers; w++ {
+		l := h.dial(parent, nil)
 		stormWG.Add(1)
-		go func(w int) {
+		go func() {
 			defer stormWG.Done()
 			for c := 0; c < stormCycles; c++ {
 				switch c % 3 {
 				case 0:
-					// A well-behaved subscriber that lives briefly.
+					// A well-behaved subscriber that lives until its hello.
+					connected := make(chan struct{}, 1)
 					sub, err := push.NewSubscriber(push.SubscriberConfig{
-						URL:        parentSrv.URL + "/events",
-						OnEvent:    func(push.Event) {},
+						URL:     linkBase + "/events",
+						Client:  &http.Client{Transport: l},
+						OnEvent: func(push.Event) {},
+						OnConnect: func(push.Event, bool) {
+							select {
+							case connected <- struct{}{}:
+							default:
+							}
+						},
 						BackoffMin: time.Millisecond,
 					})
 					if err != nil {
@@ -128,26 +98,28 @@ func TestRelayLeafChurnSoak(t *testing.T) {
 					ctx, cancel := context.WithCancel(context.Background())
 					done := make(chan struct{})
 					go func() { sub.Run(ctx); close(done) }()
-					time.Sleep(time.Duration(1+w) * time.Millisecond)
+					select {
+					case <-connected:
+					case <-time.After(10 * time.Second):
+						t.Error("a storm subscriber never connected")
+					}
 					cancel()
 					<-done
 				case 1:
 					// A client that connects and vanishes mid-stream.
-					req, _ := http.NewRequest(http.MethodGet, parentSrv.URL+"/events", nil)
-					resp, err := http.DefaultTransport.RoundTrip(req)
-					if err == nil {
-						time.Sleep(time.Millisecond)
+					req, _ := http.NewRequest(http.MethodGet, linkBase+"/events", nil)
+					if resp, err := l.RoundTrip(req); err == nil {
 						resp.Body.Close()
 					}
 				case 2:
 					// A non-subscriber poking the endpoint wrongly.
-					req, _ := http.NewRequest(http.MethodPost, parentSrv.URL+"/events", nil)
-					if resp, err := http.DefaultClient.Do(req); err == nil {
+					req, _ := http.NewRequest(http.MethodPost, linkBase+"/events", nil)
+					if resp, err := l.RoundTrip(req); err == nil {
 						resp.Body.Close()
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	stormWG.Wait()
 	close(stopChurn)
@@ -155,42 +127,23 @@ func TestRelayLeafChurnSoak(t *testing.T) {
 
 	// Accounting must return to zero: no registered subscriptions, no
 	// handler goroutines still unwinding.
-	if !waitFor(t, 5*time.Second, func() bool {
-		st := parent.RelayStats().Hub
-		return st.Subscribers == 0 && st.ActiveStreams == 0
-	}) {
-		t.Fatalf("hub accounting did not drain: %+v", parent.RelayStats().Hub)
+	h.quiesce()
+	if st := parent.relayHub(); st.Subscribers != 0 || st.ActiveStreams != 0 {
+		t.Fatalf("hub accounting did not drain: %+v", st)
 	}
-	// No goroutine leak: allow slack for the HTTP server's transient
-	// conn handlers, but a per-cycle leak (200 cycles) must show.
-	if !waitFor(t, 5*time.Second, func() bool {
-		return runtime.NumGoroutine() <= baselineGoroutines+10
-	}) {
-		t.Errorf("goroutines %d after the storm, baseline %d; handlers leaked",
-			runtime.NumGoroutine(), baselineGoroutines)
+	// No goroutine leak: a per-cycle leak (200 cycles) must show.
+	if n := runtime.NumGoroutine(); n > baselineGoroutines+10 {
+		t.Errorf("goroutines %d after the storm, baseline %d; handlers leaked", n, baselineGoroutines)
 	}
 
 	// The relay survived: a fresh subscriber connects and sees events.
 	var got atomic.Int64
-	sub, err := push.NewSubscriber(push.SubscriberConfig{
-		URL:        parentSrv.URL + "/events",
-		OnEvent:    func(push.Event) { got.Add(1) },
-		BackoffMin: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go sub.Run(ctx)
-	// Register first: a fresh (since=0) subscription starts at the
-	// stream head, so an event published before it lands is invisible.
-	if !waitFor(t, 3*time.Second, func() bool { return parent.RelayStats().Hub.Subscribers == 1 }) {
-		t.Fatalf("post-storm subscriber never registered: %+v", parent.RelayStats().Hub)
-	}
-	origin.Set("/page", []byte("after-storm"), "")
-	if !waitFor(t, 3*time.Second, func() bool { return got.Load() >= 1 }) {
-		t.Fatalf("relay dead after the storm: hub %+v push %+v", parent.RelayStats().Hub, parent.PushStats())
+	h.watch(parent, push.SubscriberConfig{OnEvent: func(push.Event) { got.Add(1) }})
+	h.quiesce()
+	h.origin.Set("/page", []byte("after-storm"), "")
+	h.quiesce()
+	if got.Load() == 0 {
+		t.Fatalf("relay dead after the storm: hub %+v push %+v", parent.relayHub(), parent.PushStats())
 	}
 }
 
@@ -199,129 +152,94 @@ func TestRelayLeafChurnSoak(t *testing.T) {
 // resume — exactly once each — and the fallback sweep must bound the
 // staleness the blind window left behind.
 func TestRelayReplayOverflowResetsEachLeafOnce(t *testing.T) {
-	origin, parent, parentSrv := newRelayParent(t, Config{
+	const ttrMax = 300 * time.Millisecond
+	cfg := Config{
 		PushStretch: 10,
-		RelayReplay: 8, // ring far smaller than the burst below
-	})
-	origin.Set("/page", []byte("v1"), "")
+		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: ttrMax},
+	}
+	h := newHarness(t, relayTopology(cfg))
+	parent := h.root()
+	h.origin.Set("/page", []byte("v1"), "")
 
-	// One full leaf proxy plus two bare subscribers, all resuming slowly
-	// enough that the burst provably lands while they are disconnected.
-	leafCfg := Config{
-		PushStretch:          10,
-		Bounds:               core.TTRBounds{Min: 50 * time.Millisecond, Max: 300 * time.Millisecond},
-		DefaultDelta:         50 * time.Millisecond,
-		PushBackoffMin:       400 * time.Millisecond,
-		PushBackoffMax:       800 * time.Millisecond,
-		PushHeartbeatTimeout: 2 * time.Second,
-	}
-	leafCfg.Origin, _ = url.Parse(parentSrv.URL)
-	leafCfg.PushURL, _ = url.Parse(parentSrv.URL + "/events")
-	leaf, err := New(leafCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.Start()
-	t.Cleanup(leaf.Close)
-
-	type bareLeaf struct {
-		sub         *push.Subscriber
-		resetHellos atomic.Int64
-	}
-	bares := make([]*bareLeaf, 2)
-	for i := range bares {
-		b := &bareLeaf{}
-		b.sub, err = push.NewSubscriber(push.SubscriberConfig{
-			URL:     parentSrv.URL + "/events",
-			OnEvent: func(push.Event) {},
+	// One full leaf proxy plus two bare subscribers.
+	leaf := h.attach(parent, nil)
+	var resetHellos [2]atomic.Int64
+	for i := range resetHellos {
+		h.watch(parent, push.SubscriberConfig{
 			OnConnect: func(hello push.Event, resumed bool) {
 				if hello.Reset && resumed {
-					b.resetHellos.Add(1)
+					resetHellos[i].Add(1)
 				}
 			},
-			BackoffMin: 400 * time.Millisecond,
-			BackoffMax: 800 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		t.Cleanup(cancel)
-		go b.sub.Run(ctx)
-		bares[i] = b
-	}
-	if !waitFor(t, 3*time.Second, func() bool {
-		return leaf.PushStats().Connected && parent.RelayStats().Hub.Subscribers == 3
-	}) {
-		t.Fatal("leaves never connected")
 	}
 	// Give every leaf a resume point beyond zero (a since=0 resume can
 	// never Reset), and the proxy leaf a resident object to keep fresh.
-	origin.Set("/page", []byte("v2"), "")
-	rec := httptest.NewRecorder()
-	leaf.ServeHTTP(rec, httptest.NewRequest("GET", "/page", nil))
-	if rec.Code != 200 {
-		t.Fatalf("admission: %d", rec.Code)
+	h.origin.Set("/page", []byte("v2"), "")
+	if code, _, _ := leaf.get("/page"); code != 200 {
+		t.Fatalf("admission: %d", code)
 	}
-	if !waitFor(t, 3*time.Second, func() bool { return leaf.PushStats().LastSeq >= 1 }) {
+	h.quiesce()
+	if leaf.PushStats().LastSeq == 0 {
 		t.Fatal("leaf never consumed the warm-up event")
 	}
-	relaySeqBefore := parent.RelayStats().Hub.Seq
+	relaySeqBefore := parent.relayHub().Seq
 
-	// Cut every leaf, then push a burst through the relay that outruns
-	// its 8-event ring long before the 400ms reconnect backoff expires.
-	parent.KillRelayStreams()
-	for i := 0; i < 64; i++ {
-		origin.Set(fmt.Sprintf("/burst/%d", i), []byte("x"), "")
+	// Cut every leaf off, then push a burst through the relay that
+	// outruns its replay ring while they are away.
+	links := []*link{leaf.up}
+	for _, l := range h.links {
+		if l.owner == nil {
+			links = append(links, l)
+		}
 	}
-	origin.Set("/page", []byte("v3"), "") // the update the blind window hides
-	if !waitFor(t, 3*time.Second, func() bool {
-		return parent.RelayStats().Hub.Seq >= relaySeqBefore+65
-	}) {
-		t.Fatalf("burst never traversed the relay: %+v", parent.RelayStats().Hub)
+	for _, l := range links {
+		l.cut()
+	}
+	const burst = push.DefaultReplayLen + 64
+	for i := 0; i < burst; i++ {
+		h.origin.Set(fmt.Sprintf("/burst/%d", i), []byte("x"), "")
+		if i%128 == 127 {
+			h.quiesce() // the parent keeps up: its own stream is never slow-killed
+		}
+	}
+	h.origin.Set("/page", []byte("v3"), "") // the update the blind window hides
+	h.quiesce()
+	if got := parent.relayHub().Seq; got < relaySeqBefore+burst+1 {
+		t.Fatalf("burst never traversed the relay: seq %d", got)
 	}
 
 	// Every leaf resumes, is Reset exactly once, and stays connected.
-	if !waitFor(t, 5*time.Second, func() bool {
-		if parent.RelayStats().Hub.ResumeHoles != 3 {
-			return false
-		}
-		for _, b := range bares {
-			if b.resetHellos.Load() != 1 {
-				return false
-			}
-		}
-		return leaf.PushStats().Connected
-	}) {
-		t.Fatalf("resume Resets: hub %+v, bare resets %d/%d, leaf %+v",
-			parent.RelayStats().Hub, bares[0].resetHellos.Load(), bares[1].resetHellos.Load(),
-			leaf.PushStats())
+	for _, l := range links {
+		l.restore()
 	}
-	if got := leaf.PushStats().Connects; got != 2 {
-		t.Errorf("leaf connected %d times, want 2 (one cut, one resume)", got)
+	h.quiesce()
+	if hs := parent.relayHub(); hs.ResumeHoles != 3 {
+		t.Fatalf("resume Resets: hub %+v", hs)
 	}
-	if parent.RelayStats().Hub.Resets != 0 {
+	for i := range resetHellos {
+		if n := resetHellos[i].Load(); n != 1 {
+			t.Errorf("bare subscriber %d was Reset %d times, want once", i, n)
+		}
+	}
+	if st := leaf.PushStats(); !st.Connected || st.Connects != 2 {
+		t.Errorf("leaf %+v, want connected twice (one cut, one resume)", st)
+	}
+	if parent.relayHub().Resets != 0 {
 		t.Errorf("mid-stream Resets %d; the overflow must Reset resumes, not live streams",
-			parent.RelayStats().Hub.Resets)
+			parent.relayHub().Resets)
 	}
 
 	// The fallback sweep bounds the staleness: the leaf's copy of /page
 	// converges to the update hidden by the blind window within the
-	// paper-mode TTR (plus generous CI slack), not the stretched one.
-	start := time.Now()
-	if !waitFor(t, 4*time.Second, func() bool {
-		b, _ := leaf.CachedBody("/page")
-		return string(b) == "v3"
-	}) {
-		t.Fatal("leaf never recovered the update hidden by the overflow")
-	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Errorf("recovery took %v; the Reset sweep did not restore paper-mode scheduling", waited)
+	// paper-mode TTR, not the stretched one.
+	h.advance(ttrMax)
+	if b, _ := leaf.CachedBody("/page"); string(b) != "v3" {
+		t.Fatalf("leaf never recovered the update hidden by the overflow within %v: %q", ttrMax, b)
 	}
 	// A second reconnect must NOT re-Reset: the Reset hello fast-
 	// forwarded every resume point.
-	if parent.RelayStats().Hub.ResumeHoles != 3 {
-		t.Errorf("ResumeHoles = %d after recovery, want exactly one per leaf (3)",
-			parent.RelayStats().Hub.ResumeHoles)
+	if hs := parent.relayHub(); hs.ResumeHoles != 3 {
+		t.Errorf("ResumeHoles = %d after recovery, want exactly one per leaf (3)", hs.ResumeHoles)
 	}
 }

@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
-	"net/http/httptest"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,175 +17,55 @@ import (
 )
 
 // This file holds the relay chain to "one payload per version per
-// link": a three-hop origin → root → mid → leaf fleet on counted
-// loopback links, where every update must cross each link as exactly
-// one payload-bearing frame (chunked only the first time a stream sees
-// the key), and the two safety cases the deduplication must not break —
+// link": a three-hop origin → root → mid → leaf fleet on counted links,
+// where every update must cross each link as exactly one payload-bearing
+// frame (chunked only the first time a stream sees the key), and the two safety cases the deduplication must not break —
 // a polling leaf under a value-pushing parent, and a leaf whose own
 // install fails — both of which converge off the payload-free
 // confirmation.
 
-// countedListener counts the bytes crossing the connections it accepts,
-// both directions: the traffic of one link of the chain.
-type countedListener struct {
-	net.Listener
-	bytes atomic.Int64
-}
-
-func (l *countedListener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
+// valueChain is an origin and a chain of value-pushing proxies, root
+// first, each node's content and event stream coming from the one before
+// it; node i's link counts the traffic with its upstream (the root's is
+// origin↔root). tune adjusts node i's configuration (i counts from the
+// root) and may be nil. The topology starts unstarted, so a test seeds
+// the origin before any stream exists — revision 0 then reaches the
+// proxies only as plain fetches, and no hub knows what any stream holds
+// — and starts it after. Schedules are wide — no regular poll runs during
+// a test — so every refresh observed is the push path's doing.
+func valueChain(hops int, tune func(i int, cfg *Config)) topology {
+	return topology{
+		hops:   hops,
+		push:   true,
+		manual: true,
+		origin: []webserver.Option{webserver.WithHistoryExtension(true), webserver.WithPushValues(0)},
+		cfg: Config{
+			DefaultDelta:      2 * time.Second,
+			DefaultGroupDelta: 2 * time.Second,
+			Bounds:            core.TTRBounds{Min: time.Minute, Max: time.Hour},
+			Mode:              core.TriggerAll,
+			PushValues:        true,
+		},
+		tune: tune,
 	}
-	return &countedConn{Conn: c, bytes: &l.bytes}, nil
-}
-
-type countedConn struct {
-	net.Conn
-	bytes *atomic.Int64
-}
-
-func (c *countedConn) Read(b []byte) (int, error) {
-	n, err := c.Conn.Read(b)
-	c.bytes.Add(int64(n))
-	return n, err
-}
-
-func (c *countedConn) Write(b []byte) (int, error) {
-	n, err := c.Conn.Write(b)
-	c.bytes.Add(int64(n))
-	return n, err
-}
-
-// serveCounted starts h on a loopback listener whose traffic is counted.
-func serveCounted(t *testing.T, h http.Handler) (*httptest.Server, *countedListener) {
-	t.Helper()
-	srv := httptest.NewUnstartedServer(h)
-	ln := &countedListener{Listener: srv.Listener}
-	srv.Listener = ln
-	srv.Start()
-	t.Cleanup(srv.Close)
-	return srv, ln
-}
-
-// fleetChain is an origin and a chain of value-pushing proxies, root
-// first, each node's content and event stream coming from the one
-// before it. links[i] counts the traffic into node i's upstream (links[0]
-// is origin↔root).
-type fleetChain struct {
-	origin *webserver.Origin
-	tick   *atomic.Int64 // the origin's clock, in seconds past its base
-	nodes  []*Proxy
-	links  []*countedListener
-	// seeded is the origin hub's head when the streams opened: what it
-	// published before that reached nobody.
-	seeded uint64
-}
-
-func (f *fleetChain) leaf() *Proxy { return f.nodes[len(f.nodes)-1] }
-
-// newFleetChain starts the chain. seed populates the origin before any
-// stream exists — revision 0 then reaches the proxies only as plain
-// fetches, and no hub knows what any stream holds — and tune adjusts
-// node i's configuration (i counts from the root) before it starts;
-// either may be nil. Schedules are wide — no regular poll runs during a
-// test — so every refresh observed is the push path's doing.
-func newFleetChain(t *testing.T, hops int, seed func(f *fleetChain), tune func(i int, cfg *Config)) *fleetChain {
-	t.Helper()
-	f := &fleetChain{tick: new(atomic.Int64)}
-	base := time.Now().Truncate(time.Second)
-	f.origin = webserver.NewOrigin(
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushValues(0),
-		// One second per tick, advanced by set(): every revision gets its
-		// own modification instant without the test sleeping for it.
-		webserver.WithClock(func() time.Time { return base.Add(time.Duration(f.tick.Load()) * time.Second) }),
-	)
-	if seed != nil {
-		seed(f)
-		f.seeded = f.origin.PushSeq()
-	}
-	srv, ln := serveCounted(t, f.origin)
-	upstream := srv.URL
-	for i := 0; i < hops; i++ {
-		f.links = append(f.links, ln)
-		cfg := Config{
-			DefaultDelta:         2 * time.Second,
-			DefaultGroupDelta:    2 * time.Second,
-			Bounds:               core.TTRBounds{Min: time.Minute, Max: time.Hour},
-			Mode:                 core.TriggerAll,
-			PushBackoffMin:       5 * time.Millisecond,
-			PushBackoffMax:       50 * time.Millisecond,
-			PushHeartbeatTimeout: -1,
-			PushValues:           true,
-			RelayEvents:          i < hops-1,
-		}
-		cfg.Origin, _ = url.Parse(upstream)
-		cfg.PushURL, _ = url.Parse(upstream + "/events")
-		if tune != nil {
-			tune(i, &cfg)
-		}
-		px, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		px.Start()
-		t.Cleanup(px.Close)
-		f.nodes = append(f.nodes, px)
-		srv, ln = serveCounted(t, px)
-		upstream = srv.URL
-	}
-	if !waitFor(t, 3*time.Second, func() bool {
-		for _, n := range f.nodes {
-			if !n.PushStats().Connected {
-				return false
-			}
-		}
-		return true
-	}) {
-		t.Fatal("chain never connected")
-	}
-	return f
 }
 
 // set publishes a new revision of path at the origin, two seconds after
-// the previous one.
-func (f *fleetChain) set(path string, body []byte) {
-	f.tick.Add(2)
-	f.origin.Set(path, body, "text/plain")
+// the previous one: every revision gets its own modification instant.
+func set(h *harness, path string, body []byte) {
+	h.clk.AdvanceTo(h.clk.Now().Add(2 * time.Second))
+	h.origin.Set(path, body, "text/plain")
 }
 
-// admit reads path through the leaf, admitting it at every hop.
-func (f *fleetChain) admit(t *testing.T, path string) {
+// admitAll reads each path through the leaf, admitting it at every hop.
+func admitAll(t *testing.T, h *harness, paths ...string) {
 	t.Helper()
-	rec := httptest.NewRecorder()
-	f.leaf().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("admission of %s: %d %s", path, rec.Code, rec.Body.String())
-	}
-}
-
-// settle waits until every node has handled every event published above
-// it and has no refresh in flight. Checked root first: a node with its
-// upstream's stream consumed and nothing in flight has published all it
-// is going to, so its own hub's head is final for the node below.
-func (f *fleetChain) settle(t *testing.T) {
-	t.Helper()
-	if !waitFor(t, 5*time.Second, func() bool {
-		head, idle := f.origin.PushSeq(), f.seeded
-		for _, n := range f.nodes {
-			if (n.PushStats().LastSeq < head && head != idle) || n.InFlightPolls() != 0 {
-				return false
-			}
-			head, idle = n.RelayStats().Hub.Seq, 0
+	for _, p := range paths {
+		if code, body, _ := h.leaf().get(p); code != http.StatusOK {
+			t.Fatalf("admission of %s: %d %s", p, code, body)
 		}
-		return true
-	}) {
-		for i, n := range f.nodes {
-			t.Logf("node %d: push %+v relay %+v in flight %d", i, n.PushStats(), n.RelayStats().Hub, n.InFlightPolls())
-		}
-		t.Fatal("chain never settled")
 	}
+	h.quiesce()
 }
 
 // textBody returns size bytes of seeded text; reviseBody returns prev
@@ -240,19 +117,18 @@ func TestThreeHopOnePayloadPerVersionPerLink(t *testing.T) {
 	for m := 0; m < 4; m++ {
 		objs = append(objs, &object{path: fmt.Sprintf("/group/m%d", m), body: textBody(rng, 1<<10)})
 	}
-	f := newFleetChain(t, 3, func(f *fleetChain) {
-		for _, o := range objs {
-			f.set(o.path, o.body)
-		}
-		for _, o := range objs[2:] {
-			f.origin.SetTolerances(o.path, httpx.Tolerances{
-				Delta: 2 * time.Second, Group: "quad", GroupDelta: 2 * time.Second})
-		}
-	}, nil)
+	h := newHarness(t, valueChain(3, nil))
 	for _, o := range objs {
-		f.admit(t, o.path)
+		set(h, o.path, o.body)
 	}
-	f.settle(t)
+	for _, o := range objs[2:] {
+		h.origin.SetTolerances(o.path, httpx.Tolerances{
+			Delta: 2 * time.Second, Group: "quad", GroupDelta: 2 * time.Second})
+	}
+	h.start()
+	for _, o := range objs {
+		admitAll(t, h, o.path)
+	}
 
 	// Everything before this line is set-up: revision 0 crossed as plain
 	// fetches, so each stream's first sight of a key is still to come.
@@ -263,11 +139,11 @@ func TestThreeHopOnePayloadPerVersionPerLink(t *testing.T) {
 		hub   push.HubStats
 	}
 	snap := func() snapshot {
-		s := snapshot{hub: f.origin.PushHubStats()}
-		for i, n := range f.nodes {
+		s := snapshot{hub: h.origin.PushHubStats()}
+		for _, n := range h.nodes {
 			s.push = append(s.push, n.PushStats())
 			s.relay = append(s.relay, n.RelayStats().Hub)
-			s.links = append(s.links, f.links[i].bytes.Load())
+			s.links = append(s.links, n.up.bytes.Load())
 		}
 		return s
 	}
@@ -276,10 +152,10 @@ func TestThreeHopOnePayloadPerVersionPerLink(t *testing.T) {
 	for r := 1; r <= revisions; r++ {
 		for _, o := range objs {
 			o.body = reviseBody(rng, o.body)
-			f.set(o.path, o.body)
-			f.settle(t)
-			if got, _ := f.leaf().CachedBody(o.path); !bytes.Equal(got, o.body) {
-				t.Fatalf("revision %d of %s never reached the leaf (leaf push %+v)", r, o.path, f.leaf().PushStats())
+			set(h, o.path, o.body)
+			h.quiesce()
+			if got, _ := h.leaf().CachedBody(o.path); !bytes.Equal(got, o.body) {
+				t.Fatalf("revision %d of %s never reached the leaf (leaf push %+v)", r, o.path, h.leaf().PushStats())
 			}
 		}
 	}
@@ -287,7 +163,7 @@ func TestThreeHopOnePayloadPerVersionPerLink(t *testing.T) {
 
 	updates := uint64(revisions * len(objs))
 	for _, o := range objs {
-		if st := f.leaf().ObjectStats(o.path); st.Applied != revisions || st.Pushed != 0 {
+		if st := h.leaf().ObjectStats(o.path); st.Applied != revisions || st.Pushed != 0 {
 			t.Errorf("leaf %s: applied %d pushed polls %d, want %d and 0", o.path, st.Applied, st.Pushed, revisions)
 		}
 	}
@@ -326,30 +202,30 @@ func TestThreeHopOnePayloadPerVersionPerLink(t *testing.T) {
 		{"root→mid", before.relay[0], after.relay[0], true},
 		{"mid→leaf", before.relay[1], after.relay[1], true},
 	}
-	for _, h := range hubs {
-		published := h.after.Seq - h.before.Seq
-		dups := h.after.DuplicateFrames - h.before.DuplicateFrames
+	for _, hb := range hubs {
+		published := hb.after.Seq - hb.before.Seq
+		dups := hb.after.DuplicateFrames - hb.before.DuplicateFrames
 		wantPublished, wantDups := updates, uint64(0)
-		if h.confirms {
+		if hb.confirms {
 			wantPublished, wantDups = 2*updates, updates
 		}
 		if published != wantPublished || dups != wantDups {
 			t.Errorf("%s: %d events published, %d on rung zero; want %d and %d",
-				h.name, published, dups, wantPublished, wantDups)
+				hb.name, published, dups, wantPublished, wantDups)
 		}
 		if payloads := published - dups; payloads != updates {
-			t.Errorf("%s carried %d payload-bearing frames for %d updates", h.name, payloads, updates)
+			t.Errorf("%s carried %d payload-bearing frames for %d updates", hb.name, payloads, updates)
 		}
-		if got := h.after.ChunkFrames - h.before.ChunkFrames; got != 1 {
-			t.Errorf("%s sent %d chunk sets, want 1 (the big key's first delivery)", h.name, got)
+		if got := hb.after.ChunkFrames - hb.before.ChunkFrames; got != 1 {
+			t.Errorf("%s sent %d chunk sets, want 1 (the big key's first delivery)", hb.name, got)
 		}
 		// Of each key's revisions the first travels whole (the stream has
 		// never been sent the key) and the rest as deltas against it.
-		if got, want := h.after.DeltaFrames-h.before.DeltaFrames, updates-uint64(len(objs)); got != want {
-			t.Errorf("%s sent %d delta frames, want %d", h.name, got, want)
+		if got, want := hb.after.DeltaFrames-hb.before.DeltaFrames, updates-uint64(len(objs)); got != want {
+			t.Errorf("%s sent %d delta frames, want %d", hb.name, got, want)
 		}
-		if h.after.SlowKills != 0 || h.after.Degraded != 0 {
-			t.Errorf("%s hub degraded: %+v", h.name, h.after)
+		if hb.after.SlowKills != 0 || hb.after.Degraded != 0 {
+			t.Errorf("%s hub degraded: %+v", hb.name, hb.after)
 		}
 	}
 	first := after.links[0] - before.links[0]
@@ -380,19 +256,16 @@ func TestThreeHopBackToBackRevisionsStayOnThePayloadPath(t *testing.T) {
 		paths = append(paths, fmt.Sprintf("/docs/s%d", m))
 		bodies = append(bodies, textBody(rng, 1<<10))
 	}
-	f := newFleetChain(t, 3, func(f *fleetChain) {
-		for i, p := range paths {
-			f.set(p, bodies[i])
-		}
-	}, nil)
-	for _, p := range paths {
-		f.admit(t, p)
+	h := newHarness(t, valueChain(3, nil))
+	for i, p := range paths {
+		set(h, p, bodies[i])
 	}
-	f.settle(t)
+	h.start()
+	admitAll(t, h, paths...)
 
 	chunkSets := func() []uint64 {
-		sets := []uint64{f.origin.PushHubStats().ChunkFrames}
-		for _, n := range f.nodes[:len(f.nodes)-1] {
+		sets := []uint64{h.origin.PushHubStats().ChunkFrames}
+		for _, n := range h.nodes[:len(h.nodes)-1] {
 			sets = append(sets, n.RelayStats().Hub.ChunkFrames)
 		}
 		return sets
@@ -402,18 +275,18 @@ func TestThreeHopBackToBackRevisionsStayOnThePayloadPath(t *testing.T) {
 	for r := 1; r <= rounds; r++ {
 		for i, p := range paths {
 			bodies[i] = reviseBody(rng, bodies[i])
-			f.set(p, bodies[i])
+			set(h, p, bodies[i])
 		}
-		f.settle(t)
+		h.quiesce()
 		for i, p := range paths {
-			if got, _ := f.leaf().CachedBody(p); !bytes.Equal(got, bodies[i]) {
-				t.Fatalf("round %d of %s never reached the leaf (leaf push %+v)", r, p, f.leaf().PushStats())
+			if got, _ := h.leaf().CachedBody(p); !bytes.Equal(got, bodies[i]) {
+				t.Fatalf("round %d of %s never reached the leaf (leaf push %+v)", r, p, h.leaf().PushStats())
 			}
 		}
 	}
 
 	for i, name := range []string{"root", "mid", "leaf"} {
-		if st := f.nodes[i].PushStats(); st.ValueFallbacks != 0 || st.DeltaBaseMisses != 0 {
+		if st := h.nodes[i].PushStats(); st.ValueFallbacks != 0 || st.DeltaBaseMisses != 0 {
 			t.Errorf("%s left the payload path: %+v", name, st)
 		}
 	}
@@ -433,30 +306,28 @@ func TestThreeHopBackToBackRevisionsStayOnThePayloadPath(t *testing.T) {
 func TestPollingLeafConvergesOffConfirmation(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	body := textBody(rng, 3*push.DefaultPayloadCap)
-	f := newFleetChain(t, 2, func(f *fleetChain) { f.set("/doc", body) }, func(i int, cfg *Config) {
+	h := newHarness(t, valueChain(2, func(i int, cfg *Config) {
 		if i == 1 {
 			cfg.PushValues = false
 		}
-	})
-	f.admit(t, "/doc")
-	f.settle(t)
+	}))
+	set(h, "/doc", body)
+	h.start()
+	admitAll(t, h, "/doc")
 
 	for r := 1; r <= 3; r++ {
 		body = reviseBody(rng, body)
-		f.set("/doc", body)
-		if !waitFor(t, 2*time.Second, func() bool {
-			got, _ := f.leaf().CachedBody("/doc")
-			return bytes.Equal(got, body)
-		}) {
-			t.Fatalf("revision %d never reached the polling leaf within Δ (parent %+v relay %+v leaf %+v)",
-				r, f.nodes[0].PushStats(), f.nodes[0].RelayStats().Hub, f.leaf().PushStats())
+		set(h, "/doc", body)
+		h.quiesce()
+		if got, _ := h.leaf().CachedBody("/doc"); !bytes.Equal(got, body) {
+			t.Fatalf("revision %d never reached the polling leaf (parent %+v relay %+v leaf %+v)",
+				r, h.nodes[0].PushStats(), h.nodes[0].RelayStats().Hub, h.leaf().PushStats())
 		}
-		f.settle(t)
 	}
-	if st := f.nodes[0].PushStats(); st.ValueApplied != 3 || st.ValueFallbacks != 0 {
+	if st := h.nodes[0].PushStats(); st.ValueApplied != 3 || st.ValueFallbacks != 0 {
 		t.Errorf("parent left the payload path: %+v", st)
 	}
-	if st := f.leaf().ObjectStats("/doc"); st.Applied != 0 || st.Pushed == 0 {
+	if st := h.leaf().ObjectStats("/doc"); st.Applied != 0 || st.Pushed == 0 {
 		t.Errorf("leaf did not converge by pushed polls: %+v", st)
 	}
 }
@@ -471,46 +342,44 @@ func TestPollingLeafConvergesOffConfirmation(t *testing.T) {
 func TestFailedInstallConvergesOffConfirmation(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	body := textBody(rng, 3*push.DefaultPayloadCap)
-	f := newFleetChain(t, 2, func(f *fleetChain) { f.set("/doc", body) }, nil)
-	f.admit(t, "/doc")
-	f.settle(t)
+	h := newHarness(t, valueChain(2, nil))
+	set(h, "/doc", body)
+	h.start()
+	admitAll(t, h, "/doc")
 
 	// Revision 1 seeds the delta chain on both streams.
 	body = reviseBody(rng, body)
-	f.set("/doc", body)
-	f.settle(t)
-	if st := f.leaf().PushStats(); st.ValueApplied != 1 || st.ValueFallbacks != 0 {
+	set(h, "/doc", body)
+	h.quiesce()
+	if st := h.leaf().PushStats(); st.ValueApplied != 1 || st.ValueFallbacks != 0 {
 		t.Fatalf("seeding revision left the payload path: %+v", st)
 	}
 
 	// Swap the leaf's bytes under its digest: the base check passes, the
 	// reconstruction cannot hash to the frame's digest.
-	e := f.leaf().lookup("/doc")
+	e := h.leaf().lookup("/doc")
 	e.mu.Lock()
 	e.body = textBody(rng, len(e.body))
 	e.mu.Unlock()
 
 	body = reviseBody(rng, body)
-	f.set("/doc", body)
-	if !waitFor(t, 2*time.Second, func() bool {
-		got, _ := f.leaf().CachedBody("/doc")
-		return bytes.Equal(got, body)
-	}) {
-		t.Fatalf("leaf never converged within Δ after a failed install (relay %+v leaf %+v)",
-			f.nodes[0].RelayStats().Hub, f.leaf().PushStats())
+	set(h, "/doc", body)
+	h.quiesce()
+	if got, _ := h.leaf().CachedBody("/doc"); !bytes.Equal(got, body) {
+		t.Fatalf("leaf never converged after a failed install (relay %+v leaf %+v)",
+			h.nodes[0].RelayStats().Hub, h.leaf().PushStats())
 	}
-	f.settle(t)
-	st := f.leaf().PushStats()
+	st := h.leaf().PushStats()
 	if st.DeltaBaseMisses == 0 || st.ValueFallbacks == 0 {
 		t.Errorf("the forged base was never refused: %+v", st)
 	}
 	if st.ValueApplied != 1 {
 		t.Errorf("leaf installed %d payloads, want only the seeding one", st.ValueApplied)
 	}
-	if f.leaf().ObjectStats("/doc").Pushed == 0 {
+	if h.leaf().ObjectStats("/doc").Pushed == 0 {
 		t.Error("leaf converged without a pushed poll")
 	}
-	if dup := f.nodes[0].RelayStats().Hub.DuplicateFrames; dup != 2 {
+	if dup := h.nodes[0].RelayStats().Hub.DuplicateFrames; dup != 2 {
 		t.Errorf("parent's hub sent %d confirmations on rung zero, want 2", dup)
 	}
 }

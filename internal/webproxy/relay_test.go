@@ -1,10 +1,8 @@
 package webproxy
 
 import (
-	"context"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -16,109 +14,16 @@ import (
 	"broadway/internal/webserver"
 )
 
-// This file tests the proxy hierarchy of ISSUE 4: a parent proxy
-// relaying invalidation events downstream (origin → parent → leaf), the
-// conditional-GET face that lets a leaf revalidate against a parent,
-// and the kill-the-middle chaos path where losing the parent's upstream
+// This file tests the proxy hierarchy: a parent proxy relaying
+// invalidation events downstream (origin → parent → leaf), the
+// conditional-GET face that lets a leaf revalidate against a parent, and
+// the kill-the-middle chaos path where losing the parent's upstream
 // propagates a mid-stream Reset to the leaves.
 
-// chainSetup is an origin → parent → leaf hierarchy wired over
-// loopback HTTP: the leaf's origin AND event stream are the parent.
-type chainSetup struct {
-	origin    *webserver.Origin
-	originSrv *httptest.Server
-	parent    *Proxy
-	parentSrv *httptest.Server
-	leaf      *Proxy
-	leafSrv   *httptest.Server
-}
-
-func newChainSetup(t *testing.T, parentCfg, leafCfg Config) *chainSetup {
-	t.Helper()
-	origin := webserver.NewOrigin(
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushHeartbeat(25*time.Millisecond),
-	)
-	originSrv := httptest.NewServer(origin)
-	t.Cleanup(originSrv.Close)
-
-	fastDefaults := func(cfg *Config) {
-		if cfg.PushBackoffMin == 0 {
-			cfg.PushBackoffMin = 5 * time.Millisecond
-		}
-		if cfg.PushBackoffMax == 0 {
-			cfg.PushBackoffMax = 50 * time.Millisecond
-		}
-		if cfg.PushHeartbeatTimeout == 0 {
-			cfg.PushHeartbeatTimeout = 200 * time.Millisecond
-		}
-		if cfg.Bounds == (core.TTRBounds{}) {
-			cfg.Bounds = core.TTRBounds{Min: 50 * time.Millisecond, Max: 400 * time.Millisecond}
-		}
-		if cfg.DefaultDelta == 0 {
-			cfg.DefaultDelta = 50 * time.Millisecond
-		}
-	}
-
-	originURL, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parentCfg.Origin = originURL
-	pushURL, _ := url.Parse(originSrv.URL + "/events")
-	parentCfg.PushURL = pushURL
-	parentCfg.RelayEvents = true
-	parentCfg.RelayHeartbeat = 25 * time.Millisecond
-	fastDefaults(&parentCfg)
-	parent, err := New(parentCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent.Start()
-	t.Cleanup(parent.Close)
-	parentSrv := httptest.NewServer(parent)
-	t.Cleanup(parentSrv.Close)
-
-	parentURL, err := url.Parse(parentSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leafCfg.Origin = parentURL
-	leafPushURL, _ := url.Parse(parentSrv.URL + "/events")
-	leafCfg.PushURL = leafPushURL
-	fastDefaults(&leafCfg)
-	leaf, err := New(leafCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.Start()
-	t.Cleanup(leaf.Close)
-	leafSrv := httptest.NewServer(leaf)
-	t.Cleanup(leafSrv.Close)
-
-	s := &chainSetup{origin: origin, originSrv: originSrv,
-		parent: parent, parentSrv: parentSrv, leaf: leaf, leafSrv: leafSrv}
-	if !waitFor(t, 3*time.Second, func() bool {
-		return parent.PushStats().Connected && leaf.PushStats().Connected
-	}) {
-		t.Fatal("chain never connected")
-	}
-	return s
-}
-
-func (s *chainSetup) getLeaf(t *testing.T, path string) string {
-	t.Helper()
-	resp, err := http.Get(s.leafSrv.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s (%s)", path, resp.Status, buf[:n])
-	}
-	return string(buf[:n])
+// chainTopology is an origin → parent → leaf hierarchy: the leaf's
+// origin AND event stream are the parent, which relays.
+func chainTopology(cfg Config) topology {
+	return topology{hops: 2, push: true, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
 }
 
 // TestProxyAnswersConditionalGet: the upstream face a child proxy needs
@@ -126,40 +31,32 @@ func (s *chainSetup) getLeaf(t *testing.T, path string) string {
 // must cost no body, and the origin's tolerance directives must ride
 // the response either way.
 func TestProxyAnswersConditionalGet(t *testing.T) {
-	s := newLiveSetup(t, []webserver.Option{webserver.WithHistoryExtension(true)}, Config{
+	h := newHarness(t, topology{origin: []webserver.Option{webserver.WithHistoryExtension(true)}, cfg: Config{
 		DefaultDelta: time.Minute,
 		Bounds:       core.TTRBounds{Min: time.Minute, Max: time.Hour},
-	})
-	s.origin.Set("/page", []byte("v1"), "")
-	_, hdr := s.get(t, "/page")
+	}})
+	px := h.leaf()
+	h.origin.Set("/page", []byte("v1"), "")
+	_, _, hdr := px.get("/page")
 	lastMod := hdr.Get("Last-Modified")
 	if lastMod == "" {
 		t.Fatal("no Last-Modified on the cached response")
 	}
 
-	req, _ := http.NewRequest(http.MethodGet, s.proxySrv.URL+"/page", nil)
+	req := httptest.NewRequest(http.MethodGet, "/page", nil)
 	req.Header.Set("If-Modified-Since", lastMod)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	code, _, hdr := px.do(req)
+	if code != http.StatusNotModified {
+		t.Fatalf("conditional GET = %d, want 304", code)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("conditional GET = %d, want 304", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Last-Modified"); got != lastMod {
+	if got := hdr.Get("Last-Modified"); got != lastMod {
 		t.Errorf("304 Last-Modified = %q, want %q", got, lastMod)
 	}
 
 	// An out-of-date validator still gets the full body.
-	req.Header.Set("If-Modified-Since", time.Now().Add(-24*time.Hour).UTC().Format(http.TimeFormat))
-	resp2, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("stale-validator GET = %d, want 200", resp2.StatusCode)
+	req.Header.Set("If-Modified-Since", h.clk.Now().Add(-24*time.Hour).UTC().Format(http.TimeFormat))
+	if code, _, _ := px.do(req); code != http.StatusOK {
+		t.Errorf("stale-validator GET = %d, want 200", code)
 	}
 }
 
@@ -167,12 +64,12 @@ func TestProxyAnswersConditionalGet(t *testing.T) {
 // extension directives (Δ, group, δ) must reach a child through the
 // parent, or the child would run default tolerances and no groups.
 func TestProxyForwardsToleranceDirectives(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/obj", []byte("v1"), "")
-	s.origin.SetTolerances("/obj", httpx.Tolerances{
+	h := newHarness(t, topology{})
+	h.origin.Set("/obj", []byte("v1"), "")
+	h.origin.SetTolerances("/obj", httpx.Tolerances{
 		Delta: 30 * time.Second, Group: "g", GroupDelta: 10 * time.Second,
 	})
-	_, hdr := s.get(t, "/obj")
+	_, _, hdr := h.leaf().get("/obj")
 	cc := hdr.Get("Cache-Control")
 	if cc == "" {
 		t.Fatal("no Cache-Control forwarded")
@@ -188,71 +85,58 @@ func TestProxyForwardsToleranceDirectives(t *testing.T) {
 // object the parent does not cache must still reach downstream
 // subscribers — a leaf may well cache what its parent does not.
 func TestRelayPassThroughServesNonResidentKeys(t *testing.T) {
-	s := newChainSetup(t, Config{}, Config{})
-
+	h := newHarness(t, chainTopology(Config{}))
 	var mu sync.Mutex
 	var got []push.Event
-	sub, err := push.NewSubscriber(push.SubscriberConfig{
-		URL: s.parentSrv.URL + "/events",
+	h.watch(h.root(), push.SubscriberConfig{
 		OnEvent: func(ev push.Event) {
 			mu.Lock()
 			got = append(got, ev)
 			mu.Unlock()
 		},
-		BackoffMin: 5 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go sub.Run(ctx)
-	if !waitFor(t, 3*time.Second, func() bool { return s.parent.RelayStats().Hub.Subscribers >= 2 }) {
-		t.Fatal("extra subscriber never registered") // the leaf holds the other slot
+	h.quiesce()
+	if subs := h.root().relayHub().Subscribers; subs != 2 {
+		t.Fatalf("%d relay subscribers, want the leaf and the watcher", subs)
 	}
 
-	s.origin.Set("/nobody-cached-this", []byte("v1"), "")
-	if !waitFor(t, 3*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, ev := range got {
-			if ev.Key == "/nobody-cached-this" {
-				return true
-			}
+	h.origin.Set("/nobody-cached-this", []byte("v1"), "")
+	h.quiesce()
+	mu.Lock()
+	defer mu.Unlock()
+	for _, ev := range got {
+		if ev.Key == "/nobody-cached-this" {
+			return
 		}
-		return false
-	}) {
-		t.Fatalf("pass-through event never relayed (relay stats %+v)", s.parent.RelayStats())
 	}
+	t.Fatalf("pass-through event never relayed (relay stats %+v)", h.root().RelayStats())
 }
 
 // TestTwoHopPushDeliversThroughParent: with TTR bounds so wide that
-// polling could never observe the update inside the window, an origin
-// update must reach the leaf's cache via origin hub → parent relay →
-// leaf pushed poll.
+// polling could never observe the update, an origin update must reach
+// the leaf's cache via origin hub → parent relay → leaf pushed poll.
 func TestTwoHopPushDeliversThroughParent(t *testing.T) {
-	wide := Config{
+	h := newHarness(t, chainTopology(Config{
 		DefaultDelta: time.Minute,
 		Bounds:       core.TTRBounds{Min: time.Minute, Max: time.Hour},
-	}
-	s := newChainSetup(t, wide, wide)
-	s.origin.Set("/page", []byte("v1"), "")
-	if body := s.getLeaf(t, "/page"); body != "v1" {
+	}))
+	parent, leaf := h.root(), h.leaf()
+	h.origin.Set("/page", []byte("v1"), "")
+	h.quiesce()
+	if _, body, _ := leaf.get("/page"); body != "v1" {
 		t.Fatalf("admitted body %q", body)
 	}
 
-	s.origin.Set("/page", []byte("v2"), "")
-	if !waitFor(t, 4*time.Second, func() bool {
-		b, _ := s.leaf.CachedBody("/page")
-		return string(b) == "v2"
-	}) {
+	h.origin.Set("/page", []byte("v2"), "")
+	h.quiesce()
+	if b, _ := leaf.CachedBody("/page"); string(b) != "v2" {
 		t.Fatalf("update never reached the leaf (parent push %+v, relay %+v, leaf push %+v)",
-			s.parent.PushStats(), s.parent.RelayStats(), s.leaf.PushStats())
+			parent.PushStats(), parent.RelayStats(), leaf.PushStats())
 	}
-	if st := s.leaf.ObjectStats("/page"); st.Pushed == 0 {
+	if st := leaf.ObjectStats("/page"); st.Pushed == 0 {
 		t.Errorf("leaf freshness did not come from a pushed poll: %+v", st)
 	}
-	if rs := s.parent.RelayStats(); !rs.Enabled || rs.Hub.Seq == 0 {
+	if rs := parent.RelayStats(); !rs.Enabled || rs.Hub.Seq == 0 {
 		t.Errorf("relay hub never published: %+v", rs)
 	}
 }
@@ -262,84 +146,83 @@ func TestTwoHopPushDeliversThroughParent(t *testing.T) {
 // believing their stretched schedules are still backed by a live
 // channel — they must fall back to paper-mode polling.
 func TestClosingRelayParentReleasesLeaves(t *testing.T) {
-	cfg := Config{
+	h := newHarness(t, chainTopology(Config{
 		PushStretch: 10,
 		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 300 * time.Millisecond},
-	}
-	s := newChainSetup(t, cfg, cfg)
-	s.origin.Set("/page", []byte("v1"), "")
-	if body := s.getLeaf(t, "/page"); body != "v1" {
+	}))
+	h.origin.Set("/page", []byte("v1"), "")
+	h.quiesce()
+	if _, body, _ := h.leaf().get("/page"); body != "v1" {
 		t.Fatalf("admitted body %q", body)
 	}
 
-	s.parent.Close()
-	if !waitFor(t, 3*time.Second, func() bool {
-		st := s.leaf.PushStats()
-		return !st.Connected && (st.Fallbacks >= 1 || st.Resets >= 1)
-	}) {
-		t.Fatalf("leaf still believes the closed parent's channel is live: %+v", s.leaf.PushStats())
+	h.root().Close()
+	h.quiesce()
+	if st := h.leaf().PushStats(); st.Connected || (st.Fallbacks == 0 && st.Resets == 0) {
+		t.Fatalf("leaf still believes the closed parent's channel is live: %+v", st)
 	}
 }
 
-// TestKillTheMiddleDrivesLeafSweepWithoutDisconnect is the chaos
-// acceptance path of ISSUE 4: killing the parent's upstream stream
-// mid-burst must propagate a mid-stream hello/Reset to the leaves —
-// running their fallback reconciliation — while their connections to
-// the parent stay up, and freshness must keep flowing on paper-mode
-// bounds via the parent's own polling (confirmation relay).
+// TestKillTheMiddleDrivesLeafSweepWithoutDisconnect is the chaos path of
+// the hierarchy: killing the parent's upstream stream mid-burst must
+// propagate a mid-stream hello/Reset to the leaves — running their
+// fallback reconciliation — while their connections to the parent stay
+// up, and freshness must keep flowing on paper-mode bounds via the
+// parent's own polling (confirmation relay).
 func TestKillTheMiddleDrivesLeafSweepWithoutDisconnect(t *testing.T) {
-	cfg := Config{
+	const ttrMax = 300 * time.Millisecond
+	h := newHarness(t, chainTopology(Config{
 		PushStretch: 10,
-		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 300 * time.Millisecond},
-	}
-	s := newChainSetup(t, cfg, cfg)
-	s.origin.Set("/page", []byte("v1"), "")
-	if body := s.getLeaf(t, "/page"); body != "v1" {
+		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: ttrMax},
+	}))
+	parent, leaf := h.root(), h.leaf()
+	h.origin.Set("/page", []byte("v1"), "")
+	h.quiesce()
+	if _, body, _ := leaf.get("/page"); body != "v1" {
 		t.Fatalf("admitted body %q", body)
 	}
-	leafConnects := s.leaf.PushStats().Connects
+	leafConnects := leaf.PushStats().Connects
 
 	// Mid-burst: updates flowing while the middle loses its upstream.
-	s.origin.Set("/page", []byte("v2"), "")
-	s.origin.SetPushAvailable(false)
-	if !waitFor(t, 3*time.Second, func() bool { return s.parent.PushStats().Fallbacks >= 1 }) {
-		t.Fatal("parent never noticed its upstream died")
+	h.origin.Set("/page", []byte("v2"), "")
+	h.origin.SetPushAvailable(false)
+	h.quiesce()
+	if st := parent.PushStats(); st.Fallbacks == 0 {
+		t.Fatalf("parent never noticed its upstream died: %+v", st)
 	}
-	if !waitFor(t, 3*time.Second, func() bool { return s.leaf.PushStats().Resets >= 1 }) {
-		t.Fatalf("mid-stream Reset never reached the leaf (leaf push %+v)", s.leaf.PushStats())
+	st := leaf.PushStats()
+	if st.Resets == 0 {
+		t.Fatalf("mid-stream Reset never reached the leaf (leaf push %+v)", st)
 	}
-	if got := s.leaf.PushStats().Connects; got != leafConnects {
+	if st.Connects != leafConnects {
 		t.Errorf("leaf reconnected (%d → %d connects); the Reset must ride the live stream",
-			leafConnects, got)
+			leafConnects, st.Connects)
 	}
-	if !s.leaf.PushStats().Connected {
+	if !st.Connected {
 		t.Error("leaf channel to the parent should still be healthy")
 	}
 
 	// The parent is blind upstream but polls paper-mode; its confirmed
 	// updates must keep flowing to the leaf through the relay. One full
-	// grown TTR plus slack bounds the staleness.
-	s.origin.Set("/page", []byte("v3"), "")
-	if !waitFor(t, 2*time.Second, func() bool {
-		b, _ := s.leaf.CachedBody("/page")
-		return string(b) == "v3"
-	}) {
-		t.Fatalf("update during the parent's blind window never reached the leaf (leaf %+v)",
-			s.leaf.PushStats())
+	// grown TTR bounds the staleness.
+	h.origin.Set("/page", []byte("v3"), "")
+	h.advance(ttrMax)
+	if b, _ := leaf.CachedBody("/page"); string(b) != "v3" {
+		t.Fatalf("update during the parent's blind window never reached the leaf within %v (leaf %+v)",
+			ttrMax, leaf.PushStats())
 	}
 
 	// Revive the origin's endpoint: the parent re-arms, and the relay
 	// announces the resync hole to the leaf (gap unknown ⇒ children
 	// must reconcile) — the leaf survives it connected.
-	s.origin.SetPushAvailable(true)
-	if !waitFor(t, 3*time.Second, func() bool { return s.parent.PushStats().Connected }) {
+	h.origin.SetPushAvailable(true)
+	h.quiesce()
+	if !parent.PushStats().Connected {
 		t.Fatal("parent never re-armed")
 	}
-	s.origin.Set("/page", []byte("v4"), "")
-	if !waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.leaf.CachedBody("/page")
-		return string(b) == "v4"
-	}) {
+	h.origin.Set("/page", []byte("v4"), "")
+	h.quiesce()
+	if b, _ := leaf.CachedBody("/page"); string(b) != "v4" {
 		t.Fatal("re-armed chain did not deliver")
 	}
 }

@@ -1,8 +1,8 @@
 package webproxy
 
 import (
-	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,32 +18,28 @@ import (
 // Last-Modified, X-Cache: HIT — and no body, instead of the 405 the
 // proxy used to return.
 func TestHEADServesCachedHeadersWithoutBody(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/page", []byte("hello head"), "text/plain")
-	s.get(t, "/page") // warm the cache
+	h := newHarness(t, topology{})
+	px := h.leaf()
+	h.origin.Set("/page", []byte("hello head"), "text/plain")
+	px.get("/page") // warm the cache
 
-	resp, err := http.Head(s.proxySrv.URL + "/page")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("HEAD on cached object = %d", resp.StatusCode)
+	code, body, hdr := px.do(httptest.NewRequest(http.MethodHead, "/page", nil))
+	if code != http.StatusOK {
+		t.Fatalf("HEAD on cached object = %d", code)
 	}
 	if len(body) != 0 {
 		t.Errorf("HEAD carried %d body bytes: %q", len(body), body)
 	}
-	if got := resp.Header.Get("X-Cache"); got != "HIT" {
+	if got := hdr.Get("X-Cache"); got != "HIT" {
 		t.Errorf("X-Cache = %q, want HIT", got)
 	}
-	if got := resp.Header.Get("Content-Type"); got != "text/plain" {
+	if got := hdr.Get("Content-Type"); got != "text/plain" {
 		t.Errorf("Content-Type = %q", got)
 	}
-	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len("hello head")) {
+	if got := hdr.Get("Content-Length"); got != strconv.Itoa(len("hello head")) {
 		t.Errorf("Content-Length = %q, want the cached body's length", got)
 	}
-	if resp.Header.Get("Last-Modified") == "" {
+	if hdr.Get("Last-Modified") == "" {
 		t.Error("HEAD response lost Last-Modified")
 	}
 }
@@ -51,24 +47,19 @@ func TestHEADServesCachedHeadersWithoutBody(t *testing.T) {
 // TestHEADOnColdObjectAdmits: a HEAD miss runs the normal admission path
 // (the object becomes resident) but still returns no body.
 func TestHEADOnColdObjectAdmits(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/cold", []byte("cold body"), "text/plain")
+	h := newHarness(t, topology{})
+	px := h.leaf()
+	h.origin.Set("/cold", []byte("cold body"), "text/plain")
 
-	resp, err := http.Head(s.proxySrv.URL + "/cold")
-	if err != nil {
-		t.Fatal(err)
+	code, body, hdr := px.do(httptest.NewRequest(http.MethodHead, "/cold", nil))
+	if code != http.StatusOK || len(body) != 0 {
+		t.Fatalf("HEAD miss = %d with %d body bytes", code, len(body))
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(body) != 0 {
-		t.Fatalf("HEAD miss = %d with %d body bytes", resp.StatusCode, len(body))
-	}
-	if resp.Header.Get("X-Cache") != "MISS" {
-		t.Errorf("X-Cache = %q, want MISS", resp.Header.Get("X-Cache"))
+	if hdr.Get("X-Cache") != "MISS" {
+		t.Errorf("X-Cache = %q, want MISS", hdr.Get("X-Cache"))
 	}
 	// The admission was real: a follow-up GET is a hit.
-	_, hdr := s.get(t, "/cold")
-	if hdr.Get("X-Cache") != "HIT" {
+	if _, _, hdr := px.get("/cold"); hdr.Get("X-Cache") != "HIT" {
 		t.Errorf("GET after HEAD admission X-Cache = %q, want HIT", hdr.Get("X-Cache"))
 	}
 }
@@ -76,22 +67,16 @@ func TestHEADOnColdObjectAdmits(t *testing.T) {
 // TestMethodNotAllowedSetsAllow: genuine 405s carry the Allow header, on
 // the proxy and on the origin's serve path alike.
 func TestMethodNotAllowedSetsAllow(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/page", []byte("x"), "text/plain")
+	h := newHarness(t, topology{})
+	h.origin.Set("/page", []byte("x"), "text/plain")
 
-	for name, target := range map[string]string{
-		"proxy":  s.proxySrv.URL + "/page",
-		"origin": s.originSrv.URL + "/page",
-	} {
-		resp, err := http.Post(target, "text/plain", strings.NewReader("nope"))
-		if err != nil {
-			t.Fatal(err)
+	for name, target := range map[string]http.Handler{"proxy": h.leaf(), "origin": h.origin} {
+		rec := httptest.NewRecorder()
+		target.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/page", strings.NewReader("nope")))
+		if rec.Code != http.StatusMethodNotAllowed {
+			t.Errorf("%s POST = %d, want 405", name, rec.Code)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("%s POST = %d, want 405", name, resp.StatusCode)
-		}
-		if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+		if allow := rec.Header().Get("Allow"); allow != "GET, HEAD" {
 			t.Errorf("%s 405 Allow = %q, want \"GET, HEAD\"", name, allow)
 		}
 	}
@@ -101,24 +86,19 @@ func TestMethodNotAllowedSetsAllow(t *testing.T) {
 // raw error string to the client; the detail is recorded on
 // UpstreamStatus (and counted on CacheStats) for the operator surface.
 func TestBadGatewayBodyIsGeneric(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.originSrv.CloseClientConnections()
-	s.originSrv.Close()
+	h := newHarness(t, topology{})
+	px := h.leaf()
+	px.up.cut()
 
-	resp, err := http.Get(s.proxySrv.URL + "/unreachable")
-	if err != nil {
-		t.Fatal(err)
+	code, body, _ := px.get("/unreachable")
+	if code != http.StatusBadGateway {
+		t.Fatalf("miss against dead origin = %d", code)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("miss against dead origin = %d", resp.StatusCode)
-	}
-	if strings.TrimSpace(string(body)) != "upstream fetch failed" {
+	if strings.TrimSpace(body) != "upstream fetch failed" {
 		t.Errorf("502 body = %q, want the generic message only", body)
 	}
 
-	us := s.proxy.UpstreamStatus()
+	us := px.UpstreamStatus()
 	if us.Errors == 0 {
 		t.Error("UpstreamStatus.Errors not incremented")
 	}
@@ -128,7 +108,7 @@ func TestBadGatewayBodyIsGeneric(t *testing.T) {
 	if us.LastErrorAt.IsZero() || !us.LastErrorAt.After(us.LastOKAt) {
 		t.Errorf("UpstreamStatus times: err at %v, ok at %v", us.LastErrorAt, us.LastOKAt)
 	}
-	if cs := s.proxy.CacheStats(); cs.UpstreamErrors != us.Errors {
+	if cs := px.CacheStats(); cs.UpstreamErrors != us.Errors {
 		t.Errorf("CacheStats.UpstreamErrors = %d, UpstreamStatus.Errors = %d", cs.UpstreamErrors, us.Errors)
 	}
 }

@@ -2,8 +2,6 @@ package webproxy
 
 import (
 	"fmt"
-	"net/http/httptest"
-	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -14,101 +12,59 @@ import (
 	"broadway/internal/webserver"
 )
 
-// This file tests the value-carrying push path of ISSUE 5: a pushed
+// This file tests the value-carrying push path: a pushed
 // event carrying the object's new body is installed directly —
 // digest-verified, byte-ledger-charged, group-triggering — with zero
 // origin polls, and every way the payload can be unusable (digest
 // mismatch, stripped payload, byte-budget refusal) degrades to the
 // pushed confirmation poll without ever widening the staleness bound.
 
-// newValuePushSetup wires a value-publishing origin behind a proxy with
-// payload application enabled. TTR bounds are wide by default so any
-// freshness observed inside a test provably came from the push path.
-func newValuePushSetup(t *testing.T, cfg Config) *liveSetup {
-	t.Helper()
-	origin := webserver.NewOrigin(
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushHeartbeat(25*time.Millisecond),
-		webserver.WithPushValues(0),
-	)
-	originSrv := httptest.NewServer(origin)
-	t.Cleanup(originSrv.Close)
-
-	u, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushURL, _ := url.Parse(originSrv.URL + "/events")
-	cfg.Origin = u
-	cfg.PushURL = pushURL
+// valuePushTopology is one proxy applying pushed payloads behind a
+// value-publishing origin (history extension on). TTR bounds are wide
+// by default, so any freshness observed inside a test provably came from
+// the push path.
+func valuePushTopology(cfg Config) topology {
 	cfg.PushValues = true
-	if cfg.PushBackoffMin == 0 {
-		cfg.PushBackoffMin = 5 * time.Millisecond
-	}
-	if cfg.PushBackoffMax == 0 {
-		cfg.PushBackoffMax = 50 * time.Millisecond
-	}
-	if cfg.PushHeartbeatTimeout == 0 {
-		cfg.PushHeartbeatTimeout = 200 * time.Millisecond
-	}
 	if cfg.Bounds == (core.TTRBounds{}) {
 		cfg.Bounds = core.TTRBounds{Min: time.Minute, Max: time.Hour}
 	}
-	if cfg.DefaultDelta == 0 {
-		cfg.DefaultDelta = time.Minute
-	}
-	px, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px.Start()
-	t.Cleanup(px.Close)
-	proxySrv := httptest.NewServer(px)
-	t.Cleanup(proxySrv.Close)
-	return &liveSetup{origin: origin, originSrv: originSrv, proxy: px, proxySrv: proxySrv}
+	return topology{push: true, cfg: cfg, origin: []webserver.Option{
+		webserver.WithHistoryExtension(true), webserver.WithPushValues(0),
+	}}
 }
 
-// TestValuePushInstallsBodyWithoutOriginPoll is the heart of the
-// tentpole: after admission, updates reach the cache through the event
+// TestValuePushInstallsBodyWithoutOriginPoll is the heart of value
+// push: after admission, updates reach the cache through the event
 // payload alone — the origin sees no further request of any kind.
 func TestValuePushInstallsBodyWithoutOriginPoll(t *testing.T) {
-	s := newValuePushSetup(t, Config{})
-	s.origin.Set("/quote", []byte("100.00\n"), "text/plain")
-	s.origin.SetTolerances("/quote", httpx.Tolerances{ValueDelta: 0.25})
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/quote")
-	admissionPolls := s.origin.Polls()
+	h := newHarness(t, valuePushTopology(Config{}))
+	px := h.leaf()
+	h.origin.Set("/quote", []byte("100.00\n"), "text/plain")
+	h.origin.SetTolerances("/quote", httpx.Tolerances{ValueDelta: 0.25})
+	h.quiesce()
+	px.get("/quote")
+	admissionPolls := h.origin.Polls()
 
 	for rev := 1; rev <= 5; rev++ {
-		s.origin.Set("/quote", []byte(fmt.Sprintf("10%d.50\n", rev)), "text/plain")
+		h.origin.Set("/quote", []byte(fmt.Sprintf("10%d.50\n", rev)), "text/plain")
 	}
-	ok := waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/quote")
-		return string(b) == "105.50\n"
-	})
-	if !ok {
-		b, _ := s.proxy.CachedBody("/quote")
-		t.Fatalf("pushed value never installed: cached %q (push %+v)", b, s.proxy.PushStats())
+	h.quiesce()
+	if b, _ := px.CachedBody("/quote"); string(b) != "105.50\n" {
+		t.Fatalf("pushed value never installed: cached %q (push %+v)", b, px.PushStats())
 	}
-	if got := s.origin.Polls(); got != admissionPolls {
+	if got := h.origin.Polls(); got != admissionPolls {
 		t.Errorf("origin saw %d polls beyond the %d admission fetches; the payload path must cost zero",
 			got-admissionPolls, admissionPolls)
 	}
-	st := s.proxy.PushStats()
+	st := px.PushStats()
 	if st.ValueApplied == 0 {
 		t.Errorf("no payload applications recorded: %+v", st)
 	}
 	if st.ValueFallbacks != 0 {
 		t.Errorf("%d unexpected fallbacks on the clean path: %+v", st.ValueFallbacks, st)
 	}
-	os := s.proxy.ObjectStats("/quote")
-	if os.Applied == 0 {
+	if os := px.ObjectStats("/quote"); os.Applied == 0 {
 		t.Errorf("ObjectStats.Applied = 0: %+v", os)
-	}
-	// The installed value feeds the value-domain state: a Δv object's
-	// cached value must track the pushed body.
-	if b, _ := s.proxy.CachedBody("/quote"); strings.TrimSpace(string(b)) != "105.50" {
-		t.Errorf("cached body %q", b)
 	}
 }
 
@@ -117,28 +73,26 @@ func TestValuePushInstallsBodyWithoutOriginPoll(t *testing.T) {
 // degrades to a pushed confirmation poll and serves what the origin
 // actually holds.
 func TestValuePushDigestMismatchFallsBackToPoll(t *testing.T) {
-	s := newValuePushSetup(t, Config{})
-	s.origin.Set("/page", []byte("genuine v1"), "")
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/page")
-	pollsBefore := s.origin.Polls()
+	h := newHarness(t, valuePushTopology(Config{}))
+	px := h.leaf()
+	h.origin.Set("/page", []byte("genuine v1"), "")
+	h.quiesce()
+	px.get("/page")
+	pollsBefore := h.origin.Polls()
 
-	s.origin.InjectPushEvent(push.Event{
-		Kind: push.KindUpdate, Key: "/page", ModTime: time.Now().Add(time.Hour),
+	h.origin.InjectPushEvent(push.Event{
+		Kind: push.KindUpdate, Key: "/page", ModTime: h.clk.Now().Add(time.Hour),
 		Body: []byte("forged body"), HasBody: true, Digest: "0123456789abcdef",
 	})
-	if !waitFor(t, 3*time.Second, func() bool { return s.proxy.PushStats().ValueFallbacks >= 1 }) {
-		t.Fatalf("digest mismatch never fell back: %+v", s.proxy.PushStats())
+	h.quiesce()
+	if st := px.PushStats(); st.ValueFallbacks != 1 || st.ValueApplied != 0 {
+		t.Fatalf("digest mismatch did not fall back alone: %+v", st)
 	}
-	if !waitFor(t, 3*time.Second, func() bool { return s.origin.Polls() > pollsBefore }) {
-		t.Fatal("fallback never reached the origin")
+	if got := h.origin.Polls(); got != pollsBefore+1 {
+		t.Errorf("the fallback cost %d polls, want one", got-pollsBefore)
 	}
-	b, _ := s.proxy.CachedBody("/page")
-	if string(b) != "genuine v1" {
+	if b, _ := px.CachedBody("/page"); string(b) != "genuine v1" {
 		t.Errorf("cache holds %q; the forged body must never be installed", b)
-	}
-	if st := s.proxy.PushStats(); st.ValueApplied != 0 {
-		t.Errorf("forged payload counted as applied: %+v", st)
 	}
 }
 
@@ -147,37 +101,33 @@ func TestValuePushDigestMismatchFallsBackToPoll(t *testing.T) {
 // and the proxy confirms by polling — the update is never lost and
 // never stale beyond the pushed-poll path.
 func TestValuePushStrippedPayloadFallsBackToPoll(t *testing.T) {
-	s := newValuePushSetup(t, Config{PushPayloadCap: 64})
-	s.origin.Set("/fat", []byte("small v1"), "")
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/fat")
+	h := newHarness(t, valuePushTopology(Config{PushPayloadCap: 64}))
+	px := h.leaf()
+	h.origin.Set("/fat", []byte("small v1"), "")
+	h.quiesce()
+	px.get("/fat")
 
 	big := strings.Repeat("B", 512) // over the proxy's 64-byte cap, under the origin's
-	s.origin.Set("/fat", []byte(big), "")
-	if !waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/fat")
-		return string(b) == big
-	}) {
-		t.Fatalf("stripped-payload update never confirmed: %+v", s.proxy.PushStats())
+	h.origin.Set("/fat", []byte(big), "")
+	h.quiesce()
+	if b, _ := px.CachedBody("/fat"); string(b) != big {
+		t.Fatalf("stripped-payload update never confirmed: %+v", px.PushStats())
 	}
-	st := s.proxy.PushStats()
-	if st.ValueFallbacks == 0 {
+	if st := px.PushStats(); st.ValueFallbacks == 0 {
 		t.Errorf("stripped payload not counted as a fallback: %+v", st)
 	}
-	if os := s.proxy.ObjectStats("/fat"); os.Pushed == 0 {
+	if os := px.ObjectStats("/fat"); os.Pushed == 0 {
 		t.Errorf("freshness did not come from a pushed poll: %+v", os)
 	}
 
 	// A body within the cap still rides the payload path afterwards.
-	pollsBefore := s.origin.Polls()
-	s.origin.Set("/fat", []byte("small v2"), "")
-	if !waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/fat")
-		return string(b) == "small v2"
-	}) {
-		t.Fatal("in-cap update never installed")
+	pollsBefore := h.origin.Polls()
+	h.origin.Set("/fat", []byte("small v2"), "")
+	h.quiesce()
+	if b, _ := px.CachedBody("/fat"); string(b) != "small v2" {
+		t.Fatalf("in-cap update never installed: %q", b)
 	}
-	if got := s.origin.Polls(); got != pollsBefore {
+	if got := h.origin.Polls(); got != pollsBefore {
 		t.Errorf("in-cap update cost %d polls, want 0", got-pollsBefore)
 	}
 }
@@ -186,22 +136,23 @@ func TestValuePushStrippedPayloadFallsBackToPoll(t *testing.T) {
 // MaxBytes must not be installed (it would immediately evict itself);
 // the pushed poll runs the established oversized-growth unwind instead.
 func TestValuePushByteBudgetRefusal(t *testing.T) {
-	s := newValuePushSetup(t, Config{MaxBytes: 2048})
-	s.origin.Set("/obj", []byte("fits"), "")
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/obj")
+	h := newHarness(t, valuePushTopology(Config{MaxBytes: 2048}))
+	px := h.leaf()
+	h.origin.Set("/obj", []byte("fits"), "")
+	h.quiesce()
+	px.get("/obj")
 
-	s.origin.Set("/obj", []byte(strings.Repeat("x", 4096)), "")
-	if !waitFor(t, 3*time.Second, func() bool { return s.proxy.PushStats().ValueFallbacks >= 1 }) {
-		t.Fatalf("budget refusal never fell back: %+v", s.proxy.PushStats())
+	h.origin.Set("/obj", []byte(strings.Repeat("x", 4096)), "")
+	h.quiesce()
+	if st := px.PushStats(); st.ValueFallbacks != 1 {
+		t.Fatalf("budget refusal never fell back: %+v", st)
 	}
 	// The pushed poll fetched the grown body and ran the refresh-growth
 	// rule: an object over the whole budget cannot stay resident.
-	if !waitFor(t, 3*time.Second, func() bool { return !s.proxy.ObjectStats("/obj").Cached }) {
-		t.Errorf("over-budget object still resident: %+v (cache %+v)",
-			s.proxy.ObjectStats("/obj"), s.proxy.CacheStats())
+	if px.ObjectStats("/obj").Cached {
+		t.Errorf("over-budget object still resident: %+v (cache %+v)", px.ObjectStats("/obj"), px.CacheStats())
 	}
-	if got := s.proxy.ResidentBytes(); got > 2048 {
+	if got := px.ResidentBytes(); got > 2048 {
 		t.Errorf("ledger over budget after the unwind: %d", got)
 	}
 }
@@ -213,28 +164,27 @@ func TestValuePushByteBudgetRefusal(t *testing.T) {
 // updated object itself.
 func TestValuePushAppliedUpdateTriggersGroup(t *testing.T) {
 	const photo = "/photo?size=full"
-	clk := newSimClock()
-	s := newValuePushSetup(t, Config{
-		Clock:             clk.Now,
+	h := newHarness(t, valuePushTopology(Config{
 		Mode:              core.TriggerAll,
 		DefaultGroupDelta: time.Second,
-	})
-	s.origin.Set("/story", []byte("story v1"), "text/html")
-	s.origin.Set("/photo", []byte("photo v1"), "image/png")
+	}))
+	px := h.leaf()
+	h.origin.Set("/story", []byte("story v1"), "text/html")
+	h.origin.Set("/photo", []byte("photo v1"), "image/png")
 	for _, path := range []string{"/story", "/photo"} {
-		s.origin.SetTolerances(path, httpx.Tolerances{Group: "news"})
+		h.origin.SetTolerances(path, httpx.Tolerances{Group: "news"})
 	}
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/story")
-	s.get(t, photo)
+	h.quiesce()
+	px.get("/story")
+	px.get(photo)
 
-	clk.AdvanceTo(clk.Now().Add(10 * time.Second)) // both validations now lie beyond δ
-	s.origin.Set("/story", []byte("story v2"), "text/html")
-	settlePush(t, s, clk)
-	if st := s.proxy.ObjectStats("/story"); st.Applied != 1 {
-		t.Fatalf("the story's update did not ride the payload path: %+v (push %+v)", st, s.proxy.PushStats())
+	h.advance(10 * time.Second) // both validations now lie beyond δ
+	h.origin.Set("/story", []byte("story v2"), "text/html")
+	h.quiesce()
+	if st := px.ObjectStats("/story"); st.Applied != 1 {
+		t.Fatalf("the story's update did not ride the payload path: %+v (push %+v)", st, px.PushStats())
 	}
-	if st := s.proxy.ObjectStats(photo); st.Triggered != 1 {
+	if st := px.ObjectStats(photo); st.Triggered != 1 {
 		t.Errorf("applied story update triggered the photo %d times, want once: %+v", st.Triggered, st)
 	}
 }
@@ -244,72 +194,24 @@ func TestValuePushAppliedUpdateTriggersGroup(t *testing.T) {
 // payload, republishes it downstream, and the leaf installs it too;
 // neither hop issues a confirmation poll.
 func TestTwoHopValuePushZeroConfirmationPolls(t *testing.T) {
-	origin := webserver.NewOrigin(
-		webserver.WithHistoryExtension(true),
-		webserver.WithPushHeartbeat(25*time.Millisecond),
-		webserver.WithPushValues(0),
-	)
-	originSrv := httptest.NewServer(origin)
-	t.Cleanup(originSrv.Close)
-	originURL, _ := url.Parse(originSrv.URL)
-	pushURL, _ := url.Parse(originSrv.URL + "/events")
+	tp := valuePushTopology(Config{})
+	tp.hops = 2
+	h := newHarness(t, tp)
+	parent, leaf := h.root(), h.leaf()
+	h.origin.Set("/quote", []byte("100.00\n"), "text/plain")
+	h.quiesce()
+	if code, _, _ := leaf.get("/quote"); code != 200 {
+		t.Fatalf("admission: %d", code)
+	}
+	admissionPolls := h.origin.Polls()
 
-	wide := Config{
-		DefaultDelta:         time.Minute,
-		Bounds:               core.TTRBounds{Min: time.Minute, Max: time.Hour},
-		PushBackoffMin:       5 * time.Millisecond,
-		PushBackoffMax:       50 * time.Millisecond,
-		PushHeartbeatTimeout: 200 * time.Millisecond,
-		PushValues:           true,
-	}
-	parentCfg := wide
-	parentCfg.Origin = originURL
-	parentCfg.PushURL = pushURL
-	parentCfg.RelayEvents = true
-	parentCfg.RelayHeartbeat = 25 * time.Millisecond
-	parent, err := New(parentCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent.Start()
-	t.Cleanup(parent.Close)
-	parentSrv := httptest.NewServer(parent)
-	t.Cleanup(parentSrv.Close)
-
-	leafCfg := wide
-	leafCfg.Origin, _ = url.Parse(parentSrv.URL)
-	leafCfg.PushURL, _ = url.Parse(parentSrv.URL + "/events")
-	leaf, err := New(leafCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf.Start()
-	t.Cleanup(leaf.Close)
-	leafSrv := httptest.NewServer(leaf)
-	t.Cleanup(leafSrv.Close)
-
-	if !waitFor(t, 3*time.Second, func() bool {
-		return parent.PushStats().Connected && leaf.PushStats().Connected
-	}) {
-		t.Fatal("chain never connected")
-	}
-	origin.Set("/quote", []byte("100.00\n"), "text/plain")
-	rec := httptest.NewRecorder()
-	leaf.ServeHTTP(rec, httptest.NewRequest("GET", "/quote", nil))
-	if rec.Code != 200 {
-		t.Fatalf("admission: %d", rec.Code)
-	}
-	admissionPolls := origin.Polls()
-
-	origin.Set("/quote", []byte("101.25\n"), "text/plain")
-	if !waitFor(t, 4*time.Second, func() bool {
-		b, _ := leaf.CachedBody("/quote")
-		return string(b) == "101.25\n"
-	}) {
+	h.origin.Set("/quote", []byte("101.25\n"), "text/plain")
+	h.quiesce()
+	if b, _ := leaf.CachedBody("/quote"); string(b) != "101.25\n" {
 		t.Fatalf("payload never reached the leaf (parent %+v, relay %+v, leaf %+v)",
 			parent.PushStats(), parent.RelayStats(), leaf.PushStats())
 	}
-	if got := origin.Polls(); got != admissionPolls {
+	if got := h.origin.Polls(); got != admissionPolls {
 		t.Errorf("origin saw %d polls beyond admission; the chain must cost zero", got-admissionPolls)
 	}
 	if st := parent.ObjectStats("/quote"); st.Applied == 0 || st.Pushed != 0 {
@@ -328,44 +230,39 @@ func TestTwoHopValuePushZeroConfirmationPolls(t *testing.T) {
 // arrive more than once; a duplicate must cost neither a poll nor a
 // re-install.
 func TestValuePushDuplicateEventsAreRecognized(t *testing.T) {
-	s := newValuePushSetup(t, Config{})
-	s.origin.Set("/page", []byte("v1"), "")
-	waitPushConnected(t, s.proxy)
-	s.get(t, "/page")
-	pollsBefore := s.origin.Polls()
+	h := newHarness(t, valuePushTopology(Config{}))
+	px := h.leaf()
+	h.origin.Set("/page", []byte("v1"), "")
+	h.quiesce()
+	px.get("/page")
+	pollsBefore := h.origin.Polls()
 
-	s.origin.Set("/page", []byte("v2"), "")
-	if !waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/page")
-		return string(b) == "v2"
-	}) {
-		t.Fatal("update never installed")
+	h.origin.Set("/page", []byte("v2"), "")
+	h.quiesce()
+	if b, _ := px.CachedBody("/page"); string(b) != "v2" {
+		t.Fatalf("update never installed: %q", b)
 	}
-	appliedAfterFirst := s.proxy.PushStats().ValueApplied
+	first := px.PushStats()
 
 	// Replay the exact same event (same modification instant).
-	e := s.proxy.lookup("/page")
+	e := px.lookup("/page")
 	e.mu.RLock()
 	mod := e.lastMod
 	e.mu.RUnlock()
-	s.origin.InjectPushEvent(push.Event{
+	h.origin.InjectPushEvent(push.Event{
 		Kind: push.KindUpdate, Key: "/page", ModTime: mod,
 		Body: []byte("v2"), HasBody: true, Digest: push.DigestOf([]byte("v2")),
 	})
-	if !waitFor(t, 2*time.Second, func() bool {
-		return s.proxy.PushStats().Events >= 2
-	}) {
-		t.Fatal("duplicate never processed")
+	h.quiesce()
+	st := px.PushStats()
+	if st.Events != first.Events+1 {
+		t.Fatalf("duplicate never processed: %+v", st)
 	}
-	// Give the worker a beat, then confirm it neither polled nor
-	// re-counted the apply.
-	time.Sleep(100 * time.Millisecond)
-	if got := s.origin.Polls(); got != pollsBefore {
+	if got := h.origin.Polls(); got != pollsBefore {
 		t.Errorf("duplicate cost %d polls", got-pollsBefore)
 	}
-	st := s.proxy.PushStats()
-	if st.ValueApplied != appliedAfterFirst {
-		t.Errorf("duplicate re-counted as an application: %d -> %d", appliedAfterFirst, st.ValueApplied)
+	if st.ValueApplied != first.ValueApplied {
+		t.Errorf("duplicate re-counted as an application: %d -> %d", first.ValueApplied, st.ValueApplied)
 	}
 	if st.ValueFallbacks != 0 {
 		t.Errorf("duplicate counted as a fallback: %+v", st)

@@ -116,8 +116,8 @@ import (
 type Config struct {
 	// Origin is the base URL of the upstream server. Required.
 	Origin *url.URL
-	// Client performs upstream requests; defaults to a client with a
-	// 10-second timeout.
+	// Client performs upstream requests, the push stream's included
+	// (without its Timeout); defaults to a client with a 10-second timeout.
 	Client *http.Client
 	// DefaultDelta is the Δt tolerance applied to objects whose origin
 	// response carries no x-cc-delta directive. Defaults to one minute.
@@ -151,9 +151,9 @@ type Config struct {
 	PollWorkers int
 	// Clock substitutes the time source. It may be offset from the real
 	// clock but must advance at wall rate: the dispatcher computes
-	// waits on this timeline and sleeps them in wall time. (Tests that
-	// step a virtual clock instead must Kick the proxy after every
-	// advance and wait for InFlightPolls to drain.)
+	// waits on this timeline and sleeps them in wall time. (Tests step a
+	// virtual clock on the harness in harness_test.go: newHarness builds
+	// the topology, advance moves the clock, quiesce waits it out.)
 	Clock func() time.Time
 	// PushURL, when set, subscribes the proxy to an origin-driven
 	// invalidation channel at that URL (the webserver's /events
@@ -211,25 +211,23 @@ type Config struct {
 	PushHeartbeatTimeout time.Duration
 	// PushInterest narrows the upstream subscription to a declared
 	// interest set instead of the full event stream: on every
-	// (re)connect the subscriber declares the union of PushPrefixes and
-	// PushGroups, one path-segment prefix per resident object, and —
-	// when relaying — every interest set its own downstream subscribers
-	// have declared. The upstream hub then skips frames outside the
-	// declaration, so an edge proxy caching a slice of the key space
-	// pays fan-out for that slice only. An object admitted (or a child
-	// connected) outside the current declaration bounces the stream to
-	// renegotiate; until the wider declaration is live such objects keep
-	// pure-polling freshness (see leaseCovers), so filtering never
-	// widens a Δt bound. False (the default) subscribes to everything.
+	// (re)connect the subscriber declares the union of PushPrefixes, one
+	// path-segment prefix per resident object, and — when relaying —
+	// every interest set its own downstream subscribers have declared.
+	// The upstream hub then skips frames outside the declaration, so an
+	// edge proxy caching a slice of the key space pays fan-out for that
+	// slice only. An object admitted (or a child connected) outside the
+	// current declaration bounces the stream to renegotiate; until the
+	// wider declaration is live such objects keep pure-polling freshness
+	// (see leaseCovers), so filtering never widens a Δt bound. False
+	// (the default) subscribes to everything.
 	PushInterest bool
-	// PushPrefixes and PushGroups seed the declared interest set when
-	// PushInterest is on: key prefixes and consistency groups this
-	// proxy wants announced even before anything matching is resident.
-	// With both empty and nothing resident the declaration is empty,
-	// which the wire cannot express and therefore widens to match-all —
-	// interest filtering fails open, never closed.
+	// PushPrefixes seeds the declared interest set when PushInterest is
+	// on: key prefixes this proxy wants announced even before anything
+	// matching is resident. With none and nothing resident the
+	// declaration is empty, which the wire cannot express and therefore
+	// widens to match-all — interest filtering fails open, never closed.
 	PushPrefixes []string
-	PushGroups   []string
 	// RelayEvents, when true, gives the proxy a downstream face: it
 	// republishes every upstream invalidation event and every locally
 	// confirmed update into its own hub (own sequence space), served at
@@ -247,10 +245,6 @@ type Config struct {
 	// RelayHeartbeat is the keepalive interval of relayed streams
 	// (default 15s).
 	RelayHeartbeat time.Duration
-	// RelayReplay bounds the relay hub's replay ring (events kept for
-	// child reconnect catch-up). Zero selects push.DefaultReplayLen.
-	// Chaos tests shrink it to force resume-time Resets.
-	RelayReplay int
 	// RelaySubscriberBuffer is the relay hub's slow-consumer allowance:
 	// a child stream whose proven position falls this many events
 	// behind the head is terminated (it reconnects and resumes, or
@@ -640,7 +634,6 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.RelayEvents {
 		hubCfg := push.HubConfig{
 			Heartbeat:        cfg.RelayHeartbeat,
-			ReplayLen:        cfg.RelayReplay,
 			SubscriberBuffer: cfg.RelaySubscriberBuffer,
 		}
 		if cfg.PushValues {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,127 +15,55 @@ import (
 	"broadway/internal/webserver"
 )
 
-// liveSetup wires a real origin (httptest) behind a proxy with
-// millisecond-scale TTRs so live tests complete quickly.
-type liveSetup struct {
-	origin    *webserver.Origin
-	originSrv *httptest.Server
-	proxy     *Proxy
-	proxySrv  *httptest.Server
-}
-
-func newLiveSetup(t *testing.T, originOpts []webserver.Option, cfg Config) *liveSetup {
-	t.Helper()
-	origin := webserver.NewOrigin(originOpts...)
-	originSrv := httptest.NewServer(origin)
-	t.Cleanup(originSrv.Close)
-
-	u, err := url.Parse(originSrv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Origin = u
-	if cfg.Bounds == (core.TTRBounds{}) {
-		cfg.Bounds = core.TTRBounds{Min: 20 * time.Millisecond, Max: 500 * time.Millisecond}
-	}
-	if cfg.DefaultDelta == 0 {
-		cfg.DefaultDelta = 20 * time.Millisecond
-	}
-	px, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	px.Start()
-	t.Cleanup(px.Close)
-	proxySrv := httptest.NewServer(px)
-	t.Cleanup(proxySrv.Close)
-
-	return &liveSetup{origin: origin, originSrv: originSrv, proxy: px, proxySrv: proxySrv}
-}
-
-func (s *liveSetup) get(t *testing.T, path string) (string, http.Header) {
-	t.Helper()
-	resp, err := http.Get(s.proxySrv.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET %s: %s (%s)", path, resp.Status, body)
-	}
-	return string(body), resp.Header
-}
-
-// waitFor polls cond until it holds or the deadline expires.
-func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return cond()
-}
-
 func TestMissThenHit(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/page", []byte("hello"), "text/plain")
+	h := newHarness(t, topology{})
+	h.origin.Set("/page", []byte("hello"), "text/plain")
 
-	body, hdr := s.get(t, "/page")
+	_, body, hdr := h.leaf().get("/page")
 	if body != "hello" {
 		t.Errorf("body = %q", body)
 	}
 	if hdr.Get("X-Cache") != "MISS" {
 		t.Errorf("first request X-Cache = %q", hdr.Get("X-Cache"))
 	}
-	body, hdr = s.get(t, "/page")
+	_, body, hdr = h.leaf().get("/page")
 	if body != "hello" || hdr.Get("X-Cache") != "HIT" {
 		t.Errorf("second request: body=%q X-Cache=%q", body, hdr.Get("X-Cache"))
 	}
-	stats := s.proxy.ObjectStats("/page")
+	stats := h.leaf().ObjectStats("/page")
 	if !stats.Cached || stats.Hits != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
 }
 
 func TestBackgroundRefreshPicksUpUpdates(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/page", []byte("v1"), "")
-	s.get(t, "/page")
+	h := newHarness(t, topology{})
+	h.origin.Set("/page", []byte("v1"), "")
+	h.leaf().get("/page")
 
-	s.origin.Set("/page", []byte("v2"), "")
-	ok := waitFor(t, 2*time.Second, func() bool {
-		body, _ := s.proxy.CachedBody("/page")
-		return string(body) == "v2"
-	})
-	if !ok {
-		t.Fatal("cached copy never refreshed to v2")
+	h.origin.Set("/page", []byte("v2"), "")
+	h.advance(h.leaf().cfg.Bounds.Max)
+	if body, _ := h.leaf().CachedBody("/page"); string(body) != "v2" {
+		t.Fatalf("cached copy never refreshed to v2: %q", body)
 	}
 	// The refresh happened in the background — clients always hit.
-	body, hdr := s.get(t, "/page")
-	if body != "v2" || hdr.Get("X-Cache") != "HIT" {
+	if _, body, hdr := h.leaf().get("/page"); body != "v2" || hdr.Get("X-Cache") != "HIT" {
 		t.Errorf("body=%q X-Cache=%q", body, hdr.Get("X-Cache"))
 	}
 }
 
 func TestQuietObjectPollsBackOff(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{
-		Bounds: core.TTRBounds{Min: 10 * time.Millisecond, Max: 100 * time.Millisecond},
-	})
-	s.origin.Set("/static", []byte("unchanging"), "")
-	s.get(t, "/static")
+	h := newHarness(t, topology{cfg: Config{
+		Bounds: core.TTRBounds{Min: time.Second, Max: 10 * time.Second},
+	}})
+	h.origin.Set("/static", []byte("unchanging"), "")
+	h.leaf().get("/static")
 
-	time.Sleep(600 * time.Millisecond)
-	polls := s.proxy.ObjectStats("/static").Polls
-	// Poll-every-TTRmin would be ~60 polls; LIMD should back off toward
-	// TTRmax (100ms → ~6 polls steady-state, plus the warm-up ramp).
-	if polls > 40 {
+	h.advance(60 * time.Second)
+	polls := h.leaf().ObjectStats("/static").Polls
+	// Poll-every-TTRmin would be 60 polls; LIMD backs off toward TTRmax
+	// (10 s → 6 polls steady-state, plus the warm-up ramp).
+	if polls > 20 {
 		t.Errorf("polls = %d; LIMD did not back off on a static object", polls)
 	}
 	if polls < 3 {
@@ -143,98 +72,94 @@ func TestQuietObjectPollsBackOff(t *testing.T) {
 }
 
 func TestGroupTriggering(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{
+	h := newHarness(t, topology{cfg: Config{
 		Mode: core.TriggerAll,
 		// Long Δ so regular schedules back off; the group trigger is
 		// then the only way the sibling refreshes quickly.
-		DefaultDelta:      50 * time.Millisecond,
-		DefaultGroupDelta: 5 * time.Millisecond,
-		Bounds:            core.TTRBounds{Min: 50 * time.Millisecond, Max: 300 * time.Millisecond},
-	})
-	s.origin.Set("/story", []byte("story v1"), "text/html")
-	s.origin.Set("/photo", []byte("photo v1"), "image/png")
+		DefaultDelta:      time.Second,
+		DefaultGroupDelta: 100 * time.Millisecond,
+		Bounds:            core.TTRBounds{Min: time.Second, Max: 6 * time.Second},
+	}})
+	px := h.leaf()
+	h.origin.Set("/story", []byte("story v1"), "text/html")
+	h.origin.Set("/photo", []byte("photo v1"), "image/png")
 	for _, path := range []string{"/story", "/photo"} {
-		s.origin.SetTolerances(path, httpx.Tolerances{Group: "news"})
+		h.origin.SetTolerances(path, httpx.Tolerances{Group: "news"})
 	}
 	// Staggered admission desynchronizes the two refresh schedules; an
 	// in-phase pair never needs (and never gets) triggered polls.
-	s.get(t, "/story")
-	time.Sleep(120 * time.Millisecond)
-	s.get(t, "/photo")
+	px.get("/story")
+	h.advance(2400 * time.Millisecond)
+	px.get("/photo")
 
 	// Let both schedules back off, then keep the story hot: every
 	// detected story update is a trigger opportunity for the photo.
 	// (When the two schedules happen to be in phase a trigger is
 	// correctly suppressed, so a single update is not guaranteed to
 	// trigger — a stream of updates is.)
-	time.Sleep(300 * time.Millisecond)
-	rev := 0
-	ok := waitFor(t, 5*time.Second, func() bool {
-		rev++
-		s.origin.Set("/story", []byte(fmt.Sprintf("story v%d", rev)), "text/html")
-		return s.proxy.ObjectStats("/photo").Triggered > 0
-	})
-	if !ok {
-		t.Fatalf("no triggered poll of the photo within the deadline (story polls=%d photo polls=%d)",
-			s.proxy.ObjectStats("/story").Polls, s.proxy.ObjectStats("/photo").Polls)
+	h.advance(6 * time.Second)
+	for rev := 1; px.ObjectStats("/photo").Triggered == 0; rev++ {
+		if rev > 50 {
+			t.Fatalf("no triggered poll of the photo after %d story updates (story polls=%d photo polls=%d)",
+				rev-1, px.ObjectStats("/story").Polls, px.ObjectStats("/photo").Polls)
+		}
+		h.origin.Set("/story", []byte(fmt.Sprintf("story v%d", rev)), "text/html")
+		h.advance(time.Second)
 	}
 }
 
 func TestOriginDeltaDirectiveHonored(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{
+	// Bounds.Min unset: each object's TTRmin is its own Δ.
+	h := newHarness(t, topology{cfg: Config{
 		DefaultDelta: time.Hour, // would essentially never poll
-		Bounds:       core.TTRBounds{Min: 10 * time.Millisecond, Max: time.Hour},
-	})
-	s.origin.Set("/fast", []byte("v1"), "")
-	// The origin advertises a 0-second... cache-control carries integer
-	// seconds, so use 1s: far below the proxy default.
-	s.origin.SetTolerances("/fast", httpx.Tolerances{Delta: time.Second})
-	s.get(t, "/fast")
+		Bounds:       core.TTRBounds{Max: time.Hour},
+	}})
+	h.origin.Set("/fast", []byte("v1"), "")
+	h.origin.Set("/slow", []byte("v1"), "")
+	// Cache-Control carries integer seconds, so the origin advertises 1s:
+	// far below the proxy default.
+	h.origin.SetTolerances("/fast", httpx.Tolerances{Delta: time.Second})
+	h.leaf().get("/fast")
+	h.leaf().get("/slow")
 
-	ok := waitFor(t, 3*time.Second, func() bool {
-		return s.proxy.ObjectStats("/fast").Polls >= 2
-	})
-	if !ok {
-		t.Fatal("proxy ignored the origin's x-cc-delta directive")
+	h.advance(3 * time.Second)
+	if polls := h.leaf().ObjectStats("/fast").Polls; polls < 2 {
+		t.Fatalf("proxy ignored the origin's x-cc-delta directive: %d polls", polls)
+	}
+	if polls := h.leaf().ObjectStats("/slow").Polls; polls != 1 {
+		t.Errorf("an object without the directive polled %d times, want only its admission", polls)
 	}
 }
 
 func TestUpstreamFailureRecovery(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/page", []byte("v1"), "")
-	s.get(t, "/page")
+	h := newHarness(t, topology{})
+	h.origin.Set("/page", []byte("v1"), "")
+	h.leaf().get("/page")
 
-	// Swap the origin URL to a dead endpoint by closing the server,
-	// then verify the proxy keeps serving the stale copy.
-	s.originSrv.Close()
-	body, hdr := s.get(t, "/page")
-	if body != "v1" || hdr.Get("X-Cache") != "HIT" {
+	// Cut the origin off, then verify the proxy keeps serving the stale
+	// copy through refreshes that fail.
+	h.leaf().up.cut()
+	h.advance(h.leaf().cfg.Bounds.Max)
+	if _, body, hdr := h.leaf().get("/page"); body != "v1" || hdr.Get("X-Cache") != "HIT" {
 		t.Errorf("stale serving failed: body=%q X-Cache=%q", body, hdr.Get("X-Cache"))
+	}
+	if h.leaf().UpstreamStatus().Errors == 0 {
+		t.Error("no refresh failed against the dead origin")
 	}
 }
 
 func TestMissOnDeadOriginReturnsBadGateway(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.originSrv.Close()
-	resp, err := http.Get(s.proxySrv.URL + "/never-seen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Errorf("status = %d, want 502", resp.StatusCode)
+	h := newHarness(t, topology{})
+	h.leaf().up.cut()
+	if code, _, _ := h.leaf().get("/never-seen"); code != http.StatusBadGateway {
+		t.Errorf("status = %d, want 502", code)
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	resp, err := http.Post(s.proxySrv.URL+"/x", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("status = %d", resp.StatusCode)
+	h := newHarness(t, topology{})
+	if code, _, _ := h.leaf().do(httptest.NewRequest(http.MethodPost, "/x", nil)); code != http.StatusMethodNotAllowed {
+		t.Errorf("status = %d", code)
 	}
 }
 
@@ -245,130 +170,250 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestCloseIdempotentAndStops(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	s.origin.Set("/page", []byte("v1"), "")
-	s.get(t, "/page")
-	s.proxy.Close()
-	s.proxy.Close() // second close must not panic
-	polls := s.proxy.ObjectStats("/page").Polls
-	time.Sleep(150 * time.Millisecond)
-	if got := s.proxy.ObjectStats("/page").Polls; got != polls {
+	h := newHarness(t, topology{})
+	h.origin.Set("/page", []byte("v1"), "")
+	h.leaf().get("/page")
+	h.leaf().Close()
+	h.leaf().Close() // second close must not panic
+	polls := h.leaf().ObjectStats("/page").Polls
+	h.advance(10 * h.leaf().cfg.Bounds.Max)
+	if got := h.leaf().ObjectStats("/page").Polls; got != polls {
 		t.Errorf("polls continued after Close: %d → %d", polls, got)
+	}
+	if got := h.leaf().up.requestsFor("/page"); got != 1 {
+		t.Errorf("the origin saw %d requests, want the admission alone", got)
 	}
 }
 
 func TestStatsUnknownObject(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
-	if st := s.proxy.ObjectStats("/nope"); st.Cached {
+	h := newHarness(t, topology{})
+	if st := h.leaf().ObjectStats("/nope"); st.Cached {
 		t.Error("unknown object reported cached")
 	}
-	if _, ok := s.proxy.CachedBody("/nope"); ok {
+	if _, ok := h.leaf().CachedBody("/nope"); ok {
 		t.Error("unknown object returned a body")
 	}
 }
 
 func TestHistoryExtensionConsumed(t *testing.T) {
-	s := newLiveSetup(t, []webserver.Option{webserver.WithHistoryExtension(true)}, Config{})
-	s.origin.Set("/page", []byte("v1"), "")
-	s.get(t, "/page")
-	s.origin.Set("/page", []byte("v2"), "")
-	ok := waitFor(t, 2*time.Second, func() bool {
-		body, _ := s.proxy.CachedBody("/page")
-		return string(body) == "v2"
-	})
-	if !ok {
-		t.Fatal("refresh with history extension failed")
+	h := newHarness(t, topology{origin: []webserver.Option{webserver.WithHistoryExtension(true)}})
+	h.origin.Set("/page", []byte("v1"), "")
+	h.leaf().get("/page")
+	h.origin.Set("/page", []byte("v2"), "")
+	h.advance(h.leaf().cfg.Bounds.Max)
+	if body, _ := h.leaf().CachedBody("/page"); string(body) != "v2" {
+		t.Fatalf("refresh with history extension failed: %q", body)
 	}
 }
 
 func TestValueDomainQuoteTracking(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{
-		Bounds: core.TTRBounds{Min: 20 * time.Millisecond, Max: 200 * time.Millisecond},
-	})
+	h := newHarness(t, topology{cfg: Config{
+		Bounds: core.TTRBounds{Min: time.Second, Max: 10 * time.Second},
+	}})
+	px := h.leaf()
 	// A quote endpoint: numeric body, Δv advertised via x-cc-vdelta.
-	s.origin.Set("/quote/acme", []byte("100.00"), "text/plain")
-	s.origin.SetTolerances("/quote/acme", httpx.Tolerances{ValueDelta: 0.25})
+	h.origin.Set("/quote/acme", []byte("100.00"), "text/plain")
+	h.origin.SetTolerances("/quote/acme", httpx.Tolerances{ValueDelta: 0.25})
 
-	body, _ := s.get(t, "/quote/acme")
-	if body != "100.00" {
+	if _, body, _ := px.get("/quote/acme"); body != "100.00" {
 		t.Fatalf("body = %q", body)
 	}
 
 	// Drive the quote upward; the AdaptiveTTR refresher must track it.
 	for i := 1; i <= 10; i++ {
-		s.origin.Set("/quote/acme", []byte(fmt.Sprintf("%.2f", 100.0+float64(i)/10)), "text/plain")
-		time.Sleep(30 * time.Millisecond)
+		h.origin.Set("/quote/acme", []byte(fmt.Sprintf("%.2f", 100.0+float64(i)/10)), "text/plain")
+		h.advance(1500 * time.Millisecond)
 	}
-	ok := waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/quote/acme")
-		return string(b) == "101.00"
-	})
-	if !ok {
-		b, _ := s.proxy.CachedBody("/quote/acme")
+	h.advance(10 * time.Second)
+	if b, _ := px.CachedBody("/quote/acme"); string(b) != "101.00" {
 		t.Fatalf("quote never tracked to 101.00 (cached %q)", b)
 	}
-	if s.proxy.ObjectStats("/quote/acme").Polls < 3 {
+	if px.ObjectStats("/quote/acme").Polls < 3 {
 		t.Error("value-domain refresher barely polled")
 	}
 }
 
 func TestNonNumericBodyFallsBackToLIMD(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{})
+	h := newHarness(t, topology{})
 	// Δv advertised but the body is not numeric: the proxy must fall
 	// back to temporal consistency rather than fail.
-	s.origin.Set("/page", []byte("<html>not a number</html>"), "text/html")
-	s.origin.SetTolerances("/page", httpx.Tolerances{ValueDelta: 0.5})
-	body, _ := s.get(t, "/page")
-	if body != "<html>not a number</html>" {
+	h.origin.Set("/page", []byte("<html>not a number</html>"), "text/html")
+	h.origin.SetTolerances("/page", httpx.Tolerances{ValueDelta: 0.5})
+	if _, body, _ := h.leaf().get("/page"); body != "<html>not a number</html>" {
 		t.Fatalf("body = %q", body)
 	}
 	// Refreshing still works.
-	s.origin.Set("/page", []byte("<html>v2</html>"), "text/html")
-	ok := waitFor(t, 2*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/page")
-		return string(b) == "<html>v2</html>"
-	})
-	if !ok {
-		t.Fatal("LIMD fallback did not refresh")
+	h.origin.Set("/page", []byte("<html>v2</html>"), "text/html")
+	h.advance(h.leaf().cfg.Bounds.Max)
+	if b, _ := h.leaf().CachedBody("/page"); string(b) != "<html>v2</html>" {
+		t.Fatalf("LIMD fallback did not refresh: %q", b)
 	}
 }
 
 func TestLiveMutualValuePairing(t *testing.T) {
-	s := newLiveSetup(t, nil, Config{
-		Bounds: core.TTRBounds{Min: 20 * time.Millisecond, Max: 200 * time.Millisecond},
-	})
+	h := newHarness(t, topology{cfg: Config{
+		Bounds: core.TTRBounds{Min: time.Second, Max: 10 * time.Second},
+	}})
+	px := h.leaf()
 	// Two quotes in one group with a Δv tolerance: the proxy must pair
 	// them under the partitioned M_v controller.
-	s.origin.Set("/quote/fast", []byte("100.00"), "text/plain")
-	s.origin.Set("/quote/slow", []byte("50.00"), "text/plain")
+	h.origin.Set("/quote/fast", []byte("100.00"), "text/plain")
+	h.origin.Set("/quote/slow", []byte("50.00"), "text/plain")
 	for _, p := range []string{"/quote/fast", "/quote/slow"} {
-		s.origin.SetTolerances(p, httpx.Tolerances{ValueDelta: 0.5, Group: "quotes"})
+		h.origin.SetTolerances(p, httpx.Tolerances{ValueDelta: 0.5, Group: "quotes"})
 	}
-	s.get(t, "/quote/fast")
-	s.get(t, "/quote/slow")
+	px.get("/quote/fast")
+	px.get("/quote/slow")
 
 	// Drive the fast quote hard, leave the slow one still.
 	for i := 1; i <= 12; i++ {
-		s.origin.Set("/quote/fast", []byte(fmt.Sprintf("%.2f", 100.0+float64(i)*0.3)), "text/plain")
-		time.Sleep(25 * time.Millisecond)
+		h.origin.Set("/quote/fast", []byte(fmt.Sprintf("%.2f", 100.0+float64(i)*0.3)), "text/plain")
+		h.advance(1250 * time.Millisecond)
 	}
-	ok := waitFor(t, 3*time.Second, func() bool {
-		b, _ := s.proxy.CachedBody("/quote/fast")
-		return string(b) == "103.60"
-	})
-	if !ok {
-		b, _ := s.proxy.CachedBody("/quote/fast")
+	h.advance(10 * time.Second)
+	if b, _ := px.CachedBody("/quote/fast"); string(b) != "103.60" {
 		t.Fatalf("fast quote never tracked (cached %q)", b)
 	}
 	// The partitioned split gives the fast mover the tighter share and
 	// therefore (far) more polls.
-	fast := s.proxy.ObjectStats("/quote/fast").Polls
-	slow := s.proxy.ObjectStats("/quote/slow").Polls
+	fast := px.ObjectStats("/quote/fast").Polls
+	slow := px.ObjectStats("/quote/slow").Polls
 	if fast <= slow {
 		t.Errorf("partitioned split not biased: fast=%d slow=%d", fast, slow)
 	}
 	// No temporal trigger storms for the paired quotes.
-	if trig := s.proxy.ObjectStats("/quote/slow").Triggered; trig > 2 {
+	if trig := px.ObjectStats("/quote/slow").Triggered; trig > 2 {
 		t.Errorf("paired value entries should not be trigger targets: %d", trig)
+	}
+}
+
+// TestLoopbackSmoke is the one test on real sockets: it checks that what
+// the harness's in-memory links stand in for — net/http on both sides of
+// the proxy, and the event stream over a real connection — behaves the
+// same. A miss, a hit, a HEAD, and a pushed update end to end.
+func TestLoopbackSmoke(t *testing.T) {
+	origin := webserver.NewOrigin(webserver.WithPushEvents(""))
+	originSrv := httptest.NewServer(origin)
+	defer originSrv.Close()
+	defer origin.SetPushAvailable(false) // end the stream before the server closes
+
+	// The stream's first bytes are its hello: written once the hub has
+	// registered the subscription, so an update made after them reaches it.
+	streaming := make(chan struct{})
+	var once sync.Once
+	pushed := make(chan PollObservation, 1)
+	u, _ := url.Parse(originSrv.URL)
+	pu, _ := url.Parse(originSrv.URL + "/events")
+	px, err := New(Config{
+		Origin:  u,
+		PushURL: pu,
+		Client: &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			resp, err := http.DefaultTransport.RoundTrip(r)
+			if err == nil && r.URL.Path == "/events" {
+				resp.Body = &firstRead{ReadCloser: resp.Body, fn: func() { once.Do(func() { close(streaming) }) }}
+			}
+			return resp, err
+		})},
+		DefaultDelta: time.Hour,
+		Bounds:       core.TTRBounds{Min: time.Hour, Max: 2 * time.Hour},
+		PollObserver: func(o PollObservation) {
+			if o.Pushed {
+				select {
+				case pushed <- o:
+				default:
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	px.Start()
+	defer px.Close()
+	proxySrv := httptest.NewServer(px)
+	defer proxySrv.Close()
+
+	get := func(method string) (int, string, http.Header) {
+		t.Helper()
+		req, _ := http.NewRequest(method, proxySrv.URL+"/page", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body), resp.Header
+	}
+	origin.Set("/page", []byte("v1"), "text/plain")
+	if code, body, hdr := get(http.MethodGet); code != 200 || body != "v1" || hdr.Get("X-Cache") != "MISS" {
+		t.Fatalf("miss: %d %q %q", code, body, hdr.Get("X-Cache"))
+	}
+	if code, body, hdr := get(http.MethodHead); code != 200 || body != "" || hdr.Get("Content-Length") != "2" {
+		t.Errorf("HEAD: %d %q Content-Length %q", code, body, hdr.Get("Content-Length"))
+	}
+
+	select {
+	case <-streaming:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the event stream never opened")
+	}
+	origin.Set("/page", []byte("v2"), "text/plain")
+	select {
+	case <-pushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the update was never pushed")
+	}
+	if code, body, hdr := get(http.MethodGet); code != 200 || body != "v2" || hdr.Get("X-Cache") != "HIT" {
+		t.Errorf("after the push: %d %q %q", code, body, hdr.Get("X-Cache"))
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// firstRead runs fn when a read first returns data.
+type firstRead struct {
+	io.ReadCloser
+	fn func()
+}
+
+func (b *firstRead) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if n > 0 {
+		b.fn()
+	}
+	return n, err
+}
+
+// TestStreamUsesConfiguredTransport: the push subscription opens its
+// stream through Config.Client's Transport — the one a deployment gives
+// its TLS roots or forward proxy — not a bare client's.
+func TestStreamUsesConfiguredTransport(t *testing.T) {
+	streamed := make(chan string, 1)
+	rt := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.Header.Get("Accept") == "text/event-stream" {
+			select {
+			case streamed <- r.URL.Path:
+			default:
+			}
+		}
+		return nil, errLinkCut
+	})
+	u, _ := url.Parse(linkBase)
+	pu, _ := url.Parse(linkBase + "/events")
+	px, err := New(Config{Origin: u, PushURL: pu, Client: &http.Client{Transport: rt}, PushBackoffMin: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	px.Start()
+	defer px.Close()
+	select {
+	case path := <-streamed:
+		if path != "/events" {
+			t.Errorf("stream opened at %q", path)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stream never went through the configured Transport")
 	}
 }
