@@ -382,7 +382,7 @@ func WithPushHeartbeat(interval time.Duration) WebOriginOption {
 }
 
 // WithPushValues makes the origin's update events carry the object's
-// new body (value-carrying push, wire protocol v2): a proxy running
+// new body (value-carrying push): a proxy running
 // with WebProxyConfig.PushValues installs the pushed body directly —
 // digest-verified — with no confirmation poll. cap bounds the carried
 // body size in bytes (<= 0 selects the default cap); larger bodies

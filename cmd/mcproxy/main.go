@@ -42,7 +42,7 @@
 //	mcproxy -demo -push
 //	mcproxy -origin http://origin:8080 -push -push-path /events
 //
-// Value-carrying push (wire protocol v2): -push-values negotiates
+// Value-carrying push: -push-values negotiates
 // payload delivery on the event stream, so an update's new body rides
 // the event itself and is installed directly — digest-verified, charged
 // against the byte budget — with no confirmation poll at all. Events
@@ -112,7 +112,7 @@ func run(args []string) error {
 	pushEnabled := fs.Bool("push", false, "subscribe to the origin's invalidation event stream (hybrid push-pull)")
 	pushPath := fs.String("push-path", "/events", "path of the origin's event-stream endpoint")
 	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and covers an object, its regular poll runs once per term, starting at admission; disconnect, heartbeat timeout, Reset or frame loss end every lease and restore the unstretched schedule in one sweep (values <= 1 disable leases)")
-	pushValues := fs.Bool("push-values", false, "value-carrying push (protocol v2): negotiate payload delivery on the event stream and install pushed bodies directly, with no confirmation poll; with -relay-events the relayed stream carries payloads too, and with -demo the demo origin publishes them")
+	pushValues := fs.Bool("push-values", false, "value-carrying push: negotiate payload delivery on the event stream and install pushed bodies directly, with no confirmation poll; with -relay-events the relayed stream carries payloads too, and with -demo the demo origin publishes them")
 	relayEvents := fs.Bool("relay-events", false, "republish invalidation events downstream: serve this proxy's own event stream so child proxies can subscribe to it (proxy hierarchy)")
 	eventsPath := fs.String("events-path", "/events", "path the relayed event stream is served at (with -relay-events)")
 	subscriberBuffer := fs.Int("subscriber-buffer", 0, "relayed-stream slow-consumer allowance in events: a child stream falling this far behind the head is terminated and must resume (0 = default 256; with -relay-events)")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"broadway/internal/ops"
+	"broadway/internal/push"
 )
 
 func TestDemoOriginServesAndUpdates(t *testing.T) {
@@ -192,10 +193,10 @@ func TestRunWithRelayServesEventStream(t *testing.T) {
 		frame = string(buf[:n])
 		break
 	}
-	// The first frame of a relayed stream is the hub's hello ("data: v1
-	// 1 ..." — kind 1), exactly as the origin's endpoint speaks it.
-	if !strings.Contains(frame, "data: v1 1 ") {
-		t.Fatalf("relay endpoint did not speak the event protocol: %q", frame)
+	// The first frame of a relayed stream is the hub's hello, exactly as
+	// the origin's endpoint speaks it.
+	if ev := firstEvent(t, frame); ev.Kind != push.KindHello {
+		t.Fatalf("relay endpoint opened with %v, not a hello: %q", ev.Kind, frame)
 	}
 	// The relay path must not shadow proxied objects.
 	resp, err := http.Get(fmt.Sprintf("http://%s/news/story.html", addr))
@@ -212,9 +213,9 @@ func TestRunWithRelayServesEventStream(t *testing.T) {
 }
 
 // TestRunWithPushValuesServesPayloadStream: with -push-values the whole
-// chain speaks protocol v2 — the demo origin publishes bodies, and a
+// chain carries bodies — the demo origin publishes them, and a
 // relay-enabled proxy's own stream negotiates payload delivery
-// (?maxpayload=) and answers with a v2 hello carrying the agreed cap.
+// (?maxpayload=) and answers with a hello carrying the agreed cap.
 func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -243,14 +244,25 @@ func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 		frame = string(buf[:n])
 		break
 	}
-	// A payload-negotiated stream's hello is a v2 frame (kind 1) whose
-	// cap field is the negotiated payload size.
-	if !strings.Contains(frame, "data: v2 1 ") || !strings.Contains(frame, " 65536 ") {
+	// A payload-negotiated stream's hello echoes the negotiated cap.
+	if ev := firstEvent(t, frame); ev.Kind != push.KindHello || ev.PayloadCap != 65536 {
 		t.Fatalf("relay did not negotiate payload delivery: %q", frame)
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("run: %v", err)
 	}
+}
+
+// firstEvent decodes the first data line of an event-stream read.
+func firstEvent(t *testing.T, stream string) push.Event {
+	t.Helper()
+	_, rest, ok := strings.Cut(stream, "data: ")
+	line, _, _ := strings.Cut(rest, "\n")
+	ev, err := push.Decode(line)
+	if !ok || err != nil {
+		t.Fatalf("stream did not open with an event frame: %q (%v)", stream, err)
+	}
+	return ev
 }
 
 // TestRunWithOpsListenServesOperationalSurface: -ops-listen must expose

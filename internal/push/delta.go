@@ -7,7 +7,7 @@ import (
 	"fmt"
 )
 
-// Delta codec. A v3 frame can carry the object's new body as a delta
+// Delta codec. A frame can carry the object's new body as a delta
 // against a base body the subscriber already holds (addressed by the
 // base body's digest). The encoding is deliberately tiny and
 // self-contained — no external compression dependency — because the

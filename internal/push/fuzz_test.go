@@ -21,13 +21,15 @@ import (
 //     known kind — the two fields the proxy dispatches on.
 //   - An accepted payload never exceeds MaxPayloadCap, and a frame with
 //     a payload always has HasBody set (the apply path branches on it).
+//   - An accepted event is never Oversized: Decode and Oversized measure
+//     the envelope the same way.
 func FuzzInvalidationEvent(f *testing.F) {
 	f.Add(Event{Kind: KindHello, Seq: 1, Reset: true}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 2, Key: "/news/story.html", Group: "frontpage",
 		ModTime: time.Unix(1700000000, 123)}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 3, Key: "/stock?sym=A&x=%20"}.Encode())
 	f.Add(Event{Kind: KindHeartbeat, Seq: 4}.Encode())
-	// v2 seeds: payload round trip with digest, hello with a negotiated
+	// Payload seeds: a body with digest, hello with a negotiated
 	// cap, empty-body payload, payload-free digest (a stripped frame).
 	f.Add(Event{Kind: KindUpdate, Seq: 5, Key: "/quote/acme", Body: []byte("165.38\n"),
 		HasBody: true, ContentType: "text/plain", Digest: DigestOf([]byte("165.38\n")),
@@ -35,7 +37,7 @@ func FuzzInvalidationEvent(f *testing.F) {
 	f.Add(Event{Kind: KindHello, Seq: 6, PayloadCap: DefaultPayloadCap}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 7, Key: "/e", Body: []byte{}, HasBody: true}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 8, Key: "/s", Digest: "deadbeef00112233"}.Encode())
-	// v3 seeds: a pure delta frame, first/last chunks of a set, and a
+	// Ladder seeds: a pure delta frame, first/last chunks of a set, and a
 	// cap-boundary chunk set (index MaxChunkTotal-1 of MaxChunkTotal).
 	f.Add(Event{Kind: KindUpdate, Seq: 9, Key: "/doc", Body: []byte{0x01, 0x02, 'h', 'i'},
 		HasBody: true, Digest: DigestOf([]byte("target")),
@@ -48,28 +50,29 @@ func FuzzInvalidationEvent(f *testing.F) {
 	f.Add(Event{Kind: KindUpdate, Seq: 12, Key: "/doc", Body: []byte("edge"),
 		HasBody: true, Digest: DigestOf([]byte("whole")),
 		ChunkIndex: MaxChunkTotal - 1, ChunkTotal: MaxChunkTotal}.Encode())
-	// Hostile v3 lines the decoder must refuse: a non-hex base digest, a
+	// Hostile lines the decoder must refuse: a non-hex base digest, a
 	// base without its codec (and vice versa), chunk index beyond the
 	// total, a total beyond MaxChunkTotal, a delta on a payload-less
-	// frame, delta and chunk state on one frame, and ladder state on a
-	// hello.
-	f.Add("v3 2 12 0 p /k - - deadbeef 0 ZZZZ 1 0 0 aGk=")
-	f.Add("v3 2 13 0 p /k - - deadbeef 0 deadbeef 0 0 0 aGk=")
-	f.Add("v3 2 14 0 p /k - - deadbeef 0 - 1 0 0 aGk=")
-	f.Add("v3 2 15 0 p /k - - deadbeef 0 - 0 5 3 aGk=")
-	f.Add("v3 2 16 0 p /k - - deadbeef 0 - 0 0 1025 aGk=")
-	f.Add("v3 2 17 0 - /k - - - 0 deadbeef 1 0 0 -")
-	f.Add("v3 2 18 0 p /k - - deadbeef 0 deadbeef 1 0 3 aGk=")
-	f.Add("v3 1 19 0 r - - - - 65536 deadbeef 1 0 0 -")
-	f.Add("v1 2 1 0 - /k -")
-	f.Add("v1 2 1 0 - %2D %2D")
-	f.Add("v1 2 1 0 r %2Fa%20b grp")
-	f.Add("v2 2 1 0 p /k - text%2Fplain deadbeef 0 aGVsbG8=")
-	f.Add("v2 2 1 0 p /k - - - 0 -")
-	f.Add("v2 2 1 0 - /k - - - 0 !!!hostile!!!")
-	f.Add("v2 1 9 0 r - - - - 65536 -")
+	// frame, delta and chunk state on one frame, ladder state on a hello,
+	// and a frame ending in an empty field.
+	f.Add("2 12 0 p /k - aGk= deadbeef - 0 ZZZZ 1")
+	f.Add("2 13 0 p /k - aGk= deadbeef - 0 deadbeef 0")
+	f.Add("2 14 0 p /k - aGk= deadbeef - 0 - 1")
+	f.Add("2 15 0 p /k - aGk= deadbeef - 0 - 0 5 3")
+	f.Add("2 16 0 p /k - aGk= deadbeef - 0 - 0 0 1025")
+	f.Add("2 17 0 - /k - - - - 0 deadbeef 1")
+	f.Add("2 18 0 p /k - aGk= deadbeef - 0 deadbeef 1 0 3")
+	f.Add("1 19 0 r - - - - - 65536 deadbeef 1")
+	f.Add("2 1 0 - /k - -")
+	f.Add("2 1 0 - /k -")
+	f.Add("2 1 0 - %2D %2D")
+	f.Add("2 1 0 r %2Fa%20b grp")
+	f.Add("2 1 0 p /k - aGVsbG8= deadbeef text%2Fplain")
+	f.Add("2 1 0 p /k -")
+	f.Add("2 1 0 - /k - !!!hostile!!!")
+	f.Add("1 9 0 r - - - - - 65536")
 	f.Add("")
-	f.Add("data: v1 2 1 0 - /k -")
+	f.Add("data: 2 1 0 - /k -")
 	f.Add(strings.Repeat(" ", 64))
 
 	f.Fuzz(func(t *testing.T, wire string) {
@@ -90,6 +93,10 @@ func FuzzInvalidationEvent(f *testing.F) {
 		}
 		if len(ev.Body) > MaxPayloadCap {
 			t.Fatalf("Decode(%q) accepted a payload of %d bytes", wire, len(ev.Body))
+		}
+		// Decode and Oversized share one envelope measure.
+		if ev.Oversized() {
+			t.Fatalf("Decode(%q) accepted an oversized event", truncateForLog(wire))
 		}
 		// Ladder-state invariants the hub and subscriber dispatch on: a
 		// base digest and its codec travel together, a delta is always a
@@ -113,13 +120,7 @@ func FuzzInvalidationEvent(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded frame (from %q) failed to decode: %v", wire, err)
 		}
-		if ev2.Kind != ev.Kind || ev2.Seq != ev.Seq || ev2.Key != ev.Key ||
-			ev2.Group != ev.Group || ev2.Reset != ev.Reset || !ev2.ModTime.Equal(ev.ModTime) ||
-			ev2.HasBody != ev.HasBody || !bytes.Equal(ev2.Body, ev.Body) ||
-			ev2.ContentType != ev.ContentType || ev2.Digest != ev.Digest ||
-			ev2.PayloadCap != ev.PayloadCap ||
-			ev2.BaseDigest != ev.BaseDigest || ev2.DeltaCodec != ev.DeltaCodec ||
-			ev2.ChunkIndex != ev.ChunkIndex || ev2.ChunkTotal != ev.ChunkTotal {
+		if !sameOnWire(ev, ev2) {
 			t.Fatalf("round trip diverged: %+v vs %+v (wire %q)", ev, ev2, wire)
 		}
 		// Stripping is idempotent and always yields an encodable,

@@ -126,10 +126,10 @@ type HubConfig struct {
 	// will carry in a single frame; larger payloads are degraded to
 	// invalidation-only events at publish time unless ChunkPayload
 	// enables chunked delivery. Zero (the default) carries no payloads
-	// at all — the pre-v2 pure-invalidation hub. Clamped to
+	// at all — a pure-invalidation hub. Clamped to
 	// MaxPayloadCap.
 	PayloadCap int
-	// ChunkPayload, when positive, enables chunked delivery (wire v3):
+	// ChunkPayload, when positive, enables chunked delivery:
 	// a body too large for one frame is additionally rendered as a
 	// chunk set at this payload size per frame — so streams whose
 	// negotiated cap cannot carry the whole body still receive it,
@@ -137,7 +137,7 @@ type HubConfig struct {
 	// and bodies beyond PayloadCap survive publish as chunk-only
 	// events instead of degrading to invalidation. Clamped to
 	// PayloadCap (a chunk frame must fit the caps streams can
-	// negotiate). Zero disables chunking (the pre-v3 hub).
+	// negotiate). Zero disables chunking.
 	ChunkPayload int
 	// SubscriberBuffer is the slow-consumer allowance: a subscriber
 	// whose stream position lags live publishes by more than this many

@@ -363,7 +363,7 @@ func TestHubPublishDegradesOverCapPayload(t *testing.T) {
 	if st.Degraded != 1 || st.Oversized != 0 {
 		t.Errorf("Degraded=%d Oversized=%d, want 1/0", st.Degraded, st.Oversized)
 	}
-	// A hub with no payload cap at all (the pre-v2 default) degrades
+	// A hub with no payload cap at all (the default) degrades
 	// every payload.
 	h2 := NewHub(HubConfig{})
 	h2.Publish(Event{Kind: KindUpdate, Key: "/x", Body: []byte("b"), HasBody: true})
@@ -373,10 +373,11 @@ func TestHubPublishDegradesOverCapPayload(t *testing.T) {
 }
 
 // TestHubDegradesOverlongV2Envelope: a near-limit key whose bare
-// invalidation fits but whose v2 envelope (ctype+digest fields) does
-// not must be degraded to the v1 form at publish — never dropped (the
-// update is real) and never emitted as a frame subscribers must reject
-// (the reconnect livelock the envelope bound exists to prevent).
+// invalidation fits but whose full envelope (digest and ctype fields)
+// does not must be degraded to the stripped form at publish — never
+// dropped (the update is real) and never emitted as a frame subscribers
+// must reject (the reconnect livelock the envelope bound exists to
+// prevent).
 func TestHubDegradesOverlongV2Envelope(t *testing.T) {
 	h := NewHub(HubConfig{PayloadCap: 4096})
 	ts := httptest.NewServer(h)
@@ -470,7 +471,7 @@ func TestHubDropCountsOversizedNotDegraded(t *testing.T) {
 
 // TestHubStripsEmptyPayloadForPlainStreams: an empty-body payload
 // (HasBody, len 0) must still be degraded for streams that negotiated
-// no payloads — a v1-only consumer cannot parse a 'p'-flagged frame.
+// no payloads — such a consumer cannot parse a 'p'-flagged frame.
 func TestHubStripsEmptyPayloadForPlainStreams(t *testing.T) {
 	h := NewHub(HubConfig{PayloadCap: 4096})
 	ts := httptest.NewServer(h)

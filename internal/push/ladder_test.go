@@ -13,8 +13,8 @@ import (
 	"time"
 )
 
-// This file tests the v3 value-delivery ladder end to end inside the
-// package: the delta codec, the v3 wire frames, the publish-time form
+// This file tests the value-delivery ladder end to end inside the
+// package: the delta codec, the publish-time form
 // set (RenderLadder), the hub's per-stream rung selection (delta when
 // the stream holds the base, chunks when only per-chunk frames fit),
 // and the subscriber's chunk reassembly. The cross-process halves —
@@ -119,62 +119,45 @@ func TestApplyDeltaHostile(t *testing.T) {
 	}
 }
 
-// --- v3 wire frames ---
+// --- delta and chunk frames ---
 
 func TestV3EncodeDecodeRoundTrip(t *testing.T) {
 	body := []byte("delta-or-chunk-bytes")
-	cases := []Event{
+	assertRoundTrip(t, []Event{
 		{Kind: KindUpdate, Seq: 9, Key: "/obj", Body: body, HasBody: true,
 			Digest: DigestOf([]byte("full")), BaseDigest: DigestOf([]byte("base")),
 			DeltaCodec: DeltaCodecBlock, ModTime: time.Unix(1700000000, 0)},
 		{Kind: KindUpdate, Seq: 10, Key: "/obj", Body: body, HasBody: true,
 			Digest: DigestOf([]byte("full")), ChunkIndex: 2, ChunkTotal: 5,
 			ContentType: "text/html", Group: "frontpage"},
-		{Kind: KindUpdate, Seq: 11, Key: "/obj", Body: body, HasBody: true,
-			Digest: DigestOf([]byte("full")), ChunkIndex: 0, ChunkTotal: 1},
-	}
-	for i, ev := range cases {
-		wire := ev.Encode()
-		if !strings.HasPrefix(wire, "v3 ") {
-			t.Fatalf("case %d encoded as %q, want a v3 frame", i, wire)
-		}
-		got, err := Decode(wire)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got.BaseDigest != ev.BaseDigest || got.DeltaCodec != ev.DeltaCodec ||
-			got.ChunkIndex != ev.ChunkIndex || got.ChunkTotal != ev.ChunkTotal ||
-			!bytes.Equal(got.Body, ev.Body) || got.Digest != ev.Digest ||
-			got.Key != ev.Key || got.Seq != ev.Seq {
-			t.Fatalf("case %d diverged: %+v vs %+v", i, ev, got)
-		}
-	}
+		{Kind: KindUpdate, Seq: 11, Key: "/obj", Body: body, HasBody: true, ChunkTotal: 1},
+	})
 }
 
-// TestDecodeV3Rejections pins the structural rules of the delta/chunk
-// extension: Decode must refuse (not half-parse) every frame whose
+// TestDecodeV3Rejections pins the structural rules of the delta and
+// chunk fields: Decode must refuse (not half-parse) every frame whose
 // ladder fields cannot describe a deliverable update.
 func TestDecodeV3Rejections(t *testing.T) {
-	frame := func(flags, digest, base, codec, ci, ct, payload string) string {
-		return fmt.Sprintf("v3 2 1 0 %s /k - - %s 0 %s %s %s %s %s",
-			flags, digest, base, codec, ci, ct, payload)
-	}
 	d := DigestOf([]byte("x"))
+	ladder := func(flags, payload, tail string) string {
+		return "2 1 0 " + flags + " /k - " + payload + " " + d + " - 0 " + tail
+	}
 	cases := []struct {
 		name, wire string
 	}{
-		{"base without codec", frame("p", d, d, "0", "0", "0", "aGk=")},
-		{"codec without base", frame("p", d, "-", "1", "0", "0", "aGk=")},
-		{"delta without payload", frame("-", d, d, "1", "0", "0", "-")},
-		{"delta plus chunk state", frame("p", d, d, "1", "0", "2", "aGk=")},
-		{"chunk index at total", frame("p", d, "-", "0", "2", "2", "aGk=")},
-		{"chunk index past total", frame("p", d, "-", "0", "7", "2", "aGk=")},
-		{"chunk index without total", frame("p", d, "-", "0", "3", "0", "aGk=")},
-		{"chunk total over bound", frame("p", d, "-", "0", "0", "1025", "aGk=")},
-		{"chunk without payload", frame("-", d, "-", "0", "0", "2", "-")},
-		{"hostile base digest", frame("p", d, "nothex!!", "1", "0", "0", "aGk=")},
-		{"v3 with no v3 fields", frame("p", d, "-", "0", "0", "0", "aGk=")},
-		{"delta on a hello", "v3 1 1 0 p - - - " + d + " 0 " + d + " 1 0 0 aGk="},
+		{"base without codec", ladder("p", "aGk=", d+" 0")},
+		{"codec without base", ladder("p", "aGk=", "- 1")},
+		{"delta without payload", ladder("-", "-", d+" 1")},
+		{"delta plus chunk state", ladder("p", "aGk=", d+" 1 0 2")},
+		{"chunk index at total", ladder("p", "aGk=", "- 0 2 2")},
+		{"chunk index past total", ladder("p", "aGk=", "- 0 7 2")},
+		{"chunk index without total", ladder("p", "aGk=", "- 0 3 0")},
+		{"chunk total over bound", ladder("p", "aGk=", "- 0 0 1025")},
+		{"chunk without payload", ladder("-", "-", "- 0 0 2")},
+		{"hostile base digest", ladder("p", "aGk=", "nothex!! 1")},
+		{"ends in empty ladder fields", ladder("p", "aGk=", "- 0 0 0")},
+		{"too many fields", ladder("p", "aGk=", "- 0 0 2 x")},
+		{"delta on a hello", "1 1 0 p - - aGk= " + d + " - 0 " + d + " 1"},
 	}
 	for _, c := range cases {
 		if ev, err := Decode(c.wire); err == nil {
@@ -240,7 +223,7 @@ func TestRenderLadderSidecarForms(t *testing.T) {
 }
 
 // TestRenderLadderPureDelta pins the relay republication shape: a
-// decoded v3 delta frame (Body IS the delta, no sidecar) renders as
+// decoded delta frame (Body IS the delta, no sidecar) renders as
 // delta + stripped only — there is no full body to spell out, so a
 // stream without the base degrades to the invalidation.
 func TestRenderLadderPureDelta(t *testing.T) {

@@ -8,14 +8,14 @@
 //
 // The package has three parts:
 //
-//   - The wire protocol: a versioned, single-line event encoding
-//     (Event, Encode, Decode) deliberately shaped for fuzzing — Decode
-//     accepts arbitrary bytes and must never panic. Events are carried
-//     over an SSE-style HTTP stream (text/event-stream). Version 1
-//     frames carry only the modification instant (pure invalidation);
-//     version 2 frames can additionally carry the object's new body
-//     (base64-framed), its content type, a content digest, and — on
-//     hello frames — the stream's negotiated payload size cap.
+//   - The wire protocol: one single-line event grammar (Event, Encode,
+//     Decode) deliberately shaped for fuzzing — Decode accepts arbitrary
+//     bytes and must never panic. Events are carried over an SSE-style
+//     HTTP stream (text/event-stream). Every frame opens with the six
+//     invalidation fields; optional trailing fields carry the object's
+//     new body (base64-framed), a content digest, its content type, the
+//     stream's negotiated payload cap (on hello frames), and delta or
+//     chunk state, and a frame stops at its last non-empty field.
 //   - The Hub: the server half (hub.go) — one sequence space, a
 //     byte-budgeted replay ring of whole frames, slow-subscriber
 //     termination, per-subscriber lag accounting, deadline-bounded
@@ -37,7 +37,7 @@
 // consumer its view is no longer contiguous and it must revalidate by
 // polling (the proxy runs its staleness-bounded catch-up sweep).
 //
-// Payload delivery (v2) is negotiated per stream: a subscriber passes
+// Payload delivery is negotiated per stream: a subscriber passes
 // ?maxpayload=<bytes>, the hub clamps it to its own cap and echoes the
 // result on the hello frame, and any update whose body exceeds the
 // stream's cap is degraded to an invalidation-only frame at write time —
@@ -57,22 +57,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-)
-
-// Protocol versions. Encode emits the lowest version able to carry the
-// event — v1 when only invalidation fields are set, v2 when a payload,
-// digest, content type, or payload cap rides along, v3 when the payload
-// is a delta against a held base or one chunk of a larger body — so
-// pure invalidation streams are byte-identical to what pre-v2 hubs
-// emitted and plain payload streams to what pre-v3 hubs emitted.
-// Decode accepts all three and rejects anything else so incompatible
-// future formats fail loudly instead of being half-parsed.
-const (
-	ProtocolV1 = 1
-	ProtocolV2 = 2
-	ProtocolV3 = 3
-	// ProtocolVersion is the highest version this package speaks.
-	ProtocolVersion = ProtocolV3
 )
 
 // MaxFrameLen bounds the encoded size of a frame's envelope — everything
@@ -199,7 +183,7 @@ func DigestOf(body []byte) string {
 
 // StripPayload returns the event with its payload fields cleared: the
 // degradation from a value-carrying frame to the invalidation-only
-// frame every v1 consumer understands. Key, group, sequence, and
+// frame every consumer understands. Key, group, sequence, and
 // modification instant survive, so the Δ guarantee is untouched — the
 // consumer confirms by polling instead of installing directly.
 func (e Event) StripPayload() Event {
@@ -219,39 +203,36 @@ func (e Event) StripPayload() Event {
 var (
 	ErrFrameTooLong = errors.New("push: frame exceeds MaxFrameLen")
 	ErrBadFrame     = errors.New("push: malformed frame")
-	ErrBadVersion   = errors.New("push: unsupported protocol version")
 )
 
-// Encode renders the event as a single line. Events carrying only
-// invalidation state use the v1 layout:
+// Encode renders the event as a single line of one grammar: six core
+// fields, then optional fields in a fixed order.
 //
-//	v1 <kind> <seq> <modtime-unixnano> <flags> <key> <group>
-//
-// Events carrying a payload, digest, content type, or payload cap use
-// the v2 layout:
-//
-//	v2 <kind> <seq> <modtime-unixnano> <flags> <key> <group> <ctype> <digest> <cap> <payload-b64>
-//
-// Events whose payload is a delta (base digest + codec) or one chunk of
-// a larger body (index/total) use the v3 layout:
-//
-//	v3 <kind> <seq> <modtime-unixnano> <flags> <key> <group> <ctype> <digest> <cap> <base> <codec> <ci> <ct> <payload-b64>
+//	<kind> <seq> <modtime-unixnano> <flags> <key> <group> [<payload-b64> [<digest> [<ctype> [<cap> [<base> <codec> [<ci> <ct>]]]]]]
 //
 // Key, group, and content type are query-escaped so they can never
-// contain the space separator; empty fields encode as "-". The payload
-// is standard base64 ("-" when absent; the 'p' flag distinguishes an
-// empty body from no payload). The format is newline-free by
-// construction, which is what lets one frame travel as one SSE data
-// line.
+// contain the space separator; an empty text field encodes as "-", an
+// empty number as "0". The payload is standard base64 ("-" when empty;
+// the 'p' flag distinguishes an empty body from no payload). A frame
+// never ends in an empty field: the optional fields stop at the last
+// one the event sets, so a pure invalidation is the six core fields and
+// an empty body is the 'p' flag with no payload field after it. The
+// format is newline-free by construction, which is what lets one frame
+// travel as one SSE data line.
 func (e Event) Encode() string {
 	bp := encodePool.Get().(*[]byte)
-	b := e.appendWire((*bp)[:0])
+	b := e.appendWire((*bp)[:0], true)
 	s := string(b)
+	putEncodeBuf(bp, b)
+	return s
+}
+
+// putEncodeBuf returns a grown scratch buffer to encodePool.
+func putEncodeBuf(bp *[]byte, b []byte) {
 	if cap(b) <= maxPooledEncodeBuf {
 		*bp = b
 		encodePool.Put(bp)
 	}
-	return s
 }
 
 // encodePool holds Encode's scratch buffers: the wire form is built
@@ -271,96 +252,100 @@ var encodePool = sync.Pool{
 // the pool long after the burst that needed them.
 const maxPooledEncodeBuf = 128 << 10
 
-// appendWire appends the event's wire form (see Encode) to b.
-func (e Event) appendWire(b []byte) []byte {
-	key, group := "-", "-"
-	if e.Key != "" {
-		key = escapeField(e.Key)
-	}
-	if e.Group != "" {
-		group = escapeField(e.Group)
-	}
+// appendWire appends the event's wire form (see Encode) to b. With
+// payload unset it leaves the payload field's text out: what remains is
+// the envelope, the one measure MaxFrameLen bounds.
+func (e Event) appendWire(b []byte, payload bool) []byte {
 	var mod int64
 	if !e.ModTime.IsZero() {
 		mod = e.ModTime.UnixNano()
 	}
-	flags := "-"
+	b = strconv.AppendUint(b, uint64(e.Kind), 10)
+	b = strconv.AppendUint(append(b, ' '), e.Seq, 10)
+	b = strconv.AppendInt(append(b, ' '), mod, 10)
+	b = append(b, ' ')
 	switch {
 	case e.Reset && e.HasBody:
-		flags = "rp"
+		b = append(b, "rp"...)
 	case e.Reset:
-		flags = "r"
+		b = append(b, 'r')
 	case e.HasBody:
-		flags = "p"
+		b = append(b, 'p')
+	default:
+		b = append(b, '-')
 	}
-	v3 := e.BaseDigest != "" || e.DeltaCodec != 0 || e.ChunkIndex != 0 || e.ChunkTotal != 0
-	version := byte('3')
-	switch {
-	case !v3 && !e.HasBody && e.ContentType == "" && e.Digest == "" && e.PayloadCap == 0:
-		version = '1'
-	case !v3:
-		version = '2'
-	}
-	b = append(b, 'v', version, ' ')
-	b = strconv.AppendUint(b, uint64(e.Kind), 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, e.Seq, 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, mod, 10)
-	b = append(b, ' ')
-	b = append(b, flags...)
-	b = append(b, ' ')
-	b = append(b, key...)
-	b = append(b, ' ')
-	b = append(b, group...)
-	if version == '1' {
+	b = appendField(append(b, ' '), escapeField(e.Key))
+	b = appendField(append(b, ' '), escapeField(e.Group))
+	n := e.optionalFields()
+	if n == 0 {
 		return b
 	}
 	b = append(b, ' ')
-	if e.ContentType != "" {
-		b = append(b, escapeField(e.ContentType)...)
-	} else {
-		b = append(b, '-')
-	}
-	b = append(b, ' ')
-	if e.Digest != "" {
-		b = append(b, e.Digest...)
-	} else {
-		b = append(b, '-')
-	}
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, e.PayloadCap, 10)
-	if version == '3' {
-		b = append(b, ' ')
-		if e.BaseDigest != "" {
-			b = append(b, e.BaseDigest...)
-		} else {
-			b = append(b, '-')
-		}
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, uint64(e.DeltaCodec), 10)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, uint64(e.ChunkIndex), 10)
-		b = append(b, ' ')
-		b = strconv.AppendUint(b, uint64(e.ChunkTotal), 10)
-	}
-	b = append(b, ' ')
-	if e.HasBody && len(e.Body) > 0 {
+	switch {
+	case !payload:
+	case e.HasBody && len(e.Body) > 0:
 		b = base64.StdEncoding.AppendEncode(b, e.Body)
-	} else {
+	default:
 		b = append(b, '-')
+	}
+	if n >= 2 {
+		b = appendField(append(b, ' '), e.Digest)
+	}
+	if n >= 3 {
+		b = appendField(append(b, ' '), escapeField(e.ContentType))
+	}
+	if n >= 4 {
+		b = strconv.AppendUint(append(b, ' '), e.PayloadCap, 10)
+	}
+	if n >= 6 {
+		b = appendField(append(b, ' '), e.BaseDigest)
+		b = strconv.AppendUint(append(b, ' '), uint64(e.DeltaCodec), 10)
+	}
+	if n == 8 {
+		b = strconv.AppendUint(append(b, ' '), uint64(e.ChunkIndex), 10)
+		b = strconv.AppendUint(append(b, ' '), uint64(e.ChunkTotal), 10)
 	}
 	return b
+}
+
+// optionalFields counts the fields the event's frame carries after the
+// six core ones: every field up to the last one the event sets, with
+// base and codec, and chunk index and total, counted as pairs. Zero
+// with HasBody unset is an event with no payload state at all.
+func (e Event) optionalFields() int {
+	switch {
+	case e.ChunkIndex != 0 || e.ChunkTotal != 0:
+		return 8
+	case e.BaseDigest != "" || e.DeltaCodec != 0:
+		return 6
+	case e.PayloadCap != 0:
+		return 4
+	case e.ContentType != "":
+		return 3
+	case e.Digest != "":
+		return 2
+	case e.HasBody && len(e.Body) > 0:
+		return 1
+	}
+	return 0
+}
+
+// appendField appends a text field, "-" when it is empty.
+func appendField(b []byte, s string) []byte {
+	if s == "" {
+		return append(b, '-')
+	}
+	return append(b, s...)
 }
 
 // RenderedEvent is one published event rendered to its canonical wire
 // forms exactly once, at publish time. An update has a small, fixed set
 // of spellings on the wire — the rungs of the delivery ladder:
 //
-//	delta    — v3, the body as a delta against a base the receiver holds
-//	chunks   — v3, the full body split across bounded frames
-//	full     — v2, the body in one frame
-//	stripped — v1, the invalidation every consumer understands
+//	delta    — the body as a delta against a base the receiver holds
+//	chunks   — the full body split across bounded frames
+//	full     — the body in one frame
+//	stripped — the six core fields, the invalidation every consumer understands
 //
 // Which rung a given stream receives depends only on its negotiated
 // payload cap and (for the delta) the digest it holds — so rendering
@@ -394,13 +379,13 @@ type RenderedEvent struct {
 	// version the hub records a stream as holding.
 	digest string
 	mod    int64
-	// delta is the v3 delta wire form (empty when the publisher
+	// delta is the delta wire form (empty when the publisher
 	// supplied no delta sidecar); baseDigest addresses the base it
 	// applies to and deltaLen is its payload length for the cap check.
 	delta      string
 	baseDigest string
 	deltaLen   int
-	// chunks are the v3 chunked wire forms of the full body, rendered
+	// chunks are the chunked wire forms of the full body, rendered
 	// at chunkLen payload bytes per frame (the cap a stream must have
 	// negotiated to receive them). Empty when the body fits the full
 	// form for every possible cap or chunking is disabled on the hub.
@@ -442,10 +427,9 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 	if ev.HasBody {
 		re.payloadLen = len(ev.Body)
 	}
-	if !ev.HasBody && ev.ContentType == "" && ev.Digest == "" && ev.PayloadCap == 0 &&
-		ev.BaseDigest == "" && ev.DeltaCodec == 0 && ev.ChunkTotal == 0 {
+	if !ev.HasBody && ev.optionalFields() == 0 {
 		// Pure invalidation state: the full and stripped forms are the
-		// same v1 line; render it once and share the backing.
+		// same line; render it once and share the backing.
 		re.full = ev.Encode()
 		re.stripped = re.full
 		re.cost = int64(len(re.full))
@@ -459,7 +443,7 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 	re.cost = int64(len(re.stripped))
 
 	if ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0 && len(ev.DeltaBody) == 0 {
-		// The body IS the delta (a decoded v3 frame republished by a
+		// The body IS the delta (a decoded delta frame republished by a
 		// relay whose own cache missed the base): there is no full body
 		// to render, so the ladder is delta → stripped only.
 		re.delta = ev.Encode()
@@ -470,7 +454,7 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 		return re
 	}
 
-	// The full form is a plain v2 frame: the delta sidecar describes a
+	// The full form carries the whole body: the delta sidecar describes a
 	// sibling form, not this one, so it never rides the full spelling.
 	fullEv := ev
 	fullEv.BaseDigest, fullEv.DeltaCodec, fullEv.DeltaBody = "", 0, nil
@@ -522,7 +506,7 @@ func (re RenderedEvent) Full() string { return re.full }
 // Stripped returns the invalidation-only wire form.
 func (re RenderedEvent) Stripped() string { return re.stripped }
 
-// Delta returns the v3 delta wire form ("" when the event has none)
+// Delta returns the delta wire form ("" when the event has none)
 // and the base digest it applies against.
 func (re RenderedEvent) Delta() (frame, baseDigest string) { return re.delta, re.baseDigest }
 
@@ -570,92 +554,88 @@ func escapeField(s string) string {
 	return esc
 }
 
-// Oversized reports whether the event's encoded envelope — the frame
-// minus its payload field — exceeds MaxFrameLen. An oversized update
-// must never enter a stream or replay buffer — subscribers reject such
-// frames, so one poisonous buffered frame would livelock every
-// reconnect — and a proxy caching an object whose key cannot ride the
-// channel must keep pure-polling freshness for it (no TTR stretch)
-// because its updates will never be announced. The payload is bounded
-// separately by the negotiated per-stream cap, never by this check.
+// Oversized reports whether the event's envelope — its frame minus the
+// payload field's text, exactly what Decode measures — exceeds
+// MaxFrameLen. An oversized update must never enter a stream or replay
+// buffer — subscribers reject such frames, so one poisonous buffered
+// frame would livelock every reconnect — and a proxy caching an object
+// whose key cannot ride the channel must keep pure-polling freshness
+// for it (no TTR stretch) because its updates will never be announced.
+// The payload is bounded separately by the negotiated per-stream cap,
+// never by this check.
 //
-// The bound must hold for EVERY frame the event can emit as: the
-// stripped v1 form (what a payload-less stream receives) and, when any
-// v2 field is present, the v2 envelope with its ctype/digest/cap fields
-// — which is what Decode actually measures. Checking only the stripped
-// form would let a near-limit key slip a frame into the ring that every
-// payload-negotiated subscriber must reject.
+// One measure covers every frame the event can emit as: the stripped
+// form is never longer than the envelope it was stripped from, and the
+// delta form shares the envelope of an event carrying its sidecar.
 func (e Event) Oversized() bool {
-	if len(e.StripPayload().Encode()) > MaxFrameLen {
-		return true
-	}
-	if e.HasBody || e.ContentType != "" || e.Digest != "" || e.PayloadCap != 0 ||
-		e.BaseDigest != "" || e.DeltaCodec != 0 || e.ChunkIndex != 0 || e.ChunkTotal != 0 {
-		// Measure the v2/v3 envelope exactly as Decode does: the full
-		// frame minus the payload field. With the body cleared (HasBody
-		// kept) the payload field encodes as "-", so the encoded length
-		// minus that one byte is the envelope plus its separating space —
-		// Decode's len(s)-len(payload).
-		e.Body = nil
-		if len(e.Encode())-1 > MaxFrameLen {
-			return true
-		}
-	}
-	return false
+	bp := encodePool.Get().(*[]byte)
+	b := e.appendWire((*bp)[:0], false)
+	putEncodeBuf(bp, b)
+	return len(b) > MaxFrameLen
 }
+
+// absentFields spells each field a frame leaves off at its end, so
+// Decode parses every frame at full width.
+var absentFields = [14]string{6: "-", 7: "-", 8: "-", 9: "0", 10: "-", 11: "0", 12: "0", 13: "0"}
 
 // Decode parses a frame produced by Encode. It never panics on malformed
 // input: any deviation from the format yields an error. The ModTime of a
 // frame encoding nanos 0 is the zero time. Digest mismatches are NOT
 // detected here — integrity is the consumer's decision (it degrades to
 // a poll), not a framing error.
+//
+// Beyond the field syntax Decode enforces two rules. A frame carries
+// exactly the fields its event's canonical spelling does, so it never
+// ends in an empty field and every event has one spelling. And the
+// decoded event's CANONICAL envelope fits the wire limit: fields
+// carrying raw characters that escaping expands (a newline is one byte
+// on a hostile wire, three re-encoded) can decode to an event whose
+// canonical form is over the limit, and everything accepted here may be
+// re-encoded, by a relay republishing it or by the round-trip
+// invariant. Escaping expands a byte to at most three, so that re-encode
+// is only paid for wire envelopes that could possibly overflow
+// (> MaxFrameLen/3); ordinary frames skip it.
 func Decode(s string) (Event, error) {
 	if len(s) > MaxFrameLen+maxPayloadFieldLen+1 {
 		return Event{}, ErrFrameTooLong
 	}
-	fields := strings.Split(s, " ")
-	switch {
-	case len(fields) == 7 && fields[0] == "v1":
-		if len(s) > MaxFrameLen {
-			return Event{}, ErrFrameTooLong
-		}
-		return decodeBounded(fields, nil, len(s))
-	case len(fields) == 11 && fields[0] == "v2":
-		payload := fields[10]
-		if len(s)-len(payload) > MaxFrameLen {
-			return Event{}, ErrFrameTooLong
-		}
-		if len(payload) > maxPayloadFieldLen {
-			return Event{}, ErrFrameTooLong
-		}
-		return decodeBounded(fields[:7], fields[7:], len(s)-len(payload))
-	case len(fields) == 15 && fields[0] == "v3":
-		payload := fields[14]
-		if len(s)-len(payload) > MaxFrameLen {
-			return Event{}, ErrFrameTooLong
-		}
-		if len(payload) > maxPayloadFieldLen {
-			return Event{}, ErrFrameTooLong
-		}
-		return decodeBounded(fields[:7], fields[7:], len(s)-len(payload))
-	case len(fields) > 0 && strings.HasPrefix(fields[0], "v"):
-		if ver, err := strconv.ParseUint(fields[0][1:], 10, 16); err == nil &&
-			ver != ProtocolV1 && ver != ProtocolV2 && ver != ProtocolV3 {
-			return Event{}, fmt.Errorf("%w: v%d", ErrBadVersion, ver)
-		}
-		return Event{}, fmt.Errorf("%w: %d fields for %s", ErrBadFrame, len(fields), fields[0])
-	default:
-		return Event{}, fmt.Errorf("%w: missing version tag", ErrBadFrame)
+	fields := strings.SplitN(s, " ", len(absentFields)+1)
+	if len(fields) < 6 || len(fields) > len(absentFields) {
+		return Event{}, fmt.Errorf("%w: %d fields", ErrBadFrame, len(fields))
 	}
+	envelope := len(s)
+	if len(fields) > 6 {
+		if len(fields[6]) > maxPayloadFieldLen {
+			return Event{}, ErrFrameTooLong
+		}
+		envelope -= len(fields[6])
+	}
+	if envelope > MaxFrameLen {
+		return Event{}, ErrFrameTooLong
+	}
+	w := absentFields
+	copy(w[:], fields)
+	e, err := decodeFields(&w)
+	if err != nil {
+		return Event{}, err
+	}
+	if want := 6 + e.optionalFields(); len(fields) != want {
+		return Event{}, fmt.Errorf("%w: %d fields for an event spelled in %d (a frame never ends in an empty field)",
+			ErrBadFrame, len(fields), want)
+	}
+	if envelope > MaxFrameLen/3 && e.Oversized() {
+		return Event{}, ErrFrameTooLong
+	}
+	return e, nil
 }
 
-// decodeCommon parses the seven envelope fields shared by both versions
-// plus, for v2, the ctype/digest/cap/payload extension fields.
-func decodeCommon(fields, ext []string) (Event, error) {
+// decodeFields parses a frame's fields, the absent ones at their empty
+// spelling, by position.
+func decodeFields(w *[14]string) (Event, error) {
 	var e Event
-	kind, err := strconv.ParseUint(fields[1], 10, 8)
+	kind, err := strconv.ParseUint(w[0], 10, 8)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad kind %q", ErrBadFrame, fields[1])
+		return Event{}, fmt.Errorf("%w: bad kind %q", ErrBadFrame, w[0])
 	}
 	switch Kind(kind) {
 	case KindHello, KindUpdate, KindHeartbeat:
@@ -663,117 +643,89 @@ func decodeCommon(fields, ext []string) (Event, error) {
 	default:
 		return Event{}, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, kind)
 	}
-	if e.Seq, err = strconv.ParseUint(fields[2], 10, 64); err != nil {
-		return Event{}, fmt.Errorf("%w: bad seq %q", ErrBadFrame, fields[2])
+	if e.Seq, err = strconv.ParseUint(w[1], 10, 64); err != nil {
+		return Event{}, fmt.Errorf("%w: bad seq %q", ErrBadFrame, w[1])
 	}
-	nanos, err := strconv.ParseInt(fields[3], 10, 64)
+	nanos, err := strconv.ParseInt(w[2], 10, 64)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad modtime %q", ErrBadFrame, fields[3])
+		return Event{}, fmt.Errorf("%w: bad modtime %q", ErrBadFrame, w[2])
 	}
 	if nanos != 0 {
 		e.ModTime = time.Unix(0, nanos)
 	}
-	hasBody := false
-	switch fields[4] {
+	switch w[3] {
 	case "-":
 	case "r":
 		e.Reset = true
 	case "p":
-		hasBody = true
+		e.HasBody = true
 	case "rp":
 		e.Reset = true
-		hasBody = true
+		e.HasBody = true
 	default:
-		return Event{}, fmt.Errorf("%w: bad flags %q", ErrBadFrame, fields[4])
+		return Event{}, fmt.Errorf("%w: bad flags %q", ErrBadFrame, w[3])
 	}
-	if fields[5] != "-" {
-		if e.Key, err = url.QueryUnescape(fields[5]); err != nil {
-			return Event{}, fmt.Errorf("%w: bad key %q", ErrBadFrame, fields[5])
+	if w[4] != "-" {
+		if e.Key, err = url.QueryUnescape(w[4]); err != nil {
+			return Event{}, fmt.Errorf("%w: bad key %q", ErrBadFrame, w[4])
 		}
 	}
-	if fields[6] != "-" {
-		if e.Group, err = url.QueryUnescape(fields[6]); err != nil {
-			return Event{}, fmt.Errorf("%w: bad group %q", ErrBadFrame, fields[6])
+	if w[5] != "-" {
+		if e.Group, err = url.QueryUnescape(w[5]); err != nil {
+			return Event{}, fmt.Errorf("%w: bad group %q", ErrBadFrame, w[5])
 		}
 	}
 
-	if ext == nil {
-		if hasBody {
-			return Event{}, fmt.Errorf("%w: payload flag on a v1 frame", ErrBadFrame)
-		}
-	} else {
-		if ext[0] != "-" {
-			if e.ContentType, err = url.QueryUnescape(ext[0]); err != nil {
-				return Event{}, fmt.Errorf("%w: bad content type %q", ErrBadFrame, ext[0])
-			}
-		}
-		if ext[1] != "-" {
-			if !isHexDigest(ext[1]) {
-				return Event{}, fmt.Errorf("%w: bad digest %q", ErrBadFrame, ext[1])
-			}
-			e.Digest = ext[1]
-		}
-		if e.PayloadCap, err = strconv.ParseUint(ext[2], 10, 64); err != nil {
-			return Event{}, fmt.Errorf("%w: bad payload cap %q", ErrBadFrame, ext[2])
-		}
-		if len(ext) == 8 {
-			// v3 extension: <base> <codec> <chunk-index> <chunk-total>.
-			if ext[3] != "-" {
-				if !isHexDigest(ext[3]) {
-					return Event{}, fmt.Errorf("%w: bad base digest %q", ErrBadFrame, ext[3])
-				}
-				e.BaseDigest = ext[3]
-			}
-			codec, err := strconv.ParseUint(ext[4], 10, 8)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad delta codec %q", ErrBadFrame, ext[4])
-			}
-			e.DeltaCodec = uint8(codec)
-			ci, err := strconv.ParseUint(ext[5], 10, 32)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad chunk index %q", ErrBadFrame, ext[5])
-			}
-			ct, err := strconv.ParseUint(ext[6], 10, 32)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad chunk total %q", ErrBadFrame, ext[6])
-			}
-			e.ChunkIndex, e.ChunkTotal = uint32(ci), uint32(ct)
-			if e.BaseDigest == "" && e.DeltaCodec == 0 && e.ChunkIndex == 0 && e.ChunkTotal == 0 {
-				// An event with no delta/chunk state encodes as v2; a v3
-				// spelling of it would be a second wire form for the same
-				// event (round-trip ambiguity).
-				return Event{}, fmt.Errorf("%w: v3 frame without delta or chunk fields", ErrBadFrame)
-			}
-		}
-		payload := ext[len(ext)-1]
-		switch {
-		case payload == "-" && hasBody:
+	switch payload := w[6]; {
+	case payload == "-":
+		if e.HasBody {
 			e.Body = []byte{}
-			e.HasBody = true
-		case payload == "-":
-			// No payload.
-		case !hasBody:
-			return Event{}, fmt.Errorf("%w: payload without the p flag", ErrBadFrame)
-		default:
-			body, err := base64.StdEncoding.DecodeString(payload)
-			if err != nil {
-				return Event{}, fmt.Errorf("%w: bad payload base64", ErrBadFrame)
-			}
-			if len(body) == 0 {
-				// Canonical form for an empty body is "-" with the p
-				// flag; padding-only spellings must not create a second
-				// wire form for the same event (round-trip ambiguity).
-				return Event{}, fmt.Errorf("%w: empty payload must encode as -", ErrBadFrame)
-			}
-			if len(body) > MaxPayloadCap {
-				return Event{}, ErrFrameTooLong
-			}
-			e.Body = body
-			e.HasBody = true
 		}
-		if err := validateLadderFields(e); err != nil {
-			return Event{}, err
+	case !e.HasBody:
+		return Event{}, fmt.Errorf("%w: payload without the p flag", ErrBadFrame)
+	default:
+		if e.Body, err = base64.StdEncoding.DecodeString(payload); err != nil {
+			return Event{}, fmt.Errorf("%w: bad payload base64", ErrBadFrame)
 		}
+		if len(e.Body) > MaxPayloadCap {
+			return Event{}, ErrFrameTooLong
+		}
+	}
+	if w[7] != "-" {
+		if !isHexDigest(w[7]) {
+			return Event{}, fmt.Errorf("%w: bad digest %q", ErrBadFrame, w[7])
+		}
+		e.Digest = w[7]
+	}
+	if w[8] != "-" {
+		if e.ContentType, err = url.QueryUnescape(w[8]); err != nil {
+			return Event{}, fmt.Errorf("%w: bad content type %q", ErrBadFrame, w[8])
+		}
+	}
+	if e.PayloadCap, err = strconv.ParseUint(w[9], 10, 64); err != nil {
+		return Event{}, fmt.Errorf("%w: bad payload cap %q", ErrBadFrame, w[9])
+	}
+	if w[10] != "-" {
+		if !isHexDigest(w[10]) {
+			return Event{}, fmt.Errorf("%w: bad base digest %q", ErrBadFrame, w[10])
+		}
+		e.BaseDigest = w[10]
+	}
+	codec, err := strconv.ParseUint(w[11], 10, 8)
+	if err != nil {
+		return Event{}, fmt.Errorf("%w: bad delta codec %q", ErrBadFrame, w[11])
+	}
+	ci, err := strconv.ParseUint(w[12], 10, 32)
+	if err != nil {
+		return Event{}, fmt.Errorf("%w: bad chunk index %q", ErrBadFrame, w[12])
+	}
+	ct, err := strconv.ParseUint(w[13], 10, 32)
+	if err != nil {
+		return Event{}, fmt.Errorf("%w: bad chunk total %q", ErrBadFrame, w[13])
+	}
+	e.DeltaCodec, e.ChunkIndex, e.ChunkTotal = uint8(codec), uint32(ci), uint32(ct)
+	if err := validateLadderFields(e); err != nil {
+		return Event{}, err
 	}
 
 	// Escaped fields round-trip through QueryUnescape, but an unescaped
@@ -786,9 +738,8 @@ func decodeCommon(fields, ext []string) (Event, error) {
 	return e, nil
 }
 
-// validateLadderFields enforces the structural rules of the v3
-// delta/chunk extension (trivially true for v1/v2 events, whose fields
-// are all zero): base digest and codec travel together, a delta or
+// validateLadderFields enforces the structural rules of the delta and
+// chunk fields (trivially true for an event that sets none): base digest and codec travel together, a delta or
 // chunk is always a payload-carrying update, a chunk index sits inside
 // a bounded chunk total, and delta and chunk state never combine on
 // one frame.
@@ -825,27 +776,6 @@ func validateLadderFields(e Event) error {
 		}
 	}
 	return nil
-}
-
-// decodeBounded parses the frame fields and additionally enforces that
-// the decoded event's CANONICAL envelope fits the wire limit. The
-// earlier length checks bounded the frame as sent, but fields carrying
-// raw characters that escaping expands (a newline is one byte on a
-// hostile wire, three re-encoded) can decode to an event whose
-// canonical form is over the limit — and such an event must not exist:
-// everything accepted here may be re-encoded, by a relay republishing
-// it or by the round-trip invariant. Escaping expands a byte to at most
-// three, so the re-encode is only paid for wire envelopes that could
-// possibly overflow (> MaxFrameLen/3); ordinary frames skip it.
-func decodeBounded(fields, ext []string, wireEnvelope int) (Event, error) {
-	e, err := decodeCommon(fields, ext)
-	if err != nil {
-		return Event{}, err
-	}
-	if wireEnvelope > MaxFrameLen/3 && e.Oversized() {
-		return Event{}, ErrFrameTooLong
-	}
-	return e, nil
 }
 
 // validWireDigest reports whether a publisher-supplied digest can ride

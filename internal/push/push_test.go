@@ -14,8 +14,52 @@ import (
 	"time"
 )
 
+// TestFrameGolden pins the exact spelling and byte length of every
+// frame shape: the six core fields, then only the optional fields up to
+// the last one the event sets.
+func TestFrameGolden(t *testing.T) {
+	body := []byte("165.38\n")
+	up := Event{Kind: KindUpdate, Seq: 8, Key: "/news/a.html", Group: "front", ModTime: time.Unix(1700000000, 0)}
+	full := up
+	full.Body, full.HasBody, full.Digest, full.ContentType = body, true, DigestOf(body), "text/plain"
+	noType, empty, delta, first, last := full, up, full, full, full
+	noType.ContentType = ""
+	empty.Body, empty.HasBody, empty.Digest = []byte{}, true, DigestOf(nil)
+	delta.Body, delta.BaseDigest, delta.DeltaCodec = []byte{1, 2, 'h', 'i'}, DigestOf([]byte("base")), DeltaCodecBlock
+	first.Body, first.ChunkTotal = []byte("165"), 3
+	last.Body, last.ChunkIndex, last.ChunkTotal = []byte("\n"), 2, 3
+	core := "2 8 1700000000000000000 - %2Fnews%2Fa.html front"
+	pcore := "2 8 1700000000000000000 p %2Fnews%2Fa.html front"
+	cases := []struct {
+		name string
+		ev   Event
+		wire string
+		size int
+	}{
+		{"heartbeat", Event{Kind: KindHeartbeat, Seq: 99}, "3 99 0 - - -", 12},
+		{"hello", Event{Kind: KindHello, Seq: 7}, "1 7 0 - - -", 11},
+		{"hello with Reset", Event{Kind: KindHello, Seq: 7, Reset: true}, "1 7 0 r - -", 11},
+		{"hello with cap", Event{Kind: KindHello, Seq: 7, PayloadCap: DefaultPayloadCap}, "1 7 0 - - - - - - 65536", 23},
+		{"stripped update", up, core, 48},
+		{"full update", full, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain", 91},
+		{"full update without content type", noType, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2", 78},
+		{"empty body", empty, pcore + " - e3b0c44298fc1c14", 67},
+		{"empty body without digest", Event{Kind: KindUpdate, Seq: 8, Key: "/k", HasBody: true}, "2 8 0 p %2Fk -", 14},
+		{"delta", delta, pcore + " AQJoaQ== 6c0fffb738e4d5c2 text%2Fplain 0 cae662172fd450bb 1", 108},
+		{"first chunk", first, pcore + " MTY1 6c0fffb738e4d5c2 text%2Fplain 0 - 0 0 3", 93},
+		{"last chunk", last, pcore + " Cg== 6c0fffb738e4d5c2 text%2Fplain 0 - 0 2 3", 93},
+	}
+	for _, c := range cases {
+		if got := c.ev.Encode(); got != c.wire || len(got) != c.size {
+			t.Errorf("%s: Encode = %q (%d B), want %q (%d B)", c.name, got, len(got), c.wire, c.size)
+		}
+	}
+}
+
+// TestEncodeDecodeRoundTrip: every invalidation-only event survives the
+// wire on a newline-free line.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	events := []Event{
+	assertRoundTrip(t, []Event{
 		{Kind: KindHello, Seq: 42, Reset: true},
 		{Kind: KindHello, Seq: 0},
 		{Kind: KindUpdate, Seq: 7, Key: "/news/story.html", Group: "frontpage",
@@ -24,84 +68,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		{Kind: KindUpdate, Seq: 1 << 60, Key: "/k"},
 		// A literal "-" collides with the empty-field sentinel and must
 		// survive the trip via forced escaping.
-		{Kind: KindUpdate, Seq: 9, Key: "-", Group: "-"},
+		{Kind: KindUpdate, Seq: 9, Key: "-", Group: "-", ContentType: "-"},
 		{Kind: KindHeartbeat, Seq: 99},
-	}
-	for _, want := range events {
-		wire := want.Encode()
-		if strings.ContainsAny(wire, "\r\n") {
-			t.Errorf("Encode(%+v) contains a newline: %q", want, wire)
-		}
-		got, err := Decode(wire)
-		if err != nil {
-			t.Errorf("Decode(%q): %v", wire, err)
-			continue
-		}
-		if got.Kind != want.Kind || got.Seq != want.Seq || got.Key != want.Key ||
-			got.Group != want.Group || got.Reset != want.Reset ||
-			!got.ModTime.Equal(want.ModTime) {
-			t.Errorf("round trip: got %+v want %+v (wire %q)", got, want, wire)
-		}
-	}
+	})
 }
 
-func TestDecodeRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"v1",
-		"v1 2 3",
-		"v2 2 1 0 - /k -",                    // v2 with the v1 field count
-		"v3 2 1 0 - /k - - - 0 -",            // unsupported version
-		"w1 2 1 0 - /k -",                    // bad version tag
-		"v1 9 1 0 - /k -",                    // unknown kind
-		"v1 2 x 0 - /k -",                    // bad seq
-		"v1 2 1 y - /k -",                    // bad modtime
-		"v1 2 1 0 z /k -",                    // bad flags
-		"v1 2 1 0 p /k -",                    // payload flag on a v1 frame
-		"v1 2 1 0 - %zz -",                   // bad key escape
-		"v1 2 1 0 - /k %zz",                  // bad group escape
-		"v1 2 1 0 - - -",                     // update without key
-		"v1 2 1 0 - /k - trailing",           // too many fields
-		"v1 -1 1 0 - /k -",                   // negative kind
-		"v1 2 18446744073709551616 0 - /k -", // seq overflow
-		strings.Repeat("x", MaxFrameLen+1),
-		"v2 2 1 0 - /k - - - 0 !!!not-base64!!!", // hostile base64
-		"v2 2 1 0 p /k - - - 0 " + "====",        // hostile base64 padding
-		"v2 2 1 0 - /k - - zz 0 -",               // non-hex digest
-		"v2 2 1 0 - /k - - " + strings.Repeat("a", 65) + " 0 -",                    // digest too long
-		"v2 2 1 0 - /k - - - x -",                                                  // bad payload cap
-		"v2 2 1 0 - /k - - - 0 " + b64(1),                                          // payload without the p flag
-		"v2 2 1 0 p /k - - - 0 " + base64.StdEncoding.EncodeToString(nil) + "====", // empty payload spelled out
-		"v1 2 1 0 - /" + strings.Repeat("k", MaxFrameLen) + " -",                   // v1 over the frame limit
-		"v2 2 1 0 p /" + strings.Repeat("k", MaxFrameLen) + " - - - 0 " + b64(8),   // v2 envelope over the limit
-		// Raw newlines ride one byte each on a hostile wire but re-encode
-		// to three (%0A): the canonical envelope is over the limit even
-		// though the frame as sent is not (fuzz-found; an accepted event
-		// must always be re-encodable within bounds).
-		"v1 2 1 0 - /k " + strings.Repeat("\n", MaxFrameLen/2),
-	}
-	for _, wire := range bad {
-		if _, err := Decode(wire); err == nil {
-			t.Errorf("Decode(%q) accepted malformed frame", truncateForLog(wire))
-		}
-	}
-}
-
-func b64(n int) string {
-	return base64.StdEncoding.EncodeToString(make([]byte, n))
-}
-
-func truncateForLog(s string) string {
-	if len(s) > 120 {
-		return s[:120] + "..."
-	}
-	return s
-}
-
-// TestEncodeDecodeRoundTripV2 pins the payload extension: bodies,
-// digests, content types, and payload caps survive the wire, the
-// envelope stays v1 when none of them is present, and cap-boundary
-// payload sizes round-trip exactly.
+// TestEncodeDecodeRoundTripV2 pins the payload fields: bodies, digests,
+// content types, and payload caps survive the wire, cap-boundary payload
+// sizes round-trip exactly, and an event without payload state keeps the
+// six core fields only.
 func TestEncodeDecodeRoundTripV2(t *testing.T) {
 	big := make([]byte, MaxPayloadCap)
 	for i := range big {
@@ -115,46 +90,111 @@ func TestEncodeDecodeRoundTripV2(t *testing.T) {
 			Digest: DigestOf([]byte{0, 1, 2, 0xff})},
 		// Empty body: present, zero length — distinct from no payload.
 		{Kind: KindUpdate, Seq: 3, Key: "/empty", Body: []byte{}, HasBody: true, Digest: DigestOf(nil)},
+		{Kind: KindUpdate, Seq: 3, Key: "/empty", Body: []byte{}, HasBody: true},
 		// Digest without payload: what a stream-side strip leaves behind
 		// must still parse (a consumer treats it as invalidation-only).
 		{Kind: KindUpdate, Seq: 4, Key: "/stripped", Digest: "deadbeef00112233"},
-		// Hello with a negotiated cap.
 		{Kind: KindHello, Seq: 9, PayloadCap: 4096},
 		{Kind: KindHello, Seq: 9, Reset: true, PayloadCap: DefaultPayloadCap},
 		// Reset flag plus payload (not emitted today, but representable).
 		{Kind: KindUpdate, Seq: 5, Key: "/rp", Reset: true, Body: []byte("x"), HasBody: true},
-		// Cap-boundary body.
 		{Kind: KindUpdate, Seq: 6, Key: "/big", Body: big, HasBody: true, Digest: DigestOf(big)},
 	}
+	assertRoundTrip(t, events)
+
+	plain := Event{Kind: KindUpdate, Seq: 7, Key: "/k", Group: "g", ModTime: time.Unix(1700000000, 0)}
+	for _, ev := range []Event{plain, events[0].StripPayload()} {
+		if wire := ev.Encode(); len(strings.Fields(wire)) != 6 {
+			t.Errorf("event without payload state encoded as %q, want the six core fields", wire)
+		}
+	}
+}
+
+// assertRoundTrip checks that every event encodes to a newline-free
+// line that decodes back to the same event.
+func assertRoundTrip(t *testing.T, events []Event) {
+	t.Helper()
 	for _, want := range events {
 		wire := want.Encode()
-		if !strings.HasPrefix(wire, "v2 ") {
-			t.Errorf("Encode(%+v) did not select v2: %q", want, truncateForLog(wire))
+		if strings.ContainsAny(wire, "\r\n") {
+			t.Errorf("Encode(%+v) contains a newline: %q", want, truncateForLog(wire))
 		}
 		got, err := Decode(wire)
 		if err != nil {
 			t.Errorf("Decode(%q): %v", truncateForLog(wire), err)
-			continue
-		}
-		if got.Kind != want.Kind || got.Seq != want.Seq || got.Key != want.Key ||
-			got.Group != want.Group || got.Reset != want.Reset ||
-			!got.ModTime.Equal(want.ModTime) || got.HasBody != want.HasBody ||
-			!bytes.Equal(got.Body, want.Body) || got.ContentType != want.ContentType ||
-			got.Digest != want.Digest || got.PayloadCap != want.PayloadCap {
-			t.Errorf("v2 round trip diverged for %+v", want)
+		} else if !sameOnWire(got, want) {
+			t.Errorf("round trip diverged for %q", truncateForLog(wire))
 		}
 	}
+}
 
-	// Invalidation-only events must keep the v1 envelope byte for byte:
-	// a pre-v2 consumer interoperates with a value-capable hub.
-	plain := Event{Kind: KindUpdate, Seq: 7, Key: "/k", Group: "g", ModTime: time.Unix(1700000000, 0)}
-	if wire := plain.Encode(); !strings.HasPrefix(wire, "v1 ") {
-		t.Errorf("invalidation-only event encoded as %q, want a v1 frame", wire)
+// sameOnWire reports whether two events agree on every field the wire
+// carries.
+func sameOnWire(a, b Event) bool {
+	return a.Kind == b.Kind && a.Seq == b.Seq && a.Key == b.Key && a.Group == b.Group &&
+		a.Reset == b.Reset && a.ModTime.Equal(b.ModTime) && a.HasBody == b.HasBody &&
+		bytes.Equal(a.Body, b.Body) && a.ContentType == b.ContentType && a.Digest == b.Digest &&
+		a.PayloadCap == b.PayloadCap && a.BaseDigest == b.BaseDigest && a.DeltaCodec == b.DeltaCodec &&
+		a.ChunkIndex == b.ChunkIndex && a.ChunkTotal == b.ChunkTotal
+}
+
+// TestDecodeRejectsMalformed: Decode refuses, never half-parses, every
+// frame that breaks the field syntax, the retired versioned spellings,
+// a frame ending in an empty field, and an envelope over the limit.
+// TestDecodeV3Rejections covers the delta and chunk fields.
+func TestDecodeRejectsMalformed(t *testing.T) {
+	d := DigestOf([]byte("x"))
+	bad := []string{
+		"",
+		"2 3",
+		"9 1 0 - /k -",                    // unknown kind
+		"2 x 0 - /k -",                    // bad seq
+		"2 1 y - /k -",                    // bad modtime
+		"2 1 0 z /k -",                    // bad flags
+		"2 1 0 - %zz -",                   // bad key escape
+		"2 1 0 - /k %zz",                  // bad group escape
+		"2 1 0 - - -",                     // update without key
+		"-1 1 0 - /k -",                   // negative kind
+		"2 18446744073709551616 0 - /k -", // seq overflow
+		strings.Repeat("x", MaxFrameLen+1),
+		"v1 1 0 0 - - -",             // the retired v1 hello
+		"v1 2 1 0 - /k -",            // retired v1 update
+		"v2 2 1 0 p /k - - - 0 aGk=", // retired v2 payload
+		"v3 2 1 0 p /k - - " + d + " 0 - 0 0 2 aGk=", // retired v3 chunk
+		"2 1 0 - /k - -",                                      // ends in an empty payload field
+		"2 1 0 p /k - -",                                      // empty body spelled out
+		"2 1 0 - /k - - -",                                    // ends in an empty digest
+		"1 1 0 - - - - - - 0",                                 // ends in a zero cap
+		"2 1 0 p /k - !!!not-base64!!!",                       // hostile base64
+		"2 1 0 p /k - ====",                                   // hostile base64 padding
+		"2 1 0 - /k - " + b64(1),                              // payload without the p flag
+		"2 1 0 - /k - - zz",                                   // non-hex digest
+		"2 1 0 - /k - - " + strings.Repeat("a", 65),           // digest too long
+		"1 1 0 - - - - - - x",                                 // bad payload cap
+		"2 1 0 - /" + strings.Repeat("k", MaxFrameLen) + " -", // over the frame limit
+		"2 1 0 p /" + strings.Repeat("k", MaxFrameLen) + " - " + b64(8) + " " + d, // envelope over the limit
+		// Raw newlines ride one byte each on a hostile wire but re-encode
+		// to three (%0A): the canonical envelope is over the limit even
+		// though the frame as sent is not (fuzz-found; an accepted event
+		// must always be re-encodable within bounds).
+		"2 1 0 - /k " + strings.Repeat("\n", MaxFrameLen/2),
 	}
-	stripped := events[0].StripPayload()
-	if wire := stripped.Encode(); !strings.HasPrefix(wire, "v1 ") {
-		t.Errorf("stripped event encoded as %q, want a v1 frame", wire)
+	for _, wire := range bad {
+		if ev, err := Decode(wire); err == nil {
+			t.Errorf("Decode(%q) accepted malformed frame as %+v", truncateForLog(wire), ev)
+		}
 	}
+}
+
+func b64(n int) string {
+	return base64.StdEncoding.EncodeToString(make([]byte, n))
+}
+
+func truncateForLog(s string) string {
+	if len(s) > 120 {
+		return s[:120] + "..."
+	}
+	return s
 }
 
 // TestOversizedIsEnvelopeOnly: a fat payload must not trip the envelope
@@ -171,13 +211,13 @@ func TestOversizedIsEnvelopeOnly(t *testing.T) {
 	}
 }
 
-// TestOversizedCoversV2Envelope: the envelope bound must hold for every
-// frame an event can emit — the stripped v1 form AND the v2 form with
-// its ctype/digest/cap fields. A near-limit key whose v1 frame fits but
-// whose v2 envelope does not would otherwise pass the hub's publish
-// check and then be rejected by every payload-negotiated subscriber: a
-// poisonous replay-ring frame and a reconnect livelock.
-func TestOversizedCoversV2Envelope(t *testing.T) {
+// TestOversizedCoversEveryForm: the envelope bound must hold for every
+// frame an event can emit — the stripped form AND the full form with
+// its digest and content type. A near-limit key whose stripped frame
+// fits but whose full envelope does not would otherwise pass the hub's
+// publish check and then be rejected by every payload-negotiated
+// subscriber: a poisonous replay-ring frame and a reconnect livelock.
+func TestOversizedCoversEveryForm(t *testing.T) {
 	key := "/" + strings.Repeat("k", MaxFrameLen-20)
 	plain := Event{Kind: KindUpdate, Key: key}
 	if plain.Oversized() {
@@ -187,7 +227,7 @@ func TestOversizedCoversV2Envelope(t *testing.T) {
 	rich := Event{Kind: KindUpdate, Key: key, Body: body, HasBody: true,
 		ContentType: "text/plain; charset=utf-8", Digest: DigestOf(body)}
 	if !rich.Oversized() {
-		t.Fatal("v2 envelope over the limit not detected")
+		t.Fatal("full envelope over the limit not detected")
 	}
 	// The contract that matters downstream: any event Oversized()
 	// approves emits only decodable frames, full or stripped.

@@ -51,7 +51,7 @@ type SubscriberConfig struct {
 	// BackoffMin and BackoffMax bound the exponential reconnect backoff.
 	// Defaults: 100ms and 10s.
 	BackoffMin, BackoffMax time.Duration
-	// PayloadCap requests payload-carrying (v2) update frames with
+	// PayloadCap requests payload-carrying update frames with
 	// bodies up to this many bytes; the server clamps it to its own cap
 	// and echoes the negotiated value on the hello frame. Zero (the
 	// default) requests a pure invalidation stream — the server strips

@@ -183,8 +183,8 @@ func TestSubscriberSkipsMalformedLinesWithoutReconnecting(t *testing.T) {
 	// Three malformed shapes under the payload-widened line limit but
 	// undecodable, followed by a well-formed update on the SAME stream.
 	srv.send("not a frame at all")
-	srv.send("v1 2 1 0 - /" + strings.Repeat("k", MaxFrameLen) + " -") // envelope over the v1 bound
-	srv.send("v2 2 1 0 - /k - - - 0 !!!hostile-base64!!!")
+	srv.send("2 1 0 - /" + strings.Repeat("k", MaxFrameLen) + " -") // envelope over the bound
+	srv.send("2 1 0 p /k - !!!hostile-base64!!!")
 	srv.send(Event{Kind: KindUpdate, Seq: 1, Key: "/a"}.Encode())
 
 	if !waitCond(t, 2*time.Second, func() bool { return events.Load() == 1 }) {

@@ -186,7 +186,7 @@ type Config struct {
 	// With DiskDir, a demoted object whose record the channel has carried
 	// since its last validation is promoted with no upstream request.
 	PushStretch float64
-	// PushValues enables value-carrying push (wire protocol v2): the
+	// PushValues enables value-carrying push: the
 	// subscriber negotiates payload delivery with its upstream, and a
 	// pushed event carrying the object's new body is installed directly
 	// — digest-verified, charged against the eviction byte ledger,

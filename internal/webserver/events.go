@@ -15,10 +15,10 @@ import (
 // missed. When the gap exceeds the buffer, the hello frame carries
 // Reset, telling the proxy to fall back to a revalidation sweep.
 //
-// With WithPushValues the events also carry the object's new body
-// (protocol v2/v3): the hub's replay ring is then byte-budgeted as well
+// With WithPushValues the events also carry the object's new body in
+// their optional trailing fields: the hub's replay ring is then byte-budgeted as well
 // as count-bounded, and each stream's payload cap is negotiated at
-// subscribe time (?maxpayload=). Delivery walks the v3 ladder per
+// subscribe time (?maxpayload=). Delivery walks the value ladder per
 // subscriber — delta against an advertised held body, full payload,
 // chunked body at the cap, invalidation-only — so an over-cap body
 // degrades one rung at a time instead of straight to a poll.

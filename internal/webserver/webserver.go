@@ -86,7 +86,7 @@ func WithPushHeartbeat(interval time.Duration) Option {
 }
 
 // WithPushValues makes every published update event carry the object's
-// new body (value-carrying push, protocol v2): subscribers that
+// new body (value-carrying push): subscribers that
 // negotiated payload delivery install the update directly — one
 // message, zero confirmation polls — while plain subscribers keep
 // receiving invalidation-only frames. cap bounds the body size the hub
