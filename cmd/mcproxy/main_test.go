@@ -338,8 +338,8 @@ func TestRunWithOpsListenServesOperationalSurface(t *testing.T) {
 	}
 	for _, name := range []string{
 		ops.SeriesKey("broadway_cache_hits_total"),
-		ops.SeriesKey("broadway_hub_seq", ops.Label{Name: "hub", Value: ops.HubRelay}),
-		ops.SeriesKey("broadway_hub_seq", ops.Label{Name: "hub", Value: ops.HubOrigin}),
+		ops.SeriesKey("broadway_hub_seq", ops.Label{Name: "hub", Value: "relay"}),
+		ops.SeriesKey("broadway_hub_seq", ops.Label{Name: "hub", Value: "origin"}),
 		ops.SeriesKey("broadway_origin_polls_total"),
 	} {
 		if _, ok := scrape.Values[name]; !ok {

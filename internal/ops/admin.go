@@ -34,6 +34,7 @@ type StatsDump struct {
 	Upstream *webproxy.UpstreamStatus `json:"upstream,omitempty"`
 	Push     *webproxy.PushStats      `json:"push,omitempty"`
 	Relay    *webproxy.RelayStats     `json:"relay,omitempty"`
+	Disk     *webproxy.DiskStats      `json:"disk,omitempty"`
 	Origin   *webserver.OriginStats   `json:"origin,omitempty"`
 }
 
@@ -208,11 +209,12 @@ func (h *Handler) adminKillStreams(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) adminStats(w http.ResponseWriter, r *http.Request) {
 	dump := StatsDump{}
 	if p := h.cfg.Proxy; p != nil {
-		cs, us, ps, rs := p.CacheStats(), p.UpstreamStatus(), p.PushStats(), p.RelayStats()
+		cs, us, ps, rs, ds := p.CacheStats(), p.UpstreamStatus(), p.PushStats(), p.RelayStats(), p.DiskStats()
 		dump.Cache = &cs
 		dump.Upstream = &us
 		dump.Push = &ps
 		dump.Relay = &rs
+		dump.Disk = &ds
 	}
 	if o := h.cfg.Origin; o != nil {
 		os := o.Stats()

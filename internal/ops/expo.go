@@ -59,15 +59,9 @@ func (e *exposition) familyFor(name, typ, help string) *family {
 	return f
 }
 
-// counter adds a counter sample. v is a monotone total.
-func (e *exposition) counter(name, help string, v float64, labels ...Label) {
-	f := e.familyFor(name, "counter", help)
-	f.samples = append(f.samples, sample{labels: labels, value: v})
-}
-
-// gauge adds a gauge sample.
-func (e *exposition) gauge(name, help string, v float64, labels ...Label) {
-	f := e.familyFor(name, "gauge", help)
+// add adds a sample to a counter or gauge family (typ).
+func (e *exposition) add(name, typ, help string, v float64, labels ...Label) {
+	f := e.familyFor(name, typ, help)
 	f.samples = append(f.samples, sample{labels: labels, value: v})
 }
 

@@ -11,10 +11,10 @@ import (
 // value, type, and labels intact.
 func TestExpositionRoundTrip(t *testing.T) {
 	e := newExposition()
-	e.counter("requests_total", "Requests served.", 42)
-	e.gauge("resident_bytes", "Resident bytes.", 1.5e6)
-	e.counter("hub_events_total", "Events.", 7, Label{"hub", "relay"})
-	e.counter("hub_events_total", "Events.", 9, Label{"hub", "origin"})
+	e.add("requests_total", "counter", "Requests served.", 42)
+	e.add("resident_bytes", "gauge", "Resident bytes.", 1.5e6)
+	e.add("hub_events_total", "counter", "Events.", 7, Label{"hub", "relay"})
+	e.add("hub_events_total", "counter", "Events.", 9, Label{"hub", "origin"})
 	e.histogram("lag", "Subscriber lag.", []float64{0, 3, 700}, Label{"hub", "relay"})
 
 	var buf bytes.Buffer
@@ -64,7 +64,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 func TestExpositionEscapesLabelValues(t *testing.T) {
 	hostile := "a\"b\\c\nd"
 	e := newExposition()
-	e.gauge("info", "Info.", 1, Label{"path", hostile})
+	e.add("info", "gauge", "Info.", 1, Label{"path", hostile})
 	var buf bytes.Buffer
 	e.render(&buf)
 	sc, err := ParseExposition(&buf)

@@ -371,7 +371,7 @@ func TestAdminAuth(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
 		t.Fatalf("stats dump JSON: %v", err)
 	}
-	if dump.Cache == nil || dump.Origin == nil || dump.Upstream == nil {
+	if dump.Cache == nil || dump.Origin == nil || dump.Upstream == nil || dump.Disk == nil {
 		t.Errorf("stats dump missing sections: %+v", dump)
 	}
 }

@@ -895,27 +895,27 @@ type HubPartitionStats struct {
 // ReplayCap sees a proxy falling behind before it hits a Reset.
 type HubStats struct {
 	// Seq is the last assigned sequence number.
-	Seq uint64
+	Seq uint64 `metric:"gauge broadway_hub_seq" help:"Last assigned sequence number."`
 	// Subscribers is the number of registered streams; ActiveStreams
 	// counts their handler goroutines (a surplus of handlers over
 	// subscribers is streams terminated but still unwinding).
-	Subscribers   int
-	ActiveStreams int
+	Subscribers   int `metric:"gauge broadway_hub_subscribers" help:"Registered streams."`
+	ActiveStreams int `metric:"gauge broadway_hub_active_streams" help:"Stream handler goroutines (surplus over subscribers is unwinding handlers)."`
 	// ReplayLen and ReplayCap are the replay ring's occupancy and
 	// capacity in events; ReplayBytes and ReplayByteCap are the same in
 	// resident bytes (payload bodies are what dominate). Both are
 	// totals across partitions; Partitions breaks residency down per
 	// key prefix. A subscriber whose lag exceeds the ring at reconnect
 	// time gets a Reset instead of a replay.
-	ReplayLen     int
-	ReplayCap     int
-	ReplayBytes   int64
-	ReplayByteCap int64
+	ReplayLen     int   `metric:"gauge broadway_hub_replay_events" help:"Replay ring occupancy in events."`
+	ReplayCap     int   `metric:"gauge broadway_hub_replay_events_cap" help:"Replay ring capacity in events."`
+	ReplayBytes   int64 `metric:"gauge broadway_hub_replay_bytes" help:"Replay ring resident wire bytes."`
+	ReplayByteCap int64 `metric:"gauge broadway_hub_replay_bytes_cap" help:"Replay ring byte budget (-1 unbounded)."`
 	// Partitions lists each replay-ring partition's resident bytes:
 	// the per-subtree residency the byte budget apportions (the
 	// fattest partition is trimmed first, so a narrow subtree's replay
 	// window survives bursts elsewhere).
-	Partitions []HubPartitionStats
+	Partitions []HubPartitionStats `metric:"-"` // internal/ops renders its two families by hand
 	// Oversized counts update events dropped for exceeding the wire
 	// envelope limit; Degraded counts payloads stripped at publish time
 	// for exceeding the hub's payload cap (the event itself survived as
@@ -925,35 +925,35 @@ type HubStats struct {
 	// subscribers terminated for not draining their stream; Filtered
 	// counts update frames skipped (never written) because they fell
 	// outside a stream's declared interest set.
-	Oversized   uint64
-	Degraded    uint64
-	Resets      uint64
-	ResumeHoles uint64
-	SlowKills   uint64
-	Filtered    uint64
+	Oversized   uint64 `metric:"counter broadway_hub_oversized_total" help:"Update events dropped for exceeding the wire envelope limit."`
+	Degraded    uint64 `metric:"counter broadway_hub_degraded_total" help:"Payloads stripped at publish for exceeding the hub cap."`
+	Resets      uint64 `metric:"counter broadway_hub_resets_total" help:"Hole announcements (mid-stream Resets) made."`
+	ResumeHoles uint64 `metric:"counter broadway_hub_resume_holes_total" help:"Reset hellos served to resuming subscribers."`
+	SlowKills   uint64 `metric:"counter broadway_hub_slow_kills_total" help:"Subscribers terminated for not draining their stream."`
+	Filtered    uint64 `metric:"counter broadway_hub_filtered_total" help:"Update frames skipped by interest filtering."`
 	// DeltaFrames counts updates delivered as a delta against the
 	// stream's held digest; ChunkFrames counts updates delivered as a
 	// chunk set (once per update, not per chunk). Both are the ladder's
 	// savings ledger: frames that would otherwise have been a full body
 	// or a degradation to invalidation.
-	DeltaFrames uint64
-	ChunkFrames uint64
+	DeltaFrames uint64 `metric:"counter broadway_hub_delta_frames_total" help:"Update frames delivered on the delta rung (base matched a held digest)."`
+	ChunkFrames uint64 `metric:"counter broadway_hub_chunk_frames_total" help:"Updates delivered as a chunk set (body over the stream's payload cap), counted once per update."`
 	// DuplicateFrames counts updates delivered on rung zero: the stream
 	// already held the body (it was sent it once), so only the stripped
 	// announcement crossed the link.
-	DuplicateFrames uint64
+	DuplicateFrames uint64 `metric:"counter broadway_hub_duplicate_frames_total" help:"Updates written stripped because the stream already held the body (rung zero)."`
 	// PublishWait is the cumulative time publishers spent waiting to
 	// acquire the ring lock — the contention serve-side load inflicts
 	// on the publish path (flat when the contention-free design holds).
-	PublishWait time.Duration
+	PublishWait time.Duration `metric:"counter broadway_hub_publish_wait_seconds" help:"Cumulative time publishers waited to acquire the ring lock."`
 	// Available reports whether the endpoint is accepting streams (see
 	// SetAvailable; a disabled hub 503s new connections).
-	Available bool
+	Available bool `metric:"gauge broadway_hub_available" help:"1 while the endpoint accepts streams."`
 	// MaxLag is the largest per-subscriber lag (sequence distance
 	// between the stream head and that subscriber's proven position);
 	// Lags lists every subscriber's.
-	MaxLag uint64
-	Lags   []uint64
+	MaxLag uint64   `metric:"gauge broadway_hub_max_lag" help:"Largest per-subscriber lag behind the stream head."`
+	Lags   []uint64 `metric:"histogram broadway_hub_subscriber_lag" help:"Per-subscriber lag behind the stream head, one observation per subscriber per scrape."`
 }
 
 // Stats snapshots the hub's backpressure state. The ring snapshot rides

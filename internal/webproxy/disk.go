@@ -165,19 +165,19 @@ func (p *Proxy) rehydrate() {
 // Enabled false (the zero value) means Config.DiskDir was not set.
 type DiskStats struct {
 	// Enabled reports whether the disk tier is configured.
-	Enabled bool
+	Enabled bool `metric:"gauge broadway_disk_enabled" help:"1 when the persistent disk tier is configured."`
 	// Records and Bytes are the durable index's current footprint.
-	Records int
-	Bytes   int64
+	Records int   `metric:"gauge broadway_disk_records" help:"Records in the durable metadata index."`
+	Bytes   int64 `metric:"gauge broadway_disk_bytes" help:"Blob bytes accounted by the durable index."`
 	// PendingWrites is the write-behind queue depth (coalesced keys).
-	PendingWrites int
+	PendingWrites int `metric:"gauge broadway_disk_pending_writes" help:"Write-behind queue depth in coalesced keys."`
 	// Writes and WriteErrors count applied and failed persist
 	// operations; Deletes counts applied purges; Evictions counts
 	// records dropped by the disk byte budget (oldest validated first).
-	Writes      uint64
-	WriteErrors uint64
-	Deletes     uint64
-	Evictions   uint64
+	Writes      uint64 `metric:"counter broadway_disk_writes_total" help:"Persist operations applied by the write-behind worker."`
+	WriteErrors uint64 `metric:"counter broadway_disk_write_errors_total" help:"Persist operations that failed at the filesystem."`
+	Deletes     uint64 `metric:"counter broadway_disk_deletes_total" help:"Durable records purged (admin eviction)."`
+	Evictions   uint64 `metric:"counter broadway_disk_evictions_total" help:"Durable records dropped by the disk byte budget."`
 	// Demotions counts replacement victims whose disk record made the
 	// eviction a tier transition instead of a loss; Promotions counts
 	// disk records re-admitted to the store, validated by a conditional
@@ -185,13 +185,13 @@ type DiskStats struct {
 	// its body alone overflows MaxBytes, nor one that lost to a
 	// concurrent admission). LeasedPromotions is the subset the push
 	// channel answered with no upstream request (see channelAnswer).
-	Demotions        uint64
-	Promotions       uint64
-	LeasedPromotions uint64
+	Demotions        uint64 `metric:"counter broadway_disk_demotions_total" help:"Replacement victims retained on disk instead of lost."`
+	Promotions       uint64 `metric:"counter broadway_disk_promotions_total" help:"Disk records re-admitted, validated by a fetch or carried by a live lease."`
+	LeasedPromotions uint64 `metric:"counter broadway_disk_leased_promotions_total" help:"Promotions the push channel answered with no upstream request."`
 	// Rehydrated counts entries restored warm at startup; GraceServes
 	// counts hits served as X-Cache: GRACE before re-validation.
-	Rehydrated  uint64
-	GraceServes uint64
+	Rehydrated  uint64 `metric:"counter broadway_disk_rehydrated_total" help:"Entries restored warm from disk at startup."`
+	GraceServes uint64 `metric:"counter broadway_disk_grace_serves_total" help:"Hits served as X-Cache: GRACE before re-validation."`
 }
 
 // DiskStats returns the disk tier's counters (zero value when disabled).

@@ -763,35 +763,35 @@ func (p *Proxy) leasePhase(key string, ttr time.Duration) time.Duration {
 // PushStats reports the state of the invalidation channel.
 type PushStats struct {
 	// Enabled reports whether the proxy was configured with a push URL.
-	Enabled bool
+	Enabled bool `metric:"gauge broadway_push_enabled" help:"1 when the proxy subscribes to an invalidation channel."`
 	// Connected reports whether the channel is currently healthy
 	// (leases in effect for the keys it covers).
-	Connected bool
+	Connected bool `metric:"gauge broadway_push_connected" help:"1 while the invalidation channel is healthy."`
 	// LeaseTerm is the resolved lease term L = PushStretch × Bounds.Max:
 	// how often a covered key's regular poll runs while Connected. Zero
 	// when leases are off (PushStretch ≤ 1 or no push URL).
-	LeaseTerm time.Duration
+	LeaseTerm time.Duration `metric:"gauge broadway_push_lease_term_seconds" help:"Interval between a covered key's regular polls while the channel is healthy (0 when leases are off)."`
 	// Events counts update notifications received.
-	Events uint64
+	Events uint64 `metric:"counter broadway_push_events_total" help:"Update notifications received on the channel."`
 	// Polls counts pushed jobs enqueued (coalesced bursts enqueue one).
 	// With PushValues each job first tries to install the event's
 	// payload and only polls when that fails.
-	Polls uint64
+	Polls uint64 `metric:"counter broadway_push_polls_total" help:"Pushed jobs enqueued from events."`
 	// Dropped counts events for objects that were not resident.
-	Dropped uint64
+	Dropped uint64 `metric:"counter broadway_push_dropped_total" help:"Events dropped for non-resident objects."`
 	// ValueApplied counts pushed payloads installed directly — one
 	// message, zero origin polls. ValueFallbacks counts pushed jobs
 	// that degraded to a confirmation poll while value application was
 	// enabled (digest mismatch, missing or over-cap payload, byte-budget
 	// refusal).
-	ValueApplied   uint64
-	ValueFallbacks uint64
+	ValueApplied   uint64 `metric:"counter broadway_push_value_applied_total" help:"Pushed payloads installed directly, zero origin polls."`
+	ValueFallbacks uint64 `metric:"counter broadway_push_value_fallbacks_total" help:"Pushed jobs degraded to a confirmation poll."`
 	// Duplicates counts pushed events dropped by the version check: the
 	// cached copy (or disk record) already carried the announced
 	// modification instant — a relay's payload-free confirmation of a
 	// frame already installed, a replay, a push that lost the race to a
 	// poll — so nothing was installed and nothing polled.
-	Duplicates uint64
+	Duplicates uint64 `metric:"counter broadway_push_duplicates_total" help:"Pushed events dropped by the version check (cached copy already at that version)."`
 	// DeltaApplied counts pushed delta frames reconstructed, verified,
 	// and installed (resident or disk tier). DeltaBaseMisses counts
 	// deltas refused because the advertised base digest did not match
@@ -802,46 +802,46 @@ type PushStats struct {
 	// the base matched, or one computed locally after a poll).
 	// DiskApplied counts pushed payloads landed directly on a demoted
 	// object's disk record while nothing was resident.
-	DeltaApplied    uint64
-	DeltaBaseMisses uint64
-	DeltaRebased    uint64
-	DiskApplied     uint64
+	DeltaApplied    uint64 `metric:"counter broadway_push_delta_applied_total" help:"Pushed delta frames reconstructed, verified, and installed."`
+	DeltaBaseMisses uint64 `metric:"counter broadway_push_delta_base_misses_total" help:"Pushed deltas refused for a base digest mismatch, degraded down the ladder."`
+	DeltaRebased    uint64 `metric:"counter broadway_push_delta_rebased_total" help:"Relay publications carrying a delta form for this proxy's downstream."`
+	DiskApplied     uint64 `metric:"counter broadway_push_disk_applied_total" help:"Pushed payloads landed on demoted objects' disk records."`
 	// ChunksAssembled counts chunked bodies the subscriber reassembled
 	// and delivered whole; ChunksBroken counts chunk sets it abandoned
 	// (hole, out-of-order frame, over-budget reassembly, or terminal
 	// digest mismatch), each degraded to a confirmation poll.
-	ChunksAssembled uint64
-	ChunksBroken    uint64
+	ChunksAssembled uint64 `metric:"counter broadway_push_chunks_assembled_total" help:"Chunked bodies reassembled and delivered whole."`
+	ChunksBroken    uint64 `metric:"counter broadway_push_chunks_broken_total" help:"Chunk sets abandoned and degraded to a confirmation poll."`
 	// Fallbacks counts healthy→disconnected transitions (each one ran a
 	// catch-up sweep).
-	Fallbacks uint64
+	Fallbacks uint64 `metric:"counter broadway_push_fallbacks_total" help:"Healthy-to-disconnected transitions, each running a catch-up sweep."`
 	// Connects counts successful stream establishments (a mid-stream
 	// Reset reconciliation is not one: the stream stayed up).
-	Connects uint64
+	Connects uint64 `metric:"counter broadway_push_connects_total" help:"Successful stream establishments."`
 	// Bounces counts deliberate stream drops forcing an interest
 	// renegotiation (an admission or a downstream subscriber outside
 	// the live declaration).
-	Bounces uint64
+	Bounces uint64 `metric:"counter broadway_push_bounces_total" help:"Deliberate stream drops forcing interest renegotiation."`
 	// Resets counts mid-stream hello/Reset frames received (a relaying
 	// upstream announcing a hole without dropping the connection); each
 	// one ran the same reconciliation as a Reset at connect time.
-	Resets uint64
+	Resets uint64 `metric:"counter broadway_push_stream_resets_total" help:"Mid-stream hello/Reset frames received."`
 	// SkippedFrames counts oversized stream lines the subscriber
 	// dropped in place of dying and livelocking on reconnect replay.
-	SkippedFrames uint64
+	SkippedFrames uint64 `metric:"counter broadway_push_skipped_frames_total" help:"Oversized or undecodable stream lines dropped in place."`
 	// LastSeq is the last fully processed stream position: the highest
 	// of the last event handled and the stream position heartbeats have
 	// advanced past frames the upstream withheld under this proxy's
 	// declared interest (a filtered frame is processed by definition —
 	// nobody here wanted it).
-	LastSeq uint64
+	LastSeq uint64 `metric:"gauge broadway_push_last_seq" help:"Last fully processed stream position."`
 	// LastFrameAt is the wall-clock instant the last stream frame of
 	// any kind arrived (zero before the first); HeartbeatTimeout is the
 	// resolved watchdog interval. Together they bound how stale a
 	// Connected reading can be — a health probe flags a connected
 	// channel whose LastFrameAt trails now by more than the timeout.
-	LastFrameAt      time.Time
-	HeartbeatTimeout time.Duration
+	LastFrameAt      time.Time     `metric:"gauge broadway_push_last_frame_timestamp_seconds" help:"Unix time of the last stream frame of any kind (0 before any)."`
+	HeartbeatTimeout time.Duration `metric:"gauge broadway_push_heartbeat_timeout_seconds" help:"Watchdog interval declaring the stream dead without frames."`
 }
 
 // PushStats returns the invalidation-channel counters.

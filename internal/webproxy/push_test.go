@@ -93,8 +93,8 @@ func TestPushEventTriggersImmediateRefresh(t *testing.T) {
 	if st := px.ObjectStats("/page"); st.Pushed == 0 {
 		t.Errorf("no pushed poll recorded: %+v", st)
 	}
-	if cs := px.CacheStats(); cs.PushPolls == 0 || cs.PushEvents == 0 || !cs.PushConnected {
-		t.Errorf("CacheStats push counters: %+v", cs)
+	if ps := px.PushStats(); ps.Polls == 0 || ps.Events == 0 || !ps.Connected {
+		t.Errorf("PushStats counters: %+v", ps)
 	}
 }
 
@@ -253,7 +253,7 @@ func TestRetiredFrameSpellingDegradesToPolling(t *testing.T) {
 	origin.Set("/page", []byte("v1"), "")
 	px.get("/page")
 	st := px.PushStats()
-	if st.Connected || st.Connects != 0 || px.CacheStats().PushConnected || st.SkippedFrames != 0 {
+	if st.Connected || st.Connects != 0 || st.SkippedFrames != 0 {
 		t.Fatalf("a retired hello opened the channel or counted as a skipped frame: %+v", st)
 	}
 	snap := scheduleOf(t, px, "/page", 1)

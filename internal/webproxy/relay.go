@@ -227,12 +227,12 @@ func (p *Proxy) KillRelayStreams() {
 // RelayStats reports the state of the downstream event relay.
 type RelayStats struct {
 	// Enabled reports whether the proxy was configured to relay events.
-	Enabled bool
+	Enabled bool `metric:"gauge broadway_relay_enabled" help:"1 when the proxy relays events downstream."`
 	// Path is the endpoint the relayed stream is served at.
-	Path string
+	Path string `metric:"info broadway_relay_info path" help:"Constant 1; the path label names the relayed stream's endpoint."`
 	// Hub is the relay hub's backpressure snapshot: sequence head,
 	// replay occupancy, per-subscriber lag, resets announced.
-	Hub push.HubStats
+	Hub push.HubStats `metric:"nested hub=relay"`
 }
 
 // RelayStats returns the downstream relay's counters (zero-valued when

@@ -1292,20 +1292,19 @@ func (p *Proxy) fetch(key string, since time.Time) (*upstreamResponse, error) {
 }
 
 // UpstreamStatus reports the proxy's most recent origin contact: the
-// error counter feeding broadway_upstream_errors_total, and the last
-// error's detail — kept here, off the client-facing 502 body, for
-// /healthz to surface to operators.
+// error counter, and the last error's detail — kept here, off the
+// client-facing 502 body, for /healthz to surface to operators.
 type UpstreamStatus struct {
 	// Errors counts failed upstream requests (transport errors and
 	// non-200/304 statuses), across every fetch path.
-	Errors uint64
+	Errors uint64 `metric:"counter broadway_upstream_errors_total" help:"Failed upstream fetches (all refresh and admission paths)."`
 	// LastError is the most recent failure's detail ("" before any).
-	LastError string
+	LastError string `metric:"-"` // a label would explode cardinality
 	// LastErrorAt and LastOKAt are the instants of the most recent
 	// failed and successful upstream requests (zero before any). The
 	// upstream is considered reachable while LastOKAt >= LastErrorAt.
-	LastErrorAt time.Time
-	LastOKAt    time.Time
+	LastErrorAt time.Time `metric:"gauge broadway_upstream_last_error_timestamp_seconds" help:"Unix time of the most recent failed upstream fetch (0 before any)."`
+	LastOKAt    time.Time `metric:"gauge broadway_upstream_last_ok_timestamp_seconds" help:"Unix time of the most recent successful upstream fetch (0 before any)."`
 }
 
 // UpstreamStatus returns the most recent upstream fetch outcomes.
@@ -1424,47 +1423,38 @@ type Stats struct {
 type CacheStats struct {
 	// Hits counts cache hits since start. A hit racing its object's
 	// eviction may go uncounted; the total never decreases.
-	Hits uint64
+	Hits uint64 `metric:"counter broadway_cache_hits_total" help:"Cache hits since start."`
 	// Misses counts requests that entered the admission path.
-	Misses uint64
+	Misses uint64 `metric:"counter broadway_cache_misses_total" help:"Requests that entered the admission path."`
 	// Evictions counts objects displaced by replacement or Evict.
-	Evictions uint64
+	Evictions uint64 `metric:"counter broadway_cache_evictions_total" help:"Objects displaced by replacement or admin eviction."`
 	// Capped counts admissions refused residency: single objects larger
 	// than MaxBytes, served uncached.
-	Capped uint64
+	Capped uint64 `metric:"counter broadway_cache_capped_total" help:"Admissions refused residency at capacity."`
 	// ResidentObjects and ResidentBytes are the current store footprint.
-	ResidentObjects int
-	ResidentBytes   int64
+	ResidentObjects int   `metric:"gauge broadway_cache_resident_objects" help:"Currently cached objects."`
+	ResidentBytes   int64 `metric:"gauge broadway_cache_resident_bytes" help:"Approximate resident bytes of cached objects."`
 	// RegularPolls, TriggeredPolls, and PushedPolls count successful
 	// refresh polls of cached objects by what demanded them: the TTR (or
 	// lease) schedule, a mutual-consistency controller, or a pushed event
 	// whose payload could not be installed. Admission and promotion
 	// fetches are misses, not polls. Their sum is the validation traffic
 	// this proxy costs its upstream.
-	RegularPolls   uint64
-	TriggeredPolls uint64
-	PushedPolls    uint64
+	RegularPolls   uint64 `metric:"counter broadway_polls_total kind=regular" help:"Successful refresh polls of cached objects, by what demanded them."`
+	TriggeredPolls uint64 `metric:"counter broadway_polls_total kind=triggered" help:"Successful refresh polls of cached objects, by what demanded them."`
+	PushedPolls    uint64 `metric:"counter broadway_polls_total kind=pushed" help:"Successful refresh polls of cached objects, by what demanded them."`
 	// GroupChannelSyncs counts §3.2 sibling syncs the push channel
 	// vouched for: at a group member's update, every sibling the live
 	// lease carried was known current with no request, and was not polled
 	// (see PollObservation.Vouched). They are not polls.
-	GroupChannelSyncs uint64
+	GroupChannelSyncs uint64 `metric:"counter broadway_group_channel_syncs_total" help:"Group members the push channel's lease vouched for at a sibling's update, with no triggered poll."`
 	// UpstreamErrors counts failed upstream fetches (all paths); the
 	// last error's detail is on UpstreamStatus, not here and never on
 	// a client-facing response body.
-	UpstreamErrors uint64
-	// PushConnected reports whether the invalidation channel is healthy.
-	PushConnected bool
-	// PushEvents counts update notifications received on the channel.
-	PushEvents uint64
-	// PushPolls counts pushed polls the channel converted events into.
-	PushPolls uint64
-	// PushFallbacks counts healthy→disconnected transitions, each of
-	// which ran a staleness-bounded catch-up sweep.
-	PushFallbacks uint64
+	UpstreamErrors uint64 `metric:"-"` // the same series as UpstreamStatus.Errors
 	// ToleranceOverrides counts runtime Δ/Δv changes applied through
 	// the /admin/tolerance action (see OverrideTolerance).
-	ToleranceOverrides uint64
+	ToleranceOverrides uint64 `metric:"counter broadway_cache_tolerance_overrides_total" help:"Runtime tolerance overrides applied via /admin/tolerance."`
 }
 
 // CacheStats returns the proxy-wide cache counters. Hits is summed on
@@ -1481,10 +1471,6 @@ func (p *Proxy) CacheStats() CacheStats {
 		TriggeredPolls:  p.polls[pollTriggered].Load(),
 		PushedPolls:     p.polls[pollPushed].Load(),
 		UpstreamErrors:  p.UpstreamStatus().Errors,
-		PushConnected:   p.pushHealthy.Load(),
-		PushEvents:      p.pushEvents.Load(),
-		PushPolls:       p.pushPolls.Load(),
-		PushFallbacks:   p.pushFallbacks.Load(),
 
 		GroupChannelSyncs:  p.groupChannelSyncs.Load(),
 		ToleranceOverrides: p.toleranceOverrides.Load(),

@@ -259,15 +259,15 @@ func (o *Origin) PushHubStats() push.HubStats {
 // for the operational surface (/metrics, /admin/stats).
 type OriginStats struct {
 	// Objects is the number of hosted resources.
-	Objects int
+	Objects int `metric:"gauge broadway_origin_objects" help:"Hosted resources."`
 	// Polls counts conditional or plain GETs served for hosted objects;
 	// NotModified counts the 304 responses among them.
-	Polls       uint64
-	NotModified uint64
+	Polls       uint64 `metric:"counter broadway_origin_polls_total" help:"Conditional or plain GETs served for hosted objects."`
+	NotModified uint64 `metric:"counter broadway_origin_not_modified_total" help:"304 responses served."`
 	// PushEnabled reports whether the invalidation channel is
 	// configured; Hub is its backpressure snapshot (zero when not).
-	PushEnabled bool
-	Hub         push.HubStats
+	PushEnabled bool          `metric:"gauge broadway_origin_push_enabled" help:"1 when the origin streams invalidation events."`
+	Hub         push.HubStats `metric:"nested hub=origin"`
 }
 
 // Stats returns the origin-wide counters.

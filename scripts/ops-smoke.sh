@@ -9,7 +9,9 @@
 # whole consistency group, then waits for the demo origin's next group
 # update: the sibling the lease carries must be vouched for by the
 # channel, not polled. Fails on any non-200 probe, unparseable
-# exposition, or missing counter. Builds into $TMPDIR (default /tmp).
+# exposition, a family list that differs from
+# internal/ops/testdata/families.golden, or missing counter. Builds into
+# $TMPDIR (default /tmp).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -45,6 +47,13 @@ start() {
 
 start -max-objects 1 -disk-dir "$DISK"
 curl -fsS "http://$OPS/metrics" | "$BIN/opscheck-ops-smoke"
+# This node runs every component, so it must emit exactly the families
+# of the stable-name contract.
+curl -fsS "http://$OPS/metrics" | grep '^# TYPE ' | LC_ALL=C sort |
+  diff internal/ops/testdata/families.golden - || {
+  echo "ops-smoke: /metrics families differ from internal/ops/testdata/families.golden" >&2
+  exit 1
+}
 
 # Drive the serve path once and confirm the scrape still validates (and
 # the traffic is visible in it).
