@@ -111,7 +111,7 @@ func run(args []string) error {
 	maxBytes := fs.Int64("max-bytes", 0, "resident-memory budget in bytes for cached objects (0 = unlimited)")
 	pushEnabled := fs.Bool("push", false, "subscribe to the origin's invalidation event stream (hybrid push-pull)")
 	pushPath := fs.String("push-path", "/events", "path of the origin's event-stream endpoint")
-	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and covers an object, its regular poll runs once per term, starting at admission; disconnect, heartbeat timeout, Reset or frame loss end every lease and restore the unstretched schedule in one sweep (values <= 1 disable leases)")
+	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and carries an object, its regular poll runs once per term; whatever ends a lease restores the unstretched schedule in one sweep (values <= 1 disable leases)")
 	pushValues := fs.Bool("push-values", false, "value-carrying push: negotiate payload delivery on the event stream and install pushed bodies directly, with no confirmation poll; with -relay-events the relayed stream carries payloads too, and with -demo the demo origin publishes them")
 	relayEvents := fs.Bool("relay-events", false, "republish invalidation events downstream: serve this proxy's own event stream so child proxies can subscribe to it (proxy hierarchy)")
 	eventsPath := fs.String("events-path", "/events", "path the relayed event stream is served at (with -relay-events)")

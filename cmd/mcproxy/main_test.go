@@ -6,7 +6,9 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -54,6 +56,50 @@ func TestDemoOriginStopIsClean(t *testing.T) {
 	}
 }
 
+// startRun runs mcproxy with args in the background until the test calls
+// stop, which delivers the SIGINT an operator would and returns run's
+// error. If the test ends first, its cleanup stops the run the same way,
+// so a failed test never leaves a proxy serving into the next one.
+func startRun(t *testing.T, args ...string) (stop func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- run(args) }()
+	var once sync.Once
+	var err error
+	stop = func() error {
+		once.Do(func() { err = interrupt(done) })
+		return err
+	}
+	t.Cleanup(func() { stop() })
+	return stop
+}
+
+// interrupt sends this process SIGINT until run reports on done. The test
+// subscribes to the signal meanwhile, so one that lands before run has
+// subscribed is absorbed (and sent again) instead of killing the test
+// binary.
+func interrupt(done <-chan error) error {
+	sink := make(chan os.Signal, 1)
+	signal.Notify(sink, os.Interrupt)
+	defer signal.Stop(sink)
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		return err
+	}
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		if err := p.Signal(os.Interrupt); err != nil {
+			return err
+		}
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(100 * time.Millisecond):
+		}
+	}
+	return fmt.Errorf("run never returned after SIGINT")
+}
+
+// TestRunEndToEnd is the one run ended by its -run-for timer.
 func TestRunEndToEnd(t *testing.T) {
 	// Reserve a port for the proxy.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -66,7 +112,7 @@ func TestRunEndToEnd(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run([]string{"-demo", "-listen", addr,
-			"-delta", "1s", "-mdelta", "1s", "-run-for", "2s"})
+			"-delta", "1s", "-mdelta", "1s", "-run-for", "1s"})
 	}()
 
 	// Wait for the proxy to come up, then fetch through it.
@@ -106,11 +152,8 @@ func TestRunWithPushEndToEnd(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-demo", "-listen", addr, "-push",
-			"-delta", "30s", "-ttr-max", "5m", "-run-for", "13s"})
-	}()
+	stop := startRun(t, "-demo", "-listen", addr, "-push",
+		"-delta", "30s", "-ttr-max", "5m")
 
 	get := func() (body, cache string, ok bool) {
 		resp, err := http.Get(fmt.Sprintf("http://%s/news/story.html", addr))
@@ -156,7 +199,7 @@ func TestRunWithPushEndToEnd(t *testing.T) {
 	if !advanced {
 		t.Error("story revision never advanced within 11s; the push channel did not deliver")
 	}
-	if err := <-done; err != nil {
+	if err := stop(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -173,11 +216,8 @@ func TestRunWithRelayServesEventStream(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-demo", "-listen", addr, "-push", "-relay-events",
-			"-events-path", "/fleet-events", "-run-for", "4s"})
-	}()
+	stop := startRun(t, "-demo", "-listen", addr, "-push", "-relay-events",
+		"-events-path", "/fleet-events")
 
 	deadline := time.Now().Add(3 * time.Second)
 	var frame string
@@ -207,7 +247,7 @@ func TestRunWithRelayServesEventStream(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("story through relay-enabled proxy: %d", resp.StatusCode)
 	}
-	if err := <-done; err != nil {
+	if err := stop(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -224,11 +264,8 @@ func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-demo", "-listen", addr, "-push", "-push-values",
-			"-relay-events", "-run-for", "4s"})
-	}()
+	stop := startRun(t, "-demo", "-listen", addr, "-push", "-push-values",
+		"-relay-events")
 
 	deadline := time.Now().Add(3 * time.Second)
 	var frame string
@@ -248,7 +285,7 @@ func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 	if ev := firstEvent(t, frame); ev.Kind != push.KindHello || ev.PayloadCap != 65536 {
 		t.Fatalf("relay did not negotiate payload delivery: %q", frame)
 	}
-	if err := <-done; err != nil {
+	if err := stop(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -282,11 +319,8 @@ func TestRunWithOpsListenServesOperationalSurface(t *testing.T) {
 	}
 	addr, opsAddr := reserve(), reserve()
 
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-demo", "-listen", addr, "-push", "-relay-events",
-			"-ops-listen", opsAddr, "-ops-token", "sesame", "-run-for", "6s"})
-	}()
+	stop := startRun(t, "-demo", "-listen", addr, "-push", "-relay-events",
+		"-ops-listen", opsAddr, "-ops-token", "sesame")
 
 	// Warm the cache through the proxy so the scrape has traffic behind it.
 	deadline := time.Now().Add(3 * time.Second)
@@ -378,7 +412,7 @@ func TestRunWithOpsListenServesOperationalSurface(t *testing.T) {
 		t.Errorf("authorized admin call = %d, want 200", code)
 	}
 
-	if err := <-done; err != nil {
+	if err := stop(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 }
@@ -556,11 +590,7 @@ func TestRunDiskTierSurvivesRestart(t *testing.T) {
 		}
 		addr := ln.Addr().String()
 		ln.Close()
-		done := make(chan error, 1)
-		go func() {
-			done <- run([]string{"-origin", originURL, "-listen", addr,
-				"-disk-dir", dir, "-run-for", "3s"})
-		}()
+		stop := startRun(t, "-origin", originURL, "-listen", addr, "-disk-dir", dir)
 		var body string
 		deadline := time.Now().Add(3 * time.Second)
 		for time.Now().Before(deadline) {
@@ -573,7 +603,7 @@ func TestRunDiskTierSurvivesRestart(t *testing.T) {
 			}
 			time.Sleep(25 * time.Millisecond)
 		}
-		if err := <-done; err != nil {
+		if err := stop(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		return body

@@ -16,12 +16,10 @@ package webproxy
 //     on disk — demoted by CLOCK replacement or beyond the grace window
 //     at startup — revalidates it before serving, reusing the disk body,
 //     metadata and learned TTR on a 304. The 304 comes from the origin,
-//     through a conditional fetch, unless a live lease has carried the
-//     record since its last validation: then the push channel answers
-//     it, with no upstream request, and the entry is installed with the
-//     record's own validation instant and audited within L of it (see
-//     channelAnswer). Promotion runs inside the admission singleflight,
-//     so the re-admission race resolves to at most one origin fetch.
+//     through a conditional fetch, unless the push lease carries the
+//     record (see channelAnswer and lease.go). Promotion runs inside the
+//     admission singleflight, so the re-admission race resolves to at
+//     most one origin fetch.
 //   - demote (replacement): CLOCK victims keep their disk record (the
 //     write-behind already persisted their last validated state), so
 //     capacity is disk-bound, not RAM-bound. Admin Evict purges both
@@ -77,52 +75,19 @@ func (p *Proxy) persistEntry(e *entry) {
 	p.disk.Put(rec, e.body)
 }
 
-// voidRecord deletes key's disk record so that it is never promoted as
-// carried (see channelAnswer). It runs on every path that handles an
-// announced update for the key without landing it on the resident copy
-// or on the record. Voiding is always safe: an object that changed costs
-// the same 200 either way. A no-op with leases off, where every
-// promotion validates, or with no disk tier.
-func (p *Proxy) voidRecord(key string) {
-	if p.disk != nil && p.leaseTerm > 0 {
-		p.disk.Delete(key)
-	}
-}
-
 // channelAnswer is the 304 a live lease gives a promotion in place of a
-// validating fetch, or nil when the promotion must fetch. A demoted
-// record is carried — kept current by the channel exactly as a resident
-// leased key is — only if each of the resident lease's own premises
-// holds for it:
-//
-//   - (a) the channel is healthy, and the record was validated strictly
-//     after the current lease epoch began (last connect, Reset or frame
-//     loss), so every update since its validation was announced;
-//   - (b) it is younger than the lease term L, so a silent upstream is
-//     still caught within L of the last validation: the promoted entry's
-//     first audit lands by then (see rescheduleHybrid);
-//   - (c) the channel covers the key: pushable, and inside the live
-//     declaration (see leaseCovers);
-//   - (d) no announced update was lost for it: every path that handles an
-//     event for the key without landing it on the resident copy or on
-//     the record voids the record (see voidRecord), and so does a failed
-//     disk write (diskstore).
-//
-// An update racing the promotion itself marks its flight and is caught
-// at install (see installEntry). Without a record, with leases off (no
-// PushURL, PushStretch ≤ 1) or a channel down, every promotion fetches.
+// validating fetch, or nil when the promotion must fetch: a demoted
+// record is carried exactly as a resident leased key is (see lease.go),
+// on the evidence of its own validation instant (see recordEpoch). The
+// record answered is installed with that instant and audited within L of
+// it. An update racing the promotion itself marks its flight and is
+// caught at install (see raced).
 func (p *Proxy) channelAnswer(key string, rec *diskstore.Record) *upstreamResponse {
-	// Health is read before the epoch: a reconnect stores its epoch
-	// before it flips pushHealthy, so the epoch read here is never older
-	// than the connection found healthy, and a record validated while the
-	// channel was down predates it.
-	if rec == nil || p.leaseTerm <= 0 || !p.pushHealthy.Load() {
+	if rec == nil {
 		return nil
 	}
-	epoch := p.leaseEpoch.Load()
-	if epoch == nil || !rec.ValidatedAt.After(*epoch) ||
-		p.cfg.Clock().Sub(rec.ValidatedAt) >= p.leaseTerm ||
-		!p.pushable(key, rec.Group) || !p.leaseCovers(key, rec.Group) {
+	epoch := p.lease.recordEpoch(rec.ValidatedAt)
+	if epoch == nil || !p.lease.carries(key, rec.Group, p.pushable(key, rec.Group), epoch) {
 		return nil
 	}
 	return &upstreamResponse{notModified: true, epoch: epoch, byChannel: true}

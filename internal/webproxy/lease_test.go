@@ -242,9 +242,9 @@ func TestLeaseEndsMidTerm(t *testing.T) {
 					t.Fatalf("%s: no regular poll since the channel came back", k)
 				}
 				snap := scheduleOf(t, px, k, 2)
-				if !snap.next.Equal(last.Add(px.leaseTerm)) {
+				if !snap.next.Equal(last.Add(px.lease.term)) {
 					t.Fatalf("%s: next poll %v after its last regular poll, want the term %v: leases not re-entered poll by poll",
-						k, snap.next.Sub(last), px.leaseTerm)
+						k, snap.next.Sub(last), px.lease.term)
 				}
 			}
 		})
@@ -313,7 +313,7 @@ func TestLeasePromoteDemoteCostsNoOriginRequest(t *testing.T) {
 	// A phase past term − age, so the cap (validation + L) decides the
 	// first audit rather than the phase.
 	victim := "/c/0"
-	for i := 1; px.leasePhase(victim, ttrMin) <= term-age; i++ {
+	for i := 1; px.lease.phase(victim, ttrMin) <= term-age; i++ {
 		victim = fmt.Sprintf("/c/%d", i)
 	}
 	h.origin.Set(victim, []byte("victim"), "")
@@ -399,7 +399,7 @@ func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
 	if !ok {
 		t.Fatal("/out/b was never polled")
 	}
-	if snap := scheduleOf(t, px, "/out/b", 2); !snap.next.Equal(last.Add(px.leaseTerm)) {
+	if snap := scheduleOf(t, px, "/out/b", 2); !snap.next.Equal(last.Add(px.lease.term)) {
 		t.Error("/out/b never leased after the declaration covered it")
 	}
 }
@@ -445,7 +445,7 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 			// A phase far past the TTR, so a lease taken by mistake cannot
 			// pass for the paper-mode poll.
 			key := "/r/0"
-			for i := 1; px.leasePhase(key, ttrMin) < 10*ttrMin; i++ {
+			for i := 1; px.lease.phase(key, ttrMin) < 10*ttrMin; i++ {
 				key = fmt.Sprintf("/r/%d", i)
 			}
 			h.origin.Set(key, []byte("v1"), "")
@@ -1003,7 +1003,7 @@ func TestLeaseRefusedWhenFetchStraddlesAnEpoch(t *testing.T) {
 				// A phase far past the TTR, so a lease taken by mistake cannot
 				// pass for the paper-mode poll.
 				key := "/r/0"
-				for i := 1; px.leasePhase(key, ttrMin) < 10*ttrMin; i++ {
+				for i := 1; px.lease.phase(key, ttrMin) < 10*ttrMin; i++ {
 					key = fmt.Sprintf("/r/%d", i)
 				}
 				h.origin.Set(key, []byte("v1"), "")
@@ -1124,7 +1124,7 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 			// not yet swept the leased schedules back.
 			name: "channel down, before its sweep",
 			spoil: func(t *testing.T, h *harness, sib string) func() {
-				h.leaf().pushHealthy.Store(false)
+				h.leaf().lease.healthy.Store(false)
 				return nil
 			},
 			want: triggered,

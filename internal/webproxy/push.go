@@ -28,70 +28,10 @@ import (
 //     exactly as a scheduled poll would. Neither form disturbs the
 //     object's regular TTR schedule or feeds its policy (pushes reveal
 //     the origin's churn, not the polling frequency's fitness).
-//   - While the channel is healthy a key it covers holds a lease: push
-//     carries the key's freshness, and its regular poll becomes an audit
-//     of the channel rather than of the object, run once per lease term
-//     L = Config.PushStretch × Bounds.Max whatever TTR the policy has
-//     learned. A key is covered when the origin can announce it at all
-//     (see pushable) and the live interest declaration matches it (see
-//     leaseCovers). The lease starts at install, not after a first poll:
-//     admission and disk promotion place the first poll at a per-key hash
-//     phase in (TTR, L] (see leasePhase), so keys warmed together poll at
-//     the steady N/L rate instead of as a herd. Later polls run exactly L
-//     apart. The paper-mode instant (validation + TTR) is remembered per
-//     entry; the policy keeps learning from each poll's outcome.
-//     Rehydrated entries are born suspect and validate immediately, lease
-//     or not.
-//   - A carried sibling needs no §3.2 poll: when a group member's update
-//     runs the group triggering, a sibling the lease carries is current at
-//     that instant — had it changed, its own event would have arrived — so
-//     it counts as polled then, the paper's own "previous poll within δ"
-//     exemption with the lease supplying the instant (see carriedLocked
-//     and triggerGroup). A sibling outside the lease still polls.
-//   - The lease outlives residency: a demoted key's disk record is kept
-//     current by the same channel (see applyPushedToDisk), so a record
-//     the channel has carried since its last validation is promoted with
-//     no upstream request at all — the channel answers the validating
-//     304 (see channelAnswer) — and its first audit lands within L of
-//     that validation. An object demoted and promoted again under a live
-//     lease costs its upstream nothing. Every path that handles an event
-//     without landing it on the resident copy or the record voids the
-//     record (see voidRecord).
-//   - A lease epoch begins at every connect (a Bounce reconnects), Reset
-//     and frame loss. Evidence gathered in an earlier epoch — a response
-//     to a fetch sent before it began, an event received before it began
-//     — may predate an update the hole swallowed, so it neither takes a
-//     lease nor reaches the disk tier (see inEpoch).
-//   - Everything that ends a lease runs the catch-up sweep, which pulls
-//     every leased schedule entry back to its paper-mode instant
-//     (immediately, if that instant already passed), so no object's Δt
-//     guarantee is ever widened beyond what pure polling would have
-//     delivered; each key re-enters the lease only at its own next
-//     regular poll on a healthy channel. The staleness a covered key can
-//     accumulate is therefore bounded per failure:
-//       - link death (disconnect, or no frame for PushHeartbeatTimeout):
-//         detection plus one sweep, then pure paper-mode polling until a
-//         reconnect;
-//       - a reconnect whose replay gap exceeded the upstream's buffer
-//         (hello Reset), a mid-stream Reset, or a lost frame: one sweep —
-//         events were irrecoverably missed while the proxy believed the
-//         channel healthy;
-//       - a deliberate Bounce (interest renegotiation): one sweep, as a
-//         disconnect;
-//       - an upstream that silently fails to announce an update over a
-//         live stream: L, the audit this poll exists for;
-//       - a changed Cache-Control tolerance, which no event carries:
-//         the key's next lease poll, at most L;
-//       - an update announced while the key's admission or promotion is
-//         in flight (the fetch and the stream are separate connections,
-//         so the event can be handled, and find nothing resident, before
-//         a response built ahead of the update is installed): that
-//         admission takes no lease and polls at validation + TTR, as in
-//         paper mode (see handlePushEvent and installEntry);
-//       - a demoted key's record: nothing beyond what the resident key
-//         would have had — a record is promoted without a fetch only
-//         while every premise of the lease above holds for it, and its
-//         first audit lands within L of its validation.
+//   - While the channel is healthy a key it carries holds a lease: its
+//     regular poll runs once per lease term, and what the lease carries
+//     needs no poll. What a lease rests on, what ends it, and the
+//     staleness each failure can cost are lease.go's.
 
 // newPushSubscriber wires the proxy's callbacks into a subscriber for
 // cfg.PushURL.
@@ -135,15 +75,7 @@ const heldAdvertiseMax = 64
 // on the delta rung. Evaluated per connection attempt — a reconnect
 // after churn advertises the current residency, never a stale snapshot.
 func (p *Proxy) heldDigests() []push.HeldDigest {
-	var cands []*entry
-	for i := range p.store.shards {
-		sh := &p.store.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			cands = append(cands, e)
-		}
-		sh.mu.RUnlock()
-	}
+	cands := p.store.all()
 	sort.Slice(cands, func(i, j int) bool {
 		return cands[i].size.Load() > cands[j].size.Load()
 	})
@@ -171,13 +103,8 @@ func (p *Proxy) heldDigests() []push.HeldDigest {
 // upstream delivers everything — so filtering fails open, never closed.
 func (p *Proxy) declaredInterest() push.InterestSet {
 	prefixes := append([]string(nil), p.cfg.PushPrefixes...)
-	for i := range p.store.shards {
-		sh := &p.store.shards[i]
-		sh.mu.RLock()
-		for key := range sh.entries {
-			prefixes = append(prefixes, residentPrefix(key))
-		}
-		sh.mu.RUnlock()
+	for _, e := range p.store.all() {
+		prefixes = append(prefixes, residentPrefix(e.key))
 	}
 	set := push.NewInterest(prefixes, nil)
 	p.downMu.Lock()
@@ -276,9 +203,8 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		if p.applyPushedToDisk(ev) {
 			return // demoted object: its disk record absorbed the update
 		}
-		// Nothing held the update, so a record it could not land on must
-		// not pass for current (see channelAnswer).
-		p.voidRecord(canonicalize(ev.Key))
+		// Nothing held the update: the void transition (see lease.go).
+		p.lease.void(canonicalize(ev.Key))
 		p.pushDropped.Add(1)
 		return
 	}
@@ -289,7 +215,7 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 	// something better, just riding along: that job runs after this
 	// announcement, so its fallback poll, if it needs one, finds the
 	// parent as fresh as the announcement promised.
-	pe := &pushedEvent{Event: ev, epoch: p.leaseEpoch.Load()}
+	pe := &pushedEvent{Event: ev, epoch: p.lease.epoch.Load()}
 	for {
 		cur := e.pendingPush.Load()
 		if cur != nil && !supersedes(&ev, &cur.Event) {
@@ -484,7 +410,7 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event, epoch *time.Time) boo
 // verifyPushed), run against the record and — for a delta — the blob
 // read back from disk. It reports whether the event was fully handled
 // (installed, or recognized as a duplicate); one it could not absorb
-// voids the record (see handlePushEvent). It runs only on the
+// is voided (see handlePushEvent). It runs only on the
 // subscriber's goroutine, so records take events in stream order.
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	if !p.cfg.PushValues || p.disk == nil {
@@ -564,30 +490,12 @@ func (p *Proxy) pushable(key, group string) bool {
 	return p.eventKeyResolvesTo(key) && !push.Event{Kind: push.KindUpdate, Key: key, Group: group}.Oversized()
 }
 
-// startEpoch begins a new lease epoch (see Proxy.leaseEpoch). The
-// subscriber's callbacks run on one goroutine, so epochs begin in stream
-// order.
-func (p *Proxy) startEpoch() {
-	if p.leaseTerm > 0 {
-		now := p.cfg.Clock()
-		p.leaseEpoch.Store(&now)
-	}
-}
-
-// inEpoch reports whether evidence gathered in lease epoch epoch still
-// speaks for the current one. Always true with leases off: no epoch is
-// ever started.
-func (p *Proxy) inEpoch(epoch *time.Time) bool {
-	return p.leaseEpoch.Load() == epoch
-}
-
 // handlePushConnect marks the channel healthy, in a new lease epoch. A
 // resumed connection whose gap outran the origin's replay buffer
 // (hello.Reset) ran blind while leased, so the catch-up sweep
 // revalidates on the paper-mode schedule before any key is leased again.
 func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
-	p.startEpoch()
-	p.pushHealthy.Store(true)
+	p.lease.connect()
 	if hello.Reset && resumed {
 		// Events were irrecoverably missed (a reconnect gap that outran
 		// the upstream's replay buffer, or a mid-stream Reset from a
@@ -608,7 +516,7 @@ func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
 // healthy, in a new lease epoch: each key's next poll leases it again,
 // and a well-behaved upstream never triggers this at all.
 func (p *Proxy) handlePushFrameLoss() {
-	p.startEpoch()
+	p.lease.begin()
 	p.fallbackSweep()
 	p.relayReset()
 }
@@ -619,145 +527,11 @@ func (p *Proxy) handlePushFrameLoss() {
 // its relay announces nothing, so their leased schedules must not
 // outlive the guarantee that backed them.
 func (p *Proxy) handlePushDisconnect(error) {
-	if p.pushHealthy.Swap(false) {
+	if p.lease.healthy.Swap(false) {
 		p.pushFallbacks.Add(1)
 		p.fallbackSweep()
 		p.relayReset()
 	}
-}
-
-// fallbackSweep pulls every schedule entry whose poll a lease placed
-// beyond its paper-mode instant back to that instant (or to now, when
-// it already passed). After the sweep the schedule is exactly what pure
-// paper-mode polling would have produced, so the Δt guarantee holds
-// with no help from the channel.
-//
-// The whole sweep runs inside one schedMu critical section, paired with
-// rescheduleHybrid making its lease decision under the same lock:
-// pushHealthy is cleared — or, for a Reset or frame loss, a new lease
-// epoch stored — before the sweep acquires schedMu, so a racing poll
-// either reschedules first (its item is on the heap and gets swept) or
-// takes the lock after the sweep and reads the channel as unhealthy or
-// its evidence's epoch as superseded (no lease). Entries that are
-// mid-poll (item == nil) reschedule through the same gate when they
-// finish. The single hold is a latency spike proportional to the cache
-// size, but a channel death is rare and correctness of the Δt bound wins.
-func (p *Proxy) fallbackSweep() {
-	if p.leaseTerm <= 0 {
-		// Leases disabled: every baseNextAt equals its nextAt, so
-		// the sweep is a guaranteed no-op — skip the O(cache) walk and
-		// the schedMu hold it would cost on every disconnect.
-		return
-	}
-	now := p.cfg.Clock()
-	var batch []*entry
-	for i := range p.store.shards {
-		sh := &p.store.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			batch = append(batch, e)
-		}
-		sh.mu.RUnlock()
-	}
-	pulled := false
-	p.schedMu.Lock()
-	for _, e := range batch {
-		if e.item == nil || !e.baseNextAt.Before(e.nextAt) {
-			continue // unscheduled (queued, in flight, or evicted) or unleased
-		}
-		at := e.baseNextAt
-		if at.Before(now) {
-			at = now
-		}
-		e.nextAt = at
-		e.baseNextAt = at
-		p.schedule.Reschedule(e.item, at)
-		pulled = true
-	}
-	p.schedMu.Unlock()
-	if pulled {
-		p.kick()
-	}
-}
-
-// leaseCovers reports whether the push channel currently carries the
-// freshness of the object cached under key in group, given that the
-// origin can announce it at all (see pushable; callers check that — not
-// a query-bearing cache key, events are path-granular, nor a key
-// exceeding the wire frame limit): leases are enabled, the stream is
-// healthy, and the live interest declaration matches the object.
-// Anything else keeps pure-polling freshness. A resident entry's lease
-// is decided under schedMu (see rescheduleHybrid for why).
-func (p *Proxy) leaseCovers(key, group string) bool {
-	if p.leaseTerm <= 0 || !p.pushHealthy.Load() {
-		return false
-	}
-	// An object outside the live upstream declaration has its updates
-	// filtered away before they reach us, so the channel cannot carry its
-	// freshness burden: pure-polling TTR until a bounce widens the
-	// declaration. Checked dynamically — not marked at admission —
-	// because the declaration this object missed is itself refreshed by
-	// the admission-time bounce. Sound against a racing reconnect: a
-	// lease requires pushHealthy, which flips only after the attempt's
-	// declaration (stored before its request goes out) is in place.
-	return !p.cfg.PushInterest || p.sub.DeclaredInterest().Matches(key, group)
-}
-
-// carriedLocked reports whether the live lease carries the resident entry
-// e right now: any update to it would have been announced, so it is
-// current without a poll. Every premise must hold:
-//
-//   - the channel covers it: leases are on, the stream is healthy, and the
-//     key is pushable and inside the live declaration (see leaseCovers);
-//   - its schedule is leased — its poll sits past its paper-mode instant —
-//     and on the heap. rescheduleHybrid leases a schedule only for
-//     evidence from the current epoch, and every epoch change sweeps it
-//     back, so a raced admission, a straddled fetch, and any key after a
-//     disconnect, Reset, frame loss or Bounce read as not carried until
-//     the key's own next poll leases it again; a key whose poll is queued
-//     or in flight is off the heap;
-//   - no pushed poll of it has failed since: deferRetry ends the lease.
-//
-// A pushed job merely queued for it does not disqualify it: that job runs
-// on the key's affinity worker ahead of anything queued after it. The
-// caller holds schedMu, which orders the answer against the sweep and
-// every lease decision.
-func (p *Proxy) carriedLocked(e *entry) bool {
-	return e.item != nil && e.baseNextAt.Before(e.nextAt) &&
-		!e.unpushable && p.leaseCovers(e.key, e.group)
-}
-
-// resolveLeaseTerm computes the lease term L = PushStretch × Bounds.Max
-// for a push-enabled configuration, or zero when leases are off (no
-// PushURL, or PushStretch ≤ 1). The product is capped so an absurd
-// factor cannot overflow a Duration or a schedule instant.
-func (p *Proxy) resolveLeaseTerm() time.Duration {
-	if p.cfg.PushURL == nil || p.cfg.PushStretch <= 1 {
-		return 0
-	}
-	const ceiling = 100 * 365 * 24 * time.Hour
-	if l := float64(p.maxBackoff()) * p.cfg.PushStretch; l < float64(ceiling) {
-		return time.Duration(l)
-	}
-	return ceiling
-}
-
-// leasePhase places a covered key's first poll inside its first lease
-// term: an instant in (ttr, L] after admission, fixed by the key's hash.
-// Keys admitted together therefore poll at the steady N/L rate from the
-// first second instead of as a herd every L, and a key's phase survives
-// eviction and re-admission.
-func (p *Proxy) leasePhase(key string, ttr time.Duration) time.Duration {
-	span := p.leaseTerm - ttr
-	// fnv32 alone clusters keys that differ only in their last bytes;
-	// the multiply-xorshift finalizer spreads them over the whole range.
-	h := fnv32(key)
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return ttr + time.Duration((float64(h)+1)/(1<<32)*float64(span))
 }
 
 // PushStats reports the state of the invalidation channel.
@@ -848,8 +622,8 @@ type PushStats struct {
 func (p *Proxy) PushStats() PushStats {
 	st := PushStats{
 		Enabled:         p.sub != nil,
-		Connected:       p.pushHealthy.Load(),
-		LeaseTerm:       p.leaseTerm,
+		Connected:       p.lease.healthy.Load(),
+		LeaseTerm:       p.lease.term,
 		Events:          p.pushEvents.Load(),
 		Polls:           p.pushPolls.Load(),
 		Dropped:         p.pushDropped.Load(),

@@ -63,9 +63,9 @@ func scheduleOf(t *testing.T, px *node, key string, minPolls uint64) schedSnapsh
 // lease term after the last poll otherwise.
 func wantLeased(t *testing.T, px *node, key string, s schedSnapshot) {
 	t.Helper()
-	want := px.leaseTerm
+	want := px.lease.term
 	if s.polls == 1 {
-		want = px.leasePhase(key, s.ttr())
+		want = px.lease.phase(key, s.ttr())
 	}
 	if !s.leased() || s.next.Sub(s.validatedAt) != want {
 		t.Errorf("%s after %d polls: next poll %v after validation (paper-mode %v), want %v",

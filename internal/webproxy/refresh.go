@@ -207,49 +207,6 @@ func (p *Proxy) placeLocked(e *entry, at, base time.Time) {
 	}
 }
 
-// rescheduleHybrid sets e's next regular poll after a validation at
-// validatedAt whose evidence was gathered in lease epoch epoch. Its
-// paper-mode instant is ttr after validatedAt; while a lease covers e
-// (see leaseCovers) and epoch is still the current one, the poll is an
-// audit of the channel, not of the object, and runs once per lease term
-// instead: one full term after the validation, or — for an entry
-// admitted at admittedAt (zero after a poll) — at the key's phase inside
-// its first term, but never later than validatedAt + L, so a promoted
-// record the channel carried is audited within L of its last validation
-// as a resident key is (for a fetched admission validatedAt is
-// admittedAt, and the phase alone decides). The paper-mode instant is
-// remembered so the fallback sweep can restore it if the channel dies
-// before the poll runs. The lease decision is made under schedMu — the
-// same lock the sweep holds for its entire pass, taken only after a
-// dying channel clears pushHealthy and a new epoch is stored — so a poll
-// racing a disconnect, Reset or frame loss either reschedules before the
-// sweep (and is swept back) or observes the channel unhealthy or its
-// epoch superseded; a leased instant can never slip onto the heap after
-// the sweep has passed it by.
-func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Duration, admittedAt time.Time, epoch *time.Time) {
-	p.schedMu.Lock()
-	if e.evicted.Load() {
-		p.schedMu.Unlock()
-		return
-	}
-	base := validatedAt.Add(ttr)
-	at := base
-	if !e.unpushable && p.leaseCovers(e.key, e.group) && p.inEpoch(epoch) {
-		audit := validatedAt.Add(p.leaseTerm)
-		if !admittedAt.IsZero() {
-			if first := admittedAt.Add(p.leasePhase(e.key, ttr)); first.Before(audit) {
-				audit = first
-			}
-		}
-		if audit.After(base) {
-			at = audit
-		}
-	}
-	p.placeLocked(e, at, base)
-	p.schedMu.Unlock()
-	p.kick()
-}
-
 // unschedule removes e's pending poll, if any, from the refresh heap.
 func (p *Proxy) unschedule(e *entry) {
 	p.schedMu.Lock()
@@ -299,10 +256,7 @@ func (p *Proxy) leaveGroup(e *entry) {
 			other.partner = nil
 			other.mu.Lock()
 			other.paired = false
-			other.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-				Delta:  other.valueDelta,
-				Bounds: p.cfg.Bounds,
-			})
+			other.policy = p.newPolicy(0, other.valueDelta, 0)
 			other.mu.Unlock()
 		}
 	}
@@ -344,8 +298,8 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	if e.evicted.Load() {
 		if kind == pollPushed {
 			// Demoted between the event and this job: the update landed
-			// nowhere, so the surviving record must not pass for current.
-			p.voidRecord(e.key)
+			// nowhere (the void transition, see lease.go).
+			p.lease.void(e.key)
 		}
 		return
 	}
@@ -361,12 +315,9 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	if err != nil {
 		p.deferRetry(e, now, kind)
 		if kind == pollPushed {
-			// The announced update has not landed: were the entry demoted
-			// before the retry, its record must not pass for current.
-			// Voided only once deferRetry has ended the lease, so a
-			// tolerance override racing this job either wrote its record
-			// before the void or finds the entry no longer carried.
-			p.voidRecord(e.key)
+			// The announced update has not landed: the void transition,
+			// after deferRetry ended the lease (see lease.go).
+			p.lease.void(e.key)
 		}
 		return
 	}
@@ -550,7 +501,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		// landed on a copy that is gone, so the record it left behind must
 		// not pass for current.
 		if v.modified {
-			p.voidRecord(e.key)
+			p.lease.void(e.key)
 		}
 		return
 	}
@@ -564,7 +515,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	if e.suspect.Load() {
 		e.suspect.Store(false)
 	}
-	if p.inEpoch(v.epoch) {
+	if p.lease.current(v.epoch) {
 		p.persistEntry(e)
 	}
 

@@ -71,6 +71,20 @@ func newStore(n int) *store {
 	return s
 }
 
+// all returns the resident entries, collected shard by shard.
+func (s *store) all() []*entry {
+	var all []*entry
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for _, e := range sh.entries {
+			all = append(all, e)
+		}
+		sh.mu.RUnlock()
+	}
+	return all
+}
+
 func (s *store) shardFor(key string) *storeShard {
 	return &s.shards[s.shardIndex(key)]
 }

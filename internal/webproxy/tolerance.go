@@ -1,10 +1,6 @@
 package webproxy
 
-import (
-	"time"
-
-	"broadway/internal/core"
-)
+import "time"
 
 // Runtime tolerance override (the /admin/tolerance action): an operator
 // changes a resident object's Δ (time tolerance) or Δv (value
@@ -72,39 +68,17 @@ func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (Tol
 	if t, ok := e.policy.(interface{ TTR() time.Duration }); ok {
 		learned = t.TTR()
 	}
-	if e.isValue && e.valueDelta > 0 {
-		e.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-			Delta:  e.valueDelta,
-			Bounds: p.cfg.Bounds,
-		})
-	} else {
-		e.policy = core.NewLIMD(core.LIMDConfig{Delta: e.delta, Bounds: p.cfg.Bounds})
-	}
-	if learned > 0 {
-		if r, ok := e.policy.(interface{ RestoreTTR(time.Duration) }); ok {
-			r.RestoreTTR(learned)
-		}
-	}
+	e.policy = p.newPolicy(e.delta, e.valueDelta, learned)
 	res.Delta = e.delta
 	res.ValueDelta = e.valueDelta
 	e.mu.Unlock()
 
 	// Journal the new tolerances so a restart rehydrates them (the
-	// record's Delta/ValueDelta fields overlay config defaults exactly
-	// as origin directives do) — but under leases, only while the lease
-	// carries the entry. One in paper-mode recovery (a raced or straddled
-	// install, a failed pushed poll) may hold a copy older than an update
-	// the channel announced, and a record stamped with its validation
-	// would pass for carried were the entry demoted before the poll below:
-	// its record is voided instead, and that poll writes the fresh one.
-	// schedMu is held across the write, so a failed pushed poll — which
-	// ends the lease before it voids the record — cannot void in between.
+	// record's Delta/ValueDelta fields overlay config defaults exactly as
+	// origin directives do) — or, for an entry the lease does not carry,
+	// void its record, and let the poll below write the fresh one.
 	p.schedMu.Lock()
-	if p.leaseTerm <= 0 || p.carriedLocked(e) {
-		p.persistEntry(e)
-	} else {
-		p.voidRecord(e.key)
-	}
+	p.journalLocked(e)
 	p.schedMu.Unlock()
 	// An immediate poll puts the new bound into effect now: the next
 	// TTR is learned under the new policy instead of running out the
@@ -141,10 +115,7 @@ func (p *Proxy) unpair(e *entry) bool {
 		other.partner = nil
 		other.mu.Lock()
 		other.paired = false
-		other.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-			Delta:  other.valueDelta,
-			Bounds: p.cfg.Bounds,
-		})
+		other.policy = p.newPolicy(0, other.valueDelta, 0)
 		other.mu.Unlock()
 	}
 	e.mu.Lock()

@@ -75,7 +75,7 @@
 // (disconnect, heartbeat timeout, Reset, frame loss) drops the proxy
 // back to pure paper-mode polling, and a staleness-bounded catch-up
 // sweep restores every leased schedule entry to its paper-mode instant,
-// so the Δt guarantee never silently widens (see push.go).
+// so the Δt guarantee never silently widens (see lease.go).
 //
 // Proxies compose into a hierarchy: Config.RelayEvents gives a proxy a
 // downstream face (see relay.go) — its own event hub republishing every
@@ -164,27 +164,16 @@ type Config struct {
 	// disables push (the default, pure paper mode).
 	PushURL *url.URL
 	// PushStretch sets the lease term L = PushStretch × Bounds.Max:
-	// while the push channel is healthy and covers a key, that key's
-	// regular poll runs once per L — whatever TTR its policy has learned
-	// — starting at admission (first poll at a per-key hash phase in
-	// (TTR, L], later polls exactly L apart). Disconnect, heartbeat
-	// timeout, Reset, frame loss, and a deliberate bounce each end every
-	// lease at once: the catch-up sweep restores the paper-mode
-	// schedule, so staleness is bounded by PushHeartbeatTimeout plus one
-	// sweep for a dead link and by one sweep for the rest; an upstream
-	// that silently fails to announce an update, or a changed
-	// Cache-Control tolerance, reaches a covered key within L. Values
-	// ≤ 1 disable leases (push then only adds immediacy, saving no poll
-	// traffic). Zero means unset and defaults to 4 when PushURL is set.
-	// Objects the channel can never announce — query-bearing cache keys
-	// (events are path-granular) and keys too large for a wire frame —
-	// and objects outside the declared interest are never leased, and
-	// an admission that raced an update of its own key (announced while
-	// the fetch was in flight, or lost in a hole that began while it was)
-	// keeps the paper-mode first poll. A leased group member gets no §3.2
-	// triggered poll when a sibling updates: the channel vouches for it.
-	// With DiskDir, a demoted object whose record the channel has carried
-	// since its last validation is promoted with no upstream request.
+	// while the push channel is healthy and carries a key, that key's
+	// regular poll runs once per L, whatever TTR its policy has learned,
+	// and the key needs no §3.2 triggered poll when a sibling updates
+	// (with DiskDir, a carried demoted object is promoted with no
+	// upstream request). Whatever ends a lease restores the paper-mode
+	// schedule in one sweep, and an update the channel fails to announce
+	// reaches a carried key within L. Values ≤ 1 disable leases (push then
+	// only adds immediacy, saving no poll traffic). Zero means unset and
+	// defaults to 4 when PushURL is set. Which keys a lease carries, and
+	// the staleness each failure can cost, are documented in lease.go.
 	PushStretch float64
 	// PushValues enables value-carrying push: the
 	// subscriber negotiates payload delivery with its upstream, and a
@@ -219,7 +208,7 @@ type Config struct {
 	// slice only. An object admitted (or a child connected) outside the
 	// current declaration bounces the stream to renegotiate; until the
 	// wider declaration is live such objects keep pure-polling freshness
-	// (see leaseCovers), so filtering never widens a Δt bound. False
+	// (see lease.go), so filtering never widens a Δt bound. False
 	// (the default) subscribes to everything.
 	PushInterest bool
 	// PushPrefixes seeds the declared interest set when PushInterest is
@@ -475,23 +464,14 @@ type Proxy struct {
 	// disabled.
 	sub           *push.Subscriber
 	pushCancel    context.CancelFunc
-	pushHealthy   atomic.Bool
 	pushEvents    atomic.Uint64
 	pushPolls     atomic.Uint64
 	pushDropped   atomic.Uint64
 	pushFallbacks atomic.Uint64
 	pushSeq       atomic.Uint64
-	// leaseTerm is the resolved lease term L = PushStretch × Bounds.Max;
-	// zero when leases are off (no PushURL or PushStretch ≤ 1).
-	leaseTerm time.Duration
-	// leaseEpoch is the instant the current lease epoch began: the last
-	// connect (a Bounce reconnects), Reset or frame loss, stored before
-	// pushHealthy flips. Since then the channel has announced every
-	// update. Nil before the first connect and whenever leases are off.
-	// Each epoch is a new pointer, so evidence gathered in one (a fetch
-	// sent, an event received) is matched to the current epoch by
-	// identity, whatever the clock reads (see inEpoch).
-	leaseEpoch atomic.Pointer[time.Time]
+	// lease is the push lease: its term, the channel's health and the
+	// current epoch (see lease.go).
+	lease lease
 	// pushApplied counts pushed payloads installed directly (no origin
 	// request); pushValueFallback counts pushed jobs that had to poll
 	// after all — digest mismatch, missing or stripped payload, or a
@@ -630,7 +610,7 @@ func New(cfg Config) (*Proxy, error) {
 	for i := range p.workers {
 		p.workers[i] = &worker{wake: make(chan struct{}, 1)}
 	}
-	p.leaseTerm = p.resolveLeaseTerm()
+	p.lease.term, p.lease.clock = p.resolveLeaseTerm(), cfg.Clock
 	if cfg.RelayEvents {
 		hubCfg := push.HubConfig{
 			Heartbeat:        cfg.RelayHeartbeat,
@@ -660,13 +640,16 @@ func New(cfg Config) (*Proxy, error) {
 			return nil, err
 		}
 		p.sub = sub
+		if cfg.PushInterest {
+			p.lease.interest = sub
+		}
 	}
 	if cfg.DiskDir != "" {
 		ds, err := diskstore.Open(cfg.DiskDir, cfg.DiskMaxBytes)
 		if err != nil {
 			return nil, err
 		}
-		p.disk = ds
+		p.disk, p.lease.disk = ds, ds
 		// Rehydrate before Start: entries land in the store and their
 		// validation polls land on the schedule heap, drained by the
 		// worker pool once Start runs — so a restart cannot self-herd
@@ -935,7 +918,7 @@ type admission struct {
 	// admission instant, the base of a lease's first audit.
 	validatedAt, now time.Time
 	// epoch is the lease epoch the evidence was gathered in (see
-	// Proxy.leaseEpoch).
+	// lease.epoch).
 	epoch      *time.Time
 	delta      time.Duration
 	groupDelta time.Duration
@@ -1083,23 +1066,10 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 	if !a.suspect {
 		e.polls.Store(1) // the admission's validation: a fetch, or the channel's 304
 	}
-	// Value-domain objects run AdaptiveTTR over Δv; everything else LIMD.
 	if a.isValue {
-		e.isValue = true
-		e.value = a.value
-		e.valueDelta = a.valueDelta
-		e.policy = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{
-			Delta:  a.valueDelta,
-			Bounds: p.cfg.Bounds,
-		})
-	} else {
-		e.policy = core.NewLIMD(core.LIMDConfig{Delta: a.delta, Bounds: p.cfg.Bounds})
+		e.isValue, e.value, e.valueDelta = true, a.value, a.valueDelta
 	}
-	if a.restoreTTR > 0 {
-		if r, ok := e.policy.(interface{ RestoreTTR(time.Duration) }); ok {
-			r.RestoreTTR(a.restoreTTR)
-		}
-	}
+	e.policy = p.newPolicy(e.delta, e.valueDelta, a.restoreTTR)
 
 	e.size.Store(entrySize(key, a.body))
 	actual, inserted, victims, capped := p.store.put(key, e, p.cfg.MaxObjects, p.cfg.MaxBytes)
@@ -1140,16 +1110,10 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 		ttr = t.TTR() // restored schedule, not a cold restart at TTRmin
 	}
 	e.mu.RUnlock()
-	if p.leaseTerm > 0 && (p.flight.Marked(key) || !p.inEpoch(a.epoch)) {
-		// The body in hand may predate an update the channel will not
-		// announce again: one was announced while this admission was in
-		// flight and found nothing resident to refresh (see
-		// handlePushEvent), or a lease epoch began after the evidence was
-		// gathered — a fetch sent before a connect, Reset or frame loss
-		// straddles the hole that ended the last one, and the sweep ran
-		// before this entry existed. No lease: the first poll runs at the
-		// paper-mode instant. Read after store.put on purpose — an event
-		// that marks later than this finds the entry instead.
+	if p.raced(key, a.epoch) {
+		// No lease: the first poll runs at the paper-mode instant. Asked
+		// after store.put on purpose — an event that marks later than this
+		// finds the entry instead.
 		p.reschedule(e, a.validatedAt.Add(ttr))
 		return e, true, true
 	}
@@ -1157,6 +1121,23 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 	// at its phase inside the first term, not at validatedAt + TTR.
 	p.rescheduleHybrid(e, a.validatedAt, ttr, a.now, a.epoch)
 	return e, true, false
+}
+
+// newPolicy builds an object's refresh policy: AdaptiveTTR over Δv for a
+// value-domain object (valueDelta > 0, set only on one), LIMD over Δ for
+// everything else. A positive restore re-seeds the TTR it had learned,
+// clamped to Bounds; zero learns from scratch at InitialTTR.
+func (p *Proxy) newPolicy(delta time.Duration, valueDelta float64, restore time.Duration) core.Policy {
+	var pol core.Policy
+	if valueDelta > 0 {
+		pol = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{Delta: valueDelta, Bounds: p.cfg.Bounds})
+	} else {
+		pol = core.NewLIMD(core.LIMDConfig{Delta: delta, Bounds: p.cfg.Bounds})
+	}
+	if r, ok := pol.(interface{ RestoreTTR(time.Duration) }); ok && restore > 0 {
+		r.RestoreTTR(restore)
+	}
+	return pol
 }
 
 // unwind finishes an eviction: each victim — already removed from the
@@ -1272,7 +1253,7 @@ type upstreamResponse struct {
 // fetches, scheduled polls, triggered and pushed polls — flows through
 // here, so UpstreamStatus always reflects the most recent contact.
 func (p *Proxy) fetch(key string, since time.Time) (*upstreamResponse, error) {
-	epoch := p.leaseEpoch.Load()
+	epoch := p.lease.epoch.Load()
 	resp, err := p.fetchUpstream(key, since)
 	now := p.cfg.Clock()
 	p.upMu.Lock()
