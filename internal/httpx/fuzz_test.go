@@ -1,6 +1,9 @@
 package httpx
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // Fuzz targets: the parsers face attacker-controlled header bytes in the
 // live proxy, so they must never panic, whatever the input.
@@ -36,6 +39,49 @@ func FuzzParseCacheControl(f *testing.F) {
 		if err == nil && !tol.IsZero() {
 			if _, err2 := ParseCacheControl(tol.FormatCacheControl()); err2 != nil {
 				t.Fatalf("round trip failed: %v", err2)
+			}
+		}
+	})
+}
+
+// FuzzAuditBatch: an audit batch body is attacker-controlled bytes at
+// every upstream that answers one. The parser must never panic, must
+// refuse anything over the line and byte caps, and must accept only the
+// canonical spelling: every accepted line re-encodes to exactly its
+// bytes. The answer parser is held to the same.
+func FuzzAuditBatch(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte("/a 1700000000 0123abcd\n"))
+	f.Add([]byte("/s1/k1 1700000000 811c9dc5\n/s2/k2?x=1 0 00000000\n"))
+	f.Add([]byte("/a 01 0123abcd\n"))
+	f.Add([]byte("/a -1 0123abcd\n/b 1 ABCDEF01\n"))
+	f.Add([]byte("/a 1 0123abcd"))
+	f.Add([]byte("/a\n/b\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		lines, err := ParseAuditBatch(body)
+		if len(body) > MaxAuditBody && err != errAuditTooLarge {
+			t.Fatalf("%d-byte body over the cap parsed with error %v", len(body), err)
+		}
+		if err == nil {
+			if len(lines) > MaxAuditLines {
+				t.Fatalf("%d lines accepted, cap %d", len(lines), MaxAuditLines)
+			}
+			var back []byte
+			for _, l := range lines {
+				back = AppendAuditLine(back, l)
+			}
+			if !bytes.Equal(back, body) {
+				t.Fatalf("re-encoded %q, parsed from %q", back, body)
+			}
+		}
+		keys, err := ParseAuditAnswer(body)
+		if err == nil {
+			var back []byte
+			for _, k := range keys {
+				back = appendAuditAnswer(back, k)
+			}
+			if !bytes.Equal(back, body) {
+				t.Fatalf("answer re-encoded %q, parsed from %q", back, body)
 			}
 		}
 	})

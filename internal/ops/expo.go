@@ -115,12 +115,11 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// escapeLabelValue escapes a label value per the exposition format:
-// backslash, double quote, and newline.
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// labelEscaper escapes a label value per the exposition format:
+// backslash, double quote, and newline. One replacer serves every scrape.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
 
 // render writes the accumulated families as exposition text.
 func (e *exposition) render(w io.Writer) {

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"broadway/internal/core"
+	"broadway/internal/httpx"
 	"broadway/internal/push"
 	"broadway/internal/webserver"
 )
@@ -86,17 +88,19 @@ type link struct {
 	owner *node        // the proxy whose requests it carries; nil for a watcher
 	bytes atomic.Int64 // request targets plus reply bodies, streams included
 
-	mu       sync.Mutex
-	requests map[string]int   // by path
-	failing  map[string]bool  // paths answered 503
-	hooks    map[string]*hook // each runs once, inside the next reply for its path
-	down     bool             // cut: every request fails
-	inflight int              // replies being built, hooks aside
-	held     []string         // cache keys of the replies hooks are running in
-	handlers int              // handler goroutines still running
-	serving  map[*linkStream]bool
-	attempts int // event-stream requests
-	last     *linkStream
+	mu          sync.Mutex
+	requests    map[string]int   // by path; a batched audit counts for its key's path
+	failing     map[string]bool  // paths answered 503
+	failBatches bool             // audit batches answered 503 (see failAudits)
+	hooks       map[string]*hook // each runs once, inside the next reply for its path
+	down        bool             // cut: every request fails
+	inflight    int              // replies being built, hooks aside
+	held        []heldReply      // the replies hooks are running in
+	handlers    int              // handler goroutines still running
+	serving     map[*linkStream]bool
+	attempts    int // event-stream requests
+	batches     int // audit batches
+	last        *linkStream
 }
 
 func newLink(h http.Handler, owner *node) *link {
@@ -109,22 +113,41 @@ func newLink(h http.Handler, owner *node) *link {
 	}
 }
 
+// heldReply is a reply a hook runs in: the cache keys it answers, one
+// for a GET and every line's for an audit batch.
+type heldReply struct {
+	keys  []string
+	batch bool
+}
+
 // RoundTrip hands req to the upstream handler. A reply is delivered once
 // the handler returns, or, if it flushes first, as a stream.
 func (l *link) RoundTrip(req *http.Request) (*http.Response, error) {
 	path := req.URL.Path
 	l.bytes.Add(int64(len(req.URL.RequestURI())))
+	batch := httpx.IsAuditBatch(req)
+	var audits []httpx.AuditLine
+	if batch && req.Body != nil {
+		body, _ := io.ReadAll(req.Body)
+		req.Body.Close()
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		l.bytes.Add(int64(len(body)))
+		audits, _ = httpx.ParseAuditBatch(body)
+	}
 	l.mu.Lock()
 	l.requests[path]++
 	if req.Header.Get("Accept") == "text/event-stream" {
 		l.attempts++
+	}
+	if batch {
+		l.batches++
 	}
 	attempt := l.attempts
 	if l.down {
 		l.mu.Unlock()
 		return nil, errLinkCut
 	}
-	fail, hook := l.failing[path], l.hooks[path]
+	fail, hook := l.failing[path] || batch && l.failBatches, l.hooks[path]
 	delete(l.hooks, path)
 	l.inflight++
 	l.mu.Unlock()
@@ -162,7 +185,17 @@ func (l *link) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	cancel()
 	if hook != nil {
-		l.park(canonicalKey(req.URL), hook)
+		held := heldReply{keys: []string{canonicalKey(req.URL)}}
+		if batch {
+			held = heldReply{batch: true}
+			for _, a := range audits {
+				held.keys = append(held.keys, a.Key)
+			}
+		}
+		l.park(held, hook)
+	}
+	if batch && w.code == http.StatusOK {
+		l.countAudits(audits, w.body)
 	}
 	l.bytes.Add(int64(len(w.body)))
 	return reply(req, w.code, w.header, io.NopCloser(bytes.NewReader(w.body)), int64(len(w.body))), nil
@@ -182,18 +215,35 @@ type hook struct {
 	done chan struct{} // closed once fn has run and the reply moves on
 }
 
-// park runs hk while the reply for key is held: built, none of it yet
-// written.
-func (l *link) park(key string, hk *hook) {
+// countAudits counts each key an audit batch's answer vouched for as one
+// request for its path: the conditional GET the batch line stands for. A
+// listed key is counted when its own GET follows.
+func (l *link) countAudits(audits []httpx.AuditLine, answer []byte) {
+	listed, _ := httpx.ParseAuditAnswer(answer)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, a := range audits {
+		if !slices.Contains(listed, a.Key) {
+			path := originPath(a.Key)
+			if p, err := url.PathUnescape(path); err == nil {
+				path = p
+			}
+			l.requests[path]++
+		}
+	}
+}
+
+// park runs hk while the reply r is held: built, none of it yet written.
+func (l *link) park(r heldReply, hk *hook) {
 	l.mu.Lock()
 	l.inflight--
-	l.held = append(l.held, key)
+	l.held = append(l.held, r)
 	l.mu.Unlock()
 	hk.fn()
 	l.mu.Lock()
 	l.inflight++
-	for i, k := range l.held {
-		if k == key {
+	for i := range l.held {
+		if slices.Equal(l.held[i].keys, r.keys) {
 			l.held = append(l.held[:i], l.held[i+1:]...)
 			break
 		}
@@ -209,11 +259,26 @@ func (l *link) requestsFor(path string) int {
 	return l.requests[path]
 }
 
+// auditBatches counts the audit batches sent so far.
+func (l *link) auditBatches() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.batches
+}
+
 // fail makes the link answer path with 503 (on) or pass it again.
 func (l *link) fail(path string, on bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.failing[path] = on
+}
+
+// failAudits makes the link answer audit batches with 503 (on), leaving
+// the event stream on the same path alone, or pass them again.
+func (l *link) failAudits(on bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.failBatches = on
 }
 
 // beforeReply runs fn once, inside the next request for path: its reply
@@ -304,8 +369,8 @@ func (l *link) stream() (*linkStream, int) {
 }
 
 // idle reports whether nothing is in flight on the link but held replies
-// and live streams, and returns the held replies' cache keys.
-func (l *link) idle() ([]string, bool) {
+// and live streams, and returns the held replies.
+func (l *link) idle() ([]heldReply, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.inflight != 0 || l.handlers != len(l.serving) {
@@ -316,7 +381,7 @@ func (l *link) idle() ([]string, bool) {
 			return nil, false // a handler still unwinding
 		}
 	}
-	return append([]string(nil), l.held...), true
+	return append([]heldReply(nil), l.held...), true
 }
 
 // linkWriter is the handler's side of a link reply.
@@ -661,22 +726,25 @@ func (n *node) observed(key string) []PollObservation {
 	return out
 }
 
-// parked counts the jobs the held replies of keys keep n from finishing:
-// each held poll, and every job queued behind one on its worker.
-func (n *node) parked(keys []string) int {
+// parked counts the jobs the held replies keep n from finishing: each
+// held poll, and every job queued behind one on its worker; each key of a
+// held audit batch, whose worker it does not occupy.
+func (n *node) parked(held []heldReply) int {
 	parked := 0
 	seen := make(map[*worker]bool)
-	for _, k := range keys {
-		e := n.store.get(k)
-		if e == nil {
-			continue // an admission: no job
-		}
-		parked++
-		if w := n.workerFor(e); !seen[w] {
-			seen[w] = true
-			w.mu.Lock()
-			parked += len(w.queue) - w.head
-			w.mu.Unlock()
+	for _, r := range held {
+		for _, k := range r.keys {
+			e := n.store.get(k)
+			if e == nil {
+				continue // an admission: no job
+			}
+			parked++
+			if w := n.workerFor(e); !r.batch && !seen[w] {
+				seen[w] = true
+				w.mu.Lock()
+				parked += len(w.queue) - w.head
+				w.mu.Unlock()
+			}
 		}
 	}
 	return parked
@@ -712,8 +780,11 @@ type topology struct {
 	// handler, when set, replaces the stock origin.
 	handler http.Handler
 	// hub, when set, serves the origin's /events: the test announces
-	// updates itself.
-	hub *push.Hub
+	// updates itself. Audit batches posted there reach the stock origin,
+	// unless refuseAudits leaves them to the hub, which 405s them as an
+	// upstream that predates them does.
+	hub          *push.Hub
+	refuseAudits bool
 	// push subscribes every proxy to its upstream's events; the inner
 	// ones relay them.
 	push bool
@@ -756,11 +827,14 @@ func newHarness(t testing.TB, tp topology) *harness {
 	if tp.hub != nil {
 		content := h.top
 		h.top = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/events" {
+			switch {
+			case r.URL.Path != "/events":
+				content.ServeHTTP(w, r)
+			case httpx.IsAuditBatch(r) && h.origin != nil && !tp.refuseAudits:
+				h.origin.ServeAudits(w, r) // as the origin answers them on its own event path
+			default:
 				tp.hub.ServeHTTP(w, r)
-				return
 			}
-			content.ServeHTTP(w, r)
 		})
 	}
 	t.Cleanup(h.close)
@@ -964,14 +1038,14 @@ func (h *harness) quiesce() {
 }
 
 func (h *harness) quiet() bool {
-	held := make(map[*node][]string)
+	held := make(map[*node][]heldReply)
 	for _, l := range h.links {
-		keys, ok := l.idle()
+		replies, ok := l.idle()
 		if !ok {
 			return false
 		}
 		if l.owner != nil {
-			held[l.owner] = append(held[l.owner], keys...)
+			held[l.owner] = append(held[l.owner], replies...)
 		}
 	}
 	now := h.clk.Now()
@@ -1021,7 +1095,7 @@ func (h *harness) describe() string {
 	for i, l := range h.links {
 		l.mu.Lock()
 		if l.inflight != 0 || len(l.held) != 0 || l.handlers != len(l.serving) || l.down {
-			fmt.Fprintf(&b, "link %d: in flight %d, held %q, handlers %d, streams %d, cut %v\n",
+			fmt.Fprintf(&b, "link %d: in flight %d, held %+v, handlers %d, streams %d, cut %v\n",
 				i, l.inflight, l.held, l.handlers, len(l.serving), l.down)
 		}
 		l.mu.Unlock()

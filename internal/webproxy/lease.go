@@ -38,10 +38,17 @@ import (
 // The lease starts at install, not after a first poll: admission and disk
 // promotion place the first poll at a per-key hash phase in (TTR, L] (see
 // phase), so keys warmed together poll at the steady N/L rate instead of
-// as a herd. Later polls run exactly L apart. The paper-mode instant
-// (validation + TTR) is remembered per entry as baseNextAt, and the
-// policy keeps learning from each poll's outcome. Rehydrated entries are
-// born suspect and validate immediately, lease or not.
+// as a herd. Later polls run L after the last validation. Every audit
+// instant then lands on a multiple of L/32 (see auditAt), so the keys due
+// in one bucket go upstream as one batch (see audit.go): an audit L after
+// its validation is rounded down, early only; a first audit's phase, an
+// instant with no meaning of its own, to the nearest bucket; and none
+// lands past the bucket holding validation + L, or at or before the
+// paper-mode instant. No audit comes later than L after the validation
+// it follows, so the staleness table below is unchanged. The paper-mode
+// instant (validation + TTR) is remembered per entry as baseNextAt, and
+// the policy keeps learning from each poll's outcome. Rehydrated entries
+// are born suspect and validate immediately, lease or not.
 //
 // What the lease carries needs no poll:
 //
@@ -202,6 +209,45 @@ func (l *lease) phase(key string, ttr time.Duration) time.Duration {
 	return ttr + time.Duration((float64(h)+1)/(1<<32)*float64(span))
 }
 
+// auditBuckets is how many audit buckets a lease term holds.
+const auditBuckets = 32
+
+// auditAt places a leased key's next audit after a validation at
+// validatedAt — for an entry admitted at admittedAt, zero after a poll —
+// whose paper-mode instant is base. The audit is one full term after the
+// validation, or the key's phase inside its first term when that comes
+// sooner (see rescheduleHybrid). It lands on the grid of L/auditBuckets,
+// so the keys due in one bucket are audited in one batch (see audit.go),
+// and never past the bucket holding validatedAt + L, so a silent upstream
+// is still caught within L of the validation. A term after the
+// validation is rounded down. A phase is an instant with no meaning of its
+// own, so it is rounded to the nearest bucket: rounding every first audit
+// down would move it earlier, and a cache whose keys churn out before
+// their first audit would audit more of them than it did before buckets.
+// Rounding never lands at or before base: the audit then keeps its own
+// instant, or base itself when even that is not later.
+func (l *lease) auditAt(key string, validatedAt, admittedAt, base time.Time, ttr time.Duration) time.Time {
+	grid := l.term / auditBuckets
+	audit := validatedAt.Add(l.term)
+	last := audit.Truncate(grid)
+	at := last
+	if !admittedAt.IsZero() {
+		if first := admittedAt.Add(l.phase(key, ttr)); first.Before(audit) {
+			audit = first
+			if at = first.Add(grid / 2).Truncate(grid); at.After(last) {
+				at = last
+			}
+		}
+	}
+	switch {
+	case at.After(base):
+		return at
+	case audit.After(base):
+		return audit
+	}
+	return base
+}
+
 // resolveLeaseTerm computes the lease term L = PushStretch × Bounds.Max
 // for a push-enabled configuration, or zero when leases are off (no
 // PushURL, or PushStretch ≤ 1). The product is capped so an absurd
@@ -226,7 +272,8 @@ func (p *Proxy) resolveLeaseTerm() time.Duration {
 // term, but never later than validatedAt + L, so a promoted record the
 // channel carried is audited within L of its last validation as a
 // resident key is (for a fetched admission validatedAt is admittedAt, and
-// the phase alone decides). The lease decision is made under schedMu —
+// the phase alone decides); either instant is then placed in its audit
+// bucket (see auditAt). The lease decision is made under schedMu —
 // the lock the sweep holds for its whole pass, taken only after a dying
 // channel clears its health or begins a new epoch — so a poll racing a
 // disconnect, Reset or frame loss either reschedules before the sweep
@@ -241,15 +288,7 @@ func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Durat
 	base := validatedAt.Add(ttr)
 	at := base
 	if p.lease.carries(e.key, e.group, !e.unpushable, epoch) {
-		audit := validatedAt.Add(p.lease.term)
-		if !admittedAt.IsZero() {
-			if first := admittedAt.Add(p.lease.phase(e.key, ttr)); first.Before(audit) {
-				audit = first
-			}
-		}
-		if audit.After(base) {
-			at = audit
-		}
+		at = p.lease.auditAt(e.key, validatedAt, admittedAt, base, ttr)
 	}
 	p.placeLocked(e, at, base)
 	p.schedMu.Unlock()

@@ -242,9 +242,9 @@ func TestLeaseEndsMidTerm(t *testing.T) {
 					t.Fatalf("%s: no regular poll since the channel came back", k)
 				}
 				snap := scheduleOf(t, px, k, 2)
-				if !snap.next.Equal(last.Add(px.lease.term)) {
-					t.Fatalf("%s: next poll %v after its last regular poll, want the term %v: leases not re-entered poll by poll",
-						k, snap.next.Sub(last), px.lease.term)
+				if want := bucketed(px, last.Add(px.lease.term), snap.base); !snap.next.Equal(want) {
+					t.Fatalf("%s: next poll %v after its last regular poll, want the term %v in its bucket, %v: leases not re-entered poll by poll",
+						k, snap.next.Sub(last), px.lease.term, want.Sub(last))
 				}
 			}
 		})
@@ -266,6 +266,9 @@ func TestLeasePhaseSpreadsAdmissions(t *testing.T) {
 		Bounds:       core.TTRBounds{Min: ttrMin, Max: 8 * time.Second},
 	}, true))
 	px := h.leaf()
+	// Off the audit grid, so a phase near L is nearer the bucket past
+	// validation + L than the one before it, and must take the one before.
+	h.advance(750 * time.Millisecond)
 	instant := h.clk.Now() // the clock stands still: every key is admitted at it
 	term := px.PushStats().LeaseTerm
 	if term != 32*time.Second {
@@ -344,8 +347,9 @@ func TestLeasePromoteDemoteCostsNoOriginRequest(t *testing.T) {
 		t.Errorf("promoted entry validated %v with paper-mode poll %v, want the record's %v and %v",
 			snap.validatedAt, snap.base, validated, validated.Add(ttrMin))
 	}
-	if want := validated.Add(term); !snap.next.Equal(want) {
-		t.Errorf("first audit %v after the record's validation, want L = %v", snap.next.Sub(validated), term)
+	if want := bucketed(px, validated.Add(term), snap.base); !snap.next.Equal(want) {
+		t.Errorf("first audit %v after the record's validation, want L = %v in its bucket, %v",
+			snap.next.Sub(validated), term, want.Sub(validated))
 	}
 
 	// Resident past the instant an unleased first poll would fire.
@@ -399,7 +403,7 @@ func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
 	if !ok {
 		t.Fatal("/out/b was never polled")
 	}
-	if snap := scheduleOf(t, px, "/out/b", 2); !snap.next.Equal(last.Add(px.lease.term)) {
+	if snap := scheduleOf(t, px, "/out/b", 2); !snap.next.Equal(bucketed(px, last.Add(px.lease.term), snap.base)) {
 		t.Error("/out/b never leased after the declaration covered it")
 	}
 }

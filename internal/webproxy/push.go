@@ -74,22 +74,27 @@ const heldAdvertiseMax = 64
 // advertised at (re)connect so the upstream can open matching updates
 // on the delta rung. Evaluated per connection attempt — a reconnect
 // after churn advertises the current residency, never a stale snapshot.
+// Entries that cannot be advertised (evicted, unpushable, or holding no
+// digest) are dropped before the cap, so they never crowd out one that
+// can.
 func (p *Proxy) heldDigests() []push.HeldDigest {
-	cands := p.store.all()
-	sort.Slice(cands, func(i, j int) bool {
-		return cands[i].size.Load() > cands[j].size.Load()
-	})
-	if len(cands) > heldAdvertiseMax {
-		cands = cands[:heldAdvertiseMax]
+	type cand struct {
+		held push.HeldDigest
+		size int64
 	}
-	held := make([]push.HeldDigest, 0, len(cands))
-	for _, e := range cands {
+	var cands []cand
+	for _, e := range p.store.all() {
 		if e.evicted.Load() || e.unpushable {
 			continue
 		}
 		if _, d := e.held(); d != "" {
-			held = append(held, push.HeldDigest{Key: e.key, Digest: d})
+			cands = append(cands, cand{push.HeldDigest{Key: e.key, Digest: d}, e.size.Load()})
 		}
+	}
+	sort.Slice(cands, func(i, j int) bool { return cands[i].size > cands[j].size })
+	held := make([]push.HeldDigest, 0, min(len(cands), heldAdvertiseMax))
+	for _, c := range cands[:min(len(cands), heldAdvertiseMax)] {
+		held = append(held, c.held)
 	}
 	return held
 }
@@ -495,6 +500,7 @@ func (p *Proxy) pushable(key, group string) bool {
 // (hello.Reset) ran blind while leased, so the catch-up sweep
 // revalidates on the paper-mode schedule before any key is leased again.
 func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
+	p.auditRefused.Store(false) // the upstream may speak the batch grammar now
 	p.lease.connect()
 	if hello.Reset && resumed {
 		// Events were irrecoverably missed (a reconnect gap that outran

@@ -58,19 +58,46 @@ func scheduleOf(t *testing.T, px *node, key string, minPolls uint64) schedSnapsh
 }
 
 // wantLeased asserts the lease contract on one placement: the paper-mode
-// instant is remembered, and the poll sits at the key's hash phase inside
-// the first term when only the admission fetch has run, or exactly one
-// lease term after the last poll otherwise.
+// instant is remembered, and the poll sits in the audit bucket nearest the
+// key's hash phase inside the first term when only the admission fetch
+// has run, or in the bucket of one lease term after the last poll
+// otherwise.
 func wantLeased(t *testing.T, px *node, key string, s schedSnapshot) {
 	t.Helper()
-	want := px.lease.term
+	want := bucketed(px, s.validatedAt.Add(px.lease.term), s.base)
 	if s.polls == 1 {
-		want = px.lease.phase(key, s.ttr())
+		want = bucketedPhase(px, s.validatedAt.Add(px.lease.phase(key, s.ttr())), s.validatedAt, s.base)
 	}
-	if !s.leased() || s.next.Sub(s.validatedAt) != want {
+	if !s.leased() || !s.next.Equal(want) {
 		t.Errorf("%s after %d polls: next poll %v after validation (paper-mode %v), want %v",
-			key, s.polls, s.next.Sub(s.validatedAt), s.ttr(), want)
+			key, s.polls, s.next.Sub(s.validatedAt), s.ttr(), want.Sub(s.validatedAt))
 	}
+}
+
+// bucketed is where a leased audit due at audit, a term after its
+// validation, is placed: rounded down to a multiple of L/32, so the keys
+// due in one bucket go upstream in one batch — unless that would land at
+// or before base, the paper-mode instant, when it stays at audit.
+func bucketed(px *node, audit, base time.Time) time.Time {
+	if at := audit.Truncate(px.lease.term / 32); at.After(base) {
+		return at
+	}
+	return audit
+}
+
+// bucketedPhase is where a first audit at the key's phase is placed:
+// rounded to the nearest multiple of L/32, but never past the bucket a
+// full term after the validation, nor at or before base.
+func bucketedPhase(px *node, first, validatedAt, base time.Time) time.Time {
+	grid := px.lease.term / 32
+	at := first.Add(grid / 2).Truncate(grid)
+	if last := validatedAt.Add(px.lease.term).Truncate(grid); at.After(last) {
+		at = last
+	}
+	if at.After(base) {
+		return at
+	}
+	return first
 }
 
 func TestPushEventTriggersImmediateRefresh(t *testing.T) {

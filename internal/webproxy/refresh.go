@@ -34,10 +34,12 @@ const (
 	pollKinds // number of kinds
 )
 
-// job is one unit of poll work routed to a worker.
+// job is one unit of poll work routed to a worker. A regular job whose
+// audit a batch already answered carries that answer (see audit.go).
 type job struct {
-	e    *entry
-	kind pollKind
+	e        *entry
+	kind     pollKind
+	answered *auditAnswer
 }
 
 // worker is one poll worker with an unbounded mailbox. The mailbox must
@@ -102,7 +104,11 @@ func (p *Proxy) workerLoop(w *worker) {
 		default:
 		}
 		if j, ok := w.dequeue(); ok {
-			p.pollEntry(j.e, j.kind)
+			if j.answered != nil {
+				p.installAnswered(j.e, j.answered)
+			} else {
+				p.pollEntry(j.e, j.kind)
+			}
 			p.pending.Add(-1)
 			continue
 		}
@@ -115,7 +121,8 @@ func (p *Proxy) workerLoop(w *worker) {
 }
 
 // dispatchLoop pops due entries off the schedule and hands them to their
-// affinity workers. It sleeps until the heap's earliest instant, waking
+// affinity workers, or — leased audits, when the upstream takes batches —
+// to sendAudits. It sleeps until the heap's earliest instant, waking
 // early when the schedule changes.
 func (p *Proxy) dispatchLoop() {
 	defer p.wg.Done()
@@ -123,7 +130,8 @@ func (p *Proxy) dispatchLoop() {
 	defer timer.Stop()
 	for {
 		now := p.cfg.Clock()
-		var due []*entry
+		var due, audits []*entry
+		batches := p.auditURL != nil && !p.auditRefused.Load()
 		p.schedMu.Lock()
 		for {
 			it := p.schedule.PopDue(now)
@@ -131,6 +139,7 @@ func (p *Proxy) dispatchLoop() {
 				break
 			}
 			e := it.Payload.(*entry)
+			audit := batches && p.carriedLocked(e) // asked while e.item is still set
 			e.item = nil
 			if e.evicted.Load() {
 				continue // unwound between Remove and this pop; drop it
@@ -140,7 +149,11 @@ func (p *Proxy) dispatchLoop() {
 			// NextRefreshAt) must never observe the gap between pop and
 			// enqueue.
 			p.pending.Add(1)
-			due = append(due, e)
+			if audit {
+				audits = append(audits, e)
+			} else {
+				due = append(due, e)
+			}
 		}
 		wait := time.Hour
 		if it := p.schedule.Peek(); it != nil {
@@ -153,6 +166,7 @@ func (p *Proxy) dispatchLoop() {
 		for _, e := range due {
 			p.workerFor(e).enqueue(job{e: e, kind: pollRegular})
 		}
+		p.sendAudits(audits)
 		if !timer.Stop() {
 			select {
 			case <-timer.C:

@@ -268,3 +268,32 @@ func TestValuePushDuplicateEventsAreRecognized(t *testing.T) {
 		t.Errorf("duplicate counted as a fallback: %+v", st)
 	}
 }
+
+// TestHeldDigestsSkipUnadvertisableBeforeCap: the held-digest
+// advertisement is capped at heldAdvertiseMax by body size, but the cap
+// is taken over entries that can be advertised. Query-keyed residents are
+// unpushable (events are path-granular), so however large and numerous
+// they are, they must not crowd the one pushable key out of the list.
+func TestHeldDigestsSkipUnadvertisableBeforeCap(t *testing.T) {
+	h := newHarness(t, valuePushTopology(Config{}))
+	px := h.leaf()
+	h.origin.Set("/big", []byte(strings.Repeat("b", 4096)), "")
+	h.origin.Set("/small", []byte("s"), "")
+	h.quiesce()
+	for i := 0; i < heldAdvertiseMax+8; i++ {
+		px.get(fmt.Sprintf("/big?i=%d", i))
+	}
+	px.get("/small")
+	h.quiesce()
+	held := px.heldDigests()
+	found := false
+	for _, hd := range held {
+		if strings.Contains(hd.Key, "?") {
+			t.Errorf("unpushable %s advertised as held", hd.Key)
+		}
+		found = found || hd.Key == "/small"
+	}
+	if !found {
+		t.Fatalf("pushable /small missing from the %d held digests advertised", len(held))
+	}
+}

@@ -81,9 +81,10 @@
 // downstream face (see relay.go) — its own event hub republishing every
 // upstream invalidation and every locally confirmed update, served over
 // the same /events protocol, with upstream holes propagated as
-// mid-stream Resets — while conditional-GET answering and tolerance-
-// directive forwarding let child proxies revalidate content against
-// this one exactly as it revalidates against its origin. One origin
+// mid-stream Resets — while conditional-GET answering, lease-audit
+// batches (see audit.go) and tolerance-directive forwarding let child
+// proxies revalidate content against this one exactly as it revalidates
+// against its origin. One origin
 // stream and one origin poller then serve an arbitrarily wide edge
 // fleet, and each hop's Δt guarantee degrades at worst to pure polling
 // against its own upstream.
@@ -469,6 +470,15 @@ type Proxy struct {
 	pushDropped   atomic.Uint64
 	pushFallbacks atomic.Uint64
 	pushSeq       atomic.Uint64
+	// auditURL is where lease audits go in batches (nil: each polls by
+	// itself); auditRefused marks an upstream that refused one, until
+	// the next connect; auditSlots is the semaphore bounding the passes
+	// of batches in flight, one per poll worker; auditBatches counts the
+	// batches sent (see audit.go).
+	auditURL     *url.URL
+	auditRefused atomic.Bool
+	auditSlots   chan struct{}
+	auditBatches atomic.Uint64
 	// lease is the push lease: its term, the channel's health and the
 	// current epoch (see lease.go).
 	lease lease
@@ -611,6 +621,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.workers[i] = &worker{wake: make(chan struct{}, 1)}
 	}
 	p.lease.term, p.lease.clock = p.resolveLeaseTerm(), cfg.Clock
+	p.auditURL, p.auditSlots = p.auditEndpoint(), make(chan struct{}, cfg.PollWorkers)
 	if cfg.RelayEvents {
 		hubCfg := push.HubConfig{
 			Heartbeat:        cfg.RelayHeartbeat,
@@ -763,8 +774,13 @@ func canonicalize(key string) string {
 // ServeHTTP serves cache hits locally and fills misses from the origin.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if p.relay != nil && r.URL.Path == p.cfg.RelayPath {
-		// The downstream event stream: child proxies subscribe here.
-		// The relay path shadows any upstream object of the same name.
+		// The downstream event stream: child proxies subscribe here, and
+		// post their lease audits in batches. The relay path shadows any
+		// upstream object of the same name.
+		if httpx.IsAuditBatch(r) {
+			p.serveAudits(w, r)
+			return
+		}
 		p.relay.ServeHTTP(w, r)
 		return
 	}
@@ -1255,8 +1271,20 @@ type upstreamResponse struct {
 func (p *Proxy) fetch(key string, since time.Time) (*upstreamResponse, error) {
 	epoch := p.lease.epoch.Load()
 	resp, err := p.fetchUpstream(key, since)
+	p.noteUpstream(err)
+	if err != nil {
+		return nil, err
+	}
+	resp.epoch = epoch
+	return resp, nil
+}
+
+// noteUpstream records the outcome of one upstream request, a fetch or
+// an audit batch, for UpstreamStatus.
+func (p *Proxy) noteUpstream(err error) {
 	now := p.cfg.Clock()
 	p.upMu.Lock()
+	defer p.upMu.Unlock()
 	if err != nil {
 		p.upstreamErrs++
 		p.lastUpstreamErr = err.Error()
@@ -1264,12 +1292,6 @@ func (p *Proxy) fetch(key string, since time.Time) (*upstreamResponse, error) {
 	} else {
 		p.lastUpstreamOKAt = now
 	}
-	p.upMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	resp.epoch = epoch
-	return resp, nil
 }
 
 // UpstreamStatus reports the proxy's most recent origin contact: the
@@ -1429,6 +1451,10 @@ type CacheStats struct {
 	// lease carried was known current with no request, and was not polled
 	// (see PollObservation.Vouched). They are not polls.
 	GroupChannelSyncs uint64 `metric:"counter broadway_group_channel_syncs_total" help:"Group members the push channel's lease vouched for at a sibling's update, with no triggered poll."`
+	// AuditBatches counts lease-audit batches sent upstream: each
+	// validates many leased keys in one request, and every key it
+	// validates still counts as one regular poll (see audit.go).
+	AuditBatches uint64 `metric:"counter broadway_cache_audit_batches_total" help:"Lease-audit batches sent upstream; each key they validate counts as a regular poll."`
 	// UpstreamErrors counts failed upstream fetches (all paths); the
 	// last error's detail is on UpstreamStatus, not here and never on
 	// a client-facing response body.
@@ -1454,6 +1480,7 @@ func (p *Proxy) CacheStats() CacheStats {
 		UpstreamErrors:  p.UpstreamStatus().Errors,
 
 		GroupChannelSyncs:  p.groupChannelSyncs.Load(),
+		AuditBatches:       p.auditBatches.Load(),
 		ToleranceOverrides: p.toleranceOverrides.Load(),
 	}
 	for i := range p.store.shards {

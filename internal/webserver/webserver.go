@@ -9,6 +9,8 @@ package webserver
 
 import (
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,6 +35,7 @@ type Origin struct {
 	historyEnabled bool
 	polls          uint64
 	notModified    uint64
+	auditBatches   uint64
 
 	// Push-event channel (see events.go); nil unless WithPushEvents.
 	hub           *push.Hub
@@ -262,8 +265,11 @@ type OriginStats struct {
 	Objects int `metric:"gauge broadway_origin_objects" help:"Hosted resources."`
 	// Polls counts conditional or plain GETs served for hosted objects;
 	// NotModified counts the 304 responses among them.
-	Polls       uint64 `metric:"counter broadway_origin_polls_total" help:"Conditional or plain GETs served for hosted objects."`
-	NotModified uint64 `metric:"counter broadway_origin_not_modified_total" help:"304 responses served."`
+	// A lease-audit batch counts each key it vouches for unchanged as one
+	// poll answered 304 (see ServeAudits); AuditBatches counts the batches.
+	Polls        uint64 `metric:"counter broadway_origin_polls_total" help:"Conditional or plain GETs served for hosted objects."`
+	NotModified  uint64 `metric:"counter broadway_origin_not_modified_total" help:"304 responses served."`
+	AuditBatches uint64 `metric:"counter broadway_origin_audit_batches_total" help:"Lease-audit batches answered; each key vouched for counts as a poll answered 304."`
 	// PushEnabled reports whether the invalidation channel is
 	// configured; Hub is its backpressure snapshot (zero when not).
 	PushEnabled bool          `metric:"gauge broadway_origin_push_enabled" help:"1 when the origin streams invalidation events."`
@@ -274,9 +280,10 @@ type OriginStats struct {
 func (o *Origin) Stats() OriginStats {
 	o.mu.RLock()
 	st := OriginStats{
-		Objects:     len(o.objects),
-		Polls:       o.polls,
-		NotModified: o.notModified,
+		Objects:      len(o.objects),
+		Polls:        o.polls,
+		NotModified:  o.notModified,
+		AuditBatches: o.auditBatches,
 	}
 	o.mu.RUnlock()
 	if o.hub != nil {
@@ -308,6 +315,10 @@ func (o *Origin) KillPushStreams() {
 // ServeHTTP implements http.Handler with If-Modified-Since validation.
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if o.hub != nil && r.URL.Path == o.eventsPath {
+		if httpx.IsAuditBatch(r) {
+			o.ServeAudits(w, r)
+			return
+		}
 		// Streams are GET-only (the hub 405s anything else); a HEAD must
 		// not hold a hub subscription it will never read.
 		o.hub.ServeHTTP(w, r)
@@ -369,6 +380,37 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodGet {
 		w.Write(body)
 	}
+}
+
+// ServeAudits answers a lease-audit batch (see httpx.ServeAuditBatch):
+// ServeHTTP routes one here from the event path. A key is vouched for
+// when the conditional GET it stands for would be a 304 carrying the
+// Cache-Control the child holds, and is counted as that GET would be;
+// a changed, missing or re-tolerated key is listed, and its GET, which
+// follows, is counted then.
+func (o *Origin) ServeAudits(w http.ResponseWriter, r *http.Request) {
+	o.mu.Lock()
+	o.auditBatches++
+	o.mu.Unlock()
+	httpx.ServeAuditBatch(w, r, func(l httpx.AuditLine) bool {
+		// The object a GET for the key reaches: its decoded path.
+		path, _, _ := strings.Cut(l.Key, "?")
+		if p, err := url.PathUnescape(path); err == nil {
+			path = p
+		}
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		obj, ok := o.objects[path]
+		if !ok || obj.modTimes[len(obj.modTimes)-1].After(l.Since) {
+			return false
+		}
+		if cc := obj.tolerances.FormatCacheControl(); cc != "" && httpx.CacheControlToken(cc) != l.Token {
+			return false
+		}
+		o.polls++
+		o.notModified++
+		return true
+	})
 }
 
 // modTimesAfter returns the modification times strictly after since.
