@@ -2,6 +2,7 @@ package webproxy
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/url"
@@ -91,8 +92,12 @@ func (p *Proxy) sendAudits(due []*entry) {
 
 // auditLine is e's line in a batch, carrying the validator and the
 // Cache-Control its conditional GET would; nil for a key no batch can
-// carry.
+// carry, and for one evicted since it was popped, whose job then drops
+// it without a request.
 func auditLine(e *entry) []byte {
+	if e.evicted.Load() {
+		return nil
+	}
 	e.mu.RLock()
 	since := e.lastMod
 	if !e.hasLastMod {
@@ -136,17 +141,20 @@ func (p *Proxy) postAudits(body []byte) (listed map[string]bool, ok bool) {
 	}
 	req.Header.Set("Content-Type", httpx.AuditContentType)
 	resp, err := p.cfg.Client.Do(req)
-	p.noteUpstream(err)
 	if err != nil {
+		p.noteUpstream(err)
 		return nil, false
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
+		p.noteUpstream(nil)
 	case http.StatusNotFound, http.StatusMethodNotAllowed:
+		p.noteUpstream(nil)        // reachable, but not speaking the grammar
 		p.auditRefused.Store(true) // until the next connect
 		return nil, false
 	default:
+		p.noteUpstream(fmt.Errorf("webproxy: audit batch answered %s", resp.Status))
 		return nil, false
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, httpx.MaxAuditBody+1))

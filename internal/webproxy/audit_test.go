@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -186,6 +187,9 @@ func TestFailedAuditBatchPollsPerKey(t *testing.T) {
 		if got := px.up.requestsFor(k); got != 2 || seen[k] != 1 {
 			t.Errorf("%s: %d upstream requests and %d audits, want the admission and one GET, one audit", k, got, seen[k])
 		}
+	}
+	if st := px.UpstreamStatus(); st.Errors != 1 || !strings.Contains(st.LastError, "503") {
+		t.Errorf("upstream status %+v, want the failed batch as its one error", st)
 	}
 	px.up.failAudits(false)
 	due = oneBucket(t, h, px, keys)
