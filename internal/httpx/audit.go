@@ -11,10 +11,12 @@ import (
 	"time"
 )
 
-// Lease-audit batches extend HTTP once more for consistency: a child
-// that would audit many keys against one upstream with one conditional
-// GET each sends them as one POST on the upstream's event path instead,
-// and the upstream answers every key at once.
+// Audit batches extend HTTP once more for consistency: a child that
+// would validate many keys against one upstream with one conditional GET
+// each — its lease audits and its regular pull-mode polls alike — sends
+// them as one POST on AuditPath instead, and the upstream answers every
+// key at once. Every upstream serves that path, push or no push; only a
+// POST carrying AuditContentType there is a batch.
 //
 // The request body is one line per key:
 //
@@ -30,8 +32,11 @@ import (
 // bodies carry AuditContentType, and a request is bounded by
 // MaxAuditLines and MaxAuditBody (over either is a 413).
 
+// AuditPath is the one path every upstream answers audit batches on.
+const AuditPath = "/.well-known/broadway-audit"
+
 // AuditContentType marks an audit batch, request and response. A POST on
-// the event path without it is not a batch.
+// AuditPath without it is not a batch.
 const AuditContentType = "text/x-audit-batch"
 
 // MaxAuditLines and MaxAuditBody bound one batch request.
@@ -165,10 +170,10 @@ func tokenOK(t []byte) bool {
 	return true
 }
 
-// IsAuditBatch reports whether r is an audit batch request: a POST
-// carrying AuditContentType.
+// IsAuditBatch reports whether r is an audit batch request: a POST on
+// AuditPath carrying AuditContentType.
 func IsAuditBatch(r *http.Request) bool {
-	return r.Method == http.MethodPost && r.Header.Get("Content-Type") == AuditContentType
+	return r.Method == http.MethodPost && r.URL.Path == AuditPath && r.Header.Get("Content-Type") == AuditContentType
 }
 
 // ServeAuditBatch answers the audit batch r. unchanged reports whether a

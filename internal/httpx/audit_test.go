@@ -11,7 +11,7 @@ import (
 )
 
 func auditPost(body []byte, contentType string) *http.Request {
-	req := httptest.NewRequest(http.MethodPost, "/events", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, AuditPath, bytes.NewReader(body))
 	req.Header.Set("Content-Type", contentType)
 	return req
 }
@@ -52,7 +52,7 @@ func TestAuditBatchRoundTrip(t *testing.T) {
 
 // TestServeAuditBatch: the answer lists exactly the keys not vouched for;
 // a batch over either cap is a 413 and a malformed one a 400; only a POST
-// with the batch media type is a batch.
+// on AuditPath with the batch media type is a batch.
 func TestServeAuditBatch(t *testing.T) {
 	var body []byte
 	for _, k := range []string{"/same", "/changed", "/same2"} {
@@ -87,7 +87,12 @@ func TestServeAuditBatch(t *testing.T) {
 			t.Errorf("%s: %d, want %d", name, rec.Code, c.code)
 		}
 	}
-	if IsAuditBatch(auditPost(body, "text/plain")) || IsAuditBatch(httptest.NewRequest(http.MethodGet, "/events", nil)) {
+	if IsAuditBatch(auditPost(body, "text/plain")) || IsAuditBatch(httptest.NewRequest(http.MethodGet, AuditPath, nil)) {
 		t.Error("a request without the batch media type taken for a batch")
+	}
+	elsewhere := auditPost(body, AuditContentType)
+	elsewhere.URL.Path = "/events"
+	if IsAuditBatch(elsewhere) {
+		t.Error("a batch off AuditPath taken for a batch")
 	}
 }

@@ -123,7 +123,9 @@ func MakeDelta(base, target []byte) ([]byte, bool) {
 // is bounds-checked, the output never exceeds maxSize (≤0 selects
 // MaxAssembledBody), and no error path panics. Callers must still
 // verify the result's digest against the frame's — ApplyDelta proves
-// the stream was well-formed, not that it was based correctly.
+// the stream was well-formed, not that it was based correctly. A first
+// pass over the ops checks them and sizes the output, so the body it
+// returns has no spare capacity.
 func ApplyDelta(codec uint8, base, delta []byte, maxSize int) ([]byte, error) {
 	if codec != DeltaCodecBlock {
 		return nil, fmt.Errorf("%w: unknown codec %d", ErrBadDelta, codec)
@@ -131,49 +133,60 @@ func ApplyDelta(codec uint8, base, delta []byte, maxSize int) ([]byte, error) {
 	if maxSize <= 0 {
 		maxSize = MaxAssembledBody
 	}
-	var out []byte
+	size, err := walkDelta(base, delta, maxSize, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, size)
+	walkDelta(base, delta, maxSize, func(b []byte) { out = append(out, b...) })
+	return out, nil
+}
+
+// walkDelta checks delta's ops against base and maxSize, calls emit (when
+// non-nil) with each op's output bytes in order, and returns the output's
+// length.
+func walkDelta(base, delta []byte, maxSize int, emit func([]byte)) (int, error) {
+	size := uint64(0)
 	i := 0
 	for i < len(delta) {
 		op := delta[i]
 		i++
+		var b []byte
 		switch op {
 		case opAdd:
 			n, w := binary.Uvarint(delta[i:])
 			if w <= 0 || n > uint64(len(delta)-i-w) {
-				return nil, fmt.Errorf("%w: truncated add", ErrBadDelta)
+				return 0, fmt.Errorf("%w: truncated add", ErrBadDelta)
 			}
 			i += w
-			if uint64(len(out))+n > uint64(maxSize) {
-				return nil, fmt.Errorf("%w: output exceeds %d bytes", ErrBadDelta, maxSize)
-			}
-			out = append(out, delta[i:i+int(n)]...)
+			b = delta[i : i+int(n)]
 			i += int(n)
 		case opCopy:
 			off, w := binary.Uvarint(delta[i:])
 			if w <= 0 {
-				return nil, fmt.Errorf("%w: truncated copy offset", ErrBadDelta)
+				return 0, fmt.Errorf("%w: truncated copy offset", ErrBadDelta)
 			}
 			i += w
 			n, w := binary.Uvarint(delta[i:])
 			if w <= 0 {
-				return nil, fmt.Errorf("%w: truncated copy length", ErrBadDelta)
+				return 0, fmt.Errorf("%w: truncated copy length", ErrBadDelta)
 			}
 			i += w
 			if off > uint64(len(base)) || n > uint64(len(base))-off {
-				return nil, fmt.Errorf("%w: copy out of base bounds", ErrBadDelta)
+				return 0, fmt.Errorf("%w: copy out of base bounds", ErrBadDelta)
 			}
-			if uint64(len(out))+n > uint64(maxSize) {
-				return nil, fmt.Errorf("%w: output exceeds %d bytes", ErrBadDelta, maxSize)
-			}
-			out = append(out, base[off:off+n]...)
+			b = base[off : off+n]
 		default:
-			return nil, fmt.Errorf("%w: unknown op 0x%02x", ErrBadDelta, op)
+			return 0, fmt.Errorf("%w: unknown op 0x%02x", ErrBadDelta, op)
+		}
+		if size += uint64(len(b)); size > uint64(maxSize) {
+			return 0, fmt.Errorf("%w: output exceeds %d bytes", ErrBadDelta, maxSize)
+		}
+		if emit != nil {
+			emit(b)
 		}
 	}
-	if out == nil {
-		out = []byte{}
-	}
-	return out, nil
+	return int(size), nil
 }
 
 // blockHash is FNV-1a over one encoder block — cheap, and collisions

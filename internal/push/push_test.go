@@ -577,3 +577,21 @@ func BenchmarkEventRender(b *testing.B) {
 		}
 	}
 }
+
+// TestApplyDeltaSizesItsOutput: a delta-applied body is retained at its
+// exact size.
+func TestApplyDeltaSizesItsOutput(t *testing.T) {
+	base := bytes.Repeat([]byte("0123456789abcdef"), 64) // 1 KiB
+	target := append(append([]byte("head "), base[:700]...), "mid"+string(base[700:])+" tail"...)
+	delta, ok := MakeDelta(base, target)
+	if !ok {
+		t.Fatal("no delta for a small edit")
+	}
+	out, err := ApplyDelta(DeltaCodecBlock, base, delta, 0)
+	if err != nil || !bytes.Equal(out, target) {
+		t.Fatalf("ApplyDelta = %q, %v; want the target", out, err)
+	}
+	if cap(out) != len(out) {
+		t.Errorf("applied body: len %d cap %d, want no spare capacity", len(out), cap(out))
+	}
+}

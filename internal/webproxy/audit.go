@@ -11,26 +11,42 @@ import (
 	"broadway/internal/httpx"
 )
 
-// This file batches lease audits. A leased key's regular poll is an audit
-// of the channel (see lease.go), and every audit instant lies on a grid
-// of L/auditBuckets (see auditAt), so the keys due in one bucket pop off
-// the schedule together. The dispatcher hands them to
-// sendAudits instead of to their workers one by one, and each batch of
-// them crosses the link as one request: a POST on the upstream's event
-// path (the origin's /events, a parent proxy's RelayPath) in the httpx
-// audit grammar. Whatever the upstream vouches for unchanged is
-// installed on the key's affinity worker as the 304 its conditional GET
-// would have returned — validated at the answer's arrival, evidence of
-// the lease epoch in force when the batch was sent — and every key it
-// lists polls by itself, exactly as without batches. Nothing else
-// changes: each key is still one validation, one observation, one LIMD
-// step, so every bound in lease.go's table holds as it did.
+// This file batches validations: a key's regular poll, whether a lease
+// audit (see lease.go) or a pull-mode poll of an unleased key, crosses the
+// link as one line of a batch — a POST on httpx.AuditPath, which every
+// upstream serves, push or no push — instead of as a conditional GET of
+// its own. The dispatcher hands the polls one pass popped to sendAudits.
+// Leased audit instants lie on a grid of L/auditBuckets (see auditAt), so
+// a bucket's audits pop together. Pull-mode instants have no grid: a
+// pass that pops an unleased poll also pops every unleased poll due
+// within piggybackWindow of now (see popLocked), early only, so no poll
+// runs later than its instant or more than the window before it.
+//
+// Whatever the upstream vouches for unchanged is installed on the key's
+// affinity worker as the 304 its conditional GET would have returned —
+// validated at the answer's arrival, evidence of the lease epoch in force
+// when the batch was sent — and every key it lists polls by itself,
+// exactly as without batches. Nothing else changes: each key is still one
+// validation, one observation, one LIMD step, so every bound in lease.go's
+// table holds as it did. A pass with a single key to validate sends its
+// GET: a one-line batch costs more on the wire than the GET and 304 it
+// replaces.
 //
 // A batch that fails in transport, or is refused, sends its keys down
 // the per-key path. An upstream that does not speak the grammar (404 or
-// 405) is asked no more until the next connect of the push stream, and
-// a PushURL on another host than Origin is never asked: the event path
-// is only the right upstream when it serves the same objects.
+// 405, or a 200 that is not an answer) is asked no more until the next
+// connect of the push stream, or, for a proxy without one, until
+// auditRetryTerms × Bounds.Max have passed; meanwhile every poll runs at
+// its own instant, as a GET.
+
+// auditRetryTerms × Bounds.Max is how long a proxy with no push stream
+// to reconnect waits before it offers a refusing upstream a batch again.
+const auditRetryTerms = 8
+
+// piggybackShare is the early window for pull-mode polls as a share of
+// Bounds.Min: a pass that pops an unleased poll also pops those due within
+// Bounds.Min/piggybackShare of now (see popLocked).
+const piggybackShare = 32
 
 // auditAnswer is the upstream's 304 for a key a batch vouched for.
 type auditAnswer struct {
@@ -38,22 +54,33 @@ type auditAnswer struct {
 	epoch *time.Time // the lease epoch the batch was sent in
 }
 
-// auditEndpoint returns the URL batches go to: the push URL, when it is
-// on Origin's host. Nil without leases.
+// auditEndpoint returns the URL batches go to: httpx.AuditPath on Origin's
+// scheme and host.
 func (p *Proxy) auditEndpoint() *url.URL {
-	u, o := p.cfg.PushURL, p.cfg.Origin
-	if p.lease.term <= 0 || u == nil || u.Scheme != o.Scheme || u.Host != o.Host {
-		return nil
-	}
-	return u
+	return &url.URL{Scheme: p.cfg.Origin.Scheme, Host: p.cfg.Origin.Host, Path: httpx.AuditPath}
 }
 
-// sendAudits sends the leased audits one dispatcher pass popped, as
-// batches within the grammar's caps, one after another on a goroutine of
-// their own so the dispatcher never waits on the link. At most one pass
-// per poll worker is in flight; a pass beyond that, and a key no batch
-// can carry, polls key by key on the workers, as every key did before
-// batches. Every key is already counted in pending.
+// batching reports whether the upstream is offered batches at now: it has
+// refused none since the push stream last connected, or — with no push
+// stream to reconnect — none in the last auditRetryTerms × Bounds.Max.
+func (p *Proxy) batching(now time.Time) bool {
+	at := p.auditRefused.Load()
+	return at == nil || p.sub == nil && !now.Before(at.Add(auditRetryTerms*p.maxBackoff()))
+}
+
+// piggybackWindow is how far ahead of its instant a pull-mode poll may be
+// popped into a pass's batches (see popLocked).
+func (p *Proxy) piggybackWindow() time.Duration {
+	return p.cfg.Bounds.Min / piggybackShare
+}
+
+// sendAudits sends the regular polls one dispatcher pass popped, as
+// batches within the grammar's caps and of even size, one after another
+// on a goroutine of their own so the dispatcher never waits on the link.
+// At most one pass per poll worker is in flight; a pass beyond that, a
+// key no batch can carry, and a batch that would hold a single key poll
+// key by key on the workers, as every key did before batches. Every key
+// is already counted in pending.
 func (p *Proxy) sendAudits(due []*entry) {
 	if len(due) == 0 {
 		return
@@ -61,33 +88,47 @@ func (p *Proxy) sendAudits(due []*entry) {
 	select {
 	case p.auditSlots <- struct{}{}:
 	default:
-		for _, e := range due {
-			p.workerFor(e).enqueue(job{e: e, kind: pollRegular})
-		}
+		p.pollEach(due)
 		return
 	}
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
 		defer func() { <-p.auditSlots }()
-		var batch []*entry
-		var body []byte
+		var keys []*entry
+		var lines [][]byte
 		for _, e := range due {
-			line := auditLine(e)
-			if line == nil {
-				p.workerFor(e).enqueue(job{e: e, kind: pollRegular})
-				continue
+			if line := auditLine(e); line != nil {
+				keys, lines = append(keys, e), append(lines, line)
+			} else {
+				p.pollEach([]*entry{e})
 			}
-			if len(batch) == httpx.MaxAuditLines || len(body)+len(line) > httpx.MaxAuditBody {
-				p.auditBatch(batch, body)
-				batch, body = nil, nil
+		}
+		// As many batches as the line cap needs, of even size: 257 keys
+		// go as 129 and 128, never as 256 and a lone GET.
+		batches := (len(keys) + httpx.MaxAuditLines - 1) / httpx.MaxAuditLines
+		per := len(keys)
+		if batches > 1 {
+			per = (len(keys) + batches - 1) / batches
+		}
+		var body []byte
+		from := 0
+		for i, line := range lines {
+			if i-from == per || len(body)+len(line) > httpx.MaxAuditBody {
+				p.auditBatch(keys[from:i], body)
+				from, body = i, nil
 			}
-			batch, body = append(batch, e), append(body, line...)
+			body = append(body, line...)
 		}
-		if len(batch) > 0 {
-			p.auditBatch(batch, body)
-		}
+		p.auditBatch(keys[from:], body)
 	}()
+}
+
+// pollEach hands each of keys its own regular poll on its worker.
+func (p *Proxy) pollEach(keys []*entry) {
+	for _, e := range keys {
+		p.workerFor(e).enqueue(job{e: e, kind: pollRegular})
+	}
 }
 
 // auditLine is e's line in a batch, carrying the validator and the
@@ -117,8 +158,13 @@ func auditLine(e *entry) []byte {
 
 // auditBatch sends one batch and routes each key to its worker: a
 // pre-answered 304 for a key the upstream vouched for, a poll of its own
-// for every key it listed — and for every key, when the batch failed.
+// for every key it listed — and for every key, when the batch failed. A
+// batch of one key is its GET.
 func (p *Proxy) auditBatch(batch []*entry, body []byte) {
+	if len(batch) < 2 {
+		p.pollEach(batch)
+		return
+	}
 	p.auditBatches.Add(1)
 	epoch := p.lease.epoch.Load()
 	listed, ok := p.postAudits(body)
@@ -135,7 +181,7 @@ func (p *Proxy) auditBatch(batch []*entry, body []byte) {
 // postAudits posts a batch body upstream and returns the keys the answer
 // lists; ok is false when there is no usable answer.
 func (p *Proxy) postAudits(body []byte) (listed map[string]bool, ok bool) {
-	req, err := http.NewRequest(http.MethodPost, p.auditURL.String(), bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, p.auditEndpoint().String(), bytes.NewReader(body))
 	if err != nil {
 		return nil, false
 	}
@@ -147,12 +193,15 @@ func (p *Proxy) postAudits(body []byte) (listed map[string]bool, ok bool) {
 	}
 	defer resp.Body.Close()
 	switch resp.StatusCode {
-	case http.StatusOK:
+	case http.StatusOK, http.StatusNotFound, http.StatusMethodNotAllowed:
 		p.noteUpstream(nil)
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		p.noteUpstream(nil)        // reachable, but not speaking the grammar
-		p.auditRefused.Store(true) // until the next connect
-		return nil, false
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != httpx.AuditContentType {
+			// Reachable, but not speaking the grammar: until the next
+			// connect, or the back-off (see batching).
+			now := p.cfg.Clock()
+			p.auditRefused.Store(&now)
+			return nil, false
+		}
 	default:
 		p.noteUpstream(fmt.Errorf("webproxy: audit batch answered %s", resp.Status))
 		return nil, false
@@ -184,12 +233,12 @@ func (p *Proxy) installAnswered(e *entry, a *auditAnswer) {
 	p.install(e, pollRegular, version{now: a.now, lastMod: lastMod, hasLastMod: hasLastMod, epoch: a.epoch})
 }
 
-// serveAudits answers a child's audit batch from the cache, as
-// serveEntry would answer each key's conditional GET: a resident,
-// validated copy no newer than the child's, with the Cache-Control the
-// child holds, is vouched for and counted as a hit. A key that is not
-// resident, is still suspect, or changed is listed, and the child's own
-// GET for it then admits, labels or serves it as usual.
+// serveAudits answers a child's audit batch from the cache, with or
+// without RelayEvents, as serveEntry would answer each key's conditional
+// GET: a resident, validated copy no newer than the child's, with the
+// Cache-Control the child holds, is vouched for and counted as a hit. A
+// key that is not resident, is still suspect, or changed is listed, and
+// the child's own GET for it then admits, labels or serves it as usual.
 func (p *Proxy) serveAudits(w http.ResponseWriter, r *http.Request) {
 	httpx.ServeAuditBatch(w, r, func(l httpx.AuditLine) bool {
 		e := p.lookup(l.Key)

@@ -136,7 +136,7 @@ func TestBatchedAuditCarriesToleranceChange(t *testing.T) {
 }
 
 // TestAuditBatchRefusedUntilReconnect: an upstream that answers a batch
-// 405 is audited key by key from then on, until the push stream
+// 404 is audited key by key from then on, until the push stream
 // reconnects, when the next bucket tries a batch again.
 func TestAuditBatchRefusedUntilReconnect(t *testing.T) {
 	tp := leaseTopology(Config{}, true)
@@ -179,7 +179,7 @@ func TestFailedAuditBatchPollsPerKey(t *testing.T) {
 	h := newHarness(t, leaseTopology(Config{}, true))
 	px := h.leaf()
 	keys := admit(t, h, 4)
-	px.up.failAudits(true)
+	px.up.fail(httpx.AuditPath, true)
 	due := oneBucket(t, h, px, keys)
 	h.advance(due.Sub(h.clk.Now()))
 	seen := audits(px, due)
@@ -191,7 +191,7 @@ func TestFailedAuditBatchPollsPerKey(t *testing.T) {
 	if st := px.UpstreamStatus(); st.Errors != 1 || !strings.Contains(st.LastError, "503") {
 		t.Errorf("upstream status %+v, want the failed batch as its one error", st)
 	}
-	px.up.failAudits(false)
+	px.up.fail(httpx.AuditPath, false)
 	due = oneBucket(t, h, px, keys)
 	h.advance(due.Sub(h.clk.Now()))
 	if got := px.up.auditBatches(); got != 2 {
@@ -207,7 +207,7 @@ func TestAuditBatchAcrossResetGrantsNoLease(t *testing.T) {
 	px := h.leaf()
 	keys := admit(t, h, 8)
 	due := oneBucket(t, h, px, keys)
-	held := px.up.hold(t, "/events")
+	held := px.up.hold(t, httpx.AuditPath)
 	h.clk.AdvanceTo(due)
 	px.Kick()
 	held.wait(t)
@@ -248,7 +248,7 @@ func TestAuditPassesBoundedByWorkers(t *testing.T) {
 	if !dueFirst.Before(dueSecond) {
 		t.Fatalf("test premise: buckets at %v and %v", dueFirst, dueSecond)
 	}
-	held := px.up.hold(t, "/events")
+	held := px.up.hold(t, httpx.AuditPath)
 	h.clk.AdvanceTo(dueFirst)
 	px.Kick()
 	held.wait(t)
@@ -306,7 +306,7 @@ func TestParentListsWhatItCannotVouchFor(t *testing.T) {
 	}
 	hits := root.ObjectStats("/ok").Hits
 
-	req := httptest.NewRequest(http.MethodPost, "/events", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, httpx.AuditPath, bytes.NewReader(body))
 	req.Header.Set("Content-Type", httpx.AuditContentType)
 	code, answer, _ := root.do(req)
 	if code != http.StatusOK {

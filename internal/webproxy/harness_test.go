@@ -88,19 +88,17 @@ type link struct {
 	owner *node        // the proxy whose requests it carries; nil for a watcher
 	bytes atomic.Int64 // request targets plus reply bodies, streams included
 
-	mu          sync.Mutex
-	requests    map[string]int   // by path; a batched audit counts for its key's path
-	failing     map[string]bool  // paths answered 503
-	failBatches bool             // audit batches answered 503 (see failAudits)
-	hooks       map[string]*hook // each runs once, inside the next reply for its path
-	down        bool             // cut: every request fails
-	inflight    int              // replies being built, hooks aside
-	held        []heldReply      // the replies hooks are running in
-	handlers    int              // handler goroutines still running
-	serving     map[*linkStream]bool
-	attempts    int // event-stream requests
-	batches     int // audit batches
-	last        *linkStream
+	mu       sync.Mutex
+	requests map[string]int   // by path; a batched poll counts for its key's path too
+	failing  map[string]bool  // paths answered 503
+	hooks    map[string]*hook // each runs once, inside the next reply for its path
+	down     bool             // cut: every request fails
+	inflight int              // replies being built, hooks aside
+	held     []heldReply      // the replies hooks are running in
+	handlers int              // handler goroutines still running
+	serving  map[*linkStream]bool
+	attempts int // event-stream requests
+	last     *linkStream
 }
 
 func newLink(h http.Handler, owner *node) *link {
@@ -139,15 +137,12 @@ func (l *link) RoundTrip(req *http.Request) (*http.Response, error) {
 	if req.Header.Get("Accept") == "text/event-stream" {
 		l.attempts++
 	}
-	if batch {
-		l.batches++
-	}
 	attempt := l.attempts
 	if l.down {
 		l.mu.Unlock()
 		return nil, errLinkCut
 	}
-	fail, hook := l.failing[path] || batch && l.failBatches, l.hooks[path]
+	fail, hook := l.failing[path], l.hooks[path]
 	delete(l.hooks, path)
 	l.inflight++
 	l.mu.Unlock()
@@ -194,7 +189,7 @@ func (l *link) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 		l.park(held, hook)
 	}
-	if batch && w.code == http.StatusOK {
+	if batch && w.code == http.StatusOK && w.header.Get("Content-Type") == httpx.AuditContentType {
 		l.countAudits(audits, w.body)
 	}
 	l.bytes.Add(int64(len(w.body)))
@@ -260,25 +255,13 @@ func (l *link) requestsFor(path string) int {
 }
 
 // auditBatches counts the audit batches sent so far.
-func (l *link) auditBatches() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.batches
-}
+func (l *link) auditBatches() int { return l.requestsFor(httpx.AuditPath) }
 
 // fail makes the link answer path with 503 (on) or pass it again.
 func (l *link) fail(path string, on bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.failing[path] = on
-}
-
-// failAudits makes the link answer audit batches with 503 (on), leaving
-// the event stream on the same path alone, or pass them again.
-func (l *link) failAudits(on bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.failBatches = on
 }
 
 // beforeReply runs fn once, inside the next request for path: its reply
@@ -780,10 +763,10 @@ type topology struct {
 	// handler, when set, replaces the stock origin.
 	handler http.Handler
 	// hub, when set, serves the origin's /events: the test announces
-	// updates itself. Audit batches posted there reach the stock origin,
-	// unless refuseAudits leaves them to the hub, which 405s them as an
-	// upstream that predates them does.
-	hub          *push.Hub
+	// updates itself.
+	hub *push.Hub
+	// refuseAudits answers audit batches 404, as an upstream that
+	// predates them does, until the test clears harness.refusing.
 	refuseAudits bool
 	// push subscribes every proxy to its upstream's events; the inner
 	// ones relay them.
@@ -810,6 +793,7 @@ type harness struct {
 	links    []*link
 	streams  []*streamer
 	watchers []*watcher
+	refusing atomic.Bool // the top answers audit batches 404 (see refuseAudits)
 }
 
 // newHarness builds tp, starts it (unless manual) and quiesces.
@@ -824,16 +808,17 @@ func newHarness(t testing.TB, tp topology) *harness {
 		h.origin = webserver.NewOrigin(opts...)
 		h.top = h.origin
 	}
-	if tp.hub != nil {
+	h.refusing.Store(tp.refuseAudits)
+	if tp.hub != nil || tp.refuseAudits {
 		content := h.top
 		h.top = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			switch {
-			case r.URL.Path != "/events":
-				content.ServeHTTP(w, r)
-			case httpx.IsAuditBatch(r) && h.origin != nil && !tp.refuseAudits:
-				h.origin.ServeAudits(w, r) // as the origin answers them on its own event path
-			default:
+			case r.URL.Path == httpx.AuditPath && h.refusing.Load():
+				http.NotFound(w, r)
+			case tp.hub != nil && r.URL.Path == "/events":
 				tp.hub.ServeHTTP(w, r)
+			default:
+				content.ServeHTTP(w, r)
 			}
 		})
 	}

@@ -500,7 +500,7 @@ func (p *Proxy) pushable(key, group string) bool {
 // (hello.Reset) ran blind while leased, so the catch-up sweep
 // revalidates on the paper-mode schedule before any key is leased again.
 func (p *Proxy) handlePushConnect(hello push.Event, resumed bool) {
-	p.auditRefused.Store(false) // the upstream may speak the batch grammar now
+	p.auditRefused.Store(nil) // the upstream may speak the batch grammar now
 	p.lease.connect()
 	if hello.Reset && resumed {
 		// Events were irrecoverably missed (a reconnect gap that outran

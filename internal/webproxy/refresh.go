@@ -6,6 +6,7 @@ import (
 
 	"broadway/internal/core"
 	"broadway/internal/push"
+	"broadway/internal/sched"
 )
 
 // This file is the refresh engine: a dispatcher goroutine that pops due
@@ -121,25 +122,23 @@ func (p *Proxy) workerLoop(w *worker) {
 }
 
 // dispatchLoop pops due entries off the schedule and hands them to their
-// affinity workers, or — leased audits, when the upstream takes batches —
-// to sendAudits. It sleeps until the heap's earliest instant, waking
-// early when the schedule changes.
+// affinity workers, or — while the upstream takes batches — to
+// sendAudits, with the pull-mode polls piggybacked on the pass (see
+// popLocked). It sleeps until the heap's earliest instant, waking early
+// when the schedule changes.
 func (p *Proxy) dispatchLoop() {
 	defer p.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
 	for {
 		now := p.cfg.Clock()
-		var due, audits []*entry
-		batches := p.auditURL != nil && !p.auditRefused.Load()
+		batching := p.batching(now)
+		var due []*entry
+		pulls := false // the pass popped an unleased poll
 		p.schedMu.Lock()
-		for {
-			it := p.schedule.PopDue(now)
-			if it == nil {
-				break
-			}
+		for it := p.popLocked(now, false); it != nil; it = p.popLocked(now, batching && pulls) {
 			e := it.Payload.(*entry)
-			audit := batches && p.carriedLocked(e) // asked while e.item is still set
+			leased := p.carriedLocked(e) // asked while e.item is still set
 			e.item = nil
 			if e.evicted.Load() {
 				continue // unwound between Remove and this pop; drop it
@@ -149,11 +148,8 @@ func (p *Proxy) dispatchLoop() {
 			// NextRefreshAt) must never observe the gap between pop and
 			// enqueue.
 			p.pending.Add(1)
-			if audit {
-				audits = append(audits, e)
-			} else {
-				due = append(due, e)
-			}
+			pulls = pulls || !leased
+			due = append(due, e)
 		}
 		wait := time.Hour
 		if it := p.schedule.Peek(); it != nil {
@@ -163,10 +159,11 @@ func (p *Proxy) dispatchLoop() {
 			}
 		}
 		p.schedMu.Unlock()
-		for _, e := range due {
-			p.workerFor(e).enqueue(job{e: e, kind: pollRegular})
+		if batching {
+			p.sendAudits(due)
+		} else {
+			p.pollEach(due)
 		}
-		p.sendAudits(audits)
 		if !timer.Stop() {
 			select {
 			case <-timer.C:
@@ -181,6 +178,22 @@ func (p *Proxy) dispatchLoop() {
 		case <-timer.C:
 		}
 	}
+}
+
+// popLocked pops the schedule's next item for a dispatcher pass at now:
+// one due by now, or, when early is set, the earliest item when it is an
+// unleased poll due within piggybackWindow of now. A leased audit is
+// never popped early — its bucket is its batch — and the early pops stop
+// at the first one. The caller holds schedMu.
+func (p *Proxy) popLocked(now time.Time, early bool) *sched.Item {
+	if it := p.schedule.PopDue(now); it != nil || !early {
+		return it
+	}
+	it := p.schedule.Peek()
+	if it == nil || it.At.After(now.Add(p.piggybackWindow())) || p.carriedLocked(it.Payload.(*entry)) {
+		return nil
+	}
+	return p.schedule.Pop()
 }
 
 // kick wakes the dispatcher after schedule changes.

@@ -81,7 +81,7 @@
 // downstream face (see relay.go) — its own event hub republishing every
 // upstream invalidation and every locally confirmed update, served over
 // the same /events protocol, with upstream holes propagated as
-// mid-stream Resets — while conditional-GET answering, lease-audit
+// mid-stream Resets — while conditional-GET answering, audit
 // batches (see audit.go) and tolerance-directive forwarding let child
 // proxies revalidate content against this one exactly as it revalidates
 // against its origin. One origin
@@ -470,13 +470,11 @@ type Proxy struct {
 	pushDropped   atomic.Uint64
 	pushFallbacks atomic.Uint64
 	pushSeq       atomic.Uint64
-	// auditURL is where lease audits go in batches (nil: each polls by
-	// itself); auditRefused marks an upstream that refused one, until
-	// the next connect; auditSlots is the semaphore bounding the passes
-	// of batches in flight, one per poll worker; auditBatches counts the
-	// batches sent (see audit.go).
-	auditURL     *url.URL
-	auditRefused atomic.Bool
+	// auditRefused holds the instant the upstream last refused an audit
+	// batch (nil: none since the last connect); auditSlots is the
+	// semaphore bounding the passes of batches in flight, one per poll
+	// worker; auditBatches counts the batches sent (see audit.go).
+	auditRefused atomic.Pointer[time.Time]
 	auditSlots   chan struct{}
 	auditBatches atomic.Uint64
 	// lease is the push lease: its term, the channel's health and the
@@ -621,7 +619,7 @@ func New(cfg Config) (*Proxy, error) {
 		p.workers[i] = &worker{wake: make(chan struct{}, 1)}
 	}
 	p.lease.term, p.lease.clock = p.resolveLeaseTerm(), cfg.Clock
-	p.auditURL, p.auditSlots = p.auditEndpoint(), make(chan struct{}, cfg.PollWorkers)
+	p.auditSlots = make(chan struct{}, cfg.PollWorkers)
 	if cfg.RelayEvents {
 		hubCfg := push.HubConfig{
 			Heartbeat:        cfg.RelayHeartbeat,
@@ -773,14 +771,13 @@ func canonicalize(key string) string {
 
 // ServeHTTP serves cache hits locally and fills misses from the origin.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if httpx.IsAuditBatch(r) {
+		p.serveAudits(w, r) // child proxies' batched polls (see audit.go)
+		return
+	}
 	if p.relay != nil && r.URL.Path == p.cfg.RelayPath {
-		// The downstream event stream: child proxies subscribe here, and
-		// post their lease audits in batches. The relay path shadows any
-		// upstream object of the same name.
-		if httpx.IsAuditBatch(r) {
-			p.serveAudits(w, r)
-			return
-		}
+		// The downstream event stream: child proxies subscribe here. The
+		// relay path shadows any upstream object of the same name.
 		p.relay.ServeHTTP(w, r)
 		return
 	}
@@ -1369,7 +1366,7 @@ func (p *Proxy) fetchUpstream(key string, since time.Time) (*upstreamResponse, e
 		out.notModified = true
 		return out, nil
 	case http.StatusOK:
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 32<<20))
+		body, err := readExact(resp.Body, 32<<20)
 		if err != nil {
 			return nil, err
 		}
@@ -1379,6 +1376,17 @@ func (p *Proxy) fetchUpstream(key string, since time.Time) (*upstreamResponse, e
 	default:
 		return nil, fmt.Errorf("webproxy: origin returned %s", resp.Status)
 	}
+}
+
+// readExact reads r to its end, at most limit bytes, into a slice whose
+// capacity is its length: a retained body carries no slack. The buffer
+// grows with the bytes that arrive, so a declared length costs nothing.
+func readExact(r io.Reader, limit int64) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, limit))
+	if err != nil || cap(b) == len(b) {
+		return b, err
+	}
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // parseValueBody interprets a response body as a decimal value (e.g. a
@@ -1451,10 +1459,10 @@ type CacheStats struct {
 	// lease carried was known current with no request, and was not polled
 	// (see PollObservation.Vouched). They are not polls.
 	GroupChannelSyncs uint64 `metric:"counter broadway_group_channel_syncs_total" help:"Group members the push channel's lease vouched for at a sibling's update, with no triggered poll."`
-	// AuditBatches counts lease-audit batches sent upstream: each
-	// validates many leased keys in one request, and every key it
+	// AuditBatches counts audit batches sent upstream: each validates
+	// many keys' regular polls in one request, and every key it
 	// validates still counts as one regular poll (see audit.go).
-	AuditBatches uint64 `metric:"counter broadway_cache_audit_batches_total" help:"Lease-audit batches sent upstream; each key they validate counts as a regular poll."`
+	AuditBatches uint64 `metric:"counter broadway_cache_audit_batches_total" help:"Audit batches sent upstream; each key they validate counts as a regular poll."`
 	// UpstreamErrors counts failed upstream fetches (all paths); the
 	// last error's detail is on UpstreamStatus, not here and never on
 	// a client-facing response body.

@@ -10,6 +10,7 @@ package webserver
 import (
 	"net/http"
 	"net/url"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -265,11 +266,11 @@ type OriginStats struct {
 	Objects int `metric:"gauge broadway_origin_objects" help:"Hosted resources."`
 	// Polls counts conditional or plain GETs served for hosted objects;
 	// NotModified counts the 304 responses among them.
-	// A lease-audit batch counts each key it vouches for unchanged as one
-	// poll answered 304 (see ServeAudits); AuditBatches counts the batches.
+	// An audit batch counts each key it vouches for unchanged as one poll
+	// answered 304 (see ServeAudits); AuditBatches counts the batches.
 	Polls        uint64 `metric:"counter broadway_origin_polls_total" help:"Conditional or plain GETs served for hosted objects."`
 	NotModified  uint64 `metric:"counter broadway_origin_not_modified_total" help:"304 responses served."`
-	AuditBatches uint64 `metric:"counter broadway_origin_audit_batches_total" help:"Lease-audit batches answered; each key vouched for counts as a poll answered 304."`
+	AuditBatches uint64 `metric:"counter broadway_origin_audit_batches_total" help:"Audit batches answered; each key vouched for counts as a poll answered 304."`
 	// PushEnabled reports whether the invalidation channel is
 	// configured; Hub is its backpressure snapshot (zero when not).
 	PushEnabled bool          `metric:"gauge broadway_origin_push_enabled" help:"1 when the origin streams invalidation events."`
@@ -313,12 +314,13 @@ func (o *Origin) KillPushStreams() {
 }
 
 // ServeHTTP implements http.Handler with If-Modified-Since validation.
+// It answers audit batches on httpx.AuditPath, with or without push.
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if httpx.IsAuditBatch(r) {
+		o.ServeAudits(w, r)
+		return
+	}
 	if o.hub != nil && r.URL.Path == o.eventsPath {
-		if httpx.IsAuditBatch(r) {
-			o.ServeAudits(w, r)
-			return
-		}
 		// Streams are GET-only (the hub 405s anything else); a HEAD must
 		// not hold a hub subscription it will never read.
 		o.hub.ServeHTTP(w, r)
@@ -329,51 +331,40 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
+	// A missing or unparseable If-Modified-Since leaves since zero: the
+	// GET is unconditional, and the history all of it.
+	var since time.Time
+	if t, err := http.ParseTime(r.Header.Get("If-Modified-Since")); err == nil {
+		since = t
+	}
 	o.mu.Lock()
 	obj, ok := o.objects[r.URL.Path]
-	if ok {
-		o.polls++
-	}
-	o.mu.Unlock()
 	if !ok {
+		o.mu.Unlock()
 		http.NotFound(w, r)
 		return
 	}
+	o.polls++
+	lastMod := obj.modTimes[len(obj.modTimes)-1]
+	notModified := !since.IsZero() && !lastMod.After(since)
+	if notModified {
+		o.notModified++
+	}
+	var history []time.Time
+	if o.historyEnabled {
+		history = modTimesAfter(obj.modTimes, since)
+	}
+	body, contentType, tol := obj.body, obj.contentType, obj.tolerances
+	o.mu.Unlock()
 
-	o.mu.RLock()
-	body := obj.body
-	contentType := obj.contentType
-	modTimes := append([]time.Time(nil), obj.modTimes...)
-	tol := obj.tolerances
-	o.mu.RUnlock()
-
-	lastMod := modTimes[len(modTimes)-1]
 	w.Header().Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
 	httpx.SetCacheControl(w.Header(), tol)
-
-	ims := r.Header.Get("If-Modified-Since")
-	if ims != "" {
-		if since, err := http.ParseTime(ims); err == nil {
-			if o.historyEnabled {
-				httpx.SetHistory(w.Header(), modTimesAfter(modTimes, since))
-			}
-			if !lastMod.After(since) {
-				o.mu.Lock()
-				o.notModified++
-				o.mu.Unlock()
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
-			w.Header().Set("Content-Type", contentType)
-			w.WriteHeader(http.StatusOK)
-			if r.Method == http.MethodGet {
-				w.Write(body)
-			}
-			return
-		}
-	}
 	if o.historyEnabled {
-		httpx.SetHistory(w.Header(), modTimes)
+		httpx.SetHistory(w.Header(), history)
+	}
+	if notModified {
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
@@ -382,8 +373,8 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// ServeAudits answers a lease-audit batch (see httpx.ServeAuditBatch):
-// ServeHTTP routes one here from the event path. A key is vouched for
+// ServeAudits answers an audit batch (see httpx.ServeAuditBatch):
+// ServeHTTP routes one here from httpx.AuditPath, with or without push. A key is vouched for
 // when the conditional GET it stands for would be a 304 carrying the
 // Cache-Control the child holds, and is counted as that GET would be;
 // a changed, missing or re-tolerated key is listed, and its GET, which
@@ -413,13 +404,12 @@ func (o *Origin) ServeAudits(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// modTimesAfter returns the modification times strictly after since.
+// modTimesAfter returns a copy of the modification times strictly after
+// since; times ascend.
 func modTimesAfter(times []time.Time, since time.Time) []time.Time {
-	var out []time.Time
-	for _, t := range times {
-		if t.After(since) {
-			out = append(out, t)
-		}
+	i := sort.Search(len(times), func(i int) bool { return times[i].After(since) })
+	if i == len(times) {
+		return nil
 	}
-	return out
+	return append([]time.Time(nil), times[i:]...)
 }

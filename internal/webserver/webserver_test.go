@@ -198,36 +198,47 @@ func TestHeadRequest(t *testing.T) {
 	}
 }
 
-// TestServeAuditsAnswersAsGETsWould: an audit batch on the event path
-// vouches for exactly the keys whose conditional GET would be a 304 with
-// the Cache-Control the child holds, counting each as that GET; changed,
-// missing and re-tolerated keys are listed and not counted, since their
-// own GET follows.
+// TestServeAuditsAnswersAsGETsWould: an audit batch on httpx.AuditPath,
+// with push or without, vouches for exactly the keys whose conditional
+// GET would be a 304 with the Cache-Control the child holds, counting
+// each as that GET; changed, missing and re-tolerated keys are listed and
+// not counted, since their own GET follows. A batch on the event path is
+// no batch.
 func TestServeAuditsAnswersAsGETsWould(t *testing.T) {
-	clk := newFakeClock()
-	o := NewOrigin(WithClock(clk.Now), WithPushEvents(""))
-	for _, p := range []string{"/same", "/changed", "/tol", "/a b"} {
-		o.Set(p, []byte("v1"), "")
-	}
-	since := clk.Now()
-	clk.Advance(time.Minute)
-	o.Set("/changed", []byte("v2"), "")
-	o.SetTolerances("/tol", httpx.Tolerances{Delta: 9 * time.Second})
-	var body []byte
-	for _, k := range []string{"/same", "/changed", "/missing", "/tol", "/a%20b"} {
-		body = httpx.AppendAuditLine(body, httpx.AuditLine{Key: k, Since: since, Token: httpx.CacheControlToken("")})
-	}
-	before := o.Stats()
-	req := httptest.NewRequest(http.MethodPost, "/events", bytes.NewReader(body))
-	req.Header.Set("Content-Type", httpx.AuditContentType)
-	rec := httptest.NewRecorder()
-	o.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK || rec.Body.String() != "/changed\n/missing\n/tol\n" {
-		t.Fatalf("answer %d %q, want /changed, /missing and /tol listed", rec.Code, rec.Body.String())
-	}
-	after := o.Stats()
-	if after.Polls-before.Polls != 2 || after.NotModified-before.NotModified != 2 || after.AuditBatches-before.AuditBatches != 1 {
-		t.Errorf("counted %d polls, %d 304s and %d batches, want 2, 2 and 1",
-			after.Polls-before.Polls, after.NotModified-before.NotModified, after.AuditBatches-before.AuditBatches)
+	for name, opts := range map[string][]Option{"push": {WithPushEvents("")}, "pull": nil} {
+		t.Run(name, func(t *testing.T) {
+			clk := newFakeClock()
+			o := NewOrigin(append([]Option{WithClock(clk.Now)}, opts...)...)
+			for _, p := range []string{"/same", "/changed", "/tol", "/a b"} {
+				o.Set(p, []byte("v1"), "")
+			}
+			since := clk.Now()
+			clk.Advance(time.Minute)
+			o.Set("/changed", []byte("v2"), "")
+			o.SetTolerances("/tol", httpx.Tolerances{Delta: 9 * time.Second})
+			var body []byte
+			for _, k := range []string{"/same", "/changed", "/missing", "/tol", "/a%20b"} {
+				body = httpx.AppendAuditLine(body, httpx.AuditLine{Key: k, Since: since, Token: httpx.CacheControlToken("")})
+			}
+			post := func(path string) *httptest.ResponseRecorder {
+				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+				req.Header.Set("Content-Type", httpx.AuditContentType)
+				rec := httptest.NewRecorder()
+				o.ServeHTTP(rec, req)
+				return rec
+			}
+			before := o.Stats()
+			if rec := post(httpx.AuditPath); rec.Code != http.StatusOK || rec.Body.String() != "/changed\n/missing\n/tol\n" {
+				t.Fatalf("answer %d %q, want /changed, /missing and /tol listed", rec.Code, rec.Body.String())
+			}
+			after := o.Stats()
+			if after.Polls-before.Polls != 2 || after.NotModified-before.NotModified != 2 || after.AuditBatches-before.AuditBatches != 1 {
+				t.Errorf("counted %d polls, %d 304s and %d batches, want 2, 2 and 1",
+					after.Polls-before.Polls, after.NotModified-before.NotModified, after.AuditBatches-before.AuditBatches)
+			}
+			if rec := post("/events"); rec.Code != http.StatusMethodNotAllowed || o.Stats().AuditBatches != after.AuditBatches {
+				t.Errorf("a batch on the event path answered %d, want a 405 and no batch", rec.Code)
+			}
+		})
 	}
 }
