@@ -240,6 +240,11 @@ type Hub struct {
 	// stream already held, written as the stripped announcement only.
 	duplicateFrames atomic.Uint64
 
+	// streamRawBytes and streamBytes count what serve loops wrote: frame
+	// bytes before content coding, and bytes on the wire after it.
+	streamRawBytes atomic.Uint64
+	streamBytes    atomic.Uint64
+
 	// slowKills counts subscribers terminated for not draining —
 	// incremented by the publish-side lag scan and by ring walks that
 	// find the subscriber's next frame already pruned.
@@ -942,6 +947,12 @@ type HubStats struct {
 	// already held the body (it was sent it once), so only the stripped
 	// announcement crossed the link.
 	DuplicateFrames uint64 `metric:"counter broadway_hub_duplicate_frames_total" help:"Updates written stripped because the stream already held the body (rung zero)."`
+	// StreamRawBytes counts the frame bytes streams were sent, before
+	// content coding; StreamBytes counts the bytes that crossed the wire
+	// after it (gzip header, segments and trailer). On identity streams
+	// the two advance together; their ratio is the coding's yield.
+	StreamRawBytes uint64 `metric:"counter broadway_hub_stream_raw_bytes_total" help:"Frame bytes written to streams before content coding."`
+	StreamBytes    uint64 `metric:"counter broadway_hub_stream_bytes_total" help:"Bytes written to streams after content coding."`
 	// PublishWait is the cumulative time publishers spent waiting to
 	// acquire the ring lock — the contention serve-side load inflicts
 	// on the publish path (flat when the contention-free design holds).
@@ -988,6 +999,8 @@ func (h *Hub) Stats() HubStats {
 	st.DeltaFrames = h.deltaFrames.Load()
 	st.ChunkFrames = h.chunkFrames.Load()
 	st.DuplicateFrames = h.duplicateFrames.Load()
+	st.StreamRawBytes = h.streamRawBytes.Load()
+	st.StreamBytes = h.streamBytes.Load()
 	st.PublishWait = time.Duration(h.publishWait.Load())
 	h.subMu.Lock()
 	for s := range h.subs {
@@ -1021,6 +1034,14 @@ var frameBufPool = sync.Pool{
 // collector rather than pinned in the pool.
 const maxPooledFrameBuf = 256 << 10
 
+// putFrameBuf returns a buffer to frameBufPool unless it ballooned.
+func putFrameBuf(bp *[]byte) {
+	if cap(*bp) <= maxPooledFrameBuf {
+		*bp = (*bp)[:0]
+		frameBufPool.Put(bp)
+	}
+}
+
 // appendFrame appends one SSE frame ("id: <seq>\ndata: <wire>\n\n").
 func appendFrame(b []byte, seq uint64, wire string) []byte {
 	b = append(b, "id: "...)
@@ -1047,7 +1068,8 @@ func appendFrame(b []byte, seq uint64, wire string) []byte {
 // walk; every batch write carries a deadline (HubConfig.WriteTimeout),
 // so a client that stops reading is abandoned on that timescale instead
 // of pinning the handler goroutine inside the write until the kernel
-// buffer drains.
+// buffer drains. A request whose Accept-Encoding lists gzip is answered
+// gzip-coded, one self-contained segment per batch (see coding.go).
 func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -1097,20 +1119,37 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.cfg.OnSubscribe(interest)
 	}
 
+	// A stream whose request accepts gzip is one gzip member, a segment
+	// per batch (coding.go); any other stream carries the frames as they
+	// are.
+	var coder *streamCoder
+	if acceptsGzip(r.Header) {
+		coder = &streamCoder{}
+		w.Header().Set("Content-Encoding", "gzip")
+	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	deadline := h.cfg.WriteTimeout > 0
 	bufp := frameBufPool.Get().(*[]byte)
-	defer func() {
-		if cap(*bufp) <= maxPooledFrameBuf {
-			*bufp = (*bufp)[:0]
-			frameBufPool.Put(bufp)
-		}
-	}()
-	// flush lands one assembled batch on the wire: one deadline, one
+	defer putFrameBuf(bufp)
+	// write lands bytes on the wire under the deadline in force: one
 	// write, one flush.
+	write := func(b []byte) bool {
+		if _, err := w.Write(b); err != nil {
+			return false
+		}
+		if rc.Flush() != nil {
+			return false
+		}
+		h.streamBytes.Add(uint64(len(b)))
+		return true
+	}
+	// flush lands one assembled batch on the wire under a fresh deadline,
+	// coded as one segment on a gzip stream (the first behind the member
+	// header).
+	head := gzipHeader
 	flush := func(b []byte) bool {
 		if deadline {
 			if err := rc.SetWriteDeadline(time.Now().Add(h.cfg.WriteTimeout)); err != nil {
@@ -1119,10 +1158,27 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				deadline = false
 			}
 		}
-		if _, err := w.Write(b); err != nil {
+		out := b
+		if coder != nil {
+			outp := frameBufPool.Get().(*[]byte)
+			defer putFrameBuf(outp)
+			out = coder.appendSegment(append((*outp)[:0], head...), b)
+			*outp, head = out, nil
+		}
+		if !write(out) {
 			return false
 		}
-		return rc.Flush() == nil
+		h.streamRawBytes.Add(uint64(len(b)))
+		return true
+	}
+	// end closes a gzip stream the hub ends (KillAll, SetAvailable(false),
+	// a lag-scan kill) so the client reads a whole member to its end. The
+	// trailer gets no deadline of its own: a client that stopped reading
+	// holds the handler no longer than its last batch already could.
+	end := func() {
+		if coder != nil {
+			write(coder.appendTrailer((*bufp)[:0]))
+		}
 	}
 	// holdSet advances the hub's knowledge of what body this stream holds
 	// for re's key — the state the delta rung and rung zero select
@@ -1252,6 +1308,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		ch := h.getNotify()
 		batch, boundary, gen, killed := h.fetch(sub, scratch[:0])
 		if killed {
+			// Outrun by the ring: a slow reader, owed no trailer.
 			return
 		}
 		if len(batch) > 0 || boundary > sub.cursor.Load() {
@@ -1265,6 +1322,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-sub.done:
+			end()
 			return
 		case <-ch:
 		case <-ticker.C:

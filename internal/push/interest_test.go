@@ -284,7 +284,10 @@ func TestSubscriberBounceRedeclaresInterest(t *testing.T) {
 	}
 	ctx, cancel := contextWithTestCleanup(t)
 	go sub.Run(ctx)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 }) {
+	// Connected means the subscriber has read the hello, not just that
+	// the hub registered the stream: a bounce before the hello is a
+	// failed attempt, not a disconnect.
+	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 && sub.Connects() == 1 }) {
 		t.Fatal("never connected")
 	}
 	if d := sub.DeclaredInterest(); !d.Matches("/a/x", "") || d.Matches("/b/x", "") {

@@ -2,6 +2,7 @@ package push
 
 import (
 	"bufio"
+	"compress/gzip"
 	"context"
 	"encoding/base64"
 	"errors"
@@ -80,7 +81,7 @@ type SubscriberConfig struct {
 
 // Subscriber consumes an origin's invalidation stream, reconnecting with
 // capped exponential backoff and resuming from the last processed
-// sequence number.
+// sequence number. It asks for the gzip-coded stream and decodes it.
 type Subscriber struct {
 	cfg     SubscriberConfig
 	lastSeq atomic.Uint64
@@ -478,6 +479,10 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 		return false, err
 	}
 	req.Header.Set("Accept", "text/event-stream")
+	// Asked for here, not left to the Transport: an http.Transport
+	// decodes only what it asked for itself, and no other RoundTripper
+	// asks at all. The stream's coding is this code's to read either way.
+	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := s.cfg.Client.Do(req)
 	if err != nil {
 		return false, err
@@ -505,9 +510,25 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 	if s.cfg.PayloadCap > 0 {
 		lineLimit += base64.StdEncoding.EncodedLen(s.cfg.PayloadCap)
 	}
+	gzipped := resp.Header.Get("Content-Encoding") == "gzip"
 	go func() {
 		defer close(frames)
-		br := bufio.NewReaderSize(resp.Body, 4096)
+		// A gzip stream is one member, read to its checksum: a format or
+		// checksum error ends the stream like any transport error (the
+		// reconnect resumes with ?since=), never as a skipped frame. The
+		// reader is opened here, under the watchdog, because it blocks
+		// until the member header arrives.
+		var body io.Reader = resp.Body
+		if gzipped {
+			zr, err := gzip.NewReader(resp.Body)
+			if err != nil {
+				readErr <- err
+				return
+			}
+			zr.Multistream(false)
+			body = zr
+		}
+		br := bufio.NewReaderSize(body, 4096)
 		for {
 			line, skipped, err := readFrameLine(br, lineLimit)
 			if err != nil {

@@ -452,6 +452,19 @@ const streamWindow = 1 << 20
 // took it, and so is done with every frame before it.
 var barrierFrame = []byte("data: " + push.Event{Kind: push.KindHeartbeat}.Encode() + "\n\n")
 
+// gzipBarrier is barrierFrame as a gzip-coded stream carries it: a stored
+// block, then the empty stored block that makes the reader deliver it.
+// It is handed out only where nothing is pending, which on such a stream
+// is a segment boundary (the hub writes each segment whole), so the
+// deflate stream stays byte-aligned and valid. The frame is not in the
+// hub's checksum, so a stream that carried one fails its trailer: the
+// subscriber takes that as the end of the stream, which it is.
+var gzipBarrier = func() []byte {
+	n := len(barrierFrame)
+	b := append([]byte{0, byte(n), byte(n >> 8), ^byte(n), ^byte(n >> 8)}, barrierFrame...)
+	return append(b, 0, 0, 0, 0xff, 0xff)
+}()
+
 // linkStream is one streamed reply: the handler writes into pending, the
 // client reads it out.
 type linkStream struct {
@@ -528,12 +541,20 @@ func (s *linkStream) Read(p []byte) (int, error) {
 			return n, nil
 		case s.err != nil:
 			return 0, s.err
-		case s.want && s.read && s.idleAt < s.gen && len(p) >= len(barrierFrame):
+		case s.want && s.read && s.idleAt < s.gen && len(p) >= len(s.barrierBytes()):
 			s.want, s.barrier = false, s.gen
-			return copy(p, barrierFrame), nil
+			return copy(p, s.barrierBytes()), nil
 		}
 		s.cond.Wait()
 	}
+}
+
+// barrierBytes is the barrier in the stream's content coding.
+func (s *linkStream) barrierBytes() []byte {
+	if s.header.Get("Content-Encoding") == "gzip" {
+		return gzipBarrier
+	}
+	return barrierFrame
 }
 
 func (s *linkStream) Close() error {

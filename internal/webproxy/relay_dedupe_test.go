@@ -227,6 +227,11 @@ func TestThreeHopOnePayloadPerVersionPerLink(t *testing.T) {
 		if hb.after.SlowKills != 0 || hb.after.Degraded != 0 {
 			t.Errorf("%s hub degraded: %+v", hb.name, hb.after)
 		}
+		// The stream is gzip-coded: what crossed is less than the frames.
+		raw := hb.after.StreamRawBytes - hb.before.StreamRawBytes
+		if coded := hb.after.StreamBytes - hb.before.StreamBytes; coded >= raw {
+			t.Errorf("%s wrote %d coded bytes for %d frame bytes", hb.name, coded, raw)
+		}
 	}
 	first := after.links[0] - before.links[0]
 	last := after.links[2] - before.links[2]
