@@ -25,7 +25,7 @@
 //	internal/webproxy     live HTTP caching proxy (the Squid future work)
 //	internal/push         origin-driven invalidation channel (hybrid push–pull)
 //	internal/ops          operational surface (/metrics, /healthz, admin API)
-//	internal/sched        wall-clock min-heap refresh schedule
+//	internal/sched        (At, seq) min-heap: refresh schedule and sim event queue
 //	internal/singleflight duplicate-suppressed cache admission
 //
 // # Live proxy architecture

@@ -258,11 +258,11 @@ func main() {
 }
 
 func report(origin *broadway.WebOrigin, root *broadway.WebProxy, mids, fleet []*broadway.WebProxy) {
-	hub := origin.PushHubStats()
+	st := origin.Stats()
 	rrs := root.RelayStats()
 	rps := root.PushStats()
 	fmt.Printf("  origin: %d polls served, %d subscribers, seq %d\n",
-		origin.Polls(), hub.Subscribers, hub.Seq)
+		st.Polls, st.Hub.Subscribers, st.Hub.Seq)
 	fmt.Printf("  root:   connected=%v fallbacks=%d | relay seq %d → %d subs, filtered %d, resets %d\n",
 		rps.Connected, rps.Fallbacks, rrs.Hub.Seq, rrs.Hub.Subscribers, rrs.Hub.Filtered, rrs.Hub.Resets)
 	for j, m := range mids {

@@ -106,8 +106,9 @@ func main() {
 	fmt.Printf("\nproxy activity:\n")
 	fmt.Printf("  /story.html  polls=%d triggered=%d hits=%d\n", story.Polls, story.Triggered, story.Hits)
 	fmt.Printf("  /photo.jpg   polls=%d triggered=%d hits=%d\n", photo.Polls, photo.Triggered, photo.Hits)
+	st := origin.Stats()
 	fmt.Printf("  origin served %d polls, %d of them 304 Not Modified\n",
-		origin.Polls(), origin.NotModified())
+		st.Polls, st.NotModified)
 	fmt.Println("\nClients always hit the cache; freshness is maintained entirely by")
 	fmt.Println("background LIMD polls plus group-triggered refreshes — the paper's")
 	fmt.Println("architecture, speaking real HTTP.")

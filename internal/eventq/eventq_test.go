@@ -1,4 +1,10 @@
-package eventq
+// Package eventq_test checks the simulator's event queue: the sched.Heap
+// that internal/sim orders simulated events on, keyed as sim keys it
+// (each simulated instant t as time.Unix(0, int64(t)), read back with
+// UnixNano). The queue itself lives in internal/sched; these tests pin
+// its contract in simulated time — nondecreasing order, FIFO for equal
+// instants, and removal — and that the keying round-trips every instant.
+package eventq_test
 
 import (
 	"math/rand"
@@ -7,13 +13,27 @@ import (
 	"testing/quick"
 	"time"
 
+	"broadway/internal/sched"
 	"broadway/internal/simtime"
 )
 
-func at(d time.Duration) simtime.Time { return simtime.At(d) }
+// queue is sched.Heap with the simulator's keying of simulated instants.
+type queue struct{ h sched.Heap }
+
+func (q *queue) Len() int { return q.h.Len() }
+
+func (q *queue) Push(at simtime.Time, payload any) *sched.Item {
+	return q.h.Push(time.Unix(0, int64(at)), payload)
+}
+
+func (q *queue) Pop() *sched.Item           { return q.h.Pop() }
+func (q *queue) Peek() *sched.Item          { return q.h.Peek() }
+func (q *queue) Remove(it *sched.Item) bool { return q.h.Remove(it) }
+func instant(it *sched.Item) simtime.Time   { return simtime.Time(it.At.UnixNano()) }
+func at(d time.Duration) simtime.Time       { return simtime.At(d) }
 
 func TestEmptyQueue(t *testing.T) {
-	var q Queue
+	var q queue
 	if q.Len() != 0 {
 		t.Error("fresh queue not empty")
 	}
@@ -26,7 +46,7 @@ func TestEmptyQueue(t *testing.T) {
 }
 
 func TestPopOrderByTime(t *testing.T) {
-	var q Queue
+	var q queue
 	q.Push(at(3*time.Second), "c")
 	q.Push(at(1*time.Second), "a")
 	q.Push(at(2*time.Second), "b")
@@ -36,6 +56,9 @@ func TestPopOrderByTime(t *testing.T) {
 		got = append(got, it.Payload.(string))
 	}
 	want := []string{"a", "b", "c"}
+	if len(got) != len(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("order = %v, want %v", got, want)
@@ -44,7 +67,7 @@ func TestPopOrderByTime(t *testing.T) {
 }
 
 func TestFIFOForEqualTimes(t *testing.T) {
-	var q Queue
+	var q queue
 	const n = 50
 	for i := 0; i < n; i++ {
 		q.Push(at(time.Second), i)
@@ -58,7 +81,7 @@ func TestFIFOForEqualTimes(t *testing.T) {
 }
 
 func TestPeekDoesNotRemove(t *testing.T) {
-	var q Queue
+	var q queue
 	q.Push(at(time.Second), "x")
 	if q.Peek().Payload.(string) != "x" {
 		t.Fatal("Peek wrong item")
@@ -72,7 +95,7 @@ func TestPeekDoesNotRemove(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	var q Queue
+	var q queue
 	a := q.Push(at(1*time.Second), "a")
 	b := q.Push(at(2*time.Second), "b")
 	c := q.Push(at(3*time.Second), "c")
@@ -101,7 +124,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestRemoveHead(t *testing.T) {
-	var q Queue
+	var q queue
 	a := q.Push(at(1*time.Second), "a")
 	q.Push(at(2*time.Second), "b")
 	if !q.Remove(a) {
@@ -113,7 +136,7 @@ func TestRemoveHead(t *testing.T) {
 }
 
 func TestInterleavedPushPop(t *testing.T) {
-	var q Queue
+	var q queue
 	q.Push(at(5*time.Second), 5)
 	q.Push(at(1*time.Second), 1)
 	if got := q.Pop().Payload.(int); got != 1 {
@@ -130,16 +153,16 @@ func TestInterleavedPushPop(t *testing.T) {
 
 func TestPropertyDequeueSorted(t *testing.T) {
 	f := func(times []uint32) bool {
-		var q Queue
+		var q queue
 		for _, v := range times {
 			q.Push(simtime.Time(v), v)
 		}
 		prev := simtime.Time(-1)
 		for it := q.Pop(); it != nil; it = q.Pop() {
-			if it.At < prev {
+			if instant(it) < prev || instant(it) != simtime.Time(it.Payload.(uint32)) {
 				return false
 			}
-			prev = it.At
+			prev = instant(it)
 		}
 		return q.Len() == 0
 	}
@@ -150,7 +173,7 @@ func TestPropertyDequeueSorted(t *testing.T) {
 
 func TestPropertyMatchesSort(t *testing.T) {
 	f := func(times []uint16) bool {
-		var q Queue
+		var q queue
 		for _, v := range times {
 			q.Push(simtime.Time(v), nil)
 		}
@@ -160,11 +183,11 @@ func TestPropertyMatchesSort(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		for i := 0; i < len(want); i++ {
-			if got := q.Pop(); got.At != want[i] {
+			if got := q.Pop(); instant(got) != want[i] {
 				return false
 			}
 		}
-		return true
+		return q.Len() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -173,12 +196,12 @@ func TestPropertyMatchesSort(t *testing.T) {
 
 func TestRandomRemovalsKeepOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var q Queue
-	var items []*Item
+	var q queue
+	var items []*sched.Item
 	for i := 0; i < 500; i++ {
 		items = append(items, q.Push(simtime.Time(rng.Intn(1000)), i))
 	}
-	removed := map[*Item]bool{}
+	removed := map[*sched.Item]bool{}
 	for i := 0; i < 200; i++ {
 		it := items[rng.Intn(len(items))]
 		if !removed[it] {
@@ -194,33 +217,13 @@ func TestRandomRemovalsKeepOrdering(t *testing.T) {
 		if removed[it] {
 			t.Fatal("popped a removed item")
 		}
-		if it.At < prev {
+		if instant(it) < prev {
 			t.Fatal("ordering violated after removals")
 		}
-		prev = it.At
+		prev = instant(it)
 		count++
 	}
-	if count != 500-len(removedKeys(removed)) {
-		t.Fatalf("popped %d items, want %d", count, 500-len(removedKeys(removed)))
-	}
-}
-
-func removedKeys(m map[*Item]bool) []*Item {
-	out := make([]*Item, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
-}
-
-func BenchmarkPushPop(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var q Queue
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Push(simtime.Time(rng.Intn(1<<20)), nil)
-		if q.Len() > 1024 {
-			q.Pop()
-		}
+	if count != 500-len(removed) {
+		t.Fatalf("popped %d items, want %d", count, 500-len(removed))
 	}
 }

@@ -296,7 +296,7 @@ func TestAdminEvictMirrorsProxyEvict(t *testing.T) {
 	s.origin.Set("/obj", []byte("v1"), "")
 	s.get(t, "/obj") // admit: one origin poll
 	s.get(t, "/obj") // hit: zero polls
-	base := s.origin.Polls()
+	base := s.origin.Stats().Polls
 
 	rec := s.do(http.MethodPost, "/admin/evict?key=/obj", nil)
 	if rec.Code != http.StatusOK {
@@ -311,7 +311,7 @@ func TestAdminEvictMirrorsProxyEvict(t *testing.T) {
 	}
 
 	s.get(t, "/obj")
-	if polls := s.origin.Polls(); polls != base+1 {
+	if polls := s.origin.Stats().Polls; polls != base+1 {
 		t.Errorf("re-request after evict cost %d origin fetches, want exactly 1", polls-base)
 	}
 

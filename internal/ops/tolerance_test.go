@@ -36,7 +36,7 @@ func TestAdminToleranceEndpoint(t *testing.T) {
 			t.Errorf("POST %s = %d, want 400", target, rec.Code)
 		}
 	}
-	if got := s.proxy.ToleranceOverrides(); got != 0 {
+	if got := s.proxy.CacheStats().ToleranceOverrides; got != 0 {
 		t.Fatalf("rejected requests applied overrides: %d", got)
 	}
 
@@ -68,7 +68,7 @@ func TestAdminToleranceEndpoint(t *testing.T) {
 
 	// The application is visible on every surface: the counter, the
 	// flattened metric, and the verbatim stats dump.
-	if got := s.proxy.ToleranceOverrides(); got != 1 {
+	if got := s.proxy.CacheStats().ToleranceOverrides; got != 1 {
 		t.Fatalf("ToleranceOverrides = %d", got)
 	}
 	if v, ok := s.scrape(t).Value("broadway_cache_tolerance_overrides_total"); !ok || v != 1 {

@@ -2,6 +2,7 @@ package push
 
 import (
 	"bytes"
+	"fmt"
 	"net/url"
 	"strings"
 	"testing"
@@ -211,11 +212,12 @@ func FuzzDeltaApply(f *testing.F) {
 }
 
 // FuzzInterestFilter hammers interest-set construction and matching
-// with hostile terms and keys (escaped '?', literal '-', over-length
-// prefixes). The invariants are the ones delivery correctness rides on:
+// with hostile terms, keys and queries (escaped '?', literal '-',
+// over-length prefixes, group terms, empty terms). The invariants are
+// the ones delivery correctness rides on:
 //
-//   - Construction, matching, union, coverage, and query encoding never
-//     panic, whatever the terms.
+//   - Construction, matching, union, coverage, parsing and query
+//     encoding never panic, whatever the terms.
 //   - EncodeQuery always re-parses, and the re-parsed set never matches
 //     LESS than the original (fail open: a round trip may widen — the
 //     empty set encodes as match-all — but must never narrow, because a
@@ -224,51 +226,104 @@ func FuzzDeltaApply(f *testing.F) {
 //   - Union is complete: the union matches whatever either input does.
 //   - Match-all matches everything; prefix matching is literal string
 //     prefixing on the DECODED key, exactly strings.HasPrefix.
+//   - A declaration the grammar cannot honour fails open: any group
+//     parameter, or only empty terms, parses to match-all, and no
+//     parsed declaration ever matches nothing or drops a declared term.
 func FuzzInterestFilter(f *testing.F) {
-	f.Add("/news/", "frontpage", "/news/a.html", "frontpage")
-	f.Add("/stock%3Fsym=A", "", "/stock?sym=A", "")
-	f.Add("-", "-", "-key", "-")
-	f.Add(strings.Repeat("p", maxInterestTermLen+1), "g", "/k", "g")
-	f.Add("", "", "/anything", "grp")
-	f.Add("/a\x00b", "g h", "/a\x00bc", "g h")
-	f.Fuzz(func(t *testing.T, prefix, group, key, evGroup string) {
-		s := NewInterest([]string{prefix, "/fixed/"}, []string{group})
-		matched := s.Matches(key, evGroup)
+	f.Add("/news/", "/news/a.html", "frontpage", "prefix=/news/&group=g")
+	f.Add("/stock%3Fsym=A", "/stock?sym=A", "", "prefix=%2Fstock%3Fsym%3DA")
+	f.Add("-", "-key", "-", "prefix=-")
+	f.Add(strings.Repeat("p", maxInterestTermLen+1), "/k", "g", "prefix=&prefix=")
+	f.Add("", "/anything", "grp", "")
+	f.Add("/a\x00b", "/a\x00bc", "g h", "group=")
+	f.Fuzz(func(t *testing.T, prefix, key, group, raw string) {
+		s := NewInterest([]string{prefix, "/fixed/"})
+		matched := s.Matches(key)
 		// Literal prefix semantics on the decoded key.
 		if prefix != "" && len(prefix) <= maxInterestTermLen &&
 			strings.HasPrefix(key, prefix) && !matched {
 			t.Fatalf("declared prefix %q did not match key %q", prefix, key)
 		}
-		if group != "" && len(group) <= maxInterestTermLen &&
-			evGroup == group && !matched {
-			t.Fatalf("declared group %q did not match event group %q", group, evGroup)
-		}
-		if InterestAll().Covers(s) != true || !InterestAll().Matches(key, evGroup) {
+		if !InterestAll().Covers(s) || !InterestAll().Matches(key) {
 			t.Fatal("match-all must cover and match everything")
 		}
 		// Query round trip never narrows.
 		q, err := url.ParseQuery(s.EncodeQuery())
 		if err != nil {
-			t.Fatalf("EncodeQuery(%v,%v) unparsable: %v", s.Prefixes(), s.Groups(), err)
+			t.Fatalf("EncodeQuery(%v) unparsable: %v", s.Prefixes(), err)
 		}
-		s2 := ParseInterest(q)
-		if matched && !s2.Matches(key, evGroup) {
-			t.Fatalf("query round trip narrowed the set: %q lost (%q,%q)",
-				s.EncodeQuery(), key, evGroup)
+		if matched && !ParseInterest(q).Matches(key) {
+			t.Fatalf("query round trip narrowed the set: %q lost %q", s.EncodeQuery(), key)
 		}
 		// Covers soundness and Union completeness against a second set.
-		o := NewInterest([]string{key}, []string{evGroup})
-		if s.Covers(o) && !o.IsEmpty() && o.Matches(key, evGroup) && !matched {
-			t.Fatalf("Covers unsound: s covers o but o matches (%q,%q) and s does not", key, evGroup)
+		o := NewInterest([]string{key})
+		if s.Covers(o) && !o.IsEmpty() && o.Matches(key) && !matched {
+			t.Fatalf("Covers unsound: s covers o but o matches %q and s does not", key)
 		}
 		u := s.Union(o)
-		if (matched || o.Matches(key, evGroup)) && !u.Matches(key, evGroup) {
-			t.Fatalf("Union incomplete: inputs match (%q,%q), union does not", key, evGroup)
+		if (matched || o.Matches(key)) && !u.Matches(key) {
+			t.Fatalf("Union incomplete: inputs match %q, union does not", key)
 		}
 		if !u.Covers(o) && !o.IsAll() {
-			// Union must cover its inputs (conservatism aside, a union
-			// containing o's exact terms always covers them).
+			// Union must cover its inputs (a union containing o's exact
+			// terms always covers them).
 			t.Fatalf("Union does not cover its input: %v ∪ %v", s.Prefixes(), o.Prefixes())
+		}
+		// Fail open on what the grammar cannot honour.
+		if !ParseInterest(url.Values{"prefix": {prefix}, "group": {group}}).IsAll() {
+			t.Fatalf("a group term (prefix=%q, group=%q) did not parse to match-all", prefix, group)
+		}
+		if !ParseInterest(url.Values{"prefix": {"", ""}}).IsAll() {
+			t.Fatal("a declaration of only empty terms did not parse to match-all")
+		}
+		rq, _ := url.ParseQuery(raw) // a partial parse is still a declaration
+		ps := ParseInterest(rq)
+		if ps.IsEmpty() {
+			t.Fatalf("ParseInterest(%q) matches nothing", raw)
+		}
+		for _, p := range rq["prefix"] {
+			if p != "" && !ps.Matches(p) {
+				t.Fatalf("ParseInterest(%q) filters its own declared prefix %q", raw, p)
+			}
+		}
+	})
+}
+
+// FuzzParseHeld hammers the ?held=<key>:<digest> connect parameter
+// parser with hostile terms (no colon, colons inside keys, empty
+// halves, non-hex or overlong digests). copies appends that many
+// re-keyed duplicates of every term, to push a well-formed declaration
+// past the term bound. Whatever the input, parseHeld never panics,
+// keeps at most maxHeldTerms entries, and keeps only well-formed
+// digests, each from a term actually declared.
+func FuzzParseHeld(f *testing.F) {
+	f.Add("/a:0123abcd", uint8(0))
+	f.Add("/k:with:colons:deadBEEF\n/b:", uint8(1))
+	f.Add(":abc\n/x:zz\nnocolon\n/y:"+strings.Repeat("f", 65), uint8(2))
+	f.Add("/p:811c9dc5", uint8(200))
+	f.Fuzz(func(t *testing.T, input string, copies uint8) {
+		terms := strings.Split(input, "\n")
+		base := len(terms)
+		for i := 0; i < int(copies); i++ {
+			for _, term := range terms[:base] {
+				terms = append(terms, fmt.Sprintf("/%d%s", i, term))
+			}
+		}
+		declared := make(map[string]bool, len(terms))
+		for _, term := range terms {
+			declared[term] = true
+		}
+		held := parseHeld(terms)
+		if len(held) > maxHeldTerms {
+			t.Fatalf("parseHeld kept %d entries, bound is %d", len(held), maxHeldTerms)
+		}
+		for key, v := range held {
+			if !isHexDigest(v.digest) {
+				t.Fatalf("kept %q with malformed digest %q", key, v.digest)
+			}
+			if !declared[key+":"+v.digest] {
+				t.Fatalf("kept %q:%q, which no term declared", key, v.digest)
+			}
 		}
 	})
 }

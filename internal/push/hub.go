@@ -195,14 +195,12 @@ func partitionName(key string) string {
 }
 
 // relevantToPartition reports whether a partition can hold frames the
-// set matches. Group terms make every partition relevant (group
-// membership is orthogonal to key shape), as does the catch-all
-// partition (its keys have no usable prefix). For prefix terms the
-// partition name and the term are both prefixes of any key they share,
-// so they must be comparable — either direction of containment means
-// the partition may hold matching keys.
+// set matches. The catch-all partition always can (its keys have no
+// usable prefix). Otherwise the partition name and a term are both
+// prefixes of any key they share, so they must be comparable — either
+// direction of containment means the partition may hold matching keys.
 func (s InterestSet) relevantToPartition(name string) bool {
-	if s.all || len(s.groups) > 0 || name == "" {
+	if s.all || name == "" {
 		return true
 	}
 	for _, p := range s.prefixes {
@@ -864,28 +862,6 @@ func (h *Hub) SetAvailable(up bool) {
 	h.mu.Unlock()
 }
 
-// LastSeq returns the last assigned sequence number.
-func (h *Hub) LastSeq() uint64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.seq
-}
-
-// Subscribers returns the number of registered streams.
-func (h *Hub) Subscribers() int {
-	h.subMu.Lock()
-	defer h.subMu.Unlock()
-	return len(h.subs)
-}
-
-// Oversized returns the number of update events dropped because their
-// encoded envelope exceeded the wire limit.
-func (h *Hub) Oversized() uint64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.oversized
-}
-
 // HubPartitionStats is one replay-ring partition's residency snapshot.
 type HubPartitionStats struct {
 	// Name is the partition's key prefix ("" is the catch-all).
@@ -1057,19 +1033,20 @@ func appendFrame(b []byte, seq uint64, wire string) []byte {
 // reconnecting subscriber resumes with ?since=<seq>, payload delivery
 // is requested with ?maxpayload=<bytes> (clamped to the hub's cap; the
 // hello frame echoes the negotiated value), and an interest set is
-// declared with repeatable ?prefix= and ?group= parameters (declaring
-// none receives everything). Update frames outside the declared
-// interest are skipped — never written — while the stream's resume
-// position still advances past them: heartbeats carry the per-stream
-// position (not the hub head), so a filtered subscriber that kept up
-// resumes cleanly across holes it never wanted, and a Reset is earned
-// only by a gap inside a partition the stream declared. Frames are
-// delivered in batches coalesced into a single buffered write per ring
-// walk; every batch write carries a deadline (HubConfig.WriteTimeout),
-// so a client that stops reading is abandoned on that timescale instead
-// of pinning the handler goroutine inside the write until the kernel
-// buffer drains. A request whose Accept-Encoding lists gzip is answered
-// gzip-coded, one self-contained segment per batch (see coding.go).
+// declared with repeatable ?prefix= parameters (declaring none, or one
+// ParseInterest cannot honour, receives everything). Update frames
+// outside the declared interest are skipped — never written — while the
+// stream's resume position still advances past them: heartbeats carry
+// the per-stream position (not the hub head), so a filtered subscriber
+// that kept up resumes cleanly across holes it never wanted, and a
+// Reset is earned only by a gap inside a partition the stream declared.
+// Frames are delivered in batches coalesced into a single buffered
+// write per ring walk; every batch write carries a deadline
+// (HubConfig.WriteTimeout), so a client that stops reading is abandoned
+// on that timescale instead of pinning the handler goroutine inside the
+// write until the kernel buffer drains. A request whose Accept-Encoding
+// lists gzip is answered gzip-coded, one self-contained segment per
+// batch (see coding.go).
 func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)

@@ -9,20 +9,22 @@ import (
 // This file defines interest sets: the subscriber-declared filter that
 // turns the hub's broadcast fan-out into targeted delivery. A
 // subscriber names the slices of the key space it caches — path
-// prefixes (?prefix=) and consistency groups (?group=), repeatable —
-// and the hub skips every update frame outside them at write time,
-// advancing the stream's resume position without shipping the frame.
-// Filtering is an optimization, never a correctness lever: every bound
-// here fails OPEN (toward match-all), because delivering a frame nobody
-// asked for costs one ignored line while suppressing a frame somebody
-// needed silently widens the Δ guarantee.
+// prefixes (?prefix=, repeatable) — and the hub skips every update
+// frame outside them at write time, advancing the stream's resume
+// position without shipping the frame. Filtering is an optimization,
+// never a correctness lever: every bound here fails OPEN (toward
+// match-all), because delivering a frame nobody asked for costs one
+// ignored line while suppressing a frame somebody needed silently
+// widens the Δ guarantee. The same rule covers a declaration the
+// grammar cannot honour — one naming a consistency group (?group=), or
+// one whose every term is empty: it is served the whole stream.
 
 // Interest-set bounds. A declaration exceeding either bound widens to
 // match-all instead of being truncated: dropping a declared term would
 // filter away updates the subscriber depends on.
 const (
-	// maxInterestTerms bounds the prefixes and the groups (each) one
-	// declaration may carry, after normalization.
+	// maxInterestTerms bounds the prefixes one declaration may carry,
+	// after normalization.
 	maxInterestTerms = 64
 	// maxInterestTermLen bounds one term's byte length. Keys are bounded
 	// by the frame envelope anyway; a longer term is hostile or a bug.
@@ -30,13 +32,12 @@ const (
 )
 
 // InterestSet describes which update events a subscriber wants: keys
-// under any of a set of path prefixes, or objects in any of a set of
-// consistency groups. InterestAll matches every event. The zero value
-// matches no update events at all — construct sets with NewInterest,
-// InterestAll, or ParseInterest rather than from struct literals.
+// under any of a set of path prefixes. InterestAll matches every event.
+// The zero value matches no update events at all — construct sets with
+// NewInterest, InterestAll, or ParseInterest rather than from struct
+// literals.
 type InterestSet struct {
 	prefixes []string
-	groups   []string
 	all      bool
 }
 
@@ -45,11 +46,11 @@ type InterestSet struct {
 // declaration widens to).
 func InterestAll() InterestSet { return InterestSet{all: true} }
 
-// NewInterest builds a set from raw prefix and group terms: empty terms
-// are dropped, duplicates and prefix-subsumed entries are pruned, and a
+// NewInterest builds a set from raw prefix terms: empty terms are
+// dropped, duplicates and prefix-subsumed entries are pruned, and a
 // declaration exceeding the bounds widens to match-all.
-func NewInterest(prefixes, groups []string) InterestSet {
-	var s InterestSet
+func NewInterest(prefixes []string) InterestSet {
+	var terms []string
 	for _, p := range prefixes {
 		if p == "" {
 			continue
@@ -57,58 +58,44 @@ func NewInterest(prefixes, groups []string) InterestSet {
 		if len(p) > maxInterestTermLen {
 			return InterestAll()
 		}
-		s.prefixes = append(s.prefixes, p)
+		terms = append(terms, p)
 	}
-	for _, g := range groups {
-		if g == "" {
-			continue
-		}
-		if len(g) > maxInterestTermLen {
-			return InterestAll()
-		}
-		s.groups = append(s.groups, g)
-	}
-	s.normalize()
-	if len(s.prefixes) > maxInterestTerms || len(s.groups) > maxInterestTerms {
-		return InterestAll()
-	}
-	return s
+	return normalized(terms)
 }
 
 // ParseInterest builds the set declared by a stream's query parameters
-// (?prefix= and ?group=, each repeatable). A request declaring nothing
-// receives everything: filtering is opt-in, and the pre-interest wire
-// contract — every subscriber sees every frame — is the default.
+// (?prefix=, repeatable). A request declaring nothing receives
+// everything: filtering is opt-in, and the pre-interest wire contract —
+// every subscriber sees every frame — is the default. So does one the
+// grammar cannot honour: a ?group= term, or only empty terms.
 func ParseInterest(q url.Values) InterestSet {
-	if len(q["prefix"]) == 0 && len(q["group"]) == 0 {
+	if q.Has("group") {
 		return InterestAll()
 	}
-	return NewInterest(q["prefix"], q["group"])
+	if s := NewInterest(q["prefix"]); !s.IsEmpty() {
+		return s
+	}
+	return InterestAll()
 }
 
-// normalize sorts, dedupes, and prunes prefix-subsumed terms ("/a"
-// makes "/a/b" redundant). In sorted order every string subsumed by a
+// normalized sorts, dedupes, and prunes prefix-subsumed terms ("/a"
+// makes "/a/b" redundant), widening to match-all when the result still
+// overflows the term bound. In sorted order every string subsumed by a
 // kept prefix q sorts inside (q, q-with-continuation], so comparing
 // against only the most recently kept term finds every subsumption.
-func (s *InterestSet) normalize() {
-	sort.Strings(s.prefixes)
-	out := s.prefixes[:0]
-	for _, p := range s.prefixes {
+func normalized(prefixes []string) InterestSet {
+	sort.Strings(prefixes)
+	out := prefixes[:0]
+	for _, p := range prefixes {
 		if n := len(out); n > 0 && strings.HasPrefix(p, out[n-1]) {
 			continue
 		}
 		out = append(out, p)
 	}
-	s.prefixes = out
-	sort.Strings(s.groups)
-	gout := s.groups[:0]
-	for _, g := range s.groups {
-		if n := len(gout); n > 0 && gout[n-1] == g {
-			continue
-		}
-		gout = append(gout, g)
+	if len(out) > maxInterestTerms {
+		return InterestAll()
 	}
-	s.groups = gout
+	return InterestSet{prefixes: out}
 }
 
 // IsAll reports whether the set matches every event.
@@ -116,27 +103,17 @@ func (s InterestSet) IsAll() bool { return s.all }
 
 // IsEmpty reports whether the set matches no update events (the state
 // of a declaration with nothing to declare — not the same as IsAll).
-func (s InterestSet) IsEmpty() bool {
-	return !s.all && len(s.prefixes) == 0 && len(s.groups) == 0
-}
+func (s InterestSet) IsEmpty() bool { return !s.all && len(s.prefixes) == 0 }
 
-// Matches reports whether an update for key (in group, possibly empty)
-// falls inside the set: the key carries one of the declared prefixes,
-// or the group is one of the declared groups.
-func (s InterestSet) Matches(key, group string) bool {
+// Matches reports whether an update for key falls inside the set: the
+// key carries one of the declared prefixes.
+func (s InterestSet) Matches(key string) bool {
 	if s.all {
 		return true
 	}
 	for _, p := range s.prefixes {
 		if strings.HasPrefix(key, p) {
 			return true
-		}
-	}
-	if group != "" {
-		for _, g := range s.groups {
-			if g == group {
-				return true
-			}
 		}
 	}
 	return false
@@ -147,17 +124,13 @@ func (s InterestSet) Matches(key, group string) bool {
 // update content only, never to the stream's liveness or Reset
 // machinery.
 func (s InterestSet) matchesFrame(re RenderedEvent) bool {
-	if re.Kind != KindUpdate {
-		return true
-	}
-	return s.Matches(re.Key, re.Group)
+	return re.Kind != KindUpdate || s.Matches(re.Key)
 }
 
-// Covers reports whether every event matching o also matches s. It is
-// conservative: prefixes are only covered by prefixes and groups by
-// groups, so a false negative is possible but a true result is always
-// sound — which is the direction that matters, since an uncovered
-// downstream declaration forces the upstream subscription to widen.
+// Covers reports whether every event matching o also matches s: each of
+// o's prefixes extends one of s's. A true result is always sound, which
+// is the direction that matters, since an uncovered downstream
+// declaration forces the upstream subscription to widen.
 func (s InterestSet) Covers(o InterestSet) bool {
 	if s.all {
 		return true
@@ -166,26 +139,7 @@ func (s InterestSet) Covers(o InterestSet) bool {
 		return false
 	}
 	for _, op := range o.prefixes {
-		covered := false
-		for _, sp := range s.prefixes {
-			if strings.HasPrefix(op, sp) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			return false
-		}
-	}
-	for _, og := range o.groups {
-		covered := false
-		for _, sg := range s.groups {
-			if sg == og {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !s.Matches(op) {
 			return false
 		}
 	}
@@ -199,15 +153,7 @@ func (s InterestSet) Union(o InterestSet) InterestSet {
 	if s.all || o.all {
 		return InterestAll()
 	}
-	u := InterestSet{
-		prefixes: append(append([]string(nil), s.prefixes...), o.prefixes...),
-		groups:   append(append([]string(nil), s.groups...), o.groups...),
-	}
-	u.normalize()
-	if len(u.prefixes) > maxInterestTerms || len(u.groups) > maxInterestTerms {
-		return InterestAll()
-	}
-	return u
+	return normalized(append(append([]string(nil), s.prefixes...), o.prefixes...))
 }
 
 // Prefixes returns a copy of the declared path prefixes.
@@ -215,14 +161,9 @@ func (s InterestSet) Prefixes() []string {
 	return append([]string(nil), s.prefixes...)
 }
 
-// Groups returns a copy of the declared consistency groups.
-func (s InterestSet) Groups() []string {
-	return append([]string(nil), s.groups...)
-}
-
-// EncodeQuery renders the set as URL query parameters ("prefix=...&
-// group=...", escaped), empty for match-all. An empty set also encodes
-// as no constraints: the wire has no way to ask for nothing, and a
+// EncodeQuery renders the set as URL query parameters ("prefix=...",
+// escaped), empty for match-all. An empty set also encodes as no
+// constraints: the wire has no way to ask for nothing, and a
 // subscriber with nothing to declare tolerates extra frames — fail
 // open, never narrow.
 func (s InterestSet) EncodeQuery() string {
@@ -236,13 +177,6 @@ func (s InterestSet) EncodeQuery() string {
 		}
 		b.WriteString("prefix=")
 		b.WriteString(url.QueryEscape(p))
-	}
-	for _, g := range s.groups {
-		if b.Len() > 0 {
-			b.WriteByte('&')
-		}
-		b.WriteString("group=")
-		b.WriteString(url.QueryEscape(g))
 	}
 	return b.String()
 }

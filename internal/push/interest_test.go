@@ -21,52 +21,51 @@ func contextWithTestCleanup(t *testing.T) (context.Context, context.CancelFunc) 
 
 func TestInterestSetMatching(t *testing.T) {
 	cases := []struct {
-		name             string
-		prefixes, groups []string
-		key, group       string
-		want             bool
+		name  string
+		query string // the stream's declaration, as ParseInterest reads it
+		key   string
+		want  bool
 	}{
-		{"prefix hit", []string{"/news/"}, nil, "/news/a.html", "", true},
-		{"prefix miss", []string{"/news/"}, nil, "/stock/a", "", false},
-		{"exact key as prefix", []string{"/a"}, nil, "/a", "", true},
-		{"string prefix, not path segment", []string{"/a"}, nil, "/ab", "", true},
-		{"group hit", nil, []string{"frontpage"}, "/anything", "frontpage", true},
-		{"group miss", nil, []string{"frontpage"}, "/anything", "sports", false},
-		{"group empty never matches declared groups", nil, []string{"g"}, "/k", "", false},
-		{"either dimension suffices", []string{"/a/"}, []string{"g"}, "/b", "g", true},
-		{"literal dash key", []string{"-"}, nil, "-x", "", true},
-		{"query in key", []string{"/stock?sym="}, nil, "/stock?sym=A", "", true},
+		{"prefix hit", "prefix=/news/", "/news/a.html", true},
+		{"prefix miss", "prefix=/news/", "/stock/a", false},
+		{"exact key as prefix", "prefix=/a", "/a", true},
+		{"string prefix, not path segment", "prefix=/a", "/ab", true},
+		{"any prefix suffices", "prefix=/a/&prefix=/b", "/b", true},
+		{"literal dash key", "prefix=-", "-x", true},
+		{"query in key", "prefix=" + url.QueryEscape("/stock?sym="), "/stock?sym=A", true},
+		{"no declaration serves everything", "", "/anything", true},
+		{"only empty terms serve everything", "prefix=&prefix=", "/anything", true},
+		{"a group term serves everything", "prefix=/a/&group=g", "/b", true},
 	}
 	for _, c := range cases {
-		s := NewInterest(c.prefixes, c.groups)
-		if got := s.Matches(c.key, c.group); got != c.want {
-			t.Errorf("%s: NewInterest(%v,%v).Matches(%q,%q) = %v, want %v",
-				c.name, c.prefixes, c.groups, c.key, c.group, got, c.want)
+		q, err := url.ParseQuery(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ParseInterest(q).Matches(c.key); got != c.want {
+			t.Errorf("%s: ParseInterest(%q).Matches(%q) = %v, want %v", c.name, c.query, c.key, got, c.want)
 		}
 	}
-	if !InterestAll().Matches("/anything", "") {
+	if !InterestAll().Matches("/anything") {
 		t.Error("InterestAll must match everything")
 	}
-	if (InterestSet{}).Matches("/anything", "") {
+	if (InterestSet{}).Matches("/anything") {
 		t.Error("zero-value set must match nothing")
 	}
 }
 
 func TestInterestSetNormalization(t *testing.T) {
-	s := NewInterest([]string{"/a/b", "/a", "/ab", "/c", "/a/b/c", "/c"}, []string{"g", "g", "h"})
+	s := NewInterest([]string{"/a/b", "/a", "/ab", "/c", "/a/b/c", "/c"})
 	// "/a" subsumes "/a/b", "/ab", "/a/b/c" (string prefixes); "/c" dedupes.
 	if got := s.Prefixes(); len(got) != 2 || got[0] != "/a" || got[1] != "/c" {
 		t.Errorf("Prefixes() = %v, want [/a /c]", got)
-	}
-	if got := s.Groups(); len(got) != 2 || got[0] != "g" || got[1] != "h" {
-		t.Errorf("Groups() = %v, want [g h]", got)
 	}
 }
 
 func TestInterestSetFailsOpen(t *testing.T) {
 	// Over-length term: the whole declaration widens to match-all, never
 	// silently drops the term (that would filter away wanted updates).
-	long := NewInterest([]string{strings.Repeat("k", maxInterestTermLen+1)}, nil)
+	long := NewInterest([]string{strings.Repeat("k", maxInterestTermLen+1)})
 	if !long.IsAll() {
 		t.Error("over-length prefix did not widen to match-all")
 	}
@@ -75,20 +74,20 @@ func TestInterestSetFailsOpen(t *testing.T) {
 	for i := 0; i <= maxInterestTerms; i++ {
 		many = append(many, fmt.Sprintf("/p%04d", i))
 	}
-	if s := NewInterest(many, nil); !s.IsAll() {
+	if s := NewInterest(many); !s.IsAll() {
 		t.Error("over-count declaration did not widen to match-all")
 	}
 	// Union overflow widens.
-	a := NewInterest(many[:maxInterestTerms], nil)
-	b := NewInterest([]string{"/zzz"}, nil)
+	a := NewInterest(many[:maxInterestTerms])
+	b := NewInterest([]string{"/zzz"})
 	if u := a.Union(b); !u.IsAll() {
 		t.Error("overflowing union did not widen to match-all")
 	}
 }
 
 func TestInterestSetCovers(t *testing.T) {
-	wide := NewInterest([]string{"/a/"}, []string{"g"})
-	narrow := NewInterest([]string{"/a/b/"}, []string{"g"})
+	wide := NewInterest([]string{"/a/"})
+	narrow := NewInterest([]string{"/a/b/"})
 	if !wide.Covers(narrow) {
 		t.Error("/a/ should cover /a/b/")
 	}
@@ -98,30 +97,22 @@ func TestInterestSetCovers(t *testing.T) {
 	if !InterestAll().Covers(wide) || wide.Covers(InterestAll()) {
 		t.Error("match-all coverage asymmetry violated")
 	}
-	// Groups are only covered by groups: a group term can match keys
-	// outside every declared prefix.
-	if NewInterest([]string{"/"}, nil).Covers(NewInterest(nil, []string{"g"})) {
-		t.Error("a prefix must not claim to cover a group")
-	}
 	// The empty set is covered by anything.
-	if !narrow.Covers(NewInterest(nil, nil)) {
+	if !narrow.Covers(NewInterest(nil)) {
 		t.Error("empty set not covered")
 	}
 }
 
 func TestInterestQueryRoundTrip(t *testing.T) {
-	s := NewInterest([]string{"/stock?sym=A&x= b", "/news/", "-"}, []string{"front page"})
+	s := NewInterest([]string{"/stock?sym=A&x= b", "/news/", "-"})
 	q, err := url.ParseQuery(s.EncodeQuery())
 	if err != nil {
 		t.Fatalf("EncodeQuery produced an unparsable query: %v", err)
 	}
 	s2 := ParseInterest(q)
-	for _, probe := range []struct{ key, group string }{
-		{"/stock?sym=A&x= bcd", ""}, {"/news/x", ""}, {"-y", ""},
-		{"/k", "front page"}, {"/other", "other"},
-	} {
-		if s.Matches(probe.key, probe.group) != s2.Matches(probe.key, probe.group) {
-			t.Errorf("round trip diverged on (%q,%q)", probe.key, probe.group)
+	for _, key := range []string{"/stock?sym=A&x= bcd", "/news/x", "-y", "/k", "/other"} {
+		if s.Matches(key) != s2.Matches(key) {
+			t.Errorf("round trip diverged on %q", key)
 		}
 	}
 	// Declaring nothing is match-all (filtering is opt-in)...
@@ -187,21 +178,21 @@ func TestHubInterestFiltering(t *testing.T) {
 		OnConnect:  sink.onConnect,
 		BackoffMin: 5 * time.Millisecond,
 		BackoffMax: 50 * time.Millisecond,
-		Interest:   func() InterestSet { return NewInterest([]string{"/news/"}, []string{"g"}) },
+		Interest:   func() InterestSet { return NewInterest([]string{"/news/", "/o"}) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := contextWithTestCleanup(t)
 	go sub.Run(ctx)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 
-	h.Publish(Event{Kind: KindUpdate, Key: "/news/a"})        // 1: matches (prefix)
-	h.Publish(Event{Kind: KindUpdate, Key: "/stock/x"})       // 2: filtered
-	h.Publish(Event{Kind: KindUpdate, Key: "/o", Group: "g"}) // 3: matches (group)
-	h.Publish(Event{Kind: KindUpdate, Key: "/stock/y"})       // 4: filtered
+	h.Publish(Event{Kind: KindUpdate, Key: "/news/a"})  // 1: matches
+	h.Publish(Event{Kind: KindUpdate, Key: "/stock/x"}) // 2: filtered
+	h.Publish(Event{Kind: KindUpdate, Key: "/o"})       // 3: matches
+	h.Publish(Event{Kind: KindUpdate, Key: "/stock/y"}) // 4: filtered
 
 	if !waitCond(t, 2*time.Second, func() bool {
 		evs, _, _ := sink.snapshot()
@@ -258,6 +249,32 @@ func TestHubInterestFiltering(t *testing.T) {
 	cancel()
 }
 
+// TestHubServesUndeclarableInterestEverything: a stream whose
+// declaration the prefix grammar cannot honour — a ?group= term, or
+// only empty terms — fails open: it receives every update frame.
+func TestHubServesUndeclarableInterestEverything(t *testing.T) {
+	for _, query := range []string{"group=g", "prefix=/news/&group=", "prefix=", "prefix=&prefix="} {
+		t.Run(query, func(t *testing.T) {
+			h := NewHub(HubConfig{Heartbeat: time.Hour})
+			ts := httptest.NewServer(h)
+			t.Cleanup(ts.Close)
+			lines := frameLines(openStream(t, ts.URL+"?"+query, "").Body)
+			awaitLine(t, lines, "id: 0") // the hello
+			for i, key := range []string{"/news/a", "/stock/x", "/o"} {
+				ev := Event{Kind: KindUpdate, Seq: uint64(i + 1), Key: key}
+				h.Publish(ev)
+				awaitLine(t, lines, fmt.Sprintf("id: %d", ev.Seq))
+				if line := <-lines; line != "data: "+ev.Encode() {
+					t.Fatalf("frame %d = %q, want the update for %s", ev.Seq, line, key)
+				}
+			}
+			if st := h.Stats(); st.Filtered != 0 {
+				t.Errorf("Filtered = %d, want 0", st.Filtered)
+			}
+		})
+	}
+}
+
 // TestSubscriberBounceRedeclaresInterest: Bounce must drop just the
 // in-flight stream, reconnect through the full disconnect/connect
 // reconciliation, and re-evaluate the Interest callback — the mechanism
@@ -269,7 +286,7 @@ func TestSubscriberBounceRedeclaresInterest(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	var interest atomicInterest
-	interest.store(NewInterest([]string{"/a/"}, nil))
+	interest.store(NewInterest([]string{"/a/"}))
 	sink := &hubSink{}
 	sub, err := NewSubscriber(SubscriberConfig{
 		URL:        ts.URL,
@@ -287,15 +304,15 @@ func TestSubscriberBounceRedeclaresInterest(t *testing.T) {
 	// Connected means the subscriber has read the hello, not just that
 	// the hub registered the stream: a bounce before the hello is a
 	// failed attempt, not a disconnect.
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 && sub.Connects() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 && sub.Connects() == 1 }) {
 		t.Fatal("never connected")
 	}
-	if d := sub.DeclaredInterest(); !d.Matches("/a/x", "") || d.Matches("/b/x", "") {
+	if d := sub.DeclaredInterest(); !d.Matches("/a/x") || d.Matches("/b/x") {
 		t.Fatalf("declared interest %v does not reflect the Interest callback", d.Prefixes())
 	}
 
 	// Widen and bounce: the reconnected stream must carry the new set.
-	interest.store(NewInterest([]string{"/a/", "/b/"}, nil))
+	interest.store(NewInterest([]string{"/a/", "/b/"}))
 	sub.Bounce()
 	if !waitCond(t, 2*time.Second, func() bool { return sub.Connects() == 2 }) {
 		t.Fatal("bounce never reconnected")
@@ -306,7 +323,7 @@ func TestSubscriberBounceRedeclaresInterest(t *testing.T) {
 	if sub.Disconnects() != 1 {
 		t.Errorf("Disconnects() = %d; a bounce must be a full disconnect reconciliation", sub.Disconnects())
 	}
-	if d := sub.DeclaredInterest(); !d.Matches("/b/x", "") {
+	if d := sub.DeclaredInterest(); !d.Matches("/b/x") {
 		t.Error("bounced stream did not re-declare the widened interest")
 	}
 	h.Publish(Event{Kind: KindUpdate, Key: "/b/x"})

@@ -281,7 +281,7 @@ func TestHubDeltaRung(t *testing.T) {
 
 	sink := &hubSink{}
 	startHubSubscriberCap(t, ts.URL, sink, DefaultPayloadCap)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 
@@ -332,7 +332,7 @@ func TestHubRungZeroSendsAPayloadOnce(t *testing.T) {
 	t.Cleanup(ts.Close)
 	sink := &hubSink{}
 	startHubSubscriberCap(t, ts.URL, sink, 1024)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 	next := func(n int) Event {
@@ -423,7 +423,7 @@ func TestHubDeltaRungFromConnectHeld(t *testing.T) {
 			{Key: "/bad", Digest: "not a hex"}, // malformed: dropped client-side
 		}
 	})
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 
@@ -455,7 +455,7 @@ func TestHubChunkedDelivery(t *testing.T) {
 
 	sink := &hubSink{}
 	sub := startHubSubscriberCap(t, ts.URL, sink, 1024)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 
@@ -488,7 +488,7 @@ func TestHubChunkedDelivery(t *testing.T) {
 	// stripped form of the same event, never a chunk frame it cannot use.
 	bare := &hubSink{}
 	startHubSubscriber(t, ts.URL, bare)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Subscribers() == 2 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 2 }) {
 		t.Fatal("bare stream never connected")
 	}
 	h.Publish(Event{Kind: KindUpdate, Key: "/big", Body: body, HasBody: true, Digest: DigestOf(body)})

@@ -65,7 +65,7 @@ func TestHubPartitionedResumeForeignHole(t *testing.T) {
 		t.Fatalf("byte budget did not trim: ReplayLen=%d", st.ReplayLen)
 	}
 
-	hello, sub, ok := h.subscribe(1, 0, NewInterest([]string{"/narrow/"}, nil), nil)
+	hello, sub, ok := h.subscribe(1, 0, NewInterest([]string{"/narrow/"}), nil)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
@@ -89,14 +89,14 @@ func TestHubPartitionedResumeForeignHole(t *testing.T) {
 	// The position proven by the walk must be the stream head, not the
 	// last narrow frame: the foreign gap is jumped, so a reconnect from
 	// here never re-crosses it.
-	if cur := sub.cursor.Load(); cur != h.LastSeq() {
-		t.Errorf("narrow walk proved position %d, want head %d", cur, h.LastSeq())
+	if cur, head := sub.cursor.Load(), h.Stats().Seq; cur != head {
+		t.Errorf("narrow walk proved position %d, want head %d", cur, head)
 	}
 	if h.Stats().ResumeHoles != 0 {
 		t.Error("a foreign-partition gap was counted as a resume hole")
 	}
 
-	hello2, sub2, _ := h.subscribe(1, 4096, NewInterest([]string{"/wide/"}, nil), nil)
+	hello2, sub2, _ := h.subscribe(1, 4096, NewInterest([]string{"/wide/"}), nil)
 	defer h.unsubscribe(sub2)
 	if !hello2.Reset {
 		t.Error("wide resumer not Reset over a genuine gap in its own partition")
@@ -146,7 +146,7 @@ func TestHubPartitionBudgetProtectsNarrowSubtree(t *testing.T) {
 		t.Errorf("partition bytes %d+%d do not sum to ReplayBytes %d",
 			narrow.Bytes, wide.Bytes, st.ReplayBytes)
 	}
-	_, sub, ok := h.subscribe(1, 0, NewInterest([]string{"/narrow/"}, nil), nil)
+	_, sub, ok := h.subscribe(1, 0, NewInterest([]string{"/narrow/"}), nil)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
@@ -198,7 +198,7 @@ func BenchmarkHubReplayPartitioned(b *testing.B) {
 	for i := 0; i < 1024; i++ {
 		h.Publish(Event{Kind: KindUpdate, Key: fmt.Sprintf("/p%d/obj/%d", i%8, i)})
 	}
-	interest := NewInterest([]string{"/p3/"}, nil)
+	interest := NewInterest([]string{"/p3/"})
 	scratch := make([]RenderedEvent, 0, fetchBatchLimit+1)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -60,8 +60,8 @@ type SubscriberConfig struct {
 	// MaxPayloadCap.
 	PayloadCap int
 	// Interest, when set, is evaluated at every connection attempt and
-	// declares the subscriber's interest set upstream (?prefix= and
-	// ?group= parameters): the server skips update frames outside it.
+	// declares the subscriber's interest set upstream (?prefix=
+	// parameters): the server skips update frames outside it.
 	// Nil declares interest in everything. A consumer whose interest
 	// widened mid-stream calls Bounce to reconnect and re-declare.
 	Interest func() InterestSet

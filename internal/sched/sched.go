@@ -1,12 +1,14 @@
-// Package sched implements the wall-clock min-heap the live proxy uses
-// to order background refreshes. It is the real-time sibling of
-// internal/eventq (which orders simulated events): items are keyed by
-// the time.Time instant they become due, ties break in insertion order,
-// and Peek/PopDue give the dispatcher O(log n) access to the next due
-// refresh instead of an O(n) scan over every cached object.
+// Package sched implements the time-ordered min-heap behind both of the
+// repository's clocks: the live proxy orders its background refreshes
+// on it, and internal/sim orders simulated events on it (keying each
+// simulated instant as a Unix-epoch time.Time). Items are keyed by the
+// instant they become due, ties break in insertion order, which makes
+// every simulation run deterministic, and Peek/PopDue give the proxy's
+// dispatcher O(log n) access to the next due refresh instead of an O(n)
+// scan over every cached object.
 //
 // A Heap is not safe for concurrent use; the proxy guards it with its
-// scheduler mutex.
+// scheduler mutex, and the simulator is single-threaded.
 package sched
 
 import (

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"time"
 
-	"broadway/internal/eventq"
+	"broadway/internal/sched"
 	"broadway/internal/simtime"
 )
 
@@ -39,13 +39,13 @@ var ErrStopped = errors.New("sim: stopped")
 
 // Handle identifies a scheduled event so it can be cancelled.
 type Handle struct {
-	item *eventq.Item
+	item *sched.Item
 }
 
 // Engine is a deterministic discrete-event scheduler. The zero value is
 // ready to use, with the clock at the simulation epoch.
 type Engine struct {
-	queue   eventq.Queue
+	queue   sched.Heap // keyed on the instant as a Unix-epoch time.Time
 	now     simtime.Time
 	stopped bool
 
@@ -78,7 +78,7 @@ func (e *Engine) ScheduleAt(at simtime.Time, ev Event) Handle {
 	if at.Before(e.now) {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	return Handle{item: e.queue.Push(at, ev)}
+	return Handle{item: e.queue.Push(time.Unix(0, int64(at)), ev)}
 }
 
 // ScheduleAfter schedules ev to fire d after the current instant.
@@ -114,12 +114,12 @@ func (e *Engine) Run(horizon simtime.Time) error {
 			return ErrStopped
 		}
 		head := e.queue.Peek()
-		if head == nil || head.At.After(horizon) {
+		if head == nil || instant(head).After(horizon) {
 			e.now = simtime.Max(e.now, horizon)
 			return nil
 		}
 		it := e.queue.Pop()
-		e.now = it.At
+		e.now = instant(it)
 		e.processed++
 		it.Payload.(Event).Fire(e)
 	}
@@ -137,8 +137,11 @@ func (e *Engine) Step() bool {
 	if it == nil {
 		return false
 	}
-	e.now = it.At
+	e.now = instant(it)
 	e.processed++
 	it.Payload.(Event).Fire(e)
 	return true
 }
+
+// instant returns the simulated instant a queued item fires at.
+func instant(it *sched.Item) simtime.Time { return simtime.Time(it.At.UnixNano()) }

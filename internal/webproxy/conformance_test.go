@@ -166,7 +166,7 @@ func replay(t *testing.T, tp topology, objs []replayObject, horizon time.Duratio
 	}
 	h.play(horizon, steps)
 
-	res := replayResult{h: h, logs: make(map[string][]metrics.Refresh), pushStats: h.leaf().PushStats(), originPolls: h.origin.Polls()}
+	res := replayResult{h: h, logs: make(map[string][]metrics.Refresh), pushStats: h.leaf().PushStats(), originPolls: h.origin.Stats().Polls}
 	for _, o := range h.leaf().observations() {
 		at := simtime.At(o.At.Sub(h.clk.base))
 		res.logs[o.Key] = append(res.logs[o.Key], metrics.Refresh{

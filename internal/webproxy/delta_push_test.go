@@ -45,7 +45,7 @@ func TestDeltaPushAppliedLive(t *testing.T) {
 	h.origin.Set("/doc", v1, "text/plain")
 	h.quiesce()
 	px.get("/doc")
-	admissionPolls := h.origin.Polls()
+	admissionPolls := h.origin.Stats().Polls
 
 	// Full rung: the stream holds no base for /doc yet.
 	h.origin.Set("/doc", v2, "text/plain")
@@ -68,7 +68,7 @@ func TestDeltaPushAppliedLive(t *testing.T) {
 	if st.DeltaBaseMisses != 0 || st.ValueFallbacks != 0 {
 		t.Errorf("clean delta path degraded: %+v", st)
 	}
-	if got := h.origin.Polls(); got != admissionPolls {
+	if got := h.origin.Stats().Polls; got != admissionPolls {
 		t.Errorf("origin saw %d polls beyond admission; the delta path must cost zero", got-admissionPolls)
 	}
 	if hs := h.origin.Stats().Hub; hs.DeltaFrames == 0 {
@@ -95,7 +95,7 @@ func TestDeltaPushForgedBaseFallsToConfirmationPoll(t *testing.T) {
 	if b, _ := px.CachedBody("/page"); string(b) != string(v2) {
 		t.Fatalf("genuine update never installed: %+v", px.PushStats())
 	}
-	pollsBefore := h.origin.Polls()
+	pollsBefore := h.origin.Stats().Polls
 
 	h.origin.InjectPushEvent(push.Event{
 		Kind: push.KindUpdate, Key: "/page", ModTime: h.clk.Now().Add(time.Hour),
@@ -104,7 +104,7 @@ func TestDeltaPushForgedBaseFallsToConfirmationPoll(t *testing.T) {
 		BaseDigest: "00000000deadbeef", DeltaCodec: push.DeltaCodecBlock,
 	})
 	h.quiesce()
-	if got := h.origin.Polls(); got != pollsBefore+1 {
+	if got := h.origin.Stats().Polls; got != pollsBefore+1 {
 		t.Errorf("forged base cost %d polls; the ladder owes exactly one", got-pollsBefore)
 	}
 	if st := px.PushStats(); st.ValueFallbacks != 1 {
@@ -127,7 +127,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 	h.origin.Set("/obj", v1, "text/plain")
 	h.quiesce()
 	px.get("/obj")
-	pollsBefore := h.origin.Polls()
+	pollsBefore := h.origin.Stats().Polls
 
 	e := px.lookup("/obj")
 	if e == nil {
@@ -175,7 +175,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 	if b, _ := px.CachedBody("/obj"); string(b) != string(v2) {
 		t.Errorf("delta apply installed wrong body (%d bytes)", len(b))
 	}
-	if got := h.origin.Polls(); got != pollsBefore {
+	if got := h.origin.Stats().Polls; got != pollsBefore {
 		t.Errorf("direct apply path cost %d origin polls", got-pollsBefore)
 	}
 }
@@ -330,17 +330,14 @@ func TestOverrideToleranceLive(t *testing.T) {
 	if res.Key != "/page" || res.Delta != 30*time.Second || res.ValueDelta != 0 {
 		t.Fatalf("override result = %+v", res)
 	}
-	if got := px.ToleranceOverrides(); got != 1 {
+	if got := px.CacheStats().ToleranceOverrides; got != 1 {
 		t.Fatalf("ToleranceOverrides = %d", got)
-	}
-	if cs := px.CacheStats(); cs.ToleranceOverrides != 1 {
-		t.Fatalf("CacheStats.ToleranceOverrides = %d", cs.ToleranceOverrides)
 	}
 
 	if _, ok := px.OverrideTolerance("/nope", time.Second, 0); ok {
 		t.Fatal("override accepted a non-resident key")
 	}
-	if got := px.ToleranceOverrides(); got != 1 {
+	if got := px.CacheStats().ToleranceOverrides; got != 1 {
 		t.Fatalf("failed override counted: %d", got)
 	}
 
@@ -366,7 +363,7 @@ func TestOverrideToleranceLive(t *testing.T) {
 	if res2.ValueDelta != 0.5 {
 		t.Fatalf("dv override result = %+v", res2)
 	}
-	if got := px.ToleranceOverrides(); got != 2 {
+	if got := px.CacheStats().ToleranceOverrides; got != 2 {
 		t.Fatalf("ToleranceOverrides = %d", got)
 	}
 }

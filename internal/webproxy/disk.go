@@ -87,7 +87,7 @@ func (p *Proxy) channelAnswer(key string, rec *diskstore.Record) *upstreamRespon
 		return nil
 	}
 	epoch := p.lease.recordEpoch(rec.ValidatedAt)
-	if epoch == nil || !p.lease.carries(key, rec.Group, p.pushable(key, rec.Group), epoch) {
+	if epoch == nil || !p.lease.carries(key, p.pushable(key, rec.Group), epoch) {
 		return nil
 	}
 	return &upstreamResponse{notModified: true, epoch: epoch, byChannel: true}

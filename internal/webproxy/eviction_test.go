@@ -268,7 +268,7 @@ func TestByteBudgetEviction(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		px.get(fmt.Sprintf("/obj/%d", i))
 	}
-	if rb := px.ResidentBytes(); rb > budget {
+	if rb := px.CacheStats().ResidentBytes; rb > budget {
 		t.Errorf("resident bytes %d exceed budget %d at quiescence", rb, budget)
 	}
 	if got := px.Len(); got == 0 || got > 4 {
@@ -465,7 +465,7 @@ func TestEvictionUnwindsSchedulerState(t *testing.T) {
 	if got := px.Len(); got != 0 {
 		t.Errorf("resident objects after emptying = %d, want 0", got)
 	}
-	if rb := px.ResidentBytes(); rb != 0 {
+	if rb := px.CacheStats().ResidentBytes; rb != 0 {
 		t.Errorf("byte ledger after emptying = %d, want 0", rb)
 	}
 	px.schedMu.Lock()
@@ -561,7 +561,7 @@ func TestRefreshGrowthReenforcesByteBudget(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		px.get(fmt.Sprintf("/grow/%d", i))
 	}
-	if rb := px.ResidentBytes(); rb > budget {
+	if rb := px.CacheStats().ResidentBytes; rb > budget {
 		t.Fatalf("resident bytes %d over budget %d before growth", rb, budget)
 	}
 
@@ -570,9 +570,9 @@ func TestRefreshGrowthReenforcesByteBudget(t *testing.T) {
 	// budget via refresh-time shrink.
 	grown.Store(true)
 	h.advance(100 * time.Millisecond)
-	if px.CacheStats().Evictions == 0 || px.ResidentBytes() > budget {
+	if cs := px.CacheStats(); cs.Evictions == 0 || cs.ResidentBytes > budget {
 		t.Errorf("ledger stuck at %d (budget %d, evictions %d): refresh growth not re-enforced",
-			px.ResidentBytes(), budget, px.CacheStats().Evictions)
+			cs.ResidentBytes, budget, cs.Evictions)
 	}
 	checkStoreInvariants(t, px)
 }
@@ -614,7 +614,7 @@ func TestOversizedRefreshDoesNotWipeCache(t *testing.T) {
 			t.Errorf("/small/%d was collateral damage of the oversized refresh", i)
 		}
 	}
-	if rb := px.ResidentBytes(); rb > budget {
+	if rb := px.CacheStats().ResidentBytes; rb > budget {
 		t.Errorf("ledger %d over budget %d after oversize eviction", rb, budget)
 	}
 	checkStoreInvariants(t, px)

@@ -200,7 +200,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		h.advance(10 * time.Second)
 		sibTriggered = px.ObjectStats(sib).Triggered
 		pushBefore = px.PushStats()
-		originPolls = h.origin.Polls()
+		originPolls = h.origin.Stats().Polls
 		row.arrive()
 		h.quiesce()
 
@@ -225,7 +225,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		// A pushed payload costs the origin nothing for the object itself
 		// (the sibling's triggered poll is the only request).
 		if row.want.Applied {
-			if d := h.origin.Polls() - originPolls; d != 1 {
+			if d := h.origin.Stats().Polls - originPolls; d != 1 {
 				t.Errorf("%s: %d origin requests, want only the sibling's triggered poll", row.name, d)
 			}
 			if st := px.PushStats(); st.ValueApplied != pushBefore.ValueApplied+1 || st.ValueFallbacks != pushBefore.ValueFallbacks {
@@ -249,7 +249,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 		if b := px.ObjectStats(doc).Bytes; b != entrySize(doc, body) {
 			t.Errorf("%s: ledger charge %d, want entrySize %d", row.name, b, entrySize(doc, body))
 		}
-		if rb, want := px.ResidentBytes(), entrySize(doc, body)+entrySize(sib, sibBody); rb != want {
+		if rb, want := px.CacheStats().ResidentBytes, entrySize(doc, body)+entrySize(sib, sibBody); rb != want {
 			t.Errorf("%s: resident bytes %d, want %d", row.name, rb, want)
 		}
 

@@ -149,21 +149,20 @@ func (l *lease) connect() {
 // the current one. Always true with leases off: no epoch ever begins.
 func (l *lease) current(epoch *time.Time) bool { return l.epoch.Load() == epoch }
 
-// covers reports whether the channel, as it stands, carries key in group
+// covers reports whether the channel, as it stands, carries key
 // (pushable as the caller knows it): every premise but the evidence's,
 // which the caller's own state stands in for (see carriedLocked). Sound
 // against a racing reconnect: health flips only after the attempt's
 // declaration, stored before its request goes out, is in place.
-func (l *lease) covers(key, group string, pushable bool) bool {
+func (l *lease) covers(key string, pushable bool) bool {
 	return l.term > 0 && l.healthy.Load() && pushable &&
-		(l.interest == nil || l.interest.DeclaredInterest().Matches(key, group))
+		(l.interest == nil || l.interest.DeclaredInterest().Matches(key))
 }
 
-// carries is the lease predicate: the channel carries key in group on
-// evidence gathered in epoch. Health is read (in covers) before the
-// epoch.
-func (l *lease) carries(key, group string, pushable bool, epoch *time.Time) bool {
-	return l.covers(key, group, pushable) && l.current(epoch)
+// carries is the lease predicate: the channel carries key on evidence
+// gathered in epoch. Health is read (in covers) before the epoch.
+func (l *lease) carries(key string, pushable bool, epoch *time.Time) bool {
+	return l.covers(key, pushable) && l.current(epoch)
 }
 
 // recordEpoch returns the epoch a disk record validated at validatedAt
@@ -287,7 +286,7 @@ func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Durat
 	}
 	base := validatedAt.Add(ttr)
 	at := base
-	if p.lease.carries(e.key, e.group, !e.unpushable, epoch) {
+	if p.lease.carries(e.key, !e.unpushable, epoch) {
 		at = p.lease.auditAt(e.key, validatedAt, admittedAt, base, ttr)
 	}
 	p.placeLocked(e, at, base)
@@ -306,7 +305,7 @@ func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Durat
 // worker ahead of anything queued after it. The caller holds schedMu,
 // which orders the answer against the sweep and every lease decision.
 func (p *Proxy) carriedLocked(e *entry) bool {
-	return e.item != nil && e.baseNextAt.Before(e.nextAt) && p.lease.covers(e.key, e.group, !e.unpushable)
+	return e.item != nil && e.baseNextAt.Before(e.nextAt) && p.lease.covers(e.key, !e.unpushable)
 }
 
 // raced reports whether an admission's copy may predate an update the

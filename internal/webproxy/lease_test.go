@@ -395,7 +395,7 @@ func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
 
 	px.up.fail("/events", false)
 	h.quiesce()
-	if !px.PushStats().Connected || !px.sub.DeclaredInterest().Matches("/out/b", "") {
+	if !px.PushStats().Connected || !px.sub.DeclaredInterest().Matches("/out/b") {
 		t.Fatal("the bounce never widened the declaration")
 	}
 	h.advance(50 * time.Millisecond)
@@ -664,7 +664,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				px := c.h.leaf()
 				px.disk.Put(diskstore.Record{Key: c.key, LastMod: modTime(c.h, c.key), HasLastMod: true,
 					ValidatedAt: c.h.clk.Now()}, []byte("v1"))
-				if px.sub.DeclaredInterest().Matches(c.key, "") {
+				if px.sub.DeclaredInterest().Matches(c.key) {
 					t.Fatal("test premise: the live declaration covers the key")
 				}
 				return silent(c.h, c.key)
@@ -1223,7 +1223,7 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 				if st := px.PushStats(); st.Bounces != 1 || st.Connects != 2 || !st.Connected {
 					t.Fatalf("never came back from the bounce: %+v", st)
 				}
-				if !px.sub.DeclaredInterest().Matches(sib, "g") {
+				if !px.sub.DeclaredInterest().Matches(sib) {
 					t.Fatal("test premise: the bounce did not widen the declaration")
 				}
 				return nil

@@ -111,7 +111,7 @@ func (p *Proxy) declaredInterest() push.InterestSet {
 	for _, e := range p.store.all() {
 		prefixes = append(prefixes, residentPrefix(e.key))
 	}
-	set := push.NewInterest(prefixes, nil)
+	set := push.NewInterest(prefixes)
 	p.downMu.Lock()
 	down := p.downstream
 	p.downMu.Unlock()

@@ -133,8 +133,8 @@ func TestPushEventForNonResidentObjectIsDropped(t *testing.T) {
 	if st := h.leaf().PushStats(); st.Dropped != 2 {
 		t.Fatalf("events for non-resident objects not dropped: %+v", st)
 	}
-	if h.origin.Polls() != 0 {
-		t.Errorf("proxy polled the origin %d times for an object nobody requested", h.origin.Polls())
+	if n := h.origin.Stats().Polls; n != 0 {
+		t.Errorf("proxy polled the origin %d times for an object nobody requested", n)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestUnpushableKeyIsNeverStretched(t *testing.T) {
 			}
 		}
 	}
-	if h.origin.PushOversized() == 0 {
+	if h.origin.Stats().Hub.Oversized == 0 {
 		t.Error("origin never dropped the oversized event")
 	}
 }

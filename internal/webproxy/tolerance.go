@@ -123,7 +123,3 @@ func (p *Proxy) unpair(e *entry) bool {
 	e.mu.Unlock()
 	return true
 }
-
-// ToleranceOverrides returns the number of runtime tolerance overrides
-// applied through OverrideTolerance.
-func (p *Proxy) ToleranceOverrides() uint64 { return p.toleranceOverrides.Load() }

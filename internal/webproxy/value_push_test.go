@@ -43,7 +43,7 @@ func TestValuePushInstallsBodyWithoutOriginPoll(t *testing.T) {
 	h.origin.SetTolerances("/quote", httpx.Tolerances{ValueDelta: 0.25})
 	h.quiesce()
 	px.get("/quote")
-	admissionPolls := h.origin.Polls()
+	admissionPolls := h.origin.Stats().Polls
 
 	for rev := 1; rev <= 5; rev++ {
 		h.origin.Set("/quote", []byte(fmt.Sprintf("10%d.50\n", rev)), "text/plain")
@@ -52,7 +52,7 @@ func TestValuePushInstallsBodyWithoutOriginPoll(t *testing.T) {
 	if b, _ := px.CachedBody("/quote"); string(b) != "105.50\n" {
 		t.Fatalf("pushed value never installed: cached %q (push %+v)", b, px.PushStats())
 	}
-	if got := h.origin.Polls(); got != admissionPolls {
+	if got := h.origin.Stats().Polls; got != admissionPolls {
 		t.Errorf("origin saw %d polls beyond the %d admission fetches; the payload path must cost zero",
 			got-admissionPolls, admissionPolls)
 	}
@@ -78,7 +78,7 @@ func TestValuePushDigestMismatchFallsBackToPoll(t *testing.T) {
 	h.origin.Set("/page", []byte("genuine v1"), "")
 	h.quiesce()
 	px.get("/page")
-	pollsBefore := h.origin.Polls()
+	pollsBefore := h.origin.Stats().Polls
 
 	h.origin.InjectPushEvent(push.Event{
 		Kind: push.KindUpdate, Key: "/page", ModTime: h.clk.Now().Add(time.Hour),
@@ -88,7 +88,7 @@ func TestValuePushDigestMismatchFallsBackToPoll(t *testing.T) {
 	if st := px.PushStats(); st.ValueFallbacks != 1 || st.ValueApplied != 0 {
 		t.Fatalf("digest mismatch did not fall back alone: %+v", st)
 	}
-	if got := h.origin.Polls(); got != pollsBefore+1 {
+	if got := h.origin.Stats().Polls; got != pollsBefore+1 {
 		t.Errorf("the fallback cost %d polls, want one", got-pollsBefore)
 	}
 	if b, _ := px.CachedBody("/page"); string(b) != "genuine v1" {
@@ -121,13 +121,13 @@ func TestValuePushStrippedPayloadFallsBackToPoll(t *testing.T) {
 	}
 
 	// A body within the cap still rides the payload path afterwards.
-	pollsBefore := h.origin.Polls()
+	pollsBefore := h.origin.Stats().Polls
 	h.origin.Set("/fat", []byte("small v2"), "")
 	h.quiesce()
 	if b, _ := px.CachedBody("/fat"); string(b) != "small v2" {
 		t.Fatalf("in-cap update never installed: %q", b)
 	}
-	if got := h.origin.Polls(); got != pollsBefore {
+	if got := h.origin.Stats().Polls; got != pollsBefore {
 		t.Errorf("in-cap update cost %d polls, want 0", got-pollsBefore)
 	}
 }
@@ -152,7 +152,7 @@ func TestValuePushByteBudgetRefusal(t *testing.T) {
 	if px.ObjectStats("/obj").Cached {
 		t.Errorf("over-budget object still resident: %+v (cache %+v)", px.ObjectStats("/obj"), px.CacheStats())
 	}
-	if got := px.ResidentBytes(); got > 2048 {
+	if got := px.CacheStats().ResidentBytes; got > 2048 {
 		t.Errorf("ledger over budget after the unwind: %d", got)
 	}
 }
@@ -203,7 +203,7 @@ func TestTwoHopValuePushZeroConfirmationPolls(t *testing.T) {
 	if code, _, _ := leaf.get("/quote"); code != 200 {
 		t.Fatalf("admission: %d", code)
 	}
-	admissionPolls := h.origin.Polls()
+	admissionPolls := h.origin.Stats().Polls
 
 	h.origin.Set("/quote", []byte("101.25\n"), "text/plain")
 	h.quiesce()
@@ -211,7 +211,7 @@ func TestTwoHopValuePushZeroConfirmationPolls(t *testing.T) {
 		t.Fatalf("payload never reached the leaf (parent %+v, relay %+v, leaf %+v)",
 			parent.PushStats(), parent.RelayStats(), leaf.PushStats())
 	}
-	if got := h.origin.Polls(); got != admissionPolls {
+	if got := h.origin.Stats().Polls; got != admissionPolls {
 		t.Errorf("origin saw %d polls beyond admission; the chain must cost zero", got-admissionPolls)
 	}
 	if st := parent.ObjectStats("/quote"); st.Applied == 0 || st.Pushed != 0 {
@@ -235,7 +235,7 @@ func TestValuePushDuplicateEventsAreRecognized(t *testing.T) {
 	h.origin.Set("/page", []byte("v1"), "")
 	h.quiesce()
 	px.get("/page")
-	pollsBefore := h.origin.Polls()
+	pollsBefore := h.origin.Stats().Polls
 
 	h.origin.Set("/page", []byte("v2"), "")
 	h.quiesce()
@@ -258,7 +258,7 @@ func TestValuePushDuplicateEventsAreRecognized(t *testing.T) {
 	if st.Events != first.Events+1 {
 		t.Fatalf("duplicate never processed: %+v", st)
 	}
-	if got := h.origin.Polls(); got != pollsBefore {
+	if got := h.origin.Stats().Polls; got != pollsBefore {
 		t.Errorf("duplicate cost %d polls", got-pollsBefore)
 	}
 	if st.ValueApplied != first.ValueApplied {

@@ -1103,7 +1103,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 		p.joinGroup(e, a.group, a.groupDelta, a.valueDelta)
 	}
 	if p.sub != nil && p.cfg.PushInterest && !e.unpushable &&
-		!p.sub.DeclaredInterest().Matches(key, a.group) {
+		!p.sub.DeclaredInterest().Matches(key) {
 		// The upstream declaration predates this object: its updates
 		// are filtered away before they ever reach us. Bounce the
 		// stream — the reconnect re-runs the interest closure with this
@@ -1534,9 +1534,6 @@ func (p *Proxy) ObjectStats(key string) Stats {
 		Grouped:   e.group != "",
 	}
 }
-
-// ResidentBytes returns the byte ledger's current total.
-func (p *Proxy) ResidentBytes() int64 { return p.store.residentBytes() }
 
 // CachedBody returns the currently cached body for key.
 func (p *Proxy) CachedBody(key string) ([]byte, bool) {

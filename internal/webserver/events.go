@@ -27,7 +27,8 @@ import (
 // termination, per-subscriber lag accounting, frame write deadlines,
 // payload negotiation) lives in internal/push as push.Hub — the same
 // machinery a relaying proxy runs for its own downstream face — so the
-// origin side here is only construction and accessors.
+// origin side here is only construction; the hub's counters reach
+// callers through Origin.Stats (its Hub field) and Origin.PushHubStats.
 
 // replayBufferLen bounds the events kept for reconnect catch-up.
 const replayBufferLen = push.DefaultReplayLen

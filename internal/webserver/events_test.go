@@ -81,7 +81,7 @@ func TestEventsEndpointStreamsUpdates(t *testing.T) {
 	sink := &eventSink{}
 	startSubscriber(t, ts.URL+"/events", sink)
 
-	if !waitUntil(t, 2*time.Second, func() bool { return o.PushSubscribers() == 1 }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 1 }) {
 		t.Fatal("subscriber never registered")
 	}
 	o.SetTolerances("/a", httpx.Tolerances{Group: "g"})
@@ -110,8 +110,8 @@ func TestEventsEndpointStreamsUpdates(t *testing.T) {
 	if len(hellos) != 1 || hellos[0].Reset || resumed[0] {
 		t.Errorf("hellos = %+v resumed = %v", hellos, resumed)
 	}
-	if o.PushSeq() != 3 {
-		t.Errorf("PushSeq = %d", o.PushSeq())
+	if seq := o.Stats().Hub.Seq; seq != 3 {
+		t.Errorf("Hub.Seq = %d", seq)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestEventsEndpointReplaysMissedEvents(t *testing.T) {
 
 	sink := &eventSink{}
 	startSubscriber(t, ts.URL+"/events", sink)
-	if !waitUntil(t, 2*time.Second, func() bool { return o.PushSubscribers() == 1 }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 	o.Set("/a", []byte("v1"), "")
@@ -197,7 +197,7 @@ func TestEventsEndpointUnavailable(t *testing.T) {
 	o.SetPushAvailable(true)
 	sink := &eventSink{}
 	startSubscriber(t, ts.URL+"/events", sink)
-	if !waitUntil(t, 2*time.Second, func() bool { return o.PushSubscribers() == 1 }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 1 }) {
 		t.Fatal("endpoint did not recover")
 	}
 }
@@ -223,7 +223,7 @@ func TestOversizedKeyNeverEntersStream(t *testing.T) {
 
 	sink := &eventSink{}
 	startSubscriber(t, ts.URL+"/events", sink)
-	if !waitUntil(t, 2*time.Second, func() bool { return o.PushSubscribers() == 1 }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 
@@ -243,11 +243,11 @@ func TestOversizedKeyNeverEntersStream(t *testing.T) {
 	if evs[0].Key != "/ok" || evs[0].Seq != 1 {
 		t.Errorf("event = %+v; the oversized update leaked into the stream or consumed a seq", evs[0])
 	}
-	if o.PushOversized() != 1 {
-		t.Errorf("PushOversized = %d, want 1", o.PushOversized())
+	if n := o.Stats().Hub.Oversized; n != 1 {
+		t.Errorf("Hub.Oversized = %d, want 1", n)
 	}
 	// The stream survives: the subscriber was never poisoned.
-	if o.PushSubscribers() != 1 {
+	if o.Stats().Hub.Subscribers != 1 {
 		t.Error("subscriber lost after the oversized Set")
 	}
 }
@@ -267,7 +267,7 @@ func TestEventsEndpointRejectsNonGET(t *testing.T) {
 			t.Errorf("%s /events = %d, want 405", method, resp.StatusCode)
 		}
 	}
-	if n := o.PushSubscribers(); n != 0 {
+	if n := o.Stats().Hub.Subscribers; n != 0 {
 		t.Errorf("%d subscriptions leaked by non-GET requests", n)
 	}
 }
@@ -284,7 +284,7 @@ func TestSlowSubscriberIsTerminatedNotBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if !waitUntil(t, 2*time.Second, func() bool { return o.PushSubscribers() == 1 }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
 
@@ -298,14 +298,14 @@ func TestSlowSubscriberIsTerminatedNotBlocking(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		n := 0
-		for ; n < maxSets && o.PushSubscribers() > 0; n++ {
+		for ; n < maxSets && o.Stats().Hub.Subscribers > 0; n++ {
 			o.Set("/a", []byte{byte(n)}, "")
 		}
 		done <- n
 	}()
 	select {
 	case n := <-done:
-		if o.PushSubscribers() != 0 {
+		if o.Stats().Hub.Subscribers != 0 {
 			t.Errorf("stalled subscriber never dropped in %d Sets", n)
 		}
 	case <-time.After(10 * time.Second):
@@ -337,7 +337,7 @@ func TestPushValuesCarryBodyAndDigest(t *testing.T) {
 	t.Cleanup(cancel)
 	go valueSub.Run(ctx)
 	startSubscriber(t, ts.URL+"/events", plainSink)
-	if !waitUntil(t, 2*time.Second, func() bool { return o.PushSubscribers() == 2 }) {
+	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 2 }) {
 		t.Fatal("subscribers never registered")
 	}
 

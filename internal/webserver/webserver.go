@@ -207,47 +207,6 @@ func (o *Origin) SetTolerances(path string, t httpx.Tolerances) {
 	}
 }
 
-// Polls returns the number of conditional or plain GETs served.
-func (o *Origin) Polls() uint64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.polls
-}
-
-// NotModified returns the number of 304 responses served.
-func (o *Origin) NotModified() uint64 {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.notModified
-}
-
-// PushSeq returns the sequence number of the last published invalidation
-// event (0 when push is disabled or nothing was published yet).
-func (o *Origin) PushSeq() uint64 {
-	if o.hub == nil {
-		return 0
-	}
-	return o.hub.LastSeq()
-}
-
-// PushSubscribers returns the number of connected event streams.
-func (o *Origin) PushSubscribers() int {
-	if o.hub == nil {
-		return 0
-	}
-	return o.hub.Subscribers()
-}
-
-// PushOversized returns the number of update events dropped because
-// their encoded frame exceeded the wire limit (objects with such keys
-// are never announced; proxies poll them pure paper-mode).
-func (o *Origin) PushOversized() uint64 {
-	if o.hub == nil {
-		return 0
-	}
-	return o.hub.Oversized()
-}
-
 // PushHubStats snapshots the event hub's backpressure state: replay
 // ring occupancy and per-subscriber lag, so an operator can see a proxy
 // falling behind before it hits a Reset. The zero value is returned

@@ -82,8 +82,8 @@ func TestIfModifiedSince(t *testing.T) {
 	if rec.Code != http.StatusNotModified {
 		t.Fatalf("status = %d, want 304", rec.Code)
 	}
-	if o.NotModified() != 1 {
-		t.Errorf("NotModified = %d", o.NotModified())
+	if n := o.Stats().NotModified; n != 1 {
+		t.Errorf("NotModified = %d", n)
 	}
 
 	// Update and revalidate: fresh body.
@@ -178,8 +178,8 @@ func TestPollCounter(t *testing.T) {
 	get(t, o, "/obj", "")
 	get(t, o, "/obj", "")
 	get(t, o, "/missing", "")
-	if o.Polls() != 2 {
-		t.Errorf("Polls = %d, want 2 (404s don't count)", o.Polls())
+	if n := o.Stats().Polls; n != 2 {
+		t.Errorf("Polls = %d, want 2 (404s don't count)", n)
 	}
 }
 
