@@ -299,7 +299,9 @@ type (
 	WebOriginOption = webserver.Option
 	// WebProxy is a live caching proxy running the core policies.
 	WebProxy = webproxy.Proxy
-	// WebProxyConfig parameterizes a WebProxy.
+	// WebProxyConfig parameterizes a WebProxy. The push payload cap,
+	// the relay's heartbeat and slow-consumer allowance, and the disk
+	// tier's grace window are fixed defaults, not fields.
 	WebProxyConfig = webproxy.Config
 	// WebProxyCacheStats aggregates proxy-wide cache counters.
 	WebProxyCacheStats = webproxy.CacheStats
@@ -384,10 +386,11 @@ func WithPushHeartbeat(interval time.Duration) WebOriginOption {
 // WithPushValues makes the origin's update events carry the object's
 // new body (value-carrying push): a proxy running
 // with WebProxyConfig.PushValues installs the pushed body directly —
-// digest-verified — with no confirmation poll. cap bounds the carried
-// body size in bytes (<= 0 selects the default cap); larger bodies
-// degrade to invalidation-only events. Implies WithPushEvents at the
-// default path.
+// digest-verified — with no confirmation poll. cap bounds the body size
+// one frame carries, in bytes (<= 0 selects the default cap); larger
+// bodies travel as chunk sets of cap-sized frames. A WebProxy asks for
+// payloads up to the default cap (64 KiB), so a stream to one carries
+// the smaller of the two. Implies WithPushEvents at the default path.
 func WithPushValues(cap int) WebOriginOption {
 	return webserver.WithPushValues(cap)
 }

@@ -115,7 +115,6 @@ func run(args []string) error {
 	pushValues := fs.Bool("push-values", false, "value-carrying push: negotiate payload delivery on the event stream and install pushed bodies directly, with no confirmation poll; with -relay-events the relayed stream carries payloads too, and with -demo the demo origin publishes them")
 	relayEvents := fs.Bool("relay-events", false, "republish invalidation events downstream: serve this proxy's own event stream so child proxies can subscribe to it (proxy hierarchy)")
 	eventsPath := fs.String("events-path", "/events", "path the relayed event stream is served at (with -relay-events)")
-	subscriberBuffer := fs.Int("subscriber-buffer", 0, "relayed-stream slow-consumer allowance in events: a child stream falling this far behind the head is terminated and must resume (0 = default 256; with -relay-events)")
 	mutexProfileFraction := fs.Int("mutex-profile-fraction", 0, "runtime mutex-contention sampling rate for /admin/pprof/mutex on -ops-listen (0 = off, n samples 1/n of contention events)")
 	opsListen := fs.String("ops-listen", "", "operational-surface listen address serving /metrics, /healthz, and /admin (empty = disabled); kept off the proxy's own listener so scrapes and admin calls never share a port with cached content")
 	opsToken := fs.String("ops-token", "", "bearer token gating the /admin API on -ops-listen (empty = open)")
@@ -146,10 +145,6 @@ func run(args []string) error {
 		return fmt.Errorf("-disk-max-bytes must be >= 0 (0 = unlimited), got %d", *diskMaxBytes)
 	case *diskMaxBytes > 0 && *diskDir == "":
 		return fmt.Errorf("-disk-max-bytes needs -disk-dir")
-	case *subscriberBuffer < 0:
-		return fmt.Errorf("-subscriber-buffer must be >= 0 (0 = default), got %d", *subscriberBuffer)
-	case *subscriberBuffer > 0 && !*relayEvents:
-		return fmt.Errorf("-subscriber-buffer needs -relay-events")
 	case *mutexProfileFraction < 0:
 		return fmt.Errorf("-mutex-profile-fraction must be >= 0 (0 = off), got %d", *mutexProfileFraction)
 	case *mutexProfileFraction > 0 && *opsListen == "":
@@ -196,21 +191,20 @@ func run(args []string) error {
 	}
 
 	proxyCfg := webproxy.Config{
-		Origin:                origin,
-		DefaultDelta:          *delta,
-		DefaultGroupDelta:     *groupDelta,
-		Mode:                  triggerMode,
-		Bounds:                core.TTRBounds{Min: *delta, Max: *ttrMax},
-		Shards:                *shards,
-		PollWorkers:           *pollWorkers,
-		MaxObjects:            *maxObjects,
-		MaxBytes:              *maxBytes,
-		RelayEvents:           *relayEvents,
-		RelayPath:             *eventsPath,
-		RelaySubscriberBuffer: *subscriberBuffer,
-		PushValues:            *pushValues,
-		DiskDir:               *diskDir,
-		DiskMaxBytes:          *diskMaxBytes,
+		Origin:            origin,
+		DefaultDelta:      *delta,
+		DefaultGroupDelta: *groupDelta,
+		Mode:              triggerMode,
+		Bounds:            core.TTRBounds{Min: *delta, Max: *ttrMax},
+		Shards:            *shards,
+		PollWorkers:       *pollWorkers,
+		MaxObjects:        *maxObjects,
+		MaxBytes:          *maxBytes,
+		RelayEvents:       *relayEvents,
+		RelayPath:         *eventsPath,
+		PushValues:        *pushValues,
+		DiskDir:           *diskDir,
+		DiskMaxBytes:      *diskMaxBytes,
 	}
 	if *pushEnabled {
 		pushURL, err := origin.Parse(*pushPath)

@@ -527,8 +527,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-demo", "-shards", "0"},
 		{"-demo", "-disk-max-bytes", "-1"},
 		{"-demo", "-disk-max-bytes", "4096"},        // budget without -disk-dir
-		{"-demo", "-subscriber-buffer", "-1"},       // negative allowance
-		{"-demo", "-subscriber-buffer", "64"},       // allowance without -relay-events
 		{"-demo", "-mutex-profile-fraction", "-1"},  // negative sampling rate
 		{"-demo", "-mutex-profile-fraction", "100"}, // profile without -ops-listen to serve it
 	}
@@ -544,7 +542,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-poll-workers", "0"},
 		{"-push-stretch", "0"},
 		{"-max-bytes", "0"},
-		{"-subscriber-buffer", "0"},
 		{"-mutex-profile-fraction", "0"},
 	} {
 		err := run(args)

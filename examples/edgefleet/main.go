@@ -105,19 +105,17 @@ func main() {
 		}
 		push, _ := url.Parse(upstream + "/events")
 		p, err := broadway.NewWebProxy(broadway.WebProxyConfig{
-			Origin:               up,
-			DefaultDelta:         delta,
-			Bounds:               core.TTRBounds{Min: delta, Max: ttrMax},
-			PushURL:              push,
-			PushStretch:          10,
-			PushValues:           true,
-			PushInterest:         true,
-			PushPrefixes:         prefixes,
-			PushBackoffMin:       20 * time.Millisecond,
-			PushBackoffMax:       200 * time.Millisecond,
-			PushHeartbeatTimeout: time.Second,
-			RelayEvents:          relay,
-			RelayHeartbeat:       250 * time.Millisecond,
+			Origin:         up,
+			DefaultDelta:   delta,
+			Bounds:         core.TTRBounds{Min: delta, Max: ttrMax},
+			PushURL:        push,
+			PushStretch:    10,
+			PushValues:     true,
+			PushInterest:   true,
+			PushPrefixes:   prefixes,
+			PushBackoffMin: 20 * time.Millisecond,
+			PushBackoffMax: 200 * time.Millisecond,
+			RelayEvents:    relay,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -165,7 +165,7 @@ func (s *Store) load() error {
 			s.dropLocked(rec.Key)
 			continue
 		}
-		if rec.Key == "" || rec.Digest == "" {
+		if rec.Key == "" || !validDigest(rec.Digest) {
 			continue
 		}
 		s.dropLocked(rec.Key) // replace any earlier version
@@ -178,7 +178,7 @@ func (s *Store) load() error {
 	}
 	// Validate blobs: a record is only as good as its bytes.
 	for key, rec := range s.records {
-		fi, err := os.Stat(s.blobPath(rec.Digest))
+		fi, err := os.Stat(blobPath(s.dir, rec.Digest))
 		if err != nil || fi.Size() != rec.Size {
 			s.dropLocked(key)
 		}
@@ -217,12 +217,25 @@ func (s *Store) dropLocked(key string) (Record, bool) {
 	return rec, true
 }
 
-func (s *Store) blobPath(digest string) string {
-	prefix := "00"
-	if len(digest) >= 2 {
-		prefix = digest[:2]
+// blobPath names the blob file of a digest validDigest accepts.
+func blobPath(dir, digest string) string {
+	return filepath.Join(dir, "blobs", digest[:2], digest)
+}
+
+// validDigest reports whether d is a digest Put writes: 64 lowercase
+// hex characters. load skips a record naming anything else, so no
+// journal line can aim a blob path (and the os.Remove that follows a
+// Delete or a superseding Put) outside the store.
+func validDigest(d string) bool {
+	if len(d) != 2*sha256.Size {
+		return false
 	}
-	return filepath.Join(s.dir, "blobs", prefix, digest)
+	for i := 0; i < len(d); i++ {
+		if c := d[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Put persists rec with body asynchronously. The record's Digest and
@@ -302,7 +315,7 @@ func (s *Store) Get(key string) (Record, []byte, bool) {
 	if !ok {
 		return Record{}, nil, false
 	}
-	body, err := os.ReadFile(s.blobPath(rec.Digest))
+	body, err := os.ReadFile(blobPath(s.dir, rec.Digest))
 	if err != nil || int64(len(body)) != rec.Size {
 		return Record{}, nil, false
 	}
@@ -495,7 +508,7 @@ func (s *Store) applyPut(rec Record, body []byte) {
 	s.maybeCompactLocked()
 	s.mu.Unlock()
 	for _, d := range stale {
-		os.Remove(s.blobPath(d))
+		os.Remove(blobPath(s.dir, d))
 	}
 	s.writes.Add(1)
 }
@@ -516,7 +529,7 @@ func (s *Store) failPut(key string) {
 	removeBlob := had && s.refs[old.Digest] == 0
 	s.mu.Unlock()
 	if removeBlob {
-		os.Remove(s.blobPath(old.Digest))
+		os.Remove(blobPath(s.dir, old.Digest))
 	}
 }
 
@@ -534,7 +547,7 @@ func (s *Store) applyDelete(key string) {
 	s.maybeCompactLocked()
 	s.mu.Unlock()
 	if removeBlob {
-		os.Remove(s.blobPath(old.Digest))
+		os.Remove(blobPath(s.dir, old.Digest))
 	}
 	s.deletes.Add(1)
 }
@@ -542,7 +555,7 @@ func (s *Store) applyDelete(key string) {
 // writeBlob writes body to its content-addressed path via temp+rename
 // so a crash never leaves a half-written blob under the final name.
 func (s *Store) writeBlob(digest string, body []byte) error {
-	path := s.blobPath(digest)
+	path := blobPath(s.dir, digest)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
@@ -687,10 +700,11 @@ func (s *Store) compactLocked() error {
 }
 
 // Verify is a read-only consistency check over a store directory: the
-// journal must parse (torn tails tolerated), and every live record's
-// blob must exist with matching size and digest. Orphan blobs are fine
-// (they are garbage, not corruption). It returns the live record count.
-// Used by cmd/diskcheck and the crash-consistency smoke test.
+// journal must parse (torn tails tolerated), and every live record must
+// name a well-formed digest whose blob exists with matching size and
+// content. Orphan blobs are fine (they are garbage, not corruption). It
+// returns the live record count. Used by cmd/diskcheck and the
+// crash-consistency smoke test.
 func Verify(dir string) (int, error) {
 	f, err := os.Open(filepath.Join(dir, journalName))
 	if err != nil {
@@ -724,12 +738,10 @@ func Verify(dir string) (int, error) {
 		return 0, fmt.Errorf("diskstore: %w", err)
 	}
 	for key, rec := range live {
-		prefix := "00"
-		if len(rec.Digest) >= 2 {
-			prefix = rec.Digest[:2]
+		if !validDigest(rec.Digest) {
+			return 0, fmt.Errorf("diskstore: record %q: malformed digest %q", key, rec.Digest)
 		}
-		path := filepath.Join(dir, "blobs", prefix, rec.Digest)
-		body, err := os.ReadFile(path)
+		body, err := os.ReadFile(blobPath(dir, rec.Digest))
 		if err != nil {
 			return 0, fmt.Errorf("diskstore: record %q: blob missing: %w", key, err)
 		}

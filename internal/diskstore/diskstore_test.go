@@ -354,3 +354,39 @@ func TestWriteBeingAppliedStaysVisible(t *testing.T) {
 		}
 	}
 }
+
+// TestJournalDigestOutsideStoreIsIgnored: a journal record whose digest
+// is a path rather than the hex Put writes must not survive Open, however
+// well its size matches a file outside the store: a later Delete or a
+// superseding Put of its key would remove that file. Verify reports it.
+func TestJournalDigestOutsideStoreIsIgnored(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "store")
+	victim := filepath.Join(root, "victim")
+	if err := os.WriteFile(victim, []byte("precious"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	line := `{"key":"/k","va":"2023-11-14T22:13:20Z","digest":"../victim","size":8}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Verify(dir); err == nil {
+		t.Error("Verify passed a record whose digest is a path")
+	}
+	s := mustOpen(t, dir, 0)
+	if n := s.Len(); n != 0 {
+		t.Errorf("Open loaded %d records, want none", n)
+	}
+	s.Delete("/k")
+	s.Flush()
+	s.Put(Record{Key: "/k", ValidatedAt: t0}, []byte("new body"))
+	s.Flush()
+	s.Delete("/k")
+	s.Close()
+	if b, err := os.ReadFile(victim); err != nil || string(b) != "precious" {
+		t.Fatalf("a file outside the store was touched: %q, %v", b, err)
+	}
+}

@@ -145,7 +145,7 @@ func TestIdentityStreamUnchanged(t *testing.T) {
 			}
 			evs := []Event{
 				{Kind: KindUpdate, Seq: 1, Key: "/a"},
-				{Kind: KindUpdate, Seq: 2, Key: "/b", Group: "g"},
+				{Kind: KindUpdate, Seq: 2, Key: "/b"},
 			}
 			want := "id: 0\ndata: " + Event{Kind: KindHello}.Encode() + "\n\n"
 			for _, ev := range evs {
@@ -299,7 +299,7 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 // (and its registration) for another write timeout for a reader that is
 // not reading.
 func TestOutrunStreamEndsPromptly(t *testing.T) {
-	h := NewHub(HubConfig{Heartbeat: time.Hour, ReplayLen: 8, SubscriberBuffer: 1 << 20, WriteTimeout: 30 * time.Second})
+	h := NewHub(HubConfig{Heartbeat: time.Hour, replayLen: 8, subscriberBuffer: 1 << 20, writeTimeout: 30 * time.Second})
 	gw := &gatedWriter{header: http.Header{}, permits: make(chan struct{}, 1)}
 	req := httptest.NewRequest(http.MethodGet, "/events", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
@@ -401,8 +401,8 @@ func TestSubscriberReconnectsOnCorruptSegment(t *testing.T) {
 			t.Errorf("event %d: seq %d body %v, want seq %d with its body", i, ev.Seq, ev.HasBody, i+1)
 		}
 	}
-	if sub.SkippedFrames() != 0 || sub.Disconnects() != 1 {
-		t.Errorf("skipped %d frames, %d disconnects; want 0 and 1", sub.SkippedFrames(), sub.Disconnects())
+	if st := sub.Stats(); st.SkippedFrames != 0 || st.Disconnects != 1 {
+		t.Errorf("skipped %d frames, %d disconnects; want 0 and 1", st.SkippedFrames, st.Disconnects)
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -480,7 +480,7 @@ func BenchmarkHubServeStream(b *testing.B) {
 }
 
 func benchServeStream(b *testing.B, subs int, gz bool) {
-	h := NewHub(HubConfig{Heartbeat: time.Hour, PayloadCap: DefaultPayloadCap, SubscriberBuffer: 1 << 20})
+	h := NewHub(HubConfig{Heartbeat: time.Hour, PayloadCap: DefaultPayloadCap, subscriberBuffer: 1 << 20})
 	ts := httptest.NewServer(h)
 	b.Cleanup(ts.Close)
 	accept := ""

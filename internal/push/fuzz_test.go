@@ -1,6 +1,7 @@
 package push
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"net/url"
@@ -26,8 +27,7 @@ import (
 //     the envelope the same way.
 func FuzzInvalidationEvent(f *testing.F) {
 	f.Add(Event{Kind: KindHello, Seq: 1, Reset: true}.Encode())
-	f.Add(Event{Kind: KindUpdate, Seq: 2, Key: "/news/story.html", Group: "frontpage",
-		ModTime: time.Unix(1700000000, 123)}.Encode())
+	f.Add(Event{Kind: KindUpdate, Seq: 2, Key: "/news/story.html", ModTime: time.Unix(1700000000, 123)}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 3, Key: "/stock?sym=A&x=%20"}.Encode())
 	f.Add(Event{Kind: KindHeartbeat, Seq: 4}.Encode())
 	// Payload seeds: a body with digest, hello with a negotiated
@@ -55,25 +55,30 @@ func FuzzInvalidationEvent(f *testing.F) {
 	// base without its codec (and vice versa), chunk index beyond the
 	// total, a total beyond MaxChunkTotal, a delta on a payload-less
 	// frame, delta and chunk state on one frame, ladder state on a hello,
-	// and a frame ending in an empty field.
-	f.Add("2 12 0 p /k - aGk= deadbeef - 0 ZZZZ 1")
-	f.Add("2 13 0 p /k - aGk= deadbeef - 0 deadbeef 0")
-	f.Add("2 14 0 p /k - aGk= deadbeef - 0 - 1")
-	f.Add("2 15 0 p /k - aGk= deadbeef - 0 - 0 5 3")
-	f.Add("2 16 0 p /k - aGk= deadbeef - 0 - 0 0 1025")
-	f.Add("2 17 0 - /k - - - - 0 deadbeef 1")
-	f.Add("2 18 0 p /k - aGk= deadbeef - 0 deadbeef 1 0 3")
-	f.Add("1 19 0 r - - - - - 65536 deadbeef 1")
+	// a frame ending in an empty field, and the retired six-core-field
+	// spelling with and without a group token.
+	f.Add("2 12 0 p /k aGk= deadbeef - 0 ZZZZ 1")
+	f.Add("2 13 0 p /k aGk= deadbeef - 0 deadbeef 0")
+	f.Add("2 14 0 p /k aGk= deadbeef - 0 - 1")
+	f.Add("2 15 0 p /k aGk= deadbeef - 0 - 0 5 3")
+	f.Add("2 16 0 p /k aGk= deadbeef - 0 - 0 0 1025")
+	f.Add("2 17 0 - /k - - - 0 deadbeef 1")
+	f.Add("2 18 0 p /k aGk= deadbeef - 0 deadbeef 1 0 3")
+	f.Add("1 19 0 r - - - - 65536 deadbeef 1")
 	f.Add("2 1 0 - /k - -")
 	f.Add("2 1 0 - /k -")
-	f.Add("2 1 0 - %2D %2D")
-	f.Add("2 1 0 r %2Fa%20b grp")
-	f.Add("2 1 0 p /k - aGVsbG8= deadbeef text%2Fplain")
+	f.Add("2 1 0 - /k grp")
+	f.Add("1 7 0 - - -")
+	f.Add("1 7 0 - - - - - - 65536")
+	f.Add("2 1 0 - %2D")
+	f.Add("2 1 0 r %2Fa%20b")
+	f.Add("2 1 0 p /k aGVsbG8= deadbeef text%2Fplain")
 	f.Add("2 1 0 p /k -")
+	f.Add("2 1 0 p /k")
 	f.Add("2 1 0 - /k - !!!hostile!!!")
-	f.Add("1 9 0 r - - - - - 65536")
+	f.Add("1 9 0 r - - - - 65536")
 	f.Add("")
-	f.Add("data: 2 1 0 - /k -")
+	f.Add("data: 2 1 0 - /k")
 	f.Add(strings.Repeat(" ", 64))
 
 	f.Fuzz(func(t *testing.T, wire string) {
@@ -323,6 +328,49 @@ func FuzzParseHeld(f *testing.F) {
 			}
 			if !declared[key+":"+v.digest] {
 				t.Fatalf("kept %q:%q, which no term declared", key, v.digest)
+			}
+		}
+	})
+}
+
+// FuzzReadFrameLine hammers the subscriber's line reader with arbitrary
+// streams and limits, read through the smallest bufio.Reader so lines
+// straddle its buffer. Whatever the bytes, readFrameLine never panics,
+// never returns a line longer than limit, and returns no content for a
+// skipped line; line by line it returns exactly the input's
+// newline-terminated lines of at most limit bytes, CR/LF trimmed off the
+// end, reports every longer one skipped, and ends the stream with an
+// error at a final line that has no newline.
+func FuzzReadFrameLine(f *testing.F) {
+	f.Add([]byte("id: 0\ndata: 1 0 0 - -\n\n"), uint16(16))
+	f.Add([]byte(strings.Repeat("x", 40)+"\nshort\n"), uint16(8))
+	f.Add([]byte("exact\nexact\r\n\r\r\n"), uint16(5))
+	f.Add([]byte("a tail without a newline"), uint16(64))
+	f.Fuzz(func(t *testing.T, stream []byte, limit uint16) {
+		br := bufio.NewReaderSize(bytes.NewReader(stream), 16)
+		for _, raw := range bytes.SplitAfter(stream, []byte("\n")) {
+			line, skipped, err := readFrameLine(br, int(limit))
+			if len(line) > int(limit) {
+				t.Fatalf("returned %d bytes over the limit %d", len(line), limit)
+			}
+			if skipped && line != "" {
+				t.Fatalf("a skipped line came back with content %q", line)
+			}
+			if !bytes.HasSuffix(raw, []byte("\n")) {
+				if err == nil || line != "" {
+					t.Fatalf("final line %q without a newline returned %q, %v", raw, line, err)
+				}
+				return
+			}
+			switch {
+			case err != nil:
+				t.Fatalf("line %q: %v", raw, err)
+			case len(raw) > int(limit)+1:
+				if !skipped {
+					t.Fatalf("line %q over the limit %d was not skipped", raw, limit)
+				}
+			case skipped || line != strings.TrimRight(string(raw), "\r\n"):
+				t.Fatalf("line %q came back as %q (skipped %v)", raw, line, skipped)
 			}
 		}
 	})

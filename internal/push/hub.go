@@ -68,11 +68,13 @@ import (
 // DefaultReplayLen bounds the events kept for reconnect catch-up.
 const DefaultReplayLen = 1024
 
-// DefaultReplayBytes bounds the wire bytes held by the replay ring. An
-// event is charged every form it was rendered to (RenderedEvent.cost:
-// stripped, full, delta and chunk frames, base64 included), so a burst
-// of fat updates trims the ring's history instead of growing the hub
-// without bound; invalidation-only events cost only their envelope.
+// DefaultReplayBytes bounds the wire bytes held by the replay ring,
+// summed across partitions; over budget the fattest partition is
+// trimmed first. An event is charged every form it was rendered to
+// (RenderedEvent.cost: stripped, full, delta and chunk frames, base64
+// included), so a burst of fat updates trims the ring's history instead
+// of growing the hub without bound; invalidation-only events cost only
+// their envelope.
 const DefaultReplayBytes = 8 << 20
 
 // DefaultHeartbeat is the interval between keepalive frames.
@@ -84,9 +86,13 @@ const DefaultHeartbeat = 15 * time.Second
 // after the hub terminated the subscription.
 const DefaultWriteTimeout = 10 * time.Second
 
-// DefaultSubscriberBuffer is the default slow-consumer allowance: a
-// subscriber lagging more than this many sequence numbers behind live
-// publishes is terminated. See HubConfig.SubscriberBuffer.
+// DefaultSubscriberBuffer is the slow-consumer allowance: a subscriber
+// whose stream position lags live publishes by more than this many
+// sequence numbers is terminated (it reconnects and catches up from the
+// replay ring). The effective allowance is also bounded by the ring
+// itself — a subscriber whose next frame was pruned before it could be
+// delivered is terminated regardless, since its stream can no longer be
+// proven contiguous.
 const DefaultSubscriberBuffer = 256
 
 // maxRingPartitions bounds the replay ring's partition count; keys
@@ -106,22 +112,15 @@ const slowScanEvery = 64
 // letting a lagging subscriber catch up in few syscalls.
 const fetchBatchLimit = 64
 
-// HubConfig parameterizes a Hub. The zero value is usable.
+// HubConfig parameterizes a Hub. The zero value is usable. The replay
+// ring's bounds, the write deadline and the slow-consumer allowance are
+// the Default constants above; this package's tests shrink them through
+// the unexported fields, to overflow a ring or stall a writer in
+// milliseconds.
 type HubConfig struct {
 	// Heartbeat is the keepalive interval of served streams. Defaults
 	// to DefaultHeartbeat.
 	Heartbeat time.Duration
-	// ReplayLen bounds the replay ring's event count (summed across
-	// partitions). Defaults to DefaultReplayLen.
-	ReplayLen int
-	// ReplayBytes bounds the replay ring's resident bytes (a retained
-	// frame is whole: every rendered form is charged, summed across
-	// partitions; over budget the fattest partition is trimmed first).
-	// Defaults to DefaultReplayBytes; negative disables the byte budget.
-	ReplayBytes int64
-	// WriteTimeout is the per-frame write deadline of served streams.
-	// Defaults to DefaultWriteTimeout; negative disables the deadline.
-	WriteTimeout time.Duration
 	// PayloadCap is the largest update body (bytes, pre-base64) the hub
 	// will carry in a single frame; larger payloads are degraded to
 	// invalidation-only events at publish time unless ChunkPayload
@@ -139,21 +138,17 @@ type HubConfig struct {
 	// PayloadCap (a chunk frame must fit the caps streams can
 	// negotiate). Zero disables chunking.
 	ChunkPayload int
-	// SubscriberBuffer is the slow-consumer allowance: a subscriber
-	// whose stream position lags live publishes by more than this many
-	// sequence numbers is terminated (it reconnects and catches up from
-	// the replay ring). The effective allowance is also bounded by the
-	// ring itself — a subscriber whose next frame was pruned before it
-	// could be delivered is terminated regardless, since its stream can
-	// no longer be proven contiguous. Zero defaults to
-	// DefaultSubscriberBuffer.
-	SubscriberBuffer int
 	// OnSubscribe, when set, is invoked from ServeHTTP for every stream
 	// that successfully registers, with the interest set it declared. A
 	// relaying proxy uses it to learn that a downstream subscriber wants
 	// more than the relay's own upstream subscription currently covers
 	// (and to widen it). Called outside the hub's lock.
 	OnSubscribe func(InterestSet)
+
+	replayLen        int           // DefaultReplayLen
+	replayBytes      int64         // DefaultReplayBytes
+	writeTimeout     time.Duration // DefaultWriteTimeout
+	subscriberBuffer int           // DefaultSubscriberBuffer
 }
 
 // ringPartition is one prefix's slice of the replay ring: the rendered
@@ -336,14 +331,14 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = DefaultHeartbeat
 	}
-	if cfg.ReplayLen <= 0 {
-		cfg.ReplayLen = DefaultReplayLen
+	if cfg.replayLen <= 0 {
+		cfg.replayLen = DefaultReplayLen
 	}
-	if cfg.ReplayBytes == 0 {
-		cfg.ReplayBytes = DefaultReplayBytes
+	if cfg.replayBytes <= 0 {
+		cfg.replayBytes = DefaultReplayBytes
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = DefaultWriteTimeout
+	if cfg.writeTimeout <= 0 {
+		cfg.writeTimeout = DefaultWriteTimeout
 	}
 	if cfg.PayloadCap > MaxPayloadCap {
 		cfg.PayloadCap = MaxPayloadCap
@@ -351,8 +346,8 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.ChunkPayload > cfg.PayloadCap {
 		cfg.ChunkPayload = cfg.PayloadCap
 	}
-	if cfg.SubscriberBuffer <= 0 {
-		cfg.SubscriberBuffer = DefaultSubscriberBuffer
+	if cfg.subscriberBuffer <= 0 {
+		cfg.subscriberBuffer = DefaultSubscriberBuffer
 	}
 	h := &Hub{
 		cfg:       cfg,
@@ -507,7 +502,7 @@ func (h *Hub) trimLocked() {
 	for _, p := range h.parts {
 		totalLen += len(p.buf)
 	}
-	for totalLen > h.cfg.ReplayLen {
+	for totalLen > h.cfg.replayLen {
 		var victim *ringPartition
 		for _, p := range h.parts {
 			if len(p.buf) == 0 {
@@ -523,7 +518,7 @@ func (h *Hub) trimLocked() {
 		h.dropHeadLocked(victim)
 		totalLen--
 	}
-	for h.cfg.ReplayBytes >= 0 && h.bufBytes > h.cfg.ReplayBytes && totalLen > 1 {
+	for h.bufBytes > h.cfg.replayBytes && totalLen > 1 {
 		var victim *ringPartition
 		for _, p := range h.parts {
 			if len(p.buf) == 0 {
@@ -559,7 +554,7 @@ func (h *Hub) dropHeadLocked(p *ringPartition) {
 // ring lock, walking only the registry — the entire cost a slow or
 // stalled consumer can ever impose on the publish path.
 func (h *Hub) scanSlowSubscribers(seq uint64) {
-	allow := uint64(h.cfg.SubscriberBuffer)
+	allow := uint64(h.cfg.subscriberBuffer)
 	h.subMu.Lock()
 	for s := range h.subs {
 		if c := s.cursor.Load(); c < seq && seq-c > allow {
@@ -952,9 +947,9 @@ func (h *Hub) Stats() HubStats {
 	h.mu.RLock()
 	st := HubStats{
 		Seq:           h.seq,
-		ReplayCap:     h.cfg.ReplayLen,
+		ReplayCap:     h.cfg.replayLen,
 		ReplayBytes:   h.bufBytes,
-		ReplayByteCap: h.cfg.ReplayBytes,
+		ReplayByteCap: h.cfg.replayBytes,
 		Oversized:     h.oversized,
 		Degraded:      h.degraded,
 		Resets:        h.resets,
@@ -1042,7 +1037,7 @@ func appendFrame(b []byte, seq uint64, wire string) []byte {
 // Reset is earned only by a gap inside a partition the stream declared.
 // Frames are delivered in batches coalesced into a single buffered
 // write per ring walk; every batch write carries a deadline
-// (HubConfig.WriteTimeout), so a client that stops reading is abandoned
+// (DefaultWriteTimeout), so a client that stops reading is abandoned
 // on that timescale instead of pinning the handler goroutine inside the
 // write until the kernel buffer drains. A request whose Accept-Encoding
 // lists gzip is answered gzip-coded, one self-contained segment per
@@ -1108,7 +1103,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	deadline := h.cfg.WriteTimeout > 0
+	deadline := true
 	bufp := frameBufPool.Get().(*[]byte)
 	defer putFrameBuf(bufp)
 	// write lands bytes on the wire under the deadline in force: one
@@ -1129,7 +1124,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	head := gzipHeader
 	flush := func(b []byte) bool {
 		if deadline {
-			if err := rc.SetWriteDeadline(time.Now().Add(h.cfg.WriteTimeout)); err != nil {
+			if err := rc.SetWriteDeadline(time.Now().Add(h.cfg.writeTimeout)); err != nil {
 				// The connection cannot carry deadlines (an exotic
 				// wrapper); stop asking and stream without them.
 				deadline = false

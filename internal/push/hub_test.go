@@ -91,7 +91,7 @@ func TestHubMidStreamResetReachesSubscriber(t *testing.T) {
 	}
 
 	h.Reset()
-	if !waitCond(t, 2*time.Second, func() bool { return sub.Resets() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return sub.Stats().Resets == 1 }) {
 		t.Fatal("mid-stream Reset was swallowed")
 	}
 	_, hellos, resumed := sink.snapshot()
@@ -106,8 +106,8 @@ func TestHubMidStreamResetReachesSubscriber(t *testing.T) {
 	}
 	// The stream itself must survive: a Reset is an announcement, not a
 	// disconnect.
-	if c, d := sub.Connects(), sub.Disconnects(); c != 1 || d != 0 {
-		t.Errorf("connects=%d disconnects=%d; the Reset dropped the stream", c, d)
+	if st := sub.Stats(); st.Connects != 1 || st.Disconnects != 0 {
+		t.Errorf("connects=%d disconnects=%d; the Reset dropped the stream", st.Connects, st.Disconnects)
 	}
 
 	// The stream stays usable after the Reset.
@@ -171,7 +171,7 @@ func TestHubResetBarrierOnResume(t *testing.T) {
 // must not pin its handler goroutine inside the write after the hub
 // terminates the subscription — the per-frame deadline bounds it.
 func TestHubWriteDeadlineUnpinsStalledClient(t *testing.T) {
-	h := NewHub(HubConfig{WriteTimeout: 150 * time.Millisecond})
+	h := NewHub(HubConfig{writeTimeout: 150 * time.Millisecond})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 
@@ -213,7 +213,7 @@ func TestHubWriteDeadlineUnpinsStalledClient(t *testing.T) {
 // watches — replay occupancy and per-subscriber lag — must track what
 // the hub actually holds.
 func TestHubStatsLagAndOccupancy(t *testing.T) {
-	h := NewHub(HubConfig{ReplayLen: 8})
+	h := NewHub(HubConfig{replayLen: 8})
 	_, sub, ok := h.subscribe(0, 0, InterestAll(), nil)
 	if !ok {
 		t.Fatal("subscribe failed")
@@ -327,9 +327,9 @@ func TestHubPayloadNegotiationPerStream(t *testing.T) {
 	// No stream skipped or client-stripped anything: the degrade
 	// happened hub-side, at encode time.
 	for name, sub := range map[string]*Subscriber{"full": fullSub, "tiny": tinySub, "plain": plainSub} {
-		if sub.SkippedFrames() != 0 || sub.OverCapPayloads() != 0 {
+		if st := sub.Stats(); st.SkippedFrames != 0 || st.OverCapPayloads != 0 {
 			t.Errorf("%s: skipped=%d overcap=%d; the hub emitted a frame it should have degraded",
-				name, sub.SkippedFrames(), sub.OverCapPayloads())
+				name, st.SkippedFrames, st.OverCapPayloads)
 		}
 	}
 }
@@ -396,7 +396,7 @@ func TestHubDegradesOverlongV2Envelope(t *testing.T) {
 		evs, _, _ := sink.snapshot()
 		return len(evs) == 1
 	}) {
-		t.Fatalf("event never arrived (stats %+v, sub disconnects %d)", h.Stats(), sub.Disconnects())
+		t.Fatalf("event never arrived (stats %+v, sub disconnects %d)", h.Stats(), sub.Stats().Disconnects)
 	}
 	evs, _, _ := sink.snapshot()
 	if evs[0].Key != key || evs[0].HasBody || evs[0].Seq != 1 {
@@ -407,9 +407,9 @@ func TestHubDegradesOverlongV2Envelope(t *testing.T) {
 	if st.Degraded != 1 || st.Oversized != 0 {
 		t.Errorf("Degraded=%d Oversized=%d, want 1/0", st.Degraded, st.Oversized)
 	}
-	if sub.Disconnects() != 0 || sub.SkippedFrames() != 0 {
+	if st := sub.Stats(); st.Disconnects != 0 || st.SkippedFrames != 0 {
 		t.Errorf("stream suffered (disconnects=%d skipped=%d); the hub emitted a rejectable frame",
-			sub.Disconnects(), sub.SkippedFrames())
+			st.Disconnects, st.SkippedFrames)
 	}
 }
 
@@ -435,7 +435,7 @@ func TestHubSanitizesUnframeableDigest(t *testing.T) {
 		evs, _, _ := sink.snapshot()
 		return len(evs) == 3
 	}) {
-		t.Fatalf("sanitized events never arrived (stats %+v, disconnects %d)", h.Stats(), sub.Disconnects())
+		t.Fatalf("sanitized events never arrived (stats %+v, disconnects %d)", h.Stats(), sub.Stats().Disconnects)
 	}
 	evs, _, _ := sink.snapshot()
 	for i, ev := range evs {
@@ -446,8 +446,8 @@ func TestHubSanitizesUnframeableDigest(t *testing.T) {
 	if st := h.Stats(); st.Degraded != 3 || st.Oversized != 0 {
 		t.Errorf("Degraded=%d Oversized=%d, want 3/0", st.Degraded, st.Oversized)
 	}
-	if sub.Disconnects() != 0 {
-		t.Errorf("stream died %d times on sanitized frames", sub.Disconnects())
+	if d := sub.Stats().Disconnects; d != 0 {
+		t.Errorf("stream died %d times on sanitized frames", d)
 	}
 }
 
@@ -507,7 +507,7 @@ func TestHubStripsEmptyPayloadForPlainStreams(t *testing.T) {
 // faithfully.
 func TestHubReplayRingByteBudget(t *testing.T) {
 	// ~1KB per event (body + envelope overhead); budget fits ~4.
-	h := NewHub(HubConfig{PayloadCap: 4096, ReplayLen: 1024, ReplayBytes: 4096})
+	h := NewHub(HubConfig{PayloadCap: 4096, replayLen: 1024, replayBytes: 4096})
 	bodyFor := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 900) }
 	for i := 0; i < 12; i++ {
 		b := bodyFor(i)
@@ -632,7 +632,7 @@ func BenchmarkHubPublishFanout(b *testing.B) {
 		b.Run(fmt.Sprintf("subs=%d", fleet), func(b *testing.B) {
 			h := NewHub(HubConfig{})
 			wait := drainHubFleet(b, h, fleet, InterestAll())
-			ev := Event{Kind: KindUpdate, Key: "/obj/path", Group: "g"}
+			ev := Event{Kind: KindUpdate, Key: "/obj/path"}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -655,7 +655,7 @@ func BenchmarkHubPublishFanout(b *testing.B) {
 func BenchmarkHubPublishFanoutFiltered(b *testing.B) {
 	h := NewHub(HubConfig{})
 	wait := drainHubFleet(b, h, 16, NewInterest([]string{"/other"}))
-	ev := Event{Kind: KindUpdate, Key: "/obj/path", Group: "g"}
+	ev := Event{Kind: KindUpdate, Key: "/obj/path"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -676,9 +676,9 @@ func TestPublishAllocsIndependentOfFanout(t *testing.T) {
 		t.Skip("race-detector instrumentation perturbs process-wide allocation counts")
 	}
 	allocsWith := func(fleet int) float64 {
-		// A large SubscriberBuffer keeps the amortized slow-consumer
+		// A large subscriberBuffer keeps the amortized slow-consumer
 		// scan from killing the idle subscribers mid-measurement.
-		h := NewHub(HubConfig{SubscriberBuffer: 1 << 20})
+		h := NewHub(HubConfig{subscriberBuffer: 1 << 20})
 		subs := make([]*hubSub, fleet)
 		for i := range subs {
 			// No drain goroutines: nothing concurrent disturbs the
@@ -694,7 +694,7 @@ func TestPublishAllocsIndependentOfFanout(t *testing.T) {
 				h.unsubscribe(sub)
 			}
 		}()
-		ev := Event{Kind: KindUpdate, Key: "/obj/path", Group: "g"}
+		ev := Event{Kind: KindUpdate, Key: "/obj/path"}
 		return testing.AllocsPerRun(50, func() {
 			h.Publish(ev)
 		})
@@ -726,7 +726,7 @@ func BenchmarkHubPublishFanoutPayload(b *testing.B) {
 		defer h.unsubscribe(sub)
 	}
 	body := bytes.Repeat([]byte("v"), 512)
-	ev := Event{Kind: KindUpdate, Key: "/obj/path", Group: "g",
+	ev := Event{Kind: KindUpdate, Key: "/obj/path",
 		Body: body, HasBody: true, Digest: DigestOf(body)}
 	b.ReportAllocs()
 	b.ResetTimer()

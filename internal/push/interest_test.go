@@ -132,9 +132,9 @@ func TestInterestQueryRoundTrip(t *testing.T) {
 func TestRenderedFormsByteIdentical(t *testing.T) {
 	body := []byte("165.38\n")
 	events := []Event{
-		{Kind: KindUpdate, Seq: 7, Key: "/quote/acme", Group: "tickers",
+		{Kind: KindUpdate, Seq: 7, Key: "/quote/acme",
 			ModTime: time.Unix(1700000000, 123)},
-		{Kind: KindUpdate, Seq: 8, Key: "/quote/acme", Group: "tickers", Body: body,
+		{Kind: KindUpdate, Seq: 8, Key: "/quote/acme", Body: body,
 			HasBody: true, ContentType: "text/plain", Digest: DigestOf(body)},
 		{Kind: KindUpdate, Seq: 9, Key: "/e", Body: []byte{}, HasBody: true},
 		{Kind: KindHello, Seq: 10, Reset: true},
@@ -221,7 +221,7 @@ func TestHubInterestFiltering(t *testing.T) {
 	h.KillAll()
 	h.Publish(Event{Kind: KindUpdate, Key: "/stock/z1"}) // 5: filtered
 	h.Publish(Event{Kind: KindUpdate, Key: "/stock/z2"}) // 6: filtered
-	if !waitCond(t, 2*time.Second, func() bool { return sub.Connects() == 2 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return sub.Stats().Connects == 2 }) {
 		t.Fatal("never reconnected")
 	}
 	if !waitCond(t, 2*time.Second, func() bool { return sub.LastSeq() == 6 }) {
@@ -304,7 +304,7 @@ func TestSubscriberBounceRedeclaresInterest(t *testing.T) {
 	// Connected means the subscriber has read the hello, not just that
 	// the hub registered the stream: a bounce before the hello is a
 	// failed attempt, not a disconnect.
-	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 && sub.Connects() == 1 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 && sub.Stats().Connects == 1 }) {
 		t.Fatal("never connected")
 	}
 	if d := sub.DeclaredInterest(); !d.Matches("/a/x") || d.Matches("/b/x") {
@@ -314,14 +314,15 @@ func TestSubscriberBounceRedeclaresInterest(t *testing.T) {
 	// Widen and bounce: the reconnected stream must carry the new set.
 	interest.store(NewInterest([]string{"/a/", "/b/"}))
 	sub.Bounce()
-	if !waitCond(t, 2*time.Second, func() bool { return sub.Connects() == 2 }) {
+	if !waitCond(t, 2*time.Second, func() bool { return sub.Stats().Connects == 2 }) {
 		t.Fatal("bounce never reconnected")
 	}
-	if sub.Bounces() != 1 {
-		t.Errorf("Bounces() = %d, want 1", sub.Bounces())
+	st := sub.Stats()
+	if st.Bounces != 1 {
+		t.Errorf("Bounces = %d, want 1", st.Bounces)
 	}
-	if sub.Disconnects() != 1 {
-		t.Errorf("Disconnects() = %d; a bounce must be a full disconnect reconciliation", sub.Disconnects())
+	if st.Disconnects != 1 {
+		t.Errorf("Disconnects = %d; a bounce must be a full disconnect reconciliation", st.Disconnects)
 	}
 	if d := sub.DeclaredInterest(); !d.Matches("/b/x") {
 		t.Error("bounced stream did not re-declare the widened interest")

@@ -129,7 +129,7 @@ func TestV3EncodeDecodeRoundTrip(t *testing.T) {
 			DeltaCodec: DeltaCodecBlock, ModTime: time.Unix(1700000000, 0)},
 		{Kind: KindUpdate, Seq: 10, Key: "/obj", Body: body, HasBody: true,
 			Digest: DigestOf([]byte("full")), ChunkIndex: 2, ChunkTotal: 5,
-			ContentType: "text/html", Group: "frontpage"},
+			ContentType: "text/html"},
 		{Kind: KindUpdate, Seq: 11, Key: "/obj", Body: body, HasBody: true, ChunkTotal: 1},
 	})
 }
@@ -140,7 +140,7 @@ func TestV3EncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeV3Rejections(t *testing.T) {
 	d := DigestOf([]byte("x"))
 	ladder := func(flags, payload, tail string) string {
-		return "2 1 0 " + flags + " /k - " + payload + " " + d + " - 0 " + tail
+		return "2 1 0 " + flags + " /k " + payload + " " + d + " - 0 " + tail
 	}
 	cases := []struct {
 		name, wire string
@@ -157,7 +157,7 @@ func TestDecodeV3Rejections(t *testing.T) {
 		{"hostile base digest", ladder("p", "aGk=", "nothex!! 1")},
 		{"ends in empty ladder fields", ladder("p", "aGk=", "- 0 0 0")},
 		{"too many fields", ladder("p", "aGk=", "- 0 0 2 x")},
-		{"delta on a hello", "1 1 0 p - - aGk= " + d + " - 0 " + d + " 1"},
+		{"delta on a hello", "1 1 0 p - aGk= " + d + " - 0 " + d + " 1"},
 	}
 	for _, c := range cases {
 		if ev, err := Decode(c.wire); err == nil {
@@ -473,8 +473,8 @@ func TestHubChunkedDelivery(t *testing.T) {
 	if !bytes.Equal(got.Body, body) || got.ChunkTotal != 0 || got.Digest != DigestOf(body) {
 		t.Fatalf("assembled event diverged: %d bytes, chunk total %d", len(got.Body), got.ChunkTotal)
 	}
-	if sub.ChunksAssembled() != 1 || sub.ChunksBroken() != 0 {
-		t.Fatalf("assembled=%d broken=%d", sub.ChunksAssembled(), sub.ChunksBroken())
+	if st := sub.Stats(); st.ChunksAssembled != 1 || st.ChunksBroken != 0 {
+		t.Fatalf("assembled=%d broken=%d", st.ChunksAssembled, st.ChunksBroken)
 	}
 	st := h.Stats()
 	if st.ChunkFrames != 1 {
@@ -948,7 +948,7 @@ func BenchmarkHubPublishFanoutDelta(b *testing.B) {
 	if !ok {
 		b.Fatal("no delta")
 	}
-	ev := Event{Kind: KindUpdate, Key: "/obj/path", Group: "g",
+	ev := Event{Kind: KindUpdate, Key: "/obj/path",
 		Body: body, HasBody: true, Digest: DigestOf(body),
 		BaseDigest: DigestOf(base), DeltaCodec: DeltaCodecBlock, DeltaBody: delta}
 	b.ReportAllocs()

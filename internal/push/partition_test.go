@@ -44,7 +44,7 @@ func TestPartitionName(t *testing.T) {
 // sequence numbers (1, 3, ... 23), wide on even.
 func fillTwoPartitions(t testing.TB) *Hub {
 	t.Helper()
-	h := NewHub(HubConfig{PayloadCap: 4096, ReplayLen: 1024, ReplayBytes: 8192})
+	h := NewHub(HubConfig{PayloadCap: 4096, replayLen: 1024, replayBytes: 8192})
 	for i := 0; i < 12; i++ {
 		h.Publish(Event{Kind: KindUpdate, Key: fmt.Sprintf("/narrow/%d", i)})
 		body := bytes.Repeat([]byte{byte('a' + i)}, 900)
@@ -165,9 +165,9 @@ func TestHubPartitionBudgetProtectsNarrowSubtree(t *testing.T) {
 func BenchmarkHubPublishContended(b *testing.B) {
 	for _, fleet := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("subs=%d", fleet), func(b *testing.B) {
-			// A huge SubscriberBuffer keeps the slow-consumer scan from
+			// A huge subscriberBuffer keeps the slow-consumer scan from
 			// reaping the deliberately stalled half of the fleet.
-			h := NewHub(HubConfig{SubscriberBuffer: 1 << 30})
+			h := NewHub(HubConfig{subscriberBuffer: 1 << 30})
 			wait := drainHubFleet(b, h, fleet, InterestAll())
 			for i := 0; i < fleet; i++ {
 				_, sub, ok := h.subscribe(0, 0, InterestAll(), nil)
@@ -176,7 +176,7 @@ func BenchmarkHubPublishContended(b *testing.B) {
 				}
 				b.Cleanup(func() { h.unsubscribe(sub) })
 			}
-			ev := Event{Kind: KindUpdate, Key: "/obj/path", Group: "g"}
+			ev := Event{Kind: KindUpdate, Key: "/obj/path"}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -194,7 +194,7 @@ func BenchmarkHubPublishContended(b *testing.B) {
 // declared partition's frames and jumps the foreign seven-eighths of
 // the sequence space without touching them.
 func BenchmarkHubReplayPartitioned(b *testing.B) {
-	h := NewHub(HubConfig{ReplayLen: 1024})
+	h := NewHub(HubConfig{replayLen: 1024})
 	for i := 0; i < 1024; i++ {
 		h.Publish(Event{Kind: KindUpdate, Key: fmt.Sprintf("/p%d/obj/%d", i%8, i)})
 	}

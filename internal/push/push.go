@@ -11,7 +11,7 @@
 //   - The wire protocol: one single-line event grammar (Event, Encode,
 //     Decode) deliberately shaped for fuzzing — Decode accepts arbitrary
 //     bytes and must never panic. Events are carried over an SSE-style
-//     HTTP stream (text/event-stream). Every frame opens with the six
+//     HTTP stream (text/event-stream). Every frame opens with the five
 //     invalidation fields; optional trailing fields carry the object's
 //     new body (base64-framed), a content digest, its content type, the
 //     stream's negotiated payload cap (on hello frames), and delta or
@@ -60,10 +60,9 @@ import (
 )
 
 // MaxFrameLen bounds the encoded size of a frame's envelope — everything
-// except the base64 payload field. Keys and group names are URL paths
-// and tokens; anything larger is hostile. The payload field is bounded
-// separately by the negotiated per-stream cap (never above
-// MaxPayloadCap).
+// except the base64 payload field. Keys are URL paths; anything larger
+// is hostile. The payload field is bounded separately by the negotiated
+// per-stream cap (never above MaxPayloadCap).
 const MaxFrameLen = 4096
 
 // DefaultPayloadCap is the per-stream payload size (pre-base64 bytes) a
@@ -122,8 +121,6 @@ type Event struct {
 	// Key is the object's path (plus query, if any) at the origin.
 	// Meaningful for update events only.
 	Key string
-	// Group is the object's mutual-consistency group, when it has one.
-	Group string
 	// ModTime is the modification instant announced by an update event.
 	ModTime time.Time
 	// Reset is set on a hello frame when the subscriber's resume point
@@ -183,9 +180,9 @@ func DigestOf(body []byte) string {
 
 // StripPayload returns the event with its payload fields cleared: the
 // degradation from a value-carrying frame to the invalidation-only
-// frame every consumer understands. Key, group, sequence, and
-// modification instant survive, so the Δ guarantee is untouched — the
-// consumer confirms by polling instead of installing directly.
+// frame every consumer understands. Key, sequence, and modification
+// instant survive, so the Δ guarantee is untouched — the consumer
+// confirms by polling instead of installing directly.
 func (e Event) StripPayload() Event {
 	e.Body = nil
 	e.HasBody = false
@@ -205,17 +202,17 @@ var (
 	ErrBadFrame     = errors.New("push: malformed frame")
 )
 
-// Encode renders the event as a single line of one grammar: six core
+// Encode renders the event as a single line of one grammar: five core
 // fields, then optional fields in a fixed order.
 //
-//	<kind> <seq> <modtime-unixnano> <flags> <key> <group> [<payload-b64> [<digest> [<ctype> [<cap> [<base> <codec> [<ci> <ct>]]]]]]
+//	<kind> <seq> <modtime-unixnano> <flags> <key> [<payload-b64> [<digest> [<ctype> [<cap> [<base> <codec> [<ci> <ct>]]]]]]
 //
-// Key, group, and content type are query-escaped so they can never
-// contain the space separator; an empty text field encodes as "-", an
-// empty number as "0". The payload is standard base64 ("-" when empty;
+// Key and content type are query-escaped so they can never contain the
+// space separator; an empty text field encodes as "-", an empty number
+// as "0". The payload is standard base64 ("-" when empty;
 // the 'p' flag distinguishes an empty body from no payload). A frame
 // never ends in an empty field: the optional fields stop at the last
-// one the event sets, so a pure invalidation is the six core fields and
+// one the event sets, so a pure invalidation is the five core fields and
 // an empty body is the 'p' flag with no payload field after it. The
 // format is newline-free by construction, which is what lets one frame
 // travel as one SSE data line.
@@ -275,7 +272,6 @@ func (e Event) appendWire(b []byte, payload bool) []byte {
 		b = append(b, '-')
 	}
 	b = appendField(append(b, ' '), escapeField(e.Key))
-	b = appendField(append(b, ' '), escapeField(e.Group))
 	n := e.optionalFields()
 	if n == 0 {
 		return b
@@ -309,7 +305,7 @@ func (e Event) appendWire(b []byte, payload bool) []byte {
 }
 
 // optionalFields counts the fields the event's frame carries after the
-// six core ones: every field up to the last one the event sets, with
+// five core ones: every field up to the last one the event sets, with
 // base and codec, and chunk index and total, counted as pairs. Zero
 // with HasBody unset is an event with no payload state at all.
 func (e Event) optionalFields() int {
@@ -345,20 +341,19 @@ func appendField(b []byte, s string) []byte {
 //	delta    — the body as a delta against a base the receiver holds
 //	chunks   — the full body split across bounded frames
 //	full     — the body in one frame
-//	stripped — the six core fields, the invalidation every consumer understands
+//	stripped — the five core fields, the invalidation every consumer understands
 //
 // Which rung a given stream receives depends only on its negotiated
 // payload cap and (for the delta) the digest it holds — so rendering
 // every applicable form at publish makes delivery to any number of
 // subscribers a byte-slice pick instead of a per-subscriber Encode.
-// The decoded routing fields (Kind, Seq, Key, Group, Reset) stay
-// exported so interest filters and replay bookkeeping never have to
-// re-parse what they just rendered.
+// The decoded routing fields (Kind, Seq, Key, Reset) stay exported so
+// interest filters and replay bookkeeping never have to re-parse what
+// they just rendered.
 type RenderedEvent struct {
 	Kind  Kind
 	Seq   uint64
 	Key   string
-	Group string
 	Reset bool
 
 	// payloadLen is the byte length of the payload carried by the full
@@ -419,7 +414,6 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 		Kind:       ev.Kind,
 		Seq:        ev.Seq,
 		Key:        ev.Key,
-		Group:      ev.Group,
 		Reset:      ev.Reset,
 		payloadLen: -1,
 		deltaLen:   -1,
@@ -542,7 +536,7 @@ func renderedHello(seq, payloadCap uint64, reset bool) RenderedEvent {
 	return RenderLadder(Event{Kind: KindHello, Seq: seq, PayloadCap: payloadCap, Reset: reset}, 0)
 }
 
-// escapeField query-escapes a key, group, or content type for the wire.
+// escapeField query-escapes a key or content type for the wire.
 // A literal "-" survives QueryEscape unchanged but collides with the
 // empty-field sentinel, so it is forced into escaped form (QueryEscape
 // itself never emits "%2D", so decoding stays unambiguous).
@@ -576,7 +570,7 @@ func (e Event) Oversized() bool {
 
 // absentFields spells each field a frame leaves off at its end, so
 // Decode parses every frame at full width.
-var absentFields = [14]string{6: "-", 7: "-", 8: "-", 9: "0", 10: "-", 11: "0", 12: "0", 13: "0"}
+var absentFields = [13]string{5: "-", 6: "-", 7: "-", 8: "0", 9: "-", 10: "0", 11: "0", 12: "0"}
 
 // Decode parses a frame produced by Encode. It never panics on malformed
 // input: any deviation from the format yields an error. The ModTime of a
@@ -595,20 +589,26 @@ var absentFields = [14]string{6: "-", 7: "-", 8: "-", 9: "0", 10: "-", 11: "0", 
 // invariant. Escaping expands a byte to at most three, so that re-encode
 // is only paid for wire envelopes that could possibly overflow
 // (> MaxFrameLen/3); ordinary frames skip it.
+//
+// Every hello of the retired grammar whose sixth core field was the
+// object's group is refused too: that field is empty on a hello, so the
+// frame either ends in an empty field or carries text where the payload
+// cap's number belongs. A subscriber never gets past the hello of a
+// peer still speaking it, and falls back to polling.
 func Decode(s string) (Event, error) {
 	if len(s) > MaxFrameLen+maxPayloadFieldLen+1 {
 		return Event{}, ErrFrameTooLong
 	}
 	fields := strings.SplitN(s, " ", len(absentFields)+1)
-	if len(fields) < 6 || len(fields) > len(absentFields) {
+	if len(fields) < 5 || len(fields) > len(absentFields) {
 		return Event{}, fmt.Errorf("%w: %d fields", ErrBadFrame, len(fields))
 	}
 	envelope := len(s)
-	if len(fields) > 6 {
-		if len(fields[6]) > maxPayloadFieldLen {
+	if len(fields) > 5 {
+		if len(fields[5]) > maxPayloadFieldLen {
 			return Event{}, ErrFrameTooLong
 		}
-		envelope -= len(fields[6])
+		envelope -= len(fields[5])
 	}
 	if envelope > MaxFrameLen {
 		return Event{}, ErrFrameTooLong
@@ -619,7 +619,7 @@ func Decode(s string) (Event, error) {
 	if err != nil {
 		return Event{}, err
 	}
-	if want := 6 + e.optionalFields(); len(fields) != want {
+	if want := 5 + e.optionalFields(); len(fields) != want {
 		return Event{}, fmt.Errorf("%w: %d fields for an event spelled in %d (a frame never ends in an empty field)",
 			ErrBadFrame, len(fields), want)
 	}
@@ -631,7 +631,7 @@ func Decode(s string) (Event, error) {
 
 // decodeFields parses a frame's fields, the absent ones at their empty
 // spelling, by position.
-func decodeFields(w *[14]string) (Event, error) {
+func decodeFields(w *[13]string) (Event, error) {
 	var e Event
 	kind, err := strconv.ParseUint(w[0], 10, 8)
 	if err != nil {
@@ -670,13 +670,7 @@ func decodeFields(w *[14]string) (Event, error) {
 			return Event{}, fmt.Errorf("%w: bad key %q", ErrBadFrame, w[4])
 		}
 	}
-	if w[5] != "-" {
-		if e.Group, err = url.QueryUnescape(w[5]); err != nil {
-			return Event{}, fmt.Errorf("%w: bad group %q", ErrBadFrame, w[5])
-		}
-	}
-
-	switch payload := w[6]; {
+	switch payload := w[5]; {
 	case payload == "-":
 		if e.HasBody {
 			e.Body = []byte{}
@@ -691,37 +685,37 @@ func decodeFields(w *[14]string) (Event, error) {
 			return Event{}, ErrFrameTooLong
 		}
 	}
+	if w[6] != "-" {
+		if !isHexDigest(w[6]) {
+			return Event{}, fmt.Errorf("%w: bad digest %q", ErrBadFrame, w[6])
+		}
+		e.Digest = w[6]
+	}
 	if w[7] != "-" {
-		if !isHexDigest(w[7]) {
-			return Event{}, fmt.Errorf("%w: bad digest %q", ErrBadFrame, w[7])
-		}
-		e.Digest = w[7]
-	}
-	if w[8] != "-" {
-		if e.ContentType, err = url.QueryUnescape(w[8]); err != nil {
-			return Event{}, fmt.Errorf("%w: bad content type %q", ErrBadFrame, w[8])
+		if e.ContentType, err = url.QueryUnescape(w[7]); err != nil {
+			return Event{}, fmt.Errorf("%w: bad content type %q", ErrBadFrame, w[7])
 		}
 	}
-	if e.PayloadCap, err = strconv.ParseUint(w[9], 10, 64); err != nil {
-		return Event{}, fmt.Errorf("%w: bad payload cap %q", ErrBadFrame, w[9])
+	if e.PayloadCap, err = strconv.ParseUint(w[8], 10, 64); err != nil {
+		return Event{}, fmt.Errorf("%w: bad payload cap %q", ErrBadFrame, w[8])
 	}
-	if w[10] != "-" {
-		if !isHexDigest(w[10]) {
-			return Event{}, fmt.Errorf("%w: bad base digest %q", ErrBadFrame, w[10])
+	if w[9] != "-" {
+		if !isHexDigest(w[9]) {
+			return Event{}, fmt.Errorf("%w: bad base digest %q", ErrBadFrame, w[9])
 		}
-		e.BaseDigest = w[10]
+		e.BaseDigest = w[9]
 	}
-	codec, err := strconv.ParseUint(w[11], 10, 8)
+	codec, err := strconv.ParseUint(w[10], 10, 8)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad delta codec %q", ErrBadFrame, w[11])
+		return Event{}, fmt.Errorf("%w: bad delta codec %q", ErrBadFrame, w[10])
 	}
-	ci, err := strconv.ParseUint(w[12], 10, 32)
+	ci, err := strconv.ParseUint(w[11], 10, 32)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad chunk index %q", ErrBadFrame, w[12])
+		return Event{}, fmt.Errorf("%w: bad chunk index %q", ErrBadFrame, w[11])
 	}
-	ct, err := strconv.ParseUint(w[13], 10, 32)
+	ct, err := strconv.ParseUint(w[12], 10, 32)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad chunk total %q", ErrBadFrame, w[13])
+		return Event{}, fmt.Errorf("%w: bad chunk total %q", ErrBadFrame, w[12])
 	}
 	e.DeltaCodec, e.ChunkIndex, e.ChunkTotal = uint8(codec), uint32(ci), uint32(ct)
 	if err := validateLadderFields(e); err != nil {

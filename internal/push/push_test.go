@@ -15,11 +15,11 @@ import (
 )
 
 // TestFrameGolden pins the exact spelling and byte length of every
-// frame shape: the six core fields, then only the optional fields up to
+// frame shape: the five core fields, then only the optional fields up to
 // the last one the event sets.
 func TestFrameGolden(t *testing.T) {
 	body := []byte("165.38\n")
-	up := Event{Kind: KindUpdate, Seq: 8, Key: "/news/a.html", Group: "front", ModTime: time.Unix(1700000000, 0)}
+	up := Event{Kind: KindUpdate, Seq: 8, Key: "/news/a.html", ModTime: time.Unix(1700000000, 0)}
 	full := up
 	full.Body, full.HasBody, full.Digest, full.ContentType = body, true, DigestOf(body), "text/plain"
 	noType, empty, delta, first, last := full, up, full, full, full
@@ -28,26 +28,26 @@ func TestFrameGolden(t *testing.T) {
 	delta.Body, delta.BaseDigest, delta.DeltaCodec = []byte{1, 2, 'h', 'i'}, DigestOf([]byte("base")), DeltaCodecBlock
 	first.Body, first.ChunkTotal = []byte("165"), 3
 	last.Body, last.ChunkIndex, last.ChunkTotal = []byte("\n"), 2, 3
-	core := "2 8 1700000000000000000 - %2Fnews%2Fa.html front"
-	pcore := "2 8 1700000000000000000 p %2Fnews%2Fa.html front"
+	core := "2 8 1700000000000000000 - %2Fnews%2Fa.html"
+	pcore := "2 8 1700000000000000000 p %2Fnews%2Fa.html"
 	cases := []struct {
 		name string
 		ev   Event
 		wire string
 		size int
 	}{
-		{"heartbeat", Event{Kind: KindHeartbeat, Seq: 99}, "3 99 0 - - -", 12},
-		{"hello", Event{Kind: KindHello, Seq: 7}, "1 7 0 - - -", 11},
-		{"hello with Reset", Event{Kind: KindHello, Seq: 7, Reset: true}, "1 7 0 r - -", 11},
-		{"hello with cap", Event{Kind: KindHello, Seq: 7, PayloadCap: DefaultPayloadCap}, "1 7 0 - - - - - - 65536", 23},
-		{"stripped update", up, core, 48},
-		{"full update", full, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain", 91},
-		{"full update without content type", noType, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2", 78},
-		{"empty body", empty, pcore + " - e3b0c44298fc1c14", 67},
-		{"empty body without digest", Event{Kind: KindUpdate, Seq: 8, Key: "/k", HasBody: true}, "2 8 0 p %2Fk -", 14},
-		{"delta", delta, pcore + " AQJoaQ== 6c0fffb738e4d5c2 text%2Fplain 0 cae662172fd450bb 1", 108},
-		{"first chunk", first, pcore + " MTY1 6c0fffb738e4d5c2 text%2Fplain 0 - 0 0 3", 93},
-		{"last chunk", last, pcore + " Cg== 6c0fffb738e4d5c2 text%2Fplain 0 - 0 2 3", 93},
+		{"heartbeat", Event{Kind: KindHeartbeat, Seq: 99}, "3 99 0 - -", 10},
+		{"hello", Event{Kind: KindHello, Seq: 7}, "1 7 0 - -", 9},
+		{"hello with Reset", Event{Kind: KindHello, Seq: 7, Reset: true}, "1 7 0 r -", 9},
+		{"hello with cap", Event{Kind: KindHello, Seq: 7, PayloadCap: DefaultPayloadCap}, "1 7 0 - - - - - 65536", 21},
+		{"stripped update", up, core, 42},
+		{"full update", full, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain", 85},
+		{"full update without content type", noType, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2", 72},
+		{"empty body", empty, pcore + " - e3b0c44298fc1c14", 61},
+		{"empty body without digest", Event{Kind: KindUpdate, Seq: 8, Key: "/k", HasBody: true}, "2 8 0 p %2Fk", 12},
+		{"delta", delta, pcore + " AQJoaQ== 6c0fffb738e4d5c2 text%2Fplain 0 cae662172fd450bb 1", 102},
+		{"first chunk", first, pcore + " MTY1 6c0fffb738e4d5c2 text%2Fplain 0 - 0 0 3", 87},
+		{"last chunk", last, pcore + " Cg== 6c0fffb738e4d5c2 text%2Fplain 0 - 0 2 3", 87},
 	}
 	for _, c := range cases {
 		if got := c.ev.Encode(); got != c.wire || len(got) != c.size {
@@ -62,13 +62,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	assertRoundTrip(t, []Event{
 		{Kind: KindHello, Seq: 42, Reset: true},
 		{Kind: KindHello, Seq: 0},
-		{Kind: KindUpdate, Seq: 7, Key: "/news/story.html", Group: "frontpage",
+		{Kind: KindUpdate, Seq: 7, Key: "/news/story.html",
 			ModTime: time.Unix(1700000000, 0)},
-		{Kind: KindUpdate, Seq: 8, Key: "/stock?sym=A B&x=ü", Group: "a b"},
+		{Kind: KindUpdate, Seq: 8, Key: "/stock?sym=A B&x=ü"},
 		{Kind: KindUpdate, Seq: 1 << 60, Key: "/k"},
 		// A literal "-" collides with the empty-field sentinel and must
 		// survive the trip via forced escaping.
-		{Kind: KindUpdate, Seq: 9, Key: "-", Group: "-", ContentType: "-"},
+		{Kind: KindUpdate, Seq: 9, Key: "-", ContentType: "-"},
 		{Kind: KindHeartbeat, Seq: 99},
 	})
 }
@@ -76,7 +76,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestEncodeDecodeRoundTripV2 pins the payload fields: bodies, digests,
 // content types, and payload caps survive the wire, cap-boundary payload
 // sizes round-trip exactly, and an event without payload state keeps the
-// six core fields only.
+// five core fields only.
 func TestEncodeDecodeRoundTripV2(t *testing.T) {
 	big := make([]byte, MaxPayloadCap)
 	for i := range big {
@@ -102,10 +102,10 @@ func TestEncodeDecodeRoundTripV2(t *testing.T) {
 	}
 	assertRoundTrip(t, events)
 
-	plain := Event{Kind: KindUpdate, Seq: 7, Key: "/k", Group: "g", ModTime: time.Unix(1700000000, 0)}
+	plain := Event{Kind: KindUpdate, Seq: 7, Key: "/k", ModTime: time.Unix(1700000000, 0)}
 	for _, ev := range []Event{plain, events[0].StripPayload()} {
-		if wire := ev.Encode(); len(strings.Fields(wire)) != 6 {
-			t.Errorf("event without payload state encoded as %q, want the six core fields", wire)
+		if wire := ev.Encode(); len(strings.Fields(wire)) != 5 {
+			t.Errorf("event without payload state encoded as %q, want the five core fields", wire)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func assertRoundTrip(t *testing.T, events []Event) {
 // sameOnWire reports whether two events agree on every field the wire
 // carries.
 func sameOnWire(a, b Event) bool {
-	return a.Kind == b.Kind && a.Seq == b.Seq && a.Key == b.Key && a.Group == b.Group &&
+	return a.Kind == b.Kind && a.Seq == b.Seq && a.Key == b.Key &&
 		a.Reset == b.Reset && a.ModTime.Equal(b.ModTime) && a.HasBody == b.HasBody &&
 		bytes.Equal(a.Body, b.Body) && a.ContentType == b.ContentType && a.Digest == b.Digest &&
 		a.PayloadCap == b.PayloadCap && a.BaseDigest == b.BaseDigest && a.DeltaCodec == b.DeltaCodec &&
@@ -140,44 +140,50 @@ func sameOnWire(a, b Event) bool {
 
 // TestDecodeRejectsMalformed: Decode refuses, never half-parses, every
 // frame that breaks the field syntax, the retired versioned spellings,
-// a frame ending in an empty field, and an envelope over the limit.
+// the retired six-core-field spelling with or without a group token, a
+// frame ending in an empty field, and an envelope over the limit.
 // TestDecodeV3Rejections covers the delta and chunk fields.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	d := DigestOf([]byte("x"))
 	bad := []string{
 		"",
 		"2 3",
-		"9 1 0 - /k -",                    // unknown kind
-		"2 x 0 - /k -",                    // bad seq
-		"2 1 y - /k -",                    // bad modtime
-		"2 1 0 z /k -",                    // bad flags
-		"2 1 0 - %zz -",                   // bad key escape
-		"2 1 0 - /k %zz",                  // bad group escape
-		"2 1 0 - - -",                     // update without key
-		"-1 1 0 - /k -",                   // negative kind
-		"2 18446744073709551616 0 - /k -", // seq overflow
+		"9 1 0 - /k",                    // unknown kind
+		"2 x 0 - /k",                    // bad seq
+		"2 1 y - /k",                    // bad modtime
+		"2 1 0 z /k",                    // bad flags
+		"2 1 0 - %zz",                   // bad key escape
+		"2 1 0 - -",                     // update without key
+		"-1 1 0 - /k",                   // negative kind
+		"2 18446744073709551616 0 - /k", // seq overflow
 		strings.Repeat("x", MaxFrameLen+1),
 		"v1 1 0 0 - - -",             // the retired v1 hello
 		"v1 2 1 0 - /k -",            // retired v1 update
 		"v2 2 1 0 p /k - - - 0 aGk=", // retired v2 payload
 		"v3 2 1 0 p /k - - " + d + " 0 - 0 0 2 aGk=", // retired v3 chunk
-		"2 1 0 - /k - -",                                      // ends in an empty payload field
-		"2 1 0 p /k - -",                                      // empty body spelled out
-		"2 1 0 - /k - - -",                                    // ends in an empty digest
-		"1 1 0 - - - - - - 0",                                 // ends in a zero cap
-		"2 1 0 p /k - !!!not-base64!!!",                       // hostile base64
-		"2 1 0 p /k - ====",                                   // hostile base64 padding
-		"2 1 0 - /k - " + b64(1),                              // payload without the p flag
-		"2 1 0 - /k - - zz",                                   // non-hex digest
-		"2 1 0 - /k - - " + strings.Repeat("a", 65),           // digest too long
-		"1 1 0 - - - - - - x",                                 // bad payload cap
-		"2 1 0 - /" + strings.Repeat("k", MaxFrameLen) + " -", // over the frame limit
-		"2 1 0 p /" + strings.Repeat("k", MaxFrameLen) + " - " + b64(8) + " " + d, // envelope over the limit
+		"1 7 0 - - -",                                  // six-field hello
+		"1 7 0 r - -",                                  // six-field Reset hello
+		"1 7 0 - - - - - - 65536",                      // six-field hello with a cap
+		"3 7 0 - - -",                                  // six-field heartbeat
+		"2 1 0 - /k grp",                               // six-field update with a group token
+		"2 1 0 p /k grp aGk= " + d,                     // six-field payload frame with a group token
+		"2 1 0 - /k -",                                 // ends in an empty payload field
+		"2 1 0 p /k -",                                 // empty body spelled out
+		"2 1 0 - /k - -",                               // ends in an empty digest
+		"1 1 0 - - - - - 0",                            // ends in a zero cap
+		"2 1 0 p /k !!!not-base64!!!",                  // hostile base64
+		"2 1 0 p /k ====",                              // hostile base64 padding
+		"2 1 0 - /k " + b64(1),                         // payload without the p flag
+		"2 1 0 - /k - zz",                              // non-hex digest
+		"2 1 0 - /k - " + strings.Repeat("a", 65),      // digest too long
+		"1 1 0 - - - - - x",                            // bad payload cap
+		"2 1 0 - /" + strings.Repeat("k", MaxFrameLen), // over the frame limit
+		"2 1 0 p /" + strings.Repeat("k", MaxFrameLen) + " " + b64(8) + " " + d, // envelope over the limit
 		// Raw newlines ride one byte each on a hostile wire but re-encode
 		// to three (%0A): the canonical envelope is over the limit even
 		// though the frame as sent is not (fuzz-found; an accepted event
 		// must always be re-encodable within bounds).
-		"2 1 0 - /k " + strings.Repeat("\n", MaxFrameLen/2),
+		"2 1 0 - /k" + strings.Repeat("\n", MaxFrameLen/2),
 	}
 	for _, wire := range bad {
 		if ev, err := Decode(wire); err == nil {
@@ -565,7 +571,7 @@ func TestSubscriberStopsOnContextCancel(t *testing.T) {
 // two pre-rendered byte slices.
 func BenchmarkEventRender(b *testing.B) {
 	body := bytes.Repeat([]byte("v"), 512)
-	ev := Event{Kind: KindUpdate, Seq: 42, Key: "/obj/path", Group: "g",
+	ev := Event{Kind: KindUpdate, Seq: 42, Key: "/obj/path",
 		ModTime: time.Unix(1_700_000_000, 0), Body: body, HasBody: true,
 		Digest: DigestOf(body)}
 	b.ReportAllocs()

@@ -87,9 +87,8 @@ type Subscriber struct {
 	lastSeq atomic.Uint64
 
 	// lastFrame is the wall-clock instant (unix nanoseconds) the last
-	// stream frame of any kind arrived; 0 before the first. Together
-	// with HeartbeatTimeout it bounds how stale a "connected" reading
-	// can be — the liveness signal a health endpoint reports.
+	// stream frame of any kind arrived; 0 before the first (see
+	// SubscriberStats.LastFrameAt).
 	lastFrame atomic.Int64
 
 	// declared is the interest set sent with the current (or most
@@ -102,25 +101,9 @@ type Subscriber struct {
 	bounceMu sync.Mutex
 	bounceFn context.CancelFunc
 
-	// connects and disconnects count stream lifecycle transitions.
-	connects    atomic.Uint64
-	disconnects atomic.Uint64
-	// resets counts mid-stream hello/Reset frames (a relaying upstream
-	// lost its own upstream); skipped counts oversized stream lines
-	// dropped without killing the connection; overCap counts payloads
-	// stripped client-side because they exceeded the negotiated cap (a
-	// server honoring the negotiation never causes one); bounces counts
-	// deliberate reconnects forced by Bounce.
-	resets  atomic.Uint64
-	skipped atomic.Uint64
-	overCap atomic.Uint64
-	bounces atomic.Uint64
-	// chunksAssembled counts chunked bodies reassembled and delivered
-	// whole; chunksBroken counts chunk sets abandoned (mid-set hole,
-	// out-of-order frame, oversized reassembly, or terminal digest
-	// mismatch) and degraded to a stripped invalidation.
-	chunksAssembled atomic.Uint64
-	chunksBroken    atomic.Uint64
+	// The counters Stats snapshots (see SubscriberStats).
+	connects, disconnects, resets, skipped, overCap, bounces atomic.Uint64
+	chunksAssembled, chunksBroken                            atomic.Uint64
 }
 
 // HeldDigest names one body a subscriber holds: the object's key and
@@ -168,60 +151,64 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 // head by a fresh or Reset hello (0 before the first connect).
 func (s *Subscriber) LastSeq() uint64 { return s.lastSeq.Load() }
 
-// LastFrameAt returns the wall-clock instant the last stream frame of
-// any kind (update, hello, heartbeat) arrived, or the zero time before
-// the first. A connected stream whose LastFrameAt trails now by more
-// than HeartbeatTimeout is about to be declared dead by the watchdog.
-func (s *Subscriber) LastFrameAt() time.Time {
-	n := s.lastFrame.Load()
-	if n == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, n)
-}
-
 // HeartbeatTimeout returns the resolved watchdog interval (the
 // configured value with defaults applied; <= 0 means disabled).
 func (s *Subscriber) HeartbeatTimeout() time.Duration { return s.cfg.HeartbeatTimeout }
 
-// Connects returns the number of successfully established streams.
-func (s *Subscriber) Connects() uint64 { return s.connects.Load() }
+// SubscriberStats is a snapshot of a Subscriber's counters.
+type SubscriberStats struct {
+	// Connects counts successfully established streams; Disconnects
+	// counts established streams that died.
+	Connects, Disconnects uint64
+	// Resets counts mid-stream hello/Reset frames processed: each one is
+	// an upstream announcing a hole in its stream content, and re-ran
+	// the OnConnect reconciliation without dropping the connection.
+	Resets uint64
+	// SkippedFrames counts stream lines dropped without killing the
+	// connection: lines exceeding the frame size limit, and
+	// established-stream data lines that fail to decode. A hostile or
+	// non-broadway upstream can emit either; reconnecting on them would
+	// replay the same line from the upstream's ring and livelock, so
+	// each is skipped in place (consumed to its newline).
+	SkippedFrames uint64
+	// OverCapPayloads counts update payloads stripped client-side for
+	// exceeding the negotiated cap. A server honoring the negotiation
+	// degrades such frames itself; a non-zero count means the upstream
+	// ignored the cap, and the affected updates were handled as plain
+	// invalidations (the consumer polls to confirm).
+	OverCapPayloads uint64
+	// Bounces counts deliberate reconnects forced by Bounce.
+	Bounces uint64
+	// ChunksAssembled counts chunked bodies reassembled and delivered
+	// whole to OnEvent; ChunksBroken counts chunk sets abandoned (hole,
+	// out-of-order frame, oversized reassembly, terminal digest
+	// mismatch), each degraded to a stripped invalidation, so the
+	// consumer confirmed by polling.
+	ChunksAssembled, ChunksBroken uint64
+	// LastFrameAt is the wall-clock instant the last stream frame of any
+	// kind (update, hello, heartbeat) arrived, zero before the first. A
+	// connected stream whose LastFrameAt trails now by more than
+	// HeartbeatTimeout is about to be declared dead by the watchdog.
+	LastFrameAt time.Time
+}
 
-// Disconnects returns the number of established streams that died.
-func (s *Subscriber) Disconnects() uint64 { return s.disconnects.Load() }
-
-// Resets returns the number of mid-stream hello/Reset frames processed:
-// each one is an upstream announcing a hole in its stream content and
-// re-ran the OnConnect reconciliation without dropping the connection.
-func (s *Subscriber) Resets() uint64 { return s.resets.Load() }
-
-// SkippedFrames returns the number of stream lines dropped without
-// killing the connection: lines exceeding the frame size limit, and
-// established-stream data lines that fail to decode. A hostile or
-// non-broadway upstream can emit either; reconnecting on them would
-// replay the same line from the upstream's ring and livelock, so each
-// is skipped in place (consumed to its newline) and counted here.
-func (s *Subscriber) SkippedFrames() uint64 { return s.skipped.Load() }
-
-// OverCapPayloads returns the number of update payloads stripped
-// client-side for exceeding the negotiated cap. A server honoring the
-// negotiation degrades such frames itself; a non-zero count means the
-// upstream ignored the cap, and the affected updates were handled as
-// plain invalidations (the consumer polls to confirm).
-func (s *Subscriber) OverCapPayloads() uint64 { return s.overCap.Load() }
-
-// Bounces returns the number of deliberate reconnects forced by Bounce.
-func (s *Subscriber) Bounces() uint64 { return s.bounces.Load() }
-
-// ChunksAssembled returns the number of chunked bodies reassembled and
-// delivered whole to OnEvent.
-func (s *Subscriber) ChunksAssembled() uint64 { return s.chunksAssembled.Load() }
-
-// ChunksBroken returns the number of chunk sets abandoned (hole,
-// out-of-order frame, oversized reassembly, terminal digest mismatch);
-// each one was degraded to a stripped invalidation, so the consumer
-// confirmed by polling.
-func (s *Subscriber) ChunksBroken() uint64 { return s.chunksBroken.Load() }
+// Stats snapshots the subscriber's counters.
+func (s *Subscriber) Stats() SubscriberStats {
+	st := SubscriberStats{
+		Connects:        s.connects.Load(),
+		Disconnects:     s.disconnects.Load(),
+		Resets:          s.resets.Load(),
+		SkippedFrames:   s.skipped.Load(),
+		OverCapPayloads: s.overCap.Load(),
+		Bounces:         s.bounces.Load(),
+		ChunksAssembled: s.chunksAssembled.Load(),
+		ChunksBroken:    s.chunksBroken.Load(),
+	}
+	if n := s.lastFrame.Load(); n != 0 {
+		st.LastFrameAt = time.Unix(0, n)
+	}
+	return st
+}
 
 // DeclaredInterest returns the interest set sent with the current (or
 // most recent) connection attempt — what the upstream is actually

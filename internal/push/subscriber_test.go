@@ -64,7 +64,7 @@ func TestSubscriberMidStreamResetFastForwardsAndReconciles(t *testing.T) {
 	// reconciliation, on the SAME connection.
 	srv.send(Event{Kind: KindHello, Seq: 41, Reset: true}.Encode())
 	if !waitCond(t, 2*time.Second, func() bool { return connects.Load() == 2 }) {
-		t.Fatalf("mid-stream Reset swallowed (connects=%d resets=%d)", connects.Load(), sub.Resets())
+		t.Fatalf("mid-stream Reset swallowed (connects=%d resets=%d)", connects.Load(), sub.Stats().Resets)
 	}
 	if !lastResumed.Load() || !lastReset.Load() {
 		t.Errorf("reconciliation args: resumed=%v reset=%v, want true/true",
@@ -73,8 +73,8 @@ func TestSubscriberMidStreamResetFastForwardsAndReconciles(t *testing.T) {
 	if got := sub.LastSeq(); got != 41 {
 		t.Errorf("LastSeq = %d after mid-stream Reset, want 41", got)
 	}
-	if sub.Resets() != 1 {
-		t.Errorf("Resets = %d, want 1", sub.Resets())
+	if r := sub.Stats().Resets; r != 1 {
+		t.Errorf("Resets = %d, want 1", r)
 	}
 	if srv.conns.Load() != 1 {
 		t.Errorf("subscriber reconnected (%d conns); the Reset must ride the live stream", srv.conns.Load())
@@ -122,7 +122,7 @@ func TestSubscriberSkipsOversizedLinesWithoutReconnecting(t *testing.T) {
 	// is just a heartbeat).
 	if !waitCond(t, 2*time.Second, func() bool {
 		srv.send(Event{Kind: KindHello, Seq: 0}.Encode())
-		return sub.Connects() >= 1
+		return sub.Stats().Connects >= 1
 	}) {
 		t.Fatal("hello never processed")
 	}
@@ -135,14 +135,14 @@ func TestSubscriberSkipsOversizedLinesWithoutReconnecting(t *testing.T) {
 
 	if !waitCond(t, 2*time.Second, func() bool { return events.Load() == 1 }) {
 		t.Fatalf("update after oversized line never arrived (skipped=%d disconnects=%d)",
-			sub.SkippedFrames(), sub.Disconnects())
+			sub.Stats().SkippedFrames, sub.Stats().Disconnects)
 	}
-	if sub.SkippedFrames() == 0 {
+	if sub.Stats().SkippedFrames == 0 {
 		t.Error("oversized line was not counted as skipped")
 	}
-	if srv.conns.Load() != 1 || sub.Disconnects() != 0 {
+	if srv.conns.Load() != 1 || sub.Stats().Disconnects != 0 {
 		t.Errorf("stream died on the oversized line (conns=%d disconnects=%d) — the reconnect livelock",
-			srv.conns.Load(), sub.Disconnects())
+			srv.conns.Load(), sub.Stats().Disconnects)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestSubscriberSkipsMalformedLinesWithoutReconnecting(t *testing.T) {
 
 	if !waitCond(t, 2*time.Second, func() bool {
 		srv.send(Event{Kind: KindHello, Seq: 0}.Encode())
-		return sub.Connects() >= 1
+		return sub.Stats().Connects >= 1
 	}) {
 		t.Fatal("hello never processed")
 	}
@@ -183,16 +183,16 @@ func TestSubscriberSkipsMalformedLinesWithoutReconnecting(t *testing.T) {
 	// Three malformed shapes under the payload-widened line limit but
 	// undecodable, followed by a well-formed update on the SAME stream.
 	srv.send("not a frame at all")
-	srv.send("2 1 0 - /" + strings.Repeat("k", MaxFrameLen) + " -") // envelope over the bound
-	srv.send("2 1 0 p /k - !!!hostile-base64!!!")
+	srv.send("2 1 0 - /" + strings.Repeat("k", MaxFrameLen)) // envelope over the bound
+	srv.send("2 1 0 p /k !!!hostile-base64!!!")
 	srv.send(Event{Kind: KindUpdate, Seq: 1, Key: "/a"}.Encode())
 
 	if !waitCond(t, 2*time.Second, func() bool { return events.Load() == 1 }) {
 		t.Fatalf("update after malformed lines never arrived (skipped=%d disconnects=%d)",
-			sub.SkippedFrames(), sub.Disconnects())
+			sub.Stats().SkippedFrames, sub.Stats().Disconnects)
 	}
-	if sub.SkippedFrames() != 3 {
-		t.Errorf("SkippedFrames = %d, want 3", sub.SkippedFrames())
+	if n := sub.Stats().SkippedFrames; n != 3 {
+		t.Errorf("SkippedFrames = %d, want 3", n)
 	}
 	// Every dropped line ran the loss reconciliation: the consumer's
 	// sweep is what keeps an unknown loss from hiding behind stretched
@@ -200,9 +200,9 @@ func TestSubscriberSkipsMalformedLinesWithoutReconnecting(t *testing.T) {
 	if losses.Load() != 3 {
 		t.Errorf("OnFrameLoss ran %d times, want 3", losses.Load())
 	}
-	if srv.conns.Load() != 1 || sub.Disconnects() != 0 {
+	if srv.conns.Load() != 1 || sub.Stats().Disconnects != 0 {
 		t.Errorf("stream died on a malformed line (conns=%d disconnects=%d) — the reconnect livelock",
-			srv.conns.Load(), sub.Disconnects())
+			srv.conns.Load(), sub.Stats().Disconnects)
 	}
 
 	// A hello-less or undecodable FIRST frame still forces a reconnect:

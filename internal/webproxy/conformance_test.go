@@ -119,13 +119,12 @@ const admissionPhase = 37 * time.Millisecond
 
 // confTopology is the battery's live stack: hops proxies configured by
 // cfg below an origin with the history extension on, subscribed to its
-// events when pushOn, and carrying payloads capped at payloadCap (0: the
-// protocol default) when cfg.PushValues.
+// events when pushOn, and, when cfg.PushValues, an origin carrying
+// payloads capped at payloadCap (0: the protocol default).
 func confTopology(hops int, cfg Config, pushOn bool, payloadCap int) topology {
 	tp := topology{hops: hops, push: pushOn, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
 	if cfg.PushValues {
 		tp.origin = append(tp.origin, webserver.WithPushValues(payloadCap))
-		tp.cfg.PushPayloadCap = payloadCap
 	}
 	return tp
 }

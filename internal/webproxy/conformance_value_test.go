@@ -228,11 +228,13 @@ func TestConformanceValueTwoHop(t *testing.T) {
 
 // TestConformanceValueLargeObjectTwoHop is the ladder's large-object
 // acceptance run: the AT&T preset with every body padded to ~12 KiB
-// against a 4 KiB negotiated cap on both hops. The first payload must
-// travel chunked (it exceeds every cap), every later tick must ride the
-// delta rung at both hops (the padded bodies differ by a few bytes),
-// and the Δv bound must hold with zero confirmation polls and zero
-// fallbacks anywhere in the chain.
+// against a 4 KiB cap at the origin. The first payload must travel
+// chunked to the parent (it exceeds the origin's cap), every later tick
+// must ride the delta rung at both hops (the padded bodies differ by a
+// few bytes), and the Δv bound must hold with zero confirmation polls
+// and zero fallbacks anywhere in the chain. (A relay chunks at its own
+// fixed cap, push.DefaultPayloadCap: TestThreeHopOnePayloadPerVersionPerLink
+// counts those chunk sets.)
 func TestConformanceValueLargeObjectTwoHop(t *testing.T) {
 	const (
 		largeCap = 4 << 10
@@ -259,7 +261,7 @@ func TestConformanceValueLargeObjectTwoHop(t *testing.T) {
 		t.Errorf("base misses on the clean path: parent %d leaf %d",
 			parentPush.DeltaBaseMisses, leafPush.DeltaBaseMisses)
 	}
-	// Both hops must have used both expensive-body rungs: chunks for the
+	// The parent must have used both expensive-body rungs: chunks for the
 	// first over-cap delivery, deltas once a base is held.
 	if parentPush.ChunksAssembled == 0 {
 		t.Errorf("parent assembled no chunk sets: %+v", parentPush)

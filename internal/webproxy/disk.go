@@ -10,7 +10,7 @@ package webproxy
 //     through the ordinary worker pool (so a restart cannot self-herd
 //     the origin), and served as X-Cache: GRACE until confirmed. The Δt
 //     guarantee across a restart is therefore explicit: at most
-//     DiskGrace plus the validation queue delay, never silently
+//     diskGrace plus the validation queue delay, never silently
 //     unbounded.
 //   - promote (demand, see admit): a request for a key that lives only
 //     on disk — demoted by CLOCK replacement or beyond the grace window
@@ -30,6 +30,10 @@ import (
 
 	"broadway/internal/diskstore"
 )
+
+// diskGrace bounds how stale a rehydrated entry may be at startup and
+// still be served before its re-validation poll completes.
+const diskGrace = 5 * time.Minute
 
 // persistEntry snapshots e's validated state into the disk tier's
 // write-behind queue. Called from install (every poll, trigger, and
@@ -87,7 +91,7 @@ func (p *Proxy) channelAnswer(key string, rec *diskstore.Record) *upstreamRespon
 		return nil
 	}
 	epoch := p.lease.recordEpoch(rec.ValidatedAt)
-	if epoch == nil || !p.lease.carries(key, p.pushable(key, rec.Group), epoch) {
+	if epoch == nil || !p.lease.carries(key, p.pushable(key), epoch) {
 		return nil
 	}
 	return &upstreamResponse{notModified: true, epoch: epoch, byChannel: true}
@@ -118,9 +122,9 @@ func (p *Proxy) demote(victims []*entry) {
 func (p *Proxy) rehydrate() {
 	now := p.cfg.Clock()
 	for _, key := range p.disk.Keys() {
-		// A record too stale for grace-mode serving (with DiskGrace < 0,
-		// every record) is left demoted, promoted on demand.
-		if rec, body, ok := p.disk.Get(key); ok && now.Sub(rec.ValidatedAt) <= p.cfg.DiskGrace {
+		// A record too stale for grace-mode serving is left demoted,
+		// promoted on demand.
+		if rec, body, ok := p.disk.Get(key); ok && now.Sub(rec.ValidatedAt) <= diskGrace {
 			p.admitFrom(key, &rec, body, nil)
 		}
 	}

@@ -248,7 +248,7 @@ func TestDemotionKeepsWorkingSetServableFromDisk(t *testing.T) {
 }
 
 // TestGraceWindowSkipsStaleRecords: records whose last validation is
-// older than DiskGrace must not come back warm (that would silently
+// older than the grace window must not come back warm (that would silently
 // widen Δt); they stay demoted and are promoted through a validating
 // fetch on demand.
 func TestGraceWindowSkipsStaleRecords(t *testing.T) {
@@ -256,7 +256,6 @@ func TestGraceWindowSkipsStaleRecords(t *testing.T) {
 		DefaultDelta: 30 * time.Second,
 		Bounds:       core.TTRBounds{Min: 10 * time.Second, Max: 10 * time.Minute},
 		DiskDir:      t.TempDir(),
-		DiskGrace:    time.Minute,
 	}})
 	px := h.leaf()
 	h.origin.Set("/stale", []byte("stale body"), "text/plain")
@@ -267,7 +266,7 @@ func TestGraceWindowSkipsStaleRecords(t *testing.T) {
 	h.quiesce()
 	px.Close()
 
-	// Ten minutes of downtime blow way past the one-minute grace.
+	// Ten minutes of downtime blow way past the five-minute grace.
 	h.advance(10 * time.Minute)
 
 	px.reopen()

@@ -165,7 +165,7 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 		preConnects := make([]uint64, len(watchers))
 		for i, w := range watchers {
 			preEvents[i] = w.events.Load()
-			preConnects[i] = w.Connects()
+			preConnects[i] = w.Stats().Connects
 		}
 		preLeafConnects := make([]uint64, len(leaves))
 		for i, l := range leaves {
@@ -182,7 +182,7 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 		}
 		for i, w := range watchers {
 			shard := i % fleetShards
-			if w.Connects() <= preConnects[i] {
+			if w.Stats().Connects <= preConnects[i] {
 				t.Errorf("watcher %d never resumed after the mid-stream kill", i)
 			}
 			if r := w.resets.Load(); r != 0 {

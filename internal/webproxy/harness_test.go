@@ -770,7 +770,8 @@ func (w *watcher) stop() {
 }
 
 func (w *watcher) streamState() streamState {
-	return streamState{connected: w.Connects() > w.Disconnects(), lastSeq: w.LastSeq(), resets: w.Resets(), connects: w.Connects()}
+	st := w.Stats()
+	return streamState{connected: st.Connects > st.Disconnects, lastSeq: w.LastSeq(), resets: st.Resets, connects: st.Connects}
 }
 
 // topology describes what newHarness builds: an origin and a chain of

@@ -122,7 +122,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 			name: "pushed full body",
 			arrive: func() {
 				publish(3)
-				pushed(h, push.Event{Key: doc, Group: "g", ModTime: lastMod,
+				pushed(h, push.Event{Key: doc, ModTime: lastMod,
 					HasBody: true, Body: body, Digest: push.DigestOf(body), ContentType: "text/plain"})
 			},
 			want:    PollObservation{Modified: true, Pushed: true, Applied: true},
@@ -137,7 +137,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 				if !ok {
 					t.Fatal("MakeDelta refused")
 				}
-				pushed(h, push.Event{Key: doc, Group: "g", ModTime: lastMod,
+				pushed(h, push.Event{Key: doc, ModTime: lastMod,
 					HasBody: true, Body: d, Digest: push.DigestOf(body),
 					BaseDigest: push.DigestOf(prev), DeltaCodec: push.DeltaCodecBlock})
 			},
@@ -159,7 +159,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 				}
 				px.demote([]*entry{e})
 				publish(5)
-				pushed(h, push.Event{Key: doc, Group: "g", ModTime: lastMod,
+				pushed(h, push.Event{Key: doc, ModTime: lastMod,
 					HasBody: true, Body: body, Digest: push.DigestOf(body)})
 				if obs := px.observed(doc); len(obs) != 0 {
 					t.Errorf("a push onto a disk record was observed: %+v", obs)

@@ -554,10 +554,12 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 		demote(t, c.h, c.key)
 	}
 	cases := []struct {
-		name    string
-		key     string
-		cfg     func(*Config)
-		carried bool
+		name string
+		key  string
+		cfg  func(*Config)
+		// originCap, when set, is the payload cap of the origin's hub.
+		originCap int
+		carried   bool
 		// spoil runs with the key resident (admitted at an instant strictly
 		// inside the lease epoch), leaves it demoted, and returns the body
 		// the origin now holds.
@@ -690,8 +692,8 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			},
 		},
 		{
-			name: "void: over-cap payload",
-			cfg:  func(cfg *Config) { cfg.PushPayloadCap = 8 },
+			name:      "void: over-cap payload",
+			originCap: 8,
 			spoil: func(t *testing.T, c *promoCase) string {
 				demoted(t, c)
 				const body = "v2, longer than the payload cap"
@@ -849,7 +851,11 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			c.h = newHarness(t, leaseTopology(cfg, true))
+			tp := leaseTopology(cfg, true)
+			if tc.originCap > 0 {
+				tp.hub = push.NewHub(push.HubConfig{PayloadCap: tc.originCap})
+			}
+			c.h = newHarness(t, tp)
 			px := c.h.leaf()
 			c.h.origin.Set(originPath(c.key), []byte("v1"), "")
 			// Validated strictly inside the lease epoch the connect began.

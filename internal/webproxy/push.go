@@ -38,7 +38,7 @@ import (
 func (p *Proxy) newPushSubscriber() (*push.Subscriber, error) {
 	payloadCap := 0
 	if p.cfg.PushValues {
-		payloadCap = p.cfg.PushPayloadCap
+		payloadCap = push.DefaultPayloadCap
 	}
 	scfg := push.SubscriberConfig{
 		URL: p.cfg.PushURL.String(),
@@ -488,11 +488,11 @@ func (p *Proxy) eventKeyResolvesTo(key string) bool {
 }
 
 // pushable reports whether the origin can announce the object cached
-// under key in group at all: its events resolve back to the key (see
+// under key at all: its events resolve back to the key (see
 // eventKeyResolvesTo) and fit a wire frame. An entry keeps the answer as
 // !unpushable; a disk record is asked afresh (see channelAnswer).
-func (p *Proxy) pushable(key, group string) bool {
-	return p.eventKeyResolvesTo(key) && !push.Event{Kind: push.KindUpdate, Key: key, Group: group}.Oversized()
+func (p *Proxy) pushable(key string) bool {
+	return p.eventKeyResolvesTo(key) && !push.Event{Kind: push.KindUpdate, Key: key}.Oversized()
 }
 
 // handlePushConnect marks the channel healthy, in a new lease epoch. A
@@ -644,13 +644,9 @@ func (p *Proxy) PushStats() PushStats {
 		LastSeq:         p.pushSeq.Load(),
 	}
 	if p.sub != nil {
-		st.Connects = p.sub.Connects()
-		st.ChunksAssembled = p.sub.ChunksAssembled()
-		st.ChunksBroken = p.sub.ChunksBroken()
-		st.Bounces = p.sub.Bounces()
-		st.Resets = p.sub.Resets()
-		st.SkippedFrames = p.sub.SkippedFrames()
-		st.LastFrameAt = p.sub.LastFrameAt()
+		ss := p.sub.Stats()
+		st.Connects, st.Bounces, st.Resets, st.SkippedFrames = ss.Connects, ss.Bounces, ss.Resets, ss.SkippedFrames
+		st.ChunksAssembled, st.ChunksBroken, st.LastFrameAt = ss.ChunksAssembled, ss.ChunksBroken, ss.LastFrameAt
 		st.HeartbeatTimeout = p.sub.HeartbeatTimeout()
 		// An event's seq is stored after its poll is enqueued, and the
 		// subscriber advances only after the handler returns, so taking

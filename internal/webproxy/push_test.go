@@ -248,54 +248,63 @@ func TestPushDisconnectFallsBackWithinOneTTR(t *testing.T) {
 }
 
 // TestRetiredFrameSpellingDegradesToPolling: a hop whose upstream still
-// opens its stream with a retired versioned hello never connects. The
-// hello is refused as the stream's first frame, not skipped as a
-// mid-stream line, no key takes a lease, and a resident key is polled on
-// its paper-mode TTR.
+// speaks a retired spelling never connects — the versioned hello, or
+// the six-core-field grammar whose sixth field was the object's group,
+// with or without a group token. The hello is refused as the stream's
+// first frame, not skipped as a mid-stream line, no key takes a lease,
+// and a resident key is polled on its paper-mode TTR.
 func TestRetiredFrameSpellingDegradesToPolling(t *testing.T) {
-	var h *harness
-	origin := webserver.NewOrigin(webserver.WithClock(func() time.Time { return h.clk.Now() }))
-	var streams atomic.Int64
-	retried := make(chan struct{})
-	h = newHarness(t, topology{push: true, cfg: Config{
-		PushStretch: 50,
-		Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 10 * time.Second},
-	}, handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/events" {
-			origin.ServeHTTP(w, r)
-			return
-		}
-		w.Header().Set("Content-Type", "text/event-stream")
-		fmt.Fprint(w, "id: 0\ndata: v1 1 0 0 - - -\n\n")
-		if streams.Add(1) == 2 {
-			close(retried) // the first hello was refused
-		}
-	})})
-	select {
-	case <-retried:
-	case <-time.After(10 * time.Second):
-		t.Fatal("the subscriber never retried after the retired hello")
-	}
-	px := h.leaf()
-	origin.Set("/page", []byte("v1"), "")
-	px.get("/page")
-	st := px.PushStats()
-	if st.Connected || st.Connects != 0 || st.SkippedFrames != 0 {
-		t.Fatalf("a retired hello opened the channel or counted as a skipped frame: %+v", st)
-	}
-	snap := scheduleOf(t, px, "/page", 1)
-	if snap.leased() || snap.ttr() != 50*time.Millisecond {
-		t.Fatalf("admission placed %v after validation (paper-mode %v), want the unleased TTRmin",
-			snap.next.Sub(snap.validatedAt), snap.ttr())
-	}
-	origin.Set("/page", []byte("v2"), "")
-	h.advance(50 * time.Millisecond)
-	if b, _ := px.CachedBody("/page"); string(b) != "v2" {
-		t.Fatalf("paper-mode polling never observed the update within one TTR: %q", b)
-	}
-	if snap := scheduleOf(t, px, "/page", 2); snap.leased() {
-		t.Errorf("leased with no channel: paper-mode %v, scheduled %v after validation",
-			snap.ttr(), snap.next.Sub(snap.validatedAt))
+	for _, tc := range []struct{ name, stream string }{
+		{"versioned hello", "id: 0\ndata: v1 1 0 0 - - -\n\n"},
+		{"six core fields", "id: 0\ndata: 1 0 0 - - -\n\nid: 1\ndata: 2 1 0 - %2Fpage -\n\n"},
+		{"six core fields with a group token", "id: 0\ndata: 1 0 0 - - -\n\nid: 1\ndata: 2 1 0 - %2Fpage news\n\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h *harness
+			origin := webserver.NewOrigin(webserver.WithClock(func() time.Time { return h.clk.Now() }))
+			var streams atomic.Int64
+			retried := make(chan struct{})
+			h = newHarness(t, topology{push: true, cfg: Config{
+				PushStretch: 50,
+				Bounds:      core.TTRBounds{Min: 50 * time.Millisecond, Max: 10 * time.Second},
+			}, handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != "/events" {
+					origin.ServeHTTP(w, r)
+					return
+				}
+				w.Header().Set("Content-Type", "text/event-stream")
+				fmt.Fprint(w, tc.stream)
+				if streams.Add(1) == 2 {
+					close(retried) // the first hello was refused
+				}
+			})})
+			select {
+			case <-retried:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the subscriber never retried after the retired hello")
+			}
+			px := h.leaf()
+			origin.Set("/page", []byte("v1"), "")
+			px.get("/page")
+			st := px.PushStats()
+			if st.Connected || st.Connects != 0 || st.SkippedFrames != 0 {
+				t.Fatalf("a retired hello opened the channel or counted as a skipped frame: %+v", st)
+			}
+			snap := scheduleOf(t, px, "/page", 1)
+			if snap.leased() || snap.ttr() != 50*time.Millisecond {
+				t.Fatalf("admission placed %v after validation (paper-mode %v), want the unleased TTRmin",
+					snap.next.Sub(snap.validatedAt), snap.ttr())
+			}
+			origin.Set("/page", []byte("v2"), "")
+			h.advance(50 * time.Millisecond)
+			if b, _ := px.CachedBody("/page"); string(b) != "v2" {
+				t.Fatalf("paper-mode polling never observed the update within one TTR: %q", b)
+			}
+			if snap := scheduleOf(t, px, "/page", 2); snap.leased() {
+				t.Errorf("leased with no channel: paper-mode %v, scheduled %v after validation",
+					snap.ttr(), snap.next.Sub(snap.validatedAt))
+			}
+		})
 	}
 }
 

@@ -169,7 +169,6 @@ func (p *Proxy) relayInstalled(e *entry, v version, prevBody []byte, prevDigest 
 	ev := push.Event{
 		Kind:    push.KindUpdate,
 		Key:     e.key,
-		Group:   e.group,
 		ModTime: v.lastMod,
 	}
 	var carry bool // whether this publication carries the payload

@@ -101,13 +101,16 @@ func TestValuePushDigestMismatchFallsBackToPoll(t *testing.T) {
 // and the proxy confirms by polling — the update is never lost and
 // never stale beyond the pushed-poll path.
 func TestValuePushStrippedPayloadFallsBackToPoll(t *testing.T) {
-	h := newHarness(t, valuePushTopology(Config{PushPayloadCap: 64}))
+	tp := valuePushTopology(Config{})
+	tp.origin = []webserver.Option{webserver.WithHistoryExtension(true), webserver.WithPushValues(push.MaxPayloadCap)}
+	h := newHarness(t, tp)
 	px := h.leaf()
 	h.origin.Set("/fat", []byte("small v1"), "")
 	h.quiesce()
 	px.get("/fat")
 
-	big := strings.Repeat("B", 512) // over the proxy's 64-byte cap, under the origin's
+	// Over the proxy's push.DefaultPayloadCap, under the origin's cap.
+	big := strings.Repeat("B", push.DefaultPayloadCap+1024)
 	h.origin.Set("/fat", []byte(big), "")
 	h.quiesce()
 	if b, _ := px.CachedBody("/fat"); string(b) != big {

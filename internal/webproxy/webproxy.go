@@ -186,12 +186,10 @@ type Config struct {
 	// back to today's pushed poll, so the Δ guarantee never depends on
 	// the payload path. When the proxy relays (RelayEvents), its relay
 	// hub also carries payloads downstream, so one origin message feeds
-	// the whole subtree with zero confirmation polls.
+	// the whole subtree with zero confirmation polls. The subscriber
+	// requests, and the relay hub carries, payloads up to
+	// push.DefaultPayloadCap bytes.
 	PushValues bool
-	// PushPayloadCap bounds the payload size (bytes) the subscriber
-	// requests and the relay hub carries. Zero defaults to
-	// push.DefaultPayloadCap when PushValues is set.
-	PushPayloadCap int
 	// PushBackoffMin and PushBackoffMax bound the subscriber's
 	// reconnect backoff (defaults 100ms and 10s).
 	PushBackoffMin, PushBackoffMax time.Duration
@@ -226,21 +224,16 @@ type Config struct {
 	// origin. An upstream disconnect or Reset propagates to children as
 	// a mid-stream hello/Reset, driving their fallback sweeps (see
 	// relay.go). Works with or without PushURL: a pure-polling parent
-	// still relays the updates its own polls confirm.
+	// still relays the updates its own polls confirm. Relayed streams
+	// heartbeat every push.DefaultHeartbeat, and a child stream whose
+	// proven position falls push.DefaultSubscriberBuffer events behind
+	// the head is terminated (it reconnects and resumes, or Resets if
+	// the ring has moved on).
 	RelayEvents bool
 	// RelayPath is the path the relayed event stream is served at
 	// (default "/events"). Requests for it are handled by the relay hub
 	// and never reach the cache or the origin.
 	RelayPath string
-	// RelayHeartbeat is the keepalive interval of relayed streams
-	// (default 15s).
-	RelayHeartbeat time.Duration
-	// RelaySubscriberBuffer is the relay hub's slow-consumer allowance:
-	// a child stream whose proven position falls this many events
-	// behind the head is terminated (it reconnects and resumes, or
-	// Resets if the ring has moved on). Zero selects
-	// push.DefaultSubscriberBuffer.
-	RelaySubscriberBuffer int
 	// PollObserver, when non-nil, is invoked after every successful
 	// origin poll of a cached object (including the admission fetch).
 	// It runs on the polling goroutine and must be fast and
@@ -254,21 +247,16 @@ type Config struct {
 	// instead of vanishing (promoted back on the next request through a
 	// validating fetch, or with none while a live lease has carried the
 	// record since its last validation), and a restart rehydrates the
-	// cache warm with learned TTR state intact. Empty disables
-	// persistence (the default).
+	// cache warm with learned TTR state intact: a record validated
+	// within the last five minutes is served before its re-validation
+	// poll completes (marked X-Cache: GRACE, so the widened bound is
+	// explicit, never silent), and older records stay on disk until a
+	// validating promote. Empty disables persistence (the default).
 	DiskDir string
 	// DiskMaxBytes bounds the disk tier's blob bytes; the oldest-
 	// validated records are dropped beyond it. Zero or negative means
 	// unbounded.
 	DiskMaxBytes int64
-	// DiskGrace bounds how stale a rehydrated entry may be at startup
-	// and still be served before its re-validation poll completes
-	// (served marked X-Cache: GRACE, so the widened bound is explicit,
-	// never silent). Records older than the grace window stay on disk
-	// and are only served after a validating promote. Zero defaults to
-	// 5 minutes; negative disables grace entirely — nothing is served
-	// until validated, every record promotes on demand.
-	DiskGrace time.Duration
 }
 
 // PollObservation describes one successful origin poll, as reported to
@@ -594,17 +582,8 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.PushURL != nil && cfg.PushStretch == 0 {
 		cfg.PushStretch = 4
 	}
-	if cfg.PushValues && cfg.PushPayloadCap <= 0 {
-		cfg.PushPayloadCap = push.DefaultPayloadCap
-	}
-	if cfg.PushPayloadCap > push.MaxPayloadCap {
-		cfg.PushPayloadCap = push.MaxPayloadCap
-	}
 	if cfg.RelayPath == "" {
 		cfg.RelayPath = "/events"
-	}
-	if cfg.DiskGrace == 0 {
-		cfg.DiskGrace = 5 * time.Minute
 	}
 	p := &Proxy{
 		cfg:     cfg,
@@ -621,10 +600,7 @@ func New(cfg Config) (*Proxy, error) {
 	p.lease.term, p.lease.clock = p.resolveLeaseTerm(), cfg.Clock
 	p.auditSlots = make(chan struct{}, cfg.PollWorkers)
 	if cfg.RelayEvents {
-		hubCfg := push.HubConfig{
-			Heartbeat:        cfg.RelayHeartbeat,
-			SubscriberBuffer: cfg.RelaySubscriberBuffer,
-		}
+		var hubCfg push.HubConfig
 		if cfg.PushValues {
 			// The relay carries payloads downstream at the same cap the
 			// proxy negotiates upstream, so one origin message feeds the
@@ -632,8 +608,8 @@ func New(cfg Config) (*Proxy, error) {
 			// invalidation-only frames (per-stream negotiation), and
 			// bodies over a leaf's cap are chunked at it rather than
 			// degraded straight to an invalidation.
-			hubCfg.PayloadCap = cfg.PushPayloadCap
-			hubCfg.ChunkPayload = cfg.PushPayloadCap
+			hubCfg.PayloadCap = push.DefaultPayloadCap
+			hubCfg.ChunkPayload = push.DefaultPayloadCap
 		}
 		if cfg.PushInterest && cfg.PushURL != nil {
 			// Every downstream declaration folds into this proxy's own
@@ -828,7 +804,7 @@ func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cac
 	if cacheStatus == "HIT" && e.suspect.Load() {
 		// A rehydrated copy awaiting its re-validation poll: served, but
 		// labeled — the client sees that the staleness bound is the
-		// configured grace window, not Δ (see Config.DiskGrace).
+		// grace window, not Δ (see diskGrace).
 		cacheStatus = "GRACE"
 		p.diskGraceServes.Add(1)
 	}
@@ -1074,7 +1050,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 		// An object the channel can never announce must never be
 		// leased — the object keeps pure-polling freshness
 		// instead (see pushable).
-		e.unpushable = !p.pushable(key, a.group)
+		e.unpushable = !p.pushable(key)
 	}
 	if !a.suspect {
 		e.polls.Store(1) // the admission's validation: a fetch, or the channel's 304

@@ -30,16 +30,12 @@ import (
 // origin side here is only construction; the hub's counters reach
 // callers through Origin.Stats (its Hub field) and Origin.PushHubStats.
 
-// replayBufferLen bounds the events kept for reconnect catch-up.
-const replayBufferLen = push.DefaultReplayLen
-
 // defaultHeartbeat is the interval between keepalive frames.
 const defaultHeartbeat = push.DefaultHeartbeat
 
 func newEventHub(heartbeat time.Duration, payloadCap int) *push.Hub {
 	return push.NewHub(push.HubConfig{
 		Heartbeat:  heartbeat,
-		ReplayLen:  replayBufferLen,
 		PayloadCap: payloadCap,
 		// Bodies over a stream's cap are chunked at the cap rather than
 		// degraded to invalidations — the large, slowly-mutating objects

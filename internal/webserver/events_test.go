@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"broadway/internal/httpx"
 	"broadway/internal/push"
 )
 
@@ -84,7 +83,6 @@ func TestEventsEndpointStreamsUpdates(t *testing.T) {
 	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 1 }) {
 		t.Fatal("subscriber never registered")
 	}
-	o.SetTolerances("/a", httpx.Tolerances{Group: "g"})
 	o.Set("/a", []byte("v2"), "")
 	o.Set("/b", []byte("b1"), "")
 
@@ -97,11 +95,11 @@ func TestEventsEndpointStreamsUpdates(t *testing.T) {
 	}
 	evs, hellos, resumed := sink.snapshot()
 	// The pre-subscription Set("/a") assigned seq 1; the live events are
-	// 2 and 3, in publish order, with the group carried through.
-	if evs[0].Key != "/a" || evs[0].Seq != 2 || evs[0].Group != "g" {
+	// 2 and 3, in publish order.
+	if evs[0].Key != "/a" || evs[0].Seq != 2 {
 		t.Errorf("first event = %+v", evs[0])
 	}
-	if evs[1].Key != "/b" || evs[1].Seq != 3 || evs[1].Group != "" {
+	if evs[1].Key != "/b" || evs[1].Seq != 3 {
 		t.Errorf("second event = %+v", evs[1])
 	}
 	if evs[0].ModTime.IsZero() {
@@ -161,7 +159,7 @@ func TestEventsEndpointResetWhenGapOutrunsBuffer(t *testing.T) {
 
 	// Seed far beyond the replay buffer before the subscriber asks to
 	// resume from seq 1.
-	for i := 0; i < replayBufferLen+8; i++ {
+	for i := 0; i < push.DefaultReplayLen+8; i++ {
 		o.Set("/a", []byte{byte(i)}, "")
 	}
 	resp, err := http.Get(ts.URL + "/events?since=1")

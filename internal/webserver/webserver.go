@@ -151,7 +151,6 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 	if len(obj.modTimes) > httpx.MaxHistoryEntries {
 		obj.modTimes = obj.modTimes[len(obj.modTimes)-httpx.MaxHistoryEntries:]
 	}
-	group := obj.tolerances.Group
 	published := obj.body
 	o.mu.Unlock()
 
@@ -159,7 +158,6 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 		ev := push.Event{
 			Kind:    push.KindUpdate,
 			Key:     path,
-			Group:   group,
 			ModTime: now,
 		}
 		if o.payloadCap > 0 {
