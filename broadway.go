@@ -227,9 +227,10 @@ type (
 	TemporalScenario = experiments.TemporalScenario
 	// TemporalRunResult couples the report with the refresh log.
 	TemporalRunResult = experiments.TemporalRunResult
-	// MutualTemporalScenario is a two-object M_t simulation.
+	// MutualTemporalScenario is an M_t simulation of a group of two or
+	// more related objects.
 	MutualTemporalScenario = experiments.MutualTemporalScenario
-	// MutualTemporalRunResult couples the pair report with the logs.
+	// MutualTemporalRunResult couples the group report with the logs.
 	MutualTemporalRunResult = experiments.MutualTemporalRunResult
 	// MutualValueScenario is a two-object M_v simulation.
 	MutualValueScenario = experiments.MutualValueScenario
@@ -258,8 +259,8 @@ func RunTemporal(sc TemporalScenario) (TemporalRunResult, error) {
 	return experiments.RunTemporal(sc)
 }
 
-// RunMutualTemporal simulates a related pair under LIMD plus a mutual
-// trigger mode and evaluates it.
+// RunMutualTemporal simulates a group of related objects under LIMD plus
+// a mutual trigger mode and evaluates it.
 func RunMutualTemporal(sc MutualTemporalScenario) (MutualTemporalRunResult, error) {
 	return experiments.RunMutualTemporal(sc)
 }

@@ -94,8 +94,7 @@ func TestFacadeTemporalScenario(t *testing.T) {
 
 func TestFacadeMutualTemporalScenario(t *testing.T) {
 	res, err := broadway.RunMutualTemporal(broadway.MutualTemporalScenario{
-		TraceA:          broadway.TraceCNNFN(),
-		TraceB:          broadway.TraceNYTAP(),
+		Traces:          []*broadway.Trace{broadway.TraceCNNFN(), broadway.TraceNYTAP()},
 		DeltaIndividual: 10 * time.Minute,
 		DeltaMutual:     5 * time.Minute,
 		Mode:            broadway.TriggerAll,

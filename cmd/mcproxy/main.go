@@ -154,16 +154,9 @@ func run(args []string) error {
 		runtime.SetMutexProfileFraction(*mutexProfileFraction)
 	}
 
-	var triggerMode core.TriggerMode
-	switch *mode {
-	case "baseline":
-		triggerMode = core.TriggerNone
-	case "triggered":
-		triggerMode = core.TriggerAll
-	case "heuristic":
-		triggerMode = core.TriggerFaster
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	triggerMode, err := core.ParseTriggerMode(*mode)
+	if err != nil {
+		return err
 	}
 
 	var stopDemo func()

@@ -82,12 +82,12 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		m, err := parseMode(*mode)
+		m, err := core.ParseTriggerMode(*mode)
 		if err != nil {
 			return err
 		}
 		res, err := experiments.RunMutualTemporal(experiments.MutualTemporalScenario{
-			TraceA: trA, TraceB: trB,
+			Traces:          []*trace.Trace{trA, trB},
 			DeltaIndividual: *delta, DeltaMutual: *mdelta,
 			Mode: m, WithHistory: *withHistory,
 		})
@@ -148,19 +148,6 @@ func policyFactory(name string, delta time.Duration) (func() core.Policy, error)
 		return func() core.Policy { return core.NewPeriodic(delta) }, nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
-	}
-}
-
-func parseMode(s string) (core.TriggerMode, error) {
-	switch s {
-	case "baseline":
-		return core.TriggerNone, nil
-	case "triggered":
-		return core.TriggerAll, nil
-	case "heuristic":
-		return core.TriggerFaster, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", s)
 	}
 }
 

@@ -31,8 +31,7 @@ func ExampleRunTemporal() {
 // construction.
 func ExampleRunMutualTemporal() {
 	res, err := broadway.RunMutualTemporal(broadway.MutualTemporalScenario{
-		TraceA:          broadway.TraceCNNFN(),
-		TraceB:          broadway.TraceNYTAP(),
+		Traces:          []*broadway.Trace{broadway.TraceCNNFN(), broadway.TraceNYTAP()},
 		DeltaIndividual: 10 * time.Minute,
 		DeltaMutual:     5 * time.Minute,
 		Mode:            broadway.TriggerAll,

@@ -58,8 +58,7 @@ func main() {
 		broadway.TriggerNone, broadway.TriggerAll, broadway.TriggerFaster,
 	} {
 		res, err := broadway.RunMutualTemporal(broadway.MutualTemporalScenario{
-			TraceA:          trA,
-			TraceB:          trB,
+			Traces:          []*broadway.Trace{trA, trB},
 			DeltaIndividual: delta,
 			DeltaMutual:     mdelta,
 			Mode:            mode,

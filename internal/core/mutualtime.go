@@ -45,6 +45,17 @@ func (m TriggerMode) String() string {
 	}
 }
 
+// ParseTriggerMode is the inverse of String: it returns the mode named
+// "baseline", "triggered" or "heuristic".
+func ParseTriggerMode(s string) (TriggerMode, error) {
+	for m := TriggerNone; m <= TriggerFaster; m++ {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q", s)
+}
+
 // MutualTimeConfig parameterizes a MutualTimeController.
 type MutualTimeConfig struct {
 	// Delta is the mutual tolerance δ: cached versions of related

@@ -36,6 +36,30 @@ func TestTriggerModeString(t *testing.T) {
 	}
 }
 
+func TestParseTriggerMode(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		want TriggerMode
+		ok   bool
+	}{
+		{"baseline", TriggerNone, true},
+		{"triggered", TriggerAll, true},
+		{"heuristic", TriggerFaster, true},
+		{"", 0, false},
+		{"bogus", 0, false},
+		{"Triggered", 0, false},
+		{"TriggerMode(42)", 0, false},
+	} {
+		got, err := ParseTriggerMode(tt.name)
+		if (err == nil) != tt.ok || got != tt.want {
+			t.Errorf("ParseTriggerMode(%q) = %v, %v; want %v, ok=%v", tt.name, got, err, tt.want, tt.ok)
+		}
+		if tt.ok && got.String() != tt.name {
+			t.Errorf("%v.String() = %q, want %q", got, got.String(), tt.name)
+		}
+	}
+}
+
 func TestBaselineNeverTriggers(t *testing.T) {
 	c := newController(TriggerNone)
 	got := c.ShouldTrigger("a", "b",

@@ -263,7 +263,7 @@ func AblationHeuristicTolerance() (*Result, error) {
 	var xs, polls, fids []float64
 	for _, tol := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
 		run, err := RunMutualTemporal(MutualTemporalScenario{
-			TraceA: trA, TraceB: trB,
+			Traces:          []*trace.Trace{trA, trB},
 			DeltaIndividual: delta, DeltaMutual: mdelta,
 			Mode: core.TriggerFaster, RateTolerance: tol,
 		})
@@ -444,7 +444,7 @@ func AblationGroupSize() (*Result, error) {
 	}
 	for n := 2; n <= len(all); n++ {
 		for _, mode := range []core.TriggerMode{core.TriggerNone, core.TriggerAll, core.TriggerFaster} {
-			run, err := RunMutualTemporalGroup(GroupTemporalScenario{
+			run, err := RunMutualTemporal(MutualTemporalScenario{
 				Traces:          all[:n],
 				DeltaIndividual: delta,
 				DeltaMutual:     mdelta,

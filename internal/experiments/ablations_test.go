@@ -4,9 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
-	"broadway/internal/core"
 	"broadway/internal/trace"
 	"broadway/internal/tracegen"
 )
@@ -143,43 +141,14 @@ func TestAblationGroupSize(t *testing.T) {
 	}
 }
 
-func TestRunMutualTemporalGroupValidation(t *testing.T) {
-	if _, err := RunMutualTemporalGroup(GroupTemporalScenario{}); err == nil {
+func TestRunMutualTemporalValidation(t *testing.T) {
+	if _, err := RunMutualTemporal(MutualTemporalScenario{}); err == nil {
 		t.Error("group of zero traces must fail")
 	}
-	if _, err := RunMutualTemporalGroup(GroupTemporalScenario{
+	if _, err := RunMutualTemporal(MutualTemporalScenario{
 		Traces: []*trace.Trace{tracegen.CNNFN()},
 	}); err == nil {
 		t.Error("group of one trace must fail")
-	}
-}
-
-func TestGroupRunnerMatchesPairRunner(t *testing.T) {
-	trA, trB := tracegen.CNNFN(), tracegen.NYTAP()
-	pair, err := RunMutualTemporal(MutualTemporalScenario{
-		TraceA: trA, TraceB: trB,
-		DeltaIndividual: 10 * time.Minute,
-		DeltaMutual:     5 * time.Minute,
-		Mode:            core.TriggerAll,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	group, err := RunMutualTemporalGroup(GroupTemporalScenario{
-		Traces:          []*trace.Trace{trA, trB},
-		DeltaIndividual: 10 * time.Minute,
-		DeltaMutual:     5 * time.Minute,
-		Mode:            core.TriggerAll,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if group.Report.Polls != pair.Report.Polls {
-		t.Errorf("polls: group %d pair %d", group.Report.Polls, pair.Report.Polls)
-	}
-	if group.Report.FidelityBySync != pair.Report.FidelityBySync {
-		t.Errorf("fidelity: group %v pair %v",
-			group.Report.FidelityBySync, pair.Report.FidelityBySync)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"broadway/internal/metrics"
 	"broadway/internal/plot"
 	"broadway/internal/stats"
+	"broadway/internal/trace"
 	"broadway/internal/tracegen"
 )
 
@@ -190,7 +191,7 @@ func Figure5() (*Result, error) {
 		xs = append(xs, deltaM.Minutes())
 		for _, mode := range modes {
 			run, err := RunMutualTemporal(MutualTemporalScenario{
-				TraceA: trA, TraceB: trB,
+				Traces:          []*trace.Trace{trA, trB},
 				DeltaIndividual: Fig5DeltaIndividual,
 				DeltaMutual:     deltaM,
 				Mode:            mode,
@@ -256,7 +257,7 @@ func Figure6() (*Result, error) {
 	trA, trB := tracegen.NYTAP(), tracegen.NYTReuters()
 
 	run, err := RunMutualTemporal(MutualTemporalScenario{
-		TraceA: trA, TraceB: trB,
+		Traces:          []*trace.Trace{trA, trB},
 		DeltaIndividual: Fig6Delta,
 		DeltaMutual:     Fig6DeltaMutual,
 		Mode:            core.TriggerFaster,
@@ -285,7 +286,7 @@ func Figure6() (*Result, error) {
 
 	// (b) Extra (triggered) polls per window.
 	counter := stats.NewWindowCounter(window)
-	triggered := append(triggeredInstants(run.LogA), triggeredInstants(run.LogB)...)
+	triggered := append(triggeredInstants(run.Logs[0]), triggeredInstants(run.Logs[1])...)
 	for _, at := range triggered {
 		counter.Observe(at)
 	}

@@ -41,7 +41,7 @@ func TestPropertyTriggeredFidelityAlwaysOne(t *testing.T) {
 		trA, trB := randomNewsPair(t, seed)
 		for _, mdelta := range []time.Duration{time.Minute, 5 * time.Minute, 20 * time.Minute} {
 			run, err := RunMutualTemporal(MutualTemporalScenario{
-				TraceA: trA, TraceB: trB,
+				Traces:          []*trace.Trace{trA, trB},
 				DeltaIndividual: 10 * time.Minute,
 				DeltaMutual:     mdelta,
 				Mode:            core.TriggerAll,
@@ -66,7 +66,7 @@ func TestPropertyHeuristicBetweenBaselineAndTriggered(t *testing.T) {
 		fid := map[core.TriggerMode]float64{}
 		for _, mode := range []core.TriggerMode{core.TriggerNone, core.TriggerFaster} {
 			run, err := RunMutualTemporal(MutualTemporalScenario{
-				TraceA: trA, TraceB: trB,
+				Traces:          []*trace.Trace{trA, trB},
 				DeltaIndividual: 10 * time.Minute,
 				DeltaMutual:     5 * time.Minute,
 				Mode:            mode,

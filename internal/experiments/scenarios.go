@@ -3,6 +3,10 @@
 // simulations on the synthetic stand-in workloads and returns the series
 // or rows the paper reports; cmd/repro renders them to CSV and ASCII
 // charts, and bench_test.go wraps each in a testing.B benchmark.
+//
+// The scenario runners below are the simulations those functions share.
+// RunMutualTemporal runs a group of any size: the paper's figures pass a
+// pair, the group-size ablation passes up to four objects.
 package experiments
 
 import (
@@ -65,10 +69,12 @@ func RunTemporal(sc TemporalScenario) (TemporalRunResult, error) {
 }
 
 // MutualTemporalScenario describes one mutual-consistency simulation in
-// the temporal domain: two related objects, each under its own LIMD
-// policy, coordinated by a trigger controller.
+// the temporal domain: a group of related objects (a pair in the paper's
+// figures; the definitions extend to n objects, §2), each under its own
+// LIMD policy, coordinated by one trigger controller.
 type MutualTemporalScenario struct {
-	TraceA, TraceB *trace.Trace
+	// Traces drive the members, one object each; at least two.
+	Traces []*trace.Trace
 	// DeltaIndividual is the Δt tolerance of each object's own LIMD.
 	DeltaIndividual time.Duration
 	// DeltaMutual is the mutual tolerance δ.
@@ -78,85 +84,21 @@ type MutualTemporalScenario struct {
 	// RateTolerance overrides the heuristic's "approximately the same
 	// rate" factor (0 keeps the default of 0.8).
 	RateTolerance float64
-	// WithHistory enables the history extension for both objects.
+	// WithHistory enables the history extension for every member.
 	WithHistory bool
 }
 
-// MutualTemporalRunResult carries the pair evaluation plus per-object
-// logs.
+// MutualTemporalRunResult carries the group evaluation plus per-object
+// logs, in the order of the scenario's Traces.
 type MutualTemporalRunResult struct {
-	Report     metrics.MutualTemporalReport
-	LogA, LogB []metrics.Refresh
-}
-
-// RunMutualTemporal executes the scenario until the shorter trace ends.
-func RunMutualTemporal(sc MutualTemporalScenario) (MutualTemporalRunResult, error) {
-	engine := sim.New(0)
-	org := origin.New()
-	const idA, idB core.ObjectID = "a", "b"
-	if err := org.Host(idA, sc.TraceA, sc.WithHistory); err != nil {
-		return MutualTemporalRunResult{}, err
-	}
-	if err := org.Host(idB, sc.TraceB, sc.WithHistory); err != nil {
-		return MutualTemporalRunResult{}, err
-	}
-	px := proxy.New(engine, org)
-	mkPolicy := func() core.Policy {
-		return core.NewLIMD(core.LIMDConfig{Delta: sc.DeltaIndividual})
-	}
-	if err := px.RegisterObject(idA, mkPolicy()); err != nil {
-		return MutualTemporalRunResult{}, err
-	}
-	if err := px.RegisterObject(idB, mkPolicy()); err != nil {
-		return MutualTemporalRunResult{}, err
-	}
-	ctrl := core.NewMutualTimeController(core.MutualTimeConfig{
-		Delta:         sc.DeltaMutual,
-		Mode:          sc.Mode,
-		RateTolerance: sc.RateTolerance,
-	})
-	if err := px.RegisterGroup([]core.ObjectID{idA, idB}, ctrl); err != nil {
-		return MutualTemporalRunResult{}, err
-	}
-	horizon := sc.TraceA.Duration
-	if sc.TraceB.Duration < horizon {
-		horizon = sc.TraceB.Duration
-	}
-	if err := engine.Run(simtime.At(horizon)); err != nil {
-		return MutualTemporalRunResult{}, err
-	}
-	logA, logB := px.Log(idA), px.Log(idB)
-	return MutualTemporalRunResult{
-		Report: metrics.EvaluateMutualTemporal(sc.TraceA, sc.TraceB, logA, logB,
-			sc.DeltaMutual, horizon),
-		LogA: logA,
-		LogB: logB,
-	}, nil
-}
-
-// GroupTemporalScenario generalizes MutualTemporalScenario to n related
-// objects (the paper notes its definitions extend from pairs to n
-// objects; §2).
-type GroupTemporalScenario struct {
-	Traces          []*trace.Trace
-	DeltaIndividual time.Duration
-	DeltaMutual     time.Duration
-	Mode            core.TriggerMode
-	WithHistory     bool
-}
-
-// GroupTemporalRunResult carries the group evaluation plus per-object
-// logs.
-type GroupTemporalRunResult struct {
-	Report metrics.GroupTemporalReport
+	Report metrics.MutualTemporalReport
 	Logs   [][]metrics.Refresh
 }
 
-// RunMutualTemporalGroup executes the n-object scenario until the
-// shortest trace ends.
-func RunMutualTemporalGroup(sc GroupTemporalScenario) (GroupTemporalRunResult, error) {
+// RunMutualTemporal executes the scenario until the shortest trace ends.
+func RunMutualTemporal(sc MutualTemporalScenario) (MutualTemporalRunResult, error) {
 	if len(sc.Traces) < 2 {
-		return GroupTemporalRunResult{}, fmt.Errorf("experiments: group needs at least 2 traces")
+		return MutualTemporalRunResult{}, fmt.Errorf("experiments: group needs at least 2 traces")
 	}
 	engine := sim.New(0)
 	org := origin.New()
@@ -166,31 +108,32 @@ func RunMutualTemporalGroup(sc GroupTemporalScenario) (GroupTemporalRunResult, e
 	for i, tr := range sc.Traces {
 		ids[i] = core.ObjectID(fmt.Sprintf("obj-%d", i))
 		if err := org.Host(ids[i], tr, sc.WithHistory); err != nil {
-			return GroupTemporalRunResult{}, err
+			return MutualTemporalRunResult{}, err
 		}
 		if err := px.RegisterObject(ids[i], core.NewLIMD(core.LIMDConfig{Delta: sc.DeltaIndividual})); err != nil {
-			return GroupTemporalRunResult{}, err
+			return MutualTemporalRunResult{}, err
 		}
 		if tr.Duration < horizon {
 			horizon = tr.Duration
 		}
 	}
 	ctrl := core.NewMutualTimeController(core.MutualTimeConfig{
-		Delta: sc.DeltaMutual,
-		Mode:  sc.Mode,
+		Delta:         sc.DeltaMutual,
+		Mode:          sc.Mode,
+		RateTolerance: sc.RateTolerance,
 	})
 	if err := px.RegisterGroup(ids, ctrl); err != nil {
-		return GroupTemporalRunResult{}, err
+		return MutualTemporalRunResult{}, err
 	}
 	if err := engine.Run(simtime.At(horizon)); err != nil {
-		return GroupTemporalRunResult{}, err
+		return MutualTemporalRunResult{}, err
 	}
 	logs := make([][]metrics.Refresh, len(ids))
 	for i, id := range ids {
 		logs[i] = px.Log(id)
 	}
-	return GroupTemporalRunResult{
-		Report: metrics.EvaluateMutualTemporalGroup(sc.Traces, logs, sc.DeltaMutual, horizon),
+	return MutualTemporalRunResult{
+		Report: metrics.EvaluateMutualTemporal(sc.Traces, logs, sc.DeltaMutual, horizon),
 		Logs:   logs,
 	}, nil
 }

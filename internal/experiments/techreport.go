@@ -90,7 +90,7 @@ func TRFigure5AllPairs() (*Result, error) {
 			var baselinePolls int
 			for _, mode := range []core.TriggerMode{core.TriggerNone, core.TriggerFaster, core.TriggerAll} {
 				run, err := RunMutualTemporal(MutualTemporalScenario{
-					TraceA: trA, TraceB: trB,
+					Traces:          []*trace.Trace{trA, trB},
 					DeltaIndividual: delta, DeltaMutual: mdelta,
 					Mode: mode,
 				})

@@ -18,33 +18,6 @@ func groupTraces() []*trace.Trace {
 	}
 }
 
-// TestGroupMatchesPairForTwoMembers: for n=2 the group evaluator must
-// agree exactly with the pairwise evaluator.
-func TestGroupMatchesPairForTwoMembers(t *testing.T) {
-	trs := groupTraces()[:2]
-	logA := []Refresh{{At: at(0)}, {At: at(15 * time.Minute), Modified: true}, {At: at(50 * time.Minute), Modified: true}}
-	logB := []Refresh{{At: at(0)}, {At: at(13 * time.Minute), Modified: true, Triggered: true}}
-
-	pair := EvaluateMutualTemporal(trs[0], trs[1], logA, logB, 5*time.Minute, time.Hour)
-	group := EvaluateMutualTemporalGroup(trs, [][]Refresh{logA, logB}, 5*time.Minute, time.Hour)
-
-	if group.Polls != pair.Polls {
-		t.Errorf("Polls: group %d pair %d", group.Polls, pair.Polls)
-	}
-	if group.TriggeredPolls != pair.TriggeredPolls {
-		t.Errorf("Triggered: group %d pair %d", group.TriggeredPolls, pair.TriggeredPolls)
-	}
-	if group.Violations != pair.Violations {
-		t.Errorf("Violations: group %d pair %d", group.Violations, pair.Violations)
-	}
-	if group.SyncViolations != pair.SyncViolations {
-		t.Errorf("SyncViolations: group %d pair %d", group.SyncViolations, pair.SyncViolations)
-	}
-	if group.OutOfSync != pair.OutOfSync {
-		t.Errorf("OutOfSync: group %v pair %v", group.OutOfSync, pair.OutOfSync)
-	}
-}
-
 // TestGroupThreeMembers: a hand-checked 3-object scenario. The third
 // member is never refreshed after its initial fetch; once the others move
 // on, the group goes out of sync.
@@ -55,7 +28,7 @@ func TestGroupThreeMembers(t *testing.T) {
 		{{At: at(0)}, {At: at(15 * time.Minute), Modified: true}},
 		{{At: at(0)}}, // c: initial fetch only; its cached copy dies at 11m
 	}
-	rep := EvaluateMutualTemporalGroup(trs, logs, 5*time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal(trs, logs, 5*time.Minute, time.Hour)
 
 	if rep.Members != 3 || rep.Polls != 6 {
 		t.Errorf("members/polls = %d/%d", rep.Members, rep.Polls)
@@ -90,7 +63,7 @@ func TestGroupCreditsSyncInstants(t *testing.T) {
 		{{At: at(0)}, {At: at(15 * time.Minute), Modified: true}, {At: at(45 * time.Minute), Sync: true}},
 		{{At: at(0)}, {At: at(15 * time.Minute), Sync: true}, {At: at(45 * time.Minute), Sync: true}},
 	}
-	rep := EvaluateMutualTemporalGroup(trs, logs, 5*time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal(trs, logs, 5*time.Minute, time.Hour)
 	if rep.Polls != 6 || rep.TriggeredPolls != 0 {
 		t.Errorf("Polls/TriggeredPolls = %d/%d, want 6/0: sync instants are not polls", rep.Polls, rep.TriggeredPolls)
 	}
@@ -112,7 +85,7 @@ func TestGroupSynchronizedPerfect(t *testing.T) {
 		}
 		logs = append(logs, log)
 	}
-	rep := EvaluateMutualTemporalGroup(trs, logs, 5*time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal(trs, logs, 5*time.Minute, time.Hour)
 	if rep.SyncViolations != 0 || rep.Violations != 0 || rep.OutOfSync != 0 {
 		t.Errorf("synchronized group must be perfect: %+v", rep)
 	}
@@ -124,17 +97,17 @@ func TestGroupSynchronizedPerfect(t *testing.T) {
 func TestGroupDegenerateInputs(t *testing.T) {
 	trs := groupTraces()
 	// Mismatched lengths.
-	rep := EvaluateMutualTemporalGroup(trs, [][]Refresh{{}}, time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal(trs, [][]Refresh{{}}, time.Minute, time.Hour)
 	if rep.FidelityBySync != 1 {
 		t.Error("degenerate input must return neutral report")
 	}
 	// One empty log.
-	rep = EvaluateMutualTemporalGroup(trs[:2], [][]Refresh{{{At: at(0)}}, {}}, time.Minute, time.Hour)
+	rep = EvaluateMutualTemporal(trs[:2], [][]Refresh{{{At: at(0)}}, {}}, time.Minute, time.Hour)
 	if rep.FidelityByTime != 0 {
 		t.Error("empty member log: group never evaluable, fully out of sync")
 	}
 	// Single member.
-	rep = EvaluateMutualTemporalGroup(trs[:1], [][]Refresh{{{At: at(0)}}}, time.Minute, time.Hour)
+	rep = EvaluateMutualTemporal(trs[:1], [][]Refresh{{{At: at(0)}}}, time.Minute, time.Hour)
 	if rep.FidelityByViolations != 1 {
 		t.Error("single member is trivially consistent")
 	}

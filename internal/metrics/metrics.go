@@ -9,10 +9,14 @@
 // Because the cached copy changes only at refresh instants and the server
 // copy only at trace updates, every metric here is an exact sweep over
 // those events — no sampling error.
+//
+// The M_t evaluator scores a group of any size n ≥ 2 (a pair is n = 2);
+// the M_v evaluator scores a pair through its difference function.
 package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -206,17 +210,22 @@ func valueOutOfSync(tr *trace.Trace, log []Refresh, delta float64, horizon time.
 	return tl.TrueTotal(horizon)
 }
 
-// MutualTemporalReport summarizes M_t-consistency metrics for a pair.
+// MutualTemporalReport summarizes M_t-consistency metrics for a group of
+// n ≥ 2 related objects. The paper defines mutual consistency for a pair
+// (Eq. 4) and notes the definitions extend to n objects (§2); the
+// extension used here requires every pair in the group to satisfy Eq. 4,
+// that is, the largest pairwise validity-interval distance must stay
+// within δ. For n = 2 it is Eq. 4 itself.
 //
 // Two violation semantics are reported side by side:
 //
 //   - Sync (poll-phase) semantics — the counting the paper's §3.2
 //     mechanism is built around: when a poll detects an update to one
-//     object, the pair is considered violated unless the sibling has a
-//     poll — or a sync instant (see Refresh.Sync) — within δ of that
-//     instant ("an additional poll is triggered for an object only if its
-//     next/previous poll instant is more than δ time units away"). Under
-//     this metric the triggered-polls approach has fidelity 1 by
+//     object, the group is considered violated unless every other member
+//     has a poll — or a sync instant (see Refresh.Sync) — within δ of
+//     that instant ("an additional poll is triggered for an object only
+//     if its next/previous poll instant is more than δ time units away").
+//     Under this metric the triggered-polls approach has fidelity 1 by
 //     construction, exactly as the paper states.
 //   - Interval semantics — the literal reading of Eq. 4: the cached
 //     versions' server-validity intervals must come within δ of each
@@ -224,21 +233,24 @@ func valueOutOfSync(tr *trace.Trace, log []Refresh, delta float64, horizon time.
 //     copy that is still current never violates it) and is reported as a
 //     stricter ground-truth cross-check.
 type MutualTemporalReport struct {
-	// Polls counts polls of both objects combined; sync instants are not
+	// Members is the group size.
+	Members int
+	// Polls counts polls across all members; sync instants are not
 	// polls.
 	Polls int
 	// TriggeredPolls counts the subset requested by the mutual
 	// controller.
 	TriggeredPolls int
-	// SyncViolations counts update-detecting polls with no sibling poll
-	// or sync instant within δ (poll-phase semantics).
-	SyncViolations int
-	// Violations counts refresh instants after which the pair's cached
-	// versions' validity intervals were more than δ apart (interval
+	// SyncViolations counts update-detecting polls for which some other
+	// member had no poll or sync instant within δ (poll-phase
 	// semantics).
+	SyncViolations int
+	// Violations counts refresh instants after which some pair of
+	// cached versions' validity intervals was more than δ apart
+	// (interval semantics).
 	Violations int
-	// OutOfSync is the total time the pair spent mutually inconsistent
-	// under the interval semantics.
+	// OutOfSync is the total time the group spent mutually
+	// inconsistent under the interval semantics.
 	OutOfSync time.Duration
 	// Horizon is the evaluation window length.
 	Horizon time.Duration
@@ -251,17 +263,31 @@ type MutualTemporalReport struct {
 	FidelityByTime float64
 }
 
-// EvaluateMutualTemporal computes M_t metrics for a pair of objects per
-// Eq. 4: the cached versions are mutually consistent iff the distance
-// between their server-validity intervals is at most δ.
-func EvaluateMutualTemporal(trA, trB *trace.Trace, logA, logB []Refresh, delta, horizon time.Duration) MutualTemporalReport {
-	rep := MutualTemporalReport{Horizon: horizon}
-	for _, log := range [][]Refresh{logA, logB} {
-		polls, triggered := countPolls(log)
+// EvaluateMutualTemporal computes M_t metrics for a group of objects
+// given their traces and refresh logs (parallel slices) per Eq. 4: the
+// cached versions are mutually consistent iff the distance between every
+// two of their server-validity intervals is at most δ. All logs must be
+// sorted by time. Fewer than two members, or logs that do not match the
+// traces, yield a neutral report.
+func EvaluateMutualTemporal(traces []*trace.Trace, logs [][]Refresh, delta, horizon time.Duration) MutualTemporalReport {
+	n := len(traces)
+	rep := MutualTemporalReport{Members: n, Horizon: horizon}
+	if n != len(logs) || n < 2 {
+		rep.FidelityBySync = 1
+		rep.FidelityByViolations = 1
+		rep.FidelityByTime = 1
+		return rep
+	}
+	empty := false
+	for i := range logs {
+		polls, triggered := countPolls(logs[i])
 		rep.Polls += polls
 		rep.TriggeredPolls += triggered
+		if len(logs[i]) == 0 {
+			empty = true
+		}
 	}
-	if len(logA) == 0 || len(logB) == 0 {
+	if empty {
 		rep.FidelityBySync = 1
 		rep.FidelityByViolations = 1
 		rep.FidelityByTime = 0
@@ -269,22 +295,46 @@ func EvaluateMutualTemporal(trA, trB *trace.Trace, logA, logB []Refresh, delta, 
 		return rep
 	}
 
-	rep.SyncViolations = syncViolations(logA, logB, delta, horizon) +
-		syncViolations(logB, logA, delta, horizon)
+	// Poll-phase semantics: an update-detecting poll of member i (beyond
+	// its initial fetch) violates if any other member lacks a poll or
+	// sync instant within δ of it.
+	sortedTimes := make([][]time.Duration, n)
+	for i := range logs {
+		ts := make([]time.Duration, len(logs[i]))
+		for j := range logs[i] {
+			ts[j] = logs[i][j].At.Duration()
+		}
+		sortedTimes[i] = ts
+	}
+	for i := range logs {
+		for j := 1; j < len(logs[i]); j++ {
+			r := logs[i][j]
+			if !r.Modified || r.Sync || r.At.Duration() > horizon {
+				continue
+			}
+			for k := range logs {
+				if k != i && !hasPollWithin(sortedTimes[k], r.At.Duration(), delta) {
+					rep.SyncViolations++
+					break
+				}
+			}
+		}
+	}
 
+	// Interval semantics: sweep all refresh events; the group is
+	// violated when the largest pairwise distance exceeds δ.
 	type event struct {
-		at time.Duration
-		a  bool // refresh of A (else B)
-		i  int  // log index
+		at     time.Duration
+		member int
+		idx    int
 	}
 	var events []event
-	for i := range logA {
-		events = append(events, event{at: logA[i].At.Duration(), a: true, i: i})
+	for i := range logs {
+		for j := range logs[i] {
+			events = append(events, event{at: logs[i][j].At.Duration(), member: i, idx: j})
+		}
 	}
-	for i := range logB {
-		events = append(events, event{at: logB[i].At.Duration(), a: false, i: i})
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
+	sort.SliceStable(events, func(a, b int) bool { return events[a].at < events[b].at })
 
 	validity := func(tr *trace.Trace, at time.Duration) simtime.Interval {
 		s, e := tr.ValidityInterval(at)
@@ -295,33 +345,31 @@ func EvaluateMutualTemporal(trA, trB *trace.Trace, logA, logB []Refresh, delta, 
 		return simtime.Interval{Start: simtime.At(s), End: end}
 	}
 
-	start := simtime.Max(simtime.At(events[0].at), 0)
-	ivA := validity(trA, logA[0].At.Duration())
-	ivB := validity(trB, logB[0].At.Duration())
-	haveA, haveB := false, false
-	tl := stats.NewBoolTimeline(start.Duration(), false)
+	intervals := make([]simtime.Interval, n)
+	have := make([]bool, n)
+	tl := stats.NewBoolTimeline(events[0].at, false)
 	// Refreshes at the same instant (a triggered poll or a sync instant
-	// synchronizing the sibling) apply atomically: the state is evaluated
+	// synchronizing a sibling) apply atomically: the state is evaluated
 	// once per distinct instant, after all refreshes at it.
 	for idx := 0; idx < len(events); idx++ {
 		ev := events[idx]
 		if ev.at > horizon {
 			continue
 		}
-		if ev.a {
-			ivA = validity(trA, logA[ev.i].At.Duration())
-			haveA = true
-		} else {
-			ivB = validity(trB, logB[ev.i].At.Duration())
-			haveB = true
-		}
+		intervals[ev.member] = validity(traces[ev.member], logs[ev.member][ev.idx].At.Duration())
+		have[ev.member] = true
 		if idx+1 < len(events) && events[idx+1].at == ev.at {
 			continue // more refreshes at this instant
 		}
-		if !haveA || !haveB {
+		if slices.Contains(have, false) {
 			continue
 		}
-		violated := ivA.Distance(ivB) > delta
+		violated := false
+		for i := 0; i < n && !violated; i++ {
+			for j := i + 1; j < n && !violated; j++ {
+				violated = intervals[i].Distance(intervals[j]) > delta
+			}
+		}
 		if violated {
 			rep.Violations++
 		}
@@ -332,26 +380,6 @@ func EvaluateMutualTemporal(trA, trB *trace.Trace, logA, logB []Refresh, delta, 
 	rep.FidelityByViolations = fidelityRatio(rep.Violations, rep.Polls)
 	rep.FidelityByTime = fidelityTime(rep.OutOfSync, horizon)
 	return rep
-}
-
-// syncViolations counts the update-detecting polls of logX (beyond the
-// initial fetch) that have no logY poll or sync instant within delta
-// (poll-phase semantics of §3.2). Both logs must be sorted by time.
-func syncViolations(logX, logY []Refresh, delta, horizon time.Duration) int {
-	yTimes := make([]time.Duration, len(logY))
-	for i := range logY {
-		yTimes[i] = logY[i].At.Duration()
-	}
-	count := 0
-	for i := 1; i < len(logX); i++ {
-		if !logX[i].Modified || logX[i].Sync || logX[i].At.Duration() > horizon {
-			continue
-		}
-		if !hasPollWithin(yTimes, logX[i].At.Duration(), delta) {
-			count++
-		}
-	}
-	return count
 }
 
 // hasPollWithin reports whether sorted contains an instant within delta

@@ -172,10 +172,10 @@ func TestEvaluateMutualTemporalHandComputed(t *testing.T) {
 	trA, trB := mutualTraces()
 	logA := []Refresh{{At: at(0)}, {At: at(15 * time.Minute)}, {At: at(50 * time.Minute)}}
 	logB := []Refresh{{At: at(0)}, {At: at(13 * time.Minute), Triggered: true}}
-	rep := EvaluateMutualTemporal(trA, trB, logA, logB, 5*time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]Refresh{logA, logB}, 5*time.Minute, time.Hour)
 
-	if rep.Polls != 5 {
-		t.Errorf("Polls = %d, want 5", rep.Polls)
+	if rep.Members != 2 || rep.Polls != 5 {
+		t.Errorf("Members/Polls = %d/%d, want 2/5", rep.Members, rep.Polls)
 	}
 	if rep.TriggeredPolls != 1 {
 		t.Errorf("TriggeredPolls = %d, want 1", rep.TriggeredPolls)
@@ -206,13 +206,13 @@ func TestEvaluateMutualTemporalCreditsSyncInstants(t *testing.T) {
 	trA, trB := mutualTraces()
 	logA := []Refresh{{At: at(0)}, {At: at(15 * time.Minute), Modified: true}, {At: at(50 * time.Minute), Modified: true}}
 	logB := []Refresh{{At: at(0)}, {At: at(13 * time.Minute), Modified: true, Triggered: true}}
-	before := EvaluateMutualTemporal(trA, trB, logA, logB, 5*time.Minute, time.Hour)
+	before := EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]Refresh{logA, logB}, 5*time.Minute, time.Hour)
 	if before.SyncViolations != 1 || before.Violations != 1 {
 		t.Fatalf("test premise: A@50m violates both semantics without the sync instant: %+v", before)
 	}
 
 	logB = append(logB, Refresh{At: at(50 * time.Minute), Sync: true})
-	rep := EvaluateMutualTemporal(trA, trB, logA, logB, 5*time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]Refresh{logA, logB}, 5*time.Minute, time.Hour)
 	if rep.Polls != before.Polls || rep.TriggeredPolls != before.TriggeredPolls {
 		t.Errorf("Polls/TriggeredPolls = %d/%d, want %d/%d: a sync instant is not a poll",
 			rep.Polls, rep.TriggeredPolls, before.Polls, before.TriggeredPolls)
@@ -233,7 +233,7 @@ func TestEvaluateMutualTemporalSynchronizedPollsPerfect(t *testing.T) {
 		logA = append(logA, Refresh{At: at(at0)})
 		logB = append(logB, Refresh{At: at(at0)})
 	}
-	rep := EvaluateMutualTemporal(trA, trB, logA, logB, 5*time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]Refresh{logA, logB}, 5*time.Minute, time.Hour)
 	if rep.Violations != 0 || rep.OutOfSync != 0 {
 		t.Errorf("synchronized polling must be perfectly consistent: %+v", rep)
 	}
@@ -246,7 +246,7 @@ func TestEvaluateMutualTemporalZeroDelta(t *testing.T) {
 	trA, trB := mutualTraces()
 	logA := []Refresh{{At: at(0)}, {At: at(15 * time.Minute)}}
 	logB := []Refresh{{At: at(0)}}
-	rep := EvaluateMutualTemporal(trA, trB, logA, logB, 0, time.Hour)
+	rep := EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]Refresh{logA, logB}, 0, time.Hour)
 	// After A@15m: ivA=[10,40) ivB=[0,12): overlap → distance 0 ≤ 0: in
 	// sync. No violations despite δ=0.
 	if rep.Violations != 0 {
@@ -256,7 +256,7 @@ func TestEvaluateMutualTemporalZeroDelta(t *testing.T) {
 
 func TestEvaluateMutualTemporalEmptyLog(t *testing.T) {
 	trA, trB := mutualTraces()
-	rep := EvaluateMutualTemporal(trA, trB, nil, nil, time.Minute, time.Hour)
+	rep := EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]Refresh{nil, nil}, time.Minute, time.Hour)
 	if rep.FidelityByViolations != 1 || rep.FidelityByTime != 0 {
 		t.Errorf("empty logs: %+v", rep)
 	}

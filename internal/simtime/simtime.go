@@ -57,9 +57,6 @@ func (t Time) After(u Time) bool { return t > u }
 // alias for Sub used where t is "now".
 func (t Time) Since(u Time) time.Duration { return t.Sub(u) }
 
-// IsMax reports whether t is the MaxTime sentinel.
-func (t Time) IsMax() bool { return t == MaxTime }
-
 // Duration returns the offset of t from the epoch as a period.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 

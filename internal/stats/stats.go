@@ -1,7 +1,8 @@
 // Package stats provides small statistical estimators shared by the
 // consistency policies and the experiment reports: exponentially weighted
-// moving averages, running mean/variance (Welford), min/max trackers,
-// rate estimators for update processes, and time-weighted accumulators.
+// moving averages, running mean/variance (Welford), a minimum tracker,
+// rate estimators for update processes, time-weighted accumulators,
+// quantiles and clamping.
 package stats
 
 import (
@@ -199,20 +200,4 @@ func Clamp(v, lo, hi float64) float64 {
 		panic(fmt.Sprintf("stats: Clamp bounds inverted: [%v, %v]", lo, hi))
 	}
 	return math.Max(lo, math.Min(hi, v))
-}
-
-// ClampDuration limits d to the closed interval [lo, hi]. It panics if
-// lo > hi. This is the TTR = max(TTRmin, min(TTRmax, TTR)) operation the
-// paper applies to every computed refresh interval.
-func ClampDuration(d, lo, hi time.Duration) time.Duration {
-	if lo > hi {
-		panic(fmt.Sprintf("stats: ClampDuration bounds inverted: [%v, %v]", lo, hi))
-	}
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
 }

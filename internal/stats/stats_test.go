@@ -204,26 +204,13 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestClampDuration(t *testing.T) {
-	lo, hi := time.Minute, time.Hour
-	if ClampDuration(30*time.Minute, lo, hi) != 30*time.Minute {
-		t.Error("in-range clamp wrong")
-	}
-	if ClampDuration(time.Second, lo, hi) != lo {
-		t.Error("low clamp wrong")
-	}
-	if ClampDuration(2*time.Hour, lo, hi) != hi {
-		t.Error("high clamp wrong")
-	}
-}
-
 func TestClampInvertedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for inverted bounds")
 		}
 	}()
-	ClampDuration(0, time.Hour, time.Minute)
+	Clamp(0, 1, -1)
 }
 
 func TestPropertyClampWithinBounds(t *testing.T) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -71,6 +72,25 @@ func TestReadErrors(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Read(strings.NewReader(tt.input)); err == nil {
 				t.Error("Read must fail")
+			}
+		})
+	}
+}
+
+// TestReadRejectsNonFiniteValues: ParseFloat accepts NaN and ±Inf, but
+// no trace may hold them; a NaN value would score as in sync forever.
+func TestReadRejectsNonFiniteValues(t *testing.T) {
+	const head = "# broadway trace v1\nname: x\nkind: value\nduration: 1h\n"
+	for name, input := range map[string]string{
+		"initial NaN":  head + "initial: NaN\n---\n1s,1\n",
+		"initial +Inf": head + "initial: +Inf\n---\n",
+		"update NaN":   head + "initial: 1\n---\n1s,NaN\n",
+		"update +Inf":  head + "initial: 1\n---\n1s,+Inf\n",
+		"update -Inf":  head + "initial: 1\n---\n1s,2\n2s,-Inf\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := Read(strings.NewReader(input)); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("Read = %v, want %v", err, ErrNonFinite)
 			}
 		})
 	}

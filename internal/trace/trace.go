@@ -12,6 +12,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -75,9 +76,12 @@ var (
 	ErrUnordered       = errors.New("trace: updates not strictly increasing in time")
 	ErrOutOfWindow     = errors.New("trace: update outside [0, duration]")
 	ErrNegativeInstant = errors.New("trace: negative update instant")
+	ErrNonFinite       = errors.New("trace: non-finite value")
 )
 
-// Validate checks the structural invariants of the trace.
+// Validate checks the structural invariants of the trace. Every value,
+// initial or updated, must be finite: a NaN never compares as out of
+// tolerance, so a metric would score the span it holds as in sync.
 func (tr *Trace) Validate() error {
 	if tr.Name == "" {
 		return ErrNoName
@@ -88,8 +92,14 @@ func (tr *Trace) Validate() error {
 	if tr.Duration <= 0 {
 		return ErrBadDuration
 	}
+	if !finite(tr.InitialValue) {
+		return fmt.Errorf("%w: initial value %v", ErrNonFinite, tr.InitialValue)
+	}
 	prev := time.Duration(-1)
 	for i, u := range tr.Updates {
+		if !finite(u.Value) {
+			return fmt.Errorf("%w: update %d value %v", ErrNonFinite, i, u.Value)
+		}
 		if u.At < 0 {
 			return fmt.Errorf("%w: update %d at %v", ErrNegativeInstant, i, u.At)
 		}
@@ -103,6 +113,8 @@ func (tr *Trace) Validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // NumUpdates returns the number of updates in the trace.
 func (tr *Trace) NumUpdates() int { return len(tr.Updates) }

@@ -57,6 +57,8 @@ func TestValidateRejections(t *testing.T) {
 		{"duplicate instant", func(tr *Trace) { tr.Updates[1].At = tr.Updates[0].At }, ErrUnordered},
 		{"after window", func(tr *Trace) { tr.Updates[2].At = 2 * time.Hour }, ErrOutOfWindow},
 		{"negative instant", func(tr *Trace) { tr.Updates[0].At = -time.Minute }, ErrNegativeInstant},
+		{"NaN initial value", func(tr *Trace) { tr.InitialValue = math.NaN() }, ErrNonFinite},
+		{"infinite update value", func(tr *Trace) { tr.Updates[1].Value = math.Inf(-1) }, ErrNonFinite},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -234,7 +234,7 @@ func predictMutual(t *testing.T, trA, trB *trace.Trace, delta, groupDelta time.D
 	if err := eng.Run(simtime.At(horizon)); err != nil {
 		t.Fatal(err)
 	}
-	return metrics.EvaluateMutualTemporal(trA, trB, px.Log("a"), px.Log("b"), groupDelta, horizon)
+	return metrics.EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]metrics.Refresh{px.Log("a"), px.Log("b")}, groupDelta, horizon)
 }
 
 // violationRate is violations per poll (the complement of Eq. 13).
@@ -366,7 +366,7 @@ func TestConformanceMutualPairMatchesSimulator(t *testing.T) {
 			run.PushStretch = 16
 		}
 		res := replay(t, confTopology(1, run, pushOn, 0), objs, confHorizon, nil)
-		meas := metrics.EvaluateMutualTemporal(trA, trB, res.logs["/a"], res.logs["/b"], groupDelta, confHorizon)
+		meas := metrics.EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]metrics.Refresh{res.logs["/a"], res.logs["/b"]}, groupDelta, confHorizon)
 		t.Logf("%s measured:  %v (origin polls %d)", name, meas, res.originPolls)
 		t.Logf("%s predicted: %v", name, pred)
 
