@@ -405,20 +405,23 @@ func BenchmarkProxyChurnParallel(b *testing.B) {
 }
 
 // BenchmarkRefreshSchedulerThroughput measures the min-heap refresh
-// schedule on a pop-due/re-push cycle over 10k live objects — the
-// operation the dispatcher performs per poll, formerly an O(n) scan.
+// schedule on a pop-due/re-add cycle over 10k live objects, each holding
+// its own heap slot as a cache entry does — the operation the dispatcher
+// performs per poll, formerly an O(n) scan. A cycle allocates nothing.
 func BenchmarkRefreshSchedulerThroughput(b *testing.B) {
 	const objects = 10_000
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	var s sched.Heap
-	for i := 0; i < objects; i++ {
-		s.Push(epoch.Add(time.Duration(i)*time.Millisecond), i)
+	items := make([]sched.Item, objects)
+	for i := range items {
+		items[i].Payload = i
+		s.Add(&items[i], epoch.Add(time.Duration(i)*time.Millisecond))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it := s.Pop()
-		s.Push(it.At.Add(objects*time.Millisecond), it.Payload)
+		s.Add(it, it.At.Add(objects*time.Millisecond))
 	}
 }
 

@@ -75,16 +75,16 @@ func (c LIMDConfig) withDefaults() LIMDConfig {
 // while the object is quiet, shrinks multiplicatively on violations, and
 // is fine-tuned when the polling frequency is approximately right. Only
 // the two most recent polls inform each decision — the property the paper
-// highlights as minimizing proxy state and simplifying failure recovery.
+// highlights as minimizing proxy state and simplifying failure recovery:
+// an instance holds its TTR and the last modification instant it has
+// seen, and points at a configuration it may share with others (see
+// SharedLIMDConfig).
 type LIMD struct {
-	cfg LIMDConfig
+	cfg *LIMDConfig // normalized; shared only when Inference is nil
 
 	ttr          time.Duration
 	lastKnownMod simtime.Time
 	haveMod      bool
-
-	// caseCounts tallies decisions per LIMD case (1..4) for reporting.
-	caseCounts [5]uint64
 }
 
 var _ Policy = (*LIMD)(nil)
@@ -92,7 +92,35 @@ var _ Policy = (*LIMD)(nil)
 // NewLIMD returns a LIMD policy for the given configuration. It panics on
 // invalid configuration.
 func NewLIMD(cfg LIMDConfig) *LIMD {
-	l := &LIMD{cfg: cfg.withDefaults()}
+	// One allocation holds the instance and its private configuration.
+	own := &struct {
+		l   LIMD
+		cfg LIMDConfig
+	}{cfg: cfg.withDefaults()}
+	own.l.cfg = &own.cfg
+	own.l.Reset()
+	return &own.l
+}
+
+// SharedLIMDConfig is a normalized LIMD configuration that any number of
+// LIMD instances share, so each instance carries only its own state — the
+// live proxy runs one per cached object.
+type SharedLIMDConfig struct{ cfg LIMDConfig }
+
+// ShareLIMDConfig validates cfg and fills its defaults once for every
+// instance its New builds. It panics on invalid configuration, and on a
+// non-nil Inference: the estimator is per-object state, so a config
+// carrying one cannot be shared.
+func ShareLIMDConfig(cfg LIMDConfig) *SharedLIMDConfig {
+	if cfg.Inference != nil {
+		panic("core: a shared LIMD config cannot carry per-object inference state")
+	}
+	return &SharedLIMDConfig{cfg: cfg.withDefaults()}
+}
+
+// New returns a LIMD policy over the shared configuration.
+func (s *SharedLIMDConfig) New() *LIMD {
+	l := &LIMD{cfg: &s.cfg}
 	l.Reset()
 	return l
 }
@@ -101,7 +129,7 @@ func NewLIMD(cfg LIMDConfig) *LIMD {
 func (l *LIMD) Name() string { return "limd" }
 
 // Config returns the normalized configuration.
-func (l *LIMD) Config() LIMDConfig { return l.cfg }
+func (l *LIMD) Config() LIMDConfig { return *l.cfg }
 
 // InitialTTR implements Policy: the algorithm begins at TTRmin (= Δ).
 func (l *LIMD) InitialTTR() time.Duration { return l.cfg.Bounds.Min }
@@ -119,15 +147,6 @@ func (l *LIMD) RestoreTTR(d time.Duration) {
 	l.ttr = l.cfg.Bounds.clamp(d)
 }
 
-// CaseCount returns how many poll outcomes were classified as the given
-// LIMD case (1–4).
-func (l *LIMD) CaseCount(c int) uint64 {
-	if c < 1 || c > 4 {
-		return 0
-	}
-	return l.caseCounts[c]
-}
-
 // Reset implements Policy: recovery resets the TTR to TTRmin and forgets
 // the modification anchor.
 func (l *LIMD) Reset() {
@@ -141,15 +160,21 @@ func (l *LIMD) Reset() {
 
 // NextTTR implements Policy, applying the four LIMD cases.
 func (l *LIMD) NextTTR(o PollOutcome) time.Duration {
+	l.observe(o)
+	return l.ttr
+}
+
+// observe applies one poll outcome and returns the LIMD case (1–4) it
+// was classified as.
+func (l *LIMD) observe(o PollOutcome) int {
 	if l.cfg.Inference != nil {
 		l.cfg.Inference.ObservePoll(o)
 	}
 
 	if !o.Modified {
 		// Case 1: no change between successive polls → linear increase.
-		l.caseCounts[1]++
 		l.ttr = l.cfg.Bounds.clamp(time.Duration(float64(l.ttr) * (1 + l.cfg.LinearFactor)))
-		return l.ttr
+		return 1
 	}
 
 	first := o.FirstUpdateSincePrev()
@@ -172,15 +197,16 @@ func (l *LIMD) NextTTR(o PollOutcome) time.Duration {
 		l.haveMod = true
 	}
 
+	var c int
 	switch {
 	case cold:
 		// Case 4: update after a long quiet period → snap back to
 		// TTRmin so a suddenly hot object is tracked immediately.
-		l.caseCounts[4]++
+		c = 4
 		l.ttr = l.cfg.Bounds.Min
 	case violated:
 		// Case 2: consistency violated → multiplicative decrease.
-		l.caseCounts[2]++
+		c = 2
 		m := l.cfg.MultiplicativeFactor
 		if m == 0 {
 			// Adaptive m = Δ / out-of-sync time (§6.2.1). A violation
@@ -192,9 +218,9 @@ func (l *LIMD) NextTTR(o PollOutcome) time.Duration {
 	default:
 		// Case 3: change detected in time → polling frequency is
 		// approximately right; fine-tune upward by ε.
-		l.caseCounts[3]++
+		c = 3
 		l.ttr = time.Duration(float64(l.ttr) * (1 + l.cfg.Epsilon))
 	}
 	l.ttr = l.cfg.Bounds.clamp(l.ttr)
-	return l.ttr
+	return c
 }

@@ -28,6 +28,18 @@ func modifiedOutcome(prev, now, lastMod time.Duration) PollOutcome {
 	}
 }
 
+// tally drives a LIMD through the classifier NextTTR runs, counting the
+// outcomes per LIMD case (1–4).
+type tally struct {
+	l *LIMD
+	n [5]int
+}
+
+func (t *tally) next(o PollOutcome) time.Duration {
+	t.n[t.l.observe(o)]++
+	return t.l.TTR()
+}
+
 func TestLIMDDefaults(t *testing.T) {
 	l := defaultLIMD()
 	cfg := l.Config()
@@ -49,18 +61,18 @@ func TestLIMDDefaults(t *testing.T) {
 }
 
 func TestLIMDCase1LinearIncrease(t *testing.T) {
-	l := defaultLIMD()
+	tl := tally{l: defaultLIMD()}
 	// No modification: TTR grows by the linear factor each poll.
-	got := l.NextTTR(outcome(0, minutes(10)))
+	got := tl.next(outcome(0, minutes(10)))
 	if got != minutes(12) {
 		t.Errorf("first increase = %v, want 12m", got)
 	}
-	got = l.NextTTR(outcome(minutes(10), minutes(22)))
+	got = tl.next(outcome(minutes(10), minutes(22)))
 	if got != time.Duration(float64(minutes(12))*1.2) {
 		t.Errorf("second increase = %v", got)
 	}
-	if l.CaseCount(1) != 2 {
-		t.Errorf("case-1 count = %d", l.CaseCount(1))
+	if tl.n[1] != 2 {
+		t.Errorf("case-1 count = %d", tl.n[1])
 	}
 }
 
@@ -88,12 +100,13 @@ func TestLIMDCase2FixedMultiplicativeDecrease(t *testing.T) {
 	}
 	before := l.TTR() // 60m
 	// Violation: update 15m before the poll → out of sync by 15m > Δ.
-	got := l.NextTTR(modifiedOutcome(now, now+minutes(30), now+minutes(15)))
+	tl := tally{l: l}
+	got := tl.next(modifiedOutcome(now, now+minutes(30), now+minutes(15)))
 	if got != before/2 {
 		t.Errorf("TTR after violation = %v, want %v", got, before/2)
 	}
-	if l.CaseCount(2) != 1 {
-		t.Errorf("case-2 count = %d", l.CaseCount(2))
+	if tl.n[2] != 1 {
+		t.Errorf("case-2 count = %d", tl.n[2])
 	}
 }
 
@@ -150,16 +163,16 @@ func TestLIMDCase2FloorsAtTTRMin(t *testing.T) {
 }
 
 func TestLIMDCase3FineTune(t *testing.T) {
-	l := defaultLIMD()
+	tl := tally{l: defaultLIMD()}
 	// Update at 24m, poll at 25m: modified, within Δ → case 3.
-	before := l.TTR()
-	got := l.NextTTR(modifiedOutcome(minutes(15), minutes(25), minutes(24)))
+	before := tl.l.TTR()
+	got := tl.next(modifiedOutcome(minutes(15), minutes(25), minutes(24)))
 	want := time.Duration(float64(before) * 1.02)
 	if got != want {
 		t.Errorf("TTR = %v, want %v (ε fine-tune)", got, want)
 	}
-	if l.CaseCount(3) != 1 {
-		t.Errorf("case-3 count = %d", l.CaseCount(3))
+	if tl.n[3] != 1 {
+		t.Errorf("case-3 count = %d", tl.n[3])
 	}
 }
 
@@ -179,27 +192,28 @@ func TestLIMDCase4ColdObjectResets(t *testing.T) {
 	// A new update more than ColdThreshold (60m) after the last known
 	// one: case 4, snap to TTRmin. The update itself is recent (no
 	// violation would fire anyway, but case 4 takes priority).
-	got := l.NextTTR(modifiedOutcome(prev, now, now-time.Minute))
+	tl := tally{l: l}
+	got := tl.next(modifiedOutcome(prev, now, now-time.Minute))
 	if got != 10*time.Minute {
 		t.Errorf("TTR = %v, want TTRmin after cold restart", got)
 	}
-	if l.CaseCount(4) != 1 {
-		t.Errorf("case-4 count = %d", l.CaseCount(4))
+	if tl.n[4] != 1 {
+		t.Errorf("case-4 count = %d", tl.n[4])
 	}
 }
 
 func TestLIMDCase4TakesPriorityOverViolation(t *testing.T) {
-	l := NewLIMD(LIMDConfig{Delta: 10 * time.Minute, ColdThreshold: 30 * time.Minute})
-	l.NextTTR(modifiedOutcome(0, minutes(10), minutes(5)))
+	tl := tally{l: NewLIMD(LIMDConfig{Delta: 10 * time.Minute, ColdThreshold: 30 * time.Minute})}
+	tl.next(modifiedOutcome(0, minutes(10), minutes(5)))
 	// Next update at 100m (long after the 30m cold threshold), polled
 	// only at 130m → also a violation; cold handling must win and give
 	// exactly TTRmin.
-	got := l.NextTTR(modifiedOutcome(minutes(10), minutes(130), minutes(100)))
+	got := tl.next(modifiedOutcome(minutes(10), minutes(130), minutes(100)))
 	if got != 10*time.Minute {
 		t.Errorf("TTR = %v, want TTRmin (case 4 priority)", got)
 	}
-	if l.CaseCount(4) != 1 || l.CaseCount(2) != 0 {
-		t.Errorf("case counts: 4→%d 2→%d", l.CaseCount(4), l.CaseCount(2))
+	if tl.n[4] != 1 || tl.n[2] != 0 {
+		t.Errorf("case counts: 4→%d 2→%d", tl.n[4], tl.n[2])
 	}
 }
 
@@ -262,10 +276,32 @@ func TestLIMDConfigValidation(t *testing.T) {
 	}
 }
 
+// TestLIMDCaseCountOutOfRange checks that every poll outcome lands in
+// one of the four LIMD cases: the classifier never yields a case number
+// outside 1–4, whatever the poll sequence.
 func TestLIMDCaseCountOutOfRange(t *testing.T) {
-	l := defaultLIMD()
-	if l.CaseCount(0) != 0 || l.CaseCount(5) != 0 {
-		t.Error("out-of-range case counts must be 0")
+	f := func(steps []struct {
+		GapMin   uint16
+		Modified bool
+		ModAgo   uint16
+	}) bool {
+		l := defaultLIMD()
+		now := time.Duration(0)
+		for _, st := range steps {
+			prev := now
+			now += time.Duration(st.GapMin%240+1) * time.Minute
+			o := outcome(prev, now)
+			if st.Modified {
+				o = modifiedOutcome(prev, now, now-time.Duration(st.ModAgo)*time.Second%(now-prev))
+			}
+			if c := l.observe(o); c < 1 || c > 4 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -27,10 +27,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unique"
 )
 
 // Record is the durable metadata for one cached object. Body bytes live
@@ -55,6 +55,94 @@ type Record struct {
 	Size   int64         `json:"size"`
 	// Del marks a journal tombstone; never set on live records.
 	Del bool `json:"del,omitempty"`
+}
+
+// slot is the in-RAM index entry of one durable record: its Record with
+// the key left to the index map, the digest raw, the instants as
+// integers, and the fields many records repeat interned as one headers
+// value. Get, Meta and the journal see it as a Record again (see record).
+type slot struct {
+	digest               digest
+	lastModSec, validSec int64
+	ttr                  time.Duration
+	size                 int64
+	headers              unique.Handle[headers]
+	// The instants' nanoseconds, each within its second.
+	lastModNsec, validNsec int32
+	hasLastMod             bool
+}
+
+// headers is what a record shares with the other records of its origin
+// and group: the response headers and the tolerances they state.
+// Interned, it costs each record one pointer.
+type headers struct {
+	group, contentType, cacheControl string
+	delta, groupDelta                time.Duration
+	valueDelta                       float64
+}
+
+// newSlot indexes rec, whose Digest validDigest accepts.
+func newSlot(rec Record) *slot {
+	d, _ := parseDigest(rec.Digest)
+	return &slot{
+		digest:      d,
+		lastModSec:  rec.LastMod.Unix(),
+		lastModNsec: int32(rec.LastMod.Nanosecond()),
+		validSec:    rec.ValidatedAt.Unix(),
+		validNsec:   int32(rec.ValidatedAt.Nanosecond()),
+		ttr:         rec.TTR,
+		size:        rec.Size,
+		hasLastMod:  rec.HasLastMod,
+		headers: unique.Make(headers{
+			group:        rec.Group,
+			contentType:  rec.ContentType,
+			cacheControl: rec.CacheControl,
+			delta:        rec.Delta,
+			groupDelta:   rec.GroupDelta,
+			valueDelta:   rec.ValueDelta,
+		}),
+	}
+}
+
+// record returns the Record the slot indexes under key. Its instants are
+// in UTC and carry no monotonic reading, as one read back from the
+// journal would.
+func (sl *slot) record(key string) Record {
+	h := sl.headers.Value()
+	return Record{
+		Key:          key,
+		Group:        h.group,
+		ContentType:  h.contentType,
+		CacheControl: h.cacheControl,
+		LastMod:      time.Unix(sl.lastModSec, int64(sl.lastModNsec)).UTC(),
+		HasLastMod:   sl.hasLastMod,
+		ValidatedAt:  sl.validatedAt(),
+		Delta:        h.delta,
+		GroupDelta:   h.groupDelta,
+		ValueDelta:   h.valueDelta,
+		TTR:          sl.ttr,
+		Digest:       sl.digest.String(),
+		Size:         sl.size,
+	}
+}
+
+func (sl *slot) validatedAt() time.Time {
+	return time.Unix(sl.validSec, int64(sl.validNsec)).UTC()
+}
+
+// digest is a blob's SHA-256, raw; its String is the blob's file name.
+type digest [sha256.Size]byte
+
+func (d digest) String() string { return hex.EncodeToString(d[:]) }
+
+// parseDigest decodes a digest validDigest accepts.
+func parseDigest(s string) (digest, bool) {
+	var d digest
+	if !validDigest(s) {
+		return d, false
+	}
+	hex.Decode(d[:], []byte(s))
+	return d, true
 }
 
 // Stats is a point-in-time snapshot of the store's state and lifetime
@@ -82,8 +170,8 @@ type Store struct {
 	maxBytes int64
 
 	mu       sync.Mutex
-	records  map[string]Record
-	refs     map[string]int // digest -> live record count
+	records  map[string]*slot
+	refs     map[digest]int32 // live record count per blob
 	bytes    int64
 	pending  map[string]pendingOp
 	order    []string // FIFO of keys with pending ops (coalesced)
@@ -119,8 +207,8 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	s := &Store{
 		dir:      dir,
 		maxBytes: maxBytes,
-		records:  make(map[string]Record),
-		refs:     make(map[string]int),
+		records:  make(map[string]*slot),
+		refs:     make(map[digest]int32),
 		pending:  make(map[string]pendingOp),
 		wake:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
@@ -169,17 +257,15 @@ func (s *Store) load() error {
 			continue
 		}
 		s.dropLocked(rec.Key) // replace any earlier version
-		s.records[rec.Key] = rec
-		s.refs[rec.Digest]++
-		s.bytes += rec.Size
+		s.insertLocked(rec.Key, newSlot(rec))
 	}
 	if err := sc.Err(); err != nil && !errors.Is(err, bufio.ErrTooLong) {
 		return fmt.Errorf("diskstore: %w", err)
 	}
 	// Validate blobs: a record is only as good as its bytes.
-	for key, rec := range s.records {
-		fi, err := os.Stat(blobPath(s.dir, rec.Digest))
-		if err != nil || fi.Size() != rec.Size {
+	for key, sl := range s.records {
+		fi, err := os.Stat(blobPath(s.dir, sl.digest.String()))
+		if err != nil || fi.Size() != sl.size {
 			s.dropLocked(key)
 		}
 	}
@@ -194,7 +280,7 @@ func (s *Store) load() error {
 		files, _ := os.ReadDir(filepath.Join(blobRoot, sub.Name()))
 		for _, bf := range files {
 			name := bf.Name()
-			if strings.HasSuffix(name, ".tmp") || s.refs[name] == 0 {
+			if d, ok := parseDigest(name); !ok || s.refs[d] == 0 {
 				os.Remove(filepath.Join(blobRoot, sub.Name(), name))
 			}
 		}
@@ -202,19 +288,27 @@ func (s *Store) load() error {
 	return nil
 }
 
+// insertLocked indexes sl under key, which holds no record, taking a
+// reference to its blob.
+func (s *Store) insertLocked(key string, sl *slot) {
+	s.records[key] = sl
+	s.refs[sl.digest]++
+	s.bytes += sl.size
+}
+
 // dropLocked removes a record from the in-memory index and releases its
 // blob reference (the blob file itself is deleted lazily by callers).
-func (s *Store) dropLocked(key string) (Record, bool) {
-	rec, ok := s.records[key]
+func (s *Store) dropLocked(key string) (*slot, bool) {
+	sl, ok := s.records[key]
 	if !ok {
-		return Record{}, false
+		return nil, false
 	}
 	delete(s.records, key)
-	s.bytes -= rec.Size
-	if s.refs[rec.Digest]--; s.refs[rec.Digest] <= 0 {
-		delete(s.refs, rec.Digest)
+	s.bytes -= sl.size
+	if s.refs[sl.digest]--; s.refs[sl.digest] <= 0 {
+		delete(s.refs, sl.digest)
 	}
-	return rec, true
+	return sl, true
 }
 
 // blobPath names the blob file of a digest validDigest accepts.
@@ -242,8 +336,7 @@ func validDigest(d string) bool {
 // Size are computed here; callers fill the metadata. Repeated Puts for
 // the same key before the worker runs coalesce to the latest value.
 func (s *Store) Put(rec Record, body []byte) {
-	sum := sha256.Sum256(body)
-	rec.Digest = hex.EncodeToString(sum[:])
+	rec.Digest = digest(sha256.Sum256(body)).String()
 	rec.Size = int64(len(body))
 	rec.Del = false
 	s.mu.Lock()
@@ -310,17 +403,17 @@ func (s *Store) Get(key string) (Record, []byte, bool) {
 		}
 		return op.rec, op.body, true
 	}
-	rec, ok := s.records[key]
+	sl, ok := s.records[key]
 	s.mu.Unlock()
 	if !ok {
 		return Record{}, nil, false
 	}
+	rec := sl.record(key)
 	body, err := os.ReadFile(blobPath(s.dir, rec.Digest))
 	if err != nil || int64(len(body)) != rec.Size {
 		return Record{}, nil, false
 	}
-	sum := sha256.Sum256(body)
-	if hex.EncodeToString(sum[:]) != rec.Digest {
+	if sha256.Sum256(body) != sl.digest {
 		return Record{}, nil, false
 	}
 	return rec, body, true
@@ -337,8 +430,11 @@ func (s *Store) Meta(key string) (Record, bool) {
 		}
 		return op.rec, true
 	}
-	rec, ok := s.records[key]
-	return rec, ok
+	sl, ok := s.records[key]
+	if !ok {
+		return Record{}, false
+	}
+	return sl.record(key), true
 }
 
 // Keys returns the keys of all live records (durable plus pending
@@ -481,8 +577,9 @@ func (s *Store) worker() {
 // Blob-before-journal: a crash between the two strands an orphan blob,
 // never a record without bytes.
 func (s *Store) applyPut(rec Record, body []byte) {
+	sl := newSlot(rec)
 	s.mu.Lock()
-	haveBlob := s.refs[rec.Digest] > 0
+	haveBlob := s.refs[sl.digest] > 0
 	s.mu.Unlock()
 	if !haveBlob {
 		if err := s.writeBlob(rec.Digest, body); err != nil {
@@ -497,18 +594,16 @@ func (s *Store) applyPut(rec Record, body []byte) {
 		return
 	}
 	old, hadOld := s.dropLocked(rec.Key)
-	s.records[rec.Key] = rec
-	s.refs[rec.Digest]++
-	s.bytes += rec.Size
-	var stale []string
-	if hadOld && old.Digest != rec.Digest && s.refs[old.Digest] == 0 {
-		stale = append(stale, old.Digest)
+	s.insertLocked(rec.Key, sl)
+	var stale []digest
+	if hadOld && old.digest != sl.digest && s.refs[old.digest] == 0 {
+		stale = append(stale, old.digest)
 	}
 	stale = append(stale, s.enforceBudgetLocked(rec.Key)...)
 	s.maybeCompactLocked()
 	s.mu.Unlock()
 	for _, d := range stale {
-		os.Remove(blobPath(s.dir, d))
+		os.Remove(blobPath(s.dir, d.String()))
 	}
 	s.writes.Add(1)
 }
@@ -526,10 +621,10 @@ func (s *Store) failPut(key string) {
 		// Best effort: the failure that got us here may be the journal's.
 		_ = s.appendLocked(Record{Key: key, Del: true})
 	}
-	removeBlob := had && s.refs[old.Digest] == 0
+	removeBlob := had && s.refs[old.digest] == 0
 	s.mu.Unlock()
 	if removeBlob {
-		os.Remove(blobPath(s.dir, old.Digest))
+		os.Remove(blobPath(s.dir, old.digest.String()))
 	}
 }
 
@@ -543,11 +638,11 @@ func (s *Store) applyDelete(key string) {
 	if err := s.appendLocked(Record{Key: key, Del: true}); err != nil {
 		s.writeErrs.Add(1)
 	}
-	removeBlob := s.refs[old.Digest] == 0
+	removeBlob := s.refs[old.digest] == 0
 	s.maybeCompactLocked()
 	s.mu.Unlock()
 	if removeBlob {
-		os.Remove(blobPath(s.dir, old.Digest))
+		os.Remove(blobPath(s.dir, old.digest.String()))
 	}
 	s.deletes.Add(1)
 }
@@ -600,7 +695,7 @@ func (s *Store) appendLocked(rec Record) error {
 // enforceBudgetLocked evicts oldest-validated records until bytes fit
 // the budget, sparing protect (the key just written). Returns digests
 // whose blobs should be removed by the caller after unlocking.
-func (s *Store) enforceBudgetLocked(protect string) []string {
+func (s *Store) enforceBudgetLocked(protect string) []digest {
 	if s.maxBytes <= 0 || s.bytes <= s.maxBytes {
 		return nil
 	}
@@ -609,14 +704,14 @@ func (s *Store) enforceBudgetLocked(protect string) []string {
 		at  time.Time
 	}
 	victims := make([]aged, 0, len(s.records))
-	for key, rec := range s.records {
+	for key, sl := range s.records {
 		if key == protect {
 			continue
 		}
-		victims = append(victims, aged{key, rec.ValidatedAt})
+		victims = append(victims, aged{key, sl.validatedAt()})
 	}
 	sort.Slice(victims, func(i, j int) bool { return victims[i].at.Before(victims[j].at) })
-	var stale []string
+	var stale []digest
 	for _, v := range victims {
 		if s.bytes <= s.maxBytes {
 			break
@@ -628,8 +723,8 @@ func (s *Store) enforceBudgetLocked(protect string) []string {
 		if err := s.appendLocked(Record{Key: v.key, Del: true}); err != nil {
 			s.writeErrs.Add(1)
 		}
-		if s.refs[old.Digest] == 0 {
-			stale = append(stale, old.Digest)
+		if s.refs[old.digest] == 0 {
+			stale = append(stale, old.digest)
 		}
 		s.evictions.Add(1)
 	}
@@ -665,7 +760,8 @@ func (s *Store) compactLocked() error {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		line, err := json.Marshal(s.records[key])
+		sl := s.records[key]
+		line, err := json.Marshal(sl.record(key))
 		if err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())

@@ -7,6 +7,10 @@
 // dispatcher O(log n) access to the next due refresh instead of an O(n)
 // scan over every cached object.
 //
+// An Item may live inside the caller's own record (Add), so a scheduled
+// object costs no allocation beyond its record; Push allocates one for
+// callers that hold none.
+//
 // A Heap is not safe for concurrent use; the proxy guards it with its
 // scheduler mutex, and the simulator is single-threaded.
 package sched
@@ -16,16 +20,20 @@ import (
 	"time"
 )
 
-// Item is one scheduled refresh.
+// Item is one scheduled refresh. Its zero value is not pending.
 type Item struct {
 	// At is the instant the item becomes due.
 	At time.Time
 	// Payload is the caller's data (the proxy stores its cache entry).
 	Payload any
 
-	seq   uint64 // insertion order, breaks ties deterministically
-	index int    // position in the heap; -1 once removed
+	seq uint64 // insertion order, breaks ties deterministically
+	pos int    // position in the heap plus one; 0 while not pending
 }
+
+// Pending reports whether the item is on a heap: added or pushed, and
+// not yet popped or removed.
+func (it *Item) Pending() bool { return it.pos > 0 }
 
 // Heap is a time-ordered schedule. The zero value is ready to use.
 type Heap struct {
@@ -39,10 +47,18 @@ func (s *Heap) Len() int { return len(s.h) }
 // Push schedules payload at the given instant and returns a handle that
 // can later be passed to Remove or Reschedule.
 func (s *Heap) Push(at time.Time, payload any) *Item {
-	it := &Item{At: at, Payload: payload, seq: s.nextSeq, index: -1}
+	it := &Item{Payload: payload}
+	s.Add(it, at)
+	return it
+}
+
+// Add schedules it, which the caller owns and must not be pending, at the
+// given instant; its Payload is left as the caller set it. Once popped or
+// removed, it may be added again.
+func (s *Heap) Add(it *Item, at time.Time) {
+	it.At, it.seq = at, s.nextSeq
 	s.nextSeq++
 	heap.Push(&s.h, it)
-	return it
 }
 
 // Peek returns the earliest item without removing it, or nil when empty.
@@ -73,22 +89,27 @@ func (s *Heap) PopDue(now time.Time) *Item {
 // Remove cancels a previously pushed item. It reports whether the item
 // was still pending; removing twice is safe and returns false.
 func (s *Heap) Remove(it *Item) bool {
-	if it == nil || it.index < 0 || it.index >= len(s.h) || s.h[it.index] != it {
+	if !s.holds(it) {
 		return false
 	}
-	heap.Remove(&s.h, it.index)
+	heap.Remove(&s.h, it.pos-1)
 	return true
 }
 
 // Reschedule moves a pending item to a new instant, restoring heap order
 // in O(log n). It reports whether the item was still pending.
 func (s *Heap) Reschedule(it *Item, at time.Time) bool {
-	if it == nil || it.index < 0 || it.index >= len(s.h) || s.h[it.index] != it {
+	if !s.holds(it) {
 		return false
 	}
 	it.At = at
-	heap.Fix(&s.h, it.index)
+	heap.Fix(&s.h, it.pos-1)
 	return true
+}
+
+// holds reports whether it is pending on this heap.
+func (s *Heap) holds(it *Item) bool {
+	return it != nil && it.pos > 0 && it.pos <= len(s.h) && s.h[it.pos-1] == it
 }
 
 // itemHeap implements heap.Interface ordered by (At, seq).
@@ -107,14 +128,14 @@ func (h itemHeap) Less(i, j int) bool {
 
 func (h itemHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].pos = i + 1
+	h[j].pos = j + 1
 }
 
 func (h *itemHeap) Push(x any) {
 	it := x.(*Item)
-	it.index = len(*h)
 	*h = append(*h, it)
+	it.pos = len(*h)
 }
 
 func (h *itemHeap) Pop() any {
@@ -122,7 +143,7 @@ func (h *itemHeap) Pop() any {
 	n := len(old)
 	it := old[n-1]
 	old[n-1] = nil
-	it.index = -1
+	it.pos = 0
 	*h = old[:n-1]
 	return it
 }

@@ -185,3 +185,45 @@ func TestRandomizedAgainstSort(t *testing.T) {
 		}
 	}
 }
+
+// TestAddOwnedItem: an Item embedded in the caller's record is scheduled
+// with Add, reports Pending while on the heap, orders with pushed items,
+// and can be added again once popped or removed — the life of a cache
+// entry's refresh slot.
+func TestAddOwnedItem(t *testing.T) {
+	type record struct {
+		name string
+		item Item
+	}
+	var s Heap
+	r := &record{name: "owned"}
+	r.item.Payload = r
+	if r.item.Pending() || s.Remove(&r.item) || s.Reschedule(&r.item, at(0)) {
+		t.Fatal("a zero Item must not be pending")
+	}
+	s.Push(at(2*time.Second), "pushed")
+	s.Add(&r.item, at(time.Second))
+	if !r.item.Pending() || s.Len() != 2 {
+		t.Fatalf("after Add: pending %v, Len %d", r.item.Pending(), s.Len())
+	}
+	if it := s.Pop(); it != &r.item || it.Payload.(*record) != r {
+		t.Fatalf("Pop = %v, want the owned item", it)
+	}
+	if r.item.Pending() {
+		t.Error("a popped item must not be pending")
+	}
+	s.Add(&r.item, at(3*time.Second))
+	if !s.Reschedule(&r.item, at(time.Millisecond)) {
+		t.Fatal("Reschedule of a re-added item must return true")
+	}
+	if it := s.Pop(); it != &r.item {
+		t.Fatalf("Pop = %v, want the rescheduled owned item", it.Payload)
+	}
+	s.Add(&r.item, at(time.Hour))
+	if !s.Remove(&r.item) || r.item.Pending() {
+		t.Error("Remove of a re-added item must return true and leave it not pending")
+	}
+	if it := s.Pop(); it == nil || it.Payload != "pushed" || s.Len() != 0 {
+		t.Errorf("the pushed item must be all that is left, got %v", it)
+	}
+}

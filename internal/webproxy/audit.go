@@ -136,15 +136,12 @@ func (p *Proxy) pollEach(keys []*entry) {
 // carry, and for one evicted since it was popped, whose job then drops
 // it without a request.
 func auditLine(e *entry) []byte {
-	if e.evicted.Load() {
+	if e.evicted() {
 		return nil
 	}
 	e.mu.RLock()
-	since := e.lastMod
-	if !e.hasLastMod {
-		since = e.validatedAt
-	}
-	cc := e.cacheControl
+	since := e.since()
+	cc := e.cacheControl.String()
 	e.mu.RUnlock()
 	if since.Unix() <= 0 || !httpx.AuditKeyOK(e.key) {
 		return nil
@@ -224,11 +221,11 @@ func (p *Proxy) postAudits(body []byte) (listed map[string]bool, ok bool) {
 // installAnswered installs the 304 a batch answered for e, as pollEntry
 // would install the same reply to e's own conditional GET.
 func (p *Proxy) installAnswered(e *entry, a *auditAnswer) {
-	if e.evicted.Load() {
+	if e.evicted() {
 		return
 	}
 	e.mu.RLock()
-	lastMod, hasLastMod := e.lastMod, e.hasLastMod
+	lastMod, hasLastMod := e.lastModified()
 	e.mu.RUnlock()
 	p.install(e, pollRegular, version{now: a.now, lastMod: lastMod, hasLastMod: hasLastMod, epoch: a.epoch})
 }
@@ -242,11 +239,12 @@ func (p *Proxy) installAnswered(e *entry, a *auditAnswer) {
 func (p *Proxy) serveAudits(w http.ResponseWriter, r *http.Request) {
 	httpx.ServeAuditBatch(w, r, func(l httpx.AuditLine) bool {
 		e := p.lookup(l.Key)
-		if e == nil || e.evicted.Load() || e.suspect.Load() {
+		if e == nil || e.evicted() || e.suspect() {
 			return false
 		}
 		e.mu.RLock()
-		lastMod, hasLastMod, cc := e.lastMod, e.hasLastMod, e.cacheControl
+		lastMod, hasLastMod := e.lastModified()
+		cc := e.cacheControl.String()
 		e.mu.RUnlock()
 		if !hasLastMod || lastMod.After(l.Since) || (cc != "" && httpx.CacheControlToken(cc) != l.Token) {
 			return false

@@ -289,7 +289,7 @@ func TestParentListsWhatItCannotVouchFor(t *testing.T) {
 		h.leaf().get(k)
 	}
 	h.quiesce()
-	root.lookup("/suspect").suspect.Store(true)
+	root.lookup("/suspect").state.Or(stateSuspect)
 	lastMod := modTime(h, "/ok")
 	line := func(key string, since time.Time, cc string) httpx.AuditLine {
 		return httpx.AuditLine{Key: key, Since: since, Token: httpx.CacheControlToken(cc)}
@@ -328,7 +328,7 @@ func TestParentListsWhatItCannotVouchFor(t *testing.T) {
 	if got := root.ObjectStats("/ok").Hits; got != hits+1 {
 		t.Errorf("vouched key counted %d hits, want one more than %d", got, hits)
 	}
-	if !root.lookup("/ok").refbit.Load() {
+	if root.lookup("/ok").state.Load()&stateAccessed == 0 {
 		t.Error("vouched key's CLOCK bit not set")
 	}
 }

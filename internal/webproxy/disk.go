@@ -51,27 +51,26 @@ func (p *Proxy) persistEntry(e *entry) {
 	sh := p.store.shardFor(e.key)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if e.evicted.Load() {
+	if e.evicted() {
 		return
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	rec := diskstore.Record{
 		Key:          e.key,
-		Group:        e.group,
-		ContentType:  e.contentType,
-		CacheControl: e.cacheControl,
-		LastMod:      e.lastMod,
-		HasLastMod:   e.hasLastMod,
+		Group:        e.group.String(),
+		ContentType:  e.contentType.String(),
+		CacheControl: e.cacheControl.String(),
 		ValidatedAt:  e.validatedAt,
 		Delta:        e.delta,
 		GroupDelta:   e.groupDelta,
-		ValueDelta:   e.valueDelta,
+		ValueDelta:   e.valueDelta(),
 	}
+	rec.LastMod, rec.HasLastMod = e.lastModified()
 	// A paired M_v policy is half of a shared controller whose split
 	// tolerance dies with the pair; persist TTR zero and let the
 	// rehydrated entry re-learn (and re-pair) from scratch.
-	if !e.paired {
+	if !e.paired() {
 		if t, ok := e.policy.(interface{ TTR() time.Duration }); ok {
 			rec.TTR = t.TTR()
 		}

@@ -171,7 +171,7 @@ func TestCacheHitsMonotonicAcrossChurn(t *testing.T) {
 func TestClockPenalizesUngroupedVictimsFirst(t *testing.T) {
 	s := newStore(1)
 	mk := func(key, group string) *entry {
-		e := &entry{key: key, group: group}
+		e := &entry{key: key, group: intern(group)}
 		e.size.Store(100)
 		return e
 	}
@@ -186,7 +186,7 @@ func TestClockPenalizesUngroupedVictimsFirst(t *testing.T) {
 	// Clear the admission-grace access bits so the sweep sees a cold
 	// cache where only group membership differentiates the candidates.
 	for _, e := range seed {
-		e.refbit.Store(false)
+		e.takeAccess()
 	}
 
 	_, _, victims, _ := s.put("/e", mk("/e", ""), 4, -1)
@@ -203,7 +203,7 @@ func TestClockPenalizesUngroupedVictimsFirst(t *testing.T) {
 		}
 	}
 	for _, v := range victims {
-		if !v.evicted.Load() {
+		if !v.evicted() {
 			t.Errorf("victim %s not marked with the eviction token", v.key)
 		}
 	}
@@ -216,7 +216,7 @@ func TestClockPenalizesUngroupedVictimsFirst(t *testing.T) {
 func TestGroupLivesReplenishOnAccess(t *testing.T) {
 	s := newStore(1)
 	mk := func(key, group string) *entry {
-		e := &entry{key: key, group: group}
+		e := &entry{key: key, group: intern(group)}
 		e.size.Store(100)
 		return e
 	}
@@ -230,8 +230,8 @@ func TestGroupLivesReplenishOnAccess(t *testing.T) {
 	sh.mu.Lock()
 	grouped.lives = 0
 	sh.mu.Unlock()
-	grouped.refbit.Store(true)
-	cold.refbit.Store(false)
+	grouped.markAccessed()
+	cold.takeAccess()
 
 	_, _, victims, _ := s.put("/new", mk("/new", ""), 2, -1)
 	if len(victims) != 1 || victims[0].key != "/cold" {
@@ -644,7 +644,7 @@ func TestEvictedPairSurvivorUnpairsAndRepairs(t *testing.T) {
 		}
 		e.mu.RLock()
 		defer e.mu.RUnlock()
-		return e.paired
+		return e.paired()
 	}
 	if !paired("/quote/a") || !paired("/quote/b") {
 		t.Fatal("first two value members did not pair")
@@ -677,7 +677,7 @@ func checkStoreInvariants(t *testing.T, px *node) {
 		ringSum += len(sh.ring)
 		for _, e := range sh.entries {
 			byteSum += e.size.Load()
-			if e.evicted.Load() {
+			if e.evicted() {
 				t.Errorf("resident entry %s carries the eviction token", e.key)
 			}
 		}

@@ -259,7 +259,7 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 			t.Fatalf("%s: not resident", row.name)
 		}
 		e.mu.RLock()
-		validatedAt, contentType, digest := e.validatedAt, e.contentType, e.bodyDigest
+		validatedAt, contentType, digest := e.validatedAt, e.contentType.String(), e.bodyDigest
 		e.mu.RUnlock()
 		if digest != push.DigestOf(body) {
 			t.Errorf("%s: entry digest is not the digest of its body", row.name)

@@ -46,9 +46,10 @@ import (
 // lands past the bucket holding validation + L, or at or before the
 // paper-mode instant. No audit comes later than L after the validation
 // it follows, so the staleness table below is unchanged. The paper-mode
-// instant (validation + TTR) is remembered per entry as baseNextAt, and
-// the policy keeps learning from each poll's outcome. Rehydrated entries
-// are born suspect and validate immediately, lease or not.
+// instant (validation + TTR) is remembered per entry as the lease's
+// stretch past it (see entry.baseNextAt), and the policy keeps learning
+// from each poll's outcome. Rehydrated entries are born suspect and
+// validate immediately, lease or not.
 //
 // What the lease carries needs no poll:
 //
@@ -280,7 +281,7 @@ func (p *Proxy) resolveLeaseTerm() time.Duration {
 // a leased instant never slips onto the heap after the sweep passed it.
 func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Duration, admittedAt time.Time, epoch *time.Time) {
 	p.schedMu.Lock()
-	if e.evicted.Load() {
+	if e.evicted() {
 		p.schedMu.Unlock()
 		return
 	}
@@ -296,7 +297,8 @@ func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Durat
 
 // carriedLocked reports whether the live lease carries the resident entry
 // e right now: the channel covers it, and its schedule is leased — its
-// poll sits past its paper-mode instant — and on the heap. The leased
+// poll sits past its paper-mode instant — and on the heap (see
+// leasedLocked for the same question about a poll just popped). The leased
 // schedule stands in for the evidence premise: rescheduleHybrid leases
 // only on evidence from the current epoch, every epoch change sweeps the
 // schedule back, and a failed pushed poll ends it (see deferRetry). A key
@@ -305,7 +307,14 @@ func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Durat
 // worker ahead of anything queued after it. The caller holds schedMu,
 // which orders the answer against the sweep and every lease decision.
 func (p *Proxy) carriedLocked(e *entry) bool {
-	return e.item != nil && e.baseNextAt.Before(e.nextAt) && p.lease.covers(e.key, !e.unpushable)
+	return e.item.Pending() && p.leasedLocked(e)
+}
+
+// leasedLocked is carriedLocked but for the heap: it reports whether e's
+// schedule is leased and the channel covers it, which the dispatcher asks
+// of a poll it has just popped. The caller holds schedMu.
+func (p *Proxy) leasedLocked(e *entry) bool {
+	return e.leased > 0 && p.lease.covers(e.key, !e.unpushable)
 }
 
 // raced reports whether an admission's copy may predate an update the
@@ -345,12 +354,12 @@ func (p *Proxy) journalLocked(e *entry) {
 // either reschedules first (its item is on the heap and gets swept) or
 // takes the lock after the sweep and reads the channel as down or its
 // evidence's epoch as superseded (no lease). Entries that are mid-poll
-// (item == nil) reschedule through the same gate when they finish. The
+// (item not pending) reschedule through the same gate when they finish. The
 // single hold is a latency spike proportional to the cache size, but a
 // channel death is rare and correctness of the Δt bound wins.
 func (p *Proxy) fallbackSweep() {
 	if p.lease.term <= 0 {
-		// Leases off: every baseNextAt equals its nextAt, so the sweep is
+		// Leases off: no schedule is ever leased, so the sweep is
 		// a guaranteed no-op — skip the O(cache) walk and the schedMu hold
 		// it would cost on every disconnect.
 		return
@@ -360,16 +369,15 @@ func (p *Proxy) fallbackSweep() {
 	pulled := false
 	p.schedMu.Lock()
 	for _, e := range batch {
-		if e.item == nil || !e.baseNextAt.Before(e.nextAt) {
+		if !e.item.Pending() || e.leased <= 0 {
 			continue // unscheduled (queued, in flight, or evicted) or unleased
 		}
-		at := e.baseNextAt
+		at := e.baseNextAt()
 		if at.Before(now) {
 			at = now
 		}
-		e.nextAt = at
-		e.baseNextAt = at
-		p.schedule.Reschedule(e.item, at)
+		e.leased = 0
+		p.schedule.Reschedule(&e.item, at)
 		pulled = true
 	}
 	p.schedMu.Unlock()

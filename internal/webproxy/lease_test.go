@@ -142,8 +142,8 @@ func wantPaperMode(t *testing.T, px *node) {
 	px.schedMu.Lock()
 	defer px.schedMu.Unlock()
 	for _, e := range entries {
-		if e.item != nil && !e.nextAt.Equal(e.baseNextAt) {
-			t.Errorf("%s scheduled %v past its paper-mode instant", e.key, e.nextAt.Sub(e.baseNextAt))
+		if e.item.Pending() && e.leased != 0 {
+			t.Errorf("%s scheduled %v past its paper-mode instant", e.key, e.leased)
 		}
 	}
 }
@@ -384,7 +384,7 @@ func TestLeaseWaitsForDeclaredInterest(t *testing.T) {
 	px.get("/out/b")
 	px.schedMu.Lock()
 	e := px.lookup("/out/b")
-	first, base := e.nextAt, e.baseNextAt
+	first, base := e.item.At, e.baseNextAt()
 	px.schedMu.Unlock()
 	if !first.Equal(base) {
 		t.Errorf("/out/b leased %v past its first poll while outside the declaration", first.Sub(base))
@@ -1200,12 +1200,12 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 					px := h.leaf()
 					e := px.lookup(sib)
 					px.schedMu.Lock()
-					audit := e.nextAt
+					audit := e.item.At
 					px.schedMu.Unlock()
 					h.clk.AdvanceTo(audit)
 					h.quiesce()
 					px.schedMu.Lock()
-					dispatched := e.item == nil && e.baseNextAt.Before(e.nextAt)
+					dispatched := !e.item.Pending() && e.leased > 0
 					px.schedMu.Unlock()
 					if !dispatched {
 						t.Fatal("the sibling's leased audit was never dispatched")

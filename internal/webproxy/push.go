@@ -84,7 +84,7 @@ func (p *Proxy) heldDigests() []push.HeldDigest {
 	}
 	var cands []cand
 	for _, e := range p.store.all() {
-		if e.evicted.Load() || e.unpushable {
+		if e.evicted() || e.unpushable {
 			continue
 		}
 		if _, d := e.held(); d != "" {
@@ -180,7 +180,7 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		return
 	}
 	e := p.lookup(ev.Key)
-	if e != nil && e.evicted.Load() {
+	if e != nil && e.evicted() {
 		e = nil
 	}
 	if e == nil {
@@ -193,7 +193,7 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 		// read the mark before it was set has published its entry by now.
 		ck := canonicalize(ev.Key)
 		p.flight.Mark(ck)
-		if e = p.store.get(ck); e != nil && e.evicted.Load() {
+		if e = p.store.get(ck); e != nil && e.evicted() {
 			e = nil
 		}
 	}
@@ -302,7 +302,8 @@ func versionHeld(has bool, held, mod time.Time) bool {
 func (e *entry) holdsVersion(mod time.Time) bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return versionHeld(e.hasLastMod, e.lastMod, mod)
+	held, has := e.lastModified()
+	return versionHeld(has, held, mod)
 }
 
 // held returns the cached body and its digest (empty without
@@ -362,7 +363,7 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 // confirmation poll, the next rung of the ladder. The Δ guarantee never
 // rests on this path. epoch is the lease epoch the event arrived in.
 func (p *Proxy) applyPushedValue(e *entry, ev *push.Event, epoch *time.Time) bool {
-	if !p.cfg.PushValues || e.evicted.Load() {
+	if !p.cfg.PushValues || e.evicted() {
 		// Nothing may be installed for an evicted entry; the poll path's
 		// own eviction check disposes of the job.
 		return false

@@ -48,8 +48,8 @@ func scheduleOf(t *testing.T, px *node, key string, minPolls uint64) schedSnapsh
 	snap := schedSnapshot{validatedAt: e.validatedAt, polls: e.polls.Load()}
 	e.mu.RUnlock()
 	px.schedMu.Lock()
-	scheduled := e.item != nil
-	snap.base, snap.next = e.baseNextAt, e.nextAt
+	scheduled := e.item.Pending()
+	snap.base, snap.next = e.baseNextAt(), e.item.At
 	px.schedMu.Unlock()
 	if !scheduled || snap.polls < minPolls {
 		t.Fatalf("%s not on the heap after %d polls (scheduled %v, %d polls)", key, minPolls, scheduled, snap.polls)

@@ -88,7 +88,7 @@ func (w *worker) dequeue() (job, bool) {
 
 // workerFor routes e to its affinity worker.
 func (p *Proxy) workerFor(e *entry) *worker {
-	k := e.group
+	k := e.group.String()
 	if k == "" {
 		k = e.key
 	}
@@ -138,9 +138,8 @@ func (p *Proxy) dispatchLoop() {
 		p.schedMu.Lock()
 		for it := p.popLocked(now, false); it != nil; it = p.popLocked(now, batching && pulls) {
 			e := it.Payload.(*entry)
-			leased := p.carriedLocked(e) // asked while e.item is still set
-			e.item = nil
-			if e.evicted.Load() {
+			leased := p.leasedLocked(e)
+			if e.evicted() {
 				continue // unwound between Remove and this pop; drop it
 			}
 			// Count the job before the heap stops covering it, still
@@ -212,7 +211,7 @@ func (p *Proxy) kick() {
 // second leaves the entry off the heap.
 func (p *Proxy) reschedule(e *entry, at time.Time) {
 	p.schedMu.Lock()
-	if e.evicted.Load() {
+	if e.evicted() {
 		p.schedMu.Unlock()
 		return
 	}
@@ -225,24 +224,20 @@ func (p *Proxy) reschedule(e *entry, at time.Time) {
 // paper-mode instant. The caller holds schedMu and has checked the
 // eviction token.
 func (p *Proxy) placeLocked(e *entry, at, base time.Time) {
-	e.nextAt = at
-	e.baseNextAt = base
-	if e.item != nil {
-		p.schedule.Reschedule(e.item, at)
+	e.leased = at.Sub(base)
+	if e.item.Pending() {
+		p.schedule.Reschedule(&e.item, at)
 	} else {
-		e.item = p.schedule.Push(at, e)
+		e.item.Payload = e
+		p.schedule.Add(&e.item, at)
 	}
 }
 
 // unschedule removes e's pending poll, if any, from the refresh heap.
 func (p *Proxy) unschedule(e *entry) {
 	p.schedMu.Lock()
-	if e.item != nil {
-		p.schedule.Remove(e.item)
-		e.item = nil
-	}
-	e.nextAt = time.Time{}
-	e.baseNextAt = time.Time{}
+	p.schedule.Remove(&e.item)
+	e.item.At, e.leased = time.Time{}, 0
 	p.schedMu.Unlock()
 }
 
@@ -255,7 +250,8 @@ func (p *Proxy) unschedule(e *entry) {
 // that no longer exists — leaving it free to re-pair with the next
 // value member admitted to the group.
 func (p *Proxy) leaveGroup(e *entry) {
-	if e.group == "" {
+	group := e.group.String()
+	if group == "" {
 		return
 	}
 	// groupMu is held for the whole removal (lock order groupMu →
@@ -265,7 +261,7 @@ func (p *Proxy) leaveGroup(e *entry) {
 	// and retries, or the removal sees its member and keeps the group.
 	p.groupMu.Lock()
 	defer p.groupMu.Unlock()
-	gs := p.groups[e.group]
+	gs := p.groups[group]
 	if gs == nil {
 		return
 	}
@@ -277,14 +273,10 @@ func (p *Proxy) leaveGroup(e *entry) {
 			break
 		}
 	}
-	if other := e.partner; other != nil {
-		e.partner = nil
-		if other.partner == e {
-			other.partner = nil
-			other.mu.Lock()
-			other.paired = false
-			other.policy = p.newPolicy(0, other.valueDelta, 0)
-			other.mu.Unlock()
+	if e.vx != nil {
+		if other := e.vx.partner; other != nil {
+			e.vx.partner = nil
+			p.widow(other, e)
 		}
 	}
 	gs.ctrl.Forget(core.ObjectID(e.key))
@@ -292,15 +284,29 @@ func (p *Proxy) leaveGroup(e *entry) {
 		// Last member gone: retire the group so churn over distinct
 		// group names cannot leak controllers.
 		gs.dead = true
-		delete(p.groups, e.group)
+		delete(p.groups, group)
 	}
+}
+
+// widow returns other, the partner e just left, to an individual
+// AdaptiveTTR policy over its own Δv, unless it has re-paired since. The
+// caller holds the group's mu.
+func (p *Proxy) widow(other, e *entry) {
+	if other.vx.partner != e {
+		return
+	}
+	other.vx.partner = nil
+	other.mu.Lock()
+	other.vx.paired = false
+	other.policy = p.newPolicy(0, other.vx.valueDelta, 0)
+	other.mu.Unlock()
 }
 
 // scheduledNextAt reads e's next regular poll instant.
 func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 	p.schedMu.Lock()
 	defer p.schedMu.Unlock()
-	return e.nextAt
+	return e.item.At
 }
 
 // pollEntry performs one refresh of e against the origin. A pushed job
@@ -322,7 +328,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	// An entry evicted after being popped off the schedule (or while
 	// queued on its worker) must not poll the origin: eviction promises
 	// the object never causes another upstream request.
-	if e.evicted.Load() {
+	if e.evicted() {
 		if kind == pollPushed {
 			// Demoted between the event and this job: the update landed
 			// nowhere (the void transition, see lease.go).
@@ -331,10 +337,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		return
 	}
 	e.mu.RLock()
-	since := e.lastMod
-	if !e.hasLastMod {
-		since = e.validatedAt
-	}
+	since := e.since()
 	e.mu.RUnlock()
 
 	resp, err := p.fetch(e.key, since)
@@ -444,12 +447,12 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	// lease poll's 304 is the only channel left for a tolerance change to
 	// reach this proxy and its children.
 	if v.cacheControl != "" {
-		e.cacheControl = v.cacheControl
+		e.cacheControl.set(v.cacheControl)
 	}
-	if e.isValue {
+	if e.vx != nil {
 		outcome.HasValue = true
-		outcome.PrevValue = e.value
-		outcome.Value = e.value
+		outcome.PrevValue = e.vx.value
+		outcome.Value = e.vx.value
 	}
 	if v.modified {
 		// The outgoing body is the delta base downstream subscribers hold;
@@ -457,15 +460,14 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		prevBody, prevDigest = e.body, e.bodyDigest
 		e.body, e.bodyDigest = v.body, v.digest
 		if v.contentType != "" {
-			e.contentType = v.contentType
+			e.contentType.set(v.contentType)
 		}
 		if v.hasLastMod {
-			e.lastMod = v.lastMod
-			e.hasLastMod = true
+			e.setLastModified(v.lastMod)
 		}
-		if e.isValue {
+		if e.vx != nil {
 			if val, ok := parseValueBody(v.body); ok {
-				e.value = val
+				e.vx.value = val
 				outcome.Value = val
 			}
 		}
@@ -473,7 +475,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	if kind == pollRegular {
 		ttr = e.policy.NextTTR(outcome)
 	}
-	paired := e.paired
+	paired := e.paired()
 	e.mu.Unlock()
 
 	if v.applied {
@@ -509,7 +511,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		p.relayInstalled(e, v, prevBody, prevDigest)
 	}
 
-	gs := p.groupState(e.group)
+	gs := p.groupState(e.group.String())
 	if gs != nil {
 		gs.mu.Lock()
 		// Re-check the eviction token under gs.mu: if the entry was
@@ -518,12 +520,12 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		// would resurrect controller state for a non-resident object.
 		// The token is set before leaveGroup takes gs.mu, so whichever
 		// side acquires gs.mu second leaves the controller clean.
-		if !e.evicted.Load() {
+		if !e.evicted() {
 			gs.ctrl.ObserveOutcome(core.ObjectID(e.key), outcome)
 		}
 		gs.mu.Unlock()
 	}
-	if e.evicted.Load() {
+	if e.evicted() {
 		// Evicted mid-refresh: no reschedule, no triggering. A new version
 		// landed on a copy that is gone, so the record it left behind must
 		// not pass for current.
@@ -539,9 +541,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	// is disabled) — unless a lease epoch began since the evidence was
 	// gathered: stamped now, it would pass for carried across the hole
 	// that ended the last one.
-	if e.suspect.Load() {
-		e.suspect.Store(false)
-	}
+	e.clearSuspect()
 	if p.lease.current(v.epoch) {
 		p.persistEntry(e)
 	}
@@ -579,7 +579,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 func (p *Proxy) deferRetry(e *entry, now time.Time, kind pollKind) {
 	e.mu.Lock()
 	e.failures++
-	n := e.failures
+	n := int(e.failures)
 	base := e.policy.InitialTTR()
 	e.mu.Unlock()
 	retryAt := now.Add(backoffDelay(base, n, p.maxBackoff()))
@@ -591,19 +591,20 @@ func (p *Proxy) deferRetry(e *entry, now time.Time, kind pollKind) {
 		// later; a nil item means a regular poll is already queued on
 		// this worker, which is itself the prompt retry.
 		p.schedMu.Lock()
-		pull := e.item != nil && retryAt.Before(e.nextAt)
+		pull := e.item.Pending() && retryAt.Before(e.item.At)
 		if pull {
-			e.nextAt = retryAt
-			if retryAt.Before(e.baseNextAt) {
-				e.baseNextAt = retryAt
+			base := e.baseNextAt()
+			if retryAt.Before(base) {
+				base = retryAt
 			}
-			p.schedule.Reschedule(e.item, retryAt)
+			p.schedule.Reschedule(&e.item, retryAt)
+			e.leased = retryAt.Sub(base)
 		}
 		if kind == pollPushed {
 			// The channel announced an update this proxy does not hold, so
 			// it no longer carries the key: the lease ends here, and the
 			// poll placed above is the key's paper-mode one.
-			e.baseNextAt = e.nextAt
+			e.leased = 0
 		}
 		p.schedMu.Unlock()
 		if pull {
@@ -678,7 +679,7 @@ func (p *Proxy) triggerGroup(e *entry, gs *groupState, now time.Time) (vouched [
 			vouched = append(vouched, c.other.key)
 		}
 		if gs.ctrl.ShouldTrigger(core.ObjectID(e.key), core.ObjectID(c.other.key),
-			p.toSim(now), p.toSim(prev), p.toSim(c.other.nextAt)) {
+			p.toSim(now), p.toSim(prev), p.toSim(c.other.item.At)) {
 			toTrigger = append(toTrigger, c.other)
 		}
 	}

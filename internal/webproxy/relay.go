@@ -186,7 +186,7 @@ func (p *Proxy) relayInstalled(e *entry, v version, prevBody []byte, prevDigest 
 			ev.Body = v.body // replaced wholesale on refresh, never mutated: safe to share
 			ev.HasBody = true
 			e.mu.RLock()
-			ev.ContentType = e.contentType
+			ev.ContentType = e.contentType.String()
 			e.mu.RUnlock()
 			if len(prevBody) >= relayDeltaFloor && prevDigest != "" && prevDigest != ev.Digest {
 				if d, ok := push.MakeDelta(prevBody, v.body); ok {

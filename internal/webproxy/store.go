@@ -51,9 +51,12 @@ const maxShards = 1 << 20
 // has passed them groupLives times without a hit.
 const groupLives = 2
 
-// entryOverhead approximates the per-object bookkeeping bytes charged to
-// the ledger beyond key and body: the entry struct, its policy state,
-// the map cell, the ring slot, and the schedule item.
+// entryOverhead is the per-object bookkeeping charged to the ledger
+// beyond key and body: the entry struct with its embedded schedule item
+// (320 B), its LIMD state (32 B), and its share of the shard map, the
+// CLOCK ring and the refresh heap — about 410 B for a one-hop resident
+// (TestEntryOverheadCoversFootprint holds it there), the rest headroom
+// for a value object's state or a push digest.
 const entryOverhead = 512
 
 // entrySize is the resident size charged to the byte ledger for an
@@ -127,12 +130,12 @@ func (s *store) put(key string, e *entry, maxObjects int, maxBytes int64) (resid
 		return existing, false, nil, false
 	}
 	sh.entries[key] = e
-	e.ringIdx = len(sh.ring)
+	e.ringIdx = int32(len(sh.ring))
 	sh.ring = append(sh.ring, e)
 	// A fresh admission starts with its access bit set (one grace sweep)
 	// and, for group members, its extra lives intact.
-	e.refbit.Store(true)
-	if e.group != "" {
+	e.markAccessed()
+	if e.group != (interned{}) {
 		e.lives = groupLives
 	}
 	s.count.Add(1)
@@ -216,12 +219,12 @@ func (sh *storeShard) clockVictim(protect *entry) *entry {
 			sh.hand++
 			continue
 		}
-		if c.refbit.CompareAndSwap(true, false) {
+		if c.takeAccess() {
 			// Second chance: accessed since the last sweep. A live
 			// group member also gets its penalty shield back — the
 			// extra lives protect warm groups durably, not just for
 			// groupLives sweeps after admission.
-			if c.group != "" {
+			if c.group != (interned{}) {
 				c.lives = groupLives
 			}
 			sh.hand++
@@ -245,7 +248,7 @@ func (sh *storeShard) removeLocked(e *entry) {
 	delete(sh.entries, e.key)
 	sh.retiredHits += e.hits.Load()
 	last := len(sh.ring) - 1
-	if e.ringIdx != last {
+	if int(e.ringIdx) != last {
 		moved := sh.ring[last]
 		sh.ring[e.ringIdx] = moved
 		moved.ringIdx = e.ringIdx
@@ -256,7 +259,7 @@ func (sh *storeShard) removeLocked(e *entry) {
 		sh.hand = 0
 	}
 	e.ringIdx = -1
-	e.evicted.Store(true)
+	e.state.Or(stateEvicted)
 }
 
 // removeEntry evicts exactly e (admin or oversize eviction), reporting
@@ -284,7 +287,7 @@ func (s *store) removeEntry(e *entry) bool {
 func (s *store) resize(e *entry, size int64) {
 	sh := s.shardFor(e.key)
 	sh.mu.Lock()
-	if e.evicted.Load() {
+	if e.evicted() {
 		sh.mu.Unlock()
 		return
 	}

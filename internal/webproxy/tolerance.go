@@ -40,7 +40,7 @@ type ToleranceOverride struct {
 // promotion, when the origin gets its say anyway).
 func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (ToleranceOverride, bool) {
 	e := p.lookup(key)
-	if e == nil || e.evicted.Load() {
+	if e == nil || e.evicted() {
 		return ToleranceOverride{}, false
 	}
 	res := ToleranceOverride{Key: e.key}
@@ -58,8 +58,8 @@ func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (Tol
 	if dt > 0 {
 		e.delta = dt
 	}
-	if dv > 0 && e.isValue {
-		e.valueDelta = dv
+	if dv > 0 && e.vx != nil {
+		e.vx.valueDelta = dv
 	}
 	// Rebuild the policy around the new tolerance, carrying the learned
 	// TTR over: the object's observed update rate did not change, only
@@ -68,9 +68,9 @@ func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (Tol
 	if t, ok := e.policy.(interface{ TTR() time.Duration }); ok {
 		learned = t.TTR()
 	}
-	e.policy = p.newPolicy(e.delta, e.valueDelta, learned)
+	e.policy = p.newPolicy(e.delta, e.valueDelta(), learned)
 	res.Delta = e.delta
-	res.ValueDelta = e.valueDelta
+	res.ValueDelta = e.valueDelta()
 	e.mu.Unlock()
 
 	// Journal the new tolerances so a restart rehydrates them (the
@@ -95,31 +95,25 @@ func (p *Proxy) OverrideTolerance(key string, dt time.Duration, dv float64) (Tol
 // It reports whether a pair existed. Lock order matches joinGroup:
 // groupMu → gs.mu → entry mu.
 func (p *Proxy) unpair(e *entry) bool {
-	if e.group == "" {
+	if e.group == (interned{}) || e.vx == nil {
 		return false
 	}
 	p.groupMu.Lock()
 	defer p.groupMu.Unlock()
-	gs := p.groups[e.group]
+	gs := p.groups[e.group.String()]
 	if gs == nil {
 		return false
 	}
 	gs.mu.Lock()
 	defer gs.mu.Unlock()
-	other := e.partner
+	other := e.vx.partner
 	if other == nil {
 		return false
 	}
-	e.partner = nil
-	if other.partner == e {
-		other.partner = nil
-		other.mu.Lock()
-		other.paired = false
-		other.policy = p.newPolicy(0, other.valueDelta, 0)
-		other.mu.Unlock()
-	}
+	e.vx.partner = nil
+	p.widow(other, e)
 	e.mu.Lock()
-	e.paired = false
+	e.vx.paired = false
 	e.mu.Unlock()
 	return true
 }

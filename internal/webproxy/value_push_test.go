@@ -250,7 +250,7 @@ func TestValuePushDuplicateEventsAreRecognized(t *testing.T) {
 	// Replay the exact same event (same modification instant).
 	e := px.lookup("/page")
 	e.mu.RLock()
-	mod := e.lastMod
+	mod, _ := e.lastModified()
 	e.mu.RUnlock()
 	h.origin.InjectPushEvent(push.Event{
 		Kind: push.KindUpdate, Key: "/page", ModTime: mod,

@@ -103,6 +103,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unique"
 
 	"broadway/internal/core"
 	"broadway/internal/diskstore"
@@ -288,10 +289,14 @@ type PollObservation struct {
 	Vouched []string
 }
 
-// entry is one cached object.
+// entry is one cached object. Every resident holds one on every hop, so
+// its layout is kept within the ledger's entryOverhead (see store.go):
+// headers shared by many objects are interned, value-domain state sits
+// behind a pointer only value objects allocate, the refresh-heap slot is
+// embedded, and the flags are packed.
 type entry struct {
-	key   string // canonical cache key: path plus sorted query
-	group string
+	key   string // canonical cache key: path plus sorted query, owned by the entry
+	group interned
 
 	// mu guards the mutable data fields below. The policy runs only on
 	// the entry's affinity worker (or, for a partitioned M_v pair, the
@@ -307,53 +312,35 @@ type entry struct {
 	// compares a pushed frame's base digest against, and what the
 	// subscriber advertises as held on connect.
 	bodyDigest  string
-	contentType string
+	contentType interned
 	// cacheControl is the origin's Cache-Control header, forwarded on
 	// responses so child proxies learn the same tolerance directives.
-	cacheControl string
-	lastMod      time.Time
-	hasLastMod   bool
-	validatedAt  time.Time
-	failures     int // consecutive upstream failures
+	cacheControl interned
+	// lastMod is the origin's Last-Modified in Unix nanoseconds, the form
+	// the push wire carries modification instants in, when hasLastMod
+	// (see lastModified).
+	lastMod     int64
+	validatedAt time.Time
 
-	// Value-domain objects (origin advertised x-cc-vdelta): the body is
-	// parsed as a decimal value and the entry runs an AdaptiveTTR
-	// policy over it. valueDelta is the advertised Δv, immutable after
-	// admission (leaveGroup rebuilds a widowed partner's individual
-	// policy from it).
-	isValue    bool
-	value      float64
-	valueDelta float64
-	// paired marks a value entry whose policy belongs to a
-	// MutualValuePartitioned pair (M_v consistency, §4.2). partner
-	// links the two halves of the pair and is guarded by the group's
-	// mu (pairing and unpairing both run under it).
-	paired  bool
-	partner *entry
+	// vx is the value-domain state of an object whose origin advertised
+	// x-cc-vdelta (§4.1); nil for every other object. Immutable after
+	// admission.
+	vx *valueState
 
-	// nextAt, baseNextAt, and item are guarded by the proxy's schedMu.
-	// nextAt is the scheduled poll instant (possibly leased out to the
-	// push channel while it is healthy); baseNextAt is the instant pure
+	// item is the entry's slot on the proxy's refresh heap, and leased how
+	// far a lease moved the poll past its paper-mode instant; both are
+	// guarded by the proxy's schedMu. item.At is the scheduled poll
+	// instant, item.Pending whether it is on the heap (false while the poll
+	// is queued or in flight, and once evicted); the instant pure
 	// paper-mode polling would have used, which the fallback sweep
-	// restores when the channel dies.
-	nextAt     time.Time
-	baseNextAt time.Time
-	item       *sched.Item
+	// restores when the channel dies, is item.At − leased (see
+	// baseNextAt).
+	item   sched.Item
+	leased time.Duration
 
 	// Replacement state. size is the resident bytes charged to the
 	// store's ledger (re-charged on refresh under the shard lock).
-	// ringIdx and lives (remaining extra second chances; group members
-	// start with groupLives) are guarded by the owning shard's mutex.
-	// evicted is the cancellation token: set under the shard lock when
-	// the entry leaves the store, it stops future reschedules and
-	// in-flight polls from resurrecting the object.
-	size    atomic.Int64
-	ringIdx int
-	lives   int
-	evicted atomic.Bool
-	// capped marks an entry served uncached because the object alone
-	// overflows MaxBytes.
-	capped bool
+	size atomic.Int64
 
 	polls     atomic.Uint64
 	triggered atomic.Uint64
@@ -375,26 +362,113 @@ type entry struct {
 	// each version's payload cross to the children once (see
 	// claimRelay).
 	relayedMod atomic.Int64
+	// delta and groupDelta are the resolved Δ/δ tolerances the entry
+	// was admitted with (config defaults overlaid by origin
+	// directives), snapshotted here so the disk tier can persist and
+	// restore them. Immutable after admission, but for an override of
+	// delta under mu.
+	delta      time.Duration
+	groupDelta time.Duration
+
+	failures int32 // consecutive upstream failures, guarded by mu
+	// ringIdx and lives (remaining extra second chances; group members
+	// start with groupLives) are guarded by the owning shard's mutex.
+	ringIdx int32
+	// state holds the lock-free flags: evicted, suspect and the CLOCK
+	// access bit (see the state* constants).
+	state atomic.Uint32
+	lives uint8
+	// capped marks an entry served uncached because the object alone
+	// overflows MaxBytes.
+	capped bool
 	// unpushable marks an object whose key cannot fit an invalidation
 	// frame: the origin will never announce its updates, so it is
 	// never leased. Immutable after admission.
 	unpushable bool
-	// delta and groupDelta are the resolved Δ/δ tolerances the entry
-	// was admitted with (config defaults overlaid by origin
-	// directives), snapshotted here so the disk tier can persist and
-	// restore them. Immutable after admission.
-	delta      time.Duration
-	groupDelta time.Duration
-	// suspect marks a rehydrated entry not yet re-validated against the
-	// origin in this process lifetime: hits serve it as X-Cache: GRACE
-	// until its validation poll clears the mark, so the Δt bound never
-	// widens silently across a restart.
-	suspect atomic.Bool
-	// refbit is the CLOCK access bit, marked lock-free on hits (see
-	// markAccessed) and consumed by the victim sweep. It sits next to
-	// hits so a hit that does write it touches the cache line the hit
-	// counter already owns.
-	refbit atomic.Bool
+	hasLastMod bool // guarded by mu
+}
+
+// The bits of entry.state.
+const (
+	// stateEvicted is the cancellation token: set under the shard lock
+	// when the entry leaves the store, it stops future reschedules and
+	// in-flight polls from resurrecting the object.
+	stateEvicted = 1 << iota
+	// stateSuspect marks a rehydrated entry not yet re-validated against
+	// the origin in this process lifetime: hits serve it as X-Cache:
+	// GRACE until its validation poll clears the mark, so the Δt bound
+	// never widens silently across a restart.
+	stateSuspect
+	// stateAccessed is the CLOCK access bit, marked on hits (see
+	// markAccessed) and consumed by the victim sweep (see takeAccess).
+	stateAccessed
+)
+
+// valueState is a value-domain entry's state. value and valueDelta are
+// guarded by the entry's mu; valueDelta is the advertised Δv, changed
+// only by a tolerance override (widow rebuilds a widowed partner's
+// individual policy from it). paired marks a value entry whose policy
+// belongs to a MutualValuePartitioned pair (M_v consistency, §4.2), and
+// is guarded by the entry's mu; partner links the two halves of the pair
+// and is guarded by the group's mu (pairing and unpairing both run under
+// it).
+type valueState struct {
+	value      float64
+	valueDelta float64
+	paired     bool
+	partner    *entry
+}
+
+// lastModified returns the cached Last-Modified and whether the origin
+// stated one. The caller holds e.mu.
+func (e *entry) lastModified() (time.Time, bool) {
+	if !e.hasLastMod {
+		return time.Time{}, false
+	}
+	return time.Unix(0, e.lastMod).UTC(), true
+}
+
+// setLastModified records the origin's Last-Modified. The caller holds
+// e.mu, or owns an entry not yet published.
+func (e *entry) setLastModified(t time.Time) {
+	e.lastMod, e.hasLastMod = t.UnixNano(), true
+}
+
+// since is the instant a conditional GET for e asks about: its
+// Last-Modified, or its validation instant when the origin stated none.
+// The caller holds e.mu.
+func (e *entry) since() time.Time {
+	if t, ok := e.lastModified(); ok {
+		return t
+	}
+	return e.validatedAt
+}
+
+// valueDelta returns the advertised Δv, zero for a time-domain object.
+// The caller holds e.mu.
+func (e *entry) valueDelta() float64 {
+	if e.vx == nil {
+		return 0
+	}
+	return e.vx.valueDelta
+}
+
+// paired reports whether e's policy is half of a partitioned M_v pair.
+// The caller holds e.mu.
+func (e *entry) paired() bool { return e.vx != nil && e.vx.paired }
+
+// baseNextAt is the instant pure paper-mode polling would poll e at. The
+// caller holds schedMu.
+func (e *entry) baseNextAt() time.Time { return e.item.At.Add(-e.leased) }
+
+func (e *entry) evicted() bool { return e.state.Load()&stateEvicted != 0 }
+func (e *entry) suspect() bool { return e.state.Load()&stateSuspect != 0 }
+
+// clearSuspect drops the suspect mark once the copy is validated.
+func (e *entry) clearSuspect() {
+	if e.suspect() {
+		e.state.And(^uint32(stateSuspect))
+	}
 }
 
 // markAccessed sets the CLOCK access bit. Steady-state hits find the bit
@@ -402,8 +476,42 @@ type entry struct {
 // cache-line write on the hit path; only the first hit after a sweep
 // cleared the bit (or after admission) pays the store.
 func (e *entry) markAccessed() {
-	if !e.refbit.Load() {
-		e.refbit.Store(true)
+	if e.state.Load()&stateAccessed == 0 {
+		e.state.Or(stateAccessed)
+	}
+}
+
+// takeAccess clears the CLOCK access bit, reporting whether it was set.
+func (e *entry) takeAccess() bool {
+	return e.state.And(^uint32(stateAccessed))&stateAccessed != 0
+}
+
+// interned is a string held once per distinct value, process-wide: the
+// per-response headers every resident keeps on every hop (Content-Type,
+// Cache-Control, the group name) repeat across objects, and a resident
+// holds an 8-byte handle instead of its own copy.
+type interned struct{ h unique.Handle[string] }
+
+func intern(s string) interned {
+	if s == "" {
+		return interned{}
+	}
+	return interned{unique.Make(s)}
+}
+
+// String returns the interned value ("" for the zero interned).
+func (s interned) String() string {
+	if s == (interned{}) {
+		return ""
+	}
+	return s.h.Value()
+}
+
+// set makes s hold v, interning v only when it differs from the value s
+// holds: a refresh mostly repeats the headers it replaces.
+func (s *interned) set(v string) {
+	if v != s.String() {
+		*s = intern(v)
 	}
 }
 
@@ -434,6 +542,11 @@ type Proxy struct {
 
 	schedMu  sync.Mutex
 	schedule sched.Heap
+
+	// limdConfigs holds one shared LIMD configuration per distinct Δ (see
+	// limdConfig).
+	limdMu      sync.RWMutex
+	limdConfigs map[time.Duration]*core.SharedLIMDConfig
 
 	workers []*worker
 	wake    chan struct{}
@@ -586,13 +699,14 @@ func New(cfg Config) (*Proxy, error) {
 		cfg.RelayPath = "/events"
 	}
 	p := &Proxy{
-		cfg:     cfg,
-		epoch:   cfg.Clock(),
-		store:   newStore(cfg.Shards),
-		groups:  make(map[string]*groupState),
-		workers: make([]*worker, cfg.PollWorkers),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
+		cfg:         cfg,
+		epoch:       cfg.Clock(),
+		store:       newStore(cfg.Shards),
+		groups:      make(map[string]*groupState),
+		limdConfigs: make(map[time.Duration]*core.SharedLIMDConfig),
+		workers:     make([]*worker, cfg.PollWorkers),
+		wake:        make(chan struct{}, 1),
+		done:        make(chan struct{}),
 	}
 	for i := range p.workers {
 		p.workers[i] = &worker{wake: make(chan struct{}, 1)}
@@ -801,7 +915,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // child proxy in a hierarchy revalidates against this one without
 // re-downloading, exactly as this proxy revalidates against its origin.
 func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cacheStatus string) {
-	if cacheStatus == "HIT" && e.suspect.Load() {
+	if cacheStatus == "HIT" && e.suspect() {
 		// A rehydrated copy awaiting its re-validation poll: served, but
 		// labeled — the client sees that the staleness bound is the
 		// grace window, not Δ (see diskGrace).
@@ -810,9 +924,9 @@ func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cac
 	}
 	e.mu.RLock()
 	body := e.body
-	contentType := e.contentType
-	cacheControl := e.cacheControl
-	lastMod, hasLastMod := e.lastMod, e.hasLastMod
+	contentType := e.contentType.String()
+	cacheControl := e.cacheControl.String()
+	lastMod, hasLastMod := e.lastModified()
 	e.mu.RUnlock()
 	if hasLastMod {
 		if ims := r.Header.Get("If-Modified-Since"); ims != "" {
@@ -986,11 +1100,11 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 		}
 	}
 	// Parsed here from the local body slice, not read back from the
-	// published entry: a pushed or triggered poll can replace e.value the
-	// moment the entry is visible, and the observer call below must not
-	// race it.
-	if v, ok := parseValueBody(a.body); ok && a.valueDelta > 0 {
-		a.isValue, a.value = true, v
+	// published entry: a pushed or triggered poll can replace the value
+	// the moment the entry is visible, and the observer call below must
+	// not race it.
+	if a.valueDelta > 0 {
+		a.value, a.isValue = parseValueBody(a.body)
 	}
 
 	e, inserted, raced := p.installEntry(key, a)
@@ -1030,19 +1144,25 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 // returned instead) — and whether the admission raced an update under
 // a lease, in which case its copy must not reach the disk tier.
 func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
+	// The key a request produced is a substring of its request line;
+	// the resident keeps a copy of its own rather than pin the line.
+	key = strings.Clone(key)
 	e := &entry{
 		key:          key,
-		group:        a.group,
+		group:        intern(a.group),
 		body:         a.body,
-		contentType:  a.contentType,
-		cacheControl: a.cacheControl,
-		lastMod:      a.lastMod,
-		hasLastMod:   a.hasLastMod,
+		contentType:  intern(a.contentType),
+		cacheControl: intern(a.cacheControl),
 		validatedAt:  a.validatedAt,
 		delta:        a.delta,
 		groupDelta:   a.groupDelta,
 	}
-	e.suspect.Store(a.suspect)
+	if a.hasLastMod {
+		e.setLastModified(a.lastMod)
+	}
+	if a.suspect {
+		e.state.Store(stateSuspect)
+	}
 	if p.cfg.PushValues {
 		e.bodyDigest = push.DigestOf(a.body)
 	}
@@ -1056,9 +1176,9 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 		e.polls.Store(1) // the admission's validation: a fetch, or the channel's 304
 	}
 	if a.isValue {
-		e.isValue, e.value, e.valueDelta = true, a.value, a.valueDelta
+		e.vx = &valueState{value: a.value, valueDelta: a.valueDelta}
 	}
-	e.policy = p.newPolicy(e.delta, e.valueDelta, a.restoreTTR)
+	e.policy = p.newPolicy(e.delta, e.valueDelta(), a.restoreTTR)
 
 	e.size.Store(entrySize(key, a.body))
 	actual, inserted, victims, capped := p.store.put(key, e, p.cfg.MaxObjects, p.cfg.MaxBytes)
@@ -1121,12 +1241,30 @@ func (p *Proxy) newPolicy(delta time.Duration, valueDelta float64, restore time.
 	if valueDelta > 0 {
 		pol = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{Delta: valueDelta, Bounds: p.cfg.Bounds})
 	} else {
-		pol = core.NewLIMD(core.LIMDConfig{Delta: delta, Bounds: p.cfg.Bounds})
+		pol = p.limdConfig(delta).New()
 	}
 	if r, ok := pol.(interface{ RestoreTTR(time.Duration) }); ok && restore > 0 {
 		r.RestoreTTR(restore)
 	}
 	return pol
+}
+
+// limdConfig returns the LIMD configuration every object with Δ = delta
+// shares, so a resident's policy carries only its own state.
+func (p *Proxy) limdConfig(delta time.Duration) *core.SharedLIMDConfig {
+	p.limdMu.RLock()
+	c := p.limdConfigs[delta]
+	p.limdMu.RUnlock()
+	if c != nil {
+		return c
+	}
+	p.limdMu.Lock()
+	defer p.limdMu.Unlock()
+	if c = p.limdConfigs[delta]; c == nil {
+		c = core.ShareLIMDConfig(core.LIMDConfig{Delta: delta, Bounds: p.cfg.Bounds})
+		p.limdConfigs[delta] = c
+	}
+	return c
 }
 
 // unwind finishes an eviction: each victim — already removed from the
@@ -1186,16 +1324,16 @@ func (p *Proxy) joinGroup(e *entry, group string, groupDelta time.Duration, valu
 	// eviction sets the token before leaveGroup takes gs.mu, so checking
 	// it under gs.mu guarantees an evicted entry is never added to the
 	// member list after leaveGroup has run (no membership leak).
-	if e.evicted.Load() {
+	if e.evicted() {
 		return
 	}
-	if e.isValue && valueDelta > 0 {
+	if e.vx != nil && valueDelta > 0 {
 		for _, other := range gs.members {
-			if !other.isValue {
+			if other.vx == nil {
 				continue
 			}
 			other.mu.Lock()
-			if other.paired {
+			if other.vx.paired {
 				other.mu.Unlock()
 				continue
 			}
@@ -1204,14 +1342,14 @@ func (p *Proxy) joinGroup(e *entry, group string, groupDelta time.Duration, valu
 				Bounds: p.cfg.Bounds,
 			})
 			other.policy = pair.PolicyA()
-			other.paired = true
+			other.vx.paired = true
 			other.mu.Unlock()
 			e.mu.Lock()
 			e.policy = pair.PolicyB()
-			e.paired = true
+			e.vx.paired = true
 			e.mu.Unlock()
-			e.partner = other
-			other.partner = e
+			e.vx.partner = other
+			other.vx.partner = e
 			break
 		}
 	}
@@ -1507,7 +1645,7 @@ func (p *Proxy) ObjectStats(key string) Stats {
 		Hits:      e.hits.Load(),
 		Bytes:     e.size.Load(),
 		Cached:    true,
-		Grouped:   e.group != "",
+		Grouped:   e.group != interned{},
 	}
 }
 

@@ -291,8 +291,10 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// A missing or unparseable If-Modified-Since leaves since zero: the
 	// GET is unconditional, and the history all of it.
 	var since time.Time
-	if t, err := http.ParseTime(r.Header.Get("If-Modified-Since")); err == nil {
-		since = t
+	if ims := r.Header.Get("If-Modified-Since"); ims != "" {
+		if t, err := http.ParseTime(ims); err == nil {
+			since = t
+		}
 	}
 	o.mu.Lock()
 	obj, ok := o.objects[r.URL.Path]

@@ -10,6 +10,9 @@ set -eu
 cd "$(dirname "$0")/.."
 COUNT="${1:-6}"
 
+# These report allocs/op themselves (b.ReportAllocs), so benchgate's
+# alloc gate holds cold admission and the refresh schedule to their
+# allocation budgets too.
 go test -run '^$' -count "$COUNT" -benchtime 200ms \
     -bench 'BenchmarkProxyHitParallel$|BenchmarkProxyHitSingleObject$|BenchmarkProxyChurnParallel$|BenchmarkRefreshSchedulerThroughput$' .
 # -benchmem so benchgate's alloc gate (-alloc-filter) can hold the
