@@ -345,16 +345,19 @@ func BenchmarkProxyHitSingleObject(b *testing.B) {
 	})
 }
 
-// BenchmarkProxyChurnParallel measures the miss/evict/admit cycle: a
-// key space four times the MaxObjects cap guarantees essentially every
-// request misses, runs the CLOCK victim scan, unwinds the victim from
-// the refresh schedule, and admits the newcomer — the proxy's worst
-// case, dominated by the origin round trip plus replacement overhead.
-// Compare BenchmarkProxyHitParallel for the (unchanged) hit path.
-func BenchmarkProxyChurnParallel(b *testing.B) {
-	const capacity = 128
-	const keySpace = 4 * capacity
-	paths := make([]string, keySpace)
+// The churn proxy's object cap, and its origin's key space: four times
+// the cap.
+const (
+	churnCapacity = 128
+	churnKeys     = 4 * churnCapacity
+)
+
+// churnProxy is BenchmarkProxyChurnParallel's setup, which
+// TestProxyChurnAllocBudget shares: a proxy capped at churnCapacity
+// objects over an origin with churnKeys, and a func that serves the i-th
+// request of a stride that keeps essentially every request a miss.
+func churnProxy(tb testing.TB) (*broadway.WebProxy, func(w *nopResponseWriter, i int64) bool) {
+	paths := make([]string, churnKeys)
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/churn/%d", i)
 	}
@@ -363,52 +366,67 @@ func BenchmarkProxyChurnParallel(b *testing.B) {
 		origin.Set(p, []byte(fmt.Sprintf("churn body %d", i)), "text/plain")
 	}
 	originSrv := httptest.NewServer(origin)
-	b.Cleanup(originSrv.Close)
+	tb.Cleanup(originSrv.Close)
 	u, err := url.Parse(originSrv.URL)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	px, err := broadway.NewWebProxy(broadway.WebProxyConfig{
 		Origin:       u,
 		DefaultDelta: time.Hour,
 		Bounds:       core.TTRBounds{Min: time.Hour, Max: 2 * time.Hour},
-		MaxObjects:   capacity,
+		MaxObjects:   churnCapacity,
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.Cleanup(px.Close)
+	tb.Cleanup(px.Close)
+	return px, func(w *nopResponseWriter, i int64) bool {
+		req := httptest.NewRequest(http.MethodGet, paths[int(i*31)%churnKeys], nil)
+		w.h, w.code = nil, 0
+		px.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			tb.Errorf("status %d", w.code)
+			return false
+		}
+		return true
+	}
+}
+
+// BenchmarkProxyChurnParallel measures the miss/evict/admit cycle: a
+// key space four times the MaxObjects cap guarantees essentially every
+// request misses, runs the CLOCK victim scan, unwinds the victim from
+// the refresh schedule, and admits the newcomer — the proxy's worst
+// case, dominated by the origin round trip plus replacement overhead.
+// Compare BenchmarkProxyHitParallel for the (unchanged) hit path.
+func BenchmarkProxyChurnParallel(b *testing.B) {
+	px, serve := churnProxy(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		w := &nopResponseWriter{}
 		for pb.Next() {
-			// A private stride per iteration keeps goroutines spread
-			// over the key space, sustaining the miss/evict/admit churn.
-			i := n.Add(1)
-			req := httptest.NewRequest(http.MethodGet, paths[int(i*31)%keySpace], nil)
-			w.h, w.code = nil, 0
-			px.ServeHTTP(w, req)
-			if w.code != http.StatusOK {
-				b.Errorf("status %d", w.code)
+			// A private stride position per iteration keeps goroutines
+			// spread over the key space, sustaining the churn.
+			if !serve(w, n.Add(1)) {
 				return
 			}
 		}
 	})
 	b.StopTimer()
 	stats := px.CacheStats()
-	if b.N > keySpace && stats.Evictions == 0 {
+	if b.N > churnKeys && stats.Evictions == 0 {
 		b.Fatal("churn benchmark recorded no evictions")
 	}
 	b.ReportMetric(float64(stats.Evictions)/float64(b.N), "evictions/op")
 }
 
-// BenchmarkRefreshSchedulerThroughput measures the min-heap refresh
-// schedule on a pop-due/re-add cycle over 10k live objects, each holding
-// its own heap slot as a cache entry does — the operation the dispatcher
-// performs per poll, formerly an O(n) scan. A cycle allocates nothing.
-func BenchmarkRefreshSchedulerThroughput(b *testing.B) {
+// refreshHeap is BenchmarkRefreshSchedulerThroughput's setup, which
+// TestRefreshSchedulerAllocBudget shares: a min-heap refresh schedule of
+// 10k live objects, each holding its own heap slot as a cache entry
+// does, and a func that runs one pop-due/re-add cycle.
+func refreshHeap() func() {
 	const objects = 10_000
 	epoch := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	var s sched.Heap
@@ -417,11 +435,21 @@ func BenchmarkRefreshSchedulerThroughput(b *testing.B) {
 		items[i].Payload = i
 		s.Add(&items[i], epoch.Add(time.Duration(i)*time.Millisecond))
 	}
+	return func() {
+		it := s.Pop()
+		s.Add(it, it.At.Add(objects*time.Millisecond))
+	}
+}
+
+// BenchmarkRefreshSchedulerThroughput measures the refresh schedule on
+// the operation the dispatcher performs per poll, formerly an O(n)
+// scan. A cycle allocates nothing.
+func BenchmarkRefreshSchedulerThroughput(b *testing.B) {
+	cycle := refreshHeap()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := s.Pop()
-		s.Add(it, it.At.Add(objects*time.Millisecond))
+		cycle()
 	}
 }
 

@@ -529,6 +529,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-demo", "-disk-max-bytes", "4096"},        // budget without -disk-dir
 		{"-demo", "-mutex-profile-fraction", "-1"},  // negative sampling rate
 		{"-demo", "-mutex-profile-fraction", "100"}, // profile without -ops-listen to serve it
+		{"-demo", "-ttr-max", "10s"},                // TTR bounds inverted: below the 30 s -delta
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {

@@ -52,6 +52,14 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *delta <= 0 || *delta > core.DefaultTTRMax:
+		return fmt.Errorf("-delta %v outside (0, %v], the TTR max", *delta, core.DefaultTTRMax)
+	case *mdelta <= 0:
+		return fmt.Errorf("-mdelta %v must be positive", *mdelta)
+	case *vdelta <= 0:
+		return fmt.Errorf("-vdelta %v must be positive", *vdelta)
+	}
 
 	switch *scenario {
 	case "temporal":

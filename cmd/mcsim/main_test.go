@@ -75,6 +75,13 @@ func TestErrors(t *testing.T) {
 		{"-scenario", "mutual-temporal", "-mode", "bogus"},
 		{"-scenario", "mutual-value", "-trace", "yahoo", "-trace2", "att", "-approach", "bogus"},
 		{"-not-a-flag"},
+		{"-delta", "0"},
+		{"-delta", "-1s"},
+		{"-delta", "2h"}, // above the 60 min TTR max
+		{"-scenario", "mutual-temporal", "-mdelta", "0"},
+		{"-scenario", "mutual-temporal", "-mdelta", "-1s"},
+		{"-scenario", "mutual-value", "-trace", "yahoo", "-trace2", "att", "-vdelta", "0"},
+		{"-scenario", "mutual-value", "-trace", "yahoo", "-trace2", "att", "-vdelta", "-0.5"},
 	}
 	for _, args := range tests {
 		var buf bytes.Buffer

@@ -13,10 +13,9 @@ import (
 // This file is the hand-rolled Prometheus text exposition layer: a
 // builder the /metrics handler renders through, and a strict parser the
 // tests and the CI smoke checker (cmd/opscheck) validate scrapes with.
-// No dependency on a metrics library, by design — like cmd/benchgate,
-// the format is small enough to own outright, and owning the parser
-// means "unparseable exposition" is a checkable CI failure rather than
-// a hope.
+// No dependency on a metrics library, by design: the format is small
+// enough to own outright, and owning the parser means "unparseable
+// exposition" is a checkable CI failure rather than a hope.
 
 // Label is one name="value" pair on a sample.
 type Label struct {

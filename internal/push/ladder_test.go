@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -834,7 +833,8 @@ func TestAssembleUpdateOverBudgetAbandons(t *testing.T) {
 	}
 }
 
-// --- benchmarks (wired into scripts/bench-hotpath.sh) ---
+// --- benchmarks (TestHubPublishAllocBudget and TestMakeDeltaAllocBudget
+// hold the allocations of the ones they name) ---
 
 // BenchmarkDeltaApply measures the proxy-side hot path of the delta
 // rung: reconstructing a ~64KiB body from a small edit delta.
@@ -925,38 +925,27 @@ func BenchmarkMakeDelta(b *testing.B) {
 	}
 }
 
+// deltaHub carries values, and its event a delta-sidecar update of a
+// 4 KiB body, so Publish renders the full, delta and stripped forms.
+func deltaHub(tb testing.TB, fleet int) (*Hub, Event) {
+	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
+	drainHubFleet(tb, h, fleet, DefaultPayloadCap, InterestAll())
+	base := bytes.Repeat([]byte("v"), 4096)
+	body := append(append([]byte(nil), base...), []byte("tail")...)
+	delta, ok := MakeDelta(base, body)
+	if !ok {
+		tb.Fatal("no delta")
+	}
+	return h, Event{Kind: KindUpdate, Key: "/obj/path",
+		Body: body, HasBody: true, Digest: DigestOf(body),
+		BaseDigest: DigestOf(base), DeltaCodec: DeltaCodecBlock, DeltaBody: delta}
+}
+
 // BenchmarkHubPublishFanoutDelta measures the ladder's publish cost: a
 // delta-sidecar event rendered once (full + delta + stripped forms) and
 // fanned out to a draining fleet — the delta rung must not reintroduce
 // per-subscriber rendering.
 func BenchmarkHubPublishFanoutDelta(b *testing.B) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
-	const fleet = 16
-	var wg sync.WaitGroup
-	for i := 0; i < fleet; i++ {
-		_, sub, ok := h.subscribe(0, DefaultPayloadCap, InterestAll(), nil)
-		if !ok {
-			b.Fatal("subscribe failed")
-		}
-		wg.Add(1)
-		go drainSub(h, sub, &wg)
-		defer h.unsubscribe(sub)
-	}
-	base := bytes.Repeat([]byte("v"), 4096)
-	body := append(append([]byte(nil), base...), []byte("tail")...)
-	delta, ok := MakeDelta(base, body)
-	if !ok {
-		b.Fatal("no delta")
-	}
-	ev := Event{Kind: KindUpdate, Key: "/obj/path",
-		Body: body, HasBody: true, Digest: DigestOf(body),
-		BaseDigest: DigestOf(base), DeltaCodec: DeltaCodecBlock, DeltaBody: delta}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Publish(ev)
-	}
-	b.StopTimer()
-	h.KillAll()
-	wg.Wait()
+	h, ev := deltaHub(b, 16)
+	benchPublish(b, h, ev)
 }

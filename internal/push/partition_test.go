@@ -156,6 +156,23 @@ func TestHubPartitionBudgetProtectsNarrowSubtree(t *testing.T) {
 	}
 }
 
+// contendedHub's fleet drains every key, and as many subscribers again
+// never drain at all.
+func contendedHub(tb testing.TB, fleet int) (*Hub, Event) {
+	// A huge subscriberBuffer keeps the slow-consumer scan from reaping
+	// the deliberately stalled half of the fleet.
+	h := NewHub(HubConfig{subscriberBuffer: 1 << 30})
+	drainHubFleet(tb, h, fleet, 0, InterestAll())
+	for i := 0; i < fleet; i++ {
+		_, sub, ok := h.subscribe(0, 0, InterestAll(), nil)
+		if !ok {
+			tb.Fatal("subscribe failed")
+		}
+		tb.Cleanup(func() { h.unsubscribe(sub) })
+	}
+	return h, Event{Kind: KindUpdate, Key: "/obj/path"}
+}
+
 // BenchmarkHubPublishContended is the ISSUE's publish-latency gate: one
 // publisher against fleets of concurrently pulling subscribers PLUS an
 // equal count of stalled ones that never drain. Publish takes the ring
@@ -165,26 +182,8 @@ func TestHubPartitionBudgetProtectsNarrowSubtree(t *testing.T) {
 func BenchmarkHubPublishContended(b *testing.B) {
 	for _, fleet := range []int{1, 16, 64, 256} {
 		b.Run(fmt.Sprintf("subs=%d", fleet), func(b *testing.B) {
-			// A huge subscriberBuffer keeps the slow-consumer scan from
-			// reaping the deliberately stalled half of the fleet.
-			h := NewHub(HubConfig{subscriberBuffer: 1 << 30})
-			wait := drainHubFleet(b, h, fleet, InterestAll())
-			for i := 0; i < fleet; i++ {
-				_, sub, ok := h.subscribe(0, 0, InterestAll(), nil)
-				if !ok {
-					b.Fatal("subscribe failed")
-				}
-				b.Cleanup(func() { h.unsubscribe(sub) })
-			}
-			ev := Event{Kind: KindUpdate, Key: "/obj/path"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.Publish(ev)
-			}
-			b.StopTimer()
-			h.KillAll()
-			wait()
+			h, ev := contendedHub(b, fleet)
+			benchPublish(b, h, ev)
 		})
 	}
 }

@@ -33,16 +33,15 @@ func BenchmarkStoreEvictScan(b *testing.B) {
 	}
 }
 
-// BenchmarkValuePushApply measures the value-carrying fast path: one
-// pushed payload installed end to end — dedupe check, digest
-// verification, body swap, ledger re-charge — with no origin involved.
-// This is the per-update cost that replaces a full confirmation poll
-// (network round trip + conditional GET) under value push.
-func BenchmarkValuePushApply(b *testing.B) {
+// valuePushProxy is BenchmarkValuePushApply's setup, which
+// TestValuePushApplyAllocBudget shares: a value-push proxy holding one
+// resident, and a func that installs the resident's next pushed
+// revision.
+func valuePushProxy(tb testing.TB) (*Proxy, func()) {
 	origin, _ := url.Parse("http://origin.invalid")
 	p, err := New(Config{Origin: origin, PushValues: true})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	e := &entry{key: "/quote/acme"}
 	e.size.Store(entrySize(e.key, nil))
@@ -51,21 +50,35 @@ func BenchmarkValuePushApply(b *testing.B) {
 	body := []byte("165.3800\n")
 	digest := push.DigestOf(body)
 	base := time.Unix(1_700_000_000, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	revision := 0
+	return p, func() {
+		revision++
 		ev := push.Event{
 			Kind:        push.KindUpdate,
 			Key:         e.key,
-			ModTime:     base.Add(time.Duration(i+1) * time.Second),
+			ModTime:     base.Add(time.Duration(revision) * time.Second),
 			Body:        body,
 			HasBody:     true,
 			ContentType: "text/plain",
 			Digest:      digest,
 		}
 		if !p.applyPushedValue(e, &ev, nil) {
-			b.Fatal("apply fell back")
+			tb.Fatal("apply fell back")
 		}
+	}
+}
+
+// BenchmarkValuePushApply measures the value-carrying fast path: one
+// pushed payload installed end to end — dedupe check, digest
+// verification, body swap, ledger re-charge — with no origin involved.
+// This is the per-update cost that replaces a full confirmation poll
+// (network round trip + conditional GET) under value push.
+func BenchmarkValuePushApply(b *testing.B) {
+	p, apply := valuePushProxy(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply()
 	}
 	b.StopTimer()
 	if got := p.pushApplied.Load(); got != uint64(b.N) {

@@ -91,6 +91,7 @@
 package webproxy
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -125,7 +126,8 @@ type Config struct {
 	// response carries no x-cc-delta directive. Defaults to one minute.
 	DefaultDelta time.Duration
 	// Bounds clamp the TTRs of all refresh policies. Min defaults to
-	// the object's Δ, Max to 60 minutes.
+	// the object's Δ, or to Max when Δ exceeds it; Max to 60 minutes.
+	// New rejects negative or inverted bounds.
 	Bounds core.TTRBounds
 	// Mode selects the mutual-consistency approach for grouped objects.
 	// Defaults to TriggerAll.
@@ -658,6 +660,9 @@ var _ http.Handler = (*Proxy)(nil)
 func New(cfg Config) (*Proxy, error) {
 	if cfg.Origin == nil {
 		return nil, errors.New("webproxy: Config.Origin is required")
+	}
+	if b := cfg.Bounds; b.Min < 0 || b.Min > cmp.Or(b.Max, core.DefaultTTRMax) {
+		return nil, fmt.Errorf("webproxy: Config.Bounds [%v, %v] is negative or inverted", b.Min, b.Max)
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
@@ -1239,7 +1244,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 func (p *Proxy) newPolicy(delta time.Duration, valueDelta float64, restore time.Duration) core.Policy {
 	var pol core.Policy
 	if valueDelta > 0 {
-		pol = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{Delta: valueDelta, Bounds: p.cfg.Bounds})
+		pol = core.NewAdaptiveTTR(core.AdaptiveTTRConfig{Delta: valueDelta, Bounds: p.bounds(core.DefaultValueTTRMin)})
 	} else {
 		pol = p.limdConfig(delta).New()
 	}
@@ -1261,10 +1266,22 @@ func (p *Proxy) limdConfig(delta time.Duration) *core.SharedLIMDConfig {
 	p.limdMu.Lock()
 	defer p.limdMu.Unlock()
 	if c = p.limdConfigs[delta]; c == nil {
-		c = core.ShareLIMDConfig(core.LIMDConfig{Delta: delta, Bounds: p.cfg.Bounds})
+		c = core.ShareLIMDConfig(core.LIMDConfig{Delta: delta, Bounds: p.bounds(delta)})
 		p.limdConfigs[delta] = c
 	}
 	return c
+}
+
+// bounds returns Config.Bounds for a policy whose TTRmin defaults to
+// fallback: an unset Min becomes fallback, but no more than Max, so an
+// object whose tolerance exceeds Bounds.Max polls at Bounds.Max, which
+// keeps that tolerance.
+func (p *Proxy) bounds(fallback time.Duration) core.TTRBounds {
+	b := p.cfg.Bounds
+	if b.Min == 0 {
+		b.Min = min(fallback, cmp.Or(b.Max, core.DefaultTTRMax))
+	}
+	return b
 }
 
 // unwind finishes an eviction: each victim — already removed from the
@@ -1339,7 +1356,7 @@ func (p *Proxy) joinGroup(e *entry, group string, groupDelta time.Duration, valu
 			}
 			pair := core.NewMutualValuePartitioned(core.MutualValueConfig{
 				Delta:  valueDelta,
-				Bounds: p.cfg.Bounds,
+				Bounds: p.bounds(core.DefaultValueTTRMin),
 			})
 			other.policy = pair.PolicyA()
 			other.vx.paired = true

@@ -167,6 +167,55 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("missing origin must fail")
 	}
+	origin, _ := url.Parse("http://origin.invalid")
+	for _, b := range []core.TTRBounds{
+		{Min: -time.Second},
+		{Max: -time.Second},
+		{Min: time.Minute, Max: time.Second},
+		{Min: 2 * core.DefaultTTRMax}, // above the default Max
+	} {
+		if _, err := New(Config{Origin: origin, Bounds: b}); err == nil {
+			t.Errorf("Bounds %+v must fail", b)
+		}
+	}
+}
+
+// TestToleranceAboveTTRMaxPollsAtMax: with Bounds.Min unset and Max at
+// its 60 min default — what a zero Config.Bounds resolves to — an object
+// whose origin advertises Δ = 2 h is served, cached and polled at
+// Bounds.Max, which is stricter than its Δ; so is one whose Δ is raised
+// above Max at runtime.
+func TestToleranceAboveTTRMaxPollsAtMax(t *testing.T) {
+	h := newHarness(t, topology{cfg: Config{Bounds: core.TTRBounds{Max: core.DefaultTTRMax}}})
+	h.origin.Set("/slow", []byte("v1"), "")
+	h.origin.SetTolerances("/slow", httpx.Tolerances{Delta: 2 * time.Hour})
+	if code, body, _ := h.leaf().get("/slow"); code != http.StatusOK || body != "v1" {
+		t.Fatalf("GET = %d %q, want 200 v1", code, body)
+	}
+	// The harness gives a zero Bounds its own, so build one by hand too.
+	zero, err := New(Config{Origin: h.leaf().cfg.Origin, Client: &http.Client{Transport: newLink(h.top, nil)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer zero.Close()
+	rec := httptest.NewRecorder()
+	zero.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/slow", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("zero-Bounds GET = %d, want 200", rec.Code)
+	}
+	// The override polls at once; the next poll is Bounds.Max later.
+	if _, ok := h.leaf().OverrideTolerance("/slow", 3*time.Hour, 0); !ok {
+		t.Fatal("override found no resident")
+	}
+	for _, step := range []struct {
+		d     time.Duration
+		polls uint64
+	}{{core.DefaultTTRMax - time.Second, 2}, {time.Second, 3}} {
+		h.advance(step.d)
+		if polls := h.leaf().ObjectStats("/slow").Polls; polls != step.polls {
+			t.Fatalf("%d polls at %v, want %d", polls, h.clk.Now().Sub(h.clk.base), step.polls)
+		}
+	}
 }
 
 func TestCloseIdempotentAndStops(t *testing.T) {

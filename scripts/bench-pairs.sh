@@ -128,7 +128,6 @@ out = {
     "claim": None,
     "workloads": {},
     "notes": "",
-    "microbenchmark_gate": None,
 }
 loaded = {}  # workload -> (runs by seed, seeds with both sides good)
 for w in [x["name"] for x in bench["workloads"]]:
