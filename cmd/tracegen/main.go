@@ -10,10 +10,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"broadway/internal/trace"
 	"broadway/internal/tracegen"
@@ -21,10 +23,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		fmt.Fprintln(os.Stderr, message(err))
 		os.Exit(1)
 	}
 }
+
+// message is the line main prints for err: the command name once, which
+// internal/tracegen's own errors already start with.
+func message(err error) string {
+	return "tracegen: " + strings.TrimPrefix(err.Error(), "tracegen: ")
+}
+
+// create opens the -o file; a test swaps it to see a Close error.
+var create = func(name string) (io.WriteCloser, error) { return os.Create(name) }
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
@@ -49,6 +60,15 @@ func run(args []string, stdout io.Writer) error {
 	reversion := fs.Float64("reversion", 0.02, "stock: mean reversion strength")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	actions := 0
+	for _, set := range []bool{*preset != "", *news, *stock, *summarize != ""} {
+		if set {
+			actions++
+		}
+	}
+	if actions != 1 {
+		return errors.New("exactly one of -preset, -news, -stock or -summarize is required")
 	}
 
 	if *summarize != "" {
@@ -77,31 +97,33 @@ func run(args []string, stdout io.Writer) error {
 			Name: *name, Seed: *seed, Duration: *duration, Updates: *updates,
 			StartHour: *startHour, BurstFraction: *burst, ProfileJitter: *jitter,
 		})
-	case *stock:
+	default: // -stock
 		tr, err = tracegen.Stock(tracegen.StockConfig{
 			Name: *name, Seed: *seed, Duration: *duration, Ticks: *ticks,
 			Initial: *initial, Min: *minP, Max: *maxP,
 			Volatility: *vol, Reversion: *reversion,
 		})
-	default:
-		return fmt.Errorf("one of -preset, -news, -stock, or -summarize is required")
 	}
 	if err != nil {
 		return err
 	}
 
-	var w io.Writer = stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		err = trace.Write(stdout, tr)
+	} else {
+		err = writeFile(*out, tr)
 	}
-	if err := trace.Write(w, tr); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Fprintln(os.Stderr, tr.Summarize())
 	return nil
+}
+
+func writeFile(path string, tr *trace.Trace) error {
+	f, err := create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(trace.Write(f, tr), f.Close())
 }

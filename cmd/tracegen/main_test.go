@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +97,9 @@ func TestSummarize(t *testing.T) {
 	if !strings.Contains(buf.String(), "2204 updates") {
 		t.Errorf("summary = %q", buf.String())
 	}
+	if err := run([]string{"-summarize", path, "-preset", "att"}, &buf); err == nil {
+		t.Error("-summarize with -preset must fail, not let one win")
+	}
 }
 
 func TestErrors(t *testing.T) {
@@ -105,11 +110,30 @@ func TestErrors(t *testing.T) {
 		{"-news", "-updates", "-5"},
 		{"-stock", "-min", "10", "-max", "5", "-initial", "7"},
 		{"-bad-flag"},
+		{"-stock", "-news"}, // more than one action
+		{"-preset", "att", "-news"},
 	}
 	for _, args := range tests {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
+		err := run(args, &buf)
+		if err == nil {
 			t.Errorf("run(%v) must fail", args)
+			continue
 		}
+		if msg := message(err); !strings.HasPrefix(msg, "tracegen: ") || strings.HasPrefix(msg, "tracegen: tracegen:") {
+			t.Errorf("run(%v) prints %q: want the command name once", args, msg)
+		}
+	}
+}
+
+type closeFails struct{ bytes.Buffer }
+
+func (*closeFails) Close() error { return errors.New("disk full") }
+
+func TestOutputCloseError(t *testing.T) {
+	defer func(orig func(string) (io.WriteCloser, error)) { create = orig }(create)
+	create = func(string) (io.WriteCloser, error) { return new(closeFails), nil }
+	if err := run([]string{"-preset", "att", "-o", "att.trace"}, io.Discard); err == nil || err.Error() != "disk full" {
+		t.Errorf("err = %v, want the -o file's Close error", err)
 	}
 }

@@ -26,6 +26,8 @@
 // surface (broadway.NewOpsHandler) on its own listener, so the whole
 // hierarchy is scrapeable: the run finishes by probing each node's
 // /healthz and cross-checking a /metrics scrape with the strict parser.
+// It exits non-zero if any node's /healthz is not 200, or if root, mid 0
+// or leaf 0 recorded no widening bounce in phase 3; CI runs it.
 //
 // Everything runs in-process on loopback and finishes in a few seconds.
 //
@@ -40,6 +42,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"time"
 
 	"broadway"
@@ -209,12 +212,24 @@ func main() {
 	report(origin, root, mids, fleet)
 
 	fmt.Printf("\nphase 3: leaf 0 admits /extra/hot — outside every static declaration...\n")
+	chainNames := []string{"root", "mid0", "leaf0"}
+	chain := []*broadway.WebProxy{root, mids[0], fleet[0]}
+	before := make([]uint64, len(chain))
+	for i, px := range chain {
+		before[i] = px.PushStats().Bounces
+	}
 	get(fleetSrvs[0], "/extra/hot")
 	time.Sleep(phaseFor)
 	close(stop)
 	report(origin, root, mids, fleet)
 	fmt.Printf("  widening bounces: root=%d mid0=%d leaf0=%d (each hop re-declared a wider interest)\n",
 		root.PushStats().Bounces, mids[0].PushStats().Bounces, fleet[0].PushStats().Bounces)
+	var failures []string
+	for i, px := range chain {
+		if px.PushStats().Bounces == before[i] {
+			failures = append(failures, chainNames[i]+" recorded no widening bounce in phase 3")
+		}
+	}
 
 	// --- Operational sweep: probe every node the way monitoring would. ---
 	fmt.Printf("\nops sweep: %d scrape targets (one per node)\n", len(opsNodes))
@@ -227,6 +242,7 @@ func main() {
 		health := "ok"
 		if resp.StatusCode != http.StatusOK {
 			health = fmt.Sprintf("degraded (%d)", resp.StatusCode)
+			failures = append(failures, n.name+" /healthz "+health)
 		}
 		m, err := http.Get(n.srv.URL + "/metrics")
 		if err != nil {
@@ -247,6 +263,10 @@ func main() {
 			fmt.Printf("  %-7s healthz=%s  %d series  events %.0f  relay-filtered %.0f\n",
 				n.name, health, len(scrape.Values), events, filtered)
 		}
+	}
+
+	if len(failures) > 0 {
+		log.Fatalf("FAIL: %s", strings.Join(failures, "; "))
 	}
 
 	fmt.Println("\nThe origin carried ONE subscriber and ONE poller's load for the whole fleet;")

@@ -105,9 +105,14 @@ func (c *Chart) RenderASCII(width, height int) string {
 	if ymax == ymin {
 		ymax = ymin + 1
 	}
-	// Pad the y range slightly so extremes are not drawn on the frame.
+	// Pad the y range slightly so extremes are not drawn on the frame,
+	// but never below zero for a chart with no negative point.
 	pad := (ymax - ymin) * 0.05
-	ymin -= pad
+	if ymin >= 0 {
+		ymin = math.Max(ymin-pad, 0)
+	} else {
+		ymin -= pad
+	}
 	ymax += pad
 
 	grid := make([][]byte, height)

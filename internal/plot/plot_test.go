@@ -2,6 +2,7 @@ package plot
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -152,5 +153,23 @@ func TestTableShortRow(t *testing.T) {
 	out := Table([]string{"a", "b"}, [][]string{{"only"}})
 	if !strings.Contains(out, "only") {
 		t.Error("short rows must render")
+	}
+}
+
+// A chart whose points are all non-negative (poll counts, fidelities)
+// must not label its y axis below zero: the padding stops at 0.
+func TestRenderASCIINonNegativeAxis(t *testing.T) {
+	c := &Chart{
+		Title:  "polls",
+		Series: []Series{{Name: "p", X: []float64{1, 2, 3}, Y: []float64{0, 250, 1921}}},
+	}
+	for _, line := range strings.Split(c.RenderASCII(40, 10), "\n") {
+		label, _, ok := strings.Cut(line, " |")
+		if !ok || strings.TrimSpace(label) == "" {
+			continue
+		}
+		if v, err := strconv.ParseFloat(strings.TrimSpace(label), 64); err != nil || v < 0 {
+			t.Errorf("y label %q: want a number ≥ 0", label)
+		}
 	}
 }

@@ -85,14 +85,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// AbsDiff returns |a−b| as a period.
-func AbsDiff(a, b Time) time.Duration {
-	if a > b {
-		return a.Sub(b)
-	}
-	return b.Sub(a)
-}
-
 // Interval is a half-open span of simulated time [Start, End). An interval
 // with End == MaxTime is open-ended ("still current"). The zero value is
 // the empty interval [0, 0).

@@ -58,62 +58,6 @@ func (b *BoolTimeline) TrueTotal(now time.Duration) time.Duration {
 // State returns the current condition value.
 func (b *BoolTimeline) State() bool { return b.state }
 
-// StepSeries records a piecewise-constant time series (value changes at
-// discrete instants) and can integrate or sample it. It is used to track
-// computed TTR values and object values over a run (Figs. 4(b) and 8).
-type StepSeries struct {
-	times  []time.Duration
-	values []float64
-}
-
-// Set appends a value change at the given offset. Offsets must be
-// nondecreasing; setting at the same offset overwrites the latest value.
-func (s *StepSeries) Set(at time.Duration, v float64) {
-	n := len(s.times)
-	if n > 0 && at < s.times[n-1] {
-		panic(fmt.Sprintf("stats: StepSeries time regression: %v < %v", at, s.times[n-1]))
-	}
-	if n > 0 && at == s.times[n-1] {
-		s.values[n-1] = v
-		return
-	}
-	s.times = append(s.times, at)
-	s.values = append(s.values, v)
-}
-
-// Len returns the number of change points.
-func (s *StepSeries) Len() int { return len(s.times) }
-
-// At samples the series at the given offset: the value of the latest
-// change point at or before the offset. It returns 0 before the first
-// change point.
-func (s *StepSeries) At(at time.Duration) float64 {
-	// Binary search for the last change point ≤ at.
-	lo, hi := 0, len(s.times)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.times[mid] <= at {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return s.values[lo-1]
-}
-
-// Points returns copies of the change instants and values, suitable for
-// plotting. The returned slices are safe for the caller to modify.
-func (s *StepSeries) Points() ([]time.Duration, []float64) {
-	ts := make([]time.Duration, len(s.times))
-	vs := make([]float64, len(s.values))
-	copy(ts, s.times)
-	copy(vs, s.values)
-	return ts, vs
-}
-
 // Counter2h buckets event counts into fixed-width windows of simulated
 // time. The paper's Fig. 4(a) plots "updates per 2 hours"; the window
 // width is configurable.

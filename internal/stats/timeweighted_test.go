@@ -54,70 +54,6 @@ func TestBoolTimelineTrueTotalBeforeLast(t *testing.T) {
 	}
 }
 
-func TestStepSeries(t *testing.T) {
-	var s StepSeries
-	s.Set(0, 1)
-	s.Set(10*time.Second, 2)
-	s.Set(20*time.Second, 3)
-	tests := []struct {
-		at   time.Duration
-		want float64
-	}{
-		{0, 1}, {5 * time.Second, 1}, {10 * time.Second, 2},
-		{15 * time.Second, 2}, {25 * time.Second, 3},
-	}
-	for _, tt := range tests {
-		if got := s.At(tt.at); got != tt.want {
-			t.Errorf("At(%v) = %v, want %v", tt.at, got, tt.want)
-		}
-	}
-	if s.Len() != 3 {
-		t.Errorf("Len = %d", s.Len())
-	}
-}
-
-func TestStepSeriesBeforeFirstPoint(t *testing.T) {
-	var s StepSeries
-	s.Set(10*time.Second, 7)
-	if got := s.At(5 * time.Second); got != 0 {
-		t.Errorf("At before first point = %v, want 0", got)
-	}
-}
-
-func TestStepSeriesSameInstantOverwrites(t *testing.T) {
-	var s StepSeries
-	s.Set(10*time.Second, 1)
-	s.Set(10*time.Second, 2)
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-	if got := s.At(10 * time.Second); got != 2 {
-		t.Errorf("At = %v, want 2", got)
-	}
-}
-
-func TestStepSeriesRegressionPanics(t *testing.T) {
-	var s StepSeries
-	s.Set(10*time.Second, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on time regression")
-		}
-	}()
-	s.Set(5*time.Second, 2)
-}
-
-func TestStepSeriesPointsAreCopies(t *testing.T) {
-	var s StepSeries
-	s.Set(0, 1)
-	ts, vs := s.Points()
-	ts[0] = time.Hour
-	vs[0] = 99
-	if s.At(0) != 1 {
-		t.Error("Points must return copies")
-	}
-}
-
 func TestWindowCounter(t *testing.T) {
 	c := NewWindowCounter(2 * time.Hour)
 	c.Observe(30 * time.Minute)
