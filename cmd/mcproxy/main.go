@@ -34,8 +34,10 @@
 // events (the webserver's /events endpoint; the demo origin does), -push
 // subscribes the proxy to them. Updates then reach the cache the moment
 // the origin announces them; while the channel is healthy every object
-// it covers holds a lease — its regular poll runs once per lease term
-// (-push-stretch × -ttr-max) from admission on — and a channel failure
+// it covers holds a lease — it is audited one lease term
+// (-push-stretch × -ttr-max) after its last validation, a poll or a
+// pushed update, so an object updated more often than that is never
+// polled — and a channel failure
 // ends every lease and falls back to the paper's pure polling with a
 // staleness-bounded catch-up sweep:
 //
@@ -81,6 +83,7 @@ import (
 	"sync"
 	"time"
 
+	"broadway/internal/cli"
 	"broadway/internal/core"
 	"broadway/internal/httpx"
 	"broadway/internal/ops"
@@ -89,10 +92,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "mcproxy:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Status("mcproxy", run(os.Args[1:]), os.Stderr))
 }
 
 func run(args []string) error {
@@ -111,7 +111,7 @@ func run(args []string) error {
 	maxBytes := fs.Int64("max-bytes", 0, "resident-memory budget in bytes for cached objects (0 = unlimited)")
 	pushEnabled := fs.Bool("push", false, "subscribe to the origin's invalidation event stream (hybrid push-pull)")
 	pushPath := fs.String("push-path", "/events", "path of the origin's event-stream endpoint")
-	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and carries an object, its regular poll runs once per term; whatever ends a lease restores the unstretched schedule in one sweep (values <= 1 disable leases)")
+	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and carries an object, it is audited a term after its last poll or pushed update; whatever ends a lease restores the unstretched schedule in one sweep (values <= 1 disable leases)")
 	pushValues := fs.Bool("push-values", false, "value-carrying push: negotiate payload delivery on the event stream and install pushed bodies directly, with no confirmation poll; with -relay-events the relayed stream carries payloads too, and with -demo the demo origin publishes them")
 	relayEvents := fs.Bool("relay-events", false, "republish invalidation events downstream: serve this proxy's own event stream so child proxies can subscribe to it (proxy hierarchy)")
 	eventsPath := fs.String("events-path", "/events", "path the relayed event stream is served at (with -relay-events)")
@@ -122,7 +122,7 @@ func run(args []string) error {
 	diskMaxBytes := fs.Int64("disk-max-bytes", 0, "byte budget for the disk tier's blobs (0 = unlimited); oldest-validated records are dropped beyond it")
 	drain := fs.Duration("drain", 5*time.Second, "in-flight request drain timeout on shutdown")
 	runFor := fs.Duration("run-for", 0, "exit after this long (0 = run until interrupted)")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"broadway/internal/cli"
 	"broadway/internal/ops"
 	"broadway/internal/push"
 )
@@ -621,5 +623,19 @@ func TestRunDiskTierSurvivesRestart(t *testing.T) {
 	// again: full fetches stay where the first run left them.
 	if got := fetches.Load(); got != first {
 		t.Errorf("second run refetched the body: %d full fetches, want %d", got, first)
+	}
+}
+
+// TestFlagErrorStatus: main adds nothing to what the FlagSet printed: a
+// bad flag exits 2, and -h exits 0 with no error line.
+func TestFlagErrorStatus(t *testing.T) {
+	for _, c := range []struct {
+		arg    string
+		status int
+	}{{"-bad-flag", 2}, {"-h", 0}} {
+		var stderr bytes.Buffer
+		if got := cli.Status("mcproxy", run([]string{c.arg}), &stderr); got != c.status || stderr.Len() > 0 {
+			t.Errorf("%s: exit status %d, main printed %q; want %d and nothing", c.arg, got, stderr.String(), c.status)
+		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"broadway/internal/cli"
 	"broadway/internal/core"
 	"broadway/internal/experiments"
 	"broadway/internal/trace"
@@ -31,10 +32,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "mcsim:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Status("mcsim", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 func run(args []string, out io.Writer) error {
@@ -49,7 +47,7 @@ func run(args []string, out io.Writer) error {
 	mode := fs.String("mode", "triggered", "mutual-temporal: baseline | triggered | heuristic")
 	approach := fs.String("approach", "adaptive", "mutual-value: adaptive | partitioned")
 	withHistory := fs.Bool("history", false, "enable the modification-history extension")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	switch {

@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"broadway/internal/cli"
 	"broadway/internal/trace"
 	"broadway/internal/tracegen"
 )
@@ -87,6 +89,20 @@ func TestErrors(t *testing.T) {
 		var buf bytes.Buffer
 		if err := run(args, &buf); err == nil {
 			t.Errorf("run(%v) must fail", args)
+		}
+	}
+}
+
+// TestFlagErrorStatus: main adds nothing to what the FlagSet printed: a
+// bad flag exits 2, and -h exits 0 with no error line.
+func TestFlagErrorStatus(t *testing.T) {
+	for _, c := range []struct {
+		arg    string
+		status int
+	}{{"-bad-flag", 2}, {"-h", 0}} {
+		var stderr bytes.Buffer
+		if got := cli.Status("mcsim", run([]string{c.arg}, io.Discard), &stderr); got != c.status || stderr.Len() > 0 {
+			t.Errorf("%s: exit status %d, main printed %q; want %d and nothing", c.arg, got, stderr.String(), c.status)
 		}
 	}
 }

@@ -17,15 +17,13 @@ import (
 	"path/filepath"
 	"strings"
 
+	"broadway/internal/cli"
 	"broadway/internal/experiments"
 	"broadway/internal/plot"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "repro:", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Status("repro", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 func run(args []string, out io.Writer) error {
@@ -35,7 +33,7 @@ func run(args []string, out io.Writer) error {
 	ascii := fs.Bool("ascii", true, "render ASCII charts to stdout")
 	list := fs.Bool("list", false, "list experiment IDs and exit")
 	ablations := fs.Bool("ablations", false, "also run the extension/ablation studies")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"broadway/internal/cli"
 )
 
 func TestList(t *testing.T) {
@@ -83,5 +86,19 @@ func TestBadFlag(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-definitely-not-a-flag"}, &buf); err == nil {
 		t.Fatal("bad flag must fail")
+	}
+}
+
+// TestFlagErrorStatus: main adds nothing to what the FlagSet printed: a
+// bad flag exits 2, and -h exits 0 with no error line.
+func TestFlagErrorStatus(t *testing.T) {
+	for _, c := range []struct {
+		arg    string
+		status int
+	}{{"-bad-flag", 2}, {"-h", 0}} {
+		var stderr bytes.Buffer
+		if got := cli.Status("repro", run([]string{c.arg}, io.Discard), &stderr); got != c.status || stderr.Len() > 0 {
+			t.Errorf("%s: exit status %d, main printed %q; want %d and nothing", c.arg, got, stderr.String(), c.status)
+		}
 	}
 }

@@ -15,23 +15,14 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
+	"broadway/internal/cli"
 	"broadway/internal/trace"
 	"broadway/internal/tracegen"
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, message(err))
-		os.Exit(1)
-	}
-}
-
-// message is the line main prints for err: the command name once, which
-// internal/tracegen's own errors already start with.
-func message(err error) string {
-	return "tracegen: " + strings.TrimPrefix(err.Error(), "tracegen: ")
+	os.Exit(cli.Status("tracegen", run(os.Args[1:], os.Stdout), os.Stderr))
 }
 
 // create opens the -o file; a test swaps it to see a Close error.
@@ -58,7 +49,7 @@ func run(args []string, stdout io.Writer) error {
 	maxP := fs.Float64("max", 105, "stock: price cap")
 	vol := fs.Float64("vol", 0.1, "stock: per-tick volatility ($)")
 	reversion := fs.Float64("reversion", 0.02, "stock: mean reversion strength")
-	if err := fs.Parse(args); err != nil {
+	if err := cli.Parse(fs, args); err != nil {
 		return err
 	}
 	actions := 0

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"broadway/internal/cli"
 	"broadway/internal/trace"
 )
 
@@ -114,14 +115,31 @@ func TestErrors(t *testing.T) {
 		{"-preset", "att", "-news"},
 	}
 	for _, args := range tests {
-		var buf bytes.Buffer
+		var buf, stderr bytes.Buffer
 		err := run(args, &buf)
 		if err == nil {
 			t.Errorf("run(%v) must fail", args)
 			continue
 		}
-		if msg := message(err); !strings.HasPrefix(msg, "tracegen: ") || strings.HasPrefix(msg, "tracegen: tracegen:") {
+		if cli.Status("tracegen", err, &stderr) == 2 {
+			continue // a flag error: the FlagSet printed it
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "tracegen: ") || strings.HasPrefix(msg, "tracegen: tracegen:") {
 			t.Errorf("run(%v) prints %q: want the command name once", args, msg)
+		}
+	}
+}
+
+// TestFlagErrorStatus: main adds nothing to what the FlagSet printed: a
+// bad flag exits 2, and -h exits 0 with no error line.
+func TestFlagErrorStatus(t *testing.T) {
+	for _, c := range []struct {
+		arg    string
+		status int
+	}{{"-bad-flag", 2}, {"-h", 0}} {
+		var stderr bytes.Buffer
+		if got := cli.Status("tracegen", run([]string{c.arg}, io.Discard), &stderr); got != c.status || stderr.Len() > 0 {
+			t.Errorf("%s: exit status %d, main printed %q; want %d and nothing", c.arg, got, stderr.String(), c.status)
 		}
 	}
 }

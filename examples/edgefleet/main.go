@@ -13,7 +13,8 @@
 //
 //  1. Healthy churn across every shard — each leaf receives exactly its
 //     own shard's events; the root and mid hubs report how many frames
-//     interest filtering skipped.
+//     interest filtering skipped; and every pushed install re-arms its
+//     key's lease audit, so no node polls a key the channel keeps busy.
 //  2. The origin's event endpoint is killed and revived: the root falls
 //     back to paper-mode polling and the blindness propagates as
 //     mid-stream hello/Resets through BOTH relay tiers to every leaf.
@@ -26,8 +27,9 @@
 // surface (broadway.NewOpsHandler) on its own listener, so the whole
 // hierarchy is scrapeable: the run finishes by probing each node's
 // /healthz and cross-checking a /metrics scrape with the strict parser.
-// It exits non-zero if any node's /healthz is not 200, or if root, mid 0
-// or leaf 0 recorded no widening bounce in phase 3; CI runs it.
+// It exits non-zero if any node's /healthz is not 200, if the root's
+// pushed installs deferred no audit in phase 1, or if root, mid 0 or
+// leaf 0 recorded no widening bounce in phase 3; CI runs it.
 //
 // Everything runs in-process on loopback and finishes in a few seconds.
 //
@@ -202,6 +204,10 @@ func main() {
 	fmt.Printf("phase 1: healthy filtered fan-out for %v...\n", phaseFor)
 	time.Sleep(phaseFor)
 	report(origin, root, mids, fleet)
+	var failures []string
+	if root.PushStats().AuditsDeferred == 0 {
+		failures = append(failures, "root deferred no audit in phase 1")
+	}
 
 	fmt.Printf("\nphase 2: killing the origin's event endpoint for %v (root blind, Resets relay through both tiers)...\n", phaseFor)
 	origin.SetPushAvailable(false)
@@ -224,7 +230,6 @@ func main() {
 	report(origin, root, mids, fleet)
 	fmt.Printf("  widening bounces: root=%d mid0=%d leaf0=%d (each hop re-declared a wider interest)\n",
 		root.PushStats().Bounces, mids[0].PushStats().Bounces, fleet[0].PushStats().Bounces)
-	var failures []string
 	for i, px := range chain {
 		if px.PushStats().Bounces == before[i] {
 			failures = append(failures, chainNames[i]+" recorded no widening bounce in phase 3")
@@ -281,8 +286,8 @@ func report(origin *broadway.WebOrigin, root *broadway.WebProxy, mids, fleet []*
 	rps := root.PushStats()
 	fmt.Printf("  origin: %d polls served, %d subscribers, seq %d\n",
 		st.Polls, st.Hub.Subscribers, st.Hub.Seq)
-	fmt.Printf("  root:   connected=%v fallbacks=%d | relay seq %d → %d subs, filtered %d, resets %d\n",
-		rps.Connected, rps.Fallbacks, rrs.Hub.Seq, rrs.Hub.Subscribers, rrs.Hub.Filtered, rrs.Hub.Resets)
+	fmt.Printf("  root:   connected=%v fallbacks=%d auditsDeferred=%d | relay seq %d → %d subs, filtered %d, resets %d\n",
+		rps.Connected, rps.Fallbacks, rps.AuditsDeferred, rrs.Hub.Seq, rrs.Hub.Subscribers, rrs.Hub.Filtered, rrs.Hub.Resets)
 	for j, m := range mids {
 		ms := m.PushStats()
 		mrs := m.RelayStats()

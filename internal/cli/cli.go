@@ -1,0 +1,41 @@
+// Package cli is what every command does with its flags' errors. A
+// flag.FlagSet built with flag.ContinueOnError prints a bad flag's error
+// above its usage itself, and prints the usage alone for -h and -help; a
+// command's main must not print either again.
+package cli
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"strings"
+)
+
+// reported is an error the FlagSet has already printed.
+type reported struct{ error }
+
+func (r reported) Unwrap() error { return r.error }
+
+// Parse parses args into fs, marking a failure as printed by fs.
+func Parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return reported{err}
+	}
+	return nil
+}
+
+// Status is the exit status of the command name whose run returned err,
+// after it writes to stderr whatever the user has not yet read: 0 on
+// success and for -h or -help; 2, writing nothing, for a bad flag; and
+// 1 for any other error, written as "<name>: <err>" with the name once.
+func Status(name string, err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if errors.As(err, new(reported)) {
+		return 2
+	}
+	fmt.Fprintln(stderr, name+": "+strings.TrimPrefix(err.Error(), name+": "))
+	return 1
+}

@@ -51,6 +51,10 @@ func FuzzInvalidationEvent(f *testing.F) {
 	f.Add(Event{Kind: KindUpdate, Seq: 12, Key: "/doc", Body: []byte("edge"),
 		HasBody: true, Digest: DigestOf([]byte("whole")),
 		ChunkIndex: MaxChunkTotal - 1, ChunkTotal: MaxChunkTotal}.Encode())
+	// A value frame carrying the object's Cache-Control.
+	f.Add(Event{Kind: KindUpdate, Seq: 13, Key: "/quote/acme", Body: []byte("165.38\n"),
+		HasBody: true, Digest: DigestOf([]byte("165.38\n")),
+		CacheControl: "x-cc-delta=30, x-mc-group=news, x-mc-delta=60"}.Encode())
 	// Hostile lines the decoder must refuse: a non-hex base digest, a
 	// base without its codec (and vice versa), chunk index beyond the
 	// total, a total beyond MaxChunkTotal, a delta on a payload-less

@@ -155,7 +155,7 @@ func TestDecodeV3Rejections(t *testing.T) {
 		{"chunk without payload", ladder("-", "-", "- 0 0 2")},
 		{"hostile base digest", ladder("p", "aGk=", "nothex!! 1")},
 		{"ends in empty ladder fields", ladder("p", "aGk=", "- 0 0 0")},
-		{"too many fields", ladder("p", "aGk=", "- 0 0 2 x")},
+		{"too many fields", ladder("p", "aGk=", "- 0 0 2 x y")},
 		{"delta on a hello", "1 1 0 p - aGk= " + d + " - 0 " + d + " 1"},
 	}
 	for _, c := range cases {

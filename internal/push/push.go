@@ -14,8 +14,9 @@
 //     HTTP stream (text/event-stream). Every frame opens with the five
 //     invalidation fields; optional trailing fields carry the object's
 //     new body (base64-framed), a content digest, its content type, the
-//     stream's negotiated payload cap (on hello frames), and delta or
-//     chunk state, and a frame stops at its last non-empty field.
+//     stream's negotiated payload cap (on hello frames), delta or chunk
+//     state, and its Cache-Control, and a frame stops at its last
+//     non-empty field.
 //   - The Hub: the server half (hub.go) — one sequence space, a
 //     byte-budgeted replay ring of whole frames, slow-subscriber
 //     termination, per-subscriber lag accounting, deadline-bounded
@@ -160,6 +161,10 @@ type Event struct {
 	// digest of the COMPLETE body — the terminal check a reassembling
 	// consumer verifies. ChunkTotal 0 means unchunked.
 	ChunkIndex, ChunkTotal uint32
+	// CacheControl is the object's Cache-Control header (payload frames
+	// only), so a consumer that installs the body without a poll learns a
+	// changed consistency tolerance with the update that follows it.
+	CacheControl string
 
 	// DeltaBody is a publish-time sidecar, never encoded on the wire:
 	// a publisher hands Publish the full Body plus, optionally, a
@@ -192,6 +197,7 @@ func (e Event) StripPayload() Event {
 	e.DeltaCodec = 0
 	e.ChunkIndex = 0
 	e.ChunkTotal = 0
+	e.CacheControl = ""
 	e.DeltaBody = nil
 	return e
 }
@@ -205,11 +211,11 @@ var (
 // Encode renders the event as a single line of one grammar: five core
 // fields, then optional fields in a fixed order.
 //
-//	<kind> <seq> <modtime-unixnano> <flags> <key> [<payload-b64> [<digest> [<ctype> [<cap> [<base> <codec> [<ci> <ct>]]]]]]
+//	<kind> <seq> <modtime-unixnano> <flags> <key> [<payload-b64> [<digest> [<ctype> [<cap> [<base> <codec> [<ci> <ct> [<cc>]]]]]]]
 //
-// Key and content type are query-escaped so they can never contain the
-// space separator; an empty text field encodes as "-", an empty number
-// as "0". The payload is standard base64 ("-" when empty;
+// Key, content type and Cache-Control are query-escaped so they can
+// never contain the space separator; an empty text field encodes as "-",
+// an empty number as "0". The payload is standard base64 ("-" when empty;
 // the 'p' flag distinguishes an empty body from no payload). A frame
 // never ends in an empty field: the optional fields stop at the last
 // one the event sets, so a pure invalidation is the five core fields and
@@ -297,9 +303,12 @@ func (e Event) appendWire(b []byte, payload bool) []byte {
 		b = appendField(append(b, ' '), e.BaseDigest)
 		b = strconv.AppendUint(append(b, ' '), uint64(e.DeltaCodec), 10)
 	}
-	if n == 8 {
+	if n >= 8 {
 		b = strconv.AppendUint(append(b, ' '), uint64(e.ChunkIndex), 10)
 		b = strconv.AppendUint(append(b, ' '), uint64(e.ChunkTotal), 10)
+	}
+	if n == 9 {
+		b = appendField(append(b, ' '), escapeField(e.CacheControl))
 	}
 	return b
 }
@@ -310,6 +319,8 @@ func (e Event) appendWire(b []byte, payload bool) []byte {
 // with HasBody unset is an event with no payload state at all.
 func (e Event) optionalFields() int {
 	switch {
+	case e.CacheControl != "":
+		return 9
 	case e.ChunkIndex != 0 || e.ChunkTotal != 0:
 		return 8
 	case e.BaseDigest != "" || e.DeltaCodec != 0:
@@ -536,8 +547,8 @@ func renderedHello(seq, payloadCap uint64, reset bool) RenderedEvent {
 	return RenderLadder(Event{Kind: KindHello, Seq: seq, PayloadCap: payloadCap, Reset: reset}, 0)
 }
 
-// escapeField query-escapes a key or content type for the wire.
-// A literal "-" survives QueryEscape unchanged but collides with the
+// escapeField query-escapes a key, content type or Cache-Control for the
+// wire. A literal "-" survives QueryEscape unchanged but collides with the
 // empty-field sentinel, so it is forced into escaped form (QueryEscape
 // itself never emits "%2D", so decoding stays unambiguous).
 func escapeField(s string) string {
@@ -570,7 +581,7 @@ func (e Event) Oversized() bool {
 
 // absentFields spells each field a frame leaves off at its end, so
 // Decode parses every frame at full width.
-var absentFields = [13]string{5: "-", 6: "-", 7: "-", 8: "0", 9: "-", 10: "0", 11: "0", 12: "0"}
+var absentFields = [14]string{5: "-", 6: "-", 7: "-", 8: "0", 9: "-", 10: "0", 11: "0", 12: "0", 13: "-"}
 
 // Decode parses a frame produced by Encode. It never panics on malformed
 // input: any deviation from the format yields an error. The ModTime of a
@@ -631,7 +642,7 @@ func Decode(s string) (Event, error) {
 
 // decodeFields parses a frame's fields, the absent ones at their empty
 // spelling, by position.
-func decodeFields(w *[13]string) (Event, error) {
+func decodeFields(w *[14]string) (Event, error) {
 	var e Event
 	kind, err := strconv.ParseUint(w[0], 10, 8)
 	if err != nil {
@@ -718,6 +729,11 @@ func decodeFields(w *[13]string) (Event, error) {
 		return Event{}, fmt.Errorf("%w: bad chunk total %q", ErrBadFrame, w[12])
 	}
 	e.DeltaCodec, e.ChunkIndex, e.ChunkTotal = uint8(codec), uint32(ci), uint32(ct)
+	if w[13] != "-" {
+		if e.CacheControl, err = url.QueryUnescape(w[13]); err != nil {
+			return Event{}, fmt.Errorf("%w: bad cache-control %q", ErrBadFrame, w[13])
+		}
+	}
 	if err := validateLadderFields(e); err != nil {
 		return Event{}, err
 	}

@@ -22,12 +22,13 @@ func TestFrameGolden(t *testing.T) {
 	up := Event{Kind: KindUpdate, Seq: 8, Key: "/news/a.html", ModTime: time.Unix(1700000000, 0)}
 	full := up
 	full.Body, full.HasBody, full.Digest, full.ContentType = body, true, DigestOf(body), "text/plain"
-	noType, empty, delta, first, last := full, up, full, full, full
+	noType, empty, delta, first, last, withCC := full, up, full, full, full, full
 	noType.ContentType = ""
 	empty.Body, empty.HasBody, empty.Digest = []byte{}, true, DigestOf(nil)
 	delta.Body, delta.BaseDigest, delta.DeltaCodec = []byte{1, 2, 'h', 'i'}, DigestOf([]byte("base")), DeltaCodecBlock
 	first.Body, first.ChunkTotal = []byte("165"), 3
 	last.Body, last.ChunkIndex, last.ChunkTotal = []byte("\n"), 2, 3
+	withCC.CacheControl = "x-cc-delta=30, x-mc-group=news"
 	core := "2 8 1700000000000000000 - %2Fnews%2Fa.html"
 	pcore := "2 8 1700000000000000000 p %2Fnews%2Fa.html"
 	cases := []struct {
@@ -48,6 +49,8 @@ func TestFrameGolden(t *testing.T) {
 		{"delta", delta, pcore + " AQJoaQ== 6c0fffb738e4d5c2 text%2Fplain 0 cae662172fd450bb 1", 102},
 		{"first chunk", first, pcore + " MTY1 6c0fffb738e4d5c2 text%2Fplain 0 - 0 0 3", 87},
 		{"last chunk", last, pcore + " Cg== 6c0fffb738e4d5c2 text%2Fplain 0 - 0 2 3", 87},
+		{"full update with cache-control", withCC,
+			pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain 0 - 0 0 0 x-cc-delta%3D30%2C+x-mc-group%3Dnews", 132},
 	}
 	for _, c := range cases {
 		if got := c.ev.Encode(); got != c.wire || len(got) != c.size {
@@ -135,7 +138,44 @@ func sameOnWire(a, b Event) bool {
 		a.Reset == b.Reset && a.ModTime.Equal(b.ModTime) && a.HasBody == b.HasBody &&
 		bytes.Equal(a.Body, b.Body) && a.ContentType == b.ContentType && a.Digest == b.Digest &&
 		a.PayloadCap == b.PayloadCap && a.BaseDigest == b.BaseDigest && a.DeltaCodec == b.DeltaCodec &&
-		a.ChunkIndex == b.ChunkIndex && a.ChunkTotal == b.ChunkTotal
+		a.ChunkIndex == b.ChunkIndex && a.ChunkTotal == b.ChunkTotal && a.CacheControl == b.CacheControl
+}
+
+// TestCacheControlField: a frame's Cache-Control survives the wire on
+// every payload rung, spaces, commas and a literal "-" included; the
+// stripped form drops it with the payload; and a field that does not
+// unescape is refused.
+func TestCacheControlField(t *testing.T) {
+	body := []byte("165.38\n")
+	cc := "x-cc-delta=30, x-mc-group=news, x-mc-delta=60"
+	full := Event{Kind: KindUpdate, Seq: 1, Key: "/quote/acme", Body: body, HasBody: true,
+		Digest: DigestOf(body), ContentType: "text/plain", CacheControl: cc,
+		ModTime: time.Unix(1700000000, 0)}
+	delta := full
+	delta.Body, delta.BaseDigest, delta.DeltaCodec = []byte{1, 2, 'h', 'i'}, DigestOf([]byte("base")), DeltaCodecBlock
+	chunk := full
+	chunk.Body, chunk.ChunkIndex, chunk.ChunkTotal = []byte("165"), 1, 3
+	dash := full
+	dash.CacheControl = "-"
+	assertRoundTrip(t, []Event{full, delta, chunk, dash})
+
+	stripped := full.StripPayload()
+	if stripped.CacheControl != "" {
+		t.Errorf("StripPayload kept Cache-Control %q", stripped.CacheControl)
+	}
+	if wire := stripped.Encode(); len(strings.Fields(wire)) != 5 {
+		t.Errorf("stripped frame %q carries more than the five core fields", wire)
+	}
+
+	d := DigestOf(body)
+	for _, wire := range []string{
+		"2 1 0 p /k aGk= " + d + " - 0 - 0 0 0 x-cc%zz", // bad escape
+		"2 1 0 p /k aGk= " + d + " - 0 - 0 0 0 -",       // ends in an empty cc
+	} {
+		if ev, err := Decode(wire); err == nil {
+			t.Errorf("Decode(%q) accepted as %+v", wire, ev)
+		}
+	}
 }
 
 // TestDecodeRejectsMalformed: Decode refuses, never half-parses, every

@@ -1,8 +1,7 @@
 // Package stats provides small statistical estimators shared by the
 // consistency policies and the experiment reports: exponentially weighted
-// moving averages, running mean/variance (Welford), a minimum tracker,
-// rate estimators for update processes, time-weighted accumulators,
-// quantiles and clamping.
+// moving averages, a minimum tracker, rate estimators for update
+// processes, time-weighted accumulators, quantiles and clamping.
 package stats
 
 import (
@@ -49,54 +48,6 @@ func (e *EWMA) Samples() uint64 { return e.samples }
 
 // Reset discards all state.
 func (e *EWMA) Reset() { e.value, e.samples = 0, 0 }
-
-// Welford accumulates running mean and variance using Welford's
-// numerically stable online algorithm. The zero value is ready to use.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Observe folds in a sample.
-func (w *Welford) Observe(v float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = v, v
-	} else {
-		w.min = math.Min(w.min, v)
-		w.max = math.Max(w.max, v)
-	}
-	d := v - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (v - w.mean)
-}
-
-// Count returns the number of samples.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the sample mean, or 0 with no samples.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Min returns the smallest sample, or 0 with no samples.
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample, or 0 with no samples.
-func (w *Welford) Max() float64 { return w.max }
-
-// Variance returns the unbiased sample variance (n−1 denominator), or 0
-// with fewer than two samples.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // RateEstimator estimates the rate of a point process (e.g. object
 // updates) from observed event instants using an EWMA over inter-event

@@ -65,56 +65,6 @@ func TestEWMAInvalidAlphaPanics(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	samples := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	for _, v := range samples {
-		w.Observe(v)
-	}
-	if w.Count() != 8 {
-		t.Errorf("Count = %d", w.Count())
-	}
-	if !almostEqual(w.Mean(), 5) {
-		t.Errorf("Mean = %v, want 5", w.Mean())
-	}
-	// Population variance is 4; sample variance = 32/7.
-	if !almostEqual(w.Variance(), 32.0/7.0) {
-		t.Errorf("Variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordFewSamples(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 {
-		t.Error("empty Welford must report zeros")
-	}
-	w.Observe(42)
-	if w.Mean() != 42 || w.Variance() != 0 {
-		t.Error("single-sample Welford: mean 42, variance 0")
-	}
-}
-
-func TestPropertyWelfordMeanMatchesNaive(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var w Welford
-		sum := 0.0
-		for _, v := range raw {
-			w.Observe(float64(v))
-			sum += float64(v)
-		}
-		return math.Abs(w.Mean()-sum/float64(len(raw))) < 1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestRateEstimator(t *testing.T) {
 	r := NewRateEstimator(1) // alpha=1: exact latest gap
 	if r.Known() {

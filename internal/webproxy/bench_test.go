@@ -53,7 +53,7 @@ func valuePushProxy(tb testing.TB) (*Proxy, func()) {
 	revision := 0
 	return p, func() {
 		revision++
-		ev := push.Event{
+		ev := pushedEvent{Event: push.Event{
 			Kind:        push.KindUpdate,
 			Key:         e.key,
 			ModTime:     base.Add(time.Duration(revision) * time.Second),
@@ -61,8 +61,8 @@ func valuePushProxy(tb testing.TB) (*Proxy, func()) {
 			HasBody:     true,
 			ContentType: "text/plain",
 			Digest:      digest,
-		}
-		if !p.applyPushedValue(e, &ev, nil) {
+		}}
+		if !p.applyPushedValue(e, &ev) {
 			tb.Fatal("apply fell back")
 		}
 	}

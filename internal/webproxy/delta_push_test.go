@@ -137,24 +137,24 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 	if !ok {
 		t.Fatal("MakeDelta refused a trivially delta-able revision")
 	}
-	mk := func(body []byte, digest, base string) *push.Event {
-		return &push.Event{
+	mk := func(body []byte, digest, base string) *pushedEvent {
+		return &pushedEvent{Event: push.Event{
 			Kind: push.KindUpdate, Key: "/obj", ModTime: h.clk.Now().Add(time.Hour),
 			Body: body, HasBody: true, Digest: digest,
 			BaseDigest: base, DeltaCodec: push.DeltaCodecBlock,
-		}
+		}}
 	}
 
 	cases := []struct {
 		name string
-		ev   *push.Event
+		ev   *pushedEvent
 	}{
 		{"forged base digest", mk(delta, push.DigestOf(v2), "00000000deadbeef")},
 		{"hostile delta stream", mk([]byte{0xff, 0x01, 0x02}, push.DigestOf(v2), push.DigestOf(v1))},
 		{"terminal digest mismatch", mk(delta, push.DigestOf(v1), push.DigestOf(v1))},
 	}
 	for i, tc := range cases {
-		if px.applyPushedValue(e, tc.ev, nil) {
+		if px.applyPushedValue(e, tc.ev) {
 			t.Fatalf("%s: applyPushedValue accepted the frame", tc.name)
 		}
 		if got := px.PushStats().DeltaBaseMisses; got != uint64(i+1) {
@@ -165,7 +165,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 		}
 	}
 
-	if !px.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1)), nil) {
+	if !px.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1))) {
 		t.Fatalf("correct delta refused: %+v", px.PushStats())
 	}
 	st := px.PushStats()

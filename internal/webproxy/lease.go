@@ -11,10 +11,11 @@ import (
 // This file is the push lease, the one place its rules live. While the
 // invalidation channel is healthy a key it carries holds a lease: push
 // carries the key's freshness, and its regular poll becomes an audit of
-// the channel rather than of the object, run once per lease term
-// L = Config.PushStretch × Bounds.Max whatever TTR the policy has
-// learned. Every lease decision asks the lease value below (carries,
-// covers, current); no other code combines its premises.
+// the channel rather than of the object, run a lease term
+// L = Config.PushStretch × Bounds.Max after the key's last validation
+// whatever TTR the policy has learned. Every lease decision asks the lease
+// value below (carries, covers, current); no other code combines its
+// premises.
 //
 // A key is carried when every premise holds:
 //
@@ -38,18 +39,26 @@ import (
 // The lease starts at install, not after a first poll: admission and disk
 // promotion place the first poll at a per-key hash phase in (TTR, L] (see
 // phase), so keys warmed together poll at the steady N/L rate instead of
-// as a herd. Later polls run L after the last validation. Every audit
-// instant then lands on a multiple of L/32 (see auditAt), so the keys due
-// in one bucket go upstream as one batch (see audit.go): an audit L after
-// its validation is rounded down, early only; a first audit's phase, an
-// instant with no meaning of its own, to the nearest bucket; and none
-// lands past the bucket holding validation + L, or at or before the
-// paper-mode instant. No audit comes later than L after the validation
-// it follows, so the staleness table below is unchanged. The paper-mode
-// instant (validation + TTR) is remembered per entry as the lease's
-// stretch past it (see entry.baseNextAt), and the policy keeps learning
-// from each poll's outcome. Rehydrated entries are born suspect and
-// validate immediately, lease or not.
+// as a herd. Later audits run L after the last validation, which is a
+// regular poll's or a pushed install's. A pushed install — a verified
+// payload applied, or a pushed poll's answer — validates a carried key on
+// evidence from the current epoch, so it moves the key's pending audit to
+// L after that evidence arrived: the event's receipt, or the response's
+// arrival (see deferAudit). It only ever moves the audit later. It leaves
+// the paper-mode instant where the last regular poll put it and feeds no
+// policy, so a sweep lands exactly where it would without pushes. A key
+// the channel updates more often than L is therefore never audited: its
+// updates are its validations. Every audit instant lands on a multiple of
+// L/32 (see auditAt), so the keys due in one bucket go upstream as one
+// batch (see audit.go): an audit L after its validation is rounded down,
+// early only; a first audit's phase, an instant with no meaning of its
+// own, to the nearest bucket; and none lands past the bucket holding
+// validation + L, or at or before the paper-mode instant. No audit comes
+// later than L after the last validation. The paper-mode instant (regular
+// poll + TTR) is remembered per entry as the lease's stretch past it (see
+// entry.baseNextAt), and the policy keeps learning from each regular
+// poll's outcome. Rehydrated entries are born suspect and validate
+// immediately, lease or not.
 //
 // What the lease carries needs no poll:
 //
@@ -96,9 +105,13 @@ import (
 //   - a deliberate Bounce (interest renegotiation): one sweep, as a
 //     disconnect;
 //   - an upstream that silently fails to announce an update over a live
-//     stream: L, the audit this poll exists for;
-//   - a changed Cache-Control tolerance, which no event carries: the key's
-//     next lease poll, at most L;
+//     stream: L after the last evidence's arrival, the audit this poll
+//     exists for;
+//   - a changed Cache-Control tolerance: value frames carry the object's
+//     Cache-Control, and a pushed poll's answer carries it as every
+//     response does, so a key the channel keeps updating learns the
+//     change with its next update, and a quiet key from its audit — at
+//     most L after the change either way;
 //   - an update announced while the key's admission or promotion is in
 //     flight (the fetch and the stream are separate connections, so the
 //     event can be handled, and find nothing resident, before a response
@@ -293,6 +306,35 @@ func (p *Proxy) rescheduleHybrid(e *entry, validatedAt time.Time, ttr time.Durat
 	p.placeLocked(e, at, base)
 	p.schedMu.Unlock()
 	p.kick()
+}
+
+// deferAudit moves e's pending audit to a term after arrived, the instant
+// a pushed install's evidence reached this proxy (the event, or a pushed
+// poll's response), when the lease carries e and that evidence was
+// gathered in the current epoch. The audit only ever moves later, placed
+// by auditAt as a poll's would be; the paper-mode instant a regular poll
+// set stays where it is, so a sweep lands exactly where it would have,
+// and the policy still learns from regular polls alone. The decision is
+// made under schedMu, as rescheduleHybrid's is: an epoch that began, or a
+// channel that died, before the sweep took the lock reads as superseded
+// or down here, and a move made first is swept back.
+func (p *Proxy) deferAudit(e *entry, arrived time.Time, epoch *time.Time) {
+	if p.lease.term <= 0 {
+		return
+	}
+	p.schedMu.Lock()
+	moved := false
+	if p.carriedLocked(e) && p.lease.current(epoch) {
+		base := e.baseNextAt()
+		if at := p.lease.auditAt(e.key, arrived, time.Time{}, base, 0); at.After(e.item.At) {
+			p.placeLocked(e, at, base)
+			moved = true
+		}
+	}
+	p.schedMu.Unlock()
+	if moved {
+		p.auditsDeferred.Add(1)
+	}
 }
 
 // carriedLocked reports whether the live lease carries the resident entry

@@ -25,11 +25,13 @@ import (
 //     no origin request; otherwise — or when the payload cannot be
 //     installed — the job polls: it revalidates via If-Modified-Since
 //     and, when it confirms an update, runs the §3.2 group triggering
-//     exactly as a scheduled poll would. Neither form disturbs the
-//     object's regular TTR schedule or feeds its policy (pushes reveal
-//     the origin's churn, not the polling frequency's fitness).
+//     exactly as a scheduled poll would. Neither form feeds the object's
+//     policy or moves its paper-mode instant (pushes reveal the origin's
+//     churn, not the polling frequency's fitness).
 //   - While the channel is healthy a key it carries holds a lease: its
-//     regular poll runs once per lease term, and what the lease carries
+//     regular poll is an audit run a lease term after its last
+//     validation — a poll's or a pushed install's, so a key pushed more
+//     often than that is never audited — and what the lease carries
 //     needs no poll. What a lease rests on, what ends it, and the
 //     staleness each failure can cost are lease.go's.
 
@@ -220,7 +222,7 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 	// something better, just riding along: that job runs after this
 	// announcement, so its fallback poll, if it needs one, finds the
 	// parent as fresh as the announcement promised.
-	pe := &pushedEvent{Event: ev, epoch: p.lease.epoch.Load()}
+	pe := &pushedEvent{Event: ev, epoch: p.lease.epoch.Load(), at: p.cfg.Clock()}
 	for {
 		cur := e.pendingPush.Load()
 		if cur != nil && !supersedes(&ev, &cur.Event) {
@@ -239,11 +241,13 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 }
 
 // pushedEvent is an event waiting in an entry's coalescing slot, with the
-// lease epoch it arrived in: a payload it delivers is evidence from that
-// epoch, however late its job runs.
+// lease epoch it arrived in and the instant it arrived: a payload it
+// delivers is evidence from that epoch and that instant, however late
+// its job runs.
 type pushedEvent struct {
 	push.Event
 	epoch *time.Time
+	at    time.Time
 }
 
 // supersedes reports whether ev should replace cur in an entry's
@@ -349,7 +353,11 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 // zero confirmation polls. It runs on the entry's affinity worker (the
 // same serialization domain as every poll of the object and its group),
 // so body swaps, controller observations, and §3.2 triggering stay
-// single-threaded exactly as they are for polls.
+// single-threaded exactly as they are for polls. The install is a
+// validation: the body, its content type and the Cache-Control the frame
+// carries replace the cached ones, and a carried key's audit moves to a
+// lease term after the event arrived, in the epoch it arrived in (see
+// deferAudit).
 //
 // The version check runs first: an event for a version the cached copy
 // already carries (a relay's pass-through plus its confirmation, a
@@ -361,8 +369,9 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 // refused it, or the body alone overflows MaxBytes (installing it would
 // immediately evict the object) — and the caller degrades to the pushed
 // confirmation poll, the next rung of the ladder. The Δ guarantee never
-// rests on this path. epoch is the lease epoch the event arrived in.
-func (p *Proxy) applyPushedValue(e *entry, ev *push.Event, epoch *time.Time) bool {
+// rests on this path.
+func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) bool {
+	ev := &pe.Event
 	if !p.cfg.PushValues || e.evicted() {
 		// Nothing may be installed for an evicted entry; the poll path's
 		// own eviction check disposes of the job.
@@ -388,20 +397,23 @@ func (p *Proxy) applyPushedValue(e *entry, ev *push.Event, epoch *time.Time) boo
 		// unwind rules rather than duplicating them here.
 		return false
 	}
-	// pollPushed leaves the regular schedule untouched; the downstream
+	// The install validates a carried key, so its audit moves to a term
+	// after the event arrived (see deferAudit); the downstream
 	// confirmation install publishes is payload-free — the pass-through
 	// frame already carried it (see relayInstalled).
 	p.install(e, pollPushed, version{
-		now:         p.cfg.Clock(),
-		modified:    true,
-		body:        body,
-		digest:      ev.Digest,
-		contentType: ev.ContentType,
-		lastMod:     ev.ModTime,
-		hasLastMod:  !ev.ModTime.IsZero(),
-		applied:     true,
-		delta:       ev.BaseDigest != "",
-		epoch:       epoch,
+		now:          p.cfg.Clock(),
+		modified:     true,
+		body:         body,
+		digest:       ev.Digest,
+		contentType:  ev.ContentType,
+		cacheControl: ev.CacheControl,
+		lastMod:      ev.ModTime,
+		hasLastMod:   !ev.ModTime.IsZero(),
+		applied:      true,
+		delta:        ev.BaseDigest != "",
+		epoch:        pe.epoch,
+		arrived:      pe.at,
 	})
 	return true
 }
@@ -455,6 +467,9 @@ func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	rec.ValidatedAt = p.cfg.Clock()
 	if ev.ContentType != "" {
 		rec.ContentType = ev.ContentType
+	}
+	if ev.CacheControl != "" {
+		rec.CacheControl = ev.CacheControl
 	}
 	if !ev.ModTime.IsZero() {
 		rec.LastMod, rec.HasLastMod = ev.ModTime, true
@@ -549,9 +564,14 @@ type PushStats struct {
 	// (leases in effect for the keys it covers).
 	Connected bool `metric:"gauge broadway_push_connected" help:"1 while the invalidation channel is healthy."`
 	// LeaseTerm is the resolved lease term L = PushStretch × Bounds.Max:
-	// how often a covered key's regular poll runs while Connected. Zero
-	// when leases are off (PushStretch ≤ 1 or no push URL).
-	LeaseTerm time.Duration `metric:"gauge broadway_push_lease_term_seconds" help:"Interval between a covered key's regular polls while the channel is healthy (0 when leases are off)."`
+	// how long after its last validation — a poll, or a pushed install —
+	// a covered key is audited while Connected. Zero when leases are off
+	// (PushStretch ≤ 1 or no push URL).
+	LeaseTerm time.Duration `metric:"gauge broadway_push_lease_term_seconds" help:"Interval from a covered key's last validation to its audit while the channel is healthy (0 when leases are off)."`
+	// AuditsDeferred counts pushed installs — a verified payload, or a
+	// pushed poll's answer — that moved a carried key's audit later, to a
+	// lease term after the evidence arrived.
+	AuditsDeferred uint64 `metric:"counter broadway_push_audits_deferred_total" help:"Pushed installs that moved a carried key's audit later."`
 	// Events counts update notifications received.
 	Events uint64 `metric:"counter broadway_push_events_total" help:"Update notifications received on the channel."`
 	// Polls counts pushed jobs enqueued (coalesced bursts enqueue one).
@@ -631,6 +651,7 @@ func (p *Proxy) PushStats() PushStats {
 		Enabled:         p.sub != nil,
 		Connected:       p.lease.healthy.Load(),
 		LeaseTerm:       p.lease.term,
+		AuditsDeferred:  p.auditsDeferred.Load(),
 		Events:          p.pushEvents.Load(),
 		Polls:           p.pushPolls.Load(),
 		Dropped:         p.pushDropped.Load(),

@@ -22,10 +22,11 @@ import (
 // pollKind distinguishes why a poll was requested. Regular polls come
 // off the TTR schedule and feed the policy; triggered polls are demanded
 // by a mutual-consistency controller; pushed polls are demanded by the
-// origin's invalidation channel. Triggered and pushed polls leave the
-// regular schedule and the policy's learned TTR untouched, but a pushed
-// poll that confirms an update runs the §3.2 group triggering exactly as
-// a regular poll would — the channel must not weaken mutual consistency.
+// origin's invalidation channel. Neither feeds the policy's learned TTR
+// or moves the paper-mode instant; a pushed poll's answer only moves a
+// carried key's audit later (see deferAudit), and one that confirms an
+// update runs the §3.2 group triggering exactly as a regular poll would —
+// the channel must not weaken mutual consistency.
 type pollKind uint8
 
 const (
@@ -319,7 +320,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		// mid-job must enqueue a fresh job (this one may already have read
 		// an older version).
 		if pending := e.pendingPush.Swap(nil); pending != nil && p.cfg.PushValues {
-			if p.applyPushedValue(e, &pending.Event, pending.epoch) {
+			if p.applyPushedValue(e, pending) {
 				return // installed (or a recognized duplicate): no origin request
 			}
 			p.pushValueFallback.Add(1)
@@ -361,6 +362,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		hasLastMod:   resp.hasLastMod,
 		history:      resp.history,
 		epoch:        resp.epoch,
+		arrived:      now,
 	})
 }
 
@@ -389,8 +391,11 @@ type version struct {
 	// delta, that it arrived as a delta.
 	applied, delta bool
 	// epoch is the lease epoch the version's evidence was gathered in:
-	// the poll's request sent, or the pushed event received.
-	epoch *time.Time
+	// the poll's request sent, or the pushed event received; arrived is
+	// the instant that evidence reached this proxy — the response, or
+	// the event.
+	epoch   *time.Time
+	arrived time.Time
 }
 
 // install is the one way a validated version replaces a resident entry's
@@ -402,10 +407,13 @@ type version struct {
 // core.PollOutcome built from it, byte-ledger re-charge with budget
 // re-enforcement, downstream relay publication, the eviction-token-
 // guarded controller observation, disk write-behind, rescheduling (a
-// regular poll only: triggered and pushed refreshes leave the schedule
-// and the policy's learned TTR untouched), §3.2 group triggering (a
-// sibling the lease carries is vouched for, not polled, and reported on
-// this version's observation), and the observer emission. An eviction
+// regular poll reschedules and feeds the policy; a pushed install — a
+// verified payload or a pushed poll's answer — moves a carried key's
+// audit to a term after its evidence arrived, leaving the paper-mode
+// instant and the policy alone; a triggered poll touches neither), §3.2
+// group triggering (a sibling the lease carries is vouched for, not
+// polled, and reported on this version's observation), and the observer
+// emission. An eviction
 // mid-refresh stops everything past the controller guard: the object no
 // longer owns a refresh slot, and a new version it swapped in voids the
 // disk record left behind.
@@ -441,11 +449,10 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	e.validatedAt = v.now
 	// A 304 carries Cache-Control too (the origin writes the §5.1
 	// tolerance directives on every response), and HTTP semantics say a
-	// revalidation updates stored headers. Refreshing it here — not only
-	// on a 200 — matters doubly under value-carrying push: pushed
-	// payloads advance lastMod without touching headers, so the periodic
-	// lease poll's 304 is the only channel left for a tolerance change to
-	// reach this proxy and its children.
+	// revalidation updates stored headers. A pushed value carries the
+	// object's Cache-Control in its frame, so a tolerance change reaches
+	// this proxy and its children with the next update, and through a
+	// quiet key's lease audit otherwise.
 	if v.cacheControl != "" {
 		e.cacheControl.set(v.cacheControl)
 	}
@@ -546,8 +553,11 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		p.persistEntry(e)
 	}
 
-	if kind == pollRegular {
+	switch kind {
+	case pollRegular:
 		p.rescheduleHybrid(e, v.now, ttr, time.Time{}, v.epoch)
+	case pollPushed:
+		p.deferAudit(e, v.arrived, v.epoch)
 	}
 	// Temporal group triggering; partitioned M_v pairs maintain their
 	// mutual guarantee through the tolerance split instead. Pushed

@@ -187,6 +187,7 @@ func (p *Proxy) relayInstalled(e *entry, v version, prevBody []byte, prevDigest 
 			ev.HasBody = true
 			e.mu.RLock()
 			ev.ContentType = e.contentType.String()
+			ev.CacheControl = e.cacheControl.String()
 			e.mu.RUnlock()
 			if len(prevBody) >= relayDeltaFloor && prevDigest != "" && prevDigest != ev.Digest {
 				if d, ok := push.MakeDelta(prevBody, v.body); ok {

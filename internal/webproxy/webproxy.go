@@ -68,10 +68,11 @@
 // the origin streams per-object update events, each event converts into
 // an immediate pushed poll through the affinity workers, and while the
 // channel is healthy every key it covers holds a lease: its regular poll
-// runs once per lease term (Config.PushStretch × Bounds.Max) from
-// admission on — consistency traffic then scales with the origin's
-// churn instead of with the poll schedule. The channel is an
-// optimization, never a correctness dependency: whatever ends a lease
+// runs a lease term (Config.PushStretch × Bounds.Max) after its
+// last validation, a poll's or a pushed install's — consistency traffic
+// then scales with the origin's churn instead of with the poll schedule,
+// and a key the channel keeps updating sends no poll at all. The channel
+// is an optimization, never a correctness dependency: whatever ends a lease
 // (disconnect, heartbeat timeout, Reset, frame loss) drops the proxy
 // back to pure paper-mode polling, and a staleness-bounded catch-up
 // sweep restores every leased schedule entry to its paper-mode instant,
@@ -169,8 +170,10 @@ type Config struct {
 	PushURL *url.URL
 	// PushStretch sets the lease term L = PushStretch × Bounds.Max:
 	// while the push channel is healthy and carries a key, that key's
-	// regular poll runs once per L, whatever TTR its policy has learned,
-	// and the key needs no §3.2 triggered poll when a sibling updates
+	// regular poll becomes an audit run L after its last validation —
+	// a poll's, or a pushed install's — whatever TTR its policy has
+	// learned, so a key pushed more often than L is never audited; and
+	// the key needs no §3.2 triggered poll when a sibling updates
 	// (with DiskDir, a carried demoted object is promoted with no
 	// upstream request). Whatever ends a lease restores the paper-mode
 	// schedule in one sweep, and an update the channel fails to announce
@@ -581,8 +584,10 @@ type Proxy struct {
 	auditSlots   chan struct{}
 	auditBatches atomic.Uint64
 	// lease is the push lease: its term, the channel's health and the
-	// current epoch (see lease.go).
-	lease lease
+	// current epoch (see lease.go). auditsDeferred counts pushed installs
+	// that moved a carried key's audit later (see deferAudit).
+	lease          lease
+	auditsDeferred atomic.Uint64
 	// pushApplied counts pushed payloads installed directly (no origin
 	// request); pushValueFallback counts pushed jobs that had to poll
 	// after all — digest mismatch, missing or stripped payload, or a

@@ -90,7 +90,7 @@ func WithPushHeartbeat(interval time.Duration) Option {
 }
 
 // WithPushValues makes every published update event carry the object's
-// new body (value-carrying push): subscribers that
+// new body and its Cache-Control (value-carrying push): subscribers that
 // negotiated payload delivery install the update directly — one
 // message, zero confirmation polls — while plain subscribers keep
 // receiving invalidation-only frames. cap bounds the body size the hub
@@ -152,6 +152,7 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 		obj.modTimes = obj.modTimes[len(obj.modTimes)-httpx.MaxHistoryEntries:]
 	}
 	published := obj.body
+	tol := obj.tolerances
 	o.mu.Unlock()
 
 	if o.hub != nil {
@@ -168,6 +169,7 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 			ev.Body = published
 			ev.HasBody = true
 			ev.ContentType = contentType
+			ev.CacheControl = tol.FormatCacheControl()
 			ev.Digest = push.DigestOf(published)
 			// Offer the update as a delta against the previous body too:
 			// subscribers that advertised holding it get the cheapest rung
