@@ -38,12 +38,13 @@ const (
 
 	// MaxChunkTotal bounds the chunk count of a chunked body; with the
 	// protocol's MaxPayloadCap per chunk this admits bodies well beyond
-	// the proxy's own 32 MiB fetch limit.
+	// MaxAssembledBody.
 	MaxChunkTotal = 1024
 
 	// MaxAssembledBody bounds the body a subscriber will reassemble
-	// from chunks (mirrors the proxy's origin-fetch limit): a hostile
-	// chunk total cannot make the client buffer unbounded data.
+	// from chunks: a hostile chunk total cannot make the client buffer
+	// unbounded data. The proxy's origin fetches refuse a longer body
+	// too, so no body it caches is one the channel cannot deliver.
 	MaxAssembledBody = 32 << 20
 )
 

@@ -48,12 +48,6 @@ const auditRetryTerms = 8
 // Bounds.Min/piggybackShare of now (see popLocked).
 const piggybackShare = 32
 
-// auditAnswer is the upstream's 304 for a key a batch vouched for.
-type auditAnswer struct {
-	now   time.Time  // when the answer arrived
-	epoch *time.Time // the lease epoch the batch was sent in
-}
-
 // auditEndpoint returns the URL batches go to: httpx.AuditPath on Origin's
 // scheme and host.
 func (p *Proxy) auditEndpoint() *url.URL {
@@ -165,7 +159,8 @@ func (p *Proxy) auditBatch(batch []*entry, body []byte) {
 	p.auditBatches.Add(1)
 	epoch := p.lease.epoch.Load()
 	listed, ok := p.postAudits(body)
-	answer := &auditAnswer{now: p.cfg.Clock(), epoch: epoch}
+	now := p.cfg.Clock()
+	answer := &version{now: now, epoch: epoch, arrived: now}
 	for _, e := range batch {
 		j := job{e: e, kind: pollRegular}
 		if ok && !listed[e.key] {
@@ -220,14 +215,15 @@ func (p *Proxy) postAudits(body []byte) (listed map[string]bool, ok bool) {
 
 // installAnswered installs the 304 a batch answered for e, as pollEntry
 // would install the same reply to e's own conditional GET.
-func (p *Proxy) installAnswered(e *entry, a *auditAnswer) {
+func (p *Proxy) installAnswered(e *entry, answer *version) {
 	if e.evicted() {
 		return
 	}
+	v := *answer
 	e.mu.RLock()
-	lastMod, hasLastMod := e.lastModified()
+	v.lastMod, v.hasLastMod = e.lastModified()
 	e.mu.RUnlock()
-	p.install(e, pollRegular, version{now: a.now, lastMod: lastMod, hasLastMod: hasLastMod, epoch: a.epoch})
+	p.install(e, pollRegular, v)
 }
 
 // serveAudits answers a child's audit batch from the cache, with or
@@ -246,6 +242,11 @@ func (p *Proxy) serveAudits(w http.ResponseWriter, r *http.Request) {
 		lastMod, hasLastMod := e.lastModified()
 		cc := e.cacheControl.String()
 		e.mu.RUnlock()
+		// An empty Cache-Control vouches whatever token the child holds:
+		// the conditional GET this line stands for would be a 304 with no
+		// Cache-Control, which leaves the child's stored one as it is (see
+		// headersOver), so listing the key would buy a GET on every audit
+		// that changes nothing.
 		if !hasLastMod || lastMod.After(l.Since) || (cc != "" && httpx.CacheControlToken(cc) != l.Token) {
 			return false
 		}

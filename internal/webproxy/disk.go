@@ -83,9 +83,10 @@ func (p *Proxy) persistEntry(e *entry) {
 // record is carried exactly as a resident leased key is (see lease.go),
 // on the evidence of its own validation instant (see recordEpoch). The
 // record answered is installed with that instant and audited within L of
-// it. An update racing the promotion itself marks its flight and is
-// caught at install (see raced).
-func (p *Proxy) channelAnswer(key string, rec *diskstore.Record) *upstreamResponse {
+// it: no request was sent, and the record vouches for itself. An update
+// racing the promotion itself marks its flight and is caught at install
+// (see raced).
+func (p *Proxy) channelAnswer(key string, rec *diskstore.Record) *version {
 	if rec == nil {
 		return nil
 	}
@@ -93,7 +94,7 @@ func (p *Proxy) channelAnswer(key string, rec *diskstore.Record) *upstreamRespon
 	if epoch == nil || !p.lease.carries(key, p.pushable(key), epoch) {
 		return nil
 	}
-	return &upstreamResponse{notModified: true, epoch: epoch, byChannel: true}
+	return &version{now: rec.ValidatedAt, applied: true, epoch: epoch, arrived: p.cfg.Clock()}
 }
 
 // demote finishes a replacement eviction: the victims are unwound from

@@ -278,6 +278,76 @@ func TestInstallOneObjectEverySource(t *testing.T) {
 	}
 }
 
+// TestClearedToleranceReachesLeafWithUpdate: a version that carries a
+// body replaces the stored Cache-Control wholesale, so tolerances the
+// origin clears leave every hop with the next update. Until then a 304
+// cannot clear them: three lease terms of audits keep the old ones.
+func TestClearedToleranceReachesLeafWithUpdate(t *testing.T) {
+	tp := valuePushTopology(rearmConfig())
+	tp.hops = 2
+	h := newHarness(t, tp)
+	px := h.leaf()
+	const key = "/tol/k"
+	h.origin.Set(key, []byte("v1"), "")
+	h.origin.SetTolerances(key, httpx.Tolerances{Delta: 7 * time.Second})
+	h.quiesce()
+	if _, _, hdr := px.get(key); hdr.Get("Cache-Control") != "x-cc-delta=7" {
+		t.Fatalf("admitted with Cache-Control %q, want x-cc-delta=7", hdr.Get("Cache-Control"))
+	}
+
+	h.origin.SetTolerances(key, httpx.Tolerances{})
+	h.advance(3 * px.lease.term)
+	if _, _, hdr := px.get(key); hdr.Get("Cache-Control") != "x-cc-delta=7" {
+		t.Fatalf("a quiet key served Cache-Control %q, want x-cc-delta=7 until its next update", hdr.Get("Cache-Control"))
+	}
+	h.origin.Set(key, []byte("v2"), "")
+	h.quiesce()
+	for i, n := range []*node{h.root(), px} {
+		code, body, hdr := n.get(key)
+		if code != 200 || body != "v2" {
+			t.Fatalf("hop %d served %d %q, want the pushed v2", i, code, body)
+		}
+		if cc := hdr.Get("Cache-Control"); cc != "" {
+			t.Errorf("hop %d served v2 with Cache-Control %q, want none", i, cc)
+		}
+	}
+}
+
+// TestNotModifiedUpdatesStatedHeadersOnly: a 304 replaces the stored
+// Cache-Control when it states one, and keeps it when it states none.
+func TestNotModifiedUpdatesStatedHeadersOnly(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tol  httpx.Tolerances
+		want string
+	}{
+		{"changed", httpx.Tolerances{Delta: 9 * time.Second}, "x-cc-delta=9"},
+		{"cleared", httpx.Tolerances{}, "x-cc-delta=7"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newHarness(t, topology{cfg: Config{DefaultDelta: time.Hour, Bounds: noRefreshBounds}})
+			px := h.leaf()
+			const key = "/doc"
+			h.origin.Set(key, []byte("v1"), "text/plain")
+			h.origin.SetTolerances(key, httpx.Tolerances{Delta: 7 * time.Second})
+			px.get(key)
+
+			h.origin.SetTolerances(key, c.tol)
+			pollNow(h, key)
+			if st := px.ObjectStats(key); st.Polls != 2 {
+				t.Fatalf("%d validations, want the admission and one poll", st.Polls)
+			}
+			_, body, hdr := px.get(key)
+			if body != "v1" || hdr.Get("Content-Type") != "text/plain" {
+				t.Errorf("served %q as %q after the 304, want v1 as text/plain", body, hdr.Get("Content-Type"))
+			}
+			if cc := hdr.Get("Cache-Control"); cc != c.want {
+				t.Errorf("Cache-Control %q after the 304, want %q", cc, c.want)
+			}
+		})
+	}
+}
+
 // TestCappedPromotionIsNotCounted: a disk record whose body alone
 // overflows MaxBytes is served uncached, like any such object — it was
 // not re-admitted, so it is neither a promotion nor a poll "of a cached

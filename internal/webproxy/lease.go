@@ -111,7 +111,10 @@ import (
 //     Cache-Control, and a pushed poll's answer carries it as every
 //     response does, so a key the channel keeps updating learns the
 //     change with its next update, and a quiet key from its audit — at
-//     most L after the change either way;
+//     most L after the change either way. A cleared tolerance is the
+//     exception: a 304 cannot remove a header (see headersOver), so a
+//     quiet key keeps the old directives until its next version that
+//     carries a body;
 //   - an update announced while the key's admission or promotion is in
 //     flight (the fetch and the stream are separate connections, so the
 //     event can be handled, and find nothing resident, before a response

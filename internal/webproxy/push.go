@@ -290,26 +290,6 @@ func isPureDelta(ev *push.Event) bool {
 	return ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0 && len(ev.DeltaBody) == 0
 }
 
-// versionHeld reports whether a copy whose modification instant is held
-// (has says whether it has one) already carries the version announced at
-// mod, or a later one. Origins guarantee strictly increasing modification
-// times, so an announcement at or before the held instant is a relay
-// duplicate, a replayed frame, or a push that lost the race to a poll:
-// nothing to install, nothing to poll. A timeless announcement can never
-// be recognized. It is the version check of both tiers — the resident
-// entry and the disk record.
-func versionHeld(has bool, held, mod time.Time) bool {
-	return has && !mod.IsZero() && !mod.After(held)
-}
-
-// holdsVersion is versionHeld against the cached copy.
-func (e *entry) holdsVersion(mod time.Time) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	held, has := e.lastModified()
-	return versionHeld(has, held, mod)
-}
-
 // held returns the cached body and its digest (empty without
 // value-carrying push) — the base a pushed delta must name.
 func (e *entry) held() ([]byte, string) {
@@ -348,61 +328,39 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 	return ev.Body, push.DigestOf(ev.Body) == ev.Digest
 }
 
-// applyPushedValue installs a pushed event's payload directly into the
-// cache — the value-carrying fast path: one message from the origin,
-// zero confirmation polls. It runs on the entry's affinity worker (the
-// same serialization domain as every poll of the object and its group),
-// so body swaps, controller observations, and §3.2 triggering stay
-// single-threaded exactly as they are for polls. The install is a
-// validation: the body, its content type and the Cache-Control the frame
-// carries replace the cached ones, and a carried key's audit moves to a
-// lease term after the event arrived, in the epoch it arrived in (see
-// deferAudit).
-//
-// The version check runs first: an event for a version the cached copy
-// already carries (a relay's pass-through plus its confirmation, a
-// replayed frame, a push that lost the race to a §3.2 triggered poll) is
-// dropped for free — true with no work done — whatever form it arrived
-// in. A stripped or wrong-base duplicate must not cost a poll.
-//
-// It returns false when the payload cannot be installed — verifyPushed
-// refused it, or the body alone overflows MaxBytes (installing it would
-// immediately evict the object) — and the caller degrades to the pushed
-// confirmation poll, the next rung of the ladder. The Δ guarantee never
-// rests on this path.
-func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) bool {
-	ev := &pe.Event
-	if !p.cfg.PushValues || e.evicted() {
-		// Nothing may be installed for an evicted entry; the poll path's
-		// own eviction check disposes of the job.
-		return false
-	}
-	if e.holdsVersion(ev.ModTime) {
-		// Every write of lastMod runs on this worker, so the answer holds
-		// for the rest of the job.
+// acceptPushed is the acceptance step a pushed payload passes before it
+// lands on either tier — the resident entry (applyPushedValue) or a
+// demoted object's disk record (applyPushedToDisk): the version check
+// against the copy's modification instant (held; has says whether it has
+// one), then verifyPushed against the copy's body, which base reads only
+// for a pure delta. ok reports a verified version to land, validated with
+// no origin request; dup, that the copy already carries the announced
+// version or a later one, so there is nothing to land and nothing to
+// poll — whatever form the event arrived in, since a stripped or
+// wrong-base duplicate must not cost a poll. Origins guarantee strictly
+// increasing modification times, so an announcement at or before the
+// held instant is a relay duplicate, a replayed frame, or a push that
+// lost the race to a poll; a timeless one can never be recognized.
+// Neither ok nor dup means the payload cannot land, and the caller
+// degrades to the next rung of the ladder.
+func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func() ([]byte, string)) (v version, dup, ok bool) {
+	if has && !ev.ModTime.IsZero() && !ev.ModTime.After(held) {
 		p.pushDuplicates.Add(1)
-		return true
+		return version{}, true, false
 	}
-	base, baseDigest := e.held()
-	body, ok := verifyPushed(ev, base, baseDigest)
+	var b []byte
+	var digest string
+	if isPureDelta(ev) {
+		b, digest = base()
+	}
+	body, ok := verifyPushed(ev, b, digest)
 	if !ok {
 		if isPureDelta(ev) {
 			p.pushDeltaBaseMiss.Add(1)
 		}
-		return false
+		return version{}, false, false
 	}
-	if p.cfg.MaxBytes >= 0 && entrySize(e.key, body) > p.cfg.MaxBytes {
-		// An object this size is refused at admission and self-evicts on
-		// refresh growth; let the pushed poll run those established
-		// unwind rules rather than duplicating them here.
-		return false
-	}
-	// The install validates a carried key, so its audit moves to a term
-	// after the event arrived (see deferAudit); the downstream
-	// confirmation install publishes is payload-free — the pass-through
-	// frame already carried it (see relayInstalled).
-	p.install(e, pollPushed, version{
-		now:          p.cfg.Clock(),
+	return version{
 		modified:     true,
 		body:         body,
 		digest:       ev.Digest,
@@ -412,9 +370,49 @@ func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) bool {
 		hasLastMod:   !ev.ModTime.IsZero(),
 		applied:      true,
 		delta:        ev.BaseDigest != "",
-		epoch:        pe.epoch,
-		arrived:      pe.at,
-	})
+	}, false, true
+}
+
+// applyPushedValue installs a pushed event's payload directly into the
+// cache — the value-carrying fast path: one message from the origin,
+// zero confirmation polls. It runs on the entry's affinity worker (the
+// same serialization domain as every poll of the object and its group),
+// so body swaps, controller observations, and §3.2 triggering stay
+// single-threaded exactly as they are for polls. The install is a
+// validation: the payload's body and headers replace the cached ones
+// (see headersOver), and a carried key's audit moves to a lease term
+// after the event arrived, in the epoch it arrived in (see deferAudit).
+//
+// It reports true for a payload installed or a duplicate (see
+// acceptPushed), and false when the payload cannot be installed —
+// acceptPushed refused it, or the body alone overflows MaxBytes
+// (installing it would immediately evict the object) — and the caller
+// degrades to the pushed confirmation poll, the next rung of the ladder.
+// The Δ guarantee never rests on this path.
+func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) bool {
+	if !p.cfg.PushValues || e.evicted() {
+		// Nothing may be installed for an evicted entry; the poll path's
+		// own eviction check disposes of the job.
+		return false
+	}
+	// Every write of lastMod runs on this worker, so the version check
+	// holds for the rest of the job.
+	e.mu.RLock()
+	held, has := e.lastModified()
+	e.mu.RUnlock()
+	v, dup, ok := p.acceptPushed(&pe.Event, held, has, e.held)
+	if !ok || p.cfg.MaxBytes >= 0 && entrySize(e.key, v.body) > p.cfg.MaxBytes {
+		// A body too large for the budget is refused at admission and
+		// self-evicts on refresh growth; the pushed poll runs those
+		// established unwind rules rather than duplicating them here.
+		return dup
+	}
+	// The install validates a carried key, so its audit moves to a term
+	// after the event arrived (see deferAudit); the downstream
+	// confirmation install publishes is payload-free — the pass-through
+	// frame already carried it (see relayInstalled).
+	v.now, v.epoch, v.arrived = p.cfg.Clock(), pe.epoch, pe.at
+	p.install(e, pollPushed, v)
 	return true
 }
 
@@ -423,58 +421,43 @@ func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) bool {
 // demotion whose record survives in the persistent tier. With it, the
 // record tracks the origin: under a live lease the next promotion needs
 // no upstream request at all (see channelAnswer), and outside one its
-// conditional fetch answers 304 against fresh state. The version check
-// and the verification are the resident path's (versionHeld,
-// verifyPushed), run against the record and — for a delta — the blob
-// read back from disk. It reports whether the event was fully handled
-// (installed, or recognized as a duplicate); one it could not absorb
-// is voided (see handlePushEvent). It runs only on the
+// conditional fetch answers 304 against fresh state. It accepts the
+// payload as the resident path does (acceptPushed), against the record
+// and — for a delta — the blob read back from disk, and lands its
+// headers by the same rule (headersOver). It reports whether the event
+// was fully handled (installed, or recognized as a duplicate); one it
+// could not absorb is voided (see handlePushEvent). It runs only on the
 // subscriber's goroutine, so records take events in stream order.
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	if !p.cfg.PushValues || p.disk == nil {
 		return false
 	}
 	ck := canonicalize(ev.Key)
-	// The version check needs only the record; the body is read back
-	// (and re-verified by the content-addressed store) only when a delta
-	// needs its base.
+	// The version check needs only the record; the body is read back (and
+	// re-verified by the content-addressed store) only when a delta needs
+	// its base, and an unreadable one is a base this tier does not hold.
 	rec, ok := p.disk.Meta(ck)
 	if !ok {
 		return false
 	}
-	if versionHeld(rec.HasLastMod, rec.LastMod, ev.ModTime) {
-		p.pushDuplicates.Add(1)
-		return true
-	}
-	var base []byte
-	var baseDigest string
-	if isPureDelta(&ev) {
-		if _, base, ok = p.disk.Get(ck); !ok {
-			return false
+	v, dup, ok := p.acceptPushed(&ev, rec.LastMod, rec.HasLastMod, func() ([]byte, string) {
+		if _, body, ok := p.disk.Get(ck); ok {
+			return body, push.DigestOf(body)
 		}
-		baseDigest = push.DigestOf(base)
-	}
-	body, ok := verifyPushed(&ev, base, baseDigest)
+		return nil, ""
+	})
 	if !ok {
-		if isPureDelta(&ev) {
-			p.pushDeltaBaseMiss.Add(1)
-		}
-		return false
+		return dup
 	}
-	if ev.BaseDigest != "" {
+	if v.delta {
 		p.pushDeltaApplied.Add(1)
 	}
 	rec.ValidatedAt = p.cfg.Clock()
-	if ev.ContentType != "" {
-		rec.ContentType = ev.ContentType
+	rec.ContentType, rec.CacheControl = v.headersOver(rec.ContentType, rec.CacheControl)
+	if v.hasLastMod {
+		rec.LastMod, rec.HasLastMod = v.lastMod, true
 	}
-	if ev.CacheControl != "" {
-		rec.CacheControl = ev.CacheControl
-	}
-	if !ev.ModTime.IsZero() {
-		rec.LastMod, rec.HasLastMod = ev.ModTime, true
-	}
-	p.disk.Put(rec, body)
+	p.disk.Put(rec, v.body)
 	p.pushDiskApplied.Add(1)
 	return true
 }

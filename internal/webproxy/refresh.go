@@ -1,6 +1,7 @@
 package webproxy
 
 import (
+	"cmp"
 	"sync"
 	"time"
 
@@ -37,11 +38,12 @@ const (
 )
 
 // job is one unit of poll work routed to a worker. A regular job whose
-// audit a batch already answered carries that answer (see audit.go).
+// audit a batch already answered carries that answer, a 304 (see
+// audit.go).
 type job struct {
 	e        *entry
 	kind     pollKind
-	answered *auditAnswer
+	answered *version
 }
 
 // worker is one poll worker with an unbounded mailbox. The mailbox must
@@ -341,10 +343,9 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	since := e.since()
 	e.mu.RUnlock()
 
-	resp, err := p.fetch(e.key, since)
-	now := p.cfg.Clock()
+	v, err := p.fetch(e.key, since)
 	if err != nil {
-		p.deferRetry(e, now, kind)
+		p.deferRetry(e, p.cfg.Clock(), kind)
 		if kind == pollPushed {
 			// The announced update has not landed: the void transition,
 			// after deferRetry ended the lease (see lease.go).
@@ -352,50 +353,58 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		}
 		return
 	}
-	p.install(e, kind, version{
-		now:          now,
-		modified:     !resp.notModified,
-		body:         resp.body,
-		contentType:  resp.contentType,
-		cacheControl: resp.header.Get("Cache-Control"),
-		lastMod:      resp.lastMod,
-		hasLastMod:   resp.hasLastMod,
-		history:      resp.history,
-		epoch:        resp.epoch,
-		arrived:      now,
-	})
+	p.install(e, kind, *v)
 }
 
-// version is one validated version of a resident object as its source
-// delivered it: the answer to an origin poll (a 200 carrying a body, or
-// a 304 carrying none) or a pushed payload.
+// version is one validated version of an object as its source delivered
+// it: the answer to an upstream request (a 200 carrying a body, or a 304
+// carrying none; see fetch, and auditBatch for the 304s a batch answers),
+// a pushed payload (see acceptPushed), or the 304 a live lease answers
+// for a promotion (see channelAnswer).
 type version struct {
 	now time.Time // validation instant on the proxy's clock
 	// modified marks a new body; false is a 304, which revalidates the
-	// copy and may still refresh Cache-Control.
+	// copy and may still refresh its headers (see headersOver).
 	modified bool
 	body     []byte
 	// digest is push.DigestOf(body) when the source has verified it (a
 	// pushed payload); empty otherwise, and install hashes the body
 	// itself where digests are kept.
 	digest string
-	// contentType and cacheControl replace the cached headers when
-	// non-empty.
+	// contentType and cacheControl are the headers the source stated;
+	// headersOver lands them on a stored copy.
 	contentType  string
 	cacheControl string
 	// lastMod is the origin's modification instant, when it stated one.
 	lastMod    time.Time
 	hasLastMod bool
 	history    []time.Time
-	// applied marks a pushed payload installed with no origin request;
-	// delta, that it arrived as a delta.
+	// applied marks a version the push channel supplied with no origin
+	// request: a pushed payload installed directly, or the 304 a live
+	// lease answers for a promotion; delta, that a payload arrived as a
+	// delta.
 	applied, delta bool
 	// epoch is the lease epoch the version's evidence was gathered in:
-	// the poll's request sent, or the pushed event received; arrived is
-	// the instant that evidence reached this proxy — the response, or
-	// the event.
+	// the request sent, or the pushed event received; arrived is the
+	// instant that evidence reached this proxy — the response, or the
+	// event.
 	epoch   *time.Time
 	arrived time.Time
+}
+
+// headersOver returns the Content-Type and Cache-Control a stored copy
+// holding ct and cc keeps once v lands on it — an entry (install,
+// admitFrom) or a disk record (applyPushedToDisk). A version carrying a
+// body states the whole representation, so both headers are replaced
+// wholesale, empty included: an origin that clears an object's §5.1
+// tolerances clears them with its next 200 or pushed payload. A 304
+// updates only the headers it states (RFC 9111 §4.3.4), so it cannot
+// clear one.
+func (v *version) headersOver(ct, cc string) (string, string) {
+	if v.modified {
+		return v.contentType, v.cacheControl
+	}
+	return cmp.Or(v.contentType, ct), cmp.Or(v.cacheControl, cc)
 }
 
 // install is the one way a validated version replaces a resident entry's
@@ -447,15 +456,9 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	outcome.Prev = p.toSim(e.validatedAt)
 	e.failures = 0
 	e.validatedAt = v.now
-	// A 304 carries Cache-Control too (the origin writes the §5.1
-	// tolerance directives on every response), and HTTP semantics say a
-	// revalidation updates stored headers. A pushed value carries the
-	// object's Cache-Control in its frame, so a tolerance change reaches
-	// this proxy and its children with the next update, and through a
-	// quiet key's lease audit otherwise.
-	if v.cacheControl != "" {
-		e.cacheControl.set(v.cacheControl)
-	}
+	ct, cc := v.headersOver(e.contentType.String(), e.cacheControl.String())
+	e.contentType.set(ct)
+	e.cacheControl.set(cc)
 	if e.vx != nil {
 		outcome.HasValue = true
 		outcome.PrevValue = e.vx.value
@@ -466,9 +469,6 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		// the confirmation relay re-bases its delta form on it.
 		prevBody, prevDigest = e.body, e.bodyDigest
 		e.body, e.bodyDigest = v.body, v.digest
-		if v.contentType != "" {
-			e.contentType.set(v.contentType)
-		}
 		if v.hasLastMod {
 			e.setLastModified(v.lastMod)
 		}

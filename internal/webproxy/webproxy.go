@@ -43,25 +43,30 @@
 //
 // The paper's proxy has one event — a validation arrives, the copy is
 // replaced, NextTTR and the §3.2 triggers run — and so does this one. A
-// version enters the cache one of two ways, whatever produced it:
+// version (refresh.go) enters the cache one of two ways, whatever
+// produced it:
 //
 //   - admitFrom (webproxy.go) builds a new entry from config defaults ⊕
-//     the disk record ⊕ the upstream response — a cold miss has no
-//     record, a disk promotion has both (the response a 304 the push
+//     the disk record ⊕ the upstream's version — a cold miss has no
+//     record, a disk promotion has both (the version a 304 the push
 //     channel answers when a live lease carried the record), a startup
-//     rehydration has no response and is born suspect — hands it to
+//     rehydration has no version and is born suspect — hands it to
 //     installEntry (store, group, schedule, lease-or-not) and accounts
 //     for it once.
 //   - install (refresh.go) replaces a resident entry's copy. Its sources
 //     are an origin poll off the TTR schedule (If-Modified-Since, the
 //     modification-history extension consumed when provided), a
 //     triggered poll, a pushed poll, and a pushed payload that
-//     verifyPushed has checked against its digest and, for a delta, the
+//     acceptPushed has checked against its digest and, for a delta, the
 //     body actually held. install is the only code that writes an
 //     entry's body, digest, Last-Modified and validation instant; from
 //     them it builds the core.PollOutcome, and then runs the rest in a
 //     fixed order: byte ledger, downstream relay, group controller,
 //     disk write-behind, NextTTR reschedule, §3.2 triggers, observer.
+//
+// Both, and a pushed payload landed on a demoted object's disk record,
+// land a version's Content-Type and Cache-Control by one rule (see
+// headersOver).
 //
 // On top of that pull machinery the proxy can layer an origin-driven
 // invalidation channel (Config.PushURL, wire protocol in internal/push):
@@ -1007,36 +1012,25 @@ func (p *Proxy) admit(key string) (*entry, error) {
 			}
 		}
 	}
-	resp := p.channelAnswer(key, rec)
-	if resp == nil {
+	v := p.channelAnswer(key, rec)
+	if v == nil {
 		var err error
-		if resp, err = p.fetch(key, since); err != nil {
+		if v, err = p.fetch(key, since); err != nil {
 			return nil, err
 		}
 	}
-	return p.admitFrom(key, rec, diskBody, resp), nil
+	return p.admitFrom(key, rec, diskBody, v), nil
 }
 
 // admission carries everything installEntry needs to build and register
-// a cache entry; admitFrom resolves it.
+// a cache entry; admitFrom resolves it. Its version's now is the instant
+// the copy is vouched for: the response's arrival, after a fetch; the
+// record's own validation instant, for a record the channel carried (see
+// channelAnswer) or rehydrated. Its arrived is the admission instant, the
+// base of a lease's first audit.
 type admission struct {
-	body         []byte
-	contentType  string
-	cacheControl string
-	lastMod      time.Time
-	hasLastMod   bool
-	// validatedAt is the instant the copy is vouched for: now, after a
-	// fetch; the record's own validation instant, for a record the
-	// channel carried (see channelAnswer) or rehydrated. now is the
-	// admission instant, the base of a lease's first audit.
-	validatedAt, now time.Time
-	// epoch is the lease epoch the evidence was gathered in (see
-	// lease.epoch).
-	epoch      *time.Time
-	delta      time.Duration
-	groupDelta time.Duration
-	valueDelta float64
-	group      string
+	version
+	tol httpx.Tolerances
 	// isValue selects value-domain consistency (§4.1): the origin
 	// advertised a Δv tolerance and the body parsed as the decimal value.
 	isValue bool
@@ -1053,67 +1047,64 @@ type admission struct {
 // what t leaves unsaid stands.
 func (a *admission) overlay(t httpx.Tolerances) {
 	if t.Delta > 0 {
-		a.delta = t.Delta
+		a.tol.Delta = t.Delta
 	}
 	if t.GroupDelta > 0 {
-		a.groupDelta = t.GroupDelta
+		a.tol.GroupDelta = t.GroupDelta
 	}
 	if t.ValueDelta > 0 {
-		a.valueDelta = t.ValueDelta
+		a.tol.ValueDelta = t.ValueDelta
 	}
 	if t.Group != "" {
-		a.group = t.Group
+		a.tol.Group = t.Group
 	}
 }
 
 // admitFrom is the one admission path. It resolves the new entry from
 // up to three sources, later ones winning — config defaults, the disk
-// record (rec with its body; nil on a cold miss) and the upstream
-// response (resp; nil at startup rehydration, which fetches nothing and
-// is born suspect) — so the origin's current directives always win and
-// the record only fills silence (a 304 with no Cache-Control). It then
-// installs the entry and accounts for it once: only an entry that
-// actually entered the store is counted, persisted and observed — not
-// one capped because its body alone overflows MaxBytes (returned with
-// capped set, served uncached), nor one that lost to a concurrent
-// admission (the resident entry is returned instead). A record the
-// channel carried is counted and observed but not written back, since
-// nothing changed; nor is the copy of an admission that raced an update.
-func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, resp *upstreamResponse) *entry {
-	now := p.cfg.Clock()
-	a := admission{validatedAt: now, now: now, delta: p.cfg.DefaultDelta, groupDelta: p.cfg.DefaultGroupDelta}
+// record (rec with its body; nil on a cold miss) and the version the
+// upstream or the channel answered (v; nil at startup rehydration, which
+// fetches nothing and is born suspect) — so the origin's current
+// directives always win and the record only fills silence (a 304 with no
+// Cache-Control; see headersOver). It then installs the entry and
+// accounts for it once: only an entry that actually entered the store is
+// counted, persisted and observed — not one capped because its body
+// alone overflows MaxBytes (returned with capped set, served uncached),
+// nor one that lost to a concurrent admission (the resident entry is
+// returned instead). A record the channel carried is counted and
+// observed but not written back, since nothing changed; nor is the copy
+// of an admission that raced an update.
+func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, v *version) *entry {
+	a := admission{tol: httpx.Tolerances{Delta: p.cfg.DefaultDelta, GroupDelta: p.cfg.DefaultGroupDelta}}
 	if rec != nil {
-		a.body, a.contentType, a.cacheControl = diskBody, rec.ContentType, rec.CacheControl
-		a.lastMod, a.hasLastMod = rec.LastMod, rec.HasLastMod
+		a.version = version{now: rec.ValidatedAt, body: diskBody, contentType: rec.ContentType,
+			cacheControl: rec.CacheControl, lastMod: rec.LastMod, hasLastMod: rec.HasLastMod}
 		// The TTR learned across the object's whole history is still the
 		// right schedule for an unchanged copy.
 		a.restoreTTR = rec.TTR
 		a.overlay(httpx.Tolerances{Delta: rec.Delta, GroupDelta: rec.GroupDelta, ValueDelta: rec.ValueDelta, Group: rec.Group})
 	}
-	if resp == nil {
-		a.validatedAt, a.suspect = rec.ValidatedAt, true
+	if v == nil {
+		a.suspect = true
 	} else {
-		a.epoch = resp.epoch
-		if resp.byChannel {
-			a.validatedAt = rec.ValidatedAt
-		}
-		if tol, err := httpx.TolerancesFrom(resp.header); err == nil {
-			a.overlay(tol)
-		}
-		if cc := resp.header.Get("Cache-Control"); cc != "" || !resp.notModified {
-			a.cacheControl = cc
-		}
-		if !resp.notModified {
-			a.body, a.contentType = resp.body, resp.contentType
-			a.lastMod, a.hasLastMod = resp.lastMod, resp.hasLastMod
+		held := a.version
+		a.version = *v
+		a.contentType, a.cacheControl = v.headersOver(held.contentType, held.cacheControl)
+		if v.modified {
 			a.restoreTTR = 0
+		} else {
+			// A 304 vouches for the record's copy.
+			a.body, a.lastMod, a.hasLastMod = held.body, held.lastMod, held.hasLastMod
+		}
+		if tol, err := httpx.ParseCacheControl(v.cacheControl); err == nil {
+			a.overlay(tol)
 		}
 	}
 	// Parsed here from the local body slice, not read back from the
 	// published entry: a pushed or triggered poll can replace the value
 	// the moment the entry is visible, and the observer call below must
 	// not race it.
-	if a.valueDelta > 0 {
+	if a.tol.ValueDelta > 0 {
 		a.value, a.isValue = parseValueBody(a.body)
 	}
 
@@ -1121,13 +1112,13 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 	if !inserted {
 		return e
 	}
-	if resp == nil {
+	if v == nil {
 		p.diskRehydrated.Add(1) // on disk already, and nothing was polled
 		return e
 	}
 	if rec != nil {
 		p.diskPromotions.Add(1)
-		if resp.byChannel {
+		if v.applied {
 			p.diskLeasedPromotions.Add(1)
 		}
 	}
@@ -1135,12 +1126,12 @@ func (p *Proxy) admitFrom(key string, rec *diskstore.Record, diskBody []byte, re
 	// body may predate an update the channel announced — and landed on the
 	// record or voided it — or lost, so writing it back would stamp an old
 	// body as freshly validated.
-	if !raced && !resp.byChannel {
+	if !raced && !v.applied {
 		p.persistEntry(e)
 	}
 	if obs := p.cfg.PollObserver; obs != nil {
 		obs(PollObservation{
-			Key: key, At: a.validatedAt, Modified: !resp.notModified, Initial: true,
+			Key: key, At: a.now, Modified: v.modified, Initial: true,
 			Value: a.value, HasValue: a.isValue,
 		})
 	}
@@ -1159,13 +1150,13 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 	key = strings.Clone(key)
 	e := &entry{
 		key:          key,
-		group:        intern(a.group),
+		group:        intern(a.tol.Group),
 		body:         a.body,
 		contentType:  intern(a.contentType),
 		cacheControl: intern(a.cacheControl),
-		validatedAt:  a.validatedAt,
-		delta:        a.delta,
-		groupDelta:   a.groupDelta,
+		validatedAt:  a.now,
+		delta:        a.tol.Delta,
+		groupDelta:   a.tol.GroupDelta,
 	}
 	if a.hasLastMod {
 		e.setLastModified(a.lastMod)
@@ -1186,7 +1177,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 		e.polls.Store(1) // the admission's validation: a fetch, or the channel's 304
 	}
 	if a.isValue {
-		e.vx = &valueState{value: a.value, valueDelta: a.valueDelta}
+		e.vx = &valueState{value: a.value, valueDelta: a.tol.ValueDelta}
 	}
 	e.policy = p.newPolicy(e.delta, e.valueDelta(), a.restoreTTR)
 
@@ -1205,8 +1196,8 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 	// Unwind the victims the admission displaced before scheduling the
 	// newcomer, so their refresh slots are gone by the time ours exists.
 	p.demote(victims)
-	if a.group != "" {
-		p.joinGroup(e, a.group, a.groupDelta, a.valueDelta)
+	if a.tol.Group != "" {
+		p.joinGroup(e, a.tol.Group, a.tol.GroupDelta, a.tol.ValueDelta)
 	}
 	if p.sub != nil && p.cfg.PushInterest && !e.unpushable &&
 		!p.sub.DeclaredInterest().Matches(key) {
@@ -1233,12 +1224,12 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 		// No lease: the first poll runs at the paper-mode instant. Asked
 		// after store.put on purpose — an event that marks later than this
 		// finds the entry instead.
-		p.reschedule(e, a.validatedAt.Add(ttr))
+		p.reschedule(e, a.now.Add(ttr))
 		return e, true, true
 	}
 	// A lease starts at install: a covered key's first audit already sits
 	// at its phase inside the first term, not at validatedAt + TTR.
-	p.rescheduleHybrid(e, a.validatedAt, ttr, a.now, a.epoch)
+	p.rescheduleHybrid(e, a.now, ttr, a.arrived, a.epoch)
 	return e, true, false
 }
 
@@ -1378,38 +1369,24 @@ func (p *Proxy) joinGroup(e *entry, group string, groupDelta time.Duration, valu
 	gs.members = append(gs.members, e)
 }
 
-// upstreamResponse is the distilled result of one origin poll.
-type upstreamResponse struct {
-	notModified bool
-	body        []byte
-	contentType string
-	lastMod     time.Time
-	hasLastMod  bool
-	history     []time.Time
-	header      http.Header
-	// epoch is the lease epoch the request was sent in: a response built
-	// before an epoch began cannot speak for the updates the hole that
-	// ended the previous one swallowed.
-	epoch *time.Time
-	// byChannel marks the 304 a live lease answers for a promotion, in
-	// place of the origin (see channelAnswer): no request was sent, and
-	// the record vouches for itself as of its own validation instant.
-	byChannel bool
-}
-
 // fetch performs one upstream request and records its outcome in the
 // proxy's upstream-health state: every origin interaction — admission
 // fetches, scheduled polls, triggered and pushed polls — flows through
-// here, so UpstreamStatus always reflects the most recent contact.
-func (p *Proxy) fetch(key string, since time.Time) (*upstreamResponse, error) {
+// here, so UpstreamStatus always reflects the most recent contact. The
+// version it returns is validated at the response's arrival, as evidence
+// of the lease epoch the request was sent in: a response built before an
+// epoch began cannot speak for the updates the hole that ended the
+// previous one swallowed.
+func (p *Proxy) fetch(key string, since time.Time) (*version, error) {
 	epoch := p.lease.epoch.Load()
-	resp, err := p.fetchUpstream(key, since)
+	v, err := p.fetchUpstream(key, since)
 	p.noteUpstream(err)
 	if err != nil {
 		return nil, err
 	}
-	resp.epoch = epoch
-	return resp, nil
+	v.now, v.epoch = p.cfg.Clock(), epoch
+	v.arrived = v.now
+	return v, nil
 }
 
 // noteUpstream records the outcome of one upstream request, a fetch or
@@ -1457,8 +1434,10 @@ func (p *Proxy) UpstreamStatus() UpstreamStatus {
 
 // fetchUpstream performs a GET against the origin, conditional when
 // since is non-zero. key carries the canonical path-plus-query, which is
-// replayed onto the upstream URL.
-func (p *Proxy) fetchUpstream(key string, since time.Time) (*upstreamResponse, error) {
+// replayed onto the upstream URL. A 200 whose body exceeds
+// push.MaxAssembledBody, the largest body the channel can deliver too,
+// is an error.
+func (p *Proxy) fetchUpstream(key string, since time.Time) (*version, error) {
 	u := *p.cfg.Origin
 	escPath, rawQuery := key, ""
 	if i := strings.IndexByte(key, '?'); i >= 0 {
@@ -1487,40 +1466,44 @@ func (p *Proxy) fetchUpstream(key string, since time.Time) (*upstreamResponse, e
 	}
 	defer resp.Body.Close()
 
-	out := &upstreamResponse{header: resp.Header}
+	v := &version{contentType: resp.Header.Get("Content-Type"), cacheControl: resp.Header.Get("Cache-Control")}
 	if lm := resp.Header.Get("Last-Modified"); lm != "" {
 		if t, err := http.ParseTime(lm); err == nil {
-			out.lastMod = t
-			out.hasLastMod = true
+			v.lastMod = t
+			v.hasLastMod = true
 		}
 	}
 	if hist, err := httpx.HistoryFrom(resp.Header); err == nil {
-		out.history = hist
+		v.history = hist
 	}
 	switch resp.StatusCode {
 	case http.StatusNotModified:
-		out.notModified = true
-		return out, nil
+		return v, nil
 	case http.StatusOK:
-		body, err := readExact(resp.Body, 32<<20)
+		body, err := readExact(resp.Body, push.MaxAssembledBody)
 		if err != nil {
 			return nil, err
 		}
-		out.body = body
-		out.contentType = resp.Header.Get("Content-Type")
-		return out, nil
+		v.body, v.modified = body, true
+		return v, nil
 	default:
 		return nil, fmt.Errorf("webproxy: origin returned %s", resp.Status)
 	}
 }
 
-// readExact reads r to its end, at most limit bytes, into a slice whose
-// capacity is its length: a retained body carries no slack. The buffer
-// grows with the bytes that arrive, so a declared length costs nothing.
+// readExact reads r to its end into a slice whose capacity is its
+// length: a retained body carries no slack. The buffer grows with the
+// bytes that arrive, so a declared length costs nothing. A body longer
+// than limit is an error, never a truncated copy.
 func readExact(r io.Reader, limit int64) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, limit))
-	if err != nil || cap(b) == len(b) {
-		return b, err
+	b, err := io.ReadAll(io.LimitReader(r, limit+1))
+	switch {
+	case err != nil:
+		return nil, err
+	case int64(len(b)) > limit:
+		return nil, fmt.Errorf("webproxy: body exceeds %d bytes", limit)
+	case cap(b) == len(b):
+		return b, nil
 	}
 	return append(make([]byte, 0, len(b)), b...), nil
 }

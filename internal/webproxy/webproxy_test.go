@@ -1,6 +1,7 @@
 package webproxy
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"broadway/internal/core"
 	"broadway/internal/httpx"
+	"broadway/internal/push"
 	"broadway/internal/webserver"
 )
 
@@ -153,6 +155,25 @@ func TestMissOnDeadOriginReturnsBadGateway(t *testing.T) {
 	h.leaf().up.cut()
 	if code, _, _ := h.leaf().get("/never-seen"); code != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502", code)
+	}
+}
+
+// TestOversizedOriginBodyIsRefused: a 200 whose body exceeds
+// push.MaxAssembledBody is an upstream failure — a 502, nothing cached —
+// never a truncated copy served as the object.
+func TestOversizedOriginBodyIsRefused(t *testing.T) {
+	chunk := bytes.Repeat([]byte("x"), 1<<16)
+	h := newHarness(t, topology{handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for n := 0; n <= push.MaxAssembledBody; n += len(chunk) {
+			w.Write(chunk)
+		}
+	})})
+	px := h.leaf()
+	if code, body, _ := px.get("/big"); code != http.StatusBadGateway {
+		t.Fatalf("served %d with %d bytes, want 502", code, len(body))
+	}
+	if n, errs := px.Len(), px.UpstreamStatus().Errors; n != 0 || errs != 1 {
+		t.Errorf("%d objects resident, %d upstream errors; want none cached and one error", n, errs)
 	}
 }
 

@@ -356,6 +356,11 @@ func (o *Origin) ServeAudits(w http.ResponseWriter, r *http.Request) {
 		if !ok || obj.modTimes[len(obj.modTimes)-1].After(l.Since) {
 			return false
 		}
+		// No directives vouch whatever token the child holds: the GET
+		// would be a 304 with no Cache-Control, and a 304 cannot remove
+		// the child's stored one, so listing the key would buy a GET on
+		// every audit that changes nothing. The next 200 or pushed
+		// payload clears it.
 		if cc := obj.tolerances.FormatCacheControl(); cc != "" && httpx.CacheControlToken(cc) != l.Token {
 			return false
 		}
