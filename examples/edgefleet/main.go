@@ -13,8 +13,9 @@
 //
 //  1. Healthy churn across every shard — each leaf receives exactly its
 //     own shard's events; the root and mid hubs report how many frames
-//     interest filtering skipped; and every pushed install re-arms its
-//     key's lease audit, so no node polls a key the channel keeps busy.
+//     interest filtering skipped; each relay publishes one frame per
+//     update it hears; and every pushed install re-arms its key's lease
+//     audit, so no node polls a key the channel keeps busy.
 //  2. The origin's event endpoint is killed and revived: the root falls
 //     back to paper-mode polling and the blindness propagates as
 //     mid-stream hello/Resets through BOTH relay tiers to every leaf.
@@ -28,8 +29,10 @@
 // hierarchy is scrapeable: the run finishes by probing each node's
 // /healthz and cross-checking a /metrics scrape with the strict parser.
 // It exits non-zero if any node's /healthz is not 200, if the root's
-// pushed installs deferred no audit in phase 1, or if root, mid 0 or
-// leaf 0 recorded no widening bounce in phase 3; CI runs it.
+// pushed installs deferred no audit in phase 1, if the root's relay
+// published more than 1.25 frames per event it handled in phase 1, or
+// if root, mid 0 or leaf 0 recorded no widening bounce in phase 3; CI
+// runs it.
 //
 // Everything runs in-process on loopback and finishes in a few seconds.
 //
@@ -59,6 +62,10 @@ const (
 	ttrMax      = 2 * time.Second
 	updateEvery = 400 * time.Millisecond
 	phaseFor    = 2 * time.Second
+	// maxRelayed bounds the frames a relay publishes per upstream event:
+	// one per version, with room for a poll that finds a version before
+	// its event does (both are published).
+	maxRelayed = 1.25
 )
 
 func main() {
@@ -202,11 +209,19 @@ func main() {
 		shards, len(paths)+1, updateEvery)
 
 	fmt.Printf("phase 1: healthy filtered fan-out for %v...\n", phaseFor)
+	events0, relayed0 := root.PushStats().Events, root.RelayStats().Hub.Seq
 	time.Sleep(phaseFor)
 	report(origin, root, mids, fleet)
+	events, relayed := root.PushStats().Events-events0, root.RelayStats().Hub.Seq-relayed0
+	fmt.Printf("  root relayed %d frames for the %d events it handled (%.2f per event)\n",
+		relayed, events, float64(relayed)/float64(max(events, 1)))
 	var failures []string
 	if root.PushStats().AuditsDeferred == 0 {
 		failures = append(failures, "root deferred no audit in phase 1")
+	}
+	if events == 0 || float64(relayed) > maxRelayed*float64(events) {
+		failures = append(failures, fmt.Sprintf("root relayed %d frames for %d events in phase 1 (at most %.2f per event)",
+			relayed, events, maxRelayed))
 	}
 
 	fmt.Printf("\nphase 2: killing the origin's event endpoint for %v (root blind, Resets relay through both tiers)...\n", phaseFor)

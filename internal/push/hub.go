@@ -56,9 +56,9 @@ import (
 //     the version (digest and modification instant) each stream holds
 //     per key, and an update that repeats it goes out as the stripped
 //     announcement alone (rung zero of the ladder) with the held digest
-//     left standing, so a relay's confirmation of a payload it already
-//     passed through, or a replayed frame, costs an envelope and keeps
-//     the delta chain.
+//     left standing, so a replayed frame, or a relay passing on an event
+//     for a version it already published from its own poll, costs an
+//     envelope and keeps the delta chain.
 //   - Reset marks the stream's content as holed (the hub's owner lost
 //     its own upstream): every live subscriber receives a mid-stream
 //     hello/Reset frame, and any subscriber later resuming from at or
@@ -1179,10 +1179,10 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if known && re.digest != "" {
 			if hv.digest == re.digest && re.mod != 0 && re.mod <= hv.mod {
 				// Rung zero: the stream was already sent this version's
-				// body (a relay's pass-through, then its confirmation; a
-				// replayed frame). It is owed the announcement — delivery
-				// stays at-least-once, and a receiver whose install failed
-				// learns here that its parent is fresh and polls — but never
+				// body (a replayed frame; a relay's poll that published the
+				// version before the version's own event went down). It is
+				// owed the announcement — delivery stays at-least-once, and
+				// a receiver whose install failed polls on it — but never
 				// the payload a second time. The held version stands: the
 				// next delta still applies against it. (A NEWER version
 				// with the same content is not a repeat: the stream must

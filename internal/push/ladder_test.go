@@ -621,10 +621,10 @@ func TestHubWholeFrameReplay(t *testing.T) {
 }
 
 // TestHubSupersededFrameStaysWhole is the live-path hazard: a relay's
-// hub takes key A's payload, then the payload-free confirmation of the
-// same version and key B's payload into the same partition, all before
-// a stream fetches (the confirmation lands milliseconds after the
-// pass-through). A's frame is two publishes behind the partition's head
+// hub takes key A's payload, then a payload-free repeat of the same
+// version (a relay passing on an event for a version its own poll
+// already published) and key B's payload into the same partition, all
+// before a stream fetches. A's frame is two publishes behind the partition's head
 // by then and must still offer every rung: the full form (the chunk set
 // when the body is over the cap) for a stream holding no base — which
 // otherwise falls to a confirmation poll, after which the hub no longer

@@ -93,15 +93,6 @@ type Interval struct {
 	End   Time
 }
 
-// NewInterval returns the interval [start, end). It panics if end precedes
-// start, which always indicates a programming error in the caller.
-func NewInterval(start, end Time) Interval {
-	if end < start {
-		panic(fmt.Sprintf("simtime: invalid interval [%v, %v)", start, end))
-	}
-	return Interval{Start: start, End: end}
-}
-
 // Open returns the open-ended interval [start, ∞).
 func Open(start Time) Interval { return Interval{Start: start, End: MaxTime} }
 
@@ -111,8 +102,8 @@ func (iv Interval) IsEmpty() bool { return iv.End <= iv.Start }
 // Contains reports whether t lies within [Start, End).
 func (iv Interval) Contains(t Time) bool { return t >= iv.Start && t < iv.End }
 
-// Length returns End−Start. Open-ended intervals report the (enormous)
-// span to MaxTime; callers that care should first Clip to a horizon.
+// Length returns End−Start, zero for an empty interval. An open-ended
+// interval reports the (enormous) span to MaxTime.
 func (iv Interval) Length() time.Duration {
 	if iv.IsEmpty() {
 		return 0
@@ -126,16 +117,6 @@ func (iv Interval) Overlaps(other Interval) bool {
 		return false
 	}
 	return iv.Start < other.End && other.Start < iv.End
-}
-
-// Clip returns the portion of iv that lies within bounds.
-func (iv Interval) Clip(bounds Interval) Interval {
-	start := Max(iv.Start, bounds.Start)
-	end := Min(iv.End, bounds.End)
-	if end < start {
-		return Interval{Start: start, End: start}
-	}
-	return Interval{Start: start, End: end}
 }
 
 // Distance returns the gap between the two intervals: zero when they

@@ -73,7 +73,7 @@ func TestTimeString(t *testing.T) {
 }
 
 func TestIntervalBasics(t *testing.T) {
-	iv := NewInterval(At(time.Minute), At(time.Hour))
+	iv := Interval{At(time.Minute), At(time.Hour)}
 	if iv.IsEmpty() {
 		t.Error("non-empty interval reported empty")
 	}
@@ -90,22 +90,13 @@ func TestIntervalBasics(t *testing.T) {
 		t.Error("interval must contain midpoint")
 	}
 
-	empty := NewInterval(At(time.Minute), At(time.Minute))
+	empty := Interval{At(time.Minute), At(time.Minute)}
 	if !empty.IsEmpty() || empty.Length() != 0 {
 		t.Error("point interval must be empty with zero length")
 	}
 	if empty.Contains(At(time.Minute)) {
 		t.Error("empty interval contains nothing")
 	}
-}
-
-func TestNewIntervalPanicsOnInverted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for inverted interval")
-		}
-	}()
-	NewInterval(At(time.Hour), At(time.Minute))
 }
 
 func TestOpenInterval(t *testing.T) {
@@ -122,7 +113,7 @@ func TestOpenInterval(t *testing.T) {
 }
 
 func TestIntervalOverlaps(t *testing.T) {
-	mk := func(s, e time.Duration) Interval { return NewInterval(At(s), At(e)) }
+	mk := func(s, e time.Duration) Interval { return Interval{At(s), At(e)} }
 	tests := []struct {
 		name string
 		a, b Interval
@@ -148,7 +139,7 @@ func TestIntervalOverlaps(t *testing.T) {
 }
 
 func TestIntervalDistance(t *testing.T) {
-	mk := func(s, e time.Duration) Interval { return NewInterval(At(s), At(e)) }
+	mk := func(s, e time.Duration) Interval { return Interval{At(s), At(e)} }
 	tests := []struct {
 		name string
 		a, b Interval
@@ -178,31 +169,8 @@ func TestIntervalDistancePanicsOnEmpty(t *testing.T) {
 			t.Fatal("expected panic for empty interval distance")
 		}
 	}()
-	empty := NewInterval(Epoch, Epoch)
+	empty := Interval{Epoch, Epoch}
 	empty.Distance(Open(Epoch))
-}
-
-func TestIntervalClip(t *testing.T) {
-	mk := func(s, e time.Duration) Interval { return NewInterval(At(s), At(e)) }
-	bounds := mk(time.Minute, 3*time.Minute)
-	tests := []struct {
-		name string
-		in   Interval
-		want Interval
-	}{
-		{"inside", mk(90*time.Second, 2*time.Minute), mk(90*time.Second, 2*time.Minute)},
-		{"spanning", mk(0, time.Hour), bounds},
-		{"left overhang", mk(0, 2*time.Minute), mk(time.Minute, 2*time.Minute)},
-		{"disjoint right", mk(time.Hour, 2*time.Hour), Interval{At(time.Hour), At(time.Hour)}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got := tt.in.Clip(bounds)
-			if got.Start != tt.want.Start || got.End != tt.want.End {
-				t.Errorf("Clip = %v, want %v", got, tt.want)
-			}
-		})
-	}
 }
 
 // boundedTime maps arbitrary int64s into a sane simulated-time range so the
@@ -218,8 +186,8 @@ func TestPropertyDistanceSymmetric(t *testing.T) {
 	f := func(a1, a2, b1, b2 int64) bool {
 		s1, e1 := boundedTime(a1), boundedTime(a2)
 		s2, e2 := boundedTime(b1), boundedTime(b2)
-		iv1 := NewInterval(Min(s1, e1), Max(s1, e1)+1)
-		iv2 := NewInterval(Min(s2, e2), Max(s2, e2)+1)
+		iv1 := Interval{Min(s1, e1), Max(s1, e1) + 1}
+		iv2 := Interval{Min(s2, e2), Max(s2, e2) + 1}
 		return iv1.Distance(iv2) == iv2.Distance(iv1)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -231,8 +199,8 @@ func TestPropertyDistanceZeroIffOverlapOrTouch(t *testing.T) {
 	f := func(a1, a2, b1, b2 int64) bool {
 		s1, e1 := boundedTime(a1), boundedTime(a2)
 		s2, e2 := boundedTime(b1), boundedTime(b2)
-		iv1 := NewInterval(Min(s1, e1), Max(s1, e1)+1)
-		iv2 := NewInterval(Min(s2, e2), Max(s2, e2)+1)
+		iv1 := Interval{Min(s1, e1), Max(s1, e1) + 1}
+		iv2 := Interval{Min(s2, e2), Max(s2, e2) + 1}
 		d := iv1.Distance(iv2)
 		touchOrOverlap := iv1.Overlaps(iv2) || iv1.End == iv2.Start || iv2.End == iv1.Start
 		return (d == 0) == touchOrOverlap
@@ -247,24 +215,6 @@ func TestPropertyAddSubRoundTrip(t *testing.T) {
 		tm := boundedTime(base)
 		d := time.Duration(delta)
 		return tm.Add(d).Sub(tm) == d
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyClipWithinBounds(t *testing.T) {
-	f := func(a1, a2, b1, b2 int64) bool {
-		s1, e1 := boundedTime(a1), boundedTime(a2)
-		s2, e2 := boundedTime(b1), boundedTime(b2)
-		iv := NewInterval(Min(s1, e1), Max(s1, e1))
-		bounds := NewInterval(Min(s2, e2), Max(s2, e2))
-		got := iv.Clip(bounds)
-		if got.IsEmpty() {
-			return true
-		}
-		return got.Start >= bounds.Start && got.End <= bounds.End &&
-			got.Start >= iv.Start && got.End <= iv.End
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -62,7 +62,7 @@ func valuePushProxy(tb testing.TB) (*Proxy, func()) {
 			ContentType: "text/plain",
 			Digest:      digest,
 		}}
-		if !p.applyPushedValue(e, &ev) {
+		if installed, _ := p.applyPushedValue(e, &ev); !installed {
 			tb.Fatal("apply fell back")
 		}
 	}

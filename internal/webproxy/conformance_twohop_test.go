@@ -55,9 +55,8 @@ func TestConformanceTwoHopRelayHoldsLeafDeltaBound(t *testing.T) {
 	if relay.Seq == 0 {
 		t.Error("parent relayed nothing")
 	}
-	// The pass-through + confirmation design means every origin update
-	// produces at least one relay event; the leaf must have consumed
-	// the stream to its head.
+	// Every origin update produces one relay event; the leaf must have
+	// consumed the stream to its head.
 	if leafPush.LastSeq != relay.Seq {
 		t.Errorf("leaf stopped at relay seq %d of %d", leafPush.LastSeq, relay.Seq)
 	}
@@ -68,8 +67,8 @@ func TestConformanceTwoHopRelayHoldsLeafDeltaBound(t *testing.T) {
 // minutes later. The mid-stream Reset must reach the leaf over its
 // still-open stream (the bugfix path: a pre-fix subscriber swallowed
 // it), and the leaf's Δt bound must hold across the outage — the
-// parent's paper-mode polling plus the confirmation relay cover the
-// blind window.
+// parent's paper-mode polling, and the relay's publication of what those
+// polls install, cover the blind window.
 func TestConformanceTwoHopSurvivesUpstreamKill(t *testing.T) {
 	tr := confTrace(t)
 	// Kill just after the first third of the horizon: the trace is
@@ -93,7 +92,8 @@ func TestConformanceTwoHopSurvivesUpstreamKill(t *testing.T) {
 			leafPush.Connects, leafPush.Fallbacks)
 	}
 	// Across the blind window the chain degrades to the paper's pure
-	// polling (parent sweeps, paper-mode polls, confirmation relay), so
+	// polling (parent sweeps, paper-mode polls, the relay publishing what
+	// they install), so
 	// the leaf's violation rate must stay within the simulator's
 	// pure-pull prediction — the outage may cost push's zero-violation
 	// luxury, never more than pull-mode staleness.

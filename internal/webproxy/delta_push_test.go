@@ -154,7 +154,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 		{"terminal digest mismatch", mk(delta, push.DigestOf(v1), push.DigestOf(v1))},
 	}
 	for i, tc := range cases {
-		if px.applyPushedValue(e, tc.ev) {
+		if installed, _ := px.applyPushedValue(e, tc.ev); installed {
 			t.Fatalf("%s: applyPushedValue accepted the frame", tc.name)
 		}
 		if got := px.PushStats().DeltaBaseMisses; got != uint64(i+1) {
@@ -165,7 +165,7 @@ func TestResolveDeltaBaseAuthority(t *testing.T) {
 		}
 	}
 
-	if !px.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1))) {
+	if installed, _ := px.applyPushedValue(e, mk(delta, push.DigestOf(v2), push.DigestOf(v1))); !installed {
 		t.Fatalf("correct delta refused: %+v", px.PushStats())
 	}
 	st := px.PushStats()

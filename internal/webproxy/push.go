@@ -199,14 +199,12 @@ func (p *Proxy) handlePushEvent(ev push.Event) {
 			e = nil
 		}
 	}
-	// Pass-through relay before the install, and whether or not the
-	// object is resident: a child proxy may cache objects this proxy
-	// does not. The payload rides along, so a value-negotiated leaf
-	// installs it with zero polls against us.
-	if p.relay != nil {
-		ev = p.relayUpstreamEvent(e, ev)
-	}
 	if e == nil {
+		// A child proxy may cache objects this proxy does not: the event
+		// goes down now, payload and all, so a value-negotiated child
+		// installs it with zero polls against us. (A resident key's event
+		// goes down when its pushed job ends; see relay.go.)
+		p.relayPassThrough(ev)
 		if p.applyPushedToDisk(ev) {
 			return // demoted object: its disk record absorbed the update
 		}
@@ -254,7 +252,7 @@ type pushedEvent struct {
 // coalescing slot: a newer version always does; among frames for the
 // same version only a more installable one (full body over a delta that
 // needs its base, either over no payload at all) — so a stripped
-// confirmation, or a delta against a base this proxy may not hold,
+// repeat, or a delta against a base this proxy may not hold,
 // never costs the job the payload it already has. Timeless events carry
 // no version to compare, so the later arrival wins.
 func supersedes(ev, cur *push.Event) bool {
@@ -269,7 +267,7 @@ func supersedes(ev, cur *push.Event) bool {
 
 // installRank orders the forms one version can arrive in by how surely
 // they install: 0 carries no payload, 1 is a delta that still needs its
-// base, 2 is the whole body (received whole or already reconstructed).
+// base, 2 is the whole body.
 func installRank(ev *push.Event) int {
 	switch {
 	case !ev.HasBody:
@@ -281,13 +279,9 @@ func installRank(ev *push.Event) int {
 }
 
 // isPureDelta reports whether ev's Body is a delta still to be applied
-// against its base. A delta frame this proxy reconstructed on receipt
-// (relayUpstreamEvent) keeps its BaseDigest but carries the full body,
-// with the received delta moved to the DeltaBody sidecar — a field
-// Decode never populates, so its presence marks a body already verified
-// here.
+// against its base.
 func isPureDelta(ev *push.Event) bool {
-	return ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0 && len(ev.DeltaBody) == 0
+	return ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0
 }
 
 // held returns the cached body and its digest (empty without
@@ -299,9 +293,8 @@ func (e *entry) held() ([]byte, string) {
 }
 
 // verifyPushed returns the full body a pushed event delivers, verified:
-// whichever tier installs it, and the relay reconstructing it for the
-// children, nothing is accepted that does not hash to the frame's
-// digest. A delta frame is applied against base, and only when
+// whichever tier installs it, nothing is accepted that does not hash to
+// the frame's digest. A delta frame is applied against base, and only when
 // baseDigest — the digest of the bytes actually in hand (kept with the
 // resident body at every swap, hashed from the blob read back from
 // disk), never bookkeeping that could have gone stale — is the base the
@@ -309,9 +302,8 @@ func (e *entry) held() ([]byte, string) {
 // from ever serving as a silent wrong base. A forged or stale base, a
 // hostile delta stream, a result or a full body with the wrong digest,
 // or no payload at all (a stripped or pure-invalidation frame) reports
-// ok=false, and the caller degrades to the next rung of the ladder. A
-// frame this proxy already reconstructed on receipt (see isPureDelta)
-// was verified then. base and baseDigest are read only for a pure delta.
+// ok=false, and the caller degrades to the next rung of the ladder.
+// base and baseDigest are read only for a pure delta.
 func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, ok bool) {
 	switch {
 	case !ev.HasBody:
@@ -322,8 +314,6 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 		}
 		full, err := push.ApplyDelta(ev.DeltaCodec, base, ev.Body, 0)
 		return full, err == nil && push.DigestOf(full) == ev.Digest
-	case len(ev.DeltaBody) > 0:
-		return ev.Body, true
 	}
 	return ev.Body, push.DigestOf(ev.Body) == ev.Digest
 }
@@ -339,8 +329,8 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 // poll — whatever form the event arrived in, since a stripped or
 // wrong-base duplicate must not cost a poll. Origins guarantee strictly
 // increasing modification times, so an announcement at or before the
-// held instant is a relay duplicate, a replayed frame, or a push that
-// lost the race to a poll; a timeless one can never be recognized.
+// held instant is a replayed frame, or a push that lost the race to a
+// poll or a cold admission; a timeless one can never be recognized.
 // Neither ok nor dup means the payload cannot land, and the caller
 // degrades to the next rung of the ladder.
 func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func() ([]byte, string)) (v version, dup, ok bool) {
@@ -350,17 +340,18 @@ func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func
 	}
 	var b []byte
 	var digest string
-	if isPureDelta(ev) {
+	delta := isPureDelta(ev)
+	if delta {
 		b, digest = base()
 	}
 	body, ok := verifyPushed(ev, b, digest)
 	if !ok {
-		if isPureDelta(ev) {
+		if delta {
 			p.pushDeltaBaseMiss.Add(1)
 		}
 		return version{}, false, false
 	}
-	return version{
+	v = version{
 		modified:     true,
 		body:         body,
 		digest:       ev.Digest,
@@ -369,8 +360,11 @@ func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func
 		lastMod:      ev.ModTime,
 		hasLastMod:   !ev.ModTime.IsZero(),
 		applied:      true,
-		delta:        ev.BaseDigest != "",
-	}, false, true
+	}
+	if delta {
+		v.delta, v.deltaBase = ev.Body, ev.BaseDigest
+	}
+	return v, false, true
 }
 
 // applyPushedValue installs a pushed event's payload directly into the
@@ -383,17 +377,17 @@ func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func
 // (see headersOver), and a carried key's audit moves to a lease term
 // after the event arrived, in the epoch it arrived in (see deferAudit).
 //
-// It reports true for a payload installed or a duplicate (see
-// acceptPushed), and false when the payload cannot be installed —
-// acceptPushed refused it, or the body alone overflows MaxBytes
-// (installing it would immediately evict the object) — and the caller
-// degrades to the pushed confirmation poll, the next rung of the ladder.
-// The Δ guarantee never rests on this path.
-func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) bool {
+// It reports whether the payload was installed, or else recognized as a
+// duplicate (see acceptPushed). Neither means the payload cannot be
+// installed — acceptPushed refused it, or the body alone overflows
+// MaxBytes (installing it would immediately evict the object) — and the
+// caller degrades to the pushed confirmation poll, the next rung of the
+// ladder. The Δ guarantee never rests on this path.
+func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) (installed, dup bool) {
 	if !p.cfg.PushValues || e.evicted() {
 		// Nothing may be installed for an evicted entry; the poll path's
 		// own eviction check disposes of the job.
-		return false
+		return false, false
 	}
 	// Every write of lastMod runs on this worker, so the version check
 	// holds for the rest of the job.
@@ -405,15 +399,14 @@ func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) bool {
 		// A body too large for the budget is refused at admission and
 		// self-evicts on refresh growth; the pushed poll runs those
 		// established unwind rules rather than duplicating them here.
-		return dup
+		return false, dup
 	}
 	// The install validates a carried key, so its audit moves to a term
-	// after the event arrived (see deferAudit); the downstream
-	// confirmation install publishes is payload-free — the pass-through
-	// frame already carried it (see relayInstalled).
+	// after the event arrived (see deferAudit), and it publishes the
+	// version downstream, payload and all (see relayInstalled).
 	v.now, v.epoch, v.arrived = p.cfg.Clock(), pe.epoch, pe.at
 	p.install(e, pollPushed, v)
-	return true
+	return true, false
 }
 
 // applyPushedToDisk lands a pushed payload on the disk record of an
@@ -449,7 +442,7 @@ func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	if !ok {
 		return dup
 	}
-	if v.delta {
+	if v.delta != nil {
 		p.pushDeltaApplied.Add(1)
 	}
 	rec.ValidatedAt = p.cfg.Clock()
@@ -572,9 +565,10 @@ type PushStats struct {
 	ValueFallbacks uint64 `metric:"counter broadway_push_value_fallbacks_total" help:"Pushed jobs degraded to a confirmation poll."`
 	// Duplicates counts pushed events dropped by the version check: the
 	// cached copy (or disk record) already carried the announced
-	// modification instant — a relay's payload-free confirmation of a
-	// frame already installed, a replay, a push that lost the race to a
-	// poll — so nothing was installed and nothing polled.
+	// modification instant — a replay, a push that lost the race to a
+	// poll or a cold admission — so nothing was installed and nothing
+	// polled. A relay passes such an event on as received: its children
+	// may not have heard of the version.
 	Duplicates uint64 `metric:"counter broadway_push_duplicates_total" help:"Pushed events dropped by the version check (cached copy already at that version)."`
 	// DeltaApplied counts pushed delta frames reconstructed, verified,
 	// and installed (resident or disk tier). DeltaBaseMisses counts
@@ -582,8 +576,9 @@ type PushStats struct {
 	// the body actually held (forged, stale, or raced base) — each one
 	// degraded down the ladder instead of installing blind.
 	// DeltaRebased counts relay publications that carried a delta form
-	// for this proxy's own downstream (the upstream's delta reused when
-	// the base matched, or one computed locally after a poll).
+	// for this proxy's own downstream (the delta a payload arrived as,
+	// reused when its base is the body the install replaced, or one
+	// computed here).
 	// DiskApplied counts pushed payloads landed directly on a demoted
 	// object's disk record while nothing was resident.
 	DeltaApplied    uint64 `metric:"counter broadway_push_delta_applied_total" help:"Pushed delta frames reconstructed, verified, and installed."`

@@ -239,7 +239,7 @@ func TestStaleEpochPushMovesNoAudit(t *testing.T) {
 	h.origin.Set(key, []byte("v2"), "")
 	ev := push.Event{Kind: push.KindUpdate, Key: key, ModTime: modTime(h, key),
 		Body: []byte("v2"), HasBody: true, Digest: push.DigestOf([]byte("v2"))}
-	if !px.applyPushedValue(px.lookup(key), &pushedEvent{Event: ev, epoch: stale, at: h.clk.Now()}) {
+	if installed, _ := px.applyPushedValue(px.lookup(key), &pushedEvent{Event: ev, epoch: stale, at: h.clk.Now()}); !installed {
 		t.Fatal("the pushed value was not installed")
 	}
 	if after := scheduleOf(t, px, key, 2); !after.next.Equal(before.next) || !after.base.Equal(before.base) {

@@ -315,15 +315,26 @@ func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 // pollEntry performs one refresh of e against the origin. A pushed job
 // first tries to install the event's payload directly (the
 // value-carrying fast path) and only reaches the origin when that is
-// impossible — always, on a proxy without PushValues.
+// impossible — always, on a proxy without PushValues. A pushed job is
+// also its event's one publication to this proxy's children (see
+// relay.go): install publishes a version the job lands, and a job that
+// lands none passes the event on as received when it ends.
 func (p *Proxy) pollEntry(e *entry, kind pollKind) {
+	landed := false
 	if kind == pollPushed {
 		// Empty the coalescing slot before anything else: an event arriving
 		// mid-job must enqueue a fresh job (this one may already have read
 		// an older version).
-		if pending := e.pendingPush.Swap(nil); pending != nil && p.cfg.PushValues {
-			if p.applyPushedValue(e, pending) {
-				return // installed (or a recognized duplicate): no origin request
+		pe := e.pendingPush.Swap(nil)
+		defer func() {
+			if !landed {
+				p.relayPassThrough(pe.Event)
+			}
+		}()
+		if p.cfg.PushValues {
+			var dup bool
+			if landed, dup = p.applyPushedValue(e, pe); landed || dup {
+				return // no origin request
 			}
 			p.pushValueFallback.Add(1)
 		}
@@ -353,6 +364,7 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		}
 		return
 	}
+	landed = v.modified // install publishes a new version downstream
 	p.install(e, kind, *v)
 }
 
@@ -381,9 +393,14 @@ type version struct {
 	history    []time.Time
 	// applied marks a version the push channel supplied with no origin
 	// request: a pushed payload installed directly, or the 304 a live
-	// lease answers for a promotion; delta, that a payload arrived as a
-	// delta.
-	applied, delta bool
+	// lease answers for a promotion.
+	applied bool
+	// delta is the delta a pushed payload arrived as, against the body
+	// digested deltaBase; nil for a payload that arrived whole. The relay
+	// passes it on when that base is the body the install replaced (see
+	// relayInstalled).
+	delta     []byte
+	deltaBase string
 	// epoch is the lease epoch the version's evidence was gathered in:
 	// the request sent, or the pushed event received; arrived is the
 	// instant that evidence reached this proxy — the response, or the
@@ -466,7 +483,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	}
 	if v.modified {
 		// The outgoing body is the delta base downstream subscribers hold;
-		// the confirmation relay re-bases its delta form on it.
+		// the relay re-bases its delta form on it.
 		prevBody, prevDigest = e.body, e.bodyDigest
 		e.body, e.bodyDigest = v.body, v.digest
 		if v.hasLastMod {
@@ -488,7 +505,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	if v.applied {
 		e.applied.Add(1)
 		p.pushApplied.Add(1)
-		if v.delta {
+		if v.delta != nil {
 			p.pushDeltaApplied.Add(1)
 		}
 	}
@@ -513,8 +530,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 		}
 		p.demote(p.store.shrink(p.cfg.MaxObjects, p.cfg.MaxBytes, p.store.shardIndex(e.key), e))
 		// Published after the swap and the ledger: a child that polls on
-		// the relayed event must find the fresh copy, never the stale one
-		// a pass-through event raced.
+		// the relayed event must find the fresh copy.
 		p.relayInstalled(e, v, prevBody, prevDigest)
 	}
 

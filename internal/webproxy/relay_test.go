@@ -168,7 +168,7 @@ func TestClosingRelayParentReleasesLeaves(t *testing.T) {
 // propagate a mid-stream hello/Reset to the leaves — running their
 // fallback reconciliation — while their connections to the parent stay
 // up, and freshness must keep flowing on paper-mode bounds via the
-// parent's own polling (confirmation relay).
+// parent's own polling (the relay publishes what those polls install).
 func TestKillTheMiddleDrivesLeafSweepWithoutDisconnect(t *testing.T) {
 	const ttrMax = 300 * time.Millisecond
 	h := newHarness(t, chainTopology(Config{

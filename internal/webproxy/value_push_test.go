@@ -228,10 +228,10 @@ func TestTwoHopValuePushZeroConfirmationPolls(t *testing.T) {
 	}
 }
 
-// TestValuePushDuplicateEventsAreRecognized: at-least-once delivery plus
-// the relay's pass-through/confirmation pair means the same update can
-// arrive more than once; a duplicate must cost neither a poll nor a
-// re-install.
+// TestValuePushDuplicateEventsAreRecognized: at-least-once delivery — a
+// replay across a resume, a relay passing on an event for a version its
+// poll already published — means the same update can arrive more than
+// once; a duplicate must cost neither a poll nor a re-install.
 func TestValuePushDuplicateEventsAreRecognized(t *testing.T) {
 	h := newHarness(t, valuePushTopology(Config{}))
 	px := h.leaf()

@@ -84,13 +84,13 @@
 // so the Δt guarantee never silently widens (see lease.go).
 //
 // Proxies compose into a hierarchy: Config.RelayEvents gives a proxy a
-// downstream face (see relay.go) — its own event hub republishing every
-// upstream invalidation and every locally confirmed update, served over
-// the same /events protocol, with upstream holes propagated as
-// mid-stream Resets — while conditional-GET answering, audit
-// batches (see audit.go) and tolerance-directive forwarding let child
-// proxies revalidate content against this one exactly as it revalidates
-// against its origin. One origin
+// downstream face (see relay.go) — its own event hub republishing each
+// upstream update once (as this proxy installed it, for an object it
+// holds) and every update its polls find, served over the same /events
+// protocol, with upstream holes propagated as mid-stream Resets — while
+// conditional-GET answering, audit batches (see audit.go) and
+// tolerance-directive forwarding let child proxies revalidate content
+// against this one exactly as it revalidates against its origin. One origin
 // stream and one origin poller then serve an arbitrarily wide edge
 // fleet, and each hop's Δt guarantee degrades at worst to pure polling
 // against its own upstream.
@@ -228,11 +228,13 @@ type Config struct {
 	// widens to match-all — interest filtering fails open, never closed.
 	PushPrefixes []string
 	// RelayEvents, when true, gives the proxy a downstream face: it
-	// republishes every upstream invalidation event and every locally
-	// confirmed update into its own hub (own sequence space), served at
-	// RelayPath over the same SSE protocol the origin speaks, so child
-	// proxies subscribe to this proxy exactly as it subscribes to its
-	// origin. An upstream disconnect or Reset propagates to children as
+	// republishes each upstream update event once — as received for an
+	// object it does not hold, as the version it installed (or, having
+	// installed none, as received) after its own pushed job for one it
+	// does — and every update its polls find into its own hub (own
+	// sequence space), served at RelayPath over the same SSE protocol
+	// the origin speaks, so child proxies subscribe to this proxy exactly
+	// as it subscribes to its origin. An upstream disconnect or Reset propagates to children as
 	// a mid-stream hello/Reset, driving their fallback sweeps (see
 	// relay.go). Works with or without PushURL: a pure-polling parent
 	// still relays the updates its own polls confirm. Relayed streams
@@ -364,14 +366,9 @@ type entry struct {
 	// and all, so with PushValues a coalesced burst applies the LATEST
 	// body rather than the first (installing a stale payload after
 	// dropping its successors would serve old data as fresh). Without
-	// PushValues the job ignores the event and always polls.
+	// PushValues the job always polls, and a job that installs nothing
+	// relays the event as received (see relay.go).
 	pendingPush atomic.Pointer[pushedEvent]
-	// relayedMod is the newest modification instant (UnixNano) this
-	// proxy has sent down its relay hub in full — payload passed
-	// through, or version confirmed after install: the ledger that lets
-	// each version's payload cross to the children once (see
-	// claimRelay).
-	relayedMod atomic.Int64
 	// delta and groupDelta are the resolved Δ/δ tolerances the entry
 	// was admitted with (config defaults overlaid by origin
 	// directives), snapshotted here so the disk tier can persist and
