@@ -65,15 +65,16 @@
 // origin-driven invalidation channel on top of it (hybrid push–pull): a
 // push-enabled WebOrigin streams per-object update events over an
 // SSE-style /events endpoint (wire protocol in internal/push), the
-// proxy converts each event into an immediate poll through the same
+// proxy converts each event into an immediate job through the same
 // group-affinity workers, and regular TTR polls stretch toward the
 // upper bound while the channel is healthy — so consistency traffic
-// follows the origin's churn instead of the poll schedule. With
-// value-carrying push (WithPushValues on the origin,
-// WebProxyConfig.PushValues on the proxy) the events carry the new body
+// follows the origin's churn instead of the poll schedule. When the
+// origin publishes values (WithPushValues) the events carry the new body
 // itself — digest-verified, size-negotiated per stream — and the proxy
 // installs it with no confirmation poll at all: one message per update,
-// fleet-wide through relays. The channel is an optimization, never a
+// fleet-wide through relays, which carry the body a proxy installed even
+// when its own upstream sent none. An event without a body makes the
+// job poll. The channel is an optimization, never a
 // correctness dependency: a disconnect falls back to pure paper-mode
 // polling with a staleness-bounded catch-up sweep, so the Δt guarantee
 // never silently widens.
@@ -385,9 +386,10 @@ func WithPushHeartbeat(interval time.Duration) WebOriginOption {
 }
 
 // WithPushValues makes the origin's update events carry the object's
-// new body (value-carrying push): a proxy running
-// with WebProxyConfig.PushValues installs the pushed body directly —
-// digest-verified — with no confirmation poll. cap bounds the body size
+// new body (value-carrying push): a subscribed WebProxy installs the
+// pushed body directly — digest-verified — with no confirmation poll;
+// without it the events announce updates only, and the proxy confirms
+// each one by polling. cap bounds the body size
 // one frame carries, in bytes (<= 0 selects the default cap); larger
 // bodies travel as chunk sets of cap-sized frames. A WebProxy asks for
 // payloads up to the default cap (64 KiB), so a stream to one carries

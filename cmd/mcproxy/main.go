@@ -30,8 +30,8 @@
 //
 //	mcproxy -demo -disk-dir /var/cache/mcproxy -disk-max-bytes 268435456
 //
-// Hybrid push–pull consistency: when the origin streams invalidation
-// events (the webserver's /events endpoint; the demo origin does), -push
+// Hybrid push–pull consistency: when the origin streams update events
+// (the webserver's /events endpoint; the demo origin does), -push
 // subscribes the proxy to them. Updates then reach the cache the moment
 // the origin announces them; while the channel is healthy every object
 // it covers holds a lease — it is audited one lease term
@@ -44,21 +44,20 @@
 //	mcproxy -demo -push
 //	mcproxy -origin http://origin:8080 -push -push-path /events
 //
-// Value-carrying push: -push-values negotiates
-// payload delivery on the event stream, so an update's new body rides
-// the event itself and is installed directly — digest-verified, charged
-// against the byte budget — with no confirmation poll at all. Events
-// whose payload cannot be installed (digest mismatch, body over the
-// negotiated cap, byte-budget refusal) degrade to the pushed poll;
-// value push → invalidation push → pure pull is the full ladder:
-//
-//	mcproxy -demo -push -push-values
+// A subscribed proxy negotiates payload delivery on the event stream,
+// so when the origin publishes payloads (the demo origin does) an
+// update's new body rides the event itself and is installed directly —
+// digest-verified, charged against the byte budget — with no
+// confirmation poll at all. Events that carry no payload, or whose
+// payload cannot be installed (digest mismatch, body over the
+// negotiated cap, byte-budget refusal), degrade to the pushed poll;
+// value push → invalidation push → pure pull is the full ladder.
 //
 // Proxy hierarchy: -relay-events gives the proxy a downstream face — it
-// republishes every upstream invalidation (and every update its own
-// polls confirm) on its own event stream at -events-path, so child
-// proxies subscribe to it exactly as it subscribes to the origin, and
-// one origin stream serves a whole edge fleet:
+// republishes every upstream update (and every update its own polls
+// confirm), payload included, on its own event stream at -events-path,
+// so child proxies subscribe to it exactly as it subscribes to the
+// origin, and one origin stream serves a whole edge fleet:
 //
 //	# parent: subscribes to the origin, relays downstream
 //	mcproxy -demo -push -relay-events -listen :8089
@@ -109,11 +108,10 @@ func run(args []string) error {
 	pollWorkers := fs.Int("poll-workers", 0, "concurrent origin poll workers (0 = GOMAXPROCS)")
 	maxObjects := fs.Int("max-objects", 0, "cached-object cap (0 = default 65536, negative = unlimited)")
 	maxBytes := fs.Int64("max-bytes", 0, "resident-memory budget in bytes for cached objects (0 = unlimited)")
-	pushEnabled := fs.Bool("push", false, "subscribe to the origin's invalidation event stream (hybrid push-pull)")
+	pushEnabled := fs.Bool("push", false, "subscribe to the origin's update event stream (hybrid push-pull): an event carrying the new body installs it with no poll, one without makes the proxy poll")
 	pushPath := fs.String("push-path", "/events", "path of the origin's event-stream endpoint")
 	pushStretch := fs.Float64("push-stretch", 4, "lease term as a multiple of -ttr-max: while the push channel is healthy and carries an object, it is audited a term after its last poll or pushed update; whatever ends a lease restores the unstretched schedule in one sweep (values <= 1 disable leases)")
-	pushValues := fs.Bool("push-values", false, "value-carrying push: negotiate payload delivery on the event stream and install pushed bodies directly, with no confirmation poll; with -relay-events the relayed stream carries payloads too, and with -demo the demo origin publishes them")
-	relayEvents := fs.Bool("relay-events", false, "republish invalidation events downstream: serve this proxy's own event stream so child proxies can subscribe to it (proxy hierarchy)")
+	relayEvents := fs.Bool("relay-events", false, "republish update events downstream, each carrying the body this proxy installed: serve this proxy's own event stream so child proxies can subscribe to it (proxy hierarchy)")
 	eventsPath := fs.String("events-path", "/events", "path the relayed event stream is served at (with -relay-events)")
 	mutexProfileFraction := fs.Int("mutex-profile-fraction", 0, "runtime mutex-contention sampling rate for /admin/pprof/mutex on -ops-listen (0 = off, n samples 1/n of contention events)")
 	opsListen := fs.String("ops-listen", "", "operational-surface listen address serving /metrics, /healthz, and /admin (empty = disabled); kept off the proxy's own listener so scrapes and admin calls never share a port with cached content")
@@ -131,8 +129,14 @@ func run(args []string) error {
 	// -poll-workers like GOMAXPROCS); fail loudly instead so a typo in a
 	// unit file is caught at startup, not discovered as an unbounded
 	// cache in production. Zero stays valid where the help text gives it
-	// a meaning (-poll-workers 0, -push-stretch 0, -max-bytes 0).
+	// a meaning (-poll-workers 0, -push-stretch 0, -max-bytes 0, -run-for 0).
 	switch {
+	case *delta <= 0:
+		return fmt.Errorf("-delta must be > 0, got %v", *delta)
+	case *groupDelta <= 0:
+		return fmt.Errorf("-mdelta must be > 0, got %v", *groupDelta)
+	case *runFor < 0:
+		return fmt.Errorf("-run-for must be >= 0 (0 = run until interrupted), got %v", *runFor)
 	case *maxBytes < 0:
 		return fmt.Errorf("-max-bytes must be >= 0 (0 = unlimited), got %d", *maxBytes)
 	case *pollWorkers < 0:
@@ -165,7 +169,7 @@ func run(args []string) error {
 		if *originURL != "" {
 			return fmt.Errorf("-demo and -origin are mutually exclusive")
 		}
-		o, u, stop, err := startDemoOrigin(*demoListen, *pushValues)
+		o, u, stop, err := startDemoOrigin(*demoListen)
 		if err != nil {
 			return err
 		}
@@ -195,7 +199,6 @@ func run(args []string) error {
 		MaxBytes:          *maxBytes,
 		RelayEvents:       *relayEvents,
 		RelayPath:         *eventsPath,
-		PushValues:        *pushValues,
 		DiskDir:           *diskDir,
 		DiskMaxBytes:      *diskMaxBytes,
 	}
@@ -224,8 +227,8 @@ func run(args []string) error {
 	go func() {
 		errCh <- srv.ListenAndServe()
 	}()
-	fmt.Printf("mcproxy listening on %s (origin %s, Δ=%v, δ=%v, mode %s, push %v, values %v, relay %v)\n",
-		*listen, origin, *delta, *groupDelta, *mode, *pushEnabled, *pushValues, *relayEvents)
+	fmt.Printf("mcproxy listening on %s (origin %s, Δ=%v, δ=%v, mode %s, push %v, relay %v)\n",
+		*listen, origin, *delta, *groupDelta, *mode, *pushEnabled, *relayEvents)
 
 	var opsSrv *http.Server
 	if *opsListen != "" {
@@ -287,20 +290,16 @@ func run(args []string) error {
 // startDemoOrigin launches a self-updating origin: a news story page plus
 // two embedded objects forming one consistency group, and a stock quote
 // (numeric body with a Δv tolerance) updating every few seconds. The
-// origin also streams invalidation events at /events so the proxy can be
-// run with -push; with values it attaches each update's new body to the
-// event (value-carrying push), so a -push-values proxy installs updates
-// with zero confirmation polls. The *Origin is returned alongside the
-// URL so -ops-listen can export its stats too.
-func startDemoOrigin(addr string, values bool) (*webserver.Origin, string, func(), error) {
-	opts := []webserver.Option{
+// origin also streams update events at /events, each carrying the new
+// body (value-carrying push), so a -push proxy installs updates with
+// zero confirmation polls. The *Origin is returned alongside the URL so
+// -ops-listen can export its stats too.
+func startDemoOrigin(addr string) (*webserver.Origin, string, func(), error) {
+	origin := webserver.NewOrigin(
 		webserver.WithHistoryExtension(true),
-		webserver.WithPushHeartbeat(5 * time.Second),
-	}
-	if values {
-		opts = append(opts, webserver.WithPushValues(0))
-	}
-	origin := webserver.NewOrigin(opts...)
+		webserver.WithPushHeartbeat(5*time.Second),
+		webserver.WithPushValues(0),
+	)
 
 	const group = "frontpage"
 	set := func(rev int) {

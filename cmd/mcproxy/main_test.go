@@ -20,7 +20,7 @@ import (
 )
 
 func TestDemoOriginServesAndUpdates(t *testing.T) {
-	_, url, stop, err := startDemoOrigin("127.0.0.1:0", false)
+	_, url, stop, err := startDemoOrigin("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestDemoOriginServesAndUpdates(t *testing.T) {
 }
 
 func TestDemoOriginStopIsClean(t *testing.T) {
-	_, url, stop, err := startDemoOrigin("127.0.0.1:0", false)
+	_, url, stop, err := startDemoOrigin("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +254,10 @@ func TestRunWithRelayServesEventStream(t *testing.T) {
 	}
 }
 
-// TestRunWithPushValuesServesPayloadStream: with -push-values the whole
-// chain carries bodies — the demo origin publishes them, and a
-// relay-enabled proxy's own stream negotiates payload delivery
-// (?maxpayload=) and answers with a hello carrying the agreed cap.
+// TestRunWithPushValuesServesPayloadStream: with -push the whole chain
+// carries bodies — the demo origin publishes them, and a relay-enabled
+// proxy's own stream negotiates payload delivery (?maxpayload=) and
+// answers with a hello carrying the agreed cap.
 func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -266,8 +266,7 @@ func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	stop := startRun(t, "-demo", "-listen", addr, "-push", "-push-values",
-		"-relay-events")
+	stop := startRun(t, "-demo", "-listen", addr, "-push", "-relay-events")
 
 	deadline := time.Now().Add(3 * time.Second)
 	var frame string
@@ -538,6 +537,20 @@ func TestRunFlagErrors(t *testing.T) {
 			t.Errorf("run(%v) must fail", args)
 		}
 	}
+	// Durations out of range are refused by name, before the missing
+	// origin is noticed: no default stands in for a non-positive Δ or δ,
+	// and a negative -run-for does not mean forever.
+	for _, args := range [][]string{
+		{"-delta", "0"},
+		{"-delta", "-1s"},
+		{"-mdelta", "0"},
+		{"-mdelta", "-5s"},
+		{"-run-for", "-1s"},
+	} {
+		if err := run(args); err == nil || !strings.HasPrefix(err.Error(), args[0]+" must be") {
+			t.Errorf("run(%v) = %v, want %s refused", args, err, args[0])
+		}
+	}
 	// The documented zero values stay valid: they must get past flag
 	// validation (the run then fails later only for the missing origin,
 	// proving validation did not reject them).
@@ -546,6 +559,7 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-push-stretch", "0"},
 		{"-max-bytes", "0"},
 		{"-mutex-profile-fraction", "0"},
+		{"-run-for", "0"},
 	} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "either -origin or -demo") {
@@ -632,7 +646,7 @@ func TestFlagErrorStatus(t *testing.T) {
 	for _, c := range []struct {
 		arg    string
 		status int
-	}{{"-bad-flag", 2}, {"-h", 0}} {
+	}{{"-bad-flag", 2}, {"-push-values", 2}, {"stray", 2}, {"-h", 0}} {
 		var stderr bytes.Buffer
 		if got := cli.Status("mcproxy", run([]string{c.arg}), &stderr); got != c.status || stderr.Len() > 0 {
 			t.Errorf("%s: exit status %d, main printed %q; want %d and nothing", c.arg, got, stderr.String(), c.status)

@@ -122,7 +122,6 @@ func main() {
 			Bounds:         core.TTRBounds{Min: delta, Max: ttrMax},
 			PushURL:        push,
 			PushStretch:    10,
-			PushValues:     true,
 			PushInterest:   true,
 			PushPrefixes:   prefixes,
 			PushBackoffMin: 20 * time.Millisecond,

@@ -36,3 +36,19 @@ func TestStatus(t *testing.T) {
 		}
 	}
 }
+
+// TestParseRefusesStrayArguments: an argument left after the flags fails
+// as a bad flag does, with exit status 2 and one error line on the flag
+// set's output, wherever it stands among the flags.
+func TestParseRefusesStrayArguments(t *testing.T) {
+	const want = "unexpected argument \"stray\": cmd takes flags only\n"
+	for _, args := range [][]string{{"stray"}, {"-n", "3", "stray"}, {"stray", "-n", "3"}} {
+		var out, stderr bytes.Buffer
+		fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+		fs.SetOutput(&out)
+		fs.Int("n", 0, "a number")
+		if got := Status("cmd", Parse(fs, args), &stderr); got != 2 || out.String() != want || stderr.Len() > 0 {
+			t.Errorf("%q: status %d, flag output %q, stderr %q; want 2, %q and nothing", args, got, out.String(), stderr.String(), want)
+		}
+	}
+}

@@ -34,12 +34,11 @@ func BenchmarkStoreEvictScan(b *testing.B) {
 }
 
 // valuePushProxy is BenchmarkValuePushApply's setup, which
-// TestValuePushApplyAllocBudget shares: a value-push proxy holding one
-// resident, and a func that installs the resident's next pushed
-// revision.
+// TestValuePushApplyAllocBudget shares: a proxy holding one resident,
+// and a func that installs the resident's next pushed revision.
 func valuePushProxy(tb testing.TB) (*Proxy, func()) {
 	origin, _ := url.Parse("http://origin.invalid")
-	p, err := New(Config{Origin: origin, PushValues: true})
+	p, err := New(Config{Origin: origin})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -117,13 +117,17 @@ type replayResult struct {
 // deterministic.
 const admissionPhase = 37 * time.Millisecond
 
+// noPayloads is confTopology's payloadCap for an origin whose events
+// carry no payloads.
+const noPayloads = -1
+
 // confTopology is the battery's live stack: hops proxies configured by
 // cfg below an origin with the history extension on, subscribed to its
-// events when pushOn, and, when cfg.PushValues, an origin carrying
-// payloads capped at payloadCap (0: the protocol default).
+// events when pushOn, the events carrying payloads capped at payloadCap
+// (0: the protocol default) unless it is noPayloads.
 func confTopology(hops int, cfg Config, pushOn bool, payloadCap int) topology {
 	tp := topology{hops: hops, push: pushOn, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
-	if cfg.PushValues {
+	if payloadCap != noPayloads {
 		tp.origin = append(tp.origin, webserver.WithPushValues(payloadCap))
 	}
 	return tp
@@ -273,7 +277,7 @@ func TestConformanceTemporalPullMatchesSimulator(t *testing.T) {
 	res := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false, 0), []replayObject{{path: "/news", tr: tr}}, confHorizon, nil)
+	}, false, noPayloads), []replayObject{{path: "/news", tr: tr}}, confHorizon, nil)
 	log := res.logs["/news"]
 	if len(log) < 3 {
 		t.Fatalf("live replay recorded only %d polls", len(log))
@@ -310,12 +314,12 @@ func TestConformanceTemporalPushHalvesPollsWithoutLosingFidelity(t *testing.T) {
 	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false, 0), obj, confHorizon, nil)
+	}, false, noPayloads), obj, confHorizon, nil)
 	push := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true, 0), obj, confHorizon, nil)
+	}, true, noPayloads), obj, confHorizon, nil)
 
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/news"], confDelta, confHorizon)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/news"], confDelta, confHorizon)
@@ -365,7 +369,7 @@ func TestConformanceMutualPairMatchesSimulator(t *testing.T) {
 			name = "push"
 			run.PushStretch = 16
 		}
-		res := replay(t, confTopology(1, run, pushOn, 0), objs, confHorizon, nil)
+		res := replay(t, confTopology(1, run, pushOn, noPayloads), objs, confHorizon, nil)
 		meas := metrics.EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]metrics.Refresh{res.logs["/a"], res.logs["/b"]}, groupDelta, confHorizon)
 		t.Logf("%s measured:  %v (origin polls %d)", name, meas, res.originPolls)
 		t.Logf("%s predicted: %v", name, pred)

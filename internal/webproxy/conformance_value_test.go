@@ -125,14 +125,13 @@ func valueReplayConfig(pushOn bool) Config {
 	}
 	if pushOn {
 		cfg.PushStretch = 16
-		cfg.PushValues = true
 	}
 	return cfg
 }
 
 // twoHopValues configures both hops of the value two-hop replays: the
-// temporal battery's parameters with payloads on.
-var twoHopValues = Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16, PushValues: true}
+// temporal battery's parameters.
+var twoHopValues = Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16}
 
 // runValuePreset replays one stock preset pull and push and applies the
 // battery's assertions; inject, when non-nil, is wired into the push
@@ -146,7 +145,7 @@ func runValuePreset(t *testing.T, tr *trace.Trace, delta float64, horizon time.D
 	// Pull fidelity: the live stack running AdaptiveTTR over the same
 	// trace must land near the simulator's prediction, at comparable
 	// poll cost — the same conformance bar the temporal presets clear.
-	pull := replay(t, confTopology(1, valueReplayConfig(false), false, 0), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
+	pull := replay(t, confTopology(1, valueReplayConfig(false), false, noPayloads), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
 	measPull := metrics.EvaluateValue(tr, pull.logs[path], delta, horizon)
 	t.Logf("%s pull measured:  %+v (origin polls %d)", tr.Name, measPull, pull.originPolls)
 	t.Logf("%s pull predicted: %+v (origin polls %d)", tr.Name, pred, predPolls)
@@ -368,7 +367,7 @@ func TestConformanceTemporalGuardianPreset(t *testing.T) {
 	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false, 0), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
+	}, false, noPayloads), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/guardian"], confDelta, horizon)
 	t.Logf("predicted: %v", pred)
 	t.Logf("pull measured: %v (origin polls %d)", measPull, pull.originPolls)
@@ -386,7 +385,7 @@ func TestConformanceTemporalGuardianPreset(t *testing.T) {
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true, 0), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
+	}, true, noPayloads), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/guardian"], confDelta, horizon)
 	t.Logf("push measured: %v (origin polls %d)", measPush, push.originPolls)
 	rPull := violationRate(measPull.Violations, measPull.Polls)

@@ -205,7 +205,6 @@ func TestDiskDeltaBaseAuthority(t *testing.T) {
 		Bounds:       noRefreshBounds,
 		DefaultDelta: time.Hour,
 		DiskDir:      t.TempDir(),
-		PushValues:   true, // payload application without a live stream: disk applies are direct
 	}})
 	px := h.leaf()
 

@@ -96,7 +96,6 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 			DefaultDelta: confDelta,
 			Bounds:       confBounds,
 			PushStretch:  16,
-			PushValues:   true,
 			PushInterest: true,
 		},
 		tune: func(_ int, cfg *Config) { declare(true, "/s0/", "/s1/", "/s2/", "/s3/")(cfg) },

@@ -21,14 +21,15 @@ import (
 // directory) on the stepped clock, left unstarted: nothing polls unless
 // a test makes it due, so every observation is attributable to the step
 // that caused it. Pushed events are injected by hand; no stream runs.
-func installTopology(t *testing.T, pushValues bool) topology {
+// The proxy relays (to no child), so its entries keep their body digests
+// for a pushed delta to name as its base (see carriesValues).
+func installTopology(t *testing.T) topology {
 	return topology{manual: true, cfg: Config{
 		DefaultDelta:      time.Hour,
 		DefaultGroupDelta: 2 * time.Second,
 		Bounds:            noRefreshBounds,
 		DiskDir:           t.TempDir(),
-		PushValues:        pushValues,
-	}}
+	}, tune: func(_ int, cfg *Config) { cfg.RelayEvents = true }}
 }
 
 // setGrouped publishes a new version of key in group g at the origin and
@@ -64,7 +65,7 @@ func pushed(h *harness, ev push.Event) {
 // sibling iff a resident copy was replaced by a new version.
 func TestInstallOneObjectEverySource(t *testing.T) {
 	const doc, sib = "/g/doc", "/g/sib"
-	h := newHarness(t, installTopology(t, true))
+	h := newHarness(t, installTopology(t))
 	px := h.leaf()
 	h.stepTo(h.clk.base.Add(admissionPhase))
 	h.start()
@@ -410,12 +411,12 @@ func TestCappedPromotionIsNotCounted(t *testing.T) {
 	}
 }
 
-// TestInvalidationOnlyPushCoalescesAndPolls: without PushValues the
-// coalescing slot still folds a burst into one queued job, and that job
-// always confirms by polling, whatever the event carried.
+// TestInvalidationOnlyPushCoalescesAndPolls: a burst of events that
+// carry no payload folds into one queued job, and that job confirms the
+// update by polling.
 func TestInvalidationOnlyPushCoalescesAndPolls(t *testing.T) {
 	const key = "/doc"
-	h := newHarness(t, installTopology(t, false))
+	h := newHarness(t, installTopology(t))
 	px := h.leaf()
 	h.origin.Set(key, []byte("v1"), "text/plain")
 	px.get(key)
@@ -425,10 +426,8 @@ func TestInvalidationOnlyPushCoalescesAndPolls(t *testing.T) {
 	h.origin.Set(key, []byte("v2"), "text/plain")
 	mod := h.clk.Now().Truncate(time.Second)
 	// The workers are not running yet, so the burst meets a queued job.
-	forged := []byte("forged")
 	for i := 0; i < 3; i++ {
-		px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: key, ModTime: mod,
-			HasBody: true, Body: forged, Digest: push.DigestOf(forged)})
+		px.handlePushEvent(push.Event{Kind: push.KindUpdate, Key: key, ModTime: mod})
 	}
 	if st := px.PushStats(); st.Events != 3 || st.Polls != 1 {
 		t.Fatalf("3 events queued %d jobs (events %d), want 1", st.Polls, st.Events)
@@ -440,12 +439,41 @@ func TestInvalidationOnlyPushCoalescesAndPolls(t *testing.T) {
 		t.Fatalf("observations %+v, want one pushed poll that found the change", obs)
 	}
 	if b, _ := px.CachedBody(key); string(b) != "v2" {
-		t.Errorf("cached %q, want the origin's v2 (the payload must be ignored)", b)
+		t.Errorf("cached %q, want the origin's v2", b)
 	}
 	if px.lookup(key).pendingPush.Load() != nil {
 		t.Error("the job left its coalescing slot full")
 	}
-	if st := px.PushStats(); st.ValueFallbacks != 0 || st.ValueApplied != 0 {
-		t.Errorf("push stats %+v: value counters moved without PushValues", st)
+	if st := px.PushStats(); st.ValueFallbacks != 1 || st.ValueApplied != 0 {
+		t.Errorf("push stats %+v: want the one job to fall back to its poll, nothing applied", st)
+	}
+}
+
+// TestPullOnlyProxyKeepsNoDigest: a proxy that neither subscribes nor
+// relays carries no bodies on a push channel, so it hashes none: its
+// entry holds no digest after an admission, nor after a poll that found
+// a new version.
+func TestPullOnlyProxyKeepsNoDigest(t *testing.T) {
+	const key = "/doc"
+	h := newHarness(t, topology{cfg: Config{DefaultDelta: time.Hour, Bounds: noRefreshBounds}})
+	px := h.leaf()
+	digest := func() string {
+		_, d := px.lookup(key).held()
+		return d
+	}
+	h.origin.Set(key, []byte("v1"), "text/plain")
+	px.get(key)
+	if d := digest(); d != "" {
+		t.Errorf("admission stored digest %q", d)
+	}
+
+	h.clk.AdvanceTo(h.clk.Now().Add(10 * time.Second))
+	h.origin.Set(key, []byte("v2"), "text/plain")
+	pollNow(h, key)
+	if b, _ := px.CachedBody(key); string(b) != "v2" {
+		t.Fatalf("the poll installed %q, want v2", b)
+	}
+	if d := digest(); d != "" {
+		t.Errorf("modified poll stored digest %q", d)
 	}
 }

@@ -437,7 +437,6 @@ func TestLeaseRefusedWhenAdmissionRacedAnUpdate(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{
-				PushValues:   c.values,
 				DefaultDelta: ttrMin,
 				Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
 			}
@@ -673,11 +672,13 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			},
 		},
 		{
-			name: "void: invalidation-only proxy",
-			cfg:  func(cfg *Config) { cfg.PushValues = false },
+			// The version announced, as an origin that publishes no
+			// payloads announces it.
+			name: "void: payload-free event",
 			spoil: func(t *testing.T, c *promoCase) string {
 				demoted(t, c)
-				update(c.h, c.key, "v2")
+				c.h.origin.Set(c.key, []byte("v2"), "")
+				c.h.tp.hub.Publish(push.Event{Kind: push.KindUpdate, Key: c.key, ModTime: modTime(c.h, c.key)})
 				c.h.quiesce()
 				return "v2"
 			},
@@ -769,8 +770,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			},
 		},
 		{
-			name: "void: pushed poll failed",
-			cfg:  func(cfg *Config) { cfg.PushValues = false },
+			name: "void: payload-free event, poll failed",
 			spoil: func(t *testing.T, c *promoCase) string {
 				px := c.h.leaf()
 				px.up.fail(c.key, true)
@@ -844,7 +844,6 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 				MaxObjects:   4,
 				Shards:       1,
 				DiskDir:      c.dir,
-				PushValues:   true,
 				DefaultDelta: ttrMin,
 				Bounds:       core.TTRBounds{Min: ttrMin, Max: 10 * time.Second},
 			}
@@ -1265,7 +1264,6 @@ func TestGroupTriggerSkipsCarriedSibling(t *testing.T) {
 			}
 			cfg := Config{
 				Mode:              core.TriggerAll,
-				PushValues:        true,
 				DefaultDelta:      ttr,
 				DefaultGroupDelta: delta,
 				Bounds:            core.TTRBounds{Min: ttr, Max: 10 * time.Minute},

@@ -19,13 +19,13 @@ import (
 //   - A pushed invalidation for a resident object converts into an
 //     immediate "pushed" job routed through the object's group-affinity
 //     worker — the same path as a mutual-consistency triggered poll — so
-//     MutualTimeController state stays single-threaded per group. With
-//     Config.PushValues a payload-carrying event is installed directly
-//     (digest-verified, byte-ledger-charged; see applyPushedValue) with
-//     no origin request; otherwise — or when the payload cannot be
-//     installed — the job polls: it revalidates via If-Modified-Since
-//     and, when it confirms an update, runs the §3.2 group triggering
-//     exactly as a scheduled poll would. Neither form feeds the object's
+//     MutualTimeController state stays single-threaded per group. A
+//     payload-carrying event is installed directly (digest-verified,
+//     byte-ledger-charged; see applyPushedValue) with no origin request;
+//     an event without one — or whose payload cannot be installed — makes
+//     the job poll: it revalidates via If-Modified-Since and, when it
+//     confirms an update, runs the §3.2 group triggering exactly as a
+//     scheduled poll would. Neither form feeds the object's
 //     policy or moves its paper-mode instant (pushes reveal the origin's
 //     churn, not the polling frequency's fitness).
 //   - While the channel is healthy a key it carries holds a lease: its
@@ -36,12 +36,10 @@ import (
 //     staleness each failure can cost are lease.go's.
 
 // newPushSubscriber wires the proxy's callbacks into a subscriber for
-// cfg.PushURL.
+// cfg.PushURL. It negotiates payloads up to push.DefaultPayloadCap and
+// advertises the digests it holds, so the upstream can send an update as
+// a delta against them.
 func (p *Proxy) newPushSubscriber() (*push.Subscriber, error) {
-	payloadCap := 0
-	if p.cfg.PushValues {
-		payloadCap = push.DefaultPayloadCap
-	}
 	scfg := push.SubscriberConfig{
 		URL: p.cfg.PushURL.String(),
 		// The stream travels the upstream client's Transport (its TLS
@@ -55,15 +53,21 @@ func (p *Proxy) newPushSubscriber() (*push.Subscriber, error) {
 		BackoffMin:       p.cfg.PushBackoffMin,
 		BackoffMax:       p.cfg.PushBackoffMax,
 		HeartbeatTimeout: p.cfg.PushHeartbeatTimeout,
-		PayloadCap:       payloadCap,
+		PayloadCap:       push.DefaultPayloadCap,
+		Held:             p.heldDigests,
 	}
 	if p.cfg.PushInterest {
 		scfg.Interest = p.declaredInterest
 	}
-	if p.cfg.PushValues {
-		scfg.Held = p.heldDigests
-	}
 	return push.NewSubscriber(scfg)
+}
+
+// carriesValues reports whether bodies travel this proxy's push
+// channels — it subscribes (PushURL) or relays (RelayEvents) — and so
+// whether entries keep their body's digest. A pull-only proxy hashes
+// and stores none.
+func (p *Proxy) carriesValues() bool {
+	return p.sub != nil || p.relay != nil
 }
 
 // heldAdvertiseMax bounds the held-digest terms advertised on connect
@@ -284,8 +288,8 @@ func isPureDelta(ev *push.Event) bool {
 	return ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0
 }
 
-// held returns the cached body and its digest (empty without
-// value-carrying push) — the base a pushed delta must name.
+// held returns the cached body and its digest (empty on a pull-only
+// proxy, see carriesValues) — the base a pushed delta must name.
 func (e *entry) held() ([]byte, string) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -384,7 +388,7 @@ func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func
 // caller degrades to the pushed confirmation poll, the next rung of the
 // ladder. The Δ guarantee never rests on this path.
 func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) (installed, dup bool) {
-	if !p.cfg.PushValues || e.evicted() {
+	if e.evicted() {
 		// Nothing may be installed for an evicted entry; the poll path's
 		// own eviction check disposes of the job.
 		return false, false
@@ -422,7 +426,7 @@ func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) (installed, dup bool
 // could not absorb is voided (see handlePushEvent). It runs only on the
 // subscriber's goroutine, so records take events in stream order.
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
-	if !p.cfg.PushValues || p.disk == nil {
+	if p.disk == nil {
 		return false
 	}
 	ck := canonicalize(ev.Key)
@@ -551,16 +555,15 @@ type PushStats struct {
 	// Events counts update notifications received.
 	Events uint64 `metric:"counter broadway_push_events_total" help:"Update notifications received on the channel."`
 	// Polls counts pushed jobs enqueued (coalesced bursts enqueue one).
-	// With PushValues each job first tries to install the event's
-	// payload and only polls when that fails.
+	// Each job first tries to install the event's payload and only polls
+	// when that fails.
 	Polls uint64 `metric:"counter broadway_push_polls_total" help:"Pushed jobs enqueued from events."`
 	// Dropped counts events for objects that were not resident.
 	Dropped uint64 `metric:"counter broadway_push_dropped_total" help:"Events dropped for non-resident objects."`
 	// ValueApplied counts pushed payloads installed directly — one
 	// message, zero origin polls. ValueFallbacks counts pushed jobs
-	// that degraded to a confirmation poll while value application was
-	// enabled (digest mismatch, missing or over-cap payload, byte-budget
-	// refusal).
+	// that degraded to a confirmation poll (digest mismatch, missing or
+	// over-cap payload, byte-budget refusal).
 	ValueApplied   uint64 `metric:"counter broadway_push_value_applied_total" help:"Pushed payloads installed directly, zero origin polls."`
 	ValueFallbacks uint64 `metric:"counter broadway_push_value_fallbacks_total" help:"Pushed jobs degraded to a confirmation poll."`
 	// Duplicates counts pushed events dropped by the version check: the

@@ -143,7 +143,6 @@ func TestPushedValueCarriesToleranceChange(t *testing.T) {
 // Cache-Control it just installed.
 func TestRelayConfirmationCarriesCacheControl(t *testing.T) {
 	cfg := rearmConfig()
-	cfg.PushValues = true
 	tp := pushTopology(cfg) // the origin announces invalidations only
 	tp.hops = 2
 	h := newHarness(t, tp)
@@ -219,7 +218,6 @@ func TestDiskRecordTakesPushedCacheControl(t *testing.T) {
 // evidence directly, as that worker would, once the key is leased again.
 func TestStaleEpochPushMovesNoAudit(t *testing.T) {
 	cfg := rearmConfig()
-	cfg.PushValues = true
 	h := newHarness(t, leaseTopology(cfg, true))
 	px := h.leaf()
 	key := admit(t, h, 1)[0]
@@ -253,7 +251,6 @@ func TestStaleEpochPushMovesNoAudit(t *testing.T) {
 // disconnect sweeps the key to the instant its last regular poll set.
 func TestSweepAfterPushesKeepsPaperModeInstant(t *testing.T) {
 	cfg := rearmConfig()
-	cfg.PushValues = true
 	// A first TTR of 8 s: the paper-mode instant lies past the pushes.
 	cfg.DefaultDelta = 8 * time.Second
 	cfg.Bounds = core.TTRBounds{Min: 8 * time.Second, Max: 16 * time.Second}

@@ -315,8 +315,8 @@ func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 // pollEntry performs one refresh of e against the origin. A pushed job
 // first tries to install the event's payload directly (the
 // value-carrying fast path) and only reaches the origin when that is
-// impossible — always, on a proxy without PushValues. A pushed job is
-// also its event's one publication to this proxy's children (see
+// impossible — always, for an event that carries no payload. A pushed
+// job is also its event's one publication to this proxy's children (see
 // relay.go): install publishes a version the job lands, and a job that
 // lands none passes the event on as received when it ends.
 func (p *Proxy) pollEntry(e *entry, kind pollKind) {
@@ -331,13 +331,11 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 				p.relayPassThrough(pe.Event)
 			}
 		}()
-		if p.cfg.PushValues {
-			var dup bool
-			if landed, dup = p.applyPushedValue(e, pe); landed || dup {
-				return // no origin request
-			}
-			p.pushValueFallback.Add(1)
+		var dup bool
+		if landed, dup = p.applyPushedValue(e, pe); landed || dup {
+			return // no origin request
 		}
+		p.pushValueFallback.Add(1)
 	}
 	// An entry evicted after being popped off the schedule (or while
 	// queued on its worker) must not poll the origin: eviction promises
@@ -462,7 +460,7 @@ func (p *Proxy) install(e *entry, kind pollKind, v version) {
 	for _, h := range v.history {
 		outcome.History = append(outcome.History, p.toSim(h))
 	}
-	if v.modified && v.digest == "" && p.cfg.PushValues {
+	if v.modified && v.digest == "" && p.carriesValues() {
 		v.digest = push.DigestOf(v.body) // hashed outside the entry lock
 	}
 

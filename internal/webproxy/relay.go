@@ -21,13 +21,12 @@ import "broadway/internal/push"
 //     runs on the key's affinity worker, after the install its event
 //     asked for, so a child that polls on the publication finds this
 //     proxy fresh. A job that installed a version publishes that
-//     version, its payload riding along under PushValues
-//     (relayInstalled); one that installed nothing — a refused payload
-//     whose fallback fetch failed, an entry evicted before the job ran,
-//     a duplicate of a version this proxy already holds — passes the
-//     event through as received. The duplicate matters: a version a
-//     cold admission fetched before its event arrived was announced to
-//     no child.
+//     version, its payload riding along (relayInstalled); one that
+//     installed nothing — a refused payload whose fallback fetch failed,
+//     an entry evicted before the job ran, a duplicate of a version this
+//     proxy already holds — passes the event through as received. The
+//     duplicate matters: a version a cold admission fetched before its
+//     event arrived was announced to no child.
 //
 // Every other version a poll of this proxy finds — a scheduled or
 // triggered poll, or any poll under a pure-polling parent (relay on,
@@ -65,9 +64,9 @@ const relayDeltaFloor = 256
 
 // relayInstalled publishes the version install just swapped into e to
 // downstream subscribers, after the body swap and the ledger: a child
-// that polls on it finds the fresh copy. With value-carrying push the
-// payload rides along, so a value child installs it with zero polls
-// against this proxy, under a pure-polling parent too.
+// that polls on it finds the fresh copy. The payload rides along, so a
+// child installs it with zero polls against this proxy, under a
+// pure-polling or invalidation-only upstream too.
 //
 // The version keeps the modification instant it arrived with. A pushed
 // payload's instant is republished verbatim, zero included: stamping
@@ -93,31 +92,29 @@ func (p *Proxy) relayInstalled(e *entry, v version, prevBody []byte, prevDigest 
 		Kind:    push.KindUpdate,
 		Key:     e.key,
 		ModTime: v.lastMod,
+		Digest:  v.digest,
+		Body:    v.body, // replaced wholesale on refresh, never mutated: safe to share
+		HasBody: true,
 	}
 	if !v.hasLastMod && !v.applied {
 		ev.ModTime = v.now
 	}
-	if p.cfg.PushValues {
-		ev.Digest = v.digest
-		ev.Body = v.body // replaced wholesale on refresh, never mutated: safe to share
-		ev.HasBody = true
-		e.mu.RLock()
-		ev.ContentType = e.contentType.String()
-		ev.CacheControl = e.cacheControl.String()
-		e.mu.RUnlock()
-		switch {
-		case v.delta != nil && v.deltaBase == prevDigest:
-			ev.DeltaBody = v.delta
-		case len(prevBody) >= relayDeltaFloor && prevDigest != "" && prevDigest != ev.Digest:
-			if d, ok := push.MakeDelta(prevBody, v.body); ok {
-				ev.DeltaBody = d
-			}
+	e.mu.RLock()
+	ev.ContentType = e.contentType.String()
+	ev.CacheControl = e.cacheControl.String()
+	e.mu.RUnlock()
+	switch {
+	case v.delta != nil && v.deltaBase == prevDigest:
+		ev.DeltaBody = v.delta
+	case len(prevBody) >= relayDeltaFloor && prevDigest != "" && prevDigest != ev.Digest:
+		if d, ok := push.MakeDelta(prevBody, v.body); ok {
+			ev.DeltaBody = d
 		}
-		if ev.DeltaBody != nil {
-			ev.BaseDigest = prevDigest
-			ev.DeltaCodec = push.DeltaCodecBlock
-			p.pushDeltaRebased.Add(1)
-		}
+	}
+	if ev.DeltaBody != nil {
+		ev.BaseDigest = prevDigest
+		ev.DeltaCodec = push.DeltaCodecBlock
+		p.pushDeltaRebased.Add(1)
 	}
 	p.relay.Publish(ev)
 }

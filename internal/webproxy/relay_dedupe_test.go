@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,7 +45,6 @@ func valueChain(hops int, tune func(i int, cfg *Config)) topology {
 			DefaultGroupDelta: 2 * time.Second,
 			Bounds:            core.TTRBounds{Min: time.Minute, Max: time.Hour},
 			Mode:              core.TriggerAll,
-			PushValues:        true,
 		},
 		tune: tune,
 	}
@@ -295,19 +295,24 @@ func TestThreeHopBackToBackRevisionsStayOnThePayloadPath(t *testing.T) {
 	}
 }
 
-// TestPollingLeafConvergesOffConfirmation: a leaf that negotiated no
-// payloads hears only announcements from its value-pushing parent, one
-// per version, published once the parent has installed it, so the poll
-// the leaf runs on it finds the parent fresh and the leaf holds the new
-// body within Δ.
-func TestPollingLeafConvergesOffConfirmation(t *testing.T) {
+// TestPayloadFreeStreamFindsRelayFresh: a stream that negotiated no
+// payloads (PayloadCap 0) hears only announcements from a relay that
+// carries values, one per version, published once the relay has
+// installed it, so the poll a child runs on one finds the relay fresh.
+func TestPayloadFreeStreamFindsRelayFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	body := textBody(rng, 3*push.DefaultPayloadCap)
-	h := newHarness(t, valueChain(2, func(i int, cfg *Config) {
-		if i == 1 {
-			cfg.PushValues = false
-		}
-	}))
+	h := newHarness(t, valueChain(1, func(_ int, cfg *Config) { cfg.RelayEvents = true }))
+	relay := h.root()
+	var mu sync.Mutex
+	var heard []push.Event
+	var held [][]byte // the relay's body as each announcement arrived
+	h.watch(relay, push.SubscriberConfig{OnEvent: func(ev push.Event) {
+		b, _ := relay.CachedBody(ev.Key)
+		mu.Lock()
+		defer mu.Unlock()
+		heard, held = append(heard, ev), append(held, b)
+	}})
 	set(h, "/doc", body)
 	h.start()
 	admitAll(t, h, "/doc")
@@ -316,16 +321,21 @@ func TestPollingLeafConvergesOffConfirmation(t *testing.T) {
 		body = reviseBody(rng, body)
 		set(h, "/doc", body)
 		h.quiesce()
-		if got, _ := h.leaf().CachedBody("/doc"); !bytes.Equal(got, body) {
-			t.Fatalf("revision %d never reached the polling leaf (parent %+v relay %+v leaf %+v)",
-				r, h.nodes[0].PushStats(), h.nodes[0].RelayStats().Hub, h.leaf().PushStats())
+		mu.Lock()
+		n := len(heard)
+		ev, b := heard[n-1], held[n-1]
+		mu.Unlock()
+		switch {
+		case n != r:
+			t.Fatalf("revision %d: the stream heard %d announcements, want one per version", r, n)
+		case ev.Key != "/doc" || ev.HasBody:
+			t.Fatalf("revision %d: heard %+v, want an announcement of /doc alone", r, ev)
+		case !bytes.Equal(b, body):
+			t.Fatalf("revision %d was announced before the relay installed it", r)
 		}
 	}
-	if st := h.nodes[0].PushStats(); st.ValueApplied != 3 || st.ValueFallbacks != 0 {
-		t.Errorf("parent left the payload path: %+v", st)
-	}
-	if st := h.leaf().ObjectStats("/doc"); st.Applied != 0 || st.Pushed == 0 {
-		t.Errorf("leaf did not converge by pushed polls: %+v", st)
+	if st := relay.PushStats(); st.ValueApplied != 3 || st.ValueFallbacks != 0 {
+		t.Errorf("relay left the payload path: %+v", st)
 	}
 }
 

@@ -114,7 +114,10 @@ func TestRelayPassThroughServesNonResidentKeys(t *testing.T) {
 
 // TestTwoHopPushDeliversThroughParent: with TTR bounds so wide that
 // polling could never observe the update, an origin update must reach
-// the leaf's cache via origin hub → parent relay → leaf pushed poll.
+// the leaf's cache via origin hub → parent relay → leaf. The origin's
+// events carry no payload, so the parent confirms the update by a
+// pushed poll and relays the body that poll fetched, which the leaf
+// installs without a request of its own.
 func TestTwoHopPushDeliversThroughParent(t *testing.T) {
 	h := newHarness(t, chainTopology(Config{
 		DefaultDelta: time.Minute,
@@ -133,8 +136,14 @@ func TestTwoHopPushDeliversThroughParent(t *testing.T) {
 		t.Fatalf("update never reached the leaf (parent push %+v, relay %+v, leaf push %+v)",
 			parent.PushStats(), parent.RelayStats(), leaf.PushStats())
 	}
-	if st := leaf.ObjectStats("/page"); st.Pushed == 0 {
-		t.Errorf("leaf freshness did not come from a pushed poll: %+v", st)
+	if st := parent.ObjectStats("/page"); st.Pushed == 0 || st.Applied != 0 {
+		t.Errorf("parent freshness did not come from a pushed poll: %+v", st)
+	}
+	if st := leaf.ObjectStats("/page"); st.Applied == 0 || st.Pushed != 0 {
+		t.Errorf("leaf did not install the body its parent's poll fetched: %+v", st)
+	}
+	if n := leaf.up.requestsFor("/page"); n != 1 {
+		t.Errorf("leaf sent %d requests for /page, want its admission alone", n)
 	}
 	if rs := parent.RelayStats(); !rs.Enabled || rs.Hub.Seq == 0 {
 		t.Errorf("relay hub never published: %+v", rs)

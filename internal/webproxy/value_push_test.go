@@ -24,7 +24,6 @@ import (
 // by default, so any freshness observed inside a test provably came from
 // the push path.
 func valuePushTopology(cfg Config) topology {
-	cfg.PushValues = true
 	if cfg.Bounds == (core.TTRBounds{}) {
 		cfg.Bounds = core.TTRBounds{Min: time.Minute, Max: time.Hour}
 	}

@@ -71,10 +71,11 @@
 // On top of that pull machinery the proxy can layer an origin-driven
 // invalidation channel (Config.PushURL, wire protocol in internal/push):
 // the origin streams per-object update events, each event converts into
-// an immediate pushed poll through the affinity workers, and while the
-// channel is healthy every key it covers holds a lease: its regular poll
-// runs a lease term (Config.PushStretch × Bounds.Max) after its
-// last validation, a poll's or a pushed install's — consistency traffic
+// an immediate pushed job through the affinity workers — installing the
+// new body the event carries, or polling when it carries none — and
+// while the channel is healthy every key it covers holds a lease: its
+// regular poll runs a lease term (Config.PushStretch × Bounds.Max) after
+// its last validation, a poll's or a pushed install's — consistency traffic
 // then scales with the origin's churn instead of with the poll schedule,
 // and a key the channel keeps updating sends no poll at all. The channel
 // is an optimization, never a correctness dependency: whatever ends a lease
@@ -167,11 +168,14 @@ type Config struct {
 	Clock func() time.Time
 	// PushURL, when set, subscribes the proxy to an origin-driven
 	// invalidation channel at that URL (the webserver's /events
-	// endpoint) and enables hybrid push–pull consistency: pushed events
-	// trigger immediate polls, covered keys' regular polls run once per
-	// lease term while the channel is healthy (see PushStretch), and a
-	// disconnect falls back to pure polling with a catch-up sweep. Nil
-	// disables push (the default, pure paper mode).
+	// endpoint) and enables hybrid push–pull consistency: a pushed event
+	// installs the new body it carries — negotiated up to
+	// push.DefaultPayloadCap, digest-verified, charged against the byte
+	// ledger, with no origin request — or, when it carries none or the
+	// body cannot be installed, triggers an immediate poll; covered keys'
+	// regular polls run once per lease term while the channel is healthy
+	// (see PushStretch), and a disconnect falls back to pure polling with
+	// a catch-up sweep. Nil disables push (the default, pure paper mode).
 	PushURL *url.URL
 	// PushStretch sets the lease term L = PushStretch × Bounds.Max:
 	// while the push channel is healthy and carries a key, that key's
@@ -187,19 +191,8 @@ type Config struct {
 	// defaults to 4 when PushURL is set. Which keys a lease carries, and
 	// the staleness each failure can cost, are documented in lease.go.
 	PushStretch float64
-	// PushValues enables value-carrying push: the
-	// subscriber negotiates payload delivery with its upstream, and a
-	// pushed event carrying the object's new body is installed directly
-	// — digest-verified, charged against the eviction byte ledger,
-	// running the same §3.2 group triggering as a poll — with no origin
-	// request at all. Any event that cannot be installed (digest
-	// mismatch, missing or over-cap payload, byte-budget refusal) falls
-	// back to today's pushed poll, so the Δ guarantee never depends on
-	// the payload path. When the proxy relays (RelayEvents), its relay
-	// hub also carries payloads downstream, so one origin message feeds
-	// the whole subtree with zero confirmation polls. The subscriber
-	// requests, and the relay hub carries, payloads up to
-	// push.DefaultPayloadCap bytes.
+	// Deprecated: ignored; a subscribed or relaying proxy always carries
+	// values.
 	PushValues bool
 	// PushBackoffMin and PushBackoffMax bound the subscriber's
 	// reconnect backoff (defaults 100ms and 10s).
@@ -236,8 +229,12 @@ type Config struct {
 	// the origin speaks, so child proxies subscribe to this proxy exactly
 	// as it subscribes to its origin. An upstream disconnect or Reset propagates to children as
 	// a mid-stream hello/Reset, driving their fallback sweeps (see
-	// relay.go). Works with or without PushURL: a pure-polling parent
-	// still relays the updates its own polls confirm. Relayed streams
+	// relay.go). Each published version carries its body, up to
+	// push.DefaultPayloadCap per frame and chunked at it beyond, to every
+	// child that negotiates payloads, so a child installs it with no
+	// request against this proxy. Works with or without PushURL: a
+	// pure-polling parent still relays the updates its own polls
+	// confirm, bodies and all. Relayed streams
 	// heartbeat every push.DefaultHeartbeat, and a child stream whose
 	// proven position falls push.DefaultSubscriberBuffer events behind
 	// the head is terminated (it reconnects and resumes, or Resets if
@@ -318,11 +315,11 @@ type entry struct {
 	policy core.Policy
 
 	body []byte // replaced wholesale on refresh, never mutated
-	// bodyDigest is push.DigestOf(body) when value-carrying push is on
-	// (empty otherwise): set with the body by installEntry and install,
-	// the only two places a body is assigned. It is what the delta rung
-	// compares a pushed frame's base digest against, and what the
-	// subscriber advertises as held on connect.
+	// bodyDigest is push.DigestOf(body) when the proxy subscribes or
+	// relays (empty otherwise, see carriesValues): set with the body by
+	// installEntry and install, the only two places a body is assigned.
+	// It is what the delta rung compares a pushed frame's base digest
+	// against, and what the subscriber advertises as held on connect.
 	bodyDigest  string
 	contentType interned
 	// cacheControl is the origin's Cache-Control header, forwarded on
@@ -363,11 +360,10 @@ type entry struct {
 	// job, and a non-nil slot IS that job: filling an empty slot
 	// enqueues one, starting one empties it. It holds the event the job
 	// will act on — the newest version's most installable frame, payload
-	// and all, so with PushValues a coalesced burst applies the LATEST
-	// body rather than the first (installing a stale payload after
-	// dropping its successors would serve old data as fresh). Without
-	// PushValues the job always polls, and a job that installs nothing
-	// relays the event as received (see relay.go).
+	// and all, so a coalesced burst applies the LATEST body rather than
+	// the first (installing a stale payload after dropping its
+	// successors would serve old data as fresh). A job that installs
+	// nothing relays the event as received (see relay.go).
 	pendingPush atomic.Pointer[pushedEvent]
 	// delta and groupDelta are the resolved Δ/δ tolerances the entry
 	// was admitted with (config defaults overlaid by origin
@@ -726,16 +722,15 @@ func New(cfg Config) (*Proxy, error) {
 	p.lease.term, p.lease.clock = p.resolveLeaseTerm(), cfg.Clock
 	p.auditSlots = make(chan struct{}, cfg.PollWorkers)
 	if cfg.RelayEvents {
-		var hubCfg push.HubConfig
-		if cfg.PushValues {
-			// The relay carries payloads downstream at the same cap the
-			// proxy negotiates upstream, so one origin message feeds the
-			// whole subtree. Leaves that did not ask for payloads get
-			// invalidation-only frames (per-stream negotiation), and
-			// bodies over a leaf's cap are chunked at it rather than
-			// degraded straight to an invalidation.
-			hubCfg.PayloadCap = push.DefaultPayloadCap
-			hubCfg.ChunkPayload = push.DefaultPayloadCap
+		// The relay carries payloads downstream at the same cap the proxy
+		// negotiates upstream, so one origin message feeds the whole
+		// subtree. Leaves that did not ask for payloads get
+		// invalidation-only frames (per-stream negotiation), and bodies
+		// over a leaf's cap are chunked at it rather than degraded
+		// straight to an invalidation.
+		hubCfg := push.HubConfig{
+			PayloadCap:   push.DefaultPayloadCap,
+			ChunkPayload: push.DefaultPayloadCap,
 		}
 		if cfg.PushInterest && cfg.PushURL != nil {
 			// Every downstream declaration folds into this proxy's own
@@ -1161,7 +1156,7 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 	if a.suspect {
 		e.state.Store(stateSuspect)
 	}
-	if p.cfg.PushValues {
+	if p.carriesValues() {
 		e.bodyDigest = push.DigestOf(a.body)
 	}
 	if p.sub != nil {

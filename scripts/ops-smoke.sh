@@ -29,7 +29,7 @@ trap 'kill "$PROXY_PID" 2>/dev/null || true; rm -rf "$DISK"' EXIT INT TERM
 # start <flags>: boots the demo proxy with push and the ops listener and
 # polls /healthz, which is 503 until the push subscription connects.
 start() {
-  "$BIN/mcproxy-ops-smoke" -demo -push -push-values -relay-events \
+  "$BIN/mcproxy-ops-smoke" -demo -push -relay-events \
     -listen "$LISTEN" -ops-listen "$OPS" -run-for 60s "$@" &
   PROXY_PID=$!
   i=0
