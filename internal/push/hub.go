@@ -168,15 +168,17 @@ type ringPartition struct {
 	prunedTo uint64
 }
 
-// partitionName maps an update key to its ring partition: the key's
+// PartitionName maps an update key to its ring partition: the key's
 // first path segment including both slashes ("/news/politics/1" →
 // "/news/"), the whole path when it has one segment ("/page" →
 // "/page"), query stripped, and the catch-all "" for keys that are not
 // rooted paths. The name is by construction a prefix of every key it
 // claims, which is what makes interest-to-partition relevance sound:
 // an interest prefix matching a key is always comparable (one a prefix
-// of the other) with that key's partition name.
-func partitionName(key string) string {
+// of the other) with that key's partition name. A proxy declares its
+// residents' interest by the same rule, so a declared prefix is always
+// a partition name.
+func PartitionName(key string) string {
 	if len(key) == 0 || key[0] != '/' {
 		return ""
 	}
@@ -472,7 +474,7 @@ func (h *Hub) Publish(ev Event) uint64 {
 	// rendered here, once, and every delivery — live fan-out now, replay
 	// later — is a pre-rendered byte-slice pick.
 	re := renderLadder(ev, chunkPayload, suppressFull)
-	part := h.partitionLocked(partitionName(ev.Key))
+	part := h.partitionLocked(PartitionName(ev.Key))
 	part.buf = append(part.buf, re)
 	part.bytes += re.cost
 	h.bufBytes += re.cost

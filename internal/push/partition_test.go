@@ -25,14 +25,14 @@ func TestPartitionName(t *testing.T) {
 		{"urn:object:7", ""},
 	}
 	for _, c := range cases {
-		if got := partitionName(c.key); got != c.want {
-			t.Errorf("partitionName(%q) = %q, want %q", c.key, got, c.want)
+		if got := PartitionName(c.key); got != c.want {
+			t.Errorf("PartitionName(%q) = %q, want %q", c.key, got, c.want)
 		}
 	}
 	// The name must be a prefix of its key — that is what makes
 	// interest-to-partition relevance sound.
 	for _, c := range cases {
-		if p := partitionName(c.key); p != "" && !bytes.HasPrefix([]byte(c.key), []byte(p)) {
+		if p := PartitionName(c.key); p != "" && !bytes.HasPrefix([]byte(c.key), []byte(p)) {
 			t.Errorf("partition %q is not a prefix of its key %q", p, c.key)
 		}
 	}

@@ -23,12 +23,14 @@
 //     frame writes, per-stream payload-cap negotiation, and mid-stream
 //     Reset announcement. The origin's /events endpoint and every
 //     relaying proxy's downstream endpoint are the same Hub.
-//   - The Subscriber: a client that consumes the stream, survives
+//   - The Subscriber: a client that reads, decodes and applies the
+//     stream in one loop on the goroutine that runs it, survives
 //     disconnects with capped exponential backoff, resumes from the last
-//     processed sequence number, detects dead connections via a
-//     heartbeat timeout, skips oversized lines instead of dying on
-//     them, and treats a mid-stream hello/Reset as a reconnect-grade
-//     reconciliation without dropping the stream.
+//     processed sequence number (moved only once the consumer's handler
+//     has returned), detects dead connections via a heartbeat watchdog
+//     that closes the body, skips oversized and malformed lines instead
+//     of dying on them, and treats a mid-stream hello/Reset as a
+//     reconnect-grade reconciliation without dropping the stream.
 //
 // Delivery semantics are at-least-once with ordered sequence numbers:
 // the origin assigns every update event a monotonically increasing Seq,

@@ -312,14 +312,16 @@ type sseServer struct {
 
 func (s *sseServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.lastURL.Store(r.URL.String())
-	s.conns.Add(1)
 	fl := w.(http.Flusher)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.WriteHeader(http.StatusOK)
+	// The stream is registered before the connection is counted, so a
+	// test that waits for conns and then sends cannot lose its line.
 	ch := make(chan string, 64)
 	s.mu.Lock()
 	s.streams = append(s.streams, ch)
 	s.mu.Unlock()
+	s.conns.Add(1)
 	for {
 		select {
 		case <-r.Context().Done():

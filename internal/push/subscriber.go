@@ -25,8 +25,9 @@ type SubscriberConfig struct {
 	// Timeout (that would kill a healthy long-lived stream); liveness is
 	// enforced by HeartbeatTimeout instead. Defaults to a fresh client.
 	Client *http.Client
-	// OnEvent is invoked for every update event, in stream order, from
-	// the subscriber's goroutine. Required.
+	// OnEvent is invoked for every update event, in stream order, on the
+	// goroutine running Run; the next frame is read only once it returns.
+	// Required.
 	OnEvent func(Event)
 	// OnConnect is invoked after the server's hello frame on every
 	// successful (re)connect. resumed reports whether the subscriber
@@ -41,7 +42,7 @@ type SubscriberConfig struct {
 	// a connection attempt that failed outright, and never on context
 	// cancellation).
 	OnDisconnect func(err error)
-	// OnFrameLoss is invoked (from the subscriber's goroutine) each time
+	// OnFrameLoss is invoked (on the goroutine running Run) each time
 	// an established stream's line is dropped instead of processed — an
 	// oversized line, or a data line that fails to decode. The frame's
 	// content is unknown, so the consumer must treat it as a potential
@@ -147,8 +148,9 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 }
 
 // LastSeq returns the stream position processed so far: the last update
-// handed to OnEvent, moved past filtered frames by heartbeats and to the
-// head by a fresh or Reset hello (0 before the first connect).
+// whose OnEvent has returned, moved past filtered frames by heartbeats
+// and to the head by a fresh or Reset hello (0 before the first
+// connect).
 func (s *Subscriber) LastSeq() uint64 { return s.lastSeq.Load() }
 
 // HeartbeatTimeout returns the resolved watchdog interval (the
@@ -307,12 +309,6 @@ func readFrameLine(br *bufio.Reader, limit int) (line string, skipped bool, err 
 		}
 	}
 }
-
-// frameLost is the in-process sentinel the frame pump hands the
-// consumer for a line it had to drop unread (oversized). A hostile
-// stream emitting the literal sentinel converges on the same handling:
-// its line would fail to decode and be counted as lost anyway.
-const frameLost = "\x00frame-lost"
 
 // chunkAssembly is the single-slot reassembly buffer for chunked
 // updates. One slot suffices: the server writes a chunk set
@@ -480,16 +476,50 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 		return false, fmt.Errorf("push: event stream returned %s", resp.Status)
 	}
 
-	// Pump frames on a separate goroutine so the consumer loop can race
-	// them against the heartbeat timeout; closing the body unblocks a
-	// pump blocked in Scan, and streamDone unblocks one parked on the
-	// channel send after the consumer abandoned the stream (watchdog
-	// fire, decode error, protocol violation) — without it every such
-	// exit would leak the pump until the subscriber's context died.
-	frames := make(chan string)
-	readErr := make(chan error, 1)
-	streamDone := make(chan struct{})
-	defer close(streamDone)
+	// The stream is read, decoded and applied on this goroutine, in one
+	// loop. Two things end a Read blocked on a silent or abandoned
+	// stream, by closing the body, which fails the Read whatever
+	// RoundTripper carried the request: the attempt's context ending
+	// (Bounce, or the caller's cancel), and the heartbeat watchdog,
+	// armed here and reset on every data line and every skipped line.
+	defer context.AfterFunc(ctx, func() { resp.Body.Close() })()
+	var silent atomic.Bool // the watchdog closed the body
+	feedWatchdog := func() {}
+	if s.cfg.HeartbeatTimeout > 0 {
+		watchdog := time.AfterFunc(s.cfg.HeartbeatTimeout, func() {
+			silent.Store(true)
+			resp.Body.Close()
+		})
+		defer watchdog.Stop()
+		feedWatchdog = func() { watchdog.Reset(s.cfg.HeartbeatTimeout) }
+	}
+	// ended names why a read failed: what closed the body, if anything
+	// did, else the read's own error (io.EOF for a clean stream end).
+	ended := func(err error) error {
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case silent.Load():
+			return fmt.Errorf("push: no frame within %v", s.cfg.HeartbeatTimeout)
+		}
+		return err
+	}
+
+	// A gzip stream is one member, read to its checksum: a format or
+	// checksum error ends the stream like any transport error (the
+	// reconnect resumes with ?since=), never as a skipped frame. The
+	// reader is opened under the watchdog, because it blocks until the
+	// member header arrives.
+	var body io.Reader = resp.Body
+	if resp.Header.Get("Content-Encoding") == "gzip" {
+		zr, err := gzip.NewReader(resp.Body)
+		if err != nil {
+			return false, ended(err)
+		}
+		zr.Multistream(false)
+		body = zr
+	}
+	br := bufio.NewReaderSize(body, 4096)
 	// The line limit covers the envelope plus the base64 expansion of
 	// the largest payload this stream negotiated for; anything longer is
 	// either hostile or a protocol violation and is skipped in place.
@@ -497,208 +527,127 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 	if s.cfg.PayloadCap > 0 {
 		lineLimit += base64.StdEncoding.EncodedLen(s.cfg.PayloadCap)
 	}
-	gzipped := resp.Header.Get("Content-Encoding") == "gzip"
-	go func() {
-		defer close(frames)
-		// A gzip stream is one member, read to its checksum: a format or
-		// checksum error ends the stream like any transport error (the
-		// reconnect resumes with ?since=), never as a skipped frame. The
-		// reader is opened here, under the watchdog, because it blocks
-		// until the member header arrives.
-		var body io.Reader = resp.Body
-		if gzipped {
-			zr, err := gzip.NewReader(resp.Body)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			zr.Multistream(false)
-			body = zr
-		}
-		br := bufio.NewReaderSize(body, 4096)
-		for {
-			line, skipped, err := readFrameLine(br, lineLimit)
-			if err != nil {
-				if err == io.EOF {
-					err = nil // clean stream end, reported as io.EOF by the consumer
-				}
-				readErr <- err
-				return
-			}
-			if skipped {
-				// An oversized line would have killed the stream under
-				// bufio.Scanner (ErrTooLong), and the reconnect would
-				// replay the same position and die on the same line
-				// forever — a one-frame livelock against any upstream
-				// that does not police its frame sizes. Drop just the
-				// line and keep the stream's framing intact; the consumer
-				// reconciles the unknown loss via OnFrameLoss.
-				s.skipped.Add(1)
-				select {
-				case frames <- frameLost:
-				case <-streamDone:
-					return
-				case <-ctx.Done():
-					readErr <- ctx.Err()
-					return
-				}
-				continue
-			}
-			payload, ok := strings.CutPrefix(line, "data:")
-			if !ok {
-				continue // SSE comment, id:, event:, or blank separator
-			}
-			select {
-			case frames <- strings.TrimSpace(payload):
-			case <-streamDone:
-				return
-			case <-ctx.Done():
-				readErr <- ctx.Err()
-				return
-			}
-		}
-	}()
-
-	var watchdog *time.Timer
-	var timeoutC <-chan time.Time
-	if s.cfg.HeartbeatTimeout > 0 {
-		watchdog = time.NewTimer(s.cfg.HeartbeatTimeout)
-		defer watchdog.Stop()
-		timeoutC = watchdog.C
-	}
 	// asm is the chunk-reassembly slot; it dies with the stream (a set
 	// split across connections replays whole, because non-terminal
 	// chunks never advance the resume position).
 	var asm chunkAssembly
 	for {
-		select {
-		case <-ctx.Done():
-			resp.Body.Close()
-			return connected, ctx.Err()
-		case <-timeoutC:
-			resp.Body.Close()
-			return connected, fmt.Errorf("push: no frame within %v", s.cfg.HeartbeatTimeout)
-		case payload, ok := <-frames:
-			if !ok {
-				err := <-readErr
-				if err == nil {
-					err = io.EOF
-				}
-				return connected, err
+		line, skipped, err := readFrameLine(br, lineLimit)
+		if err != nil {
+			return connected, ended(err)
+		}
+		payload, isData := strings.CutPrefix(line, "data:")
+		if !skipped && !isData {
+			continue // SSE comment, id:, event:, or blank separator
+		}
+		s.lastFrame.Store(time.Now().UnixNano())
+		feedWatchdog()
+		if skipped {
+			// An oversized line would have killed the stream under
+			// bufio.Scanner (ErrTooLong), and the reconnect would replay
+			// the same position and die on the same line forever — a
+			// one-frame livelock against any upstream that does not
+			// police its frame sizes. Drop just the line and keep the
+			// stream's framing intact. Its content is unknown — possibly
+			// an update or a Reset — so an established consumer must
+			// reconcile (sweep) rather than stay confidently stretched
+			// over it. Any chunk set in flight dies with it (the lost
+			// line may have been one of its frames); the same sweep
+			// reconciles that update.
+			s.skipped.Add(1)
+			asm.active, asm.buf = false, nil
+			if connected && s.cfg.OnFrameLoss != nil {
+				s.cfg.OnFrameLoss()
 			}
-			s.lastFrame.Store(time.Now().UnixNano())
-			if watchdog != nil {
-				if !watchdog.Stop() {
-					<-watchdog.C
-				}
-				watchdog.Reset(s.cfg.HeartbeatTimeout)
+			continue
+		}
+		ev, decodeErr := Decode(strings.TrimSpace(payload))
+		if decodeErr != nil {
+			if !connected {
+				// The very first frame must be a hello; a server whose
+				// opening frame does not even decode is not speaking
+				// this protocol — reconnect and say why.
+				return false, decodeErr
 			}
-			if payload == frameLost {
-				// The pump dropped an oversized line unread. Its content
-				// is unknown — possibly an update or a Reset — so an
-				// established consumer must reconcile (sweep) rather
-				// than stay confidently stretched over it. Any chunk set in
-				// flight dies with it (the lost line may have been one of
-				// its frames); the same sweep reconciles that update.
-				asm.active, asm.buf = false, nil
-				if connected && s.cfg.OnFrameLoss != nil {
-					s.cfg.OnFrameLoss()
-				}
-				continue
+			// Mid-stream, a malformed data line cannot poison the
+			// framing (SSE frames are self-delimiting lines), but
+			// dropping the connection on it would: the reconnect
+			// resumes from the same position, an upstream replaying
+			// the frame from its ring serves it again, and the
+			// subscriber livelocks on one line forever — the same
+			// failure class as the oversized line above, reachable
+			// through the payload-widened read limit (a 6KB malformed
+			// line is under a 91KB limit but over the envelope bound).
+			// Skip just the frame — and reconcile via OnFrameLoss,
+			// because whatever it announced (an update, a Reset) is now
+			// an unknown loss that must not hide behind stretched TTRs.
+			s.skipped.Add(1)
+			asm.active, asm.buf = false, nil
+			if s.cfg.OnFrameLoss != nil {
+				s.cfg.OnFrameLoss()
 			}
-			ev, decodeErr := Decode(payload)
-			if decodeErr != nil {
-				if !connected {
-					// The very first frame must be a hello; a server whose
-					// opening frame does not even decode is not speaking
-					// this protocol — reconnect and say why.
-					resp.Body.Close()
-					return false, decodeErr
-				}
-				// Mid-stream, a malformed data line cannot poison the
-				// framing (SSE frames are self-delimiting lines), but
-				// dropping the connection on it would: the reconnect
-				// resumes from the same position, an upstream replaying
-				// the frame from its ring serves it again, and the
-				// subscriber livelocks on one line forever — the same
-				// failure class as PR 4's oversized-line kill, reachable
-				// again through the payload-widened read limit (a 6KB
-				// malformed line is under a 91KB limit but over the
-				// envelope bound). Skip just the frame — and reconcile
-				// via OnFrameLoss, because whatever it announced (an
-				// update, a Reset) is now an unknown loss that must not
-				// hide behind stretched TTRs.
-				s.skipped.Add(1)
-				asm.active, asm.buf = false, nil
-				if s.cfg.OnFrameLoss != nil {
-					s.cfg.OnFrameLoss()
-				}
-				continue
+			continue
+		}
+		if ev.HasBody && (s.cfg.PayloadCap <= 0 || len(ev.Body) > s.cfg.PayloadCap) {
+			// The upstream ignored the negotiated cap: degrade the
+			// frame to the invalidation it should have been — the
+			// consumer confirms by polling, the stream survives.
+			ev = ev.StripPayload()
+			s.overCap.Add(1)
+		}
+		switch {
+		case !connected:
+			if ev.Kind != KindHello {
+				return false, fmt.Errorf("push: first frame was %v, want hello", ev.Kind)
 			}
-			if ev.HasBody && (s.cfg.PayloadCap <= 0 || len(ev.Body) > s.cfg.PayloadCap) {
-				// The upstream ignored the negotiated cap: degrade the
-				// frame to the invalidation it should have been — the
-				// consumer confirms by polling, the stream survives.
-				ev = ev.StripPayload()
-				s.overCap.Add(1)
-			}
-			switch {
-			case !connected:
-				if ev.Kind != KindHello {
-					resp.Body.Close()
-					return false, fmt.Errorf("push: first frame was %v, want hello", ev.Kind)
-				}
-				connected = true
-				s.connects.Add(1)
-				if ev.Reset || since == 0 {
-					// Adopt the server's position: a fresh stream starts at
-					// the head, so a cut before its first frame resumes from
-					// there; a Reset's gap is unrecoverable, so the next
-					// reconnect must not re-request (and re-Reset on) the
-					// same stale seq — the consumer reconciles the loss
-					// once, via OnConnect. A resumed hello's replay follows.
-					s.lastSeq.Store(ev.Seq)
-				}
-				if s.cfg.OnConnect != nil {
-					s.cfg.OnConnect(ev, since > 0)
-				}
-			case ev.Kind == KindUpdate:
-				for _, out := range s.assembleUpdate(&asm, ev) {
-					s.cfg.OnEvent(out)
-					s.lastSeq.Store(out.Seq)
-				}
-			case ev.Kind == KindHello && ev.Reset:
-				// A mid-stream Reset: a relaying upstream lost ITS
-				// upstream, so this stream's content has a hole even
-				// though the connection never dropped. Fast-forward the
-				// resume point and re-run the connect reconciliation
-				// (the consumer's fallback sweep) exactly as for a
-				// Reset at connect time — swallowing it as a heartbeat
-				// would leave the consumer confidently stretched over
-				// events that no longer exist.
-				s.resets.Add(1)
-				asm.active, asm.buf = false, nil
+			connected = true
+			s.connects.Add(1)
+			if ev.Reset || since == 0 {
+				// Adopt the server's position: a fresh stream starts at
+				// the head, so a cut before its first frame resumes from
+				// there; a Reset's gap is unrecoverable, so the next
+				// reconnect must not re-request (and re-Reset on) the
+				// same stale seq — the consumer reconciles the loss
+				// once, via OnConnect. A resumed hello's replay follows.
 				s.lastSeq.Store(ev.Seq)
-				if s.cfg.OnConnect != nil {
-					s.cfg.OnConnect(ev, true)
-				}
-			case ev.Kind == KindHeartbeat:
-				// Heartbeats carry the stream's per-subscriber position:
-				// with interest filtering the upstream advances it past
-				// frames it withheld, and adopting it (forward-only —
-				// a regressing position is a confused upstream, never a
-				// reason to re-request frames already processed) is what
-				// keeps a filtered subscriber's resume point from
-				// drifting behind holes it never wanted to hear.
-				for {
-					cur := s.lastSeq.Load()
-					if ev.Seq <= cur || s.lastSeq.CompareAndSwap(cur, ev.Seq) {
-						break
-					}
-				}
-			default:
-				// Redundant non-Reset hellos only feed the watchdog.
 			}
+			if s.cfg.OnConnect != nil {
+				s.cfg.OnConnect(ev, since > 0)
+			}
+		case ev.Kind == KindUpdate:
+			// The position moves only once OnEvent has returned, so a
+			// reader of LastSeq never sees an event as processed before
+			// the consumer has taken it in.
+			for _, out := range s.assembleUpdate(&asm, ev) {
+				s.cfg.OnEvent(out)
+				s.lastSeq.Store(out.Seq)
+			}
+		case ev.Kind == KindHello && ev.Reset:
+			// A mid-stream Reset: a relaying upstream lost ITS
+			// upstream, so this stream's content has a hole even
+			// though the connection never dropped. Fast-forward the
+			// resume point and re-run the connect reconciliation
+			// (the consumer's fallback sweep) exactly as for a
+			// Reset at connect time — swallowing it as a heartbeat
+			// would leave the consumer confidently stretched over
+			// events that no longer exist.
+			s.resets.Add(1)
+			asm.active, asm.buf = false, nil
+			s.lastSeq.Store(ev.Seq)
+			if s.cfg.OnConnect != nil {
+				s.cfg.OnConnect(ev, true)
+			}
+		case ev.Kind == KindHeartbeat && ev.Seq > s.lastSeq.Load():
+			// Heartbeats carry the stream's per-subscriber position:
+			// with interest filtering the upstream advances it past
+			// frames it withheld, and adopting it (forward-only — a
+			// regressing position is a confused upstream, never a
+			// reason to re-request frames already processed) is what
+			// keeps a filtered subscriber's resume point from drifting
+			// behind holes it never wanted to hear.
+			s.lastSeq.Store(ev.Seq)
+		default:
+			// Redundant non-Reset hellos only feed the watchdog.
 		}
 	}
 }

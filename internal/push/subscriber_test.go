@@ -3,8 +3,12 @@ package push
 import (
 	"bufio"
 	"context"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -281,4 +285,125 @@ func TestReadFrameLine(t *testing.T) {
 	if _, _, err = readFrameLine(br, 100); err == nil {
 		t.Fatal("EOF not reported")
 	}
+}
+
+// blockingTransport answers every request with a stream that delivers a
+// hello frame and then blocks in Read until the body is closed. It never
+// looks at the request's context, as a RoundTripper that cannot cancel a
+// read in progress does: only closing the body ends such a stream.
+type blockingTransport struct{ attempts atomic.Int64 }
+
+func (tr *blockingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	tr.attempts.Add(1)
+	body := &blockingBody{
+		pending: []byte("data: " + Event{Kind: KindHello}.Encode() + "\n\n"),
+		closed:  make(chan struct{}),
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Status:     "200 OK",
+		Header:     http.Header{"Content-Type": {"text/event-stream"}},
+		Body:       body,
+		Request:    req,
+	}, nil
+}
+
+type blockingBody struct {
+	mu      sync.Mutex
+	pending []byte
+	once    sync.Once
+	closed  chan struct{}
+}
+
+func (b *blockingBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	n := copy(p, b.pending)
+	b.pending = b.pending[n:]
+	b.mu.Unlock()
+	if n > 0 {
+		return n, nil
+	}
+	<-b.closed
+	return 0, errors.New("read on closed body")
+}
+
+func (b *blockingBody) Close() error {
+	b.once.Do(func() { close(b.closed) })
+	return nil
+}
+
+// TestSubscriberEndsReadsItsTransportCannotCancel: the subscriber reads
+// on the goroutine that runs it, so a Read blocked on a stream must be
+// ended by closing the body — by Bounce (the attempt's context) and by
+// the heartbeat watchdog — whatever the RoundTripper does with the
+// request's context.
+func TestSubscriberEndsReadsItsTransportCannotCancel(t *testing.T) {
+	run := func(t *testing.T, heartbeat time.Duration) (*Subscriber, *blockingTransport, chan error) {
+		tr := &blockingTransport{}
+		ended := make(chan error, 1)
+		sub, err := NewSubscriber(SubscriberConfig{
+			URL:     "http://upstream.invalid/events",
+			Client:  &http.Client{Transport: tr},
+			OnEvent: func(Event) {},
+			OnDisconnect: func(err error) {
+				select {
+				case ended <- err:
+				default: // the test reads the first end; Run must never block here
+				}
+			},
+			BackoffMin:       time.Millisecond,
+			BackoffMax:       5 * time.Millisecond,
+			HeartbeatTimeout: heartbeat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() { sub.Run(ctx); close(done) }()
+		t.Cleanup(func() {
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Error("Run did not return after its context was cancelled")
+			}
+		})
+		return sub, tr, ended
+	}
+	nextEnd := func(t *testing.T, ended chan error) error {
+		t.Helper()
+		select {
+		case err := <-ended:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("the stream never ended")
+			return nil
+		}
+	}
+
+	t.Run("bounce", func(t *testing.T) {
+		sub, tr, ended := run(t, -1)
+		if !waitCond(t, 5*time.Second, func() bool { return sub.Stats().Connects == 1 }) {
+			t.Fatal("never connected")
+		}
+		sub.Bounce()
+		if err := nextEnd(t, ended); !errors.Is(err, context.Canceled) {
+			t.Errorf("bounced stream ended with %v, want context.Canceled", err)
+		}
+		if !waitCond(t, 5*time.Second, func() bool { return sub.Stats().Connects == 2 }) {
+			t.Fatalf("no reconnect after Bounce (attempts=%d)", tr.attempts.Load())
+		}
+		if st := sub.Stats(); st.Bounces != 1 || st.Disconnects != 1 {
+			t.Errorf("Bounces=%d Disconnects=%d, want 1 and 1", st.Bounces, st.Disconnects)
+		}
+	})
+
+	t.Run("silent", func(t *testing.T) {
+		_, _, ended := run(t, 20*time.Millisecond)
+		want := fmt.Sprintf("push: no frame within %v", 20*time.Millisecond)
+		if err := nextEnd(t, ended); err == nil || err.Error() != want {
+			t.Errorf("silent stream ended with %v, want %q", err, want)
+		}
+	})
 }

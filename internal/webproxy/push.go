@@ -106,41 +106,26 @@ func (p *Proxy) heldDigests() []push.HeldDigest {
 }
 
 // declaredInterest computes the interest set the subscriber declares on
-// its next (re)connect: the configured static prefixes, one first-path-
-// segment prefix per resident object, and the sticky union of every
-// downstream subscriber's own declaration. The closure runs per
+// its next (re)connect: the configured static prefixes, each resident
+// object's ring partition (push.PartitionName: its first path segment,
+// slash included, so "/news/" never drags in "/newsy"), and the sticky
+// union of every downstream subscriber's own declaration. Folding
+// siblings under one term keeps a large cache from exploding the
+// declaration past the term bounds — overflow would widen it to
+// match-all and forfeit filtering entirely. The closure runs per
 // connection attempt, so a bounce (see Bounce) is all it takes to
 // renegotiate. An empty result encodes as no query constraints — the
 // upstream delivers everything — so filtering fails open, never closed.
 func (p *Proxy) declaredInterest() push.InterestSet {
 	prefixes := append([]string(nil), p.cfg.PushPrefixes...)
 	for _, e := range p.store.all() {
-		prefixes = append(prefixes, residentPrefix(e.key))
+		prefixes = append(prefixes, push.PartitionName(e.key))
 	}
 	set := push.NewInterest(prefixes)
 	p.downMu.Lock()
 	down := p.downstream
 	p.downMu.Unlock()
 	return set.Union(down)
-}
-
-// residentPrefix maps a cache key to the interest prefix declared for
-// it: its first path segment (slash included, so "/news/" never drags
-// in "/newsy"). Folding siblings under one term keeps a large cache
-// from exploding the declaration past the term bounds — overflow would
-// widen it to match-all and forfeit filtering entirely. Query-bearing
-// keys declare their path part; such objects are unpushable anyway
-// (events are path-granular), so the term is only ever harmlessly wide.
-func residentPrefix(key string) string {
-	if len(key) > 1 && key[0] == '/' {
-		if i := strings.IndexByte(key[1:], '/'); i >= 0 {
-			return key[:i+2]
-		}
-	}
-	if i := strings.IndexByte(key, '?'); i >= 0 {
-		return key[:i]
-	}
-	return key
 }
 
 // noteDownstreamInterest folds a downstream subscriber's declared
@@ -178,10 +163,6 @@ func (p *Proxy) noteDownstreamInterest(is push.InterestSet) {
 // payload queued a moment earlier.
 func (p *Proxy) handlePushEvent(ev push.Event) {
 	p.pushEvents.Add(1)
-	// The seq store is deferred so the job is enqueued (and counted in
-	// InFlightPolls) before an observer waiting on PushStats().LastSeq
-	// can conclude the event was handled.
-	defer p.pushSeq.Store(ev.Seq)
 	if ev.Kind != push.KindUpdate || ev.Key == "" {
 		return
 	}
@@ -611,11 +592,11 @@ type PushStats struct {
 	// SkippedFrames counts oversized stream lines the subscriber
 	// dropped in place of dying and livelocking on reconnect replay.
 	SkippedFrames uint64 `metric:"counter broadway_push_skipped_frames_total" help:"Oversized or undecodable stream lines dropped in place."`
-	// LastSeq is the last fully processed stream position: the highest
-	// of the last event handled and the stream position heartbeats have
-	// advanced past frames the upstream withheld under this proxy's
-	// declared interest (a filtered frame is processed by definition —
-	// nobody here wanted it).
+	// LastSeq is the subscriber's stream position (Subscriber.LastSeq):
+	// the last event whose handler has returned, so its job is already
+	// counted in InFlightPolls, moved past frames the upstream withheld
+	// under this proxy's declared interest by heartbeats (a filtered
+	// frame is processed by definition — nobody here wanted it).
 	LastSeq uint64 `metric:"gauge broadway_push_last_seq" help:"Last fully processed stream position."`
 	// LastFrameAt is the wall-clock instant the last stream frame of
 	// any kind arrived (zero before the first); HeartbeatTimeout is the
@@ -644,20 +625,13 @@ func (p *Proxy) PushStats() PushStats {
 		DeltaBaseMisses: p.pushDeltaBaseMiss.Load(),
 		DeltaRebased:    p.pushDeltaRebased.Load(),
 		DiskApplied:     p.pushDiskApplied.Load(),
-		LastSeq:         p.pushSeq.Load(),
 	}
 	if p.sub != nil {
 		ss := p.sub.Stats()
 		st.Connects, st.Bounces, st.Resets, st.SkippedFrames = ss.Connects, ss.Bounces, ss.Resets, ss.SkippedFrames
 		st.ChunksAssembled, st.ChunksBroken, st.LastFrameAt = ss.ChunksAssembled, ss.ChunksBroken, ss.LastFrameAt
 		st.HeartbeatTimeout = p.sub.HeartbeatTimeout()
-		// An event's seq is stored after its poll is enqueued, and the
-		// subscriber advances only after the handler returns, so taking
-		// the max preserves the quiescence invariant "LastSeq advances
-		// only once the matching work is in flight".
-		if ls := p.sub.LastSeq(); ls > st.LastSeq {
-			st.LastSeq = ls
-		}
+		st.LastSeq = p.sub.LastSeq()
 	}
 	return st
 }

@@ -39,7 +39,8 @@
 // group. An object that alone overflows MaxBytes is served uncached
 // (X-Cache: BYPASS). Upstream failures back off exponentially (capped at
 // the TTR upper bound) without disturbing the policy's learned TTR
-// state.
+// state; a hit on a copy whose last poll failed and whose last
+// validation is older than its Δ is served as X-Cache: STALE.
 //
 // The paper's proxy has one event — a validation arrives, the copy is
 // replaced, NextTTR and the §3.2 triggers run — and so does this one. A
@@ -573,7 +574,6 @@ type Proxy struct {
 	pushPolls     atomic.Uint64
 	pushDropped   atomic.Uint64
 	pushFallbacks atomic.Uint64
-	pushSeq       atomic.Uint64
 	// auditRefused holds the instant the upstream last refused an audit
 	// batch (nil: none since the last connect); auditSlots is the
 	// semaphore bounding the passes of batches in flight, one per poll
@@ -633,9 +633,10 @@ type Proxy struct {
 	// admissions are counted on the (cold) admission/eviction paths
 	// only; the hit path stays free of shared counters so it gains no
 	// contended cache line (per-entry hits are summed on demand).
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	cappedN   atomic.Uint64
+	misses      atomic.Uint64
+	evictions   atomic.Uint64
+	cappedN     atomic.Uint64
+	staleServes atomic.Uint64
 	// polls counts successful refresh polls by what demanded them,
 	// indexed by pollKind.
 	polls [pollKinds]atomic.Uint64
@@ -934,7 +935,16 @@ func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cac
 	contentType := e.contentType.String()
 	cacheControl := e.cacheControl.String()
 	lastMod, hasLastMod := e.lastModified()
+	// A copy whose last poll failed and whose last validation is older
+	// than its Δ is past its bound: served, but labelled. A failed poll
+	// leaves the key unleased (see deferRetry), so Δ is its bound; the
+	// clock is read only then, so a healthy hit pays nothing.
+	stale := cacheStatus == "HIT" && e.failures > 0 && p.cfg.Clock().Sub(e.validatedAt) > e.delta
 	e.mu.RUnlock()
+	if stale {
+		cacheStatus = "STALE"
+		p.staleServes.Add(1)
+	}
 	if hasLastMod {
 		if ims := r.Header.Get("If-Modified-Since"); ims != "" {
 			if since, err := http.ParseTime(ims); err == nil && !lastMod.After(since) {
@@ -1553,6 +1563,10 @@ type CacheStats struct {
 	// Capped counts admissions refused residency: single objects larger
 	// than MaxBytes, served uncached.
 	Capped uint64 `metric:"counter broadway_cache_capped_total" help:"Admissions refused residency at capacity."`
+	// StaleServes counts hits served as X-Cache: STALE: the copy's last
+	// poll failed and its last validation is older than its Δ, so the
+	// bound no longer holds for it. They are also Hits.
+	StaleServes uint64 `metric:"counter broadway_cache_stale_serves_total" help:"Hits served as X-Cache: STALE, past their bound after a failed poll."`
 	// ResidentObjects and ResidentBytes are the current store footprint.
 	ResidentObjects int   `metric:"gauge broadway_cache_resident_objects" help:"Currently cached objects."`
 	ResidentBytes   int64 `metric:"gauge broadway_cache_resident_bytes" help:"Approximate resident bytes of cached objects."`
@@ -1591,6 +1605,7 @@ func (p *Proxy) CacheStats() CacheStats {
 		Misses:          p.misses.Load(),
 		Evictions:       p.evictions.Load(),
 		Capped:          p.cappedN.Load(),
+		StaleServes:     p.staleServes.Load(),
 		ResidentObjects: p.store.len(),
 		ResidentBytes:   p.store.residentBytes(),
 		RegularPolls:    p.polls[pollRegular].Load(),

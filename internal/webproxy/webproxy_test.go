@@ -139,14 +139,52 @@ func TestUpstreamFailureRecovery(t *testing.T) {
 	h.leaf().get("/page")
 
 	// Cut the origin off, then verify the proxy keeps serving the stale
-	// copy through refreshes that fail.
+	// copy through refreshes that fail, labelled as past its Δ.
 	h.leaf().up.cut()
 	h.advance(h.leaf().cfg.Bounds.Max)
-	if _, body, hdr := h.leaf().get("/page"); body != "v1" || hdr.Get("X-Cache") != "HIT" {
+	if _, body, hdr := h.leaf().get("/page"); body != "v1" || hdr.Get("X-Cache") != "STALE" {
 		t.Errorf("stale serving failed: body=%q X-Cache=%q", body, hdr.Get("X-Cache"))
 	}
 	if h.leaf().UpstreamStatus().Errors == 0 {
 		t.Error("no refresh failed against the dead origin")
+	}
+}
+
+// TestCopyPastItsBoundServedStale: a resident whose polls fail is
+// served, but labelled STALE once its last validation is older than its
+// Δ — a copy past its bound must say so — and HIT again once a poll
+// succeeds.
+func TestCopyPastItsBoundServedStale(t *testing.T) {
+	h := newHarness(t, topology{cfg: Config{
+		Bounds: core.TTRBounds{Min: 2 * time.Second, Max: 8 * time.Second},
+	}})
+	px := h.leaf()
+	h.origin.Set("/page", []byte("v1"), "")
+	h.origin.SetTolerances("/page", httpx.Tolerances{Delta: 2 * time.Second})
+	px.get("/page")
+	if _, _, hdr := px.get("/page"); hdr.Get("X-Cache") != "HIT" {
+		t.Fatalf("validated copy served %q, want HIT", hdr.Get("X-Cache"))
+	}
+
+	px.up.fail("/page", true)
+	h.advance(5 * time.Minute)
+	code, body, hdr := px.get("/page")
+	if code != http.StatusOK || body != "v1" || hdr.Get("X-Cache") != "STALE" {
+		t.Errorf("copy 5 min past its last validation: %d %q X-Cache=%q, want 200 \"v1\" STALE",
+			code, body, hdr.Get("X-Cache"))
+	}
+	if n := px.CacheStats().StaleServes; n != 1 {
+		t.Errorf("StaleServes = %d, want 1", n)
+	}
+
+	// The longest retry delay is Bounds.Max: within it a poll succeeds.
+	px.up.fail("/page", false)
+	h.advance(8 * time.Second)
+	if _, _, hdr := px.get("/page"); hdr.Get("X-Cache") != "HIT" {
+		t.Errorf("copy revalidated after the upstream recovered served %q, want HIT", hdr.Get("X-Cache"))
+	}
+	if n := px.CacheStats().StaleServes; n != 1 {
+		t.Errorf("StaleServes = %d after a HIT, want still 1", n)
 	}
 }
 
