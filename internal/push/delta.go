@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net/http"
+	"strings"
 )
 
 // Delta codec. A frame can carry the object's new body as a delta
@@ -50,6 +52,85 @@ const (
 
 // ErrBadDelta reports a malformed or hostile delta stream.
 var ErrBadDelta = errors.New("push: bad delta")
+
+// Delta-encoded GET, in the form of RFC 3229. A client that holds the
+// body of the version its If-Modified-Since names asks for the change
+// instead of the whole body:
+//
+//	A-IM: x-broadway-block
+//
+// An upstream that holds the delta from exactly that version may answer
+//
+//	226 IM Used
+//	IM: x-broadway-block
+//	Delta-Base: "<DigestOf(base)>"
+//	ETag: "<DigestOf(result)>"
+//
+// with the DeltaCodecBlock delta as the body, beside every header its 200
+// would carry. Any other answer is the plain conditional GET's. The
+// client installs the result only if Delta-Base names the body it holds
+// and the result's digest is the ETag (see ApplyDeltaAnswer).
+const (
+	HeaderAIM       = "A-IM"
+	HeaderIM        = "IM"
+	HeaderDeltaBase = "Delta-Base"
+	// DeltaIM is the instance-manipulation token naming DeltaCodecBlock.
+	DeltaIM = "x-broadway-block"
+)
+
+// AcceptsDeltaIM reports whether a request's A-IM lists DeltaIM.
+func AcceptsDeltaIM(h http.Header) bool {
+	for _, v := range h.Values(HeaderAIM) {
+		for _, tok := range strings.Split(v, ",") {
+			tok, _, _ = strings.Cut(tok, ";")
+			if strings.EqualFold(strings.TrimSpace(tok), DeltaIM) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// SetDeltaHeaders writes a 226 answer's IM, Delta-Base and ETag.
+func SetDeltaHeaders(h http.Header, baseDigest, resultDigest string) {
+	h.Set(HeaderIM, DeltaIM)
+	h.Set(HeaderDeltaBase, `"`+baseDigest+`"`)
+	h.Set("ETag", `"`+resultDigest+`"`)
+}
+
+// ApplyDeltaAnswer rebuilds the body a 226 answer with headers h carries
+// as delta against base. It fails unless h names DeltaIM, its
+// Delta-Base is base's digest and the rebuilt body's digest is its ETag,
+// so a body it returns is the one the upstream hashed. The body is
+// bounded by MaxAssembledBody.
+func ApplyDeltaAnswer(h http.Header, base, delta []byte) ([]byte, error) {
+	if !strings.EqualFold(strings.TrimSpace(h.Get(HeaderIM)), DeltaIM) {
+		return nil, fmt.Errorf("%w: IM %q", ErrBadDelta, h.Get(HeaderIM))
+	}
+	if d, ok := unquote(h.Get(HeaderDeltaBase)); !ok || d != DigestOf(base) {
+		return nil, fmt.Errorf("%w: Delta-Base %q is not the held body", ErrBadDelta, h.Get(HeaderDeltaBase))
+	}
+	want, ok := unquote(h.Get("ETag"))
+	if !ok {
+		return nil, fmt.Errorf("%w: ETag %q", ErrBadDelta, h.Get("ETag"))
+	}
+	body, err := ApplyDelta(DeltaCodecBlock, base, delta, MaxAssembledBody)
+	if err != nil {
+		return nil, err
+	}
+	if DigestOf(body) != want {
+		return nil, fmt.Errorf("%w: result does not match ETag %q", ErrBadDelta, want)
+	}
+	return body, nil
+}
+
+// unquote strips the double quotes around a non-empty quoted string.
+func unquote(s string) (string, bool) {
+	if len(s) < 3 || s[0] != '"' || s[len(s)-1] != '"' {
+		return "", false
+	}
+	return s[1 : len(s)-1], true
+}
 
 // MakeDelta encodes target as a delta against base, reporting ok=false
 // when no delta smaller than the target exists (callers then send the

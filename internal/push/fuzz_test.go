@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"net/http"
 	"net/url"
 	"strings"
 	"testing"
@@ -216,6 +217,43 @@ func FuzzDeltaApply(f *testing.F) {
 						err, len(got), len(pair[1]))
 				}
 			}
+		}
+	})
+}
+
+// FuzzDeltaResponse hammers the 226 answer a delta-encoded GET gets:
+// arbitrary IM, Delta-Base and ETag headers and delta bytes against one
+// fixed base. ApplyDeltaAnswer must never panic, and a body it returns
+// must hash to the ETag and come from a Delta-Base naming the base: a
+// proxy installs nothing the upstream did not hash.
+func FuzzDeltaResponse(f *testing.F) {
+	base := bytes.Repeat([]byte("the held body, one version behind. "), 32)
+	target := append(append([]byte(nil), base[:300]...), "an edit"...)
+	target = append(target, base[300:]...)
+	delta, ok := MakeDelta(base, target)
+	if !ok {
+		f.Fatal("seed delta does not pay")
+	}
+	q := func(s string) string { return `"` + s + `"` }
+	f.Add(DeltaIM, q(DigestOf(base)), q(DigestOf(target)), delta)
+	f.Add(DeltaIM, q(DigestOf(base)), q(DigestOf(target)), delta[:len(delta)-1])
+	f.Add("X-Broadway-Block ", q(DigestOf(base)), q(DigestOf(base)), []byte{0x02, 0x00, 0x10})
+	f.Add(DeltaIM, DigestOf(base), q(DigestOf(target)), delta)
+	f.Add("gzip", `""`, `"`, []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, im, deltaBase, etag string, delta []byte) {
+		h := http.Header{}
+		h.Set(HeaderIM, im)
+		h.Set(HeaderDeltaBase, deltaBase)
+		h.Set("ETag", etag)
+		body, err := ApplyDeltaAnswer(h, base, delta)
+		if err != nil {
+			return
+		}
+		if got := q(DigestOf(body)); got != h.Get("ETag") {
+			t.Fatalf("returned a body hashing to %s under ETag %q", got, h.Get("ETag"))
+		}
+		if h.Get(HeaderDeltaBase) != q(DigestOf(base)) {
+			t.Fatalf("applied against Delta-Base %q, not the held body", h.Get(HeaderDeltaBase))
 		}
 	})
 }

@@ -1,0 +1,352 @@
+package webproxy
+
+// Tests for delta-encoded polls (see fetchUpstream): a conditional GET
+// from a copy that holds the origin's previous version is answered 226
+// with the change, verified against the held body and the result's
+// digest before anything is installed; every answer that does not
+// verify costs exactly one unconditional GET. Also the admission half of
+// passing on what the origin said: a 404 or 410 reaches the client as
+// received.
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"broadway/internal/push"
+	"broadway/internal/webserver"
+)
+
+// revision is a 1 KiB body whose rev-th revision differs from the
+// previous one in a few bytes near the middle, as a small edit would.
+func revision(rev int) []byte {
+	b := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 24)[:1024]
+	copy(b[500:], fmt.Sprintf("[revision %04d]", rev))
+	return b
+}
+
+// deltaTopology is a pull-only proxy under the stock origin with the
+// history extension, the origin wrapped by wrap when set.
+func deltaTopology(wrap func(http.Handler) http.Handler) topology {
+	return topology{origin: []webserver.Option{webserver.WithHistoryExtension(true)}, wrap: wrap}
+}
+
+// pollOnce steps the clock to px's next refresh and runs it.
+func pollOnce(t *testing.T, h *harness, px *node) {
+	t.Helper()
+	at, ok := px.NextRefreshAt()
+	if !ok {
+		t.Fatal("nothing scheduled")
+	}
+	h.stepTo(at)
+	h.quiesce()
+}
+
+// TestDeltaPollOneUpdate: one update between polls is answered 226, the
+// installed body is the origin's, and the version the proxy builds from
+// the 226 is the one it builds from the 200 to the same request without
+// A-IM — the LIMD observation cannot tell them apart.
+func TestDeltaPollOneUpdate(t *testing.T) {
+	h := newHarness(t, deltaTopology(nil))
+	px := h.leaf()
+	h.origin.Set("/doc", revision(0), "text/plain")
+	px.get("/doc")
+	h.advance(2 * time.Second)
+	h.origin.Set("/doc", revision(1), "text/plain")
+
+	e := px.lookup("/doc")
+	e.mu.RLock()
+	since, base := e.since(), e.body
+	e.mu.RUnlock()
+	viaDelta, err := px.fetch("/doc", since, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := px.fetch("/doc", since, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !viaDelta.modified || !bytes.Equal(viaDelta.body, whole.body) || !viaDelta.lastMod.Equal(whole.lastMod) ||
+		viaDelta.hasLastMod != whole.hasLastMod || !slices.EqualFunc(viaDelta.history, whole.history, time.Time.Equal) ||
+		len(viaDelta.history) != 1 || viaDelta.contentType != whole.contentType || viaDelta.cacheControl != whole.cacheControl {
+		t.Fatalf("226 version %+v differs from the 200's %+v", *viaDelta, *whole)
+	}
+
+	px.observed("/doc")
+	before := px.up.bytes.Load()
+	pollOnce(t, h, px)
+	if got, _ := px.CachedBody("/doc"); !bytes.Equal(got, revision(1)) {
+		t.Errorf("installed %q, want revision 1", got)
+	}
+	obs := px.observed("/doc")
+	if len(obs) != 1 || !obs[0].Modified {
+		t.Errorf("observations %+v, want one modified poll", obs)
+	}
+	cs := px.CacheStats()
+	if cs.DeltaPolls != 2 || cs.DeltaFallbacks != 0 {
+		t.Errorf("delta polls %d, fallbacks %d; want 2 and 0", cs.DeltaPolls, cs.DeltaFallbacks)
+	}
+	if n := h.origin.Stats().DeltaServes; n != 2 {
+		t.Errorf("origin delta serves %d, want 2", n)
+	}
+	if moved := px.up.bytes.Load() - before; moved >= int64(len(revision(1)))/4 {
+		t.Errorf("the delta poll moved %d bytes for a %d-byte body", moved, len(revision(1)))
+	}
+	e.mu.RLock()
+	lm, _ := e.lastModified()
+	e.mu.RUnlock()
+	if !lm.Equal(whole.lastMod) {
+		t.Errorf("entry Last-Modified %v, want %v", lm, whole.lastMod)
+	}
+}
+
+// TestDeltaPollTwoUpdates: two updates between polls leave the copy two
+// versions behind, which no delta the origin keeps starts from: a 200.
+func TestDeltaPollTwoUpdates(t *testing.T) {
+	h := newHarness(t, deltaTopology(nil))
+	px := h.leaf()
+	h.origin.Set("/doc", revision(0), "text/plain")
+	px.get("/doc")
+	h.advance(2 * time.Second)
+	h.origin.Set("/doc", revision(1), "text/plain")
+	h.origin.Set("/doc", revision(2), "text/plain")
+	px.observed("/doc")
+	pollOnce(t, h, px)
+	if got, _ := px.CachedBody("/doc"); !bytes.Equal(got, revision(2)) {
+		t.Errorf("installed %q, want revision 2", got)
+	}
+	if obs := px.observed("/doc"); len(obs) != 1 || !obs[0].Modified {
+		t.Errorf("observations %+v, want one modified poll", obs)
+	}
+	if cs := px.CacheStats(); cs.DeltaPolls != 0 || cs.DeltaFallbacks != 0 {
+		t.Errorf("delta polls %d, fallbacks %d; want none", cs.DeltaPolls, cs.DeltaFallbacks)
+	}
+}
+
+// TestDeltaPromotionFromDisk: a demoted record one version behind is
+// promoted by a 226 against the body on disk.
+func TestDeltaPromotionFromDisk(t *testing.T) {
+	tp := deltaTopology(nil)
+	tp.cfg = Config{MaxObjects: 1, Bounds: noRefreshBounds, DefaultDelta: time.Hour, DiskDir: t.TempDir()}
+	h := newHarness(t, tp)
+	px := h.leaf()
+	h.origin.Set("/a", revision(0), "text/plain")
+	h.origin.Set("/b", revision(0), "text/plain")
+	px.get("/a")
+	px.FlushDisk()
+	px.get("/b") // demotes /a
+	px.FlushDisk()
+	if px.lookup("/a") != nil {
+		t.Fatal("/a still resident")
+	}
+	h.origin.Set("/a", revision(1), "text/plain")
+
+	code, body, _ := px.get("/a")
+	if code != http.StatusOK || body != string(revision(1)) {
+		t.Fatalf("promotion served %d %q, want revision 1", code, body)
+	}
+	if ds := px.DiskStats(); ds.Promotions != 1 {
+		t.Errorf("%d promotions, want 1", ds.Promotions)
+	}
+	if cs := px.CacheStats(); cs.DeltaPolls != 1 || cs.DeltaFallbacks != 0 {
+		t.Errorf("delta polls %d, fallbacks %d; want 1 and 0", cs.DeltaPolls, cs.DeltaFallbacks)
+	}
+}
+
+// TestProxyUpstreamNeverAnswersDelta: a proxy serving children ignores
+// A-IM, so a leaf under a root polls it as before and its 226s come only
+// from the origin, to the root.
+func TestProxyUpstreamNeverAnswersDelta(t *testing.T) {
+	tp := deltaTopology(nil)
+	tp.hops = 2
+	h := newHarness(t, tp)
+	root, leaf := h.root(), h.leaf()
+	h.origin.Set("/doc", revision(0), "text/plain")
+	leaf.get("/doc")
+	e := root.lookup("/doc")
+	e.mu.RLock()
+	since := e.since()
+	e.mu.RUnlock()
+	h.advance(2 * time.Second)
+	h.origin.Set("/doc", revision(1), "text/plain")
+	h.advance(time.Minute)
+
+	if got, _ := leaf.CachedBody("/doc"); !bytes.Equal(got, revision(1)) {
+		t.Fatalf("leaf holds %q, want revision 1", got)
+	}
+	if n := root.CacheStats().DeltaPolls; n != 1 {
+		t.Errorf("root delta polls %d, want 1", n)
+	}
+	if cs := leaf.CacheStats(); cs.DeltaPolls != 0 || cs.DeltaFallbacks != 0 {
+		t.Errorf("leaf delta polls %d, fallbacks %d; want none", cs.DeltaPolls, cs.DeltaFallbacks)
+	}
+	r := httptest.NewRequest(http.MethodGet, "/doc", nil)
+	r.Header.Set("If-Modified-Since", since.Format(http.TimeFormat))
+	r.Header.Set(push.HeaderAIM, push.DeltaIM)
+	if code, body, hdr := root.do(r); code != http.StatusOK || body != string(revision(1)) || hdr.Get(push.HeaderIM) != "" {
+		t.Errorf("root answered A-IM with %d, IM %q, %d bytes; want a plain 200", code, hdr.Get(push.HeaderIM), len(body))
+	}
+}
+
+// tamper wraps an upstream: fn sees each reply the upstream built for a
+// request and the request's headers, and returns the reply to send.
+func tamper(fn func(req http.Header, code int, h http.Header, body []byte) (int, []byte)) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, r)
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			code, body := fn(r.Header, rec.Code, w.Header(), rec.Body.Bytes())
+			w.WriteHeader(code)
+			w.Write(body)
+		})
+	}
+}
+
+// TestDeltaAnswersThatDoNotVerifyFallBack: every 226 that does not
+// verify — a Delta-Base that is not the held body, an ETag the result
+// does not hash to, a delta that does not decode, a 226 to a request
+// that did not ask for one — ends in exactly one unconditional GET whose
+// body, the origin's, is installed, and one counted fallback.
+func TestDeltaAnswersThatDoNotVerifyFallBack(t *testing.T) {
+	rewrite := func(edit func(h http.Header, body []byte) []byte) func(http.Header, int, http.Header, []byte) (int, []byte) {
+		return func(_ http.Header, code int, h http.Header, body []byte) (int, []byte) {
+			if code == http.StatusIMUsed {
+				body = edit(h, body)
+			}
+			return code, body
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		fn    func(http.Header, int, http.Header, []byte) (int, []byte)
+		admit bool // the hostile answer is the admission's
+	}{
+		{name: "wrong Delta-Base", fn: rewrite(func(h http.Header, body []byte) []byte {
+			h.Set(push.HeaderDeltaBase, `"0123456789abcdef"`)
+			return body
+		})},
+		{name: "wrong ETag", fn: rewrite(func(h http.Header, body []byte) []byte {
+			h.Set("ETag", `"0123456789abcdef"`)
+			return body
+		})},
+		{name: "undecodable delta", fn: rewrite(func(h http.Header, body []byte) []byte {
+			return []byte{0x7f, 0x01}
+		})},
+		{name: "226 not asked for", admit: true, fn: func() func(http.Header, int, http.Header, []byte) (int, []byte) {
+			var once sync.Once
+			return func(req http.Header, code int, h http.Header, body []byte) (int, []byte) {
+				if req.Get(push.HeaderAIM) != "" {
+					return code, body
+				}
+				once.Do(func() {
+					// A delta from the empty body that builds the true body,
+					// with headers that verify against it: refused only
+					// because nobody asked.
+					push.SetDeltaHeaders(h, push.DigestOf(nil), push.DigestOf(body))
+					code, body = http.StatusIMUsed, append(binary.AppendUvarint([]byte{0x01}, uint64(len(body))), body...)
+				})
+				return code, body
+			}
+		}()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			var seen []http.Header
+			h := newHarness(t, deltaTopology(tamper(func(req http.Header, code int, hdr http.Header, body []byte) (int, []byte) {
+				mu.Lock()
+				seen = append(seen, req.Clone())
+				mu.Unlock()
+				return tc.fn(req, code, hdr, body)
+			})))
+			px := h.leaf()
+			h.origin.Set("/doc", revision(0), "text/plain")
+			if tc.admit {
+				if code, body, _ := px.get("/doc"); code != http.StatusOK || body != string(revision(0)) {
+					t.Fatalf("admission served %d %q", code, body)
+				}
+			} else {
+				px.get("/doc")
+				h.advance(2 * time.Second)
+				h.origin.Set("/doc", revision(1), "text/plain")
+				mu.Lock()
+				seen = nil
+				mu.Unlock()
+				pollOnce(t, h, px)
+			}
+			want := revision(0)
+			if !tc.admit {
+				want = revision(1)
+			}
+			if got, _ := px.CachedBody("/doc"); !bytes.Equal(got, want) {
+				t.Errorf("installed %q, want %q", got, want)
+			}
+			if cs := px.CacheStats(); cs.DeltaFallbacks != 1 || cs.DeltaPolls != 0 {
+				t.Errorf("delta fallbacks %d, polls %d; want 1 and 0", cs.DeltaFallbacks, cs.DeltaPolls)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != 2 {
+				t.Fatalf("%d requests, want the answered one and one unconditional GET", len(seen))
+			}
+			if last := seen[1]; last.Get("If-Modified-Since") != "" || last.Get(push.HeaderAIM) != "" {
+				t.Errorf("fallback GET carried If-Modified-Since %q, A-IM %q; want neither",
+					last.Get("If-Modified-Since"), last.Get(push.HeaderAIM))
+			}
+			if n := px.UpstreamStatus().Errors; n != 0 {
+				t.Errorf("%d upstream errors, want none", n)
+			}
+		})
+	}
+}
+
+// TestOriginMissingObjectReachesClient: an origin 404 or 410 on
+// admission reaches the client as received, is not stored, and is no
+// upstream error: the origin answered.
+func TestOriginMissingObjectReachesClient(t *testing.T) {
+	h := newHarness(t, topology{wrap: func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/gone" {
+				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+				w.WriteHeader(http.StatusGone)
+				w.Write([]byte("retired\n"))
+				return
+			}
+			next.ServeHTTP(w, r)
+		})
+	}})
+	px := h.leaf()
+	for _, tc := range []struct {
+		path string
+		code int
+		body string
+	}{
+		{"/missing", http.StatusNotFound, "404 page not found\n"},
+		{"/gone", http.StatusGone, "retired\n"},
+	} {
+		for i := 0; i < 2; i++ {
+			code, body, hdr := px.get(tc.path)
+			if code != tc.code || body != tc.body || !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain") {
+				t.Errorf("GET %s = %d %q (%s), want %d %q", tc.path, code, body, hdr.Get("Content-Type"), tc.code, tc.body)
+			}
+		}
+		if n := px.up.requestsFor(tc.path); n != 2 {
+			t.Errorf("%s reached the origin %d times, want 2: nothing is stored", tc.path, n)
+		}
+	}
+	if n := px.Len(); n != 0 {
+		t.Errorf("%d objects resident, want none", n)
+	}
+	if n := px.UpstreamStatus().Errors; n != 0 {
+		t.Errorf("%d upstream errors, want none", n)
+	}
+}

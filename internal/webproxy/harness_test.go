@@ -784,6 +784,9 @@ type topology struct {
 	origin []webserver.Option
 	// handler, when set, replaces the stock origin.
 	handler http.Handler
+	// wrap, when set, wraps the origin (stock or handler): the root's
+	// link reaches what it returns.
+	wrap func(http.Handler) http.Handler
 	// hub, when set, serves the origin's /events: the test announces
 	// updates itself.
 	hub *push.Hub
@@ -829,6 +832,9 @@ func newHarness(t testing.TB, tp topology) *harness {
 		}
 		h.origin = webserver.NewOrigin(opts...)
 		h.top = h.origin
+	}
+	if tp.wrap != nil {
+		h.top = tp.wrap(h.top)
 	}
 	h.refusing.Store(tp.refuseAudits)
 	if tp.hub != nil || tp.refuseAudits {

@@ -348,11 +348,17 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 		}
 		return
 	}
+	// A copy with a Last-Modified holds the body that instant names: the
+	// base of a delta-encoded answer.
 	e.mu.RLock()
 	since := e.since()
+	var base []byte
+	if e.hasLastMod {
+		base = e.body
+	}
 	e.mu.RUnlock()
 
-	v, err := p.fetch(e.key, since)
+	v, err := p.fetch(e.key, since, base)
 	if err != nil {
 		p.deferRetry(e, p.cfg.Clock(), kind)
 		if kind == pollPushed {

@@ -637,6 +637,11 @@ type Proxy struct {
 	evictions   atomic.Uint64
 	cappedN     atomic.Uint64
 	staleServes atomic.Uint64
+	// deltaPolls counts upstream GETs answered by a verified delta;
+	// deltaFallbacks counts 226 answers refused, each followed by one
+	// unconditional GET (see fetchUpstream).
+	deltaPolls     atomic.Uint64
+	deltaFallbacks atomic.Uint64
 	// polls counts successful refresh polls by what demanded them,
 	// indexed by pollKind.
 	polls [pollKinds]atomic.Uint64
@@ -901,6 +906,20 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.misses.Add(1)
 	v, err, _ := p.flight.Do(key, func() (any, error) { return p.admit(key) })
 	if err != nil {
+		var gone *originAnswer
+		if errors.As(err, &gone) {
+			// The origin says the object is not there: the client hears it
+			// as the origin said it, and nothing is stored.
+			if gone.contentType != "" {
+				w.Header().Set("Content-Type", gone.contentType)
+			}
+			w.Header().Set("X-Cache", "MISS")
+			w.WriteHeader(gone.code)
+			if r.Method == http.MethodGet {
+				w.Write(gone.body)
+			}
+			return
+		}
 		// The raw error names upstream hosts and transport details —
 		// operator data, not client data. Clients get a generic 502;
 		// the detail is retained in UpstreamStatus for /healthz and
@@ -1016,8 +1035,14 @@ func (p *Proxy) admit(key string) (*entry, error) {
 	}
 	v := p.channelAnswer(key, rec)
 	if v == nil {
+		// A record with a Last-Modified holds the body that instant
+		// names: the base of a delta-encoded answer.
+		var base []byte
+		if rec != nil && rec.HasLastMod {
+			base = diskBody
+		}
 		var err error
-		if v, err = p.fetch(key, since); err != nil {
+		if v, err = p.fetch(key, since, base); err != nil {
 			return nil, err
 		}
 	}
@@ -1378,11 +1403,14 @@ func (p *Proxy) joinGroup(e *entry, group string, groupDelta time.Duration, valu
 // version it returns is validated at the response's arrival, as evidence
 // of the lease epoch the request was sent in: a response built before an
 // epoch began cannot speak for the updates the hole that ended the
-// previous one swallowed.
-func (p *Proxy) fetch(key string, since time.Time) (*version, error) {
+// previous one swallowed. base is the body since names, or nil (see
+// fetchUpstream). A 404 or 410 is the origin's answer about the object,
+// not a failed contact: it is returned as an *originAnswer and noted as
+// a success (see failure).
+func (p *Proxy) fetch(key string, since time.Time, base []byte) (*version, error) {
 	epoch := p.lease.epoch.Load()
-	v, err := p.fetchUpstream(key, since)
-	p.noteUpstream(err)
+	v, err := p.fetchUpstream(key, since, base)
+	p.noteUpstream(failure(err))
 	if err != nil {
 		return nil, err
 	}
@@ -1411,7 +1439,8 @@ func (p *Proxy) noteUpstream(err error) {
 // client-facing 502 body, for /healthz to surface to operators.
 type UpstreamStatus struct {
 	// Errors counts failed upstream requests (transport errors and
-	// non-200/304 statuses), across every fetch path.
+	// statuses other than 200, 226, 304, 404 and 410), across every
+	// fetch path.
 	Errors uint64 `metric:"counter broadway_upstream_errors_total" help:"Failed upstream fetches (all refresh and admission paths)."`
 	// LastError is the most recent failure's detail ("" before any).
 	LastError string `metric:"-"` // a label would explode cardinality
@@ -1434,12 +1463,62 @@ func (p *Proxy) UpstreamStatus() UpstreamStatus {
 	}
 }
 
+// originAnswer is a 404 or 410 from the upstream: the object is not
+// there. An admission passes it to the client as received.
+type originAnswer struct {
+	code        int
+	contentType string
+	body        []byte
+}
+
+func (a *originAnswer) Error() string {
+	return fmt.Sprintf("webproxy: origin answered %d %s", a.code, http.StatusText(a.code))
+}
+
+// failure is err as a failed contact: nil for an *originAnswer.
+func failure(err error) error {
+	if err == nil {
+		return nil
+	}
+	if gone := (*originAnswer)(nil); errors.As(err, &gone) {
+		return nil
+	}
+	return err
+}
+
+// errDeltaRefused reports a 226 answer that did not verify against the
+// base the request named, or that no request asked for.
+var errDeltaRefused = errors.New("webproxy: delta answer refused")
+
 // fetchUpstream performs a GET against the origin, conditional when
-// since is non-zero. key carries the canonical path-plus-query, which is
-// replayed onto the upstream URL. A 200 whose body exceeds
-// push.MaxAssembledBody, the largest body the channel can deliver too,
-// is an error.
-func (p *Proxy) fetchUpstream(key string, since time.Time) (*version, error) {
+// since is non-zero. base, when non-nil, is the body of the version since
+// names: the GET then asks for a delta (push.DeltaIM), and a 226 answer
+// is installed only as the body push.ApplyDeltaAnswer verified. A 226
+// that fails that, or that was not asked for, is counted and followed by
+// exactly one unconditional GET, whose answer stands; its history is cut
+// to the updates after since, as the conditional answer's would be.
+func (p *Proxy) fetchUpstream(key string, since time.Time, base []byte) (*version, error) {
+	v, err := p.get(key, since, base)
+	if !errors.Is(err, errDeltaRefused) {
+		return v, err
+	}
+	p.deltaFallbacks.Add(1)
+	if v, err = p.get(key, time.Time{}, nil); err != nil {
+		return nil, err
+	}
+	i := 0
+	for i < len(v.history) && !v.history[i].After(since) {
+		i++
+	}
+	v.history = v.history[i:]
+	return v, nil
+}
+
+// get sends one GET for key (see fetchUpstream). key carries the
+// canonical path-plus-query, which is replayed onto the upstream URL. A
+// body over push.MaxAssembledBody, the largest body the channel can
+// deliver too, is an error.
+func (p *Proxy) get(key string, since time.Time, base []byte) (*version, error) {
 	u := *p.cfg.Origin
 	escPath, rawQuery := key, ""
 	if i := strings.IndexByte(key, '?'); i >= 0 {
@@ -1462,6 +1541,9 @@ func (p *Proxy) fetchUpstream(key string, since time.Time) (*version, error) {
 	if !since.IsZero() {
 		req.Header.Set("If-Modified-Since", since.UTC().Format(http.TimeFormat))
 	}
+	if base != nil {
+		req.Header.Set(push.HeaderAIM, push.DeltaIM)
+	}
 	resp, err := p.cfg.Client.Do(req)
 	if err != nil {
 		return nil, err
@@ -1481,16 +1563,28 @@ func (p *Proxy) fetchUpstream(key string, since time.Time) (*version, error) {
 	switch resp.StatusCode {
 	case http.StatusNotModified:
 		return v, nil
-	case http.StatusOK:
-		body, err := readExact(resp.Body, push.MaxAssembledBody)
-		if err != nil {
-			return nil, err
-		}
-		v.body, v.modified = body, true
-		return v, nil
+	case http.StatusOK, http.StatusIMUsed, http.StatusNotFound, http.StatusGone:
 	default:
 		return nil, fmt.Errorf("webproxy: origin returned %s", resp.Status)
 	}
+	body, err := readExact(resp.Body, push.MaxAssembledBody)
+	if err != nil {
+		return nil, err
+	}
+	switch resp.StatusCode {
+	case http.StatusNotFound, http.StatusGone:
+		return nil, &originAnswer{code: resp.StatusCode, contentType: v.contentType, body: body}
+	case http.StatusIMUsed:
+		if base == nil {
+			return nil, errDeltaRefused
+		}
+		if body, err = push.ApplyDeltaAnswer(resp.Header, base, body); err != nil {
+			return nil, errDeltaRefused
+		}
+		p.deltaPolls.Add(1)
+	}
+	v.body, v.modified = body, true
+	return v, nil
 }
 
 // readExact reads r to its end into a slice whose capacity is its
@@ -1563,6 +1657,12 @@ type CacheStats struct {
 	// Capped counts admissions refused residency: single objects larger
 	// than MaxBytes, served uncached.
 	Capped uint64 `metric:"counter broadway_cache_capped_total" help:"Admissions refused residency at capacity."`
+	// DeltaPolls counts upstream GETs, polls and promotions, answered
+	// 226 with a delta that verified against the body held (see
+	// fetchUpstream); DeltaFallbacks counts 226 answers refused, each
+	// followed by one unconditional GET.
+	DeltaPolls     uint64 `metric:"counter broadway_cache_delta_polls_total" help:"Upstream GETs answered 226 with a delta that verified against the body held."`
+	DeltaFallbacks uint64 `metric:"counter broadway_cache_delta_fallbacks_total" help:"226 answers refused (unverified or unasked), each followed by one unconditional GET."`
 	// StaleServes counts hits served as X-Cache: STALE: the copy's last
 	// poll failed and its last validation is older than its Δ, so the
 	// bound no longer holds for it. They are also Hits.
@@ -1606,6 +1706,8 @@ func (p *Proxy) CacheStats() CacheStats {
 		Evictions:       p.evictions.Load(),
 		Capped:          p.cappedN.Load(),
 		StaleServes:     p.staleServes.Load(),
+		DeltaPolls:      p.deltaPolls.Load(),
+		DeltaFallbacks:  p.deltaFallbacks.Load(),
 		ResidentObjects: p.store.len(),
 		ResidentBytes:   p.store.residentBytes(),
 		RegularPolls:    p.polls[pollRegular].Load(),

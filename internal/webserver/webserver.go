@@ -5,6 +5,12 @@
 // X-Modification-History header and the cache-control tolerance
 // directives, so a downstream proxy can learn Δ, the group name, and δ
 // directly from responses.
+//
+// A GET that carries "A-IM: x-broadway-block" (push.DeltaIM) and whose
+// If-Modified-Since is the object's previous modification instant is
+// answered 226 IM Used with the delta from that version to the current
+// one (see push.ApplyDeltaAnswer), when the update left one that pays;
+// every other request is answered as a plain GET.
 package webserver
 
 import (
@@ -25,6 +31,26 @@ type object struct {
 	contentType string
 	modTimes    []time.Time // ascending; last entry is Last-Modified
 	tolerances  httpx.Tolerances
+	// change is body's delta from the body it replaced; nil for the
+	// first version and for an update no delta pays for.
+	change *change
+}
+
+// change is what one Set computes once for a 226 answer and its push
+// event alike: the new body's delta against the previous body, and both
+// bodies' digests.
+type change struct {
+	delta        []byte
+	base, result string
+}
+
+// diff returns next's change from prev, or nil when no delta pays.
+func diff(prev, next []byte) *change {
+	delta, ok := push.MakeDelta(prev, next)
+	if !ok {
+		return nil
+	}
+	return &change{delta: delta, base: push.DigestOf(prev), result: push.DigestOf(next)}
 }
 
 // Origin is an in-memory HTTP origin. It is safe for concurrent use.
@@ -37,6 +63,7 @@ type Origin struct {
 	polls          uint64
 	notModified    uint64
 	auditBatches   uint64
+	deltaServes    uint64
 
 	// Push-event channel (see events.go); nil unless WithPushEvents.
 	hub           *push.Hub
@@ -142,6 +169,7 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 	prev := obj.body
 	obj.body = append([]byte(nil), body...)
 	obj.contentType = contentType
+	obj.change = nil
 	// Guarantee strictly increasing modification times even when two
 	// updates land within the same second.
 	if n := len(obj.modTimes); n > 0 && !now.After(obj.modTimes[n-1]) {
@@ -154,6 +182,19 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 	published := obj.body
 	tol := obj.tolerances
 	o.mu.Unlock()
+
+	// The delta is computed off the lock and kept only while this version
+	// is still the current one; until then the object answers plain GETs.
+	var ch *change
+	if exists {
+		if ch = diff(prev, published); ch != nil {
+			o.mu.Lock()
+			if n := len(obj.modTimes); obj.modTimes[n-1].Equal(now) {
+				obj.change = ch
+			}
+			o.mu.Unlock()
+		}
+	}
 
 	if o.hub != nil {
 		ev := push.Event{
@@ -170,15 +211,17 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 			ev.HasBody = true
 			ev.ContentType = contentType
 			ev.CacheControl = tol.FormatCacheControl()
-			ev.Digest = push.DigestOf(published)
 			// Offer the update as a delta against the previous body too:
 			// subscribers that advertised holding it get the cheapest rung
 			// of the delivery ladder, everyone else still sees the full
 			// payload (the hub renders both forms once at Publish).
-			if delta, ok := push.MakeDelta(prev, published); ok {
-				ev.DeltaBody = delta
-				ev.BaseDigest = push.DigestOf(prev)
+			if ch != nil {
+				ev.Digest = ch.result
+				ev.DeltaBody = ch.delta
+				ev.BaseDigest = ch.base
 				ev.DeltaCodec = push.DeltaCodecBlock
+			} else {
+				ev.Digest = push.DigestOf(published)
 			}
 		}
 		o.hub.Publish(ev)
@@ -230,6 +273,8 @@ type OriginStats struct {
 	Polls        uint64 `metric:"counter broadway_origin_polls_total" help:"Conditional or plain GETs served for hosted objects."`
 	NotModified  uint64 `metric:"counter broadway_origin_not_modified_total" help:"304 responses served."`
 	AuditBatches uint64 `metric:"counter broadway_origin_audit_batches_total" help:"Audit batches answered; each key vouched for counts as a poll answered 304."`
+	// DeltaServes counts the polls among Polls answered 226 with a delta.
+	DeltaServes uint64 `metric:"counter broadway_origin_delta_serves_total" help:"Polls answered 226 IM Used with a delta from the version the client holds."`
 	// PushEnabled reports whether the invalidation channel is
 	// configured; Hub is its backpressure snapshot (zero when not).
 	PushEnabled bool          `metric:"gauge broadway_origin_push_enabled" help:"1 when the origin streams invalidation events."`
@@ -244,6 +289,7 @@ func (o *Origin) Stats() OriginStats {
 		Polls:        o.polls,
 		NotModified:  o.notModified,
 		AuditBatches: o.auditBatches,
+		DeltaServes:  o.deltaServes,
 	}
 	o.mu.RUnlock()
 	if o.hub != nil {
@@ -273,7 +319,8 @@ func (o *Origin) KillPushStreams() {
 }
 
 // ServeHTTP implements http.Handler with If-Modified-Since validation.
-// It answers audit batches on httpx.AuditPath, with or without push.
+// It answers audit batches on httpx.AuditPath, with or without push, and
+// a delta-encoded GET (see the package doc) with a 226.
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if httpx.IsAuditBatch(r) {
 		o.ServeAudits(w, r)
@@ -306,10 +353,20 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o.polls++
-	lastMod := obj.modTimes[len(obj.modTimes)-1]
+	n := len(obj.modTimes)
+	lastMod := obj.modTimes[n-1]
 	notModified := !since.IsZero() && !lastMod.After(since)
 	if notModified {
 		o.notModified++
+	}
+	// The change is from the previous version, whose instant no other
+	// version of the key shares: a client naming it holds that body.
+	ch := obj.change
+	if ch == nil || r.Method != http.MethodGet || notModified || !obj.modTimes[n-2].Equal(since) ||
+		!push.AcceptsDeltaIM(r.Header) {
+		ch = nil
+	} else {
+		o.deltaServes++
 	}
 	var history []time.Time
 	if o.historyEnabled {
@@ -328,6 +385,12 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", contentType)
+	if ch != nil {
+		push.SetDeltaHeaders(w.Header(), ch.base, ch.result)
+		w.WriteHeader(http.StatusIMUsed)
+		w.Write(ch.delta)
+		return
+	}
 	w.WriteHeader(http.StatusOK)
 	if r.Method == http.MethodGet {
 		w.Write(body)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"broadway/internal/httpx"
+	"broadway/internal/push"
 )
 
 // fakeClock is a manually advanced time source.
@@ -240,5 +241,65 @@ func TestServeAuditsAnswersAsGETsWould(t *testing.T) {
 				t.Errorf("a batch on the event path answered %d, want a 405 and no batch", rec.Code)
 			}
 		})
+	}
+}
+
+// TestDeltaAnswer: a GET asking for a delta (A-IM) from the previous
+// version is answered 226 with the change and every header its 200
+// carries; the change applies to the previous body. A GET without A-IM,
+// from an older version, a HEAD, and the first version are answered as
+// plain GETs.
+func TestDeltaAnswer(t *testing.T) {
+	clock := newFakeClock()
+	o := NewOrigin(WithClock(clock.Now), WithHistoryExtension(true))
+	v1 := bytes.Repeat([]byte("a body of some length, long enough to pay for a delta. "), 20)
+	v2 := append(append([]byte(nil), v1...), "and a new last line"...)
+	v3 := append(append([]byte(nil), v2...), " and another"...)
+	req := func(method, ims string, aim bool) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(method, "/obj", nil)
+		r.Header.Set("If-Modified-Since", ims)
+		if aim {
+			r.Header.Set(push.HeaderAIM, "gzip, "+push.DeltaIM)
+		}
+		rec := httptest.NewRecorder()
+		o.ServeHTTP(rec, r)
+		return rec
+	}
+	o.Set("/obj", v1, "")
+	lm1 := get(t, o, "/obj", "").Header().Get("Last-Modified")
+	if rec := req(http.MethodGet, "Mon, 06 Aug 2001 13:00:00 GMT", true); rec.Code != http.StatusOK {
+		t.Errorf("first version answered %d, want 200", rec.Code)
+	}
+
+	clock.Advance(time.Minute)
+	o.Set("/obj", v2, "")
+	rec := req(http.MethodGet, lm1, true)
+	if rec.Code != http.StatusIMUsed {
+		t.Fatalf("status = %d, want 226", rec.Code)
+	}
+	plain := req(http.MethodGet, lm1, false)
+	if plain.Code != http.StatusOK || !bytes.Equal(plain.Body.Bytes(), v2) {
+		t.Fatalf("GET without A-IM = %d, want 200 and the body", plain.Code)
+	}
+	for _, h := range []string{"Last-Modified", "Cache-Control", httpx.HeaderModificationHistory, "Content-Type"} {
+		if got, want := rec.Header().Get(h), plain.Header().Get(h); got != want {
+			t.Errorf("226 %s = %q, the 200 says %q", h, got, want)
+		}
+	}
+	body, err := push.ApplyDeltaAnswer(rec.Header(), v1, rec.Body.Bytes())
+	if err != nil || !bytes.Equal(body, v2) {
+		t.Errorf("the 226 does not rebuild the body: %v", err)
+	}
+	if head := req(http.MethodHead, lm1, true); head.Code != http.StatusOK || head.Body.Len() != 0 {
+		t.Errorf("HEAD answered %d with %d bytes, want a bare 200", head.Code, head.Body.Len())
+	}
+
+	clock.Advance(time.Minute)
+	o.Set("/obj", v3, "")
+	if rec := req(http.MethodGet, lm1, true); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), v3) {
+		t.Errorf("two versions behind answered %d, want 200 and the body", rec.Code)
+	}
+	if st := o.Stats(); st.DeltaServes != 1 || st.Polls != 6 {
+		t.Errorf("delta serves %d, polls %d; want 1 and 6", st.DeltaServes, st.Polls)
 	}
 }
