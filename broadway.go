@@ -68,13 +68,12 @@
 // proxy converts each event into an immediate job through the same
 // group-affinity workers, and regular TTR polls stretch toward the
 // upper bound while the channel is healthy — so consistency traffic
-// follows the origin's churn instead of the poll schedule. When the
-// origin publishes values (WithPushValues) the events carry the new body
-// itself — digest-verified, size-negotiated per stream — and the proxy
-// installs it with no confirmation poll at all: one message per update,
-// fleet-wide through relays, which carry the body a proxy installed even
-// when its own upstream sent none. An event without a body makes the
-// job poll. The channel is an optimization, never a
+// follows the origin's churn instead of the poll schedule. The events
+// carry the new body itself — digest-verified, chunked when it exceeds
+// one frame — and the proxy installs it with no confirmation poll at
+// all: one message per update, fleet-wide through relays, which carry
+// the body a proxy installed even when its own upstream sent none. An
+// event without a body (a degraded rung) makes the job poll. The channel is an optimization, never a
 // correctness dependency: a disconnect falls back to pure paper-mode
 // polling with a staleness-bounded catch-up sweep, so the Δt guarantee
 // never silently widens.
@@ -372,28 +371,26 @@ func WithHistoryExtension(enabled bool) WebOriginOption {
 	return webserver.WithHistoryExtension(enabled)
 }
 
-// WithPushEvents enables the origin-driven invalidation stream on a
-// WebOrigin at the given path ("" selects /events). Point
+// WithPushEvents enables the origin-driven update stream on a WebOrigin
+// at the given path ("" selects /events): each event carries the
+// object's new body (value-carrying push), so a subscribed WebProxy
+// installs it directly — digest-verified — with no confirmation poll;
+// a body over one frame's 64 KiB travels as a chunk set. Point
 // WebProxyConfig.PushURL at it for hybrid push–pull consistency.
 func WithPushEvents(path string) WebOriginOption {
 	return webserver.WithPushEvents(path)
 }
 
-// WithPushHeartbeat sets the invalidation stream's keepalive interval
+// WithPushHeartbeat sets the update stream's keepalive interval
 // (implies WithPushEvents at the default path).
 func WithPushHeartbeat(interval time.Duration) WebOriginOption {
 	return webserver.WithPushHeartbeat(interval)
 }
 
-// WithPushValues makes the origin's update events carry the object's
-// new body (value-carrying push): a subscribed WebProxy installs the
-// pushed body directly — digest-verified — with no confirmation poll;
-// without it the events announce updates only, and the proxy confirms
-// each one by polling. cap bounds the body size
-// one frame carries, in bytes (<= 0 selects the default cap); larger
-// bodies travel as chunk sets of cap-sized frames. A WebProxy asks for
-// payloads up to the default cap (64 KiB), so a stream to one carries
-// the smaller of the two. Implies WithPushEvents at the default path.
+// WithPushValues implies WithPushEvents at the default path.
+//
+// Deprecated: events always carry values (see WithPushEvents); cap is
+// ignored.
 func WithPushValues(cap int) WebOriginOption {
 	return webserver.WithPushValues(cap)
 }

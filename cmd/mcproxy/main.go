@@ -298,7 +298,6 @@ func startDemoOrigin(addr string) (*webserver.Origin, string, func(), error) {
 	origin := webserver.NewOrigin(
 		webserver.WithHistoryExtension(true),
 		webserver.WithPushHeartbeat(5*time.Second),
-		webserver.WithPushValues(0),
 	)
 
 	const group = "frontpage"

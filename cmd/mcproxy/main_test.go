@@ -256,8 +256,8 @@ func TestRunWithRelayServesEventStream(t *testing.T) {
 
 // TestRunWithPushValuesServesPayloadStream: with -push the whole chain
 // carries bodies — the demo origin publishes them, and a relay-enabled
-// proxy's own stream negotiates payload delivery (?maxpayload=) and
-// answers with a hello carrying the agreed cap.
+// proxy serves its own stream, which negotiates nothing: the hello is
+// the five core fields alone.
 func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -271,7 +271,7 @@ func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var frame string
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(fmt.Sprintf("http://%s/events?maxpayload=65536", addr))
+		resp, err := http.Get(fmt.Sprintf("http://%s/events", addr))
 		if err != nil {
 			time.Sleep(50 * time.Millisecond)
 			continue
@@ -282,9 +282,8 @@ func TestRunWithPushValuesServesPayloadStream(t *testing.T) {
 		frame = string(buf[:n])
 		break
 	}
-	// A payload-negotiated stream's hello echoes the negotiated cap.
-	if ev := firstEvent(t, frame); ev.Kind != push.KindHello || ev.PayloadCap != 65536 {
-		t.Fatalf("relay did not negotiate payload delivery: %q", frame)
+	if ev := firstEvent(t, frame); ev.Kind != push.KindHello || ev.Encode() != (push.Event{Kind: push.KindHello, Seq: ev.Seq}).Encode() {
+		t.Fatalf("relay did not open with a plain hello: %q", frame)
 	}
 	if err := stop(); err != nil {
 		t.Fatalf("run: %v", err)

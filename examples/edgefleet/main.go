@@ -73,7 +73,6 @@ func main() {
 	origin := broadway.NewWebOrigin(
 		broadway.WithHistoryExtension(true),
 		broadway.WithPushHeartbeat(250*time.Millisecond),
-		broadway.WithPushValues(0),
 	)
 	var paths []string
 	for s := 0; s < shards; s++ {

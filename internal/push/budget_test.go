@@ -84,7 +84,7 @@ func TestPublishAllocsIndependentOfFanout(t *testing.T) {
 		for i := range subs {
 			// No drain goroutines: nothing concurrent disturbs the
 			// allocation count; the idle cursors just fall behind.
-			_, sub, ok := h.subscribe(0, 0, InterestAll(), nil)
+			_, sub, ok := h.subscribe(0, InterestAll(), nil)
 			if !ok {
 				t.Fatal("subscribe failed")
 			}

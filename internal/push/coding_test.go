@@ -107,10 +107,10 @@ func payloadEvent(key string, seed int) Event {
 // and small control batches (the hello, a mid-stream Reset) alike — so
 // no batch waits in the reader's window for the next one.
 func TestGzipStreamDeliversEachBatch(t *testing.T) {
-	h := NewHub(HubConfig{Heartbeat: time.Hour, PayloadCap: DefaultPayloadCap})
+	h := NewHub(HubConfig{Heartbeat: time.Hour})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
-	resp := openStream(t, ts.URL+"?maxpayload=65536", "gzip")
+	resp := openStream(t, ts.URL, "gzip")
 	if ce := resp.Header.Get("Content-Encoding"); ce != "gzip" {
 		t.Fatalf("Content-Encoding = %q, want gzip", ce)
 	}
@@ -210,10 +210,10 @@ func TestGzipStreamEndsWellFormed(t *testing.T) {
 	}
 	for name, end := range ends {
 		t.Run(name, func(t *testing.T) {
-			h := NewHub(HubConfig{Heartbeat: time.Hour, PayloadCap: DefaultPayloadCap})
+			h := NewHub(HubConfig{Heartbeat: time.Hour})
 			ts := httptest.NewServer(h)
 			t.Cleanup(ts.Close)
-			resp := openStream(t, ts.URL+"?maxpayload=65536", "gzip")
+			resp := openStream(t, ts.URL, "gzip")
 			wire := &countingReader{r: resp.Body}
 			zr, err := gzip.NewReader(wire)
 			if err != nil {
@@ -355,7 +355,7 @@ func (c corruptingWriter) Unwrap() http.ResponseWriter { return c.ResponseWriter
 // subscriber resumes with ?since= at its last update, so every update is
 // applied exactly once, in order.
 func TestSubscriberReconnectsOnCorruptSegment(t *testing.T) {
-	h := NewHub(HubConfig{Heartbeat: time.Hour, PayloadCap: DefaultPayloadCap})
+	h := NewHub(HubConfig{Heartbeat: time.Hour})
 	var corrupt atomic.Bool
 	var mu sync.Mutex
 	var queries []string
@@ -371,7 +371,7 @@ func TestSubscriberReconnectsOnCorruptSegment(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 	sink := &hubSink{}
-	sub := startHubSubscriberCap(t, ts.URL, sink, DefaultPayloadCap)
+	sub := startHubSubscriber(t, ts.URL, sink)
 	count := func() (events, hellos int) {
 		e, hl, _ := sink.snapshot()
 		return len(e), len(hl)
@@ -480,7 +480,7 @@ func BenchmarkHubServeStream(b *testing.B) {
 }
 
 func benchServeStream(b *testing.B, subs int, gz bool) {
-	h := NewHub(HubConfig{Heartbeat: time.Hour, PayloadCap: DefaultPayloadCap, subscriberBuffer: 1 << 20})
+	h := NewHub(HubConfig{Heartbeat: time.Hour, subscriberBuffer: 1 << 20})
 	ts := httptest.NewServer(h)
 	b.Cleanup(ts.Close)
 	accept := ""
@@ -490,7 +490,7 @@ func benchServeStream(b *testing.B, subs int, gz bool) {
 	var wire atomic.Uint64
 	var wg sync.WaitGroup
 	for i := 0; i < subs; i++ {
-		resp := openStream(b, ts.URL+"?maxpayload=65536", accept)
+		resp := openStream(b, ts.URL, accept)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

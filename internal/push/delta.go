@@ -38,8 +38,8 @@ const (
 	// moved paragraphs, large enough that the index stays cheap.
 	deltaBlockSize = 32
 
-	// MaxChunkTotal bounds the chunk count of a chunked body; with the
-	// protocol's MaxPayloadCap per chunk this admits bodies well beyond
+	// MaxChunkTotal bounds the chunk count of a chunked body; with
+	// DefaultPayloadCap per chunk this admits bodies well beyond
 	// MaxAssembledBody.
 	MaxChunkTotal = 1024
 

@@ -18,8 +18,8 @@ import (
 //   - An accepted frame re-encodes to a frame that decodes to the same
 //     event (the decoder cannot invent state the encoder cannot
 //     represent, so a hostile frame cannot smuggle impossible values
-//     into the subscription manager) — payload, digest, content type,
-//     and negotiated cap included.
+//     into the subscription manager) — payload, digest and content type
+//     included.
 //   - An accepted update frame always carries a non-empty key and a
 //     known kind — the two fields the proxy dispatches on.
 //   - An accepted payload never exceeds MaxPayloadCap, and a frame with
@@ -31,12 +31,11 @@ func FuzzInvalidationEvent(f *testing.F) {
 	f.Add(Event{Kind: KindUpdate, Seq: 2, Key: "/news/story.html", ModTime: time.Unix(1700000000, 123)}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 3, Key: "/stock?sym=A&x=%20"}.Encode())
 	f.Add(Event{Kind: KindHeartbeat, Seq: 4}.Encode())
-	// Payload seeds: a body with digest, hello with a negotiated
-	// cap, empty-body payload, payload-free digest (a stripped frame).
+	// Payload seeds: a body with digest, empty-body payload, payload-free
+	// digest (a stripped frame).
 	f.Add(Event{Kind: KindUpdate, Seq: 5, Key: "/quote/acme", Body: []byte("165.38\n"),
 		HasBody: true, ContentType: "text/plain", Digest: DigestOf([]byte("165.38\n")),
 		ModTime: time.Unix(1700000000, 0)}.Encode())
-	f.Add(Event{Kind: KindHello, Seq: 6, PayloadCap: DefaultPayloadCap}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 7, Key: "/e", Body: []byte{}, HasBody: true}.Encode())
 	f.Add(Event{Kind: KindUpdate, Seq: 8, Key: "/s", Digest: "deadbeef00112233"}.Encode())
 	// Ladder seeds: a pure delta frame, first/last chunks of a set, and a
@@ -60,21 +59,23 @@ func FuzzInvalidationEvent(f *testing.F) {
 	// base without its codec (and vice versa), chunk index beyond the
 	// total, a total beyond MaxChunkTotal, a delta on a payload-less
 	// frame, delta and chunk state on one frame, ladder state on a hello,
-	// a frame ending in an empty field, and the retired six-core-field
-	// spelling with and without a group token.
-	f.Add("2 12 0 p /k aGk= deadbeef - 0 ZZZZ 1")
-	f.Add("2 13 0 p /k aGk= deadbeef - 0 deadbeef 0")
-	f.Add("2 14 0 p /k aGk= deadbeef - 0 - 1")
-	f.Add("2 15 0 p /k aGk= deadbeef - 0 - 0 5 3")
-	f.Add("2 16 0 p /k aGk= deadbeef - 0 - 0 0 1025")
-	f.Add("2 17 0 - /k - - - 0 deadbeef 1")
-	f.Add("2 18 0 p /k aGk= deadbeef - 0 deadbeef 1 0 3")
-	f.Add("1 19 0 r - - - - 65536 deadbeef 1")
+	// a frame ending in an empty field, the retired six-core-field
+	// spelling with and without a group token, and the retired hello
+	// echoing a payload cap.
+	f.Add("2 12 0 p /k aGk= deadbeef - ZZZZ 1")
+	f.Add("2 13 0 p /k aGk= deadbeef - deadbeef 0")
+	f.Add("2 14 0 p /k aGk= deadbeef - - 1")
+	f.Add("2 15 0 p /k aGk= deadbeef - - 0 5 3")
+	f.Add("2 16 0 p /k aGk= deadbeef - - 0 0 1025")
+	f.Add("2 17 0 - /k - - - deadbeef 1")
+	f.Add("2 18 0 p /k aGk= deadbeef - deadbeef 1 0 3")
+	f.Add("1 19 0 r - - - - deadbeef 1")
 	f.Add("2 1 0 - /k - -")
 	f.Add("2 1 0 - /k -")
 	f.Add("2 1 0 - /k grp")
 	f.Add("1 7 0 - - -")
 	f.Add("1 7 0 - - - - - - 65536")
+	f.Add("1 7 0 - - - - - 65536")
 	f.Add("2 1 0 - %2D")
 	f.Add("2 1 0 r %2Fa%20b")
 	f.Add("2 1 0 p /k aGVsbG8= deadbeef text%2Fplain")
@@ -143,11 +144,10 @@ func FuzzInvalidationEvent(f *testing.F) {
 			t.Fatalf("StripPayload left payload state: %+v", st)
 		}
 		// The publish-time render must be byte-identical to the
-		// per-subscriber Encode it replaced, for every decodable event
-		// and every negotiated cap the write path can see. A decoded
-		// delta frame is a PURE delta (its body IS the delta), so its
-		// ladder has no full form at all — WireFor degrades every cap to
-		// the stripped form, and the delta form re-encodes the frame
+		// per-subscriber Encode it replaced, for every decodable event.
+		// A decoded delta frame is a PURE delta (its body IS the delta),
+		// so its ladder has no full form at all — WireFor degrades to the
+		// stripped form, and the delta form re-encodes the frame
 		// byte-identically for the hub's delta rung.
 		pureDelta := ev.HasBody && ev.BaseDigest != "" && ev.DeltaCodec != 0
 		rend := RenderLadder(ev, 0)
@@ -165,14 +165,12 @@ func FuzzInvalidationEvent(f *testing.F) {
 		if want := st.Encode(); rend.Stripped() != want {
 			t.Fatalf("Render stripped form %q != StripPayload().Encode() %q", rend.Stripped(), want)
 		}
-		for _, cap := range []int{0, 1, len(ev.Body) - 1, len(ev.Body), len(ev.Body) + 1, MaxPayloadCap} {
-			want := re
-			if pureDelta || (ev.HasBody && (cap <= 0 || len(ev.Body) > cap)) {
-				want = st.Encode()
-			}
-			if got := rend.WireFor(cap); got != want {
-				t.Fatalf("WireFor(%d) = %q, want %q (wire %q)", cap, got, want, wire)
-			}
+		want := re
+		if pureDelta {
+			want = st.Encode()
+		}
+		if got := rend.WireFor(); got != want {
+			t.Fatalf("WireFor() = %q, want %q (wire %q)", got, want, wire)
 		}
 	})
 }

@@ -43,15 +43,14 @@ import (
 //   - An event whose encoded envelope exceeds the wire limit is dropped
 //     before it can enter the ring (one poisonous buffered frame would
 //     otherwise kill every reconnecting stream at the same replay
-//     position forever). A payload that exceeds the hub's own cap is
-//     NOT dropped: it is degraded to an invalidation-only event at
-//     publish time, so the hub can never emit a frame its own
-//     subscribers would have to skip.
-//   - Payload delivery is negotiated per stream (?maxpayload=<bytes>,
-//     clamped to the hub's cap, echoed on the hello frame): an update
-//     whose body exceeds a stream's cap is degraded to invalidation for
-//     that stream at write time, while richer streams still receive the
-//     payload.
+//     position forever). A body over the payload cap (DefaultPayloadCap)
+//     rides as a chunk set at the cap; one that cannot is NOT dropped:
+//     it is degraded to an invalidation-only event at publish time, so
+//     the hub can never emit a frame its own subscribers would have to
+//     skip.
+//   - Every stream is sent payloads, on the cheapest rung of the value
+//     ladder the version it holds allows: a delta against it, the full
+//     body, the chunk set, or the stripped announcement.
 //   - A stream is sent a version's payload at most once: the hub tracks
 //     the version (digest and modification instant) each stream holds
 //     per key, and an update that repeats it goes out as the stripped
@@ -112,31 +111,21 @@ const slowScanEvery = 64
 // letting a lagging subscriber catch up in few syscalls.
 const fetchBatchLimit = 64
 
-// HubConfig parameterizes a Hub. The zero value is usable. The replay
-// ring's bounds, the write deadline and the slow-consumer allowance are
-// the Default constants above; this package's tests shrink them through
-// the unexported fields, to overflow a ring or stall a writer in
-// milliseconds.
+// HubConfig parameterizes a Hub. The zero value is usable. The payload
+// cap, the replay ring's bounds, the write deadline and the
+// slow-consumer allowance are DefaultPayloadCap and the Default
+// constants above; this package's tests shrink them through the
+// unexported fields, to chunk a body, overflow a ring or stall a writer
+// in milliseconds.
 type HubConfig struct {
 	// Heartbeat is the keepalive interval of served streams. Defaults
 	// to DefaultHeartbeat.
 	Heartbeat time.Duration
-	// PayloadCap is the largest update body (bytes, pre-base64) the hub
-	// will carry in a single frame; larger payloads are degraded to
-	// invalidation-only events at publish time unless ChunkPayload
-	// enables chunked delivery. Zero (the default) carries no payloads
-	// at all — a pure-invalidation hub. Clamped to
-	// MaxPayloadCap.
+	// Deprecated: ignored; every frame's payload is at most
+	// DefaultPayloadCap.
 	PayloadCap int
-	// ChunkPayload, when positive, enables chunked delivery:
-	// a body too large for one frame is additionally rendered as a
-	// chunk set at this payload size per frame — so streams whose
-	// negotiated cap cannot carry the whole body still receive it,
-	// bounded by MaxChunkTotal frames and MaxAssembledBody bytes —
-	// and bodies beyond PayloadCap survive publish as chunk-only
-	// events instead of degrading to invalidation. Clamped to
-	// PayloadCap (a chunk frame must fit the caps streams can
-	// negotiate). Zero disables chunking.
+	// Deprecated: ignored; a body over DefaultPayloadCap is chunked at
+	// it.
 	ChunkPayload int
 	// OnSubscribe, when set, is invoked from ServeHTTP for every stream
 	// that successfully registers, with the interest set it declared. A
@@ -145,6 +134,7 @@ type HubConfig struct {
 	// (and to widen it). Called outside the hub's lock.
 	OnSubscribe func(InterestSet)
 
+	payloadCap       int           // DefaultPayloadCap: one frame's largest payload, and the chunk size
 	replayLen        int           // DefaultReplayLen
 	replayBytes      int64         // DefaultReplayBytes
 	writeTimeout     time.Duration // DefaultWriteTimeout
@@ -285,9 +275,6 @@ type Hub struct {
 type hubSub struct {
 	done chan struct{} // closed to terminate the stream server-side
 	once sync.Once
-	// payloadCap is the stream's negotiated payload cap: updates with
-	// larger bodies are degraded to invalidation frames for this stream.
-	payloadCap int
 	// interest is the stream's declared interest set: it prunes which
 	// ring partitions the serve loop walks at all, and update frames
 	// inside a walked partition that still fall outside it are skipped
@@ -312,7 +299,7 @@ type hubSub struct {
 	// It is what makes "a stream is sent a version's payload at most
 	// once" a property of the hub. Touched ONLY by the stream's serve
 	// goroutine, so it needs no lock; nil until something populates it,
-	// so invalidation-only workloads never allocate it.
+	// so payload-free workloads never allocate it.
 	held map[string]heldVersion
 }
 
@@ -342,11 +329,8 @@ func NewHub(cfg HubConfig) *Hub {
 	if cfg.writeTimeout <= 0 {
 		cfg.writeTimeout = DefaultWriteTimeout
 	}
-	if cfg.PayloadCap > MaxPayloadCap {
-		cfg.PayloadCap = MaxPayloadCap
-	}
-	if cfg.ChunkPayload > cfg.PayloadCap {
-		cfg.ChunkPayload = cfg.PayloadCap
+	if cfg.payloadCap <= 0 {
+		cfg.payloadCap = DefaultPayloadCap
 	}
 	if cfg.subscriberBuffer <= 0 {
 		cfg.subscriberBuffer = DefaultSubscriberBuffer
@@ -391,12 +375,12 @@ func (h *Hub) partitionLocked(name string) *ringPartition {
 // before it can enter the ring: subscribers reject oversized frames, so
 // one poisonous buffered frame would kill every reconnecting stream at
 // the same replay position forever. The owning object simply goes
-// unannounced (proxies keep pure-polling freshness for it). A payload
-// exceeding the hub's cap is different — the event still matters, only
-// its body cannot ride — so it is degraded to an invalidation-only
-// event instead: the hub never emits a frame its own subscribers must
-// skip, and consumers confirm by polling (the next rung of the
-// degradation ladder).
+// unannounced (proxies keep pure-polling freshness for it). A body over
+// the payload cap is different — the event still matters — so it rides
+// as a chunk set at the cap, or, when it cannot, is degraded to an
+// invalidation-only event: the hub never emits a frame its own
+// subscribers must skip, and consumers confirm by polling (the next
+// rung of the degradation ladder).
 func (h *Hub) Publish(ev Event) uint64 {
 	lockStart := time.Now()
 	h.mu.Lock()
@@ -433,10 +417,10 @@ func (h *Hub) Publish(ev Event) uint64 {
 			}
 		}
 	}
-	chunkPayload := h.cfg.ChunkPayload
+	payloadCap := h.cfg.payloadCap
 	suppressFull := false
-	if ev.HasBody && (h.cfg.PayloadCap <= 0 || len(ev.Body) > h.cfg.PayloadCap) {
-		if h.chunkableLocked(ev, chunkPayload) {
+	if ev.HasBody && len(ev.Body) > payloadCap {
+		if h.chunkableLocked(ev, payloadCap) {
 			// The body cannot ride one frame, but it can ride a chunk
 			// set: keep it, suppress the (undeliverable) full form.
 			suppressFull = true
@@ -444,9 +428,9 @@ func (h *Hub) Publish(ev Event) uint64 {
 			ev = ev.StripPayload()
 		}
 	}
-	if len(ev.DeltaBody) > 0 && len(ev.DeltaBody) > h.cfg.PayloadCap {
-		// A delta no stream's cap could carry saves nothing; drop the
-		// sidecar, the full/chunked forms still deliver.
+	if len(ev.DeltaBody) > payloadCap {
+		// A delta over the cap no frame could carry; drop the sidecar,
+		// the full/chunked forms still deliver.
 		ev.BaseDigest, ev.DeltaCodec, ev.DeltaBody = "", 0, nil
 	}
 	if ev.Oversized() {
@@ -473,7 +457,7 @@ func (h *Hub) Publish(ev Event) uint64 {
 	// The single Encode site of the publish path: every wire form is
 	// rendered here, once, and every delivery — live fan-out now, replay
 	// later — is a pre-rendered byte-slice pick.
-	re := renderLadder(ev, chunkPayload, suppressFull)
+	re := renderLadder(ev, payloadCap, suppressFull)
 	part := h.partitionLocked(PartitionName(ev.Key))
 	part.buf = append(part.buf, re)
 	part.bytes += re.cost
@@ -569,12 +553,12 @@ func (h *Hub) scanSlowSubscribers(seq uint64) {
 }
 
 // chunkableLocked reports whether ev's body, too large for a single
-// frame, can ride a chunk set instead: chunking enabled, the chunk
-// count within bounds, and the per-chunk envelope (index/total fields
+// frame, can ride a chunk set instead: the chunk count within bounds,
+// and the per-chunk envelope (index/total fields
 // at their widest) within the wire limit — a chunk frame the
 // subscriber must reject would poison the stream for nothing.
 func (h *Hub) chunkableLocked(ev Event, chunkPayload int) bool {
-	if chunkPayload <= 0 || !ev.HasBody || ev.Kind != KindUpdate {
+	if !ev.HasBody || ev.Kind != KindUpdate {
 		return false
 	}
 	if len(ev.DeltaBody) == 0 && ev.BaseDigest != "" {
@@ -641,14 +625,13 @@ func (h *Hub) getNotify() <-chan struct{} {
 }
 
 // subscribe registers a stream resuming from since and returns its
-// hello frame. payloadCap is the stream's negotiated payload cap
-// (already clamped by the caller); interest is its declared filter,
+// hello frame. interest is its declared filter,
 // which also decides which ring partitions can hole its resume: a gap
 // made only of frames in partitions the stream never declared is NOT a
 // hole, while a pruned frame inside a declared partition forces a
 // Reset. Replay is not materialized here — the serve loop pulls it
 // from the ring through the same batch path live frames use.
-func (h *Hub) subscribe(since uint64, payloadCap int, interest InterestSet, held map[string]heldVersion) (hello RenderedEvent, sub *hubSub, ok bool) {
+func (h *Hub) subscribe(since uint64, interest InterestSet, held map[string]heldVersion) (hello RenderedEvent, sub *hubSub, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if !h.available {
@@ -681,16 +664,15 @@ func (h *Hub) subscribe(since uint64, payloadCap int, interest InterestSet, held
 			}
 		}
 	}
-	hello = renderedHello(h.seq, uint64(payloadCap), reset)
+	hello = renderedHello(h.seq, reset)
 	if reset && since > 0 {
 		h.resumeHoles++
 	}
 	sub = &hubSub{
-		done:       make(chan struct{}),
-		payloadCap: payloadCap,
-		interest:   interest,
-		held:       held,
-		resetGen:   h.resets,
+		done:     make(chan struct{}),
+		interest: interest,
+		held:     held,
+		resetGen: h.resets,
 	}
 	// Seed the stream position: a resuming subscriber replays from
 	// since, everyone else (fresh, reset) is handed the stream head by
@@ -781,7 +763,7 @@ func (h *Hub) fetch(sub *hubSub, dst []RenderedEvent) (batch []RenderedEvent, bo
 		}
 	}
 	if pendingReset && boundary == limit {
-		dst = append(dst, renderedHello(h.resetSeq, 0, true))
+		dst = append(dst, renderedHello(h.resetSeq, true))
 		gen = h.resets
 	}
 	return dst, boundary, gen, false
@@ -896,7 +878,7 @@ type HubStats struct {
 	Partitions []HubPartitionStats `metric:"-"` // internal/ops renders its two families by hand
 	// Oversized counts update events dropped for exceeding the wire
 	// envelope limit; Degraded counts payloads stripped at publish time
-	// for exceeding the hub's payload cap (the event itself survived as
+	// that no payload rung could carry (the event itself survived as
 	// an invalidation); Resets counts hole announcements; ResumeHoles
 	// counts Reset hellos served to resuming subscribers (each one is a
 	// leaf that must run its fallback sweep); SlowKills counts
@@ -904,7 +886,7 @@ type HubStats struct {
 	// counts update frames skipped (never written) because they fell
 	// outside a stream's declared interest set.
 	Oversized   uint64 `metric:"counter broadway_hub_oversized_total" help:"Update events dropped for exceeding the wire envelope limit."`
-	Degraded    uint64 `metric:"counter broadway_hub_degraded_total" help:"Payloads stripped at publish for exceeding the hub cap."`
+	Degraded    uint64 `metric:"counter broadway_hub_degraded_total" help:"Payloads stripped at publish because no payload rung could carry them."`
 	Resets      uint64 `metric:"counter broadway_hub_resets_total" help:"Hole announcements (mid-stream Resets) made."`
 	ResumeHoles uint64 `metric:"counter broadway_hub_resume_holes_total" help:"Reset hellos served to resuming subscribers."`
 	SlowKills   uint64 `metric:"counter broadway_hub_slow_kills_total" help:"Subscribers terminated for not draining their stream."`
@@ -915,7 +897,7 @@ type HubStats struct {
 	// savings ledger: frames that would otherwise have been a full body
 	// or a degradation to invalidation.
 	DeltaFrames uint64 `metric:"counter broadway_hub_delta_frames_total" help:"Update frames delivered on the delta rung (base matched a held digest)."`
-	ChunkFrames uint64 `metric:"counter broadway_hub_chunk_frames_total" help:"Updates delivered as a chunk set (body over the stream's payload cap), counted once per update."`
+	ChunkFrames uint64 `metric:"counter broadway_hub_chunk_frames_total" help:"Updates delivered as a chunk set (body over the payload cap), counted once per update."`
 	// DuplicateFrames counts updates delivered on rung zero: the stream
 	// already held the body (it was sent it once), so only the stripped
 	// announcement crossed the link.
@@ -1025,11 +1007,11 @@ func appendFrame(b []byte, seq uint64, wire string) []byte {
 	return b
 }
 
-// ServeHTTP streams invalidation events over SSE until the client
+// ServeHTTP streams update events over SSE until the client
 // disconnects or the hub terminates the stream. Streams are GET-only; a
-// reconnecting subscriber resumes with ?since=<seq>, payload delivery
-// is requested with ?maxpayload=<bytes> (clamped to the hub's cap; the
-// hello frame echoes the negotiated value), and an interest set is
+// reconnecting subscriber resumes with ?since=<seq>, the bodies it holds
+// are declared with repeatable ?held=<key>:<digest> parameters (see
+// parseHeld), and an interest set is
 // declared with repeatable ?prefix= parameters (declaring none, or one
 // ParseInterest cannot honour, receives everything). Update frames
 // outside the declared interest are skipped — never written — while the
@@ -1064,24 +1046,8 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		since = v
 	}
-	payloadCap := 0
-	if raw := query.Get("maxpayload"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 31)
-		if err != nil {
-			http.Error(w, "bad maxpayload parameter", http.StatusBadRequest)
-			return
-		}
-		payloadCap = int(v)
-		if payloadCap > h.cfg.PayloadCap {
-			payloadCap = h.cfg.PayloadCap
-		}
-	}
 	interest := ParseInterest(query)
-	var held map[string]heldVersion
-	if payloadCap > 0 {
-		held = parseHeld(query["held"])
-	}
-	hello, sub, ok := h.subscribe(since, payloadCap, interest, held)
+	hello, sub, ok := h.subscribe(since, interest, parseHeld(query["held"]))
 	if !ok {
 		http.Error(w, "event stream unavailable", http.StatusServiceUnavailable)
 		return
@@ -1170,14 +1136,14 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// appendUpdate renders one update on the cheapest ladder rung this
 	// stream can use: delta when the stream holds the delta's base,
 	// nothing but the stripped announcement when it already holds the
-	// body itself (rung zero), the full body in one frame when the cap
-	// carries it, the chunk set when only per-chunk frames fit, and the
-	// stripped invalidation otherwise (the stream then confirms by polling
-	// — the next rung down, never a dropped update). Every pick is a
-	// pre-rendered byte-slice; the only per-subscriber work is the cap
-	// compare and, when payloads flow, one map probe.
+	// body itself (rung zero), the full body in one frame when it fits
+	// the cap, the chunk set when it does not, and the stripped
+	// invalidation otherwise (the stream then confirms by polling — the
+	// next rung down, never a dropped update). Every pick is a
+	// pre-rendered byte-slice; the only per-subscriber work is one map
+	// probe.
 	appendUpdate := func(b []byte, re RenderedEvent) []byte {
-		hv, known := sub.held[re.Key] // a nil map on invalidation-only streams
+		hv, known := sub.held[re.Key] // a nil map until a payload lands
 		if known && re.digest != "" {
 			if hv.digest == re.digest && re.mod != 0 && re.mod <= hv.mod {
 				// Rung zero: the stream was already sent this version's
@@ -1193,17 +1159,17 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				h.duplicateFrames.Add(1)
 				return appendFrame(b, re.Seq, re.stripped)
 			}
-			if re.delta != "" && hv.digest == re.baseDigest && re.deltaLen <= sub.payloadCap {
+			if re.delta != "" && hv.digest == re.baseDigest {
 				holdSet(re)
 				h.deltaFrames.Add(1)
 				return appendFrame(b, re.Seq, re.delta)
 			}
 		}
-		if re.full != "" && re.payloadLen >= 0 && sub.payloadCap > 0 && re.payloadLen <= sub.payloadCap {
+		if re.full != "" && re.body {
 			holdSet(re)
 			return appendFrame(b, re.Seq, re.full)
 		}
-		if len(re.chunks) > 0 && re.chunkLen > 0 && re.chunkLen <= sub.payloadCap {
+		if len(re.chunks) > 0 {
 			// All chunk frames ride back to back under one sequence
 			// number; the position advances once, past the whole set, so
 			// a disconnect mid-set resumes before the set and replays it
@@ -1223,7 +1189,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// the body already held, and the next delta applies to it.)
 			delete(sub.held, re.Key)
 		}
-		return appendFrame(b, re.Seq, re.WireFor(sub.payloadCap))
+		return appendFrame(b, re.Seq, re.WireFor())
 	}
 	// writeBatch coalesces one fetched batch — frames, a mid-stream
 	// Reset if one is due, and the position-bearing heartbeat that
@@ -1243,7 +1209,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 				lastSeq = re.Seq
 				continue
 			}
-			b = appendFrame(b, re.Seq, re.WireFor(sub.payloadCap))
+			b = appendFrame(b, re.Seq, re.WireFor())
 			if re.Kind == KindHello && re.Reset {
 				// The stream's owner now revalidates by polling; every
 				// held digest is stale knowledge.
@@ -1265,7 +1231,7 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		*bufp = b
 		return flush(b)
 	}
-	b := appendFrame((*bufp)[:0], hello.Seq, hello.WireFor(sub.payloadCap))
+	b := appendFrame((*bufp)[:0], hello.Seq, hello.WireFor())
 	*bufp = b
 	if !flush(b) {
 		return

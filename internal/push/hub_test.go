@@ -44,11 +44,6 @@ func (s *hubSink) snapshot() (events, hellos []Event, resumed []bool) {
 
 // startHubSubscriber runs a Subscriber against url until test cleanup.
 func startHubSubscriber(t *testing.T, url string, sink *hubSink) *Subscriber {
-	return startHubSubscriberCap(t, url, sink, 0)
-}
-
-// startHubSubscriberCap is startHubSubscriber with payload negotiation.
-func startHubSubscriberCap(t *testing.T, url string, sink *hubSink, payloadCap int) *Subscriber {
 	t.Helper()
 	sub, err := NewSubscriber(SubscriberConfig{
 		URL:        url,
@@ -56,7 +51,6 @@ func startHubSubscriberCap(t *testing.T, url string, sink *hubSink, payloadCap i
 		OnConnect:  sink.onConnect,
 		BackoffMin: 5 * time.Millisecond,
 		BackoffMax: 50 * time.Millisecond,
-		PayloadCap: payloadCap,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +133,7 @@ func TestHubResetBarrierOnResume(t *testing.T) {
 		{3, true},  // exactly at the barrier: the hole follows it
 	}
 	for _, c := range cases {
-		hello, sub, ok := h.subscribe(c.since, 0, InterestAll(), nil)
+		hello, sub, ok := h.subscribe(c.since, InterestAll(), nil)
 		if !ok {
 			t.Fatalf("since=%d: unavailable", c.since)
 		}
@@ -155,7 +149,7 @@ func TestHubResetBarrierOnResume(t *testing.T) {
 	// Past the barrier normal replay resumes.
 	h.Publish(Event{Kind: KindUpdate, Key: "/b"}) // seq 4
 	h.Publish(Event{Kind: KindUpdate, Key: "/c"}) // seq 5
-	hello, sub, _ := h.subscribe(4, 0, InterestAll(), nil)
+	hello, sub, _ := h.subscribe(4, InterestAll(), nil)
 	defer h.unsubscribe(sub)
 	backlog := fetchAll(h, sub)
 	if hello.Reset || len(backlog) != 1 || backlog[0].Seq != 5 {
@@ -214,7 +208,7 @@ func TestHubWriteDeadlineUnpinsStalledClient(t *testing.T) {
 // the hub actually holds.
 func TestHubStatsLagAndOccupancy(t *testing.T) {
 	h := NewHub(HubConfig{replayLen: 8})
-	_, sub, ok := h.subscribe(0, 0, InterestAll(), nil)
+	_, sub, ok := h.subscribe(0, InterestAll(), nil)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
@@ -263,87 +257,17 @@ func TestHubRejectsNonGET(t *testing.T) {
 	}
 }
 
-// TestHubPayloadNegotiationPerStream: one hub, three subscriber
-// profiles — full payload cap, tiny cap, no negotiation at all — must
-// each receive every event, the first with the body, the others
-// degraded to invalidation-only frames at write time. No stream may
-// ever have to skip a frame the hub itself emitted (the satellite
-// regression alongside PR 4's oversized-line fix).
-func TestHubPayloadNegotiationPerStream(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 4096})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-
-	full, tiny, plain := &hubSink{}, &hubSink{}, &hubSink{}
-	fullSub := startHubSubscriberCap(t, ts.URL, full, 4096)
-	tinySub := startHubSubscriberCap(t, ts.URL, tiny, 64)
-	plainSub := startHubSubscriber(t, ts.URL, plain)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 3 }) {
-		t.Fatal("subscribers never registered")
-	}
-
-	body := bytes.Repeat([]byte("v"), 512)
-	h.Publish(Event{Kind: KindUpdate, Key: "/a", ContentType: "text/plain",
-		Body: body, HasBody: true, Digest: DigestOf(body)})
-
-	for _, c := range []struct {
-		name     string
-		sink     *hubSink
-		wantBody bool
-	}{{"full", full, true}, {"tiny", tiny, false}, {"plain", plain, false}} {
-		if !waitCond(t, 2*time.Second, func() bool {
-			evs, _, _ := c.sink.snapshot()
-			return len(evs) == 1
-		}) {
-			t.Fatalf("%s: event never arrived", c.name)
-		}
-		evs, hellos, _ := c.sink.snapshot()
-		ev := evs[0]
-		if ev.Key != "/a" || ev.Seq != 1 {
-			t.Errorf("%s: event = %+v", c.name, ev)
-		}
-		if ev.HasBody != c.wantBody {
-			t.Errorf("%s: HasBody = %v, want %v", c.name, ev.HasBody, c.wantBody)
-		}
-		if c.wantBody && (!bytes.Equal(ev.Body, body) || ev.Digest != DigestOf(body) ||
-			ev.ContentType != "text/plain") {
-			t.Errorf("%s: payload did not survive the wire: %+v", c.name, ev)
-		}
-		if len(hellos) != 1 {
-			t.Fatalf("%s: %d hellos", c.name, len(hellos))
-		}
-	}
-	// The hello echoes the negotiated cap: the full profile gets what it
-	// asked for, the tiny one its own smaller cap, the plain one zero.
-	if _, hellos, _ := full.snapshot(); hellos[0].PayloadCap != 4096 {
-		t.Errorf("full hello cap = %d", hellos[0].PayloadCap)
-	}
-	if _, hellos, _ := tiny.snapshot(); hellos[0].PayloadCap != 64 {
-		t.Errorf("tiny hello cap = %d", hellos[0].PayloadCap)
-	}
-	if _, hellos, _ := plain.snapshot(); hellos[0].PayloadCap != 0 {
-		t.Errorf("plain hello cap = %d", hellos[0].PayloadCap)
-	}
-	// No stream skipped or client-stripped anything: the degrade
-	// happened hub-side, at encode time.
-	for name, sub := range map[string]*Subscriber{"full": fullSub, "tiny": tinySub, "plain": plainSub} {
-		if st := sub.Stats(); st.SkippedFrames != 0 || st.OverCapPayloads != 0 {
-			t.Errorf("%s: skipped=%d overcap=%d; the hub emitted a frame it should have degraded",
-				name, st.SkippedFrames, st.OverCapPayloads)
-		}
-	}
-}
-
-// TestHubPublishDegradesOverCapPayload: a payload beyond the hub's own
-// cap must not drop the event (that would un-announce a real update) —
-// it degrades to an invalidation-only frame at publish time and still
+// TestHubPublishDegradesOverCapPayload: a payload over the cap that no
+// chunk set can carry (it has no digest to verify a reassembly against)
+// must not drop the event (that would un-announce a real update) — it
+// degrades to an invalidation-only frame at publish time and still
 // consumes a sequence number.
 func TestHubPublishDegradesOverCapPayload(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 256})
+	h := NewHub(HubConfig{payloadCap: 256})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	sink := &hubSink{}
-	startHubSubscriberCap(t, ts.URL, sink, 256)
+	startHubSubscriber(t, ts.URL, sink)
 	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
@@ -363,12 +287,11 @@ func TestHubPublishDegradesOverCapPayload(t *testing.T) {
 	if st.Degraded != 1 || st.Oversized != 0 {
 		t.Errorf("Degraded=%d Oversized=%d, want 1/0", st.Degraded, st.Oversized)
 	}
-	// A hub with no payload cap at all (the default) degrades
-	// every payload.
+	// A payload within the cap rides whole: every hub carries values.
 	h2 := NewHub(HubConfig{})
 	h2.Publish(Event{Kind: KindUpdate, Key: "/x", Body: []byte("b"), HasBody: true})
-	if st := h2.Stats(); st.Degraded != 1 || st.Seq != 1 {
-		t.Errorf("capless hub: %+v", st)
+	if st := h2.Stats(); st.Degraded != 0 || st.Seq != 1 {
+		t.Errorf("default hub: %+v", st)
 	}
 }
 
@@ -379,11 +302,11 @@ func TestHubPublishDegradesOverCapPayload(t *testing.T) {
 // must reject (the reconnect livelock the envelope bound exists to
 // prevent).
 func TestHubDegradesOverlongV2Envelope(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 4096})
+	h := NewHub(HubConfig{})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	sink := &hubSink{}
-	sub := startHubSubscriberCap(t, ts.URL, sink, 4096)
+	sub := startHubSubscriber(t, ts.URL, sink)
 	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
@@ -419,11 +342,11 @@ func TestHubDegradesOverlongV2Envelope(t *testing.T) {
 // replay ring as a frame every subscriber rejects, the poison-frame
 // reconnect livelock.
 func TestHubSanitizesUnframeableDigest(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 4096})
+	h := NewHub(HubConfig{})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	sink := &hubSink{}
-	sub := startHubSubscriberCap(t, ts.URL, sink, 4096)
+	sub := startHubSubscriber(t, ts.URL, sink)
 	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
@@ -456,7 +379,7 @@ func TestHubSanitizesUnframeableDigest(t *testing.T) {
 // event — it must count in Oversized only, not also in Degraded
 // ("degraded" promises the event survived as an invalidation).
 func TestHubDropCountsOversizedNotDegraded(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 16})
+	h := NewHub(HubConfig{payloadCap: 16})
 	h.Publish(Event{
 		Kind:    KindUpdate,
 		Key:     "/" + strings.Repeat("k", MaxFrameLen+16),
@@ -469,45 +392,13 @@ func TestHubDropCountsOversizedNotDegraded(t *testing.T) {
 	}
 }
 
-// TestHubStripsEmptyPayloadForPlainStreams: an empty-body payload
-// (HasBody, len 0) must still be degraded for streams that negotiated
-// no payloads — such a consumer cannot parse a 'p'-flagged frame.
-func TestHubStripsEmptyPayloadForPlainStreams(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 4096})
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	plain, value := &hubSink{}, &hubSink{}
-	startHubSubscriber(t, ts.URL, plain)
-	startHubSubscriberCap(t, ts.URL, value, 4096)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 2 }) {
-		t.Fatal("never connected")
-	}
-
-	h.Publish(Event{Kind: KindUpdate, Key: "/cleared", Body: []byte{}, HasBody: true,
-		Digest: DigestOf(nil)})
-	for name, sink := range map[string]*hubSink{"plain": plain, "value": value} {
-		if !waitCond(t, 2*time.Second, func() bool {
-			evs, _, _ := sink.snapshot()
-			return len(evs) == 1
-		}) {
-			t.Fatalf("%s: event never arrived", name)
-		}
-	}
-	if evs, _, _ := plain.snapshot(); evs[0].HasBody {
-		t.Errorf("plain stream received a payload frame: %+v", evs[0])
-	}
-	if evs, _, _ := value.snapshot(); !evs[0].HasBody || len(evs[0].Body) != 0 {
-		t.Errorf("value stream lost the empty-body payload: %+v", evs[0])
-	}
-}
-
 // TestHubReplayRingByteBudget: the replay ring must be bounded by bytes
 // as well as count — a burst of fat payloads trims history instead of
 // growing the hub — and what stays in the ring replays payloads
 // faithfully.
 func TestHubReplayRingByteBudget(t *testing.T) {
 	// ~1KB per event (body + envelope overhead); budget fits ~4.
-	h := NewHub(HubConfig{PayloadCap: 4096, replayLen: 1024, replayBytes: 4096})
+	h := NewHub(HubConfig{replayLen: 1024, replayBytes: 4096})
 	bodyFor := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 900) }
 	for i := 0; i < 12; i++ {
 		b := bodyFor(i)
@@ -524,7 +415,7 @@ func TestHubReplayRingByteBudget(t *testing.T) {
 	// A resume within the surviving window replays payloads verbatim
 	// (the ring holds pre-rendered wire forms; decode the full form to
 	// check what a payload-negotiated stream would receive).
-	hello, sub, ok := h.subscribe(uint64(12-st.ReplayLen), 4096, InterestAll(), nil)
+	hello, sub, ok := h.subscribe(uint64(12-st.ReplayLen), InterestAll(), nil)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
@@ -538,7 +429,7 @@ func TestHubReplayRingByteBudget(t *testing.T) {
 	}
 	for i, re := range backlog {
 		want := bodyFor(12 - st.ReplayLen + i)
-		ev, err := Decode(re.WireFor(4096))
+		ev, err := Decode(re.WireFor())
 		if err != nil {
 			t.Fatalf("backlog[%d] does not decode: %v", i, err)
 		}
@@ -549,7 +440,7 @@ func TestHubReplayRingByteBudget(t *testing.T) {
 
 	// A resume from before the trimmed-off history must Reset: the ring
 	// cannot prove contiguity it no longer holds.
-	hello2, sub2, _ := h.subscribe(1, 4096, InterestAll(), nil)
+	hello2, sub2, _ := h.subscribe(1, InterestAll(), nil)
 	defer h.unsubscribe(sub2)
 	if !hello2.Reset {
 		t.Error("out-of-window resume not Reset")
@@ -603,14 +494,13 @@ func drainSub(h *Hub, sub *hubSub, wg *sync.WaitGroup) {
 	}
 }
 
-// drainHubFleet registers fleet subscribers at payload cap payloadCap
-// with the given interest and pull-drains them until the test or
-// benchmark ends.
-func drainHubFleet(tb testing.TB, h *Hub, fleet, payloadCap int, interest InterestSet) {
+// drainHubFleet registers fleet subscribers with the given interest and
+// pull-drains them until the test or benchmark ends.
+func drainHubFleet(tb testing.TB, h *Hub, fleet int, interest InterestSet) {
 	tb.Helper()
 	var wg sync.WaitGroup
 	for i := 0; i < fleet; i++ {
-		_, sub, ok := h.subscribe(0, payloadCap, interest, nil)
+		_, sub, ok := h.subscribe(0, interest, nil)
 		if !ok {
 			tb.Fatal("subscribe failed")
 		}
@@ -641,21 +531,21 @@ func benchPublish(b *testing.B, h *Hub, ev Event) {
 // fanoutHub's fleet subscribes to every key.
 func fanoutHub(tb testing.TB, fleet int) (*Hub, Event) {
 	h := NewHub(HubConfig{})
-	drainHubFleet(tb, h, fleet, 0, InterestAll())
+	drainHubFleet(tb, h, fleet, InterestAll())
 	return h, Event{Kind: KindUpdate, Key: "/obj/path"}
 }
 
 // filteredHub's fleet declared a prefix the event is not under.
 func filteredHub(tb testing.TB, fleet int) (*Hub, Event) {
 	h := NewHub(HubConfig{})
-	drainHubFleet(tb, h, fleet, 0, NewInterest([]string{"/other"}))
+	drainHubFleet(tb, h, fleet, NewInterest([]string{"/other"}))
 	return h, Event{Kind: KindUpdate, Key: "/obj/path"}
 }
 
 // payloadHub carries values, and its event a 512-byte body.
 func payloadHub(tb testing.TB, fleet int) (*Hub, Event) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
-	drainHubFleet(tb, h, fleet, DefaultPayloadCap, InterestAll())
+	h := NewHub(HubConfig{})
+	drainHubFleet(tb, h, fleet, InterestAll())
 	body := bytes.Repeat([]byte("v"), 512)
 	return h, Event{Kind: KindUpdate, Key: "/obj/path",
 		Body: body, HasBody: true, Digest: DigestOf(body)}

@@ -138,7 +138,6 @@ func TestRenderedFormsByteIdentical(t *testing.T) {
 			HasBody: true, ContentType: "text/plain", Digest: DigestOf(body)},
 		{Kind: KindUpdate, Seq: 9, Key: "/e", Body: []byte{}, HasBody: true},
 		{Kind: KindHello, Seq: 10, Reset: true},
-		{Kind: KindHello, Seq: 11, PayloadCap: 4096},
 		{Kind: KindHeartbeat, Seq: 12},
 	}
 	for _, ev := range events {
@@ -149,14 +148,8 @@ func TestRenderedFormsByteIdentical(t *testing.T) {
 		if re.Stripped() != ev.StripPayload().Encode() {
 			t.Errorf("Stripped() = %q, want %q", re.Stripped(), ev.StripPayload().Encode())
 		}
-		for _, cap := range []int{0, 1, len(body), MaxPayloadCap} {
-			want := ev.Encode()
-			if ev.HasBody && (cap <= 0 || len(ev.Body) > cap) {
-				want = ev.StripPayload().Encode()
-			}
-			if got := re.WireFor(cap); got != want {
-				t.Errorf("WireFor(%d) = %q, want %q (ev %+v)", cap, got, want, ev)
-			}
+		if got := re.WireFor(); got != ev.Encode() {
+			t.Errorf("WireFor() = %q, want %q (ev %+v)", got, ev.Encode(), ev)
 		}
 	}
 }

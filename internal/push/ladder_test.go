@@ -139,7 +139,7 @@ func TestV3EncodeDecodeRoundTrip(t *testing.T) {
 func TestDecodeV3Rejections(t *testing.T) {
 	d := DigestOf([]byte("x"))
 	ladder := func(flags, payload, tail string) string {
-		return "2 1 0 " + flags + " /k " + payload + " " + d + " - 0 " + tail
+		return "2 1 0 " + flags + " /k " + payload + " " + d + " - " + tail
 	}
 	cases := []struct {
 		name, wire string
@@ -156,7 +156,7 @@ func TestDecodeV3Rejections(t *testing.T) {
 		{"hostile base digest", ladder("p", "aGk=", "nothex!! 1")},
 		{"ends in empty ladder fields", ladder("p", "aGk=", "- 0 0 0")},
 		{"too many fields", ladder("p", "aGk=", "- 0 0 2 x y")},
-		{"delta on a hello", "1 1 0 p - aGk= " + d + " - 0 " + d + " 1"},
+		{"delta on a hello", "1 1 0 p - aGk= " + d + " - " + d + " 1"},
 	}
 	for _, c := range cases {
 		if ev, err := Decode(c.wire); err == nil {
@@ -239,7 +239,7 @@ func TestRenderLadderPureDelta(t *testing.T) {
 	if chunks, _ := re.Chunks(); len(chunks) != 0 {
 		t.Fatalf("chunked a delta body: %d frames", len(chunks))
 	}
-	if got := re.WireFor(1 << 20); got != re.Stripped() {
+	if got := re.WireFor(); got != re.Stripped() {
 		t.Fatalf("WireFor fell to %q, want the stripped form", got)
 	}
 }
@@ -248,7 +248,7 @@ func TestRenderLadderPureDelta(t *testing.T) {
 
 // startHeldSubscriber runs a Subscriber that resumes from since and
 // advertises held digests, until test cleanup.
-func startHeldSubscriber(t *testing.T, url string, sink *hubSink, payloadCap int, since uint64, held func() []HeldDigest) *Subscriber {
+func startHeldSubscriber(t *testing.T, url string, sink *hubSink, since uint64, held func() []HeldDigest) *Subscriber {
 	t.Helper()
 	sub, err := NewSubscriber(SubscriberConfig{
 		URL:        url,
@@ -256,7 +256,6 @@ func startHeldSubscriber(t *testing.T, url string, sink *hubSink, payloadCap int
 		OnConnect:  sink.onConnect,
 		BackoffMin: 5 * time.Millisecond,
 		BackoffMax: 50 * time.Millisecond,
-		PayloadCap: payloadCap,
 		Held:       held,
 	})
 	if err != nil {
@@ -274,12 +273,12 @@ func startHeldSubscriber(t *testing.T, url string, sink *hubSink, payloadCap int
 // hub's per-stream held digest; the second update's frame must then be
 // the delta, and the subscriber must see the raw v3 delta event.
 func TestHubDeltaRung(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
+	h := NewHub(HubConfig{})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
 	sink := &hubSink{}
-	startHubSubscriberCap(t, ts.URL, sink, DefaultPayloadCap)
+	startHubSubscriber(t, ts.URL, sink)
 	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
@@ -326,11 +325,11 @@ func TestHubDeltaRung(t *testing.T) {
 // the same content is not a repeat; and an announcement of a digest the
 // stream does not hold still voids what the hub thought it held.
 func TestHubRungZeroSendsAPayloadOnce(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 1024, ChunkPayload: 256})
+	h := NewHub(HubConfig{payloadCap: 1024})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	sink := &hubSink{}
-	startHubSubscriberCap(t, ts.URL, sink, 1024)
+	startHubSubscriber(t, ts.URL, sink)
 	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
@@ -403,7 +402,7 @@ func TestHubRungZeroSendsAPayloadOnce(t *testing.T) {
 // that advertises the base it holds receives its very first update as
 // a delta.
 func TestHubDeltaRungFromConnectHeld(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
+	h := NewHub(HubConfig{})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
@@ -415,7 +414,7 @@ func TestHubDeltaRungFromConnectHeld(t *testing.T) {
 	}
 
 	sink := &hubSink{}
-	startHeldSubscriber(t, ts.URL, sink, DefaultPayloadCap, 0, func() []HeldDigest {
+	startHeldSubscriber(t, ts.URL, sink, 0, func() []HeldDigest {
 		return []HeldDigest{
 			{Key: "/obj", Digest: DigestOf(v1)},
 			{Key: "", Digest: DigestOf(v1)},    // malformed: dropped client-side
@@ -443,17 +442,17 @@ func TestHubDeltaRungFromConnectHeld(t *testing.T) {
 	}
 }
 
-// TestHubChunkedDelivery proves a body beyond both the hub cap and the
-// stream cap still arrives whole: published as a chunk-only event
+// TestHubChunkedDelivery proves a body beyond the payload cap still
+// arrives whole: published as a chunk-only event
 // (full form suppressed), delivered as a chunk set, reassembled by the
 // subscriber with the terminal digest check.
 func TestHubChunkedDelivery(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: 1024, ChunkPayload: 256})
+	h := NewHub(HubConfig{payloadCap: 1024})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
 	sink := &hubSink{}
-	sub := startHubSubscriberCap(t, ts.URL, sink, 1024)
+	sub := startHubSubscriber(t, ts.URL, sink)
 	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
 		t.Fatal("never connected")
 	}
@@ -481,25 +480,6 @@ func TestHubChunkedDelivery(t *testing.T) {
 	}
 	if st.Degraded != 0 {
 		t.Fatalf("a chunkable body was degraded: %+v", st)
-	}
-
-	// A pure-invalidation stream on the same hub must receive the
-	// stripped form of the same event, never a chunk frame it cannot use.
-	bare := &hubSink{}
-	startHubSubscriber(t, ts.URL, bare)
-	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 2 }) {
-		t.Fatal("bare stream never connected")
-	}
-	h.Publish(Event{Kind: KindUpdate, Key: "/big", Body: body, HasBody: true, Digest: DigestOf(body)})
-	if !waitCond(t, 2*time.Second, func() bool {
-		evs, _, _ := bare.snapshot()
-		return len(evs) == 1
-	}) {
-		t.Fatal("stripped update never arrived")
-	}
-	bevs, _, _ := bare.snapshot()
-	if bevs[0].HasBody || bevs[0].ChunkTotal != 0 {
-		t.Fatalf("bare stream received payload state: %+v", bevs[0])
 	}
 }
 
@@ -545,7 +525,7 @@ func applyLadderChain(t *testing.T, evs []Event, cur []byte, haveBase bool) []by
 // missed revision whole — which seeds its chain — and rides deltas from
 // there to the newest revision, never polling.
 func TestHubWholeFrameReplay(t *testing.T) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
+	h := NewHub(HubConfig{})
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 
@@ -569,7 +549,7 @@ func TestHubWholeFrameReplay(t *testing.T) {
 	replay := func(name string, held func() []HeldDigest) []Event {
 		t.Helper()
 		sink := &hubSink{}
-		startHeldSubscriber(t, ts.URL, sink, DefaultPayloadCap, 1, held)
+		startHeldSubscriber(t, ts.URL, sink, 1, held)
 		if !waitCond(t, 2*time.Second, func() bool {
 			evs, _, _ := sink.snapshot()
 			return len(evs) == 7
@@ -631,7 +611,7 @@ func TestHubWholeFrameReplay(t *testing.T) {
 // knows what it holds and the next revision goes out whole again — and
 // the delta for a stream holding the base.
 func TestHubSupersededFrameStaysWhole(t *testing.T) {
-	const payloadCap, chunkPayload = 1024, 256
+	const payloadCap = 1024
 	for _, c := range []struct {
 		name    string
 		lines   int
@@ -641,7 +621,7 @@ func TestHubSupersededFrameStaysWhole(t *testing.T) {
 		{"body over the cap", 120, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			h := NewHub(HubConfig{PayloadCap: payloadCap, ChunkPayload: chunkPayload})
+			h := NewHub(HubConfig{payloadCap: payloadCap})
 			v1 := bytes.Repeat([]byte("first revision of the body\n"), c.lines)
 			v2 := append(append([]byte(nil), v1...), []byte("and one more line\n")...)
 			delta, ok := MakeDelta(v1, v2)
@@ -657,7 +637,7 @@ func TestHubSupersededFrameStaysWhole(t *testing.T) {
 			h.Publish(Event{Kind: KindUpdate, Key: "/docs/b", ModTime: mod, Body: other, HasBody: true,
 				Digest: DigestOf(other)})
 
-			_, sub, ok := h.subscribe(1, payloadCap, InterestAll(), nil)
+			_, sub, ok := h.subscribe(1, InterestAll(), nil)
 			if !ok {
 				t.Fatal("subscribe failed")
 			}
@@ -687,7 +667,7 @@ func TestHubSupersededFrameStaysWhole(t *testing.T) {
 					body = append(body, ev.Body...)
 				}
 			} else {
-				ev, err := Decode(a.WireFor(payloadCap))
+				ev, err := Decode(a.WireFor())
 				if err != nil || !ev.HasBody {
 					t.Fatalf("superseded frame offers no full form: a stream without the base would poll (%+v, %v)", ev, err)
 				}
@@ -928,8 +908,8 @@ func BenchmarkMakeDelta(b *testing.B) {
 // deltaHub carries values, and its event a delta-sidecar update of a
 // 4 KiB body, so Publish renders the full, delta and stripped forms.
 func deltaHub(tb testing.TB, fleet int) (*Hub, Event) {
-	h := NewHub(HubConfig{PayloadCap: DefaultPayloadCap})
-	drainHubFleet(tb, h, fleet, DefaultPayloadCap, InterestAll())
+	h := NewHub(HubConfig{})
+	drainHubFleet(tb, h, fleet, InterestAll())
 	base := bytes.Repeat([]byte("v"), 4096)
 	body := append(append([]byte(nil), base...), []byte("tail")...)
 	delta, ok := MakeDelta(base, body)

@@ -44,7 +44,7 @@ func TestPartitionName(t *testing.T) {
 // sequence numbers (1, 3, ... 23), wide on even.
 func fillTwoPartitions(t testing.TB) *Hub {
 	t.Helper()
-	h := NewHub(HubConfig{PayloadCap: 4096, replayLen: 1024, replayBytes: 8192})
+	h := NewHub(HubConfig{replayLen: 1024, replayBytes: 8192})
 	for i := 0; i < 12; i++ {
 		h.Publish(Event{Kind: KindUpdate, Key: fmt.Sprintf("/narrow/%d", i)})
 		body := bytes.Repeat([]byte{byte('a' + i)}, 900)
@@ -65,7 +65,7 @@ func TestHubPartitionedResumeForeignHole(t *testing.T) {
 		t.Fatalf("byte budget did not trim: ReplayLen=%d", st.ReplayLen)
 	}
 
-	hello, sub, ok := h.subscribe(1, 0, NewInterest([]string{"/narrow/"}), nil)
+	hello, sub, ok := h.subscribe(1, NewInterest([]string{"/narrow/"}), nil)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
@@ -78,7 +78,7 @@ func TestHubPartitionedResumeForeignHole(t *testing.T) {
 		t.Fatalf("narrow replay delivered %d frames, want 11", len(backlog))
 	}
 	for i, re := range backlog {
-		ev, err := Decode(re.WireFor(0))
+		ev, err := Decode(re.WireFor())
 		if err != nil {
 			t.Fatalf("backlog[%d] does not decode: %v", i, err)
 		}
@@ -96,12 +96,12 @@ func TestHubPartitionedResumeForeignHole(t *testing.T) {
 		t.Error("a foreign-partition gap was counted as a resume hole")
 	}
 
-	hello2, sub2, _ := h.subscribe(1, 4096, NewInterest([]string{"/wide/"}), nil)
+	hello2, sub2, _ := h.subscribe(1, NewInterest([]string{"/wide/"}), nil)
 	defer h.unsubscribe(sub2)
 	if !hello2.Reset {
 		t.Error("wide resumer not Reset over a genuine gap in its own partition")
 	}
-	hello3, sub3, _ := h.subscribe(1, 0, InterestAll(), nil)
+	hello3, sub3, _ := h.subscribe(1, InterestAll(), nil)
 	defer h.unsubscribe(sub3)
 	if !hello3.Reset {
 		t.Error("unfiltered resumer not Reset over a pruned partition")
@@ -146,7 +146,7 @@ func TestHubPartitionBudgetProtectsNarrowSubtree(t *testing.T) {
 		t.Errorf("partition bytes %d+%d do not sum to ReplayBytes %d",
 			narrow.Bytes, wide.Bytes, st.ReplayBytes)
 	}
-	_, sub, ok := h.subscribe(1, 0, NewInterest([]string{"/narrow/"}), nil)
+	_, sub, ok := h.subscribe(1, NewInterest([]string{"/narrow/"}), nil)
 	if !ok {
 		t.Fatal("subscribe failed")
 	}
@@ -162,9 +162,9 @@ func contendedHub(tb testing.TB, fleet int) (*Hub, Event) {
 	// A huge subscriberBuffer keeps the slow-consumer scan from reaping
 	// the deliberately stalled half of the fleet.
 	h := NewHub(HubConfig{subscriberBuffer: 1 << 30})
-	drainHubFleet(tb, h, fleet, 0, InterestAll())
+	drainHubFleet(tb, h, fleet, InterestAll())
 	for i := 0; i < fleet; i++ {
-		_, sub, ok := h.subscribe(0, 0, InterestAll(), nil)
+		_, sub, ok := h.subscribe(0, InterestAll(), nil)
 		if !ok {
 			tb.Fatal("subscribe failed")
 		}
@@ -202,7 +202,7 @@ func BenchmarkHubReplayPartitioned(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, sub, ok := h.subscribe(1, 0, interest, nil)
+		_, sub, ok := h.subscribe(1, interest, nil)
 		if !ok {
 			b.Fatal("subscribe failed")
 		}

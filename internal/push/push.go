@@ -13,15 +13,14 @@
 //     bytes and must never panic. Events are carried over an SSE-style
 //     HTTP stream (text/event-stream). Every frame opens with the five
 //     invalidation fields; optional trailing fields carry the object's
-//     new body (base64-framed), a content digest, its content type, the
-//     stream's negotiated payload cap (on hello frames), delta or chunk
-//     state, and its Cache-Control, and a frame stops at its last
-//     non-empty field.
+//     new body (base64-framed), a content digest, its content type, delta
+//     or chunk state, and its Cache-Control, and a frame stops at its
+//     last non-empty field.
 //   - The Hub: the server half (hub.go) — one sequence space, a
 //     byte-budgeted replay ring of whole frames, slow-subscriber
 //     termination, per-subscriber lag accounting, deadline-bounded
-//     frame writes, per-stream payload-cap negotiation, and mid-stream
-//     Reset announcement. The origin's /events endpoint and every
+//     frame writes, the value ladder's per-stream rung choice, and
+//     mid-stream Reset announcement. The origin's /events endpoint and every
 //     relaying proxy's downstream endpoint are the same Hub.
 //   - The Subscriber: a client that reads, decodes and applies the
 //     stream in one loop on the goroutine that runs it, survives
@@ -40,13 +39,12 @@
 // consumer its view is no longer contiguous and it must revalidate by
 // polling (the proxy runs its staleness-bounded catch-up sweep).
 //
-// Payload delivery is negotiated per stream: a subscriber passes
-// ?maxpayload=<bytes>, the hub clamps it to its own cap and echoes the
-// result on the hello frame, and any update whose body exceeds the
-// stream's cap is degraded to an invalidation-only frame at write time —
-// never dropped, never skipped. The degradation ladder is therefore
-// value push → invalidation push → pure pull, each rung keeping the
-// paper's Δ guarantee intact.
+// Every stream carries payloads, and every frame's payload is at most one
+// size, DefaultPayloadCap: a larger body travels as a chunk set at that
+// size, and an update no payload rung can carry is degraded to an
+// invalidation-only frame — never dropped, never skipped. The degradation
+// ladder is therefore value push → invalidation push → pure pull, each
+// rung keeping the paper's Δ guarantee intact.
 package push
 
 import (
@@ -64,18 +62,21 @@ import (
 
 // MaxFrameLen bounds the encoded size of a frame's envelope — everything
 // except the base64 payload field. Keys are URL paths; anything larger
-// is hostile. The payload field is bounded separately by the negotiated
-// per-stream cap (never above MaxPayloadCap).
+// is hostile. The payload field is bounded separately, by
+// DefaultPayloadCap.
 const MaxFrameLen = 4096
 
-// DefaultPayloadCap is the per-stream payload size (pre-base64 bytes) a
-// hub or subscriber uses when payload delivery is enabled without an
-// explicit cap.
+// DefaultPayloadCap is the one payload size (pre-base64 bytes) of the
+// push wire: no hub writes a frame whose payload exceeds it, a body
+// larger than it travels as a chunk set at it, and a subscriber strips
+// a payload over it as a broken promise.
 const DefaultPayloadCap = 64 << 10
 
-// MaxPayloadCap is the absolute payload ceiling any hub will negotiate;
-// Decode rejects frames whose decoded payload exceeds it regardless of
-// what a hostile stream claims was negotiated.
+// MaxPayloadCap is Decode's ceiling on a frame's decoded payload: the
+// bound on what a hostile stream can make a reader hold. It sits above
+// DefaultPayloadCap so a payload over the wire's cap still decodes, and
+// the subscriber degrades it to an invalidation instead of losing the
+// frame.
 const MaxPayloadCap = 1 << 20
 
 // maxPayloadFieldLen bounds the base64 payload field on the wire.
@@ -86,9 +87,8 @@ type Kind uint8
 
 const (
 	// KindHello is the first frame of every stream: Seq carries the
-	// server's current (last assigned) sequence number, Reset reports
-	// whether the requested resume point fell outside the replay buffer,
-	// and PayloadCap carries the negotiated per-stream payload cap.
+	// server's current (last assigned) sequence number, and Reset reports
+	// whether the requested resume point fell outside the replay buffer.
 	KindHello Kind = 1
 	// KindUpdate announces that the object at Key was modified at
 	// ModTime. Seq is the event's position in the origin's stream. When
@@ -144,9 +144,6 @@ type Event struct {
 	// time so a corrupt frame degrades to a poll instead of killing the
 	// stream.
 	Digest string
-	// PayloadCap is the negotiated per-stream payload size in bytes,
-	// echoed on hello frames (0 = the stream carries no payloads).
-	PayloadCap uint64
 
 	// BaseDigest, when set, marks Body as a delta rather than the full
 	// body: it addresses the base body (by DigestOf) the delta was
@@ -213,7 +210,7 @@ var (
 // Encode renders the event as a single line of one grammar: five core
 // fields, then optional fields in a fixed order.
 //
-//	<kind> <seq> <modtime-unixnano> <flags> <key> [<payload-b64> [<digest> [<ctype> [<cap> [<base> <codec> [<ci> <ct> [<cc>]]]]]]]
+//	<kind> <seq> <modtime-unixnano> <flags> <key> [<payload-b64> [<digest> [<ctype> [<base> <codec> [<ci> <ct> [<cc>]]]]]]
 //
 // Key, content type and Cache-Control are query-escaped so they can
 // never contain the space separator; an empty text field encodes as "-",
@@ -298,18 +295,15 @@ func (e Event) appendWire(b []byte, payload bool) []byte {
 	if n >= 3 {
 		b = appendField(append(b, ' '), escapeField(e.ContentType))
 	}
-	if n >= 4 {
-		b = strconv.AppendUint(append(b, ' '), e.PayloadCap, 10)
-	}
-	if n >= 6 {
+	if n >= 5 {
 		b = appendField(append(b, ' '), e.BaseDigest)
 		b = strconv.AppendUint(append(b, ' '), uint64(e.DeltaCodec), 10)
 	}
-	if n >= 8 {
+	if n >= 7 {
 		b = strconv.AppendUint(append(b, ' '), uint64(e.ChunkIndex), 10)
 		b = strconv.AppendUint(append(b, ' '), uint64(e.ChunkTotal), 10)
 	}
-	if n == 9 {
+	if n == 8 {
 		b = appendField(append(b, ' '), escapeField(e.CacheControl))
 	}
 	return b
@@ -322,13 +316,11 @@ func (e Event) appendWire(b []byte, payload bool) []byte {
 func (e Event) optionalFields() int {
 	switch {
 	case e.CacheControl != "":
-		return 9
-	case e.ChunkIndex != 0 || e.ChunkTotal != 0:
 		return 8
+	case e.ChunkIndex != 0 || e.ChunkTotal != 0:
+		return 7
 	case e.BaseDigest != "" || e.DeltaCodec != 0:
-		return 6
-	case e.PayloadCap != 0:
-		return 4
+		return 5
 	case e.ContentType != "":
 		return 3
 	case e.Digest != "":
@@ -356,8 +348,8 @@ func appendField(b []byte, s string) []byte {
 //	full     — the body in one frame
 //	stripped — the five core fields, the invalidation every consumer understands
 //
-// Which rung a given stream receives depends only on its negotiated
-// payload cap and (for the delta) the digest it holds — so rendering
+// Which rung a given stream receives depends only on the version it
+// holds (the delta's base, or this very version) — so rendering
 // every applicable form at publish makes delivery to any number of
 // subscribers a byte-slice pick instead of a per-subscriber Encode.
 // The decoded routing fields (Kind, Seq, Key, Reset) stay exported so
@@ -369,15 +361,13 @@ type RenderedEvent struct {
 	Key   string
 	Reset bool
 
-	// payloadLen is the byte length of the payload carried by the full
-	// form, -1 when the event carries none (HasBody unset) — the
-	// distinction the per-stream cap check needs, preserved across the
-	// render exactly as Event.HasBody preserved it across the wire.
-	payloadLen int
+	// body reports whether the full form carries a payload (HasBody):
+	// only a payload delivery tells the hub what body a stream holds.
+	body bool
 	// full and stripped are the two classic wire forms; for an event
 	// with no payload state they are the same string rendered once.
-	// full is empty when the body exceeded the hub's payload cap and
-	// only chunked delivery can carry it.
+	// full is empty when the body exceeded the payload cap and only
+	// chunked delivery can carry it.
 	full     string
 	stripped string
 
@@ -389,14 +379,12 @@ type RenderedEvent struct {
 	mod    int64
 	// delta is the delta wire form (empty when the publisher
 	// supplied no delta sidecar); baseDigest addresses the base it
-	// applies to and deltaLen is its payload length for the cap check.
+	// applies to.
 	delta      string
 	baseDigest string
-	deltaLen   int
 	// chunks are the chunked wire forms of the full body, rendered
-	// at chunkLen payload bytes per frame (the cap a stream must have
-	// negotiated to receive them). Empty when the body fits the full
-	// form for every possible cap or chunking is disabled on the hub.
+	// at chunkLen payload bytes per frame. Empty when the body fits the
+	// full form or chunking was not asked for.
 	chunks   []string
 	chunkLen int
 
@@ -417,22 +405,16 @@ func RenderLadder(ev Event, chunkPayload int) RenderedEvent {
 
 // renderLadder is RenderLadder with the publish path's one extra
 // decision: suppressFull skips the full form of a payload event whose
-// body exceeds the hub's cap — no stream's negotiated cap could ever
-// receive it, so rendering it (a base64 copy of the whole body) and
-// holding it in the ring would spend bytes no subscriber can use. Delta
-// and chunked forms still render; WireFor then degrades streams that
-// can use neither to the stripped form.
+// body exceeds the payload cap — no stream could ever receive it, so
+// rendering it (a base64 copy of the whole body) and holding it in the
+// ring would spend bytes no subscriber can use. Delta and chunked forms
+// still render; a stream that can use neither gets the stripped form.
 func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 	re := RenderedEvent{
-		Kind:       ev.Kind,
-		Seq:        ev.Seq,
-		Key:        ev.Key,
-		Reset:      ev.Reset,
-		payloadLen: -1,
-		deltaLen:   -1,
-	}
-	if ev.HasBody {
-		re.payloadLen = len(ev.Body)
+		Kind:  ev.Kind,
+		Seq:   ev.Seq,
+		Key:   ev.Key,
+		Reset: ev.Reset,
 	}
 	if !ev.HasBody && ev.optionalFields() == 0 {
 		// Pure invalidation state: the full and stripped forms are the
@@ -442,6 +424,7 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 		re.cost = int64(len(re.full))
 		return re
 	}
+	re.body = ev.HasBody
 	re.digest = ev.Digest
 	if !ev.ModTime.IsZero() {
 		re.mod = ev.ModTime.UnixNano()
@@ -455,8 +438,7 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 		// to render, so the ladder is delta → stripped only.
 		re.delta = ev.Encode()
 		re.baseDigest = ev.BaseDigest
-		re.deltaLen = len(ev.Body)
-		re.payloadLen = -1
+		re.body = false
 		re.cost += int64(len(re.delta))
 		return re
 	}
@@ -477,7 +459,6 @@ func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
 		dEv.DeltaCodec = ev.DeltaCodec
 		re.delta = dEv.Encode()
 		re.baseDigest = ev.BaseDigest
-		re.deltaLen = len(ev.DeltaBody)
 		re.cost += int64(len(re.delta))
 	}
 
@@ -518,7 +499,7 @@ func (re RenderedEvent) Stripped() string { return re.stripped }
 func (re RenderedEvent) Delta() (frame, baseDigest string) { return re.delta, re.baseDigest }
 
 // Chunks returns the chunked wire forms (nil when the event has none)
-// and the per-frame payload size a stream must accept to receive them.
+// and the per-frame payload size they were rendered at.
 func (re RenderedEvent) Chunks() (frames []string, chunkPayload int) {
 	return re.chunks, re.chunkLen
 }
@@ -527,17 +508,13 @@ func (re RenderedEvent) Chunks() (frames []string, chunkPayload int) {
 // what a receiver holds after installing this update.
 func (re RenderedEvent) Digest() string { return re.digest }
 
-// WireFor picks the wire form for a stream with the given negotiated
-// payload cap: the stripped form when the event carries a payload the
-// cap cannot (including cap 0 — a stream that negotiated no payloads
-// cannot parse a 'p'-flagged frame even for an empty body), the full
-// form otherwise. Byte-identical to what per-subscriber
-// StripPayload-then-Encode produced before rendering moved to publish
-// time. Delta and chunk selection live in the hub's serve loop, which
-// needs per-subscriber held-digest state WireFor deliberately knows
-// nothing about.
-func (re RenderedEvent) WireFor(payloadCap int) string {
-	if re.full == "" || (re.payloadLen >= 0 && (payloadCap <= 0 || re.payloadLen > payloadCap)) {
+// WireFor picks the wire form a stream is sent when the delta and chunk
+// rungs do not apply: the full form, or the stripped one when the full
+// form was suppressed (a body over the payload cap). Delta and chunk
+// selection live in the hub's serve loop, which needs per-subscriber
+// held-digest state WireFor deliberately knows nothing about.
+func (re RenderedEvent) WireFor() string {
+	if re.full == "" {
 		return re.stripped
 	}
 	return re.full
@@ -545,8 +522,8 @@ func (re RenderedEvent) WireFor(payloadCap int) string {
 
 // renderedHello renders the hello frame opening (or, with reset,
 // resynchronizing) a stream.
-func renderedHello(seq, payloadCap uint64, reset bool) RenderedEvent {
-	return RenderLadder(Event{Kind: KindHello, Seq: seq, PayloadCap: payloadCap, Reset: reset}, 0)
+func renderedHello(seq uint64, reset bool) RenderedEvent {
+	return RenderLadder(Event{Kind: KindHello, Seq: seq, Reset: reset}, 0)
 }
 
 // escapeField query-escapes a key, content type or Cache-Control for the
@@ -568,8 +545,8 @@ func escapeField(s string) string {
 // frame would livelock every reconnect — and a proxy caching an object
 // whose key cannot ride the channel must keep pure-polling freshness
 // for it (no TTR stretch) because its updates will never be announced.
-// The payload is bounded separately by the negotiated per-stream cap,
-// never by this check.
+// The payload is bounded separately by the payload cap, never by this
+// check.
 //
 // One measure covers every frame the event can emit as: the stripped
 // form is never longer than the envelope it was stripped from, and the
@@ -583,7 +560,7 @@ func (e Event) Oversized() bool {
 
 // absentFields spells each field a frame leaves off at its end, so
 // Decode parses every frame at full width.
-var absentFields = [14]string{5: "-", 6: "-", 7: "-", 8: "0", 9: "-", 10: "0", 11: "0", 12: "0", 13: "-"}
+var absentFields = [13]string{5: "-", 6: "-", 7: "-", 8: "-", 9: "0", 10: "0", 11: "0", 12: "-"}
 
 // Decode parses a frame produced by Encode. It never panics on malformed
 // input: any deviation from the format yields an error. The ModTime of a
@@ -603,11 +580,13 @@ var absentFields = [14]string{5: "-", 6: "-", 7: "-", 8: "0", 9: "-", 10: "0", 1
 // is only paid for wire envelopes that could possibly overflow
 // (> MaxFrameLen/3); ordinary frames skip it.
 //
-// Every hello of the retired grammar whose sixth core field was the
-// object's group is refused too: that field is empty on a hello, so the
-// frame either ends in an empty field or carries text where the payload
-// cap's number belongs. A subscriber never gets past the hello of a
-// peer still speaking it, and falls back to polling.
+// Every hello of the retired grammars is refused too. Where the sixth
+// core field was the object's group, that field is empty on a hello, so
+// the frame either ends in an empty field or carries a number where a
+// payload-free hello has none; where the hello echoed a payload cap, the
+// cap's number lands in the delta base's place without a codec. A
+// subscriber never gets past the hello of a peer still speaking either,
+// and falls back to polling.
 func Decode(s string) (Event, error) {
 	if len(s) > MaxFrameLen+maxPayloadFieldLen+1 {
 		return Event{}, ErrFrameTooLong
@@ -644,7 +623,7 @@ func Decode(s string) (Event, error) {
 
 // decodeFields parses a frame's fields, the absent ones at their empty
 // spelling, by position.
-func decodeFields(w *[14]string) (Event, error) {
+func decodeFields(w *[13]string) (Event, error) {
 	var e Event
 	kind, err := strconv.ParseUint(w[0], 10, 8)
 	if err != nil {
@@ -709,31 +688,28 @@ func decodeFields(w *[14]string) (Event, error) {
 			return Event{}, fmt.Errorf("%w: bad content type %q", ErrBadFrame, w[7])
 		}
 	}
-	if e.PayloadCap, err = strconv.ParseUint(w[8], 10, 64); err != nil {
-		return Event{}, fmt.Errorf("%w: bad payload cap %q", ErrBadFrame, w[8])
-	}
-	if w[9] != "-" {
-		if !isHexDigest(w[9]) {
-			return Event{}, fmt.Errorf("%w: bad base digest %q", ErrBadFrame, w[9])
+	if w[8] != "-" {
+		if !isHexDigest(w[8]) {
+			return Event{}, fmt.Errorf("%w: bad base digest %q", ErrBadFrame, w[8])
 		}
-		e.BaseDigest = w[9]
+		e.BaseDigest = w[8]
 	}
-	codec, err := strconv.ParseUint(w[10], 10, 8)
+	codec, err := strconv.ParseUint(w[9], 10, 8)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad delta codec %q", ErrBadFrame, w[10])
+		return Event{}, fmt.Errorf("%w: bad delta codec %q", ErrBadFrame, w[9])
 	}
-	ci, err := strconv.ParseUint(w[11], 10, 32)
+	ci, err := strconv.ParseUint(w[10], 10, 32)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad chunk index %q", ErrBadFrame, w[11])
+		return Event{}, fmt.Errorf("%w: bad chunk index %q", ErrBadFrame, w[10])
 	}
-	ct, err := strconv.ParseUint(w[12], 10, 32)
+	ct, err := strconv.ParseUint(w[11], 10, 32)
 	if err != nil {
-		return Event{}, fmt.Errorf("%w: bad chunk total %q", ErrBadFrame, w[12])
+		return Event{}, fmt.Errorf("%w: bad chunk total %q", ErrBadFrame, w[11])
 	}
 	e.DeltaCodec, e.ChunkIndex, e.ChunkTotal = uint8(codec), uint32(ci), uint32(ct)
-	if w[13] != "-" {
-		if e.CacheControl, err = url.QueryUnescape(w[13]); err != nil {
-			return Event{}, fmt.Errorf("%w: bad cache-control %q", ErrBadFrame, w[13])
+	if w[12] != "-" {
+		if e.CacheControl, err = url.QueryUnescape(w[12]); err != nil {
+			return Event{}, fmt.Errorf("%w: bad cache-control %q", ErrBadFrame, w[12])
 		}
 	}
 	if err := validateLadderFields(e); err != nil {

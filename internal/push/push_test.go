@@ -40,17 +40,16 @@ func TestFrameGolden(t *testing.T) {
 		{"heartbeat", Event{Kind: KindHeartbeat, Seq: 99}, "3 99 0 - -", 10},
 		{"hello", Event{Kind: KindHello, Seq: 7}, "1 7 0 - -", 9},
 		{"hello with Reset", Event{Kind: KindHello, Seq: 7, Reset: true}, "1 7 0 r -", 9},
-		{"hello with cap", Event{Kind: KindHello, Seq: 7, PayloadCap: DefaultPayloadCap}, "1 7 0 - - - - - 65536", 21},
 		{"stripped update", up, core, 42},
 		{"full update", full, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain", 85},
 		{"full update without content type", noType, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2", 72},
 		{"empty body", empty, pcore + " - e3b0c44298fc1c14", 61},
 		{"empty body without digest", Event{Kind: KindUpdate, Seq: 8, Key: "/k", HasBody: true}, "2 8 0 p %2Fk", 12},
-		{"delta", delta, pcore + " AQJoaQ== 6c0fffb738e4d5c2 text%2Fplain 0 cae662172fd450bb 1", 102},
-		{"first chunk", first, pcore + " MTY1 6c0fffb738e4d5c2 text%2Fplain 0 - 0 0 3", 87},
-		{"last chunk", last, pcore + " Cg== 6c0fffb738e4d5c2 text%2Fplain 0 - 0 2 3", 87},
+		{"delta", delta, pcore + " AQJoaQ== 6c0fffb738e4d5c2 text%2Fplain cae662172fd450bb 1", 100},
+		{"first chunk", first, pcore + " MTY1 6c0fffb738e4d5c2 text%2Fplain - 0 0 3", 85},
+		{"last chunk", last, pcore + " Cg== 6c0fffb738e4d5c2 text%2Fplain - 0 2 3", 85},
 		{"full update with cache-control", withCC,
-			pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain 0 - 0 0 0 x-cc-delta%3D30%2C+x-mc-group%3Dnews", 132},
+			pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain - 0 0 0 x-cc-delta%3D30%2C+x-mc-group%3Dnews", 130},
 	}
 	for _, c := range cases {
 		if got := c.ev.Encode(); got != c.wire || len(got) != c.size {
@@ -76,9 +75,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	})
 }
 
-// TestEncodeDecodeRoundTripV2 pins the payload fields: bodies, digests,
-// content types, and payload caps survive the wire, cap-boundary payload
-// sizes round-trip exactly, and an event without payload state keeps the
+// TestEncodeDecodeRoundTripV2 pins the payload fields: bodies, digests
+// and content types survive the wire, a payload at Decode's ceiling
+// round-trips exactly, and an event without payload state keeps the
 // five core fields only.
 func TestEncodeDecodeRoundTripV2(t *testing.T) {
 	big := make([]byte, MaxPayloadCap)
@@ -97,8 +96,7 @@ func TestEncodeDecodeRoundTripV2(t *testing.T) {
 		// Digest without payload: what a stream-side strip leaves behind
 		// must still parse (a consumer treats it as invalidation-only).
 		{Kind: KindUpdate, Seq: 4, Key: "/stripped", Digest: "deadbeef00112233"},
-		{Kind: KindHello, Seq: 9, PayloadCap: 4096},
-		{Kind: KindHello, Seq: 9, Reset: true, PayloadCap: DefaultPayloadCap},
+		{Kind: KindHello, Seq: 9, Reset: true},
 		// Reset flag plus payload (not emitted today, but representable).
 		{Kind: KindUpdate, Seq: 5, Key: "/rp", Reset: true, Body: []byte("x"), HasBody: true},
 		{Kind: KindUpdate, Seq: 6, Key: "/big", Body: big, HasBody: true, Digest: DigestOf(big)},
@@ -137,7 +135,7 @@ func sameOnWire(a, b Event) bool {
 	return a.Kind == b.Kind && a.Seq == b.Seq && a.Key == b.Key &&
 		a.Reset == b.Reset && a.ModTime.Equal(b.ModTime) && a.HasBody == b.HasBody &&
 		bytes.Equal(a.Body, b.Body) && a.ContentType == b.ContentType && a.Digest == b.Digest &&
-		a.PayloadCap == b.PayloadCap && a.BaseDigest == b.BaseDigest && a.DeltaCodec == b.DeltaCodec &&
+		a.BaseDigest == b.BaseDigest && a.DeltaCodec == b.DeltaCodec &&
 		a.ChunkIndex == b.ChunkIndex && a.ChunkTotal == b.ChunkTotal && a.CacheControl == b.CacheControl
 }
 
@@ -169,8 +167,8 @@ func TestCacheControlField(t *testing.T) {
 
 	d := DigestOf(body)
 	for _, wire := range []string{
-		"2 1 0 p /k aGk= " + d + " - 0 - 0 0 0 x-cc%zz", // bad escape
-		"2 1 0 p /k aGk= " + d + " - 0 - 0 0 0 -",       // ends in an empty cc
+		"2 1 0 p /k aGk= " + d + " - - 0 0 0 x-cc%zz", // bad escape
+		"2 1 0 p /k aGk= " + d + " - - 0 0 0 -",       // ends in an empty cc
 	} {
 		if ev, err := Decode(wire); err == nil {
 			t.Errorf("Decode(%q) accepted as %+v", wire, ev)
@@ -180,8 +178,9 @@ func TestCacheControlField(t *testing.T) {
 
 // TestDecodeRejectsMalformed: Decode refuses, never half-parses, every
 // frame that breaks the field syntax, the retired versioned spellings,
-// the retired six-core-field spelling with or without a group token, a
-// frame ending in an empty field, and an envelope over the limit.
+// the retired six-core-field spelling with or without a group token, the
+// retired hello that echoed a payload cap, a frame ending in an empty
+// field, and an envelope over the limit.
 // TestDecodeV3Rejections covers the delta and chunk fields.
 func TestDecodeRejectsMalformed(t *testing.T) {
 	d := DigestOf([]byte("x"))
@@ -210,13 +209,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"2 1 0 - /k -",                                 // ends in an empty payload field
 		"2 1 0 p /k -",                                 // empty body spelled out
 		"2 1 0 - /k - -",                               // ends in an empty digest
-		"1 1 0 - - - - - 0",                            // ends in a zero cap
+		"1 7 0 - - - - - 65536",                        // hello echoing a cap
+		"1 1 0 - - - - - 0",                            // hello echoing a zero cap
 		"2 1 0 p /k !!!not-base64!!!",                  // hostile base64
 		"2 1 0 p /k ====",                              // hostile base64 padding
 		"2 1 0 - /k " + b64(1),                         // payload without the p flag
 		"2 1 0 - /k - zz",                              // non-hex digest
 		"2 1 0 - /k - " + strings.Repeat("a", 65),      // digest too long
-		"1 1 0 - - - - - x",                            // bad payload cap
+		"1 1 0 - - - - - x",                            // bad base digest
 		"2 1 0 - /" + strings.Repeat("k", MaxFrameLen), // over the frame limit
 		"2 1 0 p /" + strings.Repeat("k", MaxFrameLen) + " " + b64(8) + " " + d, // envelope over the limit
 		// Raw newlines ride one byte each on a hostile wire but re-encode

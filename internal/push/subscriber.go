@@ -53,13 +53,6 @@ type SubscriberConfig struct {
 	// BackoffMin and BackoffMax bound the exponential reconnect backoff.
 	// Defaults: 100ms and 10s.
 	BackoffMin, BackoffMax time.Duration
-	// PayloadCap requests payload-carrying update frames with
-	// bodies up to this many bytes; the server clamps it to its own cap
-	// and echoes the negotiated value on the hello frame. Zero (the
-	// default) requests a pure invalidation stream — the server strips
-	// every payload before it reaches the wire. Clamped to
-	// MaxPayloadCap.
-	PayloadCap int
 	// Interest, when set, is evaluated at every connection attempt and
 	// declares the subscriber's interest set upstream (?prefix=
 	// parameters): the server skips update frames outside it.
@@ -71,8 +64,7 @@ type SubscriberConfig struct {
 	// (repeatable ?held=<key>:<digest> parameters, capped server-side
 	// at maxHeldTerms): the server may then open matching updates on
 	// the delta rung — a delta against the held body instead of the
-	// full payload. Purely an optimization; meaningless (and not sent)
-	// without PayloadCap.
+	// full payload. Purely an optimization.
 	Held func() []HeldDigest
 	// HeartbeatTimeout declares the stream dead when no frame (of any
 	// kind) arrives for this long. It must exceed the server's heartbeat
@@ -138,12 +130,6 @@ func NewSubscriber(cfg SubscriberConfig) (*Subscriber, error) {
 	if cfg.HeartbeatTimeout == 0 {
 		cfg.HeartbeatTimeout = 30 * time.Second
 	}
-	if cfg.PayloadCap < 0 {
-		cfg.PayloadCap = 0
-	}
-	if cfg.PayloadCap > MaxPayloadCap {
-		cfg.PayloadCap = MaxPayloadCap
-	}
 	return &Subscriber{cfg: cfg}, nil
 }
 
@@ -174,10 +160,10 @@ type SubscriberStats struct {
 	// each is skipped in place (consumed to its newline).
 	SkippedFrames uint64
 	// OverCapPayloads counts update payloads stripped client-side for
-	// exceeding the negotiated cap. A server honoring the negotiation
-	// degrades such frames itself; a non-zero count means the upstream
-	// ignored the cap, and the affected updates were handled as plain
-	// invalidations (the consumer polls to confirm).
+	// exceeding DefaultPayloadCap. A broadway hub never writes one; a
+	// non-zero count means the upstream ignored the cap, and the
+	// affected updates were handled as plain invalidations (the consumer
+	// polls to confirm).
 	OverCapPayloads uint64
 	// Bounces counts deliberate reconnects forced by Bounce.
 	Bounces uint64
@@ -277,6 +263,11 @@ func (s *Subscriber) Run(ctx context.Context) {
 		}
 	}
 }
+
+// maxLineLen bounds a stream line: the envelope plus the base64
+// expansion of the largest payload a frame carries. Anything longer is
+// either hostile or a protocol violation and is skipped in place.
+var maxLineLen = MaxFrameLen + 64 + base64.StdEncoding.EncodedLen(DefaultPayloadCap)
 
 // readFrameLine reads one newline-terminated line of at most limit
 // bytes from br. A longer line is consumed through its newline and
@@ -419,9 +410,6 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 	if since > 0 {
 		addParam("since", since)
 	}
-	if s.cfg.PayloadCap > 0 {
-		addParam("maxpayload", uint64(s.cfg.PayloadCap))
-	}
 	interest := InterestAll()
 	if s.cfg.Interest != nil {
 		interest = s.cfg.Interest()
@@ -442,7 +430,7 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 	if q := interest.EncodeQuery(); q != "" {
 		addQuery(q)
 	}
-	if s.cfg.PayloadCap > 0 && s.cfg.Held != nil {
+	if s.cfg.Held != nil {
 		// Advertise held digests so the server can open on the delta
 		// rung. Malformed terms are dropped here for the same reason the
 		// server ignores them: held state is an optimization, and a bad
@@ -520,19 +508,12 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 		body = zr
 	}
 	br := bufio.NewReaderSize(body, 4096)
-	// The line limit covers the envelope plus the base64 expansion of
-	// the largest payload this stream negotiated for; anything longer is
-	// either hostile or a protocol violation and is skipped in place.
-	lineLimit := MaxFrameLen + 64
-	if s.cfg.PayloadCap > 0 {
-		lineLimit += base64.StdEncoding.EncodedLen(s.cfg.PayloadCap)
-	}
 	// asm is the chunk-reassembly slot; it dies with the stream (a set
 	// split across connections replays whole, because non-terminal
 	// chunks never advance the resume position).
 	var asm chunkAssembly
 	for {
-		line, skipped, err := readFrameLine(br, lineLimit)
+		line, skipped, err := readFrameLine(br, maxLineLen)
 		if err != nil {
 			return connected, ended(err)
 		}
@@ -588,10 +569,10 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 			}
 			continue
 		}
-		if ev.HasBody && (s.cfg.PayloadCap <= 0 || len(ev.Body) > s.cfg.PayloadCap) {
-			// The upstream ignored the negotiated cap: degrade the
-			// frame to the invalidation it should have been — the
-			// consumer confirms by polling, the stream survives.
+		if ev.HasBody && len(ev.Body) > DefaultPayloadCap {
+			// The upstream ignored the cap: degrade the frame to the
+			// invalidation it should have been — the consumer confirms
+			// by polling, the stream survives.
 			ev = ev.StripPayload()
 			s.overCap.Add(1)
 		}

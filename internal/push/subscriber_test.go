@@ -131,10 +131,10 @@ func TestSubscriberSkipsOversizedLinesWithoutReconnecting(t *testing.T) {
 		t.Fatal("hello never processed")
 	}
 
-	// A line far beyond MaxFrameLen+64, as a hostile or non-broadway
+	// A line far beyond the line limit, as a hostile or non-broadway
 	// upstream could emit, followed by a well-formed update on the same
 	// stream.
-	srv.send(strings.Repeat("x", MaxFrameLen*2))
+	srv.send(strings.Repeat("x", maxLineLen*2))
 	srv.send(Event{Kind: KindUpdate, Seq: 1, Key: "/a"}.Encode())
 
 	if !waitCond(t, 2*time.Second, func() bool { return events.Load() == 1 }) {
@@ -147,6 +147,64 @@ func TestSubscriberSkipsOversizedLinesWithoutReconnecting(t *testing.T) {
 	if srv.conns.Load() != 1 || sub.Stats().Disconnects != 0 {
 		t.Errorf("stream died on the oversized line (conns=%d disconnects=%d) — the reconnect livelock",
 			srv.conns.Load(), sub.Stats().Disconnects)
+	}
+}
+
+// TestSubscriberStripsOverCapPayload: a payload over DefaultPayloadCap
+// is a promise no broadway hub breaks, so one that arrives came from an
+// upstream ignoring the cap. The subscriber hands the consumer the
+// invalidation the frame should have been and counts it, and the
+// stream lives on.
+func TestSubscriberStripsOverCapPayload(t *testing.T) {
+	srv := &sseServer{}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var mu sync.Mutex
+	var got []Event
+	sub, err := NewSubscriber(SubscriberConfig{
+		URL: ts.URL,
+		OnEvent: func(ev Event) {
+			mu.Lock()
+			got = append(got, ev)
+			mu.Unlock()
+		},
+		BackoffMin: 5 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go sub.Run(ctx)
+	if !waitCond(t, 2*time.Second, func() bool {
+		srv.send(Event{Kind: KindHello, Seq: 0}.Encode())
+		return sub.Stats().Connects >= 1
+	}) {
+		t.Fatal("hello never processed")
+	}
+
+	fat := make([]byte, DefaultPayloadCap+1)
+	srv.send(Event{Kind: KindUpdate, Seq: 1, Key: "/fat", Body: fat, HasBody: true, Digest: DigestOf(fat)}.Encode())
+	body := []byte("fits")
+	srv.send(Event{Kind: KindUpdate, Seq: 2, Key: "/ok", Body: body, HasBody: true, Digest: DigestOf(body)}.Encode())
+	if !waitCond(t, 2*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 2
+	}) {
+		t.Fatalf("updates never arrived (%+v)", sub.Stats())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got[0].Key != "/fat" || got[0].HasBody || got[0].Digest != "" {
+		t.Errorf("over-cap frame reached the consumer with payload state: HasBody %v digest %q", got[0].HasBody, got[0].Digest)
+	}
+	if string(got[1].Body) != "fits" {
+		t.Errorf("the frame after it lost its payload: %+v", got[1])
+	}
+	if st := sub.Stats(); st.OverCapPayloads != 1 || st.SkippedFrames != 0 || st.Disconnects != 0 {
+		t.Errorf("stats %+v, want one over-cap strip and nothing skipped or dropped", st)
 	}
 }
 
@@ -168,7 +226,6 @@ func TestSubscriberSkipsMalformedLinesWithoutReconnecting(t *testing.T) {
 		OnEvent:     func(Event) { events.Add(1) },
 		OnFrameLoss: func() { losses.Add(1) },
 		BackoffMin:  5 * time.Millisecond,
-		PayloadCap:  DefaultPayloadCap, // widened read limit: the hole's precondition
 	})
 	if err != nil {
 		t.Fatal(err)

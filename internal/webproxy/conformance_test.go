@@ -117,18 +117,22 @@ type replayResult struct {
 // deterministic.
 const admissionPhase = 37 * time.Millisecond
 
-// noPayloads is confTopology's payloadCap for an origin whose events
-// carry no payloads.
-const noPayloads = -1
+// Event forms for confTopology: valueEvents is the shipped origin's,
+// every event carrying the new body; strippedEvents serves each event
+// stripped of its body (topology.strip), the payload-free frame a
+// degraded rung leaves, so every pushed job is a confirmation poll.
+const (
+	valueEvents    = true
+	strippedEvents = false
+)
 
 // confTopology is the battery's live stack: hops proxies configured by
 // cfg below an origin with the history extension on, subscribed to its
-// events when pushOn, the events carrying payloads capped at payloadCap
-// (0: the protocol default) unless it is noPayloads.
-func confTopology(hops int, cfg Config, pushOn bool, payloadCap int) topology {
+// events when pushOn, in the form withValues names.
+func confTopology(hops int, cfg Config, pushOn, withValues bool) topology {
 	tp := topology{hops: hops, push: pushOn, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
-	if payloadCap != noPayloads {
-		tp.origin = append(tp.origin, webserver.WithPushValues(payloadCap))
+	if pushOn && !withValues {
+		return withStrippedEvents(tp)
 	}
 	return tp
 }
@@ -277,7 +281,7 @@ func TestConformanceTemporalPullMatchesSimulator(t *testing.T) {
 	res := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false, noPayloads), []replayObject{{path: "/news", tr: tr}}, confHorizon, nil)
+	}, false, strippedEvents), []replayObject{{path: "/news", tr: tr}}, confHorizon, nil)
 	log := res.logs["/news"]
 	if len(log) < 3 {
 		t.Fatalf("live replay recorded only %d polls", len(log))
@@ -314,12 +318,12 @@ func TestConformanceTemporalPushHalvesPollsWithoutLosingFidelity(t *testing.T) {
 	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false, noPayloads), obj, confHorizon, nil)
+	}, false, strippedEvents), obj, confHorizon, nil)
 	push := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true, noPayloads), obj, confHorizon, nil)
+	}, true, strippedEvents), obj, confHorizon, nil)
 
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/news"], confDelta, confHorizon)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/news"], confDelta, confHorizon)
@@ -369,7 +373,7 @@ func TestConformanceMutualPairMatchesSimulator(t *testing.T) {
 			name = "push"
 			run.PushStretch = 16
 		}
-		res := replay(t, confTopology(1, run, pushOn, noPayloads), objs, confHorizon, nil)
+		res := replay(t, confTopology(1, run, pushOn, strippedEvents), objs, confHorizon, nil)
 		meas := metrics.EvaluateMutualTemporal([]*trace.Trace{trA, trB}, [][]metrics.Refresh{res.logs["/a"], res.logs["/b"]}, groupDelta, confHorizon)
 		t.Logf("%s measured:  %v (origin polls %d)", name, meas, res.originPolls)
 		t.Logf("%s predicted: %v", name, pred)

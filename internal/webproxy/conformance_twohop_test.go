@@ -37,7 +37,7 @@ func killUpstream(at time.Duration) func(h *harness) []step {
 // replayed trace — the relay may add a hop, never staleness beyond Δ.
 func TestConformanceTwoHopRelayHoldsLeafDeltaBound(t *testing.T) {
 	tr := confTrace(t)
-	res := replay(t, confTopology(2, Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16}, true, noPayloads),
+	res := replay(t, confTopology(2, Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16}, true, strippedEvents),
 		[]replayObject{{path: "/news", tr: tr}}, confHorizon, nil)
 	leafPush, relay := res.pushStats, res.h.root().relayHub()
 	log := res.logs["/news"]
@@ -73,7 +73,7 @@ func TestConformanceTwoHopSurvivesUpstreamKill(t *testing.T) {
 	tr := confTrace(t)
 	// Kill just after the first third of the horizon: the trace is
 	// guaranteed to still have updates in flight afterwards.
-	res := replay(t, confTopology(2, Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16}, true, noPayloads),
+	res := replay(t, confTopology(2, Config{DefaultDelta: confDelta, Bounds: confBounds, PushStretch: 16}, true, strippedEvents),
 		[]replayObject{{path: "/news", tr: tr}}, confHorizon, killUpstream(confHorizon/3))
 
 	parentPush, leafPush := res.h.root().PushStats(), res.pushStats
@@ -120,7 +120,7 @@ func TestConformanceTemporalSecondPreset(t *testing.T) {
 	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false, noPayloads), []replayObject{{path: "/nytap", tr: tr}}, confHorizon, nil)
+	}, false, strippedEvents), []replayObject{{path: "/nytap", tr: tr}}, confHorizon, nil)
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/nytap"], confDelta, confHorizon)
 	t.Logf("predicted: %v", pred)
 	t.Logf("pull measured: %v (origin polls %d)", measPull, pull.originPolls)
@@ -138,7 +138,7 @@ func TestConformanceTemporalSecondPreset(t *testing.T) {
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true, noPayloads), []replayObject{{path: "/nytap", tr: tr}}, confHorizon, nil)
+	}, true, strippedEvents), []replayObject{{path: "/nytap", tr: tr}}, confHorizon, nil)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/nytap"], confDelta, confHorizon)
 	t.Logf("push measured: %v (origin polls %d)", measPush, push.originPolls)
 	rPull := violationRate(measPull.Violations, measPull.Polls)

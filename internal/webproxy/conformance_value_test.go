@@ -145,7 +145,7 @@ func runValuePreset(t *testing.T, tr *trace.Trace, delta float64, horizon time.D
 	// Pull fidelity: the live stack running AdaptiveTTR over the same
 	// trace must land near the simulator's prediction, at comparable
 	// poll cost — the same conformance bar the temporal presets clear.
-	pull := replay(t, confTopology(1, valueReplayConfig(false), false, noPayloads), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
+	pull := replay(t, confTopology(1, valueReplayConfig(false), false, strippedEvents), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
 	measPull := metrics.EvaluateValue(tr, pull.logs[path], delta, horizon)
 	t.Logf("%s pull measured:  %+v (origin polls %d)", tr.Name, measPull, pull.originPolls)
 	t.Logf("%s pull predicted: %+v (origin polls %d)", tr.Name, pred, predPolls)
@@ -160,7 +160,7 @@ func runValuePreset(t *testing.T, tr *trace.Trace, delta float64, horizon time.D
 
 	// Push: every tick rides the payload — zero Δv violations, zero
 	// confirmation polls on the pushed path.
-	push := replay(t, confTopology(1, valueReplayConfig(true), true, 0), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
+	push := replay(t, confTopology(1, valueReplayConfig(true), true, valueEvents), []replayObject{{path: path, tr: tr, tol: tol}}, horizon, nil)
 	measPush := metrics.EvaluateValue(tr, push.logs[path], delta, horizon)
 	t.Logf("%s push measured: %+v (origin polls %d, applied %d, pushed polls %d, stats %+v)",
 		tr.Name, measPush, push.originPolls, push.applied, push.pushedPolls, push.pushStats)
@@ -200,7 +200,7 @@ func TestConformanceValueYahoo(t *testing.T) {
 func TestConformanceValueTwoHop(t *testing.T) {
 	tr := valueTrace(t, tracegen.ATT(), attHorizon)
 	path := "/" + tr.Name
-	res := replay(t, confTopology(2, twoHopValues, true, 0), []replayObject{{path: path, tr: tr,
+	res := replay(t, confTopology(2, twoHopValues, true, valueEvents), []replayObject{{path: path, tr: tr,
 		tol: httpx.Tolerances{ValueDelta: attDelta}}}, attHorizon, nil)
 	parentPush, leafPush := res.h.root().PushStats(), res.pushStats
 
@@ -226,22 +226,18 @@ func TestConformanceValueTwoHop(t *testing.T) {
 }
 
 // TestConformanceValueLargeObjectTwoHop is the ladder's large-object
-// acceptance run: the AT&T preset with every body padded to ~12 KiB
-// against a 4 KiB cap at the origin. The first payload must travel
-// chunked to the parent (it exceeds the origin's cap), every later tick
-// must ride the delta rung at both hops (the padded bodies differ by a
-// few bytes), and the Δv bound must hold with zero confirmation polls
-// and zero fallbacks anywhere in the chain. (A relay chunks at its own
-// fixed cap, push.DefaultPayloadCap: TestThreeHopOnePayloadPerVersionPerLink
-// counts those chunk sets.)
+// acceptance run: the AT&T preset with every body padded past
+// push.DefaultPayloadCap. The first payload must travel chunked to the
+// parent (it exceeds the cap), every later tick must ride the delta
+// rung at both hops (the padded bodies differ by a few bytes), and the
+// Δv bound must hold with zero confirmation polls and zero fallbacks
+// anywhere in the chain. (TestThreeHopOnePayloadPerVersionPerLink counts
+// the chunk sets each link sends.)
 func TestConformanceValueLargeObjectTwoHop(t *testing.T) {
-	const (
-		largeCap = 4 << 10
-		largePad = 12 << 10
-	)
+	const largePad = push.DefaultPayloadCap + 16<<10
 	tr := valueTrace(t, tracegen.ATT(), attHorizon/2)
 	path := "/" + tr.Name
-	res := replay(t, confTopology(2, twoHopValues, true, largeCap), []replayObject{{path: path, tr: tr,
+	res := replay(t, confTopology(2, twoHopValues, true, valueEvents), []replayObject{{path: path, tr: tr,
 		tol: httpx.Tolerances{ValueDelta: attDelta}, pad: largePad}}, attHorizon/2, nil)
 	parentPush, leafPush := res.h.root().PushStats(), res.pushStats
 
@@ -329,7 +325,7 @@ func TestConformanceValueInjectionsFallBack(t *testing.T) {
 			}
 		},
 	}
-	res := replay(t, confTopology(1, valueReplayConfig(true), true, 0), []replayObject{obj}, attHorizon/2, nil)
+	res := replay(t, confTopology(1, valueReplayConfig(true), true, valueEvents), []replayObject{obj}, attHorizon/2, nil)
 	meas := metrics.EvaluateValue(tr, res.logs[path], attDelta, attHorizon/2)
 	t.Logf("measured: %+v (injected %d, fallbacks %d, applied %d, pushed polls %d)",
 		meas, injected, res.pushStats.ValueFallbacks, res.applied, res.pushedPolls)
@@ -367,7 +363,7 @@ func TestConformanceTemporalGuardianPreset(t *testing.T) {
 	pull := replay(t, confTopology(1, Config{
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
-	}, false, noPayloads), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
+	}, false, strippedEvents), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
 	measPull := metrics.EvaluateTemporal(tr, pull.logs["/guardian"], confDelta, horizon)
 	t.Logf("predicted: %v", pred)
 	t.Logf("pull measured: %v (origin polls %d)", measPull, pull.originPolls)
@@ -385,7 +381,7 @@ func TestConformanceTemporalGuardianPreset(t *testing.T) {
 		DefaultDelta: confDelta,
 		Bounds:       confBounds,
 		PushStretch:  16,
-	}, true, noPayloads), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
+	}, true, strippedEvents), []replayObject{{path: "/guardian", tr: tr}}, horizon, nil)
 	measPush := metrics.EvaluateTemporal(tr, push.logs["/guardian"], confDelta, horizon)
 	t.Logf("push measured: %v (origin polls %d)", measPush, push.originPolls)
 	rPull := violationRate(measPull.Violations, measPull.Polls)

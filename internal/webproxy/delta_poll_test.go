@@ -4,9 +4,9 @@ package webproxy
 // from a copy that holds the origin's previous version is answered 226
 // with the change, verified against the held body and the result's
 // digest before anything is installed; every answer that does not
-// verify costs exactly one unconditional GET. Also the admission half of
-// passing on what the origin said: a 404 or 410 reaches the client as
-// received.
+// verify costs exactly one unconditional GET. Also passing on what the
+// origin said: a 404 or 410 reaches the client as received and evicts a
+// polled copy, and a no-store or private answer is never stored.
 
 import (
 	"bytes"
@@ -17,9 +17,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"broadway/internal/httpx"
 	"broadway/internal/push"
 	"broadway/internal/webserver"
 )
@@ -348,5 +350,118 @@ func TestOriginMissingObjectReachesClient(t *testing.T) {
 	}
 	if n := px.UpstreamStatus().Errors; n != 0 {
 		t.Errorf("%d upstream errors, want none", n)
+	}
+}
+
+// TestPollAnsweredGoneEvicts: a resident whose origin starts answering
+// 404 or 410 leaves both tiers at its next poll, counted as an eviction;
+// the next GET hears the origin's answer, and none of it is an upstream
+// error. (Backing off instead, the copy would be served STALE.)
+func TestPollAnsweredGoneEvicts(t *testing.T) {
+	for _, code := range []int{http.StatusNotFound, http.StatusGone} {
+		t.Run(http.StatusText(code), func(t *testing.T) {
+			var gone atomic.Bool
+			h := newHarness(t, topology{
+				cfg: Config{DiskDir: t.TempDir()},
+				wrap: func(next http.Handler) http.Handler {
+					return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+						if gone.Load() {
+							w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+							w.WriteHeader(code)
+							w.Write([]byte("no such object\n"))
+							return
+						}
+						next.ServeHTTP(w, r)
+					})
+				},
+			})
+			px := h.leaf()
+			h.origin.Set("/obj", []byte("v1"), "")
+			if _, body, hdr := px.get("/obj"); body != "v1" || hdr.Get("X-Cache") != "MISS" {
+				t.Fatalf("admission served %q %s", body, hdr.Get("X-Cache"))
+			}
+			px.FlushDisk()
+			if _, _, ok := px.disk.Get("/obj"); !ok {
+				t.Fatal("test premise: the copy never reached the disk tier")
+			}
+
+			gone.Store(true)
+			h.advance(2 * time.Second) // past the first TTR: the poll runs
+			if n := px.Len(); n != 0 {
+				t.Errorf("%d objects resident after the origin answered %d, want none", n, code)
+			}
+			if _, _, ok := px.disk.Get("/obj"); ok {
+				t.Error("the disk record outlived the origin's answer")
+			}
+			if n := px.CacheStats().Evictions; n != 1 {
+				t.Errorf("Evictions = %d, want 1", n)
+			}
+			got, body, hdr := px.get("/obj")
+			if got != code || body != "no such object\n" || hdr.Get("X-Cache") != "MISS" {
+				t.Errorf("GET after eviction = %d %q %s, want the origin's %d", got, body, hdr.Get("X-Cache"), code)
+			}
+			if n := px.UpstreamStatus().Errors; n != 0 {
+				t.Errorf("%d upstream errors, want none: the origin answered", n)
+			}
+		})
+	}
+}
+
+// TestUnstorableAnswerIsNeverStored: an answer whose Cache-Control
+// carries no-store or private is served BYPASS and stored in neither
+// tier — every request asks the origin — and a poll answer that newly
+// carries one evicts the resident copy.
+func TestUnstorableAnswerIsNeverStored(t *testing.T) {
+	var flipped atomic.Bool
+	h := newHarness(t, topology{
+		cfg: Config{DiskDir: t.TempDir()},
+		wrap: func(next http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path == "/nostore", r.URL.Path == "/flip" && flipped.Load():
+					w.Header().Set("Cache-Control", "no-store")
+				case r.URL.Path == "/private":
+					w.Header().Set("Cache-Control", "private")
+				case r.URL.Path == "/private-field":
+					w.Header().Set("Cache-Control", `PRIVATE="Set-Cookie"`)
+				}
+				next.ServeHTTP(w, r) // the origin appends its own directives
+			})
+		},
+	})
+	px := h.leaf()
+	for _, path := range []string{"/nostore", "/private", "/private-field"} {
+		h.origin.Set(path, []byte("secret"), "")
+		h.origin.SetTolerances(path, httpx.Tolerances{Delta: 2 * time.Second})
+		for i := 0; i < 2; i++ {
+			code, body, hdr := px.get(path)
+			if code != http.StatusOK || body != "secret" || hdr.Get("X-Cache") != "BYPASS" {
+				t.Errorf("GET %s #%d = %d %q X-Cache=%q, want 200 \"secret\" BYPASS", path, i+1, code, body, hdr.Get("X-Cache"))
+			}
+		}
+		if n := px.up.requestsFor(path); n != 2 {
+			t.Errorf("%s reached the origin %d times, want 2: nothing is stored", path, n)
+		}
+	}
+	px.FlushDisk()
+	if n := px.Len(); n != 0 {
+		t.Errorf("%d objects resident, want none", n)
+	}
+	if n := px.DiskStats().Records; n != 0 {
+		t.Errorf("%d disk records, want none", n)
+	}
+
+	h.origin.Set("/flip", []byte("v1"), "")
+	if _, _, hdr := px.get("/flip"); hdr.Get("X-Cache") != "MISS" {
+		t.Fatalf("a storable answer served %s", hdr.Get("X-Cache"))
+	}
+	flipped.Store(true)
+	h.origin.Set("/flip", []byte("v2"), "")
+	h.advance(2 * time.Second) // past the first TTR: the poll runs
+	if n := px.Len(); n != 0 {
+		t.Errorf("%d objects resident after a no-store poll answer, want none", n)
+	}
+	if _, body, hdr := px.get("/flip"); body != "v2" || hdr.Get("X-Cache") != "BYPASS" {
+		t.Errorf("GET /flip after the answer turned no-store = %q %s, want \"v2\" BYPASS", body, hdr.Get("X-Cache"))
 	}
 }

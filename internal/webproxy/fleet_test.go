@@ -77,7 +77,6 @@ func startFleetWatcher(h *harness, mid *node, prefix string) *fleetWatcher {
 		Interest: func() push.InterestSet {
 			return push.NewInterest([]string{prefix})
 		},
-		PayloadCap: push.DefaultPayloadCap,
 	})
 	return w
 }
@@ -91,7 +90,7 @@ func TestFleetFanoutHierarchy(t *testing.T) {
 	}
 	h := newHarness(t, topology{
 		push:   true,
-		origin: []webserver.Option{webserver.WithHistoryExtension(true), webserver.WithPushValues(0)},
+		origin: []webserver.Option{webserver.WithHistoryExtension(true)},
 		cfg: Config{
 			DefaultDelta: confDelta,
 			Bounds:       confBounds,

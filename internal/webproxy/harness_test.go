@@ -621,8 +621,10 @@ type streamState struct {
 // streamer is one event-stream consumer quiesce waits for: a proxy's push
 // subscription, or a watcher.
 type streamer struct {
-	link  *link
-	up    *node // whose relay hub it subscribes to; nil for the origin's
+	link *link
+	// up is whose relay hub it subscribes to: nil for the hub at the
+	// origin's /events, harness.mirror for the stock origin's own.
+	up    *node
 	state func() streamState
 	gone  func() bool // closed, or stopped
 	// base and baseResets are its state and its hub's Resets at the last
@@ -790,6 +792,13 @@ type topology struct {
 	// hub, when set, serves the origin's /events: the test announces
 	// updates itself.
 	hub *push.Hub
+	// strip serves the stock origin's events without their payloads:
+	// the harness makes hub, and a raw subscriber on the origin's own
+	// stream republishes each event there stripped — the payload-free
+	// frame a degraded rung leaves, so every pushed job is a
+	// confirmation poll — and takes hub down while the origin's stream
+	// is.
+	strip bool
 	// refuseAudits answers audit batches 404, as an upstream that
 	// predates them does, until the test clears harness.refusing.
 	refuseAudits bool
@@ -819,15 +828,21 @@ type harness struct {
 	streams  []*streamer
 	watchers []*watcher
 	refusing atomic.Bool // the top answers audit batches 404 (see refuseAudits)
+	// mirror keys the stock origin's own hub in hubs() when strip moved
+	// /events to topology.hub; nil otherwise.
+	mirror *node
 }
 
 // newHarness builds tp, starts it (unless manual) and quiesces.
 func newHarness(t testing.TB, tp topology) *harness {
 	t.Helper()
+	if tp.strip {
+		tp.hub = push.NewHub(push.HubConfig{})
+	}
 	h := &harness{t: t, clk: newSimClock(), tp: tp, top: tp.handler}
 	if h.top == nil {
 		opts := append([]webserver.Option{webserver.WithClock(h.clk.Now)}, tp.origin...)
-		if tp.push && tp.hub == nil {
+		if tp.push && (tp.hub == nil || tp.strip) {
 			opts = append(opts, webserver.WithPushEvents(""))
 		}
 		h.origin = webserver.NewOrigin(opts...)
@@ -851,6 +866,14 @@ func newHarness(t testing.TB, tp topology) *harness {
 		})
 	}
 	t.Cleanup(h.close)
+	if tp.strip {
+		h.mirror = &node{h: h}
+		h.subscribe(h.origin, h.mirror, push.SubscriberConfig{
+			OnEvent:      func(ev push.Event) { tp.hub.Publish(ev.StripPayload()) },
+			OnConnect:    func(push.Event, bool) { tp.hub.SetAvailable(true) },
+			OnDisconnect: func(error) { tp.hub.SetAvailable(false) },
+		})
+	}
 	hops := max(tp.hops, 1)
 	var parent *node
 	for i := 0; i < hops; i++ {
@@ -945,6 +968,13 @@ func (h *harness) watch(n *node, cfg push.SubscriberConfig) *watcher {
 	if n != nil {
 		target = n
 	}
+	return h.subscribe(target, n, cfg)
+}
+
+// subscribe runs a raw subscriber on target's /events, whose hub hubs()
+// keys by up.
+func (h *harness) subscribe(target http.Handler, up *node, cfg push.SubscriberConfig) *watcher {
+	h.t.Helper()
 	l := h.dial(target, nil)
 	cfg.URL = linkBase + "/events"
 	cfg.Client = &http.Client{Transport: l}
@@ -971,8 +1001,8 @@ func (h *harness) watch(n *node, cfg push.SubscriberConfig) *watcher {
 		sub.Run(ctx)
 	}()
 	h.watchers = append(h.watchers, w)
-	h.streams = append(h.streams, &streamer{link: l, up: n, state: w.streamState,
-		gone: w.stopped.Load, baseResets: h.hubs()[n].Resets})
+	h.streams = append(h.streams, &streamer{link: l, up: up, state: w.streamState,
+		gone: w.stopped.Load, baseResets: h.hubs()[up].Resets})
 	return w
 }
 
@@ -1009,6 +1039,9 @@ func (h *harness) hubs() map[*node]push.HubStats {
 		hubs[nil] = h.tp.hub.Stats()
 	case h.origin != nil:
 		hubs[nil] = h.origin.PushHubStats()
+	}
+	if h.mirror != nil {
+		hubs[h.mirror] = h.origin.PushHubStats()
 	}
 	for _, n := range h.nodes {
 		hubs[n] = n.relayHub()

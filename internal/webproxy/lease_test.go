@@ -30,7 +30,7 @@ import (
 // owns, so it can announce a hole mid-stream (Hub.Reset) as well as take
 // the endpoint down; available false starts it down.
 func leaseTopology(cfg Config, available bool) topology {
-	hub := push.NewHub(push.HubConfig{PayloadCap: push.DefaultPayloadCap})
+	hub := push.NewHub(push.HubConfig{})
 	hub.SetAvailable(available)
 	return topology{push: true, hub: hub, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
 }
@@ -41,8 +41,8 @@ func update(h *harness, key, body string) {
 	h.tp.hub.Publish(push.Event{Kind: push.KindUpdate, Key: key})
 }
 
-// updateValue is update with the new version riding on the event, as an
-// origin serving value-negotiated subscribers announces it.
+// updateValue is update with the new version riding on the event, as the
+// origin announces it.
 func updateValue(h *harness, key, body string) {
 	h.origin.Set(key, []byte(body), "")
 	h.tp.hub.Publish(push.Event{
@@ -553,12 +553,10 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 		demote(t, c.h, c.key)
 	}
 	cases := []struct {
-		name string
-		key  string
-		cfg  func(*Config)
-		// originCap, when set, is the payload cap of the origin's hub.
-		originCap int
-		carried   bool
+		name    string
+		key     string
+		cfg     func(*Config)
+		carried bool
 		// spoil runs with the key resident (admitted at an instant strictly
 		// inside the lease epoch), leaves it demoted, and returns the body
 		// the origin now holds.
@@ -693,14 +691,20 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			},
 		},
 		{
-			name:      "void: over-cap payload",
-			originCap: 8,
+			name: "void: over-cap payload",
 			spoil: func(t *testing.T, c *promoCase) string {
 				demoted(t, c)
-				const body = "v2, longer than the payload cap"
-				updateValue(c.h, c.key, body)
+				// Over the cap with no digest to verify a chunk set
+				// against: the hub strips it at publish.
+				body := []byte(strings.Repeat("v2", push.DefaultPayloadCap))
+				c.h.origin.Set(c.key, body, "")
+				c.h.tp.hub.Publish(push.Event{Kind: push.KindUpdate, Key: c.key, ModTime: modTime(c.h, c.key),
+					Body: body, HasBody: true})
+				if st := c.h.tp.hub.Stats(); st.Degraded != 1 {
+					t.Fatalf("test premise: the hub carried the body: %+v", st)
+				}
 				c.h.quiesce()
-				return body
+				return string(body)
 			},
 		},
 		{
@@ -850,11 +854,7 @@ func TestPromotionValidatesUnlessCarried(t *testing.T) {
 			if tc.cfg != nil {
 				tc.cfg(&cfg)
 			}
-			tp := leaseTopology(cfg, true)
-			if tc.originCap > 0 {
-				tp.hub = push.NewHub(push.HubConfig{PayloadCap: tc.originCap})
-			}
-			c.h = newHarness(t, tp)
+			c.h = newHarness(t, leaseTopology(cfg, true))
 			px := c.h.leaf()
 			c.h.origin.Set(originPath(c.key), []byte("v1"), "")
 			// Validated strictly inside the lease epoch the connect began.

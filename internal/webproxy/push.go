@@ -36,9 +36,8 @@ import (
 //     staleness each failure can cost are lease.go's.
 
 // newPushSubscriber wires the proxy's callbacks into a subscriber for
-// cfg.PushURL. It negotiates payloads up to push.DefaultPayloadCap and
-// advertises the digests it holds, so the upstream can send an update as
-// a delta against them.
+// cfg.PushURL. It advertises the digests it holds, so the upstream can
+// send an update as a delta against them.
 func (p *Proxy) newPushSubscriber() (*push.Subscriber, error) {
 	scfg := push.SubscriberConfig{
 		URL: p.cfg.PushURL.String(),
@@ -53,7 +52,6 @@ func (p *Proxy) newPushSubscriber() (*push.Subscriber, error) {
 		BackoffMin:       p.cfg.PushBackoffMin,
 		BackoffMax:       p.cfg.PushBackoffMax,
 		HeartbeatTimeout: p.cfg.PushHeartbeatTimeout,
-		PayloadCap:       push.DefaultPayloadCap,
 		Held:             p.heldDigests,
 	}
 	if p.cfg.PushInterest {
@@ -543,8 +541,12 @@ type PushStats struct {
 	Dropped uint64 `metric:"counter broadway_push_dropped_total" help:"Events dropped for non-resident objects."`
 	// ValueApplied counts pushed payloads installed directly — one
 	// message, zero origin polls. ValueFallbacks counts pushed jobs
-	// that degraded to a confirmation poll (digest mismatch, missing or
-	// over-cap payload, byte-budget refusal).
+	// that degraded to a confirmation poll. Every event an origin
+	// publishes carries its body, so each one is a degraded rung: a
+	// frame stripped because no rung could carry its body, a digest
+	// mismatch, a delta whose base this proxy does not hold, a broken
+	// chunk set, or a byte-budget refusal. On a healthy ladder it reads
+	// 0.
 	ValueApplied   uint64 `metric:"counter broadway_push_value_applied_total" help:"Pushed payloads installed directly, zero origin polls."`
 	ValueFallbacks uint64 `metric:"counter broadway_push_value_fallbacks_total" help:"Pushed jobs degraded to a confirmation poll."`
 	// Duplicates counts pushed events dropped by the version check: the

@@ -23,6 +23,14 @@ func pushTopology(cfg Config) topology {
 	return topology{push: true, cfg: cfg, origin: []webserver.Option{webserver.WithHistoryExtension(true)}}
 }
 
+// withStrippedEvents serves tp's origin events stripped of their
+// payloads (see topology.strip), so every pushed job is a confirmation
+// poll.
+func withStrippedEvents(tp topology) topology {
+	tp.strip = true
+	return tp
+}
+
 // schedSnapshot is one reading of an entry's heap placement together
 // with the validation it was computed from.
 type schedSnapshot struct {
@@ -103,10 +111,10 @@ func bucketedPhase(px *node, first, validatedAt, base time.Time) time.Time {
 func TestPushEventTriggersImmediateRefresh(t *testing.T) {
 	// TTR bounds so wide that pull alone could not possibly observe the
 	// update: freshness must come from push.
-	h := newHarness(t, pushTopology(Config{
+	h := newHarness(t, withStrippedEvents(pushTopology(Config{
 		DefaultDelta: time.Minute,
 		Bounds:       core.TTRBounds{Min: time.Minute, Max: time.Hour},
-	}))
+	})))
 	px := h.leaf()
 	h.origin.Set("/page", []byte("v1"), "")
 	h.quiesce()
@@ -347,12 +355,12 @@ func TestPushedPollTriggersGroupMembers(t *testing.T) {
 	// is vouched for by the channel instead: see
 	// TestGroupTriggerSkipsCarriedSibling.)
 	const photo = "/photo?size=full"
-	h := newHarness(t, pushTopology(Config{
+	h := newHarness(t, withStrippedEvents(pushTopology(Config{
 		Mode:              core.TriggerAll,
 		DefaultDelta:      time.Minute,
 		DefaultGroupDelta: time.Second,
 		Bounds:            core.TTRBounds{Min: time.Minute, Max: time.Hour},
-	}))
+	})))
 	px := h.leaf()
 	h.origin.Set("/story", []byte("story v1"), "text/html")
 	h.origin.Set("/photo", []byte("photo v1"), "image/png")

@@ -28,15 +28,15 @@ func rearmConfig() Config {
 }
 
 // rearmCases are the two rungs a pushed install arrives by: a verified
-// payload, which costs no upstream request, and an invalidation, whose
-// pushed poll costs one.
+// payload, which costs no upstream request, and an invalidation (the
+// stripped frame a degraded rung leaves), whose pushed poll costs one.
 var rearmCases = []struct {
 	name  string
 	tp    func() topology
 	polls int // upstream requests per push
 }{
 	{"value", func() topology { return valuePushTopology(rearmConfig()) }, 0},
-	{"invalidation", func() topology { return pushTopology(rearmConfig()) }, 1},
+	{"invalidation", func() topology { return withStrippedEvents(pushTopology(rearmConfig())) }, 1},
 }
 
 // pushEvery admits key, then updates it at the origin n times, a quarter
@@ -143,12 +143,12 @@ func TestPushedValueCarriesToleranceChange(t *testing.T) {
 // Cache-Control it just installed.
 func TestRelayConfirmationCarriesCacheControl(t *testing.T) {
 	cfg := rearmConfig()
-	tp := pushTopology(cfg) // the origin announces invalidations only
+	tp := withStrippedEvents(pushTopology(cfg))
 	tp.hops = 2
 	h := newHarness(t, tp)
 	var mu sync.Mutex
 	var frames []push.Event
-	h.watch(h.root(), push.SubscriberConfig{PayloadCap: push.DefaultPayloadCap, OnEvent: func(ev push.Event) {
+	h.watch(h.root(), push.SubscriberConfig{OnEvent: func(ev push.Event) {
 		mu.Lock()
 		frames = append(frames, ev)
 		mu.Unlock()

@@ -2,6 +2,8 @@ package webproxy
 
 import (
 	"cmp"
+	"errors"
+	"strings"
 	"sync"
 	"time"
 
@@ -318,7 +320,12 @@ func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 // impossible — always, for an event that carries no payload. A pushed
 // job is also its event's one publication to this proxy's children (see
 // relay.go): install publishes a version the job lands, and a job that
-// lands none passes the event on as received when it ends.
+// lands none passes the event on as received when it ends. An answer
+// that the object is gone (404 or 410), or that it must not be stored
+// (see unstorable), evicts the copy as Evict does, disk record
+// included: kept, it would be polled with backoff and served STALE, or
+// held against the origin's word. The next request hears the origin,
+// and a relay's children learn of it at their next poll.
 func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	landed := false
 	if kind == pollPushed {
@@ -359,6 +366,11 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	e.mu.RUnlock()
 
 	v, err := p.fetch(e.key, since, base)
+	var gone *originAnswer
+	if errors.As(err, &gone) || err == nil && unstorable(v.cacheControl) {
+		p.Evict(e.key)
+		return
+	}
 	if err != nil {
 		p.deferRetry(e, p.cfg.Clock(), kind)
 		if kind == pollPushed {
@@ -426,6 +438,22 @@ func (v *version) headersOver(ct, cc string) (string, string) {
 		return v.contentType, v.cacheControl
 	}
 	return cmp.Or(v.contentType, ct), cmp.Or(v.cacheControl, cc)
+}
+
+// unstorable reports whether a Cache-Control forbids a shared cache to
+// store the response: it carries no-store, or private with or without
+// field names (RFC 9111 §5.2.2.5 and §5.2.2.7).
+func unstorable(cc string) bool {
+	for cc != "" {
+		var d string
+		d, cc, _ = strings.Cut(cc, ",")
+		name, _, _ := strings.Cut(d, "=")
+		name = strings.TrimSpace(name)
+		if strings.EqualFold(name, "no-store") || strings.EqualFold(name, "private") {
+			return true
+		}
+	}
+	return false
 }
 
 // install is the one way a validated version replaces a resident entry's

@@ -39,7 +39,7 @@ func valueChain(hops int, tune func(i int, cfg *Config)) topology {
 		hops:   hops,
 		push:   true,
 		manual: true,
-		origin: []webserver.Option{webserver.WithHistoryExtension(true), webserver.WithPushValues(0)},
+		origin: []webserver.Option{webserver.WithHistoryExtension(true)},
 		cfg: Config{
 			DefaultDelta:      2 * time.Second,
 			DefaultGroupDelta: 2 * time.Second,
@@ -295,11 +295,11 @@ func TestThreeHopBackToBackRevisionsStayOnThePayloadPath(t *testing.T) {
 	}
 }
 
-// TestPayloadFreeStreamFindsRelayFresh: a stream that negotiated no
-// payloads (PayloadCap 0) hears only announcements from a relay that
-// carries values, one per version, published once the relay has
-// installed it, so the poll a child runs on one finds the relay fresh.
-func TestPayloadFreeStreamFindsRelayFresh(t *testing.T) {
+// TestRelayStreamHearsEachVersionOnceInstalled: a stream on a relay
+// hears each version once, its payload riding along, published once the
+// relay has installed it, so a child that cannot install the payload
+// and polls on it instead finds the relay fresh.
+func TestRelayStreamHearsEachVersionOnceInstalled(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	body := textBody(rng, 3*push.DefaultPayloadCap)
 	h := newHarness(t, valueChain(1, func(_ int, cfg *Config) { cfg.RelayEvents = true }))
@@ -328,8 +328,9 @@ func TestPayloadFreeStreamFindsRelayFresh(t *testing.T) {
 		switch {
 		case n != r:
 			t.Fatalf("revision %d: the stream heard %d announcements, want one per version", r, n)
-		case ev.Key != "/doc" || ev.HasBody:
-			t.Fatalf("revision %d: heard %+v, want an announcement of /doc alone", r, ev)
+		case ev.Key != "/doc" || !ev.HasBody || ev.Digest != push.DigestOf(body):
+			t.Fatalf("revision %d: heard %s carrying a payload %v with digest %s, want /doc's revision %d",
+				r, ev.Key, ev.HasBody, ev.Digest, r)
 		case !bytes.Equal(b, body):
 			t.Fatalf("revision %d was announced before the relay installed it", r)
 		}
@@ -413,7 +414,7 @@ func installedFromFrame(t *testing.T, h *harness, path string, body []byte) {
 // installs version 2 from it.
 func TestRelayPassesOnAVersionItColdAdmitted(t *testing.T) {
 	tp := valueChain(2, nil)
-	tp.hub = push.NewHub(push.HubConfig{PayloadCap: push.DefaultPayloadCap})
+	tp.hub = push.NewHub(push.HubConfig{})
 	h := newHarness(t, tp)
 	v1, v2 := []byte("version 1"), []byte("version 2")
 	set(h, "/doc", v1)

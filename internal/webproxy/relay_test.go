@@ -119,10 +119,10 @@ func TestRelayPassThroughServesNonResidentKeys(t *testing.T) {
 // pushed poll and relays the body that poll fetched, which the leaf
 // installs without a request of its own.
 func TestTwoHopPushDeliversThroughParent(t *testing.T) {
-	h := newHarness(t, chainTopology(Config{
+	h := newHarness(t, withStrippedEvents(chainTopology(Config{
 		DefaultDelta: time.Minute,
 		Bounds:       core.TTRBounds{Min: time.Minute, Max: time.Hour},
-	}))
+	})))
 	parent, leaf := h.root(), h.leaf()
 	h.origin.Set("/page", []byte("v1"), "")
 	h.quiesce()

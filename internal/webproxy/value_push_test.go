@@ -9,7 +9,6 @@ import (
 	"broadway/internal/core"
 	"broadway/internal/httpx"
 	"broadway/internal/push"
-	"broadway/internal/webserver"
 )
 
 // This file tests the value-carrying push path: a pushed
@@ -19,17 +18,13 @@ import (
 // mismatch, stripped payload, byte-budget refusal) degrades to the
 // pushed confirmation poll without ever widening the staleness bound.
 
-// valuePushTopology is one proxy applying pushed payloads behind a
-// value-publishing origin (history extension on). TTR bounds are wide
-// by default, so any freshness observed inside a test provably came from
-// the push path.
+// valuePushTopology is pushTopology with TTR bounds wide by default, so
+// any freshness observed inside a test provably came from the push path.
 func valuePushTopology(cfg Config) topology {
 	if cfg.Bounds == (core.TTRBounds{}) {
 		cfg.Bounds = core.TTRBounds{Min: time.Minute, Max: time.Hour}
 	}
-	return topology{push: true, cfg: cfg, origin: []webserver.Option{
-		webserver.WithHistoryExtension(true), webserver.WithPushValues(0),
-	}}
+	return pushTopology(cfg)
 }
 
 // TestValuePushInstallsBodyWithoutOriginPoll is the heart of value
@@ -67,6 +62,30 @@ func TestValuePushInstallsBodyWithoutOriginPoll(t *testing.T) {
 	}
 }
 
+// TestDefaultPushTopologyHasNoFallbacks: the harness's default push
+// topology runs the shipped origin, whose every event carries its body,
+// so on the clean path no pushed job polls: ValueFallbacks reads 0 over
+// every update of a small object, each one installed from its payload.
+func TestDefaultPushTopologyHasNoFallbacks(t *testing.T) {
+	h := newHarness(t, pushTopology(Config{}))
+	px := h.leaf()
+	h.origin.Set("/k", []byte("v0"), "")
+	h.quiesce()
+	px.get("/k")
+	const updates = 8
+	for i := 1; i <= updates; i++ {
+		h.origin.Set("/k", []byte(fmt.Sprintf("v%d", i)), "")
+		h.quiesce()
+	}
+	if b, _ := px.CachedBody("/k"); string(b) != fmt.Sprintf("v%d", updates) {
+		t.Fatalf("cached %q, want the last update", b)
+	}
+	if st := px.PushStats(); st.ValueFallbacks != 0 || st.ValueApplied != updates {
+		t.Errorf("%d fallbacks and %d payloads applied over %d updates, want 0 and %d: %+v",
+			st.ValueFallbacks, st.ValueApplied, updates, updates, st)
+	}
+}
+
 // TestValuePushDigestMismatchFallsBackToPoll: a corrupted payload (the
 // digest does not cover the body) must never be installed — the proxy
 // degrades to a pushed confirmation poll and serves what the origin
@@ -95,22 +114,28 @@ func TestValuePushDigestMismatchFallsBackToPoll(t *testing.T) {
 	}
 }
 
-// TestValuePushStrippedPayloadFallsBackToPoll: when the negotiated cap
-// cannot carry the body, the hub degrades the frame to an invalidation
-// and the proxy confirms by polling — the update is never lost and
-// never stale beyond the pushed-poll path.
+// TestValuePushStrippedPayloadFallsBackToPoll: when no rung can carry
+// the body, the hub degrades the frame to an invalidation and the proxy
+// confirms by polling — the update is never lost and never stale beyond
+// the pushed-poll path.
 func TestValuePushStrippedPayloadFallsBackToPoll(t *testing.T) {
 	tp := valuePushTopology(Config{})
-	tp.origin = []webserver.Option{webserver.WithHistoryExtension(true), webserver.WithPushValues(push.MaxPayloadCap)}
+	tp.hub = push.NewHub(push.HubConfig{})
 	h := newHarness(t, tp)
 	px := h.leaf()
 	h.origin.Set("/fat", []byte("small v1"), "")
 	h.quiesce()
 	px.get("/fat")
 
-	// Over the proxy's push.DefaultPayloadCap, under the origin's cap.
+	// Over push.DefaultPayloadCap with no digest to verify a chunk set
+	// against: the hub strips it at publish.
 	big := strings.Repeat("B", push.DefaultPayloadCap+1024)
 	h.origin.Set("/fat", []byte(big), "")
+	h.tp.hub.Publish(push.Event{Kind: push.KindUpdate, Key: "/fat", ModTime: modTime(h, "/fat"),
+		Body: []byte(big), HasBody: true})
+	if st := h.tp.hub.Stats(); st.Degraded != 1 {
+		t.Fatalf("test premise: the hub carried the body: %+v", st)
+	}
 	h.quiesce()
 	if b, _ := px.CachedBody("/fat"); string(b) != big {
 		t.Fatalf("stripped-payload update never confirmed: %+v", px.PushStats())
@@ -123,8 +148,12 @@ func TestValuePushStrippedPayloadFallsBackToPoll(t *testing.T) {
 	}
 
 	// A body within the cap still rides the payload path afterwards.
+	small := []byte("small v2")
+	h.origin.Set("/fat", small, "")
+	mod := modTime(h, "/fat")
 	pollsBefore := h.origin.Stats().Polls
-	h.origin.Set("/fat", []byte("small v2"), "")
+	h.tp.hub.Publish(push.Event{Kind: push.KindUpdate, Key: "/fat", ModTime: mod,
+		Body: small, HasBody: true, Digest: push.DigestOf(small)})
 	h.quiesce()
 	if b, _ := px.CachedBody("/fat"); string(b) != "small v2" {
 		t.Fatalf("in-cap update never installed: %q", b)

@@ -36,8 +36,10 @@
 // evicted object is fully unwound — removed from the refresh schedule
 // (no ghost polls), detached from its group controller, and safe against
 // a concurrent re-admission of the same key through the singleflight
-// group. An object that alone overflows MaxBytes is served uncached
-// (X-Cache: BYPASS). Upstream failures back off exponentially (capped at
+// group. An object that alone overflows MaxBytes, or whose Cache-Control
+// carries no-store or private, is served uncached (X-Cache: BYPASS); a
+// poll answered 404 or 410, or with such a Cache-Control, evicts the
+// copy. Upstream failures back off exponentially (capped at
 // the TTR upper bound) without disturbing the policy's learned TTR
 // state; a hit on a copy whose last poll failed and whose last
 // validation is older than its Δ is served as X-Cache: STALE.
@@ -170,10 +172,9 @@ type Config struct {
 	// PushURL, when set, subscribes the proxy to an origin-driven
 	// invalidation channel at that URL (the webserver's /events
 	// endpoint) and enables hybrid push–pull consistency: a pushed event
-	// installs the new body it carries — negotiated up to
-	// push.DefaultPayloadCap, digest-verified, charged against the byte
-	// ledger, with no origin request — or, when it carries none or the
-	// body cannot be installed, triggers an immediate poll; covered keys'
+	// installs the new body it carries — digest-verified, charged against
+	// the byte ledger, with no origin request — or, when it carries none
+	// or the body cannot be installed, triggers an immediate poll; covered keys'
 	// regular polls run once per lease term while the channel is healthy
 	// (see PushStretch), and a disconnect falls back to pure polling with
 	// a catch-up sweep. Nil disables push (the default, pure paper mode).
@@ -232,8 +233,8 @@ type Config struct {
 	// a mid-stream hello/Reset, driving their fallback sweeps (see
 	// relay.go). Each published version carries its body, up to
 	// push.DefaultPayloadCap per frame and chunked at it beyond, to every
-	// child that negotiates payloads, so a child installs it with no
-	// request against this proxy. Works with or without PushURL: a
+	// child, so a child installs it with no request against this proxy.
+	// Works with or without PushURL: a
 	// pure-polling parent still relays the updates its own polls
 	// confirm, bodies and all. Relayed streams
 	// heartbeat every push.DefaultHeartbeat, and a child stream whose
@@ -383,7 +384,7 @@ type entry struct {
 	state atomic.Uint32
 	lives uint8
 	// capped marks an entry served uncached because the object alone
-	// overflows MaxBytes.
+	// overflows MaxBytes, or its Cache-Control forbids storing it.
 	capped bool
 	// unpushable marks an object whose key cannot fit an invalidation
 	// frame: the origin will never announce its updates, so it is
@@ -728,16 +729,9 @@ func New(cfg Config) (*Proxy, error) {
 	p.lease.term, p.lease.clock = p.resolveLeaseTerm(), cfg.Clock
 	p.auditSlots = make(chan struct{}, cfg.PollWorkers)
 	if cfg.RelayEvents {
-		// The relay carries payloads downstream at the same cap the proxy
-		// negotiates upstream, so one origin message feeds the whole
-		// subtree. Leaves that did not ask for payloads get
-		// invalidation-only frames (per-stream negotiation), and bodies
-		// over a leaf's cap are chunked at it rather than degraded
-		// straight to an invalidation.
-		hubCfg := push.HubConfig{
-			PayloadCap:   push.DefaultPayloadCap,
-			ChunkPayload: push.DefaultPayloadCap,
-		}
+		// The relay carries payloads downstream as the proxy receives
+		// them, so one origin message feeds the whole subtree.
+		var hubCfg push.HubConfig
 		if cfg.PushInterest && cfg.PushURL != nil {
 			// Every downstream declaration folds into this proxy's own
 			// upstream interest, widening it (with a stream bounce) when
@@ -930,7 +924,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	e := v.(*entry)
 	status := "MISS"
 	if e.capped {
-		status = "BYPASS" // served, but alone larger than the byte budget
+		status = "BYPASS" // served, but alone larger than the byte budget or unstorable
 	}
 	p.serveEntry(w, r, e, status)
 }
@@ -1208,6 +1202,12 @@ func (p *Proxy) installEntry(key string, a admission) (*entry, bool, bool) {
 	}
 	e.policy = p.newPolicy(e.delta, e.valueDelta(), a.restoreTTR)
 
+	if unstorable(a.cacheControl) {
+		// The origin forbids storing it: served once, uncached, as an
+		// object over the byte budget is.
+		e.capped = true
+		return e, false, false
+	}
 	e.size.Store(entrySize(key, a.body))
 	actual, inserted, victims, capped := p.store.put(key, e, p.cfg.MaxObjects, p.cfg.MaxBytes)
 	if capped {

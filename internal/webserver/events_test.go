@@ -311,44 +311,31 @@ func TestSlowSubscriberIsTerminatedNotBlocking(t *testing.T) {
 	}
 }
 
-// TestPushValuesCarryBodyAndDigest: with WithPushValues every Set
-// publishes the new body, content type, and digest; subscribers that
-// negotiated payload delivery receive them while plain subscribers get
-// the same event degraded to an invalidation frame.
+// TestPushValuesCarryBodyAndDigest: every Set on a push-enabled origin
+// publishes the new body, content type, and digest, and the deprecated
+// WithPushValues enables the same channel, whatever cap it is given.
 func TestPushValuesCarryBodyAndDigest(t *testing.T) {
-	o := NewOrigin(WithPushValues(0))
+	if NewOrigin(WithPushValues(123)).hub == nil {
+		t.Fatal("WithPushValues does not enable the event channel")
+	}
+	o := NewOrigin(WithPushEvents(""))
 	ts := httptest.NewServer(o)
 	t.Cleanup(ts.Close) // registered before the subscriber's cancel: LIFO stops the client first
 
-	valueSink, plainSink := &eventSink{}, &eventSink{}
-	valueSub, err := push.NewSubscriber(push.SubscriberConfig{
-		URL:        ts.URL + "/events",
-		OnEvent:    valueSink.onEvent,
-		OnConnect:  valueSink.onConnect,
-		BackoffMin: 5 * time.Millisecond,
-		PayloadCap: push.DefaultPayloadCap,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
-	go valueSub.Run(ctx)
-	startSubscriber(t, ts.URL+"/events", plainSink)
-	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 2 }) {
-		t.Fatal("subscribers never registered")
+	valueSink := &eventSink{}
+	startSubscriber(t, ts.URL+"/events", valueSink)
+	if !waitUntil(t, 2*time.Second, func() bool { return o.Stats().Hub.Subscribers == 1 }) {
+		t.Fatal("subscriber never registered")
 	}
 
 	o.Set("/quote", []byte("165.38\n"), "text/plain; charset=utf-8")
-	for name, sink := range map[string]*eventSink{"value": valueSink, "plain": plainSink} {
-		if !waitUntil(t, 2*time.Second, func() bool {
-			evs, _, _ := sink.snapshot()
-			return len(evs) == 1
-		}) {
-			t.Fatalf("%s subscriber never saw the event", name)
-		}
+	if !waitUntil(t, 2*time.Second, func() bool {
+		evs, _, _ := valueSink.snapshot()
+		return len(evs) == 1
+	}) {
+		t.Fatal("subscriber never saw the event")
 	}
-	evs, hellos, _ := valueSink.snapshot()
+	evs, _, _ := valueSink.snapshot()
 	ev := evs[0]
 	if !ev.HasBody || string(ev.Body) != "165.38\n" {
 		t.Fatalf("value event carries no body: %+v", ev)
@@ -361,13 +348,6 @@ func TestPushValuesCarryBodyAndDigest(t *testing.T) {
 	}
 	if ev.ModTime.IsZero() {
 		t.Error("payload event lost its modification instant")
-	}
-	if hellos[0].PayloadCap != push.DefaultPayloadCap {
-		t.Errorf("negotiated cap = %d", hellos[0].PayloadCap)
-	}
-	plainEvs, _, _ := plainSink.snapshot()
-	if plainEvs[0].HasBody || plainEvs[0].Key != "/quote" {
-		t.Errorf("plain subscriber got %+v, want an invalidation-only frame", plainEvs[0])
 	}
 
 	// InjectPushEvent is the corruption chaos hook: whatever it carries

@@ -69,11 +69,6 @@ type Origin struct {
 	hub           *push.Hub
 	eventsPath    string
 	pushHeartbeat time.Duration
-	// payloadCap, when positive, makes Set attach the object's new body
-	// (digest-verified, base64-framed on the wire) to the events it
-	// publishes, so subscribers that negotiated payload delivery can
-	// install the update without a confirmation poll.
-	payloadCap int
 }
 
 var _ http.Handler = (*Origin)(nil)
@@ -92,11 +87,13 @@ func WithHistoryExtension(enabled bool) Option {
 	return func(o *Origin) { o.historyEnabled = enabled }
 }
 
-// WithPushEvents enables the origin-driven invalidation channel: an
-// SSE-style endpoint at path (default "/events") streaming a push.Event
-// per object update, with heartbeats and a bounded replay buffer for
-// reconnect catch-up. The path shadows any hosted object of the same
-// name.
+// WithPushEvents enables the origin-driven update channel: an SSE-style
+// endpoint at path (default "/events") streaming a push.Event per object
+// update, with heartbeats and a bounded replay buffer for reconnect
+// catch-up. Every event carries the object's new body, its digest and
+// its Cache-Control (value push), so a subscriber installs the update
+// with no confirmation poll; a body over push.DefaultPayloadCap travels
+// as a chunk set. The path shadows any hosted object of the same name.
 func WithPushEvents(path string) Option {
 	if path == "" {
 		path = "/events"
@@ -116,24 +113,16 @@ func WithPushHeartbeat(interval time.Duration) Option {
 	}
 }
 
-// WithPushValues makes every published update event carry the object's
-// new body and its Cache-Control (value-carrying push): subscribers that
-// negotiated payload delivery install the update directly — one
-// message, zero confirmation polls — while plain subscribers keep
-// receiving invalidation-only frames. cap bounds the body size the hub
-// will carry (bytes; <= 0 selects push.DefaultPayloadCap); larger
-// bodies degrade to invalidation-only events at publish time. It
-// implies WithPushEvents at the default path unless one was already
-// configured.
+// WithPushValues enables the push-event channel at the default path
+// unless one was already configured.
+//
+// Deprecated: events always carry values (see WithPushEvents); cap is
+// ignored.
 func WithPushValues(cap int) Option {
-	if cap <= 0 {
-		cap = push.DefaultPayloadCap
-	}
 	return func(o *Origin) {
 		if o.eventsPath == "" {
 			o.eventsPath = "/events"
 		}
-		o.payloadCap = cap
 	}
 }
 
@@ -147,7 +136,7 @@ func NewOrigin(opts ...Option) *Origin {
 		opt(o)
 	}
 	if o.eventsPath != "" {
-		o.hub = newEventHub(o.pushHeartbeat, o.payloadCap)
+		o.hub = newEventHub(o.pushHeartbeat)
 	}
 	return o
 }
@@ -197,32 +186,30 @@ func (o *Origin) Set(path string, body []byte, contentType string) {
 	}
 
 	if o.hub != nil {
+		// The event carries the new body so subscribers install it without
+		// a confirmation poll. The slice is the stored copy, replaced
+		// wholesale on the next Set and never mutated, so sharing it with
+		// the hub's replay ring is safe.
 		ev := push.Event{
-			Kind:    push.KindUpdate,
-			Key:     path,
-			ModTime: now,
+			Kind:         push.KindUpdate,
+			Key:          path,
+			ModTime:      now,
+			Body:         published,
+			HasBody:      true,
+			ContentType:  contentType,
+			CacheControl: tol.FormatCacheControl(),
 		}
-		if o.payloadCap > 0 {
-			// Attach the new body so payload-negotiated subscribers can
-			// install it without a confirmation poll. The slice is the
-			// stored copy, replaced wholesale on the next Set and never
-			// mutated, so sharing it with the hub's replay ring is safe.
-			ev.Body = published
-			ev.HasBody = true
-			ev.ContentType = contentType
-			ev.CacheControl = tol.FormatCacheControl()
-			// Offer the update as a delta against the previous body too:
-			// subscribers that advertised holding it get the cheapest rung
-			// of the delivery ladder, everyone else still sees the full
-			// payload (the hub renders both forms once at Publish).
-			if ch != nil {
-				ev.Digest = ch.result
-				ev.DeltaBody = ch.delta
-				ev.BaseDigest = ch.base
-				ev.DeltaCodec = push.DeltaCodecBlock
-			} else {
-				ev.Digest = push.DigestOf(published)
-			}
+		// Offer the update as a delta against the previous body too:
+		// subscribers that advertised holding it get the cheapest rung of
+		// the delivery ladder, everyone else still sees the full payload
+		// (the hub renders both forms once at Publish).
+		if ch != nil {
+			ev.Digest = ch.result
+			ev.DeltaBody = ch.delta
+			ev.BaseDigest = ch.base
+			ev.DeltaCodec = push.DeltaCodecBlock
+		} else {
+			ev.Digest = push.DigestOf(published)
 		}
 		o.hub.Publish(ev)
 	}

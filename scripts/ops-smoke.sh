@@ -8,7 +8,8 @@
 # a promotion the live lease answers. A second proxy, with room for a
 # whole consistency group, then waits for the demo origin's next group
 # update: the sibling the lease carries must be vouched for by the
-# channel, not polled. Fails on any non-200 probe, unparseable
+# channel, not polled, and the update must install from its payload with
+# no pushed job falling back to a poll. Fails on any non-200 probe, unparseable
 # exposition, a family list that differs from
 # internal/ops/testdata/families.golden, or missing counter. Builds into
 # $TMPDIR (default /tmp).
@@ -91,4 +92,13 @@ until curl -fs "http://$OPS/metrics" | grep -q '^broadway_group_channel_syncs_to
   sleep 0.1
 done
 curl -fsS "http://$OPS/metrics" | "$BIN/opscheck-ops-smoke"
+# Ladder health: every demo event carries its body, so the update
+# installed from its payload and no pushed job fell back to a poll.
+METRICS="$(curl -fsS "http://$OPS/metrics")"
+if ! echo "$METRICS" | grep -q '^broadway_push_value_applied_total [1-9]' ||
+  ! echo "$METRICS" | grep -q '^broadway_push_value_fallbacks_total 0$'; then
+  echo "ops-smoke: the group update did not install from its payload alone" >&2
+  echo "$METRICS" | grep -E '^broadway_push_value_(applied|fallbacks)_total' >&2 || true
+  exit 1
+fi
 echo "ops-smoke: pass"
