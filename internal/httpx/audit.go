@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -24,13 +24,33 @@ import (
 //
 // where key is the canonical (URL-escaped) cache key, since the
 // If-Modified-Since the single GET would have sent, in Unix seconds, and
-// cc-token CacheControlToken of the Cache-Control value the child holds.
-// The response lists, one key per line (<key>\n), every key that is not
-// a plain 304 whose Cache-Control the child already holds: changed,
-// missing, or otherwise not vouched for. A key left out is answered
-// exactly as its conditional GET would have been, with a 304. Both
-// bodies carry AuditContentType, and a request is bounded by
-// MaxAuditLines and MaxAuditBody (over either is a 413).
+// cc-token CacheControlToken of the Cache-Control value the child holds,
+// as 8 lowercase hex digits.
+//
+// The response lists, in any order, every key that is not a plain 304
+// whose Cache-Control the child already holds: changed, missing, or
+// otherwise not vouched for. A key left out is answered exactly as its
+// conditional GET would have been, with a 304. A key listed plain,
+//
+//	<key>\n
+//
+// is one the child polls itself. A request that carries
+// "A-IM: x-broadway-block" (the delta-encoded GET's opt-in) may instead
+// find a changed key answered inline, with what its conditional GET would
+// have returned:
+//
+//	<key> <status> <last-modified> <history> <base> <result> <ct-len> <cc-len> <body-len>\n<content-type><cache-control><body>\n
+//
+// status is 226, body the delta from the body digested base to the one
+// digested result (see push.VerifyDelta), or 200, body the whole body and
+// both digests "-". last-modified is in Unix seconds; history is the
+// X-Modification-History after since as comma-separated, ascending Unix
+// seconds, at most MaxHistoryEntries of them, or "-" for none. The
+// lengths count the raw bytes that follow the line, which carry no
+// encoding; Content-Type and Cache-Control hold no control byte (see
+// AuditValueOK). Both bodies carry AuditContentType and are bounded by
+// MaxAuditBody; a request is also bounded by MaxAuditLines (over either
+// is a 413).
 
 // AuditPath is the one path every upstream answers audit batches on.
 const AuditPath = "/.well-known/broadway-audit"
@@ -56,15 +76,19 @@ type AuditLine struct {
 	// travels at the second resolution of an HTTP date.
 	Since time.Time
 	// Token is CacheControlToken of the Cache-Control the child holds.
-	Token string
+	Token uint32
 }
 
 // CacheControlToken is the short token a batch line carries for a
-// Cache-Control value: 8 lowercase hex digits of its FNV-1a hash.
-func CacheControlToken(cc string) string {
-	h := fnv.New32a()
-	io.WriteString(h, cc)
-	return fmt.Sprintf("%08x", h.Sum32())
+// Cache-Control value: its FNV-1a hash, on the wire as 8 lowercase hex
+// digits.
+func CacheControlToken(cc string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(cc); i++ {
+		h ^= uint32(cc[i])
+		h *= 16777619
+	}
+	return h
 }
 
 // AuditKeyOK reports whether key can travel on a batch line: it starts
@@ -89,7 +113,9 @@ func AppendAuditLine(dst []byte, l AuditLine) []byte {
 	dst = append(dst, ' ')
 	dst = strconv.AppendInt(dst, l.Since.Unix(), 10)
 	dst = append(dst, ' ')
-	dst = append(dst, l.Token...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[l.Token>>shift&0xf])
+	}
 	return append(dst, '\n')
 }
 
@@ -99,7 +125,7 @@ func ParseAuditBatch(body []byte) ([]AuditLine, error) {
 	if len(body) > MaxAuditBody {
 		return nil, errAuditTooLarge
 	}
-	var out []AuditLine
+	out := make([]AuditLine, 0, min(bytes.Count(body, []byte{'\n'}), MaxAuditLines))
 	err := eachLine(body, func(line []byte) error {
 		if len(out) == MaxAuditLines {
 			return errAuditTooLarge
@@ -109,38 +135,220 @@ func ParseAuditBatch(body []byte) ([]AuditLine, error) {
 			return fmt.Errorf("httpx: audit line %q has no since", line)
 		}
 		since, token, ok := bytes.Cut(rest, []byte{' '})
-		if !ok || !AuditKeyOK(string(key)) || !tokenOK(token) {
+		tok, tokOK := parseToken(token)
+		if !ok || !AuditKeyOK(string(key)) || !tokOK {
 			return fmt.Errorf("httpx: malformed audit line %q", line)
 		}
-		secs, err := strconv.ParseInt(string(since), 10, 64)
-		if err != nil || secs < 0 || strconv.FormatInt(secs, 10) != string(since) {
+		secs, ok := parseUint(since)
+		if !ok {
 			return fmt.Errorf("httpx: bad audit since %q", since)
 		}
-		out = append(out, AuditLine{Key: string(key), Since: time.Unix(secs, 0), Token: string(token)})
+		out = append(out, AuditLine{Key: string(key), Since: time.Unix(secs, 0), Token: tok})
 		return nil
 	})
 	return out, err
 }
 
-// appendAuditAnswer appends one listed key of a response to dst.
-func appendAuditAnswer(dst []byte, key string) []byte {
-	return append(append(dst, key...), '\n')
+// AuditAnswer is one key a batch's answer lists.
+type AuditAnswer struct {
+	Key string
+	// Status is 0 for a plain listing, whose key the child polls itself,
+	// and http.StatusOK or http.StatusIMUsed for an inline answer; the
+	// fields below are an inline answer's.
+	Status int
+	// LastModified and History are the answer's Last-Modified and
+	// X-Modification-History; History is nil when the upstream sends none.
+	LastModified time.Time
+	History      []time.Time
+	// Base and Result are a 226's Delta-Base and ETag digests; empty for
+	// a 200.
+	Base, Result string
+	ContentType  string
+	CacheControl string
+	// Body is a 200's body, or a 226's delta.
+	Body []byte
 }
 
-// ParseAuditAnswer parses a response body into the keys it lists.
-func ParseAuditAnswer(body []byte) ([]string, error) {
+// AuditValueOK reports whether s can travel as an inline answer's
+// Content-Type or Cache-Control: it holds no control byte or DEL.
+func AuditValueOK(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] < ' ' || s[i] == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendAuditAnswer appends a's line (and, inline, its bytes) to dst.
+// a.Key must satisfy AuditKeyOK; an inline answer's headers must satisfy
+// AuditValueOK, its times must not precede the Unix epoch, its History
+// must ascend and hold at most MaxHistoryEntries times, and a 226 must
+// name both digests, as lowercase hex.
+func AppendAuditAnswer(dst []byte, a AuditAnswer) []byte {
+	dst = append(dst, a.Key...)
+	if a.Status == 0 {
+		return append(dst, '\n')
+	}
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, int64(a.Status), 10)
+	dst = append(dst, ' ')
+	dst = strconv.AppendInt(dst, a.LastModified.Unix(), 10)
+	dst = append(dst, ' ')
+	if len(a.History) == 0 {
+		dst = append(dst, '-')
+	}
+	for i, t := range a.History {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, t.Unix(), 10)
+	}
+	for _, d := range []string{a.Base, a.Result} {
+		dst = append(dst, ' ')
+		if d == "" {
+			d = "-"
+		}
+		dst = append(dst, d...)
+	}
+	for _, n := range []int{len(a.ContentType), len(a.CacheControl), len(a.Body)} {
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(n), 10)
+	}
+	dst = append(dst, '\n')
+	dst = append(dst, a.ContentType...)
+	dst = append(dst, a.CacheControl...)
+	dst = append(dst, a.Body...)
+	return append(dst, '\n')
+}
+
+// ParseAuditAnswer parses a response body. It is strict, so every
+// accepted answer re-encodes (AppendAuditAnswer) to exactly its bytes.
+// An inline answer's Body aliases body.
+func ParseAuditAnswer(body []byte) ([]AuditAnswer, error) {
 	if len(body) > MaxAuditBody {
 		return nil, errAuditTooLarge
 	}
-	var keys []string
-	err := eachLine(body, func(line []byte) error {
-		if !AuditKeyOK(string(line)) {
-			return fmt.Errorf("httpx: malformed audit answer %q", line)
+	var out []AuditAnswer
+	for len(body) > 0 {
+		line, rest, ok := bytes.Cut(body, []byte{'\n'})
+		if !ok {
+			return nil, errors.New("httpx: audit body does not end in a newline")
 		}
-		keys = append(keys, string(line))
-		return nil
-	})
-	return keys, err
+		f := bytes.Split(line, []byte{' '})
+		a := AuditAnswer{Key: string(f[0])}
+		if !AuditKeyOK(a.Key) {
+			return nil, fmt.Errorf("httpx: malformed audit answer %q", line)
+		}
+		if len(f) == 1 {
+			out, body = append(out, a), rest
+			continue
+		}
+		lens, err := parseInline(&a, f)
+		if err != nil {
+			return nil, err
+		}
+		// Each length is at most MaxAuditBody: their sum cannot overflow.
+		ct, cc, n := lens[0], lens[0]+lens[1], lens[0]+lens[1]+lens[2]
+		if n >= len(rest) || rest[n] != '\n' {
+			return nil, fmt.Errorf("httpx: audit answer for %s is not %d bytes and a newline", a.Key, n)
+		}
+		a.ContentType, a.CacheControl = string(rest[:ct]), string(rest[ct:cc])
+		a.Body = rest[cc:n:n]
+		if !AuditValueOK(a.ContentType) || !AuditValueOK(a.CacheControl) {
+			return nil, fmt.Errorf("httpx: audit answer for %s carries a control byte", a.Key)
+		}
+		out, body = append(out, a), rest[n+1:]
+	}
+	return out, nil
+}
+
+// parseInline reads an inline answer's line, split at its spaces, into a,
+// and returns the lengths of the Content-Type, Cache-Control and body
+// that follow it.
+func parseInline(a *AuditAnswer, f [][]byte) (lens [3]int, err error) {
+	bad := func(what string, b []byte) error {
+		return fmt.Errorf("httpx: audit answer for %s: bad %s %q", a.Key, what, b)
+	}
+	if len(f) != 9 {
+		return lens, fmt.Errorf("httpx: audit answer for %s has %d fields", a.Key, len(f))
+	}
+	switch string(f[1]) {
+	case "200":
+		a.Status = http.StatusOK
+	case "226":
+		a.Status = http.StatusIMUsed
+	default:
+		return lens, bad("status", f[1])
+	}
+	lm, ok := parseUint(f[2])
+	if !ok {
+		return lens, bad("last-modified", f[2])
+	}
+	a.LastModified = time.Unix(lm, 0)
+	if string(f[3]) != "-" {
+		for _, t := range bytes.Split(f[3], []byte{','}) {
+			secs, ok := parseUint(t)
+			if !ok || len(a.History) == MaxHistoryEntries || len(a.History) > 0 && secs <= a.History[len(a.History)-1].Unix() {
+				return lens, bad("history", f[3])
+			}
+			a.History = append(a.History, time.Unix(secs, 0))
+		}
+	}
+	for i, d := range []*string{&a.Base, &a.Result} {
+		b := f[4+i]
+		switch {
+		case a.Status == http.StatusOK && string(b) == "-":
+		case a.Status == http.StatusIMUsed && len(b) <= 64 && hexOK(b):
+			*d = string(b)
+		default:
+			return lens, bad("digest", b)
+		}
+	}
+	for i := range lens {
+		n, ok := parseUint(f[6+i])
+		if !ok || n > MaxAuditBody {
+			return lens, bad("length", f[6+i])
+		}
+		lens[i] = int(n)
+	}
+	return lens, nil
+}
+
+// parseUint parses a canonical non-negative decimal: no sign, no leading
+// zero.
+func parseUint(b []byte) (int64, bool) {
+	if len(b) == 0 || len(b) > 1 && b[0] == '0' {
+		return 0, false
+	}
+	for _, c := range b {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.ParseInt(string(b), 10, 64)
+	return n, err == nil
+}
+
+const hexDigits = "0123456789abcdef"
+
+// hexOK reports whether b is non-empty lowercase hex.
+func hexOK(b []byte) bool {
+	for _, c := range b {
+		if strings.IndexByte(hexDigits, c) < 0 {
+			return false
+		}
+	}
+	return len(b) > 0
+}
+
+// parseToken parses a line's 8-hex-digit cc-token.
+func parseToken(b []byte) (uint32, bool) {
+	if len(b) != 8 || !hexOK(b) {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(string(b), 16, 32)
+	return uint32(n), err == nil
 }
 
 // eachLine calls fn with every line of body; each must end in '\n'.
@@ -158,30 +366,16 @@ func eachLine(body []byte, fn func([]byte) error) error {
 	return nil
 }
 
-func tokenOK(t []byte) bool {
-	if len(t) != 8 {
-		return false
-	}
-	for _, c := range t {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // IsAuditBatch reports whether r is an audit batch request: a POST on
 // AuditPath carrying AuditContentType.
 func IsAuditBatch(r *http.Request) bool {
 	return r.Method == http.MethodPost && r.URL.Path == AuditPath && r.Header.Get("Content-Type") == AuditContentType
 }
 
-// ServeAuditBatch answers the audit batch r. unchanged reports whether a
-// line's key is a plain 304 with the Cache-Control the child holds, and
-// performs whatever side effects that conditional GET would have had;
-// every other key is listed. A body over the caps is a 413, a malformed
-// one a 400.
-func ServeAuditBatch(w http.ResponseWriter, r *http.Request, unchanged func(AuditLine) bool) {
+// ServeAuditBatch answers the audit batch r with the body answer builds
+// from its lines (see AppendAuditAnswer), which must stay within
+// MaxAuditBody. A body over the caps is a 413, a malformed one a 400.
+func ServeAuditBatch(w http.ResponseWriter, r *http.Request, answer func([]AuditLine) []byte) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxAuditBody+1))
 	if err != nil {
 		http.Error(w, "unreadable audit batch", http.StatusBadRequest)
@@ -196,13 +390,8 @@ func ServeAuditBatch(w http.ResponseWriter, r *http.Request, unchanged func(Audi
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var answer []byte
-	for _, l := range lines {
-		if !unchanged(l) {
-			answer = appendAuditAnswer(answer, l.Key)
-		}
-	}
+	out := answer(lines)
 	w.Header().Set("Content-Type", AuditContentType)
 	w.WriteHeader(http.StatusOK)
-	w.Write(answer)
+	w.Write(out)
 }

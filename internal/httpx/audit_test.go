@@ -63,16 +63,23 @@ func TestServeAuditBatch(t *testing.T) {
 	if !IsAuditBatch(req) {
 		t.Fatal("batch not recognised")
 	}
-	ServeAuditBatch(rec, req, func(l AuditLine) bool { return l.Key != "/changed" })
+	ServeAuditBatch(rec, req, func(lines []AuditLine) (answer []byte) {
+		for _, l := range lines {
+			if l.Key == "/changed" {
+				answer = AppendAuditAnswer(answer, AuditAnswer{Key: l.Key})
+			}
+		}
+		return answer
+	})
 	if rec.Code != http.StatusOK || rec.Body.String() != "/changed\n" || rec.Header().Get("Content-Type") != AuditContentType {
 		t.Errorf("answer %d %q (%s), want 200 listing /changed", rec.Code, rec.Body.String(), rec.Header().Get("Content-Type"))
 	}
 
 	var many []byte
 	for i := 0; i <= MaxAuditLines; i++ {
-		many = AppendAuditLine(many, AuditLine{Key: fmt.Sprintf("/k%d", i), Since: time.Unix(1, 0), Token: "00000000"})
+		many = AppendAuditLine(many, AuditLine{Key: fmt.Sprintf("/k%d", i), Since: time.Unix(1, 0), Token: 0})
 	}
-	huge := AppendAuditLine(nil, AuditLine{Key: "/" + strings.Repeat("k", MaxAuditBody), Since: time.Unix(1, 0), Token: "00000000"})
+	huge := AppendAuditLine(nil, AuditLine{Key: "/" + strings.Repeat("k", MaxAuditBody), Since: time.Unix(1, 0), Token: 0})
 	for name, c := range map[string]struct {
 		body []byte
 		code int
@@ -82,7 +89,7 @@ func TestServeAuditBatch(t *testing.T) {
 		"malformed":         {[]byte("/k 1\n"), http.StatusBadRequest},
 	} {
 		rec := httptest.NewRecorder()
-		ServeAuditBatch(rec, auditPost(c.body, AuditContentType), func(AuditLine) bool { return true })
+		ServeAuditBatch(rec, auditPost(c.body, AuditContentType), func([]AuditLine) []byte { return nil })
 		if rec.Code != c.code {
 			t.Errorf("%s: %d, want %d", name, rec.Code, c.code)
 		}

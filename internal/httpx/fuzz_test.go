@@ -74,14 +74,54 @@ func FuzzAuditBatch(f *testing.F) {
 				t.Fatalf("re-encoded %q, parsed from %q", back, body)
 			}
 		}
-		keys, err := ParseAuditAnswer(body)
-		if err == nil {
-			var back []byte
-			for _, k := range keys {
-				back = appendAuditAnswer(back, k)
+	})
+}
+
+// FuzzAuditAnswer: an audit batch's answer is the upstream's bytes at the
+// child that posted it, and an inline answer carries raw bodies by
+// declared length. The parser must never panic, must refuse anything over
+// MaxAuditBody, must accept only the canonical spelling — every accepted
+// answer re-encodes to exactly its bytes — and must hold an inline
+// answer to its declared length: one byte short of it, or one over, is
+// refused.
+func FuzzAuditAnswer(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte("/a\n/b?x=1\n"))
+	f.Add([]byte("/a 200 997189440 - - - 10 13 2\ntext/plainx-cc-delta=30v2\n/b\n"))
+	f.Add([]byte("/a 226 997189440 997189380,997189440 0123456789abcdef fedcba9876543210 0 0 3\n\x01\x01x\n"))
+	f.Add([]byte("/a 226 997189440 - - - 0 0 0\n\n"))
+	f.Add([]byte("/a 200 01 - - - 0 0 1\nxx\n"))
+	f.Add([]byte("/a 200 1 2,1 - - 0 0 0\n\n"))
+	f.Add([]byte("/a 200 1 - - - 0 0 5\nab\n"))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		answers, err := ParseAuditAnswer(body)
+		if len(body) > MaxAuditBody && err != errAuditTooLarge {
+			t.Fatalf("%d-byte answer over the cap parsed with error %v", len(body), err)
+		}
+		if err != nil {
+			return
+		}
+		var back []byte
+		for _, a := range answers {
+			back = AppendAuditAnswer(back, a)
+		}
+		if !bytes.Equal(back, body) {
+			t.Fatalf("answer re-encoded %q, parsed from %q", back, body)
+		}
+		for _, a := range answers {
+			one := AppendAuditAnswer(nil, a)
+			if a.Status == 0 || len(one) > MaxAuditBody-1 {
+				continue
 			}
-			if !bytes.Equal(back, body) {
-				t.Fatalf("answer re-encoded %q, parsed from %q", back, body)
+			over := append(one[:len(one)-1:len(one)-1], 'x', '\n')
+			if _, err := ParseAuditAnswer(over); err == nil {
+				t.Fatalf("%q accepted, one byte over its declared length", over)
+			}
+			if n := len(a.ContentType) + len(a.CacheControl) + len(a.Body); n > 0 {
+				short := append(one[:len(one)-2:len(one)-2], '\n')
+				if _, err := ParseAuditAnswer(short); err == nil {
+					t.Fatalf("%q accepted, one byte short of its declared length", short)
+				}
 			}
 		}
 	})

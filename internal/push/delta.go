@@ -99,27 +99,39 @@ func SetDeltaHeaders(h http.Header, baseDigest, resultDigest string) {
 }
 
 // ApplyDeltaAnswer rebuilds the body a 226 answer with headers h carries
-// as delta against base. It fails unless h names DeltaIM, its
-// Delta-Base is base's digest and the rebuilt body's digest is its ETag,
-// so a body it returns is the one the upstream hashed. The body is
-// bounded by MaxAssembledBody.
+// as delta against base. It fails unless h names DeltaIM and VerifyDelta
+// accepts its Delta-Base and ETag digests, so a body it returns is the
+// one the upstream hashed.
 func ApplyDeltaAnswer(h http.Header, base, delta []byte) ([]byte, error) {
 	if !strings.EqualFold(strings.TrimSpace(h.Get(HeaderIM)), DeltaIM) {
 		return nil, fmt.Errorf("%w: IM %q", ErrBadDelta, h.Get(HeaderIM))
 	}
-	if d, ok := unquote(h.Get(HeaderDeltaBase)); !ok || d != DigestOf(base) {
-		return nil, fmt.Errorf("%w: Delta-Base %q is not the held body", ErrBadDelta, h.Get(HeaderDeltaBase))
+	baseDigest, ok := unquote(h.Get(HeaderDeltaBase))
+	if !ok {
+		return nil, fmt.Errorf("%w: Delta-Base %q", ErrBadDelta, h.Get(HeaderDeltaBase))
 	}
-	want, ok := unquote(h.Get("ETag"))
+	resultDigest, ok := unquote(h.Get("ETag"))
 	if !ok {
 		return nil, fmt.Errorf("%w: ETag %q", ErrBadDelta, h.Get("ETag"))
+	}
+	return VerifyDelta(base, delta, baseDigest, resultDigest)
+}
+
+// VerifyDelta rebuilds the body a DeltaCodecBlock delta makes of base. It
+// fails unless baseDigest is base's digest and the rebuilt body's digest
+// is resultDigest: the check every delta answer passes before its body is
+// installed, a 226 (ApplyDeltaAnswer) or an audit batch's inline answer.
+// The body is bounded by MaxAssembledBody.
+func VerifyDelta(base, delta []byte, baseDigest, resultDigest string) ([]byte, error) {
+	if baseDigest != DigestOf(base) {
+		return nil, fmt.Errorf("%w: base %q is not the held body", ErrBadDelta, baseDigest)
 	}
 	body, err := ApplyDelta(DeltaCodecBlock, base, delta, MaxAssembledBody)
 	if err != nil {
 		return nil, err
 	}
-	if DigestOf(body) != want {
-		return nil, fmt.Errorf("%w: result does not match ETag %q", ErrBadDelta, want)
+	if DigestOf(body) != resultDigest {
+		return nil, fmt.Errorf("%w: result does not match %q", ErrBadDelta, resultDigest)
 	}
 	return body, nil
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"broadway/internal/httpx"
+	"broadway/internal/push"
 )
 
 // This file batches validations: a key's regular poll, whether a lease
@@ -25,8 +26,12 @@ import (
 // Whatever the upstream vouches for unchanged is installed on the key's
 // affinity worker as the 304 its conditional GET would have returned —
 // validated at the answer's arrival, evidence of the lease epoch in force
-// when the batch was sent — and every key it lists polls by itself,
-// exactly as without batches. Nothing else changes: each key is still one
+// when the batch was sent. A batch asks for inline answers (A-IM, as the
+// delta-encoded GET does): a changed key the upstream answers inline is
+// installed the same way from the 226 or 200 its GET would have returned,
+// a delta only once it verifies against the body held then (see
+// installAnswered). Every key listed plain polls by itself, exactly as
+// without batches. Nothing else changes: each key is still one
 // validation, one observation, one LIMD step, so every bound in lease.go's
 // table holds as it did. A pass with a single key to validate sends its
 // GET: a one-line batch costs more on the wire than the GET and 304 it
@@ -148,8 +153,9 @@ func auditLine(e *entry) []byte {
 }
 
 // auditBatch sends one batch and routes each key to its worker: a
-// pre-answered 304 for a key the upstream vouched for, a poll of its own
-// for every key it listed — and for every key, when the batch failed. A
+// pre-answered 304 for a key the upstream vouched for, the inline answer
+// for a key it answered inline (see inlineVersion), a poll of its own for
+// every key it listed plain — and for every key, when the batch failed. A
 // batch of one key is its GET.
 func (p *Proxy) auditBatch(batch []*entry, body []byte) {
 	if len(batch) < 2 {
@@ -160,24 +166,53 @@ func (p *Proxy) auditBatch(batch []*entry, body []byte) {
 	epoch := p.lease.epoch.Load()
 	listed, ok := p.postAudits(body)
 	now := p.cfg.Clock()
-	answer := &version{now: now, epoch: epoch, arrived: now}
+	vouched := &version{now: now, epoch: epoch, arrived: now}
 	for _, e := range batch {
 		j := job{e: e, kind: pollRegular}
-		if ok && !listed[e.key] {
-			j.answered = answer
+		if ok {
+			switch a := listed[e.key]; {
+			case a == nil:
+				j.answered = vouched
+			case a.Status != 0:
+				j.answered = inlineVersion(a, now, epoch)
+			}
 		}
 		p.workerFor(e).enqueue(j)
 	}
 }
 
-// postAudits posts a batch body upstream and returns the keys the answer
-// lists; ok is false when there is no usable answer.
-func (p *Proxy) postAudits(body []byte) (listed map[string]bool, ok bool) {
+// inlineVersion is the version a batch's inline answer a carries, as get
+// builds it from the 200 or 226 the answer stands for: validated at the
+// answer's arrival, evidence of the epoch the batch was sent in. A 226's
+// body is still the delta, which installAnswered verifies against the
+// body held when it installs.
+func inlineVersion(a *httpx.AuditAnswer, now time.Time, epoch *time.Time) *version {
+	v := &version{
+		now: now, epoch: epoch, arrived: now,
+		modified:     true,
+		body:         a.Body,
+		contentType:  a.ContentType,
+		cacheControl: a.CacheControl,
+		lastMod:      a.LastModified,
+		hasLastMod:   true,
+		history:      a.History,
+	}
+	if a.Status == http.StatusIMUsed {
+		v.body, v.delta, v.deltaBase, v.digest = nil, a.Body, a.Base, a.Result
+	}
+	return v
+}
+
+// postAudits posts a batch body upstream, asking for inline answers, and
+// returns what the answer lists by key; ok is false when there is no
+// usable answer.
+func (p *Proxy) postAudits(body []byte) (listed map[string]*httpx.AuditAnswer, ok bool) {
 	req, err := http.NewRequest(http.MethodPost, p.auditEndpoint().String(), bytes.NewReader(body))
 	if err != nil {
 		return nil, false
 	}
 	req.Header.Set("Content-Type", httpx.AuditContentType)
+	req.Header.Set(push.HeaderAIM, push.DeltaIM)
 	resp, err := p.cfg.Client.Do(req)
 	if err != nil {
 		p.noteUpstream(err)
@@ -202,27 +237,56 @@ func (p *Proxy) postAudits(body []byte) (listed map[string]bool, ok bool) {
 	if err != nil {
 		return nil, false
 	}
-	keys, err := httpx.ParseAuditAnswer(raw)
+	answers, err := httpx.ParseAuditAnswer(raw)
 	if err != nil {
 		return nil, false
 	}
-	listed = make(map[string]bool, len(keys))
-	for _, k := range keys {
-		listed[k] = true
+	listed = make(map[string]*httpx.AuditAnswer, len(answers))
+	for i := range answers {
+		listed[answers[i].Key] = &answers[i]
 	}
 	return listed, true
 }
 
-// installAnswered installs the 304 a batch answered for e, as pollEntry
-// would install the same reply to e's own conditional GET.
+// installAnswered installs the answer a batch gave for e under the rules
+// pollEntry applies to the same reply to e's own conditional GET: a 304
+// keeps the held Last-Modified, an unstorable answer evicts, and an
+// inline 226 lands only as the body push.VerifyDelta rebuilds from the
+// body held now. Unlike a GET's answer, an inline one can arrive after a
+// poll of e's own that ran since the batch was sent: an inline 200 no
+// newer than the copy held now would step it back. A refused inline
+// answer — a 226 that does not verify, or such a 200 — is counted in
+// DeltaFallbacks and followed by the key's own poll, whose answer stands.
 func (p *Proxy) installAnswered(e *entry, answer *version) {
 	if e.evicted() {
 		return
 	}
 	v := *answer
 	e.mu.RLock()
-	v.lastMod, v.hasLastMod = e.lastModified()
+	held, hasHeld := e.lastModified()
 	e.mu.RUnlock()
+	refused := false
+	switch {
+	case !v.modified:
+		v.lastMod, v.hasLastMod = held, hasHeld
+	case unstorable(v.cacheControl):
+		p.Evict(e.key)
+		return
+	case v.delta != nil:
+		base, _ := e.held()
+		body, err := push.VerifyDelta(base, v.delta, v.deltaBase, v.digest)
+		v.body, refused = body, err != nil
+	default:
+		refused = hasHeld && !v.lastMod.After(held)
+	}
+	if refused {
+		p.deltaFallbacks.Add(1)
+		p.pollEntry(e, pollRegular)
+		return
+	}
+	if v.delta != nil {
+		p.deltaPolls.Add(1)
+	}
 	p.install(e, pollRegular, v)
 }
 
@@ -230,28 +294,40 @@ func (p *Proxy) installAnswered(e *entry, answer *version) {
 // without RelayEvents, as serveEntry would answer each key's conditional
 // GET: a resident, validated copy no newer than the child's, with the
 // Cache-Control the child holds, is vouched for and counted as a hit. A
-// key that is not resident, is still suspect, or changed is listed, and
-// the child's own GET for it then admits, labels or serves it as usual.
+// key that is not resident, is still suspect, or changed is listed plain,
+// whatever the batch's A-IM, and the child's own GET for it then admits,
+// labels or serves it as usual.
 func (p *Proxy) serveAudits(w http.ResponseWriter, r *http.Request) {
-	httpx.ServeAuditBatch(w, r, func(l httpx.AuditLine) bool {
-		e := p.lookup(l.Key)
-		if e == nil || e.evicted() || e.suspect() {
-			return false
+	httpx.ServeAuditBatch(w, r, func(lines []httpx.AuditLine) (answer []byte) {
+		for _, l := range lines {
+			if !p.vouches(l) {
+				answer = httpx.AppendAuditAnswer(answer, httpx.AuditAnswer{Key: l.Key})
+			}
 		}
-		e.mu.RLock()
-		lastMod, hasLastMod := e.lastModified()
-		cc := e.cacheControl.String()
-		e.mu.RUnlock()
-		// An empty Cache-Control vouches whatever token the child holds:
-		// the conditional GET this line stands for would be a 304 with no
-		// Cache-Control, which leaves the child's stored one as it is (see
-		// headersOver), so listing the key would buy a GET on every audit
-		// that changes nothing.
-		if !hasLastMod || lastMod.After(l.Since) || (cc != "" && httpx.CacheControlToken(cc) != l.Token) {
-			return false
-		}
-		e.hits.Add(1)
-		e.markAccessed()
-		return true
+		return answer
 	})
+}
+
+// vouches reports whether the cache answers l's conditional GET with a
+// 304 carrying the Cache-Control the child holds, and counts the hit.
+func (p *Proxy) vouches(l httpx.AuditLine) bool {
+	e := p.lookup(l.Key)
+	if e == nil || e.evicted() || e.suspect() {
+		return false
+	}
+	e.mu.RLock()
+	lastMod, hasLastMod := e.lastModified()
+	cc := e.cacheControl.String()
+	e.mu.RUnlock()
+	// An empty Cache-Control vouches whatever token the child holds: the
+	// conditional GET this line stands for would be a 304 with no
+	// Cache-Control, which leaves the child's stored one as it is (see
+	// headersOver), so listing the key would buy a GET on every audit that
+	// changes nothing.
+	if !hasLastMod || lastMod.After(l.Since) || (cc != "" && httpx.CacheControlToken(cc) != l.Token) {
+		return false
+	}
+	e.hits.Add(1)
+	e.markAccessed()
+	return true
 }

@@ -321,8 +321,8 @@ func TestParentListsWhatItCannotVouchFor(t *testing.T) {
 		t.Fatalf("listed %q, want %q", listed, want)
 	}
 	for i := range want {
-		if listed[i] != want[i] {
-			t.Fatalf("listed %q, want %q", listed, want)
+		if listed[i].Key != want[i] || listed[i].Status != 0 {
+			t.Fatalf("listed %+v, want %q plain", listed, want)
 		}
 	}
 	if got := root.ObjectStats("/ok").Hits; got != hits+1 {

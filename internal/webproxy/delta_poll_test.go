@@ -5,8 +5,9 @@ package webproxy
 // with the change, verified against the held body and the result's
 // digest before anything is installed; every answer that does not
 // verify costs exactly one unconditional GET. Also passing on what the
-// origin said: a 404 or 410 reaches the client as received and evicts a
-// polled copy, and a no-store or private answer is never stored.
+// origin said: a 404 or 410, or a redirect, reaches the client as
+// received and evicts a polled copy, and a no-store or private answer is
+// never stored.
 
 import (
 	"bytes"
@@ -14,6 +15,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strings"
 	"sync"
@@ -404,6 +406,71 @@ func TestPollAnsweredGoneEvicts(t *testing.T) {
 				t.Errorf("%d upstream errors, want none: the origin answered", n)
 			}
 		})
+	}
+}
+
+// TestRedirectPassesThroughUnstored: the default client follows no
+// redirect. An admission answered 301, 302, 303, 307 or 308 reaches the
+// client with its status and Location, labelled MISS, and nothing is
+// stored under the requested key; a poll answered with one evicts the
+// copy. None of it is an upstream error.
+func TestRedirectPassesThroughUnstored(t *testing.T) {
+	var moved atomic.Bool
+	origin := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/new":
+			w.Write([]byte("the target's body"))
+		case r.URL.Path == "/old" && !moved.Load():
+			w.Header().Set("Last-Modified", time.Unix(1e9, 0).UTC().Format(http.TimeFormat))
+			w.Write([]byte("v1"))
+		default:
+			code := http.StatusPermanentRedirect
+			fmt.Sscanf(r.URL.Path, "/r%d", &code)
+			http.Redirect(w, r, "/new", code)
+		}
+	})
+	u, _ := url.Parse("http://origin.test")
+	px, err := New(Config{Origin: u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	// The default client, on an in-memory transport.
+	px.cfg.Client.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		rec := httptest.NewRecorder()
+		origin.ServeHTTP(rec, r)
+		return rec.Result(), nil
+	})
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		px.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	for _, code := range []int{301, 302, 303, 307, 308} {
+		path := fmt.Sprintf("/r%d", code)
+		rec := get(path)
+		if rec.Code != code || rec.Header().Get("Location") != "/new" || rec.Header().Get("X-Cache") != "MISS" {
+			t.Errorf("GET %s = %d Location %q X-Cache %q, want %d to /new, MISS",
+				path, rec.Code, rec.Header().Get("Location"), rec.Header().Get("X-Cache"), code)
+		}
+	}
+	if n := px.Len(); n != 0 {
+		t.Errorf("%d objects resident after redirects, want none", n)
+	}
+
+	if rec := get("/old"); rec.Code != http.StatusOK || px.Len() != 1 {
+		t.Fatalf("admission answered %d with %d resident", rec.Code, px.Len())
+	}
+	moved.Store(true)
+	px.pollEntry(px.lookup("/old"), pollRegular)
+	if n := px.Len(); n != 0 {
+		t.Errorf("%d objects resident after the poll was redirected, want none", n)
+	}
+	if n := px.CacheStats().Evictions; n != 1 {
+		t.Errorf("Evictions = %d, want 1", n)
+	}
+	if n := px.UpstreamStatus().Errors; n != 0 {
+		t.Errorf("%d upstream errors, want none: the origin answered", n)
 	}
 }
 

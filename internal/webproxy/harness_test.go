@@ -210,15 +210,16 @@ type hook struct {
 	done chan struct{} // closed once fn has run and the reply moves on
 }
 
-// countAudits counts each key an audit batch's answer vouched for as one
-// request for its path: the conditional GET the batch line stands for. A
-// listed key is counted when its own GET follows.
+// countAudits counts each key an audit batch's answer vouched for, or
+// answered inline, as one request for its path: the conditional GET the
+// batch line stands for. A key listed plain is counted when its own GET
+// follows.
 func (l *link) countAudits(audits []httpx.AuditLine, answer []byte) {
-	listed, _ := httpx.ParseAuditAnswer(answer)
+	answers, _ := httpx.ParseAuditAnswer(answer)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, a := range audits {
-		if !slices.Contains(listed, a.Key) {
+		if !slices.ContainsFunc(answers, func(x httpx.AuditAnswer) bool { return x.Key == a.Key && x.Status == 0 }) {
 			path := originPath(a.Key)
 			if p, err := url.PathUnescape(path); err == nil {
 				path = p

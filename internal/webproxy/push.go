@@ -314,9 +314,13 @@ func verifyPushed(ev *push.Event, base []byte, baseDigest string) (body []byte, 
 // increasing modification times, so an announcement at or before the
 // held instant is a replayed frame, or a push that lost the race to a
 // poll or a cold admission; a timeless one can never be recognized.
-// Neither ok nor dup means the payload cannot land, and the caller
-// degrades to the next rung of the ladder.
-func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func() ([]byte, string)) (v version, dup, ok bool) {
+// A verified payload whose Cache-Control forbids storing it (see
+// unstorable) evicts the copy held under key, disk record included, as
+// pollEntry does for the same answer, and is reported as dup: there is
+// nothing to land and nothing to poll. Neither ok nor dup means the
+// payload cannot land, and the caller degrades to the next rung of the
+// ladder.
+func (p *Proxy) acceptPushed(key string, ev *push.Event, held time.Time, has bool, base func() ([]byte, string)) (v version, dup, ok bool) {
 	if has && !ev.ModTime.IsZero() && !ev.ModTime.After(held) {
 		p.pushDuplicates.Add(1)
 		return version{}, true, false
@@ -333,6 +337,10 @@ func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func
 			p.pushDeltaBaseMiss.Add(1)
 		}
 		return version{}, false, false
+	}
+	if unstorable(ev.CacheControl) {
+		p.Evict(key)
+		return version{}, true, false
 	}
 	v = version{
 		modified:     true,
@@ -361,7 +369,7 @@ func (p *Proxy) acceptPushed(ev *push.Event, held time.Time, has bool, base func
 // after the event arrived, in the epoch it arrived in (see deferAudit).
 //
 // It reports whether the payload was installed, or else recognized as a
-// duplicate (see acceptPushed). Neither means the payload cannot be
+// duplicate or evicted as unstorable (see acceptPushed). Neither means the payload cannot be
 // installed — acceptPushed refused it, or the body alone overflows
 // MaxBytes (installing it would immediately evict the object) — and the
 // caller degrades to the pushed confirmation poll, the next rung of the
@@ -377,7 +385,7 @@ func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) (installed, dup bool
 	e.mu.RLock()
 	held, has := e.lastModified()
 	e.mu.RUnlock()
-	v, dup, ok := p.acceptPushed(&pe.Event, held, has, e.held)
+	v, dup, ok := p.acceptPushed(e.key, &pe.Event, held, has, e.held)
 	if !ok || p.cfg.MaxBytes >= 0 && entrySize(e.key, v.body) > p.cfg.MaxBytes {
 		// A body too large for the budget is refused at admission and
 		// self-evicts on refresh growth; the pushed poll runs those
@@ -401,7 +409,8 @@ func (p *Proxy) applyPushedValue(e *entry, pe *pushedEvent) (installed, dup bool
 // payload as the resident path does (acceptPushed), against the record
 // and — for a delta — the blob read back from disk, and lands its
 // headers by the same rule (headersOver). It reports whether the event
-// was fully handled (installed, or recognized as a duplicate); one it
+// was fully handled (installed, recognized as a duplicate, or evicted as
+// unstorable); one it
 // could not absorb is voided (see handlePushEvent). It runs only on the
 // subscriber's goroutine, so records take events in stream order.
 func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
@@ -416,7 +425,7 @@ func (p *Proxy) applyPushedToDisk(ev push.Event) bool {
 	if !ok {
 		return false
 	}
-	v, dup, ok := p.acceptPushed(&ev, rec.LastMod, rec.HasLastMod, func() ([]byte, string) {
+	v, dup, ok := p.acceptPushed(ck, &ev, rec.LastMod, rec.HasLastMod, func() ([]byte, string) {
 		if _, body, ok := p.disk.Get(ck); ok {
 			return body, push.DigestOf(body)
 		}

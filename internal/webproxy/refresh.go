@@ -40,8 +40,8 @@ const (
 )
 
 // job is one unit of poll work routed to a worker. A regular job whose
-// audit a batch already answered carries that answer, a 304 (see
-// audit.go).
+// poll a batch already answered carries that answer: a 304, or the 200
+// or 226 its GET would have returned (see audit.go).
 type job struct {
 	e        *entry
 	kind     pollKind
@@ -321,11 +321,11 @@ func (p *Proxy) scheduledNextAt(e *entry) time.Time {
 // job is also its event's one publication to this proxy's children (see
 // relay.go): install publishes a version the job lands, and a job that
 // lands none passes the event on as received when it ends. An answer
-// that the object is gone (404 or 410), or that it must not be stored
-// (see unstorable), evicts the copy as Evict does, disk record
-// included: kept, it would be polled with backoff and served STALE, or
-// held against the origin's word. The next request hears the origin,
-// and a relay's children learn of it at their next poll.
+// that the object is gone (404 or 410) or elsewhere (a redirect), or that
+// it must not be stored (see unstorable), evicts the copy as Evict does,
+// disk record included: kept, it would be polled with backoff and served
+// STALE, or held against the origin's word. The next request hears the
+// origin, and a relay's children learn of it at their next poll.
 func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 	landed := false
 	if kind == pollPushed {
@@ -386,9 +386,9 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 
 // version is one validated version of an object as its source delivered
 // it: the answer to an upstream request (a 200 carrying a body, or a 304
-// carrying none; see fetch, and auditBatch for the 304s a batch answers),
-// a pushed payload (see acceptPushed), or the 304 a live lease answers
-// for a promotion (see channelAnswer).
+// carrying none; see fetch, and auditBatch for the answers a batch
+// carries), a pushed payload (see acceptPushed), or the 304 a live lease
+// answers for a promotion (see channelAnswer).
 type version struct {
 	now time.Time // validation instant on the proxy's clock
 	// modified marks a new body; false is a 304, which revalidates the

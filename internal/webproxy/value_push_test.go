@@ -114,6 +114,44 @@ func TestValuePushDigestMismatchFallsBackToPoll(t *testing.T) {
 	}
 }
 
+// TestValuePushUnstorablePayloadEvicts: a verified payload whose
+// Cache-Control carries no-store or private is never installed: the
+// copy leaves both tiers, as after a poll answer saying the same, and no
+// poll follows.
+func TestValuePushUnstorablePayloadEvicts(t *testing.T) {
+	for _, cc := range []string{"no-store", "private"} {
+		t.Run(cc, func(t *testing.T) {
+			h := newHarness(t, valuePushTopology(Config{DiskDir: t.TempDir()}))
+			px := h.leaf()
+			h.origin.Set("/page", []byte("public v1"), "")
+			h.quiesce()
+			px.get("/page")
+			px.FlushDisk()
+			if _, _, ok := px.disk.Get("/page"); !ok {
+				t.Fatal("test premise: the copy never reached the disk tier")
+			}
+			pollsBefore := h.origin.Stats().Polls
+
+			body := []byte("secret v2")
+			h.origin.InjectPushEvent(push.Event{
+				Kind: push.KindUpdate, Key: "/page", ModTime: h.clk.Now().Add(time.Hour),
+				Body: body, HasBody: true, Digest: push.DigestOf(body), CacheControl: cc,
+			})
+			h.quiesce()
+			px.FlushDisk()
+			if b, ok := px.CachedBody("/page"); ok {
+				t.Errorf("cache holds %q after a %s payload, want nothing", b, cc)
+			}
+			if _, _, ok := px.disk.Get("/page"); ok {
+				t.Error("the disk record outlived the unstorable payload")
+			}
+			if got := h.origin.Stats().Polls; got != pollsBefore {
+				t.Errorf("the payload cost %d polls, want none", got-pollsBefore)
+			}
+		})
+	}
+}
+
 // TestValuePushStrippedPayloadFallsBackToPoll: when no rung can carry
 // the body, the hub degrades the frame to an invalidation and the proxy
 // confirms by polling — the update is never lost and never stale beyond

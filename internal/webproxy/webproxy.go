@@ -130,7 +130,9 @@ type Config struct {
 	// Origin is the base URL of the upstream server. Required.
 	Origin *url.URL
 	// Client performs upstream requests, the push stream's included
-	// (without its Timeout); defaults to a client with a 10-second timeout.
+	// (without its Timeout); defaults to a client with a 10-second timeout
+	// that follows no redirect, so a 3xx reaches the proxy as answered
+	// (see originAnswer).
 	Client *http.Client
 	// DefaultDelta is the Δt tolerance applied to objects whose origin
 	// response carries no x-cc-delta directive. Defaults to one minute.
@@ -638,9 +640,10 @@ type Proxy struct {
 	evictions   atomic.Uint64
 	cappedN     atomic.Uint64
 	staleServes atomic.Uint64
-	// deltaPolls counts upstream GETs answered by a verified delta;
-	// deltaFallbacks counts 226 answers refused, each followed by one
-	// unconditional GET (see fetchUpstream).
+	// deltaPolls counts upstream GETs, and batch keys answered inline,
+	// answered by a verified delta; deltaFallbacks counts 226 and inline
+	// answers refused, each followed by one more GET (see fetchUpstream
+	// and installAnswered).
 	deltaPolls     atomic.Uint64
 	deltaFallbacks atomic.Uint64
 	// polls counts successful refresh polls by what demanded them,
@@ -675,7 +678,12 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, fmt.Errorf("webproxy: Config.Bounds [%v, %v] is negative or inverted", b.Min, b.Max)
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 10 * time.Second}
+		cfg.Client = &http.Client{
+			Timeout: 10 * time.Second,
+			CheckRedirect: func(*http.Request, []*http.Request) error {
+				return http.ErrUseLastResponse
+			},
+		}
 	}
 	if cfg.DefaultDelta <= 0 {
 		cfg.DefaultDelta = time.Minute
@@ -906,6 +914,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// as the origin said it, and nothing is stored.
 			if gone.contentType != "" {
 				w.Header().Set("Content-Type", gone.contentType)
+			}
+			if gone.location != "" {
+				w.Header().Set("Location", gone.location)
 			}
 			w.Header().Set("X-Cache", "MISS")
 			w.WriteHeader(gone.code)
@@ -1404,9 +1415,9 @@ func (p *Proxy) joinGroup(e *entry, group string, groupDelta time.Duration, valu
 // of the lease epoch the request was sent in: a response built before an
 // epoch began cannot speak for the updates the hole that ended the
 // previous one swallowed. base is the body since names, or nil (see
-// fetchUpstream). A 404 or 410 is the origin's answer about the object,
-// not a failed contact: it is returned as an *originAnswer and noted as
-// a success (see failure).
+// fetchUpstream). A 404 or 410, or a redirect, is the origin's answer
+// about the object, not a failed contact: it is returned as an
+// *originAnswer and noted as a success (see failure).
 func (p *Proxy) fetch(key string, since time.Time, base []byte) (*version, error) {
 	epoch := p.lease.epoch.Load()
 	v, err := p.fetchUpstream(key, since, base)
@@ -1439,8 +1450,8 @@ func (p *Proxy) noteUpstream(err error) {
 // client-facing 502 body, for /healthz to surface to operators.
 type UpstreamStatus struct {
 	// Errors counts failed upstream requests (transport errors and
-	// statuses other than 200, 226, 304, 404 and 410), across every
-	// fetch path.
+	// statuses other than 200, 226, 304, 404, 410 and the redirects 301,
+	// 302, 303, 307 and 308), across every fetch path.
 	Errors uint64 `metric:"counter broadway_upstream_errors_total" help:"Failed upstream fetches (all refresh and admission paths)."`
 	// LastError is the most recent failure's detail ("" before any).
 	LastError string `metric:"-"` // a label would explode cardinality
@@ -1463,12 +1474,27 @@ func (p *Proxy) UpstreamStatus() UpstreamStatus {
 	}
 }
 
-// originAnswer is a 404 or 410 from the upstream: the object is not
-// there. An admission passes it to the client as received.
+// originAnswer is a 404 or 410 from the upstream — the object is not
+// there — or a redirect (see redirect): the object is elsewhere. An
+// admission passes it to the client as received, Location included, and
+// a poll evicts the copy.
 type originAnswer struct {
 	code        int
 	contentType string
+	location    string
 	body        []byte
+}
+
+// redirect reports whether code sends the client elsewhere for the
+// object: 301, 302, 303, 307 or 308. A 304 is a validation, and 300 and
+// 305 name no one place to go.
+func redirect(code int) bool {
+	switch code {
+	case http.StatusMovedPermanently, http.StatusFound, http.StatusSeeOther,
+		http.StatusTemporaryRedirect, http.StatusPermanentRedirect:
+		return true
+	}
+	return false
 }
 
 func (a *originAnswer) Error() string {
@@ -1560,21 +1586,22 @@ func (p *Proxy) get(key string, since time.Time, base []byte) (*version, error) 
 	if hist, err := httpx.HistoryFrom(resp.Header); err == nil {
 		v.history = hist
 	}
-	switch resp.StatusCode {
-	case http.StatusNotModified:
+	code := resp.StatusCode
+	gone := code == http.StatusNotFound || code == http.StatusGone || redirect(code)
+	switch {
+	case code == http.StatusNotModified:
 		return v, nil
-	case http.StatusOK, http.StatusIMUsed, http.StatusNotFound, http.StatusGone:
-	default:
+	case code != http.StatusOK && code != http.StatusIMUsed && !gone:
 		return nil, fmt.Errorf("webproxy: origin returned %s", resp.Status)
 	}
 	body, err := readExact(resp.Body, push.MaxAssembledBody)
 	if err != nil {
 		return nil, err
 	}
-	switch resp.StatusCode {
-	case http.StatusNotFound, http.StatusGone:
-		return nil, &originAnswer{code: resp.StatusCode, contentType: v.contentType, body: body}
-	case http.StatusIMUsed:
+	if gone {
+		return nil, &originAnswer{code: code, contentType: v.contentType, location: resp.Header.Get("Location"), body: body}
+	}
+	if code == http.StatusIMUsed {
 		if base == nil {
 			return nil, errDeltaRefused
 		}
@@ -1659,10 +1686,12 @@ type CacheStats struct {
 	Capped uint64 `metric:"counter broadway_cache_capped_total" help:"Admissions refused residency at capacity."`
 	// DeltaPolls counts upstream GETs, polls and promotions, answered
 	// 226 with a delta that verified against the body held (see
-	// fetchUpstream); DeltaFallbacks counts 226 answers refused, each
-	// followed by one unconditional GET.
-	DeltaPolls     uint64 `metric:"counter broadway_cache_delta_polls_total" help:"Upstream GETs answered 226 with a delta that verified against the body held."`
-	DeltaFallbacks uint64 `metric:"counter broadway_cache_delta_fallbacks_total" help:"226 answers refused (unverified or unasked), each followed by one unconditional GET."`
+	// fetchUpstream), and audit batch keys answered so inline (see
+	// installAnswered); DeltaFallbacks counts 226 and inline answers
+	// refused, each followed by one more GET: unconditional after a 226,
+	// the key's own poll after an inline answer.
+	DeltaPolls     uint64 `metric:"counter broadway_cache_delta_polls_total" help:"Upstream GETs, and audit batch keys answered inline, answered with a delta that verified against the body held."`
+	DeltaFallbacks uint64 `metric:"counter broadway_cache_delta_fallbacks_total" help:"226 and inline audit answers refused (unverified, unasked or stale), each followed by one more GET."`
 	// StaleServes counts hits served as X-Cache: STALE: the copy's last
 	// poll failed and its last validation is older than its Δ, so the
 	// bound no longer holds for it. They are also Hits.

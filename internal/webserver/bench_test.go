@@ -1,10 +1,16 @@
 package webserver
 
 import (
+	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"broadway/internal/httpx"
+	"broadway/internal/push"
 )
 
 // discardWriter is a ResponseWriter that keeps nothing but its header.
@@ -33,5 +39,47 @@ func BenchmarkOriginConditionalGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		clear(w.h)
 		o.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkOriginAuditBatch answers an audit batch of 128 keys with the
+// history extension on, one key in four changed since the child's copy by
+// one update (so a delta from the child's version exists), as a pull-mode
+// pass finds them. "plain" posts without A-IM, so every changed key is
+// listed; "inline" asks for delta-encoded answers.
+func BenchmarkOriginAuditBatch(b *testing.B) {
+	const keys = 128
+	clk := newFakeClock()
+	o := NewOrigin(WithClock(clk.Now), WithHistoryExtension(true))
+	body := bytes.Repeat([]byte("a body of some length, long enough to pay for a delta. "), 20)
+	for i := 0; i < keys; i++ {
+		o.Set(fmt.Sprintf("/obj/%d", i), body, "")
+	}
+	since := clk.Now()
+	clk.Advance(time.Minute)
+	var batch []byte
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("/obj/%d", i)
+		if i%4 == 0 {
+			o.Set(key, append([]byte("changed: "), body...), "")
+		}
+		batch = httpx.AppendAuditLine(batch, httpx.AuditLine{Key: key, Since: since, Token: httpx.CacheControlToken("")})
+	}
+	for _, mode := range []string{"plain", "inline"} {
+		b.Run(mode, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodPost, httpx.AuditPath, nil)
+			req.Header.Set("Content-Type", httpx.AuditContentType)
+			if mode == "inline" {
+				req.Header.Set(push.HeaderAIM, push.DeltaIM)
+			}
+			w := &discardWriter{h: make(http.Header)}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				req.Body = io.NopCloser(bytes.NewReader(batch))
+				clear(w.h)
+				o.ServeHTTP(w, req)
+			}
+		})
 	}
 }

@@ -10,7 +10,9 @@
 // If-Modified-Since is the object's previous modification instant is
 // answered 226 IM Used with the delta from that version to the current
 // one (see push.ApplyDeltaAnswer), when the update left one that pays;
-// every other request is answered as a plain GET.
+// every other request is answered as a plain GET. An audit batch that
+// carries the same A-IM gets each changed key's 226 or 200 inline (see
+// ServeAudits).
 package webserver
 
 import (
@@ -19,6 +21,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"broadway/internal/httpx"
@@ -44,6 +47,17 @@ type change struct {
 	base, result string
 }
 
+// deltaFrom returns obj's change when since names the version it starts
+// from, whose instant no other version of the key shares: a client naming
+// it holds that body. It returns nil otherwise. The caller holds o.mu.
+func (obj *object) deltaFrom(since time.Time) *change {
+	n := len(obj.modTimes)
+	if obj.change == nil || n < 2 || !obj.modTimes[n-2].Equal(since) {
+		return nil
+	}
+	return obj.change
+}
+
 // diff returns next's change from prev, or nil when no delta pays.
 func diff(prev, next []byte) *change {
 	delta, ok := push.MakeDelta(prev, next)
@@ -60,10 +74,10 @@ type Origin struct {
 	clock   func() time.Time
 
 	historyEnabled bool
-	polls          uint64
-	notModified    uint64
-	auditBatches   uint64
-	deltaServes    uint64
+	polls          atomic.Uint64
+	notModified    atomic.Uint64
+	auditBatches   atomic.Uint64
+	deltaServes    atomic.Uint64
 
 	// Push-event channel (see events.go); nil unless WithPushEvents.
 	hub           *push.Hub
@@ -256,10 +270,12 @@ type OriginStats struct {
 	// Polls counts conditional or plain GETs served for hosted objects;
 	// NotModified counts the 304 responses among them.
 	// An audit batch counts each key it vouches for unchanged as one poll
-	// answered 304 (see ServeAudits); AuditBatches counts the batches.
+	// answered 304, and each key it answers inline as the poll answered
+	// 200 or 226 that the answer stands for (see ServeAudits);
+	// AuditBatches counts the batches.
 	Polls        uint64 `metric:"counter broadway_origin_polls_total" help:"Conditional or plain GETs served for hosted objects."`
 	NotModified  uint64 `metric:"counter broadway_origin_not_modified_total" help:"304 responses served."`
-	AuditBatches uint64 `metric:"counter broadway_origin_audit_batches_total" help:"Audit batches answered; each key vouched for counts as a poll answered 304."`
+	AuditBatches uint64 `metric:"counter broadway_origin_audit_batches_total" help:"Audit batches answered; each key vouched for counts as a poll answered 304, each key answered inline as the poll it stands for."`
 	// DeltaServes counts the polls among Polls answered 226 with a delta.
 	DeltaServes uint64 `metric:"counter broadway_origin_delta_serves_total" help:"Polls answered 226 IM Used with a delta from the version the client holds."`
 	// PushEnabled reports whether the invalidation channel is
@@ -271,14 +287,10 @@ type OriginStats struct {
 // Stats returns the origin-wide counters.
 func (o *Origin) Stats() OriginStats {
 	o.mu.RLock()
-	st := OriginStats{
-		Objects:      len(o.objects),
-		Polls:        o.polls,
-		NotModified:  o.notModified,
-		AuditBatches: o.auditBatches,
-		DeltaServes:  o.deltaServes,
-	}
+	st := OriginStats{Objects: len(o.objects)}
 	o.mu.RUnlock()
+	st.Polls, st.NotModified = o.polls.Load(), o.notModified.Load()
+	st.AuditBatches, st.DeltaServes = o.auditBatches.Load(), o.deltaServes.Load()
 	if o.hub != nil {
 		st.PushEnabled = true
 		st.Hub = o.hub.Stats()
@@ -339,21 +351,17 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	o.polls++
-	n := len(obj.modTimes)
-	lastMod := obj.modTimes[n-1]
+	o.polls.Add(1)
+	lastMod := obj.modTimes[len(obj.modTimes)-1]
 	notModified := !since.IsZero() && !lastMod.After(since)
 	if notModified {
-		o.notModified++
+		o.notModified.Add(1)
 	}
-	// The change is from the previous version, whose instant no other
-	// version of the key shares: a client naming it holds that body.
-	ch := obj.change
-	if ch == nil || r.Method != http.MethodGet || notModified || !obj.modTimes[n-2].Equal(since) ||
-		!push.AcceptsDeltaIM(r.Header) {
+	ch := obj.deltaFrom(since)
+	if ch == nil || r.Method != http.MethodGet || notModified || !push.AcceptsDeltaIM(r.Header) {
 		ch = nil
 	} else {
-		o.deltaServes++
+		o.deltaServes.Add(1)
 	}
 	var history []time.Time
 	if o.historyEnabled {
@@ -385,39 +393,111 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServeAudits answers an audit batch (see httpx.ServeAuditBatch):
-// ServeHTTP routes one here from httpx.AuditPath, with or without push. A key is vouched for
-// when the conditional GET it stands for would be a 304 carrying the
-// Cache-Control the child holds, and is counted as that GET would be;
-// a changed, missing or re-tolerated key is listed, and its GET, which
-// follows, is counted then.
+// ServeHTTP routes one here from httpx.AuditPath, with or without push. A
+// key is vouched for when the conditional GET it stands for would be a
+// 304 carrying the Cache-Control the child holds, and is counted as that
+// GET would be. Every other key is listed. A batch that carries
+// "A-IM: x-broadway-block" gets a changed key's answer inline — the 226
+// or 200 its conditional GET would return, counted as that GET — while
+// the whole answer stays within httpx.MaxAuditBody. A missing or
+// re-tolerated key, and a changed one past that budget, is listed plain,
+// and its GET, which follows, is counted then. The objects are read under
+// one hold of o.mu per batch.
 func (o *Origin) ServeAudits(w http.ResponseWriter, r *http.Request) {
-	o.mu.Lock()
-	o.auditBatches++
-	o.mu.Unlock()
-	httpx.ServeAuditBatch(w, r, func(l httpx.AuditLine) bool {
+	o.auditBatches.Add(1)
+	inline := push.AcceptsDeltaIM(r.Header)
+	httpx.ServeAuditBatch(w, r, func(lines []httpx.AuditLine) []byte {
+		return o.answerAudits(lines, inline)
+	})
+}
+
+// inlined is a changed key of a batch that may be answered inline, with
+// what its GET would carry, read under o.mu.
+type inlined struct {
+	key     string
+	lastMod time.Time
+	tol     httpx.Tolerances
+	body    []byte
+	ctype   string
+	history []time.Time
+	change  *change
+}
+
+// answerAudits builds the answer to a batch's lines (see ServeAudits):
+// the plain listings first, then each changed key of an inline batch,
+// inline while the budget lasts.
+func (o *Origin) answerAudits(lines []httpx.AuditLine, inline bool) []byte {
+	var out []byte
+	var changed []inlined
+	var vouched uint64
+	o.mu.RLock()
+	for _, l := range lines {
 		// The object a GET for the key reaches: its decoded path.
 		path, _, _ := strings.Cut(l.Key, "?")
 		if p, err := url.PathUnescape(path); err == nil {
 			path = p
 		}
-		o.mu.Lock()
-		defer o.mu.Unlock()
 		obj, ok := o.objects[path]
-		if !ok || obj.modTimes[len(obj.modTimes)-1].After(l.Since) {
-			return false
+		switch {
+		case !ok: // listed plain: its GET hears the 404
+		case obj.modTimes[len(obj.modTimes)-1].After(l.Since):
+			if inline {
+				k := inlined{
+					key: l.Key, lastMod: obj.modTimes[len(obj.modTimes)-1], tol: obj.tolerances,
+					body: obj.body, ctype: obj.contentType, change: obj.deltaFrom(l.Since),
+				}
+				if o.historyEnabled {
+					k.history = modTimesAfter(obj.modTimes, l.Since)
+				}
+				changed = append(changed, k)
+				continue
+			}
+		default:
+			// No directives vouch whatever token the child holds: the GET
+			// would be a 304 with no Cache-Control, and a 304 cannot remove
+			// the child's stored one, so listing the key would buy a GET on
+			// every audit that changes nothing. The next 200 or pushed
+			// payload clears it.
+			if cc := obj.tolerances.FormatCacheControl(); cc == "" || httpx.CacheControlToken(cc) == l.Token {
+				vouched++
+				continue
+			}
 		}
-		// No directives vouch whatever token the child holds: the GET
-		// would be a 304 with no Cache-Control, and a 304 cannot remove
-		// the child's stored one, so listing the key would buy a GET on
-		// every audit that changes nothing. The next 200 or pushed
-		// payload clears it.
-		if cc := obj.tolerances.FormatCacheControl(); cc != "" && httpx.CacheControlToken(cc) != l.Token {
-			return false
+		out = httpx.AppendAuditAnswer(out, httpx.AuditAnswer{Key: l.Key})
+	}
+	o.mu.RUnlock()
+	o.polls.Add(vouched)
+	o.notModified.Add(vouched)
+
+	// reserve is the room the plain listings still to come need: an inline
+	// answer never crowds one out of the budget.
+	reserve := 0
+	for _, k := range changed {
+		reserve += len(k.key) + 1
+	}
+	for _, k := range changed {
+		reserve -= len(k.key) + 1
+		if cc := k.tol.FormatCacheControl(); httpx.AuditValueOK(k.ctype) && httpx.AuditValueOK(cc) {
+			a := httpx.AuditAnswer{
+				Key: k.key, Status: http.StatusOK, LastModified: k.lastMod, History: k.history,
+				ContentType: k.ctype, CacheControl: cc, Body: k.body,
+			}
+			if ch := k.change; ch != nil {
+				a.Status, a.Base, a.Result, a.Body = http.StatusIMUsed, ch.base, ch.result, ch.delta
+			}
+			mark := len(out)
+			if out = httpx.AppendAuditAnswer(out, a); len(out)+reserve <= httpx.MaxAuditBody {
+				o.polls.Add(1)
+				if k.change != nil {
+					o.deltaServes.Add(1)
+				}
+				continue
+			}
+			out = out[:mark]
 		}
-		o.polls++
-		o.notModified++
-		return true
-	})
+		out = httpx.AppendAuditAnswer(out, httpx.AuditAnswer{Key: k.key})
+	}
+	return out
 }
 
 // modTimesAfter returns a copy of the modification times strictly after

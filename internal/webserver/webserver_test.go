@@ -2,6 +2,7 @@ package webserver
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -301,5 +302,141 @@ func TestDeltaAnswer(t *testing.T) {
 	}
 	if st := o.Stats(); st.DeltaServes != 1 || st.Polls != 6 {
 		t.Errorf("delta serves %d, polls %d; want 1 and 6", st.DeltaServes, st.Polls)
+	}
+}
+
+// postAudits posts an audit batch of keys, all held since since with no
+// Cache-Control, with or without A-IM, and parses the answer.
+func postAudits(t *testing.T, o *Origin, keys []string, since time.Time, aim bool) (*httptest.ResponseRecorder, []httpx.AuditAnswer) {
+	t.Helper()
+	var body []byte
+	for _, k := range keys {
+		body = httpx.AppendAuditLine(body, httpx.AuditLine{Key: k, Since: since, Token: httpx.CacheControlToken("")})
+	}
+	req := httptest.NewRequest(http.MethodPost, httpx.AuditPath, bytes.NewReader(body))
+	req.Header.Set("Content-Type", httpx.AuditContentType)
+	if aim {
+		req.Header.Set(push.HeaderAIM, push.DeltaIM)
+	}
+	rec := httptest.NewRecorder()
+	o.ServeHTTP(rec, req)
+	answers, err := httpx.ParseAuditAnswer(rec.Body.Bytes())
+	if rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("batch answered %d (%v)", rec.Code, err)
+	}
+	return rec, answers
+}
+
+// TestServeAuditsInlinesChangedKeys: a batch carrying A-IM gets each
+// changed key's answer inline, the fields the key's A-IM GET answers with
+// — a 226 from the previous version, a 200 from an older one — counted as
+// that GET; an unchanged key is left out, and a missing or re-tolerated
+// one is listed plain. Without A-IM every listed key is plain.
+func TestServeAuditsInlinesChangedKeys(t *testing.T) {
+	clk := newFakeClock()
+	o := NewOrigin(WithClock(clk.Now), WithHistoryExtension(true))
+	v1 := bytes.Repeat([]byte("a body of some length, long enough to pay for a delta. "), 20)
+	for _, p := range []string{"/same", "/one", "/two", "/tol"} {
+		o.Set(p, v1, "text/x-test")
+	}
+	since := clk.Now()
+	ims := since.UTC().Format(http.TimeFormat)
+	clk.Advance(time.Minute)
+	o.Set("/one", append([]byte("one: "), v1...), "text/x-test")
+	o.Set("/two", append([]byte("two: "), v1...), "text/x-test")
+	o.Set("/two", append([]byte("two, again: "), v1...), "text/x-test")
+	o.SetTolerances("/one", httpx.Tolerances{Delta: 9 * time.Second})
+	o.SetTolerances("/tol", httpx.Tolerances{Delta: 9 * time.Second})
+	keys := []string{"/same", "/one", "/missing", "/two", "/tol"}
+
+	// Without inline answers, the listing keeps the batch's order.
+	_, plain := postAudits(t, o, keys, since, false)
+	if len(plain) != 4 || plain[0].Key != "/one" || plain[1].Key != "/missing" || plain[2].Key != "/two" || plain[3].Key != "/tol" {
+		t.Fatalf("without A-IM answered %+v, want /one, /missing, /two and /tol listed", plain)
+	}
+	for _, a := range plain {
+		if a.Status != 0 {
+			t.Errorf("without A-IM %s answered inline", a.Key)
+		}
+	}
+
+	before := o.Stats()
+	_, answers := postAudits(t, o, keys, since, true)
+	after := o.Stats()
+	byKey := make(map[string]httpx.AuditAnswer)
+	for _, a := range answers {
+		byKey[a.Key] = a
+	}
+	if len(answers) != 4 || len(byKey) != 4 || byKey["/missing"].Status != 0 || byKey["/tol"].Status != 0 {
+		t.Fatalf("answered %+v, want /one, /missing, /two and /tol, the second two plain", answers)
+	}
+	if polls, nm, ds := after.Polls-before.Polls, after.NotModified-before.NotModified, after.DeltaServes-before.DeltaServes; polls != 3 || nm != 1 || ds != 1 {
+		t.Errorf("counted %d polls, %d 304s and %d deltas; want 3, 1 and 1", polls, nm, ds)
+	}
+	for key, want := range map[string]int{"/one": http.StatusIMUsed, "/two": http.StatusOK} {
+		a := byKey[key]
+		r := httptest.NewRequest(http.MethodGet, key, nil)
+		r.Header.Set("If-Modified-Since", ims)
+		r.Header.Set(push.HeaderAIM, push.DeltaIM)
+		rec := httptest.NewRecorder()
+		o.ServeHTTP(rec, r)
+		if a.Status != want || rec.Code != want {
+			t.Fatalf("%s answered %d inline and %d to its GET, want %d", key, a.Status, rec.Code, want)
+		}
+		h := rec.Header()
+		lm, _ := http.ParseTime(h.Get("Last-Modified"))
+		hist, _ := httpx.HistoryFrom(h)
+		if !a.LastModified.Equal(lm) || httpx.FormatHistory(a.History) != httpx.FormatHistory(hist) || len(hist) == 0 ||
+			a.ContentType != h.Get("Content-Type") || a.CacheControl != h.Get("Cache-Control") || !bytes.Equal(a.Body, rec.Body.Bytes()) {
+			t.Errorf("%s inline %+v differs from its GET's %d %v %q", a.Key, a, rec.Code, h, rec.Body.Bytes())
+		}
+		if want == http.StatusIMUsed && (`"`+a.Base+`"` != h.Get(push.HeaderDeltaBase) || `"`+a.Result+`"` != h.Get("ETag")) {
+			t.Errorf("%s inline digests %s, %s; the 226 says %s, %s", a.Key, a.Base, a.Result, h.Get(push.HeaderDeltaBase), h.Get("ETag"))
+		}
+	}
+}
+
+// TestServeAuditsInlineBudget: inline answers stop where the next would
+// take the answer past httpx.MaxAuditBody; every changed key past that is
+// listed plain, in order, and counted only when its GET follows.
+func TestServeAuditsInlineBudget(t *testing.T) {
+	clk := newFakeClock()
+	o := NewOrigin(WithClock(clk.Now))
+	const n = 40
+	big := bytes.Repeat([]byte("x"), 4<<10)
+	var keys []string
+	for i := 0; i < n; i++ {
+		keys = append(keys, fmt.Sprintf("/big/%d", i))
+		o.Set(keys[i], big, "")
+	}
+	since := clk.Now()
+	clk.Advance(time.Minute)
+	for _, k := range keys {
+		// Two updates: no delta starts from the child's copy.
+		o.Set(k, append([]byte("new "), big...), "")
+		o.Set(k, append([]byte("newer "), big...), "")
+	}
+	before := o.Stats()
+	rec, answers := postAudits(t, o, keys, since, true)
+	if rec.Body.Len() > httpx.MaxAuditBody {
+		t.Fatalf("answer of %d bytes, over the %d-byte budget", rec.Body.Len(), httpx.MaxAuditBody)
+	}
+	inline := 0
+	for i, a := range answers {
+		if a.Key != keys[i] {
+			t.Fatalf("answer %d is %s, want %s", i, a.Key, keys[i])
+		}
+		if a.Status != 0 {
+			if i != inline {
+				t.Errorf("%s answered inline after a plain listing", a.Key)
+			}
+			inline++
+		}
+	}
+	if len(answers) != n || inline == 0 || inline == n {
+		t.Errorf("%d of %d keys answered, %d inline; want all, some inline and some plain", len(answers), n, inline)
+	}
+	if got := o.Stats().Polls - before.Polls; got != uint64(inline) {
+		t.Errorf("counted %d polls, want one per inline answer (%d)", got, inline)
 	}
 }
