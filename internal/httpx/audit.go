@@ -35,7 +35,7 @@ import (
 //	<key>\n
 //
 // is one the child polls itself. A request that carries
-// "A-IM: x-broadway-block" (the delta-encoded GET's opt-in) may instead
+// "A-IM: x-broadway-block2" (the delta-encoded GET's opt-in) may instead
 // find a changed key answered inline, with what its conditional GET would
 // have returned:
 //
@@ -372,11 +372,38 @@ func IsAuditBatch(r *http.Request) bool {
 	return r.Method == http.MethodPost && r.URL.Path == AuditPath && r.Header.Get("Content-Type") == AuditContentType
 }
 
+// ReadAuditBody reads an audit batch or answer body, at most
+// MaxAuditBody+1 bytes of it: one past the cap, so the parser can refuse
+// an over-long one. A declared length n (an http ContentLength, -1 when
+// unknown) within that bound sizes the buffer once; an absent or wrong
+// one costs only the growth a read of unknown length pays.
+func ReadAuditBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > MaxAuditBody+1 {
+		return io.ReadAll(io.LimitReader(r, MaxAuditBody+1))
+	}
+	lr := io.LimitedReader{R: r, N: MaxAuditBody + 1}
+	b := make([]byte, 0, n+1) // +1: the read that finds the end needs room
+	for {
+		m, err := lr.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
 // ServeAuditBatch answers the audit batch r with the body answer builds
 // from its lines (see AppendAuditAnswer), which must stay within
-// MaxAuditBody. A body over the caps is a 413, a malformed one a 400.
+// MaxAuditBody, and declares its length. A body over the caps is a 413,
+// a malformed one a 400.
 func ServeAuditBatch(w http.ResponseWriter, r *http.Request, answer func([]AuditLine) []byte) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxAuditBody+1))
+	body, err := ReadAuditBody(r.Body, r.ContentLength)
 	if err != nil {
 		http.Error(w, "unreadable audit batch", http.StatusBadRequest)
 		return
@@ -392,6 +419,7 @@ func ServeAuditBatch(w http.ResponseWriter, r *http.Request, answer func([]Audit
 	}
 	out := answer(lines)
 	w.Header().Set("Content-Type", AuditContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
 }

@@ -103,3 +103,38 @@ func TestServeAuditBatch(t *testing.T) {
 		t.Error("a batch off AuditPath taken for a batch")
 	}
 }
+
+// TestReadAuditBody: whatever length a body declares — its own, none, a
+// short or a long one — the read returns the body, at most one byte past
+// MaxAuditBody; a true length sizes the buffer once.
+func TestReadAuditBody(t *testing.T) {
+	body := bytes.Repeat([]byte("/k 1 00000000\n"), 300)
+	over := bytes.Repeat([]byte("x"), MaxAuditBody+100)
+	for _, c := range []struct {
+		name string
+		body []byte
+		n    int64
+		want int
+	}{
+		{"its own length", body, int64(len(body)), len(body)},
+		{"no length", body, -1, len(body)},
+		{"a short length", body, 10, len(body)},
+		{"a long length", body, int64(len(body)) + 1000, len(body)},
+		{"a length past the cap", body, MaxAuditBody + 2, len(body)},
+		{"empty", nil, 0, 0},
+		{"over the cap, its own length", over, int64(len(over)), MaxAuditBody + 1},
+		{"over the cap, a short length", over, 100, MaxAuditBody + 1},
+	} {
+		got, err := ReadAuditBody(bytes.NewReader(c.body), c.n)
+		if err != nil || len(got) != c.want || !bytes.Equal(got, c.body[:c.want]) {
+			t.Errorf("%s: read %d bytes, %v; want %d", c.name, len(got), err, c.want)
+		}
+	}
+	r := bytes.NewReader(body)
+	if allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(body)
+		ReadAuditBody(r, int64(len(body)))
+	}); allocs != 1 {
+		t.Errorf("a body of its declared length read in %.0f allocations, want 1", allocs)
+	}
+}

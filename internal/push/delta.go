@@ -17,8 +17,14 @@ import (
 // bound: an opcode stream of ADD (literal bytes) and COPY (a range of
 // the base), applied left to right to build the target.
 //
-//	0x01 <uvarint n> <n bytes>      ADD  — append n literal bytes
-//	0x02 <uvarint off> <uvarint n>  COPY — append base[off : off+n]
+//	0x01 <uvarint n> <n bytes>     ADD  — append n literal bytes
+//	0x02 <varint d> <uvarint n>    COPY — append base[p+d : p+d+n]
+//
+// A COPY is addressed from p, the length of the output built so far: d
+// is the signed (zigzag) distance from there to the range's start in the
+// base. An edit in place leaves every unchanged range where it was, so
+// its COPYs all carry d = 0, one byte, and deflate codes the repeats
+// almost for free; a moved block costs the distance it moved.
 //
 // The result's digest rides the frame's <digest> field, so a corrupt or
 // mis-based application is always caught before install (the terminal
@@ -26,8 +32,10 @@ import (
 // the output size before doing any work.
 const (
 	// DeltaCodecBlock identifies the block-match codec above. Zero means
-	// "no delta" on the wire.
-	DeltaCodecBlock = 1
+	// "no delta" on the wire. Codec 1, whose COPY named an absolute base
+	// offset, is retired: ApplyDelta refuses it, so a delta from a node
+	// still speaking it falls back to a poll.
+	DeltaCodecBlock = 2
 
 	opAdd  = 0x01
 	opCopy = 0x02
@@ -57,12 +65,12 @@ var ErrBadDelta = errors.New("push: bad delta")
 // body of the version its If-Modified-Since names asks for the change
 // instead of the whole body:
 //
-//	A-IM: x-broadway-block
+//	A-IM: x-broadway-block2
 //
 // An upstream that holds the delta from exactly that version may answer
 //
 //	226 IM Used
-//	IM: x-broadway-block
+//	IM: x-broadway-block2
 //	Delta-Base: "<DigestOf(base)>"
 //	ETag: "<DigestOf(result)>"
 //
@@ -75,7 +83,9 @@ const (
 	HeaderIM        = "IM"
 	HeaderDeltaBase = "Delta-Base"
 	// DeltaIM is the instance-manipulation token naming DeltaCodecBlock.
-	DeltaIM = "x-broadway-block"
+	// It changes with the codec: an upstream asked for the retired
+	// codec's token answers a plain 200.
+	DeltaIM = "x-broadway-block2"
 )
 
 // AcceptsDeltaIM reports whether a request's A-IM lists DeltaIM.
@@ -195,7 +205,7 @@ func MakeDelta(base, target []byte) ([]byte, bool) {
 				}
 				flushLit()
 				out = append(out, opCopy)
-				out = binary.AppendUvarint(out, uint64(off))
+				out = binary.AppendVarint(out, int64(off)-int64(i))
 				out = binary.AppendUvarint(out, uint64(n))
 				i += n
 				continue
@@ -256,7 +266,7 @@ func walkDelta(base, delta []byte, maxSize int, emit func([]byte)) (int, error) 
 			b = delta[i : i+int(n)]
 			i += int(n)
 		case opCopy:
-			off, w := binary.Uvarint(delta[i:])
+			d, w := binary.Varint(delta[i:])
 			if w <= 0 {
 				return 0, fmt.Errorf("%w: truncated copy offset", ErrBadDelta)
 			}
@@ -266,7 +276,13 @@ func walkDelta(base, delta []byte, maxSize int, emit func([]byte)) (int, error) 
 				return 0, fmt.Errorf("%w: truncated copy length", ErrBadDelta)
 			}
 			i += w
-			if off > uint64(len(base)) || n > uint64(len(base))-off {
+			// size ≤ maxSize and len(base) both fit an int64, so neither
+			// bound below can overflow, whatever d is.
+			if d < -int64(size) || d > int64(len(base))-int64(size) {
+				return 0, fmt.Errorf("%w: copy out of base bounds", ErrBadDelta)
+			}
+			off := uint64(int64(size) + d)
+			if n > uint64(len(base))-off {
 				return 0, fmt.Errorf("%w: copy out of base bounds", ErrBadDelta)
 			}
 			b = base[off : off+n]

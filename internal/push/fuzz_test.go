@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strings"
@@ -55,6 +56,18 @@ func FuzzInvalidationEvent(f *testing.F) {
 	f.Add(Event{Kind: KindUpdate, Seq: 13, Key: "/quote/acme", Body: []byte("165.38\n"),
 		HasBody: true, Digest: DigestOf([]byte("165.38\n")),
 		CacheControl: "x-cc-delta=30, x-mc-group=news, x-mc-delta=60"}.Encode())
+	// Payloads of the bytes the line reserves, each escaped: alone, as
+	// the whole payload, mid-frame and as the frame's last field; the
+	// one-byte '-' payload; and escapes the decoder must refuse.
+	for _, p := range []string{" ", "\n", "\r", "%", " \r\n%", "-", "a-b", "\x00\x85\xa0 \t"} {
+		f.Add(Event{Kind: KindUpdate, Seq: 14, Key: "/r", Body: []byte(p), HasBody: true}.Encode())
+		f.Add(Event{Kind: KindUpdate, Seq: 15, Key: "/r", Body: []byte(p), HasBody: true,
+			Digest: DigestOf([]byte(p)), CacheControl: "max-age=1"}.Encode())
+	}
+	f.Add("2 1 0 p /k ab%")
+	f.Add("2 1 0 p /k a%Ab deadbeef")
+	f.Add("2 1 0 p /k %m%m")
+	f.Add("2 1 0 p /k a\rb deadbeef")
 	// Hostile lines the decoder must refuse: a non-hex base digest, a
 	// base without its codec (and vice versa), chunk index beyond the
 	// total, a total beyond MaxChunkTotal, a delta on a payload-less
@@ -186,6 +199,12 @@ func FuzzDeltaApply(f *testing.F) {
 	f.Add([]byte(""), []byte{0x02, 0x00, 0x05}, 64)
 	f.Add(bytes.Repeat([]byte("block content "), 64), []byte{0x02, 0x00, 0xff, 0x07}, 1<<20)
 	f.Add([]byte("b"), []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 0)
+	// COPYs whose relative offset resolves before the base's start, past
+	// its end, or overflows an int64 added to the output position.
+	f.Add([]byte("base body"), copyAt([]byte{0x01, 0x02, 'h', 'i'}, -3, 1), 0)
+	f.Add([]byte("base body"), copyAt(nil, 10, 0), 0)
+	f.Add([]byte("base body"), copyAt([]byte{0x01, 0x01, 'h'}, math.MaxInt64, 1), 0)
+	f.Add([]byte("base body"), copyAt([]byte{0x01, 0x01, 'h'}, math.MinInt64, 1), 0)
 	f.Fuzz(func(t *testing.T, base, delta []byte, maxSize int) {
 		out, err := ApplyDelta(DeltaCodecBlock, base, delta, maxSize)
 		if err == nil {

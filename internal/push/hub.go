@@ -70,7 +70,7 @@ const DefaultReplayLen = 1024
 // DefaultReplayBytes bounds the wire bytes held by the replay ring,
 // summed across partitions; over budget the fattest partition is
 // trimmed first. An event is charged every form it was rendered to
-// (RenderedEvent.cost: stripped, full, delta and chunk frames, base64
+// (RenderedEvent.cost: stripped, full, delta and chunk frames, payloads
 // included), so a burst of fat updates trims the ring's history instead
 // of growing the hub without bound; invalidation-only events cost only
 // their envelope.

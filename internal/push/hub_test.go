@@ -295,6 +295,46 @@ func TestHubPublishDegradesOverCapPayload(t *testing.T) {
 	}
 }
 
+// TestHubCarriesReservedBytePayloadAtCap: a payload at DefaultPayloadCap
+// made only of the bytes the line reserves is the longest payload field
+// a hub writes, every byte escaped; it crosses a real stream as a value,
+// neither skipped as an oversized line nor stripped. So does a payload
+// that ends its frame in bytes a white-space trim would take.
+func TestHubCarriesReservedBytePayloadAtCap(t *testing.T) {
+	h := NewHub(HubConfig{})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	sink := &hubSink{}
+	sub := startHubSubscriber(t, ts.URL, sink)
+	if !waitCond(t, 2*time.Second, func() bool { return h.Stats().Subscribers == 1 }) {
+		t.Fatal("never connected")
+	}
+	body := bytes.Repeat([]byte(" \n\r%"), DefaultPayloadCap/4)
+	h.Publish(Event{Kind: KindUpdate, Key: "/reserved", Body: body, HasBody: true,
+		Digest: DigestOf(body), ContentType: "application/octet-stream"})
+	tail := []byte("ends in white space\t\v\f\u00a0")
+	h.Publish(Event{Kind: KindUpdate, Key: "/tail", Body: tail, HasBody: true})
+	if !waitCond(t, 2*time.Second, func() bool {
+		evs, _, _ := sink.snapshot()
+		return len(evs) == 2
+	}) {
+		t.Fatalf("the updates never arrived: %+v", sub.Stats())
+	}
+	evs, _, _ := sink.snapshot()
+	if !evs[0].HasBody || !bytes.Equal(evs[0].Body, body) || evs[0].Digest != DigestOf(body) {
+		t.Errorf("arrived as %d bytes (HasBody %v), want the %d-byte value", len(evs[0].Body), evs[0].HasBody, len(body))
+	}
+	if !evs[1].HasBody || !bytes.Equal(evs[1].Body, tail) {
+		t.Errorf("arrived as %q (HasBody %v), want %q", evs[1].Body, evs[1].HasBody, tail)
+	}
+	if st := sub.Stats(); st.SkippedFrames != 0 || st.OverCapPayloads != 0 {
+		t.Errorf("skipped %d lines, stripped %d payloads; want none", st.SkippedFrames, st.OverCapPayloads)
+	}
+	if st := h.Stats(); st.Degraded != 0 || st.ChunkFrames != 0 {
+		t.Errorf("hub degraded %d, chunked %d; want a whole value", st.Degraded, st.ChunkFrames)
+	}
+}
+
 // TestHubDegradesOverlongV2Envelope: a near-limit key whose bare
 // invalidation fits but whose full envelope (digest and ctype fields)
 // does not must be degraded to the stripped form at publish — never

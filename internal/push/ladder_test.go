@@ -3,10 +3,13 @@ package push
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,6 +34,8 @@ func TestMakeApplyDeltaRoundTrip(t *testing.T) {
 		{"append", long, append(append([]byte(nil), long...), []byte("tail line\n")...)},
 		{"prepend", long, append([]byte("head line\n"), long...)},
 		{"edit middle", long, bytes.Replace(long, []byte("lazy"), []byte("busy"), 3)},
+		{"insert", long, append(append(append([]byte(nil), long[:4000]...), "an inserted line\n"...), long[4000:]...)},
+		{"delete", long, append(append([]byte(nil), long[:3000]...), long[3500:]...)},
 		{"moved block", append(long[4096:], long[:4096]...), long},
 		{"identical", long, long},
 	}
@@ -51,6 +56,61 @@ func TestMakeApplyDeltaRoundTrip(t *testing.T) {
 				t.Fatalf("round trip diverged: %d bytes, want %d", len(got), len(c.target))
 			}
 		})
+	}
+}
+
+// copyOffsets returns the relative offset of every COPY in delta, in
+// order.
+func copyOffsets(t *testing.T, delta []byte) []int64 {
+	t.Helper()
+	var ds []int64
+	for i := 0; i < len(delta); {
+		op := delta[i]
+		i++
+		switch op {
+		case opAdd:
+			n, w := binary.Uvarint(delta[i:])
+			i += w + int(n)
+		case opCopy:
+			d, w := binary.Varint(delta[i:])
+			i += w
+			_, w = binary.Uvarint(delta[i:])
+			i += w
+			ds = append(ds, d)
+		default:
+			t.Fatalf("op 0x%02x at %d", op, i-1)
+		}
+	}
+	return ds
+}
+
+// TestMakeDeltaCopiesFromOutputPosition: a COPY is addressed from the
+// output position, so an edit in place codes every COPY at relative
+// offset 0, and a moved block codes the distance it moved.
+func TestMakeDeltaCopiesFromOutputPosition(t *testing.T) {
+	base, target := scatteredEdit(64 << 10)
+	delta, ok := MakeDelta(base, target)
+	if !ok {
+		t.Fatal("no delta")
+	}
+	ds := copyOffsets(t, delta)
+	if len(ds) < 100 {
+		t.Fatalf("%d COPYs for a scattered edit, want one per unchanged run", len(ds))
+	}
+	for i, d := range ds {
+		if d != 0 {
+			t.Fatalf("COPY %d of an in-place edit at relative offset %d, want 0", i, d)
+		}
+	}
+
+	long := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog. "), 200)
+	moved := append(append([]byte(nil), long[4096:]...), long[:4096]...)
+	delta, ok = MakeDelta(moved, long)
+	if !ok {
+		t.Fatal("no delta for a moved block")
+	}
+	if ds := copyOffsets(t, delta); !slices.ContainsFunc(ds, func(d int64) bool { return d != 0 }) {
+		t.Errorf("a moved block coded every COPY at relative offset 0: %v", ds)
 	}
 }
 
@@ -88,8 +148,15 @@ func TestApplyDeltaHostile(t *testing.T) {
 		{"truncated copy length", uv(opCopy, 0x00)},
 		{"copy offset out of base", uv(opCopy, 0x7f, 0x01)},
 		{"copy length out of base", uv(opCopy, 0x08, 0x7f)},
-		// 11 continuation bytes: an offset the uvarint decoder rejects
-		// as overflow instead of silently truncating.
+		// Relative offsets resolving outside the base: before its start,
+		// past its end, and so far either way that output position plus
+		// offset would overflow an int64.
+		{"copy before base start", copyAt(uv(opAdd, 0x02, 'x', 'y'), -3, 1)},
+		{"copy past base end", copyAt(nil, int64(len(base))+1, 0)},
+		{"copy offset overflows", copyAt(uv(opAdd, 0x01, 'x'), math.MaxInt64, 1)},
+		{"copy offset underflows", copyAt(uv(opAdd, 0x01, 'x'), math.MinInt64, 1)},
+		// 11 continuation bytes: an offset the varint decoder rejects as
+		// overflow instead of silently truncating.
 		{"monster varint", append([]byte{opCopy}, bytes.Repeat([]byte{0xff}, 11)...)},
 	}
 	for _, c := range cases {
@@ -108,14 +175,27 @@ func TestApplyDeltaHostile(t *testing.T) {
 	// base repeatedly; maxSize must stop the build mid-way.
 	var amplifier []byte
 	for i := 0; i < 64; i++ {
-		amplifier = append(amplifier, opCopy, 0x00, 0x10) // copy base[0:16]
+		amplifier = copyAt(amplifier, -int64(i*len(base)), int64(len(base))) // copy base[0:16]
+	}
+	if out, err := ApplyDelta(DeltaCodecBlock, base, amplifier, 0); err != nil || len(out) != 64*len(base) {
+		t.Fatalf("test premise: the amplifier does not build %d bytes: %d, %v", 64*len(base), len(out), err)
 	}
 	if _, err := ApplyDelta(DeltaCodecBlock, base, amplifier, 100); err == nil {
 		t.Fatal("amplified output exceeded maxSize without error")
 	}
-	if _, err := ApplyDelta(0, base, uv(opAdd, 0x01, 'x'), 0); err == nil {
-		t.Fatal("unknown codec accepted")
+	// Codec 1, whose COPYs named absolute base offsets, is retired: its
+	// deltas are refused before any op is read.
+	for _, codec := range []uint8{0, 1, 3} {
+		if _, err := ApplyDelta(codec, base, uv(opAdd, 0x01, 'x'), 0); err == nil {
+			t.Fatalf("codec %d accepted", codec)
+		}
 	}
+}
+
+// copyAt appends a COPY of n base bytes at relative offset d to delta.
+func copyAt(delta []byte, d, n int64) []byte {
+	delta = binary.AppendVarint(append(delta, opCopy), d)
+	return binary.AppendUvarint(delta, uint64(n))
 }
 
 // --- delta and chunk frames ---

@@ -13,9 +13,10 @@
 //     bytes and must never panic. Events are carried over an SSE-style
 //     HTTP stream (text/event-stream). Every frame opens with the five
 //     invalidation fields; optional trailing fields carry the object's
-//     new body (base64-framed), a content digest, its content type, delta
-//     or chunk state, and its Cache-Control, and a frame stops at its
-//     last non-empty field.
+//     new body (its own bytes, with the four bytes the line reserves
+//     escaped), a content digest, its content type, delta or chunk
+//     state, and its Cache-Control, and a frame stops at its last
+//     non-empty field.
 //   - The Hub: the server half (hub.go) — one sequence space, a
 //     byte-budgeted replay ring of whole frames, slow-subscriber
 //     termination, per-subscriber lag accounting, deadline-bounded
@@ -49,11 +50,11 @@ package push
 
 import (
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,12 +62,12 @@ import (
 )
 
 // MaxFrameLen bounds the encoded size of a frame's envelope — everything
-// except the base64 payload field. Keys are URL paths; anything larger
+// except the payload field. Keys are URL paths; anything larger
 // is hostile. The payload field is bounded separately, by
 // DefaultPayloadCap.
 const MaxFrameLen = 4096
 
-// DefaultPayloadCap is the one payload size (pre-base64 bytes) of the
+// DefaultPayloadCap is the one payload size (unescaped bytes) of the
 // push wire: no hub writes a frame whose payload exceeds it, a body
 // larger than it travels as a chunk set at it, and a subscriber strips
 // a payload over it as a broken promise.
@@ -79,8 +80,9 @@ const DefaultPayloadCap = 64 << 10
 // frame.
 const MaxPayloadCap = 1 << 20
 
-// maxPayloadFieldLen bounds the base64 payload field on the wire.
-var maxPayloadFieldLen = base64.StdEncoding.EncodedLen(MaxPayloadCap)
+// maxPayloadFieldLen bounds the payload field on the wire: a payload of
+// nothing but reserved bytes spells every byte as a two-byte escape.
+const maxPayloadFieldLen = 2 * MaxPayloadCap
 
 // Kind discriminates event frames.
 type Kind uint8
@@ -210,13 +212,14 @@ var (
 // Encode renders the event as a single line of one grammar: five core
 // fields, then optional fields in a fixed order.
 //
-//	<kind> <seq> <modtime-unixnano> <flags> <key> [<payload-b64> [<digest> [<ctype> [<base> <codec> [<ci> <ct> [<cc>]]]]]]
+//	<kind> <seq> <modtime-unixnano> <flags> <key> [<payload> [<digest> [<ctype> [<base> <codec> [<ci> <ct> [<cc>]]]]]]
 //
 // Key, content type and Cache-Control are query-escaped so they can
 // never contain the space separator; an empty text field encodes as "-",
-// an empty number as "0". The payload is standard base64 ("-" when empty;
-// the 'p' flag distinguishes an empty body from no payload). A frame
-// never ends in an empty field: the optional fields stop at the last
+// an empty number as "0". The payload is its own bytes, with only the
+// bytes the line reserves escaped (see appendPayload); it is "-" when
+// empty, and the 'p' flag distinguishes an empty body from no payload. A
+// frame never ends in an empty field: the optional fields stop at the last
 // one the event sets, so a pure invalidation is the five core fields and
 // an empty body is the 'p' flag with no payload field after it. The
 // format is newline-free by construction, which is what lets one frame
@@ -250,8 +253,8 @@ var encodePool = sync.Pool{
 }
 
 // maxPooledEncodeBuf bounds the buffers returned to encodePool; a
-// near-MaxPayloadCap body's base64 would otherwise pin megabytes in
-// the pool long after the burst that needed them.
+// near-MaxPayloadCap body's frame would otherwise pin megabytes in the
+// pool long after the burst that needed them.
 const maxPooledEncodeBuf = 128 << 10
 
 // appendWire appends the event's wire form (see Encode) to b. With
@@ -285,7 +288,7 @@ func (e Event) appendWire(b []byte, payload bool) []byte {
 	switch {
 	case !payload:
 	case e.HasBody && len(e.Body) > 0:
-		b = base64.StdEncoding.AppendEncode(b, e.Body)
+		b = appendPayload(b, e.Body)
 	default:
 		b = append(b, '-')
 	}
@@ -329,6 +332,67 @@ func (e Event) optionalFields() int {
 		return 1
 	}
 	return 0
+}
+
+// The payload field carries the payload's own bytes. Only the four bytes
+// the line grammar reserves — the field separator ' ', the line ends '\n'
+// and '\r', and the escape byte '%' itself — are written as '%' followed
+// by the byte XOR 0x40: "%`", "%J", "%M" and "%e". A payload of the one
+// byte '-' is written "%m", so it never reads as the empty field. So
+// every payload has one spelling, at most twice its length, and the
+// frame stays one newline-free line.
+const (
+	payloadEscape = '%'
+	escapeXOR     = 0x40
+	dashEscaped   = "%m" // '-' ^ escapeXOR
+)
+
+// payloadReserved marks the bytes the payload field escapes.
+var payloadReserved = [256]bool{' ': true, '\n': true, '\r': true, payloadEscape: true}
+
+// appendPayload appends p's payload-field spelling to b.
+func appendPayload(b, p []byte) []byte {
+	if len(p) == 1 && p[0] == '-' {
+		return append(b, dashEscaped...)
+	}
+	b = slices.Grow(b, len(p))
+	for {
+		i := 0
+		for i < len(p) && !payloadReserved[p[i]] {
+			i++
+		}
+		b = append(b, p[:i]...)
+		if i == len(p) {
+			return b
+		}
+		b = append(b, payloadEscape, p[i]^escapeXOR)
+		p = p[i+1:]
+	}
+}
+
+// decodePayload parses a non-empty payload field. A raw reserved byte, a
+// trailing '%', or an escape of a byte that needs none is refused, so
+// every accepted field is the one appendPayload writes.
+func decodePayload(s string) ([]byte, error) {
+	if s == dashEscaped {
+		return []byte{'-'}, nil
+	}
+	out := make([]byte, 0, len(s)-strings.Count(s, "%"))
+	for {
+		i := 0
+		for i < len(s) && !payloadReserved[s[i]] {
+			i++
+		}
+		out = append(out, s[:i]...)
+		if i == len(s) {
+			return out, nil
+		}
+		if s[i] != payloadEscape || i+1 == len(s) || !payloadReserved[s[i+1]^escapeXOR] {
+			return nil, fmt.Errorf("%w: bad payload byte at %d", ErrBadFrame, len(out))
+		}
+		out = append(out, s[i+1]^escapeXOR)
+		s = s[i+2:]
+	}
 }
 
 // appendField appends a text field, "-" when it is empty.
@@ -406,7 +470,7 @@ func RenderLadder(ev Event, chunkPayload int) RenderedEvent {
 // renderLadder is RenderLadder with the publish path's one extra
 // decision: suppressFull skips the full form of a payload event whose
 // body exceeds the payload cap — no stream could ever receive it, so
-// rendering it (a base64 copy of the whole body) and holding it in the
+// rendering it (a copy of the whole body) and holding it in the
 // ring would spend bytes no subscriber can use. Delta and chunked forms
 // still render; a stream that can use neither gets the stripped form.
 func renderLadder(ev Event, chunkPayload int, suppressFull bool) RenderedEvent {
@@ -670,8 +734,8 @@ func decodeFields(w *[13]string) (Event, error) {
 	case !e.HasBody:
 		return Event{}, fmt.Errorf("%w: payload without the p flag", ErrBadFrame)
 	default:
-		if e.Body, err = base64.StdEncoding.DecodeString(payload); err != nil {
-			return Event{}, fmt.Errorf("%w: bad payload base64", ErrBadFrame)
+		if e.Body, err = decodePayload(payload); err != nil {
+			return Event{}, err
 		}
 		if len(e.Body) > MaxPayloadCap {
 			return Event{}, ErrFrameTooLong

@@ -3,8 +3,9 @@ package push
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
+	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,15 +42,15 @@ func TestFrameGolden(t *testing.T) {
 		{"hello", Event{Kind: KindHello, Seq: 7}, "1 7 0 - -", 9},
 		{"hello with Reset", Event{Kind: KindHello, Seq: 7, Reset: true}, "1 7 0 r -", 9},
 		{"stripped update", up, core, 42},
-		{"full update", full, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain", 85},
-		{"full update without content type", noType, pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2", 72},
+		{"full update", full, pcore + " 165.38%J 6c0fffb738e4d5c2 text%2Fplain", 81},
+		{"full update without content type", noType, pcore + " 165.38%J 6c0fffb738e4d5c2", 68},
 		{"empty body", empty, pcore + " - e3b0c44298fc1c14", 61},
 		{"empty body without digest", Event{Kind: KindUpdate, Seq: 8, Key: "/k", HasBody: true}, "2 8 0 p %2Fk", 12},
-		{"delta", delta, pcore + " AQJoaQ== 6c0fffb738e4d5c2 text%2Fplain cae662172fd450bb 1", 100},
-		{"first chunk", first, pcore + " MTY1 6c0fffb738e4d5c2 text%2Fplain - 0 0 3", 85},
-		{"last chunk", last, pcore + " Cg== 6c0fffb738e4d5c2 text%2Fplain - 0 2 3", 85},
+		{"delta", delta, pcore + " \x01\x02hi 6c0fffb738e4d5c2 text%2Fplain cae662172fd450bb 2", 96},
+		{"first chunk", first, pcore + " 165 6c0fffb738e4d5c2 text%2Fplain - 0 0 3", 84},
+		{"last chunk", last, pcore + " %J 6c0fffb738e4d5c2 text%2Fplain - 0 2 3", 83},
 		{"full update with cache-control", withCC,
-			pcore + " MTY1LjM4Cg== 6c0fffb738e4d5c2 text%2Fplain - 0 0 0 x-cc-delta%3D30%2C+x-mc-group%3Dnews", 130},
+			pcore + " 165.38%J 6c0fffb738e4d5c2 text%2Fplain - 0 0 0 x-cc-delta%3D30%2C+x-mc-group%3Dnews", 126},
 	}
 	for _, c := range cases {
 		if got := c.ev.Encode(); got != c.wire || len(got) != c.size {
@@ -111,6 +112,87 @@ func TestEncodeDecodeRoundTripV2(t *testing.T) {
 	}
 }
 
+// TestPayloadFieldRoundTrip: every payload rides the field as its own
+// bytes, the reserved ones escaped, and a decoded frame re-encodes to the
+// line it came from — with the payload mid-frame and as its last field.
+func TestPayloadFieldRoundTrip(t *testing.T) {
+	payloads := [][]byte{{}, []byte("-"), []byte(" "), []byte("%"), []byte("%%"), []byte("\r\n"),
+		[]byte("--"), []byte("%m")}
+	for c := 0; c < 256; c++ {
+		payloads = append(payloads, []byte{byte(c)})
+	}
+	random := make([]byte, 64<<10)
+	rand.New(rand.NewSource(1)).Read(random)
+	payloads = append(payloads, random)
+	for _, p := range payloads {
+		for _, ev := range []Event{
+			{Kind: KindUpdate, Seq: 1, Key: "/k", HasBody: true, Body: p, Digest: DigestOf(p)},
+			{Kind: KindUpdate, Seq: 1, Key: "/k", HasBody: true, Body: p},
+		} {
+			wire := ev.Encode()
+			if strings.ContainsAny(wire, "\r\n") || strings.Count(wire, " ") != 4+ev.optionalFields() {
+				t.Fatalf("payload %q: frame %q breaks the line grammar", truncateForLog(string(p)), truncateForLog(wire))
+			}
+			got, err := Decode(wire)
+			if err != nil {
+				t.Fatalf("payload %q: Decode(%q): %v", truncateForLog(string(p)), truncateForLog(wire), err)
+			}
+			if !sameOnWire(got, ev) || got.Encode() != wire {
+				t.Fatalf("payload %q: frame %q does not round-trip", truncateForLog(string(p)), truncateForLog(wire))
+			}
+		}
+	}
+	// The field costs one byte per payload byte, two per reserved one.
+	want := len("2 1 0 p %2Fk ") + len(random)
+	for _, c := range random {
+		if c == ' ' || c == '\n' || c == '\r' || c == '%' {
+			want++
+		}
+	}
+	if got := len(Event{Kind: KindUpdate, Seq: 1, Key: "/k", HasBody: true, Body: random}.Encode()); got != want {
+		t.Errorf("64 KiB of random bytes framed in %d B, want %d", got, want)
+	}
+}
+
+// TestDecodeRefusesBadPayload: a payload field that appendPayload would
+// never write — a raw reserved byte, a trailing escape, an escape of a
+// byte that needs none, a '-' escaped inside a longer payload — is
+// refused, and so is one decoding past MaxPayloadCap or one longer than
+// any payload of that cap can be spelled.
+func TestDecodeRefusesBadPayload(t *testing.T) {
+	d := DigestOf([]byte("x"))
+	for _, field := range []string{
+		"abc%",    // a trailing escape byte
+		"%",       // an escape byte alone
+		"a%Ab",    // an escape of 0x01
+		"%m%m",    // '-' escaped inside a longer payload
+		"a%m",     // the same
+		"a\rb",    // a raw carriage return
+		"ab\n",    // a raw line feed
+		"%e%",     // a good escape, then a trailing one
+		"%\x00ab", // an escape of '@'
+	} {
+		for _, wire := range []string{"2 1 0 p /k " + field, "2 1 0 p /k " + field + " " + d} {
+			if ev, err := Decode(wire); err == nil {
+				t.Errorf("Decode(%q) accepted as body %q", wire, ev.Body)
+			}
+		}
+	}
+	for name, field := range map[string]string{
+		"decodes past MaxPayloadCap":          strings.Repeat("x", MaxPayloadCap+1),
+		"escaped payload past MaxPayloadCap":  strings.Repeat("%`", MaxPayloadCap/2+1) + strings.Repeat("x", MaxPayloadCap/2),
+		"longer than a MaxPayloadCap payload": strings.Repeat("%`", MaxPayloadCap+1),
+	} {
+		if _, err := Decode("2 1 0 p /k " + field + " " + d); !errors.Is(err, ErrFrameTooLong) {
+			t.Errorf("%s: Decode = %v, want ErrFrameTooLong", name, err)
+		}
+	}
+	at := strings.Repeat("%`", MaxPayloadCap)
+	if ev, err := Decode("2 1 0 p /k " + at + " " + d); err != nil || len(ev.Body) != MaxPayloadCap {
+		t.Errorf("a MaxPayloadCap payload of spaces: %d bytes, %v", len(ev.Body), err)
+	}
+}
+
 // assertRoundTrip checks that every event encodes to a newline-free
 // line that decodes back to the same event.
 func assertRoundTrip(t *testing.T, events []Event) {
@@ -167,8 +249,8 @@ func TestCacheControlField(t *testing.T) {
 
 	d := DigestOf(body)
 	for _, wire := range []string{
-		"2 1 0 p /k aGk= " + d + " - - 0 0 0 x-cc%zz", // bad escape
-		"2 1 0 p /k aGk= " + d + " - - 0 0 0 -",       // ends in an empty cc
+		"2 1 0 p /k hi " + d + " - - 0 0 0 x-cc%zz", // bad escape
+		"2 1 0 p /k hi " + d + " - - 0 0 0 -",       // ends in an empty cc
 	} {
 		if ev, err := Decode(wire); err == nil {
 			t.Errorf("Decode(%q) accepted as %+v", wire, ev)
@@ -196,29 +278,27 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"-1 1 0 - /k",                   // negative kind
 		"2 18446744073709551616 0 - /k", // seq overflow
 		strings.Repeat("x", MaxFrameLen+1),
-		"v1 1 0 0 - - -",             // the retired v1 hello
-		"v1 2 1 0 - /k -",            // retired v1 update
-		"v2 2 1 0 p /k - - - 0 aGk=", // retired v2 payload
-		"v3 2 1 0 p /k - - " + d + " 0 - 0 0 2 aGk=", // retired v3 chunk
-		"1 7 0 - - -",                                  // six-field hello
-		"1 7 0 r - -",                                  // six-field Reset hello
-		"1 7 0 - - - - - - 65536",                      // six-field hello with a cap
-		"3 7 0 - - -",                                  // six-field heartbeat
-		"2 1 0 - /k grp",                               // six-field update with a group token
-		"2 1 0 p /k grp aGk= " + d,                     // six-field payload frame with a group token
-		"2 1 0 - /k -",                                 // ends in an empty payload field
-		"2 1 0 p /k -",                                 // empty body spelled out
-		"2 1 0 - /k - -",                               // ends in an empty digest
-		"1 7 0 - - - - - 65536",                        // hello echoing a cap
-		"1 1 0 - - - - - 0",                            // hello echoing a zero cap
-		"2 1 0 p /k !!!not-base64!!!",                  // hostile base64
-		"2 1 0 p /k ====",                              // hostile base64 padding
-		"2 1 0 - /k " + b64(1),                         // payload without the p flag
-		"2 1 0 - /k - zz",                              // non-hex digest
-		"2 1 0 - /k - " + strings.Repeat("a", 65),      // digest too long
-		"1 1 0 - - - - - x",                            // bad base digest
-		"2 1 0 - /" + strings.Repeat("k", MaxFrameLen), // over the frame limit
-		"2 1 0 p /" + strings.Repeat("k", MaxFrameLen) + " " + b64(8) + " " + d, // envelope over the limit
+		"v1 1 0 0 - - -",           // the retired v1 hello
+		"v1 2 1 0 - /k -",          // retired v1 update
+		"v2 2 1 0 p /k - - - 0 hi", // retired v2 payload
+		"v3 2 1 0 p /k - - " + d + " 0 - 0 0 2 hi", // retired v3 chunk
+		"1 7 0 - - -",                             // six-field hello
+		"1 7 0 r - -",                             // six-field Reset hello
+		"1 7 0 - - - - - - 65536",                 // six-field hello with a cap
+		"3 7 0 - - -",                             // six-field heartbeat
+		"2 1 0 - /k grp",                          // six-field update with a group token
+		"2 1 0 p /k grp hi " + d,                  // six-field payload frame with a group token
+		"2 1 0 - /k -",                            // ends in an empty payload field
+		"2 1 0 p /k -",                            // empty body spelled out
+		"2 1 0 - /k - -",                          // ends in an empty digest
+		"1 7 0 - - - - - 65536",                   // hello echoing a cap
+		"1 1 0 - - - - - 0",                       // hello echoing a zero cap
+		"2 1 0 - /k hi",                           // payload without the p flag
+		"2 1 0 - /k - zz",                         // non-hex digest
+		"2 1 0 - /k - " + strings.Repeat("a", 65), // digest too long
+		"1 1 0 - - - - - x",                       // bad base digest
+		"2 1 0 - /" + strings.Repeat("k", MaxFrameLen),                   // over the frame limit
+		"2 1 0 p /" + strings.Repeat("k", MaxFrameLen) + " payload " + d, // envelope over the limit
 		// Raw newlines ride one byte each on a hostile wire but re-encode
 		// to three (%0A): the canonical envelope is over the limit even
 		// though the frame as sent is not (fuzz-found; an accepted event
@@ -230,10 +310,6 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Errorf("Decode(%q) accepted malformed frame as %+v", truncateForLog(wire), ev)
 		}
 	}
-}
-
-func b64(n int) string {
-	return base64.StdEncoding.EncodeToString(make([]byte, n))
 }
 
 func truncateForLog(s string) string {
@@ -610,19 +686,25 @@ func TestSubscriberStopsOnContextCancel(t *testing.T) {
 // both wire forms (full and payload-stripped) of a value-carrying
 // event. On the publish path this price is paid exactly once per event
 // regardless of fan-out; per-subscriber delivery only picks one of the
-// two pre-rendered byte slices.
+// two pre-rendered byte slices. The bodies are text in 64-byte lines, so
+// the payload field escapes one byte in 64.
 func BenchmarkEventRender(b *testing.B) {
-	body := bytes.Repeat([]byte("v"), 512)
-	ev := Event{Kind: KindUpdate, Seq: 42, Key: "/obj/path",
-		ModTime: time.Unix(1_700_000_000, 0), Body: body, HasBody: true,
-		Digest: DigestOf(body)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		re := RenderLadder(ev, 0)
-		if len(re.full) == 0 || len(re.stripped) == 0 {
-			b.Fatal("render produced an empty form")
-		}
+	for _, size := range []int{512, DefaultPayloadCap} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			body := bytes.Repeat([]byte(strings.Repeat("v", 63)+"\n"), size/64)
+			ev := Event{Kind: KindUpdate, Seq: 42, Key: "/obj/path",
+				ModTime: time.Unix(1_700_000_000, 0), Body: body, HasBody: true,
+				Digest: DigestOf(body)}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				re := RenderLadder(ev, 0)
+				if len(re.full) == 0 || len(re.stripped) == 0 {
+					b.Fatal("render produced an empty form")
+				}
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"compress/gzip"
 	"context"
-	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -264,10 +263,11 @@ func (s *Subscriber) Run(ctx context.Context) {
 	}
 }
 
-// maxLineLen bounds a stream line: the envelope plus the base64
-// expansion of the largest payload a frame carries. Anything longer is
-// either hostile or a protocol violation and is skipped in place.
-var maxLineLen = MaxFrameLen + 64 + base64.StdEncoding.EncodedLen(DefaultPayloadCap)
+// maxLineLen bounds a stream line: the envelope plus the payload field of
+// the largest payload a frame carries, every byte of it escaped (twice
+// its length). Anything longer is either hostile or a protocol violation
+// and is skipped in place.
+const maxLineLen = MaxFrameLen + 64 + 2*DefaultPayloadCap
 
 // readFrameLine reads one newline-terminated line of at most limit
 // bytes from br. A longer line is consumed through its newline and
@@ -542,7 +542,10 @@ func (s *Subscriber) stream(ctx context.Context) (connected bool, err error) {
 			}
 			continue
 		}
-		ev, decodeErr := Decode(strings.TrimSpace(payload))
+		// SSE drops one space after the field name, and only that: the
+		// frame's last field may be a payload ending in bytes a wider
+		// trim would take for white space.
+		ev, decodeErr := Decode(strings.TrimPrefix(payload, " "))
 		if decodeErr != nil {
 			if !connected {
 				// The very first frame must be a hello; a server whose

@@ -3,7 +3,6 @@ package webproxy
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -233,7 +232,7 @@ func (p *Proxy) postAudits(body []byte) (listed map[string]*httpx.AuditAnswer, o
 		p.noteUpstream(fmt.Errorf("webproxy: audit batch answered %s", resp.Status))
 		return nil, false
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, httpx.MaxAuditBody+1))
+	raw, err := httpx.ReadAuditBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, false
 	}

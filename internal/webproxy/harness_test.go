@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -112,10 +113,12 @@ func newLink(h http.Handler, owner *node) *link {
 }
 
 // heldReply is a reply a hook runs in: the cache keys it answers, one
-// for a GET and every line's for an audit batch.
+// for a GET and every line's for an audit batch, and, for a hook that
+// does not park it (see beforeReply), the goroutine running the hook.
 type heldReply struct {
 	keys  []string
 	batch bool
+	g     uint64
 }
 
 // RoundTrip hands req to the upstream handler. A reply is delivered once
@@ -206,8 +209,9 @@ func reply(req *http.Request, code int, h http.Header, body io.ReadCloser, n int
 
 // hook is a function a link runs inside a reply (see beforeReply).
 type hook struct {
-	fn   func()
-	done chan struct{} // closed once fn has run and the reply moves on
+	fn    func()
+	parks bool          // fn waits for the test to release the reply (hold)
+	done  chan struct{} // closed once fn has run and the reply moves on
 }
 
 // countAudits counts each key an audit batch's answer vouched for, or
@@ -231,6 +235,9 @@ func (l *link) countAudits(audits []httpx.AuditLine, answer []byte) {
 
 // park runs hk while the reply r is held: built, none of it yet written.
 func (l *link) park(r heldReply, hk *hook) {
+	if !hk.parks {
+		r.g = goid()
+	}
 	l.mu.Lock()
 	l.inflight--
 	l.held = append(l.held, r)
@@ -266,15 +273,31 @@ func (l *link) fail(path string, on bool) {
 }
 
 // beforeReply runs fn once, inside the next request for path: its reply
-// built, none of it written. The returned channel closes once fn has
-// run and the reply has moved on. quiesce still works inside fn: it
-// counts the held reply, and the jobs it parks, as settled.
-func (l *link) beforeReply(path string, fn func()) <-chan struct{} {
-	hk := &hook{fn: fn, done: make(chan struct{})}
+// built, none of it written. A quiesce inside fn counts the held reply,
+// and the jobs it parks, as settled; a quiesce anywhere else waits until
+// fn has returned and the reply has moved on.
+func (l *link) beforeReply(path string, fn func()) {
+	l.setHook(path, &hook{fn: fn, done: make(chan struct{})})
+}
+
+// setHook arms hk for the next request for path.
+func (l *link) setHook(path string, hk *hook) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.hooks[path] = hk
-	return hk.done
+}
+
+// goid returns the calling goroutine's id, from the header of its stack
+// trace ("goroutine 7 [running]:").
+func goid() uint64 {
+	var buf [32]byte
+	s := strings.TrimPrefix(string(buf[:runtime.Stack(buf[:], false)]), "goroutine ")
+	id, _, _ := strings.Cut(s, " ")
+	n, err := strconv.ParseUint(id, 10, 64)
+	if err != nil {
+		panic("goid: unexpected stack header " + s)
+	}
+	return n
 }
 
 // hold is one reply a link holds, built, until it is released.
@@ -284,13 +307,16 @@ type hold struct {
 	once              sync.Once
 }
 
-// hold holds the next reply for path until release.
+// hold holds the next reply for path until release; every quiesce
+// counts it, and the jobs it parks, as settled until then.
 func (l *link) hold(t testing.TB, path string) *hold {
 	hd := &hold{arrived: make(chan struct{}), released: make(chan struct{})}
-	hd.done = l.beforeReply(path, func() {
+	hk := &hook{parks: true, done: make(chan struct{}), fn: func() {
 		close(hd.arrived)
 		<-hd.released
-	})
+	}}
+	hd.done = hk.done
+	l.setHook(path, hk)
 	t.Cleanup(hd.release) // before the proxy's Close waits for its worker
 	return hd
 }
@@ -352,13 +378,19 @@ func (l *link) stream() (*linkStream, int) {
 	return l.last, l.attempts
 }
 
-// idle reports whether nothing is in flight on the link but held replies
-// and live streams, and returns the held replies.
-func (l *link) idle() ([]heldReply, bool) {
+// idle reports whether nothing is in flight on the link but live streams
+// and the replies held for goroutine g (see beforeReply), and returns
+// those replies.
+func (l *link) idle(g uint64) ([]heldReply, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.inflight != 0 || l.handlers != len(l.serving) {
 		return nil, false
+	}
+	for _, r := range l.held {
+		if r.g != 0 && r.g != g {
+			return nil, false // a hook still running elsewhere
+		}
 	}
 	for s := range l.serving {
 		if !s.live() {
@@ -1051,18 +1083,20 @@ func (h *harness) hubs() map[*node]push.HubStats {
 }
 
 // quiesce waits until the topology is quiescent: every link idle but for
-// held replies and live streams; every open proxy with nothing due, and
+// live streams and held replies (a bare beforeReply hook's only to a
+// quiesce inside it); every open proxy with nothing due, and
 // nothing in flight but what held replies park; every hub's streams
 // registered exactly while their handlers run; and every consumer
 // settled (see streamer.settled) — stable over two passes.
 func (h *harness) quiesce() {
 	h.t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
+	g := goid()
 	for stable, spins := 0, 0; stable < 2; spins++ {
 		for _, n := range h.nodes {
 			n.Kick()
 		}
-		if h.quiet() {
+		if h.quiet(g) {
 			stable++
 		} else {
 			stable = 0
@@ -1084,10 +1118,10 @@ func (h *harness) quiesce() {
 	}
 }
 
-func (h *harness) quiet() bool {
+func (h *harness) quiet(g uint64) bool {
 	held := make(map[*node][]heldReply)
 	for _, l := range h.links {
-		replies, ok := l.idle()
+		replies, ok := l.idle(g)
 		if !ok {
 			return false
 		}

@@ -76,7 +76,7 @@ func BenchmarkOriginAuditBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				req.Body = io.NopCloser(bytes.NewReader(batch))
+				req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(batch)), int64(len(batch))
 				clear(w.h)
 				o.ServeHTTP(w, req)
 			}

@@ -6,7 +6,7 @@
 // directives, so a downstream proxy can learn Δ, the group name, and δ
 // directly from responses.
 //
-// A GET that carries "A-IM: x-broadway-block" (push.DeltaIM) and whose
+// A GET that carries "A-IM: x-broadway-block2" (push.DeltaIM) and whose
 // If-Modified-Since is the object's previous modification instant is
 // answered 226 IM Used with the delta from that version to the current
 // one (see push.ApplyDeltaAnswer), when the update left one that pays;
@@ -397,7 +397,7 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // key is vouched for when the conditional GET it stands for would be a
 // 304 carrying the Cache-Control the child holds, and is counted as that
 // GET would be. Every other key is listed. A batch that carries
-// "A-IM: x-broadway-block" gets a changed key's answer inline — the 226
+// "A-IM: x-broadway-block2" gets a changed key's answer inline — the 226
 // or 200 its conditional GET would return, counted as that GET — while
 // the whole answer stays within httpx.MaxAuditBody. A missing or
 // re-tolerated key, and a changed one past that budget, is listed plain,

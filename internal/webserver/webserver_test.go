@@ -248,8 +248,8 @@ func TestServeAuditsAnswersAsGETsWould(t *testing.T) {
 // TestDeltaAnswer: a GET asking for a delta (A-IM) from the previous
 // version is answered 226 with the change and every header its 200
 // carries; the change applies to the previous body. A GET without A-IM,
-// from an older version, a HEAD, and the first version are answered as
-// plain GETs.
+// one asking for the retired codec, from an older version, a HEAD, and
+// the first version are answered as plain GETs.
 func TestDeltaAnswer(t *testing.T) {
 	clock := newFakeClock()
 	o := NewOrigin(WithClock(clock.Now), WithHistoryExtension(true))
@@ -282,6 +282,16 @@ func TestDeltaAnswer(t *testing.T) {
 	if plain.Code != http.StatusOK || !bytes.Equal(plain.Body.Bytes(), v2) {
 		t.Fatalf("GET without A-IM = %d, want 200 and the body", plain.Code)
 	}
+	// The retired codec's token, whose COPYs named absolute offsets, is
+	// not ours: its client gets the body, never a delta it would misapply.
+	retired := httptest.NewRequest(http.MethodGet, "/obj", nil)
+	retired.Header.Set("If-Modified-Since", lm1)
+	retired.Header.Set(push.HeaderAIM, "x-broadway-block")
+	old := httptest.NewRecorder()
+	o.ServeHTTP(old, retired)
+	if old.Code != http.StatusOK || !bytes.Equal(old.Body.Bytes(), v2) {
+		t.Errorf("GET asking for the retired codec = %d, want 200 and the body", old.Code)
+	}
 	for _, h := range []string{"Last-Modified", "Cache-Control", httpx.HeaderModificationHistory, "Content-Type"} {
 		if got, want := rec.Header().Get(h), plain.Header().Get(h); got != want {
 			t.Errorf("226 %s = %q, the 200 says %q", h, got, want)
@@ -300,8 +310,8 @@ func TestDeltaAnswer(t *testing.T) {
 	if rec := req(http.MethodGet, lm1, true); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), v3) {
 		t.Errorf("two versions behind answered %d, want 200 and the body", rec.Code)
 	}
-	if st := o.Stats(); st.DeltaServes != 1 || st.Polls != 6 {
-		t.Errorf("delta serves %d, polls %d; want 1 and 6", st.DeltaServes, st.Polls)
+	if st := o.Stats(); st.DeltaServes != 1 || st.Polls != 7 {
+		t.Errorf("delta serves %d, polls %d; want 1 and 7", st.DeltaServes, st.Polls)
 	}
 }
 
