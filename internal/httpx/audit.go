@@ -149,12 +149,14 @@ func ParseAuditBatch(body []byte) ([]AuditLine, error) {
 	return out, err
 }
 
-// AuditAnswer is one key a batch's answer lists.
+// AuditAnswer is one key a batch's answer lists, and the form an answer
+// to a validation takes whichever way it travels: a GET's too.
 type AuditAnswer struct {
 	Key string
 	// Status is 0 for a plain listing, whose key the child polls itself,
 	// and http.StatusOK or http.StatusIMUsed for an inline answer; the
-	// fields below are an inline answer's.
+	// fields below are an inline answer's. A GET's http.StatusNotModified
+	// never travels in a batch.
 	Status int
 	// LastModified and History are the answer's Last-Modified and
 	// X-Modification-History; History is nil when the upstream sends none.

@@ -198,7 +198,12 @@ func ParseCacheControl(value string) (Tolerances, error) {
 // SetCacheControl appends the tolerance directives to any existing
 // cache-control value on h.
 func SetCacheControl(h http.Header, t Tolerances) {
-	directives := t.FormatCacheControl()
+	AddCacheControl(h, t.FormatCacheControl())
+}
+
+// AddCacheControl appends directives to any existing cache-control value
+// on h.
+func AddCacheControl(h http.Header, directives string) {
 	if directives == "" {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/textproto"
 	"strings"
 )
 
@@ -77,7 +78,7 @@ var ErrBadDelta = errors.New("push: bad delta")
 // with the DeltaCodecBlock delta as the body, beside every header its 200
 // would carry. Any other answer is the plain conditional GET's. The
 // client installs the result only if Delta-Base names the body it holds
-// and the result's digest is the ETag (see ApplyDeltaAnswer).
+// and the result's digest is the ETag (see DeltaAnswer).
 const (
 	HeaderAIM       = "A-IM"
 	HeaderIM        = "IM"
@@ -88,9 +89,12 @@ const (
 	DeltaIM = "x-broadway-block2"
 )
 
+// aimKey is HeaderAIM in canonical form: a lookup by it allocates nothing.
+var aimKey = textproto.CanonicalMIMEHeaderKey(HeaderAIM)
+
 // AcceptsDeltaIM reports whether a request's A-IM lists DeltaIM.
 func AcceptsDeltaIM(h http.Header) bool {
-	for _, v := range h.Values(HeaderAIM) {
+	for _, v := range h[aimKey] {
 		for _, tok := range strings.Split(v, ",") {
 			tok, _, _ = strings.Cut(tok, ";")
 			if strings.EqualFold(strings.TrimSpace(tok), DeltaIM) {
@@ -108,29 +112,20 @@ func SetDeltaHeaders(h http.Header, baseDigest, resultDigest string) {
 	h.Set("ETag", `"`+resultDigest+`"`)
 }
 
-// ApplyDeltaAnswer rebuilds the body a 226 answer with headers h carries
-// as delta against base. It fails unless h names DeltaIM and VerifyDelta
-// accepts its Delta-Base and ETag digests, so a body it returns is the
-// one the upstream hashed.
-func ApplyDeltaAnswer(h http.Header, base, delta []byte) ([]byte, error) {
-	if !strings.EqualFold(strings.TrimSpace(h.Get(HeaderIM)), DeltaIM) {
-		return nil, fmt.Errorf("%w: IM %q", ErrBadDelta, h.Get(HeaderIM))
+// DeltaAnswer reads the Delta-Base and ETag digests of a 226 answer with
+// headers h, for VerifyDelta. Both are empty unless h names DeltaIM and
+// quotes them, and VerifyDelta refuses an empty digest.
+func DeltaAnswer(h http.Header) (baseDigest, resultDigest string) {
+	if strings.EqualFold(strings.TrimSpace(h.Get(HeaderIM)), DeltaIM) {
+		baseDigest, resultDigest = unquote(h.Get(HeaderDeltaBase)), unquote(h.Get("ETag"))
 	}
-	baseDigest, ok := unquote(h.Get(HeaderDeltaBase))
-	if !ok {
-		return nil, fmt.Errorf("%w: Delta-Base %q", ErrBadDelta, h.Get(HeaderDeltaBase))
-	}
-	resultDigest, ok := unquote(h.Get("ETag"))
-	if !ok {
-		return nil, fmt.Errorf("%w: ETag %q", ErrBadDelta, h.Get("ETag"))
-	}
-	return VerifyDelta(base, delta, baseDigest, resultDigest)
+	return baseDigest, resultDigest
 }
 
 // VerifyDelta rebuilds the body a DeltaCodecBlock delta makes of base. It
 // fails unless baseDigest is base's digest and the rebuilt body's digest
 // is resultDigest: the check every delta answer passes before its body is
-// installed, a 226 (ApplyDeltaAnswer) or an audit batch's inline answer.
+// installed, a 226 (see DeltaAnswer) or an audit batch's inline answer.
 // The body is bounded by MaxAssembledBody.
 func VerifyDelta(base, delta []byte, baseDigest, resultDigest string) ([]byte, error) {
 	if baseDigest != DigestOf(base) {
@@ -146,12 +141,13 @@ func VerifyDelta(base, delta []byte, baseDigest, resultDigest string) ([]byte, e
 	return body, nil
 }
 
-// unquote strips the double quotes around a non-empty quoted string.
-func unquote(s string) (string, bool) {
-	if len(s) < 3 || s[0] != '"' || s[len(s)-1] != '"' {
-		return "", false
+// unquote strips the double quotes around a quoted string; anything
+// else is "".
+func unquote(s string) string {
+	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
+		return ""
 	}
-	return s[1 : len(s)-1], true
+	return s[1 : len(s)-1]
 }
 
 // MakeDelta encodes target as a delta against base, reporting ok=false

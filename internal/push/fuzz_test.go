@@ -240,9 +240,9 @@ func FuzzDeltaApply(f *testing.F) {
 
 // FuzzDeltaResponse hammers the 226 answer a delta-encoded GET gets:
 // arbitrary IM, Delta-Base and ETag headers and delta bytes against one
-// fixed base. ApplyDeltaAnswer must never panic, and a body it returns
-// must hash to the ETag and come from a Delta-Base naming the base: a
-// proxy installs nothing the upstream did not hash.
+// fixed base. DeltaAnswer and VerifyDelta must never panic, and a body
+// they return must hash to the ETag and come from a Delta-Base naming the
+// base: a proxy installs nothing the upstream did not hash.
 func FuzzDeltaResponse(f *testing.F) {
 	base := bytes.Repeat([]byte("the held body, one version behind. "), 32)
 	target := append(append([]byte(nil), base[:300]...), "an edit"...)
@@ -262,7 +262,8 @@ func FuzzDeltaResponse(f *testing.F) {
 		h.Set(HeaderIM, im)
 		h.Set(HeaderDeltaBase, deltaBase)
 		h.Set("ETag", etag)
-		body, err := ApplyDeltaAnswer(h, base, delta)
+		baseDigest, resultDigest := DeltaAnswer(h)
+		body, err := VerifyDelta(base, delta, baseDigest, resultDigest)
 		if err != nil {
 			return
 		}

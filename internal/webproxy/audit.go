@@ -153,7 +153,7 @@ func auditLine(e *entry) []byte {
 
 // auditBatch sends one batch and routes each key to its worker: a
 // pre-answered 304 for a key the upstream vouched for, the inline answer
-// for a key it answered inline (see inlineVersion), a poll of its own for
+// for a key it answered inline (see answerVersion), a poll of its own for
 // every key it listed plain — and for every key, when the batch failed. A
 // batch of one key is its GET.
 func (p *Proxy) auditBatch(batch []*entry, body []byte) {
@@ -165,7 +165,7 @@ func (p *Proxy) auditBatch(batch []*entry, body []byte) {
 	epoch := p.lease.epoch.Load()
 	listed, ok := p.postAudits(body)
 	now := p.cfg.Clock()
-	vouched := &version{now: now, epoch: epoch, arrived: now}
+	vouched := answerVersion(&httpx.AuditAnswer{Status: http.StatusNotModified}, now, epoch)
 	for _, e := range batch {
 		j := job{e: e, kind: pollRegular}
 		if ok {
@@ -173,33 +173,11 @@ func (p *Proxy) auditBatch(batch []*entry, body []byte) {
 			case a == nil:
 				j.answered = vouched
 			case a.Status != 0:
-				j.answered = inlineVersion(a, now, epoch)
+				j.answered = answerVersion(a, now, epoch)
 			}
 		}
 		p.workerFor(e).enqueue(j)
 	}
-}
-
-// inlineVersion is the version a batch's inline answer a carries, as get
-// builds it from the 200 or 226 the answer stands for: validated at the
-// answer's arrival, evidence of the epoch the batch was sent in. A 226's
-// body is still the delta, which installAnswered verifies against the
-// body held when it installs.
-func inlineVersion(a *httpx.AuditAnswer, now time.Time, epoch *time.Time) *version {
-	v := &version{
-		now: now, epoch: epoch, arrived: now,
-		modified:     true,
-		body:         a.Body,
-		contentType:  a.ContentType,
-		cacheControl: a.CacheControl,
-		lastMod:      a.LastModified,
-		hasLastMod:   true,
-		history:      a.History,
-	}
-	if a.Status == http.StatusIMUsed {
-		v.body, v.delta, v.deltaBase, v.digest = nil, a.Body, a.Base, a.Result
-	}
-	return v
 }
 
 // postAudits posts a batch body upstream, asking for inline answers, and
@@ -250,12 +228,12 @@ func (p *Proxy) postAudits(body []byte) (listed map[string]*httpx.AuditAnswer, o
 // installAnswered installs the answer a batch gave for e under the rules
 // pollEntry applies to the same reply to e's own conditional GET: a 304
 // keeps the held Last-Modified, an unstorable answer evicts, and an
-// inline 226 lands only as the body push.VerifyDelta rebuilds from the
-// body held now. Unlike a GET's answer, an inline one can arrive after a
-// poll of e's own that ran since the batch was sent: an inline 200 no
-// newer than the copy held now would step it back. A refused inline
-// answer — a 226 that does not verify, or such a 200 — is counted in
-// DeltaFallbacks and followed by the key's own poll, whose answer stands.
+// inline 226 lands only as the body rebuild verifies against the body
+// held now. Unlike a GET's answer, an inline one can arrive after a poll
+// of e's own that ran since the batch was sent: an inline 200 no newer
+// than the copy held now would step it back. A refused inline answer — a
+// 226 that does not verify, or such a 200 — is counted in DeltaFallbacks
+// and followed by the key's own poll, whose answer stands.
 func (p *Proxy) installAnswered(e *entry, answer *version) {
 	if e.evicted() {
 		return
@@ -263,6 +241,7 @@ func (p *Proxy) installAnswered(e *entry, answer *version) {
 	v := *answer
 	e.mu.RLock()
 	held, hasHeld := e.lastModified()
+	base := e.body
 	e.mu.RUnlock()
 	refused := false
 	switch {
@@ -272,9 +251,7 @@ func (p *Proxy) installAnswered(e *entry, answer *version) {
 		p.Evict(e.key)
 		return
 	case v.delta != nil:
-		base, _ := e.held()
-		body, err := push.VerifyDelta(base, v.delta, v.deltaBase, v.digest)
-		v.body, refused = body, err != nil
+		refused = !p.rebuild(&v, base)
 	default:
 		refused = hasHeld && !v.lastMod.After(held)
 	}
@@ -282,9 +259,6 @@ func (p *Proxy) installAnswered(e *entry, answer *version) {
 		p.deltaFallbacks.Add(1)
 		p.pollEntry(e, pollRegular)
 		return
-	}
-	if v.delta != nil {
-		p.deltaPolls.Add(1)
 	}
 	p.install(e, pollRegular, v)
 }

@@ -1,6 +1,6 @@
 package webproxy
 
-// Tests for delta-encoded polls (see fetchUpstream): a conditional GET
+// Tests for delta-encoded polls (see fetch): a conditional GET
 // from a copy that holds the origin's previous version is answered 226
 // with the change, verified against the held body and the result's
 // digest before anything is installed; every answer that does not
@@ -196,6 +196,58 @@ func TestProxyUpstreamNeverAnswersDelta(t *testing.T) {
 	r.Header.Set(push.HeaderAIM, push.DeltaIM)
 	if code, body, hdr := root.do(r); code != http.StatusOK || body != string(revision(1)) || hdr.Get(push.HeaderIM) != "" {
 		t.Errorf("root answered A-IM with %d, IM %q, %d bytes; want a plain 200", code, hdr.Get(push.HeaderIM), len(body))
+	}
+}
+
+// TestRelayPassesOnPolledDeltaEitherCarrier: a relaying root over a
+// pull-only origin passes the origin's delta on to its children whichever
+// carrier brought it, a GET's 226 or a batch's inline one, with no
+// encoder run of its own: the bodies are under relayDeltaFloor, below
+// which the relay encodes none.
+func TestRelayPassesOnPolledDeltaEitherCarrier(t *testing.T) {
+	tp := deltaTopology(nil)
+	tp.cfg = Config{Bounds: noRefreshBounds, DefaultDelta: time.Hour}
+	tp.tune = func(_ int, cfg *Config) { cfg.RelayEvents = true }
+	h := newHarness(t, tp)
+	root := h.root()
+	leaf := h.attach(root, func(cfg *Config) { cfg.PushURL, _ = url.Parse(linkBase + "/events") })
+	h.quiesce()
+	short := func(rev int) []byte { return revision(rev)[400:600] }
+	if len(short(0)) >= relayDeltaFloor {
+		t.Fatal("test premise: the bodies are not under relayDeltaFloor")
+	}
+	for _, k := range []string{"/a", "/b", "/c"} {
+		h.origin.Set(k, short(0), "text/plain")
+		if code, _, _ := leaf.get(k); code != http.StatusOK {
+			t.Fatalf("admit %s: status %d", k, code)
+		}
+	}
+	h.origin.Set("/a", short(1), "text/plain")
+	h.origin.Set("/b", short(1), "text/plain")
+
+	// /a alone: its GET. /b with the unchanged /c: a batch.
+	placeAt(t, root, "/a", h.clk.Now().Add(time.Millisecond))
+	h.stepTo(h.clk.Now().Add(time.Millisecond))
+	h.quiesce()
+	at := h.clk.Now().Add(time.Millisecond)
+	placeAt(t, root, "/b", at)
+	placeAt(t, root, "/c", at)
+	h.stepTo(at)
+	h.quiesce()
+
+	if n := root.up.auditBatches(); n != 1 {
+		t.Fatalf("test premise: the root sent %d batches, want 1", n)
+	}
+	if ds := h.origin.Stats().DeltaServes; ds != 2 {
+		t.Fatalf("test premise: the origin served %d deltas, want 2", ds)
+	}
+	for _, k := range []string{"/a", "/b"} {
+		if body, _ := leaf.CachedBody(k); !bytes.Equal(body, short(1)) {
+			t.Errorf("leaf holds %q at %s, want revision 1", body, k)
+		}
+	}
+	if n := root.PushStats().DeltaRebased; n != 2 {
+		t.Errorf("the root published %d deltas, want the origin's 2", n)
 	}
 }
 

@@ -191,7 +191,7 @@ func TestInlineDeltaIsTheGETsVersion(t *testing.T) {
 	if !ok || listed["/a"] == nil || listed["/a"].Status != http.StatusIMUsed {
 		t.Fatalf("batch answered %v, %+v; want /a inline as a 226", ok, listed["/a"])
 	}
-	v := inlineVersion(listed["/a"], viaGET.now, viaGET.epoch)
+	v := answerVersion(listed["/a"], viaGET.now, viaGET.epoch)
 	if v.body, err = push.VerifyDelta(base, v.delta, v.deltaBase, v.digest); err != nil {
 		t.Fatal(err)
 	}

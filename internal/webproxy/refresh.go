@@ -385,10 +385,10 @@ func (p *Proxy) pollEntry(e *entry, kind pollKind) {
 }
 
 // version is one validated version of an object as its source delivered
-// it: the answer to an upstream request (a 200 carrying a body, or a 304
-// carrying none; see fetch, and auditBatch for the answers a batch
-// carries), a pushed payload (see acceptPushed), or the 304 a live lease
-// answers for a promotion (see channelAnswer).
+// it: the answer to an upstream request, a GET's or a batch's (a 200 or
+// 226 carrying a body, or a 304 carrying none; see answerVersion), a
+// pushed payload (see acceptPushed), or the 304 a live lease answers for a
+// promotion (see channelAnswer).
 type version struct {
 	now time.Time // validation instant on the proxy's clock
 	// modified marks a new body; false is a 304, which revalidates the
@@ -411,10 +411,10 @@ type version struct {
 	// request: a pushed payload installed directly, or the 304 a live
 	// lease answers for a promotion.
 	applied bool
-	// delta is the delta a pushed payload arrived as, against the body
-	// digested deltaBase; nil for a payload that arrived whole. The relay
-	// passes it on when that base is the body the install replaced (see
-	// relayInstalled).
+	// delta is the delta the version arrived as — a pushed payload's, or
+	// a verified 226's, to a GET or inline — against the body digested
+	// deltaBase; nil for a body that arrived whole. The relay passes it on
+	// when that base is the body the install replaced (see relayInstalled).
 	delta     []byte
 	deltaBase string
 	// epoch is the lease epoch the version's evidence was gathered in:

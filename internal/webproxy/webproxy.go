@@ -109,6 +109,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -640,10 +641,8 @@ type Proxy struct {
 	evictions   atomic.Uint64
 	cappedN     atomic.Uint64
 	staleServes atomic.Uint64
-	// deltaPolls counts upstream GETs, and batch keys answered inline,
-	// answered by a verified delta; deltaFallbacks counts 226 and inline
-	// answers refused, each followed by one more GET (see fetchUpstream
-	// and installAnswered).
+	// deltaPolls and deltaFallbacks back CacheStats' DeltaPolls and
+	// DeltaFallbacks.
 	deltaPolls     atomic.Uint64
 	deltaFallbacks atomic.Uint64
 	// polls counts successful refresh polls by what demanded them,
@@ -1407,20 +1406,33 @@ func (p *Proxy) joinGroup(e *entry, group string, groupDelta time.Duration, valu
 	gs.members = append(gs.members, e)
 }
 
-// fetch performs one upstream request and records its outcome in the
-// proxy's upstream-health state: every origin interaction — admission
-// fetches, scheduled polls, triggered and pushed polls — flows through
-// here, so UpstreamStatus always reflects the most recent contact. The
-// version it returns is validated at the response's arrival, as evidence
-// of the lease epoch the request was sent in: a response built before an
-// epoch began cannot speak for the updates the hole that ended the
-// previous one swallowed. base is the body since names, or nil (see
-// fetchUpstream). A 404 or 410, or a redirect, is the origin's answer
-// about the object, not a failed contact: it is returned as an
-// *originAnswer and noted as a success (see failure).
+// fetch performs a GET against the origin, conditional when since is
+// non-zero, and records its outcome in the proxy's upstream-health state:
+// every origin interaction — admission fetches, scheduled polls,
+// triggered and pushed polls — flows through here, so UpstreamStatus
+// always reflects the most recent contact. The version it returns is
+// validated at the response's arrival, as evidence of the lease epoch the
+// request was sent in: a response built before an epoch began cannot
+// speak for the updates the hole that ended the previous one swallowed. A
+// 404 or 410, or a redirect, is the origin's answer about the object, not
+// a failed contact: it is returned as an *originAnswer and noted as a
+// success (see failure).
+//
+// base, when non-nil, is the body of the version since names: the GET
+// then asks for a delta (push.DeltaIM), and a 226 answer is installed only
+// as the body rebuild verified against base. A 226 that fails that, or
+// that was not asked for, is counted and followed by exactly one
+// unconditional GET, whose answer stands; its history is cut to the
+// updates after since, as the conditional answer's would be.
 func (p *Proxy) fetch(key string, since time.Time, base []byte) (*version, error) {
 	epoch := p.lease.epoch.Load()
-	v, err := p.fetchUpstream(key, since, base)
+	v, err := p.get(key, since, base)
+	if errors.Is(err, errDeltaRefused) {
+		p.deltaFallbacks.Add(1)
+		if v, err = p.get(key, time.Time{}, nil); err == nil {
+			v.history = v.history[sort.Search(len(v.history), func(i int) bool { return v.history[i].After(since) }):]
+		}
+	}
 	p.noteUpstream(failure(err))
 	if err != nil {
 		return nil, err
@@ -1516,31 +1528,9 @@ func failure(err error) error {
 // base the request named, or that no request asked for.
 var errDeltaRefused = errors.New("webproxy: delta answer refused")
 
-// fetchUpstream performs a GET against the origin, conditional when
-// since is non-zero. base, when non-nil, is the body of the version since
-// names: the GET then asks for a delta (push.DeltaIM), and a 226 answer
-// is installed only as the body push.ApplyDeltaAnswer verified. A 226
-// that fails that, or that was not asked for, is counted and followed by
-// exactly one unconditional GET, whose answer stands; its history is cut
-// to the updates after since, as the conditional answer's would be.
-func (p *Proxy) fetchUpstream(key string, since time.Time, base []byte) (*version, error) {
-	v, err := p.get(key, since, base)
-	if !errors.Is(err, errDeltaRefused) {
-		return v, err
-	}
-	p.deltaFallbacks.Add(1)
-	if v, err = p.get(key, time.Time{}, nil); err != nil {
-		return nil, err
-	}
-	i := 0
-	for i < len(v.history) && !v.history[i].After(since) {
-		i++
-	}
-	v.history = v.history[i:]
-	return v, nil
-}
-
-// get sends one GET for key (see fetchUpstream). key carries the
+// get sends one GET for key (see fetch) and reads its 200, 226
+// or 304 into the answer form an audit batch's inline answer takes, so
+// answerVersion builds the version from either. key carries the
 // canonical path-plus-query, which is replayed onto the upstream URL. A
 // body over push.MaxAssembledBody, the largest body the channel can
 // deliver too, is an error.
@@ -1576,42 +1566,71 @@ func (p *Proxy) get(key string, since time.Time, base []byte) (*version, error) 
 	}
 	defer resp.Body.Close()
 
-	v := &version{contentType: resp.Header.Get("Content-Type"), cacheControl: resp.Header.Get("Cache-Control")}
+	a := httpx.AuditAnswer{Status: resp.StatusCode, ContentType: resp.Header.Get("Content-Type"), CacheControl: resp.Header.Get("Cache-Control")}
 	if lm := resp.Header.Get("Last-Modified"); lm != "" {
-		if t, err := http.ParseTime(lm); err == nil {
-			v.lastMod = t
-			v.hasLastMod = true
-		}
+		a.LastModified, _ = http.ParseTime(lm)
 	}
-	if hist, err := httpx.HistoryFrom(resp.Header); err == nil {
-		v.history = hist
-	}
+	a.History, _ = httpx.HistoryFrom(resp.Header)
 	code := resp.StatusCode
 	gone := code == http.StatusNotFound || code == http.StatusGone || redirect(code)
 	switch {
 	case code == http.StatusNotModified:
-		return v, nil
+		return answerVersion(&a, time.Time{}, nil), nil
 	case code != http.StatusOK && code != http.StatusIMUsed && !gone:
 		return nil, fmt.Errorf("webproxy: origin returned %s", resp.Status)
 	}
-	body, err := readExact(resp.Body, push.MaxAssembledBody)
-	if err != nil {
+	if a.Body, err = readExact(resp.Body, push.MaxAssembledBody); err != nil {
 		return nil, err
 	}
 	if gone {
-		return nil, &originAnswer{code: code, contentType: v.contentType, location: resp.Header.Get("Location"), body: body}
+		return nil, &originAnswer{code: code, contentType: a.ContentType, location: resp.Header.Get("Location"), body: a.Body}
 	}
 	if code == http.StatusIMUsed {
-		if base == nil {
-			return nil, errDeltaRefused
-		}
-		if body, err = push.ApplyDeltaAnswer(resp.Header, base, body); err != nil {
-			return nil, errDeltaRefused
-		}
-		p.deltaPolls.Add(1)
+		a.Base, a.Result = push.DeltaAnswer(resp.Header)
 	}
-	v.body, v.modified = body, true
+	v := answerVersion(&a, time.Time{}, nil)
+	if v.delta != nil && !p.rebuild(v, base) {
+		return nil, errDeltaRefused
+	}
 	return v, nil
+}
+
+// answerVersion is the version an answer a carries, whichever way it
+// travelled — a GET's 200, 226 or 304 (see get), or an audit batch's
+// inline 200 or 226 or vouched 304 (see auditBatch) — validated at now,
+// evidence of epoch. A 226's body is still its delta, which rebuild
+// verifies against the base its carrier names before anything installs
+// it; the version keeps the delta, so a relay passes it on.
+func answerVersion(a *httpx.AuditAnswer, now time.Time, epoch *time.Time) *version {
+	v := &version{
+		now: now, epoch: epoch, arrived: now,
+		modified:     a.Status != http.StatusNotModified,
+		body:         a.Body,
+		contentType:  a.ContentType,
+		cacheControl: a.CacheControl,
+		lastMod:      a.LastModified,
+		hasLastMod:   !a.LastModified.IsZero(),
+		history:      a.History,
+	}
+	if a.Status == http.StatusIMUsed {
+		v.body, v.delta, v.deltaBase, v.digest = nil, a.Body, a.Base, a.Result
+	}
+	return v
+}
+
+// rebuild sets v's body to the one its delta makes of base, the body its
+// carrier named — the body on disk for a promotion, the body held for a
+// poll or an inline answer — and counts it in DeltaPolls. It reports
+// false, leaving v as it was, when push.VerifyDelta refuses the delta or
+// no base was named: the caller counts the refusal and falls back.
+func (p *Proxy) rebuild(v *version, base []byte) bool {
+	body, err := push.VerifyDelta(base, v.delta, v.deltaBase, v.digest)
+	if err != nil || base == nil {
+		return false
+	}
+	v.body = body
+	p.deltaPolls.Add(1)
+	return true
 }
 
 // readExact reads r to its end into a slice whose capacity is its
@@ -1684,12 +1703,13 @@ type CacheStats struct {
 	// Capped counts admissions refused residency: single objects larger
 	// than MaxBytes, served uncached.
 	Capped uint64 `metric:"counter broadway_cache_capped_total" help:"Admissions refused residency at capacity."`
-	// DeltaPolls counts upstream GETs, polls and promotions, answered
-	// 226 with a delta that verified against the body held (see
-	// fetchUpstream), and audit batch keys answered so inline (see
-	// installAnswered); DeltaFallbacks counts 226 and inline answers
-	// refused, each followed by one more GET: unconditional after a 226,
-	// the key's own poll after an inline answer.
+	// DeltaPolls counts 226 answers, to a GET or inline in an audit
+	// batch, whose delta verified against the body its carrier named (see
+	// rebuild). DeltaFallbacks counts the answers refused — such a 226
+	// that does not verify, and an inline 200 older than the copy held —
+	// each followed by one more GET: an unconditional one after a GET's
+	// (see fetch), the key's own poll after an inline one (see
+	// installAnswered).
 	DeltaPolls     uint64 `metric:"counter broadway_cache_delta_polls_total" help:"Upstream GETs, and audit batch keys answered inline, answered with a delta that verified against the body held."`
 	DeltaFallbacks uint64 `metric:"counter broadway_cache_delta_fallbacks_total" help:"226 and inline audit answers refused (unverified, unasked or stale), each followed by one more GET."`
 	// StaleServes counts hits served as X-Cache: STALE: the copy's last

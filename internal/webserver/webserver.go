@@ -6,19 +6,20 @@
 // directives, so a downstream proxy can learn Δ, the group name, and δ
 // directly from responses.
 //
-// A GET that carries "A-IM: x-broadway-block2" (push.DeltaIM) and whose
-// If-Modified-Since is the object's previous modification instant is
-// answered 226 IM Used with the delta from that version to the current
-// one (see push.ApplyDeltaAnswer), when the update left one that pays;
-// every other request is answered as a plain GET. An audit batch that
-// carries the same A-IM gets each changed key's 226 or 200 inline (see
-// ServeAudits).
+// A validation has one answer, decided once (see Origin.answer) whichever
+// way it travels: a 304; a 226 IM Used carrying the delta from the
+// previous version, when the request carries "A-IM: x-broadway-block2"
+// (push.DeltaIM), its If-Modified-Since names that version, and the update
+// left a delta that pays; otherwise a 200. A GET or HEAD gets the answer
+// rendered as HTTP. An audit batch (see ServeAudits) leaves a key out for
+// a 304, and with the same A-IM carries a changed key's 226 or 200 inline.
 package webserver
 
 import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,17 +46,6 @@ type object struct {
 type change struct {
 	delta        []byte
 	base, result string
-}
-
-// deltaFrom returns obj's change when since names the version it starts
-// from, whose instant no other version of the key shares: a client naming
-// it holds that body. It returns nil otherwise. The caller holds o.mu.
-func (obj *object) deltaFrom(since time.Time) *change {
-	n := len(obj.modTimes)
-	if obj.change == nil || n < 2 || !obj.modTimes[n-2].Equal(since) {
-		return nil
-	}
-	return obj.change
 }
 
 // diff returns next's change from prev, or nil when no delta pays.
@@ -319,7 +309,8 @@ func (o *Origin) KillPushStreams() {
 
 // ServeHTTP implements http.Handler with If-Modified-Since validation.
 // It answers audit batches on httpx.AuditPath, with or without push, and
-// a delta-encoded GET (see the package doc) with a 226.
+// renders every other GET or HEAD of a hosted object as the answer the
+// origin decides for it (see answer).
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if httpx.IsAuditBatch(r) {
 		o.ServeAudits(w, r)
@@ -344,65 +335,93 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			since = t
 		}
 	}
-	o.mu.Lock()
+	o.mu.RLock()
 	obj, ok := o.objects[r.URL.Path]
+	var a httpx.AuditAnswer
+	if ok {
+		a = o.answer(obj, since, r.Method == http.MethodGet && push.AcceptsDeltaIM(r.Header))
+	}
+	o.mu.RUnlock()
 	if !ok {
-		o.mu.Unlock()
 		http.NotFound(w, r)
 		return
 	}
-	o.polls.Add(1)
-	lastMod := obj.modTimes[len(obj.modTimes)-1]
-	notModified := !since.IsZero() && !lastMod.After(since)
-	if notModified {
-		o.notModified.Add(1)
-	}
-	ch := obj.deltaFrom(since)
-	if ch == nil || r.Method != http.MethodGet || notModified || !push.AcceptsDeltaIM(r.Header) {
-		ch = nil
-	} else {
-		o.deltaServes.Add(1)
-	}
-	var history []time.Time
-	if o.historyEnabled {
-		history = modTimesAfter(obj.modTimes, since)
-	}
-	body, contentType, tol := obj.body, obj.contentType, obj.tolerances
-	o.mu.Unlock()
+	o.count(a.Status)
 
-	w.Header().Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
-	httpx.SetCacheControl(w.Header(), tol)
+	h := w.Header()
+	h.Set("Last-Modified", a.LastModified.UTC().Format(http.TimeFormat))
+	httpx.AddCacheControl(h, a.CacheControl)
 	if o.historyEnabled {
-		httpx.SetHistory(w.Header(), history)
+		httpx.SetHistory(h, a.History)
 	}
-	if notModified {
-		w.WriteHeader(http.StatusNotModified)
-		return
+	switch a.Status {
+	case http.StatusIMUsed:
+		push.SetDeltaHeaders(h, a.Base, a.Result)
+		fallthrough
+	case http.StatusOK:
+		h.Set("Content-Type", a.ContentType)
+		if r.Method == http.MethodHead {
+			// The GET's length: a HEAD sends its header fields (RFC 9110
+			// §9.3.2), and no body states it for it.
+			h.Set("Content-Length", strconv.Itoa(len(a.Body)))
+		}
 	}
-	w.Header().Set("Content-Type", contentType)
-	if ch != nil {
-		push.SetDeltaHeaders(w.Header(), ch.base, ch.result)
-		w.WriteHeader(http.StatusIMUsed)
-		w.Write(ch.delta)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
+	w.WriteHeader(a.Status)
 	if r.Method == http.MethodGet {
-		w.Write(body)
+		w.Write(a.Body)
+	}
+}
+
+// answer decides what a request for obj conditional on since (zero for
+// none) answers, for a GET and a batch line alike: a 304 when obj has not
+// changed since then; the 226 carrying obj's stored change when delta —
+// the request's A-IM — asks for it and since names the change's base;
+// otherwise the 200. It carries every header the GET's answer would, its
+// History the modification times after since when the history extension
+// is on. The caller holds o.mu.
+func (o *Origin) answer(obj *object, since time.Time, delta bool) httpx.AuditAnswer {
+	n := len(obj.modTimes)
+	a := httpx.AuditAnswer{
+		Status: http.StatusOK, LastModified: obj.modTimes[n-1], Body: obj.body,
+		ContentType: obj.contentType, CacheControl: obj.tolerances.FormatCacheControl(),
+	}
+	if o.historyEnabled {
+		a.History = modTimesAfter(obj.modTimes, since)
+	}
+	switch ch := obj.change; {
+	case !since.IsZero() && !a.LastModified.After(since):
+		a.Status, a.Body = http.StatusNotModified, nil
+	case delta && ch != nil && n > 1 && obj.modTimes[n-2].Equal(since):
+		// since names the version the change starts from, and no other
+		// version shares its instant: the client holds that body.
+		a.Status, a.Base, a.Result, a.Body = http.StatusIMUsed, ch.base, ch.result, ch.delta
+	}
+	return a
+}
+
+// count adds one answer served, or one a batch stands for, to the
+// origin's counters: a poll, and a 304 or a 226 when it is one.
+func (o *Origin) count(status int) {
+	o.polls.Add(1)
+	switch status {
+	case http.StatusNotModified:
+		o.notModified.Add(1)
+	case http.StatusIMUsed:
+		o.deltaServes.Add(1)
 	}
 }
 
 // ServeAudits answers an audit batch (see httpx.ServeAuditBatch):
-// ServeHTTP routes one here from httpx.AuditPath, with or without push. A
-// key is vouched for when the conditional GET it stands for would be a
-// 304 carrying the Cache-Control the child holds, and is counted as that
-// GET would be. Every other key is listed. A batch that carries
-// "A-IM: x-broadway-block2" gets a changed key's answer inline — the 226
-// or 200 its conditional GET would return, counted as that GET — while
-// the whole answer stays within httpx.MaxAuditBody. A missing or
-// re-tolerated key, and a changed one past that budget, is listed plain,
-// and its GET, which follows, is counted then. The objects are read under
-// one hold of o.mu per batch.
+// ServeHTTP routes one here from httpx.AuditPath, with or without push.
+// Each key's answer is the one its conditional GET would get (see
+// answer), and the batch does one of three things with it. A 304 carrying
+// the Cache-Control the child holds is vouched for: left out, and counted
+// as that GET. A 200 or 226, when the batch carries "A-IM:
+// x-broadway-block2", is inlined and counted as that GET, while the whole
+// answer stays within httpx.MaxAuditBody. Every other key — missing,
+// re-tolerated, changed in a batch without A-IM or past that budget — is
+// listed plain, and its GET, which follows, is counted then. The objects
+// are read under one hold of o.mu per batch.
 func (o *Origin) ServeAudits(w http.ResponseWriter, r *http.Request) {
 	o.auditBatches.Add(1)
 	inline := push.AcceptsDeltaIM(r.Header)
@@ -411,25 +430,12 @@ func (o *Origin) ServeAudits(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// inlined is a changed key of a batch that may be answered inline, with
-// what its GET would carry, read under o.mu.
-type inlined struct {
-	key     string
-	lastMod time.Time
-	tol     httpx.Tolerances
-	body    []byte
-	ctype   string
-	history []time.Time
-	change  *change
-}
-
 // answerAudits builds the answer to a batch's lines (see ServeAudits):
 // the plain listings first, then each changed key of an inline batch,
 // inline while the budget lasts.
 func (o *Origin) answerAudits(lines []httpx.AuditLine, inline bool) []byte {
 	var out []byte
-	var changed []inlined
-	var vouched uint64
+	var changed []httpx.AuditAnswer
 	o.mu.RLock()
 	for _, l := range lines {
 		// The object a GET for the key reaches: its decoded path.
@@ -437,19 +443,16 @@ func (o *Origin) answerAudits(lines []httpx.AuditLine, inline bool) []byte {
 		if p, err := url.PathUnescape(path); err == nil {
 			path = p
 		}
-		obj, ok := o.objects[path]
+		var a httpx.AuditAnswer
+		if obj, ok := o.objects[path]; ok {
+			a = o.answer(obj, l.Since, inline)
+		}
+		a.Key = l.Key
 		switch {
-		case !ok: // listed plain: its GET hears the 404
-		case obj.modTimes[len(obj.modTimes)-1].After(l.Since):
+		case a.Status == 0: // missing: listed plain, its GET hears the 404
+		case a.Status != http.StatusNotModified:
 			if inline {
-				k := inlined{
-					key: l.Key, lastMod: obj.modTimes[len(obj.modTimes)-1], tol: obj.tolerances,
-					body: obj.body, ctype: obj.contentType, change: obj.deltaFrom(l.Since),
-				}
-				if o.historyEnabled {
-					k.history = modTimesAfter(obj.modTimes, l.Since)
-				}
-				changed = append(changed, k)
+				changed = append(changed, a)
 				continue
 			}
 		default:
@@ -458,44 +461,32 @@ func (o *Origin) answerAudits(lines []httpx.AuditLine, inline bool) []byte {
 			// the child's stored one, so listing the key would buy a GET on
 			// every audit that changes nothing. The next 200 or pushed
 			// payload clears it.
-			if cc := obj.tolerances.FormatCacheControl(); cc == "" || httpx.CacheControlToken(cc) == l.Token {
-				vouched++
+			if a.CacheControl == "" || httpx.CacheControlToken(a.CacheControl) == l.Token {
+				o.count(a.Status)
 				continue
 			}
 		}
 		out = httpx.AppendAuditAnswer(out, httpx.AuditAnswer{Key: l.Key})
 	}
 	o.mu.RUnlock()
-	o.polls.Add(vouched)
-	o.notModified.Add(vouched)
 
 	// reserve is the room the plain listings still to come need: an inline
 	// answer never crowds one out of the budget.
 	reserve := 0
-	for _, k := range changed {
-		reserve += len(k.key) + 1
+	for _, a := range changed {
+		reserve += len(a.Key) + 1
 	}
-	for _, k := range changed {
-		reserve -= len(k.key) + 1
-		if cc := k.tol.FormatCacheControl(); httpx.AuditValueOK(k.ctype) && httpx.AuditValueOK(cc) {
-			a := httpx.AuditAnswer{
-				Key: k.key, Status: http.StatusOK, LastModified: k.lastMod, History: k.history,
-				ContentType: k.ctype, CacheControl: cc, Body: k.body,
-			}
-			if ch := k.change; ch != nil {
-				a.Status, a.Base, a.Result, a.Body = http.StatusIMUsed, ch.base, ch.result, ch.delta
-			}
+	for _, a := range changed {
+		reserve -= len(a.Key) + 1
+		if httpx.AuditValueOK(a.ContentType) && httpx.AuditValueOK(a.CacheControl) {
 			mark := len(out)
 			if out = httpx.AppendAuditAnswer(out, a); len(out)+reserve <= httpx.MaxAuditBody {
-				o.polls.Add(1)
-				if k.change != nil {
-					o.deltaServes.Add(1)
-				}
+				o.count(a.Status)
 				continue
 			}
 			out = out[:mark]
 		}
-		out = httpx.AppendAuditAnswer(out, httpx.AuditAnswer{Key: k.key})
+		out = httpx.AppendAuditAnswer(out, httpx.AuditAnswer{Key: a.Key})
 	}
 	return out
 }

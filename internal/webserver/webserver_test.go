@@ -185,60 +185,128 @@ func TestPollCounter(t *testing.T) {
 	}
 }
 
+// TestHeadRequest: a HEAD, on a real socket, is answered with the GET's
+// header fields, Content-Length included (RFC 9110 §9.3.2), and no body.
 func TestHeadRequest(t *testing.T) {
 	clock := newFakeClock()
 	o := NewOrigin(WithClock(clock.Now))
 	o.Set("/obj", []byte("payload"), "")
-	req := httptest.NewRequest(http.MethodHead, "/obj", nil)
-	rec := httptest.NewRecorder()
-	o.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	srv := httptest.NewServer(o)
+	defer srv.Close()
+	resp, err := http.Head(srv.URL + "/obj")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if body, _ := io.ReadAll(rec.Body); len(body) != 0 {
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	if resp.ContentLength != 7 {
+		t.Errorf("HEAD Content-Length = %d, want the GET's 7", resp.ContentLength)
+	}
+	if body, _ := io.ReadAll(resp.Body); len(body) != 0 {
 		t.Errorf("HEAD returned a body: %q", body)
 	}
 }
 
 // TestServeAuditsAnswersAsGETsWould: an audit batch on httpx.AuditPath,
-// with push or without, vouches for exactly the keys whose conditional
-// GET would be a 304 with the Cache-Control the child holds, counting
-// each as that GET; changed, missing and re-tolerated keys are listed and
-// not counted, since their own GET follows. A batch on the event path is
-// no batch.
+// with push or without, answers each line as the conditional GET it
+// stands for, sent with the line's since and the batch's A-IM, is
+// answered, and counts it as that GET: a 304 carrying the Cache-Control
+// the child holds is left out, and in a batch with A-IM a 226 or 200 is
+// inlined with the GET's status, headers and body. Missing and
+// re-tolerated keys, and changed ones in a batch without A-IM, are listed
+// and not counted, since their own GET follows. A batch on the event path
+// is no batch.
 func TestServeAuditsAnswersAsGETsWould(t *testing.T) {
+	v1 := bytes.Repeat([]byte("a body of some length, long enough to pay for a delta. "), 20)
 	for name, opts := range map[string][]Option{"push": {WithPushEvents("")}, "pull": nil} {
 		t.Run(name, func(t *testing.T) {
 			clk := newFakeClock()
-			o := NewOrigin(append([]Option{WithClock(clk.Now)}, opts...)...)
-			for _, p := range []string{"/same", "/changed", "/tol", "/a b"} {
-				o.Set(p, []byte("v1"), "")
+			o := NewOrigin(append([]Option{WithClock(clk.Now), WithHistoryExtension(true)}, opts...)...)
+			for _, p := range []string{"/same", "/one", "/two", "/tol", "/a b"} {
+				o.Set(p, v1, "text/x-test")
 			}
 			since := clk.Now()
 			clk.Advance(time.Minute)
-			o.Set("/changed", []byte("v2"), "")
+			o.Set("/one", append([]byte("one: "), v1...), "text/x-test")
+			o.Set("/two", append([]byte("two: "), v1...), "text/x-test")
+			o.Set("/two", append([]byte("two, again: "), v1...), "text/x-test")
+			o.SetTolerances("/one", httpx.Tolerances{Delta: 9 * time.Second})
 			o.SetTolerances("/tol", httpx.Tolerances{Delta: 9 * time.Second})
-			var body []byte
-			for _, k := range []string{"/same", "/changed", "/missing", "/tol", "/a%20b"} {
-				body = httpx.AppendAuditLine(body, httpx.AuditLine{Key: k, Since: since, Token: httpx.CacheControlToken("")})
-			}
-			post := func(path string) *httptest.ResponseRecorder {
-				req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-				req.Header.Set("Content-Type", httpx.AuditContentType)
+			getSince := func(key string, aim bool) *httptest.ResponseRecorder {
+				r := httptest.NewRequest(http.MethodGet, key, nil)
+				r.Header.Set("If-Modified-Since", since.UTC().Format(http.TimeFormat))
+				if aim {
+					r.Header.Set(push.HeaderAIM, push.DeltaIM)
+				}
 				rec := httptest.NewRecorder()
-				o.ServeHTTP(rec, req)
+				o.ServeHTTP(rec, r)
 				return rec
 			}
-			before := o.Stats()
-			if rec := post(httpx.AuditPath); rec.Code != http.StatusOK || rec.Body.String() != "/changed\n/missing\n/tol\n" {
-				t.Fatalf("answer %d %q, want /changed, /missing and /tol listed", rec.Code, rec.Body.String())
+			counts := func(st OriginStats) [3]uint64 { return [3]uint64{st.Polls, st.NotModified, st.DeltaServes} }
+			diff := func(a, b [3]uint64) [3]uint64 { return [3]uint64{b[0] - a[0], b[1] - a[1], b[2] - a[2]} }
+			// plain and aim are the batch's answer without and with A-IM:
+			// 304 left out, 0 listed plain, otherwise inline with that status.
+			for _, tc := range []struct {
+				key        string
+				plain, aim int
+			}{
+				{"/same", http.StatusNotModified, http.StatusNotModified},
+				{"/a%20b", http.StatusNotModified, http.StatusNotModified},
+				{"/one", 0, http.StatusIMUsed},
+				{"/two", 0, http.StatusOK},
+				{"/missing", 0, 0},
+				{"/tol", 0, 0},
+			} {
+				for _, aim := range []bool{false, true} {
+					want := tc.plain
+					if aim {
+						want = tc.aim
+					}
+					before := o.Stats()
+					_, answers := postAudits(t, o, []string{tc.key}, since, aim)
+					mid := o.Stats()
+					rec := getSince(tc.key, aim)
+					batch, get := diff(counts(before), counts(mid)), diff(counts(mid), counts(o.Stats()))
+					if n := mid.AuditBatches - before.AuditBatches; n != 1 {
+						t.Errorf("%s (A-IM %v): %d batches counted, want 1", tc.key, aim, n)
+					}
+					switch {
+					case want == http.StatusNotModified:
+						if len(answers) != 0 || rec.Code != want || batch != get {
+							t.Errorf("%s (A-IM %v): answered %+v, counted %v; its GET answered %d, counted %v; want it left out as the 304",
+								tc.key, aim, answers, batch, rec.Code, get)
+						}
+						continue
+					case want == 0:
+						if len(answers) != 1 || answers[0].Key != tc.key || answers[0].Status != 0 || batch != [3]uint64{} {
+							t.Errorf("%s (A-IM %v): answered %+v, counted %v; want it listed plain, uncounted", tc.key, aim, answers, batch)
+						}
+						continue
+					case len(answers) != 1 || answers[0].Status != want || rec.Code != want || batch != get:
+						t.Errorf("%s (A-IM %v): answered %+v, counted %v; its GET answered %d, counted %v; want both %d",
+							tc.key, aim, answers, batch, rec.Code, get, want)
+						continue
+					}
+					a, h := answers[0], rec.Header()
+					lm, _ := http.ParseTime(h.Get("Last-Modified"))
+					hist, _ := httpx.HistoryFrom(h)
+					if !a.LastModified.Equal(lm) || httpx.FormatHistory(a.History) != httpx.FormatHistory(hist) || len(hist) == 0 ||
+						a.ContentType != h.Get("Content-Type") || a.CacheControl != h.Get("Cache-Control") || !bytes.Equal(a.Body, rec.Body.Bytes()) {
+						t.Errorf("%s inline %+v differs from its GET's %d %v %q", a.Key, a, rec.Code, h, rec.Body.Bytes())
+					}
+					if base, result := push.DeltaAnswer(h); a.Base != base || a.Result != result {
+						t.Errorf("%s inline digests %q, %q; the GET says %q, %q", a.Key, a.Base, a.Result, base, result)
+					}
+				}
 			}
-			after := o.Stats()
-			if after.Polls-before.Polls != 2 || after.NotModified-before.NotModified != 2 || after.AuditBatches-before.AuditBatches != 1 {
-				t.Errorf("counted %d polls, %d 304s and %d batches, want 2, 2 and 1",
-					after.Polls-before.Polls, after.NotModified-before.NotModified, after.AuditBatches-before.AuditBatches)
-			}
-			if rec := post("/events"); rec.Code != http.StatusMethodNotAllowed || o.Stats().AuditBatches != after.AuditBatches {
+
+			req := httptest.NewRequest(http.MethodPost, "/events", bytes.NewReader(httpx.AppendAuditLine(nil, httpx.AuditLine{Key: "/same", Since: since})))
+			req.Header.Set("Content-Type", httpx.AuditContentType)
+			rec := httptest.NewRecorder()
+			batches := o.Stats().AuditBatches
+			if o.ServeHTTP(rec, req); rec.Code != http.StatusMethodNotAllowed || o.Stats().AuditBatches != batches {
 				t.Errorf("a batch on the event path answered %d, want a 405 and no batch", rec.Code)
 			}
 		})
@@ -297,7 +365,8 @@ func TestDeltaAnswer(t *testing.T) {
 			t.Errorf("226 %s = %q, the 200 says %q", h, got, want)
 		}
 	}
-	body, err := push.ApplyDeltaAnswer(rec.Header(), v1, rec.Body.Bytes())
+	baseDigest, resultDigest := push.DeltaAnswer(rec.Header())
+	body, err := push.VerifyDelta(v1, rec.Body.Bytes(), baseDigest, resultDigest)
 	if err != nil || !bytes.Equal(body, v2) {
 		t.Errorf("the 226 does not rebuild the body: %v", err)
 	}
