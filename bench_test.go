@@ -244,7 +244,7 @@ func BenchmarkHTMLExtractEmbedded(b *testing.B) {
 
 // newBenchProxy wires a warmed live proxy over an httptest origin with
 // TTRs long enough that no refresh runs during the measurement.
-func newBenchProxy(b *testing.B, paths []string) *broadway.WebProxy {
+func newBenchProxy(b testing.TB, paths []string) *broadway.WebProxy {
 	b.Helper()
 	origin := broadway.NewWebOrigin()
 	for i, p := range paths {

@@ -28,9 +28,10 @@ import (
 // as 8 lowercase hex digits.
 //
 // The response lists, in any order, every key that is not a plain 304
-// whose Cache-Control the child already holds: changed, missing, or
-// otherwise not vouched for. A key left out is answered exactly as its
-// conditional GET would have been, with a 304. A key listed plain,
+// whose Cache-Control the child already holds (see Vouches): changed,
+// missing, or otherwise not vouched for. A key left out is answered
+// exactly as its conditional GET would have been, with a 304. A key
+// listed plain,
 //
 //	<key>\n
 //
@@ -150,13 +151,15 @@ func ParseAuditBatch(body []byte) ([]AuditLine, error) {
 }
 
 // AuditAnswer is one key a batch's answer lists, and the form an answer
-// to a validation takes whichever way it travels: a GET's too.
+// to a validation takes whichever way it travels: a GET's too, which
+// WriteAnswer renders.
 type AuditAnswer struct {
 	Key string
 	// Status is 0 for a plain listing, whose key the child polls itself,
 	// and http.StatusOK or http.StatusIMUsed for an inline answer; the
 	// fields below are an inline answer's. A GET's http.StatusNotModified
-	// never travels in a batch.
+	// never travels in a batch: the batch leaves the key out (see Vouches)
+	// or lists it plain.
 	Status int
 	// LastModified and History are the answer's Last-Modified and
 	// X-Modification-History; History is nil when the upstream sends none.
@@ -169,6 +172,41 @@ type AuditAnswer struct {
 	CacheControl string
 	// Body is a 200's body, or a 226's delta.
 	Body []byte
+}
+
+// Vouches reports whether a batch leaves l's key out: a, the answer l's
+// conditional GET gets, is a 304 carrying the Cache-Control the child
+// holds, or none — a 304 without one leaves the child's as it is, so
+// listing the key would buy a GET on every audit that changes nothing.
+func Vouches(a *AuditAnswer, l AuditLine) bool {
+	return a.Status == http.StatusNotModified && (a.CacheControl == "" || CacheControlToken(a.CacheControl) == l.Token)
+}
+
+// WriteAnswer renders a, the answer to the GET or HEAD r, on w: its
+// Last-Modified when set, Cache-Control (see AddCacheControl) and history,
+// and, but on a 304, its Content-Type when set and its body — for a HEAD,
+// the body's length (RFC 9110 §9.3.2), which no body states for it.
+func WriteAnswer(w http.ResponseWriter, r *http.Request, a *AuditAnswer) {
+	h := w.Header()
+	if !a.LastModified.IsZero() {
+		h.Set("Last-Modified", a.LastModified.UTC().Format(http.TimeFormat))
+	}
+	AddCacheControl(h, a.CacheControl)
+	SetHistory(h, a.History)
+	body := a.Status != http.StatusNotModified
+	if body {
+		if a.ContentType != "" {
+			h.Set("Content-Type", a.ContentType)
+		}
+		if r.Method == http.MethodHead {
+			h.Set("Content-Length", strconv.Itoa(len(a.Body)))
+			body = false
+		}
+	}
+	w.WriteHeader(a.Status)
+	if body {
+		w.Write(a.Body)
+	}
 }
 
 // AuditValueOK reports whether s can travel as an inline answer's

@@ -138,3 +138,39 @@ func TestReadAuditBody(t *testing.T) {
 		t.Errorf("a body of its declared length read in %.0f allocations, want 1", allocs)
 	}
 }
+
+// TestWriteAnswer: every status carries Last-Modified, Cache-Control and
+// history; only one with a body carries Content-Type, and a HEAD carries
+// the body's length in its place.
+func TestWriteAnswer(t *testing.T) {
+	lm := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	for _, tc := range []struct {
+		method, body, length string
+		status               int
+		contentType          string
+	}{
+		{http.MethodGet, "hello", "", http.StatusOK, "text/plain"},
+		{http.MethodHead, "", "5", http.StatusOK, "text/plain"},
+		{http.MethodGet, "", "", http.StatusNotModified, ""},
+		{http.MethodHead, "", "", http.StatusNotModified, ""},
+		{http.MethodHead, "", "5", http.StatusNotFound, "text/plain"},
+	} {
+		a := AuditAnswer{Status: tc.status, LastModified: lm, History: []time.Time{lm}, ContentType: "text/plain", CacheControl: "x-cc-delta=5", Body: []byte("hello")}
+		rec := httptest.NewRecorder()
+		rec.Header().Set("Cache-Control", "public")
+		WriteAnswer(rec, httptest.NewRequest(tc.method, "/k", nil), &a)
+		h := rec.Header()
+		if rec.Code != tc.status || rec.Body.String() != tc.body || h.Get("Content-Length") != tc.length || h.Get("Content-Type") != tc.contentType {
+			t.Errorf("%s %d: %d %q, length %q, type %q; want %q, length %q, type %q", tc.method, tc.status,
+				rec.Code, rec.Body, h.Get("Content-Length"), h.Get("Content-Type"), tc.body, tc.length, tc.contentType)
+		}
+		if h.Get("Last-Modified") != lm.Format(http.TimeFormat) || h.Get("Cache-Control") != "public, x-cc-delta=5" || h.Get(HeaderModificationHistory) != FormatHistory(a.History) {
+			t.Errorf("%s %d: headers %v", tc.method, tc.status, h)
+		}
+	}
+	rec := httptest.NewRecorder()
+	WriteAnswer(rec, httptest.NewRequest(http.MethodGet, "/k", nil), &AuditAnswer{Status: http.StatusOK})
+	if h := rec.Header(); h.Get("Last-Modified") != "" || h.Get("Cache-Control") != "" || h.Get("Content-Type") != "" {
+		t.Errorf("an answer with no Last-Modified, Cache-Control or Content-Type wrote %v", h)
+	}
+}

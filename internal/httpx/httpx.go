@@ -107,6 +107,17 @@ func HistoryFrom(h http.Header) ([]time.Time, error) {
 	return ParseHistory(h.Get(HeaderModificationHistory))
 }
 
+// IfModifiedSince returns r's If-Modified-Since, or the zero time when r
+// carries none or one that does not parse: r is then unconditional.
+func IfModifiedSince(r *http.Request) time.Time {
+	if ims := r.Header.Get("If-Modified-Since"); ims != "" {
+		if t, err := http.ParseTime(ims); err == nil {
+			return t
+		}
+	}
+	return time.Time{}
+}
+
 // Tolerances carries the consistency requirements a client attaches to a
 // request (or a server advertises for an object).
 type Tolerances struct {

@@ -264,6 +264,7 @@ type gatedWriter struct {
 	writes   atomic.Int32 // writes that landed
 	mu       sync.Mutex
 	deadline time.Time
+	out      []byte // the bytes that landed
 }
 
 func (g *gatedWriter) Header() http.Header { return g.header }
@@ -286,11 +287,21 @@ func (g *gatedWriter) Write(p []byte) (int, error) {
 	defer g.waiting.Add(-1)
 	select {
 	case <-g.permits:
+		g.mu.Lock()
+		g.out = append(g.out, p...)
+		g.mu.Unlock()
 		g.writes.Add(1)
 		return len(p), nil
 	case <-timer.C:
 		return 0, os.ErrDeadlineExceeded
 	}
+}
+
+// written returns the bytes that landed.
+func (g *gatedWriter) written() string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return string(g.out)
 }
 
 // TestOutrunStreamEndsPromptly: a gzip stream whose reader stalled until

@@ -1251,6 +1251,12 @@ func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// Outrun by the ring: a slow reader, owed no trailer.
 			return
 		}
+		select {
+		case <-sub.done: // ended while writing or waking: write no more
+			end()
+			return
+		default:
+		}
 		if len(batch) > 0 || boundary > sub.cursor.Load() {
 			sub.resetGen = gen
 			if !writeBatch(batch, boundary) {

@@ -203,6 +203,45 @@ func TestHubWriteDeadlineUnpinsStalledClient(t *testing.T) {
 	}
 }
 
+// TestHubKillAllStopsAWritingStream: a stream that is writing when
+// KillAll returns writes nothing published after it. A serve loop that
+// looked for its end only when idle went on, once its write returned, to
+// fetch and write what was published since.
+func TestHubKillAllStopsAWritingStream(t *testing.T) {
+	h := NewHub(HubConfig{})
+	gw := &gatedWriter{header: http.Header{}, permits: make(chan struct{}, 3)}
+	gw.permits <- struct{}{} // the hello
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(gw, httptest.NewRequest(http.MethodGet, "/events", nil))
+	}()
+	if !waitCond(t, 5*time.Second, func() bool { return gw.writes.Load() == 1 }) {
+		t.Fatal("the hello was never written")
+	}
+	h.Publish(Event{Kind: KindUpdate, Key: "/e1"})
+	if !waitCond(t, 5*time.Second, func() bool { return gw.waiting.Load() == 1 }) {
+		t.Fatal("the /e1 batch never reached its write")
+	}
+	h.KillAll()
+	h.Publish(Event{Kind: KindUpdate, Key: "/e2"})
+	for range cap(gw.permits) {
+		gw.permits <- struct{}{} // every write from here on lands
+	}
+	select {
+	case <-served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream still served after KillAll")
+	}
+	out := gw.written()
+	if !strings.Contains(out, "%2Fe1") {
+		t.Errorf("the write in flight at KillAll never landed: %q", out)
+	}
+	if strings.Contains(out, "%2Fe2") {
+		t.Errorf("a frame published after KillAll was written: %q", out)
+	}
+}
+
 // TestHubStatsLagAndOccupancy: the backpressure surface an operator
 // watches — replay occupancy and per-subscriber lag — must track what
 // the hub actually holds.

@@ -264,10 +264,10 @@ func (p *Proxy) installAnswered(e *entry, answer *version) {
 }
 
 // serveAudits answers a child's audit batch from the cache, with or
-// without RelayEvents, as serveEntry would answer each key's conditional
-// GET: a resident, validated copy no newer than the child's, with the
-// Cache-Control the child holds, is vouched for and counted as a hit. A
-// key that is not resident, is still suspect, or changed is listed plain,
+// without RelayEvents: each key's answer is the one its conditional GET
+// gets (see entry.answer), and a 304 carrying the Cache-Control the child
+// holds is vouched for (see httpx.Vouches) and counted as a hit. A key
+// that is not resident, is still suspect, or changed is listed plain,
 // whatever the batch's A-IM, and the child's own GET for it then admits,
 // labels or serves it as usual.
 func (p *Proxy) serveAudits(w http.ResponseWriter, r *http.Request) {
@@ -281,23 +281,18 @@ func (p *Proxy) serveAudits(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// vouches reports whether the cache answers l's conditional GET with a
-// 304 carrying the Cache-Control the child holds, and counts the hit.
+// vouches reports whether the batch leaves l's key out, and counts the
+// hit. A suspect copy is listed: its GET's 304 carries a GRACE label that
+// a batch line cannot.
 func (p *Proxy) vouches(l httpx.AuditLine) bool {
 	e := p.lookup(l.Key)
 	if e == nil || e.evicted() || e.suspect() {
 		return false
 	}
 	e.mu.RLock()
-	lastMod, hasLastMod := e.lastModified()
-	cc := e.cacheControl.String()
+	a := e.answer(l.Since)
 	e.mu.RUnlock()
-	// An empty Cache-Control vouches whatever token the child holds: the
-	// conditional GET this line stands for would be a 304 with no
-	// Cache-Control, which leaves the child's stored one as it is (see
-	// headersOver), so listing the key would buy a GET on every audit that
-	// changes nothing.
-	if !hasLastMod || lastMod.After(l.Since) || (cc != "" && httpx.CacheControlToken(cc) != l.Token) {
+	if !httpx.Vouches(&a, l) {
 		return false
 	}
 	e.hits.Add(1)

@@ -273,62 +273,100 @@ func TestAuditPassesBoundedByWorkers(t *testing.T) {
 }
 
 // TestParentListsWhatItCannotVouchFor: a parent answers a child's batch
-// from its cache as it would each conditional GET — a resident, validated
-// copy no newer than the child's, with the child's Cache-Control, is
-// vouched for and counted a hit — and lists every other key: one not
-// resident, one still suspect, one changed since the child's copy, and
-// one whose Cache-Control the child does not hold.
+// line as it answers the line's conditional GET: it vouches for, and
+// counts as a hit, exactly the key whose GET gets a 304 carrying the
+// Cache-Control the child holds, or none, and lists every other key: one
+// not resident, one changed since the child's copy, and one whose
+// Cache-Control the child does not hold. The one difference is a suspect
+// copy's: its GET gets a 304 labelled GRACE, a label no batch line
+// carries, so the batch lists it.
 func TestParentListsWhatItCannotVouchFor(t *testing.T) {
 	h := newHarness(t, topology{hops: 2, push: true})
 	root := h.root()
-	for _, k := range []string{"/ok", "/suspect", "/changed", "/cc"} {
+	keys := []string{"/ok", "/foreign", "/suspect", "/changed", "/cc"}
+	for _, k := range keys {
 		h.origin.Set(k, []byte("v1"), "")
 	}
 	h.origin.SetTolerances("/cc", httpx.Tolerances{Delta: 9 * time.Second})
-	for _, k := range []string{"/ok", "/suspect", "/changed", "/cc"} {
+	for _, k := range keys {
 		h.leaf().get(k)
 	}
 	h.quiesce()
 	root.lookup("/suspect").state.Or(stateSuspect)
 	lastMod := modTime(h, "/ok")
-	line := func(key string, since time.Time, cc string) httpx.AuditLine {
-		return httpx.AuditLine{Key: key, Since: since, Token: httpx.CacheControlToken(cc)}
-	}
-	var body []byte
-	for _, l := range []httpx.AuditLine{
-		line("/ok", lastMod, ""),
-		line("/absent", lastMod, ""),
-		line("/suspect", lastMod, ""),
-		line("/changed", lastMod.Add(-time.Second), ""),
-		line("/cc", lastMod, ""),
+	for _, tc := range []struct {
+		key   string
+		since time.Time
+		cc    string // the Cache-Control the child holds
+		code  int    // the GET's status
+		label string // the GET's X-Cache
+		// listed is whether the batch lists the key; hit whether its GET
+		// counts a hit.
+		listed, hit bool
+	}{
+		{"/ok", lastMod, "", http.StatusNotModified, "HIT", false, true},
+		{"/foreign", lastMod, "x-cc-delta=1", http.StatusNotModified, "HIT", false, true},
+		{"/absent", lastMod, "", http.StatusNotFound, "MISS", true, false},
+		{"/changed", lastMod.Add(-time.Second), "", http.StatusOK, "HIT", true, true},
+		{"/cc", lastMod, "", http.StatusNotModified, "HIT", true, true},
+		{"/suspect", lastMod, "", http.StatusNotModified, "GRACE", true, true},
 	} {
-		body = httpx.AppendAuditLine(body, l)
-	}
-	hits := root.ObjectStats("/ok").Hits
-
-	req := httptest.NewRequest(http.MethodPost, httpx.AuditPath, bytes.NewReader(body))
-	req.Header.Set("Content-Type", httpx.AuditContentType)
-	code, answer, _ := root.do(req)
-	if code != http.StatusOK {
-		t.Fatalf("batch answered %d: %s", code, answer)
-	}
-	listed, err := httpx.ParseAuditAnswer([]byte(answer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"/absent", "/suspect", "/changed", "/cc"}
-	if len(listed) != len(want) {
-		t.Fatalf("listed %q, want %q", listed, want)
-	}
-	for i := range want {
-		if listed[i].Key != want[i] || listed[i].Status != 0 {
-			t.Fatalf("listed %+v, want %q plain", listed, want)
+		l := httpx.AuditLine{Key: tc.key, Since: tc.since, Token: httpx.CacheControlToken(tc.cc)}
+		if e := root.lookup(tc.key); e != nil {
+			e.state.And(^uint32(stateAccessed))
 		}
-	}
-	if got := root.ObjectStats("/ok").Hits; got != hits+1 {
-		t.Errorf("vouched key counted %d hits, want one more than %d", got, hits)
-	}
-	if root.lookup("/ok").state.Load()&stateAccessed == 0 {
-		t.Error("vouched key's CLOCK bit not set")
+		hits := root.ObjectStats(tc.key).Hits
+		req := httptest.NewRequest(http.MethodPost, httpx.AuditPath, bytes.NewReader(httpx.AppendAuditLine(nil, l)))
+		req.Header.Set("Content-Type", httpx.AuditContentType)
+		code, answer, _ := root.do(req)
+		if code != http.StatusOK {
+			t.Fatalf("%s: batch answered %d: %s", tc.key, code, answer)
+		}
+		listed, err := httpx.ParseAuditAnswer([]byte(answer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(listed) == 1 && listed[0].Key == tc.key && listed[0].Status == 0; got != tc.listed || len(listed) > 1 {
+			t.Errorf("%s: batch answered %+v, want listed plain %v", tc.key, listed, tc.listed)
+		}
+		batchHits := root.ObjectStats(tc.key).Hits - hits
+		if want := !tc.listed; (batchHits == 1) != want || batchHits > 1 {
+			t.Errorf("%s: batch counted %d hits, want one only if vouched (%v)", tc.key, batchHits, want)
+		}
+		if e := root.lookup(tc.key); e != nil && (e.state.Load()&stateAccessed != 0) != !tc.listed {
+			t.Errorf("%s: batch left the CLOCK bit %v, want it set only if vouched", tc.key, !tc.listed)
+		}
+
+		hits = root.ObjectStats(tc.key).Hits
+		get := httptest.NewRequest(http.MethodGet, tc.key, nil)
+		get.Header.Set("If-Modified-Since", tc.since.UTC().Format(http.TimeFormat))
+		code, _, hdr := root.do(get)
+		if code != tc.code || hdr.Get("X-Cache") != tc.label {
+			t.Errorf("%s: GET answered %d %s, want %d %s", tc.key, code, hdr.Get("X-Cache"), tc.code, tc.label)
+		}
+		if getHits := root.ObjectStats(tc.key).Hits - hits; (getHits == 1) != tc.hit || getHits > 1 {
+			t.Errorf("%s: GET counted %d hits, want one only if served from the cache (%v)", tc.key, getHits, tc.hit)
+		}
+		if tc.hit {
+			lm, err := http.ParseTime(hdr.Get("Last-Modified"))
+			if want := modTime(h, tc.key); err != nil || !lm.Equal(want) {
+				t.Errorf("%s: GET's Last-Modified %q, want %v", tc.key, hdr.Get("Last-Modified"), want)
+			}
+			if (code == http.StatusNotModified) == lm.After(tc.since) {
+				t.Errorf("%s: GET answered %d for Last-Modified %v and since %v", tc.key, code, lm, tc.since)
+			}
+			if cc, want := hdr.Get("Cache-Control"), root.lookup(tc.key).cacheControl.String(); cc != want {
+				t.Errorf("%s: GET's Cache-Control %q, want the copy's %q", tc.key, cc, want)
+			}
+		}
+		// The line stands for the GET: the batch vouches exactly as the GET's
+		// answer does, but for the label a suspect copy's GET carries.
+		vouched := httpx.Vouches(&httpx.AuditAnswer{Status: code, CacheControl: hdr.Get("Cache-Control")}, l)
+		if vouched == tc.listed && tc.label != "GRACE" {
+			t.Errorf("%s: GET answer vouches %v, but the batch listed it %v", tc.key, vouched, tc.listed)
+		}
+		if tc.label == "GRACE" && (!vouched || !tc.listed) {
+			t.Errorf("%s: suspect copy vouched by its GET %v, listed by its batch %v; want both", tc.key, vouched, tc.listed)
+		}
 	}
 }

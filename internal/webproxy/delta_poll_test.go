@@ -367,7 +367,8 @@ func TestDeltaAnswersThatDoNotVerifyFallBack(t *testing.T) {
 
 // TestOriginMissingObjectReachesClient: an origin 404 or 410 on
 // admission reaches the client as received, is not stored, and is no
-// upstream error: the origin answered.
+// upstream error: the origin answered. A HEAD hears the GET's length (RFC
+// 9110 §9.3.2), which on a socket nothing infers from a body.
 func TestOriginMissingObjectReachesClient(t *testing.T) {
 	h := newHarness(t, topology{wrap: func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -381,6 +382,8 @@ func TestOriginMissingObjectReachesClient(t *testing.T) {
 		})
 	}})
 	px := h.leaf()
+	srv := httptest.NewServer(px)
+	defer srv.Close()
 	for _, tc := range []struct {
 		path string
 		code int
@@ -395,8 +398,16 @@ func TestOriginMissingObjectReachesClient(t *testing.T) {
 				t.Errorf("GET %s = %d %q (%s), want %d %q", tc.path, code, body, hdr.Get("Content-Type"), tc.code, tc.body)
 			}
 		}
-		if n := px.up.requestsFor(tc.path); n != 2 {
-			t.Errorf("%s reached the origin %d times, want 2: nothing is stored", tc.path, n)
+		resp, err := srv.Client().Head(srv.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || resp.ContentLength != int64(len(tc.body)) {
+			t.Errorf("HEAD %s = %d, length %d; want %d, length %d", tc.path, resp.StatusCode, resp.ContentLength, tc.code, len(tc.body))
+		}
+		if n := px.up.requestsFor(tc.path); n != 3 {
+			t.Errorf("%s reached the origin %d times, want 3: nothing is stored", tc.path, n)
 		}
 	}
 	if n := px.Len(); n != 0 {

@@ -94,7 +94,8 @@
 // protocol, with upstream holes propagated as mid-stream Resets — while
 // conditional-GET answering, audit batches (see audit.go) and
 // tolerance-directive forwarding let child proxies revalidate content
-// against this one exactly as it revalidates against its origin. One origin
+// against this one exactly as it revalidates against its origin, by the
+// origin's writer and vouch rule (see entry.answer). One origin
 // stream and one origin poller then serve an arbitrarily wide edge
 // fleet, and each hop's Δt guarantee degrades at worst to pure polling
 // against its own upstream.
@@ -911,17 +912,11 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &gone) {
 			// The origin says the object is not there: the client hears it
 			// as the origin said it, and nothing is stored.
-			if gone.contentType != "" {
-				w.Header().Set("Content-Type", gone.contentType)
-			}
 			if gone.location != "" {
 				w.Header().Set("Location", gone.location)
 			}
 			w.Header().Set("X-Cache", "MISS")
-			w.WriteHeader(gone.code)
-			if r.Method == http.MethodGet {
-				w.Write(gone.body)
-			}
+			httpx.WriteAnswer(w, r, &gone.answer)
 			return
 		}
 		// The raw error names upstream hosts and transport details —
@@ -939,12 +934,9 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	p.serveEntry(w, r, e, status)
 }
 
-// serveEntry writes e's current cached representation. The body slice is
-// shared, not copied: refreshes replace it wholesale and never mutate it
-// in place. A conditional request (If-Modified-Since at or beyond the
-// cached Last-Modified) is answered 304 with no body — that is how a
-// child proxy in a hierarchy revalidates against this one without
-// re-downloading, exactly as this proxy revalidates against its origin.
+// serveEntry writes e's answer to the request (see answer), labelled. The
+// body slice is shared, not copied: refreshes replace it wholesale and
+// never mutate it in place.
 func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cacheStatus string) {
 	if cacheStatus == "HIT" && e.suspect() {
 		// A rehydrated copy awaiting its re-validation poll: served, but
@@ -953,11 +945,9 @@ func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cac
 		cacheStatus = "GRACE"
 		p.diskGraceServes.Add(1)
 	}
+	since := httpx.IfModifiedSince(r)
 	e.mu.RLock()
-	body := e.body
-	contentType := e.contentType.String()
-	cacheControl := e.cacheControl.String()
-	lastMod, hasLastMod := e.lastModified()
+	a := e.answer(since)
 	// A copy whose last poll failed and whose last validation is older
 	// than its Δ is past its bound: served, but labelled. A failed poll
 	// leaves the key unleased (see deferRetry), so Δ is its bound; the
@@ -968,47 +958,24 @@ func (p *Proxy) serveEntry(w http.ResponseWriter, r *http.Request, e *entry, cac
 		cacheStatus = "STALE"
 		p.staleServes.Add(1)
 	}
-	if hasLastMod {
-		if ims := r.Header.Get("If-Modified-Since"); ims != "" {
-			if since, err := http.ParseTime(ims); err == nil && !lastMod.After(since) {
-				setObjectHeaders(w, "", cacheControl, lastMod, true, cacheStatus)
-				w.WriteHeader(http.StatusNotModified)
-				return
-			}
+	w.Header().Set("X-Cache", cacheStatus)
+	httpx.WriteAnswer(w, r, &a)
+}
+
+// answer is this proxy's answer, as a child's upstream, to a GET or batch
+// line for e conditional on since (zero for none): a 304 when the copy's
+// Last-Modified is no later than since, else the 200 carrying the copy.
+// Either forwards the origin's Cache-Control (its §5.1 tolerances)
+// verbatim, so a child learns what this proxy did. The caller holds e.mu.
+func (e *entry) answer(since time.Time) httpx.AuditAnswer {
+	a := httpx.AuditAnswer{Status: http.StatusOK, Body: e.body, ContentType: e.contentType.String(), CacheControl: e.cacheControl.String()}
+	if lastMod, ok := e.lastModified(); ok {
+		a.LastModified = lastMod
+		if !since.IsZero() && !lastMod.After(since) {
+			a.Status, a.Body = http.StatusNotModified, nil
 		}
 	}
-	writeObject(w, r, body, contentType, cacheControl, lastMod, hasLastMod, cacheStatus)
-}
-
-// setObjectHeaders writes the response headers shared by 200 and 304
-// replies. The origin's Cache-Control (carrying the paper's §5.1
-// tolerance directives: Δ, group, δ, Δv) is forwarded verbatim so a
-// child proxy learns the same consistency parameters this proxy did.
-func setObjectHeaders(w http.ResponseWriter, contentType, cacheControl string, lastMod time.Time, hasLastMod bool, cacheStatus string) {
-	if contentType != "" {
-		w.Header().Set("Content-Type", contentType)
-	}
-	if cacheControl != "" {
-		w.Header().Set("Cache-Control", cacheControl)
-	}
-	if hasLastMod {
-		w.Header().Set("Last-Modified", lastMod.UTC().Format(http.TimeFormat))
-	}
-	w.Header().Set("X-Cache", cacheStatus)
-}
-
-func writeObject(w http.ResponseWriter, r *http.Request, body []byte, contentType, cacheControl string, lastMod time.Time, hasLastMod bool, cacheStatus string) {
-	setObjectHeaders(w, contentType, cacheControl, lastMod, hasLastMod, cacheStatus)
-	if r.Method == http.MethodHead {
-		// HEAD gets the representation's headers — Content-Length
-		// included, which net/http cannot infer with no body written —
-		// and nothing else.
-		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	return a
 }
 
 // admit brings a non-resident object into the cache: a cold miss fetches
@@ -1491,10 +1458,8 @@ func (p *Proxy) UpstreamStatus() UpstreamStatus {
 // admission passes it to the client as received, Location included, and
 // a poll evicts the copy.
 type originAnswer struct {
-	code        int
-	contentType string
-	location    string
-	body        []byte
+	answer   httpx.AuditAnswer // its status, Content-Type and body
+	location string
 }
 
 // redirect reports whether code sends the client elsewhere for the
@@ -1510,7 +1475,7 @@ func redirect(code int) bool {
 }
 
 func (a *originAnswer) Error() string {
-	return fmt.Sprintf("webproxy: origin answered %d %s", a.code, http.StatusText(a.code))
+	return fmt.Sprintf("webproxy: origin answered %d %s", a.answer.Status, http.StatusText(a.answer.Status))
 }
 
 // failure is err as a failed contact: nil for an *originAnswer.
@@ -1583,7 +1548,7 @@ func (p *Proxy) get(key string, since time.Time, base []byte) (*version, error) 
 		return nil, err
 	}
 	if gone {
-		return nil, &originAnswer{code: code, contentType: a.ContentType, location: resp.Header.Get("Location"), body: a.Body}
+		return nil, &originAnswer{answer: httpx.AuditAnswer{Status: code, ContentType: a.ContentType, Body: a.Body}, location: resp.Header.Get("Location")}
 	}
 	if code == http.StatusIMUsed {
 		a.Base, a.Result = push.DeltaAnswer(resp.Header)

@@ -11,15 +11,15 @@
 // previous version, when the request carries "A-IM: x-broadway-block2"
 // (push.DeltaIM), its If-Modified-Since names that version, and the update
 // left a delta that pays; otherwise a 200. A GET or HEAD gets the answer
-// rendered as HTTP. An audit batch (see ServeAudits) leaves a key out for
-// a 304, and with the same A-IM carries a changed key's 226 or 200 inline.
+// rendered by httpx.WriteAnswer. An audit batch (see ServeAudits) leaves a
+// key out by httpx.Vouches, and with the same A-IM carries a changed key's
+// 226 or 200 inline. A parent proxy answers with the same two.
 package webserver
 
 import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -327,14 +327,8 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	// A missing or unparseable If-Modified-Since leaves since zero: the
-	// GET is unconditional, and the history all of it.
-	var since time.Time
-	if ims := r.Header.Get("If-Modified-Since"); ims != "" {
-		if t, err := http.ParseTime(ims); err == nil {
-			since = t
-		}
-	}
+	// An unconditional GET's since is zero, and the history all of it.
+	since := httpx.IfModifiedSince(r)
 	o.mu.RLock()
 	obj, ok := o.objects[r.URL.Path]
 	var a httpx.AuditAnswer
@@ -347,29 +341,10 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	o.count(a.Status)
-
-	h := w.Header()
-	h.Set("Last-Modified", a.LastModified.UTC().Format(http.TimeFormat))
-	httpx.AddCacheControl(h, a.CacheControl)
-	if o.historyEnabled {
-		httpx.SetHistory(h, a.History)
+	if a.Status == http.StatusIMUsed {
+		push.SetDeltaHeaders(w.Header(), a.Base, a.Result)
 	}
-	switch a.Status {
-	case http.StatusIMUsed:
-		push.SetDeltaHeaders(h, a.Base, a.Result)
-		fallthrough
-	case http.StatusOK:
-		h.Set("Content-Type", a.ContentType)
-		if r.Method == http.MethodHead {
-			// The GET's length: a HEAD sends its header fields (RFC 9110
-			// §9.3.2), and no body states it for it.
-			h.Set("Content-Length", strconv.Itoa(len(a.Body)))
-		}
-	}
-	w.WriteHeader(a.Status)
-	if r.Method == http.MethodGet {
-		w.Write(a.Body)
-	}
+	httpx.WriteAnswer(w, r, &a)
 }
 
 // answer decides what a request for obj conditional on since (zero for
@@ -455,16 +430,9 @@ func (o *Origin) answerAudits(lines []httpx.AuditLine, inline bool) []byte {
 				changed = append(changed, a)
 				continue
 			}
-		default:
-			// No directives vouch whatever token the child holds: the GET
-			// would be a 304 with no Cache-Control, and a 304 cannot remove
-			// the child's stored one, so listing the key would buy a GET on
-			// every audit that changes nothing. The next 200 or pushed
-			// payload clears it.
-			if a.CacheControl == "" || httpx.CacheControlToken(a.CacheControl) == l.Token {
-				o.count(a.Status)
-				continue
-			}
+		case httpx.Vouches(&a, l):
+			o.count(a.Status)
+			continue
 		}
 		out = httpx.AppendAuditAnswer(out, httpx.AuditAnswer{Key: l.Key})
 	}
